@@ -25,9 +25,17 @@ _KIND_NAMES = {AND: "AND", XOR: "XOR", NOT: "NOT"}
 
 @dataclass(frozen=True)
 class InputGroup:
+    """Input wires one party supplies.
+
+    When the circuit is evaluated over several lanes, a ``shared`` group
+    carries one value per wire for every lane; any other group carries one
+    value per wire and lane.
+    """
+
     party: int
     name: str
     wires: tuple[int, ...]
+    shared: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,10 +63,12 @@ class Circuit:
         self.output_wires: list[int] = []
         self._input_wire_count = 0
         self._depth_cache: list[int] | None = None
+        self._layers_cache: tuple[list, list] | None = None
 
     # -------------------------------------------------- construction
 
-    def add_input_group(self, party: int, name: str, width: int) -> tuple[int, ...]:
+    def add_input_group(self, party: int, name: str, width: int,
+                        shared: bool = False) -> tuple[int, ...]:
         if self.gates:
             raise ValueError("input groups must be declared before gates")
         if party not in (0, 1):
@@ -68,7 +78,7 @@ class Circuit:
         wires = tuple(range(self.n_wires, self.n_wires + width))
         self.n_wires += width
         self._input_wire_count = self.n_wires
-        self.input_groups.append(InputGroup(party, name, wires))
+        self.input_groups.append(InputGroup(party, name, wires, shared))
         return wires
 
     def _new_wire(self) -> int:
@@ -80,28 +90,26 @@ class Circuit:
         if not 0 <= w < self.n_wires:
             raise ValueError(f"wire {w} does not exist yet")
 
+    def _add_gate(self, kind: int, a: int, b: int) -> int:
+        out = self._new_wire()
+        self.gates.append((kind, a, b, out))
+        self._depth_cache = None
+        self._layers_cache = None
+        return out
+
     def and_(self, a: int, b: int) -> int:
         self._check_wire(a)
         self._check_wire(b)
-        out = self._new_wire()
-        self.gates.append((AND, a, b, out))
-        self._depth_cache = None
-        return out
+        return self._add_gate(AND, a, b)
 
     def xor(self, a: int, b: int) -> int:
         self._check_wire(a)
         self._check_wire(b)
-        out = self._new_wire()
-        self.gates.append((XOR, a, b, out))
-        self._depth_cache = None
-        return out
+        return self._add_gate(XOR, a, b)
 
     def not_(self, a: int) -> int:
         self._check_wire(a)
-        out = self._new_wire()
-        self.gates.append((NOT, a, -1, out))
-        self._depth_cache = None
-        return out
+        return self._add_gate(NOT, a, -1)
 
     def or_(self, a: int, b: int) -> int:
         # De Morgan: a OR b = NOT(NOT a AND NOT b).  One AND, three NOTs.
@@ -129,6 +137,24 @@ class Circuit:
     def and_depth(self) -> int:
         depths = self.wire_and_depths()
         return max((depths[g[3]] for g in self.gates if g[0] == AND), default=0)
+
+    def and_layers(self) -> tuple[list[list[tuple]], list[list[tuple]]]:
+        """Gates by AND level, for layer-by-layer evaluation.
+
+        Returns (ands, locals) with one list per level 0..and_depth():
+        ``ands[L]`` holds the AND gates at level L, which only read wires of
+        lower levels, and ``locals[L]`` the XOR and NOT gates at level L,
+        which may read them; both keep gate order.
+        """
+        if self._layers_cache is None:
+            depth = self.wire_and_depths()
+            n_levels = self.and_depth() + 1
+            ands: list[list[tuple]] = [[] for _ in range(n_levels)]
+            locals_: list[list[tuple]] = [[] for _ in range(n_levels)]
+            for gate in self.gates:
+                (ands if gate[0] == AND else locals_)[depth[gate[3]]].append(gate)
+            self._layers_cache = (ands, locals_)
+        return self._layers_cache
 
     # -------------------------------------------------- dump
 
@@ -242,6 +268,10 @@ class BatchQueryCircuit(Circuit):
     blocks; they read only the rule inputs and drive ``distinct_wires``,
     entry i's wire being 1 iff that entry is distinct from the queried rule.
     The identifier multiplexers follow them.
+
+    The querier's rule and the dummy identifier are the same for every
+    entry, so their groups are ``shared``: the k = 1 circuit is the
+    per-entry template that the secure backends evaluate over k lanes.
     """
 
     RULE_GROUPS = ("q_mask", "q_pattern", "h_masks", "h_patterns")
@@ -279,12 +309,12 @@ def build_batch_query(layout: CircuitLayout) -> BatchQueryCircuit:
     """
     k, w, idw = layout.k, layout.rule_width, layout.id_width
     c = BatchQueryCircuit()
-    qm = c.add_input_group(0, "q_mask", w)
-    qp = c.add_input_group(0, "q_pattern", w)
+    qm = c.add_input_group(0, "q_mask", w, shared=True)
+    qp = c.add_input_group(0, "q_pattern", w, shared=True)
     hm = c.add_input_group(1, "h_masks", k * w)
     hp = c.add_input_group(1, "h_patterns", k * w)
     hid = c.add_input_group(1, "h_ids", k * idw)
-    hdummy = c.add_input_group(1, "h_dummy", idw)
+    hdummy = c.add_input_group(1, "h_dummy", idw, shared=True)
     c.distinct_wires = tuple(
         _or_tree(c, [
             _bit_distinct(c, qm[j], qp[j], hm[i * w + j], hp[i * w + j])

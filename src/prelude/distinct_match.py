@@ -15,16 +15,22 @@ Session flow, all on one framed channel:
    prefix; k == 0 ends the session with an empty result and no circuit work;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
-   rule is distinct from the stored one under the chosen secure backend:
-   under gmw they run the full batch-query circuit, whose multiplexers turn
-   each entry's bit into its identifier or the dummy, leaving those shared;
-   under yao the holder garbles only the comparator stage and the querier
-   ends up holding one label of each entry's distinct wire;
+   rule is distinct from the stored one under the chosen secure backend.
+   Every entry runs the same per-entry template, the k = 1 batch-query
+   circuit, and the backends evaluate it over k lanes, lane i being the
+   i-th shuffled entry; the querier's rule and the dummy feed every lane.
+   Under gmw both sides run the whole template, whose multiplexers turn
+   each lane's bit into its identifier or the dummy, leaving those shared;
+   under yao the holder garbles only the template's comparator stage and
+   the querier ends up holding one label of each entry's distinct wire;
 4. in the reveal round the holder sends and learns nothing back: under gmw
    its output share, from which the querier reconstructs k identifiers;
    under yao each entry's identifier and the dummy encrypted under the two
    labels of that entry's distinct wire, of which the querier opens exactly
    one per entry.  The querier drops the dummy placeholders and deduplicates.
+
+One template and its comparator stage are built per (rule width, identifier
+width) and kept for the life of the process; nothing is built per k.
 
 Both parties are written as step generators over frames.  The holder's side
 runs over any blocking channel through :meth:`SdxMatchService.serve_query`;
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 
 from prelude.circuits import (
     BatchQueryCircuit,
+    Circuit,
     CircuitLayout,
     build_batch_query,
     rule_input_bits,
@@ -68,6 +75,12 @@ from prelude.smpc import (
     reveal_steps,
     send_frame,
 )
+from prelude.smpc.shares import (
+    bits_to_int,
+    lanes_to_rows,
+    rows_to_lanes,
+    split_lanes,
+)
 
 log = logging.getLogger(__name__)
 
@@ -92,8 +105,17 @@ class NextHopId:
         if not 0 <= self.as_id < (1 << AS_ID_BITS):
             raise ValueError("as_id out of range")
 
+    @property
+    def value(self) -> int:
+        """The identifier as one 48-bit integer, the exchange in the top bits."""
+        return (self.sdx_id << AS_ID_BITS) | self.as_id
+
+    @classmethod
+    def from_value(cls, value: int) -> "NextHopId":
+        return cls(value >> AS_ID_BITS, value & ((1 << AS_ID_BITS) - 1))
+
     def to_bits(self) -> tuple[int, ...]:
-        value = (self.sdx_id << AS_ID_BITS) | self.as_id
+        value = self.value
         return tuple((value >> (HOP_ID_BITS - 1 - i)) & 1 for i in range(HOP_ID_BITS))
 
     @classmethod
@@ -103,16 +125,14 @@ class NextHopId:
         value = 0
         for b in bits:
             value = (value << 1) | b
-        return cls(value >> AS_ID_BITS, value & ((1 << AS_ID_BITS) - 1))
+        return cls.from_value(value)
 
     def to_bytes(self) -> bytes:
-        value = (self.sdx_id << AS_ID_BITS) | self.as_id
-        return value.to_bytes(HOP_ID_BYTES, "big")
+        return self.value.to_bytes(HOP_ID_BYTES, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NextHopId":
-        value = int.from_bytes(data, "big")
-        return cls(value >> AS_ID_BITS, value & ((1 << AS_ID_BITS) - 1))
+        return cls.from_value(int.from_bytes(data, "big"))
 
 
 DUMMY_HOP = NextHopId((1 << SDX_ID_BITS) - 1, (1 << AS_ID_BITS) - 1)
@@ -170,21 +190,32 @@ class SessionStats:
 
 
 # --------------------------------------------------------------------------
-# circuit cache
+# per-entry template
 
 
-_cache_lock = threading.Lock()
-_circuit_cache: dict[CircuitLayout, BatchQueryCircuit] = {}
+@dataclass(frozen=True)
+class QueryTemplate:
+    """The circuit every entry of a query runs, and its comparator stage."""
+
+    circuit: BatchQueryCircuit  # the k = 1 batch-query circuit
+    stage: Circuit  # its comparator stage, which yao garbles
 
 
-def circuit_for_layout(layout: CircuitLayout) -> BatchQueryCircuit:
-    """Build (or reuse) the batch-query circuit for a layout."""
-    with _cache_lock:
-        circuit = _circuit_cache.get(layout)
-        if circuit is None:
-            circuit = build_batch_query(layout)
-            _circuit_cache[layout] = circuit
-    return circuit
+_template_lock = threading.Lock()
+_templates: dict[tuple[int, int], QueryTemplate] = {}
+
+
+def query_template(rule_width: int,
+                   id_width: int = HOP_ID_BITS) -> QueryTemplate:
+    """The template for a rule width, built on first use and then kept."""
+    key = (rule_width, id_width)
+    with _template_lock:
+        template = _templates.get(key)
+        if template is None:
+            circuit = build_batch_query(CircuitLayout(1, rule_width, id_width))
+            template = QueryTemplate(circuit, circuit.distinct_stage())
+            _templates[key] = template
+    return template
 
 
 # --------------------------------------------------------------------------
@@ -208,8 +239,19 @@ class SdxMatchService:
     # -------------------------------------------------------- table writes
 
     def register(self, entry: RuleEntry) -> None:
+        """Add an entry; every rule under one prefix must have the same width.
+
+        Raises ValueError, leaving the table as it was, for an entry whose
+        width differs from the rules already registered under its prefix.
+        """
         with self._lock:
             table = self._tables.setdefault(entry.prefix, {})
+            if table:
+                width = next(iter(table)).rule.width
+                if entry.rule.width != width:
+                    raise ValueError(
+                        f"rule width {entry.rule.width} does not match rule "
+                        f"width {width} of the entries under {entry.prefix}")
             already = entry in table
             table[entry] = None
         if not already:
@@ -261,11 +303,10 @@ class SdxMatchService:
         width = int(envelope["rule_width"])
 
         entries = self.entries_for(prefix)
-        table_widths = sorted({entry.rule.width for entry in entries})
-        if entries and table_widths != [width]:
+        if entries and entries[0].rule.width != width:
             raise ProtocolError(
                 f"query rule width {width} does not match the table's rule "
-                f"width {', '.join(map(str, table_widths))}")
+                f"width {entries[0].rule.width}")
         k = len(entries)
         ack = json.dumps({"k": k, "id_width": HOP_ID_BITS}).encode("utf-8")
         yield from send_frame(MSG_ENVELOPE_ACK, ack, transcript)
@@ -273,39 +314,33 @@ class SdxMatchService:
             return
 
         shuffle_rng.shuffle(entries)
-        circuit = circuit_for_layout(
-            CircuitLayout(k=k, rule_width=width, id_width=HOP_ID_BITS))
-        inputs = _holder_rule_inputs(entries)
+        template = query_template(width)
+        # one lane per shuffled entry: bit i of a wire's word is entry i's bit
+        inputs = {
+            "h_masks": rows_to_lanes([e.rule.mask for e in entries], width),
+            "h_patterns": rows_to_lanes([e.rule.pattern for e in entries],
+                                        width),
+        }
         if backend == "gmw":
-            inputs["h_ids"] = [bit for e in entries for bit in e.next_hop.to_bits()]
+            inputs["h_ids"] = rows_to_lanes(
+                [e.next_hop.value for e in entries], HOP_ID_BITS)
             inputs["h_dummy"] = list(DUMMY_HOP.to_bits())
-            material = dealer.material(circuit, backend, party=1)
-            shares = yield from gmw_steps(circuit, 1, inputs, material,
-                                          transcript)
+            material = dealer.material(template.circuit, backend, 1, k)
+            shares = yield from gmw_steps(template.circuit, 1, inputs,
+                                          material, transcript, lanes=k)
             yield from reveal_steps(shares, transcript, send=True,
                                     receive=False)
             return
-        stage = circuit.distinct_stage()
-        material = dealer.material(stage, backend, party=1)
-        delta, label0 = yield from garble_steps(stage, inputs, material,
-                                                garble_rng, transcript)
+        material = dealer.material(template.stage, backend, 1, k)
+        delta, zero_labels = yield from garble_steps(
+            template.stage, inputs, material, garble_rng, transcript, lanes=k)
         # A distinct wire reads 0 where the rules overlap: release the
         # entry's identifier there, the dummy where it reads 1.
         dummy = DUMMY_HOP.to_bytes()
         yield from release_steps(
-            delta, [label0[w] for w in stage.output_wires],
+            delta, zero_labels,
             [(entry.next_hop.to_bytes(), dummy) for entry in entries],
             transcript)
-
-
-def _holder_rule_inputs(entries: list[RuleEntry]) -> dict[str, list[int]]:
-    masks: list[int] = []
-    patterns: list[int] = []
-    for entry in entries:
-        m, p = rule_input_bits(entry.rule)
-        masks.extend(m)
-        patterns.extend(p)
-    return {"h_masks": masks, "h_patterns": patterns}
 
 
 # --------------------------------------------------------------------------
@@ -331,22 +366,21 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
     if int(ack["id_width"]) != HOP_ID_BITS:
         raise ProtocolError("holder uses an incompatible identifier width")
 
-    circuit = circuit_for_layout(
-        CircuitLayout(k=k, rule_width=local.width, id_width=HOP_ID_BITS))
+    template = query_template(local.width)
     mask_bits, pattern_bits = rule_input_bits(local)
     inputs = {"q_mask": list(mask_bits), "q_pattern": list(pattern_bits)}
     if backend == "gmw":
-        material = dealer.material(circuit, backend, party=0)
-        shares = yield from gmw_steps(circuit, 0, inputs, material, transcript)
+        material = dealer.material(template.circuit, backend, 0, k)
+        shares = yield from gmw_steps(template.circuit, 0, inputs, material,
+                                      transcript, lanes=k)
         bits = yield from reveal_steps(shares, transcript, send=False,
                                        receive=True)
-        return [
-            NextHopId.from_bits(bits[i * HOP_ID_BITS : (i + 1) * HOP_ID_BITS])
-            for i in range(k)
-        ]
-    stage = circuit.distinct_stage()
-    material = dealer.material(stage, backend, party=0)
-    labels = yield from evaluate_steps(stage, inputs, material, transcript)
+        # bit j * k + i of the output is bit j of entry i's identifier
+        words = split_lanes(bits_to_int(bits), k, HOP_ID_BITS)
+        return [NextHopId.from_value(v) for v in lanes_to_rows(words, k)]
+    material = dealer.material(template.stage, backend, 0, k)
+    labels = yield from evaluate_steps(template.stage, inputs, material,
+                                       transcript, lanes=k)
     opened = yield from open_steps(labels, HOP_ID_BYTES, transcript)
     return [NextHopId.from_bytes(value) for value in opened]
 
@@ -358,11 +392,11 @@ class _SessionDealer:
         self._seed = seed
         self._materials = None
 
-    def material(self, circuit, backend: str, party: int):
+    def material(self, circuit, backend: str, party: int, lanes: int):
         if self._materials is None:
             rng = random.Random(self._seed)
             self._materials = dealer_for_circuit(circuit, backend, rng,
-                                                 garbler=1)
+                                                 garbler=1, lanes=lanes)
         return self._materials[party]
 
 
@@ -427,13 +461,10 @@ class LoopbackEndpoint:
             k = len(raw)
             depth = 0
             if k:
-                circuit = circuit_for_layout(CircuitLayout(
-                    k=k, rule_width=local.width, id_width=HOP_ID_BITS))
-                if backend == "gmw":
-                    depth = circuit.and_depth()
-                else:  # only the comparator stage is garbled
-                    depths = circuit.wire_and_depths()
-                    depth = max(depths[w] for w in circuit.distinct_wires)
+                template = query_template(local.width)
+                # yao garbles only the comparator stage
+                depth = (template.circuit if backend == "gmw"
+                         else template.stage).and_depth()
             stats_out.append(SessionStats(
                 backend=backend,
                 prefix=prefix,

@@ -7,6 +7,10 @@ Two interchangeable backends evaluate the same circuit objects:
 - :func:`yao_execute` garbles the circuit; its online phase is a single
   round trip regardless of depth.
 
+Either can also evaluate a circuit as a template over ``lanes`` independent
+instances, packing every lane of a wire into one integer; rounds and bytes
+are those of the circuit unrolled ``lanes`` times.
+
 Both leave the result XOR-shared; :func:`reveal_output` reconstructs it,
 optionally one-sided so only one party learns the plaintext.  Each party's
 protocol is also available as a step generator over frames (``*_steps``);

@@ -5,7 +5,8 @@ parties correlated randomness before the online phase starts.
 
 Per session it produces:
 
-- Beaver triple shares for every AND gate a GMW run will evaluate;
+- Beaver triple shares for every AND gate a GMW run will evaluate, on
+  every lane it runs;
 - a joint input-mask seed, from which both parties derive identical masks for
   every input wire.  The wire's owner sets its share to ``bit XOR mask`` and
   the other party uses the mask itself, so input sharing costs no messages;
@@ -139,15 +140,21 @@ def dealer_gen(
 
 
 def dealer_for_circuit(
-    circuit, backend: str, rng, garbler: int = 1
+    circuit, backend: str, rng, garbler: int = 1, lanes: int = 1
 ) -> tuple[DealerMaterial, DealerMaterial]:
-    """Size the dealer material for one execution of ``circuit``."""
+    """Size the dealer material for one execution of ``circuit`` over ``lanes``.
+
+    GMW takes one triple per AND gate and lane.  Yao transfers one label
+    per evaluator input wire of a shared group and one per wire and lane
+    of any other group.
+    """
     if backend == "gmw":
-        return dealer_gen(circuit.and_count(), 0, rng)
+        return dealer_gen(lanes * circuit.and_count(), 0, rng)
     if backend == "yao":
         evaluator = 1 - garbler
         n_transfers = sum(
-            len(g.wires) for g in circuit.input_groups if g.party == evaluator
+            len(g.wires) * (1 if g.shared else lanes)
+            for g in circuit.input_groups if g.party == evaluator
         )
         return dealer_gen(0, n_transfers, rng, label_sender=garbler)
     raise ValueError(f"unknown backend {backend!r}")

@@ -1,13 +1,23 @@
-"""GMW evaluation over XOR shares.
+"""GMW evaluation over XOR shares, on one lane or many.
 
 XOR and NOT gates are evaluated locally (NOT by party 0 flipping its share).
 Each AND layer consumes one Beaver triple per gate and costs exactly one
 exchange of masked openings, so the online round count equals the circuit's
 AND depth; revealing the output afterwards adds one more round.
 
+A circuit can be evaluated as a template over ``lanes`` independent
+instances at once, the SIMD gates of ABY (Demmler, Schneider & Zohner,
+NDSS 2015): each wire's share is one Python int whose bit i belongs to lane
+i, XOR and NOT act on whole ints, and an AND layer of n gates takes n x lanes
+triples and opens them in one frame of the size n x lanes separate gates
+would need.  A per-lane input group supplies one int of lane bits per wire;
+a shared group (:attr:`InputGroup.shared`) supplies one bit per wire, which
+is broadcast to every lane.  At one lane this is plain bit-level GMW.
+
 Input wires never touch the channel: both parties expand the dealer's joint
-mask seed into one mask bit per input wire, the owner takes ``bit XOR mask``
-as its share and the peer takes the mask, which is a valid fresh sharing.
+mask seed into one mask per input wire, one bit wide for a shared wire and
+``lanes`` bits otherwise.  The owner takes ``value XOR mask`` as its share
+and the peer takes the mask, which is a valid fresh sharing.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
-from prelude.circuits import AND, Circuit, NOT, XOR
+from prelude.circuits import Circuit, XOR
 from prelude.smpc.channel import (
     MSG_AND_OPENING,
     MSG_OUTPUT_SHARE,
@@ -25,49 +35,43 @@ from prelude.smpc.channel import (
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
-from prelude.smpc.shares import BitShares, pack_bits, unpack_bits
+from prelude.smpc.shares import (
+    BitShares,
+    int_to_bits,
+    join_lanes,
+    pack_bits,
+    split_lanes,
+    unpack_bits,
+)
 from prelude.smpc.transcript import SessionTranscript
-
-
-def _plan(circuit: Circuit):
-    """Gates bucketed by AND level: plan[L] = (and_gates_at_L, local_gates_after_L)."""
-    cached = getattr(circuit, "_gmw_plan", None)
-    if cached is not None:
-        return cached
-    depth = circuit.wire_and_depths()
-    d_max = circuit.and_depth()
-    ands: list[list] = [[] for _ in range(d_max + 1)]
-    locals_: list[list] = [[] for _ in range(d_max + 1)]
-    for gate in circuit.gates:
-        level = depth[gate[3]]
-        (ands if gate[0] == AND else locals_)[level].append(gate)
-    plan = (d_max, ands, locals_)
-    circuit._gmw_plan = plan
-    return plan
 
 
 def _input_shares(circuit: Circuit, party: int,
                   my_inputs: Mapping[str, Sequence[int]], mask_seed: bytes,
-                  values: list[int]) -> None:
-    n_in = sum(len(g.wires) for g in circuit.input_groups)
-    masks = 0
-    if n_in:
-        masks = random.Random(int.from_bytes(mask_seed, "little")).getrandbits(n_in)
+                  lanes: int) -> list[int]:
+    """This party's share of every wire, input wires filled in."""
     mine = {g.name for g in circuit.input_groups if g.party == party}
     if set(my_inputs) != mine:
         raise ValueError(f"party {party} must supply exactly groups {sorted(mine)}")
+    rng = random.Random(int.from_bytes(mask_seed, "little"))
+    every_lane = (1 << lanes) - 1
+    values = [0] * circuit.n_wires
     for group in circuit.input_groups:
+        width = 1 if group.shared else lanes
+        n = len(group.wires)
+        shares = split_lanes(rng.getrandbits(n * width), width, n)
         if group.party == party:
-            bits = my_inputs[group.name]
-            if len(bits) != len(group.wires):
+            own = my_inputs[group.name]
+            if len(own) != n:
                 raise ValueError(f"group {group.name!r} has wrong length")
-            for w, bit in zip(group.wires, bits):
-                if bit not in (0, 1):
-                    raise ValueError("inputs must be bits")
-                values[w] = bit ^ ((masks >> w) & 1)
-        else:
-            for w in group.wires:
-                values[w] = (masks >> w) & 1
+            if own and (min(own) < 0 or max(own) >> width):
+                raise ValueError("inputs must be bits, one per lane")
+            shares = [m ^ v for m, v in zip(shares, own)]
+        if group.shared:
+            shares = [m * every_lane for m in shares]
+        for w, share in zip(group.wires, shares):
+            values[w] = share
+    return values
 
 
 def gmw_execute(
@@ -77,13 +81,15 @@ def gmw_execute(
     channel,
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
+    lanes: int = 1,
 ) -> BitShares:
     """Run the online phase; returns this party's shares of the output wires.
 
     Outputs stay shared: call reveal_output() afterwards to reconstruct.
+    Over several lanes the shares are ordered by output wire, then lane.
     """
-    return drive(gmw_steps(circuit, party, my_inputs, setup, transcript),
-                 channel)
+    return drive(gmw_steps(circuit, party, my_inputs, setup, transcript,
+                           lanes), channel)
 
 
 def gmw_steps(
@@ -92,37 +98,39 @@ def gmw_steps(
     my_inputs: Mapping[str, Sequence[int]],
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
+    lanes: int = 1,
 ):
     """Step generator of :func:`gmw_execute`; returns the output shares."""
     if party != setup.party:
         raise ValueError("setup material belongs to the other party")
+    if lanes < 1:
+        raise ValueError("lanes must be at least 1")
     if transcript is not None:
         transcript.record_receive(
             MSG_SETUP_TRIPLES, setup.serialized_size(), setup.digest_bytes()
         )
         transcript.begin_online()
 
-    values = [0] * circuit.n_wires
-    _input_shares(circuit, party, my_inputs, setup.input_mask_seed, values)
+    values = _input_shares(circuit, party, my_inputs, setup.input_mask_seed,
+                           lanes)
+    flip = (1 << lanes) - 1 if party == 0 else 0  # NOT: only party 0 flips
 
     def run_local(gates) -> None:
         for kind, a, b, out in gates:
             if kind == XOR:
                 values[out] = values[a] ^ values[b]
-            else:  # NOT: only party 0 flips its share
-                values[out] = values[a] ^ 1 if party == 0 else values[a]
+            else:
+                values[out] = values[a] ^ flip
 
-    d_max, ands, locals_ = _plan(circuit)
+    ands, locals_ = circuit.and_layers()
     run_local(locals_[0])
-    for level in range(1, d_max + 1):
+    for level in range(1, len(ands)):
         gates = ands[level]
-        nb = len(gates)
+        nb = len(gates) * lanes
         ta, tb, tc = setup.triples.take(nb)
-        d_mine = 0
-        e_mine = 0
-        for i, (_, a, b, _out) in enumerate(gates):
-            d_mine |= (values[a] ^ ((ta >> i) & 1)) << i
-            e_mine |= (values[b] ^ ((tb >> i) & 1)) << i
+        # gate g's lanes occupy bits [g * lanes, (g + 1) * lanes) of a layer word
+        d_mine = join_lanes([values[g[1]] for g in gates], lanes) ^ ta
+        e_mine = join_lanes([values[g[2]] for g in gates], lanes) ^ tb
         payload = (d_mine | (e_mine << nb)).to_bytes((2 * nb + 7) // 8, "little")
         if transcript is not None:
             transcript.next_round()
@@ -135,11 +143,13 @@ def gmw_steps(
         z = tc ^ (d_pub & tb) ^ (e_pub & ta)
         if party == 0:
             z ^= d_pub & e_pub
-        for i, gate in enumerate(gates):
-            values[gate[3]] = (z >> i) & 1
+        for gate, share in zip(gates, split_lanes(z, lanes, len(gates))):
+            values[gate[3]] = share
         run_local(locals_[level])
 
-    return BitShares(tuple(values[w] for w in circuit.output_wires))
+    outputs = [values[w] for w in circuit.output_wires]
+    return BitShares(int_to_bits(join_lanes(outputs, lanes),
+                                 lanes * len(outputs)))
 
 
 def reveal_output(

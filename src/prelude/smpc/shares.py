@@ -1,9 +1,19 @@
-"""XOR secret sharing of bit vectors."""
+"""XOR secret sharing of bit vectors, and the bit packings the protocols use.
+
+No packing here shifts one bit at a time, which is quadratic in the length
+of a Python int.  Bit vectors move between ints and '0'/'1' strings, whose
+conversions in base 2 are linear; lane words are joined and split by
+halving, which touches each bit once per level.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+# bytes of 0/1 values <-> ASCII '0'/'1', for linear-time bit conversions
+_TO_ASCII = bytes(0x30 | (i & 1) for i in range(256))
+_FROM_ASCII = bytes(i & 1 for i in range(256))
 
 
 @dataclass(frozen=True)
@@ -13,7 +23,7 @@ class BitShares:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        if not set(self.bits) <= {0, 1}:
             raise ValueError("shares are bit vectors")
 
     def __len__(self) -> int:
@@ -22,7 +32,8 @@ class BitShares:
     def __xor__(self, other: "BitShares") -> "BitShares":
         if len(self) != len(other):
             raise ValueError("share lengths differ")
-        return BitShares(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return BitShares(int_to_bits(
+            bits_to_int(self.bits) ^ bits_to_int(other.bits), len(self)))
 
 
 def share(value: Sequence[int], rng) -> tuple[BitShares, BitShares]:
@@ -39,14 +50,77 @@ def reconstruct(a: BitShares, b: BitShares) -> tuple[int, ...]:
     return (a ^ b).bits
 
 
+def bits_to_int(bits: Sequence[int]) -> int:
+    """Bit i of the vector becomes bit i of the integer; only ``b & 1`` counts."""
+    if not bits:
+        return 0
+    return int(bytes(bits)[::-1].translate(_TO_ASCII), 2)
+
+
+def int_to_bits(value: int, n: int) -> tuple[int, ...]:
+    """The low ``n`` bits of ``value``, bit 0 first."""
+    if n <= 0:
+        return ()
+    text = format(value & ((1 << n) - 1), f"0{n}b")
+    return tuple(text[::-1].encode().translate(_FROM_ASCII))
+
+
 def pack_bits(bits: Sequence[int]) -> bytes:
     """Little-endian bit packing: bit i of the vector is bit i of the integer."""
-    value = 0
-    for i, b in enumerate(bits):
-        value |= (b & 1) << i
-    return value.to_bytes((len(bits) + 7) // 8, "little")
+    return bits_to_int(bits).to_bytes((len(bits) + 7) // 8, "little")
 
 
 def unpack_bits(data: bytes, n: int) -> tuple[int, ...]:
-    value = int.from_bytes(data, "little")
-    return tuple((value >> i) & 1 for i in range(n))
+    return int_to_bits(int.from_bytes(data, "little"), n)
+
+
+def join_lanes(values: Sequence[int], width: int) -> int:
+    """Concatenate fields below ``2**width``, ``values[0]`` in the lowest bits."""
+    if width == 1:
+        return bits_to_int(values)
+    # merging neighbours pairwise touches every bit once per level
+    fields = list(values)
+    while len(fields) > 1:
+        merged = [lo | (hi << width)
+                  for lo, hi in zip(fields[::2], fields[1::2])]
+        if len(fields) % 2:
+            merged.append(fields[-1])
+        fields = merged
+        width *= 2
+    return fields[0] if fields else 0
+
+
+def split_lanes(value: int, width: int, count: int) -> list[int]:
+    """Inverse of :func:`join_lanes`: ``count`` fields of ``width`` bits."""
+    if count <= 0:
+        return []
+    if width == 1:
+        return list(int_to_bits(value, count))
+    if count == 1:
+        return [value & ((1 << width) - 1)]
+    half = count // 2
+    low = value & ((1 << (half * width)) - 1)
+    return (split_lanes(low, width, half)
+            + split_lanes(value >> (half * width), width, count - half))
+
+
+def rows_to_lanes(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose ``width``-bit rows into ``width`` lane words.
+
+    Bit j of a row counts from its most significant end, as rule and
+    identifier bits do; bit i of lane word j is bit j of ``rows[i]``.
+    """
+    text = "".join([format(row, f"0{width}b") for row in reversed(rows)])
+    if not text:
+        return [0] * width
+    return [int(text[j::width], 2) for j in range(width)]
+
+
+def lanes_to_rows(lanes: Sequence[int], count: int) -> list[int]:
+    """Inverse of :func:`rows_to_lanes` for ``count`` rows."""
+    if count <= 0:
+        return []
+    text = "".join([format(word, f"0{count}b") for word in lanes])
+    if not text:
+        return [0] * count
+    return [int(text[count - 1 - i :: count], 2) for i in range(count)]

@@ -7,6 +7,15 @@ the garbler aliases the output labels to the input pair swapped, and the
 evaluator just passes its label through.  Each AND gate costs four 16-byte
 rows, keyed by a blake2s PRF over both input labels and the gate index.
 
+A circuit can be garbled as a template over ``lanes`` independent
+instances: every wire then has one label pair per lane, except the wires of
+a shared input group (:attr:`InputGroup.shared`), whose single label pair
+every lane reads, as one querier rule feeds k comparators.  Garbling and
+evaluation walk the template's gates and, within each gate, its lanes; the
+PRF tweak ``gate index x lanes + lane`` is unique to each garbled gate, and
+the tables are exactly as large as those of the circuit unrolled ``lanes``
+times.  At one lane this is plain garbling.
+
 The garbled tables depend only on the circuit, so they travel during setup.
 The online phase is a single round trip: the evaluator sends masked choice
 bits for its input wires, the garbler answers with its own input labels plus
@@ -16,7 +25,7 @@ Outputs leave the garbled circuit in one of two ways, each costing the
 second online round.  :func:`yao_execute` leaves them XOR-shared between the
 low bit of the garbler's zero-labels and the low bit of the labels the
 evaluator computed, and reveal_output() joins them.  Alternatively the
-garbler releases a value per output wire (:func:`release_steps`): it
+garbler releases a value per output wire and lane (:func:`release_steps`): it
 encrypts one value under the wire's zero-label and another under its
 one-label, in point-and-permute order, and the evaluator, holding exactly
 one of the two labels, opens exactly one value per wire and learns nothing
@@ -29,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping, Sequence
 
-from prelude.circuits import AND, Circuit, NOT, XOR
+from prelude.circuits import Circuit, InputGroup, NOT, XOR
 from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
     MSG_INPUT_SHARE,
@@ -47,7 +56,14 @@ from prelude.smpc.dealer import (
     DealerMaterial,
     SetupUnderprovisioned,
 )
-from prelude.smpc.shares import BitShares, pack_bits, unpack_bits
+from prelude.smpc.shares import (
+    BitShares,
+    int_to_bits,
+    join_lanes,
+    pack_bits,
+    split_lanes,
+    unpack_bits,
+)
 from prelude.smpc.transcript import SessionTranscript
 
 # Online rounds per execution, counting the final share reveal.
@@ -55,91 +71,169 @@ YAO_ROUNDS_WITH_REVEAL = 2
 
 _ROW_BYTES = LABEL_BYTES
 _TABLE_BYTES = 4 * _ROW_BYTES
+_LABEL_MASK = (1 << LABEL_BITS) - 1
 
 # Keyed once; every call continues a copy, which skips re-hashing the key.
 _GARBLE_PRF = hashlib.blake2s(key=b"prelude-garble", digest_size=16)
 _RELEASE_KEY = b"prelude-release"
 
 
-def _prf(label_a: bytes, label_b: bytes, tweak: bytes) -> int:
+def _prf(data: bytes) -> bytes:
     h = _GARBLE_PRF.copy()
-    h.update(label_a + label_b + tweak)
-    return int.from_bytes(h.digest(), "little")
+    h.update(data)
+    return h.digest()
 
 
 def _label_bytes(label: int) -> bytes:
     return label.to_bytes(LABEL_BYTES, "little")
 
 
-def _garble(circuit: Circuit, rng) -> tuple[int, list[int], bytes]:
-    """Return (delta, zero-label per wire, concatenated AND tables)."""
+def _lane_ones(lanes: int) -> int:
+    """The int whose every lane holds 1: multiplying by it copies a label."""
+    return int.from_bytes((b"\x01" + bytes(LABEL_BYTES - 1)) * lanes, "little")
+
+
+def _garble(circuit: Circuit, rng, lanes: int) -> tuple[int, list[int], bytes]:
+    """Return (delta, packed zero-labels per wire, concatenated AND tables).
+
+    A wire's labels are one int, lane i's label in bits [128 i, 128 i + 128),
+    so XOR and NOT gates act on every lane at once.  Tables follow the gates
+    in order and, within a gate, the lanes.
+    """
+    size = LABEL_BYTES * lanes
+    ones = _lane_ones(lanes)
     delta = rng.getrandbits(LABEL_BITS) | 1
+    delta_all = delta * ones
     label0 = [0] * circuit.n_wires
     for group in circuit.input_groups:
         for w in group.wires:
-            label0[w] = rng.getrandbits(LABEL_BITS)
-    rows: list[bytes] = []
+            label0[w] = (rng.getrandbits(LABEL_BITS) * ones if group.shared
+                         else rng.getrandbits(LABEL_BITS * lanes))
+    tables: list[bytes] = []
     for gate_index, (kind, a, b, out) in enumerate(circuit.gates):
         if kind == XOR:
             label0[out] = label0[a] ^ label0[b]
-        elif kind == NOT:
-            label0[out] = label0[a] ^ delta
-        else:
-            out0 = rng.getrandbits(LABEL_BITS)
-            label0[out] = out0
-            tweak = gate_index.to_bytes(4, "little")
-            a_pair = (label0[a], label0[a] ^ delta)
-            b_pair = (label0[b], label0[b] ^ delta)
-            b_bytes = (_label_bytes(b_pair[0]), _label_bytes(b_pair[1]))
-            table: list[bytes] = [b""] * 4
-            for va, la in enumerate(a_pair):
-                la_bytes = _label_bytes(la)
-                for vb, lb in enumerate(b_pair):
-                    lo = out0 ^ delta if va and vb else out0
-                    pad = _prf(la_bytes, b_bytes[vb], tweak)
-                    table[((la & 1) << 1) | (lb & 1)] = _label_bytes(pad ^ lo)
-            rows += table
-    return delta, label0, b"".join(rows)
+            continue
+        if kind == NOT:
+            label0[out] = label0[a] ^ delta_all
+            continue
+        zero = rng.getrandbits(LABEL_BITS * lanes)
+        label0[out] = zero
+        a0 = label0[a].to_bytes(size, "little")
+        a1 = (label0[a] ^ delta_all).to_bytes(size, "little")
+        b0 = label0[b].to_bytes(size, "little")
+        b1 = (label0[b] ^ delta_all).to_bytes(size, "little")
+        z0 = zero.to_bytes(size, "little")
+        z1 = (zero ^ delta_all).to_bytes(size, "little")
+        pads: list[bytes] = []
+        masks: list[bytes] = []
+        tweak = gate_index * lanes
+        for at in range(0, size, LABEL_BYTES):
+            end = at + LABEL_BYTES
+            t = tweak.to_bytes(4, "little")
+            tweak += 1
+            # point and permute: row 2i + j is keyed by the input labels
+            # whose low bits are i and j, and only both one-labels give
+            # the output's one-label
+            x0, x1 = a0[at:end], a1[at:end]
+            y0, y1 = b0[at:end], b1[at:end]
+            z = z0[at:end]
+            row = [z, z, z, z]
+            row[((x1[0] & 1) << 1) | (y1[0] & 1)] = z1[at:end]
+            if x0[0] & 1:
+                x0, x1 = x1, x0
+            if y0[0] & 1:
+                y0, y1 = y1, y0
+            pads += (_prf(x0 + y0 + t), _prf(x0 + y1 + t),
+                     _prf(x1 + y0 + t), _prf(x1 + y1 + t))
+            masks += row
+        tables.append((int.from_bytes(b"".join(pads), "little")
+                       ^ int.from_bytes(b"".join(masks), "little")
+                       ).to_bytes(4 * size, "little"))
+    return delta, label0, b"".join(tables)
 
 
-def _evaluate(circuit: Circuit, labels: list[int], tables: bytes) -> None:
+def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
+              lanes: int) -> None:
+    size = LABEL_BYTES * lanes
     offset = 0
     for gate_index, (kind, a, b, out) in enumerate(circuit.gates):
         if kind == XOR:
             labels[out] = labels[a] ^ labels[b]
-        elif kind == NOT:
+            continue
+        if kind == NOT:
             labels[out] = labels[a]
-        else:
-            la = labels[a]
-            lb = labels[b]
-            at = offset + _ROW_BYTES * (((la & 1) << 1) | (lb & 1))
-            row = int.from_bytes(tables[at : at + _ROW_BYTES], "little")
-            labels[out] = _prf(_label_bytes(la), _label_bytes(lb),
-                               gate_index.to_bytes(4, "little")) ^ row
+            continue
+        a_bytes = labels[a].to_bytes(size, "little")
+        b_bytes = labels[b].to_bytes(size, "little")
+        pads: list[bytes] = []
+        rows: list[bytes] = []
+        tweak = gate_index * lanes
+        for at in range(0, size, LABEL_BYTES):
+            end = at + LABEL_BYTES
+            la = a_bytes[at:end]
+            lb = b_bytes[at:end]
+            row = offset + _ROW_BYTES * (((la[0] & 1) << 1) | (lb[0] & 1))
+            rows.append(tables[row : row + _ROW_BYTES])
+            pads.append(_prf(la + lb + tweak.to_bytes(4, "little")))
+            tweak += 1
             offset += _TABLE_BYTES
+        pad = int.from_bytes(b"".join(pads), "little")
+        labels[out] = pad ^ int.from_bytes(b"".join(rows), "little")
 
 
-def _party_wires(circuit: Circuit, party: int) -> list[int]:
-    return [w for g in circuit.input_groups if g.party == party for w in g.wires]
+def _groups(circuit: Circuit, party: int):
+    return [g for g in circuit.input_groups if g.party == party]
+
+
+def _group_slots(group: InputGroup, lanes: int) -> int:
+    """Input labels a group needs: one per wire and lane, except that a
+    shared wire's one label serves every lane."""
+    return len(group.wires) * (1 if group.shared else lanes)
+
+
+def _slot_count(circuit: Circuit, party: int, lanes: int) -> int:
+    return sum(_group_slots(g, lanes) for g in _groups(circuit, party))
+
+
+def _slot_labels(labels: list[int], group: InputGroup,
+                 lanes: int) -> tuple[int, int]:
+    """A group's labels packed in one int by slot (wire, then lane); slot count."""
+    if group.shared:
+        fields = [labels[w] & _LABEL_MASK for w in group.wires]
+        return join_lanes(fields, LABEL_BITS), len(fields)
+    fields = [labels[w] for w in group.wires]
+    return join_lanes(fields, LABEL_BITS * lanes), _group_slots(group, lanes)
+
+
+def _place_slot_labels(labels: list[int], group: InputGroup, lanes: int,
+                       packed: int) -> None:
+    """Inverse of :func:`_slot_labels`: a shared wire's label fills every lane."""
+    n = 1 if group.shared else lanes
+    fields = split_lanes(packed, LABEL_BITS * n, len(group.wires))
+    ones = _lane_ones(lanes) if group.shared else 1
+    for w, label in zip(group.wires, fields):
+        labels[w] = label * ones
 
 
 def _flatten_inputs(
-    circuit: Circuit, party: int, my_inputs: Mapping[str, Sequence[int]]
+    circuit: Circuit, party: int, my_inputs: Mapping[str, Sequence[int]],
+    lanes: int,
 ) -> list[int]:
-    mine = {g.name for g in circuit.input_groups if g.party == party}
-    if set(my_inputs) != mine:
-        raise ValueError(f"party {party} must supply exactly groups {sorted(mine)}")
+    """The party's input bits, one per input label: by group, wire, then lane."""
+    groups = _groups(circuit, party)
+    if set(my_inputs) != {g.name for g in groups}:
+        raise ValueError(f"party {party} must supply exactly groups "
+                         f"{sorted(g.name for g in groups)}")
     bits: list[int] = []
-    for group in circuit.input_groups:
-        if group.party != party:
-            continue
+    for group in groups:
         got = my_inputs[group.name]
         if len(got) != len(group.wires):
             raise ValueError(f"group {group.name!r} has wrong length")
-        for bit in got:
-            if bit not in (0, 1):
-                raise ValueError("inputs must be bits")
-            bits.append(bit)
+        width = 1 if group.shared else lanes
+        if got and (min(got) < 0 or max(got) >> width):
+            raise ValueError("inputs must be bits, one per lane")
+        bits += int_to_bits(join_lanes(got, width), width * len(got))
     return bits
 
 
@@ -152,14 +246,16 @@ def yao_execute(
     rng=None,
     transcript: SessionTranscript | None = None,
     garbler: int = 1,
+    lanes: int = 1,
 ) -> BitShares:
     """Run one garbled execution; returns this party's shares of the outputs.
 
     ``rng`` is required on the garbler side only.  Call reveal_output()
-    afterwards to reconstruct (it costs the second online round).
+    afterwards to reconstruct (it costs the second online round).  Over
+    several lanes the shares are ordered by output wire, then lane.
     """
     return drive(yao_steps(circuit, party, my_inputs, setup, rng, transcript,
-                           garbler), channel)
+                           garbler, lanes), channel)
 
 
 def yao_steps(
@@ -170,15 +266,15 @@ def yao_steps(
     rng=None,
     transcript: SessionTranscript | None = None,
     garbler: int = 1,
+    lanes: int = 1,
 ):
     """Step generator of :func:`yao_execute`; returns the output shares."""
     if party == garbler:
-        _, label0 = yield from garble_steps(circuit, my_inputs, setup, rng,
-                                            transcript, garbler)
-        outputs = [label0[w] for w in circuit.output_wires]
+        _, outputs = yield from garble_steps(circuit, my_inputs, setup, rng,
+                                             transcript, garbler, lanes)
     else:
         outputs = yield from evaluate_steps(circuit, my_inputs, setup,
-                                            transcript, garbler)
+                                            transcript, garbler, lanes)
     return BitShares(tuple(label & 1 for label in outputs))
 
 
@@ -189,45 +285,59 @@ def garble_steps(
     rng,
     transcript: SessionTranscript | None = None,
     garbler: int = 1,
+    lanes: int = 1,
 ):
-    """Garbler's side of one execution; returns (delta, zero-label per wire)."""
+    """Garbler's side of one execution.
+
+    Returns (delta, the zero-labels of the output wires by wire, then lane).
+    """
     if garbler != setup.party:
         raise ValueError("setup material belongs to the other party")
     if transcript is not None:
         transcript.record_receive(
             MSG_SETUP_TRIPLES, setup.serialized_size(), setup.digest_bytes()
         )
-    evaluator_wires = _party_wires(circuit, 1 - garbler)
-    garbler_wires = _party_wires(circuit, garbler)
+    n_transfers = _slot_count(circuit, 1 - garbler, lanes)
     if rng is None:
         raise ValueError("garbler needs an rng")
     pads = setup.transfer_pads
-    if pads is None or len(pads) < len(evaluator_wires):
-        raise SetupUnderprovisioned(f"needed {len(evaluator_wires)} label transfers")
-    my_bits = _flatten_inputs(circuit, garbler, my_inputs)
-    delta, label0, tables = _garble(circuit, rng)
+    if pads is None or len(pads) < n_transfers:
+        raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
+    my_bits = _flatten_inputs(circuit, garbler, my_inputs, lanes)
+    delta, label0, tables = _garble(circuit, rng, lanes)
     yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
     if transcript is not None:
         transcript.begin_online()
         transcript.next_round()
     e_bits = unpack_bits(
-        (yield from recv_frame(MSG_INPUT_SHARE, transcript)), len(evaluator_wires)
+        (yield from recv_frame(MSG_INPUT_SHARE, transcript)), n_transfers
     )
     parts: list[bytes] = []
-    for w, bit in zip(garbler_wires, my_bits):
-        parts.append(_label_bytes(label0[w] ^ delta if bit else label0[w]))
-    for j, w in enumerate(evaluator_wires):
-        r0, r1 = pads[j]
-        zero = label0[w]
-        one = zero ^ delta
-        if e_bits[j]:
-            parts.append(_label_bytes(zero ^ r1))
-            parts.append(_label_bytes(one ^ r0))
-        else:
-            parts.append(_label_bytes(zero ^ r0))
-            parts.append(_label_bytes(one ^ r1))
+    no_flip = bytes(LABEL_BYTES)
+    flip = _label_bytes(delta)
+    pos = 0
+    for group in _groups(circuit, garbler):
+        zero, count = _slot_labels(label0, group, lanes)
+        # a one-label is its zero-label XOR delta
+        flips = b"".join([flip if bit else no_flip
+                          for bit in my_bits[pos : pos + count]])
+        parts.append((zero ^ int.from_bytes(flips, "little")).to_bytes(
+            LABEL_BYTES * count, "little"))
+        pos += count
+    j = 0
+    for group in _groups(circuit, 1 - garbler):
+        zero, count = _slot_labels(label0, group, lanes)
+        for z in split_lanes(zero, LABEL_BITS, count):
+            r0, r1 = pads[j]
+            one = z ^ delta
+            if e_bits[j]:
+                parts += (_label_bytes(z ^ r1), _label_bytes(one ^ r0))
+            else:
+                parts += (_label_bytes(z ^ r0), _label_bytes(one ^ r1))
+            j += 1
     yield from send_frame(MSG_LABELS, b"".join(parts), transcript)
-    return delta, label0
+    return delta, [label for w in circuit.output_wires
+                   for label in split_lanes(label0[w], LABEL_BITS, lanes)]
 
 
 def evaluate_steps(
@@ -236,8 +346,12 @@ def evaluate_steps(
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
     garbler: int = 1,
+    lanes: int = 1,
 ):
-    """Evaluator's side of one execution; returns the labels of the outputs."""
+    """Evaluator's side of one execution.
+
+    Returns the labels of the output wires, by wire, then lane.
+    """
     party = 1 - garbler
     if party != setup.party:
         raise ValueError("setup material belongs to the other party")
@@ -245,14 +359,13 @@ def evaluate_steps(
         transcript.record_receive(
             MSG_SETUP_TRIPLES, setup.serialized_size(), setup.digest_bytes()
         )
-    evaluator_wires = _party_wires(circuit, party)
-    garbler_wires = _party_wires(circuit, garbler)
+    n_transfers = _slot_count(circuit, party, lanes)
     choices = setup.transfer_choices
-    if choices is None or len(choices) < len(evaluator_wires):
-        raise SetupUnderprovisioned(f"needed {len(evaluator_wires)} label transfers")
-    my_bits = _flatten_inputs(circuit, party, my_inputs)
+    if choices is None or len(choices) < n_transfers:
+        raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
+    my_bits = _flatten_inputs(circuit, party, my_inputs, lanes)
     tables = yield from recv_frame(MSG_GARBLED_TABLES, transcript)
-    if len(tables) != _TABLE_BYTES * circuit.and_count():
+    if len(tables) != _TABLE_BYTES * circuit.and_count() * lanes:
         raise ProtocolError("garbled table payload has wrong size")
     if transcript is not None:
         transcript.begin_online()
@@ -260,21 +373,32 @@ def evaluate_steps(
     e_bits = [bit ^ choices[j][0] for j, bit in enumerate(my_bits)]
     yield from send_frame(MSG_INPUT_SHARE, pack_bits(e_bits), transcript)
     payload = yield from recv_frame(MSG_LABELS, transcript)
-    expected = LABEL_BYTES * (len(garbler_wires) + 2 * len(evaluator_wires))
+    expected = LABEL_BYTES * (_slot_count(circuit, garbler, lanes)
+                              + 2 * n_transfers)
     if len(payload) != expected:
         raise ProtocolError("label payload has wrong size")
     labels = [0] * circuit.n_wires
     pos = 0
-    for w in garbler_wires:
-        labels[w] = int.from_bytes(payload[pos : pos + LABEL_BYTES], "little")
-        pos += LABEL_BYTES
-    for j, w in enumerate(evaluator_wires):
-        at = pos + LABEL_BYTES * my_bits[j]
-        labels[w] = int.from_bytes(payload[at : at + LABEL_BYTES],
-                                   "little") ^ choices[j][1]
-        pos += 2 * LABEL_BYTES
-    _evaluate(circuit, labels, tables)
-    return [labels[w] for w in circuit.output_wires]
+    for group in _groups(circuit, garbler):
+        size = LABEL_BYTES * _group_slots(group, lanes)
+        _place_slot_labels(labels, group, lanes, int.from_bytes(
+            payload[pos : pos + size], "little"))
+        pos += size
+    j = 0
+    for group in _groups(circuit, party):
+        count = _group_slots(group, lanes)
+        chosen = []
+        for bit in my_bits[j : j + count]:
+            at = pos + LABEL_BYTES * bit
+            chosen.append(payload[at : at + LABEL_BYTES])
+            pos += 2 * LABEL_BYTES
+        pads = join_lanes([pad for _, pad in choices[j : j + count]], LABEL_BITS)
+        _place_slot_labels(labels, group, lanes,
+                           int.from_bytes(b"".join(chosen), "little") ^ pads)
+        j += count
+    _evaluate(circuit, labels, tables, lanes)
+    return [label for w in circuit.output_wires
+            for label in split_lanes(labels[w], LABEL_BITS, lanes)]
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import threading
 import pytest
 from scipy import stats
 
+from prelude import distinct_match
 from prelude.distinct_match import (
     DUMMY_HOP,
     HOP_ID_BITS,
@@ -19,7 +20,12 @@ from prelude.distinct_match import (
     SdxMatchService,
     query,
 )
-from prelude.circuits import expected_and_depth
+from prelude.circuits import (
+    Circuit,
+    CircuitLayout,
+    batch_query_and_count,
+    expected_and_depth,
+)
 from prelude.rules import (
     FlowSpec,
     Packet,
@@ -30,7 +36,13 @@ from prelude.rules import (
     overlaps,
     random_rule,
 )
-from prelude.smpc import MSG_GARBLED_TABLES, MSG_LABELS, MSG_OUTPUT_SHARE, SENT
+from prelude.smpc import (
+    MSG_GARBLED_TABLES,
+    MSG_LABELS,
+    MSG_OUTPUT_SHARE,
+    SENT,
+    dealer_for_circuit,
+)
 
 
 def brute_force_hops(local: TernaryRule, entries) -> set[NextHopId]:
@@ -129,6 +141,24 @@ class TestRegistration:
         result = endpoint.query(TernaryRule.wildcard(8), "p")
         assert result.hops == {hop}
         assert len(result) == 1
+
+    def test_mixed_widths_under_one_prefix_are_rejected(self):
+        narrow = make_entry(TernaryRule(4, 0, 0), 1, 65001)
+        wide = make_entry(TernaryRule(8, 0, 0), 2, 65002)
+        service = SdxMatchService(sdx_id=1)
+        service.register(narrow)
+        with pytest.raises(ValueError) as caught:
+            service.register(wide)
+        assert "width 8" in str(caught.value)
+        assert "width 4" in str(caught.value)
+        assert service.entries_for(narrow.prefix) == [narrow]
+        # the table still answers queries of its own width
+        endpoint = LoopbackEndpoint(service, seed=3)
+        assert endpoint.query(TernaryRule.wildcard(4), narrow.prefix).hops == {
+            narrow.next_hop}
+        # another prefix may hold another width
+        service.register(make_entry(TernaryRule(8, 0, 0), 2, 65002,
+                                    prefix="192.0.2.0/24"))
 
     def test_change_listener_fires(self):
         events = []
@@ -374,3 +404,143 @@ class TestSessionMechanics:
         assert sorted(raw) == sorted(
             e.next_hop if overlaps(local, e.rule) else DUMMY_HOP
             for e in entries)
+
+
+# --------------------------------------------------------------------------
+# lane-sliced sessions over one per-entry template
+
+
+def querier_transcripts(endpoint: LoopbackEndpoint,
+                        monkeypatch) -> list:
+    """Capture the querier transcript of every session the endpoint runs."""
+    captured = []
+    steps = distinct_match._querier_steps
+
+    def spying(local, prefix, backend, dealer, nonce, transcript):
+        captured.append(transcript)
+        return steps(local, prefix, backend, dealer, nonce, transcript)
+
+    monkeypatch.setattr(distinct_match, "_querier_steps", spying)
+    return captured
+
+
+class TestLaneSessions:
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 64])
+    def test_sessions_match_brute_force(self, width, k):
+        rng = random.Random(1000 * width + k)
+        entries = [make_entry(random_rule(width, rng), 1 + i % 3, 100 + i)
+                   for i in range(k)]
+        endpoint = fresh_endpoint(entries, seed=k)
+        # one query per entry's own rule guarantees overlaps, random ones
+        # mostly miss
+        queries = [entries[0].rule, random_rule(width, rng),
+                   random_rule(width, rng), TernaryRule.wildcard(width)]
+        for local in queries:
+            for backend in ("gmw", "yao"):
+                raw = []
+                result = endpoint.query(local, "10.0.0.0/8", backend=backend,
+                                        _raw_out=raw)
+                assert result.hops == brute_force_hops(local, entries)
+                misses = sum(not overlaps(local, e.rule) for e in entries)
+                assert len(raw) == k
+                assert raw.count(DUMMY_HOP) == misses
+                assert sorted(h for h in raw if h != DUMMY_HOP) == sorted(
+                    e.next_hop for e in entries if overlaps(local, e.rule))
+
+    @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
+        ("gmw", 4, 8, 322, 339, 6),
+        ("gmw", 104, 50, 6880, 9383, 11),
+        ("yao", 104, 50, 998707, 173697, 2),
+    ])
+    def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
+                                                width, k, setup, online,
+                                                rounds):
+        # the cleartext envelope carries the prefix: "p" is one byte
+        rng = random.Random(width + k)
+        entries = [make_entry(random_rule(width, rng), 9, 900 + i, prefix="p")
+                   for i in range(k)]
+        endpoint = fresh_endpoint(entries)
+        transcripts = querier_transcripts(endpoint, monkeypatch)
+        stats_out = []
+        endpoint.query(random_rule(width, rng), "p", backend=backend,
+                       stats_out=stats_out)
+        (t_q,) = transcripts
+        assert (t_q.setup_bytes, t_q.online_bytes, t_q.online_rounds) == (
+            setup, online, rounds)
+        assert (stats_out[0].setup_bytes, stats_out[0].online_bytes) == (
+            setup, online)
+
+    @pytest.mark.parametrize("width,k", [(4, 8), (104, 50)])
+    def test_triples_consumed_are_k_times_the_per_entry_and_count(
+            self, monkeypatch, width, k):
+        materials = []
+
+        def recording(circuit, backend, rng, garbler=1, lanes=1):
+            pair = dealer_for_circuit(circuit, backend, rng, garbler, lanes)
+            materials.extend(pair)
+            return pair
+
+        monkeypatch.setattr(distinct_match, "dealer_for_circuit", recording)
+        rng = random.Random(width * k)
+        entries = [make_entry(random_rule(width, rng), 5, 500 + i)
+                   for i in range(k)]
+        endpoint = fresh_endpoint(entries)
+        endpoint.query(random_rule(width, rng), "10.0.0.0/8")
+        per_entry = batch_query_and_count(CircuitLayout(1, width))
+        assert per_entry == 3 * width - 1 + HOP_ID_BITS
+        for material in materials:
+            assert material.triples.n == k * per_entry
+            assert material.triples.pos == k * per_entry
+
+    def test_one_template_per_width_and_no_circuit_grows_with_k(
+            self, monkeypatch):
+        width = 6
+        monkeypatch.setattr(distinct_match, "_templates", {})
+        built_layouts = []
+        build = distinct_match.build_batch_query
+
+        def recording_build(layout):
+            built_layouts.append(layout)
+            return build(layout)
+
+        monkeypatch.setattr(distinct_match, "build_batch_query",
+                            recording_build)
+        created: list[Circuit] = []
+        init = Circuit.__init__
+
+        def recording_init(self):
+            created.append(self)
+            init(self)
+
+        monkeypatch.setattr(Circuit, "__init__", recording_init)
+        rng = random.Random(61)
+        service = SdxMatchService(sdx_id=1)
+        endpoint = LoopbackEndpoint(service, seed=1)
+        for k in range(1, 41):
+            service.register(make_entry(random_rule(width, rng), 1, k))
+            local = random_rule(width, rng)
+            for backend in ("gmw", "yao"):
+                stats_out = []
+                endpoint.query(local, "10.0.0.0/8", backend=backend,
+                               stats_out=stats_out)
+                assert stats_out[0].k == k
+        template = distinct_match.query_template(width)
+        assert list(distinct_match._templates) == [(width, HOP_ID_BITS)]
+        assert distinct_match._templates[width, HOP_ID_BITS] is template
+        assert built_layouts == [CircuitLayout(1, width, HOP_ID_BITS)]
+        # the template and its stage are all that was ever built
+        assert len(created) == 2
+        assert max(len(c.gates) for c in created) == len(template.circuit.gates)
+
+    def test_session_depth_comes_from_the_template(self):
+        rng = random.Random(67)
+        entries = [make_entry(random_rule(104, rng), 2, 20 + i)
+                   for i in range(5)]
+        endpoint = fresh_endpoint(entries)
+        for backend, mapper in (("gmw", True), ("yao", False)):
+            stats_out = []
+            endpoint.query(random_rule(104, rng), "10.0.0.0/8",
+                           backend=backend, stats_out=stats_out)
+            assert stats_out[0].and_depth == expected_and_depth(
+                104, with_mapper=mapper)

@@ -59,7 +59,13 @@ from prelude.smpc import (
     yao_execute,
     yao_steps,
 )
-from prelude.smpc.shares import BitShares
+from prelude.smpc.shares import (
+    BitShares,
+    join_lanes,
+    lanes_to_rows,
+    rows_to_lanes,
+    split_lanes,
+)
 
 
 class ScriptedRng:
@@ -169,6 +175,48 @@ class TestShares:
 
     def test_pack_is_little_endian_bit_order(self):
         assert pack_bits((1, 0, 0, 0, 0, 0, 0, 0, 1)) == b"\x01\x01"
+
+    @staticmethod
+    def reference_pack(bits):
+        # bit i of the vector is bit i % 8 of byte i // 8
+        return bytes(sum(bits[i] << (i % 8) for i in range(at, min(at + 8, len(bits))))
+                     for at in range(0, len(bits), 8))
+
+    @staticmethod
+    def reference_unpack(data, n):
+        return tuple((data[i // 8] >> (i % 8)) & 1 for i in range(n))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 1000, 1 << 17])
+    def test_pack_unpack_match_a_reference_loop(self, n):
+        rng = random.Random(n)
+        bits = tuple(rng.getrandbits(1) for _ in range(n))
+        packed = pack_bits(bits)
+        assert packed == self.reference_pack(bits)
+        assert len(packed) == (n + 7) // 8
+        assert unpack_bits(packed, n) == self.reference_unpack(packed, n) == bits
+
+    def test_unpack_ignores_bits_beyond_n(self):
+        assert unpack_bits(b"\xff\xff", 9) == (1,) * 9
+
+    def test_lane_fields_round_trip(self):
+        rng = random.Random(12)
+        for width, count in ((1, 0), (1, 13), (5, 1), (7, 40), (500, 3)):
+            values = [rng.getrandbits(width) for _ in range(count)]
+            joined = join_lanes(values, width)
+            assert joined == sum(v << (i * width) for i, v in enumerate(values))
+            assert split_lanes(joined, width, count) == values
+
+    def test_rows_transpose_into_lane_words(self):
+        rng = random.Random(13)
+        for width, count in ((4, 1), (8, 17), (48, 64)):
+            rows = [rng.getrandbits(width) for _ in range(count)]
+            words = rows_to_lanes(rows, width)
+            for j, word in enumerate(words):
+                for i, row in enumerate(rows):
+                    # bit j counts from the row's most significant end
+                    assert (word >> i) & 1 == (row >> (width - 1 - j)) & 1
+            assert lanes_to_rows(words, count) == rows
+        assert rows_to_lanes([], 3) == [0, 0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -490,6 +538,105 @@ class TestYao:
 
 # --------------------------------------------------------------------------
 # cross-backend and transcript behaviour
+
+
+class TestLanes:
+    """A circuit evaluated over k lanes equals k plaintext evaluations."""
+
+    @staticmethod
+    def lane_circuit(rng: random.Random) -> Circuit:
+        c = Circuit()
+        c.add_input_group(0, "q", 3, shared=True)
+        c.add_input_group(0, "a", 3)
+        c.add_input_group(1, "b", 4)
+        c.add_input_group(1, "d", 2, shared=True)
+        for _ in range(40):
+            op = rng.randrange(3)
+            x = rng.randrange(c.n_wires)
+            if op == 0:
+                c.and_(x, rng.randrange(c.n_wires))
+            elif op == 1:
+                c.xor(x, rng.randrange(c.n_wires))
+            else:
+                c.not_(x)
+        for w in rng.sample(range(c.n_wires), k=4):
+            c.mark_output(w)
+        c.mark_output(c.n_wires - 1)
+        return c
+
+    @staticmethod
+    def lane_inputs(circuit, lanes, rng):
+        """Per-party inputs: a bit per shared wire, a lane word otherwise."""
+        by_party = ({}, {})
+        for g in circuit.input_groups:
+            width = 1 if g.shared else lanes
+            by_party[g.party][g.name] = [rng.getrandbits(width) for _ in g.wires]
+        return by_party
+
+    @staticmethod
+    def lane_plaintext(circuit, inputs, lane):
+        flat = {g.name: [v if g.shared else (v >> lane) & 1
+                         for v in inputs[g.name]]
+                for g in circuit.input_groups}
+        return evaluate_plaintext(circuit, flat)
+
+    @staticmethod
+    def run(circuit, backend, inputs0, inputs1, lanes, seed):
+        mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
+                                        lanes=lanes)
+
+        def party0():
+            if backend == "gmw":
+                shares = yield from gmw_steps(circuit, 0, inputs0, mat0,
+                                              lanes=lanes)
+            else:
+                shares = yield from yao_steps(circuit, 0, inputs0, mat0,
+                                              lanes=lanes)
+            return (yield from reveal_steps(shares))
+
+        ch = InlineLoopback(party0())
+        if backend == "gmw":
+            shares1 = gmw_execute(circuit, 1, inputs1, ch, mat1, lanes=lanes)
+        else:
+            shares1 = yao_execute(circuit, 1, inputs1, ch, mat1,
+                                  rng=random.Random(seed + 1), lanes=lanes)
+        out1 = reveal_output(shares1, ch)
+        assert ch.finish() == out1
+        if backend == "gmw":
+            assert mat0.triples.remaining == mat1.triples.remaining == 0
+        return out1
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 9, 64])
+    def test_each_lane_matches_plaintext(self, backend, lanes):
+        rng = random.Random(500 + lanes)
+        for trial in range(12):
+            circuit = self.lane_circuit(rng)
+            inputs0, inputs1 = self.lane_inputs(circuit, lanes, rng)
+            got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
+            both = {**inputs0, **inputs1}
+            for lane in range(lanes):
+                expected = self.lane_plaintext(circuit, both, lane)
+                # outputs are ordered by wire, then lane
+                assert got[lane::lanes] == expected, (trial, lane)
+
+    def test_dealer_material_scales_with_lanes(self):
+        circuit = build_batch_query(CircuitLayout(k=1, rule_width=8))
+        mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(1), lanes=5)
+        assert mat0.triples.n == 5 * circuit.and_count()
+        # the querier's groups are shared: one transfer per wire at any k
+        stage = circuit.distinct_stage()
+        mat0, mat1 = dealer_for_circuit(stage, "yao", random.Random(1), lanes=5)
+        assert len(mat0.transfer_choices) == len(mat1.transfer_pads) == 16
+
+    def test_lane_inputs_are_range_checked(self):
+        circuit = self.lane_circuit(random.Random(1))
+        inputs0, _ = self.lane_inputs(circuit, 4, random.Random(2))
+        inputs0["a"][0] = 1 << 4
+        mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(3), lanes=4)
+        ch0, _ = LoopbackEnd.pair()
+        with pytest.raises(ValueError, match="one per lane"):
+            gmw_execute(circuit, 0, inputs0, ch0, mat0, lanes=4)
 
 
 class TestBackendAgreement:
