@@ -39,9 +39,7 @@ from prelude.smpc.shares import (
     BitShares,
     int_to_bits,
     join_lanes,
-    pack_bits,
     split_lanes,
-    unpack_bits,
 )
 from prelude.smpc.transcript import SessionTranscript
 
@@ -148,8 +146,7 @@ def gmw_steps(
         run_local(locals_[level])
 
     outputs = [values[w] for w in circuit.output_wires]
-    return BitShares(int_to_bits(join_lanes(outputs, lanes),
-                                 lanes * len(outputs)))
+    return BitShares.packed(join_lanes(outputs, lanes), lanes * len(outputs))
 
 
 def reveal_output(
@@ -176,15 +173,18 @@ def reveal_steps(
     """Step generator of :func:`reveal_output`."""
     if transcript is not None:
         transcript.next_round()
+    n = len(my_share)
     if send:
-        yield from send_frame(MSG_OUTPUT_SHARE, pack_bits(my_share.bits),
+        yield from send_frame(MSG_OUTPUT_SHARE,
+                              my_share.value.to_bytes((n + 7) // 8, "little"),
                               transcript)
     if not receive:
         if transcript is not None:
             transcript.finish()
         return None
     payload = yield from recv_frame(MSG_OUTPUT_SHARE, transcript)
-    theirs = BitShares(unpack_bits(payload, len(my_share)))
+    # bits beyond n pad the last byte
+    theirs = int.from_bytes(payload, "little") & ((1 << n) - 1)
     if transcript is not None:
         transcript.finish()
-    return (my_share ^ theirs).bits
+    return int_to_bits(my_share.value ^ theirs, n)

@@ -3,7 +3,9 @@
 No packing here shifts one bit at a time, which is quadratic in the length
 of a Python int.  Bit vectors move between ints and '0'/'1' strings, whose
 conversions in base 2 are linear; lane words are joined and split by
-halving, which touches each bit once per level.
+halving, which touches each bit once per level, until a value is short
+enough to shift its fields out directly.  A :class:`BitShares` holds its
+vector packed in one int, so shares combine and travel without tuples.
 """
 
 from __future__ import annotations
@@ -14,26 +16,48 @@ from typing import Sequence
 # bytes of 0/1 values <-> ASCII '0'/'1', for linear-time bit conversions
 _TO_ASCII = bytes(0x30 | (i & 1) for i in range(256))
 _FROM_ASCII = bytes(i & 1 for i in range(256))
+# split_lanes shifts fields out of values up to this long instead of halving
+_SHIFT_SPLIT_BITS = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BitShares:
-    """One party's additive (XOR) share of a bit vector."""
+    """One party's additive (XOR) share of a bit vector.
 
-    bits: tuple[int, ...]
+    Held packed: bit i of ``value`` is bit i of the ``n``-bit vector.
+    ``BitShares(bits)`` checks a bit sequence; :meth:`packed` takes the int
+    as it is, so a share never has to pass through a tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if not set(self.bits) <= {0, 1}:
+    value: int
+    n: int
+
+    def __init__(self, bits: Sequence[int]) -> None:
+        if not set(bits) <= {0, 1}:
             raise ValueError("shares are bit vectors")
+        object.__setattr__(self, "value", bits_to_int(bits))
+        object.__setattr__(self, "n", len(bits))
+
+    @classmethod
+    def packed(cls, value: int, n: int) -> "BitShares":
+        if value < 0 or value >> n:
+            raise ValueError(f"a share of {n} bits must fit in {n} bits")
+        shares = object.__new__(cls)
+        object.__setattr__(shares, "value", value)
+        object.__setattr__(shares, "n", n)
+        return shares
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return int_to_bits(self.value, self.n)
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
 
     def __xor__(self, other: "BitShares") -> "BitShares":
         if len(self) != len(other):
             raise ValueError("share lengths differ")
-        return BitShares(int_to_bits(
-            bits_to_int(self.bits) ^ bits_to_int(other.bits), len(self)))
+        return BitShares.packed(self.value ^ other.value, self.n)
 
 
 def share(value: Sequence[int], rng) -> tuple[BitShares, BitShares]:
@@ -96,8 +120,10 @@ def split_lanes(value: int, width: int, count: int) -> list[int]:
         return []
     if width == 1:
         return list(int_to_bits(value, count))
-    if count == 1:
-        return [value & ((1 << width) - 1)]
+    if count == 1 or count * width <= _SHIFT_SPLIT_BITS:
+        # short values: shifting each field out is cheaper than recursing
+        mask = (1 << width) - 1
+        return [(value >> (i * width)) & mask for i in range(count)]
     half = count // 2
     low = value & ((1 << (half * width)) - 1)
     return (split_lanes(low, width, half)

@@ -1,44 +1,61 @@
-"""Garbled-circuit evaluation with free XOR and point-and-permute.
+"""Garbled-circuit evaluation with free XOR, point-and-permute and half-gates.
 
 Wire labels are 128-bit integers; the two labels of a wire differ by a global
-offset whose low bit is forced to 1, so a label's low bit doubles as the row
-select bit.  XOR gates combine labels locally and NOT gates are free as well:
-the garbler aliases the output labels to the input pair swapped, and the
-evaluator just passes its label through.  Each AND gate costs four 16-byte
-rows, keyed by a blake2s PRF over both input labels and the gate index.
+offset whose low bit is forced to 1, so a label's low bit doubles as its
+permute bit.  XOR gates combine labels locally and NOT gates are free as
+well: the garbler aliases the output labels to the input pair swapped, and
+the evaluator just passes its label through.  Each AND gate is a half-gates
+gate (Zahur, Rosulek & Evans, EUROCRYPT 2015): two 16-byte rows, the
+garbler half T_G and the evaluator half T_E, and the output zero-label is
+derived from the hashes rather than drawn.
+
+The hash is the fixed-key construction H(x, i) = pi(sigma(x) XOR i) XOR
+sigma(x) of Guo, Katz, Wang & Yu (IEEE S&P 2020), where pi is AES-128 under
+a fixed public key and sigma is doubling in GF(2^128).  AES comes from the
+OpenSSL that CPython's ``hashlib`` already loads (:mod:`prelude.smpc.aes`).
+The tweak i is unique to every hash of a session: ``2 (w x lanes + lane)``
+for the garbler half of the AND gate writing wire w, one more for its
+evaluator half, and release tweaks lie above all of them.
 
 A circuit can be garbled as a template over ``lanes`` independent
-instances: every wire then has one label pair per lane, except the wires of
-a shared input group (:attr:`InputGroup.shared`), whose single label pair
-every lane reads, as one querier rule feeds k comparators.  Garbling and
-evaluation walk the template's gates and, within each gate, its lanes; the
-PRF tweak ``gate index x lanes + lane`` is unique to each garbled gate, and
-the tables are exactly as large as those of the circuit unrolled ``lanes``
-times.  At one lane this is plain garbling.
+instances: every wire then has one label pair per lane, packed in one int,
+except the wires of a shared input group (:attr:`InputGroup.shared`), whose
+single label pair every lane reads, as one querier rule feeds k comparators.
+Sigma, the permute bits and the row selections act on every lane of a packed
+int at once, so garbling and evaluation walk the circuit's AND layers
+(:meth:`Circuit.and_layers`) and hash the gates of one layer over all their
+lanes in batches: as many gates as fit ``_BATCH_BLOCKS`` garbler blocks,
+one gate at least, share one AES call.  The tables are exactly as large as
+those of the circuit unrolled ``lanes`` times; at one lane this is plain
+garbling.
 
-The garbled tables depend only on the circuit, so they travel during setup.
-The online phase is a single round trip: the evaluator sends masked choice
-bits for its input wires, the garbler answers with its own input labels plus
-pad-masked label pairs from which the evaluator unlocks exactly one each.
+The garbled tables depend only on the circuit, so they travel during setup,
+batch by batch, each batch its T_G words and then its T_E words, both by
+gate, then lane.  The online phase is a single round trip: the evaluator
+sends masked choice bits for its input wires, the garbler answers with its
+own input labels plus pad-masked label pairs from which the evaluator unlocks
+exactly one each.
 
 Outputs leave the garbled circuit in one of two ways, each costing the
 second online round.  :func:`yao_execute` leaves them XOR-shared between the
 low bit of the garbler's zero-labels and the low bit of the labels the
 evaluator computed, and reveal_output() joins them.  Alternatively the
-garbler releases a value per output wire and lane (:func:`release_steps`): it
-encrypts one value under the wire's zero-label and another under its
-one-label, in point-and-permute order, and the evaluator, holding exactly
-one of the two labels, opens exactly one value per wire and learns nothing
-of the other (:func:`open_steps`).  A value that depends on an output bit is
-thus released without garbling a multiplexer for it.
+garbler releases a value of at most 16 bytes per output wire and lane
+(:func:`release_steps`): it encrypts one value under the wire's zero-label
+and another under its one-label, each with a pad from the same hash, in
+point-and-permute order, and the evaluator, holding exactly one of the two
+labels, opens exactly one value per wire and learns nothing of the other
+(:func:`open_steps`).  A value that depends on an output bit is thus
+released without garbling a multiplexer for it.
 """
 
 from __future__ import annotations
 
-import hashlib
+from functools import cache
 from typing import Mapping, Sequence
 
-from prelude.circuits import Circuit, InputGroup, NOT, XOR
+from prelude.circuits import Circuit, InputGroup, XOR
+from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
     MSG_INPUT_SHARE,
@@ -69,117 +86,168 @@ from prelude.smpc.transcript import SessionTranscript
 # Online rounds per execution, counting the final share reveal.
 YAO_ROUNDS_WITH_REVEAL = 2
 
-_ROW_BYTES = LABEL_BYTES
-_TABLE_BYTES = 4 * _ROW_BYTES
+_TABLE_BYTES = 2 * LABEL_BYTES  # T_G and T_E, per AND gate and lane
 _LABEL_MASK = (1 << LABEL_BITS) - 1
 
-# Keyed once; every call continues a copy, which skips re-hashing the key.
-_GARBLE_PRF = hashlib.blake2s(key=b"prelude-garble", digest_size=16)
-_RELEASE_KEY = b"prelude-release"
-
-
-def _prf(data: bytes) -> bytes:
-    h = _GARBLE_PRF.copy()
-    h.update(data)
-    return h.digest()
+# pi: AES-128 under a fixed, public key
+_PI = Aes128Ecb(b"prelude-halfgate")
+# Hash blocks per AES call while garbling, four per AND gate and lane: the
+# gates of one AND layer fill a call up to this many, one gate at least.
+_BATCH_BLOCKS = 1 << 14
+# Release tweaks start here, above every garbling tweak of any session.
+_RELEASE_TWEAK = 1 << 96
+_GF128_REDUCE = 0x87  # x^128 = x^7 + x^2 + x + 1
 
 
 def _label_bytes(label: int) -> bytes:
     return label.to_bytes(LABEL_BYTES, "little")
 
 
+def _lane_word(label: int, n: int) -> int:
+    """The int that holds ``label`` in each of ``n`` lanes."""
+    return int.from_bytes(_label_bytes(label) * n, "little")
+
+
 def _lane_ones(lanes: int) -> int:
     """The int whose every lane holds 1: multiplying by it copies a label."""
-    return int.from_bytes((b"\x01" + bytes(LABEL_BYTES - 1)) * lanes, "little")
+    return _lane_word(1, lanes)
+
+
+def _select(bits: int) -> int:
+    """All ones in each lane whose bit 0 is set in ``bits`` (only bit 0 set)."""
+    return (bits << LABEL_BITS) - bits
+
+
+def _double(x: int, ones: int) -> int:
+    """sigma: every 128-bit lane of ``x`` doubled in GF(2^128).
+
+    ``ones`` is :func:`_lane_ones` of the lane count.  A lane's top bit,
+    shifted into the next lane's bit 0, is cleared there and sets the
+    reduction constant in its own lane instead.
+    """
+    carry = (x >> (LABEL_BITS - 1)) & ones
+    return (x << 1) ^ (carry << LABEL_BITS) ^ (carry * _GF128_REDUCE)
+
+
+def _hash_doubled(doubled: Sequence[int], tweaks: Sequence[int],
+                  n: int) -> list[int]:
+    """H(x, i) = pi(sigma(x) XOR i) XOR sigma(x), lane by lane, in one AES call.
+
+    Takes each word's sigma(x) in ``doubled``, since sigma is linear and
+    callers derive some from others, and its tweak word; every word has
+    ``n`` lanes.
+    """
+    size = LABEL_BYTES * n
+    out = memoryview(_PI.encrypt(b"".join(
+        [(s ^ t).to_bytes(size, "little") for s, t in zip(doubled, tweaks)])))
+    return [int.from_bytes(out[i * size : (i + 1) * size], "little") ^ s
+            for i, s in enumerate(doubled)]
+
+
+def _lane_index(n: int) -> int:
+    """Lane i holding i, for each of ``n`` lanes."""
+    return int.from_bytes(
+        b"".join([i.to_bytes(LABEL_BYTES, "little") for i in range(n)]),
+        "little")
+
+
+def _walk(circuit: Circuit, labels: list[int], lanes: int, and_batch,
+          not_flip: int) -> None:
+    """Evaluate the circuit on ``labels``, AND layer by AND layer.
+
+    XOR and NOT gates act here; a NOT XORs ``not_flip`` into its label.  The
+    AND gates of a layer go to ``and_batch(gates, tweaks, ones)`` a hash
+    call's worth at a time: ``tweaks`` holds the garbler-half tweak
+    2 (output wire x lanes + lane) in each gate's lanes, and ``ones`` is
+    :func:`_lane_ones` of the batch's gates x lanes.
+    """
+    width = LABEL_BITS * lanes
+    ands, locals_ = circuit.and_layers()
+    per_call = max(1, _BATCH_BLOCKS // (4 * lanes))
+    ones_of = cache(_lane_ones)  # a layer's batches share their size
+    twice_ones = 2 * _lane_ones(lanes)
+    twice_index = 2 * _lane_index(lanes)
+    for level, layer in enumerate(ands):
+        for at in range(0, len(layer), per_call):
+            gates = layer[at : at + per_call]
+            tweaks = join_lanes([g[3] * lanes * twice_ones + twice_index
+                                 for g in gates], width)
+            and_batch(gates, tweaks, ones_of(len(gates) * lanes))
+        for kind, a, b, out in locals_[level]:
+            labels[out] = labels[a] ^ (labels[b] if kind == XOR else not_flip)
 
 
 def _garble(circuit: Circuit, rng, lanes: int) -> tuple[int, list[int], bytes]:
     """Return (delta, packed zero-labels per wire, concatenated AND tables).
 
     A wire's labels are one int, lane i's label in bits [128 i, 128 i + 128),
-    so XOR and NOT gates act on every lane at once.  Tables follow the gates
-    in order and, within a gate, the lanes.
+    so every gate acts on all its lanes at once.
     """
-    size = LABEL_BYTES * lanes
+    width = LABEL_BITS * lanes
     ones = _lane_ones(lanes)
     delta = rng.getrandbits(LABEL_BITS) | 1
-    delta_all = delta * ones
     label0 = [0] * circuit.n_wires
     for group in circuit.input_groups:
         for w in group.wires:
             label0[w] = (rng.getrandbits(LABEL_BITS) * ones if group.shared
-                         else rng.getrandbits(LABEL_BITS * lanes))
+                         else rng.getrandbits(width))
     tables: list[bytes] = []
-    for gate_index, (kind, a, b, out) in enumerate(circuit.gates):
-        if kind == XOR:
-            label0[out] = label0[a] ^ label0[b]
-            continue
-        if kind == NOT:
-            label0[out] = label0[a] ^ delta_all
-            continue
-        zero = rng.getrandbits(LABEL_BITS * lanes)
-        label0[out] = zero
-        a0 = label0[a].to_bytes(size, "little")
-        a1 = (label0[a] ^ delta_all).to_bytes(size, "little")
-        b0 = label0[b].to_bytes(size, "little")
-        b1 = (label0[b] ^ delta_all).to_bytes(size, "little")
-        z0 = zero.to_bytes(size, "little")
-        z1 = (zero ^ delta_all).to_bytes(size, "little")
-        pads: list[bytes] = []
-        masks: list[bytes] = []
-        tweak = gate_index * lanes
-        for at in range(0, size, LABEL_BYTES):
-            end = at + LABEL_BYTES
-            t = tweak.to_bytes(4, "little")
-            tweak += 1
-            # point and permute: row 2i + j is keyed by the input labels
-            # whose low bits are i and j, and only both one-labels give
-            # the output's one-label
-            x0, x1 = a0[at:end], a1[at:end]
-            y0, y1 = b0[at:end], b1[at:end]
-            z = z0[at:end]
-            row = [z, z, z, z]
-            row[((x1[0] & 1) << 1) | (y1[0] & 1)] = z1[at:end]
-            if x0[0] & 1:
-                x0, x1 = x1, x0
-            if y0[0] & 1:
-                y0, y1 = y1, y0
-            pads += (_prf(x0 + y0 + t), _prf(x0 + y1 + t),
-                     _prf(x1 + y0 + t), _prf(x1 + y1 + t))
-            masks += row
-        tables.append((int.from_bytes(b"".join(pads), "little")
-                       ^ int.from_bytes(b"".join(masks), "little")
-                       ).to_bytes(4 * size, "little"))
+    doubled_delta = _double(delta, 1)
+
+    @cache
+    def delta_words(n: int) -> tuple[int, int]:
+        """delta and sigma(delta) in each of n lanes."""
+        return _lane_word(delta, n), _lane_word(doubled_delta, n)
+
+    def garble_batch(gates, t, every) -> None:
+        n = len(gates) * lanes
+        r, doubled_r = delta_words(n)
+        a0 = join_lanes([label0[g[1]] for g in gates], width)
+        b0 = join_lanes([label0[g[2]] for g in gates], width)
+        da0 = _double(a0, every)
+        db0 = _double(b0, every)
+        # H(A0, j), H(A1, j), H(B0, j + 1), H(B1, j + 1) in one call
+        ha0, ha1, hb0, hb1 = _hash_doubled(
+            (da0, da0 ^ doubled_r, db0, db0 ^ doubled_r),
+            (t, t, t | every, t | every), n)
+        pa = _select(a0 & every)
+        pb = _select(b0 & every)
+        t_g = ha0 ^ ha1 ^ (pb & r)
+        t_e = hb0 ^ hb1 ^ a0
+        w0 = ha0 ^ (pa & t_g) ^ hb0 ^ (pb & (t_e ^ a0))
+        size = LABEL_BYTES * n
+        tables.append(t_g.to_bytes(size, "little"))
+        tables.append(t_e.to_bytes(size, "little"))
+        for gate, word in zip(gates, split_lanes(w0, width, len(gates))):
+            label0[gate[3]] = word
+
+    _walk(circuit, label0, lanes, garble_batch, delta * ones)
     return delta, label0, b"".join(tables)
 
 
 def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
               lanes: int) -> None:
-    size = LABEL_BYTES * lanes
+    width = LABEL_BITS * lanes
+    rows = memoryview(tables)
     offset = 0
-    for gate_index, (kind, a, b, out) in enumerate(circuit.gates):
-        if kind == XOR:
-            labels[out] = labels[a] ^ labels[b]
-            continue
-        if kind == NOT:
-            labels[out] = labels[a]
-            continue
-        a_bytes = labels[a].to_bytes(size, "little")
-        b_bytes = labels[b].to_bytes(size, "little")
-        pads: list[bytes] = []
-        rows: list[bytes] = []
-        tweak = gate_index * lanes
-        for at in range(0, size, LABEL_BYTES):
-            end = at + LABEL_BYTES
-            la = a_bytes[at:end]
-            lb = b_bytes[at:end]
-            row = offset + _ROW_BYTES * (((la[0] & 1) << 1) | (lb[0] & 1))
-            rows.append(tables[row : row + _ROW_BYTES])
-            pads.append(_prf(la + lb + tweak.to_bytes(4, "little")))
-            tweak += 1
-            offset += _TABLE_BYTES
-        pad = int.from_bytes(b"".join(pads), "little")
-        labels[out] = pad ^ int.from_bytes(b"".join(rows), "little")
+
+    def evaluate_batch(gates, t, every) -> None:
+        nonlocal offset
+        a = join_lanes([labels[g[1]] for g in gates], width)
+        b = join_lanes([labels[g[2]] for g in gates], width)
+        n = len(gates) * lanes
+        ha, hb = _hash_doubled((_double(a, every), _double(b, every)),
+                               (t, t | every), n)
+        size = LABEL_BYTES * n
+        t_g = int.from_bytes(rows[offset : offset + size], "little")
+        t_e = int.from_bytes(rows[offset + size : offset + 2 * size], "little")
+        offset += 2 * size
+        w = (ha ^ (_select(a & every) & t_g)
+             ^ hb ^ (_select(b & every) & (t_e ^ a)))
+        for gate, word in zip(gates, split_lanes(w, width, len(gates))):
+            labels[gate[3]] = word
+
+    _walk(circuit, labels, lanes, evaluate_batch, 0)
 
 
 def _groups(circuit: Circuit, party: int):
@@ -405,10 +473,16 @@ def evaluate_steps(
 # releasing values under output labels
 
 
-def _release_pad(label: int, index: int, size: int) -> int:
-    h = hashlib.blake2s(_label_bytes(label) + index.to_bytes(4, "little"),
-                        key=_RELEASE_KEY, digest_size=size)
-    return int.from_bytes(h.digest(), "little")
+def _release_pads(labels: Sequence[int], copies: int = 1) -> bytes:
+    """H(label, release tweak + i), 16 bytes each, for the labels of outputs
+    i = 0, 1, ... listed in output order, the list ``copies`` times over."""
+    n = len(labels) // copies
+    tweak = _RELEASE_TWEAK * _lane_ones(n) + _lane_index(n)
+    ones = _lane_ones(len(labels))
+    (pads,) = _hash_doubled(
+        [_double(join_lanes(labels, LABEL_BITS), ones)],
+        [join_lanes([tweak] * copies, LABEL_BITS * n)], len(labels))
+    return pads.to_bytes(LABEL_BYTES * len(labels), "little")
 
 
 def release_steps(
@@ -422,19 +496,26 @@ def release_steps(
     One frame in the reveal round carries two ciphertexts per output, the
     value for 0 under the zero-label and the value for 1 under the
     one-label, ordered by each label's point-and-permute bit.  Every value
-    must have the same length.
+    must have the same length, at most 16 bytes; a value is masked with the
+    first bytes of its label's hash, and one hash call covers every label.
     """
     size = len(values[0][0]) if values else 0
+    if size > LABEL_BYTES:
+        raise ValueError(f"released values are at most {LABEL_BYTES} bytes")
+    n = len(zero_labels)
+    pads = _release_pads(list(zero_labels) + [z ^ delta for z in zero_labels],
+                         copies=2)
     parts: list[bytes] = []
     for i, (label0, pair) in enumerate(zip(zero_labels, values)):
         rows = [b"", b""]
         for bit, value in enumerate(pair):
             if len(value) != size:
                 raise ValueError("released values must have equal length")
-            label = label0 ^ delta if bit else label0
-            pad = _release_pad(label, i, size)
-            rows[label & 1] = (pad ^ int.from_bytes(value, "little")).to_bytes(
-                size, "little")
+            at = LABEL_BYTES * (bit * n + i)
+            pad = int.from_bytes(pads[at : at + size], "little")
+            # delta is odd: the one-label's permute bit is the zero-label's flipped
+            rows[(label0 & 1) ^ bit] = (
+                pad ^ int.from_bytes(value, "little")).to_bytes(size, "little")
         parts += rows
     if transcript is not None:
         transcript.next_round()
@@ -449,16 +530,21 @@ def open_steps(
     transcript: SessionTranscript | None = None,
 ):
     """Evaluator: open the one value per output its labels unlock; returns them."""
+    if size > LABEL_BYTES:
+        raise ValueError(f"released values are at most {LABEL_BYTES} bytes")
     if transcript is not None:
         transcript.next_round()
     payload = yield from recv_frame(MSG_OUTPUT_SHARE, transcript)
     if len(payload) != 2 * size * len(labels):
         raise ProtocolError("release payload has wrong size")
+    pads = _release_pads(labels)
     opened: list[bytes] = []
     for i, label in enumerate(labels):
         at = size * (2 * i + (label & 1))
         row = int.from_bytes(payload[at : at + size], "little")
-        opened.append((_release_pad(label, i, size) ^ row).to_bytes(size, "little"))
+        pad = int.from_bytes(pads[LABEL_BYTES * i : LABEL_BYTES * i + size],
+                             "little")
+        opened.append((pad ^ row).to_bytes(size, "little"))
     if transcript is not None:
         transcript.finish()
     return opened

@@ -393,8 +393,8 @@ class TestSessionMechanics:
                        stats_out=stats_out)
         sent = {e.kind: e.n_bytes for e in transcripts[0].entries
                 if e.direction == SENT}
-        # comparator cells and OR tree only: 3w - 1 ANDs of 64 bytes each
-        assert sent[MSG_GARBLED_TABLES] == 5 + 64 * k * (3 * width - 1)
+        # comparator cells and OR tree only: 3w - 1 half-gates ANDs of 32 bytes
+        assert sent[MSG_GARBLED_TABLES] == 5 + 32 * k * (3 * width - 1)
         # the holder's 2kw rule-bit labels and two per querier input bit
         assert sent[MSG_LABELS] == 5 + 16 * (2 * k * width + 2 * 2 * width)
         # an identifier and the dummy, 6 bytes each, per entry
@@ -451,7 +451,7 @@ class TestLaneSessions:
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
         ("gmw", 4, 8, 322, 339, 6),
         ("gmw", 104, 50, 6880, 9383, 11),
-        ("yao", 104, 50, 998707, 173697, 2),
+        ("yao", 104, 50, 501107, 173697, 2),
     ])
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
                                                 width, k, setup, online,

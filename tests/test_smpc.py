@@ -14,6 +14,8 @@ import pytest
 from scipy import stats
 
 from prelude.circuits import (
+    NOT,
+    XOR,
     Circuit,
     CircuitLayout,
     build_batch_query,
@@ -45,6 +47,7 @@ from prelude.smpc import (
     dealer_for_circuit,
     dealer_gen,
     encode_frame,
+    evaluate_steps,
     gmw_execute,
     gmw_steps,
     pack_bits,
@@ -59,6 +62,8 @@ from prelude.smpc import (
     yao_execute,
     yao_steps,
 )
+from prelude.smpc import yao
+from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.shares import (
     BitShares,
     join_lanes,
@@ -205,6 +210,24 @@ class TestShares:
             joined = join_lanes(values, width)
             assert joined == sum(v << (i * width) for i, v in enumerate(values))
             assert split_lanes(joined, width, count) == values
+
+    def test_long_lane_values_split_by_halving(self):
+        rng = random.Random(14)
+        for width, count in ((128, 100), (9, 2000), (8193, 2)):
+            values = [rng.getrandbits(width) for _ in range(count)]
+            joined = join_lanes(values, width)
+            assert split_lanes(joined, width, count) == values
+            # bits above the last field are ignored
+            assert split_lanes(joined | (1 << (width * count)), width,
+                               count) == values
+
+    def test_packed_shares(self):
+        share_ = BitShares.packed(0b0101, 4)
+        assert share_.bits == (1, 0, 1, 0)
+        assert share_ == BitShares((1, 0, 1, 0))
+        assert (share_ ^ BitShares((1, 1, 0, 0))).bits == (0, 1, 1, 0)
+        with pytest.raises(ValueError):
+            BitShares.packed(1 << 4, 4)
 
     def test_rows_transpose_into_lane_words(self):
         rng = random.Random(13)
@@ -515,7 +538,7 @@ class TestYao:
             e for e in t1.entries
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
-        assert table_entry.n_bytes == 5 + 64 * circuit.and_count()
+        assert table_entry.n_bytes == 5 + 32 * circuit.and_count()
 
     def test_missing_transfer_material_aborts(self):
         circuit = build_distinct_pair(4)
@@ -637,6 +660,124 @@ class TestLanes:
         ch0, _ = LoopbackEnd.pair()
         with pytest.raises(ValueError, match="one per lane"):
             gmw_execute(circuit, 0, inputs0, ch0, mat0, lanes=4)
+
+
+class TestHalfGates:
+    """Fixed-key AES, lane-wise doubling and half-gates against plain loops."""
+
+    LABEL_MASK = (1 << 128) - 1
+
+    def test_aes_matches_fips_197(self):
+        # FIPS-197, appendix C.1
+        cipher = Aes128Ecb(bytes(range(16)))
+        plain = bytes.fromhex("00112233445566778899aabbccddeeff")
+        assert cipher.encrypt(plain).hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
+        assert cipher.encrypt(plain * 3) == cipher.encrypt(plain) * 3
+        with pytest.raises(ValueError):
+            cipher.encrypt(plain[:15])
+
+    @classmethod
+    def double(cls, x: int) -> int:
+        """Doubling in GF(2^128) modulo x^128 + x^7 + x^2 + x + 1."""
+        return ((x << 1) & cls.LABEL_MASK) ^ (0x87 if x >> 127 else 0)
+
+    def test_lane_doubling_matches_scalar_reference(self):
+        rng = random.Random(71)
+        top = 1 << 127
+        # bit 127 set in lane 0 and clear in lane 1, then random lanes
+        lanes = [rng.getrandbits(128) | top, rng.getrandbits(127),
+                 self.LABEL_MASK, top, 0, 1]
+        lanes += [rng.getrandbits(128) for _ in range(58)]
+        word = join_lanes(lanes, 128)
+        doubled = yao._double(word, yao._lane_ones(len(lanes)))
+        assert split_lanes(doubled, 128, len(lanes)) == [
+            self.double(x) for x in lanes]
+        assert doubled >> (128 * len(lanes)) == 0
+
+    def reference_garble(self, circuit, rng, lanes):
+        """Half-gates one (gate, lane) at a time; returns (delta, labels, tables)."""
+
+        def h(x, tweak):
+            s = self.double(x)
+            block = yao._PI.encrypt((s ^ tweak).to_bytes(16, "little"))
+            return int.from_bytes(block, "little") ^ s
+
+        delta = rng.getrandbits(128) | 1
+        label = {}  # (wire, lane) -> zero-label
+        for group in circuit.input_groups:
+            for w in group.wires:
+                if group.shared:
+                    x = rng.getrandbits(128)
+                    drawn = [x] * lanes
+                else:
+                    drawn = split_lanes(rng.getrandbits(128 * lanes), 128, lanes)
+                for i, x in enumerate(drawn):
+                    label[w, i] = x
+        rows = {}  # (output wire, lane) -> (T_G, T_E)
+        for kind, a, b, out in circuit.gates:
+            for i in range(lanes):
+                if kind == XOR:
+                    label[out, i] = label[a, i] ^ label[b, i]
+                elif kind == NOT:
+                    label[out, i] = label[a, i] ^ delta
+                else:
+                    a0, b0 = label[a, i], label[b, i]
+                    j = 2 * (out * lanes + i)
+                    t_g = h(a0, j) ^ h(a0 ^ delta, j) ^ (delta if b0 & 1 else 0)
+                    w_g = h(a0, j) ^ (t_g if a0 & 1 else 0)
+                    t_e = h(b0, j + 1) ^ h(b0 ^ delta, j + 1) ^ a0
+                    w_e = h(b0, j + 1) ^ (t_e ^ a0 if b0 & 1 else 0)
+                    label[out, i] = w_g ^ w_e
+                    rows[out, i] = (t_g, t_e)
+        # by batch of one AND layer, then T_G words, then T_E words
+        per_call = max(1, yao._BATCH_BLOCKS // (4 * lanes))
+        tables = []
+        for layer in circuit.and_layers()[0]:
+            for at in range(0, len(layer), per_call):
+                batch = layer[at : at + per_call]
+                for half in (0, 1):
+                    tables += [rows[g[3], i][half].to_bytes(16, "little")
+                               for g in batch for i in range(lanes)]
+        return delta, label, b"".join(tables)
+
+    @pytest.mark.parametrize("budget", [None, 8])
+    @pytest.mark.parametrize("lanes", [1, 3, 64])
+    def test_tables_equal_a_per_lane_reference(self, monkeypatch, lanes,
+                                               budget):
+        if budget is not None:
+            # two gates per hash call, so layers split into several batches
+            monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
+        rng = random.Random(80 + lanes)
+        for trial in range(3):
+            circuit = TestLanes.lane_circuit(rng)
+            assert any(g.shared for g in circuit.input_groups)
+            delta, label0, tables = yao._garble(circuit, random.Random(trial),
+                                                lanes)
+            ref_delta, ref_label, ref_tables = self.reference_garble(
+                circuit, random.Random(trial), lanes)
+            assert delta == ref_delta
+            assert len(tables) == 32 * lanes * circuit.and_count()
+            assert tables == ref_tables
+            for w in range(circuit.n_wires):
+                assert split_lanes(label0[w], 128, lanes) == [
+                    ref_label[w, i] for i in range(lanes)]
+
+    def test_released_values_fit_one_hash_block(self):
+        with pytest.raises(ValueError, match="at most 16 bytes"):
+            next(yao.release_steps(3, [0], [(bytes(17), bytes(17))]))
+        with pytest.raises(ValueError, match="at most 16 bytes"):
+            next(yao.open_steps([0], 17))
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_four_row_tables_are_rejected(self, lanes):
+        circuit = build_distinct_pair(4)
+        inputs0, _ = TestLanes.lane_inputs(circuit, lanes, random.Random(5))
+        mat0, _ = dealer_for_circuit(circuit, "yao", random.Random(6),
+                                     lanes=lanes)
+        ch = InlineLoopback(evaluate_steps(circuit, inputs0, mat0, lanes=lanes))
+        ch.send(MSG_GARBLED_TABLES, bytes(64 * lanes * circuit.and_count()))
+        with pytest.raises(ProtocolError, match="garbled table"):
+            ch.finish()
 
 
 class TestBackendAgreement:
