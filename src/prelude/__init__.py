@@ -32,7 +32,6 @@ from prelude.distinct_match import (
     QueryResult,
     RuleEntry,
     SdxMatchService,
-    query,
 )
 from prelude.harness import ExperimentConfig, load_config
 from prelude.rules import (
@@ -77,7 +76,6 @@ __all__ = [
     "matches",
     "overlaps",
     "parse_rule",
-    "query",
     "sidr_baseline",
     "two_exchange_fixture",
 ]

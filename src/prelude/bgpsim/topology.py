@@ -149,11 +149,6 @@ class AsGraph:
                 visit(asn)
 
 
-def sites_of_member(sites, asn: int) -> list[SdxSite]:
-    """All exchanges the AS is present at, in sdx_id order."""
-    return sorted((s for s in sites if asn in s.members), key=lambda s: s.sdx_id)
-
-
 # --------------------------------------------------------------------------
 # synthetic generation
 

@@ -17,6 +17,13 @@ the reporting exchange other than the deflection target lies on the path
 being walked: whoever owns that rule, the traffic cannot reach them here,
 so the rule cannot fire.  For the verifier's own exchange the owners are
 local knowledge and the filter is exact.
+
+Every answer a walk gets is built by :func:`table_answer`, whether it comes
+from an explicit rule set (:class:`StaticMatchView`) or from a live node's
+table (:meth:`ControlPlane.query`); only a remote query over the ``smpc``
+transport runs a two-party session instead, and it gives the same answer.
+The rule and prefix are fixed during a walk and no table changes while it
+runs, so a walk asks each exchange once and reuses that answer.
 """
 
 from __future__ import annotations
@@ -151,7 +158,7 @@ def explore_deflection(view, *, prefix: str, rule: TernaryRule,
         budget=budget,
         depth=1,
     )
-    return Exploration(status, closed, frozenset(state.queried),
+    return Exploration(status, closed, frozenset(state.answers),
                        state.max_depth)
 
 
@@ -162,7 +169,8 @@ class _WalkState:
         self.prefix = prefix
         self.rule = rule
         self.origin_sdx = origin_sdx
-        self.queried: set[int] = set()
+        # each queried exchange's answer, sorted by next hop
+        self.answers: dict[int, list] = {}
         self.max_depth = 0
 
     def walk(self, arrival: tuple[int, int],
@@ -193,12 +201,15 @@ class _WalkState:
                     sites_in_order.append(site_id)
 
         for site_id in sites_in_order:
-            answer = self.view.query(self.origin_sdx, site_id, self.rule,
-                                     self.prefix)
+            answer = self.answers.get(site_id)
             if answer is None:
-                return QUERY_FAILED, site_id
-            self.queried.add(site_id)
-            for hop, owner in sorted(answer, key=lambda p: p[0]):
+                answer = self.view.query(self.origin_sdx, site_id, self.rule,
+                                         self.prefix)
+                if answer is None:
+                    return QUERY_FAILED, site_id
+                answer = sorted(answer, key=lambda p: p[0])
+                self.answers[site_id] = answer
+            for hop, owner in answer:
                 point = (hop.sdx_id, hop.as_id)
                 if owner is not None:
                     candidates = {owner}
@@ -229,10 +240,58 @@ def verdict_of(exploration: Exploration, rule_id: str | None = None) -> Verdict:
 
 
 # --------------------------------------------------------------------------
-# stateless view over explicit rule sets (replays, baselines)
+# answers and views
 
 
-class StaticMatchView:
+def table_answer(entries, rule: TernaryRule, local: bool,
+                 match_agnostic: bool = False):
+    """The answer an exchange holding `entries` gives about `rule`.
+
+    For the verifier's own table (`local`) every overlapping entry is
+    reported as (next hop, owner), in entry order.  Another exchange reports
+    each overlapping next hop once and never its owner.  With
+    `match_agnostic` every entry counts as overlapping.
+    """
+    answer: list[tuple[NextHopId, int | None]] = []
+    seen: set[NextHopId] = set()
+    for entry in entries:
+        if not match_agnostic and not overlaps(rule, entry.rule):
+            continue
+        if local:
+            answer.append((entry.next_hop, entry.owner))
+        elif entry.next_hop not in seen:
+            seen.add(entry.next_hop)
+            answer.append((entry.next_hop, None))
+    return answer
+
+
+class SiteView:
+    """Routing paths and exchange membership, as every verifier knows them."""
+
+    def __init__(self, sites: list[SdxSite],
+                 ribs: dict[str, RibState]) -> None:
+        self.sites = list(sites)
+        self._ribs = ribs
+        self._members = {s.sdx_id: s.members for s in self.sites}
+        presence: dict[int, set[int]] = {}
+        for site in self.sites:
+            for asn in site.members:
+                presence.setdefault(asn, set()).add(site.sdx_id)
+        self._presence = {asn: tuple(sorted(ids))
+                          for asn, ids in presence.items()}
+
+    def path(self, prefix: str, asn: int) -> tuple[int, ...]:
+        rib = self._ribs.get(prefix)
+        return rib.path(asn) if rib else ()
+
+    def sites_of(self, asn: int) -> tuple[int, ...]:
+        return self._presence.get(asn, ())
+
+    def members(self, sdx_id: int) -> frozenset[int]:
+        return self._members[sdx_id]
+
+
+class StaticMatchView(SiteView):
     """Exploration knowledge backed by explicit entry lists.
 
     Useful for replaying an install attempt against a hypothetical rule
@@ -245,42 +304,16 @@ class StaticMatchView:
     def __init__(self, sites: list[SdxSite], ribs: dict[str, RibState],
                  entries: dict[int, list[RuleEntry]],
                  match_agnostic: bool = False) -> None:
-        self._sites = {s.sdx_id: s for s in sites}
-        self._ribs = ribs
+        super().__init__(sites, ribs)
         self._entries = entries
         self._agnostic = match_agnostic
-        self._presence: dict[int, tuple[int, ...]] = {}
-        for site in sites:
-            for asn in site.members:
-                got = self._presence.get(asn, ())
-                self._presence[asn] = tuple(sorted(set(got) | {site.sdx_id}))
-
-    def path(self, prefix: str, asn: int) -> tuple[int, ...]:
-        rib = self._ribs.get(prefix)
-        return rib.path(asn) if rib else ()
-
-    def sites_of(self, asn: int) -> tuple[int, ...]:
-        return self._presence.get(asn, ())
-
-    def members(self, sdx_id: int) -> frozenset[int]:
-        return self._sites[sdx_id].members
 
     def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
               prefix: str):
-        local = origin_sdx == target_sdx
-        answer: list[tuple[NextHopId, int | None]] = []
-        seen: set[NextHopId] = set()
-        for entry in self._entries.get(target_sdx, ()):
-            if entry.prefix != prefix:
-                continue
-            if not self._agnostic and not overlaps(rule, entry.rule):
-                continue
-            if local:
-                answer.append((entry.next_hop, entry.owner))
-            elif entry.next_hop not in seen:
-                seen.add(entry.next_hop)
-                answer.append((entry.next_hop, None))
-        return answer
+        entries = [e for e in self._entries.get(target_sdx, ())
+                   if e.prefix == prefix]
+        return table_answer(entries, rule, origin_sdx == target_sdx,
+                            self._agnostic)
 
 
 def sidr_baseline(req: VerifyRequest, sites: list[SdxSite],
@@ -326,67 +359,6 @@ class RegistryEntry:
     active: bool = False
     queried: frozenset[int] = frozenset()
     subscribers: set[int] = field(default_factory=set)
-
-
-# --------------------------------------------------------------------------
-# transports
-
-
-class DirectTransport:
-    """Plaintext query evaluation with the same answers the SMPC gives.
-
-    The holder-visible information is logged identically (prefix, entry
-    count, requester) so log-based privacy checks cover both transports.
-    """
-
-    def __init__(self, plane: "ControlPlane") -> None:
-        self.plane = plane
-
-    def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
-              prefix: str):
-        node = self.plane.nodes[target_sdx]
-        entries = node.service.entries_for(prefix)
-        node.log("query_served",
-                 {"prefix": prefix, "k": len(entries), "from": origin_sdx})
-        local = origin_sdx == target_sdx
-        answer: list[tuple[NextHopId, int | None]] = []
-        seen: set[NextHopId] = set()
-        for entry in entries:
-            if not overlaps(rule, entry.rule):
-                continue
-            if local:
-                answer.append((entry.next_hop, entry.owner))
-            elif entry.next_hop not in seen:
-                seen.add(entry.next_hop)
-                answer.append((entry.next_hop, None))
-        return answer
-
-
-class SmpcTransport:
-    """Queries remote exchanges through real two-party sessions."""
-
-    def __init__(self, plane: "ControlPlane", backend: str = "gmw") -> None:
-        self.plane = plane
-        self.backend = backend
-
-    def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
-              prefix: str):
-        node = self.plane.nodes[target_sdx]
-        if origin_sdx == target_sdx:
-            entries = node.service.entries_for(prefix)
-            node.log("query_served",
-                     {"prefix": prefix, "k": len(entries),
-                      "from": origin_sdx})
-            return [(e.next_hop, e.owner) for e in entries
-                    if overlaps(rule, e.rule)]
-        try:
-            result = node.endpoint.query(rule, prefix, backend=self.backend)
-        except QueryAborted:
-            return None
-        node.log("query_served",
-                 {"prefix": prefix, "k": len(node.service.entries_for(prefix)),
-                  "from": origin_sdx})
-        return [(hop, None) for hop in result.sorted_hops()]
 
 
 # --------------------------------------------------------------------------
@@ -549,15 +521,23 @@ class SdxNode:
         return verdicts
 
 
-class ControlPlane:
-    """Deterministic single-process simulation of the verifier network."""
+class ControlPlane(SiteView):
+    """Deterministic single-process simulation of the verifier network.
+
+    With `transport="direct"` every query is answered in plaintext; with
+    `"smpc"` a query to another exchange runs a two-party session over
+    `backend`.  Either way the holder logs only what the session shows it.
+    """
 
     def __init__(self, graph, sites: list[SdxSite],
                  ribs: dict[str, RibState], *, transport: str = "direct",
                  backend: str = "gmw", seed: int = 0) -> None:
+        if transport not in ("direct", "smpc"):
+            raise ValueError(f"unknown transport {transport!r}")
+        super().__init__(sites, dict(ribs))
         self.graph = graph
-        self.sites = list(sites)
-        self._ribs = dict(ribs)
+        self.transport = transport
+        self.backend = backend
         self.clock = 0
         self.events: list[LogEvent] = []
         self._lock = threading.Lock()
@@ -566,38 +546,31 @@ class ControlPlane:
                                             key=lambda s: s.sdx_id)):
             self.nodes[site.sdx_id] = SdxNode(
                 site, self, endpoint_seed=seed * 7919 + index)
-        self._presence: dict[int, tuple[int, ...]] = {}
-        for site in self.sites:
-            for asn in site.members:
-                got = self._presence.get(asn, ())
-                self._presence[asn] = tuple(sorted(set(got) | {site.sdx_id}))
-        if transport == "direct":
-            self.transport = DirectTransport(self)
-        elif transport == "smpc":
-            self.transport = SmpcTransport(self, backend=backend)
-        else:
-            raise ValueError(f"unknown transport {transport!r}")
 
     # -- exploration view
 
     def rib(self, prefix: str) -> RibState | None:
         return self._ribs.get(prefix)
 
-    def path(self, prefix: str, asn: int) -> tuple[int, ...]:
-        rib = self._ribs.get(prefix)
-        return rib.path(asn) if rib else ()
-
-    def sites_of(self, asn: int) -> tuple[int, ...]:
-        return self._presence.get(asn, ())
-
-    def members(self, sdx_id: int) -> frozenset[int]:
-        return self.nodes[sdx_id].members
-
     def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
               prefix: str):
         self.nodes[origin_sdx].log(
             "query_sent", {"target": target_sdx, "prefix": prefix})
-        return self.transport.query(origin_sdx, target_sdx, rule, prefix)
+        node = self.nodes[target_sdx]
+        entries = node.service.entries_for(prefix)
+        local = origin_sdx == target_sdx
+        if self.transport == "smpc" and not local:
+            try:
+                result = node.endpoint.query(rule, prefix,
+                                             backend=self.backend)
+            except QueryAborted:
+                return None
+            answer = [(hop, None) for hop in result.sorted_hops()]
+        else:
+            answer = table_answer(entries, rule, local)
+        node.log("query_served",
+                 {"prefix": prefix, "k": len(entries), "from": origin_sdx})
+        return answer
 
     # -- event log
 
@@ -649,15 +622,6 @@ class ControlPlane:
             for sdx_id, node in self.nodes.items()
         }
 
-    def rules_of(self, owner: int) -> list[tuple[str, bool]]:
-        out: list[tuple[str, bool]] = []
-        for sdx_id in sorted(self.nodes):
-            for rule_id, record in sorted(
-                    self.nodes[sdx_id].registry.items()):
-                if record.entry.owner == owner:
-                    out.append((rule_id, record.active))
-        return out
-
     def sidr_verdict(self, policy: DeflectionPolicy,
                      budget: int = DEFAULT_BUDGET) -> Verdict:
         req = make_request(policy, budget)
@@ -671,7 +635,6 @@ __all__ = [
     "BUDGET_EXHAUSTED",
     "ControlPlane",
     "DEFAULT_BUDGET",
-    "DirectTransport",
     "Exploration",
     "LOOP_DETECTED",
     "LogEvent",
@@ -680,12 +643,13 @@ __all__ = [
     "RegistryEntry",
     "SAFE",
     "SdxNode",
-    "SmpcTransport",
+    "SiteView",
     "StaticMatchView",
     "Verdict",
     "VerifyRequest",
     "explore_deflection",
     "make_request",
     "sidr_baseline",
+    "table_answer",
     "verdict_of",
 ]

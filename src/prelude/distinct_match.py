@@ -234,7 +234,6 @@ class SdxMatchService:
         self.sdx_id = sdx_id
         self._lock = threading.RLock()
         self._tables: dict[str, dict[RuleEntry, None]] = {}
-        self._listeners: list = []
 
     # -------------------------------------------------------- table writes
 
@@ -252,10 +251,7 @@ class SdxMatchService:
                     raise ValueError(
                         f"rule width {entry.rule.width} does not match rule "
                         f"width {width} of the entries under {entry.prefix}")
-            already = entry in table
             table[entry] = None
-        if not already:
-            self._notify("register", entry)
 
     def deregister(self, entry: RuleEntry) -> None:
         with self._lock:
@@ -264,22 +260,10 @@ class SdxMatchService:
                 log.warning("deregister of unknown entry for %s", entry.prefix)
                 return
             del table[entry]
-        self._notify("deregister", entry)
 
     def entries_for(self, prefix: str) -> list[RuleEntry]:
         with self._lock:
             return list(self._tables.get(prefix, {}))
-
-    def add_change_listener(self, fn) -> None:
-        """fn(event, entry) fires after every table mutation."""
-        with self._lock:
-            self._listeners.append(fn)
-
-    def _notify(self, event: str, entry: RuleEntry) -> None:
-        with self._lock:
-            listeners = list(self._listeners)
-        for fn in listeners:
-            fn(event, entry)
 
     # -------------------------------------------------------- query serving
 
@@ -477,9 +461,3 @@ class LoopbackEndpoint:
             ))
         hops = frozenset(h for h in raw if h != DUMMY_HOP)
         return QueryResult(hops)
-
-
-def query(local: TernaryRule, remote_sdx: LoopbackEndpoint, prefix: str,
-          backend: str = "gmw", **kwargs) -> QueryResult:
-    """Module-level convenience wrapper around endpoint.query()."""
-    return remote_sdx.query(local, prefix, backend, **kwargs)

@@ -32,12 +32,8 @@ from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
     MSG_INPUT_SHARE,
     MSG_LABELS,
-    MSG_NOTIFY_CHANGE,
     MSG_OUTPUT_SHARE,
     MSG_SETUP_TRIPLES,
-    MSG_SUBSCRIBE,
-    MSG_VERIFY_QUERY,
-    MSG_VERIFY_RESULT,
     ProtocolError,
     TcpChannel,
     drive,
@@ -88,12 +84,8 @@ __all__ = [
     "MSG_GARBLED_TABLES",
     "MSG_INPUT_SHARE",
     "MSG_LABELS",
-    "MSG_NOTIFY_CHANGE",
     "MSG_OUTPUT_SHARE",
     "MSG_SETUP_TRIPLES",
-    "MSG_SUBSCRIBE",
-    "MSG_VERIFY_QUERY",
-    "MSG_VERIFY_RESULT",
     "ONLINE",
     "ProtocolError",
     "RECEIVED",

@@ -36,10 +36,6 @@ MSG_OUTPUT_SHARE = 5
 MSG_SETUP_TRIPLES = 6
 MSG_ENVELOPE = 7
 MSG_ENVELOPE_ACK = 8
-MSG_VERIFY_QUERY = 9
-MSG_VERIFY_RESULT = 10
-MSG_SUBSCRIBE = 11
-MSG_NOTIFY_CHANGE = 12
 
 KIND_NAMES = {
     MSG_INPUT_SHARE: "INPUT_SHARE",
@@ -50,10 +46,6 @@ KIND_NAMES = {
     MSG_SETUP_TRIPLES: "SETUP_TRIPLES",
     MSG_ENVELOPE: "ENVELOPE",
     MSG_ENVELOPE_ACK: "ENVELOPE_ACK",
-    MSG_VERIFY_QUERY: "VERIFY_QUERY",
-    MSG_VERIFY_RESULT: "VERIFY_RESULT",
-    MSG_SUBSCRIBE: "SUBSCRIBE",
-    MSG_NOTIFY_CHANGE: "NOTIFY_CHANGE",
 }
 
 _HEADER = struct.Struct(">I")

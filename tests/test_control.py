@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from prelude import control
 from prelude.bgpsim import (
     AsGraph,
     DeflectionPolicy,
@@ -35,11 +36,12 @@ from prelude.control import (
     sidr_baseline,
     verdict_of,
 )
-from prelude.distinct_match import QueryAborted
+from prelude.distinct_match import NextHopId, QueryAborted, RuleEntry
 from prelude.rules import (
     FlowSpec,
     PROTO_TCP,
     encode,
+    overlaps,
     random_rule,
 )
 
@@ -458,6 +460,142 @@ class TestChurnSafety:
                     assert forwarding_oracle(graph, current[prefix],
                                              active, prefix) == set(), (
                         seed, step)
+
+
+# --------------------------------------------------------------------------
+# one answer path, each exchange asked once per walk
+
+
+def generated_plane(seed: int) -> tuple[ControlPlane, list[DeflectionPolicy]]:
+    graph, sites = generate_topology(n_as=60, n_sdx=5, seed=seed,
+                                     sdx_size_range=(4, 8))
+    rng = random.Random(seed)
+    origins = rng.sample(graph.as_ids, 2)
+    ribs = {f"pfx{i}": compute_routes(graph, origin)
+            for i, origin in enumerate(origins)}
+    pool = generate_policies(graph, sites, ribs, seed=seed)
+    rng.shuffle(pool)
+    return ControlPlane(graph, sites, ribs), pool[:60]
+
+
+def churn(plane: ControlPlane, pool: list[DeflectionPolicy]) -> None:
+    """Install the pool, then remove every third accepted rule."""
+    accepted = []
+    for policy in pool:
+        try:
+            verdict = plane.install(policy)
+        except PolicyError:
+            continue
+        if verdict.accepted:
+            accepted.append((policy.owner, verdict.rule_id))
+    for owner, rule_id in accepted[::3]:
+        plane.remove(owner, rule_id)
+
+
+def targets_per_install(plane: ControlPlane) -> list[list[int]]:
+    """The targets queried between each install request and its verdict."""
+    walks: list[list[int]] = []
+    current = None
+    for event in plane.events:
+        if event.kind == "install_request":
+            current = []
+        elif event.kind == "query_sent" and current is not None:
+            current.append(event.detail["target"])
+        elif event.kind == "verdict":
+            walks.append(current)
+            current = None
+    return walks
+
+
+def outcome(plane: ControlPlane) -> list[tuple]:
+    return [(e.sdx, e.kind, sorted(e.detail.items())) for e in plane.events
+            if e.kind in ("verdict", "activate", "deactivate", "reverify")]
+
+
+class _Forgetful(dict):
+    """An answer store that never hands back what it was given."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class RecomputingWalk(control._WalkState):
+    """A walk that asks again every time it meets an exchange."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.answers = _Forgetful()
+
+
+class TestOneQueryPerExchange:
+    def test_no_target_is_asked_twice_in_one_walk(self, monkeypatch):
+        for seed in (1, 2, 3):
+            plane, pool = generated_plane(seed)
+            churn(plane, pool)
+            walks = targets_per_install(plane)
+            assert walks
+            for targets in walks:
+                assert len(targets) == len(set(targets)), (seed, targets)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(control, "_WalkState", RecomputingWalk)
+                again, again_pool = generated_plane(seed)
+                churn(again, again_pool)
+            # the scenario repeats questions when no answer is kept ...
+            assert any(len(t) > len(set(t))
+                       for t in targets_per_install(again)), seed
+            # ... and keeping them changes no verdict
+            assert outcome(plane) == outcome(again), seed
+            assert plane.active_entries() == again.active_entries()
+
+
+class TestAnswerSources:
+    def test_every_source_gives_the_same_answer(self):
+        fx = two_exchange_fixture()
+        rng = random.Random(77)
+        members = {site.sdx_id: sorted(site.members) for site in fx.sites}
+        for trial in range(6):
+            entries: dict[int, list[RuleEntry]] = {}
+            for sdx_id, ids in members.items():
+                table = []
+                for _ in range(rng.randint(0, 6)):
+                    owner, target = rng.sample(ids, 2)
+                    table.append(RuleEntry(
+                        rule=random_rule(8, rng),
+                        next_hop=NextHopId(sdx_id, target),
+                        owner=owner, prefix=fx.prefix))
+                entries[sdx_id] = list(dict.fromkeys(table))
+            planes = [fixture_plane("direct"),
+                      fixture_plane("smpc", backend="gmw", seed=trial),
+                      fixture_plane("smpc", backend="yao", seed=trial)]
+            for plane in planes:
+                for sdx_id, table in entries.items():
+                    for entry in table:
+                        plane.nodes[sdx_id].service.register(entry)
+            view = StaticMatchView(list(fx.sites), {fx.prefix: fx.rib},
+                                   entries)
+            rule = random_rule(8, rng)
+            for origin, target in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                local = origin == target
+                hits = [e for e in entries[target] if overlaps(rule, e.rule)]
+                if local:
+                    expected = sorted((e.next_hop, e.owner) for e in hits)
+                else:
+                    expected = sorted({(e.next_hop, None) for e in hits})
+                got = sorted(view.query(origin, target, rule, fx.prefix))
+                assert got == expected, (trial, origin, target)
+                for plane in planes:
+                    answer = plane.query(origin, target, rule, fx.prefix)
+                    assert sorted(answer) == expected, (
+                        trial, plane.transport, plane.backend, origin,
+                        target)
+                    hops = [hop for hop, _ in answer]
+                    owners = [owner for _, owner in answer]
+                    if local:
+                        assert None not in owners
+                    else:
+                        assert len(hops) == len(set(hops))
+                        assert set(owners) <= {None}
 
 
 # --------------------------------------------------------------------------

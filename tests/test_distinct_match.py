@@ -18,7 +18,6 @@ from prelude.distinct_match import (
     QueryResult,
     RuleEntry,
     SdxMatchService,
-    query,
 )
 from prelude.circuits import (
     Circuit,
@@ -159,16 +158,6 @@ class TestRegistration:
         # another prefix may hold another width
         service.register(make_entry(TernaryRule(8, 0, 0), 2, 65002,
                                     prefix="192.0.2.0/24"))
-
-    def test_change_listener_fires(self):
-        events = []
-        service = SdxMatchService(sdx_id=1)
-        service.add_change_listener(lambda ev, e: events.append(ev))
-        entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
-        service.register(entry)
-        service.register(entry)  # duplicate: no second event
-        service.deregister(entry)
-        assert events == ["register", "deregister"]
 
 
 # --------------------------------------------------------------------------
@@ -332,12 +321,6 @@ class TestPrivacyMechanics:
             t.join()
         for got, want in zip(results, expected):
             assert got.hops == want
-
-    def test_module_level_query_wrapper(self):
-        entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
-        endpoint = fresh_endpoint([entry])
-        result = query(TernaryRule.wildcard(8), endpoint, entry.prefix)
-        assert result.hops == {entry.next_hop}
 
 
 # --------------------------------------------------------------------------
