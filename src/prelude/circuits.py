@@ -8,6 +8,17 @@ which keeps plaintext and secure evaluation order-independent.
 The interesting cost metric is AND gates: XOR and NOT are free in both
 secure backends, while each AND costs communication.  OR is therefore
 built from AND/NOT via De Morgan as a balanced tree.
+
+A group may be *clear* (:attr:`InputGroup.clear`): its owner, the holder,
+knows those bits, and no backend labels, masks or shares them.  A clear
+wire feeds only AND gates, each of which then reads one clear wire and one
+secret wire; such a *cross gate* is cheaper than a full AND in both
+backends (a one-row garbler half-gate under yao, a one-sided product under
+gmw), and the rule comparator is built from them.  Its output is a secret
+wire like any other; the holder's bit leaves the holder only under a
+one-time pad or inside a garbled row, so the querier learns no more than
+from the same bit as a secret input (see :mod:`prelude.smpc.yao` and
+:mod:`prelude.smpc.gmw`).
 """
 
 from __future__ import annotations
@@ -29,13 +40,16 @@ class InputGroup:
 
     When the circuit is evaluated over several lanes, a ``shared`` group
     carries one value per wire for every lane; any other group carries one
-    value per wire and lane.
+    value per wire and lane.  A ``clear`` group is known to its owner, party
+    1, and never labelled, masked or shared; its wires may feed only AND
+    gates, and it carries one value per wire and lane.
     """
 
     party: int
     name: str
     wires: tuple[int, ...]
     shared: bool = False
+    clear: bool = False
 
 
 @dataclass(frozen=True)
@@ -61,24 +75,34 @@ class Circuit:
         self.gates: list[tuple[int, int, int, int]] = []  # (kind, a, b, out); b=-1 for NOT
         self.input_groups: list[InputGroup] = []
         self.output_wires: list[int] = []
+        self.shared_wires: set[int] = set()
+        self.clear_wires: set[int] = set()
         self._input_wire_count = 0
         self._depth_cache: list[int] | None = None
-        self._layers_cache: tuple[list, list] | None = None
+        self._layers_cache: tuple[list, list, list, list] | None = None
 
     # -------------------------------------------------- construction
 
     def add_input_group(self, party: int, name: str, width: int,
-                        shared: bool = False) -> tuple[int, ...]:
+                        shared: bool = False,
+                        clear: bool = False) -> tuple[int, ...]:
         if self.gates:
             raise ValueError("input groups must be declared before gates")
         if party not in (0, 1):
             raise ValueError("party must be 0 or 1")
+        if clear and (party != 1 or shared):
+            raise ValueError("a clear group belongs to party 1, one value "
+                             "per wire and lane")
         if any(g.name == name for g in self.input_groups):
             raise ValueError(f"duplicate input group {name!r}")
         wires = tuple(range(self.n_wires, self.n_wires + width))
         self.n_wires += width
         self._input_wire_count = self.n_wires
-        self.input_groups.append(InputGroup(party, name, wires, shared))
+        self.input_groups.append(InputGroup(party, name, wires, shared, clear))
+        if shared:
+            self.shared_wires.update(wires)
+        if clear:
+            self.clear_wires.update(wires)
         return wires
 
     def _new_wire(self) -> int:
@@ -86,9 +110,11 @@ class Circuit:
         self.n_wires += 1
         return w
 
-    def _check_wire(self, w: int) -> None:
+    def _check_wire(self, w: int, clear_ok: bool = False) -> None:
         if not 0 <= w < self.n_wires:
             raise ValueError(f"wire {w} does not exist yet")
+        if not clear_ok and w in self.clear_wires:
+            raise ValueError(f"clear wire {w} may feed only AND gates")
 
     def _add_gate(self, kind: int, a: int, b: int) -> int:
         out = self._new_wire()
@@ -98,8 +124,13 @@ class Circuit:
         return out
 
     def and_(self, a: int, b: int) -> int:
-        self._check_wire(a)
-        self._check_wire(b)
+        """AND of two wires; a cross gate keeps its clear wire as ``b``."""
+        self._check_wire(a, clear_ok=True)
+        self._check_wire(b, clear_ok=True)
+        if a in self.clear_wires:
+            a, b = b, a
+        if a in self.clear_wires:
+            raise ValueError("an AND gate reads at most one clear wire")
         return self._add_gate(AND, a, b)
 
     def xor(self, a: int, b: int) -> int:
@@ -116,13 +147,18 @@ class Circuit:
         return self.not_(self.and_(self.not_(a), self.not_(b)))
 
     def mark_output(self, w: int) -> None:
-        self._check_wire(w)
+        self._check_wire(w)  # a clear wire has no secret value to output
         self.output_wires.append(w)
 
     # -------------------------------------------------- metrics
 
     def and_count(self) -> int:
+        """AND gates, cross gates included."""
         return sum(1 for g in self.gates if g[0] == AND)
+
+    def cross_count(self) -> int:
+        """AND gates that read a clear wire."""
+        return sum(map(len, self.and_layers()[1]))
 
     def wire_and_depths(self) -> list[int]:
         """Per-wire count of AND gates on the deepest path from any input."""
@@ -138,23 +174,44 @@ class Circuit:
         depths = self.wire_and_depths()
         return max((depths[g[3]] for g in self.gates if g[0] == AND), default=0)
 
-    def and_layers(self) -> tuple[list[list[tuple]], list[list[tuple]]]:
+    def and_layers(self) -> tuple[list[list[tuple]], list[list[tuple]],
+                                  list[list[tuple]]]:
         """Gates by AND level, for layer-by-layer evaluation.
 
-        Returns (ands, locals) with one list per level 0..and_depth():
-        ``ands[L]`` holds the AND gates at level L, which only read wires of
-        lower levels, and ``locals[L]`` the XOR and NOT gates at level L,
-        which may read them; both keep gate order.
+        Returns (ands, crosses, locals) with one list per level
+        0..and_depth(): ``ands[L]`` holds the AND gates at level L that read
+        two secret wires and ``crosses[L]`` the cross gates, both of which
+        only read wires of lower levels, and ``locals[L]`` the XOR and NOT
+        gates at level L, which may read them.  Cross gates whose secret
+        wire belongs to a shared group come first; otherwise every list
+        keeps gate order.
         """
         if self._layers_cache is None:
             depth = self.wire_and_depths()
             n_levels = self.and_depth() + 1
             ands: list[list[tuple]] = [[] for _ in range(n_levels)]
+            crosses: list[list[tuple]] = [[] for _ in range(n_levels)]
             locals_: list[list[tuple]] = [[] for _ in range(n_levels)]
             for gate in self.gates:
-                (ands if gate[0] == AND else locals_)[depth[gate[3]]].append(gate)
-            self._layers_cache = (ands, locals_)
-        return self._layers_cache
+                if gate[0] != AND:
+                    layers = locals_
+                elif gate[2] in self.clear_wires:
+                    layers = crosses
+                else:
+                    layers = ands
+                layers[depth[gate[3]]].append(gate)
+            for layer in crosses:
+                layer.sort(key=lambda g: g[1] not in self.shared_wires)
+            shared = [sum(g[1] in self.shared_wires for g in layer)
+                      for layer in crosses]
+            self._layers_cache = (ands, crosses, locals_, shared)
+        return self._layers_cache[:3]
+
+    def shared_cross_counts(self) -> list[int]:
+        """Per AND level, the cross gates whose secret wire belongs to a
+        shared group, which :meth:`and_layers` lists first."""
+        self.and_layers()
+        return self._layers_cache[3]
 
     # -------------------------------------------------- dump
 
@@ -205,16 +262,18 @@ def evaluate_plaintext(
 # ------------------------------------------------------------------ builders
 
 
-def _bit_distinct(c: Circuit, m1: int, p1: int, m2: int, p2: int) -> int:
-    """One comparator cell: (m1 AND m2) AND (p1 XOR p2).
+def _bit_distinct(c: Circuit, q_one: int, q_zero: int, h_one: int,
+                  h_zero: int) -> int:
+    """One comparator cell: (q_one AND h_zero) XOR (q_zero AND h_one).
 
-    The cell is 1 iff both rules pin this bit and pin it to opposite values,
-    i.e. the bit alone proves no packet can match both rules.  Exactly two
-    AND gates and one XOR gate.
+    ``*_one`` is 1 where a rule pins the bit to 1 (mask AND pattern),
+    ``*_zero`` where it pins it to 0 (mask AND NOT pattern).  The cell is 1
+    iff both rules pin this bit and pin it to opposite values, i.e. the bit
+    alone proves no packet can match both rules; the two products are never
+    both 1, so XOR serves as OR.  The holder's bits are clear: two cross
+    gates and one XOR gate, AND depth 1.
     """
-    both_pinned = c.and_(m1, m2)
-    differ = c.xor(p1, p2)
-    return c.and_(both_pinned, differ)
+    return c.xor(c.and_(q_one, h_zero), c.and_(q_zero, h_one))
 
 
 def _or_tree(c: Circuit, wires: Sequence[int]) -> int:
@@ -245,18 +304,20 @@ def _mux_bits(
 def build_distinct_pair(width: int) -> Circuit:
     """Decide whether two rules are distinct (share no matching packet).
 
-    Querier supplies q_mask/q_pattern, holder h_mask/h_pattern, ``width`` bits
-    each.  Single output bit: 1 iff the rules are distinct.  Uses exactly
-    2*width ANDs for the comparator cells plus width-1 ANDs for the OR tree.
+    Querier supplies q_one/q_zero, holder the clear groups h_one/h_zero,
+    ``width`` bits each: a rule's pinned-one and pinned-zero bits.  Single
+    output bit: 1 iff the rules are distinct.  Uses exactly 2*width cross
+    gates for the comparator cells plus width-1 ANDs for the OR tree.
     """
     if width < 1:
         raise ValueError("width must be positive")
     c = Circuit()
-    qm = c.add_input_group(0, "q_mask", width)
-    qp = c.add_input_group(0, "q_pattern", width)
-    hm = c.add_input_group(1, "h_mask", width)
-    hp = c.add_input_group(1, "h_pattern", width)
-    cells = [_bit_distinct(c, qm[i], qp[i], hm[i], hp[i]) for i in range(width)]
+    q_one = c.add_input_group(0, "q_one", width)
+    q_zero = c.add_input_group(0, "q_zero", width)
+    h_one = c.add_input_group(1, "h_one", width, clear=True)
+    h_zero = c.add_input_group(1, "h_zero", width, clear=True)
+    cells = [_bit_distinct(c, q_one[i], q_zero[i], h_one[i], h_zero[i])
+             for i in range(width)]
     c.mark_output(_or_tree(c, cells))
     return c
 
@@ -271,10 +332,11 @@ class BatchQueryCircuit(Circuit):
 
     The querier's rule and the dummy identifier are the same for every
     entry, so their groups are ``shared``: the k = 1 circuit is the
-    per-entry template that the secure backends evaluate over k lanes.
+    per-entry template that the secure backends evaluate over k lanes.  The
+    holder's rule bits are ``clear``.
     """
 
-    RULE_GROUPS = ("q_mask", "q_pattern", "h_masks", "h_patterns")
+    RULE_GROUPS = ("q_one", "q_zero", "h_one", "h_zero")
 
     def __init__(self) -> None:
         super().__init__()
@@ -292,6 +354,8 @@ class BatchQueryCircuit(Circuit):
         stage.n_wires = stage.gates[-1][3] + 1
         stage.input_groups = [g for g in self.input_groups
                               if g.name in self.RULE_GROUPS]
+        stage.shared_wires = self.shared_wires
+        stage.clear_wires = self.clear_wires
         stage.output_wires = list(self.distinct_wires)
         return stage
 
@@ -299,25 +363,27 @@ class BatchQueryCircuit(Circuit):
 def build_batch_query(layout: CircuitLayout) -> BatchQueryCircuit:
     """One querier rule against k holder entries, with identifier mapping.
 
-    Holder inputs are k rules (h_masks/h_patterns, flattened k*rule_width),
-    k next-hop identifiers (h_ids, flattened k*id_width) and one dummy
-    identifier (h_dummy).  Output is k identifiers in holder entry order:
-    entry i's identifier where the rules overlap, the dummy where distinct.
+    Holder inputs are k rules as the clear groups h_one/h_zero (flattened
+    k*rule_width), k next-hop identifiers (h_ids, flattened k*id_width) and
+    one dummy identifier (h_dummy).  Output is k identifiers in holder entry
+    order: entry i's identifier where the rules overlap, the dummy where
+    distinct.
 
-    AND-depth is independent of k: comparator cells (2) + OR tree
+    AND-depth is independent of k: comparator cells (1) + OR tree
     (ceil(log2 rule_width)) + one multiplexer level.
     """
     k, w, idw = layout.k, layout.rule_width, layout.id_width
     c = BatchQueryCircuit()
-    qm = c.add_input_group(0, "q_mask", w, shared=True)
-    qp = c.add_input_group(0, "q_pattern", w, shared=True)
-    hm = c.add_input_group(1, "h_masks", k * w)
-    hp = c.add_input_group(1, "h_patterns", k * w)
+    q_one = c.add_input_group(0, "q_one", w, shared=True)
+    q_zero = c.add_input_group(0, "q_zero", w, shared=True)
+    h_one = c.add_input_group(1, "h_one", k * w, clear=True)
+    h_zero = c.add_input_group(1, "h_zero", k * w, clear=True)
     hid = c.add_input_group(1, "h_ids", k * idw)
     hdummy = c.add_input_group(1, "h_dummy", idw, shared=True)
     c.distinct_wires = tuple(
         _or_tree(c, [
-            _bit_distinct(c, qm[j], qp[j], hm[i * w + j], hp[i * w + j])
+            _bit_distinct(c, q_one[j], q_zero[j], h_one[i * w + j],
+                          h_zero[i * w + j])
             for j in range(w)
         ])
         for i in range(k)
@@ -331,6 +397,7 @@ def build_batch_query(layout: CircuitLayout) -> BatchQueryCircuit:
 
 
 def distinct_pair_and_count(width: int) -> int:
+    """2 cross gates per comparator cell, then width - 1 ANDs in the OR tree."""
     return 2 * width + (width - 1)
 
 
@@ -339,10 +406,7 @@ def batch_query_and_count(layout: CircuitLayout) -> int:
 
 
 def expected_and_depth(rule_width: int, with_mapper: bool = False) -> int:
+    """1 for the comparator cells' cross gates, ceil(log2 w) for the OR tree
+    and 1 for the identifier multiplexers, if present."""
     tree = math.ceil(math.log2(rule_width)) if rule_width > 1 else 0
-    return 2 + tree + (1 if with_mapper else 0)
-
-
-def rule_input_bits(rule) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Mask and pattern bit tuples in wire order (bit 0 first)."""
-    return rule.mask_bits(), rule.pattern_bits()
+    return 1 + tree + (1 if with_mapper else 0)

@@ -11,11 +11,20 @@ rule beyond its arrival and target prefix.
 Session flow, all on one framed channel:
 
 1. querier sends a cleartext envelope {prefix, rule width, backend, nonce};
+   the holder aborts with a ProtocolError naming the fault if it is not a
+   JSON object with those fields, a positive integer width and a known
+   backend, or if the width differs from its table's;
 2. holder answers with {k, id width} where k is its entry count for the
    prefix; k == 0 ends the session with an empty result and no circuit work;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
+   Each side first turns its rules into pinned-one bits (mask AND pattern)
+   and pinned-zero bits (mask AND NOT pattern); a bit proves two rules
+   distinct when one pins it to 1 and the other to 0.  The querier's bits
+   are secret inputs, while the holder's stay in its clear and feed only
+   cross gates (see :mod:`prelude.circuits`), so the holder's rules are
+   never labelled, masked or shared.
    Every entry runs the same per-entry template, the k = 1 batch-query
    circuit, and the backends evaluate it over k lanes, lane i being the
    i-th shuffled entry; the querier's rule and the dummy feed every lane.
@@ -52,7 +61,6 @@ from prelude.circuits import (
     Circuit,
     CircuitLayout,
     build_batch_query,
-    rule_input_bits,
 )
 from prelude.rules import TernaryRule
 from prelude.smpc import (
@@ -76,7 +84,7 @@ from prelude.smpc import (
     send_frame,
 )
 from prelude.smpc.shares import (
-    bits_to_int,
+    int_to_bits,
     lanes_to_rows,
     rows_to_lanes,
     split_lanes,
@@ -218,6 +226,40 @@ def query_template(rule_width: int,
     return template
 
 
+def _pinned(rule: TernaryRule) -> tuple[int, int]:
+    """A rule's pinned-one bits (mask AND pattern) and pinned-zero bits
+    (mask AND NOT pattern), as ints."""
+    return rule.mask & rule.pattern, rule.mask & ~rule.pattern
+
+
+def _parse_envelope(payload: bytes) -> tuple[str, int, str]:
+    """(prefix, rule width, backend) of a querier's envelope.
+
+    Raises ProtocolError naming the fault for anything but a JSON object
+    with a string prefix, a positive integer rule width and a known backend.
+    """
+    try:
+        envelope = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"envelope is not JSON: {exc}") from None
+    if not isinstance(envelope, dict):
+        raise ProtocolError(
+            f"envelope is a JSON {type(envelope).__name__}, not an object")
+    for name in ("prefix", "rule_width", "backend"):
+        if name not in envelope:
+            raise ProtocolError(f"envelope has no {name!r} field")
+    prefix, width, backend = (envelope["prefix"], envelope["rule_width"],
+                              envelope["backend"])
+    if not isinstance(prefix, str):
+        raise ProtocolError(f"envelope prefix {prefix!r} is not a string")
+    if type(width) is not int or width < 1:
+        raise ProtocolError(
+            f"envelope rule_width {width!r} is not a positive integer")
+    if backend not in BACKENDS:
+        raise ProtocolError(f"unknown backend {backend!r}")
+    return prefix, width, backend
+
+
 # --------------------------------------------------------------------------
 # holder
 
@@ -279,12 +321,7 @@ class SdxMatchService:
                     transcript: SessionTranscript | None = None):
         """Step generator of :meth:`serve_query`."""
         payload = yield from recv_frame(MSG_ENVELOPE, transcript)
-        envelope = json.loads(payload.decode("utf-8"))
-        prefix = envelope["prefix"]
-        backend = envelope["backend"]
-        if backend not in BACKENDS:
-            raise ProtocolError(f"unknown backend {backend!r}")
-        width = int(envelope["rule_width"])
+        prefix, width, backend = _parse_envelope(payload)
 
         entries = self.entries_for(prefix)
         if entries and entries[0].rule.width != width:
@@ -300,11 +337,9 @@ class SdxMatchService:
         shuffle_rng.shuffle(entries)
         template = query_template(width)
         # one lane per shuffled entry: bit i of a wire's word is entry i's bit
-        inputs = {
-            "h_masks": rows_to_lanes([e.rule.mask for e in entries], width),
-            "h_patterns": rows_to_lanes([e.rule.pattern for e in entries],
-                                        width),
-        }
+        ones, zeros = zip(*(_pinned(e.rule) for e in entries))
+        inputs = {"h_one": rows_to_lanes(ones, width),
+                  "h_zero": rows_to_lanes(zeros, width)}
         if backend == "gmw":
             inputs["h_ids"] = rows_to_lanes(
                 [e.next_hop.value for e in entries], HOP_ID_BITS)
@@ -351,16 +386,18 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
         raise ProtocolError("holder uses an incompatible identifier width")
 
     template = query_template(local.width)
-    mask_bits, pattern_bits = rule_input_bits(local)
-    inputs = {"q_mask": list(mask_bits), "q_pattern": list(pattern_bits)}
+    # one bit per wire, the rule's most significant bit first
+    one, zero = _pinned(local)
+    inputs = {"q_one": int_to_bits(one, local.width)[::-1],
+              "q_zero": int_to_bits(zero, local.width)[::-1]}
     if backend == "gmw":
         material = dealer.material(template.circuit, backend, 0, k)
         shares = yield from gmw_steps(template.circuit, 0, inputs, material,
                                       transcript, lanes=k)
-        bits = yield from reveal_steps(shares, transcript, send=False,
-                                       receive=True)
+        value = yield from reveal_steps(shares, transcript, send=False,
+                                        receive=True)
         # bit j * k + i of the output is bit j of entry i's identifier
-        words = split_lanes(bits_to_int(bits), k, HOP_ID_BITS)
+        words = split_lanes(value, k, HOP_ID_BITS)
         return [NextHopId.from_value(v) for v in lanes_to_rows(words, k)]
     material = dealer.material(template.stage, backend, 0, k)
     labels = yield from evaluate_steps(template.stage, inputs, material,

@@ -2,8 +2,9 @@
 
 Two interchangeable backends evaluate the same circuit objects:
 
-- :func:`gmw_execute` works on XOR shares with dealer-issued Beaver triples;
-  its online round count equals the circuit's AND depth.
+- :func:`gmw_execute` works on XOR shares with dealer-issued Beaver triples,
+  and one-sided products for cross gates; its online round count equals
+  the circuit's AND depth.
 - :func:`yao_execute` garbles the circuit; its online phase is a single
   round trip regardless of depth.
 

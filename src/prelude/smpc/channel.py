@@ -238,7 +238,7 @@ def send_frame(kind: int, payload: bytes, transcript=None):
     """Step: send one frame and record it; returns its on-wire size."""
     n = yield (kind, payload)
     if transcript is not None:
-        transcript.record_send(kind, n, payload)
+        transcript.record_send(kind, n)
     return n
 
 
@@ -250,7 +250,7 @@ def recv_frame(expect: int, transcript=None):
             f"expected {KIND_NAMES.get(expect, expect)} frame, "
             f"got {KIND_NAMES.get(kind, kind)}")
     if transcript is not None:
-        transcript.record_receive(kind, n, payload)
+        transcript.record_receive(kind, n)
     return payload
 
 

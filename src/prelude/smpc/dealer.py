@@ -5,8 +5,13 @@ parties correlated randomness before the online phase starts.
 
 Per session it produces:
 
-- Beaver triple shares for every AND gate a GMW run will evaluate, on
-  every lane it runs;
+- Beaver triple shares for every AND gate a GMW run will evaluate between
+  two secret wires, on every lane it runs;
+- cross-product material for every cross gate, an AND of a secret wire
+  with a wire the holder (party 1) knows in the clear, on every lane: the
+  querier (party 0) gets a random word a, the holder a random word y, and
+  each an XOR share of a AND y.  Where the gate's secret wire belongs to a
+  shared group, a is one bit copied to every lane;
 - a joint input-mask seed, from which both parties derive identical masks for
   every input wire.  The wire's owner sets its share to ``bit XOR mask`` and
   the other party uses the mask itself, so input sharing costs no messages;
@@ -20,7 +25,9 @@ All material is simulation-grade randomness, not hardened cryptography.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+from prelude.smpc.shares import int_to_bits, join_lanes
 
 LABEL_BITS = 128
 LABEL_BYTES = LABEL_BITS // 8
@@ -33,7 +40,11 @@ class SetupUnderprovisioned(Exception):
 
 @dataclass
 class TripleStream:
-    """One party's triple shares, bit-packed; consumed layer by layer."""
+    """One party's triple shares, bit-packed; consumed layer by layer.
+
+    Cross-product material uses the same shape: the querier's stream holds
+    (a, 0, its share of a AND y), the holder's (0, y, its share).
+    """
 
     a: int
     b: int
@@ -68,12 +79,18 @@ class DealerMaterial:
     party: int
     triples: TripleStream
     input_mask_seed: bytes
+    cross: TripleStream  # cross-product material, see TripleStream
     transfer_pads: Optional[list[tuple[int, int]]] = None  # label sender side
     transfer_choices: Optional[list[tuple[int, int]]] = None  # (choice bit, pad)
 
     def serialized_size(self) -> int:
-        """On-wire size of this material, for setup-phase byte accounting."""
-        size = (3 * self.triples.n + 7) // 8 + MASK_SEED_BYTES
+        """On-wire size of this material, for setup-phase byte accounting.
+
+        A cross product costs each party two bits per lane: its random word
+        and its share of the product.
+        """
+        size = ((3 * self.triples.n + 2 * self.cross.n + 7) // 8
+                + MASK_SEED_BYTES)
         if self.transfer_pads is not None:
             size += 2 * LABEL_BYTES * len(self.transfer_pads)
         if self.transfer_choices is not None:
@@ -81,34 +98,22 @@ class DealerMaterial:
             size += (len(self.transfer_choices) + 7) // 8
         return size
 
-    def digest_bytes(self) -> bytes:
-        """Deterministic serialization fed to transcript fingerprints."""
-        nb = (self.triples.n + 7) // 8
-        parts = [
-            bytes([self.party]),
-            self.input_mask_seed,
-            self.triples.a.to_bytes(nb, "little"),
-            self.triples.b.to_bytes(nb, "little"),
-            self.triples.c.to_bytes(nb, "little"),
-        ]
-        for pair in self.transfer_pads or ():
-            parts.append(pair[0].to_bytes(LABEL_BYTES, "little"))
-            parts.append(pair[1].to_bytes(LABEL_BYTES, "little"))
-        for d, pad in self.transfer_choices or ():
-            parts.append(bytes([d]) + pad.to_bytes(LABEL_BYTES, "little"))
-        return b"".join(parts)
-
 
 def dealer_gen(
     n_triples: int,
     n_label_transfers: int,
     rng,
     label_sender: int = 1,
+    cross: Sequence[tuple[int, int]] = (),
+    lanes: int = 1,
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Generate one session's setup material for parties 0 and 1.
 
     ``label_sender`` is the party that will garble (it receives the pad
     pairs); the other party receives choice bits and matching pads.
+    ``cross`` gives, per AND level in the order GMW consumes them, the
+    number of cross gates whose secret wire is the same on every one of
+    ``lanes`` and the number of the others, which follow them.
     """
     a = rng.getrandbits(n_triples)
     b = rng.getrandbits(n_triples)
@@ -130,8 +135,22 @@ def dealer_gen(
         pads.append((r0, r1))
         choices.append((d, r1 if d else r0))
 
-    mat0 = DealerMaterial(0, stream0, mask_seed)
-    mat1 = DealerMaterial(1, stream1, mask_seed)
+    every_lane = (1 << lanes) - 1
+    x = n_cross = 0
+    for n_uniform, n_other in cross:
+        # a uniform gate's random bit fills all of its lanes
+        uniform = join_lanes(int_to_bits(rng.getrandbits(n_uniform),
+                                         n_uniform), lanes) * every_lane
+        other = rng.getrandbits(n_other * lanes)
+        x |= (uniform | other << (n_uniform * lanes)) << n_cross
+        n_cross += (n_uniform + n_other) * lanes
+    y = rng.getrandbits(n_cross)
+    z0 = rng.getrandbits(n_cross)
+    cross0 = TripleStream(x, 0, z0, n_cross)
+    cross1 = TripleStream(0, y, (x & y) ^ z0, n_cross)
+
+    mat0 = DealerMaterial(0, stream0, mask_seed, cross0)
+    mat1 = DealerMaterial(1, stream1, mask_seed, cross1)
     sender = mat1 if label_sender == 1 else mat0
     receiver = mat0 if label_sender == 1 else mat1
     sender.transfer_pads = pads
@@ -144,17 +163,23 @@ def dealer_for_circuit(
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Size the dealer material for one execution of ``circuit`` over ``lanes``.
 
-    GMW takes one triple per AND gate and lane.  Yao transfers one label
-    per evaluator input wire of a shared group and one per wire and lane
-    of any other group.
+    GMW takes one triple per AND gate between secret wires and lane, and
+    one cross product per cross gate and lane.  Yao transfers one label per
+    evaluator input wire of a shared group and one per wire and lane of any
+    other group; clear groups take none.
     """
     if backend == "gmw":
-        return dealer_gen(lanes * circuit.and_count(), 0, rng)
+        _, crosses, _ = circuit.and_layers()
+        cross = [(n, len(layer) - n) for layer, n
+                 in zip(crosses, circuit.shared_cross_counts())]
+        return dealer_gen(lanes * (circuit.and_count() - circuit.cross_count()),
+                          0, rng, cross=cross, lanes=lanes)
     if backend == "yao":
         evaluator = 1 - garbler
         n_transfers = sum(
             len(g.wires) * (1 if g.shared else lanes)
-            for g in circuit.input_groups if g.party == evaluator
+            for g in circuit.input_groups
+            if g.party == evaluator and not g.clear
         )
         return dealer_gen(0, n_transfers, rng, label_sender=garbler)
     raise ValueError(f"unknown backend {backend!r}")

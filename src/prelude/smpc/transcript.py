@@ -1,14 +1,14 @@
 """Per-endpoint session transcripts: rounds, bytes, and phase accounting.
 
 A transcript separates the setup phase (dealer material, garbled tables;
-independent of the actual inputs) from the online phase (everything that
-depends on inputs).  Rounds are counted on the online phase only: the
+independent of the querier's inputs) from the online phase (everything that
+depends on them).  Rounds are counted on the online phase only: the
 protocol code advances the round counter once per synchronised exchange.
+A transcript records each frame's kind and size, never its payload.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +35,6 @@ class SessionTranscript:
     round_index: int = 0
     online_started_at: float | None = None
     online_finished_at: float | None = None
-    _digest: "hashlib._Hash" = field(default_factory=lambda: hashlib.blake2s())
 
     def begin_online(self) -> None:
         self.phase = ONLINE
@@ -51,21 +50,16 @@ class SessionTranscript:
         self.round_index += 1
         return self.round_index
 
-    def _record(self, direction: str, kind: int, n_bytes: int, payload: bytes) -> None:
+    def _record(self, direction: str, kind: int, n_bytes: int) -> None:
         self.entries.append(
             TranscriptEntry(direction, kind, n_bytes, self.round_index, self.phase)
         )
-        self._digest.update(
-            b"%s|%d|%d|%d|%s|" % (direction.encode(), kind, n_bytes,
-                                  self.round_index, self.phase.encode())
-        )
-        self._digest.update(payload)
 
-    def record_send(self, kind: int, n_bytes: int, payload: bytes = b"") -> None:
-        self._record(SENT, kind, n_bytes, payload)
+    def record_send(self, kind: int, n_bytes: int) -> None:
+        self._record(SENT, kind, n_bytes)
 
-    def record_receive(self, kind: int, n_bytes: int, payload: bytes = b"") -> None:
-        self._record(RECEIVED, kind, n_bytes, payload)
+    def record_receive(self, kind: int, n_bytes: int) -> None:
+        self._record(RECEIVED, kind, n_bytes)
 
     # ------------------------------------------------------------ metrics
 
@@ -92,7 +86,3 @@ class SessionTranscript:
         if self.online_started_at is None or self.online_finished_at is None:
             return 0.0
         return self.online_finished_at - self.online_started_at
-
-    def fingerprint(self) -> str:
-        """Digest over entry metadata and payload bytes, for determinism checks."""
-        return self._digest.copy().hexdigest()

@@ -9,13 +9,23 @@ gate (Zahur, Rosulek & Evans, EUROCRYPT 2015): two 16-byte rows, the
 garbler half T_G and the evaluator half T_E, and the output zero-label is
 derived from the hashes rather than drawn.
 
+The garbler's clear groups (:attr:`InputGroup.clear`) get no labels at all.
+A cross gate, the AND of a secret wire a with a clear bit b the garbler
+knows, is a garbler half-gate alone (ZRE15, section 3): one row T =
+H(A0, j) XOR H(A1, j) XOR b delta and the zero-label W0 = H(A0, j) XOR
+p_a T, where p_a is A0's permute bit; an evaluator holding A with permute
+bit s takes H(A, j) XOR s T.  Privacy: the evaluator holds one of A0 and
+A1 and never delta, so the hash of the other label is pseudorandom to it
+and T hides b, and the label it computes is the label of a AND b without
+showing which; the table's size is fixed by the circuit alone.
+
 The hash is the fixed-key construction H(x, i) = pi(sigma(x) XOR i) XOR
 sigma(x) of Guo, Katz, Wang & Yu (IEEE S&P 2020), where pi is AES-128 under
 a fixed public key and sigma is doubling in GF(2^128).  AES comes from the
 OpenSSL that CPython's ``hashlib`` already loads (:mod:`prelude.smpc.aes`).
 The tweak i is unique to every hash of a session: ``2 (w x lanes + lane)``
-for the garbler half of the AND gate writing wire w, one more for its
-evaluator half, and release tweaks lie above all of them.
+for the garbler half of the AND or cross gate writing wire w, one more for
+an AND gate's evaluator half, and release tweaks lie above all of them.
 
 A circuit can be garbled as a template over ``lanes`` independent
 instances: every wire then has one label pair per lane, packed in one int,
@@ -24,17 +34,18 @@ single label pair every lane reads, as one querier rule feeds k comparators.
 Sigma, the permute bits and the row selections act on every lane of a packed
 int at once, so garbling and evaluation walk the circuit's AND layers
 (:meth:`Circuit.and_layers`) and hash the gates of one layer over all their
-lanes in batches: as many gates as fit ``_BATCH_BLOCKS`` garbler blocks,
-one gate at least, share one AES call.  The tables are exactly as large as
-those of the circuit unrolled ``lanes`` times; at one lane this is plain
-garbling.
+lanes in batches, first the layer's cross gates and then its other AND
+gates: as many gates as fit ``_BATCH_BLOCKS`` garbler blocks, one gate at
+least, share one AES call.  The tables are exactly as large as those of the
+circuit unrolled ``lanes`` times; at one lane this is plain garbling.
 
-The garbled tables depend only on the circuit, so they travel during setup,
-batch by batch, each batch its T_G words and then its T_E words, both by
-gate, then lane.  The online phase is a single round trip: the evaluator
-sends masked choice bits for its input wires, the garbler answers with its
-own input labels plus pad-masked label pairs from which the evaluator unlocks
-exactly one each.
+The garbled tables depend only on the circuit and the garbler's clear bits,
+not on the evaluator's inputs, so they travel during setup, batch by batch:
+a cross batch its T words, an AND batch its T_G words and then its T_E
+words, each by gate, then lane.  The online phase is a single round trip:
+the evaluator sends masked choice bits for its input wires, the garbler
+answers with the labels of its own labelled inputs plus pad-masked label
+pairs from which the evaluator unlocks exactly one each.
 
 Outputs leave the garbled circuit in one of two ways, each costing the
 second online round.  :func:`yao_execute` leaves them XOR-shared between the
@@ -86,7 +97,6 @@ from prelude.smpc.transcript import SessionTranscript
 # Online rounds per execution, counting the final share reveal.
 YAO_ROUNDS_WITH_REVEAL = 2
 
-_TABLE_BYTES = 2 * LABEL_BYTES  # T_G and T_E, per AND gate and lane
 _LABEL_MASK = (1 << LABEL_BITS) - 1
 
 # pi: AES-128 under a fixed, public key
@@ -151,43 +161,58 @@ def _lane_index(n: int) -> int:
         "little")
 
 
-def _walk(circuit: Circuit, labels: list[int], lanes: int, and_batch,
-          not_flip: int) -> None:
+def _spread(bits: int, n: int) -> int:
+    """Bit i of ``bits`` moved to bit 0 of lane i, for ``n`` lanes."""
+    out = bytearray(LABEL_BYTES * n)
+    out[::LABEL_BYTES] = bytes(int_to_bits(bits, n))
+    return int.from_bytes(out, "little")
+
+
+def _walk(circuit: Circuit, labels: list[int], lanes: int, cross_batch,
+          and_batch, not_flip: int) -> None:
     """Evaluate the circuit on ``labels``, AND layer by AND layer.
 
     XOR and NOT gates act here; a NOT XORs ``not_flip`` into its label.  The
-    AND gates of a layer go to ``and_batch(gates, tweaks, ones)`` a hash
-    call's worth at a time: ``tweaks`` holds the garbler-half tweak
-    2 (output wire x lanes + lane) in each gate's lanes, and ``ones`` is
-    :func:`_lane_ones` of the batch's gates x lanes.
+    cross gates of a layer go to ``cross_batch`` and then its other AND
+    gates to ``and_batch``, as ``(gates, tweaks, ones)`` a hash call's worth
+    at a time: ``tweaks`` holds the garbler-half tweak 2 (output wire x
+    lanes + lane) in each gate's lanes, and ``ones`` is :func:`_lane_ones`
+    of the batch's gates x lanes.
     """
     width = LABEL_BITS * lanes
-    ands, locals_ = circuit.and_layers()
-    per_call = max(1, _BATCH_BLOCKS // (4 * lanes))
+    ands, crosses, locals_ = circuit.and_layers()
     ones_of = cache(_lane_ones)  # a layer's batches share their size
     twice_ones = 2 * _lane_ones(lanes)
     twice_index = 2 * _lane_index(lanes)
-    for level, layer in enumerate(ands):
-        for at in range(0, len(layer), per_call):
-            gates = layer[at : at + per_call]
-            tweaks = join_lanes([g[3] * lanes * twice_ones + twice_index
-                                 for g in gates], width)
-            and_batch(gates, tweaks, ones_of(len(gates) * lanes))
+    for level in range(len(ands)):
+        # a cross gate takes two garbler hash blocks, a full AND four
+        for layer, batch, blocks in ((crosses[level], cross_batch, 2),
+                                     (ands[level], and_batch, 4)):
+            per_call = max(1, _BATCH_BLOCKS // (blocks * lanes))
+            for at in range(0, len(layer), per_call):
+                gates = layer[at : at + per_call]
+                tweaks = join_lanes([g[3] * lanes * twice_ones + twice_index
+                                     for g in gates], width)
+                batch(gates, tweaks, ones_of(len(gates) * lanes))
         for kind, a, b, out in locals_[level]:
             labels[out] = labels[a] ^ (labels[b] if kind == XOR else not_flip)
 
 
-def _garble(circuit: Circuit, rng, lanes: int) -> tuple[int, list[int], bytes]:
+def _garble(circuit: Circuit, rng, lanes: int,
+            clear: Mapping[int, int]) -> tuple[int, list[int], bytes]:
     """Return (delta, packed zero-labels per wire, concatenated AND tables).
 
     A wire's labels are one int, lane i's label in bits [128 i, 128 i + 128),
-    so every gate acts on all its lanes at once.
+    so every gate acts on all its lanes at once.  ``clear`` maps each clear
+    wire to its lane word; clear wires get no labels.
     """
     width = LABEL_BITS * lanes
     ones = _lane_ones(lanes)
     delta = rng.getrandbits(LABEL_BITS) | 1
     label0 = [0] * circuit.n_wires
     for group in circuit.input_groups:
+        if group.clear:
+            continue
         for w in group.wires:
             label0[w] = (rng.getrandbits(LABEL_BITS) * ones if group.shared
                          else rng.getrandbits(width))
@@ -199,7 +224,21 @@ def _garble(circuit: Circuit, rng, lanes: int) -> tuple[int, list[int], bytes]:
         """delta and sigma(delta) in each of n lanes."""
         return _lane_word(delta, n), _lane_word(doubled_delta, n)
 
-    def garble_batch(gates, t, every) -> None:
+    def garble_cross(gates, t, every) -> None:
+        # a garbler half-gate: T = H(A0, j) ^ H(A1, j) ^ b delta, one row
+        n = len(gates) * lanes
+        _, doubled_r = delta_words(n)
+        a0 = join_lanes([label0[g[1]] for g in gates], width)
+        da0 = _double(a0, every)
+        ha0, ha1 = _hash_doubled((da0, da0 ^ doubled_r), (t, t), n)
+        b = _spread(join_lanes([clear[g[2]] for g in gates], lanes), n)
+        row = ha0 ^ ha1 ^ b * delta
+        tables.append(row.to_bytes(LABEL_BYTES * n, "little"))
+        w0 = ha0 ^ (_select(a0 & every) & row)
+        for gate, word in zip(gates, split_lanes(w0, width, len(gates))):
+            label0[gate[3]] = word
+
+    def garble_and(gates, t, every) -> None:
         n = len(gates) * lanes
         r, doubled_r = delta_words(n)
         a0 = join_lanes([label0[g[1]] for g in gates], width)
@@ -221,8 +260,14 @@ def _garble(circuit: Circuit, rng, lanes: int) -> tuple[int, list[int], bytes]:
         for gate, word in zip(gates, split_lanes(w0, width, len(gates))):
             label0[gate[3]] = word
 
-    _walk(circuit, label0, lanes, garble_batch, delta * ones)
+    _walk(circuit, label0, lanes, garble_cross, garble_and, delta * ones)
     return delta, label0, b"".join(tables)
+
+
+def _table_size(circuit: Circuit, lanes: int) -> int:
+    """Garbled table bytes: one row per cross gate and lane, two per other AND."""
+    cross = circuit.cross_count()
+    return LABEL_BYTES * lanes * (2 * circuit.and_count() - cross)
 
 
 def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
@@ -231,27 +276,47 @@ def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
     rows = memoryview(tables)
     offset = 0
 
-    def evaluate_batch(gates, t, every) -> None:
+    def take_row(n: int) -> int:
         nonlocal offset
+        size = LABEL_BYTES * n
+        offset += size
+        return int.from_bytes(rows[offset - size : offset], "little")
+
+    def evaluate_cross(gates, t, every) -> None:
+        a = join_lanes([labels[g[1]] for g in gates], width)
+        n = len(gates) * lanes
+        (ha,) = _hash_doubled((_double(a, every),), (t,), n)
+        w = ha ^ (_select(a & every) & take_row(n))
+        for gate, word in zip(gates, split_lanes(w, width, len(gates))):
+            labels[gate[3]] = word
+
+    def evaluate_and(gates, t, every) -> None:
         a = join_lanes([labels[g[1]] for g in gates], width)
         b = join_lanes([labels[g[2]] for g in gates], width)
         n = len(gates) * lanes
         ha, hb = _hash_doubled((_double(a, every), _double(b, every)),
                                (t, t | every), n)
-        size = LABEL_BYTES * n
-        t_g = int.from_bytes(rows[offset : offset + size], "little")
-        t_e = int.from_bytes(rows[offset + size : offset + 2 * size], "little")
-        offset += 2 * size
+        t_g = take_row(n)
+        t_e = take_row(n)
         w = (ha ^ (_select(a & every) & t_g)
              ^ hb ^ (_select(b & every) & (t_e ^ a)))
         for gate, word in zip(gates, split_lanes(w, width, len(gates))):
             labels[gate[3]] = word
 
-    _walk(circuit, labels, lanes, evaluate_batch, 0)
+    _walk(circuit, labels, lanes, evaluate_cross, evaluate_and, 0)
 
 
 def _groups(circuit: Circuit, party: int):
-    return [g for g in circuit.input_groups if g.party == party]
+    """The party's labelled input groups: all but the clear ones."""
+    return [g for g in circuit.input_groups
+            if g.party == party and not g.clear]
+
+
+def _check_clear(circuit: Circuit, garbler: int) -> None:
+    for group in circuit.input_groups:
+        if group.clear and group.party != garbler:
+            raise ValueError(
+                f"clear group {group.name!r} does not belong to the garbler")
 
 
 def _group_slots(group: InputGroup, lanes: int) -> int:
@@ -287,13 +352,15 @@ def _place_slot_labels(labels: list[int], group: InputGroup, lanes: int,
 def _flatten_inputs(
     circuit: Circuit, party: int, my_inputs: Mapping[str, Sequence[int]],
     lanes: int,
-) -> list[int]:
-    """The party's input bits, one per input label: by group, wire, then lane."""
-    groups = _groups(circuit, party)
+) -> tuple[list[int], dict[int, int]]:
+    """The party's input bits, one per input label: by group, wire, then lane;
+    and the lane word of each of its clear wires."""
+    groups = [g for g in circuit.input_groups if g.party == party]
     if set(my_inputs) != {g.name for g in groups}:
         raise ValueError(f"party {party} must supply exactly groups "
                          f"{sorted(g.name for g in groups)}")
     bits: list[int] = []
+    clear: dict[int, int] = {}
     for group in groups:
         got = my_inputs[group.name]
         if len(got) != len(group.wires):
@@ -301,8 +368,11 @@ def _flatten_inputs(
         width = 1 if group.shared else lanes
         if got and (min(got) < 0 or max(got) >> width):
             raise ValueError("inputs must be bits, one per lane")
-        bits += int_to_bits(join_lanes(got, width), width * len(got))
-    return bits
+        if group.clear:
+            clear.update(zip(group.wires, got))
+        else:
+            bits += int_to_bits(join_lanes(got, width), width * len(got))
+    return bits, clear
 
 
 def yao_execute(
@@ -361,18 +431,17 @@ def garble_steps(
     """
     if garbler != setup.party:
         raise ValueError("setup material belongs to the other party")
+    _check_clear(circuit, garbler)
     if transcript is not None:
-        transcript.record_receive(
-            MSG_SETUP_TRIPLES, setup.serialized_size(), setup.digest_bytes()
-        )
+        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
     n_transfers = _slot_count(circuit, 1 - garbler, lanes)
     if rng is None:
         raise ValueError("garbler needs an rng")
     pads = setup.transfer_pads
     if pads is None or len(pads) < n_transfers:
         raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
-    my_bits = _flatten_inputs(circuit, garbler, my_inputs, lanes)
-    delta, label0, tables = _garble(circuit, rng, lanes)
+    my_bits, clear = _flatten_inputs(circuit, garbler, my_inputs, lanes)
+    delta, label0, tables = _garble(circuit, rng, lanes, clear)
     yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
     if transcript is not None:
         transcript.begin_online()
@@ -423,17 +492,16 @@ def evaluate_steps(
     party = 1 - garbler
     if party != setup.party:
         raise ValueError("setup material belongs to the other party")
+    _check_clear(circuit, garbler)
     if transcript is not None:
-        transcript.record_receive(
-            MSG_SETUP_TRIPLES, setup.serialized_size(), setup.digest_bytes()
-        )
+        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
     n_transfers = _slot_count(circuit, party, lanes)
     choices = setup.transfer_choices
     if choices is None or len(choices) < n_transfers:
         raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
-    my_bits = _flatten_inputs(circuit, party, my_inputs, lanes)
+    my_bits, _ = _flatten_inputs(circuit, party, my_inputs, lanes)
     tables = yield from recv_frame(MSG_GARBLED_TABLES, transcript)
-    if len(tables) != _TABLE_BYTES * circuit.and_count() * lanes:
+    if len(tables) != _table_size(circuit, lanes):
         raise ProtocolError("garbled table payload has wrong size")
     if transcript is not None:
         transcript.begin_online()

@@ -20,7 +20,6 @@ from prelude.circuits import (
     distinct_pair_and_count,
     evaluate_plaintext,
     expected_and_depth,
-    rule_input_bits,
 )
 from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
 
@@ -29,28 +28,34 @@ def int_to_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
+def rule_input_bits(rule: TernaryRule) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Pinned-one and pinned-zero bits in wire order (bit 0 first)."""
+    return (int_to_bits(rule.mask & rule.pattern, rule.width),
+            int_to_bits(rule.mask & ~rule.pattern, rule.width))
+
+
 def pair_inputs(q: TernaryRule, h: TernaryRule) -> dict:
-    qm, qp = rule_input_bits(q)
-    hm, hp = rule_input_bits(h)
-    return {"q_mask": qm, "q_pattern": qp, "h_mask": hm, "h_pattern": hp}
+    q_one, q_zero = rule_input_bits(q)
+    h_one, h_zero = rule_input_bits(h)
+    return {"q_one": q_one, "q_zero": q_zero, "h_one": h_one, "h_zero": h_zero}
 
 
 def batch_inputs(q: TernaryRule, entries, ids, dummy: int, layout: CircuitLayout) -> dict:
-    qm, qp = rule_input_bits(q)
-    hm: list[int] = []
-    hp: list[int] = []
+    q_one, q_zero = rule_input_bits(q)
+    h_one: list[int] = []
+    h_zero: list[int] = []
     hid: list[int] = []
     for rule in entries:
-        m, p = rule_input_bits(rule)
-        hm.extend(m)
-        hp.extend(p)
+        one, zero = rule_input_bits(rule)
+        h_one.extend(one)
+        h_zero.extend(zero)
     for v in ids:
         hid.extend(int_to_bits(v, layout.id_width))
     return {
-        "q_mask": qm,
-        "q_pattern": qp,
-        "h_masks": hm,
-        "h_patterns": hp,
+        "q_one": q_one,
+        "q_zero": q_zero,
+        "h_one": h_one,
+        "h_zero": h_zero,
         "h_ids": hid,
         "h_dummy": int_to_bits(dummy, layout.id_width),
     }
@@ -98,14 +103,72 @@ class TestGatePrimitives:
         with pytest.raises(ValueError):
             evaluate_plaintext(c, {**good, "bogus": [0]})
         with pytest.raises(ValueError):
-            evaluate_plaintext(c, {k: v for k, v in good.items() if k != "q_mask"})
+            evaluate_plaintext(c, {k: v for k, v in good.items() if k != "q_one"})
         with pytest.raises(ValueError):
-            evaluate_plaintext(c, {**good, "q_mask": [0]})
+            evaluate_plaintext(c, {**good, "q_one": [0]})
 
     def test_dump_golden_width_1(self):
         c = build_distinct_pair(1)
-        assert c.dump() == "AND w4 <- w0 w2\nXOR w5 <- w1 w3\nAND w6 <- w4 w5"
+        # q_one w0, q_zero w1, h_one w2, h_zero w3: q_one h_zero ^ q_zero h_one
+        assert c.dump() == "AND w4 <- w0 w3\nAND w5 <- w1 w2\nXOR w6 <- w4 w5"
         assert c.output_wires == [6]
+
+
+class TestClearGroups:
+    @staticmethod
+    def circuit() -> tuple[Circuit, int, int]:
+        c = Circuit()
+        (a,) = c.add_input_group(0, "a", 1)
+        (b,) = c.add_input_group(1, "b", 1, clear=True)
+        return c, a, b
+
+    def test_clear_wire_feeds_only_and_gates(self):
+        c, a, b = self.circuit()
+        with pytest.raises(ValueError, match="only AND"):
+            c.xor(a, b)
+        with pytest.raises(ValueError, match="only AND"):
+            c.xor(b, a)
+        with pytest.raises(ValueError, match="only AND"):
+            c.not_(b)
+        with pytest.raises(ValueError):
+            c.mark_output(b)
+        assert c.gates == []
+
+    def test_cross_gate_keeps_its_clear_wire_second(self):
+        c, a, b = self.circuit()
+        out = c.and_(b, a)
+        assert c.gates == [(0, a, b, out)]
+        assert c.cross_count() == c.and_count() == 1
+        (_, crosses, _) = c.and_layers()
+        assert crosses[1] == [(0, a, b, out)]
+        c.mark_output(out)
+        for x in (0, 1):
+            for y in (0, 1):
+                assert evaluate_plaintext(c, {"a": [x], "b": [y]}) == (x & y,)
+
+    def test_and_of_two_clear_wires_is_rejected(self):
+        c = Circuit()
+        b1, b2 = c.add_input_group(1, "b", 2, clear=True)
+        with pytest.raises(ValueError, match="at most one clear"):
+            c.and_(b1, b2)
+
+    def test_a_clear_group_belongs_to_party_1_and_to_every_lane(self):
+        c = Circuit()
+        with pytest.raises(ValueError, match="party 1"):
+            c.add_input_group(0, "a", 1, clear=True)
+        with pytest.raises(ValueError, match="party 1"):
+            c.add_input_group(1, "b", 1, shared=True, clear=True)
+        assert c.input_groups == []
+
+    def test_comparator_cells_are_cross_gates(self):
+        for width in (1, 8, 104):
+            c = build_distinct_pair(width)
+            assert c.cross_count() == 2 * width
+            assert {g.name for g in c.input_groups if g.clear} == {
+                "h_one", "h_zero"}
+            _, crosses, _ = c.and_layers()
+            assert len(crosses[1]) == 2 * width
+            assert not any(crosses[2:])
 
 
 # ---------------------------------------------------------------- comparator
@@ -134,11 +197,12 @@ class TestDistinctPair:
             c = build_distinct_pair(width)
             assert c.and_count() == distinct_pair_and_count(width)
             assert c.and_count() == 2 * width + (width - 1)
+            assert c.cross_count() == 2 * width
 
     def test_and_depth_logarithmic(self):
         for width in (1, 2, 8, 13, 104):
             c = build_distinct_pair(width)
-            expect = 2 + (math.ceil(math.log2(width)) if width > 1 else 0)
+            expect = 1 + (math.ceil(math.log2(width)) if width > 1 else 0)
             assert c.and_depth() == expect == expected_and_depth(width)
 
 

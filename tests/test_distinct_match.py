@@ -36,11 +36,16 @@ from prelude.rules import (
     random_rule,
 )
 from prelude.smpc import (
+    MSG_ENVELOPE,
+    MSG_ENVELOPE_ACK,
     MSG_GARBLED_TABLES,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
+    ProtocolError,
     SENT,
     dealer_for_circuit,
+    recv_frame,
+    send_frame,
 )
 
 
@@ -291,6 +296,31 @@ class TestPrivacyMechanics:
                                    "peer closed the channel")
             assert "width 8" in message and "width 4" in message
 
+    @pytest.mark.parametrize("payload,cause", [
+        (b"not json", "not JSON"),
+        (b'{"rule_width": 8, "backend": "gmw"}', "no 'prefix' field"),
+        (b"[1, 2]", "JSON list, not an object"),
+        (b'{"prefix": "10.0.0.0/8", "rule_width": "x", "backend": "gmw"}',
+         "rule_width 'x' is not a positive integer"),
+        (b'{"prefix": "10.0.0.0/8", "rule_width": -3, "backend": "gmw"}',
+         "rule_width -3 is not a positive integer"),
+    ])
+    def test_malformed_envelope_aborts_naming_its_cause(self, monkeypatch,
+                                                        payload, cause):
+        entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
+        endpoint = fresh_endpoint([entry])
+
+        def sends_payload(local, prefix, backend, dealer, nonce, transcript):
+            yield from send_frame(MSG_ENVELOPE, payload, transcript)
+            yield from recv_frame(MSG_ENVELOPE_ACK, transcript)
+            return []
+
+        monkeypatch.setattr(distinct_match, "_querier_steps", sends_payload)
+        with pytest.raises(QueryAborted) as caught:
+            endpoint.query(TernaryRule.wildcard(8), entry.prefix)
+        assert cause in str(caught.value)
+        assert isinstance(caught.value.__cause__, ProtocolError)
+
     def test_any_holder_failure_becomes_query_aborted(self):
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
@@ -376,10 +406,12 @@ class TestSessionMechanics:
                        stats_out=stats_out)
         sent = {e.kind: e.n_bytes for e in transcripts[0].entries
                 if e.direction == SENT}
-        # comparator cells and OR tree only: 3w - 1 half-gates ANDs of 32 bytes
-        assert sent[MSG_GARBLED_TABLES] == 5 + 32 * k * (3 * width - 1)
-        # the holder's 2kw rule-bit labels and two per querier input bit
-        assert sent[MSG_LABELS] == 5 + 16 * (2 * k * width + 2 * 2 * width)
+        # comparator cells and OR tree only: 2w one-row cross gates of 16
+        # bytes and w - 1 half-gates ANDs of 32 bytes
+        assert sent[MSG_GARBLED_TABLES] == 5 + k * (64 * width - 32)
+        # two labels per querier input bit and none for the holder's clear
+        # rule bits
+        assert sent[MSG_LABELS] == 5 + 16 * 4 * width
         # an identifier and the dummy, 6 bytes each, per entry
         assert sent[MSG_OUTPUT_SHARE] == 5 + 12 * k
         assert stats_out[0].online_rounds == 2
@@ -432,9 +464,9 @@ class TestLaneSessions:
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 322, 339, 6),
-        ("gmw", 104, 50, 6880, 9383, 11),
-        ("yao", 104, 50, 501107, 173697, 2),
+        ("gmw", 4, 8, 314, 306, 5),
+        ("gmw", 104, 50, 5580, 5499, 10),
+        ("yao", 104, 50, 334707, 7297, 2),
     ])
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
                                                 width, k, setup, online,
@@ -472,9 +504,11 @@ class TestLaneSessions:
         endpoint.query(random_rule(width, rng), "10.0.0.0/8")
         per_entry = batch_query_and_count(CircuitLayout(1, width))
         assert per_entry == 3 * width - 1 + HOP_ID_BITS
+        # the comparator's 2w cross gates take cross products, not triples
         for material in materials:
-            assert material.triples.n == k * per_entry
-            assert material.triples.pos == k * per_entry
+            assert material.triples.n == k * (per_entry - 2 * width)
+            assert material.triples.pos == k * (per_entry - 2 * width)
+            assert material.cross.n == material.cross.pos == k * 2 * width
 
     def test_one_template_per_width_and_no_circuit_grows_with_k(
             self, monkeypatch):

@@ -22,7 +22,6 @@ from prelude.circuits import (
     build_distinct_pair,
     evaluate_plaintext,
     expected_and_depth,
-    rule_input_bits,
 )
 from prelude.rules import overlaps, random_rule
 from prelude.smpc import (
@@ -66,11 +65,25 @@ from prelude.smpc import yao
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.shares import (
     BitShares,
+    int_to_bits,
     join_lanes,
     lanes_to_rows,
     rows_to_lanes,
     split_lanes,
 )
+
+
+def rule_inputs(q, h) -> tuple[dict, dict]:
+    """Comparator inputs of both parties: each rule's pinned-one and
+    pinned-zero bits in wire order."""
+
+    def pinned(rule):
+        return (rows_to_lanes([rule.mask & rule.pattern], rule.width),
+                rows_to_lanes([rule.mask & ~rule.pattern], rule.width))
+
+    (q_one, q_zero), (h_one, h_zero) = pinned(q), pinned(h)
+    return ({"q_one": q_one, "q_zero": q_zero},
+            {"h_one": h_one, "h_zero": h_zero})
 
 
 class ScriptedRng:
@@ -383,14 +396,8 @@ class TestGmw:
         for trial in range(30):
             q = random_rule(8, rng)
             h = random_rule(8, rng)
-            qm, qp = rule_input_bits(q)
-            hm, hp = rule_input_bits(h)
-            out0, out1, _, _ = run_backend(
-                circuit, "gmw",
-                {"q_mask": qm, "q_pattern": qp},
-                {"h_mask": hm, "h_pattern": hp},
-                seed=trial,
-            )
+            out0, out1, _, _ = run_backend(circuit, "gmw", *rule_inputs(q, h),
+                                           seed=trial)
             assert out0 == out1 == ((0,) if overlaps(q, h) else (1,))
 
     def test_online_rounds_equal_and_depth_plus_reveal(self):
@@ -425,11 +432,14 @@ class TestGmw:
             setup_kinds = {e.kind for e in t.entries if e.phase == SETUP}
             assert setup_kinds == {MSG_SETUP_TRIPLES}
 
-    def test_underprovisioned_dealer_aborts(self):
+    @staticmethod
+    def run_short(triples_short: int, cross_short: int) -> None:
         circuit = build_distinct_pair(4)
         rng = random.Random(1)
         inputs0, inputs1 = random_inputs(circuit, rng)
-        mat0, mat1 = dealer_gen(circuit.and_count() - 1, 0, rng)
+        n_cross = circuit.cross_count() - cross_short
+        n_triples = circuit.and_count() - circuit.cross_count() - triples_short
+        mat0, mat1 = dealer_gen(n_triples, 0, rng, cross=[(0, n_cross)])
         ch0, ch1 = LoopbackEnd.pair(timeout=5.0)
         with pytest.raises(SetupUnderprovisioned):
             run_pair(
@@ -437,6 +447,12 @@ class TestGmw:
                 lambda: gmw_execute(circuit, 1, inputs1, ch1, mat1),
                 close_on_error=(ch0, ch1),
             )
+
+    def test_underprovisioned_dealer_aborts(self):
+        self.run_short(triples_short=1, cross_short=0)
+
+    def test_underprovisioned_cross_material_aborts(self):
+        self.run_short(triples_short=0, cross_short=1)
 
     def test_closed_channel_aborts_cleanly(self):
         circuit = build_distinct_pair(4)
@@ -538,7 +554,9 @@ class TestYao:
             e for e in t1.entries
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
-        assert table_entry.n_bytes == 5 + 32 * circuit.and_count()
+        # one 16-byte row per cross gate, two per OR-tree AND
+        assert (circuit.cross_count(), circuit.and_count()) == (16, 23)
+        assert table_entry.n_bytes == 5 + 16 * 16 + 32 * 7
 
     def test_missing_transfer_material_aborts(self):
         circuit = build_distinct_pair(4)
@@ -567,24 +585,37 @@ class TestLanes:
     """A circuit evaluated over k lanes equals k plaintext evaluations."""
 
     @staticmethod
-    def lane_circuit(rng: random.Random) -> Circuit:
+    def lane_circuit(rng: random.Random, clear: bool = False) -> Circuit:
+        """Random gates over shared and per-lane groups of both parties.
+
+        With ``clear`` the holder also has a clear group, and every clear
+        wire feeds cross gates with a shared and a per-lane querier wire,
+        at the first AND level and above it.
+        """
         c = Circuit()
-        c.add_input_group(0, "q", 3, shared=True)
-        c.add_input_group(0, "a", 3)
+        q = c.add_input_group(0, "q", 3, shared=True)
+        a = c.add_input_group(0, "a", 3)
         c.add_input_group(1, "b", 4)
         c.add_input_group(1, "d", 2, shared=True)
+        clear_wires = c.add_input_group(1, "h", 3, clear=True) if clear else ()
+        secret = list(range(c.n_wires - len(clear_wires)))
+        for h in clear_wires:
+            secret.append(c.and_(rng.choice(q), h))
+            secret.append(c.and_(h, rng.choice(a)))
         for _ in range(40):
-            op = rng.randrange(3)
-            x = rng.randrange(c.n_wires)
+            op = rng.randrange(4 if clear else 3)
+            x = rng.choice(secret)
             if op == 0:
-                c.and_(x, rng.randrange(c.n_wires))
+                secret.append(c.and_(x, rng.choice(secret)))
             elif op == 1:
-                c.xor(x, rng.randrange(c.n_wires))
-            else:
-                c.not_(x)
-        for w in rng.sample(range(c.n_wires), k=4):
+                secret.append(c.xor(x, rng.choice(secret)))
+            elif op == 2:
+                secret.append(c.not_(x))
+            else:  # a cross gate above the first level
+                secret.append(c.and_(rng.choice(clear_wires), x))
+        for w in rng.sample(secret, k=4):
             c.mark_output(w)
-        c.mark_output(c.n_wires - 1)
+        c.mark_output(secret[-1])
         return c
 
     @staticmethod
@@ -615,7 +646,7 @@ class TestLanes:
             else:
                 shares = yield from yao_steps(circuit, 0, inputs0, mat0,
                                               lanes=lanes)
-            return (yield from reveal_steps(shares))
+            return int_to_bits((yield from reveal_steps(shares)), len(shares))
 
         ch = InlineLoopback(party0())
         if backend == "gmw":
@@ -627,6 +658,7 @@ class TestLanes:
         assert ch.finish() == out1
         if backend == "gmw":
             assert mat0.triples.remaining == mat1.triples.remaining == 0
+            assert mat0.cross.remaining == mat1.cross.remaining == 0
         return out1
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
@@ -643,10 +675,43 @@ class TestLanes:
                 # outputs are ordered by wire, then lane
                 assert got[lane::lanes] == expected, (trial, lane)
 
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("lanes", [1, 3, 64])
+    def test_cross_gates_match_plaintext(self, backend, lanes):
+        rng = random.Random(700 + lanes)
+        for trial in range(8):
+            circuit = self.lane_circuit(rng, clear=True)
+            _, crosses, _ = circuit.and_layers()
+            kinds = {g[1] in circuit.shared_wires
+                     for layer in crosses for g in layer}
+            assert kinds == {True, False}  # shared and per-lane querier wires
+            assert any(crosses[2:])
+            inputs0, inputs1 = self.lane_inputs(circuit, lanes, rng)
+            got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
+            both = {**inputs0, **inputs1}
+            for lane in range(lanes):
+                expected = self.lane_plaintext(circuit, both, lane)
+                assert got[lane::lanes] == expected, (trial, lane)
+
+    def test_clear_group_must_belong_to_the_garbler(self):
+        circuit = build_distinct_pair(4)
+        rng = random.Random(4)
+        inputs0, inputs1 = random_inputs(circuit, rng)
+        # party 0 garbles, but the clear rule bits are party 1's
+        mat0, mat1 = dealer_for_circuit(circuit, "yao", rng, garbler=0)
+        with pytest.raises(ValueError, match="does not belong to the garbler"):
+            next(yao.garble_steps(circuit, inputs0, mat0, random.Random(1),
+                                  garbler=0))
+        with pytest.raises(ValueError, match="does not belong to the garbler"):
+            next(evaluate_steps(circuit, inputs1, mat1, garbler=0))
+
     def test_dealer_material_scales_with_lanes(self):
         circuit = build_batch_query(CircuitLayout(k=1, rule_width=8))
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(1), lanes=5)
-        assert mat0.triples.n == 5 * circuit.and_count()
+        # 16 comparator cross gates, 7 OR-tree and 48 multiplexer ANDs
+        assert circuit.cross_count() == 16
+        assert mat0.triples.n == 5 * (7 + 48)
+        assert mat0.cross.n == 5 * 16
         # the querier's groups are shared: one transfer per wire at any k
         stage = circuit.distinct_stage()
         mat0, mat1 = dealer_for_circuit(stage, "yao", random.Random(1), lanes=5)
@@ -694,8 +759,12 @@ class TestHalfGates:
             self.double(x) for x in lanes]
         assert doubled >> (128 * len(lanes)) == 0
 
-    def reference_garble(self, circuit, rng, lanes):
-        """Half-gates one (gate, lane) at a time; returns (delta, labels, tables)."""
+    def reference_garble(self, circuit, rng, lanes, clear=None):
+        """Half-gates one (gate, lane) at a time; returns (delta, labels, tables).
+
+        ``clear`` maps each clear wire to its lane word; a cross gate is a
+        garbler half-gate with the one row T = H(A0) ^ H(A1) ^ b delta.
+        """
 
         def h(x, tweak):
             s = self.double(x)
@@ -705,6 +774,8 @@ class TestHalfGates:
         delta = rng.getrandbits(128) | 1
         label = {}  # (wire, lane) -> zero-label
         for group in circuit.input_groups:
+            if group.clear:
+                continue
             for w in group.wires:
                 if group.shared:
                     x = rng.getrandbits(128)
@@ -720,6 +791,13 @@ class TestHalfGates:
                     label[out, i] = label[a, i] ^ label[b, i]
                 elif kind == NOT:
                     label[out, i] = label[a, i] ^ delta
+                elif b in circuit.clear_wires:
+                    a0 = label[a, i]
+                    j = 2 * (out * lanes + i)
+                    bit = (clear[b] >> i) & 1
+                    t = h(a0, j) ^ h(a0 ^ delta, j) ^ (delta if bit else 0)
+                    label[out, i] = h(a0, j) ^ (t if a0 & 1 else 0)
+                    rows[out, i] = (t,)
                 else:
                     a0, b0 = label[a, i], label[b, i]
                     j = 2 * (out * lanes + i)
@@ -729,15 +807,19 @@ class TestHalfGates:
                     w_e = h(b0, j + 1) ^ (t_e ^ a0 if b0 & 1 else 0)
                     label[out, i] = w_g ^ w_e
                     rows[out, i] = (t_g, t_e)
-        # by batch of one AND layer, then T_G words, then T_E words
-        per_call = max(1, yao._BATCH_BLOCKS // (4 * lanes))
+        # Each AND level: its cross gates, then its other AND gates, by
+        # batch; a batch holds its rows by gate, then lane, and for an AND
+        # batch first every T_G word, then every T_E word.
+        ands, crosses, _ = circuit.and_layers()
         tables = []
-        for layer in circuit.and_layers()[0]:
-            for at in range(0, len(layer), per_call):
-                batch = layer[at : at + per_call]
-                for half in (0, 1):
-                    tables += [rows[g[3], i][half].to_bytes(16, "little")
-                               for g in batch for i in range(lanes)]
+        for level in range(len(ands)):
+            for layer, blocks in ((crosses[level], 2), (ands[level], 4)):
+                per_call = max(1, yao._BATCH_BLOCKS // (blocks * lanes))
+                for at in range(0, len(layer), per_call):
+                    batch = layer[at : at + per_call]
+                    for half in range(blocks // 2):
+                        tables += [rows[g[3], i][half].to_bytes(16, "little")
+                                   for g in batch for i in range(lanes)]
         return delta, label, b"".join(tables)
 
     @pytest.mark.parametrize("budget", [None, 8])
@@ -752,7 +834,7 @@ class TestHalfGates:
             circuit = TestLanes.lane_circuit(rng)
             assert any(g.shared for g in circuit.input_groups)
             delta, label0, tables = yao._garble(circuit, random.Random(trial),
-                                                lanes)
+                                                lanes, {})
             ref_delta, ref_label, ref_tables = self.reference_garble(
                 circuit, random.Random(trial), lanes)
             assert delta == ref_delta
@@ -761,6 +843,32 @@ class TestHalfGates:
             for w in range(circuit.n_wires):
                 assert split_lanes(label0[w], 128, lanes) == [
                     ref_label[w, i] for i in range(lanes)]
+
+    @pytest.mark.parametrize("budget", [None, 8])
+    @pytest.mark.parametrize("lanes", [1, 3, 64])
+    def test_cross_gate_rows_equal_a_per_lane_reference(self, monkeypatch,
+                                                        lanes, budget):
+        if budget is not None:
+            # four cross gates or two ANDs per hash call
+            monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
+        rng = random.Random(90 + lanes)
+        for trial in range(3):
+            circuit = TestLanes.lane_circuit(rng, clear=True)
+            clear = {w: rng.getrandbits(lanes) for w in circuit.clear_wires}
+            delta, label0, tables = yao._garble(circuit, random.Random(trial),
+                                                lanes, clear)
+            ref_delta, ref_label, ref_tables = self.reference_garble(
+                circuit, random.Random(trial), lanes, clear)
+            assert delta == ref_delta
+            cross = circuit.cross_count()
+            assert cross >= 6
+            assert len(tables) == 16 * lanes * (
+                cross + 2 * (circuit.and_count() - cross))
+            assert tables == ref_tables
+            for w in range(circuit.n_wires):
+                if w not in circuit.clear_wires:
+                    assert split_lanes(label0[w], 128, lanes) == [
+                        ref_label[w, i] for i in range(lanes)]
 
     def test_released_values_fit_one_hash_block(self):
         with pytest.raises(ValueError, match="at most 16 bytes"):
@@ -787,10 +895,7 @@ class TestBackendAgreement:
         for trial in range(3):
             q = random_rule(104, rng)
             h = random_rule(104, rng)
-            qm, qp = rule_input_bits(q)
-            hm, hp = rule_input_bits(h)
-            inputs0 = {"q_mask": qm, "q_pattern": qp}
-            inputs1 = {"h_mask": hm, "h_pattern": hp}
+            inputs0, inputs1 = rule_inputs(q, h)
             g0, _, _, _ = run_backend(circuit, "gmw", inputs0, inputs1, seed=trial)
             y0, _, _, _ = run_backend(circuit, "yao", inputs0, inputs1, seed=trial)
             assert g0 == y0 == ((0,) if overlaps(q, h) else (1,))
@@ -823,7 +928,8 @@ class TestBackendAgreement:
                     shares = yield from gmw_steps(circuit, 0, inputs0, mat0)
                 else:
                     shares = yield from yao_steps(circuit, 0, inputs0, mat0)
-                return (yield from reveal_steps(shares))
+                value = yield from reveal_steps(shares)
+                return int_to_bits(value, len(shares))
 
             ch = InlineLoopback(party0())
             if backend == "gmw":
@@ -838,12 +944,26 @@ class TestBackendAgreement:
         circuit = build_distinct_pair(8)
         rng = random.Random(17)
         inputs0, inputs1 = random_inputs(circuit, rng)
-        runs = [run_backend(circuit, "gmw", inputs0, inputs1, seed=42)
-                for _ in range(2)]
-        assert runs[0][2].fingerprint() == runs[1][2].fingerprint()
-        assert runs[0][3].fingerprint() == runs[1][3].fingerprint()
-        other = run_backend(circuit, "gmw", inputs0, inputs1, seed=43)
-        assert other[2].fingerprint() != runs[0][2].fingerprint()
+
+        def recorded(seed):
+            """Every frame party 0 sent and received, payload included, and
+            both parties' transcript entries."""
+            ends = []
+
+            def record(end):
+                ends.append(SpyEnd(end))
+                return ends[-1]
+
+            _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1,
+                                       seed=seed, spy0=record)
+            return ends[0].frames, t0.entries, t1.entries
+
+        runs = [recorded(42) for _ in range(2)]
+        assert runs[0][0]  # frames in both directions were recorded
+        assert {d for d, _, _ in runs[0][0]} == {"sent", RECEIVED}
+        assert runs[0] == runs[1]
+        other = recorded(43)
+        assert other[0] != runs[0][0]
 
     def test_byte_totals_match_between_parties(self):
         circuit = build_distinct_pair(16)
@@ -862,18 +982,25 @@ class TestBackendAgreement:
 
 
 class SpyEnd:
-    """Records every received frame while delegating to the real endpoint."""
+    """Records every frame sent and received, in order, with its payload,
+    while delegating to the real endpoint."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.received = []
+        self.frames = []  # (direction, kind, payload)
+
+    @property
+    def received(self):
+        return [(kind, payload) for direction, kind, payload in self.frames
+                if direction == RECEIVED]
 
     def send(self, kind, payload):
+        self.frames.append(("sent", kind, bytes(payload)))
         return self.inner.send(kind, payload)
 
     def recv(self):
         kind, payload, size = self.inner.recv()
-        self.received.append((kind, payload))
+        self.frames.append((RECEIVED, kind, bytes(payload)))
         return kind, payload, size
 
     def close(self):
@@ -895,15 +1022,12 @@ class TestOnlineTrafficLooksRandom:
             for name, bits in random_inputs(circuit, random.Random(101))[1].items()
         }
         # Opening frames arrive one per AND layer; each carries 2 significant
-        # bits per gate at that layer (the rest of the last byte is padding).
-        depths = circuit.wire_and_depths()
-        from prelude.circuits import AND
-
-        layer_bits = [0] * (circuit.and_depth() + 1)
-        for gate in circuit.gates:
-            if gate[0] == AND:
-                layer_bits[depths[gate[3]]] += 2
-        frame_widths = [n for n in layer_bits[1:] if n]
+        # bits per AND gate at that layer and the holder's 1 per cross gate
+        # (the rest of the last byte is padding).
+        ands, crosses, _ = circuit.and_layers()
+        frame_widths = [2 * len(a) + len(c)
+                        for a, c in zip(ands[1:], crosses[1:])]
+        assert all(frame_widths)
         frame_widths.append(len(circuit.output_wires))
         for holder in (holder_a, holder_b):
             spies = []
