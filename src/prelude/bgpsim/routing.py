@@ -124,25 +124,6 @@ def compute_routes(graph: AsGraph, origin: int) -> RibState:
     return RibState(origin=origin, routes=sel)
 
 
-def valley_free(graph: AsGraph, path) -> bool:
-    """Check the up, optionally-one-peer, then down shape of a path."""
-    climbing = True
-    for a, b in zip(path, path[1:]):
-        rel = graph.relationship(a, b)
-        if rel == "provider":  # uphill step
-            if not climbing:
-                return False
-        elif rel == "peer":  # the single sideways step ends the climb
-            if not climbing:
-                return False
-            climbing = False
-        elif rel == "customer":  # downhill step
-            climbing = False
-        else:
-            return False  # not an edge of the graph at all
-    return True
-
-
 def traversed_sdxes(path, sites) -> list[int]:
     """Exchange ids whose fabric the path crosses, in path order.
 

@@ -15,7 +15,10 @@ Session flow, all on one framed channel:
    JSON object with those fields, a positive integer width and a known
    backend, or if the width differs from its table's;
 2. holder answers with {k, id width} where k is its entry count for the
-   prefix; k == 0 ends the session with an empty result and no circuit work;
+   prefix; the querier aborts with a ProtocolError naming the fault if the
+   answer is not a JSON object with a non-negative integer k and its own
+   identifier width; k == 0 ends the session with an empty result and no
+   circuit work;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
@@ -41,11 +44,12 @@ Session flow, all on one framed channel:
 One template and its comparator stage are built per (rule width, identifier
 width) and kept for the life of the process; nothing is built per k.
 
-Both parties are written as step generators over frames.  The holder's side
-runs over any blocking channel through :meth:`SdxMatchService.serve_query`;
-:class:`LoopbackEndpoint` runs it in the calling thread and advances the
-querier's side whenever the holder waits for a frame, so a session starts
-no thread.
+Both parties exist only as step generators over frames:
+:meth:`SdxMatchService.serve_steps` and the querier's ``_querier_steps``.
+:meth:`SdxMatchService.serve_query` drives the holder's side over a
+blocking channel, and :class:`LoopbackEndpoint` hands it an
+:class:`~prelude.smpc.InlineLoopback` whose peer is the querier's side, so
+a session runs in the calling thread and starts no thread.
 """
 
 from __future__ import annotations
@@ -125,15 +129,6 @@ class NextHopId:
     def to_bits(self) -> tuple[int, ...]:
         value = self.value
         return tuple((value >> (HOP_ID_BITS - 1 - i)) & 1 for i in range(HOP_ID_BITS))
-
-    @classmethod
-    def from_bits(cls, bits) -> "NextHopId":
-        if len(bits) != HOP_ID_BITS:
-            raise ValueError("identifier needs exactly 48 bits")
-        value = 0
-        for b in bits:
-            value = (value << 1) | b
-        return cls.from_value(value)
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(HOP_ID_BYTES, "big")
@@ -232,24 +227,34 @@ def _pinned(rule: TernaryRule) -> tuple[int, int]:
     return rule.mask & rule.pattern, rule.mask & ~rule.pattern
 
 
+def _json_fields(payload: bytes, what: str, names: tuple[str, ...]) -> list:
+    """The named fields of a frame that must hold a JSON object.
+
+    Raises ProtocolError naming the fault, calling the frame ``what``, for
+    bad UTF-8 or JSON, a JSON value that is not an object, or a missing
+    field.
+    """
+    try:
+        found = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(found, dict):
+        raise ProtocolError(
+            f"{what} is a JSON {type(found).__name__}, not an object")
+    for name in names:
+        if name not in found:
+            raise ProtocolError(f"{what} has no {name!r} field")
+    return [found[name] for name in names]
+
+
 def _parse_envelope(payload: bytes) -> tuple[str, int, str]:
     """(prefix, rule width, backend) of a querier's envelope.
 
     Raises ProtocolError naming the fault for anything but a JSON object
     with a string prefix, a positive integer rule width and a known backend.
     """
-    try:
-        envelope = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"envelope is not JSON: {exc}") from None
-    if not isinstance(envelope, dict):
-        raise ProtocolError(
-            f"envelope is a JSON {type(envelope).__name__}, not an object")
-    for name in ("prefix", "rule_width", "backend"):
-        if name not in envelope:
-            raise ProtocolError(f"envelope has no {name!r} field")
-    prefix, width, backend = (envelope["prefix"], envelope["rule_width"],
-                              envelope["backend"])
+    prefix, width, backend = _json_fields(
+        payload, "envelope", ("prefix", "rule_width", "backend"))
     if not isinstance(prefix, str):
         raise ProtocolError(f"envelope prefix {prefix!r} is not a string")
     if type(width) is not int or width < 1:
@@ -258,6 +263,22 @@ def _parse_envelope(payload: bytes) -> tuple[str, int, str]:
     if backend not in BACKENDS:
         raise ProtocolError(f"unknown backend {backend!r}")
     return prefix, width, backend
+
+
+def _parse_ack(payload: bytes) -> int:
+    """The entry count k of a holder's envelope ack.
+
+    Raises ProtocolError naming the fault for anything but a JSON object
+    with a non-negative integer k and this side's identifier width.
+    """
+    k, id_width = _json_fields(payload, "envelope ack", ("k", "id_width"))
+    if type(k) is not int or k < 0:
+        raise ProtocolError(
+            f"envelope ack k {k!r} is not a non-negative integer")
+    if type(id_width) is not int or id_width != HOP_ID_BITS:
+        raise ProtocolError(
+            f"holder uses an incompatible identifier width {id_width!r}")
+    return k
 
 
 # --------------------------------------------------------------------------
@@ -377,13 +398,10 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
         "nonce": nonce,
     }).encode("utf-8")
     yield from send_frame(MSG_ENVELOPE, envelope, transcript)
-    ack = json.loads(
-        (yield from recv_frame(MSG_ENVELOPE_ACK, transcript)).decode("utf-8"))
-    k = int(ack["k"])
+    ack = yield from recv_frame(MSG_ENVELOPE_ACK, transcript)
+    k = _parse_ack(ack)
     if k == 0:
         return []
-    if int(ack["id_width"]) != HOP_ID_BITS:
-        raise ProtocolError("holder uses an incompatible identifier width")
 
     template = query_template(local.width)
     # one bit per wire, the rule's most significant bit first

@@ -101,12 +101,6 @@ class TernaryRule:
         shift = self.width - 1 - i
         return (self.mask >> shift) & 1, (self.pattern >> shift) & 1
 
-    def mask_bits(self) -> tuple[int, ...]:
-        return _int_to_bits(self.mask, self.width)
-
-    def pattern_bits(self) -> tuple[int, ...]:
-        return _int_to_bits(self.pattern, self.width)
-
 
 @dataclass(frozen=True)
 class Packet:
@@ -118,10 +112,6 @@ class Packet:
     def __post_init__(self) -> None:
         if not 0 <= self.bits < (1 << self.width):
             raise ValueError("packet bits out of range for width")
-
-
-def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
 def matches(rule: TernaryRule, packet: Packet) -> bool:

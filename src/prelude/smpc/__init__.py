@@ -2,23 +2,24 @@
 
 Two interchangeable backends evaluate the same circuit objects:
 
-- :func:`gmw_execute` works on XOR shares with dealer-issued Beaver triples,
+- :func:`gmw_steps` works on XOR shares with dealer-issued Beaver triples,
   and one-sided products for cross gates; its online round count equals
-  the circuit's AND depth.
-- :func:`yao_execute` garbles the circuit; its online phase is a single
-  round trip regardless of depth.
+  the circuit's AND depth.  :func:`reveal_steps` then opens the shared
+  result, optionally one-sided so only one party learns the plaintext.
+- :func:`garble_steps` and :func:`evaluate_steps` garble and evaluate the
+  circuit; their online phase is a single round trip regardless of depth.
+  :func:`release_steps` and :func:`open_steps` then release to the
+  evaluator one value per output wire, chosen by the wire's bit.
 
 Either can also evaluate a circuit as a template over ``lanes`` independent
 instances, packing every lane of a wire into one integer; rounds and bytes
 are those of the circuit unrolled ``lanes`` times.
 
-Both leave the result XOR-shared; :func:`reveal_output` reconstructs it,
-optionally one-sided so only one party learns the plaintext.  Each party's
-protocol is also available as a step generator over frames (``*_steps``);
-the blocking functions run those over a channel.  Channels are in-process
-queue pairs with an injectable one-way delay, an in-thread loopback whose
-peer is a step generator, or real sockets.  Every byte moved is visible to a
-:class:`SessionTranscript` for round and bandwidth accounting.
+Every party is a step generator over frames, and :func:`drive` runs one
+over a channel: an in-thread loopback whose peer is the other party's step
+generator, with an injectable one-way delay, or a real socket.  Every byte
+moved is visible to a :class:`SessionTranscript` for round and bandwidth
+accounting.
 """
 
 from prelude.smpc.channel import (
@@ -26,7 +27,6 @@ from prelude.smpc.channel import (
     ChannelTimeout,
     InlineLoopback,
     KIND_NAMES,
-    LoopbackEnd,
     MSG_AND_OPENING,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
@@ -39,9 +39,7 @@ from prelude.smpc.channel import (
     TcpChannel,
     drive,
     encode_frame,
-    frame_size,
     recv_frame,
-    run_pair,
     send_frame,
 )
 from prelude.smpc.dealer import (
@@ -51,8 +49,8 @@ from prelude.smpc.dealer import (
     dealer_for_circuit,
     dealer_gen,
 )
-from prelude.smpc.gmw import gmw_execute, gmw_steps, reveal_output, reveal_steps
-from prelude.smpc.shares import BitShares, pack_bits, reconstruct, share, unpack_bits
+from prelude.smpc.gmw import gmw_steps, reveal_steps
+from prelude.smpc.shares import BitShares, pack_bits, unpack_bits
 from prelude.smpc.transcript import (
     ONLINE,
     RECEIVED,
@@ -62,13 +60,10 @@ from prelude.smpc.transcript import (
     TranscriptEntry,
 )
 from prelude.smpc.yao import (
-    YAO_ROUNDS_WITH_REVEAL,
     evaluate_steps,
     garble_steps,
     open_steps,
     release_steps,
-    yao_execute,
-    yao_steps,
 )
 
 __all__ = [
@@ -78,7 +73,6 @@ __all__ = [
     "DealerMaterial",
     "InlineLoopback",
     "KIND_NAMES",
-    "LoopbackEnd",
     "MSG_AND_OPENING",
     "MSG_ENVELOPE",
     "MSG_ENVELOPE_ACK",
@@ -97,27 +91,18 @@ __all__ = [
     "TcpChannel",
     "TranscriptEntry",
     "TripleStream",
-    "YAO_ROUNDS_WITH_REVEAL",
     "dealer_for_circuit",
     "dealer_gen",
     "drive",
     "encode_frame",
     "evaluate_steps",
-    "frame_size",
     "garble_steps",
-    "gmw_execute",
     "gmw_steps",
     "open_steps",
     "pack_bits",
-    "reconstruct",
     "recv_frame",
     "release_steps",
-    "reveal_output",
     "reveal_steps",
-    "run_pair",
     "send_frame",
-    "share",
     "unpack_bits",
-    "yao_execute",
-    "yao_steps",
 ]

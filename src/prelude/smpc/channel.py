@@ -4,27 +4,25 @@ Every message on the wire is one frame:
 
     u32 big-endian length | u8 kind | payload
 
-where length covers the kind byte plus the payload.  The in-process loopback
-channels support an injectable one-way delay so protocol latency can be
-measured without real network distance; the TCP binding carries the same
-frames over a socket.
+where length covers the kind byte plus the payload.
 
-Protocol code is written once, as step generators over frames: a party
-yields ``(kind, payload)`` to send a frame and is resumed with the frame's
-on-wire size, or yields :data:`RECV` to wait for one and is resumed with
+Protocol code exists only as step generators over frames: a party yields
+``(kind, payload)`` to send a frame and is resumed with the frame's on-wire
+size, or yields :data:`RECV` to wait for one and is resumed with
 ``(kind, payload, frame_size)``; its return value is the party's result.
-:func:`drive` runs a step generator over any blocking channel, and
-:class:`InlineLoopback` runs one as the in-thread peer of a blocking party,
-so a two-party session needs no thread.
+:func:`drive` runs a step generator over a blocking channel.  Two channels
+exist: :class:`InlineLoopback`, whose peer is the other party's step
+generator in the same thread, so a two-party session needs no thread, and
+whose injectable one-way delay lets protocol latency be measured without
+real network distance; and :class:`TcpChannel`, which carries the same
+frames over a socket.
 """
 
 from __future__ import annotations
 
-import queue
 from collections import deque
 import socket
 import struct
-import threading
 import time
 
 # Message kinds.  Values are part of the wire format; do not renumber.
@@ -69,65 +67,10 @@ def encode_frame(kind: int, payload: bytes) -> bytes:
     return _HEADER.pack(1 + len(payload)) + bytes([kind]) + payload
 
 
-def frame_size(payload_len: int) -> int:
-    """Total on-wire bytes of a frame with the given payload length."""
-    return 4 + 1 + payload_len
-
-
 def _sleep_until(arrival: float) -> None:
     wait = arrival - time.monotonic()
     if wait > 0:
         time.sleep(wait)
-
-
-class LoopbackEnd:
-    """One endpoint of an in-process channel pair.
-
-    Frames become visible to the peer ``one_way_delay`` seconds after send;
-    receive blocks until the frame's arrival time.
-    """
-
-    def __init__(self, inbox: "queue.Queue", outbox: "queue.Queue",
-                 one_way_delay: float, timeout: float | None) -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-        self._delay = one_way_delay
-        self._timeout = timeout
-        self._closed = False
-
-    @staticmethod
-    def pair(one_way_delay: float = 0.0,
-             timeout: float | None = 60.0) -> tuple["LoopbackEnd", "LoopbackEnd"]:
-        q_ab: queue.Queue = queue.Queue()
-        q_ba: queue.Queue = queue.Queue()
-        a = LoopbackEnd(q_ba, q_ab, one_way_delay, timeout)
-        b = LoopbackEnd(q_ab, q_ba, one_way_delay, timeout)
-        return a, b
-
-    def send(self, kind: int, payload: bytes) -> int:
-        """Queue one frame; returns its on-wire size in bytes."""
-        if self._closed:
-            raise ChannelClosed("send on closed channel")
-        frame = encode_frame(kind, payload)
-        self._outbox.put((time.monotonic() + self._delay, frame))
-        return len(frame)
-
-    def recv(self) -> tuple[int, bytes, int]:
-        """Return (kind, payload, frame_size); blocks until arrival time."""
-        try:
-            item = self._inbox.get(timeout=self._timeout)
-        except queue.Empty:
-            raise ChannelTimeout("no frame within timeout") from None
-        if item is None:
-            raise ChannelClosed("peer closed the channel")
-        arrival, frame = item
-        _sleep_until(arrival)
-        return frame[4], frame[5:], len(frame)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(None)
 
 
 class TcpChannel:
@@ -194,40 +137,6 @@ class TcpChannel:
         self._sock.close()
 
 
-def run_pair(fn_a, fn_b, close_on_error=()):
-    """Run two party callables on two threads; return (result_a, result_b).
-
-    If either side raises, the listed channels are closed so the peer cannot
-    block forever, and the first exception is re-raised.
-    """
-    results: list = [None, None]
-    errors: list = [None, None]
-
-    def runner(idx, fn):
-        try:
-            results[idx] = fn()
-        except BaseException as exc:  # noqa: BLE001 - must ferry everything
-            errors[idx] = exc
-            for ch in close_on_error:
-                try:
-                    ch.close()
-                except Exception:
-                    pass
-
-    threads = [
-        threading.Thread(target=runner, args=(0, fn_a), daemon=True),
-        threading.Thread(target=runner, args=(1, fn_b), daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for err in errors:
-        if err is not None:
-            raise err
-    return results[0], results[1]
-
-
 # --------------------------------------------------------------------------
 # step generators
 
@@ -268,9 +177,8 @@ def drive(steps, channel):
 class InlineLoopback:
     """A blocking channel end whose peer is a step generator in the same thread.
 
-    Frames carry the one-way delay of :class:`LoopbackEnd`: each becomes
-    visible ``one_way_delay`` seconds after it was sent, and its receiver
-    sleeps until then.  Whenever this end waits for a frame, the peer is
+    Each frame becomes visible ``one_way_delay`` seconds after it was sent,
+    and its receiver sleeps until then.  Whenever this end waits for a frame, the peer is
     advanced until it has sent one; :meth:`finish` runs the peer to its end
     once this side is done.  An exception the peer raises is kept in
     :attr:`peer_error`, and this end sees the peer close the channel.

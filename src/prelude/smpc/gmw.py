@@ -3,7 +3,10 @@
 XOR and NOT gates are evaluated locally (NOT by party 0 flipping its share).
 Each AND layer consumes one Beaver triple per gate and costs exactly one
 exchange of masked openings, so the online round count equals the circuit's
-AND depth; revealing the output afterwards adds one more round.
+AND depth; revealing the output afterwards adds one more round.  A party
+runs as two step generators over frames: :func:`gmw_steps` leaves the
+outputs XOR-shared and :func:`reveal_steps` opens them, to both parties or
+to one.
 
 A circuit can be evaluated as a template over ``lanes`` independent
 instances at once, the SIMD gates of ABY (Demmler, Schneider & Zohner,
@@ -42,7 +45,6 @@ from prelude.smpc.channel import (
     MSG_AND_OPENING,
     MSG_OUTPUT_SHARE,
     MSG_SETUP_TRIPLES,
-    drive,
     recv_frame,
     send_frame,
 )
@@ -92,24 +94,6 @@ def _input_shares(circuit: Circuit, party: int,
     return values
 
 
-def gmw_execute(
-    circuit: Circuit,
-    party: int,
-    my_inputs: Mapping[str, Sequence[int]],
-    channel,
-    setup: DealerMaterial,
-    transcript: SessionTranscript | None = None,
-    lanes: int = 1,
-) -> BitShares:
-    """Run the online phase; returns this party's shares of the output wires.
-
-    Outputs stay shared: call reveal_output() afterwards to reconstruct.
-    Over several lanes the shares are ordered by output wire, then lane.
-    """
-    return drive(gmw_steps(circuit, party, my_inputs, setup, transcript,
-                           lanes), channel)
-
-
 def gmw_steps(
     circuit: Circuit,
     party: int,
@@ -118,7 +102,11 @@ def gmw_steps(
     transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
-    """Step generator of :func:`gmw_execute`; returns the output shares."""
+    """One party's online phase; returns its shares of the output wires.
+
+    Outputs stay shared: :func:`reveal_steps` reconstructs them.  Over
+    several lanes the shares are ordered by output wire, then lane.
+    """
     if party != setup.party:
         raise ValueError("setup material belongs to the other party")
     if lanes < 1:
@@ -197,23 +185,7 @@ def gmw_steps(
         run_local(locals_[level])
 
     outputs = [values[w] for w in circuit.output_wires]
-    return BitShares.packed(join_lanes(outputs, lanes), lanes * len(outputs))
-
-
-def reveal_output(
-    my_share: BitShares,
-    channel,
-    transcript: SessionTranscript | None = None,
-    send: bool = True,
-    receive: bool = True,
-) -> tuple[int, ...] | None:
-    """Reconstruct shared outputs over the channel; one online round.
-
-    With ``send`` or ``receive`` disabled the reveal is one-sided: only the
-    receiving party learns the plaintext, the other returns None.
-    """
-    value = drive(reveal_steps(my_share, transcript, send, receive), channel)
-    return None if value is None else int_to_bits(value, len(my_share))
+    return BitShares(join_lanes(outputs, lanes), lanes * len(outputs))
 
 
 def reveal_steps(
@@ -222,14 +194,15 @@ def reveal_steps(
     send: bool = True,
     receive: bool = True,
 ):
-    """Step generator of :func:`reveal_output`.
+    """Reconstruct shared outputs; one online round.
 
-    Returns the plaintext packed in one int, bit i being output i, or None
-    where this side does not receive.
+    With ``send`` or ``receive`` disabled the reveal is one-sided: only the
+    receiving party learns the plaintext.  Returns the plaintext packed in
+    one int, bit i being output i, or None where this side does not receive.
     """
     if transcript is not None:
         transcript.next_round()
-    n = len(my_share)
+    n = my_share.n
     if send:
         yield from send_frame(MSG_OUTPUT_SHARE,
                               my_share.value.to_bytes((n + 7) // 8, "little"),

@@ -1,11 +1,11 @@
-"""XOR secret sharing of bit vectors, and the bit packings the protocols use.
+"""XOR shares of bit vectors, and the bit packings the protocols use.
 
 No packing here shifts one bit at a time, which is quadratic in the length
 of a Python int.  Bit vectors move between ints and '0'/'1' strings, whose
 conversions in base 2 are linear; lane words are joined and split by
 halving, which touches each bit once per level, until a value is short
 enough to shift its fields out directly.  A :class:`BitShares` holds its
-vector packed in one int, so shares combine and travel without tuples.
+vector packed in one int, so shares travel without tuples.
 """
 
 from __future__ import annotations
@@ -20,58 +20,20 @@ _FROM_ASCII = bytes(i & 1 for i in range(256))
 _SHIFT_SPLIT_BITS = 1 << 13
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BitShares:
-    """One party's additive (XOR) share of a bit vector.
+    """One party's additive (XOR) share of an ``n``-bit vector.
 
-    Held packed: bit i of ``value`` is bit i of the ``n``-bit vector.
-    ``BitShares(bits)`` checks a bit sequence; :meth:`packed` takes the int
-    as it is, so a share never has to pass through a tuple.
+    Held packed: bit i of ``value`` is bit i of the vector, so a share never
+    has to pass through a tuple.
     """
 
     value: int
     n: int
 
-    def __init__(self, bits: Sequence[int]) -> None:
-        if not set(bits) <= {0, 1}:
-            raise ValueError("shares are bit vectors")
-        object.__setattr__(self, "value", bits_to_int(bits))
-        object.__setattr__(self, "n", len(bits))
-
-    @classmethod
-    def packed(cls, value: int, n: int) -> "BitShares":
-        if value < 0 or value >> n:
-            raise ValueError(f"a share of {n} bits must fit in {n} bits")
-        shares = object.__new__(cls)
-        object.__setattr__(shares, "value", value)
-        object.__setattr__(shares, "n", n)
-        return shares
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return int_to_bits(self.value, self.n)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __xor__(self, other: "BitShares") -> "BitShares":
-        if len(self) != len(other):
-            raise ValueError("share lengths differ")
-        return BitShares.packed(self.value ^ other.value, self.n)
-
-
-def share(value: Sequence[int], rng) -> tuple[BitShares, BitShares]:
-    """Split a bit vector in two; the first share is the drawn nonce."""
-    nonce = tuple(rng.getrandbits(1) for _ in value)
-    other = tuple(n ^ v for n, v in zip(nonce, value))
-    if any(v not in (0, 1) for v in value):
-        raise ValueError("value must be a bit vector")
-    return BitShares(nonce), BitShares(other)
-
-
-def reconstruct(a: BitShares, b: BitShares) -> tuple[int, ...]:
-    """XOR the two shares back into the plaintext bits."""
-    return (a ^ b).bits
+    def __post_init__(self) -> None:
+        if self.value < 0 or self.value >> self.n:
+            raise ValueError(f"a share of {self.n} bits must fit in {self.n} bits")
 
 
 def bits_to_int(bits: Sequence[int]) -> int:

@@ -78,10 +78,6 @@ class SessionTranscript:
         return sum(e.n_bytes for e in self.entries if e.phase == ONLINE)
 
     @property
-    def total_bytes(self) -> int:
-        return sum(e.n_bytes for e in self.entries)
-
-    @property
     def online_wall_time(self) -> float:
         if self.online_started_at is None or self.online_finished_at is None:
             return 0.0

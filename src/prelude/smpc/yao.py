@@ -47,17 +47,15 @@ the evaluator sends masked choice bits for its input wires, the garbler
 answers with the labels of its own labelled inputs plus pad-masked label
 pairs from which the evaluator unlocks exactly one each.
 
-Outputs leave the garbled circuit in one of two ways, each costing the
-second online round.  :func:`yao_execute` leaves them XOR-shared between the
-low bit of the garbler's zero-labels and the low bit of the labels the
-evaluator computed, and reveal_output() joins them.  Alternatively the
+Outputs leave the garbled circuit one way, in the second online round: the
 garbler releases a value of at most 16 bytes per output wire and lane
-(:func:`release_steps`): it encrypts one value under the wire's zero-label
+(:func:`release_steps`).  It encrypts one value under the wire's zero-label
 and another under its one-label, each with a pad from the same hash, in
 point-and-permute order, and the evaluator, holding exactly one of the two
 labels, opens exactly one value per wire and learns nothing of the other
 (:func:`open_steps`).  A value that depends on an output bit is thus
-released without garbling a multiplexer for it.
+released without garbling a multiplexer for it; releasing the bytes 0 and
+1 reveals the output bit itself, to the evaluator only.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ from prelude.smpc.channel import (
     MSG_OUTPUT_SHARE,
     MSG_SETUP_TRIPLES,
     ProtocolError,
-    drive,
     recv_frame,
     send_frame,
 )
@@ -85,7 +82,6 @@ from prelude.smpc.dealer import (
     SetupUnderprovisioned,
 )
 from prelude.smpc.shares import (
-    BitShares,
     int_to_bits,
     join_lanes,
     pack_bits,
@@ -93,9 +89,6 @@ from prelude.smpc.shares import (
     unpack_bits,
 )
 from prelude.smpc.transcript import SessionTranscript
-
-# Online rounds per execution, counting the final share reveal.
-YAO_ROUNDS_WITH_REVEAL = 2
 
 _LABEL_MASK = (1 << LABEL_BITS) - 1
 
@@ -375,47 +368,6 @@ def _flatten_inputs(
     return bits, clear
 
 
-def yao_execute(
-    circuit: Circuit,
-    party: int,
-    my_inputs: Mapping[str, Sequence[int]],
-    channel,
-    setup: DealerMaterial,
-    rng=None,
-    transcript: SessionTranscript | None = None,
-    garbler: int = 1,
-    lanes: int = 1,
-) -> BitShares:
-    """Run one garbled execution; returns this party's shares of the outputs.
-
-    ``rng`` is required on the garbler side only.  Call reveal_output()
-    afterwards to reconstruct (it costs the second online round).  Over
-    several lanes the shares are ordered by output wire, then lane.
-    """
-    return drive(yao_steps(circuit, party, my_inputs, setup, rng, transcript,
-                           garbler, lanes), channel)
-
-
-def yao_steps(
-    circuit: Circuit,
-    party: int,
-    my_inputs: Mapping[str, Sequence[int]],
-    setup: DealerMaterial,
-    rng=None,
-    transcript: SessionTranscript | None = None,
-    garbler: int = 1,
-    lanes: int = 1,
-):
-    """Step generator of :func:`yao_execute`; returns the output shares."""
-    if party == garbler:
-        _, outputs = yield from garble_steps(circuit, my_inputs, setup, rng,
-                                             transcript, garbler, lanes)
-    else:
-        outputs = yield from evaluate_steps(circuit, my_inputs, setup,
-                                            transcript, garbler, lanes)
-    return BitShares(tuple(label & 1 for label in outputs))
-
-
 def garble_steps(
     circuit: Circuit,
     my_inputs: Mapping[str, Sequence[int]],
@@ -427,7 +379,8 @@ def garble_steps(
 ):
     """Garbler's side of one execution.
 
-    Returns (delta, the zero-labels of the output wires by wire, then lane).
+    Returns (delta, the zero-labels of the output wires by wire, then
+    lane), from which :func:`release_steps` releases values.
     """
     if garbler != setup.party:
         raise ValueError("setup material belongs to the other party")
@@ -487,7 +440,8 @@ def evaluate_steps(
 ):
     """Evaluator's side of one execution.
 
-    Returns the labels of the output wires, by wire, then lane.
+    Returns the labels of the output wires, by wire, then lane, with which
+    :func:`open_steps` opens the released values.
     """
     party = 1 - garbler
     if party != setup.party:

