@@ -24,7 +24,7 @@ from prelude.bgpsim.routing import (
     PROVIDER,
     RibState,
 )
-from prelude.bgpsim.topology import AsGraph, SdxSite
+from prelude.bgpsim.topology import AsGraph
 from prelude.rules import FlowSpec, PROTO_TCP, PROTO_UDP, TernaryRule, encode
 
 log = logging.getLogger(__name__)

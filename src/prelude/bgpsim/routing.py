@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from prelude.bgpsim.topology import AsGraph, SdxSite
+from prelude.bgpsim.topology import AsGraph
 
 ORIGIN = "origin"
 CUSTOMER = "customer"

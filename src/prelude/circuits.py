@@ -24,8 +24,8 @@ from the same bit as a secret input (see :mod:`prelude.smpc.yao` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 AND = 0
 XOR = 1
@@ -77,7 +77,6 @@ class Circuit:
         self.output_wires: list[int] = []
         self.shared_wires: set[int] = set()
         self.clear_wires: set[int] = set()
-        self._input_wire_count = 0
         self._depth_cache: list[int] | None = None
         self._layers_cache: tuple[list, list, list, list] | None = None
 
@@ -97,7 +96,6 @@ class Circuit:
             raise ValueError(f"duplicate input group {name!r}")
         wires = tuple(range(self.n_wires, self.n_wires + width))
         self.n_wires += width
-        self._input_wire_count = self.n_wires
         self.input_groups.append(InputGroup(party, name, wires, shared, clear))
         if shared:
             self.shared_wires.update(wires)

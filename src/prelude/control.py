@@ -1,13 +1,14 @@
 """Per-exchange verifier nodes that veto forwarding-loop-inducing rules.
 
-A member asks its exchange to activate a deflection rule.  The exchange
-walks the deflected traffic's BGP path, asks every exchange present on
-that path which of its installed rules overlap the candidate (via the
-distinct-match primitive, so the rule itself never leaves the verifier),
-and chases each reported deflection onward.  Reaching a previously seen
-(exchange, AS) point means the rule would close a loop; running out of
-hop budget with deflections still unexplored is treated the same way,
-conservatively.  Accepted rules are registered locally and the verifier
+A member asks its exchange to activate a deflection rule: the request is
+the member's :class:`DeflectionPolicy` (owner, exchange, rule, target,
+prefix) and a hop budget, nothing more.  The exchange walks the deflected
+traffic's BGP path, asks every exchange present on that path which of its
+installed rules overlap the candidate (via the distinct-match primitive, so
+the rule itself never leaves the verifier), and chases each reported
+deflection onward.  Reaching a previously seen (exchange, AS) point means
+the rule would close a loop; running out of hop budget with deflections
+still unexplored is treated the same way, conservatively.  Accepted rules are registered locally and the verifier
 subscribes at every exchange it consulted so later removals, deactivations,
 and routing changes trigger re-verification.
 
@@ -62,74 +63,39 @@ DEFAULT_BUDGET = 6
 
 
 # --------------------------------------------------------------------------
-# request / verdict types
-
-
-@dataclass(frozen=True)
-class VerifyRequest:
-    """One member's request to activate a deflection rule."""
-
-    requester: int
-    origin_sdx: int
-    policy: DeflectionPolicy
-    prefix: str
-    visited: tuple[tuple[int, int], ...]
-    budget: int
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
-        if not self.visited or self.visited[0] != (self.origin_sdx,
-                                                   self.requester):
-            raise ValueError(
-                "visited must begin with the requester at its exchange")
-        if self.policy.owner != self.requester:
-            raise ValueError("requester must own the policy")
-        if self.policy.prefix != self.prefix:
-            raise ValueError("prefix must match the policy")
-
-
-def make_request(policy: DeflectionPolicy,
-                 budget: int = DEFAULT_BUDGET) -> VerifyRequest:
-    return VerifyRequest(
-        requester=policy.owner,
-        origin_sdx=policy.sdx_id,
-        policy=policy,
-        prefix=policy.prefix,
-        visited=((policy.sdx_id, policy.owner),),
-        budget=budget,
-    )
+# verdicts
 
 
 @dataclass(frozen=True)
 class Verdict:
-    decision: str
+    """An exchange's answer to one request: `SAFE` accepts, any other
+    reason rejects."""
+
     reason: str
     closed_at: int | None = None
     rule_id: str | None = None
 
     def __post_init__(self) -> None:
-        if self.decision not in (ACCEPT, REJECT):
-            raise ValueError(f"unknown decision {self.decision!r}")
-        if self.decision == REJECT and self.reason == SAFE:
-            raise ValueError("a rejection needs a reason")
-        if self.decision == ACCEPT and self.reason != SAFE:
-            raise ValueError("an acceptance cannot carry a failure reason")
         if self.closed_at is not None and self.reason != LOOP_DETECTED:
             raise ValueError("closed_at only accompanies a detected loop")
 
     @property
     def accepted(self) -> bool:
-        return self.decision == ACCEPT
+        return self.reason == SAFE
+
+    @property
+    def decision(self) -> str:
+        return ACCEPT if self.accepted else REJECT
+
+
+def rule_entry(policy: DeflectionPolicy) -> RuleEntry:
+    """The table entry a policy installs at its exchange."""
+    return RuleEntry(policy.rule, NextHopId(policy.sdx_id, policy.deflect_to),
+                     policy.owner, policy.prefix)
 
 
 # --------------------------------------------------------------------------
 # exploration core
-
-# A query answer is a list of (next hop, owner) pairs; owner is None when
-# the reporting exchange is remote and must not reveal it.  None for the
-# whole answer means the query itself failed.
-QueryAnswer = "list[tuple[NextHopId, int | None]] | None"
 
 
 @dataclass(frozen=True)
@@ -139,44 +105,41 @@ class Exploration:
     status: str
     closed_at: int | None
     queried: frozenset[int]
-    max_depth: int
 
 
-def explore_deflection(view, *, prefix: str, rule: TernaryRule,
-                       origin_sdx: int, requester: int, deflect_to: int,
+def explore_deflection(view, policy: DeflectionPolicy,
                        budget: int) -> Exploration:
-    """Walk the deflected path, chasing overlapping remote deflections.
+    """Walk the policy's deflected path, chasing overlapping deflections.
 
     `view` supplies the verifier's knowledge: `path(prefix, asn)`,
     `sites_of(asn)`, `members(sdx_id)`, and
-    `query(origin_sdx, target_sdx, rule, prefix)`.
+    `query(origin_sdx, target_sdx, rule, prefix)`, which returns (next hop,
+    owner) pairs, the owner None for a remote exchange, or None when the
+    query failed.
     """
-    state = _WalkState(view, prefix, rule, origin_sdx)
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    state = _WalkState(view, policy)
     status, closed = state.walk(
-        arrival=(origin_sdx, deflect_to),
-        visited=((origin_sdx, requester),),
+        arrival=(policy.sdx_id, policy.deflect_to),
+        visited=((policy.sdx_id, policy.owner),),
         budget=budget,
-        depth=1,
     )
-    return Exploration(status, closed, frozenset(state.answers),
-                       state.max_depth)
+    return Exploration(status, closed, frozenset(state.answers))
 
 
 class _WalkState:
-    def __init__(self, view, prefix: str, rule: TernaryRule,
-                 origin_sdx: int) -> None:
+    def __init__(self, view, policy: DeflectionPolicy) -> None:
         self.view = view
-        self.prefix = prefix
-        self.rule = rule
-        self.origin_sdx = origin_sdx
+        self.prefix = policy.prefix
+        self.rule = policy.rule
+        self.origin_sdx = policy.sdx_id
         # each queried exchange's answer, sorted by next hop
         self.answers: dict[int, list] = {}
-        self.max_depth = 0
 
     def walk(self, arrival: tuple[int, int],
-             visited: tuple[tuple[int, int], ...], budget: int,
-             depth: int) -> tuple[str, int | None]:
-        self.max_depth = max(self.max_depth, depth)
+             visited: tuple[tuple[int, int], ...],
+             budget: int) -> tuple[str, int | None]:
         site_here, asn_here = arrival
         path = self.view.path(self.prefix, asn_here)
         if not path:
@@ -225,18 +188,16 @@ class _WalkState:
                 if budget == 0:
                     return BUDGET_EXHAUSTED, None
                 status, closed = self.walk(point, visited + (point,),
-                                           budget - 1, depth + 1)
+                                           budget - 1)
                 if status != SAFE:
                     return status, closed
         return SAFE, None
 
 
 def verdict_of(exploration: Exploration, rule_id: str | None = None) -> Verdict:
-    if exploration.status == SAFE:
-        return Verdict(ACCEPT, SAFE, rule_id=rule_id)
-    closed = exploration.closed_at if exploration.status == LOOP_DETECTED else None
-    return Verdict(REJECT, exploration.status, closed_at=closed,
-                   rule_id=rule_id)
+    status = exploration.status
+    closed = exploration.closed_at if status == LOOP_DETECTED else None
+    return Verdict(status, closed, rule_id)
 
 
 # --------------------------------------------------------------------------
@@ -316,16 +277,13 @@ class StaticMatchView(SiteView):
                             self._agnostic)
 
 
-def sidr_baseline(req: VerifyRequest, sites: list[SdxSite],
+def sidr_baseline(policy: DeflectionPolicy, sites: list[SdxSite],
                   ribs: dict[str, RibState],
-                  entries: dict[int, list[RuleEntry]]) -> Verdict:
+                  entries: dict[int, list[RuleEntry]],
+                  budget: int = DEFAULT_BUDGET) -> Verdict:
     """Match-agnostic verdict over the same exploration and budget."""
     view = StaticMatchView(sites, ribs, entries, match_agnostic=True)
-    exploration = explore_deflection(
-        view, prefix=req.prefix, rule=req.policy.rule,
-        origin_sdx=req.origin_sdx, requester=req.requester,
-        deflect_to=req.policy.deflect_to, budget=req.budget)
-    return verdict_of(exploration)
+    return verdict_of(explore_deflection(view, policy, budget))
 
 
 # --------------------------------------------------------------------------
@@ -371,7 +329,6 @@ class SdxNode:
     def __init__(self, site: SdxSite, plane: "ControlPlane",
                  endpoint_seed: int) -> None:
         self.sdx_id = site.sdx_id
-        self.members = site.members
         self.plane = plane
         self.service = SdxMatchService(site.sdx_id)
         self.endpoint = LoopbackEndpoint(self.service, seed=endpoint_seed)
@@ -395,30 +352,20 @@ class SdxNode:
 
     # -- verification
 
-    def handle_install(self, req: VerifyRequest) -> Verdict:
-        if req.origin_sdx != self.sdx_id:
-            raise ValueError("request addressed to another exchange")
-        if req.requester not in self.members:
-            raise ValueError(f"AS {req.requester} is not a member here")
-        rib = self.plane.rib(req.prefix)
+    def handle_install(self, policy: DeflectionPolicy, budget: int) -> Verdict:
+        if policy.sdx_id != self.sdx_id:
+            raise ValueError("policy belongs to another exchange")
+        if budget < 0:
+            raise ValueError("budget must be non-negative")
+        rib = self.plane.rib(policy.prefix)
         if rib is None:
-            raise PolicyError(f"no routing state for prefix {req.prefix!r}")
-        validate_policy(req.policy, self.plane.sites, rib)
+            raise PolicyError(f"no routing state for prefix {policy.prefix!r}")
+        validate_policy(policy, self.plane.sites, rib)
         rule_id = self._new_rule_id()
         self.log("install_request",
-                 {"rule_id": rule_id, "owner": req.requester,
-                  "prefix": req.prefix, "budget": req.budget})
-        record = RegistryEntry(
-            rule_id=rule_id,
-            entry=RuleEntry(
-                rule=req.policy.rule,
-                next_hop=NextHopId(self.sdx_id, req.policy.deflect_to),
-                owner=req.requester,
-                prefix=req.prefix,
-            ),
-            policy=req.policy,
-            budget=req.budget,
-        )
+                 {"rule_id": rule_id, "owner": policy.owner,
+                  "prefix": policy.prefix, "budget": budget})
+        record = RegistryEntry(rule_id, rule_entry(policy), policy, budget)
         self.registry[rule_id] = record
         verdict = self._verify(record)
         if verdict.accepted:
@@ -429,15 +376,8 @@ class SdxNode:
         return verdict
 
     def _verify(self, record: RegistryEntry) -> Verdict:
-        exploration = explore_deflection(
-            self.plane,
-            prefix=record.entry.prefix,
-            rule=record.entry.rule,
-            origin_sdx=self.sdx_id,
-            requester=record.entry.owner,
-            deflect_to=record.policy.deflect_to,
-            budget=record.budget,
-        )
+        exploration = explore_deflection(self.plane, record.policy,
+                                         record.budget)
         record.queried = exploration.queried - {self.sdx_id}
         return verdict_of(exploration, rule_id=record.rule_id)
 
@@ -587,8 +527,7 @@ class ControlPlane(SiteView):
 
     def install(self, policy: DeflectionPolicy,
                 budget: int = DEFAULT_BUDGET) -> Verdict:
-        node = self.nodes[policy.sdx_id]
-        return node.handle_install(make_request(policy, budget))
+        return self.nodes[policy.sdx_id].handle_install(policy, budget)
 
     def remove(self, owner: int, rule_id: str) -> bool:
         for node in self.nodes.values():
@@ -624,10 +563,9 @@ class ControlPlane(SiteView):
 
     def sidr_verdict(self, policy: DeflectionPolicy,
                      budget: int = DEFAULT_BUDGET) -> Verdict:
-        req = make_request(policy, budget)
         entries = {sdx_id: node.service.entries_for(policy.prefix)
                    for sdx_id, node in self.nodes.items()}
-        return sidr_baseline(req, self.sites, self._ribs, entries)
+        return sidr_baseline(policy, self.sites, self._ribs, entries, budget)
 
 
 __all__ = [
@@ -646,9 +584,8 @@ __all__ = [
     "SiteView",
     "StaticMatchView",
     "Verdict",
-    "VerifyRequest",
     "explore_deflection",
-    "make_request",
+    "rule_entry",
     "sidr_baseline",
     "table_answer",
     "verdict_of",

@@ -435,7 +435,7 @@ class _SessionDealer:
         if self._materials is None:
             rng = random.Random(self._seed)
             self._materials = dealer_for_circuit(circuit, backend, rng,
-                                                 garbler=1, lanes=lanes)
+                                                 lanes=lanes)
         return self._materials[party]
 
 

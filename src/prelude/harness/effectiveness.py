@@ -30,8 +30,8 @@ from ..bgpsim import (
     forwarding_oracle,
     generate_topology,
 )
-from ..control import SAFE, StaticMatchView, explore_deflection
-from ..distinct_match import NextHopId, RuleEntry
+from ..control import SAFE, StaticMatchView, explore_deflection, rule_entry
+from ..distinct_match import RuleEntry
 from ..rules import FlowSpec, PROTO_TCP, PROTO_UDP, encode
 from .config import ExperimentConfig
 from .results import (
@@ -162,15 +162,8 @@ def replay(scenario: Scenario, detectors: tuple[str, ...],
                 if detector == "oracle":
                     is_reject = truth_loop
                 else:
-                    exploration = explore_deflection(
-                        views[detector],
-                        prefix=arrival.prefix,
-                        rule=arrival.rule,
-                        origin_sdx=arrival.sdx_id,
-                        requester=arrival.owner,
-                        deflect_to=arrival.deflect_to,
-                        budget=t,
-                    )
+                    exploration = explore_deflection(views[detector],
+                                                     arrival, t)
                     is_reject = exploration.status != SAFE
                 if is_reject:
                     rejected[detector, t] += 1
@@ -183,11 +176,7 @@ def replay(scenario: Scenario, detectors: tuple[str, ...],
             n_loops += 1
         else:
             active.append(arrival)
-            entries[arrival.sdx_id].append(RuleEntry(
-                rule=arrival.rule,
-                next_hop=NextHopId(arrival.sdx_id, arrival.deflect_to),
-                owner=arrival.owner,
-                prefix=arrival.prefix))
+            entries[arrival.sdx_id].append(rule_entry(arrival))
 
     rows = []
     for detector in detectors:

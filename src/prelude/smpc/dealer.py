@@ -103,14 +103,13 @@ def dealer_gen(
     n_triples: int,
     n_label_transfers: int,
     rng,
-    label_sender: int = 1,
     cross: Sequence[tuple[int, int]] = (),
     lanes: int = 1,
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Generate one session's setup material for parties 0 and 1.
 
-    ``label_sender`` is the party that will garble (it receives the pad
-    pairs); the other party receives choice bits and matching pads.
+    Party 1, the garbler, receives the label-transfer pad pairs; party 0
+    receives choice bits and matching pads.
     ``cross`` gives, per AND level in the order GMW consumes them, the
     number of cross gates whose secret wire is the same on every one of
     ``lanes`` and the number of the others, which follow them.
@@ -149,17 +148,13 @@ def dealer_gen(
     cross0 = TripleStream(x, 0, z0, n_cross)
     cross1 = TripleStream(0, y, (x & y) ^ z0, n_cross)
 
-    mat0 = DealerMaterial(0, stream0, mask_seed, cross0)
-    mat1 = DealerMaterial(1, stream1, mask_seed, cross1)
-    sender = mat1 if label_sender == 1 else mat0
-    receiver = mat0 if label_sender == 1 else mat1
-    sender.transfer_pads = pads
-    receiver.transfer_choices = choices
-    return mat0, mat1
+    return (DealerMaterial(0, stream0, mask_seed, cross0,
+                           transfer_choices=choices),
+            DealerMaterial(1, stream1, mask_seed, cross1, transfer_pads=pads))
 
 
 def dealer_for_circuit(
-    circuit, backend: str, rng, garbler: int = 1, lanes: int = 1
+    circuit, backend: str, rng, lanes: int = 1
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Size the dealer material for one execution of ``circuit`` over ``lanes``.
 
@@ -175,11 +170,10 @@ def dealer_for_circuit(
         return dealer_gen(lanes * (circuit.and_count() - circuit.cross_count()),
                           0, rng, cross=cross, lanes=lanes)
     if backend == "yao":
-        evaluator = 1 - garbler
         n_transfers = sum(
             len(g.wires) * (1 if g.shared else lanes)
             for g in circuit.input_groups
-            if g.party == evaluator and not g.clear
+            if g.party == 0 and not g.clear
         )
-        return dealer_gen(0, n_transfers, rng, label_sender=garbler)
+        return dealer_gen(0, n_transfers, rng)
     raise ValueError(f"unknown backend {backend!r}")

@@ -9,7 +9,8 @@ gate (Zahur, Rosulek & Evans, EUROCRYPT 2015): two 16-byte rows, the
 garbler half T_G and the evaluator half T_E, and the output zero-label is
 derived from the hashes rather than drawn.
 
-The garbler's clear groups (:attr:`InputGroup.clear`) get no labels at all.
+Party 1, the holder, garbles and party 0 evaluates: a clear group
+(:attr:`InputGroup.clear`) belongs to party 1 and gets no labels at all.
 A cross gate, the AND of a secret wire a with a clear bit b the garbler
 knows, is a garbler half-gate alone (ZRE15, section 3): one row T =
 H(A0, j) XOR H(A1, j) XOR b delta and the zero-label W0 = H(A0, j) XOR
@@ -305,13 +306,6 @@ def _groups(circuit: Circuit, party: int):
             if g.party == party and not g.clear]
 
 
-def _check_clear(circuit: Circuit, garbler: int) -> None:
-    for group in circuit.input_groups:
-        if group.clear and group.party != garbler:
-            raise ValueError(
-                f"clear group {group.name!r} does not belong to the garbler")
-
-
 def _group_slots(group: InputGroup, lanes: int) -> int:
     """Input labels a group needs: one per wire and lane, except that a
     shared wire's one label serves every lane."""
@@ -374,26 +368,24 @@ def garble_steps(
     setup: DealerMaterial,
     rng,
     transcript: SessionTranscript | None = None,
-    garbler: int = 1,
     lanes: int = 1,
 ):
-    """Garbler's side of one execution.
+    """Garbler's (party 1's) side of one execution.
 
     Returns (delta, the zero-labels of the output wires by wire, then
     lane), from which :func:`release_steps` releases values.
     """
-    if garbler != setup.party:
+    if setup.party != 1:
         raise ValueError("setup material belongs to the other party")
-    _check_clear(circuit, garbler)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    n_transfers = _slot_count(circuit, 1 - garbler, lanes)
+    n_transfers = _slot_count(circuit, 0, lanes)
     if rng is None:
         raise ValueError("garbler needs an rng")
     pads = setup.transfer_pads
     if pads is None or len(pads) < n_transfers:
         raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
-    my_bits, clear = _flatten_inputs(circuit, garbler, my_inputs, lanes)
+    my_bits, clear = _flatten_inputs(circuit, 1, my_inputs, lanes)
     delta, label0, tables = _garble(circuit, rng, lanes, clear)
     yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
     if transcript is not None:
@@ -406,7 +398,7 @@ def garble_steps(
     no_flip = bytes(LABEL_BYTES)
     flip = _label_bytes(delta)
     pos = 0
-    for group in _groups(circuit, garbler):
+    for group in _groups(circuit, 1):
         zero, count = _slot_labels(label0, group, lanes)
         # a one-label is its zero-label XOR delta
         flips = b"".join([flip if bit else no_flip
@@ -415,7 +407,7 @@ def garble_steps(
             LABEL_BYTES * count, "little"))
         pos += count
     j = 0
-    for group in _groups(circuit, 1 - garbler):
+    for group in _groups(circuit, 0):
         zero, count = _slot_labels(label0, group, lanes)
         for z in split_lanes(zero, LABEL_BITS, count):
             r0, r1 = pads[j]
@@ -435,25 +427,22 @@ def evaluate_steps(
     my_inputs: Mapping[str, Sequence[int]],
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
-    garbler: int = 1,
     lanes: int = 1,
 ):
-    """Evaluator's side of one execution.
+    """Evaluator's (party 0's) side of one execution.
 
     Returns the labels of the output wires, by wire, then lane, with which
     :func:`open_steps` opens the released values.
     """
-    party = 1 - garbler
-    if party != setup.party:
+    if setup.party != 0:
         raise ValueError("setup material belongs to the other party")
-    _check_clear(circuit, garbler)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    n_transfers = _slot_count(circuit, party, lanes)
+    n_transfers = _slot_count(circuit, 0, lanes)
     choices = setup.transfer_choices
     if choices is None or len(choices) < n_transfers:
         raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
-    my_bits, _ = _flatten_inputs(circuit, party, my_inputs, lanes)
+    my_bits, _ = _flatten_inputs(circuit, 0, my_inputs, lanes)
     tables = yield from recv_frame(MSG_GARBLED_TABLES, transcript)
     if len(tables) != _table_size(circuit, lanes):
         raise ProtocolError("garbled table payload has wrong size")
@@ -463,19 +452,19 @@ def evaluate_steps(
     e_bits = [bit ^ choices[j][0] for j, bit in enumerate(my_bits)]
     yield from send_frame(MSG_INPUT_SHARE, pack_bits(e_bits), transcript)
     payload = yield from recv_frame(MSG_LABELS, transcript)
-    expected = LABEL_BYTES * (_slot_count(circuit, garbler, lanes)
+    expected = LABEL_BYTES * (_slot_count(circuit, 1, lanes)
                               + 2 * n_transfers)
     if len(payload) != expected:
         raise ProtocolError("label payload has wrong size")
     labels = [0] * circuit.n_wires
     pos = 0
-    for group in _groups(circuit, garbler):
+    for group in _groups(circuit, 1):
         size = LABEL_BYTES * _group_slots(group, lanes)
         _place_slot_labels(labels, group, lanes, int.from_bytes(
             payload[pos : pos + size], "little"))
         pos += size
     j = 0
-    for group in _groups(circuit, party):
+    for group in _groups(circuit, 0):
         count = _group_slots(group, lanes)
         chosen = []
         for bit in my_bits[j : j + count]:

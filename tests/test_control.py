@@ -30,9 +30,7 @@ from prelude.control import (
     SAFE,
     StaticMatchView,
     Verdict,
-    VerifyRequest,
     explore_deflection,
-    make_request,
     sidr_baseline,
     verdict_of,
 )
@@ -62,33 +60,53 @@ def fixture_plane(transport: str = "direct", **kwargs) -> ControlPlane:
 
 
 class TestRequestInvariants:
+    @staticmethod
+    def assert_refused(plane, install, error):
+        with pytest.raises(error):
+            install()
+        assert not any(e.kind == "install_request" for e in plane.events)
+        assert all(not node.registry for node in plane.nodes.values())
+        prefix = two_exchange_fixture().prefix
+        assert all(node.service.entries_for(prefix) == []
+                   for node in plane.nodes.values())
+
     def test_request_shape(self):
+        # a request is a policy and a non-negative budget
         fx = two_exchange_fixture()
-        req = make_request(fx.deflect_b_to_a, budget=4)
-        assert req.visited[0] == (1, 2)
-        assert req.budget == 4
-        with pytest.raises(ValueError):
-            VerifyRequest(requester=2, origin_sdx=1,
-                          policy=fx.deflect_b_to_a, prefix=fx.prefix,
-                          visited=((1, 2),), budget=-1)
-        with pytest.raises(ValueError):
-            VerifyRequest(requester=2, origin_sdx=1,
-                          policy=fx.deflect_b_to_a, prefix=fx.prefix,
-                          visited=((2, 2),), budget=3)
-        with pytest.raises(ValueError):
-            VerifyRequest(requester=4, origin_sdx=1,
-                          policy=fx.deflect_b_to_a, prefix=fx.prefix,
-                          visited=((1, 4),), budget=3)
+        plane = fixture_plane("direct")
+        self.assert_refused(
+            plane, lambda: plane.install(fx.deflect_b_to_a, budget=-1),
+            ValueError)
+        view = StaticMatchView(list(fx.sites), {fx.prefix: fx.rib}, {})
+        with pytest.raises(ValueError, match="non-negative"):
+            explore_deflection(view, fx.deflect_b_to_a, -1)
+        assert explore_deflection(view, fx.deflect_b_to_a, 0).status == SAFE
+
+    def test_owner_must_be_a_member_of_the_exchange(self):
+        fx = two_exchange_fixture()
+        plane = fixture_plane("direct")
+        stranger = DeflectionPolicy(owner=3, sdx_id=1, rule=WEB,
+                                    deflect_to=1, prefix=fx.prefix)
+        self.assert_refused(plane, lambda: plane.install(stranger),
+                            PolicyError)
+
+    def test_node_refuses_another_exchanges_policy(self):
+        fx = two_exchange_fixture()
+        plane = fixture_plane("direct")
+        self.assert_refused(
+            plane, lambda: plane.nodes[2].handle_install(fx.deflect_b_to_a, 4),
+            ValueError)
 
     def test_verdict_shape(self):
         with pytest.raises(ValueError):
-            Verdict(REJECT, SAFE)
+            Verdict(SAFE, closed_at=3)
         with pytest.raises(ValueError):
-            Verdict(ACCEPT, LOOP_DETECTED)
-        with pytest.raises(ValueError):
-            Verdict(ACCEPT, SAFE, closed_at=3)
-        ok = Verdict(REJECT, LOOP_DETECTED, closed_at=2)
-        assert not ok.accepted
+            Verdict(BUDGET_EXHAUSTED, closed_at=3)
+        ok = Verdict(SAFE, rule_id="r1-1")
+        assert ok.accepted and ok.decision == ACCEPT
+        for reason in (LOOP_DETECTED, BUDGET_EXHAUSTED, QUERY_FAILED):
+            no = Verdict(reason, 2 if reason == LOOP_DETECTED else None)
+            assert not no.accepted and no.decision == REJECT
 
 
 # --------------------------------------------------------------------------
@@ -282,10 +300,7 @@ class TestBudget:
         for budget in (0, 1, 2, 4, 8):
             rejects = set()
             for index, policy in enumerate(pool):
-                exploration = explore_deflection(
-                    view, prefix=policy.prefix, rule=policy.rule,
-                    origin_sdx=policy.sdx_id, requester=policy.owner,
-                    deflect_to=policy.deflect_to, budget=budget)
+                exploration = explore_deflection(view, policy, budget)
                 if exploration.status != SAFE:
                     rejects.add(index)
             if previous_rejects is not None:
@@ -656,18 +671,20 @@ class TestStatelessHelpers:
         fx = two_exchange_fixture()
         plane = fixture_plane("direct")
         plane.install(fx.deflect_b_to_a)
-        req = make_request(fx.deflect_n_to_m, budget=4)
-        direct = sidr_baseline(req, list(fx.sites), {fx.prefix: fx.rib},
-                               plane.active_entries())
+        direct = sidr_baseline(fx.deflect_n_to_m, list(fx.sites),
+                               {fx.prefix: fx.rib}, plane.active_entries(),
+                               budget=4)
         wrapped = plane.sidr_verdict(fx.deflect_n_to_m, budget=4)
         assert (direct.decision, direct.reason) == (
             wrapped.decision, wrapped.reason)
 
     def test_verdict_of_maps_statuses(self):
         from prelude.control import Exploration
-        safe = Exploration(SAFE, None, frozenset(), 1)
+        safe = Exploration(SAFE, None, frozenset())
         assert verdict_of(safe, "x").accepted
-        loop = Exploration(LOOP_DETECTED, 2, frozenset({1}), 3)
+        loop = Exploration(LOOP_DETECTED, 2, frozenset({1}))
         v = verdict_of(loop)
         assert (v.decision, v.reason, v.closed_at) == (
             REJECT, LOOP_DETECTED, 2)
+        failed = verdict_of(Exploration(QUERY_FAILED, 2, frozenset({2})))
+        assert (failed.decision, failed.closed_at) == (REJECT, None)

@@ -513,8 +513,8 @@ class TestLaneSessions:
             self, monkeypatch, width, k):
         materials = []
 
-        def recording(circuit, backend, rng, garbler=1, lanes=1):
-            pair = dealer_for_circuit(circuit, backend, rng, garbler, lanes)
+        def recording(circuit, backend, rng, lanes=1):
+            pair = dealer_for_circuit(circuit, backend, rng, lanes)
             materials.extend(pair)
             return pair
 

@@ -1,0 +1,69 @@
+"""Every name a program module imports is used in that module.
+
+Each module under ``src/`` except the package ``__init__`` modules, which
+import names to re-export them, is parsed with :mod:`ast`.  A name bound by
+an import statement must be read somewhere else in the module: as a name,
+as the root of an attribute, in a string annotation, or in ``__all__``.
+``from __future__`` imports are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # string annotations and __all__ entries
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(inner)
+                        if isinstance(n, ast.Name))
+    return used
+
+
+def test_there_are_modules_to_check():
+    assert len(MODULES) > 10
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in imported_names(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.relative_to(SRC)} imports unused {unused}"
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom typing import Iterable, Mapping\n"
+                     "x: 'Mapping[str, int]' = {}\n")
+    assert set(imported_names(tree)) - used_names(tree) == {"os", "Iterable"}

@@ -148,8 +148,7 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
     Party 0 is driven over an in-thread loopback whose peer is party 1;
     ``spy0`` wraps that channel.
     """
-    mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
-                                    garbler=1)
+    mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed))
     t0, t1 = SessionTranscript(), SessionTranscript()
     ch = InlineLoopback(
         party_steps(circuit, backend, 1, inputs1, mat1, t1,
@@ -400,7 +399,7 @@ class TestDealer:
             stream.take(2)
 
     def test_transfer_material_is_consistent(self):
-        mat0, mat1 = dealer_gen(0, 8, random.Random(2), label_sender=1)
+        mat0, mat1 = dealer_gen(0, 8, random.Random(2))
         assert mat1.transfer_pads is not None and mat0.transfer_choices is not None
         for (r0, r1), (d, pad) in zip(mat1.transfer_pads, mat0.transfer_choices):
             assert pad == (r1 if d else r0)
@@ -578,7 +577,7 @@ class TestYao:
         circuit = build_distinct_pair(4)
         rng = random.Random(8)
         inputs0, _ = random_inputs(circuit, rng)
-        mat0, _ = dealer_gen(0, 0, rng, label_sender=1)
+        mat0, _ = dealer_gen(0, 0, rng)
         with pytest.raises(SetupUnderprovisioned):
             next(evaluate_steps(circuit, inputs0, mat0))
 
@@ -589,6 +588,16 @@ class TestYao:
         _, mat1 = dealer_for_circuit(circuit, "yao", rng)
         with pytest.raises(ValueError, match="needs an rng"):
             next(garble_steps(circuit, inputs1, mat1, None))
+
+    def test_party_1_garbles_and_party_0_evaluates(self):
+        circuit = build_distinct_pair(4)
+        rng = random.Random(4)
+        inputs0, inputs1 = random_inputs(circuit, rng)
+        mat0, mat1 = dealer_for_circuit(circuit, "yao", rng)
+        with pytest.raises(ValueError, match="belongs to the other party"):
+            next(garble_steps(circuit, inputs1, mat0, random.Random(1)))
+        with pytest.raises(ValueError, match="belongs to the other party"):
+            next(evaluate_steps(circuit, inputs0, mat1))
 
     def test_runs_over_tcp(self):
         run_over_tcp("yao")
@@ -697,18 +706,6 @@ class TestLanes:
             for lane in range(lanes):
                 expected = self.lane_plaintext(circuit, both, lane)
                 assert got[lane::lanes] == expected, (trial, lane)
-
-    def test_clear_group_must_belong_to_the_garbler(self):
-        circuit = build_distinct_pair(4)
-        rng = random.Random(4)
-        inputs0, inputs1 = random_inputs(circuit, rng)
-        # party 0 garbles, but the clear rule bits are party 1's
-        mat0, mat1 = dealer_for_circuit(circuit, "yao", rng, garbler=0)
-        with pytest.raises(ValueError, match="does not belong to the garbler"):
-            next(yao.garble_steps(circuit, inputs0, mat0, random.Random(1),
-                                  garbler=0))
-        with pytest.raises(ValueError, match="does not belong to the garbler"):
-            next(evaluate_steps(circuit, inputs1, mat1, garbler=0))
 
     def test_dealer_material_scales_with_lanes(self):
         circuit = build_batch_query(CircuitLayout(k=1, rule_width=8))
