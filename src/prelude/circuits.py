@@ -9,16 +9,16 @@ The interesting cost metric is AND gates: XOR and NOT are free in both
 secure backends, while each AND costs communication.  OR is therefore
 built from AND/NOT via De Morgan as a balanced tree.
 
-A group may be *clear* (:attr:`InputGroup.clear`): its owner, the holder,
-knows those bits, and no backend labels, masks or shares them.  A clear
-wire feeds only AND gates, each of which then reads one clear wire and one
-secret wire; such a *cross gate* is cheaper than a full AND in both
-backends (a one-row garbler half-gate under yao, a one-sided product under
-gmw), and the rule comparator is built from them.  Its output is a secret
-wire like any other; the holder's bit leaves the holder only under a
-one-time pad or inside a garbled row, so the querier learns no more than
-from the same bit as a secret input (see :mod:`prelude.smpc.yao` and
-:mod:`prelude.smpc.gmw`).
+Party 1's inputs are *clear*: the holder knows those bits, and no backend
+labels, masks or shares them.  Its wires (:attr:`Circuit.clear_wires`) feed
+only AND gates, each of which then reads one clear wire and one secret
+wire; such a *cross gate* is cheaper than a full AND in both backends (a
+one-row garbler half-gate under yao, a one-sided product under gmw).  The
+rule comparator and the identifier stage are built from them.  A cross
+gate's output is a secret wire like any other; the holder's bit leaves the
+holder only under a one-time pad or inside a garbled row, so the querier
+learns no more than from the same bit as a secret input (see
+:mod:`prelude.smpc.yao` and :mod:`prelude.smpc.gmw`).
 """
 
 from __future__ import annotations
@@ -38,33 +38,16 @@ _KIND_NAMES = {AND: "AND", XOR: "XOR", NOT: "NOT"}
 class InputGroup:
     """Input wires one party supplies.
 
-    When the circuit is evaluated over several lanes, a ``shared`` group
-    carries one value per wire for every lane; any other group carries one
-    value per wire and lane.  A ``clear`` group is known to its owner, party
-    1, and never labelled, masked or shared; its wires may feed only AND
-    gates, and it carries one value per wire and lane.
+    When the circuit is evaluated over several lanes, a ``shared`` group,
+    which only party 0 may have, carries one value per wire for every lane;
+    any other group carries one value per wire and lane.  Party 1's groups
+    are clear, and their wires may feed only AND gates.
     """
 
     party: int
     name: str
     wires: tuple[int, ...]
     shared: bool = False
-    clear: bool = False
-
-
-@dataclass(frozen=True)
-class CircuitLayout:
-    """Shape of a batch query: one querier rule against k holder entries."""
-
-    k: int
-    rule_width: int
-    id_width: int = 48
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("batch size k must be at least 1")
-        if self.rule_width < 1 or self.id_width < 1:
-            raise ValueError("widths must be positive")
 
 
 class Circuit:
@@ -83,23 +66,22 @@ class Circuit:
     # -------------------------------------------------- construction
 
     def add_input_group(self, party: int, name: str, width: int,
-                        shared: bool = False,
-                        clear: bool = False) -> tuple[int, ...]:
+                        shared: bool = False) -> tuple[int, ...]:
         if self.gates:
             raise ValueError("input groups must be declared before gates")
         if party not in (0, 1):
             raise ValueError("party must be 0 or 1")
-        if clear and (party != 1 or shared):
-            raise ValueError("a clear group belongs to party 1, one value "
-                             "per wire and lane")
+        if shared and party == 1:
+            raise ValueError("party 1's groups are clear, one value per wire "
+                             "and lane; only party 0's may be shared")
         if any(g.name == name for g in self.input_groups):
             raise ValueError(f"duplicate input group {name!r}")
         wires = tuple(range(self.n_wires, self.n_wires + width))
         self.n_wires += width
-        self.input_groups.append(InputGroup(party, name, wires, shared, clear))
+        self.input_groups.append(InputGroup(party, name, wires, shared))
         if shared:
             self.shared_wires.update(wires)
-        if clear:
+        if party == 1:
             self.clear_wires.update(wires)
         return wires
 
@@ -289,16 +271,6 @@ def _or_tree(c: Circuit, wires: Sequence[int]) -> int:
     return level[0]
 
 
-def _mux_bits(
-    c: Circuit, select: int, zero_branch: Sequence[int], one_branch: Sequence[int]
-) -> list[int]:
-    """Per output bit: u = a XOR (select AND (a XOR b)); select 0 -> a, 1 -> b."""
-    out = []
-    for a, b in zip(zero_branch, one_branch):
-        out.append(c.xor(a, c.and_(select, c.xor(a, b))))
-    return out
-
-
 def build_distinct_pair(width: int) -> Circuit:
     """Decide whether two rules are distinct (share no matching packet).
 
@@ -312,8 +284,8 @@ def build_distinct_pair(width: int) -> Circuit:
     c = Circuit()
     q_one = c.add_input_group(0, "q_one", width)
     q_zero = c.add_input_group(0, "q_zero", width)
-    h_one = c.add_input_group(1, "h_one", width, clear=True)
-    h_zero = c.add_input_group(1, "h_zero", width, clear=True)
+    h_one = c.add_input_group(1, "h_one", width)
+    h_zero = c.add_input_group(1, "h_zero", width)
     cells = [_bit_distinct(c, q_one[i], q_zero[i], h_one[i], h_zero[i])
              for i in range(width)]
     c.mark_output(_or_tree(c, cells))
@@ -321,28 +293,28 @@ def build_distinct_pair(width: int) -> Circuit:
 
 
 class BatchQueryCircuit(Circuit):
-    """The batch-query circuit, with its comparator stage marked.
+    """The per-entry query template, with its comparator stage marked.
 
-    The first ``distinct_gate_count`` gates are the k comparator-and-OR-tree
-    blocks; they read only the rule inputs and drive ``distinct_wires``,
-    entry i's wire being 1 iff that entry is distinct from the queried rule.
-    The identifier multiplexers follow them.
+    The first ``distinct_gate_count`` gates are the comparator and its OR
+    tree; they read only the rule inputs and drive ``distinct_wire``, which
+    is 1 iff the entry is distinct from the queried rule.  The identifier
+    stage follows them.
 
-    The querier's rule and the dummy identifier are the same for every
-    entry, so their groups are ``shared``: the k = 1 circuit is the
-    per-entry template that the secure backends evaluate over k lanes.  The
-    holder's rule bits are ``clear``.
+    The querier's rule is the same for every entry, so its groups are
+    ``shared``: the backends evaluate this one circuit over k lanes, lane i
+    being the i-th entry.  The holder's groups are clear, one value per
+    lane.
     """
 
     RULE_GROUPS = ("q_one", "q_zero", "h_one", "h_zero")
 
     def __init__(self) -> None:
         super().__init__()
-        self.distinct_wires: tuple[int, ...] = ()
+        self.distinct_wire = -1
         self.distinct_gate_count = 0
 
     def distinct_stage(self) -> Circuit:
-        """The comparator stage alone: rule inputs in, the k distinct bits out.
+        """The comparator stage alone: rule inputs in, the distinct bit out.
 
         Built afresh on each call; it shares gate tuples and wire numbers
         with this circuit.
@@ -354,43 +326,39 @@ class BatchQueryCircuit(Circuit):
                               if g.name in self.RULE_GROUPS]
         stage.shared_wires = self.shared_wires
         stage.clear_wires = self.clear_wires
-        stage.output_wires = list(self.distinct_wires)
+        stage.output_wires = [self.distinct_wire]
         return stage
 
 
-def build_batch_query(layout: CircuitLayout) -> BatchQueryCircuit:
-    """One querier rule against k holder entries, with identifier mapping.
+def build_batch_query(rule_width: int, id_width: int) -> BatchQueryCircuit:
+    """One querier rule against one holder entry, with identifier mapping.
 
-    Holder inputs are k rules as the clear groups h_one/h_zero (flattened
-    k*rule_width), k next-hop identifiers (h_ids, flattened k*id_width) and
-    one dummy identifier (h_dummy).  Output is k identifiers in holder entry
-    order: entry i's identifier where the rules overlap, the dummy where
-    distinct.
+    Holder inputs are the entry's rule as h_one/h_zero and, as h_id_zeros,
+    the ``id_width`` bits its next-hop identifier leaves 0 (the identifier
+    XOR the all-ones dummy).  Output bit j is ``distinct OR id_j``: the
+    entry's identifier where the rules overlap, all ones (the dummy) where
+    they are distinct.  By De Morgan that is NOT(NOT distinct AND z_j), one
+    cross gate per identifier bit.
 
-    AND-depth is independent of k: comparator cells (1) + OR tree
-    (ceil(log2 rule_width)) + one multiplexer level.
+    AND depth: comparator cells (1) + OR tree (ceil(log2 rule_width)) + the
+    identifier stage (1).
     """
-    k, w, idw = layout.k, layout.rule_width, layout.id_width
+    if rule_width < 1 or id_width < 1:
+        raise ValueError("widths must be positive")
     c = BatchQueryCircuit()
-    q_one = c.add_input_group(0, "q_one", w, shared=True)
-    q_zero = c.add_input_group(0, "q_zero", w, shared=True)
-    h_one = c.add_input_group(1, "h_one", k * w, clear=True)
-    h_zero = c.add_input_group(1, "h_zero", k * w, clear=True)
-    hid = c.add_input_group(1, "h_ids", k * idw)
-    hdummy = c.add_input_group(1, "h_dummy", idw, shared=True)
-    c.distinct_wires = tuple(
-        _or_tree(c, [
-            _bit_distinct(c, q_one[j], q_zero[j], h_one[i * w + j],
-                          h_zero[i * w + j])
-            for j in range(w)
-        ])
-        for i in range(k)
-    )
+    q_one = c.add_input_group(0, "q_one", rule_width, shared=True)
+    q_zero = c.add_input_group(0, "q_zero", rule_width, shared=True)
+    h_one = c.add_input_group(1, "h_one", rule_width)
+    h_zero = c.add_input_group(1, "h_zero", rule_width)
+    id_zeros = c.add_input_group(1, "h_id_zeros", id_width)
+    c.distinct_wire = _or_tree(c, [
+        _bit_distinct(c, q_one[j], q_zero[j], h_one[j], h_zero[j])
+        for j in range(rule_width)
+    ])
     c.distinct_gate_count = len(c.gates)
-    for i, distinct_bit in enumerate(c.distinct_wires):
-        entry_id = hid[i * idw : (i + 1) * idw]
-        for u in _mux_bits(c, distinct_bit, entry_id, hdummy):
-            c.mark_output(u)
+    overlap = c.not_(c.distinct_wire)
+    for z in id_zeros:
+        c.mark_output(c.not_(c.and_(overlap, z)))
     return c
 
 
@@ -399,12 +367,13 @@ def distinct_pair_and_count(width: int) -> int:
     return 2 * width + (width - 1)
 
 
-def batch_query_and_count(layout: CircuitLayout) -> int:
-    return layout.k * (distinct_pair_and_count(layout.rule_width) + layout.id_width)
+def batch_query_and_count(rule_width: int, id_width: int) -> int:
+    """The comparator's, then one cross gate per identifier bit."""
+    return distinct_pair_and_count(rule_width) + id_width
 
 
 def expected_and_depth(rule_width: int, with_mapper: bool = False) -> int:
     """1 for the comparator cells' cross gates, ceil(log2 w) for the OR tree
-    and 1 for the identifier multiplexers, if present."""
+    and 1 for the identifier stage, if present."""
     tree = math.ceil(math.log2(rule_width)) if rule_width > 1 else 0
     return 1 + tree + (1 if with_mapper else 0)

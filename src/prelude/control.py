@@ -41,6 +41,7 @@ from .bgpsim import (
     validate_policy,
 )
 from .distinct_match import (
+    BACKENDS,
     LoopbackEndpoint,
     NextHopId,
     QueryAborted,
@@ -357,10 +358,7 @@ class SdxNode:
             raise ValueError("policy belongs to another exchange")
         if budget < 0:
             raise ValueError("budget must be non-negative")
-        rib = self.plane.rib(policy.prefix)
-        if rib is None:
-            raise PolicyError(f"no routing state for prefix {policy.prefix!r}")
-        validate_policy(policy, self.plane.sites, rib)
+        self.plane.validate(policy)
         rule_id = self._new_rule_id()
         self.log("install_request",
                  {"rule_id": rule_id, "owner": policy.owner,
@@ -474,6 +472,8 @@ class ControlPlane(SiteView):
                  backend: str = "gmw", seed: int = 0) -> None:
         if transport not in ("direct", "smpc"):
             raise ValueError(f"unknown transport {transport!r}")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
         super().__init__(sites, dict(ribs))
         self.graph = graph
         self.transport = transport
@@ -491,6 +491,14 @@ class ControlPlane(SiteView):
 
     def rib(self, prefix: str) -> RibState | None:
         return self._ribs.get(prefix)
+
+    def validate(self, policy: DeflectionPolicy) -> None:
+        """Raise PolicyError unless the policy is well formed here: a known
+        exchange and prefix, and members and routes as it needs them."""
+        rib = self.rib(policy.prefix)
+        if rib is None:
+            raise PolicyError(f"no routing state for prefix {policy.prefix!r}")
+        validate_policy(policy, self.sites, rib)
 
     def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
               prefix: str):
@@ -527,6 +535,7 @@ class ControlPlane(SiteView):
 
     def install(self, policy: DeflectionPolicy,
                 budget: int = DEFAULT_BUDGET) -> Verdict:
+        self.validate(policy)  # before looking up the policy's exchange
         return self.nodes[policy.sdx_id].handle_install(policy, budget)
 
     def remove(self, owner: int, rule_id: str) -> bool:
@@ -563,6 +572,7 @@ class ControlPlane(SiteView):
 
     def sidr_verdict(self, policy: DeflectionPolicy,
                      budget: int = DEFAULT_BUDGET) -> Verdict:
+        self.validate(policy)
         entries = {sdx_id: node.service.entries_for(policy.prefix)
                    for sdx_id, node in self.nodes.items()}
         return sidr_baseline(policy, self.sites, self._ribs, entries, budget)

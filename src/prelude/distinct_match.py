@@ -28,11 +28,17 @@ Session flow, all on one framed channel:
    are secret inputs, while the holder's stay in its clear and feed only
    cross gates (see :mod:`prelude.circuits`), so the holder's rules are
    never labelled, masked or shared.
-   Every entry runs the same per-entry template, the k = 1 batch-query
-   circuit, and the backends evaluate it over k lanes, lane i being the
-   i-th shuffled entry; the querier's rule and the dummy feed every lane.
-   Under gmw both sides run the whole template, whose multiplexers turn
-   each lane's bit into its identifier or the dummy, leaving those shared;
+   Every entry runs the same per-entry template (:func:`build_batch_query`),
+   and the backends evaluate it over k lanes, lane i being the i-th
+   shuffled entry; the querier's rule feeds every lane.
+   Under gmw both sides run the whole template, whose identifier stage
+   turns each lane's distinct bit into the entry's identifier or the
+   all-ones dummy, leaving those shared: output bit j is distinct OR id_j,
+   one cross gate on the clear bit z_j that is 1 where the identifier has
+   a 0, so the holder's identifiers, like its rules, are never shared.
+   The querier sees each z_j only XORed with a fresh dealer bit it never
+   learns, a one-time pad, so the stage shows it nothing of an identifier
+   before the reveal;
    under yao the holder garbles only the template's comparator stage and
    the querier ends up holding one label of each entry's distinct wire;
 4. in the reveal round the holder sends and learns nothing back: under gmw
@@ -41,8 +47,8 @@ Session flow, all on one framed channel:
    labels of that entry's distinct wire, of which the querier opens exactly
    one per entry.  The querier drops the dummy placeholders and deduplicates.
 
-One template and its comparator stage are built per (rule width, identifier
-width) and kept for the life of the process; nothing is built per k.
+One template and its comparator stage are built per rule width and kept
+for the life of the process; nothing is built per k.
 
 Both parties exist only as step generators over frames:
 :meth:`SdxMatchService.serve_steps` and the querier's ``_querier_steps``.
@@ -60,12 +66,7 @@ import random
 import threading
 from dataclasses import dataclass
 
-from prelude.circuits import (
-    BatchQueryCircuit,
-    Circuit,
-    CircuitLayout,
-    build_batch_query,
-)
+from prelude.circuits import BatchQueryCircuit, Circuit, build_batch_query
 from prelude.rules import TernaryRule
 from prelude.smpc import (
     ChannelClosed,
@@ -125,10 +126,6 @@ class NextHopId:
     @classmethod
     def from_value(cls, value: int) -> "NextHopId":
         return cls(value >> AS_ID_BITS, value & ((1 << AS_ID_BITS) - 1))
-
-    def to_bits(self) -> tuple[int, ...]:
-        value = self.value
-        return tuple((value >> (HOP_ID_BITS - 1 - i)) & 1 for i in range(HOP_ID_BITS))
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(HOP_ID_BYTES, "big")
@@ -200,24 +197,22 @@ class SessionStats:
 class QueryTemplate:
     """The circuit every entry of a query runs, and its comparator stage."""
 
-    circuit: BatchQueryCircuit  # the k = 1 batch-query circuit
+    circuit: BatchQueryCircuit  # the per-entry template gmw runs
     stage: Circuit  # its comparator stage, which yao garbles
 
 
 _template_lock = threading.Lock()
-_templates: dict[tuple[int, int], QueryTemplate] = {}
+_templates: dict[int, QueryTemplate] = {}
 
 
-def query_template(rule_width: int,
-                   id_width: int = HOP_ID_BITS) -> QueryTemplate:
+def query_template(rule_width: int) -> QueryTemplate:
     """The template for a rule width, built on first use and then kept."""
-    key = (rule_width, id_width)
     with _template_lock:
-        template = _templates.get(key)
+        template = _templates.get(rule_width)
         if template is None:
-            circuit = build_batch_query(CircuitLayout(1, rule_width, id_width))
+            circuit = build_batch_query(rule_width, HOP_ID_BITS)
             template = QueryTemplate(circuit, circuit.distinct_stage())
-            _templates[key] = template
+            _templates[rule_width] = template
     return template
 
 
@@ -362,9 +357,10 @@ class SdxMatchService:
         inputs = {"h_one": rows_to_lanes(ones, width),
                   "h_zero": rows_to_lanes(zeros, width)}
         if backend == "gmw":
-            inputs["h_ids"] = rows_to_lanes(
-                [e.next_hop.value for e in entries], HOP_ID_BITS)
-            inputs["h_dummy"] = list(DUMMY_HOP.to_bits())
+            # the bits each identifier leaves 0, where the all-ones dummy has 1
+            inputs["h_id_zeros"] = rows_to_lanes(
+                [DUMMY_HOP.value ^ e.next_hop.value for e in entries],
+                HOP_ID_BITS)
             material = dealer.material(template.circuit, backend, 1, k)
             shares = yield from gmw_steps(template.circuit, 1, inputs,
                                           material, transcript, lanes=k)

@@ -11,6 +11,9 @@ Two interchangeable backends evaluate the same circuit objects:
   :func:`release_steps` and :func:`open_steps` then release to the
   evaluator one value per output wire, chosen by the wire's bit.
 
+Party 1's inputs are clear (see :mod:`prelude.circuits`): neither backend
+shares, masks or labels them, and they feed only cross gates.
+
 Either can also evaluate a circuit as a template over ``lanes`` independent
 instances, packing every lane of a wire into one integer; rounds and bytes
 are those of the circuit unrolled ``lanes`` times.

@@ -43,7 +43,8 @@ class TripleStream:
     """One party's triple shares, bit-packed; consumed layer by layer.
 
     Cross-product material uses the same shape: the querier's stream holds
-    (a, 0, its share of a AND y), the holder's (0, y, its share).
+    (a, 0, its share of a AND y), the holder's (0, y, its share).  ``name``
+    says which material the stream holds, for the error when it runs short.
     """
 
     a: int
@@ -51,12 +52,14 @@ class TripleStream:
     c: int
     n: int
     pos: int = 0
+    name: str = "beaver triples"
 
     def take(self, count: int) -> tuple[int, int, int]:
         """Return packed shares (a, b, c) for the next ``count`` triples."""
         if self.pos + count > self.n:
             raise SetupUnderprovisioned(
-                f"needed {self.pos + count} beaver triples, dealer provided {self.n}"
+                f"needed {self.pos + count} {self.name}, dealer provided "
+                f"{self.n}"
             )
         mask = (1 << count) - 1
         out = (
@@ -145,8 +148,8 @@ def dealer_gen(
         n_cross += (n_uniform + n_other) * lanes
     y = rng.getrandbits(n_cross)
     z0 = rng.getrandbits(n_cross)
-    cross0 = TripleStream(x, 0, z0, n_cross)
-    cross1 = TripleStream(0, y, (x & y) ^ z0, n_cross)
+    cross0 = TripleStream(x, 0, z0, n_cross, name="cross products")
+    cross1 = TripleStream(0, y, (x & y) ^ z0, n_cross, name="cross products")
 
     return (DealerMaterial(0, stream0, mask_seed, cross0,
                            transfer_choices=choices),
@@ -160,8 +163,8 @@ def dealer_for_circuit(
 
     GMW takes one triple per AND gate between secret wires and lane, and
     one cross product per cross gate and lane.  Yao transfers one label per
-    evaluator input wire of a shared group and one per wire and lane of any
-    other group; clear groups take none.
+    wire of the evaluator's (party 0's) shared groups and one per wire and
+    lane of its other groups; party 1's inputs are clear and take none.
     """
     if backend == "gmw":
         _, crosses, _ = circuit.and_layers()
@@ -170,10 +173,7 @@ def dealer_for_circuit(
         return dealer_gen(lanes * (circuit.and_count() - circuit.cross_count()),
                           0, rng, cross=cross, lanes=lanes)
     if backend == "yao":
-        n_transfers = sum(
-            len(g.wires) * (1 if g.shared else lanes)
-            for g in circuit.input_groups
-            if g.party == 0 and not g.clear
-        )
+        n_transfers = sum(len(g.wires) * (1 if g.shared else lanes)
+                          for g in circuit.input_groups if g.party == 0)
         return dealer_gen(0, n_transfers, rng)
     raise ValueError(f"unknown backend {backend!r}")

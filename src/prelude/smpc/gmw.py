@@ -17,22 +17,31 @@ would need.  A per-lane input group supplies one int of lane bits per wire;
 a shared group (:attr:`InputGroup.shared`) supplies one bit per wire, which
 is broadcast to every lane.  At one lane this is plain bit-level GMW.
 
-Input wires never touch the channel: both parties expand the dealer's joint
-mask seed into one mask per input wire, one bit wide for a shared wire and
-``lanes`` bits otherwise.  The owner takes ``value XOR mask`` as its share
-and the peer takes the mask, which is a valid fresh sharing.
+Input wires never touch the channel.  Only party 0's groups are shared:
+both parties expand the dealer's joint mask seed into one mask per querier
+input wire, one bit wide for a shared wire and ``lanes`` bits otherwise;
+the querier takes ``value XOR mask`` as its share and the holder takes the
+mask, which is a valid fresh sharing.
 
-The holder's clear groups (:attr:`InputGroup.clear`) are never shared: it
-keeps their bits as they are.  A cross gate s AND b, s shared as s0 XOR s1
-and b the holder's clear bit, is a one-sided product over dealer material:
-the querier holds a random a, the holder a random y, and each a share of a
-AND y.  The querier opens s0 XOR a, a single bit per gate when s belongs to
+Party 1's inputs are clear (see :mod:`prelude.circuits`): the holder keeps
+their bits as they are, and they feed only cross gates.  A cross gate s AND
+b, s shared as s0 XOR s1 and b the holder's clear bit, is a one-sided
+product over dealer material: the querier holds a random a, the holder a
+random y, and each a share of a AND y.  The querier opens s0 XOR a, a single bit per gate when s belongs to
 a shared group and so is the same in every lane; the holder opens b XOR y,
 one bit per lane.  Both openings ride in the frame of that AND level,
 beside its Beaver openings.  With d = s0 XOR a and e = b XOR y, the querier
 takes s0 e XOR its product share and the holder d y XOR its product share
 XOR s1 b; these XOR to s b.  Each opening is one-time padded by dealer
 randomness the receiver never sees, so neither party learns anything.
+
+The identifier stage of the query template is such a cross gate per
+identifier bit: NOT distinct AND z_j, z_j being 1 where the entry's
+identifier has a 0.  The querier sees z_j only as z_j XOR y_j, with y_j a
+fresh dealer bit it never learns, which is a one-time pad: whatever the
+identifier, each bit it receives is uniform and independent of the rest.
+It learns an identifier only when the revealed output carries it, where
+the entry overlaps its rule.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ def _input_shares(circuit: Circuit, party: int,
                   lanes: int) -> list[int]:
     """This party's share of every wire, input wires filled in.
 
-    A clear wire holds the holder's bits on its side and 0 on the other.
+    Party 1's wires hold its clear bits on its side and 0 on the other.
     """
     mine = {g.name for g in circuit.input_groups if g.party == party}
     if set(my_inputs) != mine:
@@ -80,7 +89,7 @@ def _input_shares(circuit: Circuit, party: int,
                 raise ValueError(f"group {group.name!r} has wrong length")
             if own and (min(own) < 0 or max(own) >> width):
                 raise ValueError("inputs must be bits, one per lane")
-        if group.clear:
+        if group.party == 1:
             for w, value in zip(group.wires, own or ()):
                 values[w] = value
             continue

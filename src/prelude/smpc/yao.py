@@ -9,13 +9,13 @@ gate (Zahur, Rosulek & Evans, EUROCRYPT 2015): two 16-byte rows, the
 garbler half T_G and the evaluator half T_E, and the output zero-label is
 derived from the hashes rather than drawn.
 
-Party 1, the holder, garbles and party 0 evaluates: a clear group
-(:attr:`InputGroup.clear`) belongs to party 1 and gets no labels at all.
-A cross gate, the AND of a secret wire a with a clear bit b the garbler
-knows, is a garbler half-gate alone (ZRE15, section 3): one row T =
-H(A0, j) XOR H(A1, j) XOR b delta and the zero-label W0 = H(A0, j) XOR
-p_a T, where p_a is A0's permute bit; an evaluator holding A with permute
-bit s takes H(A, j) XOR s T.  Privacy: the evaluator holds one of A0 and
+Party 1, the holder, garbles and party 0 evaluates.  Party 1's inputs are
+clear (see :mod:`prelude.circuits`) and get no labels at all.  A cross
+gate, the AND of a secret wire a with a clear bit b the garbler knows, is a
+garbler half-gate alone (ZRE15, section 3): one row T = H(A0, j) XOR
+H(A1, j) XOR b delta and the zero-label W0 = H(A0, j) XOR p_a T, where p_a
+is A0's permute bit; an evaluator holding A with permute bit s takes
+H(A, j) XOR s T.  Privacy: the evaluator holds one of A0 and
 A1 and never delta, so the hash of the other label is pseudorandom to it
 and T hides b, and the label it computes is the label of a AND b without
 showing which; the table's size is fixed by the circuit alone.
@@ -45,8 +45,8 @@ not on the evaluator's inputs, so they travel during setup, batch by batch:
 a cross batch its T words, an AND batch its T_G words and then its T_E
 words, each by gate, then lane.  The online phase is a single round trip:
 the evaluator sends masked choice bits for its input wires, the garbler
-answers with the labels of its own labelled inputs plus pad-masked label
-pairs from which the evaluator unlocks exactly one each.
+answers with pad-masked label pairs from which the evaluator unlocks
+exactly one each.
 
 Outputs leave the garbled circuit one way, in the second online round: the
 garbler releases a value of at most 16 bytes per output wire and lane
@@ -204,9 +204,7 @@ def _garble(circuit: Circuit, rng, lanes: int,
     ones = _lane_ones(lanes)
     delta = rng.getrandbits(LABEL_BITS) | 1
     label0 = [0] * circuit.n_wires
-    for group in circuit.input_groups:
-        if group.clear:
-            continue
+    for group in _querier_groups(circuit):
         for w in group.wires:
             label0[w] = (rng.getrandbits(LABEL_BITS) * ones if group.shared
                          else rng.getrandbits(width))
@@ -300,10 +298,9 @@ def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
     _walk(circuit, labels, lanes, evaluate_cross, evaluate_and, 0)
 
 
-def _groups(circuit: Circuit, party: int):
-    """The party's labelled input groups: all but the clear ones."""
-    return [g for g in circuit.input_groups
-            if g.party == party and not g.clear]
+def _querier_groups(circuit: Circuit) -> list[InputGroup]:
+    """The labelled input groups: party 0's, since party 1's are clear."""
+    return [g for g in circuit.input_groups if g.party == 0]
 
 
 def _group_slots(group: InputGroup, lanes: int) -> int:
@@ -312,8 +309,8 @@ def _group_slots(group: InputGroup, lanes: int) -> int:
     return len(group.wires) * (1 if group.shared else lanes)
 
 
-def _slot_count(circuit: Circuit, party: int, lanes: int) -> int:
-    return sum(_group_slots(g, lanes) for g in _groups(circuit, party))
+def _slot_count(circuit: Circuit, lanes: int) -> int:
+    return sum(_group_slots(g, lanes) for g in _querier_groups(circuit))
 
 
 def _slot_labels(labels: list[int], group: InputGroup,
@@ -340,8 +337,8 @@ def _flatten_inputs(
     circuit: Circuit, party: int, my_inputs: Mapping[str, Sequence[int]],
     lanes: int,
 ) -> tuple[list[int], dict[int, int]]:
-    """The party's input bits, one per input label: by group, wire, then lane;
-    and the lane word of each of its clear wires."""
+    """Party 0's input bits, one per input label: by group, wire, then lane;
+    or party 1's clear lane word of each of its wires."""
     groups = [g for g in circuit.input_groups if g.party == party]
     if set(my_inputs) != {g.name for g in groups}:
         raise ValueError(f"party {party} must supply exactly groups "
@@ -355,7 +352,7 @@ def _flatten_inputs(
         width = 1 if group.shared else lanes
         if got and (min(got) < 0 or max(got) >> width):
             raise ValueError("inputs must be bits, one per lane")
-        if group.clear:
+        if party == 1:
             clear.update(zip(group.wires, got))
         else:
             bits += int_to_bits(join_lanes(got, width), width * len(got))
@@ -379,13 +376,13 @@ def garble_steps(
         raise ValueError("setup material belongs to the other party")
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    n_transfers = _slot_count(circuit, 0, lanes)
+    n_transfers = _slot_count(circuit, lanes)
     if rng is None:
         raise ValueError("garbler needs an rng")
     pads = setup.transfer_pads
     if pads is None or len(pads) < n_transfers:
         raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
-    my_bits, clear = _flatten_inputs(circuit, 1, my_inputs, lanes)
+    _, clear = _flatten_inputs(circuit, 1, my_inputs, lanes)
     delta, label0, tables = _garble(circuit, rng, lanes, clear)
     yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
     if transcript is not None:
@@ -395,19 +392,8 @@ def garble_steps(
         (yield from recv_frame(MSG_INPUT_SHARE, transcript)), n_transfers
     )
     parts: list[bytes] = []
-    no_flip = bytes(LABEL_BYTES)
-    flip = _label_bytes(delta)
-    pos = 0
-    for group in _groups(circuit, 1):
-        zero, count = _slot_labels(label0, group, lanes)
-        # a one-label is its zero-label XOR delta
-        flips = b"".join([flip if bit else no_flip
-                          for bit in my_bits[pos : pos + count]])
-        parts.append((zero ^ int.from_bytes(flips, "little")).to_bytes(
-            LABEL_BYTES * count, "little"))
-        pos += count
     j = 0
-    for group in _groups(circuit, 0):
+    for group in _querier_groups(circuit):
         zero, count = _slot_labels(label0, group, lanes)
         for z in split_lanes(zero, LABEL_BITS, count):
             r0, r1 = pads[j]
@@ -438,7 +424,7 @@ def evaluate_steps(
         raise ValueError("setup material belongs to the other party")
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    n_transfers = _slot_count(circuit, 0, lanes)
+    n_transfers = _slot_count(circuit, lanes)
     choices = setup.transfer_choices
     if choices is None or len(choices) < n_transfers:
         raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
@@ -452,19 +438,11 @@ def evaluate_steps(
     e_bits = [bit ^ choices[j][0] for j, bit in enumerate(my_bits)]
     yield from send_frame(MSG_INPUT_SHARE, pack_bits(e_bits), transcript)
     payload = yield from recv_frame(MSG_LABELS, transcript)
-    expected = LABEL_BYTES * (_slot_count(circuit, 1, lanes)
-                              + 2 * n_transfers)
-    if len(payload) != expected:
+    if len(payload) != 2 * LABEL_BYTES * n_transfers:
         raise ProtocolError("label payload has wrong size")
     labels = [0] * circuit.n_wires
-    pos = 0
-    for group in _groups(circuit, 1):
-        size = LABEL_BYTES * _group_slots(group, lanes)
-        _place_slot_labels(labels, group, lanes, int.from_bytes(
-            payload[pos : pos + size], "little"))
-        pos += size
-    j = 0
-    for group in _groups(circuit, 0):
+    pos = j = 0
+    for group in _querier_groups(circuit):
         count = _group_slots(group, lanes)
         chosen = []
         for bit in my_bits[j : j + count]:

@@ -1,7 +1,8 @@
 """Circuit construction and plaintext evaluation.
 
 The comparator circuit is checked exhaustively against the integer overlap
-predicate at small widths, and the batch query against a filter/map oracle.
+predicate at small widths, and the per-entry query template, entry by
+entry, against a filter/map oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import pytest
 
 from prelude.circuits import (
     Circuit,
-    CircuitLayout,
     batch_query_and_count,
     build_batch_query,
     build_distinct_pair,
@@ -40,25 +40,13 @@ def pair_inputs(q: TernaryRule, h: TernaryRule) -> dict:
     return {"q_one": q_one, "q_zero": q_zero, "h_one": h_one, "h_zero": h_zero}
 
 
-def batch_inputs(q: TernaryRule, entries, ids, dummy: int, layout: CircuitLayout) -> dict:
-    q_one, q_zero = rule_input_bits(q)
-    h_one: list[int] = []
-    h_zero: list[int] = []
-    hid: list[int] = []
-    for rule in entries:
-        one, zero = rule_input_bits(rule)
-        h_one.extend(one)
-        h_zero.extend(zero)
-    for v in ids:
-        hid.extend(int_to_bits(v, layout.id_width))
-    return {
-        "q_one": q_one,
-        "q_zero": q_zero,
-        "h_one": h_one,
-        "h_zero": h_zero,
-        "h_ids": hid,
-        "h_dummy": int_to_bits(dummy, layout.id_width),
-    }
+def entry_inputs(q: TernaryRule, rule: TernaryRule, entry_id: int,
+                 id_width: int) -> dict:
+    """Template inputs for one entry: both rules, and the bits the entry's
+    identifier leaves 0 against the all-ones dummy."""
+    dummy = (1 << id_width) - 1
+    return {**pair_inputs(q, rule),
+            "h_id_zeros": int_to_bits(dummy ^ entry_id, id_width)}
 
 
 # ---------------------------------------------------------------- primitives
@@ -68,7 +56,7 @@ class TestGatePrimitives:
     def test_or_truth_table(self):
         c = Circuit()
         (a,) = c.add_input_group(0, "a", 1)
-        (b,) = c.add_input_group(1, "b", 1)
+        (b,) = c.add_input_group(0, "b", 1)
         c.mark_output(c.or_(a, b))
         for x in (0, 1):
             for y in (0, 1):
@@ -77,7 +65,7 @@ class TestGatePrimitives:
     def test_not_and_xor(self):
         c = Circuit()
         (a,) = c.add_input_group(0, "a", 1)
-        (b,) = c.add_input_group(1, "b", 1)
+        (b,) = c.add_input_group(0, "b", 1)
         c.mark_output(c.not_(a))
         c.mark_output(c.xor(a, b))
         c.mark_output(c.and_(a, b))
@@ -119,7 +107,7 @@ class TestClearGroups:
     def circuit() -> tuple[Circuit, int, int]:
         c = Circuit()
         (a,) = c.add_input_group(0, "a", 1)
-        (b,) = c.add_input_group(1, "b", 1, clear=True)
+        (b,) = c.add_input_group(1, "b", 1)
         return c, a, b
 
     def test_clear_wire_feeds_only_and_gates(self):
@@ -148,23 +136,27 @@ class TestClearGroups:
 
     def test_and_of_two_clear_wires_is_rejected(self):
         c = Circuit()
-        b1, b2 = c.add_input_group(1, "b", 2, clear=True)
+        b1, b2 = c.add_input_group(1, "b", 2)
         with pytest.raises(ValueError, match="at most one clear"):
             c.and_(b1, b2)
 
     def test_a_clear_group_belongs_to_party_1_and_to_every_lane(self):
         c = Circuit()
         with pytest.raises(ValueError, match="party 1"):
-            c.add_input_group(0, "a", 1, clear=True)
-        with pytest.raises(ValueError, match="party 1"):
-            c.add_input_group(1, "b", 1, shared=True, clear=True)
+            c.add_input_group(1, "b", 1, shared=True)
         assert c.input_groups == []
+        a = c.add_input_group(0, "a", 2)
+        q = c.add_input_group(0, "q", 2, shared=True)
+        b = c.add_input_group(1, "b", 2)
+        assert c.clear_wires == set(b)
+        assert c.shared_wires == set(q)
+        assert not c.clear_wires & set(a)
 
     def test_comparator_cells_are_cross_gates(self):
         for width in (1, 8, 104):
             c = build_distinct_pair(width)
             assert c.cross_count() == 2 * width
-            assert {g.name for g in c.input_groups if g.clear} == {
+            assert {g.name for g in c.input_groups if g.party == 1} == {
                 "h_one", "h_zero"}
             _, crosses, _ = c.and_layers()
             assert len(crosses[1]) == 2 * width
@@ -210,75 +202,69 @@ class TestDistinctPair:
 
 
 class TestBatchQuery:
-    def oracle(self, q, entries, ids, dummy):
-        return tuple(v if overlaps(q, e) else dummy for e, v in zip(entries, ids))
+    """The per-entry template, evaluated once per entry of a table."""
 
-    def decode_outputs(self, bits, layout):
+    @staticmethod
+    def run_entries(c, q, entries, ids, id_width):
+        """The template's output for each entry, decoded to an integer."""
         out = []
-        for i in range(layout.k):
-            chunk = bits[i * layout.id_width : (i + 1) * layout.id_width]
+        for rule, entry_id in zip(entries, ids):
             value = 0
-            for b in chunk:
+            for b in evaluate_plaintext(
+                    c, entry_inputs(q, rule, entry_id, id_width)):
                 value = (value << 1) | b
             out.append(value)
         return tuple(out)
 
     def test_matches_filter_map_oracle(self):
         rng = random.Random(42)
-        layout = CircuitLayout(k=8, rule_width=8, id_width=12)
-        c = build_batch_query(layout)
-        for _ in range(40):
-            q = random_rule(8, rng)
-            entries = [random_rule(8, rng) for _ in range(8)]
-            ids = [rng.randrange(1 << 12) for _ in range(8)]
-            dummy = (1 << 12) - 1
-            got = self.decode_outputs(
-                evaluate_plaintext(c, batch_inputs(q, entries, ids, dummy, layout)),
-                layout,
-            )
-            assert got == self.oracle(q, entries, ids, dummy)
+        id_width = 12
+        dummy = (1 << id_width) - 1
+        for width in (4, 8):
+            c = build_batch_query(width, id_width)
+            for _ in range(40):
+                q = random_rule(width, rng)
+                entries = [random_rule(width, rng) for _ in range(8)]
+                ids = [rng.randrange(dummy) for _ in range(8)]
+                got = self.run_entries(c, q, entries, ids, id_width)
+                # filter/map: an overlapping entry maps to its identifier,
+                # any other to the all-ones dummy
+                assert got == tuple(v if overlaps(q, e) else dummy
+                                    for e, v in zip(entries, ids))
 
     def test_mapper_selects_dummy_on_distinct(self):
-        layout = CircuitLayout(k=2, rule_width=4, id_width=4)
-        c = build_batch_query(layout)
+        c = build_batch_query(4, 4)
         q = TernaryRule(4, 0b1000, 0b1000)  # first bit pinned to 1
         hit = TernaryRule.wildcard(4)
         miss = TernaryRule(4, 0b0000, 0b1000)  # first bit pinned to 0
-        got = self.decode_outputs(
-            evaluate_plaintext(c, batch_inputs(q, [miss, hit], [5, 2], 9, layout)),
-            layout,
-        )
-        assert got == (9, 2)
+        got = self.run_entries(c, q, [miss, hit], [5, 2], 4)
+        assert got == (0b1111, 2)
 
     def test_output_order_follows_holder_entry_order(self):
-        layout = CircuitLayout(k=3, rule_width=4, id_width=8)
-        c = build_batch_query(layout)
+        c = build_batch_query(4, 8)
         q = TernaryRule.wildcard(4)
         entries = [TernaryRule.wildcard(4)] * 3
-        got = self.decode_outputs(
-            evaluate_plaintext(c, batch_inputs(q, entries, [10, 20, 30], 0xFF, layout)),
-            layout,
-        )
+        got = self.run_entries(c, q, entries, [10, 20, 30], 8)
         assert got == (10, 20, 30)
 
     def test_and_count_exact(self):
-        for k, w, idw in ((1, 4, 8), (8, 8, 48), (5, 104, 48)):
-            layout = CircuitLayout(k=k, rule_width=w, id_width=idw)
-            c = build_batch_query(layout)
-            assert c.and_count() == batch_query_and_count(layout)
-            assert c.and_count() == k * (2 * w + (w - 1)) + k * idw
+        for w, idw in ((4, 8), (8, 48), (104, 48)):
+            c = build_batch_query(w, idw)
+            assert c.and_count() == batch_query_and_count(w, idw)
+            assert c.and_count() == 2 * w + (w - 1) + idw
+            # the comparator cells and the identifier stage are cross gates
+            assert c.cross_count() == 2 * w + idw
 
     def test_and_depth_independent_of_k(self):
+        # one template serves every k: its depth depends on the rule width
         for w in (4, 8, 104):
-            depths = set()
-            for k in (1, 4, 16):
-                c = build_batch_query(CircuitLayout(k=k, rule_width=w, id_width=16))
-                depths.add(c.and_depth())
-            assert len(depths) == 1
-            assert depths.pop() == expected_and_depth(w, with_mapper=True)
+            for idw in (1, 16, 48):
+                c = build_batch_query(w, idw)
+                assert c.and_depth() == expected_and_depth(w, with_mapper=True)
+                assert c.distinct_stage().and_depth() == expected_and_depth(w)
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
-            CircuitLayout(k=0, rule_width=8)
+            build_batch_query(0, 8)
         with pytest.raises(ValueError):
-            CircuitLayout(k=1, rule_width=0)
+            build_batch_query(8, 0)

@@ -90,6 +90,26 @@ class TestRequestInvariants:
         self.assert_refused(plane, lambda: plane.install(stranger),
                             PolicyError)
 
+    def test_unknown_exchange_is_a_policy_error(self):
+        fx = two_exchange_fixture()
+        plane = fixture_plane("direct")
+        nowhere = DeflectionPolicy(owner=2, sdx_id=99, rule=WEB,
+                                   deflect_to=1, prefix=fx.prefix)
+        self.assert_refused(plane, lambda: plane.install(nowhere),
+                            PolicyError)
+        with pytest.raises(PolicyError, match="unknown exchange 99"):
+            plane.install(nowhere)
+        # the baseline judges only a policy the plane would install
+        with pytest.raises(PolicyError, match="unknown exchange 99"):
+            plane.sidr_verdict(nowhere)
+        assert plane.events == []
+
+    def test_unknown_backend_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="unknown backend 'foo'"):
+            fixture_plane("smpc", backend="foo")
+        with pytest.raises(ValueError, match="unknown transport 'tcp'"):
+            fixture_plane("tcp")
+
     def test_node_refuses_another_exchanges_policy(self):
         fx = two_exchange_fixture()
         plane = fixture_plane("direct")

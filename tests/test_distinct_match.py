@@ -22,7 +22,6 @@ from prelude.distinct_match import (
 )
 from prelude.circuits import (
     Circuit,
-    CircuitLayout,
     batch_query_and_count,
     expected_and_depth,
 )
@@ -87,10 +86,14 @@ class TestNextHopId:
         rng = random.Random(1)
         for _ in range(50):
             hop = NextHopId(rng.getrandbits(16), rng.getrandbits(32))
-            assert len(hop.to_bits()) == HOP_ID_BITS
+            assert 0 <= hop.value < 1 << HOP_ID_BITS
+            assert NextHopId.from_value(hop.value) == hop
+            assert NextHopId.from_bytes(hop.to_bytes()) == hop
 
     def test_dummy_is_all_ones(self):
-        assert DUMMY_HOP.to_bits() == (1,) * HOP_ID_BITS
+        # the query template's identifier stage computes distinct OR id_j,
+        # which is the dummy on a distinct entry only if the dummy is all ones
+        assert DUMMY_HOP.value == (1 << HOP_ID_BITS) - 1
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -486,8 +489,8 @@ class TestLaneSessions:
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 314, 306, 5),
-        ("gmw", 104, 50, 5580, 5499, 10),
+        ("gmw", 4, 8, 266, 210, 5),
+        ("gmw", 104, 50, 5280, 4899, 10),
         ("yao", 104, 50, 334707, 7297, 2),
     ])
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
@@ -524,24 +527,25 @@ class TestLaneSessions:
                    for i in range(k)]
         endpoint = fresh_endpoint(entries)
         endpoint.query(random_rule(width, rng), "10.0.0.0/8")
-        per_entry = batch_query_and_count(CircuitLayout(1, width))
+        per_entry = batch_query_and_count(width, HOP_ID_BITS)
         assert per_entry == 3 * width - 1 + HOP_ID_BITS
-        # the comparator's 2w cross gates take cross products, not triples
+        # the comparator's 2w cross gates and the identifier stage's one per
+        # identifier bit take cross products; only the OR tree takes triples
         for material in materials:
-            assert material.triples.n == k * (per_entry - 2 * width)
-            assert material.triples.pos == k * (per_entry - 2 * width)
-            assert material.cross.n == material.cross.pos == k * 2 * width
+            assert material.triples.n == material.triples.pos == k * (width - 1)
+            assert material.cross.n == material.cross.pos == k * (
+                2 * width + HOP_ID_BITS)
 
     def test_one_template_per_width_and_no_circuit_grows_with_k(
             self, monkeypatch):
         width = 6
         monkeypatch.setattr(distinct_match, "_templates", {})
-        built_layouts = []
+        built_shapes = []
         build = distinct_match.build_batch_query
 
-        def recording_build(layout):
-            built_layouts.append(layout)
-            return build(layout)
+        def recording_build(rule_width, id_width):
+            built_shapes.append((rule_width, id_width))
+            return build(rule_width, id_width)
 
         monkeypatch.setattr(distinct_match, "build_batch_query",
                             recording_build)
@@ -565,9 +569,9 @@ class TestLaneSessions:
                                stats_out=stats_out)
                 assert stats_out[0].k == k
         template = distinct_match.query_template(width)
-        assert list(distinct_match._templates) == [(width, HOP_ID_BITS)]
-        assert distinct_match._templates[width, HOP_ID_BITS] is template
-        assert built_layouts == [CircuitLayout(1, width, HOP_ID_BITS)]
+        assert list(distinct_match._templates) == [width]
+        assert distinct_match._templates[width] is template
+        assert built_shapes == [(width, HOP_ID_BITS)]
         # the template and its stage are all that was ever built
         assert len(created) == 2
         assert max(len(c.gates) for c in created) == len(template.circuit.gates)

@@ -19,7 +19,6 @@ from prelude.circuits import (
     NOT,
     XOR,
     Circuit,
-    CircuitLayout,
     build_batch_query,
     build_distinct_pair,
     evaluate_plaintext,
@@ -86,21 +85,23 @@ def rule_inputs(q, h) -> tuple[dict, dict]:
 
 def random_circuit(rng: random.Random, n0: int = 5, n1: int = 5,
                    n_gates: int = 40) -> Circuit:
+    """Random gates over party 0's secret wires; party 1's clear wires feed
+    only AND gates, each with a secret wire."""
     c = Circuit()
-    c.add_input_group(0, "a", n0)
-    c.add_input_group(1, "b", n1)
+    secret = list(c.add_input_group(0, "a", n0))
+    clear = c.add_input_group(1, "b", n1)
     for _ in range(n_gates):
         op = rng.randrange(3)
-        x = rng.randrange(c.n_wires)
+        x = rng.choice(secret)
         if op == 0:
-            c.and_(x, rng.randrange(c.n_wires))
+            secret.append(c.and_(x, rng.choice(secret + list(clear))))
         elif op == 1:
-            c.xor(x, rng.randrange(c.n_wires))
+            secret.append(c.xor(x, rng.choice(secret)))
         else:
-            c.not_(x)
-    for w in rng.sample(range(c.n_wires), k=4):
+            secret.append(c.not_(x))
+    for w in rng.sample(secret, k=4):
         c.mark_output(w)
-    c.mark_output(c.n_wires - 1)
+    c.mark_output(secret[-1])
     return c
 
 
@@ -142,20 +143,22 @@ def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
 
 
 def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
-                one_sided=False, spy0=None):
+                one_sided=False, spy0=None, lanes=1):
     """Run both parties in this thread; returns (out0, out1, t0, t1).
 
     Party 0 is driven over an in-thread loopback whose peer is party 1;
     ``spy0`` wraps that channel.
     """
-    mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed))
+    mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
+                                    lanes=lanes)
     t0, t1 = SessionTranscript(), SessionTranscript()
     ch = InlineLoopback(
         party_steps(circuit, backend, 1, inputs1, mat1, t1,
-                    garble_rng=random.Random(seed + 1), one_sided=one_sided),
+                    garble_rng=random.Random(seed + 1), one_sided=one_sided,
+                    lanes=lanes),
         one_way_delay=delay)
     out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0, t0,
-                             one_sided=one_sided),
+                             one_sided=one_sided, lanes=lanes),
                  ch if spy0 is None else spy0(ch))
     return out0, ch.finish(), t0, t1
 
@@ -436,11 +439,11 @@ class TestGmw:
 
     def test_online_rounds_equal_and_depth_plus_reveal(self):
         rng = random.Random(11)
+        circuit = build_batch_query(16, 48)
         for k in (1, 3):
-            layout = CircuitLayout(k=k, rule_width=16)
-            circuit = build_batch_query(layout)
-            inputs0, inputs1 = random_inputs(circuit, rng)
-            _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1)
+            inputs0, inputs1 = TestLanes.lane_inputs(circuit, k, rng)
+            _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1,
+                                       lanes=k)
             assert t0.online_rounds == t1.online_rounds
             assert t0.online_rounds == circuit.and_depth() + 1
             assert circuit.and_depth() == expected_and_depth(16, with_mapper=True)
@@ -448,10 +451,10 @@ class TestGmw:
     def test_xor_only_circuit_needs_one_round(self):
         c = Circuit()
         c.add_input_group(0, "a", 2)
-        c.add_input_group(1, "b", 2)
+        c.add_input_group(0, "b", 2)
         c.mark_output(c.xor(0, 2))
         c.mark_output(c.xor(1, 3))
-        out0, _, t0, _ = run_backend(c, "gmw", {"a": [1, 0]}, {"b": [1, 1]})
+        out0, _, t0, _ = run_backend(c, "gmw", {"a": [1, 0], "b": [1, 1]}, {})
         assert out0 == (0, 1)
         assert t0.online_rounds == 1
 
@@ -467,7 +470,9 @@ class TestGmw:
             assert setup_kinds == {MSG_SETUP_TRIPLES}
 
     @staticmethod
-    def run_short(triples_short: int, cross_short: int) -> None:
+    def run_short(triples_short: int, cross_short: int, short: str) -> None:
+        """A session whose dealer provides too few triples or cross
+        products; the error names the stream that ran short."""
         circuit = build_distinct_pair(4)
         rng = random.Random(1)
         inputs0, inputs1 = random_inputs(circuit, rng)
@@ -475,14 +480,14 @@ class TestGmw:
         n_triples = circuit.and_count() - circuit.cross_count() - triples_short
         mat0, mat1 = dealer_gen(n_triples, 0, rng, cross=[(0, n_cross)])
         ch = InlineLoopback(gmw_steps(circuit, 1, inputs1, mat1))
-        with pytest.raises(SetupUnderprovisioned):
+        with pytest.raises(SetupUnderprovisioned, match=f"needed .* {short},"):
             drive(gmw_steps(circuit, 0, inputs0, mat0), ch)
 
     def test_underprovisioned_dealer_aborts(self):
-        self.run_short(triples_short=1, cross_short=0)
+        self.run_short(triples_short=1, cross_short=0, short="beaver triples")
 
     def test_underprovisioned_cross_material_aborts(self):
-        self.run_short(triples_short=0, cross_short=1)
+        self.run_short(triples_short=0, cross_short=1, short="cross products")
 
     def test_closed_channel_aborts_cleanly(self):
         circuit = build_distinct_pair(4)
@@ -539,20 +544,19 @@ class TestYao:
 
     def test_single_not_gate(self):
         c = Circuit()
-        c.add_input_group(0, "a", 1)
-        c.add_input_group(1, "b", 1)
+        c.add_input_group(0, "a", 2)
         c.mark_output(c.not_(0))
         c.mark_output(c.not_(1))
-        out0, _, _, _ = run_backend(c, "yao", {"a": [1]}, {"b": [0]})
+        out0, _, _, _ = run_backend(c, "yao", {"a": [1, 0]}, {})
         assert out0 == (0, 1)
 
     def test_two_online_rounds_regardless_of_size(self):
         rng = random.Random(6)
+        circuit = build_batch_query(8, 48)
         for k in (1, 8):
-            layout = CircuitLayout(k=k, rule_width=8)
-            circuit = build_batch_query(layout)
-            inputs0, inputs1 = random_inputs(circuit, rng)
-            _, _, t0, t1 = run_backend(circuit, "yao", inputs0, inputs1)
+            inputs0, inputs1 = TestLanes.lane_inputs(circuit, k, rng)
+            _, _, t0, t1 = run_backend(circuit, "yao", inputs0, inputs1,
+                                       lanes=k)
             assert t0.online_rounds == t1.online_rounds == 2
 
     def test_tables_travel_during_setup(self):
@@ -612,18 +616,18 @@ class TestLanes:
 
     @staticmethod
     def lane_circuit(rng: random.Random, clear: bool = False) -> Circuit:
-        """Random gates over shared and per-lane groups of both parties.
+        """Random gates over the querier's shared and per-lane groups.
 
-        With ``clear`` the holder also has a clear group, and every clear
-        wire feeds cross gates with a shared and a per-lane querier wire,
-        at the first AND level and above it.
+        With ``clear`` the holder also has a group, whose clear wires each
+        feed cross gates with a shared and a per-lane querier wire, at the
+        first AND level and above it.
         """
         c = Circuit()
         q = c.add_input_group(0, "q", 3, shared=True)
         a = c.add_input_group(0, "a", 3)
-        c.add_input_group(1, "b", 4)
-        c.add_input_group(1, "d", 2, shared=True)
-        clear_wires = c.add_input_group(1, "h", 3, clear=True) if clear else ()
+        c.add_input_group(0, "b", 4)
+        c.add_input_group(0, "d", 2, shared=True)
+        clear_wires = c.add_input_group(1, "h", 3) if clear else ()
         secret = list(range(c.n_wires - len(clear_wires)))
         for h in clear_wires:
             secret.append(c.and_(rng.choice(q), h))
@@ -708,12 +712,12 @@ class TestLanes:
                 assert got[lane::lanes] == expected, (trial, lane)
 
     def test_dealer_material_scales_with_lanes(self):
-        circuit = build_batch_query(CircuitLayout(k=1, rule_width=8))
+        circuit = build_batch_query(8, 48)
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(1), lanes=5)
-        # 16 comparator cross gates, 7 OR-tree and 48 multiplexer ANDs
-        assert circuit.cross_count() == 16
-        assert mat0.triples.n == 5 * (7 + 48)
-        assert mat0.cross.n == 5 * 16
+        # 16 comparator and 48 identifier cross gates, 7 OR-tree ANDs
+        assert circuit.cross_count() == 16 + 48
+        assert mat0.triples.n == 5 * 7
+        assert mat0.cross.n == 5 * (16 + 48)
         # the querier's groups are shared: one transfer per wire at any k
         stage = circuit.distinct_stage()
         mat0, mat1 = dealer_for_circuit(stage, "yao", random.Random(1), lanes=5)
@@ -775,7 +779,7 @@ class TestHalfGates:
         delta = rng.getrandbits(128) | 1
         label = {}  # (wire, lane) -> zero-label
         for group in circuit.input_groups:
-            if group.clear:
+            if group.party == 1:
                 continue
             for w in group.wires:
                 if group.shared:
@@ -922,13 +926,17 @@ class TestBackendAgreement:
             raise AssertionError("a session started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        circuit = build_batch_query(CircuitLayout(k=2, rule_width=8))
+        circuit = build_batch_query(8, 48)
         rng = random.Random(29)
-        inputs0, inputs1 = random_inputs(circuit, rng)
-        expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
+        inputs0, inputs1 = TestLanes.lane_inputs(circuit, 2, rng)
+        both = {**inputs0, **inputs1}
+        # outputs are ordered by wire, then lane
+        expected = tuple(bit for pair in zip(
+            *(TestLanes.lane_plaintext(circuit, both, lane) for lane in (0, 1)))
+            for bit in pair)
         for backend in ("gmw", "yao"):
             out0, out1, _, _ = run_backend(circuit, backend, inputs0, inputs1,
-                                           seed=3)
+                                           seed=3, lanes=2)
             assert out0 == expected
             assert out1 == (expected if backend == "gmw" else None)
 
@@ -1004,23 +1012,20 @@ class TestOnlineTrafficLooksRandom:
         # Two very different holder inputs; in both cases the bits the other
         # party actually sees online must be indistinguishable from fair
         # coin flips (the dealer randomness masks everything).
-        layout = CircuitLayout(k=4, rule_width=8)
-        circuit = build_batch_query(layout)
+        lanes = 4
+        circuit = build_batch_query(8, 48)
         rng = random.Random(23)
-        inputs0, _ = random_inputs(circuit, rng)
-        holder_a = random_inputs(circuit, random.Random(100))[1]
-        holder_b = {
-            name: [0] * len(bits)
-            for name, bits in random_inputs(circuit, random.Random(101))[1].items()
-        }
+        inputs0, _ = TestLanes.lane_inputs(circuit, lanes, rng)
+        holder_a = TestLanes.lane_inputs(circuit, lanes, random.Random(100))[1]
+        holder_b = {name: [0] * len(bits) for name, bits in holder_a.items()}
         # Opening frames arrive one per AND layer; each carries 2 significant
-        # bits per AND gate at that layer and the holder's 1 per cross gate
-        # (the rest of the last byte is padding).
+        # bits per AND gate and lane at that layer and the holder's 1 per
+        # cross gate and lane (the rest of the last byte is padding).
         ands, crosses, _ = circuit.and_layers()
-        frame_widths = [2 * len(a) + len(c)
+        frame_widths = [(2 * len(a) + len(c)) * lanes
                         for a, c in zip(ands[1:], crosses[1:])]
         assert all(frame_widths)
-        frame_widths.append(len(circuit.output_wires))
+        frame_widths.append(len(circuit.output_wires) * lanes)
         for holder in (holder_a, holder_b):
             spies = []
 
@@ -1034,7 +1039,8 @@ class TestOnlineTrafficLooksRandom:
             for session in range(40):
                 spies.clear()
                 run_backend(circuit, "gmw", inputs0, holder,
-                            seed=1000 + session, one_sided=True, spy0=make_spy)
+                            seed=1000 + session, one_sided=True, spy0=make_spy,
+                            lanes=lanes)
                 payloads = [
                     payload for kind, payload in spies[0].received
                     if kind in (MSG_AND_OPENING, MSG_OUTPUT_SHARE)
