@@ -9,16 +9,26 @@ The interesting cost metric is AND gates: XOR and NOT are free in both
 secure backends, while each AND costs communication.  OR is therefore
 built from AND/NOT via De Morgan as a balanced tree.
 
-Party 1's inputs are *clear*: the holder knows those bits, and no backend
-labels, masks or shares them.  Its wires (:attr:`Circuit.clear_wires`) feed
-only AND gates, each of which then reads one clear wire and one secret
-wire; such a *cross gate* is cheaper than a full AND in both backends (a
-one-row garbler half-gate under yao, a one-sided product under gmw).  The
-rule comparator and the identifier stage are built from them.  A cross
+A circuit is evaluated over one or more lanes, one per table entry.  Party
+0's inputs are *broadcast*: one value per wire, which every lane reads, as
+one querier rule is checked against every entry.  Party 1's inputs are
+*clear*, one value per wire and lane: the holder knows those bits, and no
+backend labels, masks or shares them.  Its wires
+(:attr:`Circuit.clear_wires`) feed only AND gates, each of which then reads
+one clear wire and one secret wire; such a *cross gate* is cheaper than a
+full AND in both backends (a one-row garbler half-gate under yao, a
+one-sided product under gmw).  The rule comparator and the identifier
+stage are built from them.  A cross
 gate's output is a secret wire like any other; the holder's bit leaves the
 holder only under a one-time pad or inside a garbled row, so the querier
 learns no more than from the same bit as a secret input (see
 :mod:`prelude.smpc.yao` and :mod:`prelude.smpc.gmw`).
+
+Since clear wires feed only AND gates, every secret wire of AND depth 0 is
+an XOR or NOT of broadcast inputs and holds the same value in every lane.
+A cross gate at AND level 1 therefore reads a secret bit common to all
+lanes, and the backends exploit this; a cross gate at a later level reads
+one bit per lane.
 """
 
 from __future__ import annotations
@@ -38,16 +48,14 @@ _KIND_NAMES = {AND: "AND", XOR: "XOR", NOT: "NOT"}
 class InputGroup:
     """Input wires one party supplies.
 
-    When the circuit is evaluated over several lanes, a ``shared`` group,
-    which only party 0 may have, carries one value per wire for every lane;
-    any other group carries one value per wire and lane.  Party 1's groups
-    are clear, and their wires may feed only AND gates.
+    Party 0's groups carry one value per wire, which every lane reads;
+    party 1's are clear, carry one value per wire and lane, and their wires
+    may feed only AND gates.
     """
 
     party: int
     name: str
     wires: tuple[int, ...]
-    shared: bool = False
 
 
 class Circuit:
@@ -58,29 +66,23 @@ class Circuit:
         self.gates: list[tuple[int, int, int, int]] = []  # (kind, a, b, out); b=-1 for NOT
         self.input_groups: list[InputGroup] = []
         self.output_wires: list[int] = []
-        self.shared_wires: set[int] = set()
         self.clear_wires: set[int] = set()
         self._depth_cache: list[int] | None = None
-        self._layers_cache: tuple[list, list, list, list] | None = None
+        self._layers_cache: tuple[list, list, list] | None = None
 
     # -------------------------------------------------- construction
 
-    def add_input_group(self, party: int, name: str, width: int,
-                        shared: bool = False) -> tuple[int, ...]:
+    def add_input_group(self, party: int, name: str,
+                        width: int) -> tuple[int, ...]:
         if self.gates:
             raise ValueError("input groups must be declared before gates")
         if party not in (0, 1):
             raise ValueError("party must be 0 or 1")
-        if shared and party == 1:
-            raise ValueError("party 1's groups are clear, one value per wire "
-                             "and lane; only party 0's may be shared")
         if any(g.name == name for g in self.input_groups):
             raise ValueError(f"duplicate input group {name!r}")
         wires = tuple(range(self.n_wires, self.n_wires + width))
         self.n_wires += width
-        self.input_groups.append(InputGroup(party, name, wires, shared))
-        if shared:
-            self.shared_wires.update(wires)
+        self.input_groups.append(InputGroup(party, name, wires))
         if party == 1:
             self.clear_wires.update(wires)
         return wires
@@ -162,9 +164,9 @@ class Circuit:
         0..and_depth(): ``ands[L]`` holds the AND gates at level L that read
         two secret wires and ``crosses[L]`` the cross gates, both of which
         only read wires of lower levels, and ``locals[L]`` the XOR and NOT
-        gates at level L, which may read them.  Cross gates whose secret
-        wire belongs to a shared group come first; otherwise every list
-        keeps gate order.
+        gates at level L, which may read them.  Every list keeps gate
+        order.  The cross gates of level 1 read secret wires that hold the
+        same value in every lane (see the module docstring).
         """
         if self._layers_cache is None:
             depth = self.wire_and_depths()
@@ -180,18 +182,8 @@ class Circuit:
                 else:
                     layers = ands
                 layers[depth[gate[3]]].append(gate)
-            for layer in crosses:
-                layer.sort(key=lambda g: g[1] not in self.shared_wires)
-            shared = [sum(g[1] in self.shared_wires for g in layer)
-                      for layer in crosses]
-            self._layers_cache = (ands, crosses, locals_, shared)
-        return self._layers_cache[:3]
-
-    def shared_cross_counts(self) -> list[int]:
-        """Per AND level, the cross gates whose secret wire belongs to a
-        shared group, which :meth:`and_layers` lists first."""
-        self.and_layers()
-        return self._layers_cache[3]
+            self._layers_cache = (ands, crosses, locals_)
+        return self._layers_cache
 
     # -------------------------------------------------- dump
 
@@ -300,10 +292,9 @@ class BatchQueryCircuit(Circuit):
     is 1 iff the entry is distinct from the queried rule.  The identifier
     stage follows them.
 
-    The querier's rule is the same for every entry, so its groups are
-    ``shared``: the backends evaluate this one circuit over k lanes, lane i
-    being the i-th entry.  The holder's groups are clear, one value per
-    lane.
+    The backends evaluate this one circuit over k lanes, lane i being the
+    i-th entry: the querier's rule is broadcast to every lane, and the
+    holder's groups are clear, one value per lane.
     """
 
     RULE_GROUPS = ("q_one", "q_zero", "h_one", "h_zero")
@@ -324,7 +315,6 @@ class BatchQueryCircuit(Circuit):
         stage.n_wires = stage.gates[-1][3] + 1
         stage.input_groups = [g for g in self.input_groups
                               if g.name in self.RULE_GROUPS]
-        stage.shared_wires = self.shared_wires
         stage.clear_wires = self.clear_wires
         stage.output_wires = [self.distinct_wire]
         return stage
@@ -346,8 +336,8 @@ def build_batch_query(rule_width: int, id_width: int) -> BatchQueryCircuit:
     if rule_width < 1 or id_width < 1:
         raise ValueError("widths must be positive")
     c = BatchQueryCircuit()
-    q_one = c.add_input_group(0, "q_one", rule_width, shared=True)
-    q_zero = c.add_input_group(0, "q_zero", rule_width, shared=True)
+    q_one = c.add_input_group(0, "q_one", rule_width)
+    q_zero = c.add_input_group(0, "q_zero", rule_width)
     h_one = c.add_input_group(1, "h_one", rule_width)
     h_zero = c.add_input_group(1, "h_zero", rule_width)
     id_zeros = c.add_input_group(1, "h_id_zeros", id_width)

@@ -16,9 +16,9 @@ Session flow, all on one framed channel:
    backend, or if the width differs from its table's;
 2. holder answers with {k, id width} where k is its entry count for the
    prefix; the querier aborts with a ProtocolError naming the fault if the
-   answer is not a JSON object with a non-negative integer k and its own
-   identifier width; k == 0 ends the session with an empty result and no
-   circuit work;
+   answer is not a JSON object with a non-negative integer k of at most
+   ``MAX_ENTRIES`` and its own identifier width; k == 0 ends the session
+   with an empty result and no circuit work;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
@@ -104,6 +104,12 @@ HOP_ID_BYTES = HOP_ID_BITS // 8
 
 BACKENDS = ("gmw", "yao")
 
+# The largest k a querier accepts in the envelope ack, which it sizes its
+# dealer material from before anything else checks it.  This is about 8x the
+# largest table any test or workload runs; at rule width 104 a yao session
+# of this size already moves about 27 MB of garbled tables.
+MAX_ENTRIES = 4096
+
 
 @dataclass(frozen=True, order=True)
 class NextHopId:
@@ -166,9 +172,6 @@ class QueryResult:
 
     def sorted_hops(self) -> list[NextHopId]:
         return sorted(self.hops)
-
-
-EMPTY_RESULT = QueryResult(frozenset())
 
 
 class QueryAborted(Exception):
@@ -264,12 +267,16 @@ def _parse_ack(payload: bytes) -> int:
     """The entry count k of a holder's envelope ack.
 
     Raises ProtocolError naming the fault for anything but a JSON object
-    with a non-negative integer k and this side's identifier width.
+    with a non-negative integer k of at most :data:`MAX_ENTRIES` and this
+    side's identifier width.
     """
     k, id_width = _json_fields(payload, "envelope ack", ("k", "id_width"))
     if type(k) is not int or k < 0:
         raise ProtocolError(
             f"envelope ack k {k!r} is not a non-negative integer")
+    if k > MAX_ENTRIES:
+        raise ProtocolError(
+            f"envelope ack k {k} exceeds the cap of {MAX_ENTRIES} entries")
     if type(id_width) is not int or id_width != HOP_ID_BITS:
         raise ProtocolError(
             f"holder uses an incompatible identifier width {id_width!r}")
@@ -364,8 +371,7 @@ class SdxMatchService:
             material = dealer.material(template.circuit, backend, 1, k)
             shares = yield from gmw_steps(template.circuit, 1, inputs,
                                           material, transcript, lanes=k)
-            yield from reveal_steps(shares, transcript, send=True,
-                                    receive=False)
+            yield from reveal_steps(shares, transcript, receive=False)
             return
         material = dealer.material(template.stage, backend, 1, k)
         delta, zero_labels = yield from garble_steps(
@@ -408,8 +414,7 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
         material = dealer.material(template.circuit, backend, 0, k)
         shares = yield from gmw_steps(template.circuit, 0, inputs, material,
                                       transcript, lanes=k)
-        value = yield from reveal_steps(shares, transcript, send=False,
-                                        receive=True)
+        value = yield from reveal_steps(shares, transcript, receive=True)
         # bit j * k + i of the output is bit j of entry i's identifier
         words = split_lanes(value, k, HOP_ID_BITS)
         return [NextHopId.from_value(v) for v in lanes_to_rows(words, k)]

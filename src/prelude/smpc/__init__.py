@@ -4,8 +4,8 @@ Two interchangeable backends evaluate the same circuit objects:
 
 - :func:`gmw_steps` works on XOR shares with dealer-issued Beaver triples,
   and one-sided products for cross gates; its online round count equals
-  the circuit's AND depth.  :func:`reveal_steps` then opens the shared
-  result, optionally one-sided so only one party learns the plaintext.
+  the circuit's AND depth.  :func:`reveal_steps` then opens the XOR-shared
+  result to one party, the other only sending its share.
 - :func:`garble_steps` and :func:`evaluate_steps` garble and evaluate the
   circuit; their online phase is a single round trip regardless of depth.
   :func:`release_steps` and :func:`open_steps` then release to the
@@ -15,8 +15,12 @@ Party 1's inputs are clear (see :mod:`prelude.circuits`): neither backend
 shares, masks or labels them, and they feed only cross gates.
 
 Either can also evaluate a circuit as a template over ``lanes`` independent
-instances, packing every lane of a wire into one integer; rounds and bytes
-are those of the circuit unrolled ``lanes`` times.
+instances, packing every lane of a wire into one integer.  Party 0's inputs
+are broadcast, one value per wire that every lane reads, so each takes one
+mask bit or one label transfer whatever the lane count, and a cross gate at
+AND level 1, whose secret wire is then the same in every lane, opens one
+querier bit under gmw; everything else costs what the circuit unrolled
+``lanes`` times would.
 
 Every party is a step generator over frames, and :func:`drive` runs one
 over a channel: an in-thread loopback whose peer is the other party's step

@@ -47,6 +47,9 @@ KIND_NAMES = {
 }
 
 _HEADER = struct.Struct(">I")
+# The most one socket read asks for: recv allocates what it is asked for,
+# and a frame's length comes from the peer.
+_RECV_CHUNK = 1 << 20
 
 
 class ChannelClosed(Exception):
@@ -109,18 +112,21 @@ class TcpChannel:
         return len(frame)
 
     def _read_exact(self, n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
+        # Chunks are joined once, so a large frame reads in linear time.
+        chunks: list[bytes] = []
+        left = n
+        while left:
             try:
-                chunk = self._sock.recv(n - len(buf))
+                chunk = self._sock.recv(min(left, _RECV_CHUNK))
             except socket.timeout:
                 raise ChannelTimeout("no frame within timeout") from None
             except OSError as exc:
                 raise ChannelClosed(str(exc)) from exc
             if not chunk:
                 raise ChannelClosed("peer closed the connection")
-            buf += chunk
-        return buf
+            chunks.append(chunk)
+            left -= len(chunk)
+        return b"".join(chunks)
 
     def recv(self) -> tuple[int, bytes, int]:
         (length,) = _HEADER.unpack(self._read_exact(4))

@@ -10,8 +10,9 @@ Per session it produces:
 - cross-product material for every cross gate, an AND of a secret wire
   with a wire the holder (party 1) knows in the clear, on every lane: the
   querier (party 0) gets a random word a, the holder a random word y, and
-  each an XOR share of a AND y.  Where the gate's secret wire belongs to a
-  shared group, a is one bit copied to every lane;
+  each an XOR share of a AND y.  For a cross gate at AND level 1, whose
+  secret wire is the same in every lane (see :mod:`prelude.circuits`), a
+  is one bit copied to every lane;
 - a joint input-mask seed, from which both parties derive identical masks for
   every input wire.  The wire's owner sets its share to ``bit XOR mask`` and
   the other party uses the mask itself, so input sharing costs no messages;
@@ -113,9 +114,9 @@ def dealer_gen(
 
     Party 1, the garbler, receives the label-transfer pad pairs; party 0
     receives choice bits and matching pads.
-    ``cross`` gives, per AND level in the order GMW consumes them, the
-    number of cross gates whose secret wire is the same on every one of
-    ``lanes`` and the number of the others, which follow them.
+    ``cross`` gives the number of cross gates at each AND level from 0, in
+    the order GMW consumes them, over ``lanes``; the querier's random bit of
+    a level-1 gate fills all of its lanes.
     """
     a = rng.getrandbits(n_triples)
     b = rng.getrandbits(n_triples)
@@ -139,13 +140,14 @@ def dealer_gen(
 
     every_lane = (1 << lanes) - 1
     x = n_cross = 0
-    for n_uniform, n_other in cross:
-        # a uniform gate's random bit fills all of its lanes
-        uniform = join_lanes(int_to_bits(rng.getrandbits(n_uniform),
-                                         n_uniform), lanes) * every_lane
-        other = rng.getrandbits(n_other * lanes)
-        x |= (uniform | other << (n_uniform * lanes)) << n_cross
-        n_cross += (n_uniform + n_other) * lanes
+    for level, n in enumerate(cross):
+        if level == 1:
+            word = join_lanes(int_to_bits(rng.getrandbits(n), n),
+                              lanes) * every_lane
+        else:
+            word = rng.getrandbits(n * lanes)
+        x |= word << n_cross
+        n_cross += n * lanes
     y = rng.getrandbits(n_cross)
     z0 = rng.getrandbits(n_cross)
     cross0 = TripleStream(x, 0, z0, n_cross, name="cross products")
@@ -163,17 +165,16 @@ def dealer_for_circuit(
 
     GMW takes one triple per AND gate between secret wires and lane, and
     one cross product per cross gate and lane.  Yao transfers one label per
-    wire of the evaluator's (party 0's) shared groups and one per wire and
-    lane of its other groups; party 1's inputs are clear and take none.
+    input wire of the evaluator (party 0), whose inputs every lane reads;
+    party 1's inputs are clear and take none.
     """
     if backend == "gmw":
         _, crosses, _ = circuit.and_layers()
-        cross = [(n, len(layer) - n) for layer, n
-                 in zip(crosses, circuit.shared_cross_counts())]
         return dealer_gen(lanes * (circuit.and_count() - circuit.cross_count()),
-                          0, rng, cross=cross, lanes=lanes)
+                          0, rng, cross=[len(layer) for layer in crosses],
+                          lanes=lanes)
     if backend == "yao":
-        n_transfers = sum(len(g.wires) * (1 if g.shared else lanes)
-                          for g in circuit.input_groups if g.party == 0)
+        n_transfers = sum(len(g.wires) for g in circuit.input_groups
+                          if g.party == 0)
         return dealer_gen(0, n_transfers, rng)
     raise ValueError(f"unknown backend {backend!r}")

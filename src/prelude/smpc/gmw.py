@@ -5,35 +5,38 @@ Each AND layer consumes one Beaver triple per gate and costs exactly one
 exchange of masked openings, so the online round count equals the circuit's
 AND depth; revealing the output afterwards adds one more round.  A party
 runs as two step generators over frames: :func:`gmw_steps` leaves the
-outputs XOR-shared and :func:`reveal_steps` opens them, to both parties or
-to one.
+outputs XOR-shared and :func:`reveal_steps` opens them to one party: the
+other sends its share and learns nothing.
 
 A circuit can be evaluated as a template over ``lanes`` independent
 instances at once, the SIMD gates of ABY (Demmler, Schneider & Zohner,
 NDSS 2015): each wire's share is one Python int whose bit i belongs to lane
 i, XOR and NOT act on whole ints, and an AND layer of n gates takes n x lanes
 triples and opens them in one frame of the size n x lanes separate gates
-would need.  A per-lane input group supplies one int of lane bits per wire;
-a shared group (:attr:`InputGroup.shared`) supplies one bit per wire, which
-is broadcast to every lane.  At one lane this is plain bit-level GMW.
+would need.  Party 0's inputs are broadcast (see :mod:`prelude.circuits`):
+the querier supplies one bit per wire, which every lane reads.  At one lane
+this is plain bit-level GMW.
 
-Input wires never touch the channel.  Only party 0's groups are shared:
-both parties expand the dealer's joint mask seed into one mask per querier
-input wire, one bit wide for a shared wire and ``lanes`` bits otherwise;
-the querier takes ``value XOR mask`` as its share and the holder takes the
-mask, which is a valid fresh sharing.
+Input wires never touch the channel, and only party 0's are XOR-shared:
+both parties expand the dealer's joint mask seed into one mask bit per
+querier input wire, copied to every lane; the querier takes ``value XOR
+mask`` as its share and the holder takes the mask, which is a valid fresh
+sharing.  Every wire of AND depth 0 is then shared the same way in every
+lane.
 
 Party 1's inputs are clear (see :mod:`prelude.circuits`): the holder keeps
 their bits as they are, and they feed only cross gates.  A cross gate s AND
 b, s shared as s0 XOR s1 and b the holder's clear bit, is a one-sided
 product over dealer material: the querier holds a random a, the holder a
-random y, and each a share of a AND y.  The querier opens s0 XOR a, a single bit per gate when s belongs to
-a shared group and so is the same in every lane; the holder opens b XOR y,
-one bit per lane.  Both openings ride in the frame of that AND level,
-beside its Beaver openings.  With d = s0 XOR a and e = b XOR y, the querier
-takes s0 e XOR its product share and the holder d y XOR its product share
-XOR s1 b; these XOR to s b.  Each opening is one-time padded by dealer
-randomness the receiver never sees, so neither party learns anything.
+random y, and each a share of a AND y.  The querier opens s0 XOR a: at
+AND level 1, where s0 is the same in every lane and so is the dealer's a,
+a single bit per gate, and at every later level one bit per lane.  The
+holder opens b XOR y, one bit per lane.  Both openings ride in the frame
+of that AND level, beside its Beaver openings.  With d = s0 XOR a and
+e = b XOR y, the querier takes s0 e XOR its product share and the holder
+d y XOR its product share XOR s1 b; these XOR to s b.  Each opening is
+one-time padded by dealer randomness the receiver never sees, so neither
+party learns anything.
 
 The identifier stage of the query template is such a cross gate per
 identifier bit: NOT distinct AND z_j, z_j being 1 where the entry's
@@ -72,7 +75,8 @@ def _input_shares(circuit: Circuit, party: int,
                   lanes: int) -> list[int]:
     """This party's share of every wire, input wires filled in.
 
-    Party 1's wires hold its clear bits on its side and 0 on the other.
+    A querier wire's share is one bit, copied to every lane; party 1's
+    wires hold its clear bits on its side and 0 on the other.
     """
     mine = {g.name for g in circuit.input_groups if g.party == party}
     if set(my_inputs) != mine:
@@ -81,7 +85,7 @@ def _input_shares(circuit: Circuit, party: int,
     every_lane = (1 << lanes) - 1
     values = [0] * circuit.n_wires
     for group in circuit.input_groups:
-        width = 1 if group.shared else lanes
+        width = lanes if group.party == 1 else 1
         n = len(group.wires)
         own = my_inputs.get(group.name) if group.party == party else None
         if own is not None:
@@ -93,13 +97,11 @@ def _input_shares(circuit: Circuit, party: int,
             for w, value in zip(group.wires, own or ()):
                 values[w] = value
             continue
-        shares = split_lanes(rng.getrandbits(n * width), width, n)
+        shares = int_to_bits(rng.getrandbits(n), n)
         if own is not None:
             shares = [m ^ v for m, v in zip(shares, own)]
-        if group.shared:
-            shares = [m * every_lane for m in shares]
         for w, share in zip(group.wires, shares):
-            values[w] = share
+            values[w] = share * every_lane
     return values
 
 
@@ -137,7 +139,6 @@ def gmw_steps(
                 values[out] = values[a] ^ flip
 
     ands, crosses, locals_ = circuit.and_layers()
-    shared_counts = circuit.shared_cross_counts()
     run_local(locals_[0])
     for level in range(1, len(ands)):
         gates = ands[level]
@@ -146,20 +147,18 @@ def gmw_steps(
         # gate g's lanes occupy bits [g * lanes, (g + 1) * lanes) of a layer word
         d_mine = join_lanes([values[g[1]] for g in gates], lanes) ^ ta
         e_mine = join_lanes([values[g[2]] for g in gates], lanes) ^ tb
-        # Cross gates: those whose secret wire is the same in every lane
-        # come first, and the querier opens one bit for each of them.
+        # Cross gates: at level 1 the querier's opening is the same in
+        # every lane, and it opens one bit per gate.
         cross = crosses[level]
-        n_uniform = shared_counts[level]
-        uniform_bits = n_uniform * lanes
         nc = len(cross) * lanes
-        n_d = nc - uniform_bits + n_uniform  # bits of the querier's opening
+        n_d = len(cross) if level == 1 else nc  # bits of the querier's opening
         xa, xy, xc = setup.cross.take(nc)
         s_mine = join_lanes([values[g[1]] for g in cross], lanes)
         if party == 0:
-            d_cross = s_mine ^ xa
-            opened = (join_lanes([v & 1 for v in split_lanes(
-                d_cross, lanes, n_uniform)], 1)
-                | (d_cross >> uniform_bits) << n_uniform)
+            opened = s_mine ^ xa
+            if level == 1:
+                opened = join_lanes([v & 1 for v in split_lanes(
+                    opened, lanes, len(cross))], 1)
             n_mine, n_theirs = n_d, nc
         else:
             clear = join_lanes([values[g[2]] for g in cross], lanes)
@@ -185,9 +184,10 @@ def gmw_steps(
             if party == 0:
                 zc = (s_mine & theirs_cross) ^ xc
             else:
-                d_cross = (join_lanes(int_to_bits(theirs_cross, n_uniform),
-                                      lanes) * every_lane
-                           | (theirs_cross >> n_uniform) << uniform_bits)
+                d_cross = theirs_cross
+                if level == 1:
+                    d_cross = join_lanes(int_to_bits(d_cross, len(cross)),
+                                         lanes) * every_lane
                 zc = (d_cross & xy) ^ xc ^ (s_mine & clear)
             for gate, share in zip(cross, split_lanes(zc, lanes, len(cross))):
                 values[gate[3]] = share
@@ -200,23 +200,22 @@ def gmw_steps(
 def reveal_steps(
     my_share: BitShares,
     transcript: SessionTranscript | None = None,
-    send: bool = True,
-    receive: bool = True,
+    *,
+    receive: bool,
 ):
-    """Reconstruct shared outputs; one online round.
+    """Reconstruct shared outputs on one side; one online round.
 
-    With ``send`` or ``receive`` disabled the reveal is one-sided: only the
-    receiving party learns the plaintext.  Returns the plaintext packed in
-    one int, bit i being output i, or None where this side does not receive.
+    The side that does not ``receive`` sends its share and returns None;
+    the receiving side returns the plaintext packed in one int, bit i being
+    output i.
     """
     if transcript is not None:
         transcript.next_round()
     n = my_share.n
-    if send:
+    if not receive:
         yield from send_frame(MSG_OUTPUT_SHARE,
                               my_share.value.to_bytes((n + 7) // 8, "little"),
                               transcript)
-    if not receive:
         if transcript is not None:
             transcript.finish()
         return None

@@ -30,8 +30,9 @@ an AND gate's evaluator half, and release tweaks lie above all of them.
 
 A circuit can be garbled as a template over ``lanes`` independent
 instances: every wire then has one label pair per lane, packed in one int,
-except the wires of a shared input group (:attr:`InputGroup.shared`), whose
-single label pair every lane reads, as one querier rule feeds k comparators.
+except party 0's input wires, which are broadcast (see
+:mod:`prelude.circuits`): each has one label pair, copied to every lane, as
+one querier rule feeds k comparators.
 Sigma, the permute bits and the row selections act on every lane of a packed
 int at once, so garbling and evaluation walk the circuit's AND layers
 (:meth:`Circuit.and_layers`) and hash the gates of one layer over all their
@@ -64,7 +65,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping, Sequence
 
-from prelude.circuits import Circuit, InputGroup, XOR
+from prelude.circuits import Circuit, XOR
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
@@ -204,10 +205,8 @@ def _garble(circuit: Circuit, rng, lanes: int,
     ones = _lane_ones(lanes)
     delta = rng.getrandbits(LABEL_BITS) | 1
     label0 = [0] * circuit.n_wires
-    for group in _querier_groups(circuit):
-        for w in group.wires:
-            label0[w] = (rng.getrandbits(LABEL_BITS) * ones if group.shared
-                         else rng.getrandbits(width))
+    for w in _querier_wires(circuit):
+        label0[w] = rng.getrandbits(LABEL_BITS) * ones
     tables: list[bytes] = []
     doubled_delta = _double(delta, 1)
 
@@ -298,47 +297,18 @@ def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
     _walk(circuit, labels, lanes, evaluate_cross, evaluate_and, 0)
 
 
-def _querier_groups(circuit: Circuit) -> list[InputGroup]:
-    """The labelled input groups: party 0's, since party 1's are clear."""
-    return [g for g in circuit.input_groups if g.party == 0]
-
-
-def _group_slots(group: InputGroup, lanes: int) -> int:
-    """Input labels a group needs: one per wire and lane, except that a
-    shared wire's one label serves every lane."""
-    return len(group.wires) * (1 if group.shared else lanes)
-
-
-def _slot_count(circuit: Circuit, lanes: int) -> int:
-    return sum(_group_slots(g, lanes) for g in _querier_groups(circuit))
-
-
-def _slot_labels(labels: list[int], group: InputGroup,
-                 lanes: int) -> tuple[int, int]:
-    """A group's labels packed in one int by slot (wire, then lane); slot count."""
-    if group.shared:
-        fields = [labels[w] & _LABEL_MASK for w in group.wires]
-        return join_lanes(fields, LABEL_BITS), len(fields)
-    fields = [labels[w] for w in group.wires]
-    return join_lanes(fields, LABEL_BITS * lanes), _group_slots(group, lanes)
-
-
-def _place_slot_labels(labels: list[int], group: InputGroup, lanes: int,
-                       packed: int) -> None:
-    """Inverse of :func:`_slot_labels`: a shared wire's label fills every lane."""
-    n = 1 if group.shared else lanes
-    fields = split_lanes(packed, LABEL_BITS * n, len(group.wires))
-    ones = _lane_ones(lanes) if group.shared else 1
-    for w, label in zip(group.wires, fields):
-        labels[w] = label * ones
+def _querier_wires(circuit: Circuit) -> list[int]:
+    """The labelled input wires, by group: party 0's, since party 1's are
+    clear.  Each takes one label transfer, whose label every lane reads."""
+    return [w for g in circuit.input_groups if g.party == 0 for w in g.wires]
 
 
 def _flatten_inputs(
     circuit: Circuit, party: int, my_inputs: Mapping[str, Sequence[int]],
     lanes: int,
 ) -> tuple[list[int], dict[int, int]]:
-    """Party 0's input bits, one per input label: by group, wire, then lane;
-    or party 1's clear lane word of each of its wires."""
+    """Party 0's input bits, one per input wire, by group; or party 1's
+    clear lane word of each of its wires."""
     groups = [g for g in circuit.input_groups if g.party == party]
     if set(my_inputs) != {g.name for g in groups}:
         raise ValueError(f"party {party} must supply exactly groups "
@@ -349,13 +319,13 @@ def _flatten_inputs(
         got = my_inputs[group.name]
         if len(got) != len(group.wires):
             raise ValueError(f"group {group.name!r} has wrong length")
-        width = 1 if group.shared else lanes
+        width = lanes if party == 1 else 1
         if got and (min(got) < 0 or max(got) >> width):
             raise ValueError("inputs must be bits, one per lane")
         if party == 1:
             clear.update(zip(group.wires, got))
         else:
-            bits += int_to_bits(join_lanes(got, width), width * len(got))
+            bits += got
     return bits, clear
 
 
@@ -376,7 +346,8 @@ def garble_steps(
         raise ValueError("setup material belongs to the other party")
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    n_transfers = _slot_count(circuit, lanes)
+    wires = _querier_wires(circuit)
+    n_transfers = len(wires)
     if rng is None:
         raise ValueError("garbler needs an rng")
     pads = setup.transfer_pads
@@ -392,17 +363,13 @@ def garble_steps(
         (yield from recv_frame(MSG_INPUT_SHARE, transcript)), n_transfers
     )
     parts: list[bytes] = []
-    j = 0
-    for group in _querier_groups(circuit):
-        zero, count = _slot_labels(label0, group, lanes)
-        for z in split_lanes(zero, LABEL_BITS, count):
-            r0, r1 = pads[j]
-            one = z ^ delta
-            if e_bits[j]:
-                parts += (_label_bytes(z ^ r1), _label_bytes(one ^ r0))
-            else:
-                parts += (_label_bytes(z ^ r0), _label_bytes(one ^ r1))
-            j += 1
+    for w, e, (r0, r1) in zip(wires, e_bits, pads):
+        z = label0[w] & _LABEL_MASK
+        one = z ^ delta
+        if e:
+            parts += (_label_bytes(z ^ r1), _label_bytes(one ^ r0))
+        else:
+            parts += (_label_bytes(z ^ r0), _label_bytes(one ^ r1))
     yield from send_frame(MSG_LABELS, b"".join(parts), transcript)
     return delta, [label for w in circuit.output_wires
                    for label in split_lanes(label0[w], LABEL_BITS, lanes)]
@@ -424,7 +391,8 @@ def evaluate_steps(
         raise ValueError("setup material belongs to the other party")
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    n_transfers = _slot_count(circuit, lanes)
+    wires = _querier_wires(circuit)
+    n_transfers = len(wires)
     choices = setup.transfer_choices
     if choices is None or len(choices) < n_transfers:
         raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
@@ -441,18 +409,11 @@ def evaluate_steps(
     if len(payload) != 2 * LABEL_BYTES * n_transfers:
         raise ProtocolError("label payload has wrong size")
     labels = [0] * circuit.n_wires
-    pos = j = 0
-    for group in _querier_groups(circuit):
-        count = _group_slots(group, lanes)
-        chosen = []
-        for bit in my_bits[j : j + count]:
-            at = pos + LABEL_BYTES * bit
-            chosen.append(payload[at : at + LABEL_BYTES])
-            pos += 2 * LABEL_BYTES
-        pads = join_lanes([pad for _, pad in choices[j : j + count]], LABEL_BITS)
-        _place_slot_labels(labels, group, lanes,
-                           int.from_bytes(b"".join(chosen), "little") ^ pads)
-        j += count
+    ones = _lane_ones(lanes)
+    for j, (w, bit, (_, pad)) in enumerate(zip(wires, my_bits, choices)):
+        at = LABEL_BYTES * (2 * j + bit)
+        chosen = int.from_bytes(payload[at : at + LABEL_BYTES], "little")
+        labels[w] = (chosen ^ pad) * ones
     _evaluate(circuit, labels, tables, lanes)
     return [label for w in circuit.output_wires
             for label in split_lanes(labels[w], LABEL_BITS, lanes)]

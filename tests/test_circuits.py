@@ -142,14 +142,9 @@ class TestClearGroups:
 
     def test_a_clear_group_belongs_to_party_1_and_to_every_lane(self):
         c = Circuit()
-        with pytest.raises(ValueError, match="party 1"):
-            c.add_input_group(1, "b", 1, shared=True)
-        assert c.input_groups == []
         a = c.add_input_group(0, "a", 2)
-        q = c.add_input_group(0, "q", 2, shared=True)
         b = c.add_input_group(1, "b", 2)
         assert c.clear_wires == set(b)
-        assert c.shared_wires == set(q)
         assert not c.clear_wires & set(a)
 
     def test_comparator_cells_are_cross_gates(self):

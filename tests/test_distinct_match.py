@@ -336,6 +336,8 @@ class TestPrivacyMechanics:
          "envelope ack k -3 is not a non-negative integer"),
         (b'{"k": true, "id_width": 48}',
          "envelope ack k True is not a non-negative integer"),
+        (b'{"k": 4097, "id_width": 48}',
+         "envelope ack k 4097 exceeds the cap of 4096 entries"),
         (b'{"k": 2, "id_width": 32}', "incompatible identifier width 32"),
     ])
     def test_malformed_ack_fails_naming_its_cause(self, ack, cause):

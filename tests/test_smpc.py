@@ -114,20 +114,18 @@ def random_inputs(circuit: Circuit, rng: random.Random):
 
 
 def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
-                garble_rng=None, one_sided=False, lanes=1):
+                garble_rng=None, lanes=1):
     """One party of a session; returns the output bits it learns, or None.
 
-    Under gmw the outputs are revealed to both parties, or with
-    ``one_sided`` to party 0 only.  Under yao party 1 garbles and releases
-    the bytes 0 and 1 under each output's labels, and party 0 opens one
-    byte per output, so only party 0 learns the outputs.
+    Only party 0 learns the outputs.  Under gmw party 1 sends its output
+    shares; under yao party 1 garbles and releases the bytes 0 and 1 under
+    each output's labels, and party 0 opens one byte per output.
     """
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat, transcript,
                                       lanes)
         value = yield from reveal_steps(shares, transcript,
-                                        send=not one_sided or party == 1,
-                                        receive=not one_sided or party == 0)
+                                        receive=party == 0)
         return None if value is None else int_to_bits(value, shares.n)
     if party == 1:
         delta, zero_labels = yield from garble_steps(
@@ -143,7 +141,7 @@ def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
 
 
 def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
-                one_sided=False, spy0=None, lanes=1):
+                spy0=None, lanes=1):
     """Run both parties in this thread; returns (out0, out1, t0, t1).
 
     Party 0 is driven over an in-thread loopback whose peer is party 1;
@@ -154,11 +152,10 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
     t0, t1 = SessionTranscript(), SessionTranscript()
     ch = InlineLoopback(
         party_steps(circuit, backend, 1, inputs1, mat1, t1,
-                    garble_rng=random.Random(seed + 1), one_sided=one_sided,
-                    lanes=lanes),
+                    garble_rng=random.Random(seed + 1), lanes=lanes),
         one_way_delay=delay)
     out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0, t0,
-                             one_sided=one_sided, lanes=lanes),
+                             lanes=lanes),
                  ch if spy0 is None else spy0(ch))
     return out0, ch.finish(), t0, t1
 
@@ -192,7 +189,7 @@ def run_over_tcp(backend):
         thread.join(timeout=30)
     assert not thread.is_alive()
     assert out0 == expected
-    assert out1 == [expected if backend == "gmw" else None]
+    assert out1 == [None]
 
 
 # --------------------------------------------------------------------------
@@ -367,6 +364,22 @@ class TestChannels:
         with pytest.raises(ChannelClosed):
             ch.finish()
 
+    def test_tcp_reads_a_frame_of_several_megabytes(self):
+        end, other = socket.socketpair()
+        receiver, sender = TcpChannel(end, timeout=30), TcpChannel(other)
+        payload = random.Random(3).randbytes(6 << 20)
+        thread = threading.Thread(target=sender.send,
+                                  args=(MSG_GARBLED_TABLES, payload))
+        thread.start()
+        try:
+            got = receiver.recv()
+        finally:
+            thread.join(timeout=30)
+            receiver.close()
+            sender.close()
+        assert not thread.is_alive()
+        assert got == (MSG_GARBLED_TABLES, payload, 5 + len(payload))
+
     def test_tcp_round_trip(self):
         port, accept = TcpChannel.serve_one()
         # the listening socket queues the connection until accept()
@@ -425,7 +438,8 @@ class TestGmw:
             expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
             out0, out1, _, _ = run_backend(circuit, "gmw", inputs0, inputs1,
                                            seed=trial)
-            assert out0 == out1 == expected
+            assert out0 == expected
+            assert out1 is None
 
     def test_distinct_pair_agrees_with_rule_overlap(self):
         rng = random.Random(5)
@@ -435,7 +449,8 @@ class TestGmw:
             h = random_rule(8, rng)
             out0, out1, _, _ = run_backend(circuit, "gmw", *rule_inputs(q, h),
                                            seed=trial)
-            assert out0 == out1 == ((0,) if overlaps(q, h) else (1,))
+            assert out0 == ((0,) if overlaps(q, h) else (1,))
+            assert out1 is None
 
     def test_online_rounds_equal_and_depth_plus_reveal(self):
         rng = random.Random(11)
@@ -478,7 +493,7 @@ class TestGmw:
         inputs0, inputs1 = random_inputs(circuit, rng)
         n_cross = circuit.cross_count() - cross_short
         n_triples = circuit.and_count() - circuit.cross_count() - triples_short
-        mat0, mat1 = dealer_gen(n_triples, 0, rng, cross=[(0, n_cross)])
+        mat0, mat1 = dealer_gen(n_triples, 0, rng, cross=[0, n_cross])
         ch = InlineLoopback(gmw_steps(circuit, 1, inputs1, mat1))
         with pytest.raises(SetupUnderprovisioned, match=f"needed .* {short},"):
             drive(gmw_steps(circuit, 0, inputs0, mat0), ch)
@@ -616,22 +631,22 @@ class TestLanes:
 
     @staticmethod
     def lane_circuit(rng: random.Random, clear: bool = False) -> Circuit:
-        """Random gates over the querier's shared and per-lane groups.
+        """Random gates over the querier's groups, which every lane reads.
 
-        With ``clear`` the holder also has a group, whose clear wires each
-        feed cross gates with a shared and a per-lane querier wire, at the
-        first AND level and above it.
+        With ``clear`` the holder also has a group, one bit per lane, whose
+        clear wires each feed cross gates with a querier wire and with an
+        XOR of two, at the first AND level, and cross gates above it.
         """
         c = Circuit()
-        q = c.add_input_group(0, "q", 3, shared=True)
+        q = c.add_input_group(0, "q", 3)
         a = c.add_input_group(0, "a", 3)
         c.add_input_group(0, "b", 4)
-        c.add_input_group(0, "d", 2, shared=True)
+        c.add_input_group(0, "d", 2)
         clear_wires = c.add_input_group(1, "h", 3) if clear else ()
         secret = list(range(c.n_wires - len(clear_wires)))
         for h in clear_wires:
             secret.append(c.and_(rng.choice(q), h))
-            secret.append(c.and_(h, rng.choice(a)))
+            secret.append(c.and_(h, c.xor(rng.choice(a), rng.choice(q))))
         for _ in range(40):
             op = rng.randrange(4 if clear else 3)
             x = rng.choice(secret)
@@ -650,16 +665,17 @@ class TestLanes:
 
     @staticmethod
     def lane_inputs(circuit, lanes, rng):
-        """Per-party inputs: a bit per shared wire, a lane word otherwise."""
+        """Per-party inputs: a bit per querier wire, a lane word per holder
+        wire."""
         by_party = ({}, {})
         for g in circuit.input_groups:
-            width = 1 if g.shared else lanes
+            width = lanes if g.party == 1 else 1
             by_party[g.party][g.name] = [rng.getrandbits(width) for _ in g.wires]
         return by_party
 
     @staticmethod
     def lane_plaintext(circuit, inputs, lane):
-        flat = {g.name: [v if g.shared else (v >> lane) & 1
+        flat = {g.name: [(v >> lane) & 1 if g.party == 1 else v
                          for v in inputs[g.name]]
                 for g in circuit.input_groups}
         return evaluate_plaintext(circuit, flat)
@@ -673,7 +689,7 @@ class TestLanes:
                                         lanes=lanes))
         out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0,
                                  lanes=lanes), ch)
-        assert ch.finish() == (out0 if backend == "gmw" else None)
+        assert ch.finish() is None
         if backend == "gmw":
             assert mat0.triples.remaining == mat1.triples.remaining == 0
             assert mat0.cross.remaining == mat1.cross.remaining == 0
@@ -700,10 +716,8 @@ class TestLanes:
         for trial in range(8):
             circuit = self.lane_circuit(rng, clear=True)
             _, crosses, _ = circuit.and_layers()
-            kinds = {g[1] in circuit.shared_wires
-                     for layer in crosses for g in layer}
-            assert kinds == {True, False}  # shared and per-lane querier wires
-            assert any(crosses[2:])
+            # cross gates at the first AND level and above it
+            assert crosses[1] and any(crosses[2:])
             inputs0, inputs1 = self.lane_inputs(circuit, lanes, rng)
             got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
             both = {**inputs0, **inputs1}
@@ -722,6 +736,29 @@ class TestLanes:
         stage = circuit.distinct_stage()
         mat0, mat1 = dealer_for_circuit(stage, "yao", random.Random(1), lanes=5)
         assert len(mat0.transfer_choices) == len(mat1.transfer_pads) == 16
+
+    def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
+        # The secret wires are an XOR and a NOT of querier inputs, so they
+        # hold the same bit in every lane.
+        c = Circuit()
+        q = c.add_input_group(0, "q", 2)
+        h = c.add_input_group(1, "h", 2)
+        c.mark_output(c.and_(c.xor(q[0], q[1]), h[0]))
+        c.mark_output(c.and_(c.not_(q[0]), h[1]))
+        rng = random.Random(41)
+        for lanes in (1, 8, 64):
+            inputs1 = {"h": [rng.getrandbits(lanes) for _ in h]}
+            out0, _, t0, _ = run_backend(c, "gmw", {"q": [1, 1]}, inputs1,
+                                         lanes=lanes)
+            openings = [(e.direction, e.n_bytes) for e in t0.entries
+                        if e.kind == MSG_AND_OPENING]
+            # a 5-byte frame header; the querier opens 2 bits, the holder
+            # 2 per lane
+            assert openings == [("sent", 5 + 1),
+                                (RECEIVED, 5 + (2 * lanes + 7) // 8)]
+            for lane in range(lanes):
+                assert out0[lane::lanes] == self.lane_plaintext(
+                    c, {"q": [1, 1], **inputs1}, lane)
 
     def test_lane_inputs_are_range_checked(self):
         circuit = self.lane_circuit(random.Random(1))
@@ -782,12 +819,9 @@ class TestHalfGates:
             if group.party == 1:
                 continue
             for w in group.wires:
-                if group.shared:
-                    x = rng.getrandbits(128)
-                    drawn = [x] * lanes
-                else:
-                    drawn = split_lanes(rng.getrandbits(128 * lanes), 128, lanes)
-                for i, x in enumerate(drawn):
+                # the querier's wires have one label pair, which every lane reads
+                x = rng.getrandbits(128)
+                for i in range(lanes):
                     label[w, i] = x
         rows = {}  # (output wire, lane) -> (T_G, T_E)
         for kind, a, b, out in circuit.gates:
@@ -837,7 +871,6 @@ class TestHalfGates:
         rng = random.Random(80 + lanes)
         for trial in range(3):
             circuit = TestLanes.lane_circuit(rng)
-            assert any(g.shared for g in circuit.input_groups)
             delta, label0, tables = yao._garble(circuit, random.Random(trial),
                                                 lanes, {})
             ref_delta, ref_label, ref_tables = self.reference_garble(
@@ -911,8 +944,8 @@ class TestBackendAgreement:
         inputs0, inputs1 = random_inputs(circuit, rng)
         expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
         for backend in ("gmw", "yao"):
-            out0, out1, t0, t1 = run_backend(circuit, backend, inputs0, inputs1,
-                                             one_sided=True)
+            out0, out1, t0, t1 = run_backend(circuit, backend, inputs0,
+                                             inputs1)
             assert out0 == expected
             assert out1 is None
             received_kinds = {
@@ -938,7 +971,7 @@ class TestBackendAgreement:
             out0, out1, _, _ = run_backend(circuit, backend, inputs0, inputs1,
                                            seed=3, lanes=2)
             assert out0 == expected
-            assert out1 == (expected if backend == "gmw" else None)
+            assert out1 is None
 
     def test_transcripts_are_deterministic_per_seed(self):
         circuit = build_distinct_pair(8)
@@ -1039,7 +1072,7 @@ class TestOnlineTrafficLooksRandom:
             for session in range(40):
                 spies.clear()
                 run_backend(circuit, "gmw", inputs0, holder,
-                            seed=1000 + session, one_sided=True, spy0=make_spy,
+                            seed=1000 + session, spy0=make_spy,
                             lanes=lanes)
                 payloads = [
                     payload for kind, payload in spies[0].received
