@@ -17,12 +17,18 @@ backend labels, masks or shares them.  Its wires
 (:attr:`Circuit.clear_wires`) feed only AND gates, each of which then reads
 one clear wire and one secret wire; such a *cross gate* is cheaper than a
 full AND in both backends (a one-row garbler half-gate under yao, a
-one-sided product under gmw).  The rule comparator and the identifier
-stage are built from them.  A cross
-gate's output is a secret wire like any other; the holder's bit leaves the
-holder only under a one-time pad or inside a garbled row, so the querier
-learns no more than from the same bit as a secret input (see
+one-sided product under gmw).  The rule comparator is built from them.  A
+cross gate's output is a secret wire like any other; the holder's bit
+leaves the holder only under a one-time pad or inside a garbled row, so
+the querier learns no more than from the same bit as a secret input (see
 :mod:`prelude.smpc.yao` and :mod:`prelude.smpc.gmw`).
+
+Outputs leave a circuit only as released values: for each output the
+holder offers two values, and the querier receives the one the output bit
+selects, by a precomputed transfer under gmw and under the output labels
+under yao.  A query releases an entry's identifier where the entry
+overlaps the queried rule and the dummy where it does not, so no circuit
+computes identifiers.
 
 Since clear wires feed only AND gates, every secret wire of AND depth 0 is
 an XOR or NOT of broadcast inputs and holds the same value in every lane.
@@ -40,8 +46,6 @@ from typing import Mapping, Sequence
 AND = 0
 XOR = 1
 NOT = 2
-
-_KIND_NAMES = {AND: "AND", XOR: "XOR", NOT: "NOT"}
 
 
 @dataclass(frozen=True)
@@ -185,17 +189,31 @@ class Circuit:
             self._layers_cache = (ands, crosses, locals_)
         return self._layers_cache
 
-    # -------------------------------------------------- dump
 
-    def dump(self) -> str:
-        """One gate per line, e.g. ``AND w3 <- w1 w2``."""
-        lines = []
-        for kind, a, b, out in self.gates:
-            if kind == NOT:
-                lines.append(f"NOT w{out} <- w{a}")
-            else:
-                lines.append(f"{_KIND_NAMES[kind]} w{out} <- w{a} w{b}")
-        return "\n".join(lines)
+def input_values(circuit: Circuit, party: int,
+                 my_inputs: Mapping[str, Sequence[int]],
+                 lanes: int) -> dict[int, int]:
+    """Each of ``party``'s input wires mapped to its value, by group.
+
+    ``my_inputs`` must give exactly the party's groups, each with one value
+    per wire: a bit for party 0, whose inputs every lane reads, and a word
+    of ``lanes`` bits for party 1.  Raises ValueError otherwise.  Both
+    secure backends check their inputs here.
+    """
+    groups = [g for g in circuit.input_groups if g.party == party]
+    if set(my_inputs) != {g.name for g in groups}:
+        raise ValueError(f"party {party} must supply exactly groups "
+                         f"{sorted(g.name for g in groups)}")
+    width = lanes if party == 1 else 1
+    values: dict[int, int] = {}
+    for group in groups:
+        got = my_inputs[group.name]
+        if len(got) != len(group.wires):
+            raise ValueError(f"group {group.name!r} has wrong length")
+        if got and (min(got) < 0 or max(got) >> width):
+            raise ValueError("inputs must be bits, one per lane")
+        values.update(zip(group.wires, got))
+    return values
 
 
 def evaluate_plaintext(
@@ -263,107 +281,53 @@ def _or_tree(c: Circuit, wires: Sequence[int]) -> int:
     return level[0]
 
 
-def build_distinct_pair(width: int) -> Circuit:
-    """Decide whether two rules are distinct (share no matching packet).
-
-    Querier supplies q_one/q_zero, holder the clear groups h_one/h_zero,
-    ``width`` bits each: a rule's pinned-one and pinned-zero bits.  Single
-    output bit: 1 iff the rules are distinct.  Uses exactly 2*width cross
-    gates for the comparator cells plus width-1 ANDs for the OR tree.
-    """
-    if width < 1:
-        raise ValueError("width must be positive")
-    c = Circuit()
-    q_one = c.add_input_group(0, "q_one", width)
-    q_zero = c.add_input_group(0, "q_zero", width)
-    h_one = c.add_input_group(1, "h_one", width)
-    h_zero = c.add_input_group(1, "h_zero", width)
-    cells = [_bit_distinct(c, q_one[i], q_zero[i], h_one[i], h_zero[i])
-             for i in range(width)]
-    c.mark_output(_or_tree(c, cells))
-    return c
-
-
 class BatchQueryCircuit(Circuit):
-    """The per-entry query template, with its comparator stage marked.
-
-    The first ``distinct_gate_count`` gates are the comparator and its OR
-    tree; they read only the rule inputs and drive ``distinct_wire``, which
-    is 1 iff the entry is distinct from the queried rule.  The identifier
-    stage follows them.
+    """The per-entry query template: the rule comparator alone.
 
     The backends evaluate this one circuit over k lanes, lane i being the
     i-th entry: the querier's rule is broadcast to every lane, and the
-    holder's groups are clear, one value per lane.
+    holder's groups are clear, one value per lane.  Its one output is 1 iff
+    the entry is distinct from the queried rule.
     """
-
-    RULE_GROUPS = ("q_one", "q_zero", "h_one", "h_zero")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.distinct_wire = -1
-        self.distinct_gate_count = 0
 
     def distinct_stage(self) -> Circuit:
-        """The comparator stage alone: rule inputs in, the distinct bit out.
+        """The comparator stage, which is the whole template.
 
-        Built afresh on each call; it shares gate tuples and wire numbers
-        with this circuit.
+        Kept for the benchmark's traced run, which wraps it by name; no
+        session calls it.
         """
-        stage = Circuit()
-        stage.gates = self.gates[: self.distinct_gate_count]
-        stage.n_wires = stage.gates[-1][3] + 1
-        stage.input_groups = [g for g in self.input_groups
-                              if g.name in self.RULE_GROUPS]
-        stage.clear_wires = self.clear_wires
-        stage.output_wires = [self.distinct_wire]
-        return stage
+        return self
 
 
-def build_batch_query(rule_width: int, id_width: int) -> BatchQueryCircuit:
-    """One querier rule against one holder entry, with identifier mapping.
+def build_batch_query(rule_width: int) -> BatchQueryCircuit:
+    """Decide whether a querier rule and a holder entry are distinct.
 
-    Holder inputs are the entry's rule as h_one/h_zero and, as h_id_zeros,
-    the ``id_width`` bits its next-hop identifier leaves 0 (the identifier
-    XOR the all-ones dummy).  Output bit j is ``distinct OR id_j``: the
-    entry's identifier where the rules overlap, all ones (the dummy) where
-    they are distinct.  By De Morgan that is NOT(NOT distinct AND z_j), one
-    cross gate per identifier bit.
-
-    AND depth: comparator cells (1) + OR tree (ceil(log2 rule_width)) + the
-    identifier stage (1).
+    The querier supplies q_one/q_zero, the holder the clear groups
+    h_one/h_zero, ``rule_width`` bits each: a rule's pinned-one and
+    pinned-zero bits.  Single output bit: 1 iff the rules share no matching
+    packet.  Uses exactly 2 * rule_width cross gates for the comparator
+    cells plus rule_width - 1 ANDs for the OR tree.
     """
-    if rule_width < 1 or id_width < 1:
-        raise ValueError("widths must be positive")
+    if rule_width < 1:
+        raise ValueError("rule width must be positive")
     c = BatchQueryCircuit()
     q_one = c.add_input_group(0, "q_one", rule_width)
     q_zero = c.add_input_group(0, "q_zero", rule_width)
     h_one = c.add_input_group(1, "h_one", rule_width)
     h_zero = c.add_input_group(1, "h_zero", rule_width)
-    id_zeros = c.add_input_group(1, "h_id_zeros", id_width)
-    c.distinct_wire = _or_tree(c, [
+    c.mark_output(_or_tree(c, [
         _bit_distinct(c, q_one[j], q_zero[j], h_one[j], h_zero[j])
         for j in range(rule_width)
-    ])
-    c.distinct_gate_count = len(c.gates)
-    overlap = c.not_(c.distinct_wire)
-    for z in id_zeros:
-        c.mark_output(c.not_(c.and_(overlap, z)))
+    ]))
     return c
 
 
-def distinct_pair_and_count(width: int) -> int:
-    """2 cross gates per comparator cell, then width - 1 ANDs in the OR tree."""
-    return 2 * width + (width - 1)
+def batch_query_and_count(rule_width: int) -> int:
+    """2 cross gates per comparator cell, then rule_width - 1 ANDs in the OR tree."""
+    return 2 * rule_width + (rule_width - 1)
 
 
-def batch_query_and_count(rule_width: int, id_width: int) -> int:
-    """The comparator's, then one cross gate per identifier bit."""
-    return distinct_pair_and_count(rule_width) + id_width
-
-
-def expected_and_depth(rule_width: int, with_mapper: bool = False) -> int:
-    """1 for the comparator cells' cross gates, ceil(log2 w) for the OR tree
-    and 1 for the identifier stage, if present."""
+def expected_and_depth(rule_width: int) -> int:
+    """1 for the comparator cells' cross gates, ceil(log2 w) for the OR tree."""
     tree = math.ceil(math.log2(rule_width)) if rule_width > 1 else 0
-    return 1 + tree + (1 if with_mapper else 0)
+    return 1 + tree

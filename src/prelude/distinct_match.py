@@ -28,27 +28,24 @@ Session flow, all on one framed channel:
    are secret inputs, while the holder's stay in its clear and feed only
    cross gates (see :mod:`prelude.circuits`), so the holder's rules are
    never labelled, masked or shared.
-   Every entry runs the same per-entry template (:func:`build_batch_query`),
-   and the backends evaluate it over k lanes, lane i being the i-th
-   shuffled entry; the querier's rule feeds every lane.
-   Under gmw both sides run the whole template, whose identifier stage
-   turns each lane's distinct bit into the entry's identifier or the
-   all-ones dummy, leaving those shared: output bit j is distinct OR id_j,
-   one cross gate on the clear bit z_j that is 1 where the identifier has
-   a 0, so the holder's identifiers, like its rules, are never shared.
-   The querier sees each z_j only XORed with a fresh dealer bit it never
-   learns, a one-time pad, so the stage shows it nothing of an identifier
-   before the reveal;
-   under yao the holder garbles only the template's comparator stage and
-   the querier ends up holding one label of each entry's distinct wire;
-4. in the reveal round the holder sends and learns nothing back: under gmw
-   its output share, from which the querier reconstructs k identifiers;
-   under yao each entry's identifier and the dummy encrypted under the two
-   labels of that entry's distinct wire, of which the querier opens exactly
-   one per entry.  The querier drops the dummy placeholders and deduplicates.
+   Every entry runs the same per-entry template, the comparator
+   (:func:`build_batch_query`), and the backends evaluate it over k lanes,
+   lane i being the i-th shuffled entry; the querier's rule feeds every
+   lane.  Lane i's output, the distinct bit, ends up XOR-shared under gmw,
+   and under yao the querier ends up holding one of its two labels;
+4. in the release round the holder offers, per entry, the entry's
+   identifier and the dummy, and the querier receives the one its distinct
+   bit selects: the identifier where the rules overlap, the dummy where
+   they are distinct.  Under gmw this is one precomputed transfer per entry
+   whose choice bit is the querier's share and whose pair the holder orders
+   by its own; under yao the two values go encrypted under the two labels
+   of the entry's output wire.  Either way the querier opens exactly one
+   value per entry and learns nothing of the other, and the holder learns
+   nothing back.  The querier drops the dummy placeholders and
+   deduplicates.
 
-One template and its comparator stage are built per rule width and kept
-for the life of the process; nothing is built per k.
+One template is built per rule width and kept for the life of the
+process; nothing is built per k.
 
 Both parties exist only as step generators over frames:
 :meth:`SdxMatchService.serve_steps` and the querier's ``_querier_steps``.
@@ -66,7 +63,7 @@ import random
 import threading
 from dataclasses import dataclass
 
-from prelude.circuits import BatchQueryCircuit, Circuit, build_batch_query
+from prelude.circuits import BatchQueryCircuit, build_batch_query
 from prelude.rules import TernaryRule
 from prelude.smpc import (
     ChannelClosed,
@@ -88,12 +85,7 @@ from prelude.smpc import (
     reveal_steps,
     send_frame,
 )
-from prelude.smpc.shares import (
-    int_to_bits,
-    lanes_to_rows,
-    rows_to_lanes,
-    split_lanes,
-)
+from prelude.smpc.shares import int_to_bits, rows_to_lanes
 
 log = logging.getLogger(__name__)
 
@@ -196,26 +188,16 @@ class SessionStats:
 # per-entry template
 
 
-@dataclass(frozen=True)
-class QueryTemplate:
-    """The circuit every entry of a query runs, and its comparator stage."""
-
-    circuit: BatchQueryCircuit  # the per-entry template gmw runs
-    stage: Circuit  # its comparator stage, which yao garbles
-
-
 _template_lock = threading.Lock()
-_templates: dict[int, QueryTemplate] = {}
+_templates: dict[int, BatchQueryCircuit] = {}
 
 
-def query_template(rule_width: int) -> QueryTemplate:
+def query_template(rule_width: int) -> BatchQueryCircuit:
     """The template for a rule width, built on first use and then kept."""
     with _template_lock:
         template = _templates.get(rule_width)
         if template is None:
-            circuit = build_batch_query(rule_width, HOP_ID_BITS)
-            template = QueryTemplate(circuit, circuit.distinct_stage())
-            _templates[rule_width] = template
+            template = _templates[rule_width] = build_batch_query(rule_width)
     return template
 
 
@@ -363,26 +345,20 @@ class SdxMatchService:
         ones, zeros = zip(*(_pinned(e.rule) for e in entries))
         inputs = {"h_one": rows_to_lanes(ones, width),
                   "h_zero": rows_to_lanes(zeros, width)}
-        if backend == "gmw":
-            # the bits each identifier leaves 0, where the all-ones dummy has 1
-            inputs["h_id_zeros"] = rows_to_lanes(
-                [DUMMY_HOP.value ^ e.next_hop.value for e in entries],
-                HOP_ID_BITS)
-            material = dealer.material(template.circuit, backend, 1, k)
-            shares = yield from gmw_steps(template.circuit, 1, inputs,
-                                          material, transcript, lanes=k)
-            yield from reveal_steps(shares, transcript, receive=False)
-            return
-        material = dealer.material(template.stage, backend, 1, k)
-        delta, zero_labels = yield from garble_steps(
-            template.stage, inputs, material, garble_rng, transcript, lanes=k)
-        # A distinct wire reads 0 where the rules overlap: release the
+        # A distinct bit reads 0 where the rules overlap: release the
         # entry's identifier there, the dummy where it reads 1.
         dummy = DUMMY_HOP.to_bytes()
-        yield from release_steps(
-            delta, zero_labels,
-            [(entry.next_hop.to_bytes(), dummy) for entry in entries],
-            transcript)
+        values = [(entry.next_hop.to_bytes(), dummy) for entry in entries]
+        material = dealer.material(template, backend, 1, k)
+        if backend == "gmw":
+            shares = yield from gmw_steps(template, 1, inputs, material,
+                                          transcript, lanes=k)
+            yield from reveal_steps(shares, material, HOP_ID_BYTES,
+                                    transcript, receive=False, values=values)
+            return
+        delta, zero_labels = yield from garble_steps(
+            template, inputs, material, garble_rng, transcript, lanes=k)
+        yield from release_steps(delta, zero_labels, values, transcript)
 
 
 # --------------------------------------------------------------------------
@@ -410,18 +386,16 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
     one, zero = _pinned(local)
     inputs = {"q_one": int_to_bits(one, local.width)[::-1],
               "q_zero": int_to_bits(zero, local.width)[::-1]}
+    material = dealer.material(template, backend, 0, k)
     if backend == "gmw":
-        material = dealer.material(template.circuit, backend, 0, k)
-        shares = yield from gmw_steps(template.circuit, 0, inputs, material,
+        shares = yield from gmw_steps(template, 0, inputs, material,
                                       transcript, lanes=k)
-        value = yield from reveal_steps(shares, transcript, receive=True)
-        # bit j * k + i of the output is bit j of entry i's identifier
-        words = split_lanes(value, k, HOP_ID_BITS)
-        return [NextHopId.from_value(v) for v in lanes_to_rows(words, k)]
-    material = dealer.material(template.stage, backend, 0, k)
-    labels = yield from evaluate_steps(template.stage, inputs, material,
-                                       transcript, lanes=k)
-    opened = yield from open_steps(labels, HOP_ID_BYTES, transcript)
+        opened = yield from reveal_steps(shares, material, HOP_ID_BYTES,
+                                         transcript, receive=True)
+    else:
+        labels = yield from evaluate_steps(template, inputs, material,
+                                           transcript, lanes=k)
+        opened = yield from open_steps(labels, HOP_ID_BYTES, transcript)
     return [NextHopId.from_bytes(value) for value in opened]
 
 
@@ -499,17 +473,11 @@ class LoopbackEndpoint:
             _raw_out.extend(raw)
         if stats_out is not None:
             k = len(raw)
-            depth = 0
-            if k:
-                template = query_template(local.width)
-                # yao garbles only the comparator stage
-                depth = (template.circuit if backend == "gmw"
-                         else template.stage).and_depth()
             stats_out.append(SessionStats(
                 backend=backend,
                 prefix=prefix,
                 k=k,
-                and_depth=depth,
+                and_depth=query_template(local.width).and_depth() if k else 0,
                 online_rounds=t_q.online_rounds,
                 setup_bytes=t_q.setup_bytes,
                 online_bytes=t_q.online_bytes,

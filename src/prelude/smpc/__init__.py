@@ -4,12 +4,18 @@ Two interchangeable backends evaluate the same circuit objects:
 
 - :func:`gmw_steps` works on XOR shares with dealer-issued Beaver triples,
   and one-sided products for cross gates; its online round count equals
-  the circuit's AND depth.  :func:`reveal_steps` then opens the XOR-shared
-  result to one party, the other only sending its share.
+  the circuit's AND depth.
 - :func:`garble_steps` and :func:`evaluate_steps` garble and evaluate the
   circuit; their online phase is a single round trip regardless of depth.
-  :func:`release_steps` and :func:`open_steps` then release to the
-  evaluator one value per output wire, chosen by the wire's bit.
+
+Both then release to party 0 one of two values per output, chosen by the
+output bit, in one more round: gmw by a precomputed transfer whose choice
+bit is party 0's share and whose pair party 1 orders by its own
+(:func:`reveal_steps`), yao under the output wire's two labels
+(:func:`release_steps` and :func:`open_steps`).  Party 0 opens one value
+per output and learns nothing of the other; party 1 sees only one-time
+padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`) also
+carries yao's input labels.
 
 Party 1's inputs are clear (see :mod:`prelude.circuits`): neither backend
 shares, masks or labels them, and they feed only cross gates.

@@ -169,6 +169,16 @@ def recv_frame(expect: int, transcript=None):
     return payload
 
 
+def recv_exact(expect: int, size: int, transcript=None):
+    """Step: :func:`recv_frame` for a payload that must be ``size`` bytes."""
+    payload = yield from recv_frame(expect, transcript)
+    if len(payload) != size:
+        raise ProtocolError(
+            f"{KIND_NAMES[expect]} frame of {len(payload)} bytes, expected "
+            f"{size}")
+    return payload
+
+
 def drive(steps, channel):
     """Run a step generator to completion over a blocking channel."""
     reply = None

@@ -1,6 +1,6 @@
 """Trusted setup dealer.
 
-The dealer replaces oblivious transfer in this simulation: it hands both
+The dealer stands in for an offline phase in this simulation: it hands both
 parties correlated randomness before the online phase starts.
 
 Per session it produces:
@@ -16,9 +16,12 @@ Per session it produces:
 - a joint input-mask seed, from which both parties derive identical masks for
   every input wire.  The wire's owner sets its share to ``bit XOR mask`` and
   the other party uses the mask itself, so input sharing costs no messages;
-- precomputed-transfer material for garbled-circuit input labels: the label
-  sender gets one random 128-bit pad pair per transfer, the receiver gets a
-  random choice bit and the pad matching it.
+- precomputed-transfer material (:mod:`prelude.smpc.transfer`), one kind
+  for both backends: the sender, party 1, gets a pair of random 128-bit
+  pads per transfer, and the receiver, party 0, a random choice bit and the
+  pad matching it.  Yao spends one transfer per querier input wire on a
+  16-byte label, gmw one per output and lane on a released value; its pads
+  are 16 bytes too, though a query releases 6-byte values.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
@@ -26,12 +29,11 @@ All material is simulation-grade randomness, not hardened cryptography.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from prelude.smpc.shares import int_to_bits, join_lanes
+from prelude.smpc.transfer import LABEL_BITS, LABEL_BYTES, transfer_material
 
-LABEL_BITS = 128
-LABEL_BYTES = LABEL_BITS // 8
 MASK_SEED_BYTES = 16
 
 
@@ -71,10 +73,6 @@ class TripleStream:
         self.pos += count
         return out
 
-    @property
-    def remaining(self) -> int:
-        return self.n - self.pos
-
 
 @dataclass
 class DealerMaterial:
@@ -84,36 +82,46 @@ class DealerMaterial:
     triples: TripleStream
     input_mask_seed: bytes
     cross: TripleStream  # cross-product material, see TripleStream
-    transfer_pads: Optional[list[tuple[int, int]]] = None  # label sender side
-    transfer_choices: Optional[list[tuple[int, int]]] = None  # (choice bit, pad)
+    transfers: int = 0
+    # party 1's pad words (r0, r1), or party 0's choice bits and pad word
+    # (d, r_d), one 128-bit lane per transfer
+    transfer: tuple[int, int] = (0, 0)
+
+    def take_transfers(self, n: int) -> tuple[int, int]:
+        """This party's material for the first ``n`` transfers."""
+        if n > self.transfers:
+            raise SetupUnderprovisioned(
+                f"needed {n} transfers, dealer provided {self.transfers}")
+        first, pads = self.transfer
+        lanes = (1 << LABEL_BITS * n) - 1
+        # party 0's first word holds one choice bit per transfer
+        return first & (lanes if self.party == 1 else (1 << n) - 1), pads & lanes
 
     def serialized_size(self) -> int:
         """On-wire size of this material, for setup-phase byte accounting.
 
         A cross product costs each party two bits per lane: its random word
-        and its share of the product.
+        and its share of the product.  A transfer costs the sender two pads
+        and the receiver one pad and its choice bit.
         """
         size = ((3 * self.triples.n + 2 * self.cross.n + 7) // 8
                 + MASK_SEED_BYTES)
-        if self.transfer_pads is not None:
-            size += 2 * LABEL_BYTES * len(self.transfer_pads)
-        if self.transfer_choices is not None:
-            size += LABEL_BYTES * len(self.transfer_choices)
-            size += (len(self.transfer_choices) + 7) // 8
-        return size
+        if self.party == 1:
+            return size + 2 * LABEL_BYTES * self.transfers
+        return size + LABEL_BYTES * self.transfers + (self.transfers + 7) // 8
 
 
 def dealer_gen(
     n_triples: int,
-    n_label_transfers: int,
+    n_transfers: int,
     rng,
-    cross: Sequence[tuple[int, int]] = (),
+    cross: Sequence[int] = (),
     lanes: int = 1,
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Generate one session's setup material for parties 0 and 1.
 
-    Party 1, the garbler, receives the label-transfer pad pairs; party 0
-    receives choice bits and matching pads.
+    Party 1 receives the transfers' pad pairs; party 0 receives choice bits
+    and matching pads.
     ``cross`` gives the number of cross gates at each AND level from 0, in
     the order GMW consumes them, over ``lanes``; the querier's random bit of
     a level-1 gate fills all of its lanes.
@@ -129,14 +137,7 @@ def dealer_gen(
 
     mask_seed = rng.getrandbits(8 * MASK_SEED_BYTES).to_bytes(MASK_SEED_BYTES, "little")
 
-    pads: list[tuple[int, int]] = []
-    choices: list[tuple[int, int]] = []
-    for _ in range(n_label_transfers):
-        r0 = rng.getrandbits(LABEL_BITS)
-        r1 = rng.getrandbits(LABEL_BITS)
-        d = rng.getrandbits(1)
-        pads.append((r0, r1))
-        choices.append((d, r1 if d else r0))
+    choices, pads = transfer_material(n_transfers, rng)
 
     every_lane = (1 << lanes) - 1
     x = n_cross = 0
@@ -153,9 +154,8 @@ def dealer_gen(
     cross0 = TripleStream(x, 0, z0, n_cross, name="cross products")
     cross1 = TripleStream(0, y, (x & y) ^ z0, n_cross, name="cross products")
 
-    return (DealerMaterial(0, stream0, mask_seed, cross0,
-                           transfer_choices=choices),
-            DealerMaterial(1, stream1, mask_seed, cross1, transfer_pads=pads))
+    return (DealerMaterial(0, stream0, mask_seed, cross0, n_transfers, choices),
+            DealerMaterial(1, stream1, mask_seed, cross1, n_transfers, pads))
 
 
 def dealer_for_circuit(
@@ -163,16 +163,17 @@ def dealer_for_circuit(
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Size the dealer material for one execution of ``circuit`` over ``lanes``.
 
-    GMW takes one triple per AND gate between secret wires and lane, and
-    one cross product per cross gate and lane.  Yao transfers one label per
-    input wire of the evaluator (party 0), whose inputs every lane reads;
-    party 1's inputs are clear and take none.
+    GMW takes one triple per AND gate between secret wires and lane, one
+    cross product per cross gate and lane, and one transfer per output and
+    lane for the release.  Yao transfers one label per input wire of the
+    evaluator (party 0), whose inputs every lane reads; party 1's inputs
+    are clear and take none.
     """
     if backend == "gmw":
         _, crosses, _ = circuit.and_layers()
         return dealer_gen(lanes * (circuit.and_count() - circuit.cross_count()),
-                          0, rng, cross=[len(layer) for layer in crosses],
-                          lanes=lanes)
+                          lanes * len(circuit.output_wires), rng,
+                          cross=[len(layer) for layer in crosses], lanes=lanes)
     if backend == "yao":
         n_transfers = sum(len(g.wires) for g in circuit.input_groups
                           if g.party == 0)

@@ -3,10 +3,10 @@
 XOR and NOT gates are evaluated locally (NOT by party 0 flipping its share).
 Each AND layer consumes one Beaver triple per gate and costs exactly one
 exchange of masked openings, so the online round count equals the circuit's
-AND depth; revealing the output afterwards adds one more round.  A party
-runs as two step generators over frames: :func:`gmw_steps` leaves the
-outputs XOR-shared and :func:`reveal_steps` opens them to one party: the
-other sends its share and learns nothing.
+AND depth; the release afterwards adds one more round.  A party runs as two
+step generators over frames: :func:`gmw_steps` leaves the outputs
+XOR-shared and :func:`reveal_steps` releases to the querier one of two
+values per output, chosen by the output bit.
 
 A circuit can be evaluated as a template over ``lanes`` independent
 instances at once, the SIMD gates of ABY (Demmler, Schneider & Zohner,
@@ -38,12 +38,16 @@ d y XOR its product share XOR s1 b; these XOR to s b.  Each opening is
 one-time padded by dealer randomness the receiver never sees, so neither
 party learns anything.
 
-The identifier stage of the query template is such a cross gate per
-identifier bit: NOT distinct AND z_j, z_j being 1 where the entry's
-identifier has a 0.  The querier sees z_j only as z_j XOR y_j, with y_j a
-fresh dealer bit it never learns, which is a one-time pad: whatever the
-identifier, each bit it receives is uniform and independent of the rest.
-It learns an identifier only when the revealed output carries it, where
+The release is one precomputed transfer per output and lane
+(:mod:`prelude.smpc.transfer`), the gmw twin of yao's label release.  The
+querier's choice bit is its share s0 of the output; the holder offers the
+pair of values ordered by its own share s1, value s0 XOR s1 in slot s0, so
+the querier opens the value of the output bit.  The holder sees s0 only
+XORed with a dealer bit it never learns, and the querier holds the pad of
+one slot only, so the other value reaches it one-time padded: it learns
+one value per output and not the holder's share.  A query releases the
+entry's identifier where the output says the rules overlap and the dummy
+where they are distinct, so the querier learns an identifier only where
 the entry overlaps its rule.
 """
 
@@ -52,12 +56,12 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
-from prelude.circuits import Circuit, XOR
+from prelude.circuits import Circuit, XOR, input_values
 from prelude.smpc.channel import (
     MSG_AND_OPENING,
     MSG_OUTPUT_SHARE,
     MSG_SETUP_TRIPLES,
-    recv_frame,
+    recv_exact,
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
@@ -68,6 +72,14 @@ from prelude.smpc.shares import (
     split_lanes,
 )
 from prelude.smpc.transcript import SessionTranscript
+from prelude.smpc.transfer import (
+    choose_steps,
+    from_lanes,
+    select,
+    send_steps,
+    spread,
+    to_lanes,
+)
 
 
 def _input_shares(circuit: Circuit, party: int,
@@ -78,30 +90,17 @@ def _input_shares(circuit: Circuit, party: int,
     A querier wire's share is one bit, copied to every lane; party 1's
     wires hold its clear bits on its side and 0 on the other.
     """
-    mine = {g.name for g in circuit.input_groups if g.party == party}
-    if set(my_inputs) != mine:
-        raise ValueError(f"party {party} must supply exactly groups {sorted(mine)}")
+    values = [0] * circuit.n_wires
+    for w, value in input_values(circuit, party, my_inputs, lanes).items():
+        values[w] = value
     rng = random.Random(int.from_bytes(mask_seed, "little"))
     every_lane = (1 << lanes) - 1
-    values = [0] * circuit.n_wires
     for group in circuit.input_groups:
-        width = lanes if group.party == 1 else 1
-        n = len(group.wires)
-        own = my_inputs.get(group.name) if group.party == party else None
-        if own is not None:
-            if len(own) != n:
-                raise ValueError(f"group {group.name!r} has wrong length")
-            if own and (min(own) < 0 or max(own) >> width):
-                raise ValueError("inputs must be bits, one per lane")
-        if group.party == 1:
-            for w, value in zip(group.wires, own or ()):
-                values[w] = value
-            continue
-        shares = int_to_bits(rng.getrandbits(n), n)
-        if own is not None:
-            shares = [m ^ v for m, v in zip(shares, own)]
-        for w, share in zip(group.wires, shares):
-            values[w] = share * every_lane
+        if group.party == 0:
+            n = len(group.wires)
+            masks = int_to_bits(rng.getrandbits(n), n)
+            for w, mask in zip(group.wires, masks):
+                values[w] = (values[w] ^ mask) * every_lane
     return values
 
 
@@ -115,8 +114,8 @@ def gmw_steps(
 ):
     """One party's online phase; returns its shares of the output wires.
 
-    Outputs stay shared: :func:`reveal_steps` reconstructs them.  Over
-    several lanes the shares are ordered by output wire, then lane.
+    Outputs stay shared: :func:`reveal_steps` releases values by them.
+    Over several lanes the shares are ordered by output wire, then lane.
     """
     if party != setup.party:
         raise ValueError("setup material belongs to the other party")
@@ -169,8 +168,9 @@ def gmw_steps(
         if transcript is not None:
             transcript.next_round()
         yield from send_frame(MSG_AND_OPENING, payload, transcript)
-        theirs = int.from_bytes(
-            (yield from recv_frame(MSG_AND_OPENING, transcript)), "little")
+        theirs = int.from_bytes((yield from recv_exact(
+            MSG_AND_OPENING, (2 * nb + n_theirs + 7) // 8, transcript)),
+            "little")
         mask = (1 << nb) - 1
         d_pub = d_mine ^ (theirs & mask)
         e_pub = e_mine ^ ((theirs >> nb) & mask)
@@ -199,29 +199,39 @@ def gmw_steps(
 
 def reveal_steps(
     my_share: BitShares,
+    setup: DealerMaterial,
+    size: int,
     transcript: SessionTranscript | None = None,
     *,
     receive: bool,
+    values: Sequence[tuple[bytes, bytes]] = (),
 ):
-    """Reconstruct shared outputs on one side; one online round.
+    """Release to the receiving side ``values[i][b]`` for output i of bit b.
 
-    The side that does not ``receive`` sends its share and returns None;
-    the receiving side returns the plaintext packed in one int, bit i being
-    output i.
+    One online round.  The side that does not ``receive``, party 1, gives
+    ``values``, a pair of ``size``-byte values per output in output order,
+    and returns None; party 0 returns the value of each output.
     """
+    n = my_share.n
+    material = setup.take_transfers(n)
     if transcript is not None:
         transcript.next_round()
-    n = my_share.n
-    if not receive:
-        yield from send_frame(MSG_OUTPUT_SHARE,
-                              my_share.value.to_bytes((n + 7) // 8, "little"),
-                              transcript)
-        if transcript is not None:
-            transcript.finish()
-        return None
-    payload = yield from recv_frame(MSG_OUTPUT_SHARE, transcript)
-    # bits beyond n pad the last byte
-    theirs = int.from_bytes(payload, "little") & ((1 << n) - 1)
+    if receive:
+        chosen = yield from choose_steps(my_share.value, n, size, material,
+                                         MSG_OUTPUT_SHARE, transcript)
+        opened = from_lanes(chosen, n, size)
+        released = [opened[i * size : (i + 1) * size] for i in range(n)]
+    else:
+        if len(values) != n or any(len(v) != size for pair in values
+                                   for v in pair):
+            raise ValueError(f"release needs {n} pairs of {size}-byte values")
+        v0, v1 = (to_lanes(b"".join([pair[bit] for pair in values]), n, size)
+                  for bit in (0, 1))
+        # slot c holds the value for c XOR my share
+        swap = select(spread(my_share.value, n)) & (v0 ^ v1)
+        yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, material,
+                              MSG_OUTPUT_SHARE, transcript)
+        released = None
     if transcript is not None:
         transcript.finish()
-    return my_share.value ^ theirs
+    return released

@@ -95,20 +95,11 @@ def split_lanes(value: int, width: int, count: int) -> list[int]:
 def rows_to_lanes(rows: Sequence[int], width: int) -> list[int]:
     """Transpose ``width``-bit rows into ``width`` lane words.
 
-    Bit j of a row counts from its most significant end, as rule and
-    identifier bits do; bit i of lane word j is bit j of ``rows[i]``.
+    Bit j of a row counts from its most significant end, as rule bits do;
+    bit i of lane word j is bit j of ``rows[i]``.
     """
     text = "".join([format(row, f"0{width}b") for row in reversed(rows)])
     if not text:
         return [0] * width
     return [int(text[j::width], 2) for j in range(width)]
 
-
-def lanes_to_rows(lanes: Sequence[int], count: int) -> list[int]:
-    """Inverse of :func:`rows_to_lanes` for ``count`` rows."""
-    if count <= 0:
-        return []
-    text = "".join([format(word, f"0{count}b") for word in lanes])
-    if not text:
-        return [0] * count
-    return [int(text[count - 1 - i :: count], 2) for i in range(count)]

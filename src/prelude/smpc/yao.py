@@ -45,9 +45,8 @@ The garbled tables depend only on the circuit and the garbler's clear bits,
 not on the evaluator's inputs, so they travel during setup, batch by batch:
 a cross batch its T words, an AND batch its T_G words and then its T_E
 words, each by gate, then lane.  The online phase is a single round trip:
-the evaluator sends masked choice bits for its input wires, the garbler
-answers with pad-masked label pairs from which the evaluator unlocks
-exactly one each.
+the evaluator receives the label of each of its input wires by a
+precomputed transfer (:mod:`prelude.smpc.transfer`), all wires at once.
 
 Outputs leave the garbled circuit one way, in the second online round: the
 garbler releases a value of at most 16 bytes per output wire and lane
@@ -65,32 +64,29 @@ from __future__ import annotations
 from functools import cache
 from typing import Mapping, Sequence
 
-from prelude.circuits import Circuit, XOR
+from prelude.circuits import Circuit, XOR, input_values
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
-    MSG_INPUT_SHARE,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
     MSG_SETUP_TRIPLES,
     ProtocolError,
+    recv_exact,
     recv_frame,
     send_frame,
 )
-from prelude.smpc.dealer import (
+from prelude.smpc.dealer import DealerMaterial
+from prelude.smpc.shares import bits_to_int, join_lanes, split_lanes
+from prelude.smpc.transcript import SessionTranscript
+from prelude.smpc.transfer import (
     LABEL_BITS,
     LABEL_BYTES,
-    DealerMaterial,
-    SetupUnderprovisioned,
+    choose_steps,
+    select,
+    send_steps,
+    spread,
 )
-from prelude.smpc.shares import (
-    int_to_bits,
-    join_lanes,
-    pack_bits,
-    split_lanes,
-    unpack_bits,
-)
-from prelude.smpc.transcript import SessionTranscript
 
 _LABEL_MASK = (1 << LABEL_BITS) - 1
 
@@ -104,23 +100,14 @@ _RELEASE_TWEAK = 1 << 96
 _GF128_REDUCE = 0x87  # x^128 = x^7 + x^2 + x + 1
 
 
-def _label_bytes(label: int) -> bytes:
-    return label.to_bytes(LABEL_BYTES, "little")
-
-
 def _lane_word(label: int, n: int) -> int:
     """The int that holds ``label`` in each of ``n`` lanes."""
-    return int.from_bytes(_label_bytes(label) * n, "little")
+    return int.from_bytes(label.to_bytes(LABEL_BYTES, "little") * n, "little")
 
 
 def _lane_ones(lanes: int) -> int:
     """The int whose every lane holds 1: multiplying by it copies a label."""
     return _lane_word(1, lanes)
-
-
-def _select(bits: int) -> int:
-    """All ones in each lane whose bit 0 is set in ``bits`` (only bit 0 set)."""
-    return (bits << LABEL_BITS) - bits
 
 
 def _double(x: int, ones: int) -> int:
@@ -154,13 +141,6 @@ def _lane_index(n: int) -> int:
     return int.from_bytes(
         b"".join([i.to_bytes(LABEL_BYTES, "little") for i in range(n)]),
         "little")
-
-
-def _spread(bits: int, n: int) -> int:
-    """Bit i of ``bits`` moved to bit 0 of lane i, for ``n`` lanes."""
-    out = bytearray(LABEL_BYTES * n)
-    out[::LABEL_BYTES] = bytes(int_to_bits(bits, n))
-    return int.from_bytes(out, "little")
 
 
 def _walk(circuit: Circuit, labels: list[int], lanes: int, cross_batch,
@@ -222,10 +202,10 @@ def _garble(circuit: Circuit, rng, lanes: int,
         a0 = join_lanes([label0[g[1]] for g in gates], width)
         da0 = _double(a0, every)
         ha0, ha1 = _hash_doubled((da0, da0 ^ doubled_r), (t, t), n)
-        b = _spread(join_lanes([clear[g[2]] for g in gates], lanes), n)
+        b = spread(join_lanes([clear[g[2]] for g in gates], lanes), n)
         row = ha0 ^ ha1 ^ b * delta
         tables.append(row.to_bytes(LABEL_BYTES * n, "little"))
-        w0 = ha0 ^ (_select(a0 & every) & row)
+        w0 = ha0 ^ (select(a0 & every) & row)
         for gate, word in zip(gates, split_lanes(w0, width, len(gates))):
             label0[gate[3]] = word
 
@@ -240,8 +220,8 @@ def _garble(circuit: Circuit, rng, lanes: int,
         ha0, ha1, hb0, hb1 = _hash_doubled(
             (da0, da0 ^ doubled_r, db0, db0 ^ doubled_r),
             (t, t, t | every, t | every), n)
-        pa = _select(a0 & every)
-        pb = _select(b0 & every)
+        pa = select(a0 & every)
+        pb = select(b0 & every)
         t_g = ha0 ^ ha1 ^ (pb & r)
         t_e = hb0 ^ hb1 ^ a0
         w0 = ha0 ^ (pa & t_g) ^ hb0 ^ (pb & (t_e ^ a0))
@@ -277,7 +257,7 @@ def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
         a = join_lanes([labels[g[1]] for g in gates], width)
         n = len(gates) * lanes
         (ha,) = _hash_doubled((_double(a, every),), (t,), n)
-        w = ha ^ (_select(a & every) & take_row(n))
+        w = ha ^ (select(a & every) & take_row(n))
         for gate, word in zip(gates, split_lanes(w, width, len(gates))):
             labels[gate[3]] = word
 
@@ -289,8 +269,8 @@ def _evaluate(circuit: Circuit, labels: list[int], tables: bytes,
                                (t, t | every), n)
         t_g = take_row(n)
         t_e = take_row(n)
-        w = (ha ^ (_select(a & every) & t_g)
-             ^ hb ^ (_select(b & every) & (t_e ^ a)))
+        w = (ha ^ (select(a & every) & t_g)
+             ^ hb ^ (select(b & every) & (t_e ^ a)))
         for gate, word in zip(gates, split_lanes(w, width, len(gates))):
             labels[gate[3]] = word
 
@@ -301,32 +281,6 @@ def _querier_wires(circuit: Circuit) -> list[int]:
     """The labelled input wires, by group: party 0's, since party 1's are
     clear.  Each takes one label transfer, whose label every lane reads."""
     return [w for g in circuit.input_groups if g.party == 0 for w in g.wires]
-
-
-def _flatten_inputs(
-    circuit: Circuit, party: int, my_inputs: Mapping[str, Sequence[int]],
-    lanes: int,
-) -> tuple[list[int], dict[int, int]]:
-    """Party 0's input bits, one per input wire, by group; or party 1's
-    clear lane word of each of its wires."""
-    groups = [g for g in circuit.input_groups if g.party == party]
-    if set(my_inputs) != {g.name for g in groups}:
-        raise ValueError(f"party {party} must supply exactly groups "
-                         f"{sorted(g.name for g in groups)}")
-    bits: list[int] = []
-    clear: dict[int, int] = {}
-    for group in groups:
-        got = my_inputs[group.name]
-        if len(got) != len(group.wires):
-            raise ValueError(f"group {group.name!r} has wrong length")
-        width = lanes if party == 1 else 1
-        if got and (min(got) < 0 or max(got) >> width):
-            raise ValueError("inputs must be bits, one per lane")
-        if party == 1:
-            clear.update(zip(group.wires, got))
-        else:
-            bits += got
-    return bits, clear
 
 
 def garble_steps(
@@ -347,30 +301,20 @@ def garble_steps(
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
     wires = _querier_wires(circuit)
-    n_transfers = len(wires)
+    n = len(wires)
     if rng is None:
         raise ValueError("garbler needs an rng")
-    pads = setup.transfer_pads
-    if pads is None or len(pads) < n_transfers:
-        raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
-    _, clear = _flatten_inputs(circuit, 1, my_inputs, lanes)
+    pads = setup.take_transfers(n)
+    clear = input_values(circuit, 1, my_inputs, lanes)
     delta, label0, tables = _garble(circuit, rng, lanes, clear)
     yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
     if transcript is not None:
         transcript.begin_online()
         transcript.next_round()
-    e_bits = unpack_bits(
-        (yield from recv_frame(MSG_INPUT_SHARE, transcript)), n_transfers
-    )
-    parts: list[bytes] = []
-    for w, e, (r0, r1) in zip(wires, e_bits, pads):
-        z = label0[w] & _LABEL_MASK
-        one = z ^ delta
-        if e:
-            parts += (_label_bytes(z ^ r1), _label_bytes(one ^ r0))
-        else:
-            parts += (_label_bytes(z ^ r0), _label_bytes(one ^ r1))
-    yield from send_frame(MSG_LABELS, b"".join(parts), transcript)
+    # the querier's labels are the same in every lane: send lane 0's
+    zero = join_lanes([label0[w] & _LABEL_MASK for w in wires], LABEL_BITS)
+    yield from send_steps(zero, zero ^ _lane_word(delta, n), n, LABEL_BYTES,
+                          pads, MSG_LABELS, transcript)
     return delta, [label for w in circuit.output_wires
                    for label in split_lanes(label0[w], LABEL_BITS, lanes)]
 
@@ -392,28 +336,22 @@ def evaluate_steps(
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
     wires = _querier_wires(circuit)
-    n_transfers = len(wires)
-    choices = setup.transfer_choices
-    if choices is None or len(choices) < n_transfers:
-        raise SetupUnderprovisioned(f"needed {n_transfers} label transfers")
-    my_bits, _ = _flatten_inputs(circuit, 0, my_inputs, lanes)
+    n = len(wires)
+    material = setup.take_transfers(n)
+    bits = input_values(circuit, 0, my_inputs, lanes)
     tables = yield from recv_frame(MSG_GARBLED_TABLES, transcript)
     if len(tables) != _table_size(circuit, lanes):
         raise ProtocolError("garbled table payload has wrong size")
     if transcript is not None:
         transcript.begin_online()
         transcript.next_round()
-    e_bits = [bit ^ choices[j][0] for j, bit in enumerate(my_bits)]
-    yield from send_frame(MSG_INPUT_SHARE, pack_bits(e_bits), transcript)
-    payload = yield from recv_frame(MSG_LABELS, transcript)
-    if len(payload) != 2 * LABEL_BYTES * n_transfers:
-        raise ProtocolError("label payload has wrong size")
+    chosen = yield from choose_steps(bits_to_int([bits[w] for w in wires]), n,
+                                     LABEL_BYTES, material, MSG_LABELS,
+                                     transcript)
     labels = [0] * circuit.n_wires
     ones = _lane_ones(lanes)
-    for j, (w, bit, (_, pad)) in enumerate(zip(wires, my_bits, choices)):
-        at = LABEL_BYTES * (2 * j + bit)
-        chosen = int.from_bytes(payload[at : at + LABEL_BYTES], "little")
-        labels[w] = (chosen ^ pad) * ones
+    for w, label in zip(wires, split_lanes(chosen, LABEL_BITS, n)):
+        labels[w] = label * ones
     _evaluate(circuit, labels, tables, lanes)
     return [label for w in circuit.output_wires
             for label in split_lanes(labels[w], LABEL_BITS, lanes)]
@@ -443,7 +381,7 @@ def release_steps(
 ):
     """Garbler: release ``values[i][bit]`` to whoever holds output i's label for ``bit``.
 
-    One frame in the reveal round carries two ciphertexts per output, the
+    One frame in the release round carries two ciphertexts per output, the
     value for 0 under the zero-label and the value for 1 under the
     one-label, ordered by each label's point-and-permute bit.  Every value
     must have the same length, at most 16 bytes; a value is masked with the
@@ -484,9 +422,8 @@ def open_steps(
         raise ValueError(f"released values are at most {LABEL_BYTES} bytes")
     if transcript is not None:
         transcript.next_round()
-    payload = yield from recv_frame(MSG_OUTPUT_SHARE, transcript)
-    if len(payload) != 2 * size * len(labels):
-        raise ProtocolError("release payload has wrong size")
+    payload = yield from recv_exact(MSG_OUTPUT_SHARE, 2 * size * len(labels),
+                                    transcript)
     pads = _release_pads(labels)
     opened: list[bytes] = []
     for i, label in enumerate(labels):

@@ -1,8 +1,8 @@
 """Circuit construction and plaintext evaluation.
 
-The comparator circuit is checked exhaustively against the integer overlap
-predicate at small widths, and the per-entry query template, entry by
-entry, against a filter/map oracle.
+The per-entry query template, the rule comparator, is checked exhaustively
+against the integer overlap predicate at small widths, and, entry by entry
+with the release's pair of values, against a filter/map oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from prelude.circuits import (
     Circuit,
     batch_query_and_count,
     build_batch_query,
-    build_distinct_pair,
-    distinct_pair_and_count,
     evaluate_plaintext,
     expected_and_depth,
 )
@@ -38,15 +36,6 @@ def pair_inputs(q: TernaryRule, h: TernaryRule) -> dict:
     q_one, q_zero = rule_input_bits(q)
     h_one, h_zero = rule_input_bits(h)
     return {"q_one": q_one, "q_zero": q_zero, "h_one": h_one, "h_zero": h_zero}
-
-
-def entry_inputs(q: TernaryRule, rule: TernaryRule, entry_id: int,
-                 id_width: int) -> dict:
-    """Template inputs for one entry: both rules, and the bits the entry's
-    identifier leaves 0 against the all-ones dummy."""
-    dummy = (1 << id_width) - 1
-    return {**pair_inputs(q, rule),
-            "h_id_zeros": int_to_bits(dummy ^ entry_id, id_width)}
 
 
 # ---------------------------------------------------------------- primitives
@@ -86,7 +75,7 @@ class TestGatePrimitives:
             c.and_(0, 5)
 
     def test_evaluate_input_validation(self):
-        c = build_distinct_pair(2)
+        c = build_batch_query(2)
         good = pair_inputs(TernaryRule.wildcard(2), TernaryRule.wildcard(2))
         with pytest.raises(ValueError):
             evaluate_plaintext(c, {**good, "bogus": [0]})
@@ -94,12 +83,6 @@ class TestGatePrimitives:
             evaluate_plaintext(c, {k: v for k, v in good.items() if k != "q_one"})
         with pytest.raises(ValueError):
             evaluate_plaintext(c, {**good, "q_one": [0]})
-
-    def test_dump_golden_width_1(self):
-        c = build_distinct_pair(1)
-        # q_one w0, q_zero w1, h_one w2, h_zero w3: q_one h_zero ^ q_zero h_one
-        assert c.dump() == "AND w4 <- w0 w3\nAND w5 <- w1 w2\nXOR w6 <- w4 w5"
-        assert c.output_wires == [6]
 
 
 class TestClearGroups:
@@ -149,7 +132,7 @@ class TestClearGroups:
 
     def test_comparator_cells_are_cross_gates(self):
         for width in (1, 8, 104):
-            c = build_distinct_pair(width)
+            c = build_batch_query(width)
             assert c.cross_count() == 2 * width
             assert {g.name for g in c.input_groups if g.party == 1} == {
                 "h_one", "h_zero"}
@@ -163,7 +146,7 @@ class TestClearGroups:
 
 class TestDistinctPair:
     def test_exhaustive_width_4_equals_overlap_predicate(self):
-        c = build_distinct_pair(4)
+        c = build_batch_query(4)
         rules = list(enumerate_rules(4))
         for q in rules:
             for h in rules:
@@ -171,7 +154,7 @@ class TestDistinctPair:
                 assert out[0] == (0 if overlaps(q, h) else 1)
 
     def test_random_width_104(self):
-        c = build_distinct_pair(104)
+        c = build_batch_query(104)
         rng = random.Random(11)
         for _ in range(50):
             q = random_rule(104, rng)
@@ -181,16 +164,15 @@ class TestDistinctPair:
 
     def test_and_count_exact(self):
         for width in (1, 2, 7, 8, 104):
-            c = build_distinct_pair(width)
-            assert c.and_count() == distinct_pair_and_count(width)
+            c = build_batch_query(width)
             assert c.and_count() == 2 * width + (width - 1)
             assert c.cross_count() == 2 * width
 
     def test_and_depth_logarithmic(self):
         for width in (1, 2, 8, 13, 104):
-            c = build_distinct_pair(width)
+            c = build_batch_query(width)
             expect = 1 + (math.ceil(math.log2(width)) if width > 1 else 0)
-            assert c.and_depth() == expect == expected_and_depth(width)
+            assert c.and_depth() == expect
 
 
 # ---------------------------------------------------------------- batch query
@@ -200,66 +182,42 @@ class TestBatchQuery:
     """The per-entry template, evaluated once per entry of a table."""
 
     @staticmethod
-    def run_entries(c, q, entries, ids, id_width):
-        """The template's output for each entry, decoded to an integer."""
-        out = []
-        for rule, entry_id in zip(entries, ids):
-            value = 0
-            for b in evaluate_plaintext(
-                    c, entry_inputs(q, rule, entry_id, id_width)):
-                value = (value << 1) | b
-            out.append(value)
-        return tuple(out)
+    def release(c, q, entries, ids, dummy):
+        """Each entry's released value: the release gives output bit b the
+        b-th of (identifier, dummy)."""
+        return tuple((entry_id, dummy)[evaluate_plaintext(
+            c, pair_inputs(q, rule))[0]] for rule, entry_id in zip(entries, ids))
 
     def test_matches_filter_map_oracle(self):
         rng = random.Random(42)
-        id_width = 12
-        dummy = (1 << id_width) - 1
+        dummy = (1 << 12) - 1
         for width in (4, 8):
-            c = build_batch_query(width, id_width)
+            c = build_batch_query(width)
             for _ in range(40):
                 q = random_rule(width, rng)
                 entries = [random_rule(width, rng) for _ in range(8)]
                 ids = [rng.randrange(dummy) for _ in range(8)]
-                got = self.run_entries(c, q, entries, ids, id_width)
+                got = self.release(c, q, entries, ids, dummy)
                 # filter/map: an overlapping entry maps to its identifier,
-                # any other to the all-ones dummy
+                # any other to the dummy
                 assert got == tuple(v if overlaps(q, e) else dummy
                                     for e, v in zip(entries, ids))
 
-    def test_mapper_selects_dummy_on_distinct(self):
-        c = build_batch_query(4, 4)
-        q = TernaryRule(4, 0b1000, 0b1000)  # first bit pinned to 1
-        hit = TernaryRule.wildcard(4)
-        miss = TernaryRule(4, 0b0000, 0b1000)  # first bit pinned to 0
-        got = self.run_entries(c, q, [miss, hit], [5, 2], 4)
-        assert got == (0b1111, 2)
-
-    def test_output_order_follows_holder_entry_order(self):
-        c = build_batch_query(4, 8)
-        q = TernaryRule.wildcard(4)
-        entries = [TernaryRule.wildcard(4)] * 3
-        got = self.run_entries(c, q, entries, [10, 20, 30], 8)
-        assert got == (10, 20, 30)
-
     def test_and_count_exact(self):
-        for w, idw in ((4, 8), (8, 48), (104, 48)):
-            c = build_batch_query(w, idw)
-            assert c.and_count() == batch_query_and_count(w, idw)
-            assert c.and_count() == 2 * w + (w - 1) + idw
-            # the comparator cells and the identifier stage are cross gates
-            assert c.cross_count() == 2 * w + idw
+        for w in (4, 8, 104):
+            c = build_batch_query(w)
+            assert c.and_count() == batch_query_and_count(w)
+            # the comparator cells are cross gates, the OR tree the rest
+            assert c.cross_count() == 2 * w
 
     def test_and_depth_independent_of_k(self):
         # one template serves every k: its depth depends on the rule width
-        for w in (4, 8, 104):
-            for idw in (1, 16, 48):
-                c = build_batch_query(w, idw)
-                assert c.and_depth() == expected_and_depth(w, with_mapper=True)
-                assert c.distinct_stage().and_depth() == expected_and_depth(w)
+        for w in (1, 4, 8, 104):
+            c = build_batch_query(w)
+            assert c.and_depth() == expected_and_depth(w)
+            # the traced run's stage is the template itself
+            assert c.distinct_stage() is c
 
     def test_layout_validation(self):
         with pytest.raises(ValueError):
-            build_batch_query(0, 8)
-        with pytest.raises(ValueError):
-            build_batch_query(8, 0)
+            build_batch_query(0)

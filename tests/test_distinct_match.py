@@ -91,8 +91,9 @@ class TestNextHopId:
             assert NextHopId.from_bytes(hop.to_bytes()) == hop
 
     def test_dummy_is_all_ones(self):
-        # the query template's identifier stage computes distinct OR id_j,
-        # which is the dummy on a distinct entry only if the dummy is all ones
+        # No circuit needs an all-ones dummy any more, since the release
+        # hands over the dummy as a value, but the all-ones identifier stays
+        # reserved for it.
         assert DUMMY_HOP.value == (1 << HOP_ID_BITS) - 1
 
     def test_range_validation(self):
@@ -491,8 +492,8 @@ class TestLaneSessions:
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 266, 210, 5),
-        ("gmw", 104, 50, 5280, 4899, 10),
+        ("gmw", 4, 8, 299, 158, 4),
+        ("gmw", 104, 50, 5487, 4601, 9),
         ("yao", 104, 50, 334707, 7297, 2),
     ])
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
@@ -529,14 +530,14 @@ class TestLaneSessions:
                    for i in range(k)]
         endpoint = fresh_endpoint(entries)
         endpoint.query(random_rule(width, rng), "10.0.0.0/8")
-        per_entry = batch_query_and_count(width, HOP_ID_BITS)
-        assert per_entry == 3 * width - 1 + HOP_ID_BITS
-        # the comparator's 2w cross gates and the identifier stage's one per
-        # identifier bit take cross products; only the OR tree takes triples
+        per_entry = batch_query_and_count(width)
+        assert per_entry == 3 * width - 1
+        # the comparator's 2w cross gates take cross products, only the OR
+        # tree takes triples, and the release one transfer per entry
         for material in materials:
             assert material.triples.n == material.triples.pos == k * (width - 1)
-            assert material.cross.n == material.cross.pos == k * (
-                2 * width + HOP_ID_BITS)
+            assert material.cross.n == material.cross.pos == k * 2 * width
+            assert material.transfers == k
 
     def test_one_template_per_width_and_no_circuit_grows_with_k(
             self, monkeypatch):
@@ -545,9 +546,9 @@ class TestLaneSessions:
         built_shapes = []
         build = distinct_match.build_batch_query
 
-        def recording_build(rule_width, id_width):
-            built_shapes.append((rule_width, id_width))
-            return build(rule_width, id_width)
+        def recording_build(rule_width):
+            built_shapes.append(rule_width)
+            return build(rule_width)
 
         monkeypatch.setattr(distinct_match, "build_batch_query",
                             recording_build)
@@ -573,19 +574,17 @@ class TestLaneSessions:
         template = distinct_match.query_template(width)
         assert list(distinct_match._templates) == [width]
         assert distinct_match._templates[width] is template
-        assert built_shapes == [(width, HOP_ID_BITS)]
-        # the template and its stage are all that was ever built
-        assert len(created) == 2
-        assert max(len(c.gates) for c in created) == len(template.circuit.gates)
+        assert built_shapes == [width]
+        # both backends run the one template, which is all that was built
+        assert created == [template]
 
     def test_session_depth_comes_from_the_template(self):
         rng = random.Random(67)
         entries = [make_entry(random_rule(104, rng), 2, 20 + i)
                    for i in range(5)]
         endpoint = fresh_endpoint(entries)
-        for backend, mapper in (("gmw", True), ("yao", False)):
+        for backend in ("gmw", "yao"):
             stats_out = []
             endpoint.query(random_rule(104, rng), "10.0.0.0/8",
                            backend=backend, stats_out=stats_out)
-            assert stats_out[0].and_depth == expected_and_depth(
-                104, with_mapper=mapper)
+            assert stats_out[0].and_depth == expected_and_depth(104) == 8

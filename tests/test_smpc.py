@@ -8,6 +8,7 @@ must show the promised round counts and phase separation.
 from __future__ import annotations
 
 import random
+import re
 import socket
 import threading
 import time
@@ -20,7 +21,6 @@ from prelude.circuits import (
     XOR,
     Circuit,
     build_batch_query,
-    build_distinct_pair,
     evaluate_plaintext,
     expected_and_depth,
 )
@@ -29,6 +29,7 @@ from prelude.smpc import (
     ChannelClosed,
     ChannelTimeout,
     InlineLoopback,
+    KIND_NAMES,
     MSG_AND_OPENING,
     MSG_GARBLED_TABLES,
     MSG_INPUT_SHARE,
@@ -64,7 +65,6 @@ from prelude.smpc.shares import (
     BitShares,
     int_to_bits,
     join_lanes,
-    lanes_to_rows,
     rows_to_lanes,
     split_lanes,
 )
@@ -113,31 +113,33 @@ def random_inputs(circuit: Circuit, rng: random.Random):
     return by_party
 
 
+BIT_VALUES = (b"\x00", b"\x01")  # what each output releases, for 0 and 1
+
+
 def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
                 garble_rng=None, lanes=1):
     """One party of a session; returns the output bits it learns, or None.
 
-    Only party 0 learns the outputs.  Under gmw party 1 sends its output
-    shares; under yao party 1 garbles and releases the bytes 0 and 1 under
-    each output's labels, and party 0 opens one byte per output.
+    Only party 0 learns the outputs: on either backend party 1 releases the
+    bytes 0 and 1 for each output, and party 0 opens one byte per output.
     """
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat, transcript,
                                       lanes)
-        value = yield from reveal_steps(shares, transcript,
-                                        receive=party == 0)
-        return None if value is None else int_to_bits(value, shares.n)
-    if party == 1:
+        opened = yield from reveal_steps(
+            shares, mat, 1, transcript, receive=party == 0,
+            values=[BIT_VALUES] * shares.n if party == 1 else ())
+    elif party == 1:
         delta, zero_labels = yield from garble_steps(
             circuit, inputs, mat, garble_rng, transcript, lanes=lanes)
         yield from release_steps(delta, zero_labels,
-                                 [(b"\x00", b"\x01")] * len(zero_labels),
-                                 transcript)
+                                 [BIT_VALUES] * len(zero_labels), transcript)
         return None
-    labels = yield from evaluate_steps(circuit, inputs, mat, transcript,
-                                       lanes=lanes)
-    opened = yield from open_steps(labels, 1, transcript)
-    return tuple(value[0] for value in opened)
+    else:
+        labels = yield from evaluate_steps(circuit, inputs, mat, transcript,
+                                           lanes=lanes)
+        opened = yield from open_steps(labels, 1, transcript)
+    return None if opened is None else tuple(value[0] for value in opened)
 
 
 def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
@@ -163,7 +165,7 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
 def run_over_tcp(backend):
     """Both parties of a width-8 comparison over a TCP connection, party 1
     in a thread of its own; asserts what each learns."""
-    circuit = build_distinct_pair(8)
+    circuit = build_batch_query(8)
     rng = random.Random(21)
     inputs0, inputs1 = random_inputs(circuit, rng)
     expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
@@ -268,7 +270,6 @@ class TestShares:
                 for i, row in enumerate(rows):
                     # bit j counts from the row's most significant end
                     assert (word >> i) & 1 == (row >> (width - 1 - j)) & 1
-            assert lanes_to_rows(words, count) == rows
         assert rows_to_lanes([], 3) == [0, 0, 0]
 
 
@@ -410,15 +411,19 @@ class TestDealer:
     def test_stream_exhaustion(self):
         stream = TripleStream(0, 0, 0, 4)
         stream.take(3)
-        assert stream.remaining == 1
+        assert stream.pos == 3
         with pytest.raises(SetupUnderprovisioned):
             stream.take(2)
 
     def test_transfer_material_is_consistent(self):
         mat0, mat1 = dealer_gen(0, 8, random.Random(2))
-        assert mat1.transfer_pads is not None and mat0.transfer_choices is not None
-        for (r0, r1), (d, pad) in zip(mat1.transfer_pads, mat0.transfer_choices):
-            assert pad == (r1 if d else r0)
+        assert mat0.transfers == mat1.transfers == 8
+        (d, pad), (r0, r1) = mat0.transfer, mat1.transfer
+        assert 0 < d < 0xff  # both choices occur
+        for i in range(8):
+            lane = 128 * i
+            assert (pad >> lane) & ((1 << 128) - 1) == (
+                (r1 if (d >> i) & 1 else r0) >> lane) & ((1 << 128) - 1)
 
     def test_mask_seed_is_shared(self):
         mat0, mat1 = dealer_gen(4, 0, random.Random(3))
@@ -443,7 +448,7 @@ class TestGmw:
 
     def test_distinct_pair_agrees_with_rule_overlap(self):
         rng = random.Random(5)
-        circuit = build_distinct_pair(8)
+        circuit = build_batch_query(8)
         for trial in range(30):
             q = random_rule(8, rng)
             h = random_rule(8, rng)
@@ -454,14 +459,14 @@ class TestGmw:
 
     def test_online_rounds_equal_and_depth_plus_reveal(self):
         rng = random.Random(11)
-        circuit = build_batch_query(16, 48)
+        circuit = build_batch_query(16)
         for k in (1, 3):
             inputs0, inputs1 = TestLanes.lane_inputs(circuit, k, rng)
             _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1,
                                        lanes=k)
             assert t0.online_rounds == t1.online_rounds
             assert t0.online_rounds == circuit.and_depth() + 1
-            assert circuit.and_depth() == expected_and_depth(16, with_mapper=True)
+            assert circuit.and_depth() == expected_and_depth(16)
 
     def test_xor_only_circuit_needs_one_round(self):
         c = Circuit()
@@ -474,21 +479,28 @@ class TestGmw:
         assert t0.online_rounds == 1
 
     def test_input_sharing_sends_no_online_input_frames(self):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(1)
         inputs0, inputs1 = random_inputs(circuit, rng)
         _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1)
         for t in (t0, t1):
             kinds = {e.kind for e in t.entries if e.phase == ONLINE}
-            assert kinds == {MSG_AND_OPENING, MSG_OUTPUT_SHARE}
+            assert kinds == {MSG_AND_OPENING, MSG_INPUT_SHARE, MSG_OUTPUT_SHARE}
             setup_kinds = {e.kind for e in t.entries if e.phase == SETUP}
             assert setup_kinds == {MSG_SETUP_TRIPLES}
+            # the one INPUT_SHARE frame is the release's choice frame, in
+            # the round after the last AND level
+            (choice,) = [e for e in t.entries if e.kind == MSG_INPUT_SHARE]
+            assert choice.round_index == t.online_rounds == (
+                circuit.and_depth() + 1)
+            assert max(e.round_index for e in t.entries
+                       if e.kind == MSG_AND_OPENING) == circuit.and_depth()
 
     @staticmethod
     def run_short(triples_short: int, cross_short: int, short: str) -> None:
         """A session whose dealer provides too few triples or cross
         products; the error names the stream that ran short."""
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(1)
         inputs0, inputs1 = random_inputs(circuit, rng)
         n_cross = circuit.cross_count() - cross_short
@@ -505,7 +517,7 @@ class TestGmw:
         self.run_short(triples_short=0, cross_short=1, short="cross products")
 
     def test_closed_channel_aborts_cleanly(self):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(1)
         inputs0, inputs1 = random_inputs(circuit, rng)
         mat0, _ = dealer_for_circuit(circuit, "gmw", rng)
@@ -520,7 +532,7 @@ class TestGmw:
                   InlineLoopback(hangs_up()))
 
     def test_wrong_party_material_rejected(self):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(1)
         inputs0, _ = random_inputs(circuit, rng)
         _, mat1 = dealer_for_circuit(circuit, "gmw", rng)
@@ -531,7 +543,7 @@ class TestGmw:
         run_over_tcp("gmw")
 
     def test_delay_sets_online_wall_time_floor(self):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(3)
         inputs0, inputs1 = random_inputs(circuit, rng)
         delay = 0.02
@@ -567,7 +579,7 @@ class TestYao:
 
     def test_two_online_rounds_regardless_of_size(self):
         rng = random.Random(6)
-        circuit = build_batch_query(8, 48)
+        circuit = build_batch_query(8)
         for k in (1, 8):
             inputs0, inputs1 = TestLanes.lane_inputs(circuit, k, rng)
             _, _, t0, t1 = run_backend(circuit, "yao", inputs0, inputs1,
@@ -575,7 +587,7 @@ class TestYao:
             assert t0.online_rounds == t1.online_rounds == 2
 
     def test_tables_travel_during_setup(self):
-        circuit = build_distinct_pair(8)
+        circuit = build_batch_query(8)
         rng = random.Random(7)
         inputs0, inputs1 = random_inputs(circuit, rng)
         _, _, t0, t1 = run_backend(circuit, "yao", inputs0, inputs1)
@@ -593,7 +605,7 @@ class TestYao:
         assert table_entry.n_bytes == 5 + 16 * 16 + 32 * 7
 
     def test_missing_transfer_material_aborts(self):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(8)
         inputs0, _ = random_inputs(circuit, rng)
         mat0, _ = dealer_gen(0, 0, rng)
@@ -601,7 +613,7 @@ class TestYao:
             next(evaluate_steps(circuit, inputs0, mat0))
 
     def test_garbler_requires_rng(self):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(9)
         _, inputs1 = random_inputs(circuit, rng)
         _, mat1 = dealer_for_circuit(circuit, "yao", rng)
@@ -609,7 +621,7 @@ class TestYao:
             next(garble_steps(circuit, inputs1, mat1, None))
 
     def test_party_1_garbles_and_party_0_evaluates(self):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         rng = random.Random(4)
         inputs0, inputs1 = random_inputs(circuit, rng)
         mat0, mat1 = dealer_for_circuit(circuit, "yao", rng)
@@ -691,8 +703,8 @@ class TestLanes:
                                  lanes=lanes), ch)
         assert ch.finish() is None
         if backend == "gmw":
-            assert mat0.triples.remaining == mat1.triples.remaining == 0
-            assert mat0.cross.remaining == mat1.cross.remaining == 0
+            for stream in (mat0.triples, mat1.triples, mat0.cross, mat1.cross):
+                assert stream.pos == stream.n
         return out0
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
@@ -726,16 +738,18 @@ class TestLanes:
                 assert got[lane::lanes] == expected, (trial, lane)
 
     def test_dealer_material_scales_with_lanes(self):
-        circuit = build_batch_query(8, 48)
+        circuit = build_batch_query(8)
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(1), lanes=5)
-        # 16 comparator and 48 identifier cross gates, 7 OR-tree ANDs
-        assert circuit.cross_count() == 16 + 48
+        # 16 comparator cross gates, 7 OR-tree ANDs, and a release transfer
+        # per output and lane
+        assert circuit.cross_count() == 16
         assert mat0.triples.n == 5 * 7
-        assert mat0.cross.n == 5 * (16 + 48)
+        assert mat0.cross.n == 5 * 16
+        assert mat0.transfers == 5
         # the querier's groups are shared: one transfer per wire at any k
-        stage = circuit.distinct_stage()
-        mat0, mat1 = dealer_for_circuit(stage, "yao", random.Random(1), lanes=5)
-        assert len(mat0.transfer_choices) == len(mat1.transfer_pads) == 16
+        mat0, mat1 = dealer_for_circuit(circuit, "yao", random.Random(1),
+                                        lanes=5)
+        assert mat0.transfers == mat1.transfers == 16
 
     def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
         # The secret wires are an XOR and a NOT of querier inputs, so they
@@ -916,7 +930,7 @@ class TestHalfGates:
 
     @pytest.mark.parametrize("lanes", [1, 3])
     def test_four_row_tables_are_rejected(self, lanes):
-        circuit = build_distinct_pair(4)
+        circuit = build_batch_query(4)
         inputs0, _ = TestLanes.lane_inputs(circuit, lanes, random.Random(5))
         mat0, _ = dealer_for_circuit(circuit, "yao", random.Random(6),
                                      lanes=lanes)
@@ -929,7 +943,7 @@ class TestHalfGates:
 class TestBackendAgreement:
     def test_backends_agree_on_width_104_pairs(self):
         rng = random.Random(99)
-        circuit = build_distinct_pair(104)
+        circuit = build_batch_query(104)
         for trial in range(3):
             q = random_rule(104, rng)
             h = random_rule(104, rng)
@@ -939,7 +953,7 @@ class TestBackendAgreement:
             assert g0 == y0 == ((0,) if overlaps(q, h) else (1,))
 
     def test_one_sided_reveal(self):
-        circuit = build_distinct_pair(8)
+        circuit = build_batch_query(8)
         rng = random.Random(13)
         inputs0, inputs1 = random_inputs(circuit, rng)
         expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
@@ -959,7 +973,7 @@ class TestBackendAgreement:
             raise AssertionError("a session started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        circuit = build_batch_query(8, 48)
+        circuit = build_batch_query(8)
         rng = random.Random(29)
         inputs0, inputs1 = TestLanes.lane_inputs(circuit, 2, rng)
         both = {**inputs0, **inputs1}
@@ -974,7 +988,7 @@ class TestBackendAgreement:
             assert out1 is None
 
     def test_transcripts_are_deterministic_per_seed(self):
-        circuit = build_distinct_pair(8)
+        circuit = build_batch_query(8)
         rng = random.Random(17)
         inputs0, inputs1 = random_inputs(circuit, rng)
 
@@ -999,7 +1013,7 @@ class TestBackendAgreement:
         assert other[0] != runs[0][0]
 
     def test_byte_totals_match_between_parties(self):
-        circuit = build_distinct_pair(16)
+        circuit = build_batch_query(16)
         rng = random.Random(19)
         inputs0, inputs1 = random_inputs(circuit, rng)
         _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1)
@@ -1040,49 +1054,104 @@ class SpyEnd:
         self.inner.close()
 
 
+class TruncatingEnd:
+    """Party 0's channel end, with the last byte cut from the first frame
+    of ``kind`` that either party sends."""
+
+    def __init__(self, inner, kind):
+        self.inner = inner
+        self.kind = kind
+
+    def cut(self, kind, payload):
+        if kind != self.kind:
+            return payload
+        self.kind = None
+        return payload[:-1]
+
+    def send(self, kind, payload):
+        return self.inner.send(kind, self.cut(kind, payload))
+
+    def recv(self):
+        kind, payload, size = self.inner.recv()
+        short = self.cut(kind, payload)
+        return kind, short, size - len(payload) + len(short)
+
+
+@pytest.mark.parametrize("backend,name", [
+    ("gmw", "AND_OPENING"),
+    ("gmw", "INPUT_SHARE"),
+    ("gmw", "OUTPUT_SHARE"),
+    ("yao", "INPUT_SHARE"),
+    ("yao", "LABELS"),
+    ("yao", "OUTPUT_SHARE"),
+])
+def test_a_short_online_frame_is_refused_naming_its_size(backend, name):
+    (kind,) = [k for k, v in KIND_NAMES.items() if v == name]
+    circuit = build_batch_query(8)
+    rng = random.Random(31)
+    inputs0, inputs1 = TestLanes.lane_inputs(circuit, 3, rng)
+    mat0, mat1 = dealer_for_circuit(circuit, backend, rng, lanes=3)
+    ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
+                                    garble_rng=random.Random(1), lanes=3))
+    with pytest.raises(ProtocolError, match=f"{name} frame of") as caught:
+        try:
+            drive(party_steps(circuit, backend, 0, inputs0, mat0, lanes=3),
+                  TruncatingEnd(ch, kind))
+        except ChannelClosed:
+            ch.finish()  # the holder refused the frame
+    got, expected = map(int, re.search(r"of (\d+) bytes, expected (\d+)",
+                                       str(caught.value)).groups())
+    assert got == expected - 1
+
+
 class TestOnlineTrafficLooksRandom:
     def test_received_online_bits_pass_uniformity_check(self):
-        # Two very different holder inputs; in both cases the bits the other
+        # Two very different holder inputs; in both cases the bits each
         # party actually sees online must be indistinguishable from fair
         # coin flips (the dealer randomness masks everything).
-        lanes = 4
-        circuit = build_batch_query(8, 48)
+        lanes = 8
+        circuit = build_batch_query(8)
         rng = random.Random(23)
         inputs0, _ = TestLanes.lane_inputs(circuit, lanes, rng)
         holder_a = TestLanes.lane_inputs(circuit, lanes, random.Random(100))[1]
         holder_b = {name: [0] * len(bits) for name, bits in holder_a.items()}
-        # Opening frames arrive one per AND layer; each carries 2 significant
-        # bits per AND gate and lane at that layer and the holder's 1 per
-        # cross gate and lane (the rest of the last byte is padding).
+        # Significant bits of each online frame (the rest of a last byte is
+        # padding).  An AND level's opening carries 2 bits per AND gate and
+        # lane and 1 per cross gate and lane, except that at level 1 the
+        # querier opens 1 bit per cross gate.  The release carries one
+        # masked choice bit per output and lane to the holder, and two
+        # padded 1-byte values per output and lane back.
         ands, crosses, _ = circuit.and_layers()
-        frame_widths = [(2 * len(a) + len(c)) * lanes
-                        for a, c in zip(ands[1:], crosses[1:])]
-        assert all(frame_widths)
-        frame_widths.append(len(circuit.output_wires) * lanes)
+        n = len(circuit.output_wires) * lanes
+        to_querier = [(2 * len(a) + len(c)) * lanes
+                      for a, c in zip(ands[1:], crosses[1:])] + [16 * n]
+        to_holder = [2 * len(a) * lanes + len(c) * (1 if level == 1 else lanes)
+                     for level, (a, c) in enumerate(zip(ands, crosses))
+                     if level] + [n]
+        assert all(to_querier) and all(to_holder)
         for holder in (holder_a, holder_b):
-            spies = []
-
-            def make_spy(end, spies=spies):
-                spy = SpyEnd(end)
-                spies.append(spy)
-                return spy
-
-            ones = 0
-            total = 0
+            counts = {"sent": [0, 0], RECEIVED: [0, 0]}  # ones, bits
             for session in range(40):
-                spies.clear()
+                spies = []
+
+                def make_spy(end, spies=spies):
+                    spies.append(SpyEnd(end))
+                    return spies[-1]
+
                 run_backend(circuit, "gmw", inputs0, holder,
-                            seed=1000 + session, spy0=make_spy,
-                            lanes=lanes)
-                payloads = [
-                    payload for kind, payload in spies[0].received
-                    if kind in (MSG_AND_OPENING, MSG_OUTPUT_SHARE)
-                ]
-                assert len(payloads) == len(frame_widths)
-                for payload, width in zip(payloads, frame_widths):
-                    value = int.from_bytes(payload, "little") & ((1 << width) - 1)
-                    ones += bin(value).count("1")
-                    total += width
-            _, p_value = stats.chisquare([ones, total - ones])
-            assert total > 10_000
-            assert p_value > 0.01
+                            seed=1000 + session, spy0=make_spy, lanes=lanes)
+                for direction, widths in (("sent", to_holder),
+                                          (RECEIVED, to_querier)):
+                    payloads = [payload for d, _, payload in spies[0].frames
+                                if d == direction]
+                    assert len(payloads) == len(widths)
+                    for payload, width in zip(payloads, widths):
+                        value = (int.from_bytes(payload, "little")
+                                 & ((1 << width) - 1))
+                        counts[direction][0] += bin(value).count("1")
+                        counts[direction][1] += width
+            for direction, least in (("sent", 5000), (RECEIVED, 10_000)):
+                ones, total = counts[direction]
+                assert total > least
+                _, p_value = stats.chisquare([ones, total - ones])
+                assert p_value > 0.01, direction
