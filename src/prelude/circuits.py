@@ -23,12 +23,14 @@ leaves the holder only under a one-time pad or inside a garbled row, so
 the querier learns no more than from the same bit as a secret input (see
 :mod:`prelude.smpc.yao` and :mod:`prelude.smpc.gmw`).
 
-Outputs leave a circuit only as released values: for each output the
-holder offers two values, and the querier receives the one the output bit
-selects, by a precomputed transfer under gmw and under the output labels
-under yao.  A query releases an entry's identifier where the entry
-overlaps the queried rule and the dummy where it does not, so no circuit
-computes identifiers.
+Outputs leave a circuit only as released values: the querier receives an
+entry's identifier where the output bit reads 0, where the entry overlaps
+the queried rule, and the dummy where it reads 1, so no circuit computes
+identifiers.  Under gmw the holder offers both by a precomputed transfer.
+Yao garbles only the comparator's cross gates, all at AND level 1, and
+releases the identifier under a sum of their keys that matches only where
+none reads 1 (see :mod:`prelude.smpc.yao`), so it never garbles the OR
+tree.
 
 Since clear wires feed only AND gates, every secret wire of AND depth 0 is
 an XOR or NOT of broadcast inputs and holds the same value in every lane.

@@ -31,16 +31,19 @@ Session flow, all on one framed channel:
    Every entry runs the same per-entry template, the comparator
    (:func:`build_batch_query`), and the backends evaluate it over k lanes,
    lane i being the i-th shuffled entry; the querier's rule feeds every
-   lane.  Lane i's output, the distinct bit, ends up XOR-shared under gmw,
-   and under yao the querier ends up holding one of its two labels;
-4. in the release round the holder offers, per entry, the entry's
-   identifier and the dummy, and the querier receives the one its distinct
-   bit selects: the identifier where the rules overlap, the dummy where
-   they are distinct.  Under gmw this is one precomputed transfer per entry
-   whose choice bit is the querier's share and whose pair the holder orders
-   by its own; under yao the two values go encrypted under the two labels
-   of the entry's output wire.  Either way the querier opens exactly one
-   value per entry and learns nothing of the other, and the holder learns
+   lane.  Lane i's output, the distinct bit, ends up XOR-shared under gmw.
+   Under yao only the comparator's cross gates are garbled, and the
+   querier ends up with a key sum per lane that equals the holder's
+   exactly when no cross gate reads 1, that is, when the rules overlap;
+4. in the release round the querier receives, per entry, the entry's
+   identifier where the rules overlap and the dummy where they are
+   distinct.  Under gmw the holder offers both, by one precomputed
+   transfer per entry whose choice bit is the querier's share of the
+   distinct bit and whose pair the holder orders by its own.  Under yao
+   it sends the identifier with an all-zero tag under a pad keyed by its
+   own key sum, and a lane whose tag does not open to zero under the
+   querier's sum opens to the dummy.  Either way the querier learns one
+   value per entry and nothing of the other, and the holder learns
    nothing back.  The querier drops the dummy placeholders and
    deduplicates.
 
@@ -99,7 +102,8 @@ BACKENDS = ("gmw", "yao")
 # The largest k a querier accepts in the envelope ack, which it sizes its
 # dealer material from before anything else checks it.  This is about 8x the
 # largest table any test or workload runs; at rule width 104 a yao session
-# of this size already moves about 27 MB of garbled tables.
+# of this size moves about 13.6 MB of garbled tables, the largest frame a
+# channel accepts (``MAX_FRAME_BYTES`` in :mod:`prelude.smpc.channel`).
 MAX_ENTRIES = 4096
 
 
@@ -347,18 +351,19 @@ class SdxMatchService:
                   "h_zero": rows_to_lanes(zeros, width)}
         # A distinct bit reads 0 where the rules overlap: release the
         # entry's identifier there, the dummy where it reads 1.
-        dummy = DUMMY_HOP.to_bytes()
-        values = [(entry.next_hop.to_bytes(), dummy) for entry in entries]
+        ids = [entry.next_hop.to_bytes() for entry in entries]
         material = dealer.material(template, backend, 1, k)
         if backend == "gmw":
             shares = yield from gmw_steps(template, 1, inputs, material,
                                           transcript, lanes=k)
+            dummy = DUMMY_HOP.to_bytes()
             yield from reveal_steps(shares, material, HOP_ID_BYTES,
-                                    transcript, receive=False, values=values)
+                                    transcript, receive=False,
+                                    values=[(i, dummy) for i in ids])
             return
-        delta, zero_labels = yield from garble_steps(
-            template, inputs, material, garble_rng, transcript, lanes=k)
-        yield from release_steps(delta, zero_labels, values, transcript)
+        sums = yield from garble_steps(template, inputs, material, garble_rng,
+                                       transcript, lanes=k)
+        yield from release_steps(sums, ids, transcript)
 
 
 # --------------------------------------------------------------------------
@@ -393,9 +398,10 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
         opened = yield from reveal_steps(shares, material, HOP_ID_BYTES,
                                          transcript, receive=True)
     else:
-        labels = yield from evaluate_steps(template, inputs, material,
-                                           transcript, lanes=k)
-        opened = yield from open_steps(labels, HOP_ID_BYTES, transcript)
+        sums = yield from evaluate_steps(template, inputs, material,
+                                         transcript, lanes=k)
+        opened = yield from open_steps(sums, k, HOP_ID_BYTES,
+                                       DUMMY_HOP.to_bytes(), transcript)
     return [NextHopId.from_bytes(value) for value in opened]
 
 

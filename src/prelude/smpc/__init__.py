@@ -5,17 +5,23 @@ Two interchangeable backends evaluate the same circuit objects:
 - :func:`gmw_steps` works on XOR shares with dealer-issued Beaver triples,
   and one-sided products for cross gates; its online round count equals
   the circuit's AND depth.
-- :func:`garble_steps` and :func:`evaluate_steps` garble and evaluate the
-  circuit; their online phase is a single round trip regardless of depth.
+- :func:`garble_steps` and :func:`evaluate_steps` garble only the
+  circuit's cross gates, which must all read querier inputs, and end with
+  per-lane key sums that agree exactly when no cross gate reads 1; their
+  online phase is a single round trip regardless of depth.
 
-Both then release to party 0 one of two values per output, chosen by the
-output bit, in one more round: gmw by a precomputed transfer whose choice
-bit is party 0's share and whose pair party 1 orders by its own
-(:func:`reveal_steps`), yao under the output wire's two labels
-(:func:`release_steps` and :func:`open_steps`).  Party 0 opens one value
-per output and learns nothing of the other; party 1 sees only one-time
-padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`) also
-carries yao's input labels.
+Both then release to party 0, in one more round, one value per output
+where the output bit reads 0 and another where it reads 1: gmw by a
+precomputed transfer whose choice bit is party 0's share and whose pair
+party 1 orders by its own (:func:`reveal_steps`), yao by sending the first
+value with a zero tag under a pad keyed by party 1's key sum, which opens
+only under an equal sum, so that party 0 takes the second value, the
+dummy, wherever the tag fails (:func:`release_steps` and
+:func:`open_steps`).  Yao thus computes the comparator template, whose
+output is 1 exactly when some cross gate reads 1, and no other circuit.
+Party 0 learns one value per output and nothing of the other; party 1 sees
+only one-time padded bits.  The precomputed transfer
+(:mod:`prelude.smpc.transfer`) also carries yao's input labels.
 
 Party 1's inputs are clear (see :mod:`prelude.circuits`): neither backend
 shares, masks or labels them, and they feed only cross gates.

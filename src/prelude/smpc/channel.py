@@ -47,6 +47,12 @@ KIND_NAMES = {
 }
 
 _HEADER = struct.Struct(">I")
+# The largest frame a receiver accepts, header included: yao's garbled
+# tables at the most entries a querier accepts (4096, ``MAX_ENTRIES`` in
+# :mod:`prelude.distinct_match`) and the rule width 104, 16 bytes for each
+# of 2 x 104 cross gates and entry.  A frame's length comes from the peer,
+# so a longer one is refused before its body is read.
+MAX_FRAME_BYTES = 5 + 32 * 104 * 4096
 # The most one socket read asks for: recv allocates what it is asked for,
 # and a frame's length comes from the peer.
 _RECV_CHUNK = 1 << 20
@@ -132,6 +138,9 @@ class TcpChannel:
         (length,) = _HEADER.unpack(self._read_exact(4))
         if length < 1:
             raise ProtocolError("frame length below minimum")
+        if 4 + length > MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame of {4 + length} bytes exceeds the cap "
+                                f"of {MAX_FRAME_BYTES} bytes")
         body = self._read_exact(length)
         return body[0], body[1:], 4 + length
 

@@ -39,7 +39,7 @@ one-time padded by dealer randomness the receiver never sees, so neither
 party learns anything.
 
 The release is one precomputed transfer per output and lane
-(:mod:`prelude.smpc.transfer`), the gmw twin of yao's label release.  The
+(:mod:`prelude.smpc.transfer`), which also carries yao's input labels.  The
 querier's choice bit is its share s0 of the output; the holder offers the
 pair of values ordered by its own share s1, value s0 XOR s1 in slot s0, so
 the querier opens the value of the output bit.  The holder sees s0 only

@@ -13,6 +13,7 @@ from prelude import distinct_match
 from prelude.distinct_match import (
     DUMMY_HOP,
     HOP_ID_BITS,
+    MAX_ENTRIES,
     LoopbackEndpoint,
     NextHopId,
     QueryAborted,
@@ -29,6 +30,7 @@ from prelude.rules import (
     FlowSpec,
     Packet,
     PROTO_TCP,
+    RULE_WIDTH,
     TernaryRule,
     encode,
     matches,
@@ -48,6 +50,7 @@ from prelude.smpc import (
     recv_frame,
     send_frame,
 )
+from prelude.smpc.channel import MAX_FRAME_BYTES
 
 
 def brute_force_hops(local: TernaryRule, entries) -> set[NextHopId]:
@@ -434,14 +437,14 @@ class TestSessionMechanics:
                        stats_out=stats_out)
         sent = {e.kind: e.n_bytes for e in transcripts[0].entries
                 if e.direction == SENT}
-        # comparator cells and OR tree only: 2w one-row cross gates of 16
-        # bytes and w - 1 half-gates ANDs of 32 bytes
-        assert sent[MSG_GARBLED_TABLES] == 5 + k * (64 * width - 32)
+        # the comparator's 2w one-row cross gates of 16 bytes per entry; the
+        # OR tree is not garbled
+        assert sent[MSG_GARBLED_TABLES] == 5 + 32 * width * k
         # two labels per querier input bit and none for the holder's clear
         # rule bits
         assert sent[MSG_LABELS] == 5 + 16 * 4 * width
-        # an identifier and the dummy, 6 bytes each, per entry
-        assert sent[MSG_OUTPUT_SHARE] == 5 + 12 * k
+        # per entry, one 16-byte block: the 6-byte identifier and its tag
+        assert sent[MSG_OUTPUT_SHARE] == 5 + 16 * k
         assert stats_out[0].online_rounds == 2
         assert stats_out[0].and_depth == expected_and_depth(width)
         assert sorted(raw) == sorted(
@@ -494,7 +497,7 @@ class TestLaneSessions:
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
         ("gmw", 4, 8, 299, 158, 4),
         ("gmw", 104, 50, 5487, 4601, 9),
-        ("yao", 104, 50, 334707, 7297, 2),
+        ("yao", 104, 50, 169907, 7497, 2),
     ])
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
                                                 width, k, setup, online,
@@ -577,6 +580,21 @@ class TestLaneSessions:
         assert built_shapes == [width]
         # both backends run the one template, which is all that was built
         assert created == [template]
+
+    def test_the_largest_legal_frame_fits_the_frame_cap(self):
+        # A full table at the rule width: yao's garbled tables are the
+        # largest frame of any session, and the cap is exactly their size.
+        rng = random.Random(71)
+        entries = [make_entry(random_rule(RULE_WIDTH, rng), 3, i)
+                   for i in range(MAX_ENTRIES)]
+        endpoint = fresh_endpoint(entries)
+        transcripts = holder_transcripts(endpoint)
+        for backend in ("gmw", "yao"):
+            result = endpoint.query(entries[0].rule, "10.0.0.0/8",
+                                    backend=backend)
+            assert entries[0].next_hop in result
+        sizes = [e.n_bytes for t in transcripts for e in t.entries]
+        assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     def test_session_depth_comes_from_the_template(self):
         rng = random.Random(67)

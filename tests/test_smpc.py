@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 import socket
+import struct
 import threading
 import time
 
@@ -17,14 +18,14 @@ import pytest
 from scipy import stats
 
 from prelude.circuits import (
-    NOT,
-    XOR,
+    AND,
     Circuit,
     build_batch_query,
     evaluate_plaintext,
     expected_and_depth,
+    input_values,
 )
-from prelude.rules import overlaps, random_rule
+from prelude.rules import TernaryRule, overlaps, random_rule
 from prelude.smpc import (
     ChannelClosed,
     ChannelTimeout,
@@ -61,6 +62,7 @@ from prelude.smpc import (
 )
 from prelude.smpc import yao
 from prelude.smpc.aes import Aes128Ecb
+from prelude.smpc.channel import MAX_FRAME_BYTES
 from prelude.smpc.shares import (
     BitShares,
     int_to_bits,
@@ -70,17 +72,35 @@ from prelude.smpc.shares import (
 )
 
 
-def rule_inputs(q, h) -> tuple[dict, dict]:
+def rule_inputs(q, holders) -> tuple[dict, dict]:
     """Comparator inputs of both parties: each rule's pinned-one and
-    pinned-zero bits in wire order."""
+    pinned-zero bits in wire order, holder rule i in lane i."""
 
-    def pinned(rule):
-        return (rows_to_lanes([rule.mask & rule.pattern], rule.width),
-                rows_to_lanes([rule.mask & ~rule.pattern], rule.width))
+    def pinned(rules):
+        return (rows_to_lanes([r.mask & r.pattern for r in rules], q.width),
+                rows_to_lanes([r.mask & ~r.pattern for r in rules], q.width))
 
-    (q_one, q_zero), (h_one, h_zero) = pinned(q), pinned(h)
+    (q_one, q_zero), (h_one, h_zero) = pinned([q]), pinned(holders)
     return ({"q_one": q_one, "q_zero": q_zero},
             {"h_one": h_one, "h_zero": h_zero})
+
+
+def overlap_case(width: int, lanes: int, rng: random.Random, q=None):
+    """Both parties' inputs for querier rule ``q`` (a random rule by
+    default) and ``lanes`` holder rules, and the template's plaintext
+    output per lane, 0 where the rules overlap.
+
+    Random wide rules almost never overlap, so a holder rule is as often
+    the querier's own rule, the wildcard or the querier's rule with pins
+    dropped as a random rule.
+    """
+    q = random_rule(width, rng) if q is None else q
+    holders = [rng.choice((
+        q, TernaryRule.wildcard(width),
+        TernaryRule(width, q.pattern, q.mask & rng.getrandbits(width)),
+        random_rule(width, rng))) for _ in range(lanes)]
+    inputs0, inputs1 = rule_inputs(q, holders)
+    return inputs0, inputs1, tuple(int(not overlaps(q, h)) for h in holders)
 
 
 def random_circuit(rng: random.Random, n0: int = 5, n1: int = 5,
@@ -120,8 +140,10 @@ def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
                 garble_rng=None, lanes=1):
     """One party of a session; returns the output bits it learns, or None.
 
-    Only party 0 learns the outputs: on either backend party 1 releases the
-    bytes 0 and 1 for each output, and party 0 opens one byte per output.
+    Only party 0 learns the outputs, one byte per output and lane: under
+    gmw party 1 releases the bytes 0 and 1 for each, and under yao, which
+    runs only the comparator template, the byte 0 where the key sums agree,
+    and party 0 opens the byte 1 where they do not.
     """
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat, transcript,
@@ -130,15 +152,15 @@ def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
             shares, mat, 1, transcript, receive=party == 0,
             values=[BIT_VALUES] * shares.n if party == 1 else ())
     elif party == 1:
-        delta, zero_labels = yield from garble_steps(
-            circuit, inputs, mat, garble_rng, transcript, lanes=lanes)
-        yield from release_steps(delta, zero_labels,
-                                 [BIT_VALUES] * len(zero_labels), transcript)
+        sums = yield from garble_steps(circuit, inputs, mat, garble_rng,
+                                       transcript, lanes=lanes)
+        yield from release_steps(sums, [BIT_VALUES[0]] * lanes, transcript)
         return None
     else:
-        labels = yield from evaluate_steps(circuit, inputs, mat, transcript,
-                                           lanes=lanes)
-        opened = yield from open_steps(labels, 1, transcript)
+        sums = yield from evaluate_steps(circuit, inputs, mat, transcript,
+                                         lanes=lanes)
+        opened = yield from open_steps(sums, lanes, 1, BIT_VALUES[1],
+                                       transcript)
     return None if opened is None else tuple(value[0] for value in opened)
 
 
@@ -167,8 +189,7 @@ def run_over_tcp(backend):
     in a thread of its own; asserts what each learns."""
     circuit = build_batch_query(8)
     rng = random.Random(21)
-    inputs0, inputs1 = random_inputs(circuit, rng)
-    expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
+    inputs0, inputs1, expected = overlap_case(8, 1, rng)
     mat0, mat1 = dealer_for_circuit(circuit, backend, rng)
     port, accept = TcpChannel.serve_one()
     ch1 = TcpChannel.connect("127.0.0.1", port)
@@ -365,6 +386,21 @@ class TestChannels:
         with pytest.raises(ChannelClosed):
             ch.finish()
 
+    def test_tcp_refuses_a_frame_over_the_cap_before_its_body(self):
+        end, other = socket.socketpair()
+        receiver = TcpChannel(end, timeout=5)
+        try:
+            # a header announcing 64 MiB, then the first bytes of its body
+            other.sendall(struct.pack(">I", 64 << 20) + b"body")
+            with pytest.raises(ProtocolError, match=(
+                    f"frame of {4 + (64 << 20)} bytes exceeds the cap of "
+                    f"{MAX_FRAME_BYTES} bytes")):
+                receiver.recv()
+            assert end.recv(16) == b"body"  # left unread
+        finally:
+            receiver.close()
+            other.close()
+
     def test_tcp_reads_a_frame_of_several_megabytes(self):
         end, other = socket.socketpair()
         receiver, sender = TcpChannel(end, timeout=30), TcpChannel(other)
@@ -452,7 +488,8 @@ class TestGmw:
         for trial in range(30):
             q = random_rule(8, rng)
             h = random_rule(8, rng)
-            out0, out1, _, _ = run_backend(circuit, "gmw", *rule_inputs(q, h),
+            inputs0, inputs1 = rule_inputs(q, [h])
+            out0, out1, _, _ = run_backend(circuit, "gmw", inputs0, inputs1,
                                            seed=trial)
             assert out0 == ((0,) if overlaps(q, h) else (1,))
             assert out1 is None
@@ -558,24 +595,41 @@ class TestGmw:
 
 
 class TestYao:
-    def test_matches_plaintext_on_random_circuits(self):
+    def test_matches_plaintext_overlap_on_the_template(self):
         rng = random.Random(4321)
-        for trial in range(100):
-            circuit = random_circuit(rng)
-            inputs0, inputs1 = random_inputs(circuit, rng)
-            expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
-            out0, out1, _, _ = run_backend(circuit, "yao", inputs0, inputs1,
-                                           seed=trial)
-            assert out0 == expected
-            assert out1 is None  # the garbler learns nothing
+        for width, lanes, trials in ((1, 1, 40), (1, 7, 12), (4, 3, 12),
+                                     (4, 500, 2), (104, 1, 8), (104, 40, 2)):
+            circuit = build_batch_query(width)
+            seen = set()
+            for trial in range(trials):
+                inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+                out0, out1, _, _ = run_backend(circuit, "yao", inputs0,
+                                               inputs1, seed=trial,
+                                               lanes=lanes)
+                assert out0 == expected, (width, lanes, trial)
+                assert out1 is None  # the garbler learns nothing
+                seen.update(expected)
+            # lanes that overlap and lanes that do not
+            assert seen == {0, 1}, (width, lanes)
+            # the wildcard query overlaps every entry
+            inputs0, inputs1, expected = overlap_case(
+                width, lanes, rng, q=TernaryRule.wildcard(width))
+            out0, _, _, _ = run_backend(circuit, "yao", inputs0, inputs1,
+                                        lanes=lanes)
+            assert out0 == expected == (0,) * lanes
 
-    def test_single_not_gate(self):
-        c = Circuit()
-        c.add_input_group(0, "a", 2)
-        c.mark_output(c.not_(0))
-        c.mark_output(c.not_(1))
-        out0, _, _, _ = run_backend(c, "yao", {"a": [1, 0]}, {})
-        assert out0 == (0, 1)
+    def test_width_1_template_has_no_or_tree(self):
+        # every pair of width-1 rules: 0, 1 and * against 0, 1 and *
+        circuit = build_batch_query(1)
+        assert circuit.and_count() == circuit.cross_count() == 2
+        rules = [TernaryRule(1, 0, 1), TernaryRule(1, 1, 1),
+                 TernaryRule.wildcard(1)]
+        for q in rules:
+            inputs0, inputs1 = rule_inputs(q, rules)
+            out0, _, _, _ = run_backend(circuit, "yao", inputs0, inputs1,
+                                        lanes=3)
+            assert out0 == tuple(int(not overlaps(q, h)) for h in rules)
+            assert out0.count(1) == (1 if q.mask else 0)
 
     def test_two_online_rounds_regardless_of_size(self):
         rng = random.Random(6)
@@ -600,9 +654,9 @@ class TestYao:
             e for e in t1.entries
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
-        # one 16-byte row per cross gate, two per OR-tree AND
+        # one 16-byte row per cross gate; the OR tree's ANDs are not garbled
         assert (circuit.cross_count(), circuit.and_count()) == (16, 23)
-        assert table_entry.n_bytes == 5 + 16 * 16 + 32 * 7
+        assert table_entry.n_bytes == 5 + 16 * 16
 
     def test_missing_transfer_material_aborts(self):
         circuit = build_batch_query(4)
@@ -632,6 +686,36 @@ class TestYao:
 
     def test_runs_over_tcp(self):
         run_over_tcp("yao")
+
+    def test_a_wrong_sum_opens_the_dummy(self):
+        rng = random.Random(12)
+        lanes = 5
+        sums = rng.getrandbits(128 * lanes)
+        values = [rng.randbytes(6) for _ in range(lanes)]
+        dummy = b"\xff" * 6
+        # lane 2's sum misses the garbler's by one bit, lane 4's entirely
+        wrong = sums ^ (1 << 2 * 128) ^ (rng.getrandbits(128) << 4 * 128)
+        ch = InlineLoopback(release_steps(sums, values))
+        opened = drive(open_steps(wrong, lanes, 6, dummy), ch)
+        ch.finish()
+        assert opened == [values[0], values[1], dummy, values[3], dummy]
+
+    def test_circuits_beyond_the_template_are_refused(self):
+        rng = random.Random(14)
+        deep = Circuit()
+        q = deep.add_input_group(0, "q", 2)
+        h = deep.add_input_group(1, "h", 1)
+        # a cross gate above AND level 1, on an AND of querier wires
+        deep.mark_output(deep.and_(deep.and_(q[0], q[1]), h[0]))
+        two = build_batch_query(2)
+        two.mark_output(two.output_wires[0])
+        for circuit in (deep, two):
+            inputs0, inputs1 = random_inputs(circuit, rng)
+            mat0, mat1 = dealer_for_circuit(circuit, "yao", rng)
+            with pytest.raises(ValueError, match="cross gates"):
+                next(garble_steps(circuit, inputs1, mat1, random.Random(1)))
+            with pytest.raises(ValueError, match="cross gates"):
+                next(evaluate_steps(circuit, inputs0, mat0))
 
 
 # --------------------------------------------------------------------------
@@ -692,6 +776,21 @@ class TestLanes:
                 for g in circuit.input_groups}
         return evaluate_plaintext(circuit, flat)
 
+    @classmethod
+    def case(cls, backend, lanes, rng, clear=False):
+        """A circuit and both parties' inputs for ``lanes`` lanes.
+
+        Under gmw the circuit is :meth:`lane_circuit`'s.  Yao garbles only
+        the comparator, so under yao it is the template at width 1, 4 or 8
+        on rules of which some overlap the querier's.
+        """
+        if backend == "gmw":
+            circuit = cls.lane_circuit(rng, clear)
+            return (circuit, *cls.lane_inputs(circuit, lanes, rng))
+        width = rng.choice((1, 4, 8))
+        inputs0, inputs1, _ = overlap_case(width, lanes, rng)
+        return build_batch_query(width), inputs0, inputs1
+
     @staticmethod
     def run(circuit, backend, inputs0, inputs1, lanes, seed):
         mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
@@ -712,8 +811,7 @@ class TestLanes:
     def test_each_lane_matches_plaintext(self, backend, lanes):
         rng = random.Random(500 + lanes)
         for trial in range(12):
-            circuit = self.lane_circuit(rng)
-            inputs0, inputs1 = self.lane_inputs(circuit, lanes, rng)
+            circuit, inputs0, inputs1 = self.case(backend, lanes, rng)
             got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
             both = {**inputs0, **inputs1}
             for lane in range(lanes):
@@ -726,11 +824,12 @@ class TestLanes:
     def test_cross_gates_match_plaintext(self, backend, lanes):
         rng = random.Random(700 + lanes)
         for trial in range(8):
-            circuit = self.lane_circuit(rng, clear=True)
+            circuit, inputs0, inputs1 = self.case(backend, lanes, rng,
+                                                  clear=True)
             _, crosses, _ = circuit.and_layers()
-            # cross gates at the first AND level and above it
-            assert crosses[1] and any(crosses[2:])
-            inputs0, inputs1 = self.lane_inputs(circuit, lanes, rng)
+            # cross gates at the first AND level, and above it under gmw
+            assert crosses[1]
+            assert any(crosses[2:]) == (backend == "gmw")
             got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
             both = {**inputs0, **inputs1}
             for lane in range(lanes):
@@ -815,118 +914,108 @@ class TestHalfGates:
             self.double(x) for x in lanes]
         assert doubled >> (128 * len(lanes)) == 0
 
-    def reference_garble(self, circuit, rng, lanes, clear=None):
-        """Half-gates one (gate, lane) at a time; returns (delta, labels, tables).
+    @classmethod
+    def h(cls, x: int, tweak: int) -> int:
+        """H(x, i) = pi(sigma(x) XOR i) XOR sigma(x) on one block."""
+        s = cls.double(x)
+        block = yao._PI.encrypt((s ^ tweak).to_bytes(16, "little"))
+        return int.from_bytes(block, "little") ^ s
 
-        ``clear`` maps each clear wire to its lane word; a cross gate is a
-        garbler half-gate with the one row T = H(A0) ^ H(A1) ^ b delta.
+    @staticmethod
+    def garbler_draws(rng, width):
+        """delta, a zero-label per querier wire and the offsets' key."""
+        return (rng.getrandbits(128) | 1,
+                [rng.getrandbits(128) for _ in range(2 * width)],
+                rng.getrandbits(128))
+
+    def reference_garble(self, circuit, delta, labels, key, lanes, clear):
+        """The key-sum garbling one (cross gate, lane) at a time.
+
+        ``labels`` are the querier wires' zero-labels in group order and
+        ``clear`` maps each clear wire to its lane word.  A cross gate's row
+        is T = H(A0, j) ^ H(A1, j) ^ b D, with D = AES_key(j), and its
+        zero-key H(A0, j) ^ p T.  Returns (the rows by gate, then lane, the
+        per-lane sums of the zero-keys).
         """
-
-        def h(x, tweak):
-            s = self.double(x)
-            block = yao._PI.encrypt((s ^ tweak).to_bytes(16, "little"))
-            return int.from_bytes(block, "little") ^ s
-
-        delta = rng.getrandbits(128) | 1
-        label = {}  # (wire, lane) -> zero-label
-        for group in circuit.input_groups:
-            if group.party == 1:
-                continue
-            for w in group.wires:
-                # the querier's wires have one label pair, which every lane reads
-                x = rng.getrandbits(128)
-                for i in range(lanes):
-                    label[w, i] = x
-        rows = {}  # (output wire, lane) -> (T_G, T_E)
+        wires = [w for g in circuit.input_groups if g.party == 0
+                 for w in g.wires]
+        label = dict(zip(wires, labels))
+        offsets = Aes128Ecb(key.to_bytes(16, "little"))
+        rows, sums = [], [0] * lanes
         for kind, a, b, out in circuit.gates:
+            if kind != AND or b not in circuit.clear_wires:
+                continue
+            a0 = label[a]
             for i in range(lanes):
-                if kind == XOR:
-                    label[out, i] = label[a, i] ^ label[b, i]
-                elif kind == NOT:
-                    label[out, i] = label[a, i] ^ delta
-                elif b in circuit.clear_wires:
-                    a0 = label[a, i]
-                    j = 2 * (out * lanes + i)
-                    bit = (clear[b] >> i) & 1
-                    t = h(a0, j) ^ h(a0 ^ delta, j) ^ (delta if bit else 0)
-                    label[out, i] = h(a0, j) ^ (t if a0 & 1 else 0)
-                    rows[out, i] = (t,)
-                else:
-                    a0, b0 = label[a, i], label[b, i]
-                    j = 2 * (out * lanes + i)
-                    t_g = h(a0, j) ^ h(a0 ^ delta, j) ^ (delta if b0 & 1 else 0)
-                    w_g = h(a0, j) ^ (t_g if a0 & 1 else 0)
-                    t_e = h(b0, j + 1) ^ h(b0 ^ delta, j + 1) ^ a0
-                    w_e = h(b0, j + 1) ^ (t_e ^ a0 if b0 & 1 else 0)
-                    label[out, i] = w_g ^ w_e
-                    rows[out, i] = (t_g, t_e)
-        # Each AND level: its cross gates, then its other AND gates, by
-        # batch; a batch holds its rows by gate, then lane, and for an AND
-        # batch first every T_G word, then every T_E word.
-        ands, crosses, _ = circuit.and_layers()
-        tables = []
-        for level in range(len(ands)):
-            for layer, blocks in ((crosses[level], 2), (ands[level], 4)):
-                per_call = max(1, yao._BATCH_BLOCKS // (blocks * lanes))
-                for at in range(0, len(layer), per_call):
-                    batch = layer[at : at + per_call]
-                    for half in range(blocks // 2):
-                        tables += [rows[g[3], i][half].to_bytes(16, "little")
-                                   for g in batch for i in range(lanes)]
-        return delta, label, b"".join(tables)
+                j = 2 * (out * lanes + i)
+                d = int.from_bytes(offsets.encrypt(j.to_bytes(16, "little")),
+                                   "little")
+                t = (self.h(a0, j) ^ self.h(a0 ^ delta, j)
+                     ^ (d if (clear[b] >> i) & 1 else 0))
+                rows.append(t.to_bytes(16, "little"))
+                sums[i] ^= self.h(a0, j) ^ (t if a0 & 1 else 0)
+        return b"".join(rows), sums
 
     @pytest.mark.parametrize("budget", [None, 8])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_tables_equal_a_per_lane_reference(self, monkeypatch, lanes,
                                                budget):
         if budget is not None:
-            # two gates per hash call, so layers split into several batches
+            # four cross gates per hash call, so the template's cross gates
+            # split into several batches
             monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
         rng = random.Random(80 + lanes)
-        for trial in range(3):
-            circuit = TestLanes.lane_circuit(rng)
-            delta, label0, tables = yao._garble(circuit, random.Random(trial),
-                                                lanes, {})
-            ref_delta, ref_label, ref_tables = self.reference_garble(
-                circuit, random.Random(trial), lanes)
-            assert delta == ref_delta
-            assert len(tables) == 32 * lanes * circuit.and_count()
+        for width in (1, 4, 8):
+            circuit = build_batch_query(width)
+            clear = {w: rng.getrandbits(lanes) for w in circuit.clear_wires}
+            delta, labels, key = self.garbler_draws(rng, width)
+            tables, sums = yao._garble(yao._cross_gates(circuit), labels,
+                                       delta, key, clear, lanes)
+            ref_tables, ref_sums = self.reference_garble(
+                circuit, delta, labels, key, lanes, clear)
+            assert len(tables) == 16 * lanes * 2 * width
             assert tables == ref_tables
-            for w in range(circuit.n_wires):
-                assert split_lanes(label0[w], 128, lanes) == [
-                    ref_label[w, i] for i in range(lanes)]
+            assert split_lanes(sums, 128, lanes) == ref_sums
 
     @pytest.mark.parametrize("budget", [None, 8])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_cross_gate_rows_equal_a_per_lane_reference(self, monkeypatch,
                                                         lanes, budget):
+        # The evaluator's key of each cross gate's row, H(A, j) ^ s T, summed
+        # per lane, and the sums agree with the garbler's exactly where the
+        # rules overlap.
         if budget is not None:
-            # four cross gates or two ANDs per hash call
             monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
         rng = random.Random(90 + lanes)
-        for trial in range(3):
-            circuit = TestLanes.lane_circuit(rng, clear=True)
-            clear = {w: rng.getrandbits(lanes) for w in circuit.clear_wires}
-            delta, label0, tables = yao._garble(circuit, random.Random(trial),
-                                                lanes, clear)
-            ref_delta, ref_label, ref_tables = self.reference_garble(
-                circuit, random.Random(trial), lanes, clear)
-            assert delta == ref_delta
-            cross = circuit.cross_count()
-            assert cross >= 6
-            assert len(tables) == 16 * lanes * (
-                cross + 2 * (circuit.and_count() - cross))
-            assert tables == ref_tables
-            for w in range(circuit.n_wires):
-                if w not in circuit.clear_wires:
-                    assert split_lanes(label0[w], 128, lanes) == [
-                        ref_label[w, i] for i in range(lanes)]
+        for width in (1, 4, 8):
+            circuit = build_batch_query(width)
+            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+            clear = input_values(circuit, 1, inputs1, lanes)
+            delta, labels, key = self.garbler_draws(rng, width)
+            gates = yao._cross_gates(circuit)
+            tables, sums = yao._garble(gates, labels, delta, key, clear, lanes)
+            bits = inputs0["q_one"] + inputs0["q_zero"]
+            chosen = [x ^ (delta if bit else 0) for x, bit in zip(labels, bits)]
+            got = split_lanes(yao._evaluate(gates, chosen, tables, lanes), 128,
+                              lanes)
+            ref = [0] * lanes
+            for at, (q, _, out) in enumerate(gates):
+                for i in range(lanes):
+                    j = 2 * (out * lanes + i)
+                    row = int.from_bytes(
+                        tables[16 * (at * lanes + i) :][:16], "little")
+                    ref[i] ^= self.h(chosen[q], j) ^ (
+                        row if chosen[q] & 1 else 0)
+            assert got == ref
+            assert tuple(int(a != b) for a, b in zip(
+                got, split_lanes(sums, 128, lanes))) == expected
 
     def test_released_values_fit_one_hash_block(self):
-        with pytest.raises(ValueError, match="at most 16 bytes"):
-            next(yao.release_steps(3, [0], [(bytes(17), bytes(17))]))
-        with pytest.raises(ValueError, match="at most 16 bytes"):
-            next(yao.open_steps([0], 17))
+        # a value and a tag of 80 zero bits share one 16-byte block
+        with pytest.raises(ValueError, match="at most 6 bytes"):
+            next(yao.release_steps(3, [bytes(7)]))
+        with pytest.raises(ValueError, match="at most 6 bytes"):
+            next(yao.open_steps(0, 1, 7, bytes(7)))
 
     @pytest.mark.parametrize("lanes", [1, 3])
     def test_four_row_tables_are_rejected(self, lanes):
@@ -935,8 +1024,11 @@ class TestHalfGates:
         mat0, _ = dealer_for_circuit(circuit, "yao", random.Random(6),
                                      lanes=lanes)
         ch = InlineLoopback(evaluate_steps(circuit, inputs0, mat0, lanes=lanes))
-        ch.send(MSG_GARBLED_TABLES, bytes(64 * lanes * circuit.and_count()))
-        with pytest.raises(ProtocolError, match="garbled table"):
+        rows = lanes * circuit.cross_count()
+        ch.send(MSG_GARBLED_TABLES, bytes(64 * rows))
+        with pytest.raises(ProtocolError, match=(
+                f"GARBLED_TABLES frame of {64 * rows} bytes, expected "
+                f"{16 * rows}")):
             ch.finish()
 
 
@@ -947,7 +1039,7 @@ class TestBackendAgreement:
         for trial in range(3):
             q = random_rule(104, rng)
             h = random_rule(104, rng)
-            inputs0, inputs1 = rule_inputs(q, h)
+            inputs0, inputs1 = rule_inputs(q, [h])
             g0, _, _, _ = run_backend(circuit, "gmw", inputs0, inputs1, seed=trial)
             y0, _, _, _ = run_backend(circuit, "yao", inputs0, inputs1, seed=trial)
             assert g0 == y0 == ((0,) if overlaps(q, h) else (1,))
@@ -955,8 +1047,7 @@ class TestBackendAgreement:
     def test_one_sided_reveal(self):
         circuit = build_batch_query(8)
         rng = random.Random(13)
-        inputs0, inputs1 = random_inputs(circuit, rng)
-        expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
+        inputs0, inputs1, expected = overlap_case(8, 1, rng)
         for backend in ("gmw", "yao"):
             out0, out1, t0, t1 = run_backend(circuit, backend, inputs0,
                                              inputs1)
@@ -975,12 +1066,7 @@ class TestBackendAgreement:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         circuit = build_batch_query(8)
         rng = random.Random(29)
-        inputs0, inputs1 = TestLanes.lane_inputs(circuit, 2, rng)
-        both = {**inputs0, **inputs1}
-        # outputs are ordered by wire, then lane
-        expected = tuple(bit for pair in zip(
-            *(TestLanes.lane_plaintext(circuit, both, lane) for lane in (0, 1)))
-            for bit in pair)
+        inputs0, inputs1, expected = overlap_case(8, 2, rng)
         for backend in ("gmw", "yao"):
             out0, out1, _, _ = run_backend(circuit, backend, inputs0, inputs1,
                                            seed=3, lanes=2)
@@ -1081,6 +1167,7 @@ class TruncatingEnd:
     ("gmw", "AND_OPENING"),
     ("gmw", "INPUT_SHARE"),
     ("gmw", "OUTPUT_SHARE"),
+    ("yao", "GARBLED_TABLES"),
     ("yao", "INPUT_SHARE"),
     ("yao", "LABELS"),
     ("yao", "OUTPUT_SHARE"),
@@ -1155,3 +1242,38 @@ class TestOnlineTrafficLooksRandom:
                 assert total > least
                 _, p_value = stats.chisquare([ones, total - ones])
                 assert p_value > 0.01, direction
+
+    def test_yao_querier_receives_uniform_bits(self):
+        # Everything the querier receives under yao, the table rows, the
+        # label transfer and the release, must look like fair coin flips
+        # under either holder: every cross gate's offset D enters only a row
+        # masked by the hash of a label the querier lacks.
+        lanes = 8
+        circuit = build_batch_query(8)
+        inputs0, _ = TestLanes.lane_inputs(circuit, lanes, random.Random(23))
+        holder_a = TestLanes.lane_inputs(circuit, lanes, random.Random(100))[1]
+        holder_b = {name: [0] * len(bits) for name, bits in holder_a.items()}
+        # 16 bytes per cross gate and lane, two 16-byte labels per querier
+        # wire, 16 bytes per lane
+        sizes = {MSG_GARBLED_TABLES: 16 * 16 * lanes, MSG_LABELS: 2 * 16 * 16,
+                 MSG_OUTPUT_SHARE: 16 * lanes}
+        for holder in (holder_a, holder_b):
+            ones = total = 0
+            for session in range(30):
+                spies = []
+
+                def make_spy(end, spies=spies):
+                    spies.append(SpyEnd(end))
+                    return spies[-1]
+
+                run_backend(circuit, "yao", inputs0, holder,
+                            seed=2000 + session, spy0=make_spy, lanes=lanes)
+                received = spies[0].received
+                assert {kind: len(payload) for kind, payload in received} == (
+                    sizes)
+                for _, payload in received:
+                    ones += bin(int.from_bytes(payload, "little")).count("1")
+                    total += 8 * len(payload)
+            assert total > 500_000
+            _, p_value = stats.chisquare([ones, total - ones])
+            assert p_value > 0.01
