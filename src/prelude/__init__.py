@@ -3,9 +3,9 @@
 Layering, bottom up:
 
 - ``rules``: ternary match rules over the fixed 104-bit header layout.
-- ``circuits``: boolean circuits deciding rule distinctness and mapping
-  matches to next-hop identifiers.
-- ``smpc``: two-party evaluation of those circuits (GMW and garbled circuits)
+- ``circuits``: the rule comparator, the one circuit, as a template
+  defined by its rule width.
+- ``smpc``: two-party evaluation of that template (GMW and garbled circuits)
   over a framed message channel with a trusted setup dealer.
 - ``distinct_match``: the query primitive one exchange point runs against
   another's rule table without either side revealing rule bits.

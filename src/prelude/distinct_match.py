@@ -479,11 +479,14 @@ class LoopbackEndpoint:
             _raw_out.extend(raw)
         if stats_out is not None:
             k = len(raw)
+            # the depth the backend ran: yao garbles only level 1
+            depth = (query_template(local.width).and_depth()
+                     if backend == "gmw" else 1)
             stats_out.append(SessionStats(
                 backend=backend,
                 prefix=prefix,
                 k=k,
-                and_depth=query_template(local.width).and_depth() if k else 0,
+                and_depth=depth if k else 0,
                 online_rounds=t_q.online_rounds,
                 setup_bytes=t_q.setup_bytes,
                 online_bytes=t_q.online_bytes,

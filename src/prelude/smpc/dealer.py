@@ -5,17 +5,19 @@ parties correlated randomness before the online phase starts.
 
 Per session it produces:
 
-- Beaver triple shares for every AND gate a GMW run will evaluate between
-  two secret wires, on every lane it runs;
-- cross-product material for every cross gate, an AND of a secret wire
-  with a wire the holder (party 1) knows in the clear, on every lane: the
-  querier (party 0) gets a random word a, the holder a random word y, and
-  each an XOR share of a AND y.  For a cross gate at AND level 1, whose
-  secret wire is the same in every lane (see :mod:`prelude.circuits`), a
-  is one bit copied to every lane;
-- a joint input-mask seed, from which both parties derive identical masks for
-  every input wire.  The wire's owner sets its share to ``bit XOR mask`` and
-  the other party uses the mask itself, so input sharing costs no messages;
+- Beaver triple shares for every AND of the OR tree, on every lane a GMW
+  run takes;
+- cross-product material for every cross gate, an AND of a querier bit
+  with a bit the holder (party 1) knows in the clear, on every lane: the
+  holder gets a random word y, and each party an XOR share of a AND y,
+  where a holds one random bit per gate copied to every lane.  Every cross
+  gate reads a querier input, which every lane shares (see
+  :mod:`prelude.circuits`), so the querier gets a as drawn, one bit per
+  gate;
+- a joint input-mask seed, from which both parties derive identical masks
+  for the querier's input bits.  The querier sets its share to ``bit XOR
+  mask`` and the holder uses the mask itself, so input sharing costs no
+  messages;
 - precomputed-transfer material (:mod:`prelude.smpc.transfer`), one kind
   for both backends: the sender, party 1, gets a pair of random 128-bit
   pads per transfer, and the receiver, party 0, a random choice bit and the
@@ -29,9 +31,8 @@ All material is simulation-grade randomness, not hardened cryptography.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from prelude.smpc.shares import int_to_bits, join_lanes
+from prelude.smpc.shares import broadcast
 from prelude.smpc.transfer import LABEL_BITS, LABEL_BYTES, transfer_material
 
 MASK_SEED_BYTES = 16
@@ -46,7 +47,8 @@ class TripleStream:
     """One party's triple shares, bit-packed; consumed layer by layer.
 
     Cross-product material uses the same shape: the querier's stream holds
-    (a, 0, its share of a AND y), the holder's (0, y, its share).  ``name``
+    (a, 0, its share of a AND y), with a one bit per gate rather than per
+    gate and lane, and the holder's (0, y, its share).  ``name``
     says which material the stream holds, for the error when it runs short.
     """
 
@@ -115,16 +117,15 @@ def dealer_gen(
     n_triples: int,
     n_transfers: int,
     rng,
-    cross: Sequence[int] = (),
+    n_cross: int = 0,
     lanes: int = 1,
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Generate one session's setup material for parties 0 and 1.
 
     Party 1 receives the transfers' pad pairs; party 0 receives choice bits
-    and matching pads.
-    ``cross`` gives the number of cross gates at each AND level from 0, in
-    the order GMW consumes them, over ``lanes``; the querier's random bit of
-    a level-1 gate fills all of its lanes.
+    and matching pads.  ``n_cross`` cross gates each take a cross product
+    in each of ``lanes`` lanes; the querier's random bit of a gate fills
+    all of its lanes.
     """
     a = rng.getrandbits(n_triples)
     b = rng.getrandbits(n_triples)
@@ -139,20 +140,13 @@ def dealer_gen(
 
     choices, pads = transfer_material(n_transfers, rng)
 
-    every_lane = (1 << lanes) - 1
-    x = n_cross = 0
-    for level, n in enumerate(cross):
-        if level == 1:
-            word = join_lanes(int_to_bits(rng.getrandbits(n), n),
-                              lanes) * every_lane
-        else:
-            word = rng.getrandbits(n * lanes)
-        x |= word << n_cross
-        n_cross += n * lanes
-    y = rng.getrandbits(n_cross)
-    z0 = rng.getrandbits(n_cross)
-    cross0 = TripleStream(x, 0, z0, n_cross, name="cross products")
-    cross1 = TripleStream(0, y, (x & y) ^ z0, n_cross, name="cross products")
+    n = n_cross * lanes
+    x = rng.getrandbits(n_cross)
+    y = rng.getrandbits(n)
+    z0 = rng.getrandbits(n)
+    cross0 = TripleStream(x, 0, z0, n, name="cross products")
+    cross1 = TripleStream(0, y, (broadcast(x, n_cross, lanes) & y) ^ z0, n,
+                          name="cross products")
 
     return (DealerMaterial(0, stream0, mask_seed, cross0, n_transfers, choices),
             DealerMaterial(1, stream1, mask_seed, cross1, n_transfers, pads))
@@ -161,21 +155,17 @@ def dealer_gen(
 def dealer_for_circuit(
     circuit, backend: str, rng, lanes: int = 1
 ) -> tuple[DealerMaterial, DealerMaterial]:
-    """Size the dealer material for one execution of ``circuit`` over ``lanes``.
+    """Size the dealer material for one run of the template over ``lanes``.
 
-    GMW takes one triple per AND gate between secret wires and lane, one
-    cross product per cross gate and lane, and one transfer per output and
-    lane for the release.  Yao transfers one label per input wire of the
-    evaluator (party 0), whose inputs every lane reads; party 1's inputs
-    are clear and take none.
+    GMW takes one cross product per level-1 cross gate and lane, one triple
+    per OR-tree AND and lane, and one transfer per lane for the release.
+    Yao transfers one label per querier input, which every lane reads; the
+    holder's inputs are clear and take none.
     """
+    n_cross, *tree = circuit.levels
     if backend == "gmw":
-        _, crosses, _ = circuit.and_layers()
-        return dealer_gen(lanes * (circuit.and_count() - circuit.cross_count()),
-                          lanes * len(circuit.output_wires), rng,
-                          cross=[len(layer) for layer in crosses], lanes=lanes)
+        return dealer_gen(lanes * sum(tree), lanes, rng, n_cross=n_cross,
+                          lanes=lanes)
     if backend == "yao":
-        n_transfers = sum(len(g.wires) for g in circuit.input_groups
-                          if g.party == 0)
-        return dealer_gen(0, n_transfers, rng)
+        return dealer_gen(0, n_cross, rng)
     raise ValueError(f"unknown backend {backend!r}")

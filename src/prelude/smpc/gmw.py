@@ -1,51 +1,49 @@
-"""GMW evaluation over XOR shares, on one lane or many.
+"""GMW evaluation of the comparator template over XOR shares.
 
-XOR and NOT gates are evaluated locally (NOT by party 0 flipping its share).
-Each AND layer consumes one Beaver triple per gate and costs exactly one
-exchange of masked openings, so the online round count equals the circuit's
-AND depth; the release afterwards adds one more round.  A party runs as two
-step generators over frames: :func:`gmw_steps` leaves the outputs
-XOR-shared and :func:`reveal_steps` releases to the querier one of two
-values per output, chosen by the output bit.
+The template (:class:`prelude.circuits.BatchQueryCircuit`) runs level by
+level over ``lanes`` entries at once, the SIMD gates of ABY (Demmler,
+Schneider & Zohner, NDSS 2015): each party's state is one level word whose
+field g holds gate g's lanes, every level is a handful of operations on
+that word, and a level of n gates opens all of them in one frame of the
+size n x lanes separate gates would need.  Each level is one online round,
+so the online round count equals the template's AND depth; the release
+afterwards adds one more round.  A party runs as two step generators over
+frames: :func:`gmw_steps` leaves the output XOR-shared and
+:func:`reveal_steps` releases to the querier one of two values per lane,
+chosen by the output bit.
 
-A circuit can be evaluated as a template over ``lanes`` independent
-instances at once, the SIMD gates of ABY (Demmler, Schneider & Zohner,
-NDSS 2015): each wire's share is one Python int whose bit i belongs to lane
-i, XOR and NOT act on whole ints, and an AND layer of n gates takes n x lanes
-triples and opens them in one frame of the size n x lanes separate gates
-would need.  Party 0's inputs are broadcast (see :mod:`prelude.circuits`):
-the querier supplies one bit per wire, which every lane reads.  At one lane
-this is plain bit-level GMW.
-
-Input wires never touch the channel, and only party 0's are XOR-shared:
+Inputs never touch the channel, and only the querier's are XOR-shared:
 both parties expand the dealer's joint mask seed into one mask bit per
-querier input wire, copied to every lane; the querier takes ``value XOR
-mask`` as its share and the holder takes the mask, which is a valid fresh
-sharing.  Every wire of AND depth 0 is then shared the same way in every
-lane.
+querier input; the querier takes ``value XOR mask`` as its share and the
+holder takes the mask, which is a valid fresh sharing.  One querier rule
+feeds every lane, so a share is one bit per input whatever the lane count.
 
-Party 1's inputs are clear (see :mod:`prelude.circuits`): the holder keeps
-their bits as they are, and they feed only cross gates.  A cross gate s AND
-b, s shared as s0 XOR s1 and b the holder's clear bit, is a one-sided
-product over dealer material: the querier holds a random a, the holder a
-random y, and each a share of a AND y.  The querier opens s0 XOR a: at
-AND level 1, where s0 is the same in every lane and so is the dealer's a,
-a single bit per gate, and at every later level one bit per lane.  The
-holder opens b XOR y, one bit per lane.  Both openings ride in the frame
-of that AND level, beside its Beaver openings.  With d = s0 XOR a and
-e = b XOR y, the querier takes s0 e XOR its product share and the holder
-d y XOR its product share XOR s1 b; these XOR to s b.  Each opening is
-one-time padded by dealer randomness the receiver never sees, so neither
-party learns anything.
+The holder's inputs are clear (see :mod:`prelude.circuits`): it keeps
+their bits as they are, and they feed only the level-1 cross gates.  A
+cross gate s AND b, s shared as s0 XOR s1 and b the holder's clear bit, is
+a one-sided product over dealer material: the querier holds a random a,
+one bit per gate, the holder a random y, and each a share of a AND y.  The
+querier opens s0 XOR a, one bit per gate for all lanes, since s0 and a are
+the same in every lane, and the holder opens b XOR y, one bit per gate and
+lane, in the frame of level 1.  With d = s0 XOR a and e = b XOR y, the
+querier takes s0 e XOR its product share and the holder d y XOR its
+product share XOR s1 b; these XOR to s b.  Each opening is one-time padded
+by dealer randomness the receiver never sees, so neither party learns
+anything.
 
-The release is one precomputed transfer per output and lane
+The cells are the low half of the level-1 word XOR its high half, and the
+OR tree is NOT of an AND-reduction of the NOT cells, NOT being party 0
+flipping its share.  Each tree level takes one Beaver triple per AND and
+lane and opens the masked operands of all of them in one frame.
+
+The release is one precomputed transfer per lane
 (:mod:`prelude.smpc.transfer`), which also carries yao's input labels.  The
 querier's choice bit is its share s0 of the output; the holder offers the
 pair of values ordered by its own share s1, value s0 XOR s1 in slot s0, so
 the querier opens the value of the output bit.  The holder sees s0 only
 XORed with a dealer bit it never learns, and the querier holds the pad of
 one slot only, so the other value reaches it one-time padded: it learns
-one value per output and not the holder's share.  A query releases the
+one value per lane and not the holder's share.  A query releases the
 entry's identifier where the output says the rules overlap and the dummy
 where they are distinct, so the querier learns an identifier only where
 the entry overlaps its rule.
@@ -56,7 +54,6 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
-from prelude.circuits import Circuit, XOR, input_values
 from prelude.smpc.channel import (
     MSG_AND_OPENING,
     MSG_OUTPUT_SHARE,
@@ -65,12 +62,7 @@ from prelude.smpc.channel import (
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
-from prelude.smpc.shares import (
-    BitShares,
-    int_to_bits,
-    join_lanes,
-    split_lanes,
-)
+from prelude.smpc.shares import BitShares, broadcast
 from prelude.smpc.transcript import SessionTranscript
 from prelude.smpc.transfer import (
     choose_steps,
@@ -82,119 +74,78 @@ from prelude.smpc.transfer import (
 )
 
 
-def _input_shares(circuit: Circuit, party: int,
-                  my_inputs: Mapping[str, Sequence[int]], mask_seed: bytes,
-                  lanes: int) -> list[int]:
-    """This party's share of every wire, input wires filled in.
-
-    A querier wire's share is one bit, copied to every lane; party 1's
-    wires hold its clear bits on its side and 0 on the other.
-    """
-    values = [0] * circuit.n_wires
-    for w, value in input_values(circuit, party, my_inputs, lanes).items():
-        values[w] = value
-    rng = random.Random(int.from_bytes(mask_seed, "little"))
-    every_lane = (1 << lanes) - 1
-    for group in circuit.input_groups:
-        if group.party == 0:
-            n = len(group.wires)
-            masks = int_to_bits(rng.getrandbits(n), n)
-            for w, mask in zip(group.wires, masks):
-                values[w] = (values[w] ^ mask) * every_lane
-    return values
+def _open_steps(mine: int, n_mine: int, n_theirs: int,
+                transcript: SessionTranscript | None):
+    """One AND level's round: send ``n_mine`` opened bits, receive the
+    peer's ``n_theirs``."""
+    if transcript is not None:
+        transcript.next_round()
+    yield from send_frame(MSG_AND_OPENING,
+                          mine.to_bytes((n_mine + 7) // 8, "little"),
+                          transcript)
+    theirs = yield from recv_exact(MSG_AND_OPENING, (n_theirs + 7) // 8,
+                                   transcript)
+    return int.from_bytes(theirs, "little")
 
 
 def gmw_steps(
-    circuit: Circuit,
+    circuit,
     party: int,
     my_inputs: Mapping[str, Sequence[int]],
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
-    """One party's online phase; returns its shares of the output wires.
+    """One party's online phase over the template; returns its share of
+    the output, one bit per lane.
 
-    Outputs stay shared: :func:`reveal_steps` releases values by them.
-    Over several lanes the shares are ordered by output wire, then lane.
+    The output stays shared: :func:`reveal_steps` releases values by it.
     """
     if party != setup.party:
         raise ValueError("setup material belongs to the other party")
     if lanes < 1:
         raise ValueError("lanes must be at least 1")
+    word = circuit.inputs(party, my_inputs, lanes)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
         transcript.begin_online()
 
-    values = _input_shares(circuit, party, my_inputs, setup.input_mask_seed,
-                           lanes)
-    every_lane = (1 << lanes) - 1
-    flip = every_lane if party == 0 else 0  # NOT: only party 0 flips
+    # Level 1: the cross gates.  The querier's bit of gate g is its input
+    # bit g, shared as (bit XOR mask, mask).
+    n = circuit.levels[0]
+    mask = random.Random(int.from_bytes(setup.input_mask_seed,
+                                        "little")).getrandbits(n)
+    secret = word ^ mask if party == 0 else mask
+    xa, xy, xc = setup.cross.take(n * lanes)
+    if party == 0:
+        theirs = yield from _open_steps(secret ^ xa, n, n * lanes, transcript)
+        z = (broadcast(secret, n, lanes) & theirs) ^ xc
+    else:
+        theirs = yield from _open_steps(word ^ xy, n * lanes, n, transcript)
+        z = (broadcast(theirs, n, lanes) & xy) ^ xc ^ (
+            broadcast(secret, n, lanes) & word)
 
-    def run_local(gates) -> None:
-        for kind, a, b, out in gates:
-            if kind == XOR:
-                values[out] = values[a] ^ values[b]
-            else:
-                values[out] = values[a] ^ flip
+    # The cells, negated: NOT is party 0 flipping its share.
+    half = n // 2 * lanes
+    flip = (1 << half) - 1 if party == 0 else 0
+    z = (z & ((1 << half) - 1)) ^ (z >> half) ^ flip
 
-    ands, crosses, locals_ = circuit.and_layers()
-    run_local(locals_[0])
-    for level in range(1, len(ands)):
-        gates = ands[level]
-        nb = len(gates) * lanes
+    # The tree: AND the low fields with the next as many, carry an odd one.
+    for ands in circuit.levels[1:]:
+        nb = ands * lanes
+        low = (1 << nb) - 1
         ta, tb, tc = setup.triples.take(nb)
-        # gate g's lanes occupy bits [g * lanes, (g + 1) * lanes) of a layer word
-        d_mine = join_lanes([values[g[1]] for g in gates], lanes) ^ ta
-        e_mine = join_lanes([values[g[2]] for g in gates], lanes) ^ tb
-        # Cross gates: at level 1 the querier's opening is the same in
-        # every lane, and it opens one bit per gate.
-        cross = crosses[level]
-        nc = len(cross) * lanes
-        n_d = len(cross) if level == 1 else nc  # bits of the querier's opening
-        xa, xy, xc = setup.cross.take(nc)
-        s_mine = join_lanes([values[g[1]] for g in cross], lanes)
-        if party == 0:
-            opened = s_mine ^ xa
-            if level == 1:
-                opened = join_lanes([v & 1 for v in split_lanes(
-                    opened, lanes, len(cross))], 1)
-            n_mine, n_theirs = n_d, nc
-        else:
-            clear = join_lanes([values[g[2]] for g in cross], lanes)
-            opened = clear ^ xy
-            n_mine, n_theirs = nc, n_d
-        word = d_mine | (e_mine << nb) | (opened << 2 * nb)
-        payload = word.to_bytes((2 * nb + n_mine + 7) // 8, "little")
-        if transcript is not None:
-            transcript.next_round()
-        yield from send_frame(MSG_AND_OPENING, payload, transcript)
-        theirs = int.from_bytes((yield from recv_exact(
-            MSG_AND_OPENING, (2 * nb + n_theirs + 7) // 8, transcript)),
-            "little")
-        mask = (1 << nb) - 1
-        d_pub = d_mine ^ (theirs & mask)
-        e_pub = e_mine ^ ((theirs >> nb) & mask)
-        z = tc ^ (d_pub & tb) ^ (e_pub & ta)
-        if party == 0:
-            z ^= d_pub & e_pub
-        for gate, share in zip(gates, split_lanes(z, lanes, len(gates))):
-            values[gate[3]] = share
-        if cross:
-            theirs_cross = (theirs >> 2 * nb) & ((1 << n_theirs) - 1)
-            if party == 0:
-                zc = (s_mine & theirs_cross) ^ xc
-            else:
-                d_cross = theirs_cross
-                if level == 1:
-                    d_cross = join_lanes(int_to_bits(d_cross, len(cross)),
-                                         lanes) * every_lane
-                zc = (d_cross & xy) ^ xc ^ (s_mine & clear)
-            for gate, share in zip(cross, split_lanes(zc, lanes, len(cross))):
-                values[gate[3]] = share
-        run_local(locals_[level])
+        d = (z & low) ^ ta
+        e = ((z >> nb) & low) ^ tb
+        theirs = yield from _open_steps(d | (e << nb), 2 * nb, 2 * nb,
+                                        transcript)
+        d ^= theirs & low
+        e ^= theirs >> nb
+        product = tc ^ (d & tb) ^ (e & ta) ^ (d & e if party == 0 else 0)
+        z = product | ((z >> 2 * nb) << nb)
 
-    outputs = [values[w] for w in circuit.output_wires]
-    return BitShares(join_lanes(outputs, lanes), lanes * len(outputs))
+    every_lane = (1 << lanes) - 1
+    return BitShares(z ^ (every_lane if party == 0 else 0), lanes)
 
 
 def reveal_steps(
@@ -206,11 +157,11 @@ def reveal_steps(
     receive: bool,
     values: Sequence[tuple[bytes, bytes]] = (),
 ):
-    """Release to the receiving side ``values[i][b]`` for output i of bit b.
+    """Release to the receiving side ``values[i][b]`` for lane i of output b.
 
     One online round.  The side that does not ``receive``, party 1, gives
-    ``values``, a pair of ``size``-byte values per output in output order,
-    and returns None; party 0 returns the value of each output.
+    ``values``, a pair of ``size``-byte values per lane, and returns None;
+    party 0 returns the value of each lane.
     """
     n = my_share.n
     material = setup.take_transfers(n)

@@ -51,13 +51,11 @@ def int_to_bits(value: int, n: int) -> tuple[int, ...]:
     return tuple(text[::-1].encode().translate(_FROM_ASCII))
 
 
-def pack_bits(bits: Sequence[int]) -> bytes:
-    """Little-endian bit packing: bit i of the vector is bit i of the integer."""
-    return bits_to_int(bits).to_bytes((len(bits) + 7) // 8, "little")
-
-
-def unpack_bits(data: bytes, n: int) -> tuple[int, ...]:
-    return int_to_bits(int.from_bytes(data, "little"), n)
+def broadcast(bits: int, n: int, lanes: int) -> int:
+    """Bit i of ``bits`` copied to every bit of field i: ``n`` fields of
+    ``lanes`` bits, field 0 in the lowest bits."""
+    low = join_lanes(int_to_bits(bits, n), lanes)  # bit i at field i's bottom
+    return (low << lanes) - low
 
 
 def join_lanes(values: Sequence[int], width: int) -> int:

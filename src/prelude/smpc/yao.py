@@ -2,18 +2,19 @@
 
 Party 1, the holder, garbles and party 0, the querier, evaluates, over the
 per-entry comparator template (:mod:`prelude.circuits`) run as ``lanes``
-instances, one per table entry.  Only the template's cross gates are
-garbled: each is the AND of a querier input wire a with a bit b the holder
-knows in the clear, and all of them sit at AND level 1.  The rest of the
+instances, one per table entry.  Only the template's level 1, its 2w
+cross gates, is garbled: gate g is the AND of querier input bit g with a
+bit b the holder knows in the clear.  The rest of the
 template, the OR over the comparator cells, is never garbled; the querier
 needs only the value released where it is 0, and a sum of keys decides
 that instead.
 
-Labels.  Each querier input wire has two 128-bit labels A0 and A1 = A0 XOR
-delta, delta odd, so a label's low bit doubles as its permute bit.  The
-querier receives the label its bit selects by a precomputed transfer
-(:mod:`prelude.smpc.transfer`), one per wire whatever the lane count, since
-one querier rule feeds every lane.  The holder's clear bits get no labels.
+Labels.  Each querier input has two 128-bit labels A0 and A1 = A0 XOR
+delta, delta odd, so a label's low bit doubles as its permute bit, and
+cross gate g reads the labels of input g.  The querier receives the label
+its bit selects by a precomputed transfer (:mod:`prelude.smpc.transfer`),
+one per input whatever the lane count, since one querier rule feeds every
+lane.  The holder's clear bits get no labels.
 
 Cross gates.  A cross gate in a lane is a garbler half-gate (Zahur, Rosulek
 & Evans, EUROCRYPT 2015, section 3) of one row T = H(A0, j) XOR H(A1, j)
@@ -41,7 +42,7 @@ holder sends its value followed by a tag of at least 80 zero bits, one
 removes H(S, ...) and keeps the value where the tag reads zero; anywhere
 else it opens the fallback, the dummy identifier.
 
-Privacy.  The evaluator holds one label of each wire and never delta, so
+Privacy.  The evaluator holds one label of each input and never delta, so
 the hash of the other label is pseudorandom to it.  Each D enters only a
 row T, masked by the hash of the label the evaluator lacks, so T hides b
 and D alike, and the key it computes is W0 or W0 XOR D without showing
@@ -55,8 +56,8 @@ The hash is the fixed-key construction H(x, i) = pi(sigma(x) XOR i) XOR
 sigma(x) of Guo, Katz, Wang & Yu (IEEE S&P 2020), where pi is AES-128 under
 a fixed public key and sigma is doubling in GF(2^128).  AES comes from the
 OpenSSL that CPython's ``hashlib`` already loads (:mod:`prelude.smpc.aes`).
-The tweak j is unique to every hash of a session: ``2 (w x lanes + lane)``
-for the cross gate writing wire w, and release tweaks lie above all of them.
+The tweak j is unique to every hash of a session: ``2 (g x lanes + lane)``
+for cross gate g, and release tweaks lie above all of them.
 
 A lane word holds lane i's 128 bits in bits [128 i, 128 i + 128), so sigma,
 the permute bits and the row selections act on every lane at once.  The
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from prelude.circuits import Circuit, input_values
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
@@ -84,7 +84,7 @@ from prelude.smpc.channel import (
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
-from prelude.smpc.shares import bits_to_int, join_lanes, split_lanes
+from prelude.smpc.shares import join_lanes, split_lanes
 from prelude.smpc.transcript import SessionTranscript
 from prelude.smpc.transfer import (
     LABEL_BITS,
@@ -151,82 +151,59 @@ def _fold(word: int, count: int, width: int) -> int:
     return word
 
 
-def _querier_wires(circuit: Circuit) -> list[int]:
-    """The labelled input wires, by group: party 0's, since party 1's are
-    clear.  Each takes one label transfer, whose label every lane reads."""
-    return [w for g in circuit.input_groups if g.party == 0 for w in g.wires]
-
-
-def _cross_gates(circuit: Circuit) -> list[tuple[int, int, int]]:
-    """Each cross gate as (its querier wire's index, clear wire, output wire).
-
-    Raises ValueError unless the circuit has one output and every cross gate
-    reads a querier input wire, which puts it at AND level 1.
-    """
-    index = {w: i for i, w in enumerate(_querier_wires(circuit))}
-    gates = [g for layer in circuit.and_layers()[1] for g in layer]
-    if len(circuit.output_wires) != 1 or any(g[1] not in index for g in gates):
-        raise ValueError("yao takes a circuit of one output whose cross gates "
-                         "all read querier inputs, at AND level 1")
-    return [(index[a], b, out) for _, a, b, out in gates]
-
-
 def _gates_per_call(lanes: int) -> int:
     """Cross gates per hash batch: as many as fit ``_BATCH_BLOCKS`` garbler
     blocks, two per gate and lane, and one at least."""
     return max(1, _BATCH_BLOCKS // (2 * lanes))
 
 
-def _keyed_batches(gates: Sequence[tuple[int, int, int]], labels: list[int],
-                   lanes: int):
+def _keyed_batches(labels: list[int], lanes: int):
     """The cross gates in hash batches, keyed by the labels held here.
 
-    Yields (batch, tweaks, hash inputs, permute mask) with one word of
-    ``lanes`` lanes per gate: its tweaks, sigma(label) XOR those tweaks for
-    the label its querier wire holds, and then, for the whole batch, all
-    ones in the lanes of every gate whose label's permute bit is set.
+    Gate g reads label g.  Yields (first gate, tweaks, hash inputs, permute
+    mask) with one word of ``lanes`` lanes per gate: its tweaks,
+    sigma(label) XOR those tweaks, and then, for the whole batch, all ones
+    in the lanes of every gate whose label's permute bit is set.
     """
     size = LABEL_BYTES * lanes
-    # lane i of out * step + twice_index holds 2 (out x lanes + i)
+    # lane i of g * step + twice_index holds 2 (g x lanes + i)
     step = 2 * lanes * _lane_ones(lanes)
     twice_index = 2 * _lane_index(lanes)
-    doubled = [_double(label, 1) for label in labels]
     flip = (bytes(size), b"\xff" * size)
     per_call = _gates_per_call(lanes)
-    for at in range(0, len(gates), per_call):
-        batch = gates[at : at + per_call]
-        tweaks = [out * step + twice_index for _, _, out in batch]
-        inputs = [_lane_word(doubled[q], lanes) ^ t
-                  for (q, _, _), t in zip(batch, tweaks)]
+    for at in range(0, len(labels), per_call):
+        batch = labels[at : at + per_call]
+        tweaks = [g * step + twice_index for g in range(at, at + len(batch))]
+        inputs = [_lane_word(_double(label, 1), lanes) ^ t
+                  for label, t in zip(batch, tweaks)]
         permute = int.from_bytes(
-            b"".join([flip[labels[q] & 1] for q, _, _ in batch]), "little")
-        yield batch, tweaks, inputs, permute
+            b"".join([flip[label & 1] for label in batch]), "little")
+        yield at, tweaks, inputs, permute
 
 
-def _key_sums(gates: Sequence[tuple[int, int, int]], labels: list[int],
-              folded: int, lanes: int) -> int:
+def _key_sums(labels: list[int], folded: int, lanes: int) -> int:
     """Each lane's XOR of one key H(A, j) per gate.
 
     ``folded`` is the XOR of every batch's keys without their sigma(A)
     terms, one word per gate of a full batch.  A gate's sigma(A) is the
     same in every lane, so those terms add up to sigma of the XOR of the
-    gates' labels, copied to every lane.
+    labels, copied to every lane.
     """
     total = 0
-    for q, _, _ in gates:
-        total ^= labels[q]
-    count = min(_gates_per_call(lanes), len(gates))
+    for label in labels:
+        total ^= label
+    count = min(_gates_per_call(lanes), len(labels))
     return (_fold(folded, count, LABEL_BITS * lanes)
             ^ _lane_word(_double(total, 1), lanes))
 
 
-def _garble(gates: Sequence[tuple[int, int, int]], labels: list[int],
-            delta: int, key: int, clear: Mapping[int, int],
+def _garble(labels: list[int], delta: int, key: int, clear: int,
             lanes: int) -> tuple[bytes, int]:
     """Return (the tables, the lane sums S0 of the zero-keys).
 
-    ``labels`` are the querier wires' zero-labels, ``key`` the offsets' AES
-    key, and ``clear`` maps each clear wire to its lane word.
+    ``labels`` are the querier inputs' zero-labels, ``key`` the offsets'
+    AES key, and ``clear`` the holder's level-1 word, gate g's lanes in
+    field g.
     """
     size = LABEL_BYTES * lanes
     offsets = Aes128Ecb(key.to_bytes(LABEL_BYTES, "little"))
@@ -234,61 +211,57 @@ def _garble(gates: Sequence[tuple[int, int, int]], labels: list[int],
     shift = _lane_word(doubled_delta, lanes)  # sigma(A1) = sigma(A0) ^ shift
     tables: list[bytes] = []
     folded = 0
-    for batch, tweaks, inputs, permute in _keyed_batches(gates, labels, lanes):
-        n = len(batch) * lanes
+    for at, tweaks, inputs, permute in _keyed_batches(labels, lanes):
+        n = len(tweaks) * lanes
         e0 = _encrypt(_PI, inputs, size)
         e1 = _encrypt(_PI, [x ^ shift for x in inputs], size)
-        b = spread(join_lanes([clear[g[1]] for g in batch], lanes), n)
+        b = spread(clear >> at * lanes, n)
         # H(A0, j) ^ H(A1, j) ^ b D
         row = (e0 ^ e1 ^ _lane_word(doubled_delta, n)
                ^ (select(b) & _encrypt(offsets, tweaks, size)))
         tables.append(row.to_bytes(LABEL_BYTES * n, "little"))
         folded ^= e0 ^ (permute & row)
-    return b"".join(tables), _key_sums(gates, labels, folded, lanes)
+    return b"".join(tables), _key_sums(labels, folded, lanes)
 
 
-def _evaluate(gates: Sequence[tuple[int, int, int]], labels: list[int],
-              tables: bytes, lanes: int) -> int:
+def _evaluate(labels: list[int], tables: bytes, lanes: int) -> int:
     """The lane sums S of the keys ``labels`` unlock under the tables."""
     rows = memoryview(tables)
     size = LABEL_BYTES * lanes
-    offset = folded = 0
-    for batch, _, inputs, permute in _keyed_batches(gates, labels, lanes):
-        end = offset + size * len(batch)
-        row = int.from_bytes(rows[offset:end], "little")
-        offset = end
+    folded = 0
+    for at, _, inputs, permute in _keyed_batches(labels, lanes):
+        row = int.from_bytes(rows[size * at : size * (at + len(inputs))],
+                             "little")
         folded ^= _encrypt(_PI, inputs, size) ^ (permute & row)
-    return _key_sums(gates, labels, folded, lanes)
+    return _key_sums(labels, folded, lanes)
 
 
 def garble_steps(
-    circuit: Circuit,
+    circuit,
     my_inputs: Mapping[str, Sequence[int]],
     setup: DealerMaterial,
     rng,
     transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
-    """Garbler's (party 1's) side of one execution.
+    """Garbler's (party 1's) side of one run of the template.
 
     Returns the lane sums S0 of the zero-keys, lane i in bits
     [128 i, 128 i + 128), under which :func:`release_steps` releases values.
-    Raises ValueError for a circuit :func:`_cross_gates` refuses.
     """
     if setup.party != 1:
         raise ValueError("setup material belongs to the other party")
     if rng is None:
         raise ValueError("garbler needs an rng")
+    clear = circuit.inputs(1, my_inputs, lanes)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    gates = _cross_gates(circuit)
-    n = len(_querier_wires(circuit))
+    n = circuit.levels[0]
     pads = setup.take_transfers(n)
-    clear = input_values(circuit, 1, my_inputs, lanes)
     delta = rng.getrandbits(LABEL_BITS) | 1
     labels = [rng.getrandbits(LABEL_BITS) for _ in range(n)]
-    tables, sums = _garble(gates, labels, delta, rng.getrandbits(LABEL_BITS),
-                           clear, lanes)
+    tables, sums = _garble(labels, delta, rng.getrandbits(LABEL_BITS), clear,
+                           lanes)
     yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
     if transcript is not None:
         transcript.begin_online()
@@ -300,37 +273,32 @@ def garble_steps(
 
 
 def evaluate_steps(
-    circuit: Circuit,
+    circuit,
     my_inputs: Mapping[str, Sequence[int]],
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
-    """Evaluator's (party 0's) side of one execution.
+    """Evaluator's (party 0's) side of one run of the template.
 
     Returns the lane sums S of its keys, with which :func:`open_steps`
-    opens the released values.  Raises ValueError for a circuit
-    :func:`_cross_gates` refuses.
+    opens the released values.
     """
     if setup.party != 0:
         raise ValueError("setup material belongs to the other party")
+    bits = circuit.inputs(0, my_inputs, lanes)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
-    gates = _cross_gates(circuit)
-    wires = _querier_wires(circuit)
-    n = len(wires)
+    n = circuit.levels[0]
     material = setup.take_transfers(n)
-    bits = input_values(circuit, 0, my_inputs, lanes)
-    tables = yield from recv_exact(MSG_GARBLED_TABLES,
-                                   LABEL_BYTES * lanes * len(gates),
+    tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n,
                                    transcript)
     if transcript is not None:
         transcript.begin_online()
         transcript.next_round()
-    chosen = yield from choose_steps(bits_to_int([bits[w] for w in wires]), n,
-                                     LABEL_BYTES, material, MSG_LABELS,
-                                     transcript)
-    return _evaluate(gates, split_lanes(chosen, LABEL_BITS, n), tables, lanes)
+    chosen = yield from choose_steps(bits, n, LABEL_BYTES, material,
+                                     MSG_LABELS, transcript)
+    return _evaluate(split_lanes(chosen, LABEL_BITS, n), tables, lanes)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Circuit construction and plaintext evaluation.
+"""The comparator template: its level plan and its input check.
 
-The per-entry query template, the rule comparator, is checked exhaustively
-against the integer overlap predicate at small widths, and, entry by entry
-with the release's pair of values, against a filter/map oracle.
+The template is defined by its width alone.  A plaintext run of its level
+plan, written here from the plan's definition, is checked exhaustively
+against the integer overlap predicate at width 4, at random at width 104,
+and, entry by entry with the release's pair of values, against a
+filter/map oracle.  The secure backends are checked against the overlap
+predicate in ``tests/test_smpc.py``.
 """
 
 from __future__ import annotations
@@ -13,132 +16,110 @@ import random
 import pytest
 
 from prelude.circuits import (
-    Circuit,
     batch_query_and_count,
     build_batch_query,
-    evaluate_plaintext,
     expected_and_depth,
 )
 from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
+from prelude.smpc.shares import rows_to_lanes
 
 
-def int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+def rule_inputs(q: TernaryRule, holders) -> tuple[dict, dict]:
+    """Both parties' inputs: pinned-one and pinned-zero bits in wire order
+    (the rule's most significant bit first), holder rule i in lane i."""
+
+    def pinned(rules):
+        return (rows_to_lanes([r.mask & r.pattern for r in rules], q.width),
+                rows_to_lanes([r.mask & ~r.pattern for r in rules], q.width))
+
+    (q_one, q_zero), (h_one, h_zero) = pinned([q]), pinned(holders)
+    return ({"q_one": q_one, "q_zero": q_zero},
+            {"h_one": h_one, "h_zero": h_zero})
 
 
-def rule_input_bits(rule: TernaryRule) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Pinned-one and pinned-zero bits in wire order (bit 0 first)."""
-    return (int_to_bits(rule.mask & rule.pattern, rule.width),
-            int_to_bits(rule.mask & ~rule.pattern, rule.width))
+def run_plan(c, inputs0, inputs1, lanes: int) -> tuple[int, ...]:
+    """The template's output per lane, in the clear, level by level.
+
+    Level 1 ANDs the querier's bit of gate g with the holder's field g;
+    the cells are the low half XOR the high half; each tree level ANDs the
+    low ``levels[L]`` fields of the NOT cells with the next as many and
+    carries an odd last field; the output is NOT the last field.
+    """
+    q = c.inputs(0, inputs0, lanes)
+    h = c.inputs(1, inputs1, lanes)
+    n = c.levels[0]
+    fields = [((q >> g) & 1) * ((h >> g * lanes) & ((1 << lanes) - 1))
+              for g in range(n)]
+    every_lane = (1 << lanes) - 1
+    fields = [lo ^ hi ^ every_lane for lo, hi in zip(fields[: n // 2],
+                                                     fields[n // 2 :])]
+    for ands in c.levels[1:]:
+        assert ands == len(fields) // 2
+        fields = ([a & b for a, b in zip(fields[:ands],
+                                         fields[ands : 2 * ands])]
+                  + fields[2 * ands :])
+    (last,) = fields
+    return tuple(((last ^ every_lane) >> i) & 1 for i in range(lanes))
 
 
-def pair_inputs(q: TernaryRule, h: TernaryRule) -> dict:
-    q_one, q_zero = rule_input_bits(q)
-    h_one, h_zero = rule_input_bits(h)
-    return {"q_one": q_one, "q_zero": q_zero, "h_one": h_one, "h_zero": h_zero}
+def distinct(q, holders) -> tuple[int, ...]:
+    return tuple(int(not overlaps(q, h)) for h in holders)
 
 
-# ---------------------------------------------------------------- primitives
+# ---------------------------------------------------------------- inputs
 
 
 class TestGatePrimitives:
     def test_or_truth_table(self):
-        c = Circuit()
-        (a,) = c.add_input_group(0, "a", 1)
-        (b,) = c.add_input_group(0, "b", 1)
-        c.mark_output(c.or_(a, b))
-        for x in (0, 1):
-            for y in (0, 1):
-                assert evaluate_plaintext(c, {"a": [x], "b": [y]}) == (x | y,)
-
-    def test_not_and_xor(self):
-        c = Circuit()
-        (a,) = c.add_input_group(0, "a", 1)
-        (b,) = c.add_input_group(0, "b", 1)
-        c.mark_output(c.not_(a))
-        c.mark_output(c.xor(a, b))
-        c.mark_output(c.and_(a, b))
-        assert evaluate_plaintext(c, {"a": [1], "b": [1]}) == (0, 0, 1)
-        assert evaluate_plaintext(c, {"a": [0], "b": [1]}) == (1, 1, 0)
-
-    def test_inputs_must_precede_gates(self):
-        c = Circuit()
-        (a,) = c.add_input_group(0, "a", 1)
-        c.not_(a)
-        with pytest.raises(ValueError):
-            c.add_input_group(1, "late", 1)
-
-    def test_gate_inputs_must_exist(self):
-        c = Circuit()
-        c.add_input_group(0, "a", 1)
-        with pytest.raises(ValueError):
-            c.and_(0, 5)
+        # Two cells, set one by one: rules that pin a bit to opposite
+        # values make its cell 1, and the output is their OR.
+        c = build_batch_query(2)
+        q = TernaryRule(2, 0b10, 0b11)
+        for c0 in (0, 1):
+            for c1 in (0, 1):
+                h = TernaryRule(2, 0b10 ^ (c0 << 1) ^ c1, 0b11)
+                assert run_plan(c, *rule_inputs(q, [h]), 1) == (c0 | c1,)
 
     def test_evaluate_input_validation(self):
         c = build_batch_query(2)
-        good = pair_inputs(TernaryRule.wildcard(2), TernaryRule.wildcard(2))
-        with pytest.raises(ValueError):
-            evaluate_plaintext(c, {**good, "bogus": [0]})
-        with pytest.raises(ValueError):
-            evaluate_plaintext(c, {k: v for k, v in good.items() if k != "q_one"})
-        with pytest.raises(ValueError):
-            evaluate_plaintext(c, {**good, "q_one": [0]})
+        good0, good1 = rule_inputs(TernaryRule.wildcard(2),
+                                   [TernaryRule.wildcard(2)] * 3)
+        for party, good in ((0, good0), (1, good1)):
+            with pytest.raises(ValueError, match="exactly groups"):
+                c.inputs(party, {**good, "bogus": [0, 0]}, 3)
+            (name, *_) = good
+            with pytest.raises(ValueError, match="exactly groups"):
+                c.inputs(party, {k: v for k, v in good.items() if k != name},
+                         3)
+            with pytest.raises(ValueError, match="wrong length"):
+                c.inputs(party, {**good, name: [0]}, 3)
+            with pytest.raises(ValueError, match="one per lane"):
+                c.inputs(party, {**good, name: [0, -1]}, 3)
+        # each party supplies only its own groups
+        with pytest.raises(ValueError, match="exactly groups"):
+            c.inputs(0, good1, 3)
 
 
 class TestClearGroups:
-    @staticmethod
-    def circuit() -> tuple[Circuit, int, int]:
-        c = Circuit()
-        (a,) = c.add_input_group(0, "a", 1)
-        (b,) = c.add_input_group(1, "b", 1)
-        return c, a, b
-
-    def test_clear_wire_feeds_only_and_gates(self):
-        c, a, b = self.circuit()
-        with pytest.raises(ValueError, match="only AND"):
-            c.xor(a, b)
-        with pytest.raises(ValueError, match="only AND"):
-            c.xor(b, a)
-        with pytest.raises(ValueError, match="only AND"):
-            c.not_(b)
-        with pytest.raises(ValueError):
-            c.mark_output(b)
-        assert c.gates == []
-
-    def test_cross_gate_keeps_its_clear_wire_second(self):
-        c, a, b = self.circuit()
-        out = c.and_(b, a)
-        assert c.gates == [(0, a, b, out)]
-        assert c.cross_count() == c.and_count() == 1
-        (_, crosses, _) = c.and_layers()
-        assert crosses[1] == [(0, a, b, out)]
-        c.mark_output(out)
-        for x in (0, 1):
-            for y in (0, 1):
-                assert evaluate_plaintext(c, {"a": [x], "b": [y]}) == (x & y,)
-
-    def test_and_of_two_clear_wires_is_rejected(self):
-        c = Circuit()
-        b1, b2 = c.add_input_group(1, "b", 2)
-        with pytest.raises(ValueError, match="at most one clear"):
-            c.and_(b1, b2)
-
     def test_a_clear_group_belongs_to_party_1_and_to_every_lane(self):
-        c = Circuit()
-        a = c.add_input_group(0, "a", 2)
-        b = c.add_input_group(1, "b", 2)
-        assert c.clear_wires == set(b)
-        assert not c.clear_wires & set(a)
+        c = build_batch_query(2)
+        # a holder value is a word of one bit per lane, a querier value a bit
+        holder = {"h_one": [0b101, 0b010], "h_zero": [0b010, 0b100]}
+        # gate j < w reads h_zero[j], gate w + j h_one[j]: field g of 3 lanes
+        assert c.inputs(1, holder, 3) == (0b010 | 0b100 << 3 | 0b101 << 6
+                                          | 0b010 << 9)
+        assert c.inputs(0, {"q_one": [1, 0], "q_zero": [0, 1]}, 3) == 0b1001
+        with pytest.raises(ValueError, match="one per lane"):
+            c.inputs(0, {"q_one": [0b11, 0], "q_zero": [0, 0]}, 3)
+        with pytest.raises(ValueError, match="one per lane"):
+            c.inputs(1, {**holder, "h_one": [0b1000, 0]}, 3)
 
     def test_comparator_cells_are_cross_gates(self):
         for width in (1, 8, 104):
             c = build_batch_query(width)
-            assert c.cross_count() == 2 * width
-            assert {g.name for g in c.input_groups if g.party == 1} == {
-                "h_one", "h_zero"}
-            _, crosses, _ = c.and_layers()
-            assert len(crosses[1]) == 2 * width
-            assert not any(crosses[2:])
+            # level 1 is the 2w cross gates; the OR tree holds the rest
+            assert c.levels[0] == 2 * width
+            assert sum(c.levels[1:]) == width - 1
 
 
 # ---------------------------------------------------------------- comparator
@@ -149,9 +130,9 @@ class TestDistinctPair:
         c = build_batch_query(4)
         rules = list(enumerate_rules(4))
         for q in rules:
-            for h in rules:
-                out = evaluate_plaintext(c, pair_inputs(q, h))
-                assert out[0] == (0 if overlaps(q, h) else 1)
+            # every rule at once, one per lane
+            assert run_plan(c, *rule_inputs(q, rules), len(rules)) == (
+                distinct(q, rules))
 
     def test_random_width_104(self):
         c = build_batch_query(104)
@@ -159,14 +140,12 @@ class TestDistinctPair:
         for _ in range(50):
             q = random_rule(104, rng)
             h = random_rule(104, rng)
-            out = evaluate_plaintext(c, pair_inputs(q, h))
-            assert out[0] == (0 if overlaps(q, h) else 1)
+            assert run_plan(c, *rule_inputs(q, [h]), 1) == distinct(q, [h])
 
     def test_and_count_exact(self):
         for width in (1, 2, 7, 8, 104):
             c = build_batch_query(width)
             assert c.and_count() == 2 * width + (width - 1)
-            assert c.cross_count() == 2 * width
 
     def test_and_depth_logarithmic(self):
         for width in (1, 2, 8, 13, 104):
@@ -179,14 +158,7 @@ class TestDistinctPair:
 
 
 class TestBatchQuery:
-    """The per-entry template, evaluated once per entry of a table."""
-
-    @staticmethod
-    def release(c, q, entries, ids, dummy):
-        """Each entry's released value: the release gives output bit b the
-        b-th of (identifier, dummy)."""
-        return tuple((entry_id, dummy)[evaluate_plaintext(
-            c, pair_inputs(q, rule))[0]] for rule, entry_id in zip(entries, ids))
+    """The per-entry template, run over the entries of a table."""
 
     def test_matches_filter_map_oracle(self):
         rng = random.Random(42)
@@ -197,7 +169,9 @@ class TestBatchQuery:
                 q = random_rule(width, rng)
                 entries = [random_rule(width, rng) for _ in range(8)]
                 ids = [rng.randrange(dummy) for _ in range(8)]
-                got = self.release(c, q, entries, ids, dummy)
+                # the release gives output bit b the b-th of (id, dummy)
+                got = tuple((entry_id, dummy)[bit] for entry_id, bit in zip(
+                    ids, run_plan(c, *rule_inputs(q, entries), 8)))
                 # filter/map: an overlapping entry maps to its identifier,
                 # any other to the dummy
                 assert got == tuple(v if overlaps(q, e) else dummy
@@ -208,7 +182,7 @@ class TestBatchQuery:
             c = build_batch_query(w)
             assert c.and_count() == batch_query_and_count(w)
             # the comparator cells are cross gates, the OR tree the rest
-            assert c.cross_count() == 2 * w
+            assert c.levels[0] == 2 * w
 
     def test_and_depth_independent_of_k(self):
         # one template serves every k: its depth depends on the rule width

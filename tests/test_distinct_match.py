@@ -22,7 +22,7 @@ from prelude.distinct_match import (
     SdxMatchService,
 )
 from prelude.circuits import (
-    Circuit,
+    BatchQueryCircuit,
     batch_query_and_count,
     expected_and_depth,
 )
@@ -446,7 +446,8 @@ class TestSessionMechanics:
         # per entry, one 16-byte block: the 6-byte identifier and its tag
         assert sent[MSG_OUTPUT_SHARE] == 5 + 16 * k
         assert stats_out[0].online_rounds == 2
-        assert stats_out[0].and_depth == expected_and_depth(width)
+        # yao garbles only the template's level-1 cross gates
+        assert stats_out[0].and_depth == 1
         assert sorted(raw) == sorted(
             e.next_hop if overlaps(local, e.rule) else DUMMY_HOP
             for e in entries)
@@ -555,14 +556,14 @@ class TestLaneSessions:
 
         monkeypatch.setattr(distinct_match, "build_batch_query",
                             recording_build)
-        created: list[Circuit] = []
-        init = Circuit.__init__
+        created: list[BatchQueryCircuit] = []
+        init = BatchQueryCircuit.__init__
 
-        def recording_init(self):
+        def recording_init(self, rule_width):
             created.append(self)
-            init(self)
+            init(self, rule_width)
 
-        monkeypatch.setattr(Circuit, "__init__", recording_init)
+        monkeypatch.setattr(BatchQueryCircuit, "__init__", recording_init)
         rng = random.Random(61)
         service = SdxMatchService(sdx_id=1)
         endpoint = LoopbackEndpoint(service, seed=1)
@@ -597,12 +598,15 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     def test_session_depth_comes_from_the_template(self):
+        # the depth each backend ran: the template's under gmw, and the one
+        # level of cross gates yao garbles
         rng = random.Random(67)
         entries = [make_entry(random_rule(104, rng), 2, 20 + i)
                    for i in range(5)]
         endpoint = fresh_endpoint(entries)
-        for backend in ("gmw", "yao"):
+        for backend, depth in (("gmw", expected_and_depth(104)), ("yao", 1)):
             stats_out = []
             endpoint.query(random_rule(104, rng), "10.0.0.0/8",
                            backend=backend, stats_out=stats_out)
-            assert stats_out[0].and_depth == expected_and_depth(104) == 8
+            assert stats_out[0].and_depth == depth
+        assert expected_and_depth(104) == 8

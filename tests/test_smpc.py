@@ -1,8 +1,9 @@
 """Channel, sharing, and two-backend execution tests.
 
 The core check is differential: both secure backends must agree with the
-plaintext evaluator on every circuit we throw at them, and their transcripts
-must show the promised round counts and phase separation.
+overlap predicate of the rules, and with the template's plaintext on any
+input bits, at every width and lane count we throw at them, and their
+transcripts must show the promised round counts and phase separation.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ import pytest
 from scipy import stats
 
 from prelude.circuits import (
-    AND,
-    Circuit,
+    INPUT_GROUPS,
     build_batch_query,
-    evaluate_plaintext,
     expected_and_depth,
-    input_values,
 )
-from prelude.rules import TernaryRule, overlaps, random_rule
+from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
 from prelude.smpc import (
     ChannelClosed,
     ChannelTimeout,
@@ -53,12 +51,10 @@ from prelude.smpc import (
     garble_steps,
     gmw_steps,
     open_steps,
-    pack_bits,
     recv_frame,
     release_steps,
     reveal_steps,
     send_frame,
-    unpack_bits,
 )
 from prelude.smpc import yao
 from prelude.smpc.aes import Aes128Ecb
@@ -103,34 +99,31 @@ def overlap_case(width: int, lanes: int, rng: random.Random, q=None):
     return inputs0, inputs1, tuple(int(not overlaps(q, h)) for h in holders)
 
 
-def random_circuit(rng: random.Random, n0: int = 5, n1: int = 5,
-                   n_gates: int = 40) -> Circuit:
-    """Random gates over party 0's secret wires; party 1's clear wires feed
-    only AND gates, each with a secret wire."""
-    c = Circuit()
-    secret = list(c.add_input_group(0, "a", n0))
-    clear = c.add_input_group(1, "b", n1)
-    for _ in range(n_gates):
-        op = rng.randrange(3)
-        x = rng.choice(secret)
-        if op == 0:
-            secret.append(c.and_(x, rng.choice(secret + list(clear))))
-        elif op == 1:
-            secret.append(c.xor(x, rng.choice(secret)))
-        else:
-            secret.append(c.not_(x))
-    for w in rng.sample(secret, k=4):
-        c.mark_output(w)
-    c.mark_output(secret[-1])
-    return c
+def random_inputs(circuit, rng: random.Random, lanes: int = 1,
+                  sparse: int = 1) -> tuple[dict, dict]:
+    """Random input bits of both parties, which need not form rules: a bit
+    per querier input and a lane word per holder input.  Each bit is 1 with
+    probability ``2 ** -sparse``."""
+
+    def word(width):
+        value = (1 << width) - 1
+        for _ in range(sparse):
+            value &= rng.getrandbits(width)
+        return value
+
+    return tuple({name: [word(width) for _ in range(circuit.width)]
+                  for name in names}
+                 for names, width in zip(INPUT_GROUPS, (1, lanes)))
 
 
-def random_inputs(circuit: Circuit, rng: random.Random):
-    by_party = ({}, {})
-    for group in circuit.input_groups:
-        bits = [rng.getrandbits(1) for _ in group.wires]
-        by_party[group.party][group.name] = bits
-    return by_party
+def plaintext(inputs0, inputs1, lanes: int, cell=int.__xor__) -> tuple:
+    """The template's output per lane: 1 where some cell
+    ``cell(q_one·h_zero, q_zero·h_one)`` is 1."""
+    out = 0
+    for q1, q0, h0, h1 in zip(inputs0["q_one"], inputs0["q_zero"],
+                              inputs1["h_zero"], inputs1["h_one"]):
+        out |= cell(q1 * h0, q0 * h1)
+    return tuple((out >> i) & 1 for i in range(lanes))
 
 
 BIT_VALUES = (b"\x00", b"\x01")  # what each output releases, for 0 and 1
@@ -225,37 +218,6 @@ class TestShares:
         for value, n in ((1 << 4, 4), (-1, 4), (1, 0)):
             with pytest.raises(ValueError, match="must fit"):
                 BitShares(value, n)
-
-    def test_pack_unpack_round_trip(self):
-        rng = random.Random(9)
-        for n in (1, 7, 8, 9, 104):
-            bits = tuple(rng.getrandbits(1) for _ in range(n))
-            assert unpack_bits(pack_bits(bits), n) == bits
-
-    def test_pack_is_little_endian_bit_order(self):
-        assert pack_bits((1, 0, 0, 0, 0, 0, 0, 0, 1)) == b"\x01\x01"
-
-    @staticmethod
-    def reference_pack(bits):
-        # bit i of the vector is bit i % 8 of byte i // 8
-        return bytes(sum(bits[i] << (i % 8) for i in range(at, min(at + 8, len(bits))))
-                     for at in range(0, len(bits), 8))
-
-    @staticmethod
-    def reference_unpack(data, n):
-        return tuple((data[i // 8] >> (i % 8)) & 1 for i in range(n))
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 1000, 1 << 17])
-    def test_pack_unpack_match_a_reference_loop(self, n):
-        rng = random.Random(n)
-        bits = tuple(rng.getrandbits(1) for _ in range(n))
-        packed = pack_bits(bits)
-        assert packed == self.reference_pack(bits)
-        assert len(packed) == (n + 7) // 8
-        assert unpack_bits(packed, n) == self.reference_unpack(packed, n) == bits
-
-    def test_unpack_ignores_bits_beyond_n(self):
-        assert unpack_bits(b"\xff\xff", 9) == (1,) * 9
 
     def test_lane_fields_round_trip(self):
         rng = random.Random(12)
@@ -472,14 +434,16 @@ class TestDealer:
 
 class TestGmw:
     def test_matches_plaintext_on_random_circuits(self):
+        # templates of random widths on random input bits, which need not
+        # form rules: a cell whose products are both 1 reads 0
         rng = random.Random(2024)
-        for trial in range(150):
-            circuit = random_circuit(rng)
-            inputs0, inputs1 = random_inputs(circuit, rng)
-            expected = evaluate_plaintext(circuit, {**inputs0, **inputs1})
+        for trial in range(60):
+            circuit = build_batch_query(rng.randrange(1, 20))
+            lanes = rng.randrange(1, 10)
+            inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2)
             out0, out1, _, _ = run_backend(circuit, "gmw", inputs0, inputs1,
-                                           seed=trial)
-            assert out0 == expected
+                                           seed=trial, lanes=lanes)
+            assert out0 == plaintext(inputs0, inputs1, lanes)
             assert out1 is None
 
     def test_distinct_pair_agrees_with_rule_overlap(self):
@@ -498,22 +462,12 @@ class TestGmw:
         rng = random.Random(11)
         circuit = build_batch_query(16)
         for k in (1, 3):
-            inputs0, inputs1 = TestLanes.lane_inputs(circuit, k, rng)
+            inputs0, inputs1 = random_inputs(circuit, rng, k)
             _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1,
                                        lanes=k)
             assert t0.online_rounds == t1.online_rounds
             assert t0.online_rounds == circuit.and_depth() + 1
             assert circuit.and_depth() == expected_and_depth(16)
-
-    def test_xor_only_circuit_needs_one_round(self):
-        c = Circuit()
-        c.add_input_group(0, "a", 2)
-        c.add_input_group(0, "b", 2)
-        c.mark_output(c.xor(0, 2))
-        c.mark_output(c.xor(1, 3))
-        out0, _, t0, _ = run_backend(c, "gmw", {"a": [1, 0], "b": [1, 1]}, {})
-        assert out0 == (0, 1)
-        assert t0.online_rounds == 1
 
     def test_input_sharing_sends_no_online_input_frames(self):
         circuit = build_batch_query(4)
@@ -540,9 +494,9 @@ class TestGmw:
         circuit = build_batch_query(4)
         rng = random.Random(1)
         inputs0, inputs1 = random_inputs(circuit, rng)
-        n_cross = circuit.cross_count() - cross_short
-        n_triples = circuit.and_count() - circuit.cross_count() - triples_short
-        mat0, mat1 = dealer_gen(n_triples, 0, rng, cross=[0, n_cross])
+        n_cross = circuit.levels[0] - cross_short
+        n_triples = sum(circuit.levels[1:]) - triples_short
+        mat0, mat1 = dealer_gen(n_triples, 0, rng, n_cross=n_cross)
         ch = InlineLoopback(gmw_steps(circuit, 1, inputs1, mat1))
         with pytest.raises(SetupUnderprovisioned, match=f"needed .* {short},"):
             drive(gmw_steps(circuit, 0, inputs0, mat0), ch)
@@ -621,7 +575,7 @@ class TestYao:
     def test_width_1_template_has_no_or_tree(self):
         # every pair of width-1 rules: 0, 1 and * against 0, 1 and *
         circuit = build_batch_query(1)
-        assert circuit.and_count() == circuit.cross_count() == 2
+        assert circuit.levels == (2,)
         rules = [TernaryRule(1, 0, 1), TernaryRule(1, 1, 1),
                  TernaryRule.wildcard(1)]
         for q in rules:
@@ -635,7 +589,7 @@ class TestYao:
         rng = random.Random(6)
         circuit = build_batch_query(8)
         for k in (1, 8):
-            inputs0, inputs1 = TestLanes.lane_inputs(circuit, k, rng)
+            inputs0, inputs1 = random_inputs(circuit, rng, k)
             _, _, t0, t1 = run_backend(circuit, "yao", inputs0, inputs1,
                                        lanes=k)
             assert t0.online_rounds == t1.online_rounds == 2
@@ -655,7 +609,7 @@ class TestYao:
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
         # one 16-byte row per cross gate; the OR tree's ANDs are not garbled
-        assert (circuit.cross_count(), circuit.and_count()) == (16, 23)
+        assert (circuit.levels[0], circuit.and_count()) == (16, 23)
         assert table_entry.n_bytes == 5 + 16 * 16
 
     def test_missing_transfer_material_aborts(self):
@@ -700,96 +654,23 @@ class TestYao:
         ch.finish()
         assert opened == [values[0], values[1], dummy, values[3], dummy]
 
-    def test_circuits_beyond_the_template_are_refused(self):
-        rng = random.Random(14)
-        deep = Circuit()
-        q = deep.add_input_group(0, "q", 2)
-        h = deep.add_input_group(1, "h", 1)
-        # a cross gate above AND level 1, on an AND of querier wires
-        deep.mark_output(deep.and_(deep.and_(q[0], q[1]), h[0]))
-        two = build_batch_query(2)
-        two.mark_output(two.output_wires[0])
-        for circuit in (deep, two):
-            inputs0, inputs1 = random_inputs(circuit, rng)
-            mat0, mat1 = dealer_for_circuit(circuit, "yao", rng)
-            with pytest.raises(ValueError, match="cross gates"):
-                next(garble_steps(circuit, inputs1, mat1, random.Random(1)))
-            with pytest.raises(ValueError, match="cross gates"):
-                next(evaluate_steps(circuit, inputs0, mat0))
-
 
 # --------------------------------------------------------------------------
 # cross-backend and transcript behaviour
 
 
+def tree_fields(width: int) -> list[int]:
+    """The fields each OR-tree level reduces: w, then half of them rounded
+    up, down to 2."""
+    fields = []
+    while width > 1:
+        fields.append(width)
+        width -= width // 2
+    return fields
+
+
 class TestLanes:
-    """A circuit evaluated over k lanes equals k plaintext evaluations."""
-
-    @staticmethod
-    def lane_circuit(rng: random.Random, clear: bool = False) -> Circuit:
-        """Random gates over the querier's groups, which every lane reads.
-
-        With ``clear`` the holder also has a group, one bit per lane, whose
-        clear wires each feed cross gates with a querier wire and with an
-        XOR of two, at the first AND level, and cross gates above it.
-        """
-        c = Circuit()
-        q = c.add_input_group(0, "q", 3)
-        a = c.add_input_group(0, "a", 3)
-        c.add_input_group(0, "b", 4)
-        c.add_input_group(0, "d", 2)
-        clear_wires = c.add_input_group(1, "h", 3) if clear else ()
-        secret = list(range(c.n_wires - len(clear_wires)))
-        for h in clear_wires:
-            secret.append(c.and_(rng.choice(q), h))
-            secret.append(c.and_(h, c.xor(rng.choice(a), rng.choice(q))))
-        for _ in range(40):
-            op = rng.randrange(4 if clear else 3)
-            x = rng.choice(secret)
-            if op == 0:
-                secret.append(c.and_(x, rng.choice(secret)))
-            elif op == 1:
-                secret.append(c.xor(x, rng.choice(secret)))
-            elif op == 2:
-                secret.append(c.not_(x))
-            else:  # a cross gate above the first level
-                secret.append(c.and_(rng.choice(clear_wires), x))
-        for w in rng.sample(secret, k=4):
-            c.mark_output(w)
-        c.mark_output(secret[-1])
-        return c
-
-    @staticmethod
-    def lane_inputs(circuit, lanes, rng):
-        """Per-party inputs: a bit per querier wire, a lane word per holder
-        wire."""
-        by_party = ({}, {})
-        for g in circuit.input_groups:
-            width = lanes if g.party == 1 else 1
-            by_party[g.party][g.name] = [rng.getrandbits(width) for _ in g.wires]
-        return by_party
-
-    @staticmethod
-    def lane_plaintext(circuit, inputs, lane):
-        flat = {g.name: [(v >> lane) & 1 if g.party == 1 else v
-                         for v in inputs[g.name]]
-                for g in circuit.input_groups}
-        return evaluate_plaintext(circuit, flat)
-
-    @classmethod
-    def case(cls, backend, lanes, rng, clear=False):
-        """A circuit and both parties' inputs for ``lanes`` lanes.
-
-        Under gmw the circuit is :meth:`lane_circuit`'s.  Yao garbles only
-        the comparator, so under yao it is the template at width 1, 4 or 8
-        on rules of which some overlap the querier's.
-        """
-        if backend == "gmw":
-            circuit = cls.lane_circuit(rng, clear)
-            return (circuit, *cls.lane_inputs(circuit, lanes, rng))
-        width = rng.choice((1, 4, 8))
-        inputs0, inputs1, _ = overlap_case(width, lanes, rng)
-        return build_batch_query(width), inputs0, inputs1
+    """The template over k lanes equals k plaintext evaluations."""
 
     @staticmethod
     def run(circuit, backend, inputs0, inputs1, lanes, seed):
@@ -811,75 +692,78 @@ class TestLanes:
     def test_each_lane_matches_plaintext(self, backend, lanes):
         rng = random.Random(500 + lanes)
         for trial in range(12):
-            circuit, inputs0, inputs1 = self.case(backend, lanes, rng)
-            got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
-            both = {**inputs0, **inputs1}
-            for lane in range(lanes):
-                expected = self.lane_plaintext(circuit, both, lane)
-                # outputs are ordered by wire, then lane
-                assert got[lane::lanes] == expected, (trial, lane)
+            width = rng.choice((1, 3, 4, 8))
+            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+            got = self.run(build_batch_query(width), backend, inputs0,
+                           inputs1, lanes, trial)
+            assert got == expected, trial
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_cross_gates_match_plaintext(self, backend, lanes):
+        # Input bits that need not form rules, so a cell's two cross gates
+        # may both read 1.  gmw computes the template, whose cell is their
+        # XOR; yao's key sums test whether any cross gate reads 1.
         rng = random.Random(700 + lanes)
+        cell = int.__xor__ if backend == "gmw" else int.__or__
+        seen = set()
         for trial in range(8):
-            circuit, inputs0, inputs1 = self.case(backend, lanes, rng,
-                                                  clear=True)
-            _, crosses, _ = circuit.and_layers()
-            # cross gates at the first AND level, and above it under gmw
-            assert crosses[1]
-            assert any(crosses[2:]) == (backend == "gmw")
+            circuit = build_batch_query(rng.choice((1, 2, 3)))
+            inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2)
             got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
-            both = {**inputs0, **inputs1}
-            for lane in range(lanes):
-                expected = self.lane_plaintext(circuit, both, lane)
-                assert got[lane::lanes] == expected, (trial, lane)
+            assert got == plaintext(inputs0, inputs1, lanes, cell), trial
+            seen.update(got)
+        assert seen == {0, 1}
 
     def test_dealer_material_scales_with_lanes(self):
         circuit = build_batch_query(8)
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(1), lanes=5)
         # 16 comparator cross gates, 7 OR-tree ANDs, and a release transfer
-        # per output and lane
-        assert circuit.cross_count() == 16
+        # per lane
+        assert circuit.levels[0] == 16
         assert mat0.triples.n == 5 * 7
         assert mat0.cross.n == 5 * 16
         assert mat0.transfers == 5
-        # the querier's groups are shared: one transfer per wire at any k
+        # the querier's inputs are broadcast: one transfer per input at any k
         mat0, mat1 = dealer_for_circuit(circuit, "yao", random.Random(1),
                                         lanes=5)
         assert mat0.transfers == mat1.transfers == 16
 
-    def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
-        # The secret wires are an XOR and a NOT of querier inputs, so they
-        # hold the same bit in every lane.
-        c = Circuit()
-        q = c.add_input_group(0, "q", 2)
-        h = c.add_input_group(1, "h", 2)
-        c.mark_output(c.and_(c.xor(q[0], q[1]), h[0]))
-        c.mark_output(c.and_(c.not_(q[0]), h[1]))
-        rng = random.Random(41)
-        for lanes in (1, 8, 64):
-            inputs1 = {"h": [rng.getrandbits(lanes) for _ in h]}
-            out0, _, t0, _ = run_backend(c, "gmw", {"q": [1, 1]}, inputs1,
+    @pytest.mark.parametrize("width", [1, 4, 7, 104])
+    def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(
+            self, width):
+        # Each frame is exact, after a 5-byte header.  At level 1 the
+        # querier opens one bit per cross gate for all lanes and the holder
+        # one per cross gate and lane; at a tree level of n fields each
+        # side opens two bits per AND and lane, n // 2 ANDs.
+        circuit = build_batch_query(width)
+        rng = random.Random(41 + width)
+        for lanes in (1, 8, 33, 64):
+            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+            out0, _, t0, _ = run_backend(circuit, "gmw", inputs0, inputs1,
                                          lanes=lanes)
+            assert out0 == expected
             openings = [(e.direction, e.n_bytes) for e in t0.entries
                         if e.kind == MSG_AND_OPENING]
-            # a 5-byte frame header; the querier opens 2 bits, the holder
-            # 2 per lane
-            assert openings == [("sent", 5 + 1),
-                                (RECEIVED, 5 + (2 * lanes + 7) // 8)]
-            for lane in range(lanes):
-                assert out0[lane::lanes] == self.lane_plaintext(
-                    c, {"q": [1, 1], **inputs1}, lane)
+            tree = [5 + (2 * (n // 2) * lanes + 7) // 8
+                    for n in tree_fields(width)]
+            assert openings == [("sent", 5 + (2 * width + 7) // 8),
+                                (RECEIVED, 5 + (2 * width * lanes + 7) // 8)
+                                ] + [(d, size) for size in tree
+                                     for d in ("sent", RECEIVED)]
 
     def test_lane_inputs_are_range_checked(self):
-        circuit = self.lane_circuit(random.Random(1))
-        inputs0, _ = self.lane_inputs(circuit, 4, random.Random(2))
-        inputs0["a"][0] = 1 << 4
-        mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(3), lanes=4)
+        circuit = build_batch_query(4)
+        inputs0, inputs1 = random_inputs(circuit, random.Random(2), 4)
+        mat0, mat1 = dealer_for_circuit(circuit, "gmw", random.Random(3),
+                                        lanes=4)
+        # a querier input is one bit, which every lane reads
+        inputs0["q_one"][0] = 2
         with pytest.raises(ValueError, match="one per lane"):
             next(gmw_steps(circuit, 0, inputs0, mat0, lanes=4))
+        inputs1["h_one"][0] = 1 << 4
+        with pytest.raises(ValueError, match="one per lane"):
+            next(gmw_steps(circuit, 1, inputs1, mat1, lanes=4))
 
 
 class TestHalfGates:
@@ -928,30 +812,24 @@ class TestHalfGates:
                 [rng.getrandbits(128) for _ in range(2 * width)],
                 rng.getrandbits(128))
 
-    def reference_garble(self, circuit, delta, labels, key, lanes, clear):
+    def reference_garble(self, delta, labels, key, lanes, clear):
         """The key-sum garbling one (cross gate, lane) at a time.
 
-        ``labels`` are the querier wires' zero-labels in group order and
-        ``clear`` maps each clear wire to its lane word.  A cross gate's row
-        is T = H(A0, j) ^ H(A1, j) ^ b D, with D = AES_key(j), and its
-        zero-key H(A0, j) ^ p T.  Returns (the rows by gate, then lane, the
-        per-lane sums of the zero-keys).
+        Gate g reads the querier's zero-label ``labels[g]`` and the
+        holder's lane word ``clear[g]``.  Its row in lane i is
+        T = H(A0, j) ^ H(A1, j) ^ b D, with j = 2 (g lanes + i) and
+        D = AES_key(j), and its zero-key H(A0, j) ^ p T.  Returns (the rows
+        by gate, then lane, the per-lane sums of the zero-keys).
         """
-        wires = [w for g in circuit.input_groups if g.party == 0
-                 for w in g.wires]
-        label = dict(zip(wires, labels))
         offsets = Aes128Ecb(key.to_bytes(16, "little"))
         rows, sums = [], [0] * lanes
-        for kind, a, b, out in circuit.gates:
-            if kind != AND or b not in circuit.clear_wires:
-                continue
-            a0 = label[a]
+        for g, a0 in enumerate(labels):
             for i in range(lanes):
-                j = 2 * (out * lanes + i)
+                j = 2 * (g * lanes + i)
                 d = int.from_bytes(offsets.encrypt(j.to_bytes(16, "little")),
                                    "little")
                 t = (self.h(a0, j) ^ self.h(a0 ^ delta, j)
-                     ^ (d if (clear[b] >> i) & 1 else 0))
+                     ^ (d if (clear[g] >> i) & 1 else 0))
                 rows.append(t.to_bytes(16, "little"))
                 sums[i] ^= self.h(a0, j) ^ (t if a0 & 1 else 0)
         return b"".join(rows), sums
@@ -966,13 +844,13 @@ class TestHalfGates:
             monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
         rng = random.Random(80 + lanes)
         for width in (1, 4, 8):
-            circuit = build_batch_query(width)
-            clear = {w: rng.getrandbits(lanes) for w in circuit.clear_wires}
+            n = build_batch_query(width).levels[0]
+            clear = [rng.getrandbits(lanes) for _ in range(n)]
             delta, labels, key = self.garbler_draws(rng, width)
-            tables, sums = yao._garble(yao._cross_gates(circuit), labels,
-                                       delta, key, clear, lanes)
+            tables, sums = yao._garble(labels, delta, key,
+                                       join_lanes(clear, lanes), lanes)
             ref_tables, ref_sums = self.reference_garble(
-                circuit, delta, labels, key, lanes, clear)
+                delta, labels, key, lanes, clear)
             assert len(tables) == 16 * lanes * 2 * width
             assert tables == ref_tables
             assert split_lanes(sums, 128, lanes) == ref_sums
@@ -990,22 +868,21 @@ class TestHalfGates:
         for width in (1, 4, 8):
             circuit = build_batch_query(width)
             inputs0, inputs1, expected = overlap_case(width, lanes, rng)
-            clear = input_values(circuit, 1, inputs1, lanes)
+            clear = circuit.inputs(1, inputs1, lanes)
             delta, labels, key = self.garbler_draws(rng, width)
-            gates = yao._cross_gates(circuit)
-            tables, sums = yao._garble(gates, labels, delta, key, clear, lanes)
-            bits = inputs0["q_one"] + inputs0["q_zero"]
-            chosen = [x ^ (delta if bit else 0) for x, bit in zip(labels, bits)]
-            got = split_lanes(yao._evaluate(gates, chosen, tables, lanes), 128,
+            tables, sums = yao._garble(labels, delta, key, clear, lanes)
+            bits = circuit.inputs(0, inputs0, lanes)
+            chosen = [x ^ (delta if (bits >> g) & 1 else 0)
+                      for g, x in enumerate(labels)]
+            got = split_lanes(yao._evaluate(chosen, tables, lanes), 128,
                               lanes)
             ref = [0] * lanes
-            for at, (q, _, out) in enumerate(gates):
+            for g, label in enumerate(chosen):
                 for i in range(lanes):
-                    j = 2 * (out * lanes + i)
+                    j = 2 * (g * lanes + i)
                     row = int.from_bytes(
-                        tables[16 * (at * lanes + i) :][:16], "little")
-                    ref[i] ^= self.h(chosen[q], j) ^ (
-                        row if chosen[q] & 1 else 0)
+                        tables[16 * (g * lanes + i) :][:16], "little")
+                    ref[i] ^= self.h(label, j) ^ (row if label & 1 else 0)
             assert got == ref
             assert tuple(int(a != b) for a, b in zip(
                 got, split_lanes(sums, 128, lanes))) == expected
@@ -1020,11 +897,11 @@ class TestHalfGates:
     @pytest.mark.parametrize("lanes", [1, 3])
     def test_four_row_tables_are_rejected(self, lanes):
         circuit = build_batch_query(4)
-        inputs0, _ = TestLanes.lane_inputs(circuit, lanes, random.Random(5))
+        inputs0, _ = random_inputs(circuit, random.Random(5), lanes)
         mat0, _ = dealer_for_circuit(circuit, "yao", random.Random(6),
                                      lanes=lanes)
         ch = InlineLoopback(evaluate_steps(circuit, inputs0, mat0, lanes=lanes))
-        rows = lanes * circuit.cross_count()
+        rows = lanes * circuit.levels[0]
         ch.send(MSG_GARBLED_TABLES, bytes(64 * rows))
         with pytest.raises(ProtocolError, match=(
                 f"GARBLED_TABLES frame of {64 * rows} bytes, expected "
@@ -1110,6 +987,35 @@ class TestBackendAgreement:
         assert sent0 == recv1
 
 
+class TestAgainstOverlap:
+    """Both backends against the overlap predicate of the rules."""
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_every_width_4_rule_against_every_rule(self, backend):
+        # each of the 81 querier rules against all 81 rules as 81 lanes
+        rules = list(enumerate_rules(4))
+        assert len(rules) == 81
+        circuit = build_batch_query(4)
+        for seed, q in enumerate(rules):
+            inputs0, inputs1 = rule_inputs(q, rules)
+            out0, _, _, _ = run_backend(circuit, backend, inputs0, inputs1,
+                                        seed=seed, lanes=len(rules))
+            assert out0 == tuple(int(not overlaps(q, h)) for h in rules), q
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("width", [1, 3, 7, 104])
+    @pytest.mark.parametrize("k", [1, 8, 33])
+    def test_odd_widths_carry_the_last_field(self, backend, width, k):
+        # at 3, 7 and 104 some tree level has an odd field count
+        rng = random.Random(100 * width + k)
+        circuit = build_batch_query(width)
+        for trial in range(4):
+            inputs0, inputs1, expected = overlap_case(width, k, rng)
+            out0, _, _, _ = run_backend(circuit, backend, inputs0, inputs1,
+                                        seed=trial, lanes=k)
+            assert out0 == expected, trial
+
+
 # --------------------------------------------------------------------------
 # what the querier's wire looks like
 
@@ -1176,7 +1082,7 @@ def test_a_short_online_frame_is_refused_naming_its_size(backend, name):
     (kind,) = [k for k, v in KIND_NAMES.items() if v == name]
     circuit = build_batch_query(8)
     rng = random.Random(31)
-    inputs0, inputs1 = TestLanes.lane_inputs(circuit, 3, rng)
+    inputs0, inputs1 = random_inputs(circuit, rng, 3)
     mat0, mat1 = dealer_for_circuit(circuit, backend, rng, lanes=3)
     ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
                                     garble_rng=random.Random(1), lanes=3))
@@ -1199,22 +1105,19 @@ class TestOnlineTrafficLooksRandom:
         lanes = 8
         circuit = build_batch_query(8)
         rng = random.Random(23)
-        inputs0, _ = TestLanes.lane_inputs(circuit, lanes, rng)
-        holder_a = TestLanes.lane_inputs(circuit, lanes, random.Random(100))[1]
+        inputs0, _ = random_inputs(circuit, rng, lanes)
+        holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
         holder_b = {name: [0] * len(bits) for name, bits in holder_a.items()}
         # Significant bits of each online frame (the rest of a last byte is
-        # padding).  An AND level's opening carries 2 bits per AND gate and
-        # lane and 1 per cross gate and lane, except that at level 1 the
-        # querier opens 1 bit per cross gate.  The release carries one
-        # masked choice bit per output and lane to the holder, and two
-        # padded 1-byte values per output and lane back.
-        ands, crosses, _ = circuit.and_layers()
-        n = len(circuit.output_wires) * lanes
-        to_querier = [(2 * len(a) + len(c)) * lanes
-                      for a, c in zip(ands[1:], crosses[1:])] + [16 * n]
-        to_holder = [2 * len(a) * lanes + len(c) * (1 if level == 1 else lanes)
-                     for level, (a, c) in enumerate(zip(ands, crosses))
-                     if level] + [n]
+        # padding).  At level 1 the holder opens 1 bit per cross gate and
+        # lane and the querier 1 per cross gate; a tree level's opening
+        # carries 2 bits per AND and lane.  The release carries one masked
+        # choice bit per lane to the holder, and two padded 1-byte values
+        # per lane back.
+        cross, *tree = circuit.levels
+        to_querier = ([cross * lanes] + [2 * n * lanes for n in tree]
+                      + [16 * lanes])
+        to_holder = [cross] + [2 * n * lanes for n in tree] + [lanes]
         assert all(to_querier) and all(to_holder)
         for holder in (holder_a, holder_b):
             counts = {"sent": [0, 0], RECEIVED: [0, 0]}  # ones, bits
@@ -1250,8 +1153,8 @@ class TestOnlineTrafficLooksRandom:
         # masked by the hash of a label the querier lacks.
         lanes = 8
         circuit = build_batch_query(8)
-        inputs0, _ = TestLanes.lane_inputs(circuit, lanes, random.Random(23))
-        holder_a = TestLanes.lane_inputs(circuit, lanes, random.Random(100))[1]
+        inputs0, _ = random_inputs(circuit, random.Random(23), lanes)
+        holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
         holder_b = {name: [0] * len(bits) for name, bits in holder_a.items()}
         # 16 bytes per cross gate and lane, two 16-byte labels per querier
         # wire, 16 bytes per lane
