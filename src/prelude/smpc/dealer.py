@@ -21,8 +21,8 @@ Per session it produces:
 - precomputed-transfer material (:mod:`prelude.smpc.transfer`), one kind
   for both backends: the sender, party 1, gets a pair of random 128-bit
   pads per transfer, and the receiver, party 0, a random choice bit and the
-  pad matching it.  Yao spends one transfer per querier input wire on a
-  16-byte label, gmw one per output and lane on a released value; its pads
+  pad matching it.  Yao spends one transfer per querier input on a
+  16-byte label, gmw one per lane on a released value; its pads
   are 16 bytes too, though a query releases 6-byte values.
 
 All material is simulation-grade randomness, not hardened cryptography.
