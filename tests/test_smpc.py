@@ -729,28 +729,28 @@ class TestLanes:
                                         lanes=5)
         assert mat0.transfers == mat1.transfers == 16
 
-    @pytest.mark.parametrize("width", [1, 4, 7, 104])
-    def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(
-            self, width):
+    def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
         # Each frame is exact, after a 5-byte header.  At level 1 the
         # querier opens one bit per cross gate for all lanes and the holder
         # one per cross gate and lane; at a tree level of n fields each
         # side opens two bits per AND and lane, n // 2 ANDs.
-        circuit = build_batch_query(width)
-        rng = random.Random(41 + width)
-        for lanes in (1, 8, 33, 64):
-            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
-            out0, _, t0, _ = run_backend(circuit, "gmw", inputs0, inputs1,
-                                         lanes=lanes)
-            assert out0 == expected
-            openings = [(e.direction, e.n_bytes) for e in t0.entries
-                        if e.kind == MSG_AND_OPENING]
-            tree = [5 + (2 * (n // 2) * lanes + 7) // 8
-                    for n in tree_fields(width)]
-            assert openings == [("sent", 5 + (2 * width + 7) // 8),
-                                (RECEIVED, 5 + (2 * width * lanes + 7) // 8)
-                                ] + [(d, size) for size in tree
-                                     for d in ("sent", RECEIVED)]
+        for width in (1, 4, 7, 104):
+            circuit = build_batch_query(width)
+            rng = random.Random(41 + width)
+            for lanes in (1, 8, 33, 64):
+                inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+                out0, _, t0, _ = run_backend(circuit, "gmw", inputs0, inputs1,
+                                             lanes=lanes)
+                assert out0 == expected, (width, lanes)
+                openings = [(e.direction, e.n_bytes) for e in t0.entries
+                            if e.kind == MSG_AND_OPENING]
+                tree = [5 + (2 * (n // 2) * lanes + 7) // 8
+                        for n in tree_fields(width)]
+                assert openings == [
+                    ("sent", 5 + (2 * width + 7) // 8),
+                    (RECEIVED, 5 + (2 * width * lanes + 7) // 8),
+                ] + [(d, size) for size in tree
+                     for d in ("sent", RECEIVED)], (width, lanes)
 
     def test_lane_inputs_are_range_checked(self):
         circuit = build_batch_query(4)
