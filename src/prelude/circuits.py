@@ -25,16 +25,19 @@ A level's word holds one field of k bits per gate, gate g's lanes in bits
 ``[g k, (g + 1) k)``, so every level is a fixed handful of operations on
 whole ints, whatever w is.
 
-The querier's inputs are *broadcast*: one bit per input, which every lane
-reads, as one querier rule is checked against every entry.  The holder's
-are *clear*, one bit per input and lane: it knows them, and no backend
-labels, masks or shares them.  They feed only the level-1 cross gates,
-which are cheaper than full ANDs in both backends (a one-row garbler
-half-gate under yao, a one-sided product under gmw).  A cross gate's
-output is secret like any other; the holder's bit leaves the holder only
-under a one-time pad or inside a garbled row, so the querier learns no
-more than from the same bit as a secret input (see :mod:`prelude.smpc.yao`
-and :mod:`prelude.smpc.gmw`).
+Each party enters the template as one int, its operand word of level 1,
+which :meth:`BatchQueryCircuit.word` builds straight from its rules; the
+backends take that word and nothing else, and check its range with
+:meth:`BatchQueryCircuit.check_word`.  The querier's bits are
+*broadcast*: one bit per gate, which every lane reads, as one querier rule
+is checked against every entry.  The holder's are *clear*, one bit per
+gate and lane: it knows them, and no backend labels, masks or shares them.
+They feed only the level-1 cross gates, which are cheaper than full ANDs
+in both backends (a one-row garbler half-gate under yao, a one-sided
+product under gmw).  A cross gate's output is secret like any other; the
+holder's bit leaves the holder only under a one-time pad or inside a
+garbled row, so the querier learns no more than from the same bit as a
+secret input (see :mod:`prelude.smpc.yao` and :mod:`prelude.smpc.gmw`).
 
 The output leaves the template only as a released value: the querier
 receives an entry's identifier where the output reads 0, where the entry
@@ -47,14 +50,9 @@ that matches only where none reads 1, so it never garbles the OR tree.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from prelude.smpc.shares import join_lanes
-
-# Each party's input groups, in the order of the level-1 gates that read
-# them: gate j < w reads q_one[j] and h_zero[j], gate w + j q_zero[j] and
-# h_one[j].
-INPUT_GROUPS = (("q_one", "q_zero"), ("h_zero", "h_one"))
+from prelude.rules import TernaryRule
 
 
 class BatchQueryCircuit:
@@ -88,31 +86,41 @@ class BatchQueryCircuit:
     def and_depth(self) -> int:
         return len(self.levels)
 
-    def inputs(self, party: int, my_inputs: Mapping[str, Sequence[int]],
-               lanes: int) -> int:
-        """One party's inputs as the operand word of its level-1 gates.
+    def word(self, party: int, rules: Sequence[TernaryRule]) -> int:
+        """One party's operand word of the level-1 gates, rule i in lane i.
 
-        ``my_inputs`` must give exactly the party's groups of
-        :data:`INPUT_GROUPS`, w values each: a bit for the querier (party
-        0), which every lane reads, and a word of ``lanes`` bits for the
-        holder (party 1).  The querier's word holds gate g's bit in bit g,
-        the holder's gate g's lanes in field g.  Raises ValueError
-        otherwise.  Both secure backends check their inputs here.
+        Bit j of a rule counts from its most significant end.  Gate j < w
+        reads the querier's pinned-one bit j and the holder's pinned-zero
+        bit j, gate w + j the querier's pinned-zero bit and the holder's
+        pinned-one bit, and field g of the word holds gate g's lanes.  The
+        querier (party 0) gives its one rule, so its word holds gate g's
+        bit in bit g; the holder (party 1) gives its shuffled entries.
+        Raises ValueError for a rule of another width.
         """
-        names = INPUT_GROUPS[party]
-        if set(my_inputs) != set(names):
-            raise ValueError(f"party {party} must supply exactly groups "
-                             f"{sorted(names)}")
-        width = lanes if party == 1 else 1
-        values: list[int] = []
-        for name in names:
-            got = my_inputs[name]
-            if len(got) != self.width:
-                raise ValueError(f"group {name!r} has wrong length")
-            if min(got) < 0 or max(got) >> width:
-                raise ValueError("inputs must be bits, one per lane")
-            values.extend(got)
-        return join_lanes(values, width)
+        w = self.width
+        if any(rule.width != w for rule in rules):
+            raise ValueError(f"the template compares rules of width {w}")
+        # Each rule's gate bits in gate order, as '0'/'1' text: gates
+        # 0..w-1 are the high half of a 2w-bit row.  A canonical rule's
+        # pattern holds its pinned-one bits, mask XOR pattern the zeros.
+        one_at = w if party == 0 else 0
+        spec = f"0{2 * w}b"
+        rows = "".join([format(rule.pattern << one_at
+                               | (rule.mask ^ rule.pattern) << (w - one_at),
+                               spec) for rule in rules])
+        # transposed over k rules, character g k + i is gate g of lane i,
+        # which is bit g k + i
+        bits = "".join([rows[g :: 2 * w] for g in range(2 * w)])
+        return int(bits[::-1], 2)
+
+    def check_word(self, party: int, word: int, lanes: int) -> None:
+        """Raise ValueError unless ``word`` fits the party's level-1 word:
+        one bit per gate for the querier, which every lane reads, and one
+        per gate and lane for the holder.  Both secure backends check their
+        word here."""
+        size = self.levels[0] * (lanes if party == 1 else 1)
+        if not 0 <= word < 1 << size:
+            raise ValueError(f"party {party}'s word must fit {size} bits")
 
     def distinct_stage(self) -> BatchQueryCircuit:
         """The comparator stage, which is the whole template.

@@ -354,11 +354,11 @@ class SdxNode:
     # -- verification
 
     def handle_install(self, policy: DeflectionPolicy, budget: int) -> Verdict:
+        """Verify a policy that :meth:`ControlPlane.install` has validated."""
         if policy.sdx_id != self.sdx_id:
             raise ValueError("policy belongs to another exchange")
         if budget < 0:
             raise ValueError("budget must be non-negative")
-        self.plane.validate(policy)
         rule_id = self._new_rule_id()
         self.log("install_request",
                  {"rule_id": rule_id, "owner": policy.owner,

@@ -22,12 +22,13 @@ Session flow, all on one framed channel:
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
-   Each side first turns its rules into pinned-one bits (mask AND pattern)
-   and pinned-zero bits (mask AND NOT pattern); a bit proves two rules
-   distinct when one pins it to 1 and the other to 0.  The querier's bits
-   are secret inputs, while the holder's stay in its clear and feed only
-   cross gates (see :mod:`prelude.circuits`), so the holder's rules are
-   never labelled, masked or shared.
+   Each side has the template turn its rules, the querier's one rule or
+   the holder's shuffled entries, into one level-1 word of pinned-one
+   and pinned-zero bits (:meth:`~prelude.circuits.BatchQueryCircuit.word`);
+   a bit proves two rules distinct when one pins it to 1 and the other
+   to 0.  The querier's word is a secret input, while the holder's stays
+   in its clear and feeds only cross gates (see :mod:`prelude.circuits`),
+   so the holder's rules are never labelled, masked or shared.
    Every entry runs the same per-entry template, the comparator
    (:func:`build_batch_query`), and the backends evaluate it over k lanes,
    lane i being the i-th shuffled entry; the querier's rule feeds every
@@ -44,8 +45,8 @@ Session flow, all on one framed channel:
    own key sum, and a lane whose tag does not open to zero under the
    querier's sum opens to the dummy.  Either way the querier learns one
    value per entry and nothing of the other, and the holder learns
-   nothing back.  The querier drops the dummy placeholders and
-   deduplicates.
+   nothing back.  The querier deduplicates the released values and drops
+   the dummy before it decodes any identifier.
 
 One template is built per rule width and kept for the life of the
 process; nothing is built per k.
@@ -88,7 +89,6 @@ from prelude.smpc import (
     reveal_steps,
     send_frame,
 )
-from prelude.smpc.shares import int_to_bits, rows_to_lanes
 
 log = logging.getLogger(__name__)
 
@@ -138,6 +138,7 @@ class NextHopId:
 
 
 DUMMY_HOP = NextHopId((1 << SDX_ID_BITS) - 1, (1 << AS_ID_BITS) - 1)
+_DUMMY_BYTES = DUMMY_HOP.to_bytes()
 
 
 @dataclass(frozen=True)
@@ -203,12 +204,6 @@ def query_template(rule_width: int) -> BatchQueryCircuit:
         if template is None:
             template = _templates[rule_width] = build_batch_query(rule_width)
     return template
-
-
-def _pinned(rule: TernaryRule) -> tuple[int, int]:
-    """A rule's pinned-one bits (mask AND pattern) and pinned-zero bits
-    (mask AND NOT pattern), as ints."""
-    return rule.mask & rule.pattern, rule.mask & ~rule.pattern
 
 
 def _json_fields(payload: bytes, what: str, names: tuple[str, ...]) -> list:
@@ -345,23 +340,20 @@ class SdxMatchService:
 
         shuffle_rng.shuffle(entries)
         template = query_template(width)
-        # one lane per shuffled entry: bit i of a wire's word is entry i's bit
-        ones, zeros = zip(*(_pinned(e.rule) for e in entries))
-        inputs = {"h_one": rows_to_lanes(ones, width),
-                  "h_zero": rows_to_lanes(zeros, width)}
+        # one lane per shuffled entry
+        word = template.word(1, [entry.rule for entry in entries])
         # A distinct bit reads 0 where the rules overlap: release the
         # entry's identifier there, the dummy where it reads 1.
         ids = [entry.next_hop.to_bytes() for entry in entries]
         material = dealer.material(template, backend, 1, k)
         if backend == "gmw":
-            shares = yield from gmw_steps(template, 1, inputs, material,
+            shares = yield from gmw_steps(template, 1, word, material,
                                           transcript, lanes=k)
-            dummy = DUMMY_HOP.to_bytes()
             yield from reveal_steps(shares, material, HOP_ID_BYTES,
                                     transcript, receive=False,
-                                    values=[(i, dummy) for i in ids])
+                                    values=[(i, _DUMMY_BYTES) for i in ids])
             return
-        sums = yield from garble_steps(template, inputs, material, garble_rng,
+        sums = yield from garble_steps(template, word, material, garble_rng,
                                        transcript, lanes=k)
         yield from release_steps(sums, ids, transcript)
 
@@ -372,7 +364,8 @@ class SdxMatchService:
 
 def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
                    nonce: str, transcript: SessionTranscript | None):
-    """The querier's side of one session; returns the k raw identifiers."""
+    """The querier's side of one session; returns the k released values,
+    6 bytes each, the dummy's included."""
     envelope = json.dumps({
         "prefix": prefix,
         "rule_width": local.width,
@@ -387,22 +380,19 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
         return []
 
     template = query_template(local.width)
-    # one bit per wire, the rule's most significant bit first
-    one, zero = _pinned(local)
-    inputs = {"q_one": int_to_bits(one, local.width)[::-1],
-              "q_zero": int_to_bits(zero, local.width)[::-1]}
+    word = template.word(0, [local])
     material = dealer.material(template, backend, 0, k)
     if backend == "gmw":
-        shares = yield from gmw_steps(template, 0, inputs, material,
+        shares = yield from gmw_steps(template, 0, word, material,
                                       transcript, lanes=k)
         opened = yield from reveal_steps(shares, material, HOP_ID_BYTES,
                                          transcript, receive=True)
     else:
-        sums = yield from evaluate_steps(template, inputs, material,
+        sums = yield from evaluate_steps(template, word, material,
                                          transcript, lanes=k)
-        opened = yield from open_steps(sums, k, HOP_ID_BYTES,
-                                       DUMMY_HOP.to_bytes(), transcript)
-    return [NextHopId.from_bytes(value) for value in opened]
+        opened = yield from open_steps(sums, k, HOP_ID_BYTES, _DUMMY_BYTES,
+                                       transcript)
+    return opened
 
 
 class _SessionDealer:
@@ -476,7 +466,7 @@ class LoopbackEndpoint:
             raise QueryAborted(str(exc)) from exc
 
         if _raw_out is not None:
-            _raw_out.extend(raw)
+            _raw_out.extend(NextHopId.from_bytes(value) for value in raw)
         if stats_out is not None:
             k = len(raw)
             # the depth the backend ran: yao garbles only level 1
@@ -492,5 +482,5 @@ class LoopbackEndpoint:
                 online_bytes=t_q.online_bytes,
                 online_wall_time=t_q.online_wall_time,
             ))
-        hops = frozenset(h for h in raw if h != DUMMY_HOP)
-        return QueryResult(hops)
+        return QueryResult(frozenset(NextHopId.from_bytes(value)
+                                     for value in set(raw) - {_DUMMY_BYTES}))

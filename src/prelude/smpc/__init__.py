@@ -23,13 +23,15 @@ padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`) also
 carries yao's input labels.
 
 The template runs over ``lanes`` entries at once, every lane of a gate
-packed into one integer.  Party 1's inputs are clear (see
-:mod:`prelude.circuits`): neither backend shares, masks or labels them,
-and they feed only the cross gates.  Party 0's inputs are broadcast, one
-value every lane reads, so each takes one mask bit or one label transfer
-whatever the lane count, and under gmw the querier opens one bit per
-cross gate; everything else costs what the template unrolled ``lanes``
-times would.
+packed into one integer.  Each party passes its level-1 word, which
+:meth:`prelude.circuits.BatchQueryCircuit.word` builds from its rules and
+every backend range-checks the same way.  Party 1's word is clear (see
+:mod:`prelude.circuits`): neither backend shares, masks or labels it, and
+it feeds only the cross gates.  Party 0's word is broadcast, one bit per
+cross gate that every lane reads, so each bit takes one mask bit or one
+label transfer whatever the lane count, and under gmw the querier opens
+one bit per cross gate; everything else costs what the template unrolled
+``lanes`` times would.
 
 Every party is a step generator over frames, and :func:`drive` runs one
 over a channel: an in-thread loopback whose peer is the other party's step

@@ -12,14 +12,17 @@ frames: :func:`gmw_steps` leaves the output XOR-shared and
 :func:`reveal_steps` releases to the querier one of two values per lane,
 chosen by the output bit.
 
+Each party's input is its level-1 word, which
+:meth:`~prelude.circuits.BatchQueryCircuit.word` builds from its rules.
 Inputs never touch the channel, and only the querier's are XOR-shared:
 both parties expand the dealer's joint mask seed into one mask bit per
-querier input; the querier takes ``value XOR mask`` as its share and the
-holder takes the mask, which is a valid fresh sharing.  One querier rule
-feeds every lane, so a share is one bit per input whatever the lane count.
+bit of the querier's word; the querier takes ``word XOR mask`` as its
+share and the holder takes the mask, which is a valid fresh sharing.  One
+querier rule feeds every lane, so a share is one bit per cross gate
+whatever the lane count.
 
-The holder's inputs are clear (see :mod:`prelude.circuits`): it keeps
-their bits as they are, and they feed only the level-1 cross gates.  A
+The holder's word is clear (see :mod:`prelude.circuits`): it keeps its
+bits as they are, and they feed only the level-1 cross gates.  A
 cross gate s AND b, s shared as s0 XOR s1 and b the holder's clear bit, is
 a one-sided product over dealer material: the querier holds a random a,
 one bit per gate, the holder a random y, and each a share of a AND y.  The
@@ -52,7 +55,7 @@ the entry overlaps its rule.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from prelude.smpc.channel import (
     MSG_AND_OPENING,
@@ -91,7 +94,7 @@ def _open_steps(mine: int, n_mine: int, n_theirs: int,
 def gmw_steps(
     circuit,
     party: int,
-    my_inputs: Mapping[str, Sequence[int]],
+    word: int,
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
     lanes: int = 1,
@@ -99,19 +102,21 @@ def gmw_steps(
     """One party's online phase over the template; returns its share of
     the output, one bit per lane.
 
-    The output stays shared: :func:`reveal_steps` releases values by it.
+    ``word`` is the party's level-1 operand word
+    (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  The output stays
+    shared: :func:`reveal_steps` releases values by it.
     """
     if party != setup.party:
         raise ValueError("setup material belongs to the other party")
     if lanes < 1:
         raise ValueError("lanes must be at least 1")
-    word = circuit.inputs(party, my_inputs, lanes)
+    circuit.check_word(party, word, lanes)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
         transcript.begin_online()
 
-    # Level 1: the cross gates.  The querier's bit of gate g is its input
-    # bit g, shared as (bit XOR mask, mask).
+    # Level 1: the cross gates.  The querier's bit of gate g is bit g of
+    # its word, shared as (bit XOR mask, mask).
     n = circuit.levels[0]
     mask = random.Random(int.from_bytes(setup.input_mask_seed,
                                         "little")).getrandbits(n)

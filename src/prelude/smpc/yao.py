@@ -9,12 +9,14 @@ template, the OR over the comparator cells, is never garbled; the querier
 needs only the value released where it is 0, and a sum of keys decides
 that instead.
 
-Labels.  Each querier input has two 128-bit labels A0 and A1 = A0 XOR
-delta, delta odd, so a label's low bit doubles as its permute bit, and
-cross gate g reads the labels of input g.  The querier receives the label
-its bit selects by a precomputed transfer (:mod:`prelude.smpc.transfer`),
-one per input whatever the lane count, since one querier rule feeds every
-lane.  The holder's clear bits get no labels.
+Labels.  Bit g of the querier's level-1 word
+(:meth:`prelude.circuits.BatchQueryCircuit.word`), input g, has two
+128-bit labels A0 and A1 = A0 XOR delta, delta odd, so a label's low bit
+doubles as its permute bit, and cross gate g reads the labels of input g.
+The querier receives the label its bit selects by a precomputed transfer
+(:mod:`prelude.smpc.transfer`), one per input whatever the lane count,
+since one querier rule feeds every lane.  The holder's word stays clear
+and gets no labels.
 
 Cross gates.  A cross gate in a lane is a garbler half-gate (Zahur, Rosulek
 & Evans, EUROCRYPT 2015, section 3) of one row T = H(A0, j) XOR H(A1, j)
@@ -72,7 +74,7 @@ release.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import (
@@ -84,7 +86,6 @@ from prelude.smpc.channel import (
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
-from prelude.smpc.shares import join_lanes, split_lanes
 from prelude.smpc.transcript import SessionTranscript
 from prelude.smpc.transfer import (
     LABEL_BITS,
@@ -111,6 +112,13 @@ _GF128_REDUCE = 0x87  # x^128 = x^7 + x^2 + x + 1
 def _lane_word(label: int, n: int) -> int:
     """The int that holds ``label`` in each of ``n`` lanes."""
     return int.from_bytes(label.to_bytes(LABEL_BYTES, "little") * n, "little")
+
+
+def _labels(word: int, n: int) -> list[int]:
+    """The ``n`` labels a word holds, label i in lane i."""
+    data = word.to_bytes(LABEL_BYTES * n, "little")
+    return [int.from_bytes(data[at : at + LABEL_BYTES], "little")
+            for at in range(0, len(data), LABEL_BYTES)]
 
 
 def _lane_ones(lanes: int) -> int:
@@ -238,7 +246,7 @@ def _evaluate(labels: list[int], tables: bytes, lanes: int) -> int:
 
 def garble_steps(
     circuit,
-    my_inputs: Mapping[str, Sequence[int]],
+    word: int,
     setup: DealerMaterial,
     rng,
     transcript: SessionTranscript | None = None,
@@ -246,27 +254,28 @@ def garble_steps(
 ):
     """Garbler's (party 1's) side of one run of the template.
 
-    Returns the lane sums S0 of the zero-keys, lane i in bits
-    [128 i, 128 i + 128), under which :func:`release_steps` releases values.
+    ``word`` is the holder's clear level-1 word, gate g's lanes in field g
+    (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  Returns the lane
+    sums S0 of the zero-keys, lane i in bits [128 i, 128 i + 128), under
+    which :func:`release_steps` releases values.
     """
     if setup.party != 1:
         raise ValueError("setup material belongs to the other party")
     if rng is None:
         raise ValueError("garbler needs an rng")
-    clear = circuit.inputs(1, my_inputs, lanes)
+    circuit.check_word(1, word, lanes)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
     n = circuit.levels[0]
     pads = setup.take_transfers(n)
     delta = rng.getrandbits(LABEL_BITS) | 1
-    labels = [rng.getrandbits(LABEL_BITS) for _ in range(n)]
-    tables, sums = _garble(labels, delta, rng.getrandbits(LABEL_BITS), clear,
-                           lanes)
+    zero = rng.getrandbits(LABEL_BITS * n)  # input g's zero-label in lane g
+    tables, sums = _garble(_labels(zero, n), delta,
+                           rng.getrandbits(LABEL_BITS), word, lanes)
     yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
     if transcript is not None:
         transcript.begin_online()
         transcript.next_round()
-    zero = join_lanes(labels, LABEL_BITS)
     yield from send_steps(zero, zero ^ _lane_word(delta, n), n, LABEL_BYTES,
                           pads, MSG_LABELS, transcript)
     return sums
@@ -274,19 +283,21 @@ def garble_steps(
 
 def evaluate_steps(
     circuit,
-    my_inputs: Mapping[str, Sequence[int]],
+    word: int,
     setup: DealerMaterial,
     transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
     """Evaluator's (party 0's) side of one run of the template.
 
-    Returns the lane sums S of its keys, with which :func:`open_steps`
-    opens the released values.
+    ``word`` is the querier's level-1 word, gate g's bit in bit g
+    (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  Returns the lane
+    sums S of its keys, with which :func:`open_steps` opens the released
+    values.
     """
     if setup.party != 0:
         raise ValueError("setup material belongs to the other party")
-    bits = circuit.inputs(0, my_inputs, lanes)
+    circuit.check_word(0, word, lanes)
     if transcript is not None:
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
     n = circuit.levels[0]
@@ -296,9 +307,9 @@ def evaluate_steps(
     if transcript is not None:
         transcript.begin_online()
         transcript.next_round()
-    chosen = yield from choose_steps(bits, n, LABEL_BYTES, material,
+    chosen = yield from choose_steps(word, n, LABEL_BYTES, material,
                                      MSG_LABELS, transcript)
-    return _evaluate(split_lanes(chosen, LABEL_BITS, n), tables, lanes)
+    return _evaluate(_labels(chosen, n), tables, lanes)
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The comparator template: its level plan and its input check.
+"""The comparator template: its level plan and its level-1 words.
 
-The template is defined by its width alone.  A plaintext run of its level
-plan, written here from the plan's definition, is checked exhaustively
-against the integer overlap predicate at width 4, at random at width 104,
-and, entry by entry with the release's pair of values, against a
-filter/map oracle.  The secure backends are checked against the overlap
-predicate in ``tests/test_smpc.py``.
+The template is defined by its width alone.  Its word builder is checked
+against a per-bit reference built from ``TernaryRule.bit``.  A plaintext
+run of its level plan, written here from the plan's definition, is checked
+exhaustively against the integer overlap predicate at width 4, at random
+at width 104, and, entry by entry with the release's pair of values,
+against a filter/map oracle.  The secure backends are checked against the
+overlap predicate in ``tests/test_smpc.py``.
 """
 
 from __future__ import annotations
@@ -21,23 +22,31 @@ from prelude.circuits import (
     expected_and_depth,
 )
 from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
-from prelude.smpc.shares import rows_to_lanes
 
 
-def rule_inputs(q: TernaryRule, holders) -> tuple[dict, dict]:
-    """Both parties' inputs: pinned-one and pinned-zero bits in wire order
-    (the rule's most significant bit first), holder rule i in lane i."""
-
-    def pinned(rules):
-        return (rows_to_lanes([r.mask & r.pattern for r in rules], q.width),
-                rows_to_lanes([r.mask & ~r.pattern for r in rules], q.width))
-
-    (q_one, q_zero), (h_one, h_zero) = pinned([q]), pinned(holders)
-    return ({"q_one": q_one, "q_zero": q_zero},
-            {"h_one": h_one, "h_zero": h_zero})
+def rule_inputs(q: TernaryRule, holders) -> tuple[int, int]:
+    """Both parties' level-1 words: the querier's rule, and holder rule i
+    in lane i."""
+    c = build_batch_query(q.width)
+    return c.word(0, [q]), c.word(1, holders)
 
 
-def run_plan(c, inputs0, inputs1, lanes: int) -> tuple[int, ...]:
+def reference_word(party: int, rules, width: int) -> int:
+    """The level-1 word bit by bit from ``TernaryRule.bit``: gate j < w
+    reads the querier's pinned-one bit j and the holder's pinned-zero bit
+    j, gate w + j the other two, and bit g k + i is gate g of lane i."""
+    lanes = len(rules)
+    word = 0
+    for i, rule in enumerate(rules):
+        for j in range(width):
+            mask, pattern = rule.bit(j)
+            one, zero = mask & pattern, mask & (1 - pattern)
+            low, high = (one, zero) if party == 0 else (zero, one)
+            word |= low << (j * lanes + i) | high << ((width + j) * lanes + i)
+    return word
+
+
+def run_plan(c, q: int, h: int, lanes: int) -> tuple[int, ...]:
     """The template's output per lane, in the clear, level by level.
 
     Level 1 ANDs the querier's bit of gate g with the holder's field g;
@@ -45,8 +54,8 @@ def run_plan(c, inputs0, inputs1, lanes: int) -> tuple[int, ...]:
     low ``levels[L]`` fields of the NOT cells with the next as many and
     carries an odd last field; the output is NOT the last field.
     """
-    q = c.inputs(0, inputs0, lanes)
-    h = c.inputs(1, inputs1, lanes)
+    c.check_word(0, q, lanes)
+    c.check_word(1, h, lanes)
     n = c.levels[0]
     fields = [((q >> g) & 1) * ((h >> g * lanes) & ((1 << lanes) - 1))
               for g in range(n)]
@@ -81,38 +90,48 @@ class TestGatePrimitives:
                 assert run_plan(c, *rule_inputs(q, [h]), 1) == (c0 | c1,)
 
     def test_evaluate_input_validation(self):
-        c = build_batch_query(2)
-        good0, good1 = rule_inputs(TernaryRule.wildcard(2),
-                                   [TernaryRule.wildcard(2)] * 3)
-        for party, good in ((0, good0), (1, good1)):
-            with pytest.raises(ValueError, match="exactly groups"):
-                c.inputs(party, {**good, "bogus": [0, 0]}, 3)
-            (name, *_) = good
-            with pytest.raises(ValueError, match="exactly groups"):
-                c.inputs(party, {k: v for k, v in good.items() if k != name},
-                         3)
-            with pytest.raises(ValueError, match="wrong length"):
-                c.inputs(party, {**good, name: [0]}, 3)
-            with pytest.raises(ValueError, match="one per lane"):
-                c.inputs(party, {**good, name: [0, -1]}, 3)
-        # each party supplies only its own groups
-        with pytest.raises(ValueError, match="exactly groups"):
-            c.inputs(0, good1, 3)
+        for width in (1, 2, 104):
+            c = build_batch_query(width)
+            # a querier word is one bit per gate at any lane count, a
+            # holder word one bit per gate and lane
+            n = 2 * width
+            for party, size in ((0, n), (1, 3 * n)):
+                c.check_word(party, (1 << size) - 1, 3)
+                for word in (-1, 1 << size):
+                    with pytest.raises(ValueError,
+                                       match=f"must fit {size} bits"):
+                        c.check_word(party, word, 3)
+                # a rule of another width is refused
+                with pytest.raises(ValueError, match=f"of width {width}"):
+                    c.word(party, [TernaryRule.wildcard(width + 1)])
+                with pytest.raises(ValueError, match=f"of width {width}"):
+                    c.word(party, [TernaryRule.wildcard(width)] * 2
+                           + [TernaryRule.wildcard(width + 1)])
+
+    def test_word_equals_a_per_bit_reference(self):
+        rng = random.Random(17)
+        for width in (1, 4, 7, 104):
+            c = build_batch_query(width)
+            for lanes in (1, 3, 64):
+                rules = [random_rule(width, rng) for _ in range(lanes - 1)]
+                rules.append(TernaryRule.wildcard(width))
+                rng.shuffle(rules)
+                for party in (0, 1):
+                    assert c.word(party, rules) == reference_word(
+                        party, rules, width)
 
 
 class TestClearGroups:
     def test_a_clear_group_belongs_to_party_1_and_to_every_lane(self):
         c = build_batch_query(2)
-        # a holder value is a word of one bit per lane, a querier value a bit
-        holder = {"h_one": [0b101, 0b010], "h_zero": [0b010, 0b100]}
-        # gate j < w reads h_zero[j], gate w + j h_one[j]: field g of 3 lanes
-        assert c.inputs(1, holder, 3) == (0b010 | 0b100 << 3 | 0b101 << 6
-                                          | 0b010 << 9)
-        assert c.inputs(0, {"q_one": [1, 0], "q_zero": [0, 1]}, 3) == 0b1001
-        with pytest.raises(ValueError, match="one per lane"):
-            c.inputs(0, {"q_one": [0b11, 0], "q_zero": [0, 0]}, 3)
-        with pytest.raises(ValueError, match="one per lane"):
-            c.inputs(1, {**holder, "h_one": [0b1000, 0]}, 3)
+        # a holder rule per lane; gate j < w reads its pinned-zero bit j,
+        # gate w + j its pinned-one bit j: field g of 3 lanes
+        holder = [TernaryRule(2, 0b10, 0b10), TernaryRule(2, 0b01, 0b11),
+                  TernaryRule(2, 0b10, 0b11)]
+        assert c.word(1, holder) == (0b010 | 0b100 << 3 | 0b101 << 6
+                                     | 0b010 << 9)
+        # the querier's one rule, a bit per gate, which every lane reads
+        assert c.word(0, [TernaryRule(2, 0b10, 0b11)]) == 0b1001
 
     def test_comparator_cells_are_cross_gates(self):
         for width in (1, 8, 104):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import threading
@@ -50,6 +51,7 @@ from prelude.smpc import (
     recv_frame,
     send_frame,
 )
+from prelude.smpc import channel
 from prelude.smpc.channel import MAX_FRAME_BYTES
 
 
@@ -596,6 +598,43 @@ class TestLaneSessions:
             assert entries[0].next_hop in result
         sizes = [e.n_bytes for t in transcripts for e in t.entries]
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
+
+    @pytest.mark.parametrize("width,k,digest", [
+        (104, 50, "fee7e19befba7957bbb4daad431b573d"
+         "86e890cc7c16189310bf0eee0a570412"),
+        (7, 33, "133107bd2f70518a5095dacf5462a1b8"
+         "4fc3e8d24397bdf05b152e201c0a6eee"),
+        (1, 3, "3df8e0e7302c7db6fc2d2f4c5886b307"
+         "9b32715de857950f3a9b6d501c1c50c0"),
+    ])
+    def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
+                                                 k, digest):
+        # Seeded sessions move the same bytes on every run.  A change that
+        # alters any frame's contents updates these digests and says so.
+        hasher = hashlib.sha256()
+        encode = channel.encode_frame
+
+        def hashing(kind, payload):
+            frame = encode(kind, payload)
+            hasher.update(frame)
+            return frame
+
+        monkeypatch.setattr(channel, "encode_frame", hashing)
+        rng = random.Random(1000 * width + k)
+        entries = [make_entry(random_rule(width, rng), 4, 400 + i)
+                   for i in range(k)]
+        service = SdxMatchService(sdx_id=4)
+        for entry in entries:
+            service.register(entry)
+        endpoint = LoopbackEndpoint(service, seed=11)
+        queries = [entries[0].rule, random_rule(width, rng),
+                   TernaryRule.wildcard(width)]
+        for local in queries:
+            for backend in ("gmw", "yao"):
+                result = endpoint.query(local, "10.0.0.0/8", backend=backend)
+                assert result.hops == {e.next_hop for e in entries
+                                       if overlaps(local, e.rule)}
+        assert hasher.hexdigest() == digest
 
     def test_session_depth_comes_from_the_template(self):
         # the depth each backend ran: the template's under gmw, and the one

@@ -18,11 +18,7 @@ import time
 import pytest
 from scipy import stats
 
-from prelude.circuits import (
-    INPUT_GROUPS,
-    build_batch_query,
-    expected_and_depth,
-)
+from prelude.circuits import build_batch_query, expected_and_depth
 from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
 from prelude.smpc import (
     ChannelClosed,
@@ -59,30 +55,28 @@ from prelude.smpc import (
 from prelude.smpc import yao
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import MAX_FRAME_BYTES
-from prelude.smpc.shares import (
-    BitShares,
-    int_to_bits,
-    join_lanes,
-    rows_to_lanes,
-    split_lanes,
-)
+from prelude.smpc.shares import BitShares, broadcast, int_to_bits
 
 
-def rule_inputs(q, holders) -> tuple[dict, dict]:
-    """Comparator inputs of both parties: each rule's pinned-one and
-    pinned-zero bits in wire order, holder rule i in lane i."""
+def pack(values, width: int) -> int:
+    """Fields of ``width`` bits, ``values[0]`` in the lowest."""
+    return sum(value << (i * width) for i, value in enumerate(values))
 
-    def pinned(rules):
-        return (rows_to_lanes([r.mask & r.pattern for r in rules], q.width),
-                rows_to_lanes([r.mask & ~r.pattern for r in rules], q.width))
 
-    (q_one, q_zero), (h_one, h_zero) = pinned([q]), pinned(holders)
-    return ({"q_one": q_one, "q_zero": q_zero},
-            {"h_one": h_one, "h_zero": h_zero})
+def unpack(word: int, width: int, count: int) -> list[int]:
+    """Inverse of :func:`pack`: ``count`` fields of ``width`` bits."""
+    return [(word >> (i * width)) & ((1 << width) - 1) for i in range(count)]
+
+
+def rule_inputs(q, holders) -> tuple[int, int]:
+    """Level-1 words of both parties: the querier's rule, and holder rule
+    i in lane i."""
+    circuit = build_batch_query(q.width)
+    return circuit.word(0, [q]), circuit.word(1, holders)
 
 
 def overlap_case(width: int, lanes: int, rng: random.Random, q=None):
-    """Both parties' inputs for querier rule ``q`` (a random rule by
+    """Both parties' words for querier rule ``q`` (a random rule by
     default) and ``lanes`` holder rules, and the template's plaintext
     output per lane, 0 where the rules overlap.
 
@@ -100,29 +94,36 @@ def overlap_case(width: int, lanes: int, rng: random.Random, q=None):
 
 
 def random_inputs(circuit, rng: random.Random, lanes: int = 1,
-                  sparse: int = 1) -> tuple[dict, dict]:
-    """Random input bits of both parties, which need not form rules: a bit
-    per querier input and a lane word per holder input.  Each bit is 1 with
-    probability ``2 ** -sparse``."""
+                  sparse: int = 1) -> tuple[int, int]:
+    """Random level-1 words of both parties, which need not come from
+    rules: a bit per cross gate for the querier and a field of ``lanes``
+    bits per cross gate for the holder.  Each bit is 1 with probability
+    ``2 ** -sparse``."""
 
     def word(width):
-        value = (1 << width) - 1
-        for _ in range(sparse):
-            value &= rng.getrandbits(width)
-        return value
+        fields = []
+        for _ in range(circuit.levels[0]):
+            value = (1 << width) - 1
+            for _ in range(sparse):
+                value &= rng.getrandbits(width)
+            fields.append(value)
+        return pack(fields, width)
 
-    return tuple({name: [word(width) for _ in range(circuit.width)]
-                  for name in names}
-                 for names, width in zip(INPUT_GROUPS, (1, lanes)))
+    return word(1), word(lanes)
 
 
-def plaintext(inputs0, inputs1, lanes: int, cell=int.__xor__) -> tuple:
+def plaintext(circuit, inputs0, inputs1, lanes: int,
+              cell=int.__xor__) -> tuple:
     """The template's output per lane: 1 where some cell
-    ``cell(q_one·h_zero, q_zero·h_one)`` is 1."""
+    ``cell(q_one·h_zero, q_zero·h_one)`` is 1, gate j < w reading the
+    querier's q_one[j] and the holder's h_zero[j], gate w + j q_zero[j]
+    and h_one[j]."""
+    w = circuit.width
+    q = unpack(inputs0, 1, 2 * w)
+    h = unpack(inputs1, lanes, 2 * w)
     out = 0
-    for q1, q0, h0, h1 in zip(inputs0["q_one"], inputs0["q_zero"],
-                              inputs1["h_zero"], inputs1["h_one"]):
-        out |= cell(q1 * h0, q0 * h1)
+    for j in range(w):
+        out |= cell(q[j] * h[j], q[w + j] * h[w + j])
     return tuple((out >> i) & 1 for i in range(lanes))
 
 
@@ -219,23 +220,14 @@ class TestShares:
             with pytest.raises(ValueError, match="must fit"):
                 BitShares(value, n)
 
-    def test_lane_fields_round_trip(self):
+    def test_broadcast_copies_each_bit_to_its_field(self):
         rng = random.Random(12)
-        for width, count in ((1, 0), (1, 13), (5, 1), (7, 40), (500, 3)):
-            values = [rng.getrandbits(width) for _ in range(count)]
-            joined = join_lanes(values, width)
-            assert joined == sum(v << (i * width) for i, v in enumerate(values))
-            assert split_lanes(joined, width, count) == values
-
-    def test_long_lane_values_split_by_halving(self):
-        rng = random.Random(14)
-        for width, count in ((128, 100), (9, 2000), (8193, 2)):
-            values = [rng.getrandbits(width) for _ in range(count)]
-            joined = join_lanes(values, width)
-            assert split_lanes(joined, width, count) == values
-            # bits above the last field are ignored
-            assert split_lanes(joined | (1 << (width * count)), width,
-                               count) == values
+        for n, lanes in ((1, 1), (5, 1), (13, 3), (208, 7), (208, 500)):
+            bits = rng.getrandbits(n)
+            assert broadcast(bits, n, lanes) == pack(
+                [((bits >> i) & 1) * ((1 << lanes) - 1) for i in range(n)],
+                lanes)
+        assert broadcast(0b101, 0, 4) == 0
 
     def test_packed_shares(self):
         share_ = BitShares(0b0101, 4)
@@ -243,17 +235,6 @@ class TestShares:
         assert int_to_bits(share_.value, share_.n) == (1, 0, 1, 0)
         assert share_ == BitShares(0b0101, 4)
         assert BitShares(0, 0).n == 0
-
-    def test_rows_transpose_into_lane_words(self):
-        rng = random.Random(13)
-        for width, count in ((4, 1), (8, 17), (48, 64)):
-            rows = [rng.getrandbits(width) for _ in range(count)]
-            words = rows_to_lanes(rows, width)
-            for j, word in enumerate(words):
-                for i, row in enumerate(rows):
-                    # bit j counts from the row's most significant end
-                    assert (word >> i) & 1 == (row >> (width - 1 - j)) & 1
-        assert rows_to_lanes([], 3) == [0, 0, 0]
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +424,7 @@ class TestGmw:
             inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2)
             out0, out1, _, _ = run_backend(circuit, "gmw", inputs0, inputs1,
                                            seed=trial, lanes=lanes)
-            assert out0 == plaintext(inputs0, inputs1, lanes)
+            assert out0 == plaintext(circuit, inputs0, inputs1, lanes)
             assert out1 is None
 
     def test_distinct_pair_agrees_with_rule_overlap(self):
@@ -711,7 +692,8 @@ class TestLanes:
             circuit = build_batch_query(rng.choice((1, 2, 3)))
             inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2)
             got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
-            assert got == plaintext(inputs0, inputs1, lanes, cell), trial
+            assert got == plaintext(circuit, inputs0, inputs1, lanes,
+                                    cell), trial
             seen.update(got)
         assert seen == {0, 1}
 
@@ -755,15 +737,20 @@ class TestLanes:
     def test_lane_inputs_are_range_checked(self):
         circuit = build_batch_query(4)
         inputs0, inputs1 = random_inputs(circuit, random.Random(2), 4)
-        mat0, mat1 = dealer_for_circuit(circuit, "gmw", random.Random(3),
+        gmw0, gmw1 = dealer_for_circuit(circuit, "gmw", random.Random(3),
                                         lanes=4)
-        # a querier input is one bit, which every lane reads
-        inputs0["q_one"][0] = 2
-        with pytest.raises(ValueError, match="one per lane"):
-            next(gmw_steps(circuit, 0, inputs0, mat0, lanes=4))
-        inputs1["h_one"][0] = 1 << 4
-        with pytest.raises(ValueError, match="one per lane"):
-            next(gmw_steps(circuit, 1, inputs1, mat1, lanes=4))
+        yao0, yao1 = dealer_for_circuit(circuit, "yao", random.Random(3),
+                                        lanes=4)
+        # a querier word is one bit per cross gate, which every lane reads,
+        # and a holder word one bit per cross gate and lane
+        for bad0, bad1 in ((inputs0 | 1 << 8, inputs1 | 1 << 32), (-1, -1)):
+            for steps in (gmw_steps(circuit, 0, bad0, gmw0, lanes=4),
+                          gmw_steps(circuit, 1, bad1, gmw1, lanes=4),
+                          evaluate_steps(circuit, bad0, yao0, lanes=4),
+                          garble_steps(circuit, bad1, yao1, random.Random(4),
+                                       lanes=4)):
+                with pytest.raises(ValueError, match="must fit"):
+                    next(steps)
 
 
 class TestHalfGates:
@@ -792,9 +779,9 @@ class TestHalfGates:
         lanes = [rng.getrandbits(128) | top, rng.getrandbits(127),
                  self.LABEL_MASK, top, 0, 1]
         lanes += [rng.getrandbits(128) for _ in range(58)]
-        word = join_lanes(lanes, 128)
+        word = pack(lanes, 128)
         doubled = yao._double(word, yao._lane_ones(len(lanes)))
-        assert split_lanes(doubled, 128, len(lanes)) == [
+        assert unpack(doubled, 128, len(lanes)) == [
             self.double(x) for x in lanes]
         assert doubled >> (128 * len(lanes)) == 0
 
@@ -848,12 +835,12 @@ class TestHalfGates:
             clear = [rng.getrandbits(lanes) for _ in range(n)]
             delta, labels, key = self.garbler_draws(rng, width)
             tables, sums = yao._garble(labels, delta, key,
-                                       join_lanes(clear, lanes), lanes)
+                                       pack(clear, lanes), lanes)
             ref_tables, ref_sums = self.reference_garble(
                 delta, labels, key, lanes, clear)
             assert len(tables) == 16 * lanes * 2 * width
             assert tables == ref_tables
-            assert split_lanes(sums, 128, lanes) == ref_sums
+            assert unpack(sums, 128, lanes) == ref_sums
 
     @pytest.mark.parametrize("budget", [None, 8])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
@@ -866,16 +853,12 @@ class TestHalfGates:
             monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
         rng = random.Random(90 + lanes)
         for width in (1, 4, 8):
-            circuit = build_batch_query(width)
             inputs0, inputs1, expected = overlap_case(width, lanes, rng)
-            clear = circuit.inputs(1, inputs1, lanes)
             delta, labels, key = self.garbler_draws(rng, width)
-            tables, sums = yao._garble(labels, delta, key, clear, lanes)
-            bits = circuit.inputs(0, inputs0, lanes)
-            chosen = [x ^ (delta if (bits >> g) & 1 else 0)
+            tables, sums = yao._garble(labels, delta, key, inputs1, lanes)
+            chosen = [x ^ (delta if (inputs0 >> g) & 1 else 0)
                       for g, x in enumerate(labels)]
-            got = split_lanes(yao._evaluate(chosen, tables, lanes), 128,
-                              lanes)
+            got = unpack(yao._evaluate(chosen, tables, lanes), 128, lanes)
             ref = [0] * lanes
             for g, label in enumerate(chosen):
                 for i in range(lanes):
@@ -885,7 +868,7 @@ class TestHalfGates:
                     ref[i] ^= self.h(label, j) ^ (row if label & 1 else 0)
             assert got == ref
             assert tuple(int(a != b) for a, b in zip(
-                got, split_lanes(sums, 128, lanes))) == expected
+                got, unpack(sums, 128, lanes))) == expected
 
     def test_released_values_fit_one_hash_block(self):
         # a value and a tag of 80 zero bits share one 16-byte block
@@ -1107,7 +1090,7 @@ class TestOnlineTrafficLooksRandom:
         rng = random.Random(23)
         inputs0, _ = random_inputs(circuit, rng, lanes)
         holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
-        holder_b = {name: [0] * len(bits) for name, bits in holder_a.items()}
+        holder_b = 0
         # Significant bits of each online frame (the rest of a last byte is
         # padding).  At level 1 the holder opens 1 bit per cross gate and
         # lane and the querier 1 per cross gate; a tree level's opening
@@ -1155,7 +1138,7 @@ class TestOnlineTrafficLooksRandom:
         circuit = build_batch_query(8)
         inputs0, _ = random_inputs(circuit, random.Random(23), lanes)
         holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
-        holder_b = {name: [0] * len(bits) for name, bits in holder_a.items()}
+        holder_b = 0
         # 16 bytes per cross gate and lane, two 16-byte labels per querier
         # wire, 16 bytes per lane
         sizes = {MSG_GARBLED_TABLES: 16 * 16 * lanes, MSG_LABELS: 2 * 16 * 16,
