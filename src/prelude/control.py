@@ -418,17 +418,20 @@ class SdxNode:
                 continue
             if from_sdx not in record.queried:
                 continue
-            self.log("reverify", {"rule_id": rule_id, "cause": "notify"})
-            verdict = self._verify(record)
-            if not verdict.accepted:
-                self._deactivate(record, verdict.reason)
+            self._reverify(record, "notify")
 
     # -- lifecycle
 
     def handle_remove(self, owner: int, rule_id: str) -> bool:
         record = self.registry.get(rule_id)
         if record is None or record.entry.owner != owner:
-            log.warning("removal of unknown rule %s by AS %d", rule_id, owner)
+            if record is None:
+                log.warning("removal of unknown rule %s by AS %d", rule_id,
+                            owner)
+            else:
+                log.warning("removal of rule %s by AS %d refused: owner "
+                            "mismatch, the rule belongs to AS %d", rule_id,
+                            owner, record.entry.owner)
             self.log("remove_unknown", {"rule_id": rule_id, "owner": owner})
             return False
         if record.active:
@@ -449,14 +452,19 @@ class SdxNode:
             new_path = self.plane.path(prefix, record.policy.deflect_to)
             if old_path == new_path:
                 continue
-            self.log("reverify", {"rule_id": rule_id, "cause": "bgp_update"})
-            verdict = self._verify(record)
-            verdicts.append(verdict)
-            if record.active and not verdict.accepted:
-                self._deactivate(record, verdict.reason)
-            elif not record.active and verdict.accepted:
-                self._activate(record)
+            verdicts.append(self._reverify(record, "bgp_update"))
         return verdicts
+
+    def _reverify(self, record: RegistryEntry, cause: str) -> Verdict:
+        """Verify a registered rule again; deactivate an active rule that
+        fails, activate an inactive one that passes."""
+        self.log("reverify", {"rule_id": record.rule_id, "cause": cause})
+        verdict = self._verify(record)
+        if record.active and not verdict.accepted:
+            self._deactivate(record, verdict.reason)
+        elif not record.active and verdict.accepted:
+            self._activate(record)
+        return verdict
 
 
 class ControlPlane(SiteView):

@@ -369,7 +369,6 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
     envelope = json.dumps({
         "prefix": prefix,
         "rule_width": local.width,
-        "id_width": HOP_ID_BITS,
         "backend": backend,
         "nonce": nonce,
     }).encode("utf-8")

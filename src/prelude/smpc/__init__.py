@@ -28,7 +28,7 @@ packed into one integer.  Each party passes its level-1 word, which
 every backend range-checks the same way.  Party 1's word is clear (see
 :mod:`prelude.circuits`): neither backend shares, masks or labels it, and
 it feeds only the cross gates.  Party 0's word is broadcast, one bit per
-cross gate that every lane reads, so each bit takes one mask bit or one
+cross gate that every lane reads, so each bit takes one pad bit or one
 label transfer whatever the lane count, and under gmw the querier opens
 one bit per cross gate; everything else costs what the template unrolled
 ``lanes`` times would.

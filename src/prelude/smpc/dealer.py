@@ -8,16 +8,13 @@ Per session it produces:
 - Beaver triple shares for every AND of the OR tree, on every lane a GMW
   run takes;
 - cross-product material for every cross gate, an AND of a querier bit
-  with a bit the holder (party 1) knows in the clear, on every lane: the
-  holder gets a random word y, and each party an XOR share of a AND y,
+  with a holder (party 1) bit, each in its owner's clear, on every lane:
+  the holder gets a random word y, and each party an XOR share of a AND y,
   where a holds one random bit per gate copied to every lane.  Every cross
   gate reads a querier input, which every lane shares (see
   :mod:`prelude.circuits`), so the querier gets a as drawn, one bit per
-  gate;
-- a joint input-mask seed, from which both parties derive identical masks
-  for the querier's input bits.  The querier sets its share to ``bit XOR
-  mask`` and the holder uses the mask itself, so input sharing costs no
-  messages;
+  gate.  The querier's a pads the bits it opens and the holder's y those
+  the holder opens, so no input is shared or masked otherwise;
 - precomputed-transfer material (:mod:`prelude.smpc.transfer`), one kind
   for both backends: the sender, party 1, gets a pair of random 128-bit
   pads per transfer, and the receiver, party 0, a random choice bit and the
@@ -34,8 +31,6 @@ from dataclasses import dataclass
 
 from prelude.smpc.shares import broadcast
 from prelude.smpc.transfer import LABEL_BITS, LABEL_BYTES, transfer_material
-
-MASK_SEED_BYTES = 16
 
 
 class SetupUnderprovisioned(Exception):
@@ -82,7 +77,6 @@ class DealerMaterial:
 
     party: int
     triples: TripleStream
-    input_mask_seed: bytes
     cross: TripleStream  # cross-product material, see TripleStream
     transfers: int = 0
     # party 1's pad words (r0, r1), or party 0's choice bits and pad word
@@ -106,8 +100,7 @@ class DealerMaterial:
         and its share of the product.  A transfer costs the sender two pads
         and the receiver one pad and its choice bit.
         """
-        size = ((3 * self.triples.n + 2 * self.cross.n + 7) // 8
-                + MASK_SEED_BYTES)
+        size = (3 * self.triples.n + 2 * self.cross.n + 7) // 8
         if self.party == 1:
             return size + 2 * LABEL_BYTES * self.transfers
         return size + LABEL_BYTES * self.transfers + (self.transfers + 7) // 8
@@ -136,8 +129,6 @@ def dealer_gen(
     stream0 = TripleStream(a0, b0, c0, n_triples)
     stream1 = TripleStream(a ^ a0, b ^ b0, c ^ c0, n_triples)
 
-    mask_seed = rng.getrandbits(8 * MASK_SEED_BYTES).to_bytes(MASK_SEED_BYTES, "little")
-
     choices, pads = transfer_material(n_transfers, rng)
 
     n = n_cross * lanes
@@ -148,8 +139,8 @@ def dealer_gen(
     cross1 = TripleStream(0, y, (broadcast(x, n_cross, lanes) & y) ^ z0, n,
                           name="cross products")
 
-    return (DealerMaterial(0, stream0, mask_seed, cross0, n_transfers, choices),
-            DealerMaterial(1, stream1, mask_seed, cross1, n_transfers, pads))
+    return (DealerMaterial(0, stream0, cross0, n_transfers, choices),
+            DealerMaterial(1, stream1, cross1, n_transfers, pads))
 
 
 def dealer_for_circuit(

@@ -14,25 +14,17 @@ chosen by the output bit.
 
 Each party's input is its level-1 word, which
 :meth:`~prelude.circuits.BatchQueryCircuit.word` builds from its rules.
-Inputs never touch the channel, and only the querier's are XOR-shared:
-both parties expand the dealer's joint mask seed into one mask bit per
-bit of the querier's word; the querier takes ``word XOR mask`` as its
-share and the holder takes the mask, which is a valid fresh sharing.  One
-querier rule feeds every lane, so a share is one bit per cross gate
-whatever the lane count.
-
-The holder's word is clear (see :mod:`prelude.circuits`): it keeps its
-bits as they are, and they feed only the level-1 cross gates.  A
-cross gate s AND b, s shared as s0 XOR s1 and b the holder's clear bit, is
-a one-sided product over dealer material: the querier holds a random a,
-one bit per gate, the holder a random y, and each a share of a AND y.  The
-querier opens s0 XOR a, one bit per gate for all lanes, since s0 and a are
-the same in every lane, and the holder opens b XOR y, one bit per gate and
-lane, in the frame of level 1.  With d = s0 XOR a and e = b XOR y, the
-querier takes s0 e XOR its product share and the holder d y XOR its
-product share XOR s1 b; these XOR to s b.  Each opening is one-time padded
-by dealer randomness the receiver never sees, so neither party learns
-anything.
+Inputs are never shared: each party keeps its word, and the words feed
+only the level-1 cross gates.  A cross gate q AND b, q the querier's bit
+and b the holder's, is a one-sided product over dealer material: the
+querier holds a random a, one bit per gate, the holder a random y, and
+each a share of a AND y.  The querier opens d = q XOR a, one bit per gate
+for all lanes, since one querier rule feeds every lane, and the holder
+opens e = b XOR y, one bit per gate and lane, in the frame of level 1.
+The querier takes q e XOR its product share and the holder d y XOR its
+product share; these XOR to q b.  Each opening is one-time padded by
+dealer randomness its receiver never sees, and each share by the dealer's
+fresh product share, so neither party learns anything.
 
 The cells are the low half of the level-1 word XOR its high half, and the
 OR tree is NOT of an AND-reduction of the NOT cells, NOT being party 0
@@ -54,7 +46,6 @@ the entry overlaps its rule.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from prelude.smpc.channel import (
@@ -115,20 +106,15 @@ def gmw_steps(
         transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
         transcript.begin_online()
 
-    # Level 1: the cross gates.  The querier's bit of gate g is bit g of
-    # its word, shared as (bit XOR mask, mask).
+    # Level 1: the cross gates, one-sided products on each party's word.
     n = circuit.levels[0]
-    mask = random.Random(int.from_bytes(setup.input_mask_seed,
-                                        "little")).getrandbits(n)
-    secret = word ^ mask if party == 0 else mask
     xa, xy, xc = setup.cross.take(n * lanes)
     if party == 0:
-        theirs = yield from _open_steps(secret ^ xa, n, n * lanes, transcript)
-        z = (broadcast(secret, n, lanes) & theirs) ^ xc
+        theirs = yield from _open_steps(word ^ xa, n, n * lanes, transcript)
+        z = (broadcast(word, n, lanes) & theirs) ^ xc
     else:
         theirs = yield from _open_steps(word ^ xy, n * lanes, n, transcript)
-        z = (broadcast(theirs, n, lanes) & xy) ^ xc ^ (
-            broadcast(secret, n, lanes) & word)
+        z = (broadcast(theirs, n, lanes) & xy) ^ xc
 
     # The cells, negated: NOT is party 0 flipping its share.
     half = n // 2 * lanes

@@ -194,6 +194,25 @@ class TestFixtureSequence:
             assert not plane.remove(2, "r1-99")
         assert "unknown rule" in caplog.text
 
+    def test_removal_by_another_owner_is_refused(self, caplog):
+        fx = two_exchange_fixture()
+        plane = fixture_plane("direct")
+        first = plane.install(fx.deflect_b_to_a)
+        plane.install(DeflectionPolicy(owner=3, sdx_id=2, rule=SSH,
+                                       deflect_to=4, prefix=fx.prefix))
+        record = plane.nodes[1].registry[first.rule_id]
+        assert record.subscribers == {2}
+        n_events = len(plane.events)
+        with caplog.at_level("WARNING"):
+            assert not plane.remove(3, first.rule_id)
+        assert plane.nodes[1].registry[first.rule_id] is record
+        assert record.active
+        assert fx.deflect_b_to_a in plane.active_policies(fx.prefix)
+        kinds = [e.kind for e in plane.events[n_events:]]
+        assert "remove" not in kinds and "notify" not in kinds
+        assert "owner mismatch" in caplog.text
+        assert "unknown rule" not in caplog.text
+
     def test_query_failure_rejects_conservatively(self):
         fx = two_exchange_fixture()
         plane = fixture_plane("smpc", seed=5)

@@ -404,9 +404,18 @@ class TestDealer:
             assert (pad >> lane) & ((1 << 128) - 1) == (
                 (r1 if (d >> i) & 1 else r0) >> lane) & ((1 << 128) - 1)
 
-    def test_mask_seed_is_shared(self):
-        mat0, mat1 = dealer_gen(4, 0, random.Random(3))
-        assert mat0.input_mask_seed == mat1.input_mask_seed
+    @pytest.mark.parametrize("n_cross,lanes", [(1, 1), (8, 5), (208, 33)])
+    def test_cross_products_share_a_and_y(self, n_cross, lanes):
+        # level 1 rests on this alone: the querier's a pads its opening,
+        # the holder's y pads its own, and the shares XOR to a AND y
+        mat0, mat1 = dealer_gen(0, 0, random.Random(n_cross + lanes),
+                                n_cross=n_cross, lanes=lanes)
+        n = n_cross * lanes
+        a0, b0, c0 = mat0.cross.take(n)
+        a1, y1, c1 = mat1.cross.take(n)
+        assert a0 < 1 << n_cross
+        assert b0 == a1 == 0
+        assert c0 ^ c1 == broadcast(a0, n_cross, lanes) & y1
 
 
 # --------------------------------------------------------------------------
