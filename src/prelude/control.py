@@ -424,15 +424,16 @@ class SdxNode:
 
     def handle_remove(self, owner: int, rule_id: str) -> bool:
         record = self.registry.get(rule_id)
-        if record is None or record.entry.owner != owner:
-            if record is None:
-                log.warning("removal of unknown rule %s by AS %d", rule_id,
-                            owner)
-            else:
-                log.warning("removal of rule %s by AS %d refused: owner "
-                            "mismatch, the rule belongs to AS %d", rule_id,
-                            owner, record.entry.owner)
+        if record is None:
+            log.warning("removal of unknown rule %s by AS %d", rule_id, owner)
             self.log("remove_unknown", {"rule_id": rule_id, "owner": owner})
+            return False
+        if record.entry.owner != owner:
+            log.warning("removal of rule %s by AS %d refused: owner "
+                        "mismatch, the rule belongs to AS %d", rule_id,
+                        owner, record.entry.owner)
+            self.log("remove_refused", {"rule_id": rule_id, "owner": owner,
+                                        "rule_owner": record.entry.owner})
             return False
         if record.active:
             self.service.deregister(record.entry)

@@ -77,7 +77,6 @@ from prelude.smpc import (
     MSG_ENVELOPE_ACK,
     ProtocolError,
     SessionTranscript,
-    SetupUnderprovisioned,
     dealer_for_circuit,
     drive,
     evaluate_steps,
@@ -460,8 +459,7 @@ class LoopbackEndpoint:
                 raise QueryAborted(str(exc)) from exc
         try:
             raw = channel.finish()
-        except (ChannelClosed, ChannelTimeout, ProtocolError,
-                SetupUnderprovisioned) as exc:
+        except (ChannelClosed, ChannelTimeout, ProtocolError) as exc:
             raise QueryAborted(str(exc)) from exc
 
         if _raw_out is not None:

@@ -3,10 +3,10 @@
 Two interchangeable backends run the one comparator template
 (:class:`prelude.circuits.BatchQueryCircuit`):
 
-- :func:`gmw_steps` works on XOR shares, level by level: one-sided
-  products over dealer material for the level-1 cross gates and Beaver
-  triples for the OR tree; its online round count equals the template's
-  AND depth.
+- :func:`gmw_steps` works on XOR shares, level by level, each level on
+  its own piece of dealer material: one-sided products for the level-1
+  cross gates and Beaver triples for each OR-tree level; its online round
+  count equals the template's AND depth.
 - :func:`garble_steps` and :func:`evaluate_steps` garble only the level-1
   cross gates and end with per-lane key sums that agree exactly when no
   cross gate reads 1; their online phase is a single round trip.
@@ -21,6 +21,12 @@ tag fails (:func:`release_steps` and :func:`open_steps`).  Party 0 learns
 one value per lane and nothing of the other; party 1 sees only one-time
 padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`) also
 carries yao's input labels.
+
+:func:`dealer_for_circuit` deals one run of the template, its level plan
+over ``lanes`` entries, and each party's :class:`DealerMaterial` holds that
+plan and its backend; every backend refuses material dealt for the other
+party, for the other backend or for another plan with a
+:class:`ValueError` naming both plans.
 
 The template runs over ``lanes`` entries at once, every lane of a gate
 packed into one integer.  Each party passes its level-1 word, which
@@ -60,15 +66,8 @@ from prelude.smpc.channel import (
     recv_frame,
     send_frame,
 )
-from prelude.smpc.dealer import (
-    DealerMaterial,
-    SetupUnderprovisioned,
-    TripleStream,
-    dealer_for_circuit,
-    dealer_gen,
-)
+from prelude.smpc.dealer import DealerMaterial, dealer_for_circuit
 from prelude.smpc.gmw import gmw_steps, reveal_steps
-from prelude.smpc.shares import BitShares
 from prelude.smpc.transcript import (
     ONLINE,
     RECEIVED,
@@ -85,7 +84,6 @@ from prelude.smpc.yao import (
 )
 
 __all__ = [
-    "BitShares",
     "ChannelClosed",
     "ChannelTimeout",
     "DealerMaterial",
@@ -105,12 +103,9 @@ __all__ = [
     "SENT",
     "SETUP",
     "SessionTranscript",
-    "SetupUnderprovisioned",
     "TcpChannel",
     "TranscriptEntry",
-    "TripleStream",
     "dealer_for_circuit",
-    "dealer_gen",
     "drive",
     "encode_frame",
     "evaluate_steps",

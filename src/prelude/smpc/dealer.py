@@ -1,26 +1,29 @@
 """Trusted setup dealer.
 
 The dealer stands in for an offline phase in this simulation: it hands both
-parties correlated randomness before the online phase starts.
+parties correlated randomness before the online phase starts.  It deals for
+one level plan, the template's ``levels`` over ``lanes`` entries, and each
+party's material holds that plan and one piece per level of it:
 
-Per session it produces:
-
-- Beaver triple shares for every AND of the OR tree, on every lane a GMW
-  run takes;
-- cross-product material for every cross gate, an AND of a querier bit
-  with a holder (party 1) bit, each in its owner's clear, on every lane:
-  the holder gets a random word y, and each party an XOR share of a AND y,
-  where a holds one random bit per gate copied to every lane.  Every cross
-  gate reads a querier input, which every lane shares (see
-  :mod:`prelude.circuits`), so the querier gets a as drawn, one bit per
-  gate.  The querier's a pads the bits it opens and the holder's y those
-  the holder opens, so no input is shared or masked otherwise;
+- level 1, the cross gates, ANDs of a querier bit with a holder (party 1)
+  bit, each in its owner's clear: the querier gets a random pad a, one bit
+  per gate, since every cross gate reads a querier input that every lane
+  shares (see :mod:`prelude.circuits`); the holder gets a random pad y, one
+  bit per gate and lane; and each party an XOR share of a AND y, with a
+  copied to every lane.  Each party's pad pads the bits it opens, so no
+  input is shared or masked otherwise;
+- each OR-tree level, Beaver triple shares (a, b, c) for every AND of the
+  level, on every lane, as words of ``ands x lanes`` bits;
 - precomputed-transfer material (:mod:`prelude.smpc.transfer`), one kind
   for both backends: the sender, party 1, gets a pair of random 128-bit
   pads per transfer, and the receiver, party 0, a random choice bit and the
   pad matching it.  Yao spends one transfer per querier input on a
-  16-byte label, gmw one per lane on a released value; its pads
-  are 16 bytes too, though a query releases 6-byte values.
+  16-byte label, gmw one per lane on a released value; its pads are 16
+  bytes too, though a query releases 6-byte values.
+
+Yao takes the transfers alone.  A backend refuses material dealt for the
+other party, for the other backend or for another plan with a
+:class:`ValueError`.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
@@ -30,133 +33,96 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from prelude.smpc.shares import broadcast
-from prelude.smpc.transfer import LABEL_BITS, LABEL_BYTES, transfer_material
+from prelude.smpc.transfer import LABEL_BYTES, transfer_material
 
 
-class SetupUnderprovisioned(Exception):
-    """The online phase needed more dealer material than was generated."""
-
-
-@dataclass
-class TripleStream:
-    """One party's triple shares, bit-packed; consumed layer by layer.
-
-    Cross-product material uses the same shape: the querier's stream holds
-    (a, 0, its share of a AND y), with a one bit per gate rather than per
-    gate and lane, and the holder's (0, y, its share).  ``name``
-    says which material the stream holds, for the error when it runs short.
-    """
-
-    a: int
-    b: int
-    c: int
-    n: int
-    pos: int = 0
-    name: str = "beaver triples"
-
-    def take(self, count: int) -> tuple[int, int, int]:
-        """Return packed shares (a, b, c) for the next ``count`` triples."""
-        if self.pos + count > self.n:
-            raise SetupUnderprovisioned(
-                f"needed {self.pos + count} {self.name}, dealer provided "
-                f"{self.n}"
-            )
-        mask = (1 << count) - 1
-        out = (
-            (self.a >> self.pos) & mask,
-            (self.b >> self.pos) & mask,
-            (self.c >> self.pos) & mask,
-        )
-        self.pos += count
-        return out
-
-
-@dataclass
+@dataclass(frozen=True)
 class DealerMaterial:
-    """Everything the dealer hands one party for one session."""
+    """Everything the dealer hands one party for one run of the template."""
 
+    backend: str
     party: int
-    triples: TripleStream
-    cross: TripleStream  # cross-product material, see TripleStream
-    transfers: int = 0
+    levels: tuple[int, ...]
+    lanes: int
+    # level 1: this party's pad word and its share of the products
+    cross: tuple[int, int]
+    # per OR-tree level: this party's Beaver shares (a, b, c)
+    triples: tuple[tuple[int, int, int], ...]
     # party 1's pad words (r0, r1), or party 0's choice bits and pad word
     # (d, r_d), one 128-bit lane per transfer
-    transfer: tuple[int, int] = (0, 0)
+    transfer: tuple[int, int]
+    # on-wire size, for setup-phase byte accounting
+    serialized_size: int
 
-    def take_transfers(self, n: int) -> tuple[int, int]:
-        """This party's material for the first ``n`` transfers."""
-        if n > self.transfers:
-            raise SetupUnderprovisioned(
-                f"needed {n} transfers, dealer provided {self.transfers}")
-        first, pads = self.transfer
-        lanes = (1 << LABEL_BITS * n) - 1
-        # party 0's first word holds one choice bit per transfer
-        return first & (lanes if self.party == 1 else (1 << n) - 1), pads & lanes
+    def check(self, party: int, circuit, lanes: int, backend: str) -> None:
+        """Refuse this material unless it is ``party``'s for ``lanes`` lanes
+        of ``circuit`` under ``backend``.
 
-    def serialized_size(self) -> int:
-        """On-wire size of this material, for setup-phase byte accounting.
-
-        A cross product costs each party two bits per lane: its random word
-        and its share of the product.  A transfer costs the sender two pads
-        and the receiver one pad and its choice bit.
+        The backend is part of the plan: the two deal different pads, and a
+        run on the other's material could open a bit or a label unpadded.
         """
-        size = (3 * self.triples.n + 2 * self.cross.n + 7) // 8
-        if self.party == 1:
-            return size + 2 * LABEL_BYTES * self.transfers
-        return size + LABEL_BYTES * self.transfers + (self.transfers + 7) // 8
+        if (self.backend, self.party, self.levels, self.lanes) != (
+                backend, party, circuit.levels, lanes):
+            raise ValueError(
+                f"dealer material for {self.backend} party {self.party}, "
+                f"levels {self.levels} over {self.lanes} lanes, does not fit "
+                f"{backend} party {party}, levels {circuit.levels} over "
+                f"{lanes} lanes")
 
 
-def dealer_gen(
-    n_triples: int,
-    n_transfers: int,
-    rng,
-    n_cross: int = 0,
-    lanes: int = 1,
-) -> tuple[DealerMaterial, DealerMaterial]:
-    """Generate one session's setup material for parties 0 and 1.
-
-    Party 1 receives the transfers' pad pairs; party 0 receives choice bits
-    and matching pads.  ``n_cross`` cross gates each take a cross product
-    in each of ``lanes`` lanes; the querier's random bit of a gate fills
-    all of its lanes.
-    """
-    a = rng.getrandbits(n_triples)
-    b = rng.getrandbits(n_triples)
-    c = a & b
-    a0 = rng.getrandbits(n_triples)
-    b0 = rng.getrandbits(n_triples)
-    c0 = rng.getrandbits(n_triples)
-    stream0 = TripleStream(a0, b0, c0, n_triples)
-    stream1 = TripleStream(a ^ a0, b ^ b0, c ^ c0, n_triples)
-
-    choices, pads = transfer_material(n_transfers, rng)
-
-    n = n_cross * lanes
-    x = rng.getrandbits(n_cross)
-    y = rng.getrandbits(n)
-    z0 = rng.getrandbits(n)
-    cross0 = TripleStream(x, 0, z0, n, name="cross products")
-    cross1 = TripleStream(0, y, (broadcast(x, n_cross, lanes) & y) ^ z0, n,
-                          name="cross products")
-
-    return (DealerMaterial(0, stream0, cross0, n_transfers, choices),
-            DealerMaterial(1, stream1, cross1, n_transfers, pads))
+def _per_level(words, tree, lanes: int) -> tuple[tuple[int, int, int], ...]:
+    """Slice the triple words into one (a, b, c) per tree level, low bits
+    first."""
+    a, b, c = words
+    out = []
+    for ands in tree:
+        nb = ands * lanes
+        low = (1 << nb) - 1
+        out.append((a & low, b & low, c & low))
+        a, b, c = a >> nb, b >> nb, c >> nb
+    return tuple(out)
 
 
 def dealer_for_circuit(
     circuit, backend: str, rng, lanes: int = 1
 ) -> tuple[DealerMaterial, DealerMaterial]:
-    """Size the dealer material for one run of the template over ``lanes``.
+    """Deal one run of the template over ``lanes`` to parties 0 and 1.
 
     GMW takes one cross product per level-1 cross gate and lane, one triple
     per OR-tree AND and lane, and one transfer per lane for the release.
     Yao transfers one label per querier input, which every lane reads; the
     holder's inputs are clear and take none.
+
+    A cross product costs the querier its pad bit per gate and its share
+    bit per gate and lane, and the holder two bits per gate and lane.  A
+    triple costs each party three bits, and a transfer the sender two pads
+    and the receiver one pad and its choice bit.
     """
-    n_cross, *tree = circuit.levels
     if backend == "gmw":
-        return dealer_gen(lanes * sum(tree), lanes, rng, n_cross=n_cross,
-                          lanes=lanes)
-    if backend == "yao":
-        return dealer_gen(0, n_cross, rng)
-    raise ValueError(f"unknown backend {backend!r}")
+        n, tree, transfers = circuit.levels[0], circuit.levels[1:], lanes
+    elif backend == "yao":
+        n, tree, transfers = 0, (), circuit.levels[0]
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    if lanes < 1:
+        raise ValueError("lanes must be at least 1")
+    bits = lanes * sum(tree)
+    a = rng.getrandbits(bits)
+    b = rng.getrandbits(bits)
+    shares0 = [rng.getrandbits(bits) for _ in range(3)]
+    shares1 = [s ^ t for s, t in zip(shares0, (a, b, a & b))]
+    choices, pads = transfer_material(transfers, rng)
+    x = rng.getrandbits(n)
+    y = rng.getrandbits(n * lanes)
+    z0 = rng.getrandbits(n * lanes)
+    z1 = (broadcast(x, n, lanes) & y) ^ z0
+
+    size0 = ((3 * bits + n + n * lanes + 7) // 8 + LABEL_BYTES * transfers
+             + (transfers + 7) // 8)
+    size1 = (3 * bits + 2 * n * lanes + 7) // 8 + 2 * LABEL_BYTES * transfers
+    return (
+        DealerMaterial(backend, 0, circuit.levels, lanes, (x, z0),
+                       _per_level(shares0, tree, lanes), choices, size0),
+        DealerMaterial(backend, 1, circuit.levels, lanes, (y, z1),
+                       _per_level(shares1, tree, lanes), pads, size1),
+    )

@@ -31,6 +31,12 @@ OR tree is NOT of an AND-reduction of the NOT cells, NOT being party 0
 flipping its share.  Each tree level takes one Beaver triple per AND and
 lane and opens the masked operands of all of them in one frame.
 
+The dealer (:func:`~prelude.smpc.dealer.dealer_for_circuit`) deals each
+party one piece of material per level of the plan it runs: level 1's pad
+word and product share, then one triple word each (a, b, c) per tree
+level, which the tree loop takes in step with its levels, and the
+release's transfers, one per lane.
+
 The release is one precomputed transfer per lane
 (:mod:`prelude.smpc.transfer`), which also carries yao's input labels.  The
 querier's choice bit is its share s0 of the output; the holder offers the
@@ -56,7 +62,7 @@ from prelude.smpc.channel import (
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
-from prelude.smpc.shares import BitShares, broadcast
+from prelude.smpc.shares import broadcast
 from prelude.smpc.transcript import SessionTranscript
 from prelude.smpc.transfer import (
     choose_steps,
@@ -91,30 +97,28 @@ def gmw_steps(
     lanes: int = 1,
 ):
     """One party's online phase over the template; returns its share of
-    the output, one bit per lane.
+    the output as an int, bit i for lane i.
 
     ``word`` is the party's level-1 operand word
-    (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  The output stays
+    (:meth:`~prelude.circuits.BatchQueryCircuit.word`) and ``setup`` its
+    dealer material for this plan, one piece per level.  The output stays
     shared: :func:`reveal_steps` releases values by it.
     """
-    if party != setup.party:
-        raise ValueError("setup material belongs to the other party")
-    if lanes < 1:
-        raise ValueError("lanes must be at least 1")
+    setup.check(party, circuit, lanes, "gmw")
     circuit.check_word(party, word, lanes)
     if transcript is not None:
-        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
+        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size)
         transcript.begin_online()
 
     # Level 1: the cross gates, one-sided products on each party's word.
     n = circuit.levels[0]
-    xa, xy, xc = setup.cross.take(n * lanes)
+    pad, share = setup.cross
     if party == 0:
-        theirs = yield from _open_steps(word ^ xa, n, n * lanes, transcript)
-        z = (broadcast(word, n, lanes) & theirs) ^ xc
+        theirs = yield from _open_steps(word ^ pad, n, n * lanes, transcript)
+        z = (broadcast(word, n, lanes) & theirs) ^ share
     else:
-        theirs = yield from _open_steps(word ^ xy, n * lanes, n, transcript)
-        z = (broadcast(theirs, n, lanes) & xy) ^ xc
+        theirs = yield from _open_steps(word ^ pad, n * lanes, n, transcript)
+        z = (broadcast(theirs, n, lanes) & pad) ^ share
 
     # The cells, negated: NOT is party 0 flipping its share.
     half = n // 2 * lanes
@@ -122,10 +126,10 @@ def gmw_steps(
     z = (z & ((1 << half) - 1)) ^ (z >> half) ^ flip
 
     # The tree: AND the low fields with the next as many, carry an odd one.
-    for ands in circuit.levels[1:]:
+    for ands, (ta, tb, tc) in zip(circuit.levels[1:], setup.triples,
+                                  strict=True):
         nb = ands * lanes
         low = (1 << nb) - 1
-        ta, tb, tc = setup.triples.take(nb)
         d = (z & low) ^ ta
         e = ((z >> nb) & low) ^ tb
         theirs = yield from _open_steps(d | (e << nb), 2 * nb, 2 * nb,
@@ -135,12 +139,11 @@ def gmw_steps(
         product = tc ^ (d & tb) ^ (e & ta) ^ (d & e if party == 0 else 0)
         z = product | ((z >> 2 * nb) << nb)
 
-    every_lane = (1 << lanes) - 1
-    return BitShares(z ^ (every_lane if party == 0 else 0), lanes)
+    return z ^ ((1 << lanes) - 1 if party == 0 else 0)
 
 
 def reveal_steps(
-    my_share: BitShares,
+    my_share: int,
     setup: DealerMaterial,
     size: int,
     transcript: SessionTranscript | None = None,
@@ -150,16 +153,17 @@ def reveal_steps(
 ):
     """Release to the receiving side ``values[i][b]`` for lane i of output b.
 
-    One online round.  The side that does not ``receive``, party 1, gives
-    ``values``, a pair of ``size``-byte values per lane, and returns None;
-    party 0 returns the value of each lane.
+    One online round over the transfers of ``setup``, one per lane of its
+    plan.  ``my_share`` is this party's output share from :func:`gmw_steps`.
+    The side that does not ``receive``, party 1, gives ``values``, a pair
+    of ``size``-byte values per lane, and returns None; party 0 returns the
+    value of each lane.
     """
-    n = my_share.n
-    material = setup.take_transfers(n)
+    n = setup.lanes
     if transcript is not None:
         transcript.next_round()
     if receive:
-        chosen = yield from choose_steps(my_share.value, n, size, material,
+        chosen = yield from choose_steps(my_share, n, size, setup.transfer,
                                          MSG_OUTPUT_SHARE, transcript)
         opened = from_lanes(chosen, n, size)
         released = [opened[i * size : (i + 1) * size] for i in range(n)]
@@ -170,8 +174,8 @@ def reveal_steps(
         v0, v1 = (to_lanes(b"".join([pair[bit] for pair in values]), n, size)
                   for bit in (0, 1))
         # slot c holds the value for c XOR my share
-        swap = select(spread(my_share.value, n)) & (v0 ^ v1)
-        yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, material,
+        swap = select(spread(my_share, n)) & (v0 ^ v1)
+        yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, setup.transfer,
                               MSG_OUTPUT_SHARE, transcript)
         released = None
     if transcript is not None:

@@ -1,34 +1,16 @@
-"""XOR shares of bit vectors, and the bit packings gmw uses.
+"""The bit packings gmw and the transfers use.
 
 No packing here shifts one bit at a time, which is quadratic in the length
 of a Python int.  A bit vector leaves an int as a '0'/'1' string, whose
 conversion in base 2 is linear, and a broadcast word is joined by halving,
-which touches each bit once per level.  A :class:`BitShares` holds its
-vector packed in one int, so shares travel without tuples.
+which touches each bit once per level.  A share of a bit vector is a plain
+int, bit i of the vector in bit i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # ASCII '0'/'1' -> bytes of 0/1 values, for linear-time bit conversions
 _FROM_ASCII = bytes(i & 1 for i in range(256))
-
-
-@dataclass(frozen=True)
-class BitShares:
-    """One party's additive (XOR) share of an ``n``-bit vector.
-
-    Held packed: bit i of ``value`` is bit i of the vector, so a share never
-    has to pass through a tuple.
-    """
-
-    value: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0 or self.value >> self.n:
-            raise ValueError(f"a share of {self.n} bits must fit in {self.n} bits")
 
 
 def int_to_bits(value: int, n: int) -> tuple[int, ...]:

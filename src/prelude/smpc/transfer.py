@@ -11,9 +11,11 @@ one bit and the sender's two messages, in one round trip.
 
 Yao's evaluator receives its input labels this way, one 16-byte label per
 querier wire, and gmw's release delivers each output's value, such as an
-entry's 6-byte identifier or the dummy.  Each party's material is packed:
-transfer i's pads lie in 128-bit lane i of one int and its choice bit in
-bit i of another, so both steps act on every transfer at once.  A message
+entry's 6-byte identifier or the dummy.  The transfers are part of the
+dealer material for one run (:mod:`prelude.smpc.dealer`), as many as that
+run takes.  Each party's material is packed: transfer i's pads lie in
+128-bit lane i of one int and its choice bit in bit i of another, so both
+steps act on every transfer at once.  A message
 travels in the low bytes of its lane, and a frame carries ``size`` bytes
 per message: every transfer's slot 0, then every transfer's slot 1.
 """

@@ -259,15 +259,13 @@ def garble_steps(
     sums S0 of the zero-keys, lane i in bits [128 i, 128 i + 128), under
     which :func:`release_steps` releases values.
     """
-    if setup.party != 1:
-        raise ValueError("setup material belongs to the other party")
+    setup.check(1, circuit, lanes, "yao")
     if rng is None:
         raise ValueError("garbler needs an rng")
     circuit.check_word(1, word, lanes)
     if transcript is not None:
-        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
+        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size)
     n = circuit.levels[0]
-    pads = setup.take_transfers(n)
     delta = rng.getrandbits(LABEL_BITS) | 1
     zero = rng.getrandbits(LABEL_BITS * n)  # input g's zero-label in lane g
     tables, sums = _garble(_labels(zero, n), delta,
@@ -277,7 +275,7 @@ def garble_steps(
         transcript.begin_online()
         transcript.next_round()
     yield from send_steps(zero, zero ^ _lane_word(delta, n), n, LABEL_BYTES,
-                          pads, MSG_LABELS, transcript)
+                          setup.transfer, MSG_LABELS, transcript)
     return sums
 
 
@@ -295,19 +293,17 @@ def evaluate_steps(
     sums S of its keys, with which :func:`open_steps` opens the released
     values.
     """
-    if setup.party != 0:
-        raise ValueError("setup material belongs to the other party")
+    setup.check(0, circuit, lanes, "yao")
     circuit.check_word(0, word, lanes)
     if transcript is not None:
-        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size())
+        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size)
     n = circuit.levels[0]
-    material = setup.take_transfers(n)
     tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n,
                                    transcript)
     if transcript is not None:
         transcript.begin_online()
         transcript.next_round()
-    chosen = yield from choose_steps(word, n, LABEL_BYTES, material,
+    chosen = yield from choose_steps(word, n, LABEL_BYTES, setup.transfer,
                                      MSG_LABELS, transcript)
     return _evaluate(_labels(chosen, n), tables, lanes)
 

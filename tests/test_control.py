@@ -208,8 +208,14 @@ class TestFixtureSequence:
         assert plane.nodes[1].registry[first.rule_id] is record
         assert record.active
         assert fx.deflect_b_to_a in plane.active_policies(fx.prefix)
-        kinds = [e.kind for e in plane.events[n_events:]]
+        events = plane.events[n_events:]
+        kinds = [e.kind for e in events]
         assert "remove" not in kinds and "notify" not in kinds
+        # its own event, naming both owners; not an unknown rule's
+        assert "remove_unknown" not in kinds
+        (refused,) = [e for e in events if e.kind == "remove_refused"]
+        assert refused.detail == {"rule_id": first.rule_id, "owner": 3,
+                                  "rule_owner": fx.deflect_b_to_a.owner}
         assert "owner mismatch" in caplog.text
         assert "unknown rule" not in caplog.text
 

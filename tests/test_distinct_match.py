@@ -6,6 +6,7 @@ import hashlib
 import random
 import re
 import threading
+from types import SimpleNamespace
 
 import pytest
 from scipy import stats
@@ -498,8 +499,8 @@ class TestLaneSessions:
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 267, 158, 4),
-        ("gmw", 104, 50, 5455, 4601, 9),
+        ("gmw", 4, 8, 260, 158, 4),
+        ("gmw", 104, 50, 4181, 4601, 9),
         ("yao", 104, 50, 169875, 7497, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
@@ -523,10 +524,13 @@ class TestLaneSessions:
     @pytest.mark.parametrize("width,k", [(4, 8), (104, 50)])
     def test_triples_consumed_are_k_times_the_per_entry_and_count(
             self, monkeypatch, width, k):
+        # Every draw all ones: the material stays consistent, so the session
+        # still answers, and the querier's words show their exact widths.
+        ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
         materials = []
 
         def recording(circuit, backend, rng, lanes=1):
-            pair = dealer_for_circuit(circuit, backend, rng, lanes)
+            pair = dealer_for_circuit(circuit, backend, ones, lanes)
             materials.extend(pair)
             return pair
 
@@ -535,15 +539,24 @@ class TestLaneSessions:
         entries = [make_entry(random_rule(width, rng), 5, 500 + i)
                    for i in range(k)]
         endpoint = fresh_endpoint(entries)
-        endpoint.query(random_rule(width, rng), "10.0.0.0/8")
+        local = entries[0].rule
+        hops = {e.next_hop for e in entries if overlaps(local, e.rule)}
+        assert endpoint.query(local, "10.0.0.0/8").hops == hops != set()
         per_entry = batch_query_and_count(width)
         assert per_entry == 3 * width - 1
-        # the comparator's 2w cross gates take cross products, only the OR
-        # tree takes triples, and the release one transfer per entry
-        for material in materials:
-            assert material.triples.n == material.triples.pos == k * (width - 1)
-            assert material.cross.n == material.cross.pos == k * 2 * width
-            assert material.transfers == k
+        # the comparator's 2w cross gates take 2w·k product bits, each tree
+        # level ands·k triples, k(w − 1) in all, and the release one
+        # transfer per entry
+        querier, holder = materials
+        tree = distinct_match.query_template(width).levels[1:]
+        assert querier.cross == (ones.getrandbits(2 * width),
+                                 ones.getrandbits(2 * width * k))
+        assert holder.cross[0] == ones.getrandbits(2 * width * k)
+        assert querier.triples == tuple((ones.getrandbits(ands * k),) * 3
+                                        for ands in tree)
+        assert sum(tree) == width - 1
+        assert querier.transfer == (ones.getrandbits(k),
+                                    ones.getrandbits(128 * k))
 
     def test_one_template_per_width_and_no_circuit_grows_with_k(
             self, monkeypatch):

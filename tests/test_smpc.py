@@ -14,6 +14,7 @@ import socket
 import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from scipy import stats
@@ -36,11 +37,8 @@ from prelude.smpc import (
     RECEIVED,
     SETUP,
     SessionTranscript,
-    SetupUnderprovisioned,
     TcpChannel,
-    TripleStream,
     dealer_for_circuit,
-    dealer_gen,
     drive,
     encode_frame,
     evaluate_steps,
@@ -55,7 +53,7 @@ from prelude.smpc import (
 from prelude.smpc import yao
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import MAX_FRAME_BYTES
-from prelude.smpc.shares import BitShares, broadcast, int_to_bits
+from prelude.smpc.shares import broadcast
 
 
 def pack(values, width: int) -> int:
@@ -144,7 +142,7 @@ def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
                                       lanes)
         opened = yield from reveal_steps(
             shares, mat, 1, transcript, receive=party == 0,
-            values=[BIT_VALUES] * shares.n if party == 1 else ())
+            values=[BIT_VALUES] * lanes if party == 1 else ())
     elif party == 1:
         sums = yield from garble_steps(circuit, inputs, mat, garble_rng,
                                        transcript, lanes=lanes)
@@ -214,12 +212,6 @@ def run_over_tcp(backend):
 
 
 class TestShares:
-    def test_shares_reject_non_bits(self):
-        # a packed value must be an n-bit vector
-        for value, n in ((1 << 4, 4), (-1, 4), (1, 0)):
-            with pytest.raises(ValueError, match="must fit"):
-                BitShares(value, n)
-
     def test_broadcast_copies_each_bit_to_its_field(self):
         rng = random.Random(12)
         for n, lanes in ((1, 1), (5, 1), (13, 3), (208, 7), (208, 500)):
@@ -228,13 +220,6 @@ class TestShares:
                 [((bits >> i) & 1) * ((1 << lanes) - 1) for i in range(n)],
                 lanes)
         assert broadcast(0b101, 0, 4) == 0
-
-    def test_packed_shares(self):
-        share_ = BitShares(0b0101, 4)
-        assert (share_.value, share_.n) == (0b0101, 4)
-        assert int_to_bits(share_.value, share_.n) == (1, 0, 1, 0)
-        assert share_ == BitShares(0b0101, 4)
-        assert BitShares(0, 0).n == 0
 
 
 # --------------------------------------------------------------------------
@@ -382,21 +367,18 @@ class TestChannels:
 
 class TestDealer:
     def test_triples_multiply_correctly(self):
-        mat0, mat1 = dealer_gen(64, 0, random.Random(1))
-        a0, b0, c0 = mat0.triples.take(64)
-        a1, b1, c1 = mat1.triples.take(64)
-        assert (a0 ^ a1) & (b0 ^ b1) == c0 ^ c1
-
-    def test_stream_exhaustion(self):
-        stream = TripleStream(0, 0, 0, 4)
-        stream.take(3)
-        assert stream.pos == 3
-        with pytest.raises(SetupUnderprovisioned):
-            stream.take(2)
+        circuit = build_batch_query(104)
+        mat0, mat1 = dealer_for_circuit(circuit, "gmw", random.Random(1),
+                                        lanes=3)
+        assert len(mat0.triples) == len(mat1.triples) == len(
+            circuit.levels) - 1
+        for (a0, b0, c0), (a1, b1, c1) in zip(mat0.triples, mat1.triples):
+            assert (a0 ^ a1) & (b0 ^ b1) == c0 ^ c1
 
     def test_transfer_material_is_consistent(self):
-        mat0, mat1 = dealer_gen(0, 8, random.Random(2))
-        assert mat0.transfers == mat1.transfers == 8
+        # yao's 8 transfers at width 4, one per querier input
+        mat0, mat1 = dealer_for_circuit(build_batch_query(4), "yao",
+                                        random.Random(2))
         (d, pad), (r0, r1) = mat0.transfer, mat1.transfer
         assert 0 < d < 0xff  # both choices occur
         for i in range(8):
@@ -408,14 +390,48 @@ class TestDealer:
     def test_cross_products_share_a_and_y(self, n_cross, lanes):
         # level 1 rests on this alone: the querier's a pads its opening,
         # the holder's y pads its own, and the shares XOR to a AND y
-        mat0, mat1 = dealer_gen(0, 0, random.Random(n_cross + lanes),
-                                n_cross=n_cross, lanes=lanes)
-        n = n_cross * lanes
-        a0, b0, c0 = mat0.cross.take(n)
-        a1, y1, c1 = mat1.cross.take(n)
+        plan = SimpleNamespace(levels=(n_cross,))
+        mat0, mat1 = dealer_for_circuit(plan, "gmw",
+                                        random.Random(n_cross + lanes), lanes)
+        (a0, c0), (y1, c1) = mat0.cross, mat1.cross
         assert a0 < 1 << n_cross
-        assert b0 == a1 == 0
+        assert y1 < 1 << n_cross * lanes
         assert c0 ^ c1 == broadcast(a0, n_cross, lanes) & y1
+
+    def test_material_for_another_party_or_plan_is_refused(self):
+        # every backend entry point checks the plan its material was dealt
+        # for: the backend, the party, the level plan and the lane count
+        circuit = build_batch_query(4)
+        inputs0, inputs1 = random_inputs(circuit, random.Random(3), 3)
+        entries = {
+            "gmw": [lambda m: gmw_steps(circuit, 0, inputs0, m, lanes=3),
+                    lambda m: gmw_steps(circuit, 1, inputs1, m, lanes=3)],
+            "yao": [lambda m: evaluate_steps(circuit, inputs0, m, lanes=3),
+                    lambda m: garble_steps(circuit, inputs1, m,
+                                           random.Random(1), lanes=3)],
+        }
+        for backend, other in (("gmw", "yao"), ("yao", "gmw")):
+            good = dealer_for_circuit(circuit, backend, random.Random(4), 3)
+            theirs = dealer_for_circuit(circuit, other, random.Random(4), 3)
+            wider = dealer_for_circuit(build_batch_query(5), backend,
+                                       random.Random(4), 3)
+            fewer = dealer_for_circuit(circuit, backend, random.Random(4), 2)
+            for party, run in enumerate(entries[backend]):
+                next(run(good[party]))  # the plan it was dealt for
+                for material, dealt in (
+                        (good[1 - party], f"{backend} party {1 - party}, "
+                                          "levels (8, 2, 1) over 3"),
+                        (theirs[party], f"{other} party {party}, levels "
+                                        "(8, 2, 1) over 3"),
+                        (wider[party], f"{backend} party {party}, levels "
+                                       "(10, 2, 1, 1) over 3"),
+                        (fewer[party], f"{backend} party {party}, levels "
+                                       "(8, 2, 1) over 2")):
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"dealer material for {dealt} lanes, does not "
+                            f"fit {backend} party {party}, levels (8, 2, 1) "
+                            "over 3 lanes")):
+                        next(run(material))
 
 
 # --------------------------------------------------------------------------
@@ -476,26 +492,6 @@ class TestGmw:
                 circuit.and_depth() + 1)
             assert max(e.round_index for e in t.entries
                        if e.kind == MSG_AND_OPENING) == circuit.and_depth()
-
-    @staticmethod
-    def run_short(triples_short: int, cross_short: int, short: str) -> None:
-        """A session whose dealer provides too few triples or cross
-        products; the error names the stream that ran short."""
-        circuit = build_batch_query(4)
-        rng = random.Random(1)
-        inputs0, inputs1 = random_inputs(circuit, rng)
-        n_cross = circuit.levels[0] - cross_short
-        n_triples = sum(circuit.levels[1:]) - triples_short
-        mat0, mat1 = dealer_gen(n_triples, 0, rng, n_cross=n_cross)
-        ch = InlineLoopback(gmw_steps(circuit, 1, inputs1, mat1))
-        with pytest.raises(SetupUnderprovisioned, match=f"needed .* {short},"):
-            drive(gmw_steps(circuit, 0, inputs0, mat0), ch)
-
-    def test_underprovisioned_dealer_aborts(self):
-        self.run_short(triples_short=1, cross_short=0, short="beaver triples")
-
-    def test_underprovisioned_cross_material_aborts(self):
-        self.run_short(triples_short=0, cross_short=1, short="cross products")
 
     def test_closed_channel_aborts_cleanly(self):
         circuit = build_batch_query(4)
@@ -602,14 +598,6 @@ class TestYao:
         assert (circuit.levels[0], circuit.and_count()) == (16, 23)
         assert table_entry.n_bytes == 5 + 16 * 16
 
-    def test_missing_transfer_material_aborts(self):
-        circuit = build_batch_query(4)
-        rng = random.Random(8)
-        inputs0, _ = random_inputs(circuit, rng)
-        mat0, _ = dealer_gen(0, 0, rng)
-        with pytest.raises(SetupUnderprovisioned):
-            next(evaluate_steps(circuit, inputs0, mat0))
-
     def test_garbler_requires_rng(self):
         circuit = build_batch_query(4)
         rng = random.Random(9)
@@ -623,9 +611,9 @@ class TestYao:
         rng = random.Random(4)
         inputs0, inputs1 = random_inputs(circuit, rng)
         mat0, mat1 = dealer_for_circuit(circuit, "yao", rng)
-        with pytest.raises(ValueError, match="belongs to the other party"):
+        with pytest.raises(ValueError, match="does not fit yao party 1"):
             next(garble_steps(circuit, inputs1, mat0, random.Random(1)))
-        with pytest.raises(ValueError, match="belongs to the other party"):
+        with pytest.raises(ValueError, match="does not fit yao party 0"):
             next(evaluate_steps(circuit, inputs0, mat1))
 
     def test_runs_over_tcp(self):
@@ -672,9 +660,6 @@ class TestLanes:
         out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0,
                                  lanes=lanes), ch)
         assert ch.finish() is None
-        if backend == "gmw":
-            for stream in (mat0.triples, mat1.triples, mat0.cross, mat1.cross):
-                assert stream.pos == stream.n
         return out0
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
@@ -708,17 +693,23 @@ class TestLanes:
 
     def test_dealer_material_scales_with_lanes(self):
         circuit = build_batch_query(8)
-        mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(1), lanes=5)
+        # every draw all ones, so that party 0's words show their widths
+        ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
+        mat0, _ = dealer_for_circuit(circuit, "gmw", ones, lanes=5)
         # 16 comparator cross gates, 7 OR-tree ANDs, and a release transfer
         # per lane
-        assert circuit.levels[0] == 16
-        assert mat0.triples.n == 5 * 7
-        assert mat0.cross.n == 5 * 16
-        assert mat0.transfers == 5
+        assert circuit.levels == (16, 4, 2, 1)
+        assert mat0.cross == (ones.getrandbits(16), ones.getrandbits(5 * 16))
+        assert mat0.triples == tuple((ones.getrandbits(5 * ands),) * 3
+                                     for ands in (4, 2, 1))
+        assert mat0.transfer == (ones.getrandbits(5),
+                                 ones.getrandbits(128 * 5))
         # the querier's inputs are broadcast: one transfer per input at any k
-        mat0, mat1 = dealer_for_circuit(circuit, "yao", random.Random(1),
-                                        lanes=5)
-        assert mat0.transfers == mat1.transfers == 16
+        mat0, mat1 = dealer_for_circuit(circuit, "yao", ones, lanes=5)
+        assert (mat0.cross, mat0.triples) == ((0, 0), ())
+        assert mat0.transfer == (ones.getrandbits(16),
+                                 ones.getrandbits(128 * 16))
+        assert mat1.transfer == (ones.getrandbits(128 * 16),) * 2
 
     def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
         # Each frame is exact, after a 5-byte header.  At level 1 the
