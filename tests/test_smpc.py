@@ -365,6 +365,36 @@ class TestChannels:
 # dealer material
 
 
+def first_step(backend: str, party: int, material):
+    """Start ``backend``'s party ``party`` on ``material``, with random
+    words of the width-4 template over 3 lanes."""
+    circuit = build_batch_query(4)
+    word = random_inputs(circuit, random.Random(3), 3)[party]
+    if backend == "gmw":
+        steps = gmw_steps(circuit, party, word, material, lanes=3)
+    elif party == 0:
+        steps = evaluate_steps(circuit, word, material, lanes=3)
+    else:
+        steps = garble_steps(circuit, word, material, random.Random(1),
+                             lanes=3)
+    return next(steps)
+
+
+def deal(backend: str, width: int = 4, lanes: int = 3, levels=None):
+    """Both parties' material for the template of ``width`` over
+    ``lanes``, or for the level plan ``levels`` where given."""
+    plan = (build_batch_query(width) if levels is None
+            else SimpleNamespace(levels=levels))
+    return dealer_for_circuit(plan, backend, random.Random(4), lanes)
+
+
+def refused(backend: str, party: int, dealt: str):
+    """Expect :func:`first_step` to refuse material dealt for ``dealt``."""
+    return pytest.raises(ValueError, match=re.escape(
+        f"dealer material for {dealt} lanes, does not fit {backend} party "
+        f"{party}, levels (8, 2, 1) over 3 lanes"))
+
+
 class TestDealer:
     def test_triples_multiply_correctly(self):
         circuit = build_batch_query(104)
@@ -398,40 +428,36 @@ class TestDealer:
         assert y1 < 1 << n_cross * lanes
         assert c0 ^ c1 == broadcast(a0, n_cross, lanes) & y1
 
+    def test_stream_exhaustion(self):
+        # material cannot run short mid-run: each backend checks the whole
+        # plan before its first step, so material dealt over fewer lanes
+        # is refused even where its pieces do not depend on the lanes
+        for backend in ("gmw", "yao"):
+            good, fewer = deal(backend), deal(backend, lanes=2)
+            for party in (0, 1):
+                first_step(backend, party, good[party])
+                with refused(backend, party,
+                             f"{backend} party {party}, levels (8, 2, 1) "
+                             "over 2"):
+                    first_step(backend, party, fewer[party])
+
     def test_material_for_another_party_or_plan_is_refused(self):
         # every backend entry point checks the plan its material was dealt
-        # for: the backend, the party, the level plan and the lane count
-        circuit = build_batch_query(4)
-        inputs0, inputs1 = random_inputs(circuit, random.Random(3), 3)
-        entries = {
-            "gmw": [lambda m: gmw_steps(circuit, 0, inputs0, m, lanes=3),
-                    lambda m: gmw_steps(circuit, 1, inputs1, m, lanes=3)],
-            "yao": [lambda m: evaluate_steps(circuit, inputs0, m, lanes=3),
-                    lambda m: garble_steps(circuit, inputs1, m,
-                                           random.Random(1), lanes=3)],
-        }
+        # for: the backend, the party and the level plan
         for backend, other in (("gmw", "yao"), ("yao", "gmw")):
-            good = dealer_for_circuit(circuit, backend, random.Random(4), 3)
-            theirs = dealer_for_circuit(circuit, other, random.Random(4), 3)
-            wider = dealer_for_circuit(build_batch_query(5), backend,
-                                       random.Random(4), 3)
-            fewer = dealer_for_circuit(circuit, backend, random.Random(4), 2)
-            for party, run in enumerate(entries[backend]):
-                next(run(good[party]))  # the plan it was dealt for
+            good, theirs = deal(backend), deal(other)
+            wider = deal(backend, width=5)
+            for party in (0, 1):
+                first_step(backend, party, good[party])
                 for material, dealt in (
                         (good[1 - party], f"{backend} party {1 - party}, "
                                           "levels (8, 2, 1) over 3"),
                         (theirs[party], f"{other} party {party}, levels "
                                         "(8, 2, 1) over 3"),
                         (wider[party], f"{backend} party {party}, levels "
-                                       "(10, 2, 1, 1) over 3"),
-                        (fewer[party], f"{backend} party {party}, levels "
-                                       "(8, 2, 1) over 2")):
-                    with pytest.raises(ValueError, match=re.escape(
-                            f"dealer material for {dealt} lanes, does not "
-                            f"fit {backend} party {party}, levels (8, 2, 1) "
-                            "over 3 lanes")):
-                        next(run(material))
+                                       "(10, 2, 1, 1) over 3")):
+                    with refused(backend, party, dealt):
+                        first_step(backend, party, material)
 
 
 # --------------------------------------------------------------------------
@@ -492,6 +518,23 @@ class TestGmw:
                 circuit.and_depth() + 1)
             assert max(e.round_index for e in t.entries
                        if e.kind == MSG_AND_OPENING) == circuit.and_depth()
+
+    def test_underprovisioned_dealer_aborts(self):
+        # a narrower template's material is short of triples and cross
+        # products alike
+        narrower = deal("gmw", width=3)
+        for party in (0, 1):
+            with refused("gmw", party,
+                         f"gmw party {party}, levels (6, 1, 1) over 3"):
+                first_step("gmw", party, narrower[party])
+
+    def test_underprovisioned_cross_material_aborts(self):
+        # the OR tree's triples fit; level 1 is two cross gates short
+        short = deal("gmw", levels=(6, 2, 1))
+        for party in (0, 1):
+            with refused("gmw", party,
+                         f"gmw party {party}, levels (6, 2, 1) over 3"):
+                first_step("gmw", party, short[party])
 
     def test_closed_channel_aborts_cleanly(self):
         circuit = build_batch_query(4)
@@ -597,6 +640,16 @@ class TestYao:
         # one 16-byte row per cross gate; the OR tree's ANDs are not garbled
         assert (circuit.levels[0], circuit.and_count()) == (16, 23)
         assert table_entry.n_bytes == 5 + 16 * 16
+
+    def test_missing_transfer_material_aborts(self):
+        # the width-4 evaluator takes 8 label transfers, one per querier
+        # input: a narrower template's 6, or gmw's 3, one per lane, are
+        # refused before the first step
+        first_step("yao", 0, deal("yao")[0])
+        for mat0 in (deal("yao", width=3)[0], deal("gmw")[0]):
+            with refused("yao", 0, f"{mat0.backend} party 0, levels "
+                                   f"{mat0.levels} over 3"):
+                first_step("yao", 0, mat0)
 
     def test_garbler_requires_rng(self):
         circuit = build_batch_query(4)
