@@ -56,7 +56,10 @@ Both parties exist only as step generators over frames:
 :meth:`SdxMatchService.serve_query` drives the holder's side over a
 blocking channel, and :class:`LoopbackEndpoint` hands it an
 :class:`~prelude.smpc.InlineLoopback` whose peer is the querier's side, so
-a session runs in the calling thread and starts no thread.
+a session runs in the calling thread and starts no thread.  Neither side
+keeps accounts: the endpoint wraps each in :func:`~prelude.smpc.recorded`,
+and the session's dealer records each party's material as it hands it
+out, so a session's :class:`SessionStats` come from the querier's frames.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from prelude.smpc import (
     InlineLoopback,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
+    MSG_SETUP_TRIPLES,
     ProtocolError,
     SessionTranscript,
     dealer_for_circuit,
@@ -83,6 +87,7 @@ from prelude.smpc import (
     garble_steps,
     gmw_steps,
     open_steps,
+    recorded,
     recv_frame,
     release_steps,
     reveal_steps,
@@ -315,15 +320,16 @@ class SdxMatchService:
     def serve_query(self, channel, dealer, shuffle_rng: random.Random,
                     garble_rng: random.Random,
                     transcript: SessionTranscript | None = None) -> None:
-        """Run the holder side of one query session to completion."""
-        drive(self.serve_steps(dealer, shuffle_rng, garble_rng, transcript),
+        """Run the holder side of one query session to completion, recording
+        its frames in ``transcript`` if one is given."""
+        steps = self.serve_steps(dealer, shuffle_rng, garble_rng)
+        drive(steps if transcript is None else recorded(steps, transcript),
               channel)
 
     def serve_steps(self, dealer, shuffle_rng: random.Random,
-                    garble_rng: random.Random,
-                    transcript: SessionTranscript | None = None):
+                    garble_rng: random.Random):
         """Step generator of :meth:`serve_query`."""
-        payload = yield from recv_frame(MSG_ENVELOPE, transcript)
+        payload = yield from recv_frame(MSG_ENVELOPE)
         prefix, width, backend = _parse_envelope(payload)
 
         entries = self.entries_for(prefix)
@@ -333,7 +339,7 @@ class SdxMatchService:
                 f"width {entries[0].rule.width}")
         k = len(entries)
         ack = json.dumps({"k": k, "id_width": HOP_ID_BITS}).encode("utf-8")
-        yield from send_frame(MSG_ENVELOPE_ACK, ack, transcript)
+        yield from send_frame(MSG_ENVELOPE_ACK, ack)
         if k == 0:
             return
 
@@ -346,15 +352,14 @@ class SdxMatchService:
         ids = [entry.next_hop.to_bytes() for entry in entries]
         material = dealer.material(template, backend, 1, k)
         if backend == "gmw":
-            shares = yield from gmw_steps(template, 1, word, material,
-                                          transcript, lanes=k)
+            shares = yield from gmw_steps(template, 1, word, material, lanes=k)
             yield from reveal_steps(shares, material, HOP_ID_BYTES,
-                                    transcript, receive=False,
+                                    receive=False,
                                     values=[(i, _DUMMY_BYTES) for i in ids])
             return
         sums = yield from garble_steps(template, word, material, garble_rng,
-                                       transcript, lanes=k)
-        yield from release_steps(sums, ids, transcript)
+                                       lanes=k)
+        yield from release_steps(sums, ids)
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +367,7 @@ class SdxMatchService:
 
 
 def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
-                   nonce: str, transcript: SessionTranscript | None):
+                   nonce: str):
     """The querier's side of one session; returns the k released values,
     6 bytes each, the dummy's included."""
     envelope = json.dumps({
@@ -371,8 +376,8 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
         "backend": backend,
         "nonce": nonce,
     }).encode("utf-8")
-    yield from send_frame(MSG_ENVELOPE, envelope, transcript)
-    ack = yield from recv_frame(MSG_ENVELOPE_ACK, transcript)
+    yield from send_frame(MSG_ENVELOPE, envelope)
+    ack = yield from recv_frame(MSG_ENVELOPE_ACK)
     k = _parse_ack(ack)
     if k == 0:
         return []
@@ -381,23 +386,20 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
     word = template.word(0, [local])
     material = dealer.material(template, backend, 0, k)
     if backend == "gmw":
-        shares = yield from gmw_steps(template, 0, word, material,
-                                      transcript, lanes=k)
-        opened = yield from reveal_steps(shares, material, HOP_ID_BYTES,
-                                         transcript, receive=True)
-    else:
-        sums = yield from evaluate_steps(template, word, material,
-                                         transcript, lanes=k)
-        opened = yield from open_steps(sums, k, HOP_ID_BYTES, _DUMMY_BYTES,
-                                       transcript)
-    return opened
+        shares = yield from gmw_steps(template, 0, word, material, lanes=k)
+        return (yield from reveal_steps(shares, material, HOP_ID_BYTES,
+                                        receive=True))
+    sums = yield from evaluate_steps(template, word, material, lanes=k)
+    return (yield from open_steps(sums, k, HOP_ID_BYTES, _DUMMY_BYTES))
 
 
 class _SessionDealer:
-    """Hands both parties of one session their correlated setup material."""
+    """Hands both parties of one session their correlated setup material,
+    recording each party's in that party's transcript as it hands it out."""
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, transcripts) -> None:
         self._seed = seed
+        self._transcripts = transcripts  # party 0's, then party 1's
         self._materials = None
 
     def material(self, circuit, backend: str, party: int, lanes: int):
@@ -405,7 +407,10 @@ class _SessionDealer:
             rng = random.Random(self._seed)
             self._materials = dealer_for_circuit(circuit, backend, rng,
                                                  lanes=lanes)
-        return self._materials[party]
+        material = self._materials[party]
+        self._transcripts[party].record_receive(MSG_SETUP_TRIPLES,
+                                                material.serialized_size)
+        return material
 
 
 class LoopbackEndpoint:
@@ -439,11 +444,12 @@ class LoopbackEndpoint:
             shuffle_seed = self._rng.getrandbits(64)
             garble_seed = self._rng.getrandbits(64)
             nonce = f"{self._rng.getrandbits(64):016x}"
-        dealer = _SessionDealer(dealer_seed)
         t_q = SessionTranscript()
         t_h = SessionTranscript()
+        dealer = _SessionDealer(dealer_seed, (t_q, t_h))
         channel = InlineLoopback(
-            _querier_steps(local, prefix, backend, dealer, nonce, t_q),
+            recorded(_querier_steps(local, prefix, backend, dealer, nonce),
+                     t_q),
             one_way_delay=self._delay)
         try:
             self.service.serve_query(

@@ -41,9 +41,10 @@ one bit per cross gate; everything else costs what the template unrolled
 
 Every party is a step generator over frames, and :func:`drive` runs one
 over a channel: an in-thread loopback whose peer is the other party's step
-generator, with an injectable one-way delay, or a real socket.  Every byte
-moved is visible to a :class:`SessionTranscript` for round and bandwidth
-accounting.
+generator, with an injectable one-way delay, or a real socket.  No step
+keeps accounts: :func:`recorded` wraps a party's steps and records every
+frame it moves in a :class:`SessionTranscript`, which takes each frame's
+phase from its kind and counts online rounds from the frames.
 """
 
 from prelude.smpc.channel import (
@@ -75,6 +76,7 @@ from prelude.smpc.transcript import (
     SETUP,
     SessionTranscript,
     TranscriptEntry,
+    recorded,
 )
 from prelude.smpc.yao import (
     evaluate_steps,
@@ -112,6 +114,7 @@ __all__ = [
     "garble_steps",
     "gmw_steps",
     "open_steps",
+    "recorded",
     "recv_frame",
     "release_steps",
     "reveal_steps",

@@ -10,12 +10,13 @@ Protocol code exists only as step generators over frames: a party yields
 ``(kind, payload)`` to send a frame and is resumed with the frame's on-wire
 size, or yields :data:`RECV` to wait for one and is resumed with
 ``(kind, payload, frame_size)``; its return value is the party's result.
-:func:`drive` runs a step generator over a blocking channel.  Two channels
-exist: :class:`InlineLoopback`, whose peer is the other party's step
-generator in the same thread, so a two-party session needs no thread, and
-whose injectable one-way delay lets protocol latency be measured without
-real network distance; and :class:`TcpChannel`, which carries the same
-frames over a socket.
+Steps only move frames; :func:`prelude.smpc.transcript.recorded` wraps a
+party's steps to account for them.  :func:`drive` runs a step generator
+over a blocking channel.  Two channels exist: :class:`InlineLoopback`,
+whose peer is the other party's step generator in the same thread, so a
+two-party session needs no thread, and whose injectable one-way delay lets
+protocol latency be measured without real network distance; and
+:class:`TcpChannel`, which carries the same frames over a socket.
 """
 
 from __future__ import annotations
@@ -158,29 +159,24 @@ class TcpChannel:
 RECV = None  # what a step generator yields to wait for the next frame
 
 
-def send_frame(kind: int, payload: bytes, transcript=None):
-    """Step: send one frame and record it; returns its on-wire size."""
-    n = yield (kind, payload)
-    if transcript is not None:
-        transcript.record_send(kind, n)
-    return n
+def send_frame(kind: int, payload: bytes):
+    """Step: send one frame; returns its on-wire size."""
+    return (yield (kind, payload))
 
 
-def recv_frame(expect: int, transcript=None):
-    """Step: receive one frame of kind ``expect`` and record it; returns its payload."""
-    kind, payload, n = yield RECV
+def recv_frame(expect: int):
+    """Step: receive one frame of kind ``expect``; returns its payload."""
+    kind, payload, _ = yield RECV
     if kind != expect:
         raise ProtocolError(
             f"expected {KIND_NAMES.get(expect, expect)} frame, "
             f"got {KIND_NAMES.get(kind, kind)}")
-    if transcript is not None:
-        transcript.record_receive(kind, n)
     return payload
 
 
-def recv_exact(expect: int, size: int, transcript=None):
+def recv_exact(expect: int, size: int):
     """Step: :func:`recv_frame` for a payload that must be ``size`` bytes."""
-    payload = yield from recv_frame(expect, transcript)
+    payload = yield from recv_frame(expect)
     if len(payload) != size:
         raise ProtocolError(
             f"{KIND_NAMES[expect]} frame of {len(payload)} bytes, expected "

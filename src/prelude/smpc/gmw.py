@@ -6,9 +6,10 @@ Schneider & Zohner, NDSS 2015): each party's state is one level word whose
 field g holds gate g's lanes, every level is a handful of operations on
 that word, and a level of n gates opens all of them in one frame of the
 size n x lanes separate gates would need.  Each level is one online round,
-so the online round count equals the template's AND depth; the release
-afterwards adds one more round.  A party runs as two step generators over
-frames: :func:`gmw_steps` leaves the output XOR-shared and
+an opening sent and the peer's received, so the online round count that a
+transcript reads from the frames equals the template's AND depth; the
+release afterwards adds one more round.  A party runs as two step
+generators over frames: :func:`gmw_steps` leaves the output XOR-shared and
 :func:`reveal_steps` releases to the querier one of two values per lane,
 chosen by the output bit.
 
@@ -57,13 +58,11 @@ from typing import Sequence
 from prelude.smpc.channel import (
     MSG_AND_OPENING,
     MSG_OUTPUT_SHARE,
-    MSG_SETUP_TRIPLES,
     recv_exact,
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
 from prelude.smpc.shares import broadcast
-from prelude.smpc.transcript import SessionTranscript
 from prelude.smpc.transfer import (
     choose_steps,
     from_lanes,
@@ -74,17 +73,12 @@ from prelude.smpc.transfer import (
 )
 
 
-def _open_steps(mine: int, n_mine: int, n_theirs: int,
-                transcript: SessionTranscript | None):
+def _open_steps(mine: int, n_mine: int, n_theirs: int):
     """One AND level's round: send ``n_mine`` opened bits, receive the
     peer's ``n_theirs``."""
-    if transcript is not None:
-        transcript.next_round()
     yield from send_frame(MSG_AND_OPENING,
-                          mine.to_bytes((n_mine + 7) // 8, "little"),
-                          transcript)
-    theirs = yield from recv_exact(MSG_AND_OPENING, (n_theirs + 7) // 8,
-                                   transcript)
+                          mine.to_bytes((n_mine + 7) // 8, "little"))
+    theirs = yield from recv_exact(MSG_AND_OPENING, (n_theirs + 7) // 8)
     return int.from_bytes(theirs, "little")
 
 
@@ -93,7 +87,6 @@ def gmw_steps(
     party: int,
     word: int,
     setup: DealerMaterial,
-    transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
     """One party's online phase over the template; returns its share of
@@ -106,18 +99,15 @@ def gmw_steps(
     """
     setup.check(party, circuit, lanes, "gmw")
     circuit.check_word(party, word, lanes)
-    if transcript is not None:
-        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size)
-        transcript.begin_online()
 
     # Level 1: the cross gates, one-sided products on each party's word.
     n = circuit.levels[0]
     pad, share = setup.cross
     if party == 0:
-        theirs = yield from _open_steps(word ^ pad, n, n * lanes, transcript)
+        theirs = yield from _open_steps(word ^ pad, n, n * lanes)
         z = (broadcast(word, n, lanes) & theirs) ^ share
     else:
-        theirs = yield from _open_steps(word ^ pad, n * lanes, n, transcript)
+        theirs = yield from _open_steps(word ^ pad, n * lanes, n)
         z = (broadcast(theirs, n, lanes) & pad) ^ share
 
     # The cells, negated: NOT is party 0 flipping its share.
@@ -132,8 +122,7 @@ def gmw_steps(
         low = (1 << nb) - 1
         d = (z & low) ^ ta
         e = ((z >> nb) & low) ^ tb
-        theirs = yield from _open_steps(d | (e << nb), 2 * nb, 2 * nb,
-                                        transcript)
+        theirs = yield from _open_steps(d | (e << nb), 2 * nb, 2 * nb)
         d ^= theirs & low
         e ^= theirs >> nb
         product = tc ^ (d & tb) ^ (e & ta) ^ (d & e if party == 0 else 0)
@@ -146,7 +135,6 @@ def reveal_steps(
     my_share: int,
     setup: DealerMaterial,
     size: int,
-    transcript: SessionTranscript | None = None,
     *,
     receive: bool,
     values: Sequence[tuple[bytes, bytes]] = (),
@@ -160,24 +148,18 @@ def reveal_steps(
     value of each lane.
     """
     n = setup.lanes
-    if transcript is not None:
-        transcript.next_round()
     if receive:
         chosen = yield from choose_steps(my_share, n, size, setup.transfer,
-                                         MSG_OUTPUT_SHARE, transcript)
+                                         MSG_OUTPUT_SHARE)
         opened = from_lanes(chosen, n, size)
-        released = [opened[i * size : (i + 1) * size] for i in range(n)]
-    else:
-        if len(values) != n or any(len(v) != size for pair in values
-                                   for v in pair):
-            raise ValueError(f"release needs {n} pairs of {size}-byte values")
-        v0, v1 = (to_lanes(b"".join([pair[bit] for pair in values]), n, size)
-                  for bit in (0, 1))
-        # slot c holds the value for c XOR my share
-        swap = select(spread(my_share, n)) & (v0 ^ v1)
-        yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, setup.transfer,
-                              MSG_OUTPUT_SHARE, transcript)
-        released = None
-    if transcript is not None:
-        transcript.finish()
-    return released
+        return [opened[i * size : (i + 1) * size] for i in range(n)]
+    if len(values) != n or any(len(v) != size for pair in values
+                               for v in pair):
+        raise ValueError(f"release needs {n} pairs of {size}-byte values")
+    v0, v1 = (to_lanes(b"".join([pair[bit] for pair in values]), n, size)
+              for bit in (0, 1))
+    # slot c holds the value for c XOR my share
+    swap = select(spread(my_share, n)) & (v0 ^ v1)
+    yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, setup.transfer,
+                          MSG_OUTPUT_SHARE)
+    return None

@@ -7,7 +7,8 @@ sender answers with m_0 XOR r_e and m_1 XOR r_(1 XOR e), and the receiver
 opens slot c with its pad, since c XOR e = d.  The sender sees c only under
 the one-time pad d, and the receiver holds one of the two pads, so the
 other message stays one-time padded too.  A transfer costs the receiver's
-one bit and the sender's two messages, in one round trip.
+one bit and the sender's two messages, in one round trip: one frame each
+way, so one online round of a transcript.
 
 Yao's evaluator receives its input labels this way, one 16-byte label per
 querier wire, and gmw's release delivers each output's value, such as an
@@ -67,7 +68,7 @@ def transfer_material(n: int, rng) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def send_steps(m0: int, m1: int, n: int, size: int, pads: tuple[int, int],
-               kind: int, transcript=None):
+               kind: int):
     """Sender: deliver message m_c of each of ``n`` pairs to a receiver choosing c.
 
     ``m0`` and ``m1`` hold the messages of ``size`` bytes, at most 16, in
@@ -75,16 +76,16 @@ def send_steps(m0: int, m1: int, n: int, size: int, pads: tuple[int, int],
     masked choice bits as an INPUT_SHARE frame, then answers in one frame
     of ``kind``.
     """
-    e = int.from_bytes((yield from recv_exact(
-        MSG_INPUT_SHARE, (n + 7) // 8, transcript)), "little")
+    e = int.from_bytes((yield from recv_exact(MSG_INPUT_SHARE, (n + 7) // 8)),
+                       "little")
     r0, r1 = pads
     swap = select(spread(e, n)) & (r0 ^ r1)  # r_e = r0 ^ swap
     yield from send_frame(kind, from_lanes(m0 ^ r0 ^ swap, n, size)
-                          + from_lanes(m1 ^ r1 ^ swap, n, size), transcript)
+                          + from_lanes(m1 ^ r1 ^ swap, n, size))
 
 
 def choose_steps(choices: int, n: int, size: int, material: tuple[int, int],
-                 kind: int, transcript=None):
+                 kind: int):
     """Receiver: the message bit i of ``choices`` selects in transfer i.
 
     ``material`` is this side's (d, r_d).  Returns the messages of ``size``
@@ -92,9 +93,8 @@ def choose_steps(choices: int, n: int, size: int, material: tuple[int, int],
     """
     d, pad = material
     yield from send_frame(MSG_INPUT_SHARE,
-                          (choices ^ d).to_bytes((n + 7) // 8, "little"),
-                          transcript)
-    payload = yield from recv_exact(kind, 2 * size * n, transcript)
+                          (choices ^ d).to_bytes((n + 7) // 8, "little"))
+    payload = yield from recv_exact(kind, 2 * size * n)
     slot0 = to_lanes(payload[: size * n], n, size)
     slot1 = to_lanes(payload[size * n :], n, size)
     chosen = slot0 ^ (select(spread(choices, n)) & (slot0 ^ slot1))

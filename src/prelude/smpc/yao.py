@@ -69,7 +69,7 @@ and each batch's keys are folded into the lane sums as it finishes.  The
 tables depend only on the template and the holder's bits, so they travel
 during setup, one row per cross gate and lane, by gate, then lane.  The
 online phase is one round trip for the querier's labels and then the
-release.
+release, a second frame from the garbler and so a second round.
 """
 
 from __future__ import annotations
@@ -81,12 +81,10 @@ from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
-    MSG_SETUP_TRIPLES,
     recv_exact,
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
-from prelude.smpc.transcript import SessionTranscript
 from prelude.smpc.transfer import (
     LABEL_BITS,
     LABEL_BYTES,
@@ -249,7 +247,6 @@ def garble_steps(
     word: int,
     setup: DealerMaterial,
     rng,
-    transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
     """Garbler's (party 1's) side of one run of the template.
@@ -263,19 +260,14 @@ def garble_steps(
     if rng is None:
         raise ValueError("garbler needs an rng")
     circuit.check_word(1, word, lanes)
-    if transcript is not None:
-        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size)
     n = circuit.levels[0]
     delta = rng.getrandbits(LABEL_BITS) | 1
     zero = rng.getrandbits(LABEL_BITS * n)  # input g's zero-label in lane g
     tables, sums = _garble(_labels(zero, n), delta,
                            rng.getrandbits(LABEL_BITS), word, lanes)
-    yield from send_frame(MSG_GARBLED_TABLES, tables, transcript)
-    if transcript is not None:
-        transcript.begin_online()
-        transcript.next_round()
+    yield from send_frame(MSG_GARBLED_TABLES, tables)
     yield from send_steps(zero, zero ^ _lane_word(delta, n), n, LABEL_BYTES,
-                          setup.transfer, MSG_LABELS, transcript)
+                          setup.transfer, MSG_LABELS)
     return sums
 
 
@@ -283,7 +275,6 @@ def evaluate_steps(
     circuit,
     word: int,
     setup: DealerMaterial,
-    transcript: SessionTranscript | None = None,
     lanes: int = 1,
 ):
     """Evaluator's (party 0's) side of one run of the template.
@@ -295,16 +286,10 @@ def evaluate_steps(
     """
     setup.check(0, circuit, lanes, "yao")
     circuit.check_word(0, word, lanes)
-    if transcript is not None:
-        transcript.record_receive(MSG_SETUP_TRIPLES, setup.serialized_size)
     n = circuit.levels[0]
-    tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n,
-                                   transcript)
-    if transcript is not None:
-        transcript.begin_online()
-        transcript.next_round()
+    tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n)
     chosen = yield from choose_steps(word, n, LABEL_BYTES, setup.transfer,
-                                     MSG_LABELS, transcript)
+                                     MSG_LABELS)
     return _evaluate(_labels(chosen, n), tables, lanes)
 
 
@@ -329,7 +314,6 @@ def _check_size(size: int) -> None:
 def release_steps(
     sums: int,
     values: Sequence[bytes],
-    transcript: SessionTranscript | None = None,
 ):
     """Garbler: release ``values[i]`` to an evaluator whose sum in lane i is S0's.
 
@@ -345,11 +329,7 @@ def release_steps(
     plain = to_lanes(b"".join(values), lanes, size)
     payload = (_release_pads(sums, lanes) ^ plain).to_bytes(
         LABEL_BYTES * lanes, "little")
-    if transcript is not None:
-        transcript.next_round()
-    yield from send_frame(MSG_OUTPUT_SHARE, payload, transcript)
-    if transcript is not None:
-        transcript.finish()
+    yield from send_frame(MSG_OUTPUT_SHARE, payload)
 
 
 def open_steps(
@@ -357,7 +337,6 @@ def open_steps(
     lanes: int,
     size: int,
     fallback: bytes,
-    transcript: SessionTranscript | None = None,
 ):
     """Evaluator: open the value of each lane whose sum is the garbler's.
 
@@ -365,16 +344,10 @@ def open_steps(
     whose tag does not read zero.
     """
     _check_size(size)
-    if transcript is not None:
-        transcript.next_round()
-    payload = yield from recv_exact(MSG_OUTPUT_SHARE, LABEL_BYTES * lanes,
-                                    transcript)
+    payload = yield from recv_exact(MSG_OUTPUT_SHARE, LABEL_BYTES * lanes)
     plain = (int.from_bytes(payload, "little")
              ^ _release_pads(sums, lanes)).to_bytes(len(payload), "little")
     tag = bytes(LABEL_BYTES - size)
-    opened = [plain[at : at + size]
-              if plain[at + size : at + LABEL_BYTES] == tag else fallback
-              for at in range(0, len(plain), LABEL_BYTES)]
-    if transcript is not None:
-        transcript.finish()
-    return opened
+    return [plain[at : at + size]
+            if plain[at + size : at + LABEL_BYTES] == tag else fallback
+            for at in range(0, len(plain), LABEL_BYTES)]

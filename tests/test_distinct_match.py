@@ -321,9 +321,9 @@ class TestPrivacyMechanics:
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
 
-        def sends_payload(local, prefix, backend, dealer, nonce, transcript):
-            yield from send_frame(MSG_ENVELOPE, payload, transcript)
-            yield from recv_frame(MSG_ENVELOPE_ACK, transcript)
+        def sends_payload(local, prefix, backend, dealer, nonce):
+            yield from send_frame(MSG_ENVELOPE, payload)
+            yield from recv_frame(MSG_ENVELOPE_ACK)
             return []
 
         monkeypatch.setattr(distinct_match, "_querier_steps", sends_payload)
@@ -349,7 +349,7 @@ class TestPrivacyMechanics:
     ])
     def test_malformed_ack_fails_naming_its_cause(self, ack, cause):
         ch = InlineLoopback(distinct_match._querier_steps(
-            TernaryRule.wildcard(8), "10.0.0.0/8", "gmw", None, "0", None))
+            TernaryRule.wildcard(8), "10.0.0.0/8", "gmw", None, "0"))
         assert ch.recv()[0] == MSG_ENVELOPE
         ch.send(MSG_ENVELOPE_ACK, ack)
         with pytest.raises(ProtocolError, match=re.escape(cause)):
@@ -464,13 +464,14 @@ def querier_transcripts(endpoint: LoopbackEndpoint,
                         monkeypatch) -> list:
     """Capture the querier transcript of every session the endpoint runs."""
     captured = []
-    steps = distinct_match._querier_steps
+    wrap = distinct_match.recorded
 
-    def spying(local, prefix, backend, dealer, nonce, transcript):
-        captured.append(transcript)
-        return steps(local, prefix, backend, dealer, nonce, transcript)
+    def spying(steps, transcript):
+        if steps.__name__ == "_querier_steps":
+            captured.append(transcript)
+        return wrap(steps, transcript)
 
-    monkeypatch.setattr(distinct_match, "_querier_steps", spying)
+    monkeypatch.setattr(distinct_match, "recorded", spying)
     return captured
 
 

@@ -27,6 +27,8 @@ from prelude.smpc import (
     InlineLoopback,
     KIND_NAMES,
     MSG_AND_OPENING,
+    MSG_ENVELOPE,
+    MSG_ENVELOPE_ACK,
     MSG_GARBLED_TABLES,
     MSG_INPUT_SHARE,
     MSG_LABELS,
@@ -45,6 +47,7 @@ from prelude.smpc import (
     garble_steps,
     gmw_steps,
     open_steps,
+    recorded,
     recv_frame,
     release_steps,
     reveal_steps,
@@ -128,8 +131,8 @@ def plaintext(circuit, inputs0, inputs1, lanes: int,
 BIT_VALUES = (b"\x00", b"\x01")  # what each output releases, for 0 and 1
 
 
-def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
-                garble_rng=None, lanes=1):
+def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None,
+                lanes=1):
     """One party of a session; returns the output bits it learns, or None.
 
     Only party 0 learns the outputs, one byte per output and lane: under
@@ -138,21 +141,18 @@ def party_steps(circuit, backend, party, inputs, mat, transcript=None, *,
     and party 0 opens the byte 1 where they do not.
     """
     if backend == "gmw":
-        shares = yield from gmw_steps(circuit, party, inputs, mat, transcript,
-                                      lanes)
+        shares = yield from gmw_steps(circuit, party, inputs, mat, lanes)
         opened = yield from reveal_steps(
-            shares, mat, 1, transcript, receive=party == 0,
+            shares, mat, 1, receive=party == 0,
             values=[BIT_VALUES] * lanes if party == 1 else ())
     elif party == 1:
         sums = yield from garble_steps(circuit, inputs, mat, garble_rng,
-                                       transcript, lanes=lanes)
-        yield from release_steps(sums, [BIT_VALUES[0]] * lanes, transcript)
+                                       lanes=lanes)
+        yield from release_steps(sums, [BIT_VALUES[0]] * lanes)
         return None
     else:
-        sums = yield from evaluate_steps(circuit, inputs, mat, transcript,
-                                         lanes=lanes)
-        opened = yield from open_steps(sums, lanes, 1, BIT_VALUES[1],
-                                       transcript)
+        sums = yield from evaluate_steps(circuit, inputs, mat, lanes=lanes)
+        opened = yield from open_steps(sums, lanes, 1, BIT_VALUES[1])
     return None if opened is None else tuple(value[0] for value in opened)
 
 
@@ -161,17 +161,21 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
     """Run both parties in this thread; returns (out0, out1, t0, t1).
 
     Party 0 is driven over an in-thread loopback whose peer is party 1;
-    ``spy0`` wraps that channel.
+    ``spy0`` wraps that channel.  Each transcript records its party's
+    dealer material and then its frames.
     """
     mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
                                     lanes=lanes)
     t0, t1 = SessionTranscript(), SessionTranscript()
+    for t, mat in ((t0, mat0), (t1, mat1)):
+        t.record_receive(MSG_SETUP_TRIPLES, mat.serialized_size)
     ch = InlineLoopback(
-        party_steps(circuit, backend, 1, inputs1, mat1, t1,
-                    garble_rng=random.Random(seed + 1), lanes=lanes),
+        recorded(party_steps(circuit, backend, 1, inputs1, mat1,
+                             garble_rng=random.Random(seed + 1), lanes=lanes),
+                 t1),
         one_way_delay=delay)
-    out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0, t0,
-                             lanes=lanes),
+    out0 = drive(recorded(party_steps(circuit, backend, 0, inputs0, mat0,
+                                      lanes=lanes), t0),
                  ch if spy0 is None else spy0(ch))
     return out0, ch.finish(), t0, t1
 
@@ -359,6 +363,73 @@ class TestChannels:
         finally:
             client.close()
             server.close()
+
+
+# --------------------------------------------------------------------------
+# transcripts: phases and rounds from the frames alone
+
+
+def scripted(ops):
+    """A party that sends or receives a one-byte frame per ("send" |
+    "recv", kind) of ``ops``, in turn."""
+    for op, kind in ops:
+        if op == "send":
+            yield from send_frame(kind, b"x")
+        else:
+            yield from recv_frame(kind)
+
+
+def scripted_pair(ops, t0=None):
+    """Run party 0 on ``ops`` against its mirror, both under ``recorded``;
+    returns (party 0's transcript, party 1's)."""
+    mirror = [("recv" if op == "send" else "send", kind) for op, kind in ops]
+    t0 = SessionTranscript() if t0 is None else t0
+    t1 = SessionTranscript()
+    ch = InlineLoopback(recorded(scripted(mirror), t1))
+    drive(recorded(scripted(ops), t0), ch)
+    ch.finish()
+    return t0, t1
+
+
+FRAME = 4 + 1 + 1  # header, kind and one payload byte
+
+
+class TestTranscriptRounds:
+    def test_a_second_frame_the_same_way_opens_the_next_round(self):
+        ops = [("send", MSG_AND_OPENING), ("recv", MSG_AND_OPENING)] * 2
+        for t in scripted_pair(ops):
+            assert t.online_rounds == 2
+            assert [e.round_index for e in t.entries] == [1, 1, 2, 2]
+            assert t.online_bytes == 4 * FRAME
+
+    def test_send_receive_receive_is_two_rounds(self):
+        ops = [("send", MSG_INPUT_SHARE), ("recv", MSG_LABELS),
+               ("recv", MSG_OUTPUT_SHARE)]
+        for t in scripted_pair(ops):
+            assert t.online_rounds == 2
+            assert [e.round_index for e in t.entries] == [1, 1, 2]
+
+    def test_setup_kinds_and_dealer_material_stay_at_round_0(self):
+        t0 = SessionTranscript()
+        t0.record_receive(MSG_SETUP_TRIPLES, 100)
+        ops = [("send", MSG_ENVELOPE), ("recv", MSG_ENVELOPE_ACK),
+               ("recv", MSG_GARBLED_TABLES), ("send", MSG_AND_OPENING),
+               ("recv", MSG_AND_OPENING)]
+        t0, t1 = scripted_pair(ops, t0)
+        assert [(e.phase, e.round_index) for e in t0.entries] == (
+            [(SETUP, 0)] * 4 + [(ONLINE, 1)] * 2)
+        assert (t0.setup_bytes, t0.online_bytes) == (100 + 3 * FRAME,
+                                                     2 * FRAME)
+        assert (t1.setup_bytes, t1.online_bytes) == (3 * FRAME, 2 * FRAME)
+        assert t0.online_rounds == t1.online_rounds == 1
+
+    def test_no_online_frame_is_no_round_and_no_online_time(self):
+        ops = [("send", MSG_ENVELOPE), ("recv", MSG_ENVELOPE_ACK)]
+        for t in scripted_pair(ops):
+            assert t.online_finished_at is not None  # finished on return
+            assert t.online_rounds == 0
+            assert t.online_wall_time == 0.0
+            assert t.online_bytes == 0
 
 
 # --------------------------------------------------------------------------
