@@ -10,7 +10,7 @@ rule beyond its arrival and target prefix.
 
 Session flow, all on one framed channel:
 
-1. querier sends a cleartext envelope {prefix, rule width, backend, nonce};
+1. querier sends a cleartext envelope {prefix, rule width, backend};
    the holder aborts with a ProtocolError naming the fault if it is not a
    JSON object with those fields, a positive integer width and a known
    backend, or if the width differs from its table's;
@@ -366,15 +366,13 @@ class SdxMatchService:
 # querier
 
 
-def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
-                   nonce: str):
+def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
     """The querier's side of one session; returns the k released values,
     6 bytes each, the dummy's included."""
     envelope = json.dumps({
         "prefix": prefix,
         "rule_width": local.width,
         "backend": backend,
-        "nonce": nonce,
     }).encode("utf-8")
     yield from send_frame(MSG_ENVELOPE, envelope)
     ack = yield from recv_frame(MSG_ENVELOPE_ACK)
@@ -417,7 +415,7 @@ class LoopbackEndpoint:
     """A holder reachable over in-process channels, one session per query.
 
     The endpoint plays the trusted dealer for its sessions and owns the
-    randomness for nonces, shuffles, and garbling, so a seeded endpoint
+    randomness for shuffles and garbling, so a seeded endpoint
     produces reproducible sessions when queries are issued serially.
     """
 
@@ -443,13 +441,11 @@ class LoopbackEndpoint:
             dealer_seed = self._rng.getrandbits(64)
             shuffle_seed = self._rng.getrandbits(64)
             garble_seed = self._rng.getrandbits(64)
-            nonce = f"{self._rng.getrandbits(64):016x}"
         t_q = SessionTranscript()
         t_h = SessionTranscript()
         dealer = _SessionDealer(dealer_seed, (t_q, t_h))
         channel = InlineLoopback(
-            recorded(_querier_steps(local, prefix, backend, dealer, nonce),
-                     t_q),
+            recorded(_querier_steps(local, prefix, backend, dealer), t_q),
             one_way_delay=self._delay)
         try:
             self.service.serve_query(

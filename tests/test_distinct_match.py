@@ -321,7 +321,7 @@ class TestPrivacyMechanics:
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
 
-        def sends_payload(local, prefix, backend, dealer, nonce):
+        def sends_payload(local, prefix, backend, dealer):
             yield from send_frame(MSG_ENVELOPE, payload)
             yield from recv_frame(MSG_ENVELOPE_ACK)
             return []
@@ -349,7 +349,7 @@ class TestPrivacyMechanics:
     ])
     def test_malformed_ack_fails_naming_its_cause(self, ack, cause):
         ch = InlineLoopback(distinct_match._querier_steps(
-            TernaryRule.wildcard(8), "10.0.0.0/8", "gmw", None, "0"))
+            TernaryRule.wildcard(8), "10.0.0.0/8", "gmw", None))
         assert ch.recv()[0] == MSG_ENVELOPE
         ch.send(MSG_ENVELOPE_ACK, ack)
         with pytest.raises(ProtocolError, match=re.escape(cause)):
@@ -500,9 +500,9 @@ class TestLaneSessions:
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 260, 158, 4),
-        ("gmw", 104, 50, 4181, 4601, 9),
-        ("yao", 104, 50, 169875, 7497, 2),
+        ("gmw", 4, 8, 231, 158, 4),
+        ("gmw", 104, 50, 4152, 4601, 9),
+        ("yao", 104, 50, 169846, 7497, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
                                                 width, k, setup, online,
@@ -614,12 +614,12 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "7d43876d092d781cc2b382d487e1a304"
-         "8b3db2c2e238c3db604736defffcbffc"),
-        (7, 33, "0c007f1de33b5808dc0cfb8c54975fef"
-         "30390255f3de075226bfc41d4431a261"),
-        (1, 3, "e8488fe8543922dab565979f3b300b39"
-         "246cc6e47bd45932fdef106a663b7d75"),
+        (104, 50, "775d71d8d9e03cf7e3194eab6d1acf7f"
+         "df6d077613a7e40515ace447a900cb8e"),
+        (7, 33, "1ccf5457ce07c45b91c13ff56e194c2d"
+         "30527ab5033ec909cfb21501c2d03644"),
+        (1, 3, "ed530663b34dd968d1f41faa90977980"
+         "a11fd202b84acafa01aeae3939ac9f41"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):
