@@ -423,11 +423,7 @@ class SdxNode:
     # -- lifecycle
 
     def handle_remove(self, owner: int, rule_id: str) -> bool:
-        record = self.registry.get(rule_id)
-        if record is None:
-            log.warning("removal of unknown rule %s by AS %d", rule_id, owner)
-            self.log("remove_unknown", {"rule_id": rule_id, "owner": owner})
-            return False
+        record = self.registry[rule_id]
         if record.entry.owner != owner:
             log.warning("removal of rule %s by AS %d refused: owner "
                         "mismatch, the rule belongs to AS %d", rule_id,
@@ -552,6 +548,7 @@ class ControlPlane(SiteView):
             if rule_id in node.registry:
                 return node.handle_remove(owner, rule_id)
         log.warning("removal of unknown rule %s by AS %d", rule_id, owner)
+        self.record(0, "remove_unknown", {"rule_id": rule_id, "owner": owner})
         return False
 
     def bgp_update(self, prefix: str, rib: RibState) -> list[Verdict]:

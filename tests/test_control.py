@@ -190,9 +190,14 @@ class TestFixtureSequence:
 
     def test_remove_unknown_rule_is_a_noop(self, caplog):
         plane = fixture_plane("direct")
+        n_events = len(plane.events)
         with caplog.at_level("WARNING"):
             assert not plane.remove(2, "r1-99")
         assert "unknown rule" in caplog.text
+        # logged once, by the plane, which found the rule in no registry
+        (event,) = plane.events[n_events:]
+        assert (event.sdx, event.kind, event.detail) == (
+            0, "remove_unknown", {"rule_id": "r1-99", "owner": 2})
 
     def test_removal_by_another_owner_is_refused(self, caplog):
         fx = two_exchange_fixture()
