@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from prelude.smpc.channel import (
     MSG_ENVELOPE,
@@ -35,8 +36,7 @@ SETUP_KINDS = frozenset(
     {MSG_ENVELOPE, MSG_ENVELOPE_ACK, MSG_GARBLED_TABLES, MSG_SETUP_TRIPLES})
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     direction: str
     kind: int
     n_bytes: int
