@@ -395,10 +395,10 @@ class _SessionDealer:
     """Hands both parties of one session their correlated setup material,
     recording each party's in that party's transcript as it hands it out."""
 
-    def __init__(self, seed: int, transcripts) -> None:
+    def __init__(self, seed: int) -> None:
         self._seed = seed
-        self._transcripts = transcripts  # party 0's, then party 1's
         self._materials = None
+        self.transcripts = (SessionTranscript(), SessionTranscript())
 
     def material(self, circuit, backend: str, party: int, lanes: int):
         if self._materials is None:
@@ -406,8 +406,8 @@ class _SessionDealer:
             self._materials = dealer_for_circuit(circuit, backend, rng,
                                                  lanes=lanes)
         material = self._materials[party]
-        self._transcripts[party].record_receive(MSG_SETUP_TRIPLES,
-                                                material.serialized_size)
+        self.transcripts[party].record_receive(MSG_SETUP_TRIPLES,
+                                               material.serialized_size)
         return material
 
 
@@ -441,9 +441,8 @@ class LoopbackEndpoint:
             dealer_seed = self._rng.getrandbits(64)
             shuffle_seed = self._rng.getrandbits(64)
             garble_seed = self._rng.getrandbits(64)
-        t_q = SessionTranscript()
-        t_h = SessionTranscript()
-        dealer = _SessionDealer(dealer_seed, (t_q, t_h))
+        dealer = _SessionDealer(dealer_seed)
+        t_q, t_h = dealer.transcripts
         channel = InlineLoopback(
             recorded(_querier_steps(local, prefix, backend, dealer), t_q),
             one_way_delay=self._delay)
