@@ -46,14 +46,14 @@ for backend in ("gmw", "yao"):
           f" online={s.online_bytes}B")
 assert {h.as_id for h in result.hops} == {30, 40}
 
-# The same session over a 25 ms one-way delay: round structure dominates.
+# The same session over a 25 ms one-way delay: one-way flights dominate.
 slow = LoopbackEndpoint(service, seed=7, one_way_delay=0.025)
 for backend in ("gmw", "yao"):
     stats = []
     slow.query(query_rule, PREFIX, backend=backend, stats_out=stats)
     print(f"{backend} at 25ms one-way: online wall time "
           f"{stats[0].online_wall_time * 1000:.0f}ms "
-          f"({stats[0].online_rounds} rounds)")
+          f"({stats[0].online_rounds} rounds, {stats[0].flights} flights)")
 
 # Dummy padding hides how many rules matched: the raw vector always has
 # one slot per registered rule, shuffled fresh for every query.

@@ -109,9 +109,11 @@ class BatchQueryCircuit:
                                | (rule.mask ^ rule.pattern) << (w - one_at),
                                spec) for rule in rules])
         # transposed over k rules, character g k + i is gate g of lane i,
-        # which is bit g k + i
-        bits = "".join([rows[g :: 2 * w] for g in range(2 * w)])
-        return int(bits[::-1], 2)
+        # which is bit g k + i; a single row, the querier's, is its own
+        # transpose
+        if len(rules) > 1:
+            rows = "".join([rows[g :: 2 * w] for g in range(2 * w)])
+        return int(rows[::-1], 2)
 
     def check_word(self, party: int, word: int, lanes: int) -> None:
         """Raise ValueError unless ``word`` fits the party's level-1 word:

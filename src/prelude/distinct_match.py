@@ -10,15 +10,21 @@ rule beyond its arrival and target prefix.
 
 Session flow, all on one framed channel:
 
-1. querier sends a cleartext envelope {prefix, rule width, backend};
-   the holder aborts with a ProtocolError naming the fault if it is not a
-   JSON object with those fields, a positive integer width and a known
-   backend, or if the width differs from its table's;
+1. querier sends a cleartext envelope {prefix, rule width, backend},
+   followed at once by its first online frame, which needs no k: its
+   level-1 word (see 3) under a pad the session's dealer hands it before
+   anything else, gmw's level-1 opening or yao's masked label choices
+   (:func:`~prelude.smpc.dealer.first_steps`).  The holder aborts with a
+   ProtocolError naming the fault if the envelope is not a JSON object
+   with those fields, a positive integer width and a known backend, or if
+   the width differs from its table's; the padded frame it leaves unread
+   tells it nothing;
 2. holder answers with {k, id width} where k is its entry count for the
    prefix; the querier aborts with a ProtocolError naming the fault if the
    answer is not a JSON object with a non-negative integer k of at most
    ``MAX_ENTRIES`` and its own identifier width; k == 0 ends the session
-   with an empty result and no circuit work;
+   with an empty result and no circuit work.  Envelope and ack are compact
+   JSON;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
@@ -35,7 +41,10 @@ Session flow, all on one framed channel:
    lane.  Lane i's output, the distinct bit, ends up XOR-shared under gmw.
    Under yao only the comparator's cross gates are garbled, and the
    querier ends up with a key sum per lane that equals the holder's
-   exactly when no cross gate reads 1, that is, when the rules overlap;
+   exactly when no cross gate reads 1, that is, when the rules overlap.
+   The holder sends its ack and its first frames in one flight, so a yao
+   session takes two one-way flights and a gmw session two more than its
+   AND depth rounded up to even (:mod:`prelude.smpc.gmw`);
 4. in the release round the querier receives, per entry, the entry's
    identifier where the rules overlap and the dummy where they are
    distinct.  Under gmw the holder offers both, by one precomputed
@@ -84,6 +93,7 @@ from prelude.smpc import (
     dealer_for_circuit,
     drive,
     evaluate_steps,
+    first_steps,
     garble_steps,
     gmw_steps,
     open_steps,
@@ -102,6 +112,9 @@ HOP_ID_BITS = SDX_ID_BITS + AS_ID_BITS
 HOP_ID_BYTES = HOP_ID_BITS // 8
 
 BACKENDS = ("gmw", "yao")
+
+# Envelope and ack are JSON without the optional spaces.
+_COMPACT = (",", ":")
 
 # The largest k a querier accepts in the envelope ack, which it sizes its
 # dealer material from before anything else checks it.  This is about 8x the
@@ -188,6 +201,8 @@ class SessionStats:
     k: int
     and_depth: int
     online_rounds: int
+    # one-way flights on the longest causal chain of frames
+    flights: int
     setup_bytes: int
     online_bytes: int
     online_wall_time: float
@@ -338,7 +353,8 @@ class SdxMatchService:
                 f"query rule width {width} does not match the table's rule "
                 f"width {entries[0].rule.width}")
         k = len(entries)
-        ack = json.dumps({"k": k, "id_width": HOP_ID_BITS}).encode("utf-8")
+        ack = json.dumps({"k": k, "id_width": HOP_ID_BITS},
+                         separators=_COMPACT).encode("utf-8")
         yield from send_frame(MSG_ENVELOPE_ACK, ack)
         if k == 0:
             return
@@ -369,19 +385,20 @@ class SdxMatchService:
 def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
     """The querier's side of one session; returns the k released values,
     6 bytes each, the dummy's included."""
+    template = query_template(local.width)
+    word = template.word(0, [local])
     envelope = json.dumps({
         "prefix": prefix,
         "rule_width": local.width,
         "backend": backend,
-    }).encode("utf-8")
+    }, separators=_COMPACT).encode("utf-8")
     yield from send_frame(MSG_ENVELOPE, envelope)
+    yield from first_steps(template, word, dealer.first(template, backend))
     ack = yield from recv_frame(MSG_ENVELOPE_ACK)
     k = _parse_ack(ack)
     if k == 0:
         return []
 
-    template = query_template(local.width)
-    word = template.word(0, [local])
     material = dealer.material(template, backend, 0, k)
     if backend == "gmw":
         shares = yield from gmw_steps(template, 0, word, material, lanes=k)
@@ -393,18 +410,30 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
 
 class _SessionDealer:
     """Hands both parties of one session their correlated setup material,
-    recording each party's in that party's transcript as it hands it out."""
+    recording each party's in that party's transcript as it hands it out.
+
+    The querier takes the material no lane count changes first, before it
+    learns k, and the deal over k lanes extends it on the same stream.  A
+    transcript records a party's material once, when it is dealt in full,
+    so an empty session records none.
+    """
 
     def __init__(self, seed: int) -> None:
-        self._seed = seed
+        self._rng = random.Random(seed)
+        self._first = None
         self._materials = None
         self.transcripts = (SessionTranscript(), SessionTranscript())
 
+    def first(self, circuit, backend: str):
+        """The querier's material dealt over zero lanes, which pads its
+        first online frame."""
+        self._first = dealer_for_circuit(circuit, backend, self._rng, lanes=0)
+        return self._first[0]
+
     def material(self, circuit, backend: str, party: int, lanes: int):
         if self._materials is None:
-            rng = random.Random(self._seed)
-            self._materials = dealer_for_circuit(circuit, backend, rng,
-                                                 lanes=lanes)
+            self._materials = dealer_for_circuit(
+                circuit, backend, self._rng, lanes=lanes, first=self._first)
         material = self._materials[party]
         self.transcripts[party].record_receive(MSG_SETUP_TRIPLES,
                                                material.serialized_size)
@@ -476,6 +505,7 @@ class LoopbackEndpoint:
                 k=k,
                 and_depth=depth if k else 0,
                 online_rounds=t_q.online_rounds,
+                flights=channel.flights,
                 setup_bytes=t_q.setup_bytes,
                 online_bytes=t_q.online_bytes,
                 online_wall_time=t_q.online_wall_time,

@@ -1,8 +1,9 @@
 """Query-session micro-benchmarks.
 
 Wall-clock timings depend on hardware and interpreter, so the stable
-quantities here are the protocol-level counters: online round trips and
-bytes moved in each phase.  Timings are still recorded (mean and stdev
+quantities here are the protocol-level counters: online rounds, one-way
+flights on the longest causal chain of frames, and bytes moved in each
+phase.  Timings are still recorded (mean and stdev
 over the repetitions) because the delay-injected cells show the
 round-structure dominating latency, but they are informative, not a
 contract.
@@ -28,7 +29,7 @@ from .results import write_csv
 
 MICROBENCH_COLUMNS = (
     "experiment", "backend", "k", "delay_ms", "repetitions", "and_depth",
-    "online_rounds", "setup_bytes", "online_bytes", "wall_ms_mean",
+    "online_rounds", "flights", "setup_bytes", "online_bytes", "wall_ms_mean",
     "wall_ms_stdev",
 )
 
@@ -43,6 +44,7 @@ class BenchCell:
     repetitions: int
     and_depth: int
     online_rounds: int
+    flights: int
     setup_bytes: int
     online_bytes: int
     wall_ms_mean: float
@@ -74,14 +76,16 @@ def bench_cell(backend: str, k: int, delay_ms: float, repetitions: int,
         endpoint.query(random_rule(width, rng), _BENCH_PREFIX,
                        backend=backend, stats_out=stats)
     rounds = {s.online_rounds for s in stats}
+    flights = {s.flights for s in stats}
     depths = {s.and_depth for s in stats}
     setups = {s.setup_bytes for s in stats}
     onlines = {s.online_bytes for s in stats}
-    if any(len(seen) != 1 for seen in (rounds, depths, setups, onlines)):
+    if any(len(seen) != 1
+           for seen in (rounds, flights, depths, setups, onlines)):
         raise AssertionError(
             "per-session counters varied across repetitions: "
-            f"rounds={rounds} depths={depths} setup={setups} "
-            f"online={onlines}")
+            f"rounds={rounds} flights={flights} depths={depths} "
+            f"setup={setups} online={onlines}")
     walls = [s.online_wall_time * 1000.0 for s in stats]
     return BenchCell(
         backend=backend,
@@ -90,6 +94,7 @@ def bench_cell(backend: str, k: int, delay_ms: float, repetitions: int,
         repetitions=repetitions,
         and_depth=depths.pop(),
         online_rounds=rounds.pop(),
+        flights=flights.pop(),
         setup_bytes=setups.pop(),
         online_bytes=onlines.pop(),
         wall_ms_mean=statistics.fmean(walls),
@@ -113,6 +118,7 @@ def run_microbench(cfg: ExperimentConfig) -> list[Path]:
                     "repetitions": str(cell.repetitions),
                     "and_depth": str(cell.and_depth),
                     "online_rounds": str(cell.online_rounds),
+                    "flights": str(cell.flights),
                     "setup_bytes": str(cell.setup_bytes),
                     "online_bytes": str(cell.online_bytes),
                     "wall_ms_mean": f"{cell.wall_ms_mean:.3f}",

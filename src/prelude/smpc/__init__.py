@@ -11,6 +11,11 @@ Two interchangeable backends run the one comparator template
   cross gates and end with per-lane key sums that agree exactly when no
   cross gate reads 1; their online phase is a single round trip.
 
+Under either backend the querier's first online frame, its level-1 word
+under a dealer pad that no lane count changes, goes out before it learns
+the lane count (:func:`first_steps`): gmw's level-1 opening or yao's
+masked label choices.
+
 Both then release to party 0, in one more round, one value per lane where
 the output bit reads 0 and another where it reads 1: gmw by a precomputed
 transfer whose choice bit is party 0's share and whose pair party 1 orders
@@ -67,7 +72,7 @@ from prelude.smpc.channel import (
     recv_frame,
     send_frame,
 )
-from prelude.smpc.dealer import DealerMaterial, dealer_for_circuit
+from prelude.smpc.dealer import DealerMaterial, dealer_for_circuit, first_steps
 from prelude.smpc.gmw import gmw_steps, reveal_steps
 from prelude.smpc.transcript import (
     ONLINE,
@@ -111,6 +116,7 @@ __all__ = [
     "drive",
     "encode_frame",
     "evaluate_steps",
+    "first_steps",
     "garble_steps",
     "gmw_steps",
     "open_steps",

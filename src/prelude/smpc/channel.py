@@ -16,7 +16,11 @@ over a blocking channel.  Two channels exist: :class:`InlineLoopback`,
 whose peer is the other party's step generator in the same thread, so a
 two-party session needs no thread, and whose injectable one-way delay lets
 protocol latency be measured without real network distance; and
-:class:`TcpChannel`, which carries the same frames over a socket.
+:class:`TcpChannel`, which carries the same frames over a socket.  The
+loopback runs its peer on until the peer waits for a frame, so frames
+sent back to back travel in one flight, as over a socket, and it counts
+the one-way flights of the longest causal chain of frames, which a
+session's latency is over a one-way delay.
 """
 
 from __future__ import annotations
@@ -199,38 +203,53 @@ class InlineLoopback:
     """A blocking channel end whose peer is a step generator in the same thread.
 
     Each frame becomes visible ``one_way_delay`` seconds after it was sent,
-    and its receiver sleeps until then.  Whenever this end waits for a frame, the peer is
-    advanced until it has sent one; :meth:`finish` runs the peer to its end
-    once this side is done.  An exception the peer raises is kept in
+    and its receiver sleeps until then.  Whenever this end waits for a
+    frame, the peer is advanced until it waits too, so frames it sends back
+    to back leave together; :meth:`finish` runs the peer to its end once
+    this side is done.  An exception the peer raises is kept in
     :attr:`peer_error`, and this end sees the peer close the channel.
+
+    :attr:`flights` counts the one-way flights of the longest causal chain
+    of frames: each frame carries its sender's count, and a receiver's
+    count becomes one more than that if it is not already larger.  Over a
+    one-way delay a session takes at least ``flights`` delays.
     """
 
     def __init__(self, peer_steps, one_way_delay: float = 0.0) -> None:
         self._peer = peer_steps
         self._delay = one_way_delay
-        self._inbox: deque = deque()  # (arrival, frame) from the peer
-        self._outbox: deque = deque()  # (arrival, frame) to the peer
+        self._inbox: deque = deque()  # (arrival, flights, frame) from the peer
+        self._outbox: deque = deque()  # (arrival, flights, frame) to the peer
+        self._flights = 0  # this end's count of flights
+        self._peer_flights = 0
         self._op = _NOT_STARTED  # the peer's pending step
         self._peer_done = False
         self._closed = False
         self.peer_result = None
         self.peer_error: Exception | None = None
 
+    @property
+    def flights(self) -> int:
+        return max(self._flights, self._peer_flights)
+
     def send(self, kind: int, payload: bytes) -> int:
         if self._closed:
             raise ChannelClosed("send on closed channel")
         frame = encode_frame(kind, payload)
-        self._outbox.append((time.monotonic() + self._delay, frame))
+        self._outbox.append((time.monotonic() + self._delay, self._flights,
+                             frame))
         return len(frame)
 
     def recv(self) -> tuple[int, bytes, int]:
         if not self._inbox:
-            self._run_peer(until_sent=True)
+            self._run_peer()
         if not self._inbox:
             if self._peer_done:
                 raise ChannelClosed("peer closed the channel")
             raise ProtocolError("both parties are waiting for a frame")
-        arrival, frame = self._inbox.popleft()
+        arrival, flights, frame = self._inbox.popleft()
+        if flights >= self._flights:
+            self._flights = flights + 1
         _sleep_until(arrival)
         return frame[4], frame[5:], len(frame)
 
@@ -244,18 +263,15 @@ class InlineLoopback:
         sees the channel close.
         """
         self._closed = True
-        self._run_peer(until_sent=False)
+        self._run_peer()
         if not self._peer_done:
             self._resume(throw=ChannelClosed("peer closed the channel"))
         if self.peer_error is not None:
             raise self.peer_error
         return self.peer_result
 
-    def _run_peer(self, until_sent: bool) -> None:
-        """Advance the peer until it ends or waits for an unsent frame.
-
-        With ``until_sent`` it also stops once it has sent a frame.
-        """
+    def _run_peer(self) -> None:
+        """Advance the peer until it ends or waits for an unsent frame."""
         while not self._peer_done:
             op = self._op
             if op is _NOT_STARTED:
@@ -263,15 +279,16 @@ class InlineLoopback:
             elif op is RECV:
                 if not self._outbox:
                     return
-                arrival, frame = self._outbox.popleft()
+                arrival, flights, frame = self._outbox.popleft()
+                if flights >= self._peer_flights:
+                    self._peer_flights = flights + 1
                 _sleep_until(arrival)
                 self._resume((frame[4], frame[5:], len(frame)))
             else:
                 frame = encode_frame(*op)
-                self._inbox.append((time.monotonic() + self._delay, frame))
+                self._inbox.append((time.monotonic() + self._delay,
+                                    self._peer_flights, frame))
                 self._resume(len(frame))
-                if until_sent:
-                    return
 
     def _resume(self, reply=None, throw: Exception | None = None) -> None:
         try:

@@ -25,6 +25,16 @@ Yao takes the transfers alone.  A backend refuses material dealt for the
 other party, for the other backend or for another plan with a
 :class:`ValueError`.
 
+The querier's first online frame does not depend on the lane count: its
+level-1 word under the pad that no lane count changes, gmw's cross pad a
+or yao's transfer choice bits d, one bit per cross gate either way.  The
+dealer draws that material first, gmw's a or yao's transfers, and dealt
+over zero lanes a party's material is that piece alone.  So the querier
+takes it and sends the frame (:func:`first_steps`) with its envelope,
+before it learns k, and the deal over k lanes then extends the same piece
+on the same stream.  The holder sees only padded bits, as before; an
+aborted session wastes them.
+
 All material is simulation-grade randomness, not hardened cryptography.
 """
 
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from prelude.smpc.channel import MSG_AND_OPENING, MSG_INPUT_SHARE, send_frame
 from prelude.smpc.shares import broadcast
 from prelude.smpc.transfer import LABEL_BYTES, transfer_material
 
@@ -84,7 +95,7 @@ def _per_level(words, tree, lanes: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def dealer_for_circuit(
-    circuit, backend: str, rng, lanes: int = 1
+    circuit, backend: str, rng, lanes: int = 1, first=None
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Deal one run of the template over ``lanes`` to parties 0 and 1.
 
@@ -97,22 +108,35 @@ def dealer_for_circuit(
     bit per gate and lane, and the holder two bits per gate and lane.  A
     triple costs each party three bits, and a transfer the sender two pads
     and the receiver one pad and its choice bit.
+
+    The material no lane count changes is drawn first: gmw's pad a, then
+    yao's transfers.  Over zero lanes the deal is that alone.  ``first``
+    is such a zero-lane deal from ``rng`` for the same plan, which this
+    deal then extends instead of drawing it again, so that both deals
+    together hand out what one deal over ``lanes`` would have.
     """
     if backend == "gmw":
-        n, tree, transfers = circuit.levels[0], circuit.levels[1:], lanes
+        n, tree, fixed = circuit.levels[0], circuit.levels[1:], 0
     elif backend == "yao":
-        n, tree, transfers = 0, (), circuit.levels[0]
+        n, tree, fixed = 0, (), circuit.levels[0]
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    if lanes < 1:
-        raise ValueError("lanes must be at least 1")
+    if lanes < 0:
+        raise ValueError("lanes must not be negative")
+    if first is None:
+        x = rng.getrandbits(n)
+        early = transfer_material(fixed, rng)
+    else:
+        first[0].check(0, circuit, 0, backend)
+        x, early = first[0].cross[0], (first[0].transfer, first[1].transfer)
     bits = lanes * sum(tree)
     a = rng.getrandbits(bits)
     b = rng.getrandbits(bits)
     shares0 = [rng.getrandbits(bits) for _ in range(3)]
     shares1 = [s ^ t for s, t in zip(shares0, (a, b, a & b))]
-    choices, pads = transfer_material(transfers, rng)
-    x = rng.getrandbits(n)
+    # gmw's transfers, one per lane
+    choices, pads = early if fixed else transfer_material(lanes, rng)
+    transfers = fixed or lanes
     y = rng.getrandbits(n * lanes)
     z0 = rng.getrandbits(n * lanes)
     z1 = (broadcast(x, n, lanes) & y) ^ z0
@@ -126,3 +150,22 @@ def dealer_for_circuit(
         DealerMaterial(backend, 1, circuit.levels, lanes, (y, z1),
                        _per_level(shares1, tree, lanes), pads, size1),
     )
+
+
+def first_steps(circuit, word: int, material: DealerMaterial):
+    """Querier: send its first online frame, its level-1 ``word`` under the
+    pad of ``material`` that no lane count changes.
+
+    Under gmw the frame is the querier's level-1 opening d = q XOR a, under
+    yao its transfer choice bits masked by d; either is one bit per cross
+    gate.  ``material`` is party 0's, dealt over any lane count, zero
+    included.
+    """
+    material.check(0, circuit, material.lanes, material.backend)
+    circuit.check_word(0, word, 1)
+    if material.backend == "gmw":
+        kind, pad = MSG_AND_OPENING, material.cross[0]
+    else:
+        kind, pad = MSG_INPUT_SHARE, material.transfer[0]
+    yield from send_frame(kind, (word ^ pad).to_bytes(
+        (circuit.levels[0] + 7) // 8, "little"))

@@ -13,6 +13,18 @@ generators over frames: :func:`gmw_steps` leaves the output XOR-shared and
 :func:`reveal_steps` releases to the querier one of two values per lane,
 chosen by the output bit.
 
+Rounds are not flights.  Each party sends its opening of a level as soon
+as it has finished the level before, so the two parties' frames cross,
+and a one-way flight moves the session on by a level.  The querier's
+level-1 opening needs no k and goes out with its envelope
+(:func:`~prelude.smpc.dealer.first_steps`), and the holder's travels with
+its ack.  Flight f then carries the openings of levels f - 1 and f one
+way: the holder receives in the odd flights and the querier in the even
+ones, and each finishes level L in the first of its flights not before L.
+The querier's choice bits and the release take two flights more, so a
+session of AND depth D takes 2 ceil(D / 2) + 2 flights: 10 at rule width
+104 and 6 at width 4.
+
 Each party's input is its level-1 word, which
 :meth:`~prelude.circuits.BatchQueryCircuit.word` builds from its rules.
 Inputs are never shared: each party keeps its word, and the words feed
@@ -22,6 +34,8 @@ querier holds a random a, one bit per gate, the holder a random y, and
 each a share of a AND y.  The querier opens d = q XOR a, one bit per gate
 for all lanes, since one querier rule feeds every lane, and the holder
 opens e = b XOR y, one bit per gate and lane, in the frame of level 1.
+The querier's opening is its first online frame, which it sends before
+it calls :func:`gmw_steps`; the holder's goes out from it.
 The querier takes q e XOR its product share and the holder d y XOR its
 product share; these XOR to q b.  Each opening is one-time padded by
 dealer randomness its receiver never sees, and each share by the dealer's
@@ -57,6 +71,7 @@ from typing import Sequence
 
 from prelude.smpc.channel import (
     MSG_AND_OPENING,
+    MSG_INPUT_SHARE,
     MSG_OUTPUT_SHARE,
     recv_exact,
     send_frame,
@@ -94,8 +109,10 @@ def gmw_steps(
 
     ``word`` is the party's level-1 operand word
     (:meth:`~prelude.circuits.BatchQueryCircuit.word`) and ``setup`` its
-    dealer material for this plan, one piece per level.  The output stays
-    shared: :func:`reveal_steps` releases values by it.
+    dealer material for this plan, one piece per level.  The querier
+    (party 0) must have sent its level-1 opening already
+    (:func:`~prelude.smpc.dealer.first_steps`).  The output stays shared:
+    :func:`reveal_steps` releases values by it.
     """
     setup.check(party, circuit, lanes, "gmw")
     circuit.check_word(party, word, lanes)
@@ -104,7 +121,8 @@ def gmw_steps(
     n = circuit.levels[0]
     pad, share = setup.cross
     if party == 0:
-        theirs = yield from _open_steps(word ^ pad, n, n * lanes)
+        theirs = int.from_bytes((yield from recv_exact(
+            MSG_AND_OPENING, (n * lanes + 7) // 8)), "little")
         z = (broadcast(word, n, lanes) & theirs) ^ share
     else:
         theirs = yield from _open_steps(word ^ pad, n * lanes, n)
@@ -149,6 +167,8 @@ def reveal_steps(
     """
     n = setup.lanes
     if receive:
+        yield from send_frame(MSG_INPUT_SHARE, (my_share ^ setup.transfer[0])
+                              .to_bytes((n + 7) // 8, "little"))
         chosen = yield from choose_steps(my_share, n, size, setup.transfer,
                                          MSG_OUTPUT_SHARE)
         opened = from_lanes(chosen, n, size)

@@ -24,6 +24,8 @@ def int_to_bits(value: int, n: int) -> tuple[int, ...]:
 def broadcast(bits: int, n: int, lanes: int) -> int:
     """Bit i of ``bits`` copied to every bit of field i: ``n`` fields of
     ``lanes`` bits, field 0 in the lowest bits."""
+    if not lanes:
+        return 0
     # put bit i at field i's bottom, merging neighbour fields pairwise so
     # that every bit moves once per level
     fields = int_to_bits(bits, n)

@@ -8,7 +8,9 @@ phase: the envelope, its ack, the garbled tables and the dealer material
 inputs; every other frame is online.  Rounds are counted on the online
 phase only, from the frames themselves: an online round holds at most one
 frame in each direction, and a second frame in the same direction opens
-the next round.  A transcript records each frame's kind and size, never
+the next round.  The online phase starts at the first online frame, which
+a querier sends right after its envelope, so its wall time spans the
+ack's flight too.  A transcript records each frame's kind and size, never
 its payload.
 """
 

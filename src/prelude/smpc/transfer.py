@@ -7,8 +7,12 @@ sender answers with m_0 XOR r_e and m_1 XOR r_(1 XOR e), and the receiver
 opens slot c with its pad, since c XOR e = d.  The sender sees c only under
 the one-time pad d, and the receiver holds one of the two pads, so the
 other message stays one-time padded too.  A transfer costs the receiver's
-one bit and the sender's two messages, in one round trip: one frame each
-way, so one online round of a transcript.
+one bit and the sender's two messages, one frame each way, so one online
+round of a transcript.  The receiver's frame depends on nothing but its
+choices and d, so it can go out before the sender is ready: yao's
+querier sends its label choices with its envelope
+(:func:`prelude.smpc.dealer.first_steps`), and the holder answers with
+the labels in the flight that carries its ack.
 
 Yao's evaluator receives its input labels this way, one 16-byte label per
 querier wire, and gmw's release delivers each output's value, such as an
@@ -88,14 +92,14 @@ def choose_steps(choices: int, n: int, size: int, material: tuple[int, int],
                  kind: int):
     """Receiver: the message bit i of ``choices`` selects in transfer i.
 
-    ``material`` is this side's (d, r_d).  Returns the messages of ``size``
-    bytes in 128-bit lanes, transfer i in lane i.
+    ``material`` is this side's (d, r_d), and the sender must get the
+    masked choices ``choices XOR d``, ``(n + 7) // 8`` bytes, as an
+    INPUT_SHARE frame, which the caller sends.  Receives the sender's frame
+    of ``kind`` and returns the messages of ``size`` bytes in 128-bit
+    lanes, transfer i in lane i.
     """
-    d, pad = material
-    yield from send_frame(MSG_INPUT_SHARE,
-                          (choices ^ d).to_bytes((n + 7) // 8, "little"))
     payload = yield from recv_exact(kind, 2 * size * n)
     slot0 = to_lanes(payload[: size * n], n, size)
     slot1 = to_lanes(payload[size * n :], n, size)
     chosen = slot0 ^ (select(spread(choices, n)) & (slot0 ^ slot1))
-    return chosen ^ (pad & to_lanes(b"\xff" * size * n, n, size))
+    return chosen ^ (material[1] & to_lanes(b"\xff" * size * n, n, size))

@@ -69,7 +69,11 @@ and each batch's keys are folded into the lane sums as it finishes.  The
 tables depend only on the template and the holder's bits, so they travel
 during setup, one row per cross gate and lane, by gate, then lane.  The
 online phase is one round trip for the querier's labels and then the
-release, a second frame from the garbler and so a second round.
+release, a second frame from the garbler and so a second round.  The
+querier's masked choice bits need no k, so they go out with its envelope
+(:func:`~prelude.smpc.dealer.first_steps`), and the holder sends the ack,
+the tables, the labels and the release in the one flight back: a session
+takes two one-way flights.
 """
 
 from __future__ import annotations
@@ -280,9 +284,10 @@ def evaluate_steps(
     """Evaluator's (party 0's) side of one run of the template.
 
     ``word`` is the querier's level-1 word, gate g's bit in bit g
-    (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  Returns the lane
-    sums S of its keys, with which :func:`open_steps` opens the released
-    values.
+    (:meth:`~prelude.circuits.BatchQueryCircuit.word`), whose masked
+    transfer choices the evaluator has sent already
+    (:func:`~prelude.smpc.dealer.first_steps`).  Returns the lane sums S of
+    its keys, with which :func:`open_steps` opens the released values.
     """
     setup.check(0, circuit, lanes, "yao")
     circuit.check_word(0, word, lanes)

@@ -6,6 +6,7 @@ import hashlib
 import random
 import re
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -41,9 +42,11 @@ from prelude.rules import (
 )
 from prelude.smpc import (
     InlineLoopback,
+    MSG_AND_OPENING,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
     MSG_GARBLED_TABLES,
+    MSG_INPUT_SHARE,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
     ProtocolError,
@@ -203,8 +206,11 @@ class TestOracleEquivalence:
                                 stats_out=stats_out)
         assert result.hops == frozenset()
         assert stats_out[0].k == 0
-        assert stats_out[0].online_rounds == 0
-        assert stats_out[0].online_bytes == 0
+        # the querier's padded level-1 opening left with its envelope, so
+        # online rounds are the AND depth plus one here too
+        assert stats_out[0].online_rounds == 1 == stats_out[0].and_depth + 1
+        assert stats_out[0].online_bytes == 5 + 2  # 16 cross gates at w=8
+        assert stats_out[0].flights == 2
         assert stats_out[0].setup_bytes > 0  # envelope and ack still flowed
 
     def test_backends_agree(self):
@@ -284,6 +290,46 @@ class TestPrivacyMechanics:
             else:
                 assert record.online_rounds == expected_rounds
 
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("case", ["entries", "empty", "width-mismatch"])
+    def test_the_first_frame_is_padded(self, monkeypatch, backend, case):
+        # The querier sends its first online frame before the ack, so even
+        # a session that ends there, at k = 0 or on a width mismatch, shows
+        # the holder only dealer-padded bits: over sessions of one fixed
+        # rule, each of the frame's 16 bits is a fair coin.
+        frames = []
+        encode = channel.encode_frame
+
+        def capturing(kind, payload):
+            frames.append((kind, payload))
+            return encode(kind, payload)
+
+        monkeypatch.setattr(channel, "encode_frame", capturing)
+        width = 4 if case == "width-mismatch" else 8
+        table = [make_entry(TernaryRule(width, 0b0110, 0b1111), 1, 10 + i)
+                 for i in range(3)]
+        endpoint = fresh_endpoint(table, seed=53)
+        local = TernaryRule(8, 0b10100000, 0b11110000)
+        prefix = "10.9.0.0/16" if case == "empty" else table[0].prefix
+        sessions = 300
+        for _ in range(sessions):
+            if case == "width-mismatch":
+                with pytest.raises(QueryAborted, match="width 8"):
+                    endpoint.query(local, prefix, backend=backend)
+            else:
+                endpoint.query(local, prefix, backend=backend)
+        kinds = [kind for kind, _ in frames]
+        firsts = [frames[i + 1] for i, kind in enumerate(kinds)
+                  if kind == MSG_ENVELOPE]
+        assert len(firsts) == sessions
+        assert {kind for kind, _ in firsts} == {
+            MSG_AND_OPENING if backend == "gmw" else MSG_INPUT_SHARE}
+        words = [int.from_bytes(payload, "little") for _, payload in firsts]
+        assert {len(payload) for _, payload in firsts} == {2}
+        for bit in range(16):
+            ones = sum((word >> bit) & 1 for word in words)
+            assert stats.binomtest(ones, sessions).pvalue > 1e-4, bit
+
     def test_aborted_session_raises_query_aborted(self):
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
@@ -349,8 +395,10 @@ class TestPrivacyMechanics:
     ])
     def test_malformed_ack_fails_naming_its_cause(self, ack, cause):
         ch = InlineLoopback(distinct_match._querier_steps(
-            TernaryRule.wildcard(8), "10.0.0.0/8", "gmw", None))
+            TernaryRule.wildcard(8), "10.0.0.0/8", "gmw",
+            distinct_match._SessionDealer(1)))
         assert ch.recv()[0] == MSG_ENVELOPE
+        assert ch.recv()[0] == MSG_AND_OPENING  # its padded first frame
         ch.send(MSG_ENVELOPE_ACK, ack)
         with pytest.raises(ProtocolError, match=re.escape(cause)):
             ch.finish()
@@ -456,6 +504,43 @@ class TestSessionMechanics:
             for e in entries)
 
 
+    @pytest.mark.parametrize("width,k,gmw_flights", [
+        (1, 3, 4), (4, 8, 6), (7, 5, 6), (104, 17, 10)])
+    def test_flights_are_exact(self, width, k, gmw_flights):
+        # The querier's first frame rides with its envelope and the
+        # holder's first frames with its ack.  Yao takes two flights at any
+        # shape; gmw two more than its AND depth rounded up to even; an
+        # empty table two, whatever the backend.
+        rng = random.Random(80 + width)
+        entries = [make_entry(random_rule(width, rng), 8, 800 + i)
+                   for i in range(k)]
+        endpoint = fresh_endpoint(entries)
+        for backend, flights in (("gmw", gmw_flights), ("yao", 2)):
+            for prefix, want in (("10.0.0.0/8", flights), ("10.9.0.0/16", 2)):
+                stats_out = []
+                endpoint.query(random_rule(width, rng), prefix,
+                               backend=backend, stats_out=stats_out)
+                assert stats_out[0].flights == want, (backend, prefix)
+
+    def test_a_session_takes_at_least_its_flights_in_delays(self):
+        delay = 0.01
+        rng = random.Random(43)
+        entries = [make_entry(random_rule(8, rng), 8, 800 + i)
+                   for i in range(4)]
+        service = SdxMatchService(sdx_id=8)
+        for entry in entries:
+            service.register(entry)
+        endpoint = LoopbackEndpoint(service, seed=9, one_way_delay=delay)
+        for backend, flights in (("gmw", 6), ("yao", 2)):
+            stats_out = []
+            start = time.monotonic()
+            endpoint.query(random_rule(8, rng), "10.0.0.0/8",
+                           backend=backend, stats_out=stats_out)
+            took = time.monotonic() - start
+            assert stats_out[0].flights == flights
+            assert took >= flights * delay, backend
+
+
 # --------------------------------------------------------------------------
 # lane-sliced sessions over one per-entry template
 
@@ -500,9 +585,9 @@ class TestLaneSessions:
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 231, 158, 4),
-        ("gmw", 104, 50, 4152, 4601, 9),
-        ("yao", 104, 50, 169846, 7497, 2),
+        ("gmw", 4, 8, 223, 158, 4),
+        ("gmw", 104, 50, 4144, 4601, 9),
+        ("yao", 104, 50, 169838, 7497, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
                                                 width, k, setup, online,
@@ -527,11 +612,13 @@ class TestLaneSessions:
             self, monkeypatch, width, k):
         # Every draw all ones: the material stays consistent, so the session
         # still answers, and the querier's words show their exact widths.
+        # The pad of the querier's first frame comes from the same dealer,
+        # dealt over zero lanes before the ack.
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
         materials = []
 
-        def recording(circuit, backend, rng, lanes=1):
-            pair = dealer_for_circuit(circuit, backend, ones, lanes)
+        def recording(circuit, backend, rng, lanes=1, first=None):
+            pair = dealer_for_circuit(circuit, backend, ones, lanes, first)
             materials.extend(pair)
             return pair
 
@@ -548,7 +635,8 @@ class TestLaneSessions:
         # the comparator's 2w cross gates take 2w·k product bits, each tree
         # level ands·k triples, k(w − 1) in all, and the release one
         # transfer per entry
-        querier, holder = materials
+        early, _, querier, holder = materials
+        assert (early.lanes, early.cross[0]) == (0, querier.cross[0])
         tree = distinct_match.query_template(width).levels[1:]
         assert querier.cross == (ones.getrandbits(2 * width),
                                  ones.getrandbits(2 * width * k))
@@ -614,12 +702,12 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "775d71d8d9e03cf7e3194eab6d1acf7f"
-         "df6d077613a7e40515ace447a900cb8e"),
-        (7, 33, "1ccf5457ce07c45b91c13ff56e194c2d"
-         "30527ab5033ec909cfb21501c2d03644"),
-        (1, 3, "ed530663b34dd968d1f41faa90977980"
-         "a11fd202b84acafa01aeae3939ac9f41"),
+        (104, 50, "621ca7db755f06e1df385231ae1ffebe"
+         "3bfedbf145ae56a4660e284a2006a76f"),
+        (7, 33, "7cba6710a239d6030fc173aa4db7984a"
+         "2c570e8daa590464a5a679ee78e5a7d1"),
+        (1, 3, "28f767524f12ac0a508445f389be64db"
+         "95507c4e7c5eb955b57a6d23d37e10a6"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):

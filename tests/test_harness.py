@@ -263,6 +263,8 @@ class TestMicrobench:
         yao_1 = bench_cell("yao", 1, 0.0, 2, 104, 7)
         yao_9 = bench_cell("yao", 9, 0.0, 2, 104, 7)
         assert yao_1.online_rounds == yao_9.online_rounds == 2
+        assert gmw_1.flights == gmw_9.flights == 10
+        assert yao_1.flights == yao_9.flights == 2
         assert yao_9.setup_bytes > gmw_9.setup_bytes
         assert gmw_9.online_bytes > 0
 
@@ -278,6 +280,9 @@ class TestMicrobench:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
         assert lines[0].startswith("experiment,backend,k,delay_ms")
+        rows = [dict(zip(lines[0].split(","), line.split(",")))
+                for line in lines[1:]]
+        assert [row["flights"] for row in rows] == ["10", "10", "2", "2"]
 
 
 # --------------------------------------------------------------------------

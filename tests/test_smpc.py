@@ -44,6 +44,7 @@ from prelude.smpc import (
     drive,
     encode_frame,
     evaluate_steps,
+    first_steps,
     garble_steps,
     gmw_steps,
     open_steps,
@@ -138,8 +139,11 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None,
     Only party 0 learns the outputs, one byte per output and lane: under
     gmw party 1 releases the bytes 0 and 1 for each, and under yao, which
     runs only the comparator template, the byte 0 where the key sums agree,
-    and party 0 opens the byte 1 where they do not.
+    and party 0 opens the byte 1 where they do not.  Party 0 starts with
+    its first online frame, as a querier sends it with its envelope.
     """
+    if party == 0:
+        yield from first_steps(circuit, inputs, mat)
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat, lanes)
         opened = yield from reveal_steps(
@@ -295,6 +299,24 @@ class TestChannels:
         ch.send(1, b"pong")
         assert ch.finish() == b"pong"
         assert time.monotonic() - start >= 0.1
+
+    def test_inline_loopback_sends_back_to_back_frames_in_one_flight(self):
+        # The peer runs on until it waits, so a second frame it sends before
+        # its first receive leaves with the first, not one delay later.
+        def peer():
+            yield from send_frame(1, b"a")
+            yield from send_frame(1, b"b")
+            return (yield from recv_frame(1))
+
+        delay = 0.2
+        ch = InlineLoopback(peer(), one_way_delay=delay)
+        start = time.monotonic()
+        assert [ch.recv()[1] for _ in range(2)] == [b"a", b"b"]
+        assert delay <= time.monotonic() - start < 2 * delay
+        assert ch.flights == 1
+        ch.send(1, b"c")
+        assert ch.finish() == b"c"
+        assert ch.flights == 2
 
     def test_inline_loopback_reports_peer_failure(self):
         def peer():
