@@ -18,9 +18,9 @@ two-party session needs no thread, and whose injectable one-way delay lets
 protocol latency be measured without real network distance; and
 :class:`TcpChannel`, which carries the same frames over a socket.  The
 loopback runs its peer on until the peer waits for a frame, so frames
-sent back to back travel in one flight, as over a socket, and it counts
-the one-way flights of the longest causal chain of frames, which a
-session's latency is over a one-way delay.
+sent back to back travel in one flight, as over a socket.  It counts the
+one-way flights of the longest causal chain of frames: over a one-way
+delay, a session takes at least that many delays.
 """
 
 from __future__ import annotations
