@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from prelude.bgpsim.topology import AsGraph
+from prelude.bgpsim.topology import CUSTOMER, PEER, PROVIDER, AsGraph
 
 ORIGIN = "origin"
-CUSTOMER = "customer"
-PEER = "peer"
-PROVIDER = "provider"
 
 PREFERENCE = {ORIGIN: 3, CUSTOMER: 2, PEER: 1, PROVIDER: 0}
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bgpsim import (
     DeflectionPolicy,
@@ -205,19 +205,17 @@ def verdict_of(exploration: Exploration, rule_id: str | None = None) -> Verdict:
 # answers and views
 
 
-def table_answer(entries, rule: TernaryRule, local: bool,
-                 match_agnostic: bool = False):
+def table_answer(entries, rule: TernaryRule, local: bool):
     """The answer an exchange holding `entries` gives about `rule`.
 
     For the verifier's own table (`local`) every overlapping entry is
     reported as (next hop, owner), in entry order.  Another exchange reports
-    each overlapping next hop once and never its owner.  With
-    `match_agnostic` every entry counts as overlapping.
+    each overlapping next hop once and never its owner.
     """
     answer: list[tuple[NextHopId, int | None]] = []
     seen: set[NextHopId] = set()
     for entry in entries:
-        if not match_agnostic and not overlaps(rule, entry.rule):
+        if not overlaps(rule, entry.rule):
             continue
         if local:
             answer.append((entry.next_hop, entry.owner))
@@ -257,34 +255,35 @@ class StaticMatchView(SiteView):
     """Exploration knowledge backed by explicit entry lists.
 
     Useful for replaying an install attempt against a hypothetical rule
-    state without touching live nodes.  With `match_agnostic` every entry
-    is reported regardless of overlap, which is the SIDR-style baseline:
-    it shares per-prefix forwarding actions but nothing about the traffic
-    they apply to.
+    state without touching live nodes.
     """
 
     def __init__(self, sites: list[SdxSite], ribs: dict[str, RibState],
-                 entries: dict[int, list[RuleEntry]],
-                 match_agnostic: bool = False) -> None:
+                 entries: dict[int, list[RuleEntry]]) -> None:
         super().__init__(sites, ribs)
         self._entries = entries
-        self._agnostic = match_agnostic
 
     def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
               prefix: str):
         entries = [e for e in self._entries.get(target_sdx, ())
                    if e.prefix == prefix]
-        return table_answer(entries, rule, origin_sdx == target_sdx,
-                            self._agnostic)
+        return table_answer(entries, rule, origin_sdx == target_sdx)
 
 
 def sidr_baseline(policy: DeflectionPolicy, sites: list[SdxSite],
                   ribs: dict[str, RibState],
                   entries: dict[int, list[RuleEntry]],
                   budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Match-agnostic verdict over the same exploration and budget."""
-    view = StaticMatchView(sites, ribs, entries, match_agnostic=True)
-    return verdict_of(explore_deflection(view, policy, budget))
+    """Match-agnostic verdict over the same exploration and budget.
+
+    The SIDR-style baseline shares per-prefix forwarding actions but
+    nothing about the traffic they apply to, so it walks a rule that
+    matches all traffic: every entry for the prefix overlaps it.
+    """
+    wildcard = TernaryRule.wildcard(policy.rule.width)
+    view = StaticMatchView(sites, ribs, entries)
+    return verdict_of(explore_deflection(
+        view, replace(policy, rule=wildcard), budget))
 
 
 # --------------------------------------------------------------------------

@@ -63,12 +63,16 @@ process; nothing is built per k.
 Both parties exist only as step generators over frames:
 :meth:`SdxMatchService.serve_steps` and the querier's ``_querier_steps``.
 :meth:`SdxMatchService.serve_query` drives the holder's side over a
-blocking channel, and :class:`LoopbackEndpoint` hands it an
-:class:`~prelude.smpc.InlineLoopback` whose peer is the querier's side, so
-a session runs in the calling thread and starts no thread.  Neither side
-keeps accounts: the endpoint wraps each in :func:`~prelude.smpc.recorded`,
-and the session's dealer records each party's material as it hands it
-out, so a session's :class:`SessionStats` come from the querier's frames.
+blocking channel, with one random stream that shuffles and garbles, and
+:class:`LoopbackEndpoint` hands it an :class:`~prelude.smpc.InlineLoopback`
+whose peer is the querier's side, so a session runs in the calling thread
+and starts no thread.  Neither side keeps accounts.  A session is counted
+once, from the querier: the endpoint wraps the querier's steps in
+:func:`~prelude.smpc.recorded`, and the session's dealer records the
+querier's material as it hands it out, in the same transcript, so a
+session's :class:`SessionStats` come from the querier's frames.  Every
+holder frame is a querier frame going the other way, so nothing records
+the holder.
 """
 
 from __future__ import annotations
@@ -332,18 +336,13 @@ class SdxMatchService:
 
     # -------------------------------------------------------- query serving
 
-    def serve_query(self, channel, dealer, shuffle_rng: random.Random,
-                    garble_rng: random.Random,
-                    transcript: SessionTranscript | None = None) -> None:
-        """Run the holder side of one query session to completion, recording
-        its frames in ``transcript`` if one is given."""
-        steps = self.serve_steps(dealer, shuffle_rng, garble_rng)
-        drive(steps if transcript is None else recorded(steps, transcript),
-              channel)
+    def serve_query(self, channel, dealer, rng: random.Random) -> None:
+        """Run the holder side of one query session to completion."""
+        drive(self.serve_steps(dealer, rng), channel)
 
-    def serve_steps(self, dealer, shuffle_rng: random.Random,
-                    garble_rng: random.Random):
-        """Step generator of :meth:`serve_query`."""
+    def serve_steps(self, dealer, rng: random.Random):
+        """Step generator of :meth:`serve_query`; ``rng`` shuffles the
+        entries and, under yao, garbles."""
         payload = yield from recv_frame(MSG_ENVELOPE)
         prefix, width, backend = _parse_envelope(payload)
 
@@ -359,7 +358,7 @@ class SdxMatchService:
         if k == 0:
             return
 
-        shuffle_rng.shuffle(entries)
+        rng.shuffle(entries)
         template = query_template(width)
         # one lane per shuffled entry
         word = template.word(1, [entry.rule for entry in entries])
@@ -373,8 +372,7 @@ class SdxMatchService:
                                     receive=False,
                                     values=[(i, _DUMMY_BYTES) for i in ids])
             return
-        sums = yield from garble_steps(template, word, material, garble_rng,
-                                       lanes=k)
+        sums = yield from garble_steps(template, word, material, rng, lanes=k)
         yield from release_steps(sums, ids)
 
 
@@ -410,19 +408,20 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
 
 class _SessionDealer:
     """Hands both parties of one session their correlated setup material,
-    recording each party's in that party's transcript as it hands it out.
+    recording the querier's in the session's :attr:`transcript` as it
+    hands it out.
 
     The querier takes the material no lane count changes first, before it
-    learns k, and the deal over k lanes extends it on the same stream.  A
-    transcript records a party's material once, when it is dealt in full,
-    so an empty session records none.
+    learns k, and the deal over k lanes extends it on the same stream.  The
+    transcript records the querier's material once, when it is dealt in
+    full, so an empty session records none.
     """
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
         self._first = None
         self._materials = None
-        self.transcripts = (SessionTranscript(), SessionTranscript())
+        self.transcript = SessionTranscript()
 
     def first(self, circuit, backend: str):
         """The querier's material dealt over zero lanes, which pads its
@@ -435,16 +434,17 @@ class _SessionDealer:
             self._materials = dealer_for_circuit(
                 circuit, backend, self._rng, lanes=lanes, first=self._first)
         material = self._materials[party]
-        self.transcripts[party].record_receive(MSG_SETUP_TRIPLES,
-                                               material.serialized_size)
+        if party == 0:
+            self.transcript.record_receive(MSG_SETUP_TRIPLES,
+                                           material.serialized_size)
         return material
 
 
 class LoopbackEndpoint:
     """A holder reachable over in-process channels, one session per query.
 
-    The endpoint plays the trusted dealer for its sessions and owns the
-    randomness for shuffles and garbling, so a seeded endpoint
+    The endpoint plays the trusted dealer for its sessions and seeds the
+    holder's stream, which shuffles and garbles, so a seeded endpoint
     produces reproducible sessions when queries are issued serially.
     """
 
@@ -468,20 +468,16 @@ class LoopbackEndpoint:
             raise ValueError(f"backend must be one of {BACKENDS}")
         with self._lock:
             dealer_seed = self._rng.getrandbits(64)
-            shuffle_seed = self._rng.getrandbits(64)
-            garble_seed = self._rng.getrandbits(64)
+            holder_seed = self._rng.getrandbits(64)
         dealer = _SessionDealer(dealer_seed)
-        t_q, t_h = dealer.transcripts
+        transcript = dealer.transcript
         channel = InlineLoopback(
-            recorded(_querier_steps(local, prefix, backend, dealer), t_q),
+            recorded(_querier_steps(local, prefix, backend, dealer),
+                     transcript),
             one_way_delay=self._delay)
         try:
-            self.service.serve_query(
-                channel, dealer,
-                shuffle_rng=random.Random(shuffle_seed),
-                garble_rng=random.Random(garble_seed),
-                transcript=t_h,
-            )
+            self.service.serve_query(channel, dealer,
+                                     random.Random(holder_seed))
         except Exception as exc:
             # The first real failure is the one reported: the holder's own,
             # unless the holder only saw the querier drop out.
@@ -504,11 +500,11 @@ class LoopbackEndpoint:
                 prefix=prefix,
                 k=k,
                 and_depth=depth if k else 0,
-                online_rounds=t_q.online_rounds,
+                online_rounds=transcript.online_rounds,
                 flights=channel.flights,
-                setup_bytes=t_q.setup_bytes,
-                online_bytes=t_q.online_bytes,
-                online_wall_time=t_q.online_wall_time,
+                setup_bytes=transcript.setup_bytes,
+                online_bytes=transcript.online_bytes,
+                online_wall_time=transcript.online_wall_time,
             ))
         return QueryResult(frozenset(NextHopId.from_bytes(value)
                                      for value in set(raw) - {_DUMMY_BYTES}))

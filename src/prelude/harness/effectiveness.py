@@ -11,14 +11,14 @@ Detectors:
 
   oracle:  rejects exactly the arrivals that would close a loop.
   prelude: match-aware exploration at a given path threshold.
-  sidr:    the same exploration, match-agnostic (every registered rule
-           for the prefix counts as overlapping).
+  sidr:    the same exploration of a rule that matches all traffic, so
+           every registered rule for the prefix counts as overlapping.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..bgpsim import (
@@ -32,7 +32,7 @@ from ..bgpsim import (
 )
 from ..control import SAFE, StaticMatchView, explore_deflection, rule_entry
 from ..distinct_match import RuleEntry
-from ..rules import FlowSpec, PROTO_TCP, PROTO_UDP, encode
+from ..rules import FlowSpec, PROTO_TCP, PROTO_UDP, TernaryRule, encode
 from .config import ExperimentConfig
 from .results import (
     EFFECTIVENESS_COLUMNS,
@@ -136,10 +136,7 @@ def replay(scenario: Scenario, detectors: tuple[str, ...],
     """Run every (detector, threshold) over the arrival sequence."""
     sites = list(scenario.sites)
     entries: dict[int, list[RuleEntry]] = {s.sdx_id: [] for s in sites}
-    aware = StaticMatchView(sites, scenario.ribs, entries)
-    agnostic = StaticMatchView(sites, scenario.ribs, entries,
-                               match_agnostic=True)
-    views = {"prelude": aware, "sidr": agnostic}
+    view = StaticMatchView(sites, scenario.ribs, entries)
 
     rejected: dict[tuple[str, int], int] = {}
     false_pos: dict[tuple[str, int], int] = {}
@@ -157,13 +154,14 @@ def replay(scenario: Scenario, detectors: tuple[str, ...],
         truth_loop = bool(forwarding_oracle(
             scenario.graph, rib, siblings + [arrival], arrival.prefix))
         truth = "loop" if truth_loop else "clean"
+        walked = {"prelude": arrival, "sidr": replace(
+            arrival, rule=TernaryRule.wildcard(arrival.rule.width))}
         for detector in detectors:
             for t in thresholds:
                 if detector == "oracle":
                     is_reject = truth_loop
                 else:
-                    exploration = explore_deflection(views[detector],
-                                                     arrival, t)
+                    exploration = explore_deflection(view, walked[detector], t)
                     is_reject = exploration.status != SAFE
                 if is_reject:
                     rejected[detector, t] += 1

@@ -47,9 +47,10 @@ one bit per cross gate; everything else costs what the template unrolled
 Every party is a step generator over frames, and :func:`drive` runs one
 over a channel: an in-thread loopback whose peer is the other party's step
 generator, with an injectable one-way delay, or a real socket.  No step
-keeps accounts: :func:`recorded` wraps a party's steps and records every
+keeps accounts: :func:`recorded` wraps a party's steps and counts every
 frame it moves in a :class:`SessionTranscript`, which takes each frame's
-phase from its kind and counts online rounds from the frames.
+phase from its kind and keeps running byte and online round counters, not
+the frames.
 """
 
 from prelude.smpc.channel import (
@@ -74,15 +75,7 @@ from prelude.smpc.channel import (
 )
 from prelude.smpc.dealer import DealerMaterial, dealer_for_circuit, first_steps
 from prelude.smpc.gmw import gmw_steps, reveal_steps
-from prelude.smpc.transcript import (
-    ONLINE,
-    RECEIVED,
-    SENT,
-    SETUP,
-    SessionTranscript,
-    TranscriptEntry,
-    recorded,
-)
+from prelude.smpc.transcript import SessionTranscript, recorded
 from prelude.smpc.yao import (
     evaluate_steps,
     garble_steps,
@@ -104,14 +97,9 @@ __all__ = [
     "MSG_LABELS",
     "MSG_OUTPUT_SHARE",
     "MSG_SETUP_TRIPLES",
-    "ONLINE",
     "ProtocolError",
-    "RECEIVED",
-    "SENT",
-    "SETUP",
     "SessionTranscript",
     "TcpChannel",
-    "TranscriptEntry",
     "dealer_for_circuit",
     "drive",
     "encode_frame",

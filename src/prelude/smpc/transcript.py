@@ -2,7 +2,9 @@
 
 :func:`recorded` runs one party's step generator and records in a
 :class:`SessionTranscript` every frame it sends or receives, so the
-protocol code knows nothing of accounting.  A frame's kind decides its
+protocol code knows nothing of accounting.  A transcript keeps running
+counters, not the frames: setup bytes, online bytes, online rounds, and
+when the online phase started and finished.  A frame's kind decides its
 phase: the envelope, its ack, the garbled tables and the dealer material
 (recorded by whoever hands it out) are setup, independent of the querier's
 inputs; every other frame is online.  Rounds are counted on the online
@@ -10,7 +12,7 @@ phase only, from the frames themselves: an online round holds at most one
 frame in each direction, and a second frame in the same direction opens
 the next round.  The online phase starts at the first online frame, which
 a querier sends right after its envelope, so its wall time spans the
-ack's flight too.  A transcript records each frame's kind and size, never
+ack's flight too.  A transcript sees each frame's kind and size, never
 its payload.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from prelude.smpc.channel import (
     MSG_ENVELOPE,
@@ -28,69 +29,46 @@ from prelude.smpc.channel import (
     RECV,
 )
 
-SENT = "sent"
-RECEIVED = "received"
-
-SETUP = "setup"
-ONLINE = "online"
-
 SETUP_KINDS = frozenset(
     {MSG_ENVELOPE, MSG_ENVELOPE_ACK, MSG_GARBLED_TABLES, MSG_SETUP_TRIPLES})
 
-
-class TranscriptEntry(NamedTuple):
-    direction: str
-    kind: int
-    n_bytes: int
-    round_index: int
-    phase: str
+# the directions of a frame, as bits of the current round's set
+_SENT, _RECEIVED = 1, 2
 
 
 @dataclass
 class SessionTranscript:
-    entries: list[TranscriptEntry] = field(default_factory=list)
+    setup_bytes: int = 0
+    online_bytes: int = 0
     online_rounds: int = 0
     online_started_at: float | None = None
     online_finished_at: float | None = None
     # the directions the current online round has a frame in; round 0
     # counts as full, so the first online frame opens round 1
-    _round: set[str] = field(default_factory=lambda: {SENT, RECEIVED},
-                             repr=False)
+    _round: int = field(default=_SENT | _RECEIVED, repr=False)
 
     def finish(self) -> None:
         if self.online_finished_at is None:
             self.online_finished_at = time.monotonic()
 
-    def _record(self, direction: str, kind: int, n_bytes: int) -> None:
+    def _record(self, direction: int, kind: int, n_bytes: int) -> None:
         if kind in SETUP_KINDS:
-            self.entries.append(
-                TranscriptEntry(direction, kind, n_bytes, 0, SETUP))
+            self.setup_bytes += n_bytes
             return
-        if direction in self._round:
+        self.online_bytes += n_bytes
+        if self._round & direction:
             if not self.online_rounds:
                 self.online_started_at = time.monotonic()
             self.online_rounds += 1
-            self._round = {direction}
+            self._round = direction
         else:
-            self._round.add(direction)
-        self.entries.append(TranscriptEntry(
-            direction, kind, n_bytes, self.online_rounds, ONLINE))
+            self._round |= direction
 
     def record_send(self, kind: int, n_bytes: int) -> None:
-        self._record(SENT, kind, n_bytes)
+        self._record(_SENT, kind, n_bytes)
 
     def record_receive(self, kind: int, n_bytes: int) -> None:
-        self._record(RECEIVED, kind, n_bytes)
-
-    # ------------------------------------------------------------ metrics
-
-    @property
-    def setup_bytes(self) -> int:
-        return sum(e.n_bytes for e in self.entries if e.phase == SETUP)
-
-    @property
-    def online_bytes(self) -> int:
-        return sum(e.n_bytes for e in self.entries if e.phase == ONLINE)
+        self._record(_RECEIVED, kind, n_bytes)
 
     @property
     def online_wall_time(self) -> float:

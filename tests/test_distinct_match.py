@@ -50,7 +50,7 @@ from prelude.smpc import (
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
     ProtocolError,
-    SENT,
+    SessionTranscript,
     dealer_for_circuit,
     recv_frame,
     send_frame,
@@ -439,16 +439,18 @@ class TestPrivacyMechanics:
 # session mechanics
 
 
-def holder_transcripts(endpoint: LoopbackEndpoint) -> list:
-    """Capture the holder transcript of every session the endpoint runs."""
+def wire_frames(monkeypatch) -> list:
+    """Capture (kind, on-wire size) of every frame either party sends, as
+    the channel encodes it."""
     captured = []
-    serve = endpoint.service.serve_query
+    encode = channel.encode_frame
 
-    def spying(channel, dealer, shuffle_rng, garble_rng, transcript=None):
-        captured.append(transcript)
-        return serve(channel, dealer, shuffle_rng, garble_rng, transcript)
+    def spying(kind, payload):
+        frame = encode(kind, payload)
+        captured.append((kind, len(frame)))
+        return frame
 
-    endpoint.service.serve_query = spying
+    monkeypatch.setattr(channel, "encode_frame", spying)
     return captured
 
 
@@ -473,12 +475,12 @@ class TestSessionMechanics:
             assert stats_out[0].online_wall_time >= 0.030
 
     @pytest.mark.parametrize("width,k", [(4, 8), (104, 1)])
-    def test_yao_counters_are_exact(self, width, k):
+    def test_yao_counters_are_exact(self, monkeypatch, width, k):
         rng = random.Random(41 + width)
         entries = [make_entry(random_rule(width, rng), 9, 900 + i)
                    for i in range(k)]
         endpoint = fresh_endpoint(entries)
-        transcripts = holder_transcripts(endpoint)
+        frames = wire_frames(monkeypatch)
         # random width-104 rules almost never overlap; query the entry's own
         # rule there so an identifier, not only the dummy, is released
         local = random_rule(width, rng) if width == 4 else entries[0].rule
@@ -486,8 +488,11 @@ class TestSessionMechanics:
         stats_out = []
         endpoint.query(local, "10.0.0.0/8", backend="yao", _raw_out=raw,
                        stats_out=stats_out)
-        sent = {e.kind: e.n_bytes for e in transcripts[0].entries
-                if e.direction == SENT}
+        # under yao only the holder sends these kinds, one frame each
+        held = [(kind, size) for kind, size in frames
+                if kind in (MSG_GARBLED_TABLES, MSG_LABELS, MSG_OUTPUT_SHARE)]
+        sent = dict(held)
+        assert len(held) == len(sent) == 3
         # the comparator's 2w one-row cross gates of 16 bytes per entry; the
         # OR tree is not garbled
         assert sent[MSG_GARBLED_TABLES] == 5 + 32 * width * k
@@ -503,6 +508,47 @@ class TestSessionMechanics:
             e.next_hop if overlaps(local, e.rule) else DUMMY_HOP
             for e in entries)
 
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_a_session_is_recorded_once_from_the_querier(self, monkeypatch,
+                                                         backend):
+        # Every frame on the wire is recorded once, by the querier, and so
+        # is the querier's dealer material when k > 0; nothing records the
+        # holder, whose every frame is a querier frame the other way.
+        rng = random.Random(91)
+        entries = [make_entry(random_rule(8, rng), 9, 900 + i)
+                   for i in range(5)]
+        endpoint = fresh_endpoint(entries)
+        frames = wire_frames(monkeypatch)
+        calls = []
+        for name in ("record_send", "record_receive"):
+            def counting(self, kind, n_bytes,
+                         record=getattr(SessionTranscript, name)):
+                calls.append(kind)
+                record(self, kind, n_bytes)
+
+            monkeypatch.setattr(SessionTranscript, name, counting)
+        deals = []
+        deal = distinct_match.dealer_for_circuit
+
+        def dealing(circuit, backend, rng, lanes=1, first=None):
+            deals.append(deal(circuit, backend, rng, lanes, first))
+            return deals[-1]
+
+        monkeypatch.setattr(distinct_match, "dealer_for_circuit", dealing)
+        transcripts = querier_transcripts(endpoint, monkeypatch)
+        for prefix, k in (("10.0.0.0/8", 5), ("10.9.0.0/16", 0)):
+            del frames[:], calls[:], deals[:]
+            stats_out = []
+            endpoint.query(random_rule(8, rng), prefix, backend=backend,
+                           stats_out=stats_out)
+            assert stats_out[0].k == k
+            # the zero-lane deal before the ack, then the deal over k lanes
+            assert len(deals) == 1 + (k > 0)
+            dealt = deals[-1][0].serialized_size if k else 0
+            assert len(calls) == len(frames) + (k > 0), prefix
+            t_q = transcripts[-1]
+            assert t_q.setup_bytes + t_q.online_bytes == (
+                sum(size for _, size in frames) + dealt), prefix
 
     @pytest.mark.parametrize("width,k,gmw_flights", [
         (1, 3, 4), (4, 8, 6), (7, 5, 6), (104, 17, 10)])
@@ -547,13 +593,14 @@ class TestSessionMechanics:
 
 def querier_transcripts(endpoint: LoopbackEndpoint,
                         monkeypatch) -> list:
-    """Capture the querier transcript of every session the endpoint runs."""
+    """Capture the querier transcript of every session the endpoint runs,
+    the one transcript a session records."""
     captured = []
     wrap = distinct_match.recorded
 
     def spying(steps, transcript):
-        if steps.__name__ == "_querier_steps":
-            captured.append(transcript)
+        assert steps.__name__ == "_querier_steps"
+        captured.append(transcript)
         return wrap(steps, transcript)
 
     monkeypatch.setattr(distinct_match, "recorded", spying)
@@ -686,28 +733,28 @@ class TestLaneSessions:
         # both backends run the one template, which is all that was built
         assert created == [template]
 
-    def test_the_largest_legal_frame_fits_the_frame_cap(self):
+    def test_the_largest_legal_frame_fits_the_frame_cap(self, monkeypatch):
         # A full table at the rule width: yao's garbled tables are the
         # largest frame of any session, and the cap is exactly their size.
         rng = random.Random(71)
         entries = [make_entry(random_rule(RULE_WIDTH, rng), 3, i)
                    for i in range(MAX_ENTRIES)]
         endpoint = fresh_endpoint(entries)
-        transcripts = holder_transcripts(endpoint)
+        frames = wire_frames(monkeypatch)
         for backend in ("gmw", "yao"):
             result = endpoint.query(entries[0].rule, "10.0.0.0/8",
                                     backend=backend)
             assert entries[0].next_hop in result
-        sizes = [e.n_bytes for t in transcripts for e in t.entries]
+        sizes = [size for _, size in frames]
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "621ca7db755f06e1df385231ae1ffebe"
-         "3bfedbf145ae56a4660e284a2006a76f"),
-        (7, 33, "7cba6710a239d6030fc173aa4db7984a"
-         "2c570e8daa590464a5a679ee78e5a7d1"),
-        (1, 3, "28f767524f12ac0a508445f389be64db"
-         "95507c4e7c5eb955b57a6d23d37e10a6"),
+        (104, 50, "f645eda52e16ec308f747ad4d68ee1e8"
+         "0e4316f969d81386e21f00d105c0d807"),
+        (7, 33, "22bfdd54769db29497bfd194b92e509e"
+         "3cbfa718bd0dfccf20722440f61a25fe"),
+        (1, 3, "de508ae8ed36cfd147625e93a01ccca1"
+         "20350c135401dabde10b3b8f93cb1def"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):

@@ -15,6 +15,7 @@ import struct
 import threading
 import time
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from scipy import stats
@@ -34,10 +35,7 @@ from prelude.smpc import (
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
     MSG_SETUP_TRIPLES,
-    ONLINE,
     ProtocolError,
-    RECEIVED,
-    SETUP,
     SessionTranscript,
     TcpChannel,
     dealer_for_circuit,
@@ -129,6 +127,41 @@ def plaintext(circuit, inputs0, inputs1, lanes: int,
     return tuple((out >> i) & 1 for i in range(lanes))
 
 
+class Frame(NamedTuple):
+    direction: str  # "sent" or "received"
+    kind: int
+    n_bytes: int
+    phase: str  # "setup" or "online"
+    round_index: int  # 0 in the setup phase
+
+
+class NotedTranscript(SessionTranscript):
+    """A transcript that reads its counters after each frame it records and
+    notes the frame in :attr:`frames`: its phase is the byte counter it
+    grew, and an online frame's round is the round count after it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.frames: list[Frame] = []
+
+    def _note(self, direction, record, kind, n_bytes):
+        setup, online = self.setup_bytes, self.online_bytes
+        record(kind, n_bytes)
+        if self.setup_bytes == setup + n_bytes:
+            assert self.online_bytes == online
+            self.frames.append(Frame(direction, kind, n_bytes, "setup", 0))
+        else:
+            assert self.online_bytes == online + n_bytes
+            self.frames.append(Frame(direction, kind, n_bytes, "online",
+                                     self.online_rounds))
+
+    def record_send(self, kind, n_bytes):
+        self._note("sent", super().record_send, kind, n_bytes)
+
+    def record_receive(self, kind, n_bytes):
+        self._note("received", super().record_receive, kind, n_bytes)
+
+
 BIT_VALUES = (b"\x00", b"\x01")  # what each output releases, for 0 and 1
 
 
@@ -166,11 +199,11 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
 
     Party 0 is driven over an in-thread loopback whose peer is party 1;
     ``spy0`` wraps that channel.  Each transcript records its party's
-    dealer material and then its frames.
+    dealer material and then its frames, and notes each one.
     """
     mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
                                     lanes=lanes)
-    t0, t1 = SessionTranscript(), SessionTranscript()
+    t0, t1 = NotedTranscript(), NotedTranscript()
     for t, mat in ((t0, mat0), (t1, mat1)):
         t.record_receive(MSG_SETUP_TRIPLES, mat.serialized_size)
     ch = InlineLoopback(
@@ -405,8 +438,8 @@ def scripted_pair(ops, t0=None):
     """Run party 0 on ``ops`` against its mirror, both under ``recorded``;
     returns (party 0's transcript, party 1's)."""
     mirror = [("recv" if op == "send" else "send", kind) for op, kind in ops]
-    t0 = SessionTranscript() if t0 is None else t0
-    t1 = SessionTranscript()
+    t0 = NotedTranscript() if t0 is None else t0
+    t1 = NotedTranscript()
     ch = InlineLoopback(recorded(scripted(mirror), t1))
     drive(recorded(scripted(ops), t0), ch)
     ch.finish()
@@ -421,7 +454,7 @@ class TestTranscriptRounds:
         ops = [("send", MSG_AND_OPENING), ("recv", MSG_AND_OPENING)] * 2
         for t in scripted_pair(ops):
             assert t.online_rounds == 2
-            assert [e.round_index for e in t.entries] == [1, 1, 2, 2]
+            assert [e.round_index for e in t.frames] == [1, 1, 2, 2]
             assert t.online_bytes == 4 * FRAME
 
     def test_send_receive_receive_is_two_rounds(self):
@@ -429,17 +462,17 @@ class TestTranscriptRounds:
                ("recv", MSG_OUTPUT_SHARE)]
         for t in scripted_pair(ops):
             assert t.online_rounds == 2
-            assert [e.round_index for e in t.entries] == [1, 1, 2]
+            assert [e.round_index for e in t.frames] == [1, 1, 2]
 
     def test_setup_kinds_and_dealer_material_stay_at_round_0(self):
-        t0 = SessionTranscript()
+        t0 = NotedTranscript()
         t0.record_receive(MSG_SETUP_TRIPLES, 100)
         ops = [("send", MSG_ENVELOPE), ("recv", MSG_ENVELOPE_ACK),
                ("recv", MSG_GARBLED_TABLES), ("send", MSG_AND_OPENING),
                ("recv", MSG_AND_OPENING)]
         t0, t1 = scripted_pair(ops, t0)
-        assert [(e.phase, e.round_index) for e in t0.entries] == (
-            [(SETUP, 0)] * 4 + [(ONLINE, 1)] * 2)
+        assert [(e.phase, e.round_index) for e in t0.frames] == (
+            [("setup", 0)] * 4 + [("online", 1)] * 2)
         assert (t0.setup_bytes, t0.online_bytes) == (100 + 3 * FRAME,
                                                      2 * FRAME)
         assert (t1.setup_bytes, t1.online_bytes) == (3 * FRAME, 2 * FRAME)
@@ -600,16 +633,16 @@ class TestGmw:
         inputs0, inputs1 = random_inputs(circuit, rng)
         _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1)
         for t in (t0, t1):
-            kinds = {e.kind for e in t.entries if e.phase == ONLINE}
+            kinds = {e.kind for e in t.frames if e.phase == "online"}
             assert kinds == {MSG_AND_OPENING, MSG_INPUT_SHARE, MSG_OUTPUT_SHARE}
-            setup_kinds = {e.kind for e in t.entries if e.phase == SETUP}
+            setup_kinds = {e.kind for e in t.frames if e.phase == "setup"}
             assert setup_kinds == {MSG_SETUP_TRIPLES}
             # the one INPUT_SHARE frame is the release's choice frame, in
             # the round after the last AND level
-            (choice,) = [e for e in t.entries if e.kind == MSG_INPUT_SHARE]
+            (choice,) = [e for e in t.frames if e.kind == MSG_INPUT_SHARE]
             assert choice.round_index == t.online_rounds == (
                 circuit.and_depth() + 1)
-            assert max(e.round_index for e in t.entries
+            assert max(e.round_index for e in t.frames
                        if e.kind == MSG_AND_OPENING) == circuit.and_depth()
 
     def test_underprovisioned_dealer_aborts(self):
@@ -722,12 +755,12 @@ class TestYao:
         inputs0, inputs1 = random_inputs(circuit, rng)
         _, _, t0, t1 = run_backend(circuit, "yao", inputs0, inputs1)
         for t in (t0, t1):
-            setup_kinds = {e.kind for e in t.entries if e.phase == SETUP}
+            setup_kinds = {e.kind for e in t.frames if e.phase == "setup"}
             assert setup_kinds == {MSG_SETUP_TRIPLES, MSG_GARBLED_TABLES}
-            online_kinds = {e.kind for e in t.entries if e.phase == ONLINE}
+            online_kinds = {e.kind for e in t.frames if e.phase == "online"}
             assert online_kinds == {MSG_INPUT_SHARE, MSG_LABELS, MSG_OUTPUT_SHARE}
         table_entry = next(
-            e for e in t1.entries
+            e for e in t1.frames
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
         # one 16-byte row per cross gate; the OR tree's ANDs are not garbled
@@ -870,15 +903,15 @@ class TestLanes:
                 out0, _, t0, _ = run_backend(circuit, "gmw", inputs0, inputs1,
                                              lanes=lanes)
                 assert out0 == expected, (width, lanes)
-                openings = [(e.direction, e.n_bytes) for e in t0.entries
+                openings = [(e.direction, e.n_bytes) for e in t0.frames
                             if e.kind == MSG_AND_OPENING]
                 tree = [5 + (2 * (n // 2) * lanes + 7) // 8
                         for n in tree_fields(width)]
                 assert openings == [
                     ("sent", 5 + (2 * width + 7) // 8),
-                    (RECEIVED, 5 + (2 * width * lanes + 7) // 8),
+                    ("received", 5 + (2 * width * lanes + 7) // 8),
                 ] + [(d, size) for size in tree
-                     for d in ("sent", RECEIVED)], (width, lanes)
+                     for d in ("sent", "received")], (width, lanes)
 
     def test_lane_inputs_are_range_checked(self):
         circuit = build_batch_query(4)
@@ -1060,7 +1093,7 @@ class TestBackendAgreement:
             assert out0 == expected
             assert out1 is None
             received_kinds = {
-                e.kind for e in t1.entries if e.direction == RECEIVED
+                e.kind for e in t1.frames if e.direction == "received"
             }
             assert MSG_OUTPUT_SHARE not in received_kinds
 
@@ -1095,11 +1128,11 @@ class TestBackendAgreement:
 
             _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1,
                                        seed=seed, spy0=record)
-            return ends[0].frames, t0.entries, t1.entries
+            return ends[0].frames, t0.frames, t1.frames
 
         runs = [recorded(42) for _ in range(2)]
         assert runs[0][0]  # frames in both directions were recorded
-        assert {d for d, _, _ in runs[0][0]} == {"sent", RECEIVED}
+        assert {d for d, _, _ in runs[0][0]} == {"sent", "received"}
         assert runs[0] == runs[1]
         other = recorded(43)
         assert other[0] != runs[0][0]
@@ -1109,10 +1142,10 @@ class TestBackendAgreement:
         rng = random.Random(19)
         inputs0, inputs1 = random_inputs(circuit, rng)
         _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1)
-        sent0 = sum(e.n_bytes for e in t0.entries
-                    if e.direction == "sent" and e.phase == ONLINE)
-        recv1 = sum(e.n_bytes for e in t1.entries
-                    if e.direction == RECEIVED and e.phase == ONLINE)
+        sent0 = sum(e.n_bytes for e in t0.frames
+                    if e.direction == "sent" and e.phase == "online")
+        recv1 = sum(e.n_bytes for e in t1.frames
+                    if e.direction == "received" and e.phase == "online")
         assert sent0 == recv1
 
 
@@ -1160,7 +1193,7 @@ class SpyEnd:
     @property
     def received(self):
         return [(kind, payload) for direction, kind, payload in self.frames
-                if direction == RECEIVED]
+                if direction == "received"]
 
     def send(self, kind, payload):
         self.frames.append(("sent", kind, bytes(payload)))
@@ -1168,7 +1201,7 @@ class SpyEnd:
 
     def recv(self):
         kind, payload, size = self.inner.recv()
-        self.frames.append((RECEIVED, kind, bytes(payload)))
+        self.frames.append(("received", kind, bytes(payload)))
         return kind, payload, size
 
     def close(self):
@@ -1249,7 +1282,7 @@ class TestOnlineTrafficLooksRandom:
         to_holder = [cross] + [2 * n * lanes for n in tree] + [lanes]
         assert all(to_querier) and all(to_holder)
         for holder in (holder_a, holder_b):
-            counts = {"sent": [0, 0], RECEIVED: [0, 0]}  # ones, bits
+            counts = {"sent": [0, 0], "received": [0, 0]}  # ones, bits
             for session in range(40):
                 spies = []
 
@@ -1260,7 +1293,7 @@ class TestOnlineTrafficLooksRandom:
                 run_backend(circuit, "gmw", inputs0, holder,
                             seed=1000 + session, spy0=make_spy, lanes=lanes)
                 for direction, widths in (("sent", to_holder),
-                                          (RECEIVED, to_querier)):
+                                          ("received", to_querier)):
                     payloads = [payload for d, _, payload in spies[0].frames
                                 if d == direction]
                     assert len(payloads) == len(widths)
@@ -1269,7 +1302,7 @@ class TestOnlineTrafficLooksRandom:
                                  & ((1 << width) - 1))
                         counts[direction][0] += bin(value).count("1")
                         counts[direction][1] += width
-            for direction, least in (("sent", 5000), (RECEIVED, 10_000)):
+            for direction, least in (("sent", 5000), ("received", 10_000)):
                 ones, total = counts[direction]
                 assert total > least
                 _, p_value = stats.chisquare([ones, total - ones])
