@@ -16,14 +16,18 @@ level by level rather than gate by gate:
   knows in the clear.  Gate ``j < w`` is ``q_one[j]·h_zero[j]`` and gate
   ``w + j`` is ``q_zero[j]·h_one[j]``;
 - the w cells are the low half of the level-1 word XOR its high half;
-- the OR over the cells is NOT of the AND-reduction of the NOT cells.
-  Each tree level ANDs the low ``n // 2`` fields of the word with the next
-  ``n // 2`` and carries an odd last field, so the tree has w - 1 ANDs and
-  depth ``ceil(log2 w)``.
+- the OR over the cells is NOT of the AND-reduction of the NOT cells, by
+  a tree of gates of up to four inputs.  A tree level of n fields has
+  arity ``a = min(4, n)``: its ``n // a`` gates each AND a fields, gate g
+  reading fields g, g + n // a, ..., and the last ``n % a`` fields are
+  carried to the next level.  At w = 104 the levels hold 26, 6, 2 and 1
+  gates, of arities 4, 4, 4 and 2, so the template has AND depth 5; at
+  w = 4 one gate, depth 2.
 
 A level's word holds one field of k bits per gate, gate g's lanes in bits
 ``[g k, (g + 1) k)``, so every level is a fixed handful of operations on
-whole ints, whatever w is.
+whole ints, whatever w is: input i of a tree level's gates is one slice of
+the word, its fields ``[i n // a, (i + 1) n // a)``.
 
 Each party enters the template as one int, its operand word of level 1,
 which :meth:`BatchQueryCircuit.word` builds straight from its rules; the
@@ -49,30 +53,36 @@ that matches only where none reads 1, so it never garbles the OR tree.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from prelude.rules import TernaryRule
+
+# the most inputs of an OR-tree gate
+MAX_ARITY = 4
 
 
 class BatchQueryCircuit:
     """The per-entry query template at one rule width.
 
     ``levels`` is the level plan: the 2w cross gates of level 1, then the
-    ANDs of each OR-tree level.  Its one output is 1 iff the entry is
-    distinct from the queried rule.
+    gates of each OR-tree level, and ``arities`` the inputs of each tree
+    level's gates.  Its one output is 1 iff the entry is distinct from the
+    queried rule.
     """
 
     def __init__(self, width: int) -> None:
         if width < 1:
             raise ValueError("rule width must be positive")
         self.width = width
-        levels = [2 * width]
+        levels, arities = [2 * width], []
         fields = width
         while fields > 1:
-            levels.append(fields // 2)
-            fields -= fields // 2
+            arity = min(MAX_ARITY, fields)
+            levels.append(fields // arity)
+            arities.append(arity)
+            fields = fields // arity + fields % arity
         self.levels = tuple(levels)
+        self.arities = tuple(arities)
         # The shape a traced run keys its cache by: the level plan, the
         # input wires and the one output.
         self.gates = self.levels
@@ -80,7 +90,8 @@ class BatchQueryCircuit:
         self.output_wires = (0,)
 
     def and_count(self) -> int:
-        """AND gates per entry, the level-1 cross gates included."""
+        """AND gates per entry, the level-1 cross gates included; a gate of
+        several inputs counts once."""
         return sum(self.levels)
 
     def and_depth(self) -> int:
@@ -138,13 +149,3 @@ def build_batch_query(rule_width: int) -> BatchQueryCircuit:
     distinct, at ``rule_width`` bits per rule."""
     return BatchQueryCircuit(rule_width)
 
-
-def batch_query_and_count(rule_width: int) -> int:
-    """2 cross gates per comparator cell, then rule_width - 1 ANDs in the OR tree."""
-    return 2 * rule_width + (rule_width - 1)
-
-
-def expected_and_depth(rule_width: int) -> int:
-    """1 for the comparator cells' cross gates, ceil(log2 w) for the OR tree."""
-    tree = math.ceil(math.log2(rule_width)) if rule_width > 1 else 0
-    return 1 + tree

@@ -432,7 +432,8 @@ class _SessionDealer:
     def material(self, circuit, backend: str, party: int, lanes: int):
         if self._materials is None:
             self._materials = dealer_for_circuit(
-                circuit, backend, self._rng, lanes=lanes, first=self._first)
+                circuit, backend, self._rng, lanes=lanes, first=self._first,
+                size=HOP_ID_BYTES)
         material = self._materials[party]
         if party == 0:
             self.transcript.record_receive(MSG_SETUP_TRIPLES,

@@ -5,8 +5,9 @@ Two interchangeable backends run the one comparator template
 
 - :func:`gmw_steps` works on XOR shares, level by level, each level on
   its own piece of dealer material: one-sided products for the level-1
-  cross gates and Beaver triples for each OR-tree level; its online round
-  count equals the template's AND depth.
+  cross gates and shares of the products of each OR-tree gate's input
+  masks, for gates of up to four inputs; its online round count equals
+  the template's AND depth.
 - :func:`garble_steps` and :func:`evaluate_steps` garble only the level-1
   cross gates and end with per-lane key sums that agree exactly when no
   cross gate reads 1; their online phase is a single round trip.

@@ -12,14 +12,22 @@ party's material holds that plan and one piece per level of it:
   bit per gate and lane; and each party an XOR share of a AND y, with a
   copied to every lane.  Each party's pad pads the bits it opens, so no
   input is shared or masked otherwise;
-- each OR-tree level, Beaver triple shares (a, b, c) for every AND of the
-  level, on every lane, as words of ``ands x lanes`` bits;
+- each OR-tree level, whose gates take n inputs each, n = 2 to 4: random
+  masks m_1 ... m_n per gate and lane, one slice of ``gates x lanes``
+  bits each, and an XOR share of the AND m_S of every non-empty subset S
+  of them, 2^n - 1 products in all.  The singletons are the masks
+  themselves, which pad the inputs a gate opens (see
+  :mod:`prelude.smpc.gmw`).  A level's shares are one word of 2^n slices,
+  the product m_S in slice S, built by doubling
+  (:func:`~prelude.smpc.shares.subset_products`), and 0 in slice 0, which
+  is not dealt.  This is the multi-input AND of ABY2.0 (Patra, Schneider,
+  Suresh & Yalame, USENIX Security 2021), Beaver's triple when n = 2;
 - precomputed-transfer material (:mod:`prelude.smpc.transfer`), one kind
-  for both backends: the sender, party 1, gets a pair of random 128-bit
-  pads per transfer, and the receiver, party 0, a random choice bit and the
-  pad matching it.  Yao spends one transfer per querier input on a
-  16-byte label, gmw one per lane on a released value; its pads are 16
-  bytes too, though a query releases 6-byte values.
+  for both backends: the sender, party 1, gets a pair of random pads per
+  transfer, and the receiver, party 0, a random choice bit and the pad
+  matching it.  Yao spends one transfer per querier input on a 16-byte
+  label, gmw one per lane on a released value, such as a 6-byte
+  identifier, and its pads are as long as the value.
 
 Yao takes the transfers alone.  A backend refuses material dealt for the
 other party, for the other backend or for another plan with a
@@ -28,12 +36,12 @@ other party, for the other backend or for another plan with a
 The querier's first online frame does not depend on the lane count: its
 level-1 word under the pad that no lane count changes, gmw's cross pad a
 or yao's transfer choice bits d, one bit per cross gate either way.  The
-dealer draws that material first, gmw's a or yao's transfers, and dealt
-over zero lanes a party's material is that piece alone.  So the querier
-takes it and sends the frame (:func:`first_steps`) with its envelope,
-before it learns k, and the deal over k lanes then extends the same piece
-on the same stream.  The holder sees only padded bits, as before; an
-aborted session wastes them.
+dealer draws that piece first, and dealt over zero lanes a party's
+material is that piece alone: yao's pads come with the deal over k lanes,
+as gmw's other material does.  So the querier takes it and sends the
+frame (:func:`first_steps`) with its envelope, before it learns k, and the
+deal over k lanes then extends the same piece on the same stream.  The
+holder sees only padded bits, as before; an aborted session wastes them.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
@@ -43,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from prelude.smpc.channel import MSG_AND_OPENING, MSG_INPUT_SHARE, send_frame
-from prelude.smpc.shares import broadcast
+from prelude.smpc.shares import broadcast, subset_products
 from prelude.smpc.transfer import LABEL_BYTES, transfer_material
 
 
@@ -57,11 +65,14 @@ class DealerMaterial:
     lanes: int
     # level 1: this party's pad word and its share of the products
     cross: tuple[int, int]
-    # per OR-tree level: this party's Beaver shares (a, b, c)
-    triples: tuple[tuple[int, int, int], ...]
+    # per OR-tree level: this party's word of product shares, m_S in
+    # slice S for the non-empty subsets S of the level's masks, 0 in slice 0
+    tree: tuple[int, ...]
     # party 1's pad words (r0, r1), or party 0's choice bits and pad word
-    # (d, r_d), one 128-bit lane per transfer
+    # (d, r_d), one lane of ``transfer_bytes`` per transfer
     transfer: tuple[int, int]
+    # the bytes of each pad and of each value a transfer carries
+    transfer_bytes: int
     # on-wire size, for setup-phase byte accounting
     serialized_size: int
 
@@ -81,74 +92,79 @@ class DealerMaterial:
                 f"{lanes} lanes")
 
 
-def _per_level(words, tree, lanes: int) -> tuple[tuple[int, int, int], ...]:
-    """Slice the triple words into one (a, b, c) per tree level, low bits
-    first."""
-    a, b, c = words
-    out = []
-    for ands in tree:
-        nb = ands * lanes
-        low = (1 << nb) - 1
-        out.append((a & low, b & low, c & low))
-        a, b, c = a >> nb, b >> nb, c >> nb
-    return tuple(out)
-
-
 def dealer_for_circuit(
-    circuit, backend: str, rng, lanes: int = 1, first=None
+    circuit, backend: str, rng, lanes: int = 1, first=None,
+    size: int = LABEL_BYTES,
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Deal one run of the template over ``lanes`` to parties 0 and 1.
 
-    GMW takes one cross product per level-1 cross gate and lane, one triple
-    per OR-tree AND and lane, and one transfer per lane for the release.
-    Yao transfers one label per querier input, which every lane reads; the
-    holder's inputs are clear and take none.
+    GMW takes one cross product per level-1 cross gate and lane, the mask
+    products of every OR-tree gate and lane, and one transfer of a
+    ``size``-byte value per lane for the release.  Yao transfers one
+    16-byte label per querier input, which every lane reads; the holder's
+    inputs are clear and take none.
 
     A cross product costs the querier its pad bit per gate and its share
     bit per gate and lane, and the holder two bits per gate and lane.  A
-    triple costs each party three bits, and a transfer the sender two pads
-    and the receiver one pad and its choice bit.
+    tree gate of n inputs costs each party 2^n - 1 bits per lane, and a
+    transfer the sender two pads and the receiver one pad and its choice
+    bit.
 
     The material no lane count changes is drawn first: gmw's pad a, then
-    yao's transfers.  Over zero lanes the deal is that alone.  ``first``
-    is such a zero-lane deal from ``rng`` for the same plan, which this
-    deal then extends instead of drawing it again, so that both deals
-    together hand out what one deal over ``lanes`` would have.
+    yao's choice bits d.  Over zero lanes the deal is that alone.
+    ``first`` is such a zero-lane deal from ``rng`` for the same plan,
+    which this deal then extends instead of drawing it again, so that both
+    deals together hand out what one deal over ``lanes`` would have.
     """
     if backend == "gmw":
-        n, tree, fixed = circuit.levels[0], circuit.levels[1:], 0
+        n, fixed = circuit.levels[0], 0
+        tree = tuple(zip(circuit.levels[1:], circuit.arities, strict=True))
     elif backend == "yao":
-        n, tree, fixed = 0, (), circuit.levels[0]
+        n, tree, fixed, size = 0, (), circuit.levels[0], LABEL_BYTES
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if lanes < 0:
         raise ValueError("lanes must not be negative")
     if first is None:
         x = rng.getrandbits(n)
-        early = transfer_material(fixed, rng)
+        d = rng.getrandbits(fixed)
     else:
         first[0].check(0, circuit, 0, backend)
-        x, early = first[0].cross[0], (first[0].transfer, first[1].transfer)
-    bits = lanes * sum(tree)
-    a = rng.getrandbits(bits)
-    b = rng.getrandbits(bits)
-    shares0 = [rng.getrandbits(bits) for _ in range(3)]
-    shares1 = [s ^ t for s, t in zip(shares0, (a, b, a & b))]
-    # gmw's transfers, one per lane
-    choices, pads = early if fixed else transfer_material(lanes, rng)
+        x, d = first[0].cross[0], first[0].transfer[0]
+    if not lanes:
+        return (DealerMaterial(backend, 0, circuit.levels, 0, (x, 0), (),
+                               (d, 0), size, (n + fixed + 7) // 8),
+                DealerMaterial(backend, 1, circuit.levels, 0, (0, 0), (),
+                               (0, 0), size, 0))
+
+    shares0, shares1 = [], []
+    bits = 0
+    for gates, arity in tree:
+        slice_bits = gates * lanes
+        masks = rng.getrandbits(arity * slice_bits)
+        # the empty product, all ones, is not dealt
+        products = subset_products(masks, arity, slice_bits) ^ (
+            (1 << slice_bits) - 1)
+        share = rng.getrandbits(((1 << arity) - 1) * slice_bits) << slice_bits
+        shares0.append(share)
+        shares1.append(share ^ products)
+        bits += ((1 << arity) - 1) * slice_bits
     transfers = fixed or lanes
+    if not fixed:
+        d = rng.getrandbits(lanes)  # gmw's transfers, one per lane
+    choices, pads = transfer_material(d, transfers, rng, size)
     y = rng.getrandbits(n * lanes)
     z0 = rng.getrandbits(n * lanes)
     z1 = (broadcast(x, n, lanes) & y) ^ z0
 
-    size0 = ((3 * bits + n + n * lanes + 7) // 8 + LABEL_BYTES * transfers
+    size0 = ((bits + n + n * lanes + 7) // 8 + size * transfers
              + (transfers + 7) // 8)
-    size1 = (3 * bits + 2 * n * lanes + 7) // 8 + 2 * LABEL_BYTES * transfers
+    size1 = (bits + 2 * n * lanes + 7) // 8 + 2 * size * transfers
     return (
         DealerMaterial(backend, 0, circuit.levels, lanes, (x, z0),
-                       _per_level(shares0, tree, lanes), choices, size0),
+                       tuple(shares0), choices, size, size0),
         DealerMaterial(backend, 1, circuit.levels, lanes, (y, z1),
-                       _per_level(shares1, tree, lanes), pads, size1),
+                       tuple(shares1), pads, size, size1),
     )
 
 

@@ -22,8 +22,8 @@ its ack.  Flight f then carries the openings of levels f - 1 and f one
 way: the holder receives in the odd flights and the querier in the even
 ones, and each finishes level L in the first of its flights not before L.
 The querier's choice bits and the release take two flights more, so a
-session of AND depth D takes 2 ceil(D / 2) + 2 flights: 10 at rule width
-104 and 6 at width 4.
+session of AND depth D takes 2 ceil(D / 2) + 2 flights: 8 at rule width
+104, where D is 5, and 4 at width 4, where D is 2.
 
 Each party's input is its level-1 word, which
 :meth:`~prelude.circuits.BatchQueryCircuit.word` builds from its rules.
@@ -43,12 +43,30 @@ fresh product share, so neither party learns anything.
 
 The cells are the low half of the level-1 word XOR its high half, and the
 OR tree is NOT of an AND-reduction of the NOT cells, NOT being party 0
-flipping its share.  Each tree level takes one Beaver triple per AND and
-lane and opens the masked operands of all of them in one frame.
+flipping its share.  A tree level's gates take n inputs each, n up to 4,
+and input i of every gate is slice i of the level word.  The level opens
+all n slices in one frame, slice i under a dealer mask m_i, one bit per
+gate input and lane, as ABY2.0's multi-input gates do (Patra, Schneider,
+Suresh & Yalame, USENIX Security 2021).  With both openings each party
+holds the opened slices o_i = x_i XOR m_i, and the AND of the x_i is the
+sum over the subsets S of the n inputs of m_S, the AND of the masks in S,
+times the AND of the o_i outside S.  The dealer shares every m_S but the
+empty one, which is 1, so each party sums its shares of the m_S times the
+public ANDs of the o_i, and party 0 adds the AND of all the o_i.  This is
+Beaver's circuit randomization (CRYPTO 1991) for n inputs, and with
+n = 2 it is the Beaver triple.  Each tree level is one round whatever n
+is, so four-input gates take the width-104 tree from depth 7 to depth 4.
+
+Neither party learns anything in the tree.  Every bit it opens or
+receives is an input bit under a fresh mask bit m_i that the dealer draws
+for that gate input and lane alone and of which it holds only a share, so
+both openings are one-time padded.  Each party's output share holds its
+share of the product of all n masks, a fresh dealer share the other party
+never sees, so the output shares are re-randomized as well.
 
 The dealer (:func:`~prelude.smpc.dealer.dealer_for_circuit`) deals each
 party one piece of material per level of the plan it runs: level 1's pad
-word and product share, then one triple word each (a, b, c) per tree
+word and product share, then one word of mask-product shares per tree
 level, which the tree loop takes in step with its levels, and the
 release's transfers, one per lane.
 
@@ -78,14 +96,7 @@ from prelude.smpc.channel import (
 )
 from prelude.smpc.dealer import DealerMaterial
 from prelude.smpc.shares import broadcast
-from prelude.smpc.transfer import (
-    choose_steps,
-    from_lanes,
-    select,
-    send_steps,
-    spread,
-    to_lanes,
-)
+from prelude.smpc.transfer import choose_steps, select, send_steps, spread
 
 
 def _open_steps(mine: int, n_mine: int, n_theirs: int):
@@ -95,6 +106,35 @@ def _open_steps(mine: int, n_mine: int, n_theirs: int):
                           mine.to_bytes((n_mine + 7) // 8, "little"))
     theirs = yield from recv_exact(MSG_AND_OPENING, (n_theirs + 7) // 8)
     return int.from_bytes(theirs, "little")
+
+
+def _and_steps(party: int, inputs: int, arity: int, nb: int, products: int):
+    """One tree level's round: AND the low ``arity`` slices of ``nb`` bits
+    of this party's share ``inputs``; returns its share of the AND.
+
+    ``products`` is the party's word of the level's mask products, m_S in
+    slice S and 0 in slice 0.  The party opens its inputs under the masks,
+    slice i under m_i in slice 2^i, and with the peer's opening holds the
+    opened slices o_i = x_i XOR m_i.  The AND of the x_i = o_i XOR m_i is
+    the sum over subsets S of m_S times the AND of the o_i outside S, which
+    is linear in the shares of m_S; for the empty S, m_S is 1, and party 0
+    alone adds the public AND of all opened slices.
+    """
+    low = (1 << nb) - 1
+    masks = 0
+    for i in range(arity):
+        masks |= ((products >> (nb << i)) & low) << i * nb
+    mine = (inputs & ((1 << arity * nb) - 1)) ^ masks
+    opened = mine ^ (yield from _open_steps(mine, arity * nb, arity * nb))
+    # The sum, one slice index at a time from the top: the slices S
+    # without i take o_i, and the slices with i are added to them.
+    terms = products | (low if party == 0 else 0)
+    for i in reversed(range(arity)):
+        factor = (opened >> i * nb) & low
+        for j in range(i):  # o_i in each of the 2^i low slices
+            factor |= factor << (nb << j)
+        terms = (terms & factor) ^ (terms >> (nb << i))
+    return terms
 
 
 def gmw_steps(
@@ -133,18 +173,13 @@ def gmw_steps(
     flip = (1 << half) - 1 if party == 0 else 0
     z = (z & ((1 << half) - 1)) ^ (z >> half) ^ flip
 
-    # The tree: AND the low fields with the next as many, carry an odd one.
-    for ands, (ta, tb, tc) in zip(circuit.levels[1:], setup.triples,
-                                  strict=True):
-        nb = ands * lanes
-        low = (1 << nb) - 1
-        d = (z & low) ^ ta
-        e = ((z >> nb) & low) ^ tb
-        theirs = yield from _open_steps(d | (e << nb), 2 * nb, 2 * nb)
-        d ^= theirs & low
-        e ^= theirs >> nb
-        product = tc ^ (d & tb) ^ (e & ta) ^ (d & e if party == 0 else 0)
-        z = product | ((z >> 2 * nb) << nb)
+    # The tree: each gate ANDs one field of each of the level's first
+    # ``arity`` slices; the fields past them are carried.
+    for gates, arity, products in zip(circuit.levels[1:], circuit.arities,
+                                      setup.tree, strict=True):
+        nb = gates * lanes
+        share = yield from _and_steps(party, z, arity, nb, products)
+        z = share | (z >> arity * nb) << nb
 
     return z ^ ((1 << lanes) - 1 if party == 0 else 0)
 
@@ -160,26 +195,29 @@ def reveal_steps(
     """Release to the receiving side ``values[i][b]`` for lane i of output b.
 
     One online round over the transfers of ``setup``, one per lane of its
-    plan.  ``my_share`` is this party's output share from :func:`gmw_steps`.
-    The side that does not ``receive``, party 1, gives ``values``, a pair
-    of ``size``-byte values per lane, and returns None; party 0 returns the
-    value of each lane.
+    plan, dealt for ``size``-byte values.  ``my_share`` is this party's
+    output share from :func:`gmw_steps`.  The side that does not
+    ``receive``, party 1, gives ``values``, a pair of ``size``-byte values
+    per lane, and returns None; party 0 returns the value of each lane.
     """
     n = setup.lanes
+    if size != setup.transfer_bytes:
+        raise ValueError(f"release of {size}-byte values on pads dealt for "
+                         f"{setup.transfer_bytes}-byte values")
     if receive:
         yield from send_frame(MSG_INPUT_SHARE, (my_share ^ setup.transfer[0])
                               .to_bytes((n + 7) // 8, "little"))
         chosen = yield from choose_steps(my_share, n, size, setup.transfer,
                                          MSG_OUTPUT_SHARE)
-        opened = from_lanes(chosen, n, size)
+        opened = chosen.to_bytes(size * n, "little")
         return [opened[i * size : (i + 1) * size] for i in range(n)]
     if len(values) != n or any(len(v) != size for pair in values
                                for v in pair):
         raise ValueError(f"release needs {n} pairs of {size}-byte values")
-    v0, v1 = (to_lanes(b"".join([pair[bit] for pair in values]), n, size)
-              for bit in (0, 1))
+    v0, v1 = (int.from_bytes(b"".join([pair[bit] for pair in values]),
+                             "little") for bit in (0, 1))
     # slot c holds the value for c XOR my share
-    swap = select(spread(my_share, n)) & (v0 ^ v1)
+    swap = select(spread(my_share, n, size), size) & (v0 ^ v1)
     yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, setup.transfer,
                           MSG_OUTPUT_SHARE)
     return None

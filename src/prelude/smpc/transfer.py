@@ -18,11 +18,12 @@ Yao's evaluator receives its input labels this way, one 16-byte label per
 querier wire, and gmw's release delivers each output's value, such as an
 entry's 6-byte identifier or the dummy.  The transfers are part of the
 dealer material for one run (:mod:`prelude.smpc.dealer`), as many as that
-run takes.  Each party's material is packed: transfer i's pads lie in
-128-bit lane i of one int and its choice bit in bit i of another, so both
-steps act on every transfer at once.  A message
-travels in the low bytes of its lane, and a frame carries ``size`` bytes
-per message: every transfer's slot 0, then every transfer's slot 1.
+run takes, with pads as long as the messages: 16 bytes for a label, 6 for
+an identifier.  Each party's material is packed: transfer i's pads lie in
+lane i of one int, a lane being as many bytes as a message, and its choice
+bit in bit i of another, so both steps act on every transfer at once.  The
+messages travel in the same lanes, so a frame is two such ints, every
+transfer's slot 0 and then every transfer's slot 1.
 """
 
 from __future__ import annotations
@@ -34,16 +35,18 @@ LABEL_BITS = 128
 LABEL_BYTES = LABEL_BITS // 8
 
 
-def spread(bits: int, n: int) -> int:
-    """Bit i of ``bits`` moved to bit 0 of 128-bit lane i, for ``n`` lanes."""
-    out = bytearray(LABEL_BYTES * n)
-    out[::LABEL_BYTES] = bytes(int_to_bits(bits, n))
+def spread(bits: int, n: int, size: int = LABEL_BYTES) -> int:
+    """Bit i of ``bits`` moved to bit 0 of lane i, for ``n`` lanes of
+    ``size`` bytes."""
+    out = bytearray(size * n)
+    out[::size] = bytes(int_to_bits(bits, n))
     return int.from_bytes(out, "little")
 
 
-def select(bits: int) -> int:
-    """All ones in each lane whose bit 0 is set in ``bits`` (only bit 0 set)."""
-    return (bits << LABEL_BITS) - bits
+def select(bits: int, size: int = LABEL_BYTES) -> int:
+    """All ones in each lane of ``size`` bytes whose bit 0 is set in
+    ``bits`` (only bit 0 set)."""
+    return (bits << 8 * size) - bits
 
 
 def to_lanes(data: bytes, n: int, size: int) -> int:
@@ -54,52 +57,45 @@ def to_lanes(data: bytes, n: int, size: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def from_lanes(word: int, n: int, size: int) -> bytes:
-    """Inverse of :func:`to_lanes`: the low ``size`` bytes of each lane."""
-    data = word.to_bytes(LABEL_BYTES * n, "little")
-    out = bytearray(size * n)
-    for j in range(size):
-        out[j::size] = data[j::LABEL_BYTES]
-    return bytes(out)
-
-
-def transfer_material(n: int, rng) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The receiver's (d, r_d) and the sender's (r0, r1) for ``n`` transfers."""
-    r0 = rng.getrandbits(LABEL_BITS * n)
-    r1 = rng.getrandbits(LABEL_BITS * n)
-    d = rng.getrandbits(n)
-    return (d, r0 ^ (select(spread(d, n)) & (r0 ^ r1))), (r0, r1)
+def transfer_material(d: int, n: int, rng, size: int = LABEL_BYTES
+                      ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The receiver's (d, r_d) and the sender's (r0, r1) for ``n`` transfers
+    of ``size``-byte messages on the choice bits ``d``, which the caller
+    draws."""
+    r0 = rng.getrandbits(8 * size * n)
+    r1 = rng.getrandbits(8 * size * n)
+    return (d, r0 ^ (select(spread(d, n, size), size) & (r0 ^ r1))), (r0, r1)
 
 
 def send_steps(m0: int, m1: int, n: int, size: int, pads: tuple[int, int],
                kind: int):
     """Sender: deliver message m_c of each of ``n`` pairs to a receiver choosing c.
 
-    ``m0`` and ``m1`` hold the messages of ``size`` bytes, at most 16, in
-    128-bit lanes, and ``pads`` is this side's (r0, r1).  Receives the
+    ``m0`` and ``m1`` hold the messages in lanes of ``size`` bytes, and
+    ``pads`` is this side's (r0, r1), dealt for that size.  Receives the
     masked choice bits as an INPUT_SHARE frame, then answers in one frame
     of ``kind``.
     """
     e = int.from_bytes((yield from recv_exact(MSG_INPUT_SHARE, (n + 7) // 8)),
                        "little")
     r0, r1 = pads
-    swap = select(spread(e, n)) & (r0 ^ r1)  # r_e = r0 ^ swap
-    yield from send_frame(kind, from_lanes(m0 ^ r0 ^ swap, n, size)
-                          + from_lanes(m1 ^ r1 ^ swap, n, size))
+    swap = select(spread(e, n, size), size) & (r0 ^ r1)  # r_e = r0 ^ swap
+    yield from send_frame(kind, (m0 ^ r0 ^ swap).to_bytes(size * n, "little")
+                          + (m1 ^ r1 ^ swap).to_bytes(size * n, "little"))
 
 
 def choose_steps(choices: int, n: int, size: int, material: tuple[int, int],
                  kind: int):
     """Receiver: the message bit i of ``choices`` selects in transfer i.
 
-    ``material`` is this side's (d, r_d), and the sender must get the
-    masked choices ``choices XOR d``, ``(n + 7) // 8`` bytes, as an
-    INPUT_SHARE frame, which the caller sends.  Receives the sender's frame
-    of ``kind`` and returns the messages of ``size`` bytes in 128-bit
-    lanes, transfer i in lane i.
+    ``material`` is this side's (d, r_d), dealt for ``size``-byte messages,
+    and the sender must get the masked choices ``choices XOR d``,
+    ``(n + 7) // 8`` bytes, as an INPUT_SHARE frame, which the caller
+    sends.  Receives the sender's frame of ``kind`` and returns the
+    messages in lanes of ``size`` bytes, transfer i in lane i.
     """
     payload = yield from recv_exact(kind, 2 * size * n)
-    slot0 = to_lanes(payload[: size * n], n, size)
-    slot1 = to_lanes(payload[size * n :], n, size)
-    chosen = slot0 ^ (select(spread(choices, n)) & (slot0 ^ slot1))
-    return chosen ^ (material[1] & to_lanes(b"\xff" * size * n, n, size))
+    slot0 = int.from_bytes(payload[: size * n], "little")
+    slot1 = int.from_bytes(payload[size * n :], "little")
+    swap = select(spread(choices, n, size), size) & (slot0 ^ slot1)
+    return slot0 ^ swap ^ material[1]

@@ -11,16 +11,11 @@ overlap predicate in ``tests/test_smpc.py``.
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-from prelude.circuits import (
-    batch_query_and_count,
-    build_batch_query,
-    expected_and_depth,
-)
+from prelude.circuits import build_batch_query
 from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
 
 
@@ -50,9 +45,10 @@ def run_plan(c, q: int, h: int, lanes: int) -> tuple[int, ...]:
     """The template's output per lane, in the clear, level by level.
 
     Level 1 ANDs the querier's bit of gate g with the holder's field g;
-    the cells are the low half XOR the high half; each tree level ANDs the
-    low ``levels[L]`` fields of the NOT cells with the next as many and
-    carries an odd last field; the output is NOT the last field.
+    the cells are the low half XOR the high half; each tree level of n
+    fields of the NOT cells has ``n // a`` gates of a = min(4, n) inputs,
+    gate g ANDing fields g, g + n // a, ..., and carries the last ``n % a``
+    fields; the output is NOT the last field.
     """
     c.check_word(0, q, lanes)
     c.check_word(1, h, lanes)
@@ -62,11 +58,13 @@ def run_plan(c, q: int, h: int, lanes: int) -> tuple[int, ...]:
     every_lane = (1 << lanes) - 1
     fields = [lo ^ hi ^ every_lane for lo, hi in zip(fields[: n // 2],
                                                      fields[n // 2 :])]
-    for ands in c.levels[1:]:
-        assert ands == len(fields) // 2
-        fields = ([a & b for a, b in zip(fields[:ands],
-                                         fields[ands : 2 * ands])]
-                  + fields[2 * ands :])
+    for gates, arity in zip(c.levels[1:], c.arities, strict=True):
+        assert (gates, arity) == (len(fields) // arity, min(4, len(fields)))
+        anded = fields[:gates]
+        for i in range(1, arity):
+            inputs = fields[i * gates : (i + 1) * gates]
+            anded = [a & b for a, b in zip(anded, inputs)]
+        fields = anded + fields[arity * gates :]
     (last,) = fields
     return tuple(((last ^ every_lane) >> i) & 1 for i in range(lanes))
 
@@ -136,9 +134,11 @@ class TestClearGroups:
     def test_comparator_cells_are_cross_gates(self):
         for width in (1, 8, 104):
             c = build_batch_query(width)
-            # level 1 is the 2w cross gates; the OR tree holds the rest
+            # level 1 is the 2w cross gates; the OR tree holds the rest,
+            # each gate of a inputs taking a - 1 fields away
             assert c.levels[0] == 2 * width
-            assert sum(c.levels[1:]) == width - 1
+            assert sum(gates * (arity - 1) for gates, arity in zip(
+                c.levels[1:], c.arities)) == width - 1
 
 
 # ---------------------------------------------------------------- comparator
@@ -162,15 +162,19 @@ class TestDistinctPair:
             assert run_plan(c, *rule_inputs(q, [h]), 1) == distinct(q, [h])
 
     def test_and_count_exact(self):
-        for width in (1, 2, 7, 8, 104):
+        # 2w cross gates, then the tree's gates of up to four inputs
+        for width, ands in ((1, 2), (2, 5), (7, 16), (8, 19), (104, 243)):
             c = build_batch_query(width)
-            assert c.and_count() == 2 * width + (width - 1)
+            assert c.and_count() == ands, width
 
     def test_and_depth_logarithmic(self):
-        for width in (1, 2, 8, 13, 104):
+        # the tree of gates of up to four inputs: 104 fields go to 26, 6, 2
+        # and 1, 13 to 4 and 1
+        for width, depth in ((1, 1), (2, 2), (8, 3), (13, 3), (104, 5)):
             c = build_batch_query(width)
-            expect = 1 + (math.ceil(math.log2(width)) if width > 1 else 0)
-            assert c.and_depth() == expect
+            assert c.and_depth() == depth, width
+        assert build_batch_query(104).levels == (208, 26, 6, 2, 1)
+        assert build_batch_query(104).arities == (4, 4, 4, 2)
 
 
 # ---------------------------------------------------------------- batch query
@@ -197,17 +201,17 @@ class TestBatchQuery:
                                     for e, v in zip(entries, ids))
 
     def test_and_count_exact(self):
-        for w in (4, 8, 104):
+        for w, ands in ((4, 9), (8, 19), (104, 243)):
             c = build_batch_query(w)
-            assert c.and_count() == batch_query_and_count(w)
+            assert c.and_count() == ands
             # the comparator cells are cross gates, the OR tree the rest
             assert c.levels[0] == 2 * w
 
     def test_and_depth_independent_of_k(self):
         # one template serves every k: its depth depends on the rule width
-        for w in (1, 4, 8, 104):
+        for w, depth in ((1, 1), (4, 2), (8, 3), (104, 5)):
             c = build_batch_query(w)
-            assert c.and_depth() == expected_and_depth(w)
+            assert c.and_depth() == depth
             # the traced run's stage is the template itself
             assert c.distinct_stage() is c
 

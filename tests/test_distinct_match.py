@@ -24,11 +24,7 @@ from prelude.distinct_match import (
     RuleEntry,
     SdxMatchService,
 )
-from prelude.circuits import (
-    BatchQueryCircuit,
-    batch_query_and_count,
-    expected_and_depth,
-)
+from prelude.circuits import BatchQueryCircuit
 from prelude.rules import (
     FlowSpec,
     Packet,
@@ -530,8 +526,8 @@ class TestSessionMechanics:
         deals = []
         deal = distinct_match.dealer_for_circuit
 
-        def dealing(circuit, backend, rng, lanes=1, first=None):
-            deals.append(deal(circuit, backend, rng, lanes, first))
+        def dealing(*args, **kwargs):
+            deals.append(deal(*args, **kwargs))
             return deals[-1]
 
         monkeypatch.setattr(distinct_match, "dealer_for_circuit", dealing)
@@ -550,8 +546,74 @@ class TestSessionMechanics:
             assert t_q.setup_bytes + t_q.online_bytes == (
                 sum(size for _, size in frames) + dealt), prefix
 
+    def test_every_tree_level_opening_is_padded(self, monkeypatch):
+        # Each OR-tree level opens every gate input under a fresh dealer
+        # mask.  A party sees its own share of each opened bit and the
+        # peer's, so what it learns is their XOR, the opened value.  Over
+        # sessions of one fixed rule against a table of one fixed rule,
+        # whose shuffle changes nothing, every opened bit of every tree
+        # level, and every bit of each frame on its own, is a fair coin.
+        # At width 8 and k = 3 the tree opens 4 x 2 x 3 and then 2 x 1 x 3
+        # bits each way.
+        frames = []
+        encode = channel.encode_frame
+
+        def capturing(kind, payload):
+            frames.append((kind, payload))
+            return encode(kind, payload)
+
+        monkeypatch.setattr(channel, "encode_frame", capturing)
+        table = [make_entry(TernaryRule(8, 0b01100000, 0b11110000), 1, 10 + i)
+                 for i in range(3)]
+        endpoint = fresh_endpoint(table, seed=59)
+        local = TernaryRule(8, 0b10100000, 0b11100000)
+        sessions = 300
+        words = []
+        for _ in range(sessions):
+            del frames[:]
+            assert endpoint.query(local, table[0].prefix).hops == set()
+            # level 1's two frames are checked elsewhere
+            tree = [int.from_bytes(p, "little") for kind, p in frames
+                    if kind == MSG_AND_OPENING][2:]
+            assert len(tree) == 4
+            words.append(tree + [tree[0] ^ tree[1], tree[2] ^ tree[3]])
+        for index, bits in enumerate((24, 24, 6, 6, 24, 6)):
+            for bit in range(bits):
+                ones = sum((word[index] >> bit) & 1 for word in words)
+                assert stats.binomtest(ones, sessions).pvalue > 1e-4, (
+                    index, bit)
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_an_empty_session_draws_only_the_first_pad(self, monkeypatch,
+                                                       backend):
+        # At k = 0 the dealer draws only the pad of the querier's first
+        # frame, 2w bits under either backend: gmw's cross pad, or yao's
+        # label choice bits without the label pads.
+        drawn = []
+
+        class Counting(random.Random):
+            def getrandbits(self, n):
+                drawn.append(n)
+                return super().getrandbits(n)
+
+        init = distinct_match._SessionDealer.__init__
+
+        def counting(self, seed):
+            init(self, seed)
+            self._rng = Counting(seed)
+
+        monkeypatch.setattr(distinct_match._SessionDealer, "__init__",
+                            counting)
+        endpoint = fresh_endpoint([])
+        rng = random.Random(37)
+        for width in (8, 104):
+            del drawn[:]
+            assert endpoint.query(random_rule(width, rng), "10.9.0.0/16",
+                                  backend=backend).hops == set()
+            assert sum(drawn) == 2 * width, drawn
+
     @pytest.mark.parametrize("width,k,gmw_flights", [
-        (1, 3, 4), (4, 8, 6), (7, 5, 6), (104, 17, 10)])
+        (1, 3, 4), (4, 8, 4), (7, 5, 6), (8, 6, 6), (104, 17, 8)])
     def test_flights_are_exact(self, width, k, gmw_flights):
         # The querier's first frame rides with its envelope and the
         # holder's first frames with its ack.  Yao takes two flights at any
@@ -632,8 +694,8 @@ class TestLaneSessions:
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 223, 158, 4),
-        ("gmw", 104, 50, 4144, 4601, 9),
+        ("gmw", 4, 8, 149, 144, 3),
+        ("gmw", 104, 50, 4919, 3719, 6),
         ("yao", 104, 50, 169838, 7497, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
@@ -664,8 +726,8 @@ class TestLaneSessions:
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
         materials = []
 
-        def recording(circuit, backend, rng, lanes=1, first=None):
-            pair = dealer_for_circuit(circuit, backend, ones, lanes, first)
+        def recording(circuit, backend, rng, lanes=1, **kwargs):
+            pair = dealer_for_circuit(circuit, backend, ones, lanes, **kwargs)
             materials.extend(pair)
             return pair
 
@@ -677,22 +739,25 @@ class TestLaneSessions:
         local = entries[0].rule
         hops = {e.next_hop for e in entries if overlaps(local, e.rule)}
         assert endpoint.query(local, "10.0.0.0/8").hops == hops != set()
-        per_entry = batch_query_and_count(width)
-        assert per_entry == 3 * width - 1
+        template = distinct_match.query_template(width)
+        per_entry, products = {4: (9, 15), 104: (243, 513)}[width]
+        assert template.and_count() == per_entry
         # the comparator's 2w cross gates take 2w·k product bits, each tree
-        # level ands·k triples, k(w − 1) in all, and the release one
-        # transfer per entry
+        # gate of n inputs 2^n − 1 mask products per entry, and the release
+        # one transfer of a 6-byte identifier per entry
         early, _, querier, holder = materials
         assert (early.lanes, early.cross[0]) == (0, querier.cross[0])
-        tree = distinct_match.query_template(width).levels[1:]
         assert querier.cross == (ones.getrandbits(2 * width),
                                  ones.getrandbits(2 * width * k))
         assert holder.cross[0] == ones.getrandbits(2 * width * k)
-        assert querier.triples == tuple((ones.getrandbits(ands * k),) * 3
-                                        for ands in tree)
-        assert sum(tree) == width - 1
-        assert querier.transfer == (ones.getrandbits(k),
-                                    ones.getrandbits(128 * k))
+        assert querier.tree == tuple(
+            ones.getrandbits(((1 << arity) - 1) * gates * k) << gates * k
+            for gates, arity in zip(template.levels[1:], template.arities))
+        assert sum(((1 << arity) - 1) * gates for gates, arity in zip(
+            template.levels[1:], template.arities)) == products
+        six_bytes = ones.getrandbits(48 * k)
+        assert querier.transfer == (ones.getrandbits(k), six_bytes)
+        assert holder.transfer == (six_bytes, six_bytes)
 
     def test_one_template_per_width_and_no_circuit_grows_with_k(
             self, monkeypatch):
@@ -749,12 +814,12 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "f645eda52e16ec308f747ad4d68ee1e8"
-         "0e4316f969d81386e21f00d105c0d807"),
-        (7, 33, "22bfdd54769db29497bfd194b92e509e"
-         "3cbfa718bd0dfccf20722440f61a25fe"),
-        (1, 3, "de508ae8ed36cfd147625e93a01ccca1"
-         "20350c135401dabde10b3b8f93cb1def"),
+        (104, 50, "b9c170fa0f91ac71d78b390dbe75e258"
+         "4d53873ff1e78a5b667e372e885bf35b"),
+        (7, 33, "699625383253cf364abaa46caa03a87f"
+         "36b4123468c82209582e84ca8f0dca15"),
+        (1, 3, "05418adf08b08ef2d5b9ab80f723aa2e"
+         "e338efa30e4029d77f91dd89cf1d1495"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):
@@ -792,9 +857,11 @@ class TestLaneSessions:
         entries = [make_entry(random_rule(104, rng), 2, 20 + i)
                    for i in range(5)]
         endpoint = fresh_endpoint(entries)
-        for backend, depth in (("gmw", expected_and_depth(104)), ("yao", 1)):
+        for backend, depth in (("gmw", 5), ("yao", 1)):
             stats_out = []
             endpoint.query(random_rule(104, rng), "10.0.0.0/8",
                            backend=backend, stats_out=stats_out)
             assert stats_out[0].and_depth == depth
-        assert expected_and_depth(104) == 8
+            assert stats_out[0].online_rounds == (6 if backend == "gmw"
+                                                  else 2)
+            assert stats_out[0].flights == (8 if backend == "gmw" else 2)

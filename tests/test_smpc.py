@@ -20,7 +20,7 @@ from typing import NamedTuple
 import pytest
 from scipy import stats
 
-from prelude.circuits import build_batch_query, expected_and_depth
+from prelude.circuits import build_batch_query
 from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
 from prelude.smpc import (
     ChannelClosed,
@@ -52,7 +52,7 @@ from prelude.smpc import (
     reveal_steps,
     send_frame,
 )
-from prelude.smpc import yao
+from prelude.smpc import gmw, yao
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import MAX_FRAME_BYTES
 from prelude.smpc.shares import broadcast
@@ -202,7 +202,7 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
     dealer material and then its frames, and notes each one.
     """
     mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
-                                    lanes=lanes)
+                                    lanes=lanes, size=1)
     t0, t1 = NotedTranscript(), NotedTranscript()
     for t, mat in ((t0, mat0), (t1, mat1)):
         t.record_receive(MSG_SETUP_TRIPLES, mat.serialized_size)
@@ -223,7 +223,7 @@ def run_over_tcp(backend):
     circuit = build_batch_query(8)
     rng = random.Random(21)
     inputs0, inputs1, expected = overlap_case(8, 1, rng)
-    mat0, mat1 = dealer_for_circuit(circuit, backend, rng)
+    mat0, mat1 = dealer_for_circuit(circuit, backend, rng, size=1)
     port, accept = TcpChannel.serve_one()
     ch1 = TcpChannel.connect("127.0.0.1", port)
     ch0 = accept()
@@ -255,7 +255,9 @@ def run_over_tcp(backend):
 class TestShares:
     def test_broadcast_copies_each_bit_to_its_field(self):
         rng = random.Random(12)
-        for n, lanes in ((1, 1), (5, 1), (13, 3), (208, 7), (208, 500)):
+        # both sides of the lane count where the halving takes over
+        for n, lanes in ((1, 1), (5, 1), (13, 3), (208, 7), (208, 55),
+                         (208, 56), (208, 500), (0, 3)):
             bits = rng.getrandbits(n)
             assert broadcast(bits, n, lanes) == pack(
                 [((bits >> i) & 1) * ((1 << lanes) - 1) for i in range(n)],
@@ -508,9 +510,11 @@ def first_step(backend: str, party: int, material):
 
 def deal(backend: str, width: int = 4, lanes: int = 3, levels=None):
     """Both parties' material for the template of ``width`` over
-    ``lanes``, or for the level plan ``levels`` where given."""
-    plan = (build_batch_query(width) if levels is None
-            else SimpleNamespace(levels=levels))
+    ``lanes``, or for the level plan ``levels`` with that template's tree
+    arities where given."""
+    plan = build_batch_query(width)
+    if levels is not None:
+        plan = SimpleNamespace(levels=levels, arities=plan.arities)
     return dealer_for_circuit(plan, backend, random.Random(4), lanes)
 
 
@@ -518,18 +522,31 @@ def refused(backend: str, party: int, dealt: str):
     """Expect :func:`first_step` to refuse material dealt for ``dealt``."""
     return pytest.raises(ValueError, match=re.escape(
         f"dealer material for {dealt} lanes, does not fit {backend} party "
-        f"{party}, levels (8, 2, 1) over 3 lanes"))
+        f"{party}, levels (8, 1) over 3 lanes"))
 
 
 class TestDealer:
     def test_triples_multiply_correctly(self):
+        # each tree level's shares XOR to the AND m_S of the masks in S, for
+        # every non-empty S, in slice S; the singletons are the masks
         circuit = build_batch_query(104)
+        lanes = 3
         mat0, mat1 = dealer_for_circuit(circuit, "gmw", random.Random(1),
-                                        lanes=3)
-        assert len(mat0.triples) == len(mat1.triples) == len(
-            circuit.levels) - 1
-        for (a0, b0, c0), (a1, b1, c1) in zip(mat0.triples, mat1.triples):
-            assert (a0 ^ a1) & (b0 ^ b1) == c0 ^ c1
+                                        lanes=lanes)
+        assert len(mat0.tree) == len(mat1.tree) == len(circuit.levels) - 1
+        for gates, arity, s0, s1 in zip(circuit.levels[1:], circuit.arities,
+                                        mat0.tree, mat1.tree):
+            nb = gates * lanes
+            products = unpack(s0 ^ s1, nb, 1 << arity)
+            assert (s0 ^ s1) >> (nb << arity) == 0
+            assert s0 & ((1 << nb) - 1) == s1 & ((1 << nb) - 1) == 0
+            masks = [products[1 << i] for i in range(arity)]
+            for subset in range(1, 1 << arity):
+                want = (1 << nb) - 1
+                for i in range(arity):
+                    if subset >> i & 1:
+                        want &= masks[i]
+                assert products[subset] == want, (gates, subset)
 
     def test_transfer_material_is_consistent(self):
         # yao's 8 transfers at width 4, one per querier input
@@ -546,7 +563,7 @@ class TestDealer:
     def test_cross_products_share_a_and_y(self, n_cross, lanes):
         # level 1 rests on this alone: the querier's a pads its opening,
         # the holder's y pads its own, and the shares XOR to a AND y
-        plan = SimpleNamespace(levels=(n_cross,))
+        plan = SimpleNamespace(levels=(n_cross,), arities=())
         mat0, mat1 = dealer_for_circuit(plan, "gmw",
                                         random.Random(n_cross + lanes), lanes)
         (a0, c0), (y1, c1) = mat0.cross, mat1.cross
@@ -563,7 +580,7 @@ class TestDealer:
             for party in (0, 1):
                 first_step(backend, party, good[party])
                 with refused(backend, party,
-                             f"{backend} party {party}, levels (8, 2, 1) "
+                             f"{backend} party {party}, levels (8, 1) "
                              "over 2"):
                     first_step(backend, party, fewer[party])
 
@@ -577,11 +594,11 @@ class TestDealer:
                 first_step(backend, party, good[party])
                 for material, dealt in (
                         (good[1 - party], f"{backend} party {1 - party}, "
-                                          "levels (8, 2, 1) over 3"),
+                                          "levels (8, 1) over 3"),
                         (theirs[party], f"{other} party {party}, levels "
-                                        "(8, 2, 1) over 3"),
+                                        "(8, 1) over 3"),
                         (wider[party], f"{backend} party {party}, levels "
-                                       "(10, 2, 1, 1) over 3")):
+                                       "(10, 1, 1) over 3")):
                     with refused(backend, party, dealt):
                         first_step(backend, party, material)
 
@@ -625,7 +642,7 @@ class TestGmw:
                                        lanes=k)
             assert t0.online_rounds == t1.online_rounds
             assert t0.online_rounds == circuit.and_depth() + 1
-            assert circuit.and_depth() == expected_and_depth(16)
+            assert circuit.and_depth() == 3
 
     def test_input_sharing_sends_no_online_input_frames(self):
         circuit = build_batch_query(4)
@@ -646,20 +663,20 @@ class TestGmw:
                        if e.kind == MSG_AND_OPENING) == circuit.and_depth()
 
     def test_underprovisioned_dealer_aborts(self):
-        # a narrower template's material is short of triples and cross
-        # products alike
+        # a narrower template's material is short of mask products and
+        # cross products alike
         narrower = deal("gmw", width=3)
         for party in (0, 1):
             with refused("gmw", party,
-                         f"gmw party {party}, levels (6, 1, 1) over 3"):
+                         f"gmw party {party}, levels (6, 1) over 3"):
                 first_step("gmw", party, narrower[party])
 
     def test_underprovisioned_cross_material_aborts(self):
-        # the OR tree's triples fit; level 1 is two cross gates short
-        short = deal("gmw", levels=(6, 2, 1))
+        # the OR tree's mask products fit; level 1 is two cross gates short
+        short = deal("gmw", levels=(6, 1))
         for party in (0, 1):
             with refused("gmw", party,
-                         f"gmw party {party}, levels (6, 2, 1) over 3"):
+                         f"gmw party {party}, levels (6, 1) over 3"):
                 first_step("gmw", party, short[party])
 
     def test_closed_channel_aborts_cleanly(self):
@@ -676,6 +693,46 @@ class TestGmw:
         with pytest.raises(ChannelClosed):
             drive(gmw_steps(circuit, 0, inputs0, mat0),
                   InlineLoopback(hangs_up()))
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_a_gate_of_n_inputs_shares_their_and(self, arity):
+        # One tree level of gates of ``arity`` inputs on random shares over
+        # random lane counts: the two output shares XOR to the AND of the
+        # inputs, gate g of slice i in bits [(i gates + g) lanes, ...).
+        rng = random.Random(60 + arity)
+        for trial in range(25):
+            gates, lanes = rng.randrange(1, 6), rng.randrange(1, 70)
+            nb = gates * lanes
+            plan = SimpleNamespace(levels=(0, gates), arities=(arity,))
+            mat0, mat1 = dealer_for_circuit(plan, "gmw", rng, lanes)
+            inputs = rng.getrandbits(arity * nb)
+            share0 = rng.getrandbits(arity * nb)
+            ch = InlineLoopback(gmw._and_steps(1, inputs ^ share0, arity, nb,
+                                               mat1.tree[0]))
+            out0 = drive(gmw._and_steps(0, share0, arity, nb, mat0.tree[0]),
+                         ch)
+            want = (1 << nb) - 1
+            for i in range(arity):
+                want &= inputs >> i * nb
+            assert out0 ^ ch.finish() == want, (trial, gates, lanes)
+
+    def test_release_pads_fit_the_values(self):
+        # The pads are dealt as long as the released values, one 6-byte
+        # lane per transfer here.  Values of another size would not line
+        # up with them, and a longer value would leave bytes unpadded, so
+        # the release refuses them.
+        circuit = build_batch_query(4)
+        mat0, mat1 = dealer_for_circuit(circuit, "gmw", random.Random(8),
+                                        lanes=2, size=6)
+        assert mat0.transfer_bytes == mat1.transfer_bytes == 6
+        assert max(mat0.transfer[1], *mat1.transfer) < 1 << 2 * 48
+        for size in (5, 7):
+            for receive, mat in ((True, mat0), (False, mat1)):
+                with pytest.raises(ValueError, match=(
+                        f"release of {size}-byte values on pads dealt for "
+                        "6-byte values")):
+                    next(reveal_steps(0, mat, size, receive=receive,
+                                      values=[(bytes(size),) * 2] * 2))
 
     def test_wrong_party_material_rejected(self):
         circuit = build_batch_query(4)
@@ -764,7 +821,7 @@ class TestYao:
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
         # one 16-byte row per cross gate; the OR tree's ANDs are not garbled
-        assert (circuit.levels[0], circuit.and_count()) == (16, 23)
+        assert (circuit.levels[0], circuit.and_count()) == (16, 19)
         assert table_entry.n_bytes == 5 + 16 * 16
 
     def test_missing_transfer_material_aborts(self):
@@ -816,14 +873,15 @@ class TestYao:
 # cross-backend and transcript behaviour
 
 
-def tree_fields(width: int) -> list[int]:
-    """The fields each OR-tree level reduces: w, then half of them rounded
-    up, down to 2."""
-    fields = []
+def tree_gates(width: int) -> list[tuple[int, int]]:
+    """(gates, inputs per gate) of each OR-tree level: a level of n fields
+    ANDs them min(4, n) at a time and carries the rest, down to 1."""
+    levels = []
     while width > 1:
-        fields.append(width)
-        width -= width // 2
-    return fields
+        arity = min(4, width)
+        levels.append((width // arity, arity))
+        width = width // arity + width % arity
+    return levels
 
 
 class TestLanes:
@@ -832,7 +890,7 @@ class TestLanes:
     @staticmethod
     def run(circuit, backend, inputs0, inputs1, lanes, seed):
         mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
-                                        lanes=lanes)
+                                        lanes=lanes, size=1)
         ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
                                         garble_rng=random.Random(seed + 1),
                                         lanes=lanes))
@@ -875,17 +933,17 @@ class TestLanes:
         # every draw all ones, so that party 0's words show their widths
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
         mat0, _ = dealer_for_circuit(circuit, "gmw", ones, lanes=5)
-        # 16 comparator cross gates, 7 OR-tree ANDs, and a release transfer
-        # per lane
-        assert circuit.levels == (16, 4, 2, 1)
+        # 16 comparator cross gates, two 4-input OR-tree gates and a
+        # 2-input one, and a release transfer per lane
+        assert (circuit.levels, circuit.arities) == ((16, 2, 1), (4, 2))
         assert mat0.cross == (ones.getrandbits(16), ones.getrandbits(5 * 16))
-        assert mat0.triples == tuple((ones.getrandbits(5 * ands),) * 3
-                                     for ands in (4, 2, 1))
+        assert mat0.tree == (ones.getrandbits(15 * 2 * 5) << 2 * 5,
+                             ones.getrandbits(3 * 5) << 5)
         assert mat0.transfer == (ones.getrandbits(5),
                                  ones.getrandbits(128 * 5))
         # the querier's inputs are broadcast: one transfer per input at any k
         mat0, mat1 = dealer_for_circuit(circuit, "yao", ones, lanes=5)
-        assert (mat0.cross, mat0.triples) == ((0, 0), ())
+        assert (mat0.cross, mat0.tree) == ((0, 0), ())
         assert mat0.transfer == (ones.getrandbits(16),
                                  ones.getrandbits(128 * 16))
         assert mat1.transfer == (ones.getrandbits(128 * 16),) * 2
@@ -893,8 +951,8 @@ class TestLanes:
     def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
         # Each frame is exact, after a 5-byte header.  At level 1 the
         # querier opens one bit per cross gate for all lanes and the holder
-        # one per cross gate and lane; at a tree level of n fields each
-        # side opens two bits per AND and lane, n // 2 ANDs.
+        # one per cross gate and lane; at a tree level each side opens one
+        # bit per gate input and lane.
         for width in (1, 4, 7, 104):
             circuit = build_batch_query(width)
             rng = random.Random(41 + width)
@@ -905,8 +963,8 @@ class TestLanes:
                 assert out0 == expected, (width, lanes)
                 openings = [(e.direction, e.n_bytes) for e in t0.frames
                             if e.kind == MSG_AND_OPENING]
-                tree = [5 + (2 * (n // 2) * lanes + 7) // 8
-                        for n in tree_fields(width)]
+                tree = [5 + (arity * gates * lanes + 7) // 8
+                        for gates, arity in tree_gates(width)]
                 assert openings == [
                     ("sent", 5 + (2 * width + 7) // 8),
                     ("received", 5 + (2 * width * lanes + 7) // 8),
@@ -1245,7 +1303,7 @@ def test_a_short_online_frame_is_refused_naming_its_size(backend, name):
     circuit = build_batch_query(8)
     rng = random.Random(31)
     inputs0, inputs1 = random_inputs(circuit, rng, 3)
-    mat0, mat1 = dealer_for_circuit(circuit, backend, rng, lanes=3)
+    mat0, mat1 = dealer_for_circuit(circuit, backend, rng, lanes=3, size=1)
     ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
                                     garble_rng=random.Random(1), lanes=3))
     with pytest.raises(ProtocolError, match=f"{name} frame of") as caught:
@@ -1273,17 +1331,17 @@ class TestOnlineTrafficLooksRandom:
         # Significant bits of each online frame (the rest of a last byte is
         # padding).  At level 1 the holder opens 1 bit per cross gate and
         # lane and the querier 1 per cross gate; a tree level's opening
-        # carries 2 bits per AND and lane.  The release carries one masked
-        # choice bit per lane to the holder, and two padded 1-byte values
-        # per lane back.
+        # carries a bit per gate input and lane.  The release carries one
+        # masked choice bit per lane to the holder, and two padded 1-byte
+        # values per lane back.
         cross, *tree = circuit.levels
-        to_querier = ([cross * lanes] + [2 * n * lanes for n in tree]
-                      + [16 * lanes])
-        to_holder = [cross] + [2 * n * lanes for n in tree] + [lanes]
+        tree = [n * arity * lanes for n, arity in zip(tree, circuit.arities)]
+        to_querier = [cross * lanes] + tree + [16 * lanes]
+        to_holder = [cross] + tree + [lanes]
         assert all(to_querier) and all(to_holder)
         for holder in (holder_a, holder_b):
             counts = {"sent": [0, 0], "received": [0, 0]}  # ones, bits
-            for session in range(40):
+            for session in range(50):
                 spies = []
 
                 def make_spy(end, spies=spies):
