@@ -96,22 +96,24 @@ def gr_compliant(policy: DeflectionPolicy, rib: RibState, graph: AsGraph) -> boo
     return target_route.klass in (CUSTOMER, ORIGIN)
 
 
+SAMPLE_FRACTION = 0.2
+TARGET_CAP = 50
+MAX_PER_TARGET = 4
+
+
 def generate_policies(
     graph: AsGraph,
     sites,
     ribs: dict[str, RibState],
     seed: int,
-    sample_fraction: float = 0.2,
-    target_cap: int = 50,
-    max_per_target: int = 4,
 ) -> list[DeflectionPolicy]:
     """Draw a deterministic policy workload over the exchange membership.
 
     Every member of every exchange picks a sample of the other members
-    (``sample_fraction`` of them, at most ``target_cap``) and installs one
-    to ``max_per_target`` policies toward each: TCP or UDP plus one exact
-    port, deflecting a prefix the target can actually reach.  Targets
-    without any route are skipped and counted.
+    (:data:`SAMPLE_FRACTION` of them, at most :data:`TARGET_CAP`) and
+    installs one to :data:`MAX_PER_TARGET` policies toward each: TCP or
+    UDP plus one exact port, deflecting a prefix the target can actually
+    reach.  Targets without any route are skipped and counted.
     """
     rng = random.Random(seed)
     prefixes = sorted(ribs)
@@ -129,10 +131,10 @@ def generate_policies(
             skipped_unrouted += len(others) - len(eligible)
             if not eligible:
                 continue
-            n_targets = min(target_cap, math.ceil(sample_fraction * len(others)))
+            n_targets = min(TARGET_CAP, math.ceil(SAMPLE_FRACTION * len(others)))
             n_targets = min(n_targets, len(eligible))
             for target in sorted(rng.sample(eligible, n_targets)):
-                for _ in range(rng.randint(1, max_per_target)):
+                for _ in range(rng.randint(1, MAX_PER_TARGET)):
                     proto = rng.choice((PROTO_TCP, PROTO_UDP))
                     port_field = rng.choice(("src_port", "dst_port"))
                     port = rng.randrange(1 << 16)

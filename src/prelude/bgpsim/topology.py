@@ -150,17 +150,24 @@ class AsGraph:
 # synthetic generation
 
 
+# Every AS past the tier-1 clique buys transit from 1 to this many providers.
+MAX_PROVIDERS = 2
+# Peer links drawn at random, per AS.
+PEER_FRACTION = 0.3
+# The chance that two members of one exchange peer over its fabric.
+FABRIC_PEERING = 0.6
+
+
 def generate_topology(
     n_as: int,
     n_sdx: int,
     seed: int,
-    n_tier1: int | None = None,
-    max_providers: int = 2,
-    peer_fraction: float = 0.3,
     sdx_size_range: tuple[int, int] = (2, 6),
-    fabric_peering: float = 0.6,
 ) -> tuple[AsGraph, list[SdxSite]]:
-    """Build a reachable, hierarchy-acyclic topology with exchange sites."""
+    """Build a reachable, hierarchy-acyclic topology with exchange sites.
+
+    The tier-1 clique holds one AS in 20, between 2 and 8 of them.
+    """
     if n_as < 3:
         raise TopologyError("need at least three ASes")
     if n_sdx < 0:
@@ -173,9 +180,7 @@ def generate_topology(
     rng = random.Random(seed)
     graph = AsGraph()
     ids = list(range(1, n_as + 1))
-    if n_tier1 is None:
-        n_tier1 = max(2, min(8, n_as // 20))
-    n_tier1 = min(n_tier1, n_as)
+    n_tier1 = max(2, min(8, n_as // 20))
 
     tier1 = ids[:n_tier1]
     for asn in tier1:
@@ -191,7 +196,7 @@ def generate_topology(
     for asn in ids[n_tier1:]:
         placed = ids[: ids.index(asn)]
         weights = [degree[p] for p in placed]
-        n_prov = 1 if len(placed) == 1 else rng.randint(1, max_providers)
+        n_prov = 1 if len(placed) == 1 else rng.randint(1, MAX_PROVIDERS)
         chosen: list[int] = []
         while len(chosen) < n_prov:
             pick = rng.choices(placed, weights=weights)[0]
@@ -202,7 +207,7 @@ def generate_topology(
             degree[provider] += 1
             degree[asn] += 1
 
-    n_peer_links = round(n_as * peer_fraction)
+    n_peer_links = round(n_as * PEER_FRACTION)
     attempts = 0
     added = 0
     while added < n_peer_links and attempts < 20 * n_peer_links:
@@ -218,7 +223,7 @@ def generate_topology(
         members = rng.sample(ids, size)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
-                if graph.relationship(a, b) is None and rng.random() < fabric_peering:
+                if graph.relationship(a, b) is None and rng.random() < FABRIC_PEERING:
                     graph.add_peer(a, b)
         sites.append(SdxSite(sdx_id=sdx_id, members=frozenset(members)))
 

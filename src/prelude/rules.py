@@ -287,14 +287,18 @@ def enumerate_rules(width: int) -> Iterator[TernaryRule]:
             pattern = (pattern - 1) & mask
 
 
-def random_rule(width: int, rng, wildcard_bias: float = 0.4) -> TernaryRule:
-    """Draw a random rule; each bit is a don't-care with probability wildcard_bias."""
+WILDCARD_BIAS = 0.4
+
+
+def random_rule(width: int, rng) -> TernaryRule:
+    """Draw a random rule; each bit is a don't-care with probability
+    :data:`WILDCARD_BIAS`."""
     mask = 0
     pattern = 0
     for _ in range(width):
         mask <<= 1
         pattern <<= 1
-        if rng.random() >= wildcard_bias:
+        if rng.random() >= WILDCARD_BIAS:
             mask |= 1
             pattern |= rng.getrandbits(1)
     return TernaryRule(width, pattern, mask)
