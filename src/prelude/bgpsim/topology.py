@@ -150,11 +150,11 @@ class AsGraph:
 # synthetic generation
 
 
-# Every AS past the tier-1 clique buys transit from 1 to this many providers.
+# Each AS past the tier-1 clique buys transit from 1 to MAX_PROVIDERS ASes,
+# PEER_FRACTION peer links per AS are drawn at random, and two members of an
+# exchange peer over its fabric with chance FABRIC_PEERING.
 MAX_PROVIDERS = 2
-# Peer links drawn at random, per AS.
 PEER_FRACTION = 0.3
-# The chance that two members of one exchange peer over its fabric.
 FABRIC_PEERING = 0.6
 
 

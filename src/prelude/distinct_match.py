@@ -68,9 +68,9 @@ blocking channel, with one random stream that shuffles and garbles, and
 whose peer is the querier's side, so a session runs in the calling thread
 and starts no thread.  Neither side keeps accounts.  A session is counted
 once, from the querier: the endpoint wraps the querier's steps in
-:func:`~prelude.smpc.recorded`, and the session's dealer records the
-querier's material as it hands it out, in the same transcript, so a
-session's :class:`SessionStats` come from the querier's frames.  Every
+:func:`~prelude.smpc.recorded`, and the session's dealer adds the size
+of the querier's material to the same transcript's setup bytes, so a
+session's :class:`SessionStats` come from the querier's side.  Every
 holder frame is a querier frame going the other way, so nothing records
 the holder.
 """
@@ -91,7 +91,6 @@ from prelude.smpc import (
     InlineLoopback,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
-    MSG_SETUP_TRIPLES,
     ProtocolError,
     SessionTranscript,
     dealer_for_circuit,
@@ -367,12 +366,11 @@ class SdxMatchService:
         ids = [entry.next_hop.to_bytes() for entry in entries]
         material = dealer.material(template, backend, 1, k)
         if backend == "gmw":
-            shares = yield from gmw_steps(template, 1, word, material, lanes=k)
-            yield from reveal_steps(shares, material, HOP_ID_BYTES,
-                                    receive=False,
+            shares = yield from gmw_steps(template, 1, word, material)
+            yield from reveal_steps(shares, material, receive=False,
                                     values=[(i, _DUMMY_BYTES) for i in ids])
             return
-        sums = yield from garble_steps(template, word, material, rng, lanes=k)
+        sums = yield from garble_steps(template, word, material, rng)
         yield from release_steps(sums, ids)
 
 
@@ -399,22 +397,21 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
 
     material = dealer.material(template, backend, 0, k)
     if backend == "gmw":
-        shares = yield from gmw_steps(template, 0, word, material, lanes=k)
-        return (yield from reveal_steps(shares, material, HOP_ID_BYTES,
-                                        receive=True))
-    sums = yield from evaluate_steps(template, word, material, lanes=k)
-    return (yield from open_steps(sums, k, HOP_ID_BYTES, _DUMMY_BYTES))
+        shares = yield from gmw_steps(template, 0, word, material)
+        return (yield from reveal_steps(shares, material, receive=True))
+    sums = yield from evaluate_steps(template, word, material)
+    return (yield from open_steps(sums, k, _DUMMY_BYTES))
 
 
 class _SessionDealer:
     """Hands both parties of one session their correlated setup material,
-    recording the querier's in the session's :attr:`transcript` as it
-    hands it out.
+    adding the size of the querier's to the setup bytes of the session's
+    :attr:`transcript` as it hands it out.
 
     The querier takes the material no lane count changes first, before it
     learns k, and the deal over k lanes extends it on the same stream.  The
-    transcript records the querier's material once, when it is dealt in
-    full, so an empty session records none.
+    transcript counts the querier's material once, when it is dealt in
+    full, so an empty session counts none.
     """
 
     def __init__(self, seed: int) -> None:
@@ -436,8 +433,7 @@ class _SessionDealer:
                 size=HOP_ID_BYTES)
         material = self._materials[party]
         if party == 0:
-            self.transcript.record_receive(MSG_SETUP_TRIPLES,
-                                           material.serialized_size)
+            self.transcript.setup_bytes += material.serialized_size
         return material
 
 

@@ -32,7 +32,9 @@ carries yao's input labels.
 over ``lanes`` entries, and each party's :class:`DealerMaterial` holds that
 plan and its backend; every backend refuses material dealt for the other
 party, for the other backend or for another plan with a
-:class:`ValueError` naming both plans.
+:class:`ValueError` naming both plans.  A run takes from its material
+what the material fixes: the lane count, and the size of the values a
+gmw release carries.
 
 The template runs over ``lanes`` entries at once, every lane of a gate
 packed into one integer.  Each party passes its level-1 word, which
@@ -47,11 +49,13 @@ one bit per cross gate; everything else costs what the template unrolled
 
 Every party is a step generator over frames, and :func:`drive` runs one
 over a channel: an in-thread loopback whose peer is the other party's step
-generator, with an injectable one-way delay, or a real socket.  No step
-keeps accounts: :func:`recorded` wraps a party's steps and counts every
-frame it moves in a :class:`SessionTranscript`, which takes each frame's
-phase from its kind and keeps running byte and online round counters, not
-the frames.
+generator, with an injectable one-way delay, or a real socket, the only
+channel that encodes frames.  No step keeps accounts: :func:`recorded`
+wraps a party's steps and counts every frame it moves in a
+:class:`SessionTranscript`, which takes each frame's phase from its kind
+and keeps running byte and online round counters, not the frames.  Dealer
+material travels in no frame; whoever deals it adds its size to the
+transcript's setup bytes.
 """
 
 from prelude.smpc.channel import (
@@ -66,7 +70,6 @@ from prelude.smpc.channel import (
     MSG_INPUT_SHARE,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
-    MSG_SETUP_TRIPLES,
     ProtocolError,
     TcpChannel,
     drive,
@@ -97,7 +100,6 @@ __all__ = [
     "MSG_INPUT_SHARE",
     "MSG_LABELS",
     "MSG_OUTPUT_SHARE",
-    "MSG_SETUP_TRIPLES",
     "ProtocolError",
     "SessionTranscript",
     "TcpChannel",

@@ -12,12 +12,14 @@ size, or yields :data:`RECV` to wait for one and is resumed with
 ``(kind, payload, frame_size)``; its return value is the party's result.
 Steps only move frames; :func:`prelude.smpc.transcript.recorded` wraps a
 party's steps to account for them.  :func:`drive` runs a step generator
-over a blocking channel.  Two channels exist: :class:`InlineLoopback`,
-whose peer is the other party's step generator in the same thread, so a
-two-party session needs no thread, and whose injectable one-way delay lets
-protocol latency be measured without real network distance; and
-:class:`TcpChannel`, which carries the same frames over a socket.  The
-loopback runs its peer on until the peer waits for a frame, so frames
+over a blocking channel.  Two channels exist: :class:`TcpChannel`, the
+only one that encodes frames (:func:`encode_frame`), over a socket; and
+:class:`InlineLoopback`, whose peer is the other party's step generator in
+the same thread, so a two-party session needs no thread, and whose
+injectable one-way delay lets protocol latency be measured without real
+network distance.  The loopback queues ``(kind, payload)`` and counts a
+frame's size as the socket would, ``FRAME_OVERHEAD`` bytes above its
+payload.  It runs its peer on until the peer waits for a frame, so frames
 sent back to back travel in one flight, as over a socket.  It counts the
 one-way flights of the longest causal chain of frames: over a one-way
 delay, a session takes at least that many delays.
@@ -36,7 +38,6 @@ MSG_AND_OPENING = 2
 MSG_GARBLED_TABLES = 3
 MSG_LABELS = 4
 MSG_OUTPUT_SHARE = 5
-MSG_SETUP_TRIPLES = 6
 MSG_ENVELOPE = 7
 MSG_ENVELOPE_ACK = 8
 
@@ -46,12 +47,13 @@ KIND_NAMES = {
     MSG_GARBLED_TABLES: "GARBLED_TABLES",
     MSG_LABELS: "LABELS",
     MSG_OUTPUT_SHARE: "OUTPUT_SHARE",
-    MSG_SETUP_TRIPLES: "SETUP_TRIPLES",
     MSG_ENVELOPE: "ENVELOPE",
     MSG_ENVELOPE_ACK: "ENVELOPE_ACK",
 }
 
 _HEADER = struct.Struct(">I")
+# The bytes a frame adds to its payload: the length header and the kind.
+FRAME_OVERHEAD = _HEADER.size + 1
 # The largest frame a receiver accepts, header included: yao's garbled
 # tables at the most entries a querier accepts (4096, ``MAX_ENTRIES`` in
 # :mod:`prelude.distinct_match`) and the rule width 104, 16 bytes for each
@@ -218,8 +220,9 @@ class InlineLoopback:
     def __init__(self, peer_steps, one_way_delay: float = 0.0) -> None:
         self._peer = peer_steps
         self._delay = one_way_delay
-        self._inbox: deque = deque()  # (arrival, flights, frame) from the peer
-        self._outbox: deque = deque()  # (arrival, flights, frame) to the peer
+        # (arrival, sender's flights, kind, payload) from and to the peer
+        self._inbox: deque = deque()
+        self._outbox: deque = deque()
         self._flights = 0  # this end's count of flights
         self._peer_flights = 0
         self._op = _NOT_STARTED  # the peer's pending step
@@ -235,10 +238,7 @@ class InlineLoopback:
     def send(self, kind: int, payload: bytes) -> int:
         if self._closed:
             raise ChannelClosed("send on closed channel")
-        frame = encode_frame(kind, payload)
-        self._outbox.append((time.monotonic() + self._delay, self._flights,
-                             frame))
-        return len(frame)
+        return self._post(self._outbox, self._flights, kind, payload)
 
     def recv(self) -> tuple[int, bytes, int]:
         if not self._inbox:
@@ -247,11 +247,11 @@ class InlineLoopback:
             if self._peer_done:
                 raise ChannelClosed("peer closed the channel")
             raise ProtocolError("both parties are waiting for a frame")
-        arrival, flights, frame = self._inbox.popleft()
+        arrival, flights, kind, payload = self._inbox.popleft()
         if flights >= self._flights:
             self._flights = flights + 1
         _sleep_until(arrival)
-        return frame[4], frame[5:], len(frame)
+        return kind, payload, FRAME_OVERHEAD + len(payload)
 
     def close(self) -> None:
         self._closed = True
@@ -279,16 +279,20 @@ class InlineLoopback:
             elif op is RECV:
                 if not self._outbox:
                     return
-                arrival, flights, frame = self._outbox.popleft()
+                arrival, flights, kind, payload = self._outbox.popleft()
                 if flights >= self._peer_flights:
                     self._peer_flights = flights + 1
                 _sleep_until(arrival)
-                self._resume((frame[4], frame[5:], len(frame)))
+                self._resume((kind, payload, FRAME_OVERHEAD + len(payload)))
             else:
-                frame = encode_frame(*op)
-                self._inbox.append((time.monotonic() + self._delay,
-                                    self._peer_flights, frame))
-                self._resume(len(frame))
+                self._resume(self._post(self._inbox, self._peer_flights, *op))
+
+    def _post(self, box: deque, flights: int, kind: int,
+              payload: bytes) -> int:
+        """Queue a frame in ``box``, sent at ``flights``; return its on-wire
+        size.  Every frame either end sends passes here."""
+        box.append((time.monotonic() + self._delay, flights, kind, payload))
+        return FRAME_OVERHEAD + len(payload)
 
     def _resume(self, reply=None, throw: Exception | None = None) -> None:
         try:

@@ -31,7 +31,8 @@ party's material holds that plan and one piece per level of it:
 
 Yao takes the transfers alone.  A backend refuses material dealt for the
 other party, for the other backend or for another plan with a
-:class:`ValueError`.
+:class:`ValueError`, and takes the run's lane count from it, as gmw's
+release takes its value size.
 
 The querier's first online frame does not depend on the lane count: its
 level-1 word under the pad that no lane count changes, gmw's cross pad a
@@ -73,23 +74,23 @@ class DealerMaterial:
     transfer: tuple[int, int]
     # the bytes of each pad and of each value a transfer carries
     transfer_bytes: int
-    # on-wire size, for setup-phase byte accounting
+    # its size, had it been sent, for the setup bytes
     serialized_size: int
 
-    def check(self, party: int, circuit, lanes: int, backend: str) -> None:
-        """Refuse this material unless it is ``party``'s for ``lanes`` lanes
-        of ``circuit`` under ``backend``.
+    def check(self, party: int, circuit, backend: str) -> None:
+        """Refuse this material unless it is ``party``'s for ``circuit``
+        under ``backend``.
 
         The backend is part of the plan: the two deal different pads, and a
         run on the other's material could open a bit or a label unpadded.
+        The lane count is not checked, since a run takes it from here.
         """
-        if (self.backend, self.party, self.levels, self.lanes) != (
-                backend, party, circuit.levels, lanes):
+        if (self.backend, self.party, self.levels) != (
+                backend, party, circuit.levels):
             raise ValueError(
                 f"dealer material for {self.backend} party {self.party}, "
-                f"levels {self.levels} over {self.lanes} lanes, does not fit "
-                f"{backend} party {party}, levels {circuit.levels} over "
-                f"{lanes} lanes")
+                f"levels {self.levels}, does not fit {backend} party "
+                f"{party}, levels {circuit.levels}")
 
 
 def dealer_for_circuit(
@@ -129,7 +130,7 @@ def dealer_for_circuit(
         x = rng.getrandbits(n)
         d = rng.getrandbits(fixed)
     else:
-        first[0].check(0, circuit, 0, backend)
+        first[0].check(0, circuit, backend)
         x, d = first[0].cross[0], first[0].transfer[0]
     if not lanes:
         return (DealerMaterial(backend, 0, circuit.levels, 0, (x, 0), (),
@@ -177,7 +178,7 @@ def first_steps(circuit, word: int, material: DealerMaterial):
     gate.  ``material`` is party 0's, dealt over any lane count, zero
     included.
     """
-    material.check(0, circuit, material.lanes, material.backend)
+    material.check(0, circuit, material.backend)
     circuit.check_word(0, word, 1)
     if material.backend == "gmw":
         kind, pad = MSG_AND_OPENING, material.cross[0]

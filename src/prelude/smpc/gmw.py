@@ -137,24 +137,20 @@ def _and_steps(party: int, inputs: int, arity: int, nb: int, products: int):
     return terms
 
 
-def gmw_steps(
-    circuit,
-    party: int,
-    word: int,
-    setup: DealerMaterial,
-    lanes: int = 1,
-):
+def gmw_steps(circuit, party: int, word: int, setup: DealerMaterial):
     """One party's online phase over the template; returns its share of
     the output as an int, bit i for lane i.
 
     ``word`` is the party's level-1 operand word
     (:meth:`~prelude.circuits.BatchQueryCircuit.word`) and ``setup`` its
-    dealer material for this plan, one piece per level.  The querier
+    dealer material for this plan, one piece per level, dealt over the
+    lanes the run takes.  The querier
     (party 0) must have sent its level-1 opening already
     (:func:`~prelude.smpc.dealer.first_steps`).  The output stays shared:
     :func:`reveal_steps` releases values by it.
     """
-    setup.check(party, circuit, lanes, "gmw")
+    setup.check(party, circuit, "gmw")
+    lanes = setup.lanes
     circuit.check_word(party, word, lanes)
 
     # Level 1: the cross gates, one-sided products on each party's word.
@@ -187,7 +183,6 @@ def gmw_steps(
 def reveal_steps(
     my_share: int,
     setup: DealerMaterial,
-    size: int,
     *,
     receive: bool,
     values: Sequence[tuple[bytes, bytes]] = (),
@@ -195,15 +190,13 @@ def reveal_steps(
     """Release to the receiving side ``values[i][b]`` for lane i of output b.
 
     One online round over the transfers of ``setup``, one per lane of its
-    plan, dealt for ``size``-byte values.  ``my_share`` is this party's
-    output share from :func:`gmw_steps`.  The side that does not
-    ``receive``, party 1, gives ``values``, a pair of ``size``-byte values
-    per lane, and returns None; party 0 returns the value of each lane.
+    plan, whose pads are as long as the values.  ``my_share`` is this
+    party's output share from :func:`gmw_steps`.  The side that does not
+    ``receive``, party 1, gives ``values``, a pair of values of the pads'
+    size per lane, and returns None; party 0 returns the value of each
+    lane.
     """
-    n = setup.lanes
-    if size != setup.transfer_bytes:
-        raise ValueError(f"release of {size}-byte values on pads dealt for "
-                         f"{setup.transfer_bytes}-byte values")
+    n, size = setup.lanes, setup.transfer_bytes
     if receive:
         yield from send_frame(MSG_INPUT_SHARE, (my_share ^ setup.transfer[0])
                               .to_bytes((n + 7) // 8, "little"))

@@ -5,12 +5,13 @@
 protocol code knows nothing of accounting.  A transcript keeps running
 counters, not the frames: setup bytes, online bytes, online rounds, and
 when the online phase started and finished.  A frame's kind decides its
-phase: the envelope, its ack, the garbled tables and the dealer material
-(recorded by whoever hands it out) are setup, independent of the querier's
-inputs; every other frame is online.  Rounds are counted on the online
-phase only, from the frames themselves: an online round holds at most one
-frame in each direction, and a second frame in the same direction opens
-the next round.  The online phase starts at the first online frame, which
+phase: the envelope, its ack and the garbled tables are setup, independent
+of the querier's inputs; every other frame is online.  Dealer material
+travels in no frame, so whoever hands it out adds its size to
+:attr:`SessionTranscript.setup_bytes` directly.  Rounds are counted on the
+online phase only, from the frames themselves: an online round holds at
+most one frame in each direction, and a second frame in the same direction
+opens the next round.  The online phase starts at the first online frame, which
 a querier sends right after its envelope, so its wall time spans the
 ack's flight too.  A transcript sees each frame's kind and size, never
 its payload.
@@ -25,12 +26,10 @@ from prelude.smpc.channel import (
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
     MSG_GARBLED_TABLES,
-    MSG_SETUP_TRIPLES,
     RECV,
 )
 
-SETUP_KINDS = frozenset(
-    {MSG_ENVELOPE, MSG_ENVELOPE_ACK, MSG_GARBLED_TABLES, MSG_SETUP_TRIPLES})
+SETUP_KINDS = frozenset({MSG_ENVELOPE, MSG_ENVELOPE_ACK, MSG_GARBLED_TABLES})
 
 # the directions of a frame, as bits of the current round's set
 _SENT, _RECEIVED = 1, 2

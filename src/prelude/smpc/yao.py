@@ -11,17 +11,17 @@ that instead.
 
 Labels.  Bit g of the querier's level-1 word
 (:meth:`prelude.circuits.BatchQueryCircuit.word`), input g, has two
-128-bit labels A0 and A1 = A0 XOR delta, delta odd, so a label's low bit
-doubles as its permute bit, and cross gate g reads the labels of input g.
-The querier receives the label its bit selects by a precomputed transfer
-(:mod:`prelude.smpc.transfer`), one per input whatever the lane count,
-since one querier rule feeds every lane.  The holder's word stays clear
-and gets no labels.
+128-bit labels A0 and A1 = A0 XOR delta, and cross gate g reads the labels
+of input g.  The querier receives the label its bit selects by a
+precomputed transfer (:mod:`prelude.smpc.transfer`), one per input
+whatever the lane count, since one querier rule feeds every lane.  The
+holder's word stays clear and gets no labels.  No label carries a permute
+bit: the evaluator is the querier, who knows the bit its label stands for.
 
 Cross gates.  A cross gate in a lane is a garbler half-gate (Zahur, Rosulek
 & Evans, EUROCRYPT 2015, section 3) of one row T = H(A0, j) XOR H(A1, j)
-XOR b D, with its zero-key W0 = H(A0, j) XOR p T, p being A0's permute bit.
-An evaluator holding A with permute bit s computes H(A, j) XOR s T, which
+XOR b D, with its zero-key W0 = H(A0, j).  An evaluator with input bit a
+computes H(A_a, j) XOR a T, taking the row where its own bit is 1, which
 is W0 where a AND b is 0 and W0 XOR D where it is 1.  A half-gate row works
 under any output offset D, so every cross gate in every lane gets its own:
 AES-128 in counter mode under a fresh key that only the garbler draws, the
@@ -48,9 +48,12 @@ Privacy.  The evaluator holds one label of each input and never delta, so
 the hash of the other label is pseudorandom to it.  Each D enters only a
 row T, masked by the hash of the label the evaluator lacks, so T hides b
 and D alike, and the key it computes is W0 or W0 XOR D without showing
-which.  Where its sum misses S0, the pad is the hash of a key it does not
-hold: the value stays hidden and the tag fails, so the lane opens to the
-dummy, as where the rules are distinct.  The tables' size is fixed by the
+which.  A permute bit hides a wire's value from an evaluator that must
+not learn it; here every garbled gate reads one label, of an input the
+evaluator owns, so taking its row by that bit tells it nothing new.  Where
+its sum misses S0, the pad is the hash of a key it does not hold: the
+value stays hidden and the tag fails, so the lane opens to the dummy, as
+where the rules are distinct.  The tables' size is fixed by the
 template and the lane count alone, and the garbler sees only the querier's
 masked choice bits.
 
@@ -61,9 +64,9 @@ OpenSSL that CPython's ``hashlib`` already loads (:mod:`prelude.smpc.aes`).
 The tweak j is unique to every hash of a session: ``2 (g x lanes + lane)``
 for cross gate g, and release tweaks lie above all of them.
 
-A lane word holds lane i's 128 bits in bits [128 i, 128 i + 128), so sigma,
-the permute bits and the row selections act on every lane at once.  The
-cross gates are hashed over all their lanes in batches: as many gates as fit
+A lane word holds lane i's 128 bits in bits [128 i, 128 i + 128), so sigma
+and the row selections act on every lane at once.  The cross gates are
+hashed over all their lanes in batches: as many gates as fit
 ``_BATCH_BLOCKS`` garbler blocks, one gate at least, share one AES call,
 and each batch's keys are folded into the lane sums as it finishes.  The
 tables depend only on the template and the holder's bits, so they travel
@@ -170,25 +173,20 @@ def _gates_per_call(lanes: int) -> int:
 def _keyed_batches(labels: list[int], lanes: int):
     """The cross gates in hash batches, keyed by the labels held here.
 
-    Gate g reads label g.  Yields (first gate, tweaks, hash inputs, permute
-    mask) with one word of ``lanes`` lanes per gate: its tweaks,
-    sigma(label) XOR those tweaks, and then, for the whole batch, all ones
-    in the lanes of every gate whose label's permute bit is set.
+    Gate g reads label g.  Yields (first gate, tweaks, hash inputs) with
+    one word of ``lanes`` lanes per gate: its tweaks, and sigma(label) XOR
+    those tweaks.
     """
-    size = LABEL_BYTES * lanes
     # lane i of g * step + twice_index holds 2 (g x lanes + i)
     step = 2 * lanes * _lane_ones(lanes)
     twice_index = 2 * _lane_index(lanes)
-    flip = (bytes(size), b"\xff" * size)
     per_call = _gates_per_call(lanes)
     for at in range(0, len(labels), per_call):
         batch = labels[at : at + per_call]
         tweaks = [g * step + twice_index for g in range(at, at + len(batch))]
         inputs = [_lane_word(_double(label, 1), lanes) ^ t
                   for label, t in zip(batch, tweaks)]
-        permute = int.from_bytes(
-            b"".join([flip[label & 1] for label in batch]), "little")
-        yield at, tweaks, inputs, permute
+        yield at, tweaks, inputs
 
 
 def _key_sums(labels: list[int], folded: int, lanes: int) -> int:
@@ -221,7 +219,7 @@ def _garble(labels: list[int], delta: int, key: int, clear: int,
     shift = _lane_word(doubled_delta, lanes)  # sigma(A1) = sigma(A0) ^ shift
     tables: list[bytes] = []
     folded = 0
-    for at, tweaks, inputs, permute in _keyed_batches(labels, lanes):
+    for at, tweaks, inputs in _keyed_batches(labels, lanes):
         n = len(tweaks) * lanes
         e0 = _encrypt(_PI, inputs, size)
         e1 = _encrypt(_PI, [x ^ shift for x in inputs], size)
@@ -230,42 +228,42 @@ def _garble(labels: list[int], delta: int, key: int, clear: int,
         row = (e0 ^ e1 ^ _lane_word(doubled_delta, n)
                ^ (select(b) & _encrypt(offsets, tweaks, size)))
         tables.append(row.to_bytes(LABEL_BYTES * n, "little"))
-        folded ^= e0 ^ (permute & row)
+        folded ^= e0
     return b"".join(tables), _key_sums(labels, folded, lanes)
 
 
-def _evaluate(labels: list[int], tables: bytes, lanes: int) -> int:
-    """The lane sums S of the keys ``labels`` unlock under the tables."""
-    rows = memoryview(tables)
+def _evaluate(labels: list[int], bits: int, tables: bytes,
+              lanes: int) -> int:
+    """The lane sums S of the keys ``labels`` unlock under the tables,
+    label g being the one of input bit g of ``bits``."""
     size = LABEL_BYTES * lanes
     folded = 0
-    for at, _, inputs, permute in _keyed_batches(labels, lanes):
-        row = int.from_bytes(rows[size * at : size * (at + len(inputs))],
-                             "little")
-        folded ^= _encrypt(_PI, inputs, size) ^ (permute & row)
-    return _key_sums(labels, folded, lanes)
+    for _, _, inputs in _keyed_batches(labels, lanes):
+        folded ^= _encrypt(_PI, inputs, size)
+    rows = 0  # the row of every gate whose input bit is 1
+    for g in range(len(labels)):
+        if bits >> g & 1:
+            rows ^= int.from_bytes(tables[size * g : size * (g + 1)],
+                                   "little")
+    return _key_sums(labels, folded, lanes) ^ rows
 
 
-def garble_steps(
-    circuit,
-    word: int,
-    setup: DealerMaterial,
-    rng,
-    lanes: int = 1,
-):
-    """Garbler's (party 1's) side of one run of the template.
+def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
+    """Garbler's (party 1's) side of one run of the template, over the
+    lanes ``setup`` was dealt for.
 
     ``word`` is the holder's clear level-1 word, gate g's lanes in field g
     (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  Returns the lane
     sums S0 of the zero-keys, lane i in bits [128 i, 128 i + 128), under
     which :func:`release_steps` releases values.
     """
-    setup.check(1, circuit, lanes, "yao")
+    setup.check(1, circuit, "yao")
     if rng is None:
         raise ValueError("garbler needs an rng")
+    lanes = setup.lanes
     circuit.check_word(1, word, lanes)
     n = circuit.levels[0]
-    delta = rng.getrandbits(LABEL_BITS) | 1
+    delta = rng.getrandbits(LABEL_BITS)
     zero = rng.getrandbits(LABEL_BITS * n)  # input g's zero-label in lane g
     tables, sums = _garble(_labels(zero, n), delta,
                            rng.getrandbits(LABEL_BITS), word, lanes)
@@ -275,13 +273,9 @@ def garble_steps(
     return sums
 
 
-def evaluate_steps(
-    circuit,
-    word: int,
-    setup: DealerMaterial,
-    lanes: int = 1,
-):
-    """Evaluator's (party 0's) side of one run of the template.
+def evaluate_steps(circuit, word: int, setup: DealerMaterial):
+    """Evaluator's (party 0's) side of one run of the template, over the
+    lanes ``setup`` was dealt for.
 
     ``word`` is the querier's level-1 word, gate g's bit in bit g
     (:meth:`~prelude.circuits.BatchQueryCircuit.word`), whose masked
@@ -289,13 +283,14 @@ def evaluate_steps(
     (:func:`~prelude.smpc.dealer.first_steps`).  Returns the lane sums S of
     its keys, with which :func:`open_steps` opens the released values.
     """
-    setup.check(0, circuit, lanes, "yao")
+    setup.check(0, circuit, "yao")
+    lanes = setup.lanes
     circuit.check_word(0, word, lanes)
     n = circuit.levels[0]
     tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n)
     chosen = yield from choose_steps(word, n, LABEL_BYTES, setup.transfer,
                                      MSG_LABELS)
-    return _evaluate(_labels(chosen, n), tables, lanes)
+    return _evaluate(_labels(chosen, n), word, tables, lanes)
 
 
 # --------------------------------------------------------------------------
@@ -337,17 +332,13 @@ def release_steps(
     yield from send_frame(MSG_OUTPUT_SHARE, payload)
 
 
-def open_steps(
-    sums: int,
-    lanes: int,
-    size: int,
-    fallback: bytes,
-):
+def open_steps(sums: int, lanes: int, fallback: bytes):
     """Evaluator: open the value of each lane whose sum is the garbler's.
 
-    Returns one value of ``size`` bytes per lane, or ``fallback`` for a lane
-    whose tag does not read zero.
+    Returns one value per lane, as long as ``fallback``, or ``fallback``
+    for a lane whose tag does not read zero.
     """
+    size = len(fallback)
     _check_size(size)
     payload = yield from recv_exact(MSG_OUTPUT_SHARE, LABEL_BYTES * lanes)
     plain = (int.from_bytes(payload, "little")

@@ -3,9 +3,9 @@
 Two seeded runs must give exactly the answers they give today:
 
 - the benchmark's churn scenario (``perfbench/gen.py``, scenario seed 1)
-  over plaintext queries, plane seed 1: the verdict of every install, removal and
-  BGP update of the warm phase and the stream, as (decision, reason,
-  ``closed_at``), and the rules active at its end;
+  over plaintext queries, plane seed 1: the verdict of every install,
+  removal and BGP update of the warm phase and the stream, as (decision,
+  reason, ``closed_at``), and the rules active at its end;
 - ``prelude effectiveness --seed 1``: its ``effectiveness.csv`` and
   ``effectiveness_events.log``.
 

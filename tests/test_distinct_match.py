@@ -47,7 +47,10 @@ from prelude.smpc import (
     MSG_OUTPUT_SHARE,
     ProtocolError,
     SessionTranscript,
+    TcpChannel,
     dealer_for_circuit,
+    drive,
+    recorded,
     recv_frame,
     send_frame,
 )
@@ -293,14 +296,7 @@ class TestPrivacyMechanics:
         # a session that ends there, at k = 0 or on a width mismatch, shows
         # the holder only dealer-padded bits: over sessions of one fixed
         # rule, each of the frame's 16 bits is a fair coin.
-        frames = []
-        encode = channel.encode_frame
-
-        def capturing(kind, payload):
-            frames.append((kind, payload))
-            return encode(kind, payload)
-
-        monkeypatch.setattr(channel, "encode_frame", capturing)
+        frames = loopback_frames(monkeypatch)
         width = 4 if case == "width-mismatch" else 8
         table = [make_entry(TernaryRule(width, 0b0110, 0b1111), 1, 10 + i)
                  for i in range(3)]
@@ -436,17 +432,31 @@ class TestPrivacyMechanics:
 
 
 def wire_frames(monkeypatch) -> list:
-    """Capture (kind, on-wire size) of every frame either party sends, as
-    the channel encodes it."""
+    """Capture (kind, on-wire size) of every frame either party sends over
+    a loopback, as it is queued."""
     captured = []
-    encode = channel.encode_frame
+    post = InlineLoopback._post
 
-    def spying(kind, payload):
-        frame = encode(kind, payload)
-        captured.append((kind, len(frame)))
-        return frame
+    def spying(self, box, flights, kind, payload):
+        size = post(self, box, flights, kind, payload)
+        captured.append((kind, size))
+        return size
 
-    monkeypatch.setattr(channel, "encode_frame", spying)
+    monkeypatch.setattr(InlineLoopback, "_post", spying)
+    return captured
+
+
+def loopback_frames(monkeypatch) -> list:
+    """Capture (kind, payload) of every frame either party sends over a
+    loopback, as it is queued."""
+    captured = []
+    post = InlineLoopback._post
+
+    def spying(self, box, flights, kind, payload):
+        captured.append((kind, payload))
+        return post(self, box, flights, kind, payload)
+
+    monkeypatch.setattr(InlineLoopback, "_post", spying)
     return captured
 
 
@@ -541,7 +551,7 @@ class TestSessionMechanics:
             # the zero-lane deal before the ack, then the deal over k lanes
             assert len(deals) == 1 + (k > 0)
             dealt = deals[-1][0].serialized_size if k else 0
-            assert len(calls) == len(frames) + (k > 0), prefix
+            assert len(calls) == len(frames), prefix
             t_q = transcripts[-1]
             assert t_q.setup_bytes + t_q.online_bytes == (
                 sum(size for _, size in frames) + dealt), prefix
@@ -555,14 +565,7 @@ class TestSessionMechanics:
         # level, and every bit of each frame on its own, is a fair coin.
         # At width 8 and k = 3 the tree opens 4 x 2 x 3 and then 2 x 1 x 3
         # bits each way.
-        frames = []
-        encode = channel.encode_frame
-
-        def capturing(kind, payload):
-            frames.append((kind, payload))
-            return encode(kind, payload)
-
-        monkeypatch.setattr(channel, "encode_frame", capturing)
+        frames = loopback_frames(monkeypatch)
         table = [make_entry(TernaryRule(8, 0b01100000, 0b11110000), 1, 10 + i)
                  for i in range(3)]
         endpoint = fresh_endpoint(table, seed=59)
@@ -629,6 +632,68 @@ class TestSessionMechanics:
                 endpoint.query(random_rule(width, rng), prefix,
                                backend=backend, stats_out=stats_out)
                 assert stats_out[0].flights == want, (backend, prefix)
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_the_loopback_and_tcp_count_the_same_bytes(self, backend):
+        # The loopback passes (kind, payload) pairs and counts each frame
+        # FRAME_OVERHEAD bytes above its payload; over a socket the frames
+        # are encoded.  The same session records the same counts on both.
+        rng = random.Random(97)
+        entries = [make_entry(random_rule(8, rng), 9, 900 + i)
+                   for i in range(5)]
+        endpoint = fresh_endpoint(entries)
+        local = random_rule(8, rng)
+        stats_out = []
+        endpoint.query(local, "10.0.0.0/8", backend=backend,
+                       stats_out=stats_out)
+
+        class SharedDealer:
+            """A session's dealer for two threads: the holder's deal waits
+            for the querier's first pad, and one deal serves both."""
+
+            def __init__(self, dealer):
+                self.dealer = dealer
+                self.first_taken = threading.Event()
+                self.lock = threading.Lock()
+
+            def first(self, circuit, backend):
+                material = self.dealer.first(circuit, backend)
+                self.first_taken.set()
+                return material
+
+            def material(self, *args):
+                assert self.first_taken.wait(10)
+                with self.lock:
+                    return self.dealer.material(*args)
+
+        dealer = SharedDealer(distinct_match._SessionDealer(5))
+        port, accept = TcpChannel.serve_one()
+        querier = TcpChannel.connect("127.0.0.1", port)
+        holder = accept()
+
+        def serve():
+            try:
+                endpoint.service.serve_query(holder, dealer,
+                                             random.Random(6))
+            finally:
+                holder.close()
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            raw = drive(recorded(distinct_match._querier_steps(
+                local, "10.0.0.0/8", backend, dealer),
+                dealer.dealer.transcript), querier)
+        finally:
+            querier.close()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(raw) == len(entries)
+        over_tcp = dealer.dealer.transcript
+        assert (over_tcp.setup_bytes, over_tcp.online_bytes,
+                over_tcp.online_rounds) == (stats_out[0].setup_bytes,
+                                            stats_out[0].online_bytes,
+                                            stats_out[0].online_rounds)
 
     def test_a_session_takes_at_least_its_flights_in_delays(self):
         delay = 0.01
@@ -814,26 +879,19 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "b9c170fa0f91ac71d78b390dbe75e258"
-         "4d53873ff1e78a5b667e372e885bf35b"),
-        (7, 33, "699625383253cf364abaa46caa03a87f"
-         "36b4123468c82209582e84ca8f0dca15"),
-        (1, 3, "05418adf08b08ef2d5b9ab80f723aa2e"
-         "e338efa30e4029d77f91dd89cf1d1495"),
+        (104, 50, "ac7c08aa41e08929583c8231090cbcd2"
+         "e3dcf04a0c4f73092636c4d110104f93"),
+        (7, 33, "5c6cf76e8dfd91e501e3ca415c976474"
+         "70eea46ceaf783ac28c844b221e0808a"),
+        (1, 3, "40f57baeaf9572dd278fb5bf736a1df0"
+         "a7049f5c8b6bad93c48c2df6bb239999"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):
         # Seeded sessions move the same bytes on every run.  A change that
         # alters any frame's contents updates these digests and says so.
         hasher = hashlib.sha256()
-        encode = channel.encode_frame
-
-        def hashing(kind, payload):
-            frame = encode(kind, payload)
-            hasher.update(frame)
-            return frame
-
-        monkeypatch.setattr(channel, "encode_frame", hashing)
+        frames = loopback_frames(monkeypatch)
         rng = random.Random(1000 * width + k)
         entries = [make_entry(random_rule(width, rng), 4, 400 + i)
                    for i in range(k)]
@@ -848,6 +906,8 @@ class TestLaneSessions:
                 result = endpoint.query(local, "10.0.0.0/8", backend=backend)
                 assert result.hops == {e.next_hop for e in entries
                                        if overlaps(local, e.rule)}
+        for kind, payload in frames:
+            hasher.update(channel.encode_frame(kind, payload))
         assert hasher.hexdigest() == digest
 
     def test_session_depth_comes_from_the_template(self):

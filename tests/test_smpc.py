@@ -34,7 +34,6 @@ from prelude.smpc import (
     MSG_INPUT_SHARE,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
-    MSG_SETUP_TRIPLES,
     ProtocolError,
     SessionTranscript,
     TcpChannel,
@@ -165,31 +164,31 @@ class NotedTranscript(SessionTranscript):
 BIT_VALUES = (b"\x00", b"\x01")  # what each output releases, for 0 and 1
 
 
-def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None,
-                lanes=1):
+def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
     """One party of a session; returns the output bits it learns, or None.
 
     Only party 0 learns the outputs, one byte per output and lane: under
     gmw party 1 releases the bytes 0 and 1 for each, and under yao, which
     runs only the comparator template, the byte 0 where the key sums agree,
     and party 0 opens the byte 1 where they do not.  Party 0 starts with
-    its first online frame, as a querier sends it with its envelope.
+    its first online frame, as a querier sends it with its envelope.  The
+    lane count is the one ``mat`` was dealt for.
     """
+    lanes = mat.lanes
     if party == 0:
         yield from first_steps(circuit, inputs, mat)
     if backend == "gmw":
-        shares = yield from gmw_steps(circuit, party, inputs, mat, lanes)
+        shares = yield from gmw_steps(circuit, party, inputs, mat)
         opened = yield from reveal_steps(
-            shares, mat, 1, receive=party == 0,
+            shares, mat, receive=party == 0,
             values=[BIT_VALUES] * lanes if party == 1 else ())
     elif party == 1:
-        sums = yield from garble_steps(circuit, inputs, mat, garble_rng,
-                                       lanes=lanes)
+        sums = yield from garble_steps(circuit, inputs, mat, garble_rng)
         yield from release_steps(sums, [BIT_VALUES[0]] * lanes)
         return None
     else:
-        sums = yield from evaluate_steps(circuit, inputs, mat, lanes=lanes)
-        opened = yield from open_steps(sums, lanes, 1, BIT_VALUES[1])
+        sums = yield from evaluate_steps(circuit, inputs, mat)
+        opened = yield from open_steps(sums, lanes, BIT_VALUES[1])
     return None if opened is None else tuple(value[0] for value in opened)
 
 
@@ -198,21 +197,21 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
     """Run both parties in this thread; returns (out0, out1, t0, t1).
 
     Party 0 is driven over an in-thread loopback whose peer is party 1;
-    ``spy0`` wraps that channel.  Each transcript records its party's
-    dealer material and then its frames, and notes each one.
+    ``spy0`` wraps that channel.  Each transcript counts its party's
+    dealer material as setup bytes and then records its frames, and notes
+    each one.
     """
     mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
                                     lanes=lanes, size=1)
     t0, t1 = NotedTranscript(), NotedTranscript()
     for t, mat in ((t0, mat0), (t1, mat1)):
-        t.record_receive(MSG_SETUP_TRIPLES, mat.serialized_size)
+        t.setup_bytes += mat.serialized_size
     ch = InlineLoopback(
         recorded(party_steps(circuit, backend, 1, inputs1, mat1,
-                             garble_rng=random.Random(seed + 1), lanes=lanes),
-                 t1),
+                             garble_rng=random.Random(seed + 1)), t1),
         one_way_delay=delay)
-    out0 = drive(recorded(party_steps(circuit, backend, 0, inputs0, mat0,
-                                      lanes=lanes), t0),
+    out0 = drive(recorded(party_steps(circuit, backend, 0, inputs0, mat0),
+                          t0),
                  ch if spy0 is None else spy0(ch))
     return out0, ch.finish(), t0, t1
 
@@ -468,13 +467,13 @@ class TestTranscriptRounds:
 
     def test_setup_kinds_and_dealer_material_stay_at_round_0(self):
         t0 = NotedTranscript()
-        t0.record_receive(MSG_SETUP_TRIPLES, 100)
+        t0.setup_bytes += 100  # dealer material, which no frame carries
         ops = [("send", MSG_ENVELOPE), ("recv", MSG_ENVELOPE_ACK),
                ("recv", MSG_GARBLED_TABLES), ("send", MSG_AND_OPENING),
                ("recv", MSG_AND_OPENING)]
         t0, t1 = scripted_pair(ops, t0)
         assert [(e.phase, e.round_index) for e in t0.frames] == (
-            [("setup", 0)] * 4 + [("online", 1)] * 2)
+            [("setup", 0)] * 3 + [("online", 1)] * 2)
         assert (t0.setup_bytes, t0.online_bytes) == (100 + 3 * FRAME,
                                                      2 * FRAME)
         assert (t1.setup_bytes, t1.online_bytes) == (3 * FRAME, 2 * FRAME)
@@ -499,12 +498,11 @@ def first_step(backend: str, party: int, material):
     circuit = build_batch_query(4)
     word = random_inputs(circuit, random.Random(3), 3)[party]
     if backend == "gmw":
-        steps = gmw_steps(circuit, party, word, material, lanes=3)
+        steps = gmw_steps(circuit, party, word, material)
     elif party == 0:
-        steps = evaluate_steps(circuit, word, material, lanes=3)
+        steps = evaluate_steps(circuit, word, material)
     else:
-        steps = garble_steps(circuit, word, material, random.Random(1),
-                             lanes=3)
+        steps = garble_steps(circuit, word, material, random.Random(1))
     return next(steps)
 
 
@@ -521,8 +519,8 @@ def deal(backend: str, width: int = 4, lanes: int = 3, levels=None):
 def refused(backend: str, party: int, dealt: str):
     """Expect :func:`first_step` to refuse material dealt for ``dealt``."""
     return pytest.raises(ValueError, match=re.escape(
-        f"dealer material for {dealt} lanes, does not fit {backend} party "
-        f"{party}, levels (8, 1) over 3 lanes"))
+        f"dealer material for {dealt}, does not fit {backend} party "
+        f"{party}, levels (8, 1)"))
 
 
 class TestDealer:
@@ -572,17 +570,16 @@ class TestDealer:
         assert c0 ^ c1 == broadcast(a0, n_cross, lanes) & y1
 
     def test_stream_exhaustion(self):
-        # material cannot run short mid-run: each backend checks the whole
-        # plan before its first step, so material dealt over fewer lanes
-        # is refused even where its pieces do not depend on the lanes
+        # material cannot run short mid-run: a run takes its lane count
+        # from its material, so a holder word over more lanes than were
+        # dealt is refused before the first step (the querier's word is
+        # one bit per cross gate at any lane count)
         for backend in ("gmw", "yao"):
             good, fewer = deal(backend), deal(backend, lanes=2)
             for party in (0, 1):
                 first_step(backend, party, good[party])
-                with refused(backend, party,
-                             f"{backend} party {party}, levels (8, 1) "
-                             "over 2"):
-                    first_step(backend, party, fewer[party])
+            with pytest.raises(ValueError, match="must fit"):
+                first_step(backend, 1, fewer[1])
 
     def test_material_for_another_party_or_plan_is_refused(self):
         # every backend entry point checks the plan its material was dealt
@@ -594,11 +591,11 @@ class TestDealer:
                 first_step(backend, party, good[party])
                 for material, dealt in (
                         (good[1 - party], f"{backend} party {1 - party}, "
-                                          "levels (8, 1) over 3"),
+                                          "levels (8, 1)"),
                         (theirs[party], f"{other} party {party}, levels "
-                                        "(8, 1) over 3"),
+                                        "(8, 1)"),
                         (wider[party], f"{backend} party {party}, levels "
-                                       "(10, 1, 1) over 3")):
+                                       "(10, 1, 1)")):
                     with refused(backend, party, dealt):
                         first_step(backend, party, material)
 
@@ -653,7 +650,7 @@ class TestGmw:
             kinds = {e.kind for e in t.frames if e.phase == "online"}
             assert kinds == {MSG_AND_OPENING, MSG_INPUT_SHARE, MSG_OUTPUT_SHARE}
             setup_kinds = {e.kind for e in t.frames if e.phase == "setup"}
-            assert setup_kinds == {MSG_SETUP_TRIPLES}
+            assert setup_kinds == set()  # dealer material is no frame
             # the one INPUT_SHARE frame is the release's choice frame, in
             # the round after the last AND level
             (choice,) = [e for e in t.frames if e.kind == MSG_INPUT_SHARE]
@@ -667,16 +664,14 @@ class TestGmw:
         # cross products alike
         narrower = deal("gmw", width=3)
         for party in (0, 1):
-            with refused("gmw", party,
-                         f"gmw party {party}, levels (6, 1) over 3"):
+            with refused("gmw", party, f"gmw party {party}, levels (6, 1)"):
                 first_step("gmw", party, narrower[party])
 
     def test_underprovisioned_cross_material_aborts(self):
         # the OR tree's mask products fit; level 1 is two cross gates short
         short = deal("gmw", levels=(6, 1))
         for party in (0, 1):
-            with refused("gmw", party,
-                         f"gmw party {party}, levels (6, 1) over 3"):
+            with refused("gmw", party, f"gmw party {party}, levels (6, 1)"):
                 first_step("gmw", party, short[party])
 
     def test_closed_channel_aborts_cleanly(self):
@@ -727,12 +722,10 @@ class TestGmw:
         assert mat0.transfer_bytes == mat1.transfer_bytes == 6
         assert max(mat0.transfer[1], *mat1.transfer) < 1 << 2 * 48
         for size in (5, 7):
-            for receive, mat in ((True, mat0), (False, mat1)):
-                with pytest.raises(ValueError, match=(
-                        f"release of {size}-byte values on pads dealt for "
-                        "6-byte values")):
-                    next(reveal_steps(0, mat, size, receive=receive,
-                                      values=[(bytes(size),) * 2] * 2))
+            with pytest.raises(ValueError, match=(
+                    "release needs 2 pairs of 6-byte values")):
+                next(reveal_steps(0, mat1, receive=False,
+                                  values=[(bytes(size),) * 2] * 2))
 
     def test_wrong_party_material_rejected(self):
         circuit = build_batch_query(4)
@@ -813,7 +806,7 @@ class TestYao:
         _, _, t0, t1 = run_backend(circuit, "yao", inputs0, inputs1)
         for t in (t0, t1):
             setup_kinds = {e.kind for e in t.frames if e.phase == "setup"}
-            assert setup_kinds == {MSG_SETUP_TRIPLES, MSG_GARBLED_TABLES}
+            assert setup_kinds == {MSG_GARBLED_TABLES}
             online_kinds = {e.kind for e in t.frames if e.phase == "online"}
             assert online_kinds == {MSG_INPUT_SHARE, MSG_LABELS, MSG_OUTPUT_SHARE}
         table_entry = next(
@@ -831,7 +824,7 @@ class TestYao:
         first_step("yao", 0, deal("yao")[0])
         for mat0 in (deal("yao", width=3)[0], deal("gmw")[0]):
             with refused("yao", 0, f"{mat0.backend} party 0, levels "
-                                   f"{mat0.levels} over 3"):
+                                   f"{mat0.levels}"):
                 first_step("yao", 0, mat0)
 
     def test_garbler_requires_rng(self):
@@ -864,7 +857,7 @@ class TestYao:
         # lane 2's sum misses the garbler's by one bit, lane 4's entirely
         wrong = sums ^ (1 << 2 * 128) ^ (rng.getrandbits(128) << 4 * 128)
         ch = InlineLoopback(release_steps(sums, values))
-        opened = drive(open_steps(wrong, lanes, 6, dummy), ch)
+        opened = drive(open_steps(wrong, lanes, dummy), ch)
         ch.finish()
         assert opened == [values[0], values[1], dummy, values[3], dummy]
 
@@ -892,10 +885,8 @@ class TestLanes:
         mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
                                         lanes=lanes, size=1)
         ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
-                                        garble_rng=random.Random(seed + 1),
-                                        lanes=lanes))
-        out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0,
-                                 lanes=lanes), ch)
+                                        garble_rng=random.Random(seed + 1)))
+        out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0), ch)
         assert ch.finish() is None
         return out0
 
@@ -981,11 +972,10 @@ class TestLanes:
         # a querier word is one bit per cross gate, which every lane reads,
         # and a holder word one bit per cross gate and lane
         for bad0, bad1 in ((inputs0 | 1 << 8, inputs1 | 1 << 32), (-1, -1)):
-            for steps in (gmw_steps(circuit, 0, bad0, gmw0, lanes=4),
-                          gmw_steps(circuit, 1, bad1, gmw1, lanes=4),
-                          evaluate_steps(circuit, bad0, yao0, lanes=4),
-                          garble_steps(circuit, bad1, yao1, random.Random(4),
-                                       lanes=4)):
+            for steps in (gmw_steps(circuit, 0, bad0, gmw0),
+                          gmw_steps(circuit, 1, bad1, gmw1),
+                          evaluate_steps(circuit, bad0, yao0),
+                          garble_steps(circuit, bad1, yao1, random.Random(4))):
                 with pytest.raises(ValueError, match="must fit"):
                     next(steps)
 
@@ -1032,7 +1022,7 @@ class TestHalfGates:
     @staticmethod
     def garbler_draws(rng, width):
         """delta, a zero-label per querier wire and the offsets' key."""
-        return (rng.getrandbits(128) | 1,
+        return (rng.getrandbits(128),
                 [rng.getrandbits(128) for _ in range(2 * width)],
                 rng.getrandbits(128))
 
@@ -1042,7 +1032,7 @@ class TestHalfGates:
         Gate g reads the querier's zero-label ``labels[g]`` and the
         holder's lane word ``clear[g]``.  Its row in lane i is
         T = H(A0, j) ^ H(A1, j) ^ b D, with j = 2 (g lanes + i) and
-        D = AES_key(j), and its zero-key H(A0, j) ^ p T.  Returns (the rows
+        D = AES_key(j), and its zero-key H(A0, j).  Returns (the rows
         by gate, then lane, the per-lane sums of the zero-keys).
         """
         offsets = Aes128Ecb(key.to_bytes(16, "little"))
@@ -1055,7 +1045,7 @@ class TestHalfGates:
                 t = (self.h(a0, j) ^ self.h(a0 ^ delta, j)
                      ^ (d if (clear[g] >> i) & 1 else 0))
                 rows.append(t.to_bytes(16, "little"))
-                sums[i] ^= self.h(a0, j) ^ (t if a0 & 1 else 0)
+                sums[i] ^= self.h(a0, j)
         return b"".join(rows), sums
 
     @pytest.mark.parametrize("budget", [None, 8])
@@ -1083,9 +1073,9 @@ class TestHalfGates:
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_cross_gate_rows_equal_a_per_lane_reference(self, monkeypatch,
                                                         lanes, budget):
-        # The evaluator's key of each cross gate's row, H(A, j) ^ s T, summed
-        # per lane, and the sums agree with the garbler's exactly where the
-        # rules overlap.
+        # The evaluator's key of each cross gate's row, H(A, j) ^ q T for
+        # its input bit q, summed per lane, and the sums agree with the
+        # garbler's exactly where the rules overlap.
         if budget is not None:
             monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
         rng = random.Random(90 + lanes)
@@ -1095,14 +1085,16 @@ class TestHalfGates:
             tables, sums = yao._garble(labels, delta, key, inputs1, lanes)
             chosen = [x ^ (delta if (inputs0 >> g) & 1 else 0)
                       for g, x in enumerate(labels)]
-            got = unpack(yao._evaluate(chosen, tables, lanes), 128, lanes)
+            got = unpack(yao._evaluate(chosen, inputs0, tables, lanes), 128,
+                         lanes)
             ref = [0] * lanes
             for g, label in enumerate(chosen):
                 for i in range(lanes):
                     j = 2 * (g * lanes + i)
                     row = int.from_bytes(
                         tables[16 * (g * lanes + i) :][:16], "little")
-                    ref[i] ^= self.h(label, j) ^ (row if label & 1 else 0)
+                    ref[i] ^= self.h(label, j) ^ (row if inputs0 >> g & 1
+                                                  else 0)
             assert got == ref
             assert tuple(int(a != b) for a, b in zip(
                 got, unpack(sums, 128, lanes))) == expected
@@ -1112,7 +1104,7 @@ class TestHalfGates:
         with pytest.raises(ValueError, match="at most 6 bytes"):
             next(yao.release_steps(3, [bytes(7)]))
         with pytest.raises(ValueError, match="at most 6 bytes"):
-            next(yao.open_steps(0, 1, 7, bytes(7)))
+            next(yao.open_steps(0, 1, bytes(7)))
 
     @pytest.mark.parametrize("lanes", [1, 3])
     def test_four_row_tables_are_rejected(self, lanes):
@@ -1120,7 +1112,7 @@ class TestHalfGates:
         inputs0, _ = random_inputs(circuit, random.Random(5), lanes)
         mat0, _ = dealer_for_circuit(circuit, "yao", random.Random(6),
                                      lanes=lanes)
-        ch = InlineLoopback(evaluate_steps(circuit, inputs0, mat0, lanes=lanes))
+        ch = InlineLoopback(evaluate_steps(circuit, inputs0, mat0))
         rows = lanes * circuit.levels[0]
         ch.send(MSG_GARBLED_TABLES, bytes(64 * rows))
         with pytest.raises(ProtocolError, match=(
@@ -1305,10 +1297,10 @@ def test_a_short_online_frame_is_refused_naming_its_size(backend, name):
     inputs0, inputs1 = random_inputs(circuit, rng, 3)
     mat0, mat1 = dealer_for_circuit(circuit, backend, rng, lanes=3, size=1)
     ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
-                                    garble_rng=random.Random(1), lanes=3))
+                                    garble_rng=random.Random(1)))
     with pytest.raises(ProtocolError, match=f"{name} frame of") as caught:
         try:
-            drive(party_steps(circuit, backend, 0, inputs0, mat0, lanes=3),
+            drive(party_steps(circuit, backend, 0, inputs0, mat0),
                   TruncatingEnd(ch, kind))
         except ChannelClosed:
             ch.finish()  # the holder refused the frame
