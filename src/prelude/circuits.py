@@ -29,9 +29,11 @@ A level's word holds one field of k bits per gate, gate g's lanes in bits
 whole ints, whatever w is: input i of a tree level's gates is one slice of
 the word, its fields ``[i n // a, (i + 1) n // a)``.
 
-Each party enters the template as one int, its operand word of level 1,
-which :meth:`BatchQueryCircuit.word` builds straight from its rules; the
-backends take that word and nothing else, and check its range with
+Each party enters the template as one int, its operand word of level 1:
+:meth:`BatchQueryCircuit.row` formats each rule's gate bits as text, the
+holder's once per entry when it registers it, and
+:meth:`BatchQueryCircuit.word_from_rows` joins and transposes the rows.
+The backends take that word and nothing else, and check its range with
 :meth:`BatchQueryCircuit.check_word`.  The querier's bits are
 *broadcast*: one bit per gate, which every lane reads, as one querier rule
 is checked against every entry.  The holder's are *clear*, one bit per
@@ -97,34 +99,48 @@ class BatchQueryCircuit:
     def and_depth(self) -> int:
         return len(self.levels)
 
-    def word(self, party: int, rules: Sequence[TernaryRule]) -> int:
-        """One party's operand word of the level-1 gates, rule i in lane i.
+    def row(self, party: int, rule: TernaryRule) -> str:
+        """One rule's 2w gate bits of one party as '0'/'1' text: the
+        binary numeral of its one-lane level-1 word, gate g in bit g, so
+        the text starts at gate 2w - 1.
 
         Bit j of a rule counts from its most significant end.  Gate j < w
         reads the querier's pinned-one bit j and the holder's pinned-zero
         bit j, gate w + j the querier's pinned-zero bit and the holder's
-        pinned-one bit, and field g of the word holds gate g's lanes.  The
-        querier (party 0) gives its one rule, so its word holds gate g's
-        bit in bit g; the holder (party 1) gives its shuffled entries.
-        Raises ValueError for a rule of another width.
+        pinned-one bit.  The querier (party 0) builds its one rule's row
+        per session; the holder (party 1) builds each entry's row once,
+        when it registers the entry.  Raises ValueError for a rule of
+        another width.
         """
         w = self.width
-        if any(rule.width != w for rule in rules):
+        if rule.width != w:
             raise ValueError(f"the template compares rules of width {w}")
-        # Each rule's gate bits in gate order, as '0'/'1' text: gates
-        # 0..w-1 are the high half of a 2w-bit row.  A canonical rule's
-        # pattern holds its pinned-one bits, mask XOR pattern the zeros.
+        # Formatted, the row starts at gate 0, gates 0..w-1 being the high
+        # half; reversed, gate g is bit g.  A canonical rule's pattern
+        # holds its pinned-one bits, mask XOR pattern the zeros.
         one_at = w if party == 0 else 0
-        spec = f"0{2 * w}b"
-        rows = "".join([format(rule.pattern << one_at
-                               | (rule.mask ^ rule.pattern) << (w - one_at),
-                               spec) for rule in rules])
-        # transposed over k rules, character g k + i is gate g of lane i,
-        # which is bit g k + i; a single row, the querier's, is its own
-        # transpose
-        if len(rules) > 1:
-            rows = "".join([rows[g :: 2 * w] for g in range(2 * w)])
-        return int(rows[::-1], 2)
+        return format(rule.pattern << one_at
+                      | (rule.mask ^ rule.pattern) << (w - one_at),
+                      f"0{2 * w}b")[::-1]
+
+    def word_from_rows(self, rows: Sequence[str]) -> int:
+        """The level-1 word of :meth:`row` texts, row i in lane i: field g
+        of the word holds gate g's lanes."""
+        # As a numeral the word reads from gate 2w - 1 of lane k - 1 down,
+        # lane by lane within a gate.  Joined from the last row, character
+        # s of each row is gate 2w - 1 - s, so slice s of the text holds
+        # that gate's lanes from the last.  A single row is its own word.
+        text = "".join(reversed(rows))
+        if len(rows) > 1:
+            n = 2 * self.width
+            text = "".join([text[s :: n] for s in range(n)])
+        return int(text, 2)
+
+    def word(self, party: int, rules: Sequence[TernaryRule]) -> int:
+        """One party's operand word of the level-1 gates, rule i in lane i:
+        the querier gives its one rule, so its word holds gate g's bit in
+        bit g.  Raises ValueError for a rule of another width."""
+        return self.word_from_rows([self.row(party, rule) for rule in rules])
 
     def check_word(self, party: int, word: int, lanes: int) -> None:
         """Raise ValueError unless ``word`` fits the party's level-1 word:

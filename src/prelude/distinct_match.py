@@ -28,13 +28,19 @@ Session flow, all on one framed channel:
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
-   Each side has the template turn its rules, the querier's one rule or
-   the holder's shuffled entries, into one level-1 word of pinned-one
-   and pinned-zero bits (:meth:`~prelude.circuits.BatchQueryCircuit.word`);
-   a bit proves two rules distinct when one pins it to 1 and the other
-   to 0.  The querier's word is a secret input, while the holder's stays
-   in its clear and feeds only cross gates (see :mod:`prelude.circuits`),
-   so the holder's rules are never labelled, masked or shared.
+   Each side's rules become one level-1 word of pinned-one and
+   pinned-zero bits, one row of text per rule
+   (:meth:`~prelude.circuits.BatchQueryCircuit.row`); a bit proves two
+   rules distinct when one pins it to 1 and the other to 0.  The querier
+   formats its one rule's row each session.  The holder formatted each
+   entry's row, and encoded its identifier, when it registered the entry
+   (:class:`SdxMatchService`), so a session shuffles those pairs, joins
+   the rows into its word
+   (:meth:`~prelude.circuits.BatchQueryCircuit.word_from_rows`) and
+   releases the identifiers in the same order.  The querier's word is a
+   secret input, while the holder's stays in its clear and feeds only
+   cross gates (see :mod:`prelude.circuits`), so the holder's rules are
+   never labelled, masked or shared.
    Every entry runs the same per-entry template, the comparator
    (:func:`build_batch_query`), and the backends evaluate it over k lanes,
    lane i being the i-th shuffled entry; the querier's rule feeds every
@@ -293,15 +299,18 @@ def _parse_ack(payload: bytes) -> int:
 class SdxMatchService:
     """One exchange point's rule table and its query-serving side.
 
-    Registrations are serialized behind a lock; queries snapshot the table
-    and then run without holding it, so a slow session never blocks writers
-    or other queries.
+    Each prefix's table maps an entry to what a session needs of it: its
+    holder row (:meth:`~prelude.circuits.BatchQueryCircuit.row`) and its
+    6-byte identifier, both built when the entry is registered and
+    dropped with it.  Registrations are serialized behind a lock; queries
+    snapshot the table and then run without holding it, so a slow session
+    never blocks writers or other queries.
     """
 
     def __init__(self, sdx_id: int) -> None:
         self.sdx_id = sdx_id
         self._lock = threading.RLock()
-        self._tables: dict[str, dict[RuleEntry, None]] = {}
+        self._tables: dict[str, dict[RuleEntry, tuple[str, bytes]]] = {}
 
     # -------------------------------------------------------- table writes
 
@@ -319,7 +328,8 @@ class SdxMatchService:
                     raise ValueError(
                         f"rule width {entry.rule.width} does not match rule "
                         f"width {width} of the entries under {entry.prefix}")
-            table[entry] = None
+            row = query_template(entry.rule.width).row(1, entry.rule)
+            table[entry] = (row, entry.next_hop.to_bytes())
 
     def deregister(self, entry: RuleEntry) -> None:
         with self._lock:
@@ -345,28 +355,31 @@ class SdxMatchService:
         payload = yield from recv_frame(MSG_ENVELOPE)
         prefix, width, backend = _parse_envelope(payload)
 
-        entries = self.entries_for(prefix)
-        if entries and entries[0].rule.width != width:
+        with self._lock:
+            table = self._tables.get(prefix, {})
+            held = next(iter(table)).rule.width if table else width
+            prepared = list(table.values())
+        if held != width:
             raise ProtocolError(
                 f"query rule width {width} does not match the table's rule "
-                f"width {entries[0].rule.width}")
-        k = len(entries)
+                f"width {held}")
+        k = len(prepared)
         ack = json.dumps({"k": k, "id_width": HOP_ID_BITS},
                          separators=_COMPACT).encode("utf-8")
         yield from send_frame(MSG_ENVELOPE_ACK, ack)
         if k == 0:
             return
 
-        rng.shuffle(entries)
+        rng.shuffle(prepared)
+        rows, ids = zip(*prepared)
         template = query_template(width)
         # one lane per shuffled entry
-        word = template.word(1, [entry.rule for entry in entries])
-        # A distinct bit reads 0 where the rules overlap: release the
-        # entry's identifier there, the dummy where it reads 1.
-        ids = [entry.next_hop.to_bytes() for entry in entries]
+        word = template.word_from_rows(rows)
         material = dealer.material(template, backend, 1, k)
         if backend == "gmw":
             shares = yield from gmw_steps(template, 1, word, material)
+            # A distinct bit reads 0 where the rules overlap: release the
+            # entry's identifier there, the dummy where it reads 1.
             yield from reveal_steps(shares, material, receive=False,
                                     values=[(i, _DUMMY_BYTES) for i in ids])
             return
@@ -409,31 +422,43 @@ class _SessionDealer:
     :attr:`transcript` as it hands it out.
 
     The querier takes the material no lane count changes first, before it
-    learns k, and the deal over k lanes extends it on the same stream.  The
-    transcript counts the querier's material once, when it is dealt in
-    full, so an empty session counts none.
+    learns k, and the deal over k lanes extends it on the same stream.
+    Whichever party asks first deals that piece, under a lock, so two
+    threads may ask in either order and the querier's first pad is the
+    one the full deal extends; in session order the draws are the same.
+    The transcript counts the querier's material once, when it is dealt
+    in full, so an empty session counts none.
     """
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
+        self._lock = threading.Lock()
         self._first = None
         self._materials = None
         self.transcript = SessionTranscript()
 
+    def _first_deal(self, circuit, backend: str):
+        if self._first is None:
+            self._first = dealer_for_circuit(circuit, backend, self._rng,
+                                             lanes=0)
+        return self._first
+
     def first(self, circuit, backend: str):
         """The querier's material dealt over zero lanes, which pads its
         first online frame."""
-        self._first = dealer_for_circuit(circuit, backend, self._rng, lanes=0)
-        return self._first[0]
+        with self._lock:
+            return self._first_deal(circuit, backend)[0]
 
     def material(self, circuit, backend: str, party: int, lanes: int):
-        if self._materials is None:
-            self._materials = dealer_for_circuit(
-                circuit, backend, self._rng, lanes=lanes, first=self._first,
-                size=HOP_ID_BYTES)
-        material = self._materials[party]
-        if party == 0:
-            self.transcript.setup_bytes += material.serialized_size
+        with self._lock:
+            if self._materials is None:
+                self._materials = dealer_for_circuit(
+                    circuit, backend, self._rng, lanes=lanes,
+                    first=self._first_deal(circuit, backend),
+                    size=HOP_ID_BYTES)
+            material = self._materials[party]
+            if party == 0:
+                self.transcript.setup_bytes += material.serialized_size
         return material
 
 

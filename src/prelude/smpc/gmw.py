@@ -85,6 +85,7 @@ the entry overlaps its rule.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from prelude.smpc.channel import (
@@ -204,11 +205,12 @@ def reveal_steps(
                                          MSG_OUTPUT_SHARE)
         opened = chosen.to_bytes(size * n, "little")
         return [opened[i * size : (i + 1) * size] for i in range(n)]
-    if len(values) != n or any(len(v) != size for pair in values
-                               for v in pair):
+    # the values for output 0 and those for output 1
+    columns = tuple(zip(*values)) or ((), ())
+    if len(values) != n or set(map(len, chain(*columns))) - {size}:
         raise ValueError(f"release needs {n} pairs of {size}-byte values")
-    v0, v1 = (int.from_bytes(b"".join([pair[bit] for pair in values]),
-                             "little") for bit in (0, 1))
+    v0, v1 = (int.from_bytes(b"".join(column), "little")
+              for column in columns)
     # slot c holds the value for c XOR my share
     swap = select(spread(my_share, n, size), size) & (v0 ^ v1)
     yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, setup.transfer,

@@ -323,7 +323,7 @@ def release_steps(
     """
     size = len(values[0]) if values else 0
     _check_size(size)
-    if any(len(value) != size for value in values):
+    if set(map(len, values)) - {size}:
         raise ValueError("released values must have equal length")
     lanes = len(values)
     plain = to_lanes(b"".join(values), lanes, size)

@@ -25,6 +25,7 @@ from prelude.distinct_match import (
     SdxMatchService,
 )
 from prelude.circuits import BatchQueryCircuit
+from prelude.control import table_answer
 from prelude.rules import (
     FlowSpec,
     Packet,
@@ -176,6 +177,77 @@ class TestRegistration:
         # another prefix may hold another width
         service.register(make_entry(TernaryRule(8, 0, 0), 2, 65002,
                                     prefix="192.0.2.0/24"))
+
+
+@pytest.mark.parametrize("backend", ["gmw", "yao"])
+class TestPreparedTable:
+    """The table keeps each entry's holder row and identifier, built at
+    register and dropped at deregister; a session only shuffles them."""
+
+    def answer(self, service, rule, prefix):
+        return {hop for hop, _ in table_answer(service.entries_for(prefix),
+                                               rule, local=False)}
+
+    def test_writes_between_sessions_change_the_answer(self, backend):
+        rng = random.Random(61)
+        local = random_rule(8, rng)
+        entries = [make_entry(random_rule(8, rng), 6, 600 + i)
+                   for i in range(5)]
+        endpoint = fresh_endpoint(entries)
+        service, prefix = endpoint.service, entries[0].prefix
+        answers = []
+        for write in (None, make_entry(local, 6, 700), entries[0]):
+            if write in entries:
+                service.deregister(write)
+            elif write is not None:
+                service.register(write)
+            want = self.answer(service, local, prefix)
+            assert endpoint.query(local, prefix, backend=backend).hops == want
+            answers.append(want)
+        # the registered entry's own rule overlaps the query, and so does
+        # the removed one
+        assert overlaps(local, entries[0].rule)
+        assert answers[1] == answers[0] | {NextHopId(6, 700)}
+        assert answers[2] == answers[1] - {entries[0].next_hop}
+
+    def test_a_row_is_built_per_register_and_none_per_session(
+            self, monkeypatch, backend):
+        built = []
+        row = BatchQueryCircuit.row
+
+        def spy(self, party, rule):
+            built.append(party)
+            return row(self, party, rule)
+
+        monkeypatch.setattr(BatchQueryCircuit, "row", spy)
+        rng = random.Random(62)
+        entries = [make_entry(random_rule(8, rng), 6, 600 + i)
+                   for i in range(6)]
+        endpoint = fresh_endpoint(entries)
+        assert built == [1] * len(entries)
+        del built[:]
+        for _ in range(3):
+            local = random_rule(8, rng)
+            assert endpoint.query(local, entries[0].prefix,
+                                  backend=backend).hops == self.answer(
+                endpoint.service, local, entries[0].prefix)
+        # only the querier's one row, once a session
+        assert built == [0] * 3
+
+    def test_a_mismatched_register_leaves_the_table_as_it_was(self, backend):
+        rng = random.Random(63)
+        entries = [make_entry(random_rule(8, rng), 6, 600 + i)
+                   for i in range(4)]
+        endpoint = fresh_endpoint(entries)
+        service, prefix = endpoint.service, entries[0].prefix
+        before = dict(service._tables[prefix])
+        with pytest.raises(ValueError, match="rule width 4 does not match"):
+            service.register(make_entry(TernaryRule.wildcard(4), 6, 700))
+        assert service._tables[prefix] == before
+        assert service.entries_for(prefix) == entries
+        local = random_rule(8, rng)
+        assert endpoint.query(local, prefix, backend=backend).hops == (
+            self.answer(service, local, prefix))
 
 
 # --------------------------------------------------------------------------
@@ -615,6 +687,41 @@ class TestSessionMechanics:
                                   backend=backend).hops == set()
             assert sum(drawn) == 2 * width, drawn
 
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_the_holders_deal_may_come_first(self, backend):
+        # Two threads may reach the dealer in either order.  A holder that
+        # deals before the querier's first frame deals the first pad, and
+        # the querier takes that same pad, which its full material extends.
+        template = distinct_match.query_template(8)
+        dealer = distinct_match._SessionDealer(9)
+        dealer.material(template, backend, 1, 5)
+        first = dealer.first(template, backend)
+        full = dealer.material(template, backend, 0, 5)
+        # the first pad is gmw's cross pad a, or yao's choice bits d
+        piece = "cross" if backend == "gmw" else "transfer"
+        assert getattr(first, piece)[0] == getattr(full, piece)[0] != 0
+        # the draws are those of session order
+        in_order = distinct_match._SessionDealer(9)
+        assert in_order.first(template, backend) == first
+        assert in_order.material(template, backend, 0, 5) == full
+
+        # and a session run in that order answers as the overlap predicate
+        rng = random.Random(64)
+        entries = [make_entry(random_rule(8, rng), 6, 600 + i)
+                   for i in range(5)]
+        service = fresh_endpoint(entries).service
+        for seed in range(4):
+            local = random_rule(8, rng)
+            dealer = distinct_match._SessionDealer(seed)
+            dealer.material(template, backend, 1, len(entries))
+            channel = InlineLoopback(distinct_match._querier_steps(
+                local, entries[0].prefix, backend, dealer))
+            service.serve_query(channel, dealer, random.Random(seed))
+            raw = channel.finish()
+            assert sorted(raw) == sorted(
+                e.next_hop.to_bytes() if overlaps(local, e.rule)
+                else DUMMY_HOP.to_bytes() for e in entries)
+
     @pytest.mark.parametrize("width,k,gmw_flights", [
         (1, 3, 4), (4, 8, 4), (7, 5, 6), (8, 6, 6), (104, 17, 8)])
     def test_flights_are_exact(self, width, k, gmw_flights):
@@ -647,26 +754,9 @@ class TestSessionMechanics:
         endpoint.query(local, "10.0.0.0/8", backend=backend,
                        stats_out=stats_out)
 
-        class SharedDealer:
-            """A session's dealer for two threads: the holder's deal waits
-            for the querier's first pad, and one deal serves both."""
-
-            def __init__(self, dealer):
-                self.dealer = dealer
-                self.first_taken = threading.Event()
-                self.lock = threading.Lock()
-
-            def first(self, circuit, backend):
-                material = self.dealer.first(circuit, backend)
-                self.first_taken.set()
-                return material
-
-            def material(self, *args):
-                assert self.first_taken.wait(10)
-                with self.lock:
-                    return self.dealer.material(*args)
-
-        dealer = SharedDealer(distinct_match._SessionDealer(5))
+        # The holder's deal may come before or after the querier's first
+        # pad; the dealer serves either order.
+        dealer = distinct_match._SessionDealer(5)
         port, accept = TcpChannel.serve_one()
         querier = TcpChannel.connect("127.0.0.1", port)
         holder = accept()
@@ -683,13 +773,13 @@ class TestSessionMechanics:
         try:
             raw = drive(recorded(distinct_match._querier_steps(
                 local, "10.0.0.0/8", backend, dealer),
-                dealer.dealer.transcript), querier)
+                dealer.transcript), querier)
         finally:
             querier.close()
             thread.join(timeout=30)
         assert not thread.is_alive()
         assert len(raw) == len(entries)
-        over_tcp = dealer.dealer.transcript
+        over_tcp = dealer.transcript
         assert (over_tcp.setup_bytes, over_tcp.online_bytes,
                 over_tcp.online_rounds) == (stats_out[0].setup_bytes,
                                             stats_out[0].online_bytes,
