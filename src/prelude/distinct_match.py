@@ -12,13 +12,14 @@ Session flow, all on one framed channel:
 
 1. querier sends a cleartext envelope {prefix, rule width, backend},
    followed at once by its first online frame, which needs no k: its
-   level-1 word (see 3) under a pad the session's dealer hands it before
-   anything else, gmw's level-1 opening or yao's masked label choices
-   (:func:`~prelude.smpc.dealer.first_steps`).  The holder aborts with a
+   word (see 3) under dealer material the session's dealer hands it
+   before anything else, gmw's shifted symbols or yao's masked label
+   choices (:func:`~prelude.smpc.dealer.first_steps`).  The holder aborts with a
    ProtocolError naming the fault if the envelope is not a JSON object
    with those fields, a positive integer width and a known backend, or if
    the width differs from its table's; the padded frame it leaves unread
-   tells it nothing;
+   tells it nothing.  A gmw holder that reads the frame refuses it with a
+   ProtocolError if a cell reads the unused symbol 3;
 2. holder answers with {k, id width} where k is its entry count for the
    prefix; the querier aborts with a ProtocolError naming the fault if the
    answer is not a JSON object with a non-negative integer k of at most
@@ -28,7 +29,7 @@ Session flow, all on one framed channel:
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
-   Each side's rules become one level-1 word of pinned-one and
+   Each side's rules become one word of pinned-one and
    pinned-zero bits, one row of text per rule
    (:meth:`~prelude.circuits.BatchQueryCircuit.row`); a bit proves two
    rules distinct when one pins it to 1 and the other to 0.  The querier
@@ -39,8 +40,8 @@ Session flow, all on one framed channel:
    (:meth:`~prelude.circuits.BatchQueryCircuit.word_from_rows`) and
    releases the identifiers in the same order.  The querier's word is a
    secret input, while the holder's stays in its clear and feeds only
-   cross gates (see :mod:`prelude.circuits`), so the holder's rules are
-   never labelled, masked or shared.
+   yao's cross gates or gmw's lookup tables (see :mod:`prelude.circuits`),
+   so the holder's rules are never labelled, masked or shared.
    Every entry runs the same per-entry template, the comparator
    (:func:`build_batch_query`), and the backends evaluate it over k lanes,
    lane i being the i-th shuffled entry; the querier's rule feeds every
@@ -381,7 +382,7 @@ class SdxMatchService:
             # A distinct bit reads 0 where the rules overlap: release the
             # entry's identifier there, the dummy where it reads 1.
             yield from reveal_steps(shares, material, receive=False,
-                                    values=[(i, _DUMMY_BYTES) for i in ids])
+                                    values=ids, dummy=_DUMMY_BYTES)
             return
         sums = yield from garble_steps(template, word, material, rng)
         yield from release_steps(sums, ids)

@@ -4,18 +4,19 @@ Two interchangeable backends run the one comparator template
 (:class:`prelude.circuits.BatchQueryCircuit`):
 
 - :func:`gmw_steps` works on XOR shares, level by level, each level on
-  its own piece of dealer material: one-sided products for the level-1
-  cross gates and shares of the products of each OR-tree gate's input
+  its own piece of dealer material: one-time truth tables over pairs of
+  comparator cells for the lookup level, read at the querier's symbols by
+  a shift of Z3, and shares of the products of each OR-tree gate's input
   masks, for gates of up to four inputs; its online round count equals
   the template's AND depth.
-- :func:`garble_steps` and :func:`evaluate_steps` garble only the level-1
+- :func:`garble_steps` and :func:`evaluate_steps` garble only the 2w
   cross gates and end with per-lane key sums that agree exactly when no
   cross gate reads 1; their online phase is a single round trip.
 
-Under either backend the querier's first online frame, its level-1 word
-under a dealer pad that no lane count changes, goes out before it learns
-the lane count (:func:`first_steps`): gmw's level-1 opening or yao's
-masked label choices.
+Under either backend the querier's first online frame, its word under a
+piece of dealer material that no lane count changes, goes out before it
+learns the lane count (:func:`first_steps`): gmw's shifted symbols or
+yao's masked label choices.
 
 Both then release to party 0, in one more round, one value per lane where
 the output bit reads 0 and another where it reads 1: gmw by a precomputed
@@ -37,15 +38,15 @@ what the material fixes: the lane count, and the size of the values a
 gmw release carries.
 
 The template runs over ``lanes`` entries at once, every lane of a gate
-packed into one integer.  Each party passes its level-1 word, which
+packed into one integer.  Each party passes its word, which
 :meth:`prelude.circuits.BatchQueryCircuit.word` builds from its rules and
 every backend range-checks the same way.  Party 1's word is clear (see
 :mod:`prelude.circuits`): neither backend shares, masks or labels it, and
-it feeds only the cross gates.  Party 0's word is broadcast, one bit per
-cross gate that every lane reads, so each bit takes one pad bit or one
-label transfer whatever the lane count, and under gmw the querier opens
-one bit per cross gate; everything else costs what the template unrolled
-``lanes`` times would.
+it feeds only the first level, yao's cross gates or gmw's lookup tables.
+Party 0's word is broadcast, one bit per gate that every lane reads, so
+each bit takes one label transfer, or each cell one shift, whatever the
+lane count, and under gmw the querier sends two bits per cell; everything
+else costs what the template unrolled ``lanes`` times would.
 
 Every party is a step generator over frames, and :func:`drive` runs one
 over a channel: an in-thread loopback whose peer is the other party's step

@@ -2,16 +2,20 @@
 
 The dealer stands in for an offline phase in this simulation: it hands both
 parties correlated randomness before the online phase starts.  It deals for
-one level plan, the template's ``levels`` over ``lanes`` entries, and each
-party's material holds that plan and one piece per level of it:
+one level plan, the template's plan for the backend
+(:meth:`~prelude.circuits.BatchQueryCircuit.plan`) over ``lanes`` entries,
+and each party's material holds that plan and one piece per level of it:
 
-- level 1, the cross gates, ANDs of a querier bit with a holder (party 1)
-  bit, each in its owner's clear: the querier gets a random pad a, one bit
-  per gate, since every cross gate reads a querier input that every lane
-  shares (see :mod:`prelude.circuits`); the holder gets a random pad y, one
-  bit per gate and lane; and each party an XOR share of a AND y, with a
-  copied to every lane.  Each party's pad pads the bits it opens, so no
-  input is shared or masked otherwise;
+- gmw's lookup level, one-time truth tables over pairs of cells (Ishai,
+  Kushilevitz, Meldgaard, Orlandi & Paskin-Cherniavsky, TCC 2013): the
+  querier (party 0) gets a shift u, a uniform symbol of Z3 per cell, as
+  two bit planes of w bits, since every lane reads the querier's symbols;
+  the holder (party 1) gets nine pads per pair and lane, entry (i, j) in
+  slice 3 i + j of one word, and its share r of the level; and the
+  querier gets the pad its shifts select, p[u_a, u_b], per pair and lane.
+  The holder's pads come with r already XORed in, p[i, j] XOR r, which
+  are as uniform and as independent of r as the p[i, j] themselves (see
+  :mod:`prelude.smpc.gmw`);
 - each OR-tree level, whose gates take n inputs each, n = 2 to 4: random
   masks m_1 ... m_n per gate and lane, one slice of ``gates x lanes``
   bits each, and an XOR share of the AND m_S of every non-empty subset S
@@ -35,14 +39,15 @@ other party, for the other backend or for another plan with a
 release takes its value size.
 
 The querier's first online frame does not depend on the lane count: its
-level-1 word under the pad that no lane count changes, gmw's cross pad a
-or yao's transfer choice bits d, one bit per cross gate either way.  The
-dealer draws that piece first, and dealt over zero lanes a party's
-material is that piece alone: yao's pads come with the deal over k lanes,
-as gmw's other material does.  So the querier takes it and sends the
-frame (:func:`first_steps`) with its envelope, before it learns k, and the
-deal over k lanes then extends the same piece on the same stream.  The
-holder sees only padded bits, as before; an aborted session wastes them.
+word under the piece of material that no lane count changes, one symbol
+per cell shifted by gmw's u or one bit per cross gate under yao's transfer
+choice bits d.  The dealer draws that piece first, and dealt over zero
+lanes a party's material is that piece alone: yao's pads come with the
+deal over k lanes, as gmw's other material does.  So the querier takes it
+and sends the frame (:func:`first_steps`) with its envelope, before it
+learns k, and the deal over k lanes then extends the same piece on the
+same stream.  The holder sees only shifted or padded symbols, as before;
+an aborted session wastes them.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
@@ -52,7 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from prelude.smpc.channel import MSG_AND_OPENING, MSG_INPUT_SHARE, send_frame
-from prelude.smpc.shares import broadcast, subset_products
+from prelude.smpc.shares import (
+    draw_symbols,
+    pair_indicators,
+    subset_products,
+    symbol_difference,
+    table_entries,
+)
 from prelude.smpc.transfer import LABEL_BYTES, transfer_material
 
 
@@ -62,10 +73,13 @@ class DealerMaterial:
 
     backend: str
     party: int
+    # the rule width and the backend's level plan dealt for
+    width: int
     levels: tuple[int, ...]
     lanes: int
-    # level 1: this party's pad word and its share of the products
-    cross: tuple[int, int]
+    # gmw's lookup level: party 0's shifts u and the pads they select, or
+    # party 1's nine pads with its share r XORed in, and r
+    lookup: tuple[int, int]
     # per OR-tree level: this party's word of product shares, m_S in
     # slice S for the non-empty subsets S of the level's masks, 0 in slice 0
     tree: tuple[int, ...]
@@ -83,14 +97,17 @@ class DealerMaterial:
 
         The backend is part of the plan: the two deal different pads, and a
         run on the other's material could open a bit or a label unpadded.
-        The lane count is not checked, since a run takes it from here.
+        So is the width, which two of gmw's plans may share, as 3 and 4
+        do: the shifts are dealt per cell.  The lane count is not checked,
+        since a run takes it from here.
         """
-        if (self.backend, self.party, self.levels) != (
-                backend, party, circuit.levels):
+        mine = (self.backend, self.party, self.width, self.levels)
+        theirs = (backend, party, circuit.width, circuit.plan(backend))
+        if mine != theirs:
             raise ValueError(
-                f"dealer material for {self.backend} party {self.party}, "
-                f"levels {self.levels}, does not fit {backend} party "
-                f"{party}, levels {circuit.levels}")
+                "dealer material for {} party {}, width {}, levels {}, does "
+                "not fit {} party {}, width {}, levels {}".format(
+                    *mine, *theirs))
 
 
 def dealer_for_circuit(
@@ -99,44 +116,43 @@ def dealer_for_circuit(
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Deal one run of the template over ``lanes`` to parties 0 and 1.
 
-    GMW takes one cross product per level-1 cross gate and lane, the mask
-    products of every OR-tree gate and lane, and one transfer of a
+    GMW takes one 9-entry lookup table per pair of cells and lane, the
+    mask products of every OR-tree gate and lane, and one transfer of a
     ``size``-byte value per lane for the release.  Yao transfers one
     16-byte label per querier input, which every lane reads; the holder's
     inputs are clear and take none.
 
-    A cross product costs the querier its pad bit per gate and its share
-    bit per gate and lane, and the holder two bits per gate and lane.  A
-    tree gate of n inputs costs each party 2^n - 1 bits per lane, and a
-    transfer the sender two pads and the receiver one pad and its choice
-    bit.
+    The lookup level costs the querier two bits per cell and one per pair
+    and lane, and the holder ten bits per pair and lane.  A tree gate of n
+    inputs costs each party 2^n - 1 bits per lane, and a transfer the
+    sender two pads and the receiver one pad and its choice bit.
 
-    The material no lane count changes is drawn first: gmw's pad a, then
-    yao's choice bits d.  Over zero lanes the deal is that alone.
+    The material no lane count changes is drawn first: gmw's shifts u,
+    then yao's choice bits d.  Over zero lanes the deal is that alone.
     ``first`` is such a zero-lane deal from ``rng`` for the same plan,
     which this deal then extends instead of drawing it again, so that both
     deals together hand out what one deal over ``lanes`` would have.
     """
+    plan = circuit.plan(backend)
     if backend == "gmw":
-        n, fixed = circuit.levels[0], 0
-        tree = tuple(zip(circuit.levels[1:], circuit.arities, strict=True))
-    elif backend == "yao":
-        n, tree, fixed, size = 0, (), circuit.levels[0], LABEL_BYTES
+        cells, fixed = circuit.width, 0
+        tree = tuple(zip(plan[1:], circuit.arities, strict=True))
     else:
-        raise ValueError(f"unknown backend {backend!r}")
+        cells, tree, fixed, size = 0, (), plan[0], LABEL_BYTES
     if lanes < 0:
         raise ValueError("lanes must not be negative")
     if first is None:
-        x = rng.getrandbits(n)
+        u = draw_symbols(rng, cells)
         d = rng.getrandbits(fixed)
     else:
         first[0].check(0, circuit, backend)
-        x, d = first[0].cross[0], first[0].transfer[0]
+        u, d = first[0].lookup[0], first[0].transfer[0]
     if not lanes:
-        return (DealerMaterial(backend, 0, circuit.levels, 0, (x, 0), (),
-                               (d, 0), size, (n + fixed + 7) // 8),
-                DealerMaterial(backend, 1, circuit.levels, 0, (0, 0), (),
-                               (0, 0), size, 0))
+        w = circuit.width
+        return (DealerMaterial(backend, 0, w, plan, 0, (u, 0), (), (d, 0),
+                               size, (2 * cells + fixed + 7) // 8),
+                DealerMaterial(backend, 1, w, plan, 0, (0, 0), (), (0, 0),
+                               size, 0))
 
     shares0, shares1 = [], []
     bits = 0
@@ -154,35 +170,43 @@ def dealer_for_circuit(
     if not fixed:
         d = rng.getrandbits(lanes)  # gmw's transfers, one per lane
     choices, pads = transfer_material(d, transfers, rng, size)
-    y = rng.getrandbits(n * lanes)
-    z0 = rng.getrandbits(n * lanes)
-    z1 = (broadcast(x, n, lanes) & y) ^ z0
+    nb = (cells + 1) // 2 * lanes
+    padded = rng.getrandbits(9 * nb)  # p[i, j] XOR r in slice 3 i + j
+    r = rng.getrandbits(nb)
+    chosen = table_entries(padded, *pair_indicators(u, cells, lanes), nb) ^ r
 
-    size0 = ((bits + n + n * lanes + 7) // 8 + size * transfers
+    size0 = ((bits + 2 * cells + nb + 7) // 8 + size * transfers
              + (transfers + 7) // 8)
-    size1 = (bits + 2 * n * lanes + 7) // 8 + 2 * size * transfers
+    size1 = (bits + 10 * nb + 7) // 8 + 2 * size * transfers
     return (
-        DealerMaterial(backend, 0, circuit.levels, lanes, (x, z0),
+        DealerMaterial(backend, 0, circuit.width, plan, lanes, (u, chosen),
                        tuple(shares0), choices, size, size0),
-        DealerMaterial(backend, 1, circuit.levels, lanes, (y, z1),
+        DealerMaterial(backend, 1, circuit.width, plan, lanes, (padded, r),
                        tuple(shares1), pads, size, size1),
     )
 
 
 def first_steps(circuit, word: int, material: DealerMaterial):
-    """Querier: send its first online frame, its level-1 ``word`` under the
-    pad of ``material`` that no lane count changes.
+    """Querier: send its first online frame, its ``word`` under the piece
+    of ``material`` that no lane count changes.
 
-    Under gmw the frame is the querier's level-1 opening d = q XOR a, under
-    yao its transfer choice bits masked by d; either is one bit per cross
-    gate.  ``material`` is party 0's, dealt over any lane count, zero
+    Under gmw the frame is the querier's shift s = x - u mod 3 of its
+    symbols x, two bit planes of one bit per cell, and ValueError is raised
+    for a word whose cell reads 3, pinned both ways; under yao it is its
+    transfer choice bits masked by d, one bit per cross gate.  Either is
+    2w bits.  ``material`` is party 0's, dealt over any lane count, zero
     included.
     """
     material.check(0, circuit, material.backend)
     circuit.check_word(0, word, 1)
+    w = circuit.width
     if material.backend == "gmw":
-        kind, pad = MSG_AND_OPENING, material.cross[0]
+        both = word & word >> w
+        if both:
+            raise ValueError(f"the querier's word reads symbol 3 at cell "
+                             f"{both.bit_length() - 1}")
+        kind = MSG_AND_OPENING
+        frame = symbol_difference(word, material.lookup[0], w)
     else:
-        kind, pad = MSG_INPUT_SHARE, material.transfer[0]
-    yield from send_frame(kind, (word ^ pad).to_bytes(
-        (circuit.levels[0] + 7) // 8, "little"))
+        kind, frame = MSG_INPUT_SHARE, word ^ material.transfer[0]
+    yield from send_frame(kind, frame.to_bytes((2 * w + 7) // 8, "little"))

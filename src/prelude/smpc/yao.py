@@ -2,14 +2,14 @@
 
 Party 1, the holder, garbles and party 0, the querier, evaluates, over the
 per-entry comparator template (:mod:`prelude.circuits`) run as ``lanes``
-instances, one per table entry.  Only the template's level 1, its 2w
-cross gates, is garbled: gate g is the AND of querier input bit g with a
-bit b the holder knows in the clear.  The rest of the
+instances, one per table entry.  Only yao's level of the template, its
+2w cross gates, is garbled: gate g is the AND of querier input bit g with
+a bit b the holder knows in the clear.  The rest of the
 template, the OR over the comparator cells, is never garbled; the querier
 needs only the value released where it is 0, and a sum of keys decides
 that instead.
 
-Labels.  Bit g of the querier's level-1 word
+Labels.  Bit g of the querier's word
 (:meth:`prelude.circuits.BatchQueryCircuit.word`), input g, has two
 128-bit labels A0 and A1 = A0 XOR delta, and cross gate g reads the labels
 of input g.  The querier receives the label its bit selects by a
@@ -252,7 +252,7 @@ def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
     """Garbler's (party 1's) side of one run of the template, over the
     lanes ``setup`` was dealt for.
 
-    ``word`` is the holder's clear level-1 word, gate g's lanes in field g
+    ``word`` is the holder's clear word, gate g's lanes in field g
     (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  Returns the lane
     sums S0 of the zero-keys, lane i in bits [128 i, 128 i + 128), under
     which :func:`release_steps` releases values.
@@ -262,7 +262,7 @@ def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
         raise ValueError("garbler needs an rng")
     lanes = setup.lanes
     circuit.check_word(1, word, lanes)
-    n = circuit.levels[0]
+    n = 2 * circuit.width
     delta = rng.getrandbits(LABEL_BITS)
     zero = rng.getrandbits(LABEL_BITS * n)  # input g's zero-label in lane g
     tables, sums = _garble(_labels(zero, n), delta,
@@ -277,7 +277,7 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
     """Evaluator's (party 0's) side of one run of the template, over the
     lanes ``setup`` was dealt for.
 
-    ``word`` is the querier's level-1 word, gate g's bit in bit g
+    ``word`` is the querier's word, gate g's bit in bit g
     (:meth:`~prelude.circuits.BatchQueryCircuit.word`), whose masked
     transfer choices the evaluator has sent already
     (:func:`~prelude.smpc.dealer.first_steps`).  Returns the lane sums S of
@@ -286,7 +286,7 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
     setup.check(0, circuit, "yao")
     lanes = setup.lanes
     circuit.check_word(0, word, lanes)
-    n = circuit.levels[0]
+    n = 2 * circuit.width
     tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n)
     chosen = yield from choose_steps(word, n, LABEL_BYTES, setup.transfer,
                                      MSG_LABELS)

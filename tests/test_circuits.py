@@ -1,4 +1,4 @@
-"""The comparator template: its level plan and its level-1 words.
+"""The comparator template: its level plans and its words.
 
 The template is defined by its width alone.  Its word builder is checked
 against a per-bit reference built from ``TernaryRule.bit``.  A plaintext
@@ -20,14 +20,14 @@ from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
 
 
 def rule_inputs(q: TernaryRule, holders) -> tuple[int, int]:
-    """Both parties' level-1 words: the querier's rule, and holder rule i
+    """Both parties' words: the querier's rule, and holder rule i
     in lane i."""
     c = build_batch_query(q.width)
     return c.word(0, [q]), c.word(1, holders)
 
 
 def reference_word(party: int, rules, width: int) -> int:
-    """The level-1 word bit by bit from ``TernaryRule.bit``: gate j < w
+    """The word bit by bit from ``TernaryRule.bit``: gate j < w
     reads the querier's pinned-one bit j and the holder's pinned-zero bit
     j, gate w + j the other two, and bit g k + i is gate g of lane i."""
     lanes = len(rules)
@@ -42,22 +42,30 @@ def reference_word(party: int, rules, width: int) -> int:
 
 
 def run_plan(c, q: int, h: int, lanes: int) -> tuple[int, ...]:
-    """The template's output per lane, in the clear, level by level.
+    """The template's output per lane, in the clear, level by level, as
+    gmw's plan runs it.
 
-    Level 1 ANDs the querier's bit of gate g with the holder's field g;
-    the cells are the low half XOR the high half; each tree level of n
-    fields of the NOT cells has ``n // a`` gates of a = min(4, n) inputs,
-    gate g ANDing fields g, g + n // a, ..., and carries the last ``n % a``
+    The querier's symbol of cell j is its bit j plus twice its bit w + j;
+    NOT cell j is all ones for 0, NOT the holder's field j for 1 and NOT
+    its field w + j for 2.  Lookup gate g ANDs NOT cells g and g +
+    ceil(w / 2), a phantom cell past w reading all ones; each tree level
+    of n fields has ``n // a`` gates of a = min(4, n) inputs, gate g
+    ANDing fields g, g + n // a, ..., and carries the last ``n % a``
     fields; the output is NOT the last field.
     """
     c.check_word(0, q, lanes)
     c.check_word(1, h, lanes)
-    n = c.levels[0]
-    fields = [((q >> g) & 1) * ((h >> g * lanes) & ((1 << lanes) - 1))
-              for g in range(n)]
-    every_lane = (1 << lanes) - 1
-    fields = [lo ^ hi ^ every_lane for lo, hi in zip(fields[: n // 2],
-                                                     fields[n // 2 :])]
+    w, every_lane = c.width, (1 << lanes) - 1
+
+    def not_cell(j):
+        if j >= w:
+            return every_lane
+        symbol = (q >> j & 1) + 2 * (q >> w + j & 1)
+        return (every_lane, every_lane ^ (h >> j * lanes & every_lane),
+                every_lane ^ (h >> (w + j) * lanes & every_lane))[symbol]
+
+    fields = [not_cell(g) & not_cell(g + c.pairs) for g in range(c.pairs)]
+    assert len(fields) == c.levels[0]
     for gates, arity in zip(c.levels[1:], c.arities, strict=True):
         assert (gates, arity) == (len(fields) // arity, min(4, len(fields)))
         anded = fields[:gates]
@@ -132,13 +140,19 @@ class TestClearGroups:
         assert c.word(0, [TernaryRule(2, 0b10, 0b11)]) == 0b1001
 
     def test_comparator_cells_are_cross_gates(self):
-        for width in (1, 8, 104):
+        for width in (1, 7, 8, 104):
             c = build_batch_query(width)
-            # level 1 is the 2w cross gates; the OR tree holds the rest,
-            # each gate of a inputs taking a - 1 fields away
-            assert c.levels[0] == 2 * width
+            # yao's one level is the 2w cross gates; gmw's first level
+            # pairs the cells, a phantom cell padding an odd width, and
+            # its OR tree takes the rest, each gate of a inputs taking
+            # a - 1 fields away
+            assert c.plan("yao") == (2 * width,)
+            assert c.plan("gmw") == c.levels
+            assert c.levels[0] == c.pairs == (width + 1) // 2
             assert sum(gates * (arity - 1) for gates, arity in zip(
-                c.levels[1:], c.arities)) == width - 1
+                c.levels[1:], c.arities)) == c.pairs - 1
+        with pytest.raises(ValueError, match="unknown backend 'ot'"):
+            c.plan("ot")
 
 
 # ---------------------------------------------------------------- comparator
@@ -162,19 +176,20 @@ class TestDistinctPair:
             assert run_plan(c, *rule_inputs(q, [h]), 1) == distinct(q, [h])
 
     def test_and_count_exact(self):
-        # 2w cross gates, then the tree's gates of up to four inputs
-        for width, ands in ((1, 2), (2, 5), (7, 16), (8, 19), (104, 243)):
+        # ceil(w / 2) lookup gates, then the tree's gates of up to four
+        # inputs
+        for width, ands in ((1, 1), (2, 1), (7, 5), (8, 5), (104, 69)):
             c = build_batch_query(width)
             assert c.and_count() == ands, width
 
     def test_and_depth_logarithmic(self):
-        # the tree of gates of up to four inputs: 104 fields go to 26, 6, 2
-        # and 1, 13 to 4 and 1
-        for width, depth in ((1, 1), (2, 2), (8, 3), (13, 3), (104, 5)):
+        # the lookup level, then the tree of gates of up to four inputs:
+        # 52 pairs go to 13, 3 and 1, 7 pairs to 1 carried with 3 and to 1
+        for width, depth in ((1, 1), (2, 1), (8, 2), (13, 3), (104, 4)):
             c = build_batch_query(width)
             assert c.and_depth() == depth, width
-        assert build_batch_query(104).levels == (208, 26, 6, 2, 1)
-        assert build_batch_query(104).arities == (4, 4, 4, 2)
+        assert build_batch_query(104).levels == (52, 13, 3, 1)
+        assert build_batch_query(104).arities == (4, 4, 4)
 
 
 # ---------------------------------------------------------------- batch query
@@ -201,15 +216,15 @@ class TestBatchQuery:
                                     for e, v in zip(entries, ids))
 
     def test_and_count_exact(self):
-        for w, ands in ((4, 9), (8, 19), (104, 243)):
+        for w, ands in ((4, 3), (8, 5), (104, 69)):
             c = build_batch_query(w)
             assert c.and_count() == ands
-            # the comparator cells are cross gates, the OR tree the rest
-            assert c.levels[0] == 2 * w
+            # the lookup level pairs the cells, the OR tree the rest
+            assert c.levels[0] == w // 2
 
     def test_and_depth_independent_of_k(self):
         # one template serves every k: its depth depends on the rule width
-        for w, depth in ((1, 1), (4, 2), (8, 3), (104, 5)):
+        for w, depth in ((1, 1), (4, 2), (8, 2), (104, 4)):
             c = build_batch_query(w)
             assert c.and_depth() == depth
             # the traced run's stage is the template itself

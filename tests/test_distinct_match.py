@@ -367,7 +367,8 @@ class TestPrivacyMechanics:
         # The querier sends its first online frame before the ack, so even
         # a session that ends there, at k = 0 or on a width mismatch, shows
         # the holder only dealer-padded bits: over sessions of one fixed
-        # rule, each of the frame's 16 bits is a fair coin.
+        # rule, each of yao's 16 bits is a fair coin, and each of gmw's 8
+        # shifts, a symbol of Z3 in two bit planes, is uniform over Z3.
         frames = loopback_frames(monkeypatch)
         width = 4 if case == "width-mismatch" else 8
         table = [make_entry(TernaryRule(width, 0b0110, 0b1111), 1, 10 + i)
@@ -390,6 +391,15 @@ class TestPrivacyMechanics:
             MSG_AND_OPENING if backend == "gmw" else MSG_INPUT_SHARE}
         words = [int.from_bytes(payload, "little") for _, payload in firsts]
         assert {len(payload) for _, payload in firsts} == {2}
+        if backend == "gmw":
+            for cell in range(8):
+                symbols = [(word >> cell & 1) + 2 * (word >> 8 + cell & 1)
+                           for word in words]
+                assert 3 not in symbols, cell
+                _, p_value = stats.chisquare(
+                    [symbols.count(v) for v in range(3)])
+                assert p_value > 1e-4, cell
+            return
         for bit in range(16):
             ones = sum((word >> bit) & 1 for word in words)
             assert stats.binomtest(ones, sessions).pvalue > 1e-4, bit
@@ -440,6 +450,28 @@ class TestPrivacyMechanics:
         with pytest.raises(QueryAborted) as caught:
             endpoint.query(TernaryRule.wildcard(8), entry.prefix)
         assert cause in str(caught.value)
+        assert isinstance(caught.value.__cause__, ProtocolError)
+
+    def test_a_shift_frame_reading_3_aborts_naming_it(self, monkeypatch):
+        # A querier whose first frame sets both bit planes of cell 5: the
+        # holder refuses the unused symbol before it sends its tables, and
+        # the querier sees the holder's error.
+        entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
+        endpoint = fresh_endpoint([entry])
+
+        def sends_a_3(local, prefix, backend, dealer):
+            yield from send_frame(MSG_ENVELOPE, b'{"prefix":"10.0.0.0/8",'
+                                  b'"rule_width":8,"backend":"gmw"}')
+            yield from send_frame(MSG_AND_OPENING,
+                                  (1 << 5 | 1 << 8 + 5).to_bytes(2, "little"))
+            yield from recv_frame(MSG_ENVELOPE_ACK)
+            yield from recv_frame(MSG_AND_OPENING)
+            return []
+
+        monkeypatch.setattr(distinct_match, "_querier_steps", sends_a_3)
+        with pytest.raises(QueryAborted, match=(
+                "shift frame reads the unused symbol 3 at cell 5")) as caught:
+            endpoint.query(TernaryRule.wildcard(8), entry.prefix)
         assert isinstance(caught.value.__cause__, ProtocolError)
 
     @pytest.mark.parametrize("ack,cause", [
@@ -628,42 +660,66 @@ class TestSessionMechanics:
             assert t_q.setup_bytes + t_q.online_bytes == (
                 sum(size for _, size in frames) + dealt), prefix
 
-    def test_every_tree_level_opening_is_padded(self, monkeypatch):
-        # Each OR-tree level opens every gate input under a fresh dealer
-        # mask.  A party sees its own share of each opened bit and the
-        # peer's, so what it learns is their XOR, the opened value.  Over
-        # sessions of one fixed rule against a table of one fixed rule,
-        # whose shuffle changes nothing, every opened bit of every tree
-        # level, and every bit of each frame on its own, is a fair coin.
-        # At width 8 and k = 3 the tree opens 4 x 2 x 3 and then 2 x 1 x 3
-        # bits each way.
+    @staticmethod
+    def fixed_openings(monkeypatch, sessions: int) -> list[list[int]]:
+        """The AND_OPENING frames of gmw sessions of one fixed rule against
+        a table of one fixed rule at width 8 and k = 3, whose shuffle
+        changes nothing: per session, the querier's shifts, the holder's
+        lookup tables and each tree level's two openings."""
         frames = loopback_frames(monkeypatch)
         table = [make_entry(TernaryRule(8, 0b01100000, 0b11110000), 1, 10 + i)
                  for i in range(3)]
         endpoint = fresh_endpoint(table, seed=59)
         local = TernaryRule(8, 0b10100000, 0b11100000)
-        sessions = 300
-        words = []
+        openings = []
         for _ in range(sessions):
             del frames[:]
             assert endpoint.query(local, table[0].prefix).hops == set()
-            # level 1's two frames are checked elsewhere
-            tree = [int.from_bytes(p, "little") for kind, p in frames
-                    if kind == MSG_AND_OPENING][2:]
-            assert len(tree) == 4
-            words.append(tree + [tree[0] ^ tree[1], tree[2] ^ tree[3]])
-        for index, bits in enumerate((24, 24, 6, 6, 24, 6)):
-            for bit in range(bits):
-                ones = sum((word[index] >> bit) & 1 for word in words)
-                assert stats.binomtest(ones, sessions).pvalue > 1e-4, (
-                    index, bit)
+            openings.append([int.from_bytes(p, "little") for kind, p in frames
+                             if kind == MSG_AND_OPENING])
+        return openings
+
+    @staticmethod
+    def assert_fair(words: list[int], bits: int, what) -> None:
+        """Each of the low ``bits`` bits of ``words`` is a fair coin."""
+        for bit in range(bits):
+            ones = sum((word >> bit) & 1 for word in words)
+            assert stats.binomtest(ones, len(words)).pvalue > 1e-4, (what,
+                                                                     bit)
+
+    def test_every_tree_level_opening_is_padded(self, monkeypatch):
+        # Each OR-tree level opens every gate input under a fresh dealer
+        # mask.  A party sees its own share of each opened bit and the
+        # peer's, so what it learns is their XOR, the opened value.  Over
+        # sessions of one fixed rule against a table of one fixed rule,
+        # every opened bit of every tree level, and every bit of each frame
+        # on its own, is a fair coin.  At width 8 and k = 3 the tree is one
+        # gate of 4 inputs, and opens 4 x 1 x 3 bits each way.
+        openings = self.fixed_openings(monkeypatch, 300)
+        # the lookup level's two frames are checked elsewhere
+        assert {len(frames) for frames in openings} == {4}
+        for index in (2, 3):
+            self.assert_fair([frames[index] for frames in openings], 12,
+                             index)
+        self.assert_fair([frames[2] ^ frames[3] for frames in openings], 12,
+                         "opened")
+
+    def test_the_holders_lookup_frame_is_padded(self, monkeypatch):
+        # The holder's lookup frame holds T'[i, j] = A'[i] AND B'[j] XOR r
+        # XOR p[i, j] for all nine entries of each pair and lane, each
+        # under a pad p[i, j] XOR r of its own.  Over the same sessions
+        # every bit of it, 9 x 4 x 3, is a fair coin, whatever the fixed
+        # rules and shifts make of A' and B'.
+        openings = self.fixed_openings(monkeypatch, 300)
+        self.assert_fair([frames[1] for frames in openings], 108, "lookup")
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     def test_an_empty_session_draws_only_the_first_pad(self, monkeypatch,
                                                        backend):
-        # At k = 0 the dealer draws only the pad of the querier's first
-        # frame, 2w bits under either backend: gmw's cross pad, or yao's
-        # label choice bits without the label pads.
+        # At k = 0 the dealer draws only what pads the querier's first
+        # frame: yao's 2w label choice bits without the label pads, or
+        # gmw's shifts, two bit planes of w bits and w bits more for each
+        # redraw of the positions that read 3.
         drawn = []
 
         class Counting(random.Random):
@@ -685,7 +741,12 @@ class TestSessionMechanics:
             del drawn[:]
             assert endpoint.query(random_rule(width, rng), "10.9.0.0/16",
                                   backend=backend).hops == set()
-            assert sum(drawn) == 2 * width, drawn
+            if backend == "gmw":
+                planes = [n for n in drawn if n]
+                assert set(planes) == {width}, drawn
+                assert len(planes) % 2 == 0, drawn
+            else:
+                assert sum(drawn) == 2 * width, drawn
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     def test_the_holders_deal_may_come_first(self, backend):
@@ -697,8 +758,8 @@ class TestSessionMechanics:
         dealer.material(template, backend, 1, 5)
         first = dealer.first(template, backend)
         full = dealer.material(template, backend, 0, 5)
-        # the first pad is gmw's cross pad a, or yao's choice bits d
-        piece = "cross" if backend == "gmw" else "transfer"
+        # the first pad is gmw's shifts u, or yao's choice bits d
+        piece = "lookup" if backend == "gmw" else "transfer"
         assert getattr(first, piece)[0] == getattr(full, piece)[0] != 0
         # the draws are those of session order
         in_order = distinct_match._SessionDealer(9)
@@ -723,7 +784,7 @@ class TestSessionMechanics:
                 else DUMMY_HOP.to_bytes() for e in entries)
 
     @pytest.mark.parametrize("width,k,gmw_flights", [
-        (1, 3, 4), (4, 8, 4), (7, 5, 6), (8, 6, 6), (104, 17, 8)])
+        (1, 3, 4), (4, 8, 4), (7, 5, 4), (8, 6, 4), (104, 17, 6)])
     def test_flights_are_exact(self, width, k, gmw_flights):
         # The querier's first frame rides with its envelope and the
         # holder's first frames with its ack.  Yao takes two flights at any
@@ -794,7 +855,7 @@ class TestSessionMechanics:
         for entry in entries:
             service.register(entry)
         endpoint = LoopbackEndpoint(service, seed=9, one_way_delay=delay)
-        for backend, flights in (("gmw", 6), ("yao", 2)):
+        for backend, flights in (("gmw", 4), ("yao", 2)):
             stats_out = []
             start = time.monotonic()
             endpoint.query(random_rule(8, rng), "10.0.0.0/8",
@@ -848,9 +909,34 @@ class TestLaneSessions:
                 assert sorted(h for h in raw if h != DUMMY_HOP) == sorted(
                     e.next_hop for e in entries if overlaps(local, e.rule))
 
+    @pytest.mark.parametrize("width", [*range(1, 17), 103, 104, 105])
+    def test_every_width_answers_in_its_rounds_and_flights(self, width):
+        # Odd widths pair their last cell with a phantom one.  At every
+        # width gmw answers as the overlap predicate, at k = 1 and 5, in
+        # AND depth + 1 online rounds and 2 ceil(depth / 2) + 2 flights.
+        rng = random.Random(300 + width)
+        depth = distinct_match.query_template(width).and_depth()
+        for k in (1, 5):
+            entries = [make_entry(random_rule(width, rng), 3, 300 + i)
+                       for i in range(k)]
+            endpoint = fresh_endpoint(entries)
+            mine = entries[0].rule
+            for local in (mine, TernaryRule(width, mine.pattern,
+                                            mine.mask & rng.getrandbits(width)),
+                          random_rule(width, rng), random_rule(width, rng),
+                          TernaryRule.wildcard(width)):
+                stats_out = []
+                result = endpoint.query(local, "10.0.0.0/8",
+                                        stats_out=stats_out)
+                assert result.hops == {e.next_hop for e in entries
+                                       if overlaps(local, e.rule)}, (k, local)
+                s = stats_out[0]
+                assert (s.and_depth, s.online_rounds, s.flights) == (
+                    depth, depth + 1, 2 * -(-depth // 2) + 2), k
+
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 149, 144, 3),
-        ("gmw", 104, 50, 4919, 3719, 6),
+        ("gmw", 4, 8, 131, 150, 3),
+        ("gmw", 104, 50, 2331, 4458, 5),
         ("yao", 104, 50, 169838, 7497, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
@@ -874,15 +960,20 @@ class TestLaneSessions:
     @pytest.mark.parametrize("width,k", [(4, 8), (104, 50)])
     def test_triples_consumed_are_k_times_the_per_entry_and_count(
             self, monkeypatch, width, k):
-        # Every draw all ones: the material stays consistent, so the session
-        # still answers, and the querier's words show their exact widths.
-        # The pad of the querier's first frame comes from the same dealer,
-        # dealt over zero lanes before the ack.
+        # Every draw all ones but the first, the shifts' low plane, so that
+        # every shift reads 2: the material stays consistent, so the
+        # session still answers, and the words show their exact widths.
+        # The querier's shifts come from the same dealer, dealt over zero
+        # lanes before the ack.
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
+        draws = iter([0])
+        shifted = SimpleNamespace(
+            getrandbits=lambda n: next(draws, (1 << n) - 1))
         materials = []
 
         def recording(circuit, backend, rng, lanes=1, **kwargs):
-            pair = dealer_for_circuit(circuit, backend, ones, lanes, **kwargs)
+            pair = dealer_for_circuit(circuit, backend, shifted, lanes,
+                                      **kwargs)
             materials.extend(pair)
             return pair
 
@@ -895,16 +986,20 @@ class TestLaneSessions:
         hops = {e.next_hop for e in entries if overlaps(local, e.rule)}
         assert endpoint.query(local, "10.0.0.0/8").hops == hops != set()
         template = distinct_match.query_template(width)
-        per_entry, products = {4: (9, 15), 104: (243, 513)}[width]
+        per_entry, products = {4: (3, 3), 104: (69, 255)}[width]
         assert template.and_count() == per_entry
-        # the comparator's 2w cross gates take 2w·k product bits, each tree
-        # gate of n inputs 2^n − 1 mask products per entry, and the release
-        # one transfer of a 6-byte identifier per entry
+        # the lookup level takes 2 bits of shift per cell, and per pair of
+        # cells and entry the querier's pad and the holder's nine and its
+        # share; each tree gate of n inputs 2^n − 1 mask products per
+        # entry, and the release one transfer of a 6-byte identifier per
+        # entry
         early, _, querier, holder = materials
-        assert (early.lanes, early.cross[0]) == (0, querier.cross[0])
-        assert querier.cross == (ones.getrandbits(2 * width),
-                                 ones.getrandbits(2 * width * k))
-        assert holder.cross[0] == ones.getrandbits(2 * width * k)
+        assert (early.lanes, early.lookup[0]) == (0, querier.lookup[0])
+        nb = width // 2 * k
+        # p[2, 2] XOR r XOR r, all ones thrice
+        assert querier.lookup == (ones.getrandbits(width) << width, 0)
+        assert holder.lookup == (ones.getrandbits(9 * nb),
+                                 ones.getrandbits(nb))
         assert querier.tree == tuple(
             ones.getrandbits(((1 << arity) - 1) * gates * k) << gates * k
             for gates, arity in zip(template.levels[1:], template.arities))
@@ -969,12 +1064,12 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "ac7c08aa41e08929583c8231090cbcd2"
-         "e3dcf04a0c4f73092636c4d110104f93"),
-        (7, 33, "5c6cf76e8dfd91e501e3ca415c976474"
-         "70eea46ceaf783ac28c844b221e0808a"),
-        (1, 3, "40f57baeaf9572dd278fb5bf736a1df0"
-         "a7049f5c8b6bad93c48c2df6bb239999"),
+        (104, 50, "40004bf93bcf399f2eeb11fe2049a721"
+         "c1c800d0cd5282ac3cda21838f2d6db5"),
+        (7, 33, "c5c2db43358fa5fe2966830c77f06fd4"
+         "7e68ab4e7e081063c6c0f52fd541235d"),
+        (1, 3, "c1c84b535a67a304289e041806199c12"
+         "49649bce5e4dd83544c6e196549be124"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):
@@ -1007,11 +1102,11 @@ class TestLaneSessions:
         entries = [make_entry(random_rule(104, rng), 2, 20 + i)
                    for i in range(5)]
         endpoint = fresh_endpoint(entries)
-        for backend, depth in (("gmw", 5), ("yao", 1)):
+        for backend, depth in (("gmw", 4), ("yao", 1)):
             stats_out = []
             endpoint.query(random_rule(104, rng), "10.0.0.0/8",
                            backend=backend, stats_out=stats_out)
             assert stats_out[0].and_depth == depth
-            assert stats_out[0].online_rounds == (6 if backend == "gmw"
+            assert stats_out[0].online_rounds == (5 if backend == "gmw"
                                                   else 2)
-            assert stats_out[0].flights == (8 if backend == "gmw" else 2)
+            assert stats_out[0].flights == (6 if backend == "gmw" else 2)

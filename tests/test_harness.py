@@ -263,7 +263,7 @@ class TestMicrobench:
         yao_1 = bench_cell("yao", 1, 0.0, 2, 104, 7)
         yao_9 = bench_cell("yao", 9, 0.0, 2, 104, 7)
         assert yao_1.online_rounds == yao_9.online_rounds == 2
-        assert gmw_1.flights == gmw_9.flights == 8
+        assert gmw_1.flights == gmw_9.flights == 6
         assert yao_1.flights == yao_9.flights == 2
         assert yao_9.setup_bytes > gmw_9.setup_bytes
         assert gmw_9.online_bytes > 0
@@ -282,7 +282,7 @@ class TestMicrobench:
         assert lines[0].startswith("experiment,backend,k,delay_ms")
         rows = [dict(zip(lines[0].split(","), line.split(",")))
                 for line in lines[1:]]
-        assert [row["flights"] for row in rows] == ["8", "8", "2", "2"]
+        assert [row["flights"] for row in rows] == ["6", "6", "2", "2"]
 
 
 # --------------------------------------------------------------------------

@@ -54,7 +54,13 @@ from prelude.smpc import (
 from prelude.smpc import gmw, yao
 from prelude.smpc.aes import Aes128Ecb
 from prelude.smpc.channel import MAX_FRAME_BYTES
-from prelude.smpc.shares import broadcast
+from prelude.smpc.shares import (
+    broadcast,
+    draw_symbols,
+    pair_indicators,
+    symbol_difference,
+    table_entries,
+)
 
 
 def pack(values, width: int) -> int:
@@ -93,22 +99,27 @@ def overlap_case(width: int, lanes: int, rng: random.Random, q=None):
 
 
 def random_inputs(circuit, rng: random.Random, lanes: int = 1,
-                  sparse: int = 1) -> tuple[int, int]:
-    """Random level-1 words of both parties, which need not come from
-    rules: a bit per cross gate for the querier and a field of ``lanes``
-    bits per cross gate for the holder.  Each bit is 1 with probability
-    ``2 ** -sparse``."""
+                  sparse: int = 1, symbols: bool = True) -> tuple[int, int]:
+    """Random words of both parties, which need not come from rules: a bit
+    per gate for the querier and a field of ``lanes`` bits per gate for
+    the holder.  Each bit is 1 with probability ``2 ** -sparse``, except
+    that where ``symbols`` no querier cell reads 3, as gmw requires: its
+    bit w + j is cleared where its bit j is set."""
 
     def word(width):
         fields = []
-        for _ in range(circuit.levels[0]):
+        for _ in range(2 * circuit.width):
             value = (1 << width) - 1
             for _ in range(sparse):
                 value &= rng.getrandbits(width)
             fields.append(value)
         return pack(fields, width)
 
-    return word(1), word(lanes)
+    querier = word(1)
+    if symbols:
+        w = circuit.width
+        querier &= ~((querier & ((1 << w) - 1)) << w)
+    return querier, word(lanes)
 
 
 def plaintext(circuit, inputs0, inputs1, lanes: int,
@@ -179,9 +190,12 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
         yield from first_steps(circuit, inputs, mat)
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat)
-        opened = yield from reveal_steps(
-            shares, mat, receive=party == 0,
-            values=[BIT_VALUES] * lanes if party == 1 else ())
+        if party == 1:
+            yield from reveal_steps(shares, mat, receive=False,
+                                    values=[BIT_VALUES[0]] * lanes,
+                                    dummy=BIT_VALUES[1])
+            return None
+        opened = yield from reveal_steps(shares, mat, receive=True)
     elif party == 1:
         sums = yield from garble_steps(circuit, inputs, mat, garble_rng)
         yield from release_steps(sums, [BIT_VALUES[0]] * lanes)
@@ -189,7 +203,7 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
     else:
         sums = yield from evaluate_steps(circuit, inputs, mat)
         opened = yield from open_steps(sums, lanes, BIT_VALUES[1])
-    return None if opened is None else tuple(value[0] for value in opened)
+    return tuple(value[0] for value in opened)
 
 
 def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
@@ -254,14 +268,66 @@ def run_over_tcp(backend):
 class TestShares:
     def test_broadcast_copies_each_bit_to_its_field(self):
         rng = random.Random(12)
-        # both sides of the lane count where the halving takes over
-        for n, lanes in ((1, 1), (5, 1), (13, 3), (208, 7), (208, 55),
-                         (208, 56), (208, 500), (0, 3)):
+        # numerals in each base 2 to 32, both sides of 8 lanes, and both
+        # sides of the longest numeral parsed, from 8 lanes on: 208 fields
+        # over 8 lanes are 416 base-16 digits, over 11 lanes 2288 bits
+        for n, lanes in ((1, 1), (5, 1), (13, 3), (13, 4), (26, 5), (9, 6),
+                         (208, 7), (208, 8), (104, 10), (208, 11),
+                         (208, 55), (208, 56), (208, 500), (3, 500), (0, 3)):
             bits = rng.getrandbits(n)
             assert broadcast(bits, n, lanes) == pack(
                 [((bits >> i) & 1) * ((1 << lanes) - 1) for i in range(n)],
                 lanes)
         assert broadcast(0b101, 0, 4) == 0
+
+    @staticmethod
+    def symbols(planes: int, n: int) -> list[int]:
+        """The symbols of Z3 that two bit planes of ``n`` bits hold."""
+        return [(planes >> j & 1) + 2 * (planes >> n + j & 1)
+                for j in range(n)]
+
+    def test_drawn_symbols_are_uniform_and_never_3(self):
+        rng = random.Random(14)
+        drawn = [symbol for _ in range(300)
+                 for symbol in self.symbols(draw_symbols(rng, 20), 20)]
+        assert 3 not in drawn
+        _, p_value = stats.chisquare([drawn.count(v) for v in range(3)])
+        assert p_value > 1e-4
+        assert draw_symbols(rng, 0) == 0
+
+    def test_symbol_difference_subtracts_in_z3(self):
+        # every pair of symbols, side by side in nine positions
+        pairs = [(x, u) for x in range(3) for u in range(3)]
+        x = pack([x & 1 for x, _ in pairs] + [x >> 1 for x, _ in pairs], 1)
+        u = pack([u & 1 for _, u in pairs] + [u >> 1 for _, u in pairs], 1)
+        assert self.symbols(symbol_difference(x, u, 9), 9) == [
+            (x - u) % 3 for x, u in pairs]
+
+    @pytest.mark.parametrize("width,lanes", [(1, 1), (4, 3), (7, 2),
+                                             (104, 5), (104, 60)])
+    def test_pairs_read_their_entries(self, width, lanes):
+        # Pair g's cells are g and g + ceil(w / 2), a phantom cell reading
+        # 0 past an odd width; its entry in each lane is the table's slice
+        # 3 a + b for the cells' symbols a and b.
+        rng = random.Random(width * lanes)
+        pairs = (width + 1) // 2
+        nb = pairs * lanes
+        planes = draw_symbols(rng, width)
+        symbols = self.symbols(planes, width) + [0]
+        rows, columns = pair_indicators(planes, width, lanes)
+        for g in range(pairs):
+            a, b = symbols[g], symbols[min(g + pairs, width)]
+            for v in range(3):
+                assert unpack(rows[v], lanes, pairs)[g] == (
+                    (1 << lanes) - 1 if v == a else 0)
+                assert unpack(columns[v], lanes, pairs)[g] == (
+                    (1 << lanes) - 1 if v == b else 0)
+        table = rng.getrandbits(9 * nb)
+        got = unpack(table_entries(table, rows, columns, nb), lanes, pairs)
+        slices = unpack(table, nb, 9)
+        assert got == [unpack(slices[3 * symbols[g]
+                                     + symbols[min(g + pairs, width)]],
+                              lanes, pairs)[g] for g in range(pairs)]
 
 
 # --------------------------------------------------------------------------
@@ -508,19 +574,28 @@ def first_step(backend: str, party: int, material):
 
 def deal(backend: str, width: int = 4, lanes: int = 3, levels=None):
     """Both parties' material for the template of ``width`` over
-    ``lanes``, or for the level plan ``levels`` with that template's tree
-    arities where given."""
+    ``lanes``, or for the level plan ``levels`` with that template's width
+    and tree arities where given."""
     plan = build_batch_query(width)
     if levels is not None:
-        plan = SimpleNamespace(levels=levels, arities=plan.arities)
+        plan = SimpleNamespace(width=width, arities=plan.arities,
+                               plan=lambda backend: levels)
     return dealer_for_circuit(plan, backend, random.Random(4), lanes)
 
 
-def refused(backend: str, party: int, dealt: str):
-    """Expect :func:`first_step` to refuse material dealt for ``dealt``."""
+def dealt(material) -> str:
+    """What ``material`` was dealt for, as a refusal names it."""
+    return (f"{material.backend} party {material.party}, width "
+            f"{material.width}, levels {material.levels}")
+
+
+def refused(backend: str, party: int, material):
+    """Expect :func:`first_step` to refuse ``material``, not dealt for the
+    width-4 template."""
+    plan = build_batch_query(4).plan(backend)
     return pytest.raises(ValueError, match=re.escape(
-        f"dealer material for {dealt}, does not fit {backend} party "
-        f"{party}, levels (8, 1)"))
+        f"dealer material for {dealt(material)}, does not fit {backend} "
+        f"party {party}, width 4, levels {plan}"))
 
 
 class TestDealer:
@@ -557,23 +632,36 @@ class TestDealer:
             assert (pad >> lane) & ((1 << 128) - 1) == (
                 (r1 if (d >> i) & 1 else r0) >> lane) & ((1 << 128) - 1)
 
-    @pytest.mark.parametrize("n_cross,lanes", [(1, 1), (8, 5), (208, 33)])
-    def test_cross_products_share_a_and_y(self, n_cross, lanes):
-        # level 1 rests on this alone: the querier's a pads its opening,
-        # the holder's y pads its own, and the shares XOR to a AND y
-        plan = SimpleNamespace(levels=(n_cross,), arities=())
-        mat0, mat1 = dealer_for_circuit(plan, "gmw",
-                                        random.Random(n_cross + lanes), lanes)
-        (a0, c0), (y1, c1) = mat0.cross, mat1.cross
-        assert a0 < 1 << n_cross
-        assert y1 < 1 << n_cross * lanes
-        assert c0 ^ c1 == broadcast(a0, n_cross, lanes) & y1
+    @pytest.mark.parametrize("width,lanes", [(1, 1), (8, 5), (208, 33)])
+    def test_lookup_pads_select_by_the_shifts(self, width, lanes):
+        # The lookup level rests on this alone: the querier's shift u is a
+        # symbol of Z3 per cell, and its pad of pair g and lane i is the
+        # holder's pad of entry (u_g, u_{g + ceil(w / 2)}), r XORed in
+        # with either, checked here bit by bit.  An odd width's phantom
+        # cell reads 0.
+        circuit = build_batch_query(width)
+        mat0, mat1 = dealer_for_circuit(circuit, "gmw",
+                                        random.Random(width + lanes), lanes)
+        (u, chosen), (padded, r) = mat0.lookup, mat1.lookup
+        pairs = (width + 1) // 2
+        nb = pairs * lanes
+        assert u < 1 << 2 * width and chosen < 1 << nb
+        assert padded < 1 << 9 * nb and r < 1 << nb
+        symbols = [(u >> j & 1) + 2 * (u >> width + j & 1)
+                   for j in range(width)] + [0]
+        assert 3 not in symbols
+        for g in range(pairs):
+            a, b = symbols[g], symbols[min(g + pairs, width)]
+            for i in range(lanes):
+                bit = g * lanes + i
+                assert chosen >> bit & 1 == (
+                    padded >> (3 * a + b) * nb + bit ^ r >> bit) & 1
 
     def test_stream_exhaustion(self):
         # material cannot run short mid-run: a run takes its lane count
         # from its material, so a holder word over more lanes than were
         # dealt is refused before the first step (the querier's word is
-        # one bit per cross gate at any lane count)
+        # one bit per gate at any lane count)
         for backend in ("gmw", "yao"):
             good, fewer = deal(backend), deal(backend, lanes=2)
             for party in (0, 1):
@@ -589,14 +677,9 @@ class TestDealer:
             wider = deal(backend, width=5)
             for party in (0, 1):
                 first_step(backend, party, good[party])
-                for material, dealt in (
-                        (good[1 - party], f"{backend} party {1 - party}, "
-                                          "levels (8, 1)"),
-                        (theirs[party], f"{other} party {party}, levels "
-                                        "(8, 1)"),
-                        (wider[party], f"{backend} party {party}, levels "
-                                       "(10, 1, 1)")):
-                    with refused(backend, party, dealt):
+                for material in (good[1 - party], theirs[party],
+                                 wider[party]):
+                    with refused(backend, party, material):
                         first_step(backend, party, material)
 
 
@@ -607,7 +690,8 @@ class TestDealer:
 class TestGmw:
     def test_matches_plaintext_on_random_circuits(self):
         # templates of random widths on random input bits, which need not
-        # form rules: a cell whose products are both 1 reads 0
+        # form rules: a holder may pin a bit both ways, and its cell then
+        # reads 1 wherever the querier pins the bit
         rng = random.Random(2024)
         for trial in range(60):
             circuit = build_batch_query(rng.randrange(1, 20))
@@ -660,18 +744,20 @@ class TestGmw:
                        if e.kind == MSG_AND_OPENING) == circuit.and_depth()
 
     def test_underprovisioned_dealer_aborts(self):
-        # a narrower template's material is short of mask products and
-        # cross products alike
+        # a narrower template's material is short of shifts, though its
+        # plan is the same: width 3 pairs its cells into two lookup gates,
+        # as width 4 does
         narrower = deal("gmw", width=3)
+        assert narrower[0].levels == build_batch_query(4).levels
         for party in (0, 1):
-            with refused("gmw", party, f"gmw party {party}, levels (6, 1)"):
+            with refused("gmw", party, narrower[party]):
                 first_step("gmw", party, narrower[party])
 
-    def test_underprovisioned_cross_material_aborts(self):
-        # the OR tree's mask products fit; level 1 is two cross gates short
-        short = deal("gmw", levels=(6, 1))
+    def test_underprovisioned_lookup_material_aborts(self):
+        # the OR tree's mask products fit; level 1 is a lookup gate short
+        short = deal("gmw", levels=(1, 1))
         for party in (0, 1):
-            with refused("gmw", party, f"gmw party {party}, levels (6, 1)"):
+            with refused("gmw", party, short[party]):
                 first_step("gmw", party, short[party])
 
     def test_closed_channel_aborts_cleanly(self):
@@ -698,7 +784,8 @@ class TestGmw:
         for trial in range(25):
             gates, lanes = rng.randrange(1, 6), rng.randrange(1, 70)
             nb = gates * lanes
-            plan = SimpleNamespace(levels=(0, gates), arities=(arity,))
+            plan = SimpleNamespace(width=0, arities=(arity,),
+                                   plan=lambda backend: (0, gates))
             mat0, mat1 = dealer_for_circuit(plan, "gmw", rng, lanes)
             inputs = rng.getrandbits(arity * nb)
             share0 = rng.getrandbits(arity * nb)
@@ -722,10 +809,34 @@ class TestGmw:
         assert mat0.transfer_bytes == mat1.transfer_bytes == 6
         assert max(mat0.transfer[1], *mat1.transfer) < 1 << 2 * 48
         for size in (5, 7):
-            with pytest.raises(ValueError, match=(
-                    "release needs 2 pairs of 6-byte values")):
-                next(reveal_steps(0, mat1, receive=False,
-                                  values=[(bytes(size),) * 2] * 2))
+            for values, dummy in (([bytes(size)] * 2, bytes(6)),
+                                  ([bytes(6)] * 2, bytes(size))):
+                with pytest.raises(ValueError, match=(
+                        "release needs 2 values and a dummy of 6 bytes "
+                        "each")):
+                    next(reveal_steps(0, mat1, receive=False, values=values,
+                                      dummy=dummy))
+
+    def test_a_querier_word_reading_3_is_refused(self):
+        # a querier cell pinned both ways is no symbol of Z3
+        circuit = build_batch_query(4)
+        mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(2))
+        with pytest.raises(ValueError, match="reads symbol 3 at cell 2"):
+            next(first_steps(circuit, 0b0100_0100, mat0))
+
+    def test_the_holder_refuses_a_shift_frame_reading_3(self):
+        # Cell 1 of a forged shift frame has both planes set.  The holder
+        # refuses it naming the symbol and the cell, before it sends its
+        # tables.
+        circuit = build_batch_query(4)
+        _, inputs1 = random_inputs(circuit, random.Random(6), 2)
+        _, mat1 = dealer_for_circuit(circuit, "gmw", random.Random(7),
+                                     lanes=2, size=1)
+        ch = InlineLoopback(party_steps(circuit, "gmw", 1, inputs1, mat1))
+        ch.send(MSG_AND_OPENING, bytes([0b0010_0010]))
+        with pytest.raises(ProtocolError, match=(
+                "shift frame reads the unused symbol 3 at cell 1")):
+            ch.finish()
 
     def test_wrong_party_material_rejected(self):
         circuit = build_batch_query(4)
@@ -780,7 +891,8 @@ class TestYao:
     def test_width_1_template_has_no_or_tree(self):
         # every pair of width-1 rules: 0, 1 and * against 0, 1 and *
         circuit = build_batch_query(1)
-        assert circuit.levels == (2,)
+        assert circuit.plan("yao") == (2,)
+        assert circuit.levels == (1,)  # gmw's one lookup gate
         rules = [TernaryRule(1, 0, 1), TernaryRule(1, 1, 1),
                  TernaryRule.wildcard(1)]
         for q in rules:
@@ -814,7 +926,7 @@ class TestYao:
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
         # one 16-byte row per cross gate; the OR tree's ANDs are not garbled
-        assert (circuit.levels[0], circuit.and_count()) == (16, 19)
+        assert circuit.plan("yao") == (16,)
         assert table_entry.n_bytes == 5 + 16 * 16
 
     def test_missing_transfer_material_aborts(self):
@@ -823,8 +935,7 @@ class TestYao:
         # refused before the first step
         first_step("yao", 0, deal("yao")[0])
         for mat0 in (deal("yao", width=3)[0], deal("gmw")[0]):
-            with refused("yao", 0, f"{mat0.backend} party 0, levels "
-                                   f"{mat0.levels}"):
+            with refused("yao", 0, mat0):
                 first_step("yao", 0, mat0)
 
     def test_garbler_requires_rng(self):
@@ -866,14 +977,15 @@ class TestYao:
 # cross-backend and transcript behaviour
 
 
-def tree_gates(width: int) -> list[tuple[int, int]]:
-    """(gates, inputs per gate) of each OR-tree level: a level of n fields
-    ANDs them min(4, n) at a time and carries the rest, down to 1."""
+def tree_gates(fields: int) -> list[tuple[int, int]]:
+    """(gates, inputs per gate) of each OR-tree level over ``fields``: a
+    level of n fields ANDs them min(4, n) at a time and carries the rest,
+    down to 1."""
     levels = []
-    while width > 1:
-        arity = min(4, width)
-        levels.append((width // arity, arity))
-        width = width // arity + width % arity
+    while fields > 1:
+        arity = min(4, fields)
+        levels.append((fields // arity, arity))
+        fields = fields // arity + fields % arity
     return levels
 
 
@@ -904,15 +1016,19 @@ class TestLanes:
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_cross_gates_match_plaintext(self, backend, lanes):
-        # Input bits that need not form rules, so a cell's two cross gates
-        # may both read 1.  gmw computes the template, whose cell is their
-        # XOR; yao's key sums test whether any cross gate reads 1.
+        # Input bits that need not form rules.  Under yao a querier may pin
+        # a bit both ways, so a cell's two cross gates may both read 1, and
+        # its key sums test whether any cross gate reads 1.  gmw's lookup
+        # level reads the querier's symbols of Z3, none of them 3, against
+        # holder bits that may pin a bit both ways, and computes the
+        # template, whose cell is the XOR of its two products.
         rng = random.Random(700 + lanes)
         cell = int.__xor__ if backend == "gmw" else int.__or__
         seen = set()
         for trial in range(8):
             circuit = build_batch_query(rng.choice((1, 2, 3)))
-            inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2)
+            inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2,
+                                             symbols=backend == "gmw")
             got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
             assert got == plaintext(circuit, inputs0, inputs1, lanes,
                                     cell), trial
@@ -921,29 +1037,36 @@ class TestLanes:
 
     def test_dealer_material_scales_with_lanes(self):
         circuit = build_batch_query(8)
-        # every draw all ones, so that party 0's words show their widths
+        # every draw all ones, so that the words show their widths, but the
+        # first, the shifts' low plane, so that every shift reads 2
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
-        mat0, _ = dealer_for_circuit(circuit, "gmw", ones, lanes=5)
-        # 16 comparator cross gates, two 4-input OR-tree gates and a
-        # 2-input one, and a release transfer per lane
-        assert (circuit.levels, circuit.arities) == ((16, 2, 1), (4, 2))
-        assert mat0.cross == (ones.getrandbits(16), ones.getrandbits(5 * 16))
-        assert mat0.tree == (ones.getrandbits(15 * 2 * 5) << 2 * 5,
-                             ones.getrandbits(3 * 5) << 5)
+        draws = iter([0])
+        shifted = SimpleNamespace(
+            getrandbits=lambda n: next(draws, (1 << n) - 1))
+        mat0, mat1 = dealer_for_circuit(circuit, "gmw", shifted, lanes=5)
+        # 4 lookup gates, one 4-input OR-tree gate, and a release transfer
+        # per lane
+        assert (circuit.levels, circuit.arities) == ((4, 1), (4,))
+        # 2 bits of shift per cell, the pads p[2, 2] XOR r XOR r = 0 of 4
+        # pairs and 5 lanes, and the holder's 9 pads and its r
+        assert mat0.lookup == (ones.getrandbits(8) << 8, 0)
+        assert mat1.lookup == (ones.getrandbits(9 * 4 * 5),
+                               ones.getrandbits(4 * 5))
+        assert mat0.tree == (ones.getrandbits(15 * 1 * 5) << 5,)
         assert mat0.transfer == (ones.getrandbits(5),
                                  ones.getrandbits(128 * 5))
         # the querier's inputs are broadcast: one transfer per input at any k
         mat0, mat1 = dealer_for_circuit(circuit, "yao", ones, lanes=5)
-        assert (mat0.cross, mat0.tree) == ((0, 0), ())
+        assert (mat0.lookup, mat0.tree) == ((0, 0), ())
         assert mat0.transfer == (ones.getrandbits(16),
                                  ones.getrandbits(128 * 16))
         assert mat1.transfer == (ones.getrandbits(128 * 16),) * 2
 
     def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
-        # Each frame is exact, after a 5-byte header.  At level 1 the
-        # querier opens one bit per cross gate for all lanes and the holder
-        # one per cross gate and lane; at a tree level each side opens one
-        # bit per gate input and lane.
+        # Each frame is exact, after a 5-byte header.  At the lookup level
+        # the querier sends its shifts, two bits per cell for all lanes,
+        # and the holder nine table entries per pair of cells and lane; at
+        # a tree level each side opens one bit per gate input and lane.
         for width in (1, 4, 7, 104):
             circuit = build_batch_query(width)
             rng = random.Random(41 + width)
@@ -954,11 +1077,12 @@ class TestLanes:
                 assert out0 == expected, (width, lanes)
                 openings = [(e.direction, e.n_bytes) for e in t0.frames
                             if e.kind == MSG_AND_OPENING]
+                pairs = (width + 1) // 2
                 tree = [5 + (arity * gates * lanes + 7) // 8
-                        for gates, arity in tree_gates(width)]
+                        for gates, arity in tree_gates(pairs)]
                 assert openings == [
                     ("sent", 5 + (2 * width + 7) // 8),
-                    ("received", 5 + (2 * width * lanes + 7) // 8),
+                    ("received", 5 + (9 * pairs * lanes + 7) // 8),
                 ] + [(d, size) for size in tree
                      for d in ("sent", "received")], (width, lanes)
 
@@ -969,8 +1093,8 @@ class TestLanes:
                                         lanes=4)
         yao0, yao1 = dealer_for_circuit(circuit, "yao", random.Random(3),
                                         lanes=4)
-        # a querier word is one bit per cross gate, which every lane reads,
-        # and a holder word one bit per cross gate and lane
+        # a querier word is one bit per gate, which every lane reads, and a
+        # holder word one bit per gate and lane
         for bad0, bad1 in ((inputs0 | 1 << 8, inputs1 | 1 << 32), (-1, -1)):
             for steps in (gmw_steps(circuit, 0, bad0, gmw0),
                           gmw_steps(circuit, 1, bad1, gmw1),
@@ -1058,7 +1182,7 @@ class TestHalfGates:
             monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
         rng = random.Random(80 + lanes)
         for width in (1, 4, 8):
-            n = build_batch_query(width).levels[0]
+            n = 2 * width
             clear = [rng.getrandbits(lanes) for _ in range(n)]
             delta, labels, key = self.garbler_draws(rng, width)
             tables, sums = yao._garble(labels, delta, key,
@@ -1113,7 +1237,7 @@ class TestHalfGates:
         mat0, _ = dealer_for_circuit(circuit, "yao", random.Random(6),
                                      lanes=lanes)
         ch = InlineLoopback(evaluate_steps(circuit, inputs0, mat0))
-        rows = lanes * circuit.levels[0]
+        rows = lanes * 2 * circuit.width
         ch.send(MSG_GARBLED_TABLES, bytes(64 * rows))
         with pytest.raises(ProtocolError, match=(
                 f"GARBLED_TABLES frame of {64 * rows} bytes, expected "
@@ -1321,19 +1445,20 @@ class TestOnlineTrafficLooksRandom:
         holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
         holder_b = 0
         # Significant bits of each online frame (the rest of a last byte is
-        # padding).  At level 1 the holder opens 1 bit per cross gate and
-        # lane and the querier 1 per cross gate; a tree level's opening
-        # carries a bit per gate input and lane.  The release carries one
-        # masked choice bit per lane to the holder, and two padded 1-byte
-        # values per lane back.
-        cross, *tree = circuit.levels
+        # padding).  At the lookup level the holder sends 9 bits per pair
+        # of cells and lane; the querier's shifts, symbols of Z3 rather
+        # than bits, are tested in tests/test_distinct_match.py and
+        # skipped here.  A tree level's opening carries a bit per gate
+        # input and lane.  The release carries one masked choice bit per
+        # lane to the holder, and two padded 1-byte values per lane back.
+        lookup, *tree = circuit.levels
         tree = [n * arity * lanes for n, arity in zip(tree, circuit.arities)]
-        to_querier = [cross * lanes] + tree + [16 * lanes]
-        to_holder = [cross] + tree + [lanes]
-        assert all(to_querier) and all(to_holder)
+        to_querier = [9 * lookup * lanes] + tree + [16 * lanes]
+        to_holder = [0] + tree + [lanes]
+        assert all(to_querier) and all(to_holder[1:])
         for holder in (holder_a, holder_b):
             counts = {"sent": [0, 0], "received": [0, 0]}  # ones, bits
-            for session in range(50):
+            for session in range(150):
                 spies = []
 
                 def make_spy(end, spies=spies):

@@ -21,5 +21,5 @@ def test_circuit_shape_is_the_template_and_count_and_depth():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     tracer = spans.Tracer()
-    for width, shape in ((4, (9, 2)), (104, (243, 5))):
+    for width, shape in ((4, (3, 2)), (104, (69, 4))):
         assert tracer.circuit_shape(query_template(width)) == shape
