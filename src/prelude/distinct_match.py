@@ -10,22 +10,24 @@ rule beyond its arrival and target prefix.
 
 Session flow, all on one framed channel:
 
-1. querier sends a cleartext envelope {prefix, rule width, backend},
-   followed at once by its first online frame, which needs no k: its
-   word (see 3) under dealer material the session's dealer hands it
-   before anything else, gmw's shifted symbols or yao's masked label
-   choices (:func:`~prelude.smpc.dealer.first_steps`).  The holder aborts with a
-   ProtocolError naming the fault if the envelope is not a JSON object
-   with those fields, a positive integer width and a known backend, or if
-   the width differs from its table's; the padded frame it leaves unread
-   tells it nothing.  A gmw holder that reads the frame refuses it with a
-   ProtocolError if a cell reads the unused symbol 3;
-2. holder answers with {k, id width} where k is its entry count for the
-   prefix; the querier aborts with a ProtocolError naming the fault if the
-   answer is not a JSON object with a non-negative integer k of at most
-   ``MAX_ENTRIES`` and its own identifier width; k == 0 ends the session
-   with an empty result and no circuit work.  Envelope and ack are compact
-   JSON;
+1. querier sends a cleartext envelope: a 5-byte header, the rule width
+   as 4 bytes and the backend's index in ``BACKENDS`` as 1, then the
+   prefix in UTF-8 (15 bytes for ``10.0.0.0/8``).  Its first online frame
+   follows at once, since it needs no k: its word (see 3) under the
+   piece of dealer material the session's dealer dealt when the session
+   started, gmw's shifted symbols or yao's masked label choices
+   (:func:`~prelude.smpc.dealer.first_steps`).  The holder aborts with a
+   ProtocolError naming the fault if the envelope is shorter than its
+   header, its width is 0, its backend index is unknown, its prefix is
+   not UTF-8, or the width differs from its table's; the padded frame it
+   leaves unread tells it nothing.  A gmw holder that reads the frame
+   refuses it with a ProtocolError if a cell reads the unused symbol 3;
+2. holder answers with a 3-byte ack: its entry count k for the prefix as
+   2 bytes and its identifier width in bits as 1.  The querier aborts
+   with a ProtocolError naming the fault if the ack is not 3 bytes, k
+   exceeds ``MAX_ENTRIES`` or the identifier width is not its own; a
+   holder whose table exceeds ``MAX_ENTRIES`` refuses the query itself.
+   k == 0 ends the session with an empty result and no circuit work;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
@@ -70,10 +72,10 @@ process; nothing is built per k.
 Both parties exist only as step generators over frames:
 :meth:`SdxMatchService.serve_steps` and the querier's ``_querier_steps``.
 :meth:`SdxMatchService.serve_query` drives the holder's side over a
-blocking channel, with one random stream that shuffles and garbles, and
-:class:`LoopbackEndpoint` hands it an :class:`~prelude.smpc.InlineLoopback`
-whose peer is the querier's side, so a session runs in the calling thread
-and starts no thread.  Neither side keeps accounts.  A session is counted
+blocking channel, with a random stream that shuffles and garbles, and
+:class:`LoopbackEndpoint` hands it the endpoint's holder stream and an
+:class:`~prelude.smpc.InlineLoopback` whose peer is the querier's side, so a
+session runs in the calling thread and starts no thread.  Neither side keeps accounts.  A session is counted
 once, from the querier: the endpoint wraps the querier's steps in
 :func:`~prelude.smpc.recorded`, and the session's dealer adds the size
 of the querier's material to the same transcript's setup bytes, so a
@@ -84,9 +86,9 @@ the holder.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -113,6 +115,7 @@ from prelude.smpc import (
     reveal_steps,
     send_frame,
 )
+from prelude.smpc.channel import recv_exact
 
 log = logging.getLogger(__name__)
 
@@ -123,8 +126,11 @@ HOP_ID_BYTES = HOP_ID_BITS // 8
 
 BACKENDS = ("gmw", "yao")
 
-# Envelope and ack are JSON without the optional spaces.
-_COMPACT = (",", ":")
+# The envelope's header, the rule width and the backend's index in
+# BACKENDS, before the prefix in UTF-8; the ack, k and the identifier width
+# in bits.
+_ENVELOPE = struct.Struct(">IB")
+_ACK = struct.Struct(">HB")
 
 # The largest k a querier accepts in the envelope ack, which it sizes its
 # dealer material from before anything else checks it.  This is about 8x the
@@ -235,62 +241,26 @@ def query_template(rule_width: int) -> BatchQueryCircuit:
     return template
 
 
-def _json_fields(payload: bytes, what: str, names: tuple[str, ...]) -> list:
-    """The named fields of a frame that must hold a JSON object.
-
-    Raises ProtocolError naming the fault, calling the frame ``what``, for
-    bad UTF-8 or JSON, a JSON value that is not an object, or a missing
-    field.
-    """
-    try:
-        found = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"{what} is not JSON: {exc}") from None
-    if not isinstance(found, dict):
-        raise ProtocolError(
-            f"{what} is a JSON {type(found).__name__}, not an object")
-    for name in names:
-        if name not in found:
-            raise ProtocolError(f"{what} has no {name!r} field")
-    return [found[name] for name in names]
-
-
 def _parse_envelope(payload: bytes) -> tuple[str, int, str]:
     """(prefix, rule width, backend) of a querier's envelope.
 
-    Raises ProtocolError naming the fault for anything but a JSON object
-    with a string prefix, a positive integer rule width and a known backend.
+    Raises ProtocolError naming the fault for a payload shorter than its
+    header, a rule width of 0, an unknown backend index or a prefix that is
+    not UTF-8.
     """
-    prefix, width, backend = _json_fields(
-        payload, "envelope", ("prefix", "rule_width", "backend"))
-    if not isinstance(prefix, str):
-        raise ProtocolError(f"envelope prefix {prefix!r} is not a string")
-    if type(width) is not int or width < 1:
-        raise ProtocolError(
-            f"envelope rule_width {width!r} is not a positive integer")
-    if backend not in BACKENDS:
-        raise ProtocolError(f"unknown backend {backend!r}")
-    return prefix, width, backend
-
-
-def _parse_ack(payload: bytes) -> int:
-    """The entry count k of a holder's envelope ack.
-
-    Raises ProtocolError naming the fault for anything but a JSON object
-    with a non-negative integer k of at most :data:`MAX_ENTRIES` and this
-    side's identifier width.
-    """
-    k, id_width = _json_fields(payload, "envelope ack", ("k", "id_width"))
-    if type(k) is not int or k < 0:
-        raise ProtocolError(
-            f"envelope ack k {k!r} is not a non-negative integer")
-    if k > MAX_ENTRIES:
-        raise ProtocolError(
-            f"envelope ack k {k} exceeds the cap of {MAX_ENTRIES} entries")
-    if type(id_width) is not int or id_width != HOP_ID_BITS:
-        raise ProtocolError(
-            f"holder uses an incompatible identifier width {id_width!r}")
-    return k
+    if len(payload) < _ENVELOPE.size:
+        raise ProtocolError(f"envelope of {len(payload)} bytes is shorter "
+                            f"than its {_ENVELOPE.size}-byte header")
+    width, index = _ENVELOPE.unpack_from(payload)
+    if not width:
+        raise ProtocolError("envelope rule width 0 is not positive")
+    if index >= len(BACKENDS):
+        raise ProtocolError(f"envelope names unknown backend index {index}")
+    try:
+        prefix = payload[_ENVELOPE.size:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"envelope prefix is not UTF-8: {exc}") from None
+    return prefix, width, BACKENDS[index]
 
 
 # --------------------------------------------------------------------------
@@ -365,9 +335,10 @@ class SdxMatchService:
                 f"query rule width {width} does not match the table's rule "
                 f"width {held}")
         k = len(prepared)
-        ack = json.dumps({"k": k, "id_width": HOP_ID_BITS},
-                         separators=_COMPACT).encode("utf-8")
-        yield from send_frame(MSG_ENVELOPE_ACK, ack)
+        if k > MAX_ENTRIES:
+            raise ProtocolError(f"table of {k} entries under {prefix} "
+                                f"exceeds the cap of {MAX_ENTRIES} entries")
+        yield from send_frame(MSG_ENVELOPE_ACK, _ACK.pack(k, HOP_ID_BITS))
         if k == 0:
             return
 
@@ -397,15 +368,17 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
     6 bytes each, the dummy's included."""
     template = query_template(local.width)
     word = template.word(0, [local])
-    envelope = json.dumps({
-        "prefix": prefix,
-        "rule_width": local.width,
-        "backend": backend,
-    }, separators=_COMPACT).encode("utf-8")
-    yield from send_frame(MSG_ENVELOPE, envelope)
-    yield from first_steps(template, word, dealer.first(template, backend))
-    ack = yield from recv_frame(MSG_ENVELOPE_ACK)
-    k = _parse_ack(ack)
+    header = _ENVELOPE.pack(local.width, BACKENDS.index(backend))
+    yield from send_frame(MSG_ENVELOPE, header + prefix.encode("utf-8"))
+    yield from first_steps(template, word, dealer.first)
+    k, id_width = _ACK.unpack(
+        (yield from recv_exact(MSG_ENVELOPE_ACK, _ACK.size)))
+    if k > MAX_ENTRIES:
+        raise ProtocolError(
+            f"envelope ack k {k} exceeds the cap of {MAX_ENTRIES} entries")
+    if id_width != HOP_ID_BITS:
+        raise ProtocolError(
+            f"holder uses an incompatible identifier width {id_width}")
     if k == 0:
         return []
 
@@ -418,45 +391,34 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
 
 
 class _SessionDealer:
-    """Hands both parties of one session their correlated setup material,
-    adding the size of the querier's to the setup bytes of the session's
-    :attr:`transcript` as it hands it out.
+    """Hands both parties of one session their correlated setup material
+    from the endpoint's dealer stream ``rng``, adding the size of the
+    querier's to the setup bytes of the session's :attr:`transcript` as it
+    hands it out.
 
-    The querier takes the material no lane count changes first, before it
-    learns k, and the deal over k lanes extends it on the same stream.
-    Whichever party asks first deals that piece, under a lock, so two
-    threads may ask in either order and the querier's first pad is the
-    one the full deal extends; in session order the draws are the same.
-    The transcript counts the querier's material once, when it is dealt
-    in full, so an empty session counts none.
+    The material no lane count changes is dealt when the session starts,
+    for the querier's ``circuit`` and ``backend``, and kept as :attr:`first`:
+    2w bits of gmw's shifts or yao's choice bits, 26 bytes at rule width
+    104.  It pads the querier's first frame, which it sends before it
+    learns k.  :meth:`material` deals over k lanes once, under a lock, so
+    the two parties may ask in either order, extending :attr:`first` on
+    the same stream.  The transcript counts the querier's material once,
+    when it is dealt in full, so an empty session counts none.
     """
 
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
+    def __init__(self, rng: random.Random, circuit, backend: str) -> None:
+        self._rng = rng
         self._lock = threading.Lock()
-        self._first = None
+        self.first = dealer_for_circuit(circuit, backend, rng, lanes=0)[0]
         self._materials = None
         self.transcript = SessionTranscript()
-
-    def _first_deal(self, circuit, backend: str):
-        if self._first is None:
-            self._first = dealer_for_circuit(circuit, backend, self._rng,
-                                             lanes=0)
-        return self._first
-
-    def first(self, circuit, backend: str):
-        """The querier's material dealt over zero lanes, which pads its
-        first online frame."""
-        with self._lock:
-            return self._first_deal(circuit, backend)[0]
 
     def material(self, circuit, backend: str, party: int, lanes: int):
         with self._lock:
             if self._materials is None:
                 self._materials = dealer_for_circuit(
                     circuit, backend, self._rng, lanes=lanes,
-                    first=self._first_deal(circuit, backend),
-                    size=HOP_ID_BYTES)
+                    first=self.first, size=HOP_ID_BYTES)
             material = self._materials[party]
             if party == 0:
                 self.transcript.setup_bytes += material.serialized_size
@@ -466,17 +428,21 @@ class _SessionDealer:
 class LoopbackEndpoint:
     """A holder reachable over in-process channels, one session per query.
 
-    The endpoint plays the trusted dealer for its sessions and seeds the
-    holder's stream, which shuffles and garbles, so a seeded endpoint
-    produces reproducible sessions when queries are issued serially.
+    The endpoint plays the trusted dealer for its sessions.  It keeps two
+    random streams for its life, both drawn from ``seed``: the dealer's,
+    and the holder's, which shuffles and garbles.  So a seeded endpoint
+    produces reproducible sessions when queries are issued serially, an
+    aborted one included.  A session's envelope is 5 bytes and its
+    prefix, and the ack 3 bytes.
     """
 
     def __init__(self, service: SdxMatchService, seed: int = 0,
                  one_way_delay: float = 0.0) -> None:
         self.service = service
-        self._rng = random.Random(seed)
+        seeds = random.Random(seed)
+        self._dealer_rng = random.Random(seeds.getrandbits(64))
+        self._holder_rng = random.Random(seeds.getrandbits(64))
         self._delay = one_way_delay
-        self._lock = threading.Lock()
 
     def query(
         self,
@@ -489,18 +455,15 @@ class LoopbackEndpoint:
         """Run one full query session; see module docstring for the flow."""
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        with self._lock:
-            dealer_seed = self._rng.getrandbits(64)
-            holder_seed = self._rng.getrandbits(64)
-        dealer = _SessionDealer(dealer_seed)
+        dealer = _SessionDealer(self._dealer_rng,
+                                query_template(local.width), backend)
         transcript = dealer.transcript
         channel = InlineLoopback(
             recorded(_querier_steps(local, prefix, backend, dealer),
                      transcript),
             one_way_delay=self._delay)
         try:
-            self.service.serve_query(channel, dealer,
-                                     random.Random(holder_seed))
+            self.service.serve_query(channel, dealer, self._holder_rng)
         except Exception as exc:
             # The first real failure is the one reported: the holder's own,
             # unless the holder only saw the querier drop out.
@@ -515,14 +478,12 @@ class LoopbackEndpoint:
             _raw_out.extend(NextHopId.from_bytes(value) for value in raw)
         if stats_out is not None:
             k = len(raw)
-            # the depth the backend ran: yao garbles only level 1
-            depth = (query_template(local.width).and_depth()
-                     if backend == "gmw" else 1)
             stats_out.append(SessionStats(
                 backend=backend,
                 prefix=prefix,
                 k=k,
-                and_depth=depth if k else 0,
+                # the levels of the plan the backend ran
+                and_depth=len(dealer.first.levels) if k else 0,
                 online_rounds=transcript.online_rounds,
                 flights=channel.flights,
                 setup_bytes=transcript.setup_bytes,

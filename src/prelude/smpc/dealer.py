@@ -129,9 +129,10 @@ def dealer_for_circuit(
 
     The material no lane count changes is drawn first: gmw's shifts u,
     then yao's choice bits d.  Over zero lanes the deal is that alone.
-    ``first`` is such a zero-lane deal from ``rng`` for the same plan,
-    which this deal then extends instead of drawing it again, so that both
-    deals together hand out what one deal over ``lanes`` would have.
+    ``first`` is party 0's material of such a zero-lane deal from ``rng``
+    for the same plan, which this deal then extends instead of drawing it
+    again, so that both deals together hand out what one deal over
+    ``lanes`` would have.
     """
     plan = circuit.plan(backend)
     if backend == "gmw":
@@ -145,8 +146,8 @@ def dealer_for_circuit(
         u = draw_symbols(rng, cells)
         d = rng.getrandbits(fixed)
     else:
-        first[0].check(0, circuit, backend)
-        u, d = first[0].lookup[0], first[0].transfer[0]
+        first.check(0, circuit, backend)
+        u, d = first.lookup[0], first.transfer[0]
     if not lanes:
         w = circuit.width
         return (DealerMaterial(backend, 0, w, plan, 0, (u, 0), (), (d, 0),

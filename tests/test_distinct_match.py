@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import struct
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -427,14 +429,35 @@ class TestPrivacyMechanics:
                                    "peer closed the channel")
             assert "width 8" in message and "width 4" in message
 
+    def test_a_table_over_the_cap_is_refused_by_its_holder(self):
+        # The ack's k cannot name more than MAX_ENTRIES entries to a
+        # querier that would accept them, so the holder refuses the query.
+        entries = [make_entry(TernaryRule(1, 0, 0), 1, i)
+                   for i in range(MAX_ENTRIES + 1)]
+        endpoint = fresh_endpoint(entries)
+        with pytest.raises(QueryAborted, match=(
+                "table of 4097 entries under 10.0.0.0/8 exceeds the cap of "
+                "4096 entries")) as caught:
+            endpoint.query(TernaryRule.wildcard(1), "10.0.0.0/8")
+        assert isinstance(caught.value.__cause__, ProtocolError)
+
     @pytest.mark.parametrize("payload,cause", [
-        (b"not json", "not JSON"),
-        (b'{"rule_width": 8, "backend": "gmw"}', "no 'prefix' field"),
-        (b"[1, 2]", "JSON list, not an object"),
-        (b'{"prefix": "10.0.0.0/8", "rule_width": "x", "backend": "gmw"}',
-         "rule_width 'x' is not a positive integer"),
-        (b'{"prefix": "10.0.0.0/8", "rule_width": -3, "backend": "gmw"}',
-         "rule_width -3 is not a positive integer"),
+        pytest.param(struct.pack(">I", 8), "envelope of 4 bytes is shorter "
+                     "than its 5-byte header", id="short-header"),
+        pytest.param(struct.pack(">IB", 0, 0) + b"10.0.0.0/8",
+                     "envelope rule width 0 is not positive", id="width-0"),
+        pytest.param(struct.pack(">IB", 8, 2) + b"10.0.0.0/8",
+                     "unknown backend index 2", id="backend-2"),
+        pytest.param(struct.pack(">IB", 8, 0) + b"10.0.0.0/\xff",
+                     "envelope prefix is not UTF-8", id="prefix-not-utf8"),
+        # A peer that still sends the former JSON envelope is refused by
+        # name: a JSON object's fifth byte is printable text, never a
+        # backend index.
+        (b"not json", "unknown backend index 106"),
+        (b'{"rule_width": 8, "backend": "gmw"}', "unknown backend index 108"),
+        (b"[1, 2]", "unknown backend index 50"),
+        (b'{"prefix": "10.0.0.0/8", "rule_width": 8, "backend": "gmw"}',
+         "unknown backend index 101"),
     ])
     def test_malformed_envelope_aborts_naming_its_cause(self, monkeypatch,
                                                         payload, cause):
@@ -460,8 +483,8 @@ class TestPrivacyMechanics:
         endpoint = fresh_endpoint([entry])
 
         def sends_a_3(local, prefix, backend, dealer):
-            yield from send_frame(MSG_ENVELOPE, b'{"prefix":"10.0.0.0/8",'
-                                  b'"rule_width":8,"backend":"gmw"}')
+            yield from send_frame(MSG_ENVELOPE, struct.pack(">IB", 8, 0)
+                                  + b"10.0.0.0/8")
             yield from send_frame(MSG_AND_OPENING,
                                   (1 << 5 | 1 << 8 + 5).to_bytes(2, "little"))
             yield from recv_frame(MSG_ENVELOPE_ACK)
@@ -475,24 +498,36 @@ class TestPrivacyMechanics:
         assert isinstance(caught.value.__cause__, ProtocolError)
 
     @pytest.mark.parametrize("ack,cause", [
-        (b"not json", "envelope ack is not JSON"),
-        (b"[1]", "envelope ack is a JSON list, not an object"),
-        (b'{"id_width": 48}', "envelope ack has no 'k' field"),
-        (b'{"k": 2}', "envelope ack has no 'id_width' field"),
+        pytest.param(struct.pack(">H", 2), "ENVELOPE_ACK frame of 2 bytes, "
+                     "expected 3", id="2-bytes"),
+        pytest.param(struct.pack(">HBB", 2, 48, 0), "ENVELOPE_ACK frame of "
+                     "4 bytes, expected 3", id="4-bytes"),
+        pytest.param(struct.pack(">HB", 4097, 48), "envelope ack k 4097 "
+                     "exceeds the cap of 4096 entries", id="k-4097"),
+        pytest.param(struct.pack(">HB", 2, 32), "incompatible identifier "
+                     "width 32", id="id-width-32"),
+        # A holder that still sends the former JSON ack is refused by name:
+        # only a 3-byte one is read, and "[1]" reads as k = 23345.
+        (b"not json", "ENVELOPE_ACK frame of 8 bytes, expected 3"),
+        (b"[1]", "envelope ack k 23345 exceeds the cap of 4096 entries"),
+        (b'{"id_width": 48}', "ENVELOPE_ACK frame of 16 bytes, expected 3"),
+        (b'{"k": 2}', "ENVELOPE_ACK frame of 8 bytes, expected 3"),
         (b'{"k": "x", "id_width": 48}',
-         "envelope ack k 'x' is not a non-negative integer"),
+         "ENVELOPE_ACK frame of 26 bytes, expected 3"),
         (b'{"k": -3, "id_width": 48}',
-         "envelope ack k -3 is not a non-negative integer"),
+         "ENVELOPE_ACK frame of 25 bytes, expected 3"),
         (b'{"k": true, "id_width": 48}',
-         "envelope ack k True is not a non-negative integer"),
+         "ENVELOPE_ACK frame of 27 bytes, expected 3"),
         (b'{"k": 4097, "id_width": 48}',
-         "envelope ack k 4097 exceeds the cap of 4096 entries"),
-        (b'{"k": 2, "id_width": 32}', "incompatible identifier width 32"),
+         "ENVELOPE_ACK frame of 27 bytes, expected 3"),
+        (b'{"k": 2, "id_width": 32}',
+         "ENVELOPE_ACK frame of 24 bytes, expected 3"),
     ])
     def test_malformed_ack_fails_naming_its_cause(self, ack, cause):
         ch = InlineLoopback(distinct_match._querier_steps(
             TernaryRule.wildcard(8), "10.0.0.0/8", "gmw",
-            distinct_match._SessionDealer(1)))
+            distinct_match._SessionDealer(
+                random.Random(1), distinct_match.query_template(8), "gmw")))
         assert ch.recv()[0] == MSG_ENVELOPE
         assert ch.recv()[0] == MSG_AND_OPENING  # its padded first frame
         ch.send(MSG_ENVELOPE_ACK, ack)
@@ -511,24 +546,35 @@ class TestPrivacyMechanics:
             endpoint.query(TernaryRule.wildcard(8), entry.prefix)
 
     def test_concurrent_queries_are_isolated(self):
+        # Sessions on several threads draw from the endpoint's two streams
+        # in any interleaving; each session's material is still one deal,
+        # so every answer holds.
         rng = random.Random(31)
         entries = [make_entry(random_rule(8, rng), 5, 50 + i) for i in range(4)]
         endpoint = fresh_endpoint(entries)
         locals_ = [random_rule(8, rng) for _ in range(8)]
         expected = [brute_force_hops(rule, entries) for rule in locals_]
-        results: list = [None] * len(locals_)
+        results: list = [[] for _ in locals_]
 
         def worker(i):
-            results[i] = endpoint.query(locals_[i], "10.0.0.0/8")
+            for backend in ("gmw", "yao") * 5:
+                results[i].append(endpoint.query(locals_[i], "10.0.0.0/8",
+                                                 backend=backend).hops)
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(len(locals_))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, expected):
-            assert got.hops == want
+            assert got == [want] * 10
 
 
 # --------------------------------------------------------------------------
@@ -717,9 +763,9 @@ class TestSessionMechanics:
     def test_an_empty_session_draws_only_the_first_pad(self, monkeypatch,
                                                        backend):
         # At k = 0 the dealer draws only what pads the querier's first
-        # frame: yao's 2w label choice bits without the label pads, or
-        # gmw's shifts, two bit planes of w bits and w bits more for each
-        # redraw of the positions that read 3.
+        # frame from the endpoint's dealer stream: yao's 2w label choice
+        # bits without the label pads, or gmw's shifts, two bit planes of w
+        # bits and w bits more for each redraw of the positions that read 3.
         drawn = []
 
         class Counting(random.Random):
@@ -727,15 +773,8 @@ class TestSessionMechanics:
                 drawn.append(n)
                 return super().getrandbits(n)
 
-        init = distinct_match._SessionDealer.__init__
-
-        def counting(self, seed):
-            init(self, seed)
-            self._rng = Counting(seed)
-
-        monkeypatch.setattr(distinct_match._SessionDealer, "__init__",
-                            counting)
         endpoint = fresh_endpoint([])
+        endpoint._dealer_rng = Counting(5)
         rng = random.Random(37)
         for width in (8, 104):
             del drawn[:]
@@ -750,20 +789,24 @@ class TestSessionMechanics:
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     def test_the_holders_deal_may_come_first(self, backend):
-        # Two threads may reach the dealer in either order.  A holder that
-        # deals before the querier's first frame deals the first pad, and
-        # the querier takes that same pad, which its full material extends.
+        # The first pad is dealt when the session's dealer is made, before
+        # either party runs.  Two threads may then reach the dealer in
+        # either order, and a holder that deals first extends that same
+        # pad, which the querier's full material holds.
         template = distinct_match.query_template(8)
-        dealer = distinct_match._SessionDealer(9)
+        dealer = distinct_match._SessionDealer(random.Random(9), template,
+                                               backend)
+        first = dealer.first
+        assert (first.party, first.lanes) == (0, 0)
         dealer.material(template, backend, 1, 5)
-        first = dealer.first(template, backend)
         full = dealer.material(template, backend, 0, 5)
         # the first pad is gmw's shifts u, or yao's choice bits d
         piece = "lookup" if backend == "gmw" else "transfer"
         assert getattr(first, piece)[0] == getattr(full, piece)[0] != 0
         # the draws are those of session order
-        in_order = distinct_match._SessionDealer(9)
-        assert in_order.first(template, backend) == first
+        in_order = distinct_match._SessionDealer(random.Random(9), template,
+                                                 backend)
+        assert in_order.first == first
         assert in_order.material(template, backend, 0, 5) == full
 
         # and a session run in that order answers as the overlap predicate
@@ -773,7 +816,8 @@ class TestSessionMechanics:
         service = fresh_endpoint(entries).service
         for seed in range(4):
             local = random_rule(8, rng)
-            dealer = distinct_match._SessionDealer(seed)
+            dealer = distinct_match._SessionDealer(random.Random(seed),
+                                                   template, backend)
             dealer.material(template, backend, 1, len(entries))
             channel = InlineLoopback(distinct_match._querier_steps(
                 local, entries[0].prefix, backend, dealer))
@@ -815,9 +859,10 @@ class TestSessionMechanics:
         endpoint.query(local, "10.0.0.0/8", backend=backend,
                        stats_out=stats_out)
 
-        # The holder's deal may come before or after the querier's first
-        # pad; the dealer serves either order.
-        dealer = distinct_match._SessionDealer(5)
+        # The first pad is dealt with the dealer; the holder's thread may
+        # then deal the rest before or after the querier takes it.
+        dealer = distinct_match._SessionDealer(
+            random.Random(5), distinct_match.query_template(8), backend)
         port, accept = TcpChannel.serve_one()
         querier = TcpChannel.connect("127.0.0.1", port)
         holder = accept()
@@ -935,9 +980,9 @@ class TestLaneSessions:
                     depth, depth + 1, 2 * -(-depth // 2) + 2), k
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 131, 150, 3),
-        ("gmw", 104, 50, 2331, 4458, 5),
-        ("yao", 104, 50, 169838, 7497, 2),
+        ("gmw", 4, 8, 74, 150, 3),
+        ("gmw", 104, 50, 2271, 4458, 5),
+        ("yao", 104, 50, 169778, 7497, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
                                                 width, k, setup, online,
@@ -1064,17 +1109,20 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "40004bf93bcf399f2eeb11fe2049a721"
-         "c1c800d0cd5282ac3cda21838f2d6db5"),
-        (7, 33, "c5c2db43358fa5fe2966830c77f06fd4"
-         "7e68ab4e7e081063c6c0f52fd541235d"),
-        (1, 3, "c1c84b535a67a304289e041806199c12"
-         "49649bce5e4dd83544c6e196549be124"),
+        (104, 50, "22b03a64076f73cd699f87be73178c75"
+         "853ef64de4a3237f713919fef4fdc936"),
+        (7, 33, "e6be4043ac029c8fecdbaab8cd9deb47"
+         "4993a15cb61313a856a1d77829725078"),
+        (1, 3, "5db3f7df3edffe15e7a6578591716f82"
+         "cb7dbd432fafb9066d2f62c4b52815cb"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):
         # Seeded sessions move the same bytes on every run.  A change that
         # alters any frame's contents updates these digests and says so.
+        # The endpoint's streams live across sessions, and a width-mismatched
+        # query on each backend aborts between them: the digests pin that an
+        # abort leaves the streams where a rerun finds them.
         hasher = hashlib.sha256()
         frames = loopback_frames(monkeypatch)
         rng = random.Random(1000 * width + k)
@@ -1084,10 +1132,14 @@ class TestLaneSessions:
         for entry in entries:
             service.register(entry)
         endpoint = LoopbackEndpoint(service, seed=11)
-        queries = [entries[0].rule, random_rule(width, rng),
-                   TernaryRule.wildcard(width)]
+        queries = [entries[0].rule, TernaryRule.wildcard(width + 1),
+                   random_rule(width, rng), TernaryRule.wildcard(width)]
         for local in queries:
             for backend in ("gmw", "yao"):
+                if local.width != width:
+                    with pytest.raises(QueryAborted, match="does not match"):
+                        endpoint.query(local, "10.0.0.0/8", backend=backend)
+                    continue
                 result = endpoint.query(local, "10.0.0.0/8", backend=backend)
                 assert result.hops == {e.next_hop for e in entries
                                        if overlaps(local, e.rule)}
