@@ -7,7 +7,8 @@ Two seeded runs must give exactly the answers they give today:
   removal and BGP update of the warm phase and the stream, as (decision,
   reason, ``closed_at``), and the rules active at its end;
 - ``prelude effectiveness --seed 1``: its ``effectiveness.csv`` and
-  ``effectiveness_events.log``.
+  ``effectiveness_events.log``;
+- ``prelude pathlen --seed 1``: its ``pathlen.csv``.
 
 Each is pinned by the SHA-256 of its bytes, as the frame test pins
 frames.  A digest that moves means the program answers differently, which
@@ -36,6 +37,8 @@ EFFECTIVENESS_CSV = \
     "2487c9de01fcb020d7f17818893f8b9c8e3ad27a3f64c87bb5cbb4cb52e67311"
 EFFECTIVENESS_LOG = \
     "8ff48eeadafb594025278dd8351837a2576d2a4453b7e15496719dac038821e0"
+PATHLEN_CSV = \
+    "e244d56c507ecf20c364cb1908f6bbc3b0c53c96e0254a9d9a9b3ffe9de22ae4"
 
 
 def sha256(data: bytes) -> str:
@@ -98,3 +101,9 @@ def test_the_effectiveness_output_is_pinned(tmp_path, capsys):
         == EFFECTIVENESS_CSV
     assert sha256((tmp_path / "effectiveness_events.log").read_bytes()) \
         == EFFECTIVENESS_LOG
+
+
+def test_the_pathlen_output_is_pinned(tmp_path, capsys):
+    assert main(["pathlen", "--seed", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sha256((tmp_path / "pathlen.csv").read_bytes()) == PATHLEN_CSV
