@@ -12,18 +12,12 @@ from .effectiveness import (
 )
 from .microbench import BenchCell, bench_cell, run_microbench
 from .pathlen import CdfPoint, collect_spans, run_pathlen, sdx_span
-from .results import (
-    EFFECTIVENESS_COLUMNS,
-    ResultRow,
-    effectiveness_record,
-    write_csv,
-)
+from .results import ResultRow, write_csv
 
 __all__ = [
     "BenchCell",
     "CdfPoint",
     "ConfigError",
-    "EFFECTIVENESS_COLUMNS",
     "ExperimentConfig",
     "ReplayEvent",
     "ResultRow",
@@ -31,7 +25,6 @@ __all__ = [
     "bench_cell",
     "build_scenario",
     "collect_spans",
-    "effectiveness_record",
     "load_config",
     "override",
     "parse_event_line",

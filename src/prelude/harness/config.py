@@ -13,6 +13,8 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ..distinct_match import MAX_ENTRIES
+
 
 class ConfigError(ValueError):
     """A config file said something unusable."""
@@ -61,8 +63,14 @@ class ExperimentConfig:
             if not 2 <= lo <= hi:
                 raise ConfigError(
                     f"{name} must be 'lo hi' with 2 <= lo <= hi")
-        if self.n_prefixes < 1:
-            raise ConfigError("n_prefixes must be at least 1")
+            if hi > self.n_as:
+                raise ConfigError(f"{name} upper bound {hi} exceeds "
+                                  f"n_as {self.n_as}")
+        if not 1 <= self.n_prefixes <= self.n_as:
+            raise ConfigError("n_prefixes must be at least 1 and at most "
+                              f"n_as {self.n_as}, one origin AS each")
+        if self.n_policies < 1:
+            raise ConfigError("n_policies must be at least 1")
         if self.port_pool < 1:
             raise ConfigError("port_pool must be at least 1")
         if self.policy_family not in ("equality", "mixed"):
@@ -72,8 +80,11 @@ class ExperimentConfig:
         bad = set(self.detectors) - {"oracle", "prelude", "sidr"}
         if bad:
             raise ConfigError(f"unknown detectors: {sorted(bad)}")
-        if any(k < 1 for k in self.rule_counts):
-            raise ConfigError("rule_counts must be positive")
+        if self.pathlen_samples < 1:
+            raise ConfigError("pathlen samples must be at least 1")
+        if any(not 1 <= k <= MAX_ENTRIES for k in self.rule_counts):
+            raise ConfigError(f"rule_counts must be from 1 to {MAX_ENTRIES}, "
+                              "the most entries a query takes")
         if any(d < 0 for d in self.delays_ms):
             raise ConfigError("delays_ms must be non-negative")
         bad = set(self.backends) - {"gmw", "yao"}

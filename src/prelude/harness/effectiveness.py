@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 from ..bgpsim import (
     AsGraph,
@@ -34,15 +35,12 @@ from ..control import SAFE, StaticMatchView, explore_deflection, rule_entry
 from ..distinct_match import RuleEntry
 from ..rules import FlowSpec, PROTO_TCP, PROTO_UDP, TernaryRule, encode
 from .config import ExperimentConfig
-from .results import (
-    EFFECTIVENESS_COLUMNS,
-    ResultRow,
-    effectiveness_record,
-    write_csv,
-)
+from .results import ResultRow, write_csv
 
 # Exact ports drawn for generated rules, most common services first.
 _PORTS = (80, 443, 22, 53, 25, 123, 8080, 3306, 5060, 993, 6881, 1194)
+
+_EVERYTHING = encode(FlowSpec())
 
 
 def _port_pool(size: int) -> tuple[int, ...]:
@@ -52,6 +50,43 @@ def _port_pool(size: int) -> tuple[int, ...]:
         pool.append(next_port)
         next_port += 1
     return tuple(pool)
+
+
+def routed_world(cfg: ExperimentConfig, study: str,
+                 site_size: tuple[int, int]):
+    """A study's world: the topology with exchanges of ``site_size``
+    members, the study's random stream, and the routes to
+    ``cfg.n_prefixes`` prefixes originated by ASes drawn from that stream.
+
+    Returns (graph, sites, ribs, rng).
+    """
+    graph, sites = generate_topology(cfg.n_as, cfg.n_sdx, cfg.seed,
+                                     sdx_size_range=site_size)
+    rng = random.Random(f"{study}:{cfg.seed}")
+    origins = rng.sample(graph.as_ids, cfg.n_prefixes)
+    ribs = {f"198.51.{i}.0/24": compute_routes(graph, origin)
+            for i, origin in enumerate(origins)}
+    return graph, sites, ribs, rng
+
+
+def draw_deflection(rng: random.Random, sites, ribs: dict[str, RibState],
+                    prefixes: list[str]) -> DeflectionPolicy | None:
+    """Draw an exchange, an owner and a target among its members, and one
+    of ``prefixes``, in that order; the policy deflects all traffic.
+
+    None when the target has no route to the prefix or is already the
+    owner's next hop, since such a policy deflects nothing.
+    """
+    site = rng.choice(sites)
+    owner, target = rng.sample(sorted(site.members), 2)
+    prefix = rng.choice(prefixes)
+    route = ribs[prefix].get(owner)
+    if ribs[prefix].get(target) is None or (
+            route is not None and route.next_hop == target):
+        return None
+    return DeflectionPolicy(owner=owner, sdx_id=site.sdx_id,
+                            rule=_EVERYTHING, deflect_to=target,
+                            prefix=prefix)
 
 
 @dataclass(frozen=True)
@@ -64,33 +99,21 @@ class Scenario:
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
     """Deterministically derive the workload a config describes."""
-    graph, sites = generate_topology(cfg.n_as, cfg.n_sdx, cfg.seed,
-                                     sdx_size_range=cfg.site_size)
-    rng = random.Random(f"effectiveness:{cfg.seed}")
-    origins = rng.sample(graph.as_ids, cfg.n_prefixes)
-    ribs = {f"198.51.{i}.0/24": compute_routes(graph, origin)
-            for i, origin in enumerate(origins)}
+    graph, sites, ribs, rng = routed_world(cfg, "effectiveness",
+                                           cfg.site_size)
     prefixes = sorted(ribs)
     pool = _port_pool(cfg.port_pool)
 
-    arrivals: list[DeflectionPolicy] = []
-    seen: set[tuple] = set()
+    # a policy drawn twice keeps its first place
+    arrivals: dict[DeflectionPolicy, None] = {}
     attempts = 0
     while len(arrivals) < cfg.n_policies and attempts < 80 * cfg.n_policies:
         attempts += 1
-        site = rng.choice(sites)
-        members = sorted(site.members)
-        owner, target = rng.sample(members, 2)
-        prefix = rng.choice(prefixes)
-        rib = ribs[prefix]
-        if rib.get(target) is None:
-            continue
-        route = rib.get(owner)
-        if route is not None and route.next_hop == target:
-            continue
+        drawn = draw_deflection(rng, sites, ribs, prefixes)
         # a target whose route runs back through the owner loops with no
         # help from anyone; real operators do not submit those
-        if owner in rib.path(target):
+        if drawn is None or drawn.owner in ribs[drawn.prefix].path(
+                drawn.deflect_to):
             continue
         if cfg.policy_family == "equality":
             spec = FlowSpec(ip_proto=PROTO_TCP, dst_port=rng.choice(pool))
@@ -99,13 +122,7 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
             port_field = rng.choice(("src_port", "dst_port"))
             spec = FlowSpec(ip_proto=proto,
                             **{port_field: rng.choice(pool)})
-        key = (site.sdx_id, owner, target, prefix, spec)
-        if key in seen:
-            continue
-        seen.add(key)
-        arrivals.append(DeflectionPolicy(
-            owner=owner, sdx_id=site.sdx_id, rule=encode(spec),
-            deflect_to=target, prefix=prefix))
+        arrivals[replace(drawn, rule=encode(spec))] = None
     return Scenario(graph, tuple(sites), ribs, tuple(arrivals))
 
 
@@ -133,21 +150,14 @@ def parse_event_line(line: str) -> ReplayEvent:
 def replay(scenario: Scenario, detectors: tuple[str, ...],
            thresholds: tuple[int, ...],
            ) -> tuple[list[ResultRow], list[ReplayEvent]]:
-    """Run every (detector, threshold) over the arrival sequence."""
+    """Run every (detector, threshold) over the arrival sequence; the
+    table is tallied from the events, as :func:`rows_from_events` does."""
     sites = list(scenario.sites)
     entries: dict[int, list[RuleEntry]] = {s.sdx_id: [] for s in sites}
     view = StaticMatchView(sites, scenario.ribs, entries)
 
-    rejected: dict[tuple[str, int], int] = {}
-    false_pos: dict[tuple[str, int], int] = {}
-    for detector in detectors:
-        for t in thresholds:
-            rejected[detector, t] = 0
-            false_pos[detector, t] = 0
-
     events: list[ReplayEvent] = []
     active: list[DeflectionPolicy] = []
-    n_loops = 0
     for index, arrival in enumerate(scenario.arrivals):
         rib = scenario.ribs[arrival.prefix]
         siblings = [p for p in active if p.prefix == arrival.prefix]
@@ -163,51 +173,37 @@ def replay(scenario: Scenario, detectors: tuple[str, ...],
                 else:
                     exploration = explore_deflection(view, walked[detector], t)
                     is_reject = exploration.status != SAFE
-                if is_reject:
-                    rejected[detector, t] += 1
-                    if not truth_loop:
-                        false_pos[detector, t] += 1
                 events.append(ReplayEvent(
                     index, detector, t,
                     "reject" if is_reject else "accept", truth))
-        if truth_loop:
-            n_loops += 1
-        else:
+        if not truth_loop:
             active.append(arrival)
             entries[arrival.sdx_id].append(rule_entry(arrival))
-
-    rows = []
-    for detector in detectors:
-        for t in thresholds:
-            rows.append(ResultRow(
-                experiment="effectiveness",
-                detector=detector,
-                path_threshold=t,
-                installed=len(scenario.arrivals),
-                rejected=rejected[detector, t],
-                true_loops=n_loops,
-                false_positives=false_pos[detector, t]))
-    rows.sort(key=lambda r: (r.experiment, r.detector, r.path_threshold))
-    return rows, events
+    cells = [(detector, t) for detector in detectors for t in thresholds]
+    return rows_from_events(events, cells), events
 
 
-def rows_from_events(events: list[ReplayEvent]) -> list[ResultRow]:
-    """Recompute the result table from the event log alone."""
+def rows_from_events(events: list[ReplayEvent],
+                     cells: Iterable[tuple[str, int]] = (),
+                     ) -> list[ResultRow]:
+    """Recompute the result table from the event log alone.
+
+    Each (detector, threshold) of ``cells`` has a row even when no event
+    names it, as when a scenario has no arrivals.
+    """
     indexes = {e.index for e in events}
     loops = {e.index for e in events if e.truth == "loop"}
-    cells: dict[tuple[str, int], tuple[int, int]] = {}
+    tallies = {cell: [0, 0] for cell in cells}  # rejected, false positives
     for e in events:
-        rej, fp = cells.get((e.detector, e.path_threshold), (0, 0))
+        tally = tallies.setdefault((e.detector, e.path_threshold), [0, 0])
         if e.decision == "reject":
-            rej += 1
+            tally[0] += 1
             if e.truth == "clean":
-                fp += 1
-        cells[e.detector, e.path_threshold] = (rej, fp)
-    rows = [ResultRow("effectiveness", detector, t, len(indexes),
-                      rej, len(loops), fp)
-            for (detector, t), (rej, fp) in cells.items()]
-    rows.sort(key=lambda r: (r.experiment, r.detector, r.path_threshold))
-    return rows
+                tally[1] += 1
+    return [ResultRow("effectiveness", detector, t, len(indexes),
+                      rejected, len(loops), false_positives)
+            for (detector, t), (rejected, false_positives)
+            in sorted(tallies.items())]
 
 
 def run_effectiveness(cfg: ExperimentConfig) -> list[Path]:
@@ -216,8 +212,9 @@ def run_effectiveness(cfg: ExperimentConfig) -> list[Path]:
     scenario = build_scenario(cfg)
     rows, events = replay(scenario, cfg.detectors, cfg.thresholds)
     out = Path(cfg.out_dir)
-    csv_path = write_csv(out / "effectiveness.csv", EFFECTIVENESS_COLUMNS,
-                         [effectiveness_record(r) for r in rows])
+    csv_path = write_csv(out / "effectiveness.csv", "effectiveness",
+                         ResultRow, rows,
+                         {"fp_rate": ".6f", "fp_rate_all": ".6f"})
     log_path = out / "effectiveness_events.log"
     log_path.write_text("".join(e.line() + "\n" for e in events))
     return [csv_path, log_path]

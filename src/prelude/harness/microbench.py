@@ -27,12 +27,6 @@ from ..rules import random_rule
 from .config import ExperimentConfig
 from .results import write_csv
 
-MICROBENCH_COLUMNS = (
-    "experiment", "backend", "k", "delay_ms", "repetitions", "and_depth",
-    "online_rounds", "flights", "setup_bytes", "online_bytes", "wall_ms_mean",
-    "wall_ms_stdev",
-)
-
 _BENCH_PREFIX = "203.0.113.0/24"
 
 
@@ -104,26 +98,12 @@ def bench_cell(backend: str, k: int, delay_ms: float, repetitions: int,
 
 def run_microbench(cfg: ExperimentConfig) -> list[Path]:
     cfg = cfg.validated()
-    records = []
-    for backend in sorted(cfg.backends):
-        for k in sorted(cfg.rule_counts):
-            for delay_ms in sorted(cfg.delays_ms):
-                cell = bench_cell(backend, k, delay_ms, cfg.repetitions,
-                                  cfg.rule_width, cfg.seed)
-                records.append({
-                    "experiment": "microbench",
-                    "backend": cell.backend,
-                    "k": str(cell.k),
-                    "delay_ms": f"{cell.delay_ms:g}",
-                    "repetitions": str(cell.repetitions),
-                    "and_depth": str(cell.and_depth),
-                    "online_rounds": str(cell.online_rounds),
-                    "flights": str(cell.flights),
-                    "setup_bytes": str(cell.setup_bytes),
-                    "online_bytes": str(cell.online_bytes),
-                    "wall_ms_mean": f"{cell.wall_ms_mean:.3f}",
-                    "wall_ms_stdev": f"{cell.wall_ms_stdev:.3f}",
-                })
-    out = write_csv(Path(cfg.out_dir) / "microbench.csv",
-                    MICROBENCH_COLUMNS, records)
+    cells = [bench_cell(backend, k, delay_ms, cfg.repetitions,
+                        cfg.rule_width, cfg.seed)
+             for backend in sorted(cfg.backends)
+             for k in sorted(cfg.rule_counts)
+             for delay_ms in sorted(cfg.delays_ms)]
+    out = write_csv(Path(cfg.out_dir) / "microbench.csv", "microbench",
+                    BenchCell, cells, {"delay_ms": "g", "wall_ms_mean": ".3f",
+                                       "wall_ms_stdev": ".3f"})
     return [out]

@@ -9,25 +9,13 @@ of relationship-preserving deflections against unrestricted ones.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..bgpsim import (
-    DeflectionPolicy,
-    compute_routes,
-    generate_topology,
-    gr_compliant,
-    traversed_sdxes,
-)
-from ..rules import FlowSpec, PROTO_TCP, encode
+from ..bgpsim import gr_compliant, traversed_sdxes
 from .config import ExperimentConfig
+from .effectiveness import draw_deflection, routed_world
 from .results import write_csv
-
-PATHLEN_COLUMNS = ("experiment", "mode", "sdx_count", "cumulative",
-                   "samples")
-
-_PROBE_RULE = encode(FlowSpec(ip_proto=PROTO_TCP, dst_port=80))
 
 
 @dataclass(frozen=True)
@@ -47,7 +35,7 @@ def _cdf(mode: str, counts: list[int]) -> list[CdfPoint]:
     points = []
     total = len(counts)
     running = 0
-    for value in range(1, max(counts) + 1):
+    for value in range(1, max(counts, default=0) + 1):
         running += sum(1 for c in counts if c == value)
         points.append(CdfPoint(mode, value, running / total, total))
     return points
@@ -60,12 +48,8 @@ def collect_spans(cfg: ExperimentConfig) -> dict[str, list[int]]:
     so sampling keeps going past the random quota until the gr bucket has
     enough points for a stable curve (or an attempt cap is hit).
     """
-    graph, sites = generate_topology(cfg.n_as, cfg.n_sdx, cfg.seed,
-                                     sdx_size_range=cfg.pathlen_site_size)
-    rng = random.Random(f"pathlen:{cfg.seed}")
-    origins = rng.sample(graph.as_ids, cfg.n_prefixes)
-    ribs = {f"198.51.{i}.0/24": compute_routes(graph, origin)
-            for i, origin in enumerate(origins)}
+    graph, sites, ribs, rng = routed_world(cfg, "pathlen",
+                                           cfg.pathlen_site_size)
     prefixes = sorted(ribs)
 
     spans: dict[str, list[int]] = {"gr": [], "random": []}
@@ -75,19 +59,11 @@ def collect_spans(cfg: ExperimentConfig) -> dict[str, list[int]]:
             or len(spans["gr"]) < gr_quota)
            and attempts < 200 * cfg.pathlen_samples):
         attempts += 1
-        site = rng.choice(sites)
-        owner, target = rng.sample(sorted(site.members), 2)
-        prefix = rng.choice(prefixes)
-        rib = ribs[prefix]
-        if rib.get(target) is None:
+        policy = draw_deflection(rng, sites, ribs, prefixes)
+        if policy is None:
             continue
-        route = rib.get(owner)
-        if route is not None and route.next_hop == target:
-            continue
-        policy = DeflectionPolicy(owner=owner, sdx_id=site.sdx_id,
-                                  rule=_PROBE_RULE, deflect_to=target,
-                                  prefix=prefix)
-        span = sdx_span(site.sdx_id, rib.path(target), sites)
+        rib = ribs[policy.prefix]
+        span = sdx_span(policy.sdx_id, rib.path(policy.deflect_to), sites)
         if len(spans["random"]) < cfg.pathlen_samples:
             spans["random"].append(span)
         if gr_compliant(policy, rib, graph):
@@ -98,18 +74,8 @@ def collect_spans(cfg: ExperimentConfig) -> dict[str, list[int]]:
 def run_pathlen(cfg: ExperimentConfig) -> list[Path]:
     cfg = cfg.validated()
     spans = collect_spans(cfg)
-    records = []
-    for mode in sorted(spans):
-        if not spans[mode]:
-            continue
-        for point in _cdf(mode, spans[mode]):
-            records.append({
-                "experiment": "pathlen",
-                "mode": point.mode,
-                "sdx_count": str(point.sdx_count),
-                "cumulative": f"{point.cumulative:.6f}",
-                "samples": str(point.samples),
-            })
-    out = write_csv(Path(cfg.out_dir) / "pathlen.csv", PATHLEN_COLUMNS,
-                    records)
+    points = [point for mode in sorted(spans)
+              for point in _cdf(mode, spans[mode])]
+    out = write_csv(Path(cfg.out_dir) / "pathlen.csv", "pathlen", CdfPoint,
+                    points, {"cumulative": ".6f"})
     return [out]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -54,39 +54,27 @@ class ResultRow:
         return self.false_positives / max(1, self.installed)
 
 
-EFFECTIVENESS_COLUMNS = (
-    "experiment", "detector", "path_threshold", "installed", "rejected",
-    "true_loops", "false_positives", "fp_rate", "fp_rate_all",
-)
+def write_csv(path: str | Path, experiment: str, row_type, rows,
+              formats: dict[str, str]) -> Path:
+    """Write ``rows``, of the dataclass ``row_type``, already sorted by the
+    caller, under a header row.
 
-
-def effectiveness_record(row: ResultRow) -> dict[str, str]:
-    return {
-        "experiment": row.experiment,
-        "detector": row.detector,
-        "path_threshold": str(row.path_threshold),
-        "installed": str(row.installed),
-        "rejected": str(row.rejected),
-        "true_loops": str(row.true_loops),
-        "false_positives": str(row.false_positives),
-        "fp_rate": f"{row.fp_rate:.6f}",
-        "fp_rate_all": f"{row.fp_rate_all:.6f}",
-    }
-
-
-def write_csv(path: str | Path, columns: tuple[str, ...],
-              records: list[dict[str, str]]) -> Path:
-    """Write records (already sorted by the caller) with a header row.
-
-    Newlines are pinned to '\\n' so identical inputs yield identical bytes
-    on every platform.
+    The columns are ``experiment``, which reads ``experiment`` on every
+    row, then the row type's other fields in order, then any column of
+    ``formats`` that is no field, read as an attribute (``fp_rate``).  A
+    cell is its value formatted by its column's entry of ``formats``, or
+    ``str`` of it.  Newlines are pinned to '\\n' so identical inputs
+    yield identical bytes on every platform.
     """
+    names = [f.name for f in fields(row_type) if f.name != "experiment"]
+    columns = names + [name for name in formats if name not in names]
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns),
-                                lineterminator="\n")
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["experiment", *columns])
+        for row in rows:
+            writer.writerow([experiment] + [
+                format(getattr(row, name), formats.get(name, ""))
+                for name in columns])
     return out

@@ -11,6 +11,9 @@ The concrete header layout is 104 bits in fixed field order
 
 with every field big-endian.  Bit 0 of a rule or packet is the most
 significant bit of src_ip; bit 103 is the least significant bit of ip_proto.
+``_FIELDS`` is the one statement of this layout: FlowSpec's range checks,
+``encode``, ``decode``, ``encode_packet``, ``parse_rule`` and
+``format_rule`` all loop over it.
 """
 
 from __future__ import annotations
@@ -25,14 +28,18 @@ PROTO_ICMP = 1
 PROTO_TCP = 6
 PROTO_UDP = 17
 
-# (shift, field width) of each field inside the 104-bit integer encoding.
+# (shift, field width) of each FlowSpec field inside the 104-bit integer
+# encoding, in header order.
 _FIELDS = {
     "src_ip": (72, 32),
     "dst_ip": (40, 32),
     "src_port": (24, 16),
     "dst_port": (8, 16),
-    "proto": (0, 8),
+    "ip_proto": (0, 8),
 }
+# Each field's key in rule text and in messages: proto for ip_proto.
+_KEYS = {name: "proto" if name == "ip_proto" else name for name in _FIELDS}
+_NAMES = {key: name for name, key in _KEYS.items()}
 
 _PROTO_NAMES = {"icmp": PROTO_ICMP, "tcp": PROTO_TCP, "udp": PROTO_UDP}
 _PROTO_BY_VALUE = {v: k for k, v in _PROTO_NAMES.items()}
@@ -57,15 +64,9 @@ class FlowSpec:
     ip_proto: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name, limit in (
-            ("src_ip", 1 << 32),
-            ("dst_ip", 1 << 32),
-            ("src_port", 1 << 16),
-            ("dst_port", 1 << 16),
-            ("ip_proto", 1 << 8),
-        ):
+        for name, (_, bits) in _FIELDS.items():
             value = getattr(self, name)
-            if value is not None and not 0 <= value < limit:
+            if value is not None and not 0 <= value < 1 << bits:
                 raise RuleFormatError(f"{name}={value!r} out of range")
         if self.ip_proto is not None and self.ip_proto not in (PROTO_TCP, PROTO_UDP):
             if self.src_port is not None or self.dst_port is not None:
@@ -152,20 +153,11 @@ def encode(spec: FlowSpec) -> TernaryRule:
     """Encode a FlowSpec into the canonical 104-bit ternary rule."""
     pattern = 0
     mask = 0
-    values = {
-        "src_ip": spec.src_ip,
-        "dst_ip": spec.dst_ip,
-        "src_port": spec.src_port,
-        "dst_port": spec.dst_port,
-        "proto": spec.ip_proto,
-    }
     for name, (shift, bits) in _FIELDS.items():
-        value = values[name]
-        if value is None:
-            continue
-        field_mask = (1 << bits) - 1
-        mask |= field_mask << shift
-        pattern |= (value & field_mask) << shift
+        value = getattr(spec, name)
+        if value is not None:
+            mask |= ((1 << bits) - 1) << shift
+            pattern |= value << shift
     return TernaryRule(RULE_WIDTH, pattern, mask)
 
 
@@ -186,14 +178,8 @@ def decode(rule: TernaryRule) -> FlowSpec:
         elif got == field_mask:
             out[name] = (rule.pattern >> shift) & field_mask
         else:
-            raise RuleFormatError(f"field {name} is partially masked")
-    return FlowSpec(
-        src_ip=out["src_ip"],
-        dst_ip=out["dst_ip"],
-        src_port=out["src_port"],
-        dst_port=out["dst_port"],
-        ip_proto=out["proto"],
-    )
+            raise RuleFormatError(f"field {_KEYS[name]} is partially masked")
+    return FlowSpec(**out)
 
 
 def encode_packet(
@@ -201,16 +187,10 @@ def encode_packet(
 ) -> Packet:
     """Build a concrete 104-bit header from 5-tuple values."""
     bits = 0
-    for name, value in (
-        ("src_ip", src_ip),
-        ("dst_ip", dst_ip),
-        ("src_port", src_port),
-        ("dst_port", dst_port),
-        ("proto", proto),
-    ):
-        shift, width = _FIELDS[name]
+    for (name, (shift, width)), value in zip(
+            _FIELDS.items(), (src_ip, dst_ip, src_port, dst_port, proto)):
         if not 0 <= value < (1 << width):
-            raise RuleFormatError(f"{name}={value!r} out of range")
+            raise RuleFormatError(f"{_KEYS[name]}={value!r} out of range")
         bits |= value << shift
     return Packet(RULE_WIDTH, bits)
 
@@ -229,50 +209,43 @@ def parse_rule(text: str) -> FlowSpec:
             if "=" not in part:
                 raise RuleFormatError(f"bad field assignment {part!r}")
             key, raw = (s.strip() for s in part.split("=", 1))
-            if key not in _FIELDS:
+            if key not in _NAMES:
                 raise RuleFormatError(f"unknown field {key!r}")
-            if key in fields:
+            name = _NAMES[key]
+            if name in fields:
                 raise RuleFormatError(f"field {key!r} given twice")
-            fields[key] = None if raw == "*" else _parse_value(key, raw)
-    return FlowSpec(
-        src_ip=fields.get("src_ip"),
-        dst_ip=fields.get("dst_ip"),
-        src_port=fields.get("src_port"),
-        dst_port=fields.get("dst_port"),
-        ip_proto=fields.get("proto"),
-    )
+            fields[name] = None if raw == "*" else _parse_value(name, raw)
+    return FlowSpec(**fields)
 
 
-def _parse_value(key: str, raw: str) -> int:
-    if key in ("src_ip", "dst_ip"):
+def _parse_value(name: str, raw: str) -> int:
+    if name in ("src_ip", "dst_ip"):
         try:
             if "." in raw:
                 return int(ipaddress.IPv4Address(raw))
             return int(raw, 0)
         except (ValueError, ipaddress.AddressValueError) as exc:
             raise RuleFormatError(f"bad IP value {raw!r}") from exc
-    if key == "proto" and raw.lower() in _PROTO_NAMES:
+    if name == "ip_proto" and raw.lower() in _PROTO_NAMES:
         return _PROTO_NAMES[raw.lower()]
     try:
         return int(raw, 0)
     except ValueError as exc:
-        raise RuleFormatError(f"bad value {raw!r} for {key}") from exc
+        raise RuleFormatError(f"bad value {raw!r} for {_KEYS[name]}") from exc
+
+
+def _format_value(name: str, value: int) -> str:
+    if name in ("src_ip", "dst_ip"):
+        return str(ipaddress.IPv4Address(value))
+    if name == "ip_proto":
+        return _PROTO_BY_VALUE.get(value, str(value))
+    return str(value)
 
 
 def format_rule(spec: FlowSpec) -> str:
     """Inverse of parse_rule; concrete fields only, ``*`` for the full wildcard."""
-    parts = []
-    if spec.src_ip is not None:
-        parts.append(f"src_ip={ipaddress.IPv4Address(spec.src_ip)}")
-    if spec.dst_ip is not None:
-        parts.append(f"dst_ip={ipaddress.IPv4Address(spec.dst_ip)}")
-    if spec.src_port is not None:
-        parts.append(f"src_port={spec.src_port}")
-    if spec.dst_port is not None:
-        parts.append(f"dst_port={spec.dst_port}")
-    if spec.ip_proto is not None:
-        name = _PROTO_BY_VALUE.get(spec.ip_proto)
-        parts.append(f"proto={name if name else spec.ip_proto}")
+    parts = [f"{_KEYS[name]}={_format_value(name, getattr(spec, name))}"
+             for name in _FIELDS if getattr(spec, name) is not None]
     return ",".join(parts) if parts else "*"
 
 

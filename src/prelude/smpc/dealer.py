@@ -77,9 +77,11 @@ class DealerMaterial:
     width: int
     levels: tuple[int, ...]
     lanes: int
-    # gmw's lookup level: party 0's shifts u and the pads they select, or
-    # party 1's nine pads with its share r XORed in, and r
-    lookup: tuple[int, int]
+    # gmw's lookup level: party 0's shifts u, the pads they select and
+    # where each pair of cells reads each symbol of u over the lanes
+    # (:func:`~prelude.smpc.shares.pair_indicators`), or party 1's nine
+    # pads with its share r XORed in, and r
+    lookup: tuple
     # per OR-tree level: this party's word of product shares, m_S in
     # slice S for the non-empty subsets S of the level's masks, 0 in slice 0
     tree: tuple[int, ...]
@@ -150,8 +152,9 @@ def dealer_for_circuit(
         u, d = first.lookup[0], first.transfer[0]
     if not lanes:
         w = circuit.width
-        return (DealerMaterial(backend, 0, w, plan, 0, (u, 0), (), (d, 0),
-                               size, (2 * cells + fixed + 7) // 8),
+        return (DealerMaterial(backend, 0, w, plan, 0,
+                               (u, 0, pair_indicators(u, cells, 0)), (),
+                               (d, 0), size, (2 * cells + fixed + 7) // 8),
                 DealerMaterial(backend, 1, w, plan, 0, (0, 0), (), (0, 0),
                                size, 0))
 
@@ -174,14 +177,16 @@ def dealer_for_circuit(
     nb = (cells + 1) // 2 * lanes
     padded = rng.getrandbits(9 * nb)  # p[i, j] XOR r in slice 3 i + j
     r = rng.getrandbits(nb)
-    chosen = table_entries(padded, *pair_indicators(u, cells, lanes), nb) ^ r
+    indicators = pair_indicators(u, cells, lanes)
+    chosen = table_entries(padded, *indicators, nb) ^ r
 
     size0 = ((bits + 2 * cells + nb + 7) // 8 + size * transfers
              + (transfers + 7) // 8)
     size1 = (bits + 10 * nb + 7) // 8 + 2 * size * transfers
     return (
-        DealerMaterial(backend, 0, circuit.width, plan, lanes, (u, chosen),
-                       tuple(shares0), choices, size, size0),
+        DealerMaterial(backend, 0, circuit.width, plan, lanes,
+                       (u, chosen, indicators), tuple(shares0), choices,
+                       size, size0),
         DealerMaterial(backend, 1, circuit.width, plan, lanes, (padded, r),
                        tuple(shares1), pads, size, size1),
     )

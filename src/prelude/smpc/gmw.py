@@ -209,11 +209,10 @@ def gmw_steps(circuit, party: int, word: int, setup: DealerMaterial):
     w = circuit.width
     nb = circuit.pairs * lanes
     if party == 0:
-        shift, chosen = setup.lookup
+        _, chosen, indicators = setup.lookup
         table = int.from_bytes((yield from recv_exact(
             MSG_AND_OPENING, (9 * nb + 7) // 8)), "little")
-        z = table_entries(table, *pair_indicators(shift, w, lanes),
-                          nb) ^ chosen
+        z = table_entries(table, *indicators, nb) ^ chosen
     else:
         shift = int.from_bytes((yield from recv_exact(
             MSG_AND_OPENING, (2 * w + 7) // 8)), "little")

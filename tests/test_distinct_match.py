@@ -1042,7 +1042,7 @@ class TestLaneSessions:
         assert (early.lanes, early.lookup[0]) == (0, querier.lookup[0])
         nb = width // 2 * k
         # p[2, 2] XOR r XOR r, all ones thrice
-        assert querier.lookup == (ones.getrandbits(width) << width, 0)
+        assert querier.lookup[:2] == (ones.getrandbits(width) << width, 0)
         assert holder.lookup == (ones.getrandbits(9 * nb),
                                  ones.getrandbits(nb))
         assert querier.tree == tuple(

@@ -94,6 +94,29 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 ExperimentConfig(**kwargs).validated()
 
+    @pytest.mark.parametrize("command,body,key", [
+        ("effectiveness", "[topology]\nn_as = 10\nsite_size = 2 20\n",
+         "site_size"),
+        ("pathlen", "[topology]\nn_as = 10\n[pathlen]\nsite_size = 3 11\n",
+         "pathlen site_size"),
+        ("effectiveness", "[effectiveness]\nn_prefixes = 60\n", "n_prefixes"),
+        ("microbench", "[microbench]\nrule_counts = 5000\n", "rule_counts"),
+        ("effectiveness", "[effectiveness]\nn_policies = -3\n", "n_policies"),
+        ("pathlen", "[pathlen]\nsamples = 0\n", "samples"),
+    ], ids=["site_size", "pathlen_site_size", "n_prefixes", "rule_counts",
+            "n_policies", "pathlen_samples"])
+    def test_validation_refuses_what_a_runner_cannot_run(
+            self, tmp_path, capsys, command, body, key):
+        # each of these crashed its runner, or wrote an empty table
+        path = tmp_path / "bad.ini"
+        path.write_text("[run]\nseed = 1\n" + body)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path).validated()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+
     def test_cli_overrides_win(self):
         cfg = ExperimentConfig(seed=1, out_dir="x")
         assert override(cfg).seed == 1
@@ -186,6 +209,15 @@ class TestEffectiveness:
         assert rows_from_events(events) == rows
         line = events[0].line()
         assert parse_event_line(line) == events[0]
+
+    def test_no_arrivals_still_give_a_zero_row_per_cell(self):
+        rows, events = replay(fixture_scenario([]), ("oracle", "sidr"),
+                              (1, 6))
+        assert events == []
+        assert [(r.detector, r.path_threshold) for r in rows] == [
+            ("oracle", 1), ("oracle", 6), ("sidr", 1), ("sidr", 6)]
+        assert all((r.installed, r.rejected, r.true_loops,
+                    r.false_positives) == (0, 0, 0, 0) for r in rows)
 
     def test_run_writes_deterministic_csv(self, tmp_path):
         cfg = ExperimentConfig(seed=9, n_policies=12,

@@ -642,7 +642,8 @@ class TestDealer:
         circuit = build_batch_query(width)
         mat0, mat1 = dealer_for_circuit(circuit, "gmw",
                                         random.Random(width + lanes), lanes)
-        (u, chosen), (padded, r) = mat0.lookup, mat1.lookup
+        (u, chosen, indicators), (padded, r) = mat0.lookup, mat1.lookup
+        assert indicators == pair_indicators(u, width, lanes)
         pairs = (width + 1) // 2
         nb = pairs * lanes
         assert u < 1 << 2 * width and chosen < 1 << nb
@@ -1049,7 +1050,7 @@ class TestLanes:
         assert (circuit.levels, circuit.arities) == ((4, 1), (4,))
         # 2 bits of shift per cell, the pads p[2, 2] XOR r XOR r = 0 of 4
         # pairs and 5 lanes, and the holder's 9 pads and its r
-        assert mat0.lookup == (ones.getrandbits(8) << 8, 0)
+        assert mat0.lookup[:2] == (ones.getrandbits(8) << 8, 0)
         assert mat1.lookup == (ones.getrandbits(9 * 4 * 5),
                                ones.getrandbits(4 * 5))
         assert mat0.tree == (ones.getrandbits(15 * 1 * 5) << 5,)
@@ -1057,7 +1058,7 @@ class TestLanes:
                                  ones.getrandbits(128 * 5))
         # the querier's inputs are broadcast: one transfer per input at any k
         mat0, mat1 = dealer_for_circuit(circuit, "yao", ones, lanes=5)
-        assert (mat0.lookup, mat0.tree) == ((0, 0), ())
+        assert (mat0.lookup[:2], mat0.tree) == ((0, 0), ())
         assert mat0.transfer == (ones.getrandbits(16),
                                  ones.getrandbits(128 * 16))
         assert mat1.transfer == (ones.getrandbits(128 * 16),) * 2
