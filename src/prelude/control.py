@@ -8,9 +8,10 @@ installed rules overlap the candidate (via the distinct-match primitive, so
 the rule itself never leaves the verifier), and chases each reported
 deflection onward.  Reaching a previously seen (exchange, AS) point means
 the rule would close a loop; running out of hop budget with deflections
-still unexplored is treated the same way, conservatively.  Accepted rules are registered locally and the verifier
-subscribes at every exchange it consulted so later removals, deactivations,
-and routing changes trigger re-verification.
+still unexplored is treated the same way, conservatively.  Accepted rules
+are registered locally and the verifier subscribes at every exchange it
+consulted so later removals, deactivations, and routing changes trigger
+re-verification.
 
 The exploration never learns who owns a remote rule, only where the rule
 would send the traffic.  It prunes a reported deflection when no member of

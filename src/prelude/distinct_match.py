@@ -71,14 +71,15 @@ process; nothing is built per k.
 
 Both parties exist only as step generators over frames:
 :meth:`SdxMatchService.serve_steps` and the querier's ``_querier_steps``.
-:meth:`SdxMatchService.serve_query` drives the holder's side over a
-blocking channel, with a random stream that shuffles and garbles, and
-:class:`LoopbackEndpoint` hands it the endpoint's holder stream and an
-:class:`~prelude.smpc.InlineLoopback` whose peer is the querier's side, so a
-session runs in the calling thread and starts no thread.  Neither side keeps accounts.  A session is counted
-once, from the querier: the endpoint wraps the querier's steps in
-:func:`~prelude.smpc.recorded`, and the session's dealer adds the size
-of the querier's material to the same transcript's setup bytes, so a
+:class:`LoopbackEndpoint` runs the two against each other with
+:func:`~prelude.smpc.run_pair`, handing the holder's side the endpoint's
+holder stream, which shuffles and garbles, so a session runs in the
+calling thread and starts no thread; :meth:`SdxMatchService.serve_query`
+drives the holder's side over a blocking channel, such as a socket.
+Neither side keeps accounts.  A session is counted once, from the
+querier: the endpoint wraps the querier's steps in
+:func:`~prelude.smpc.recorded`, and the session's dealer adds the size of
+the querier's material to the same transcript's setup bytes, so a
 session's :class:`SessionStats` come from the querier's side.  Every
 holder frame is a querier frame going the other way, so nothing records
 the holder.
@@ -95,9 +96,6 @@ from dataclasses import dataclass
 from prelude.circuits import BatchQueryCircuit, build_batch_query
 from prelude.rules import TernaryRule
 from prelude.smpc import (
-    ChannelClosed,
-    ChannelTimeout,
-    InlineLoopback,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
     ProtocolError,
@@ -113,6 +111,7 @@ from prelude.smpc import (
     recv_frame,
     release_steps,
     reveal_steps,
+    run_pair,
     send_frame,
 )
 from prelude.smpc.channel import recv_exact
@@ -426,7 +425,7 @@ class _SessionDealer:
 
 
 class LoopbackEndpoint:
-    """A holder reachable over in-process channels, one session per query.
+    """A holder queried in the calling thread, one session per query.
 
     The endpoint plays the trusted dealer for its sessions.  It keeps two
     random streams for its life, both drawn from ``seed``: the dealer's,
@@ -458,20 +457,14 @@ class LoopbackEndpoint:
         dealer = _SessionDealer(self._dealer_rng,
                                 query_template(local.width), backend)
         transcript = dealer.transcript
-        channel = InlineLoopback(
-            recorded(_querier_steps(local, prefix, backend, dealer),
-                     transcript),
-            one_way_delay=self._delay)
         try:
-            self.service.serve_query(channel, dealer, self._holder_rng)
+            raw, _, flights = run_pair(
+                recorded(_querier_steps(local, prefix, backend, dealer),
+                         transcript),
+                self.service.serve_steps(dealer, self._holder_rng),
+                self._delay)
         except Exception as exc:
-            # The first real failure is the one reported: the holder's own,
-            # unless the holder only saw the querier drop out.
-            if channel.peer_error is None:
-                raise QueryAborted(str(exc)) from exc
-        try:
-            raw = channel.finish()
-        except (ChannelClosed, ChannelTimeout, ProtocolError) as exc:
+            # the first failure of either party
             raise QueryAborted(str(exc)) from exc
 
         if _raw_out is not None:
@@ -485,7 +478,7 @@ class LoopbackEndpoint:
                 # the levels of the plan the backend ran
                 and_depth=len(dealer.first.levels) if k else 0,
                 online_rounds=transcript.online_rounds,
-                flights=channel.flights,
+                flights=flights,
                 setup_bytes=transcript.setup_bytes,
                 online_bytes=transcript.online_bytes,
                 online_wall_time=transcript.online_wall_time,

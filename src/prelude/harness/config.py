@@ -10,6 +10,7 @@ the command line.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,6 +19,11 @@ from ..distinct_match import MAX_ENTRIES
 
 class ConfigError(ValueError):
     """A config file said something unusable."""
+
+
+# each (lo, hi) exchange size range, as errors name it
+_SITE_SIZES = {"site_size": "site_size",
+               "pathlen_site_size": "pathlen site_size"}
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,8 @@ class ExperimentConfig:
             raise ConfigError("n_as must be at least 3")
         if self.n_sdx < 1:
             raise ConfigError("n_sdx must be at least 1")
-        for name, (lo, hi) in (("site_size", self.site_size),
-                               ("pathlen site_size", self.pathlen_site_size)):
+        for attr, name in _SITE_SIZES.items():
+            lo, hi = getattr(self, attr)
             if not 2 <= lo <= hi:
                 raise ConfigError(
                     f"{name} must be 'lo hi' with 2 <= lo <= hi")
@@ -85,8 +91,8 @@ class ExperimentConfig:
         if any(not 1 <= k <= MAX_ENTRIES for k in self.rule_counts):
             raise ConfigError(f"rule_counts must be from 1 to {MAX_ENTRIES}, "
                               "the most entries a query takes")
-        if any(d < 0 for d in self.delays_ms):
-            raise ConfigError("delays_ms must be non-negative")
+        if any(not math.isfinite(d) or d < 0 for d in self.delays_ms):
+            raise ConfigError("delays_ms must be finite and non-negative")
         bad = set(self.backends) - {"gmw", "yao"}
         if bad:
             raise ConfigError(f"unknown backends: {sorted(bad)}")
@@ -166,9 +172,9 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {section}.{key}: {raw!r}") from exc
-    for attr in ("site_size", "pathlen_site_size"):
+    for attr, name in _SITE_SIZES.items():
         if attr in updates and len(updates[attr]) != 2:
-            raise ConfigError("site_size takes exactly two integers")
+            raise ConfigError(f"{name} takes exactly two integers")
     return replace(cfg, **updates)
 
 

@@ -12,7 +12,8 @@ Detectors:
   oracle:  rejects exactly the arrivals that would close a loop.
   prelude: match-aware exploration at a given path threshold.
   sidr:    the same exploration of a rule that matches all traffic, so
-           every registered rule for the prefix counts as overlapping.
+           every registered rule for the prefix counts as overlapping
+           (:func:`prelude.control.sidr_baseline`).
 """
 
 from __future__ import annotations
@@ -31,9 +32,15 @@ from ..bgpsim import (
     forwarding_oracle,
     generate_topology,
 )
-from ..control import SAFE, StaticMatchView, explore_deflection, rule_entry
+from ..control import (
+    SAFE,
+    StaticMatchView,
+    explore_deflection,
+    rule_entry,
+    sidr_baseline,
+)
 from ..distinct_match import RuleEntry
-from ..rules import FlowSpec, PROTO_TCP, PROTO_UDP, TernaryRule, encode
+from ..rules import FlowSpec, PROTO_TCP, PROTO_UDP, encode
 from .config import ExperimentConfig
 from .results import ResultRow, write_csv
 
@@ -164,15 +171,16 @@ def replay(scenario: Scenario, detectors: tuple[str, ...],
         truth_loop = bool(forwarding_oracle(
             scenario.graph, rib, siblings + [arrival], arrival.prefix))
         truth = "loop" if truth_loop else "clean"
-        walked = {"prelude": arrival, "sidr": replace(
-            arrival, rule=TernaryRule.wildcard(arrival.rule.width))}
         for detector in detectors:
             for t in thresholds:
                 if detector == "oracle":
                     is_reject = truth_loop
+                elif detector == "sidr":
+                    is_reject = not sidr_baseline(
+                        arrival, sites, scenario.ribs, entries, t).accepted
                 else:
-                    exploration = explore_deflection(view, walked[detector], t)
-                    is_reject = exploration.status != SAFE
+                    is_reject = explore_deflection(view, arrival,
+                                                   t).status != SAFE
                 events.append(ReplayEvent(
                     index, detector, t,
                     "reject" if is_reject else "accept", truth))

@@ -48,12 +48,12 @@ each bit takes one label transfer, or each cell one shift, whatever the
 lane count, and under gmw the querier sends two bits per cell; everything
 else costs what the template unrolled ``lanes`` times would.
 
-Every party is a step generator over frames, and :func:`drive` runs one
-over a channel: an in-thread loopback whose peer is the other party's step
-generator, with an injectable one-way delay, or a real socket, the only
-channel that encodes frames.  No step keeps accounts: :func:`recorded`
-wraps a party's steps and counts every frame it moves in a
-:class:`SessionTranscript`, which takes each frame's phase from its kind
+Every party is a step generator over frames.  :func:`run_pair` runs a
+session's two parties against each other in the calling thread, with an
+injectable one-way delay, and :func:`drive` runs one party over a real
+socket, the only channel that encodes frames.  No step keeps accounts:
+:func:`recorded` wraps a party's steps and counts every frame it moves in
+a :class:`SessionTranscript`, which takes each frame's phase from its kind
 and keeps running byte and online round counters, not the frames.  Dealer
 material travels in no frame; whoever deals it adds its size to the
 transcript's setup bytes.
@@ -62,7 +62,6 @@ transcript's setup bytes.
 from prelude.smpc.channel import (
     ChannelClosed,
     ChannelTimeout,
-    InlineLoopback,
     KIND_NAMES,
     MSG_AND_OPENING,
     MSG_ENVELOPE,
@@ -76,6 +75,7 @@ from prelude.smpc.channel import (
     drive,
     encode_frame,
     recv_frame,
+    run_pair,
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial, dealer_for_circuit, first_steps
@@ -92,7 +92,6 @@ __all__ = [
     "ChannelClosed",
     "ChannelTimeout",
     "DealerMaterial",
-    "InlineLoopback",
     "KIND_NAMES",
     "MSG_AND_OPENING",
     "MSG_ENVELOPE",
@@ -116,5 +115,6 @@ __all__ = [
     "recv_frame",
     "release_steps",
     "reveal_steps",
+    "run_pair",
     "send_frame",
 ]

@@ -11,18 +11,12 @@ Protocol code exists only as step generators over frames: a party yields
 size, or yields :data:`RECV` to wait for one and is resumed with
 ``(kind, payload, frame_size)``; its return value is the party's result.
 Steps only move frames; :func:`prelude.smpc.transcript.recorded` wraps a
-party's steps to account for them.  :func:`drive` runs a step generator
-over a blocking channel.  Two channels exist: :class:`TcpChannel`, the
-only one that encodes frames (:func:`encode_frame`), over a socket; and
-:class:`InlineLoopback`, whose peer is the other party's step generator in
-the same thread, so a two-party session needs no thread, and whose
-injectable one-way delay lets protocol latency be measured without real
-network distance.  The loopback queues ``(kind, payload)`` and counts a
-frame's size as the socket would, ``FRAME_OVERHEAD`` bytes above its
-payload.  It runs its peer on until the peer waits for a frame, so frames
-sent back to back travel in one flight, as over a socket.  It counts the
-one-way flights of the longest causal chain of frames: over a one-way
-delay, a session takes at least that many delays.
+party's steps to account for them.  :func:`drive` runs one party over a
+blocking channel: :class:`TcpChannel`, the only channel and the only code
+that encodes frames (:func:`encode_frame`), over a socket.
+:func:`run_pair` runs both parties of a session against each other in the
+calling thread, so a session needs no thread, and its injectable one-way
+delay lets protocol latency be measured without real network distance.
 """
 
 from __future__ import annotations
@@ -142,14 +136,15 @@ class TcpChannel:
         return b"".join(chunks)
 
     def recv(self) -> tuple[int, bytes, int]:
-        (length,) = _HEADER.unpack(self._read_exact(4))
+        (length,) = _HEADER.unpack(self._read_exact(_HEADER.size))
+        size = _HEADER.size + length
         if length < 1:
             raise ProtocolError("frame length below minimum")
-        if 4 + length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {4 + length} bytes exceeds the cap "
+        if size > MAX_FRAME_BYTES:
+            raise ProtocolError(f"frame of {size} bytes exceeds the cap "
                                 f"of {MAX_FRAME_BYTES} bytes")
         body = self._read_exact(length)
-        return body[0], body[1:], 4 + length
+        return body[0], body[1:], size
 
     def close(self) -> None:
         try:
@@ -201,111 +196,66 @@ def drive(steps, channel):
         reply = channel.recv() if op is RECV else channel.send(*op)
 
 
-class InlineLoopback:
-    """A blocking channel end whose peer is a step generator in the same thread.
+# run_pair's marks for a party that has not started, and one that has ended
+_START, _ENDED = object(), object()
 
-    Each frame becomes visible ``one_way_delay`` seconds after it was sent,
-    and its receiver sleeps until then.  Whenever this end waits for a
-    frame, the peer is advanced until it waits too, so frames it sends back
-    to back leave together; :meth:`finish` runs the peer to its end once
-    this side is done.  An exception the peer raises is kept in
-    :attr:`peer_error`, and this end sees the peer close the channel.
 
-    :attr:`flights` counts the one-way flights of the longest causal chain
-    of frames: each frame carries its sender's count, and a receiver's
-    count becomes one more than that if it is not already larger.  Over a
-    one-way delay a session takes at least ``flights`` delays.
+def run_pair(first, second, one_way_delay: float = 0.0):
+    """Run two parties' step generators against each other in this thread.
+
+    Returns ``(first's result, second's result, flights)``.  ``first``
+    starts, and a party runs on while frames wait for it; once it waits
+    for a frame not yet sent, or ends, the other runs.  So frames a party
+    sends back to back travel together, as over a socket.  A frame counts
+    ``FRAME_OVERHEAD`` bytes above its payload, as encoded, and arrives
+    ``one_way_delay`` seconds after it was sent; its receiver sleeps until
+    then.
+
+    ``flights`` counts the one-way flights of the longest causal chain of
+    frames: each frame carries its sender's count, and a receiver's count
+    becomes one more than that if it is not already larger.  Over a one-way
+    delay a run takes at least ``flights`` delays.
+
+    The first exception either party raises ends the run and is raised.  A
+    party waiting for a frame once the other has ended ends the run with
+    :class:`ChannelClosed`, and both waiting with :class:`ProtocolError`.
     """
-
-    def __init__(self, peer_steps, one_way_delay: float = 0.0) -> None:
-        self._peer = peer_steps
-        self._delay = one_way_delay
-        # (arrival, sender's flights, kind, payload) from and to the peer
-        self._inbox: deque = deque()
-        self._outbox: deque = deque()
-        self._flights = 0  # this end's count of flights
-        self._peer_flights = 0
-        self._op = _NOT_STARTED  # the peer's pending step
-        self._peer_done = False
-        self._closed = False
-        self.peer_result = None
-        self.peer_error: Exception | None = None
-
-    @property
-    def flights(self) -> int:
-        return max(self._flights, self._peer_flights)
-
-    def send(self, kind: int, payload: bytes) -> int:
-        if self._closed:
-            raise ChannelClosed("send on closed channel")
-        return self._post(self._outbox, self._flights, kind, payload)
-
-    def recv(self) -> tuple[int, bytes, int]:
-        if not self._inbox:
-            self._run_peer()
-        if not self._inbox:
-            if self._peer_done:
-                raise ChannelClosed("peer closed the channel")
-            raise ProtocolError("both parties are waiting for a frame")
-        arrival, flights, kind, payload = self._inbox.popleft()
-        if flights >= self._flights:
-            self._flights = flights + 1
-        _sleep_until(arrival)
-        return kind, payload, FRAME_OVERHEAD + len(payload)
-
-    def close(self) -> None:
-        self._closed = True
-
-    def finish(self):
-        """Run the peer to its end; return its result or raise its error.
-
-        This end sends nothing more, so a peer still waiting for a frame
-        sees the channel close.
-        """
-        self._closed = True
-        self._run_peer()
-        if not self._peer_done:
-            self._resume(throw=ChannelClosed("peer closed the channel"))
-        if self.peer_error is not None:
-            raise self.peer_error
-        return self.peer_result
-
-    def _run_peer(self) -> None:
-        """Advance the peer until it ends or waits for an unsent frame."""
-        while not self._peer_done:
-            op = self._op
-            if op is _NOT_STARTED:
-                self._resume()
-            elif op is RECV:
-                if not self._outbox:
-                    return
-                arrival, flights, kind, payload = self._outbox.popleft()
-                if flights >= self._peer_flights:
-                    self._peer_flights = flights + 1
-                _sleep_until(arrival)
-                self._resume((kind, payload, FRAME_OVERHEAD + len(payload)))
-            else:
-                self._resume(self._post(self._inbox, self._peer_flights, *op))
-
-    def _post(self, box: deque, flights: int, kind: int,
-              payload: bytes) -> int:
-        """Queue a frame in ``box``, sent at ``flights``; return its on-wire
-        size.  Every frame either end sends passes here."""
-        box.append((time.monotonic() + self._delay, flights, kind, payload))
-        return FRAME_OVERHEAD + len(payload)
-
-    def _resume(self, reply=None, throw: Exception | None = None) -> None:
+    parties = (first, second)
+    # the frames on their way to each party:
+    # (arrival, sender's flights, kind, payload)
+    inboxes = (deque(), deque())
+    flights = [0, 0]
+    results = [None, None]
+    ops = [_START, _START]  # each party's pending step
+    me = 0
+    while True:
+        party, op, count = parties[me], ops[me], flights[me]
+        inbox, outbox = inboxes[me], inboxes[1 - me]
         try:
-            if throw is None:
-                self._op = self._peer.send(reply)
-            else:
-                self._op = self._peer.throw(throw)
+            if op is _START:
+                op = party.send(None)
+            while op is not RECV or inbox:
+                if op is RECV:
+                    arrival, sent, kind, payload = inbox.popleft()
+                    if sent >= count:
+                        count = sent + 1
+                    _sleep_until(arrival)
+                    op = party.send((kind, payload,
+                                     FRAME_OVERHEAD + len(payload)))
+                else:
+                    kind, payload = op
+                    outbox.append((time.monotonic() + one_way_delay, count,
+                                   kind, payload))
+                    op = party.send(FRAME_OVERHEAD + len(payload))
         except StopIteration as stop:
-            self._peer_done = True
-            self.peer_result = stop.value
-        except Exception as exc:  # noqa: BLE001 - the peer's failure, kept for finish()
-            self._peer_done = True
-            self.peer_error = exc
+            results[me] = stop.value
+            op = _ENDED
+        ops[me], flights[me] = op, count
+        me = 1 - me
+        if ops[me] is _ENDED:
+            if op is _ENDED:
+                return results[0], results[1], max(flights)
+            raise ChannelClosed("peer closed the channel")
+        if op is RECV and ops[me] is RECV and not inboxes[me]:
+            raise ProtocolError("both parties are waiting for a frame")
 
-
-_NOT_STARTED = object()

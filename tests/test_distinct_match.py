@@ -40,7 +40,6 @@ from prelude.rules import (
     random_rule,
 )
 from prelude.smpc import (
-    InlineLoopback,
     MSG_AND_OPENING,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
@@ -55,6 +54,7 @@ from prelude.smpc import (
     drive,
     recorded,
     recv_frame,
+    run_pair,
     send_frame,
 )
 from prelude.smpc import channel
@@ -371,7 +371,7 @@ class TestPrivacyMechanics:
         # the holder only dealer-padded bits: over sessions of one fixed
         # rule, each of yao's 16 bits is a fair coin, and each of gmw's 8
         # shifts, a symbol of Z3 in two bit planes, is uniform over Z3.
-        frames = loopback_frames(monkeypatch)
+        frames = sent_frames(monkeypatch)
         width = 4 if case == "width-mismatch" else 8
         table = [make_entry(TernaryRule(width, 0b0110, 0b1111), 1, 10 + i)
                  for i in range(3)]
@@ -385,14 +385,15 @@ class TestPrivacyMechanics:
                     endpoint.query(local, prefix, backend=backend)
             else:
                 endpoint.query(local, prefix, backend=backend)
-        kinds = [kind for kind, _ in frames]
+        kinds = [kind for kind, _, _ in frames]
         firsts = [frames[i + 1] for i, kind in enumerate(kinds)
                   if kind == MSG_ENVELOPE]
         assert len(firsts) == sessions
-        assert {kind for kind, _ in firsts} == {
+        assert {kind for kind, _, _ in firsts} == {
             MSG_AND_OPENING if backend == "gmw" else MSG_INPUT_SHARE}
-        words = [int.from_bytes(payload, "little") for _, payload in firsts]
-        assert {len(payload) for _, payload in firsts} == {2}
+        words = [int.from_bytes(payload, "little")
+                 for _, payload, _ in firsts]
+        assert {len(payload) for _, payload, _ in firsts} == {2}
         if backend == "gmw":
             for cell in range(8):
                 symbols = [(word >> cell & 1) + 2 * (word >> 8 + cell & 1)
@@ -410,10 +411,12 @@ class TestPrivacyMechanics:
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
 
-        def broken(channel, *args, **kwargs):
-            channel.close()
+        def broken(*args, **kwargs):
+            """A holder that hangs up before reading a frame."""
+            return
+            yield
 
-        endpoint.service.serve_query = broken
+        endpoint.service.serve_steps = broken
         with pytest.raises(QueryAborted):
             endpoint.query(TernaryRule.wildcard(8), entry.prefix)
 
@@ -524,24 +527,27 @@ class TestPrivacyMechanics:
          "ENVELOPE_ACK frame of 24 bytes, expected 3"),
     ])
     def test_malformed_ack_fails_naming_its_cause(self, ack, cause):
-        ch = InlineLoopback(distinct_match._querier_steps(
+        def holder():
+            yield from recv_frame(MSG_ENVELOPE)
+            yield from recv_frame(MSG_AND_OPENING)  # its padded first frame
+            yield from send_frame(MSG_ENVELOPE_ACK, ack)
+
+        querier = distinct_match._querier_steps(
             TernaryRule.wildcard(8), "10.0.0.0/8", "gmw",
             distinct_match._SessionDealer(
-                random.Random(1), distinct_match.query_template(8), "gmw")))
-        assert ch.recv()[0] == MSG_ENVELOPE
-        assert ch.recv()[0] == MSG_AND_OPENING  # its padded first frame
-        ch.send(MSG_ENVELOPE_ACK, ack)
+                random.Random(1), distinct_match.query_template(8), "gmw"))
         with pytest.raises(ProtocolError, match=re.escape(cause)):
-            ch.finish()
+            run_pair(querier, holder())
 
     def test_any_holder_failure_becomes_query_aborted(self):
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
 
-        def failing(channel, *args, **kwargs):
+        def failing(*args, **kwargs):
             raise ValueError("holder table is corrupt")
+            yield
 
-        endpoint.service.serve_query = failing
+        endpoint.service.serve_steps = failing
         with pytest.raises(QueryAborted, match="holder table is corrupt"):
             endpoint.query(TernaryRule.wildcard(8), entry.prefix)
 
@@ -581,32 +587,27 @@ class TestPrivacyMechanics:
 # session mechanics
 
 
-def wire_frames(monkeypatch) -> list:
-    """Capture (kind, on-wire size) of every frame either party sends over
-    a loopback, as it is queued."""
+def sent_frames(monkeypatch) -> list:
+    """Capture (kind, payload, on-wire size) of every frame either party of
+    an endpoint's sessions sends, in the order they are sent."""
     captured = []
-    post = InlineLoopback._post
+    pair = distinct_match.run_pair
 
-    def spying(self, box, flights, kind, payload):
-        size = post(self, box, flights, kind, payload)
-        captured.append((kind, size))
-        return size
+    def tap(steps):
+        reply = None
+        while True:
+            try:
+                op = steps.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            reply = yield op
+            if op is not channel.RECV:
+                captured.append((*op, reply))
 
-    monkeypatch.setattr(InlineLoopback, "_post", spying)
-    return captured
+    def tapped(first, second, *args):
+        return pair(tap(first), tap(second), *args)
 
-
-def loopback_frames(monkeypatch) -> list:
-    """Capture (kind, payload) of every frame either party sends over a
-    loopback, as it is queued."""
-    captured = []
-    post = InlineLoopback._post
-
-    def spying(self, box, flights, kind, payload):
-        captured.append((kind, payload))
-        return post(self, box, flights, kind, payload)
-
-    monkeypatch.setattr(InlineLoopback, "_post", spying)
+    monkeypatch.setattr(distinct_match, "run_pair", tapped)
     return captured
 
 
@@ -636,7 +637,7 @@ class TestSessionMechanics:
         entries = [make_entry(random_rule(width, rng), 9, 900 + i)
                    for i in range(k)]
         endpoint = fresh_endpoint(entries)
-        frames = wire_frames(monkeypatch)
+        frames = sent_frames(monkeypatch)
         # random width-104 rules almost never overlap; query the entry's own
         # rule there so an identifier, not only the dummy, is released
         local = random_rule(width, rng) if width == 4 else entries[0].rule
@@ -645,7 +646,7 @@ class TestSessionMechanics:
         endpoint.query(local, "10.0.0.0/8", backend="yao", _raw_out=raw,
                        stats_out=stats_out)
         # under yao only the holder sends these kinds, one frame each
-        held = [(kind, size) for kind, size in frames
+        held = [(kind, size) for kind, _, size in frames
                 if kind in (MSG_GARBLED_TABLES, MSG_LABELS, MSG_OUTPUT_SHARE)]
         sent = dict(held)
         assert len(held) == len(sent) == 3
@@ -674,7 +675,7 @@ class TestSessionMechanics:
         entries = [make_entry(random_rule(8, rng), 9, 900 + i)
                    for i in range(5)]
         endpoint = fresh_endpoint(entries)
-        frames = wire_frames(monkeypatch)
+        frames = sent_frames(monkeypatch)
         calls = []
         for name in ("record_send", "record_receive"):
             def counting(self, kind, n_bytes,
@@ -704,7 +705,7 @@ class TestSessionMechanics:
             assert len(calls) == len(frames), prefix
             t_q = transcripts[-1]
             assert t_q.setup_bytes + t_q.online_bytes == (
-                sum(size for _, size in frames) + dealt), prefix
+                sum(size for _, _, size in frames) + dealt), prefix
 
     @staticmethod
     def fixed_openings(monkeypatch, sessions: int) -> list[list[int]]:
@@ -712,7 +713,7 @@ class TestSessionMechanics:
         a table of one fixed rule at width 8 and k = 3, whose shuffle
         changes nothing: per session, the querier's shifts, the holder's
         lookup tables and each tree level's two openings."""
-        frames = loopback_frames(monkeypatch)
+        frames = sent_frames(monkeypatch)
         table = [make_entry(TernaryRule(8, 0b01100000, 0b11110000), 1, 10 + i)
                  for i in range(3)]
         endpoint = fresh_endpoint(table, seed=59)
@@ -721,7 +722,8 @@ class TestSessionMechanics:
         for _ in range(sessions):
             del frames[:]
             assert endpoint.query(local, table[0].prefix).hops == set()
-            openings.append([int.from_bytes(p, "little") for kind, p in frames
+            openings.append([int.from_bytes(p, "little")
+                             for kind, p, _ in frames
                              if kind == MSG_AND_OPENING])
         return openings
 
@@ -819,10 +821,10 @@ class TestSessionMechanics:
             dealer = distinct_match._SessionDealer(random.Random(seed),
                                                    template, backend)
             dealer.material(template, backend, 1, len(entries))
-            channel = InlineLoopback(distinct_match._querier_steps(
-                local, entries[0].prefix, backend, dealer))
-            service.serve_query(channel, dealer, random.Random(seed))
-            raw = channel.finish()
+            raw, _, _ = run_pair(
+                distinct_match._querier_steps(local, entries[0].prefix,
+                                              backend, dealer),
+                service.serve_steps(dealer, random.Random(seed)))
             assert sorted(raw) == sorted(
                 e.next_hop.to_bytes() if overlaps(local, e.rule)
                 else DUMMY_HOP.to_bytes() for e in entries)
@@ -847,7 +849,7 @@ class TestSessionMechanics:
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     def test_the_loopback_and_tcp_count_the_same_bytes(self, backend):
-        # The loopback passes (kind, payload) pairs and counts each frame
+        # run_pair passes (kind, payload) pairs and counts each frame
         # FRAME_OVERHEAD bytes above its payload; over a socket the frames
         # are encoded.  The same session records the same counts on both.
         rng = random.Random(97)
@@ -1100,12 +1102,12 @@ class TestLaneSessions:
         entries = [make_entry(random_rule(RULE_WIDTH, rng), 3, i)
                    for i in range(MAX_ENTRIES)]
         endpoint = fresh_endpoint(entries)
-        frames = wire_frames(monkeypatch)
+        frames = sent_frames(monkeypatch)
         for backend in ("gmw", "yao"):
             result = endpoint.query(entries[0].rule, "10.0.0.0/8",
                                     backend=backend)
             assert entries[0].next_hop in result
-        sizes = [size for _, size in frames]
+        sizes = [size for _, _, size in frames]
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
@@ -1124,7 +1126,7 @@ class TestLaneSessions:
         # query on each backend aborts between them: the digests pin that an
         # abort leaves the streams where a rerun finds them.
         hasher = hashlib.sha256()
-        frames = loopback_frames(monkeypatch)
+        frames = sent_frames(monkeypatch)
         rng = random.Random(1000 * width + k)
         entries = [make_entry(random_rule(width, rng), 4, 400 + i)
                    for i in range(k)]
@@ -1143,7 +1145,7 @@ class TestLaneSessions:
                 result = endpoint.query(local, "10.0.0.0/8", backend=backend)
                 assert result.hops == {e.next_hop for e in entries
                                        if overlaps(local, e.rule)}
-        for kind, payload in frames:
+        for kind, payload, _ in frames:
             hasher.update(channel.encode_frame(kind, payload))
         assert hasher.hexdigest() == digest
 

@@ -79,6 +79,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.ini")
 
+    def test_a_site_size_of_three_integers_is_named_by_its_section(
+            self, tmp_path):
+        for body, name in (("[topology]\nsite_size = 3 4 5\n", "site_size"),
+                           ("[pathlen]\nsite_size = 3 4 5\n",
+                            "pathlen site_size")):
+            path = tmp_path / "bad.ini"
+            path.write_text(body)
+            with pytest.raises(ConfigError) as caught:
+                load_config(path)
+            assert str(caught.value) == (
+                f"{name} takes exactly two integers")
+
     def test_validation_rejects_nonsense(self):
         bad = [
             dict(seed=-1),
@@ -103,8 +115,10 @@ class TestConfig:
         ("microbench", "[microbench]\nrule_counts = 5000\n", "rule_counts"),
         ("effectiveness", "[effectiveness]\nn_policies = -3\n", "n_policies"),
         ("pathlen", "[pathlen]\nsamples = 0\n", "samples"),
+        ("microbench", "[microbench]\ndelays_ms = 1 inf\n", "delays_ms"),
+        ("microbench", "[microbench]\ndelays_ms = nan\n", "delays_ms"),
     ], ids=["site_size", "pathlen_site_size", "n_prefixes", "rule_counts",
-            "n_policies", "pathlen_samples"])
+            "n_policies", "pathlen_samples", "delays_ms_inf", "delays_ms_nan"])
     def test_validation_refuses_what_a_runner_cannot_run(
             self, tmp_path, capsys, command, body, key):
         # each of these crashed its runner, or wrote an empty table

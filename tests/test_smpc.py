@@ -25,7 +25,6 @@ from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
 from prelude.smpc import (
     ChannelClosed,
     ChannelTimeout,
-    InlineLoopback,
     KIND_NAMES,
     MSG_AND_OPENING,
     MSG_ENVELOPE,
@@ -49,11 +48,12 @@ from prelude.smpc import (
     recv_frame,
     release_steps,
     reveal_steps,
+    run_pair,
     send_frame,
 )
 from prelude.smpc import gmw, yao
 from prelude.smpc.aes import Aes128Ecb
-from prelude.smpc.channel import MAX_FRAME_BYTES
+from prelude.smpc.channel import MAX_FRAME_BYTES, RECV
 from prelude.smpc.shares import (
     broadcast,
     draw_symbols,
@@ -207,27 +207,25 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
 
 
 def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
-                spy0=None, lanes=1):
+                tap0=None, lanes=1):
     """Run both parties in this thread; returns (out0, out1, t0, t1).
 
-    Party 0 is driven over an in-thread loopback whose peer is party 1;
-    ``spy0`` wraps that channel.  Each transcript counts its party's
-    dealer material as setup bytes and then records its frames, and notes
-    each one.
+    Party 0 starts, and ``tap0`` sees every frame it sends or receives
+    (:func:`tapped`).  Each transcript counts its party's dealer material
+    as setup bytes and then records its frames, and notes each one.
     """
     mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
                                     lanes=lanes, size=1)
     t0, t1 = NotedTranscript(), NotedTranscript()
     for t, mat in ((t0, mat0), (t1, mat1)):
         t.setup_bytes += mat.serialized_size
-    ch = InlineLoopback(
+    party0 = recorded(party_steps(circuit, backend, 0, inputs0, mat0), t0)
+    out0, out1, _ = run_pair(
+        party0 if tap0 is None else tapped(party0, tap0),
         recorded(party_steps(circuit, backend, 1, inputs1, mat1,
                              garble_rng=random.Random(seed + 1)), t1),
-        one_way_delay=delay)
-    out0 = drive(recorded(party_steps(circuit, backend, 0, inputs0, mat0),
-                          t0),
-                 ch if spy0 is None else spy0(ch))
-    return out0, ch.finish(), t0, t1
+        delay)
+    return out0, out1, t0, t1
 
 
 def run_over_tcp(backend):
@@ -339,29 +337,33 @@ class TestChannels:
         assert encode_frame(5, b"ab") == b"\x00\x00\x00\x03\x05ab"
 
     def test_loopback_round_trip(self):
-        sizes = []
+        # each side is resumed with a frame's on-wire size, header included
+        def ping():
+            size = yield from send_frame(MSG_OUTPUT_SHARE, b"xyz")
+            return size, (yield RECV)
 
         def echo():
             payload = yield from recv_frame(MSG_OUTPUT_SHARE)
-            sizes.append((yield from send_frame(MSG_OUTPUT_SHARE, payload)))
+            return (yield from send_frame(MSG_OUTPUT_SHARE, payload))
 
-        ch = InlineLoopback(echo())
-        n = ch.send(MSG_OUTPUT_SHARE, b"xyz")
-        kind, payload, size = ch.recv()
-        assert (kind, payload) == (MSG_OUTPUT_SHARE, b"xyz")
-        assert n == size == sizes[0] == 4 + 1 + 3
+        (sent, got), echoed, flights = run_pair(ping(), echo())
+        assert got == (MSG_OUTPUT_SHARE, b"xyz", 4 + 1 + 3)
+        assert sent == echoed == 4 + 1 + 3
+        assert flights == 2
 
     def test_loopback_close_unblocks_peer(self):
-        def peer():
+        # a party waiting for a frame once its peer has ended sees the
+        # channel close
+        def hangs_up():
+            return
+            yield
+
+        def waits():
             yield from recv_frame(1)
 
-        ch = InlineLoopback(peer())
-        ch.close()
-        with pytest.raises(ChannelClosed):
-            ch.send(1, b"late")
-        # the peer, waiting for a frame, sees the channel close
-        with pytest.raises(ChannelClosed):
-            ch.finish()
+        for pair in ((hangs_up(), waits()), (waits(), hangs_up())):
+            with pytest.raises(ChannelClosed, match="peer closed the channel"):
+                run_pair(*pair)
 
     def test_tcp_timeout(self):
         end, other = socket.socketpair()
@@ -382,63 +384,65 @@ class TestChannels:
             payload = yield from recv_frame(1)
             yield from send_frame(1, payload[::-1])
 
-        ch = InlineLoopback(pong(), one_way_delay=0.05)
         start = time.monotonic()
-        assert drive(ping(), ch) == b"gnip"
-        ch.finish()
+        assert run_pair(ping(), pong(), 0.05)[0] == b"gnip"
         assert time.monotonic() - start >= 0.1
 
-    def test_inline_loopback_delay_and_peer_result(self):
+    def test_run_pair_delay_and_both_results(self):
+        # the party that starts waits for the other's first frame
+        def answers():
+            yield from recv_frame(1)
+            yield from send_frame(1, b"pong")
+            return b"done"
+
         def peer():
             yield from send_frame(1, b"ping")
             return (yield from recv_frame(1))
 
-        ch = InlineLoopback(peer(), one_way_delay=0.05)
         start = time.monotonic()
-        assert ch.recv()[1] == b"ping"
-        ch.send(1, b"pong")
-        assert ch.finish() == b"pong"
+        assert run_pair(answers(), peer(), 0.05) == (b"done", b"pong", 2)
         assert time.monotonic() - start >= 0.1
 
-    def test_inline_loopback_sends_back_to_back_frames_in_one_flight(self):
-        # The peer runs on until it waits, so a second frame it sends before
+    def test_run_pair_sends_back_to_back_frames_in_one_flight(self):
+        # A party runs on until it waits, so a second frame it sends before
         # its first receive leaves with the first, not one delay later.
-        def peer():
+        def sends_two():
             yield from send_frame(1, b"a")
             yield from send_frame(1, b"b")
-            return (yield from recv_frame(1))
+
+        def takes_two():
+            got = [(yield from recv_frame(1)), (yield from recv_frame(1))]
+            return got, time.monotonic()
 
         delay = 0.2
-        ch = InlineLoopback(peer(), one_way_delay=delay)
         start = time.monotonic()
-        assert [ch.recv()[1] for _ in range(2)] == [b"a", b"b"]
-        assert delay <= time.monotonic() - start < 2 * delay
-        assert ch.flights == 1
-        ch.send(1, b"c")
-        assert ch.finish() == b"c"
-        assert ch.flights == 2
+        _, (got, took), flights = run_pair(sends_two(), takes_two(), delay)
+        assert got == [b"a", b"b"]
+        assert delay <= took - start < 2 * delay
+        assert flights == 1
 
-    def test_inline_loopback_reports_peer_failure(self):
-        def peer():
+    def test_run_pair_raises_the_first_failure(self):
+        # whichever party starts, the peer's failure is raised, not the
+        # closed channel the waiting party would see after it
+        def breaks():
             yield from send_frame(1, b"x")
             raise ValueError("peer broke")
 
-        ch = InlineLoopback(peer())
-        ch.recv()
-        with pytest.raises(ChannelClosed):
-            ch.recv()
-        with pytest.raises(ValueError, match="peer broke"):
-            ch.finish()
-
-    def test_inline_loopback_detects_both_sides_waiting(self):
-        def peer():
+        def waits():
+            yield from recv_frame(1)
             yield from recv_frame(1)
 
-        ch = InlineLoopback(peer())
-        with pytest.raises(ProtocolError):
-            ch.recv()
-        with pytest.raises(ChannelClosed):
-            ch.finish()
+        for pair in ((breaks(), waits()), (waits(), breaks())):
+            with pytest.raises(ValueError, match="peer broke"):
+                run_pair(*pair)
+
+    def test_run_pair_detects_both_parties_waiting(self):
+        def waits():
+            yield from recv_frame(1)
+
+        with pytest.raises(ProtocolError,
+                           match="both parties are waiting for a frame"):
+            run_pair(waits(), waits())
 
     def test_tcp_refuses_a_frame_over_the_cap_before_its_body(self):
         end, other = socket.socketpair()
@@ -507,9 +511,7 @@ def scripted_pair(ops, t0=None):
     mirror = [("recv" if op == "send" else "send", kind) for op, kind in ops]
     t0 = NotedTranscript() if t0 is None else t0
     t1 = NotedTranscript()
-    ch = InlineLoopback(recorded(scripted(mirror), t1))
-    drive(recorded(scripted(ops), t0), ch)
-    ch.finish()
+    run_pair(recorded(scripted(ops), t0), recorded(scripted(mirror), t1))
     return t0, t1
 
 
@@ -773,8 +775,7 @@ class TestGmw:
             yield
 
         with pytest.raises(ChannelClosed):
-            drive(gmw_steps(circuit, 0, inputs0, mat0),
-                  InlineLoopback(hangs_up()))
+            run_pair(gmw_steps(circuit, 0, inputs0, mat0), hangs_up())
 
     @pytest.mark.parametrize("arity", [1, 2, 3, 4])
     def test_a_gate_of_n_inputs_shares_their_and(self, arity):
@@ -790,14 +791,13 @@ class TestGmw:
             mat0, mat1 = dealer_for_circuit(plan, "gmw", rng, lanes)
             inputs = rng.getrandbits(arity * nb)
             share0 = rng.getrandbits(arity * nb)
-            ch = InlineLoopback(gmw._and_steps(1, inputs ^ share0, arity, nb,
-                                               mat1.tree[0]))
-            out0 = drive(gmw._and_steps(0, share0, arity, nb, mat0.tree[0]),
-                         ch)
+            out0, out1, _ = run_pair(
+                gmw._and_steps(0, share0, arity, nb, mat0.tree[0]),
+                gmw._and_steps(1, inputs ^ share0, arity, nb, mat1.tree[0]))
             want = (1 << nb) - 1
             for i in range(arity):
                 want &= inputs >> i * nb
-            assert out0 ^ ch.finish() == want, (trial, gates, lanes)
+            assert out0 ^ out1 == want, (trial, gates, lanes)
 
     def test_release_pads_fit_the_values(self):
         # The pads are dealt as long as the released values, one 6-byte
@@ -833,11 +833,10 @@ class TestGmw:
         _, inputs1 = random_inputs(circuit, random.Random(6), 2)
         _, mat1 = dealer_for_circuit(circuit, "gmw", random.Random(7),
                                      lanes=2, size=1)
-        ch = InlineLoopback(party_steps(circuit, "gmw", 1, inputs1, mat1))
-        ch.send(MSG_AND_OPENING, bytes([0b0010_0010]))
         with pytest.raises(ProtocolError, match=(
                 "shift frame reads the unused symbol 3 at cell 1")):
-            ch.finish()
+            run_pair(send_frame(MSG_AND_OPENING, bytes([0b0010_0010])),
+                     party_steps(circuit, "gmw", 1, inputs1, mat1))
 
     def test_wrong_party_material_rejected(self):
         circuit = build_batch_query(4)
@@ -968,9 +967,8 @@ class TestYao:
         dummy = b"\xff" * 6
         # lane 2's sum misses the garbler's by one bit, lane 4's entirely
         wrong = sums ^ (1 << 2 * 128) ^ (rng.getrandbits(128) << 4 * 128)
-        ch = InlineLoopback(release_steps(sums, values))
-        opened = drive(open_steps(wrong, lanes, dummy), ch)
-        ch.finish()
+        opened, _, _ = run_pair(open_steps(wrong, lanes, dummy),
+                                release_steps(sums, values))
         assert opened == [values[0], values[1], dummy, values[3], dummy]
 
 
@@ -997,10 +995,11 @@ class TestLanes:
     def run(circuit, backend, inputs0, inputs1, lanes, seed):
         mat0, mat1 = dealer_for_circuit(circuit, backend, random.Random(seed),
                                         lanes=lanes, size=1)
-        ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
-                                        garble_rng=random.Random(seed + 1)))
-        out0 = drive(party_steps(circuit, backend, 0, inputs0, mat0), ch)
-        assert ch.finish() is None
+        out0, out1, _ = run_pair(
+            party_steps(circuit, backend, 0, inputs0, mat0),
+            party_steps(circuit, backend, 1, inputs1, mat1,
+                        garble_rng=random.Random(seed + 1)))
+        assert out1 is None
         return out0
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
@@ -1237,13 +1236,12 @@ class TestHalfGates:
         inputs0, _ = random_inputs(circuit, random.Random(5), lanes)
         mat0, _ = dealer_for_circuit(circuit, "yao", random.Random(6),
                                      lanes=lanes)
-        ch = InlineLoopback(evaluate_steps(circuit, inputs0, mat0))
         rows = lanes * 2 * circuit.width
-        ch.send(MSG_GARBLED_TABLES, bytes(64 * rows))
         with pytest.raises(ProtocolError, match=(
                 f"GARBLED_TABLES frame of {64 * rows} bytes, expected "
                 f"{16 * rows}")):
-            ch.finish()
+            run_pair(send_frame(MSG_GARBLED_TABLES, bytes(64 * rows)),
+                     evaluate_steps(circuit, inputs0, mat0))
 
 
 class TestBackendAgreement:
@@ -1295,15 +1293,10 @@ class TestBackendAgreement:
         def recorded(seed):
             """Every frame party 0 sent and received, payload included, and
             both parties' transcript entries."""
-            ends = []
-
-            def record(end):
-                ends.append(SpyEnd(end))
-                return ends[-1]
-
+            spy = Spy()
             _, _, t0, t1 = run_backend(circuit, "gmw", inputs0, inputs1,
-                                       seed=seed, spy0=record)
-            return ends[0].frames, t0.frames, t1.frames
+                                       seed=seed, tap0=spy)
+            return spy.frames, t0.frames, t1.frames
 
         runs = [recorded(42) for _ in range(2)]
         assert runs[0][0]  # frames in both directions were recorded
@@ -1357,12 +1350,29 @@ class TestAgainstOverlap:
 # what the querier's wire looks like
 
 
-class SpyEnd:
-    """Records every frame sent and received, in order, with its payload,
-    while delegating to the real endpoint."""
+def tapped(steps, tap):
+    """Step: run ``steps``, passing each frame it sends or receives through
+    ``tap(direction, kind, payload)``, direction "sent" or "received",
+    which returns the payload to pass on."""
+    reply = None
+    while True:
+        try:
+            op = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        if op is RECV:
+            kind, payload, size = yield RECV
+            passed = tap("received", kind, payload)
+            reply = kind, passed, size - len(payload) + len(passed)
+        else:
+            kind, payload = op
+            reply = yield kind, tap("sent", kind, payload)
 
-    def __init__(self, inner):
-        self.inner = inner
+
+class Spy:
+    """A tap that records every frame, in order, with its payload."""
+
+    def __init__(self):
         self.frames = []  # (direction, kind, payload)
 
     @property
@@ -1370,40 +1380,23 @@ class SpyEnd:
         return [(kind, payload) for direction, kind, payload in self.frames
                 if direction == "received"]
 
-    def send(self, kind, payload):
-        self.frames.append(("sent", kind, bytes(payload)))
-        return self.inner.send(kind, payload)
-
-    def recv(self):
-        kind, payload, size = self.inner.recv()
-        self.frames.append(("received", kind, bytes(payload)))
-        return kind, payload, size
-
-    def close(self):
-        self.inner.close()
+    def __call__(self, direction, kind, payload):
+        self.frames.append((direction, kind, bytes(payload)))
+        return payload
 
 
-class TruncatingEnd:
-    """Party 0's channel end, with the last byte cut from the first frame
-    of ``kind`` that either party sends."""
+def truncating(kind):
+    """A tap that cuts the last byte from the first frame of ``kind`` that
+    either party sends."""
+    left = {kind}
 
-    def __init__(self, inner, kind):
-        self.inner = inner
-        self.kind = kind
-
-    def cut(self, kind, payload):
-        if kind != self.kind:
+    def cut(direction, got, payload):
+        if got not in left:
             return payload
-        self.kind = None
+        left.clear()
         return payload[:-1]
 
-    def send(self, kind, payload):
-        return self.inner.send(kind, self.cut(kind, payload))
-
-    def recv(self):
-        kind, payload, size = self.inner.recv()
-        short = self.cut(kind, payload)
-        return kind, short, size - len(payload) + len(short)
+    return cut
 
 
 @pytest.mark.parametrize("backend,name", [
@@ -1421,14 +1414,11 @@ def test_a_short_online_frame_is_refused_naming_its_size(backend, name):
     rng = random.Random(31)
     inputs0, inputs1 = random_inputs(circuit, rng, 3)
     mat0, mat1 = dealer_for_circuit(circuit, backend, rng, lanes=3, size=1)
-    ch = InlineLoopback(party_steps(circuit, backend, 1, inputs1, mat1,
-                                    garble_rng=random.Random(1)))
     with pytest.raises(ProtocolError, match=f"{name} frame of") as caught:
-        try:
-            drive(party_steps(circuit, backend, 0, inputs0, mat0),
-                  TruncatingEnd(ch, kind))
-        except ChannelClosed:
-            ch.finish()  # the holder refused the frame
+        run_pair(tapped(party_steps(circuit, backend, 0, inputs0, mat0),
+                        truncating(kind)),
+                 party_steps(circuit, backend, 1, inputs1, mat1,
+                             garble_rng=random.Random(1)))
     got, expected = map(int, re.search(r"of (\d+) bytes, expected (\d+)",
                                        str(caught.value)).groups())
     assert got == expected - 1
@@ -1460,17 +1450,12 @@ class TestOnlineTrafficLooksRandom:
         for holder in (holder_a, holder_b):
             counts = {"sent": [0, 0], "received": [0, 0]}  # ones, bits
             for session in range(150):
-                spies = []
-
-                def make_spy(end, spies=spies):
-                    spies.append(SpyEnd(end))
-                    return spies[-1]
-
+                spy = Spy()
                 run_backend(circuit, "gmw", inputs0, holder,
-                            seed=1000 + session, spy0=make_spy, lanes=lanes)
+                            seed=1000 + session, tap0=spy, lanes=lanes)
                 for direction, widths in (("sent", to_holder),
                                           ("received", to_querier)):
-                    payloads = [payload for d, _, payload in spies[0].frames
+                    payloads = [payload for d, _, payload in spy.frames
                                 if d == direction]
                     assert len(payloads) == len(widths)
                     for payload, width in zip(payloads, widths):
@@ -1501,15 +1486,10 @@ class TestOnlineTrafficLooksRandom:
         for holder in (holder_a, holder_b):
             ones = total = 0
             for session in range(30):
-                spies = []
-
-                def make_spy(end, spies=spies):
-                    spies.append(SpyEnd(end))
-                    return spies[-1]
-
+                spy = Spy()
                 run_backend(circuit, "yao", inputs0, holder,
-                            seed=2000 + session, spy0=make_spy, lanes=lanes)
-                received = spies[0].received
+                            seed=2000 + session, tap0=spy, lanes=lanes)
+                received = spy.received
                 assert {kind: len(payload) for kind, payload in received} == (
                     sizes)
                 for _, payload in received:
