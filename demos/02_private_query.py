@@ -58,7 +58,7 @@ for backend in ("gmw", "yao"):
 # Dummy padding hides how many rules matched: the raw vector always has
 # one slot per registered rule, shuffled fresh for every query.
 rng = random.Random(3)
-raw = []
+stats = []
 endpoint.query(encode(FlowSpec(ip_proto=PROTO_TCP, dst_port=rng.randrange(1024))),
-               PREFIX, _raw_out=raw)
-print("raw slots per query:", len(raw))
+               PREFIX, stats_out=stats)
+print("raw slots per query:", stats[0].k)

@@ -5,8 +5,7 @@ The graph stores the usual two relationship kinds: customer-to-provider
 builds hierarchies that are acyclic by construction and fully reachable
 under export rules: a clique of transit-free providers at the top, every
 other AS multihomed to earlier ASes, peering sprinkled on top, and exchange
-fabrics that peer their members.  Real relationship dumps in the common
-``a|b|rel`` text form can be imported instead.
+fabrics that peer their members.
 """
 
 from __future__ import annotations
@@ -230,67 +229,3 @@ def generate_topology(
     graph.validate()
     return graph, sites
 
-
-# --------------------------------------------------------------------------
-# text formats
-
-
-def parse_relationships(text: str) -> AsGraph:
-    """Read ``a|b|-1`` (a is provider of b) and ``a|b|0`` (peers) lines."""
-    graph = AsGraph()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise TopologyError(f"line {lineno}: expected a|b|rel")
-        try:
-            a, b, rel = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise TopologyError(f"line {lineno}: {exc}") from None
-        if rel == -1:
-            graph.add_customer_provider(customer=b, provider=a)
-        elif rel == 0:
-            graph.add_peer(a, b)
-        else:
-            raise TopologyError(f"line {lineno}: unknown relationship {rel}")
-    graph.validate()
-    return graph
-
-
-def format_relationships(graph: AsGraph) -> str:
-    lines = []
-    for a, b, kind in graph.edges():
-        if kind == CUSTOMER:
-            lines.append(f"{b}|{a}|-1")
-        else:
-            lines.append(f"{a}|{b}|0")
-    return "\n".join(lines) + "\n"
-
-
-def parse_sdx_sites(text: str) -> list[SdxSite]:
-    """Read ``sdx_id: as1,as2,...`` lines."""
-    sites = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, tail = line.partition(":")
-        try:
-            sdx_id = int(head)
-            members = frozenset(int(m) for m in tail.split(",") if m.strip())
-        except ValueError as exc:
-            raise TopologyError(f"line {lineno}: {exc}") from None
-        sites.append(SdxSite(sdx_id=sdx_id, members=members))
-    if len({s.sdx_id for s in sites}) != len(sites):
-        raise TopologyError("duplicate sdx_id")
-    return sites
-
-
-def format_sdx_sites(sites) -> str:
-    lines = [
-        f"{s.sdx_id}: {','.join(str(m) for m in sorted(s.members))}"
-        for s in sorted(sites, key=lambda s: s.sdx_id)
-    ]
-    return "\n".join(lines) + "\n"

@@ -271,18 +271,15 @@ class StaticMatchView(SiteView):
         return table_answer(entries, rule, origin_sdx == target_sdx)
 
 
-def sidr_baseline(policy: DeflectionPolicy, sites: list[SdxSite],
-                  ribs: dict[str, RibState],
-                  entries: dict[int, list[RuleEntry]],
+def sidr_baseline(view, policy: DeflectionPolicy,
                   budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Match-agnostic verdict over the same exploration and budget.
+    """Match-agnostic verdict over the same exploration, `view` and budget.
 
     The SIDR-style baseline shares per-prefix forwarding actions but
     nothing about the traffic they apply to, so it walks a rule that
     matches all traffic: every entry for the prefix overlaps it.
     """
     wildcard = TernaryRule.wildcard(policy.rule.width)
-    view = StaticMatchView(sites, ribs, entries)
     return verdict_of(explore_deflection(
         view, replace(policy, rule=wildcard), budget))
 
@@ -581,7 +578,8 @@ class ControlPlane(SiteView):
         self.validate(policy)
         entries = {sdx_id: node.service.entries_for(policy.prefix)
                    for sdx_id, node in self.nodes.items()}
-        return sidr_baseline(policy, self.sites, self._ribs, entries, budget)
+        view = StaticMatchView(self.sites, self._ribs, entries)
+        return sidr_baseline(view, policy, budget)
 
 
 __all__ = [

@@ -272,15 +272,19 @@ class SdxMatchService:
     Each prefix's table maps an entry to what a session needs of it: its
     holder row (:meth:`~prelude.circuits.BatchQueryCircuit.row`) and its
     6-byte identifier, both built when the entry is registered and
-    dropped with it.  Registrations are serialized behind a lock; queries
-    snapshot the table and then run without holding it, so a slow session
-    never blocks writers or other queries.
+    dropped with it.  Equal entries share one table slot, which stays until
+    each of their registrations is dropped, so two rules that install the
+    same entry keep it while either is active.  Registrations are
+    serialized behind a lock; queries snapshot the table and then run
+    without holding it, so a slow session never blocks writers or other
+    queries.
     """
 
     def __init__(self, sdx_id: int) -> None:
         self.sdx_id = sdx_id
         self._lock = threading.RLock()
         self._tables: dict[str, dict[RuleEntry, tuple[str, bytes]]] = {}
+        self._registrations: dict[RuleEntry, int] = {}
 
     # -------------------------------------------------------- table writes
 
@@ -298,16 +302,22 @@ class SdxMatchService:
                     raise ValueError(
                         f"rule width {entry.rule.width} does not match rule "
                         f"width {width} of the entries under {entry.prefix}")
-            row = query_template(entry.rule.width).row(1, entry.rule)
-            table[entry] = (row, entry.next_hop.to_bytes())
+            count = self._registrations.get(entry, 0)
+            if not count:
+                row = query_template(entry.rule.width).row(1, entry.rule)
+                table[entry] = (row, entry.next_hop.to_bytes())
+            self._registrations[entry] = count + 1
 
     def deregister(self, entry: RuleEntry) -> None:
+        """Drop one registration of an entry, and the entry with its last."""
         with self._lock:
-            table = self._tables.get(entry.prefix, {})
-            if entry not in table:
+            count = self._registrations.pop(entry, 0)
+            if not count:
                 log.warning("deregister of unknown entry for %s", entry.prefix)
-                return
-            del table[entry]
+            elif count > 1:
+                self._registrations[entry] = count - 1
+            else:
+                del self._tables[entry.prefix][entry]
 
     def entries_for(self, prefix: str) -> list[RuleEntry]:
         with self._lock:
@@ -449,7 +459,6 @@ class LoopbackEndpoint:
         prefix: str,
         backend: str = "gmw",
         stats_out: list[SessionStats] | None = None,
-        _raw_out: list[NextHopId] | None = None,
     ) -> QueryResult:
         """Run one full query session; see module docstring for the flow."""
         if backend not in BACKENDS:
@@ -467,8 +476,6 @@ class LoopbackEndpoint:
             # the first failure of either party
             raise QueryAborted(str(exc)) from exc
 
-        if _raw_out is not None:
-            _raw_out.extend(NextHopId.from_bytes(value) for value in raw)
         if stats_out is not None:
             k = len(raw)
             stats_out.append(SessionStats(

@@ -26,6 +26,11 @@ _SITE_SIZES = {"site_size": "site_size",
                "pathlen_site_size": "pathlen site_size"}
 
 
+# The list knobs.  Each value names cells of a study's table, so a value
+# given twice would run, and count, its cells twice.
+_LISTS = ("detectors", "thresholds", "backends", "rule_counts", "delays_ms")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int | None = None
@@ -98,6 +103,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown backends: {sorted(bad)}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
+        for key in _LISTS:
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} repeats a value")
         if self.rule_width < 1:
             raise ConfigError("rule_width must be positive")
         return self

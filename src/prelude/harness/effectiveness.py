@@ -176,8 +176,7 @@ def replay(scenario: Scenario, detectors: tuple[str, ...],
                 if detector == "oracle":
                     is_reject = truth_loop
                 elif detector == "sidr":
-                    is_reject = not sidr_baseline(
-                        arrival, sites, scenario.ribs, entries, t).accepted
+                    is_reject = not sidr_baseline(view, arrival, t).accepted
                 else:
                     is_reject = explore_deflection(view, arrival,
                                                    t).status != SAFE

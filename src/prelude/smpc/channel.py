@@ -90,26 +90,6 @@ class TcpChannel:
         self._sock = sock
         self._sock.settimeout(timeout)
 
-    @staticmethod
-    def serve_one(host: str = "127.0.0.1", port: int = 0):
-        """Bind, listen, and return (bound_port, accept) where accept() yields a channel."""
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((host, port))
-        srv.listen(1)
-
-        def accept() -> "TcpChannel":
-            conn, _ = srv.accept()
-            srv.close()
-            return TcpChannel(conn)
-
-        return srv.getsockname()[1], accept
-
-    @staticmethod
-    def connect(host: str, port: int, timeout: float | None = 60.0) -> "TcpChannel":
-        sock = socket.create_connection((host, port), timeout=timeout)
-        return TcpChannel(sock, timeout)
-
     def send(self, kind: int, payload: bytes) -> int:
         frame = encode_frame(kind, payload)
         try:

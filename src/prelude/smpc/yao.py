@@ -119,13 +119,6 @@ def _lane_word(label: int, n: int) -> int:
     return int.from_bytes(label.to_bytes(LABEL_BYTES, "little") * n, "little")
 
 
-def _labels(word: int, n: int) -> list[int]:
-    """The ``n`` labels a word holds, label i in lane i."""
-    data = word.to_bytes(LABEL_BYTES * n, "little")
-    return [int.from_bytes(data[at : at + LABEL_BYTES], "little")
-            for at in range(0, len(data), LABEL_BYTES)]
-
-
 def _lane_ones(lanes: int) -> int:
     """The int whose every lane holds 1: multiplying by it copies a label."""
     return _lane_word(1, lanes)
@@ -170,48 +163,52 @@ def _gates_per_call(lanes: int) -> int:
     return max(1, _BATCH_BLOCKS // (2 * lanes))
 
 
-def _keyed_batches(labels: list[int], lanes: int):
-    """The cross gates in hash batches, keyed by the labels held here.
+def _keyed_batches(labels: int, n: int, lanes: int):
+    """The cross gates in hash batches, keyed by the ``n`` labels held
+    here, label g in field g of ``labels``.
 
     Gate g reads label g.  Yields (first gate, tweaks, hash inputs) with
     one word of ``lanes`` lanes per gate: its tweaks, and sigma(label) XOR
     those tweaks.
     """
+    # sigma of all n labels in one doubling; gate g's hash input copies
+    # its 16 bytes to every lane
+    doubled = _double(labels, _lane_ones(n)).to_bytes(LABEL_BYTES * n,
+                                                      "little")
     # lane i of g * step + twice_index holds 2 (g x lanes + i)
     step = 2 * lanes * _lane_ones(lanes)
     twice_index = 2 * _lane_index(lanes)
     per_call = _gates_per_call(lanes)
-    for at in range(0, len(labels), per_call):
-        batch = labels[at : at + per_call]
-        tweaks = [g * step + twice_index for g in range(at, at + len(batch))]
-        inputs = [_lane_word(_double(label, 1), lanes) ^ t
-                  for label, t in zip(batch, tweaks)]
+    for at in range(0, n, per_call):
+        gates = range(at, min(at + per_call, n))
+        tweaks = [g * step + twice_index for g in gates]
+        inputs = [
+            int.from_bytes(doubled[LABEL_BYTES * g : LABEL_BYTES * (g + 1)]
+                           * lanes, "little") ^ t
+            for g, t in zip(gates, tweaks)]
         yield at, tweaks, inputs
 
 
-def _key_sums(labels: list[int], folded: int, lanes: int) -> int:
+def _key_sums(labels: int, n: int, folded: int, lanes: int) -> int:
     """Each lane's XOR of one key H(A, j) per gate.
 
     ``folded`` is the XOR of every batch's keys without their sigma(A)
     terms, one word per gate of a full batch.  A gate's sigma(A) is the
     same in every lane, so those terms add up to sigma of the XOR of the
-    labels, copied to every lane.
+    ``n`` labels, copied to every lane.
     """
-    total = 0
-    for label in labels:
-        total ^= label
-    count = min(_gates_per_call(lanes), len(labels))
+    count = min(_gates_per_call(lanes), n)
     return (_fold(folded, count, LABEL_BITS * lanes)
-            ^ _lane_word(_double(total, 1), lanes))
+            ^ _lane_word(_double(_fold(labels, n, LABEL_BITS), 1), lanes))
 
 
-def _garble(labels: list[int], delta: int, key: int, clear: int,
+def _garble(labels: int, n: int, delta: int, key: int, clear: int,
             lanes: int) -> tuple[bytes, int]:
     """Return (the tables, the lane sums S0 of the zero-keys).
 
-    ``labels`` are the querier inputs' zero-labels, ``key`` the offsets'
-    AES key, and ``clear`` the holder's level-1 word, gate g's lanes in
-    field g.
+    ``labels`` holds the ``n`` querier inputs' zero-labels, label g in
+    field g, ``key`` is the offsets' AES key, and ``clear`` the holder's
+    level-1 word, gate g's lanes in field g.
     """
     size = LABEL_BYTES * lanes
     offsets = Aes128Ecb(key.to_bytes(LABEL_BYTES, "little"))
@@ -219,33 +216,34 @@ def _garble(labels: list[int], delta: int, key: int, clear: int,
     shift = _lane_word(doubled_delta, lanes)  # sigma(A1) = sigma(A0) ^ shift
     tables: list[bytes] = []
     folded = 0
-    for at, tweaks, inputs in _keyed_batches(labels, lanes):
-        n = len(tweaks) * lanes
+    for at, tweaks, inputs in _keyed_batches(labels, n, lanes):
+        blocks = len(tweaks) * lanes  # the batch's (gate, lane) pairs
         e0 = _encrypt(_PI, inputs, size)
         e1 = _encrypt(_PI, [x ^ shift for x in inputs], size)
-        b = spread(clear >> at * lanes, n)
+        b = spread(clear >> at * lanes, blocks)
         # H(A0, j) ^ H(A1, j) ^ b D
-        row = (e0 ^ e1 ^ _lane_word(doubled_delta, n)
+        row = (e0 ^ e1 ^ _lane_word(doubled_delta, blocks)
                ^ (select(b) & _encrypt(offsets, tweaks, size)))
-        tables.append(row.to_bytes(LABEL_BYTES * n, "little"))
+        tables.append(row.to_bytes(LABEL_BYTES * blocks, "little"))
         folded ^= e0
-    return b"".join(tables), _key_sums(labels, folded, lanes)
+    return b"".join(tables), _key_sums(labels, n, folded, lanes)
 
 
-def _evaluate(labels: list[int], bits: int, tables: bytes,
+def _evaluate(labels: int, n: int, bits: int, tables: bytes,
               lanes: int) -> int:
-    """The lane sums S of the keys ``labels`` unlock under the tables,
-    label g being the one of input bit g of ``bits``."""
+    """The lane sums S of the keys the ``n`` labels unlock under the
+    tables, label g, in field g of ``labels``, being the one of input bit
+    g of ``bits``."""
     size = LABEL_BYTES * lanes
     folded = 0
-    for _, _, inputs in _keyed_batches(labels, lanes):
+    for _, _, inputs in _keyed_batches(labels, n, lanes):
         folded ^= _encrypt(_PI, inputs, size)
     rows = 0  # the row of every gate whose input bit is 1
-    for g in range(len(labels)):
+    for g in range(n):
         if bits >> g & 1:
             rows ^= int.from_bytes(tables[size * g : size * (g + 1)],
                                    "little")
-    return _key_sums(labels, folded, lanes) ^ rows
+    return _key_sums(labels, n, folded, lanes) ^ rows
 
 
 def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
@@ -265,8 +263,8 @@ def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
     n = 2 * circuit.width
     delta = rng.getrandbits(LABEL_BITS)
     zero = rng.getrandbits(LABEL_BITS * n)  # input g's zero-label in lane g
-    tables, sums = _garble(_labels(zero, n), delta,
-                           rng.getrandbits(LABEL_BITS), word, lanes)
+    tables, sums = _garble(zero, n, delta, rng.getrandbits(LABEL_BITS),
+                           word, lanes)
     yield from send_frame(MSG_GARBLED_TABLES, tables)
     yield from send_steps(zero, zero ^ _lane_word(delta, n), n, LABEL_BYTES,
                           setup.transfer, MSG_LABELS)
@@ -290,7 +288,7 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
     tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n)
     chosen = yield from choose_steps(word, n, LABEL_BYTES, setup.transfer,
                                      MSG_LABELS)
-    return _evaluate(_labels(chosen, n), word, tables, lanes)
+    return _evaluate(chosen, n, word, tables, lanes)
 
 
 # --------------------------------------------------------------------------

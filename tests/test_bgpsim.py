@@ -19,15 +19,11 @@ from prelude.bgpsim import (
     TopologyError,
     compute_routes,
     cube_minus,
-    format_relationships,
-    format_sdx_sites,
     forwarding_oracle,
     generate_policies,
     generate_topology,
     gr_compliant,
     normalize_cycle,
-    parse_relationships,
-    parse_sdx_sites,
     simulate_packet,
     traversed_sdxes,
     two_exchange_fixture,
@@ -109,33 +105,6 @@ class TestTopology:
         for origin in graph.as_ids:
             rib = compute_routes(graph, origin)
             assert len(rib.routes) == graph.n_as
-
-    def test_relationship_text_round_trip(self):
-        graph, _ = generate_topology(n_as=40, n_sdx=0, seed=3)
-        text = format_relationships(graph)
-        back = parse_relationships(text)
-        assert sorted(graph.edges()) == sorted(back.edges())
-
-    def test_relationship_line_semantics(self):
-        graph = parse_relationships("10|20|-1\n20|30|0\n")
-        assert graph.relationship(20, 10) == "provider"
-        assert graph.relationship(10, 20) == "customer"
-        assert graph.relationship(20, 30) == "peer"
-
-    def test_relationship_parse_errors(self):
-        with pytest.raises(TopologyError):
-            parse_relationships("1|2\n")
-        with pytest.raises(TopologyError):
-            parse_relationships("1|2|7\n")
-
-    def test_sdx_site_text_round_trip(self):
-        sites = [
-            SdxSite(1, frozenset({10, 20, 30})),
-            SdxSite(2, frozenset({20, 40})),
-        ]
-        assert parse_sdx_sites(format_sdx_sites(sites)) == sites
-        with pytest.raises(TopologyError):
-            parse_sdx_sites("1: 10,20\n1: 30,40\n")
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -16,8 +17,6 @@ from prelude.bgpsim import (
     forwarding_oracle,
     generate_policies,
     generate_topology,
-    parse_relationships,
-    format_relationships,
     two_exchange_fixture,
 )
 from prelude.control import (
@@ -161,6 +160,22 @@ class TestFixtureSequence:
         for policy in plane.active_policies(fx.prefix):
             active.add(policy.owner)
         assert active == {3}
+        assert forwarding_oracle(fx.graph, fx.rib,
+                                 plane.active_policies(fx.prefix),
+                                 fx.prefix) == set()
+
+    def test_removing_one_of_two_equal_rules_keeps_the_other_in_the_table(
+            self):
+        # Both installs go active on one table entry; the entry must stay
+        # in the table while either rule does, or N's deflection to M is
+        # accepted over B's still-active deflection to A and they loop.
+        fx = two_exchange_fixture()
+        plane = fixture_plane("direct")
+        first = plane.install(fx.deflect_b_to_a)
+        assert plane.install(fx.deflect_b_to_a).accepted
+        assert plane.remove(2, first.rule_id)
+        assert plane.active_policies(fx.prefix) == [fx.deflect_b_to_a]
+        assert plane.install(fx.deflect_n_to_m).reason == LOOP_DETECTED
         assert forwarding_oracle(fx.graph, fx.rib,
                                  plane.active_policies(fx.prefix),
                                  fx.prefix) == set()
@@ -424,7 +439,7 @@ class TestSidrBaseline:
 
 def alternate_rib(fx, extra_provider: int):
     """Fixture routing state where `extra_provider` sells transit to Z."""
-    graph = parse_relationships(format_relationships(fx.graph))
+    graph = copy.deepcopy(fx.graph)
     graph.add_customer_provider(customer=5, provider=extra_provider)
     graph.validate()
     return graph, compute_routes(graph, 5)
@@ -484,9 +499,8 @@ class TestChurnSafety:
                          for p, o in zip(prefixes, origins)}
             variants = {p: [base_ribs[p]] for p in prefixes}
             for p, origin in zip(prefixes, origins):
-                text = format_relationships(graph)
                 for attempt in range(10):
-                    g2 = parse_relationships(text)
+                    g2 = copy.deepcopy(graph)
                     a, b = rng.sample(graph.as_ids, 2)
                     try:
                         g2.add_peer(a, b)
@@ -722,9 +736,9 @@ class TestStatelessHelpers:
         fx = two_exchange_fixture()
         plane = fixture_plane("direct")
         plane.install(fx.deflect_b_to_a)
-        direct = sidr_baseline(fx.deflect_n_to_m, list(fx.sites),
-                               {fx.prefix: fx.rib}, plane.active_entries(),
-                               budget=4)
+        view = StaticMatchView(list(fx.sites), {fx.prefix: fx.rib},
+                               plane.active_entries())
+        direct = sidr_baseline(view, fx.deflect_n_to_m, budget=4)
         wrapped = plane.sidr_verdict(fx.deflect_n_to_m, budget=4)
         assert (direct.decision, direct.reason) == (
             wrapped.decision, wrapped.reason)

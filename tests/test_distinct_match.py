@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import socket
 import struct
 import sys
 import threading
@@ -144,6 +145,16 @@ class TestRegistration:
         service.register(entry)
         service.register(entry)
         assert service.entries_for(entry.prefix) == [entry]
+
+    def test_an_entry_stays_until_each_registration_is_dropped(self):
+        entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
+        endpoint = fresh_endpoint([entry, entry])
+        endpoint.service.deregister(entry)
+        assert endpoint.service.entries_for(entry.prefix) == [entry]
+        assert endpoint.query(TernaryRule.wildcard(8), entry.prefix).hops == {
+            entry.next_hop}
+        endpoint.service.deregister(entry)
+        assert endpoint.service.entries_for(entry.prefix) == []
 
     def test_deregister_unknown_entry_is_a_noop(self, caplog):
         service = SdxMatchService(sdx_id=1)
@@ -319,20 +330,20 @@ class TestOracleEquivalence:
 
 
 class TestPrivacyMechanics:
-    def test_raw_vector_has_one_dummy_per_nonoverlap(self):
+    def test_raw_vector_has_one_dummy_per_nonoverlap(self, raw_hops):
         rng = random.Random(17)
         local = TernaryRule(8, 0b11110000, 0b11110000)
         overlapping = make_entry(TernaryRule(8, 0b11110000, 0b11111111), 1, 10)
         disjoint_a = make_entry(TernaryRule(8, 0b00001111, 0b11111111), 2, 20)
         disjoint_b = make_entry(TernaryRule(8, 0b00000000, 0b11110000), 3, 30)
         endpoint = fresh_endpoint([overlapping, disjoint_a, disjoint_b])
-        raw = []
-        result = endpoint.query(local, "10.0.0.0/8", _raw_out=raw)
+        result = endpoint.query(local, "10.0.0.0/8")
+        [raw] = raw_hops
         assert raw.count(DUMMY_HOP) == 2
         assert set(raw) - {DUMMY_HOP} == {overlapping.next_hop}
         assert DUMMY_HOP not in result
 
-    def test_shuffle_spreads_positions_uniformly(self):
+    def test_shuffle_spreads_positions_uniformly(self, raw_hops):
         local = TernaryRule(8, 0, 0b11000000)
         hit = make_entry(TernaryRule(8, 0, 0), 7, 70)
         chaff = [
@@ -342,9 +353,8 @@ class TestPrivacyMechanics:
         endpoint = fresh_endpoint([hit] + chaff, seed=23)
         counts = [0, 0, 0, 0]
         for _ in range(400):
-            raw = []
-            endpoint.query(local, "10.0.0.0/8", _raw_out=raw)
-            counts[raw.index(hit.next_hop)] += 1
+            endpoint.query(local, "10.0.0.0/8")
+            counts[raw_hops[-1].index(hit.next_hop)] += 1
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.01
 
@@ -632,7 +642,8 @@ class TestSessionMechanics:
             assert stats_out[0].online_wall_time >= 0.030
 
     @pytest.mark.parametrize("width,k", [(4, 8), (104, 1)])
-    def test_yao_counters_are_exact(self, monkeypatch, width, k):
+    def test_yao_counters_are_exact(self, monkeypatch, raw_hops, width,
+                                    k):
         rng = random.Random(41 + width)
         entries = [make_entry(random_rule(width, rng), 9, 900 + i)
                    for i in range(k)]
@@ -641,10 +652,10 @@ class TestSessionMechanics:
         # random width-104 rules almost never overlap; query the entry's own
         # rule there so an identifier, not only the dummy, is released
         local = random_rule(width, rng) if width == 4 else entries[0].rule
-        raw = []
         stats_out = []
-        endpoint.query(local, "10.0.0.0/8", backend="yao", _raw_out=raw,
+        endpoint.query(local, "10.0.0.0/8", backend="yao",
                        stats_out=stats_out)
+        [raw] = raw_hops
         # under yao only the holder sends these kinds, one frame each
         held = [(kind, size) for kind, _, size in frames
                 if kind in (MSG_GARBLED_TABLES, MSG_LABELS, MSG_OUTPUT_SHARE)]
@@ -865,9 +876,10 @@ class TestSessionMechanics:
         # then deal the rest before or after the querier takes it.
         dealer = distinct_match._SessionDealer(
             random.Random(5), distinct_match.query_template(8), backend)
-        port, accept = TcpChannel.serve_one()
-        querier = TcpChannel.connect("127.0.0.1", port)
-        holder = accept()
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            querier = TcpChannel(
+                socket.create_connection(server.getsockname()))
+            holder = TcpChannel(server.accept()[0])
 
         def serve():
             try:
@@ -935,7 +947,7 @@ def querier_transcripts(endpoint: LoopbackEndpoint,
 class TestLaneSessions:
     @pytest.mark.parametrize("width", [4, 8])
     @pytest.mark.parametrize("k", [1, 2, 3, 17, 64])
-    def test_sessions_match_brute_force(self, width, k):
+    def test_sessions_match_brute_force(self, raw_hops, width, k):
         rng = random.Random(1000 * width + k)
         entries = [make_entry(random_rule(width, rng), 1 + i % 3, 100 + i)
                    for i in range(k)]
@@ -946,9 +958,8 @@ class TestLaneSessions:
                    random_rule(width, rng), TernaryRule.wildcard(width)]
         for local in queries:
             for backend in ("gmw", "yao"):
-                raw = []
-                result = endpoint.query(local, "10.0.0.0/8", backend=backend,
-                                        _raw_out=raw)
+                result = endpoint.query(local, "10.0.0.0/8", backend=backend)
+                raw = raw_hops[-1]
                 assert result.hops == brute_force_hops(local, entries)
                 misses = sum(not overlaps(local, e.rule) for e in entries)
                 assert len(raw) == k

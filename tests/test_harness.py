@@ -117,11 +117,23 @@ class TestConfig:
         ("pathlen", "[pathlen]\nsamples = 0\n", "samples"),
         ("microbench", "[microbench]\ndelays_ms = 1 inf\n", "delays_ms"),
         ("microbench", "[microbench]\ndelays_ms = nan\n", "delays_ms"),
+        ("effectiveness",
+         "[effectiveness]\ndetectors = sidr sidr\nthresholds = 6\n",
+         "detectors"),
+        ("effectiveness",
+         "[effectiveness]\ndetectors = oracle\nthresholds = 2 2\n",
+         "thresholds"),
+        ("microbench", "[microbench]\nbackends = gmw gmw\n", "backends"),
+        ("microbench", "[microbench]\nrule_counts = 1 1\n", "rule_counts"),
+        ("microbench", "[microbench]\ndelays_ms = 1 1.0\n", "delays_ms"),
     ], ids=["site_size", "pathlen_site_size", "n_prefixes", "rule_counts",
-            "n_policies", "pathlen_samples", "delays_ms_inf", "delays_ms_nan"])
+            "n_policies", "pathlen_samples", "delays_ms_inf", "delays_ms_nan",
+            "detectors_repeated", "thresholds_repeated", "backends_repeated",
+            "rule_counts_repeated", "delays_ms_repeated"])
     def test_validation_refuses_what_a_runner_cannot_run(
             self, tmp_path, capsys, command, body, key):
-        # each of these crashed its runner, or wrote an empty table
+        # each of these crashed its runner, or wrote an empty or miscounted
+        # table
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nseed = 1\n" + body)
         with pytest.raises(ConfigError, match=key):

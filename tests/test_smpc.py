@@ -228,6 +228,15 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
     return out0, out1, t0, t1
 
 
+def tcp_pair() -> tuple[TcpChannel, TcpChannel]:
+    """The connecting and the accepting end of a new loopback TCP
+    connection, each a channel."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = socket.create_connection(server.getsockname())
+        conn, _ = server.accept()
+    return TcpChannel(client), TcpChannel(conn)
+
+
 def run_over_tcp(backend):
     """Both parties of a width-8 comparison over a TCP connection, party 1
     in a thread of its own; asserts what each learns."""
@@ -235,9 +244,7 @@ def run_over_tcp(backend):
     rng = random.Random(21)
     inputs0, inputs1, expected = overlap_case(8, 1, rng)
     mat0, mat1 = dealer_for_circuit(circuit, backend, rng, size=1)
-    port, accept = TcpChannel.serve_one()
-    ch1 = TcpChannel.connect("127.0.0.1", port)
-    ch0 = accept()
+    ch1, ch0 = tcp_pair()
     out1 = []
 
     def peer():
@@ -476,10 +483,7 @@ class TestChannels:
         assert got == (MSG_GARBLED_TABLES, payload, 5 + len(payload))
 
     def test_tcp_round_trip(self):
-        port, accept = TcpChannel.serve_one()
-        # the listening socket queues the connection until accept()
-        client = TcpChannel.connect("127.0.0.1", port)
-        server = accept()
+        client, server = tcp_pair()
         try:
             client.send(2, b"hello")
             kind, payload, _ = server.recv()
@@ -1185,7 +1189,7 @@ class TestHalfGates:
             n = 2 * width
             clear = [rng.getrandbits(lanes) for _ in range(n)]
             delta, labels, key = self.garbler_draws(rng, width)
-            tables, sums = yao._garble(labels, delta, key,
+            tables, sums = yao._garble(pack(labels, 128), n, delta, key,
                                        pack(clear, lanes), lanes)
             ref_tables, ref_sums = self.reference_garble(
                 delta, labels, key, lanes, clear)
@@ -1206,11 +1210,13 @@ class TestHalfGates:
         for width in (1, 4, 8):
             inputs0, inputs1, expected = overlap_case(width, lanes, rng)
             delta, labels, key = self.garbler_draws(rng, width)
-            tables, sums = yao._garble(labels, delta, key, inputs1, lanes)
+            n = len(labels)
+            tables, sums = yao._garble(pack(labels, 128), n, delta, key,
+                                       inputs1, lanes)
             chosen = [x ^ (delta if (inputs0 >> g) & 1 else 0)
                       for g, x in enumerate(labels)]
-            got = unpack(yao._evaluate(chosen, inputs0, tables, lanes), 128,
-                         lanes)
+            got = unpack(yao._evaluate(pack(chosen, 128), n, inputs0, tables,
+                                       lanes), 128, lanes)
             ref = [0] * lanes
             for g, label in enumerate(chosen):
                 for i in range(lanes):
