@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 CUSTOMER = "customer"
 PROVIDER = "provider"
@@ -107,42 +108,20 @@ class AsGraph:
         for customer in self.as_ids:
             for provider in self.providers(customer):
                 yield (customer, provider, CUSTOMER)
-        seen = set()
         for a in self.as_ids:
             for b in self.peers(a):
-                if (b, a) not in seen:
-                    seen.add((a, b))
+                if a < b:
                     yield (a, b, PEER)
 
     # ---------------------------------------------------------- validation
 
     def validate(self) -> None:
         """Reject provider cycles (an AS must not transitively pay itself)."""
-        state: dict[int, int] = {}
-
-        def visit(asn: int) -> None:
-            stack = [(asn, iter(self.providers(asn)))]
-            state[asn] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state.get(nxt) == 1:
-                        raise TopologyError(
-                            f"provider hierarchy contains a cycle through AS {nxt}"
-                        )
-                    if nxt not in state:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(self.providers(nxt))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-
-        for asn in self.as_ids:
-            if asn not in state:
-                visit(asn)
+        try:
+            TopologicalSorter(self._providers).prepare()
+        except CycleError as exc:
+            raise TopologyError("provider hierarchy contains a cycle "
+                                f"through AS {exc.args[1][0]}") from exc
 
 
 # --------------------------------------------------------------------------

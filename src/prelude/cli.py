@@ -67,7 +67,6 @@ def main(argv: list[str] | None = None) -> int:
         ("effectiveness", "replay policy arrivals per detector/threshold"),
         ("pathlen", "deflected-path exchange-span CDFs"),
         ("microbench", "query-session round/byte/latency cells"),
-        ("verify-fixture", "run the two-exchange story end to end"),
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", default=None, metavar="FILE",
@@ -76,13 +75,17 @@ def main(argv: list[str] | None = None) -> int:
                          help="overrides the config seed")
         cmd.add_argument("--out", default=None, metavar="DIR",
                          help="overrides the config output directory")
+    fixture = sub.add_parser("verify-fixture",
+                             help="run the two-exchange story end to end")
+    fixture.add_argument("--seed", type=int, default=0, metavar="U64",
+                         help="seeds the query sessions")
     args = parser.parse_args(argv)
+    if args.command == "verify-fixture":
+        return 0 if verify_fixture(seed=args.seed) else 1
 
     try:
-        cfg = load_config(args.config)
-        cfg = override(cfg, seed=args.seed, out_dir=args.out)
-        if args.command == "verify-fixture":
-            return 0 if verify_fixture(seed=cfg.seed or 0) else 1
+        cfg = override(load_config(args.config), seed=args.seed,
+                       out_dir=args.out)
         paths = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         parser.error(str(exc))

@@ -213,17 +213,10 @@ def table_answer(entries, rule: TernaryRule, local: bool):
     reported as (next hop, owner), in entry order.  Another exchange reports
     each overlapping next hop once and never its owner.
     """
-    answer: list[tuple[NextHopId, int | None]] = []
-    seen: set[NextHopId] = set()
-    for entry in entries:
-        if not overlaps(rule, entry.rule):
-            continue
-        if local:
-            answer.append((entry.next_hop, entry.owner))
-        elif entry.next_hop not in seen:
-            seen.add(entry.next_hop)
-            answer.append((entry.next_hop, None))
-    return answer
+    hits = [entry for entry in entries if overlaps(rule, entry.rule)]
+    if local:
+        return [(entry.next_hop, entry.owner) for entry in hits]
+    return [(hop, None) for hop in dict.fromkeys(e.next_hop for e in hits)]
 
 
 class SiteView:
@@ -515,7 +508,7 @@ class ControlPlane(SiteView):
                                              backend=self.backend)
             except QueryAborted:
                 return None
-            answer = [(hop, None) for hop in result.sorted_hops()]
+            answer = [(hop, None) for hop in result.hops]
         else:
             answer = table_answer(entries, rule, local)
         node.log("query_served",

@@ -199,9 +199,6 @@ class QueryResult:
     def __len__(self) -> int:
         return len(self.hops)
 
-    def sorted_hops(self) -> list[NextHopId]:
-        return sorted(self.hops)
-
 
 class QueryAborted(Exception):
     """The session failed before a result was reconstructed."""
@@ -211,8 +208,6 @@ class QueryAborted(Exception):
 class SessionStats:
     """Counters one completed query session leaves behind."""
 
-    backend: str
-    prefix: str
     k: int
     and_depth: int
     online_rounds: int
@@ -479,8 +474,6 @@ class LoopbackEndpoint:
         if stats_out is not None:
             k = len(raw)
             stats_out.append(SessionStats(
-                backend=backend,
-                prefix=prefix,
                 k=k,
                 # the levels of the plan the backend ran
                 and_depth=len(dealer.first.levels) if k else 0,

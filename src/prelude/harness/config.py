@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ..distinct_match import MAX_ENTRIES
+from ..distinct_match import BACKENDS, MAX_ENTRIES
 
 
 class ConfigError(ValueError):
@@ -26,8 +26,19 @@ _SITE_SIZES = {"site_size": "site_size",
                "pathlen_site_size": "pathlen site_size"}
 
 
-# The list knobs.  Each value names cells of a study's table, so a value
-# given twice would run, and count, its cells twice.
+# each integer knob's least value
+_FLOORS = {"n_as": 3, "n_sdx": 1, "n_prefixes": 1, "n_policies": 1,
+           "port_pool": 1, "pathlen_samples": 1, "repetitions": 1,
+           "rule_width": 1}
+
+# each name knob's allowed values
+_NAMES = {"policy_family": ("equality", "mixed"),
+          "detectors": ("oracle", "prelude", "sidr"),
+          "backends": BACKENDS}
+
+# The list knobs.  Each value names cells of a study's table, so an empty
+# list would write a table of no cells, and a value given twice would run,
+# and count, its cells twice.
 _LISTS = ("detectors", "thresholds", "backends", "rule_counts", "delays_ms")
 
 
@@ -65,10 +76,9 @@ class ExperimentConfig:
             raise ConfigError("a seed is required (config [run] or --seed)")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.n_as < 3:
-            raise ConfigError("n_as must be at least 3")
-        if self.n_sdx < 1:
-            raise ConfigError("n_sdx must be at least 1")
+        for key, least in _FLOORS.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}")
         for attr, name in _SITE_SIZES.items():
             lo, hi = getattr(self, attr)
             if not 2 <= lo <= hi:
@@ -77,38 +87,29 @@ class ExperimentConfig:
             if hi > self.n_as:
                 raise ConfigError(f"{name} upper bound {hi} exceeds "
                                   f"n_as {self.n_as}")
-        if not 1 <= self.n_prefixes <= self.n_as:
-            raise ConfigError("n_prefixes must be at least 1 and at most "
-                              f"n_as {self.n_as}, one origin AS each")
-        if self.n_policies < 1:
-            raise ConfigError("n_policies must be at least 1")
-        if self.port_pool < 1:
-            raise ConfigError("port_pool must be at least 1")
-        if self.policy_family not in ("equality", "mixed"):
-            raise ConfigError("policy_family must be 'equality' or 'mixed'")
-        if not self.thresholds or any(t < 0 for t in self.thresholds):
+        if self.n_prefixes > self.n_as:
+            raise ConfigError(f"n_prefixes must be at most n_as {self.n_as},"
+                              " one origin AS each")
+        for key, allowed in _NAMES.items():
+            given = getattr(self, key)
+            unknown = {given} if isinstance(given, str) else set(given)
+            unknown -= set(allowed)
+            if unknown:
+                raise ConfigError(f"unknown {key}: {sorted(unknown)}; "
+                                  f"choose from {', '.join(allowed)}")
+        for key in _LISTS:
+            values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"{key} is empty")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} repeats a value")
+        if any(t < 0 for t in self.thresholds):
             raise ConfigError("thresholds must be non-negative")
-        bad = set(self.detectors) - {"oracle", "prelude", "sidr"}
-        if bad:
-            raise ConfigError(f"unknown detectors: {sorted(bad)}")
-        if self.pathlen_samples < 1:
-            raise ConfigError("pathlen samples must be at least 1")
         if any(not 1 <= k <= MAX_ENTRIES for k in self.rule_counts):
             raise ConfigError(f"rule_counts must be from 1 to {MAX_ENTRIES}, "
                               "the most entries a query takes")
         if any(not math.isfinite(d) or d < 0 for d in self.delays_ms):
             raise ConfigError("delays_ms must be finite and non-negative")
-        bad = set(self.backends) - {"gmw", "yao"}
-        if bad:
-            raise ConfigError(f"unknown backends: {sorted(bad)}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
-        for key in _LISTS:
-            values = getattr(self, key)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{key} repeats a value")
-        if self.rule_width < 1:
-            raise ConfigError("rule_width must be positive")
         return self
 
 
@@ -162,8 +163,12 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    # no knob refers to another, so a '%' is only a character
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(str(path), encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     updates: dict[str, object] = {}
@@ -190,9 +195,5 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
 def override(cfg: ExperimentConfig, *, seed: int | None = None,
              out_dir: str | None = None) -> ExperimentConfig:
     """Apply command-line overrides on top of a loaded config."""
-    updates: dict[str, object] = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
-    return replace(cfg, **updates) if updates else cfg
+    updates = {"seed": seed, "out_dir": out_dir}
+    return replace(cfg, **{k: v for k, v in updates.items() if v is not None})

@@ -45,6 +45,12 @@ class BenchCell:
     wall_ms_stdev: float
 
 
+# the SessionStats counters every session of a cell must share, in
+# BenchCell order
+_EXACT = ("and_depth", "online_rounds", "flights", "setup_bytes",
+          "online_bytes")
+
+
 def _holder(k: int, width: int, rng: random.Random) -> SdxMatchService:
     service = SdxMatchService(sdx_id=2)
     hops: set[NextHopId] = set()
@@ -69,28 +75,20 @@ def bench_cell(backend: str, k: int, delay_ms: float, repetitions: int,
     for _ in range(repetitions):
         endpoint.query(random_rule(width, rng), _BENCH_PREFIX,
                        backend=backend, stats_out=stats)
-    rounds = {s.online_rounds for s in stats}
-    flights = {s.flights for s in stats}
-    depths = {s.and_depth for s in stats}
-    setups = {s.setup_bytes for s in stats}
-    onlines = {s.online_bytes for s in stats}
-    if any(len(seen) != 1
-           for seen in (rounds, flights, depths, setups, onlines)):
-        raise AssertionError(
-            "per-session counters varied across repetitions: "
-            f"rounds={rounds} flights={flights} depths={depths} "
-            f"setup={setups} online={onlines}")
+    exact = {}
+    for name in _EXACT:
+        seen = {getattr(s, name) for s in stats}
+        if len(seen) != 1:
+            raise AssertionError(
+                f"{name} varied across repetitions: {sorted(seen)}")
+        exact[name] = seen.pop()
     walls = [s.online_wall_time * 1000.0 for s in stats]
     return BenchCell(
         backend=backend,
         k=k,
         delay_ms=delay_ms,
         repetitions=repetitions,
-        and_depth=depths.pop(),
-        online_rounds=rounds.pop(),
-        flights=flights.pop(),
-        setup_bytes=setups.pop(),
-        online_bytes=onlines.pop(),
+        **exact,
         wall_ms_mean=statistics.fmean(walls),
         wall_ms_stdev=statistics.stdev(walls) if len(walls) > 1 else 0.0,
     )

@@ -97,7 +97,7 @@ class TestTopology:
         g.add_customer_provider(1, 2)
         g.add_customer_provider(2, 3)
         g.add_customer_provider(3, 1)
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match=r"through AS [123]$"):
             g.validate()
 
     def test_full_reachability_at_200(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,7 @@ from prelude.harness import (
     sdx_span,
 )
 from prelude.bgpsim import SdxSite
+from prelude.distinct_match import LoopbackEndpoint
 from prelude.rules import FlowSpec, PROTO_TCP, encode
 
 
@@ -126,10 +128,20 @@ class TestConfig:
         ("microbench", "[microbench]\nbackends = gmw gmw\n", "backends"),
         ("microbench", "[microbench]\nrule_counts = 1 1\n", "rule_counts"),
         ("microbench", "[microbench]\ndelays_ms = 1 1.0\n", "delays_ms"),
+        ("effectiveness", "[effectiveness]\ndetectors =\n",
+         "detectors is empty"),
+        ("effectiveness", "[effectiveness]\nthresholds =\n",
+         "thresholds is empty"),
+        ("microbench", "[microbench]\nbackends =\n", "backends is empty"),
+        ("microbench", "[microbench]\nrule_counts =\n",
+         "rule_counts is empty"),
+        ("microbench", "[microbench]\ndelays_ms =\n", "delays_ms is empty"),
     ], ids=["site_size", "pathlen_site_size", "n_prefixes", "rule_counts",
             "n_policies", "pathlen_samples", "delays_ms_inf", "delays_ms_nan",
             "detectors_repeated", "thresholds_repeated", "backends_repeated",
-            "rule_counts_repeated", "delays_ms_repeated"])
+            "rule_counts_repeated", "delays_ms_repeated", "detectors_empty",
+            "thresholds_empty", "backends_empty", "rule_counts_empty",
+            "delays_ms_empty"])
     def test_validation_refuses_what_a_runner_cannot_run(
             self, tmp_path, capsys, command, body, key):
         # each of these crashed its runner, or wrote an empty or miscounted
@@ -142,6 +154,37 @@ class TestConfig:
             main([command, "--config", str(path), "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,fault", [
+        ("[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run'"),
+        ("[run]\nseed = 1\n[run]\nout = x\n", "section 'run' already"),
+        ("seed = 1\n", "no section headers"),
+        (b"[run]\nout = \xff\n", "can't decode"),
+    ], ids=["repeated_key", "repeated_section", "no_section", "not_utf8"])
+    def test_a_malformed_file_is_a_usage_error(self, tmp_path, capsys, body,
+                                               fault):
+        path = tmp_path / "bad.ini"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(path) in str(caught.value)
+        assert fault in str(caught.value)
+        with pytest.raises(SystemExit) as exc:
+            main(["pathlen", "--config", str(path)])
+        assert exc.value.code == 2
+        assert fault in capsys.readouterr().err
+
+    def test_a_percent_sign_is_only_a_character(self, tmp_path):
+        out = tmp_path / "pct%dir"
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nseed = 1\nout = {out}\n"
+                        "[pathlen]\nsamples = 5\n")
+        assert load_config(path).out_dir == str(out)
+        assert main(["pathlen", "--config", str(path)]) == 0
+        assert (out / "pathlen.csv").exists()
 
     def test_cli_overrides_win(self):
         cfg = ExperimentConfig(seed=1, out_dir="x")
@@ -326,6 +369,23 @@ class TestMicrobench:
         assert yao_9.setup_bytes > gmw_9.setup_bytes
         assert gmw_9.online_bytes > 0
 
+    @pytest.mark.parametrize("name", ["and_depth", "online_rounds",
+                                      "flights", "setup_bytes",
+                                      "online_bytes"])
+    def test_a_counter_that_varies_is_named(self, monkeypatch, name):
+        real = LoopbackEndpoint.query
+        bumps = itertools.count()
+
+        def query(self, *args, stats_out, **kwargs):
+            result = real(self, *args, stats_out=stats_out, **kwargs)
+            stats = stats_out[-1]
+            setattr(stats, name, getattr(stats, name) + next(bumps))
+            return result
+
+        monkeypatch.setattr(LoopbackEndpoint, "query", query)
+        with pytest.raises(AssertionError, match=name):
+            bench_cell("gmw", 1, 0.0, 2, 8, 7)
+
     def test_delay_puts_a_floor_under_wall_time(self):
         cell = bench_cell("yao", 1, 15.0, 2, 104, 7)
         assert cell.wall_ms_mean >= 30.0
@@ -369,6 +429,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["pathlen", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_verify_fixture_takes_only_a_seed(self, tmp_path, capsys):
+        for option in ("--out", "--config"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-fixture", option, str(tmp_path)])
+            assert exc.value.code == 2
+            assert option in capsys.readouterr().err
 
     def test_verify_fixture(self, capsys):
         assert verify_fixture(seed=2)
