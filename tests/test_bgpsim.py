@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from prelude.bgpsim import (
     AS_Z,
     AsGraph,
     DeflectionPolicy,
+    PREFERENCE,
     PolicyError,
     SdxSite,
     TopologyError,
@@ -110,6 +113,9 @@ class TestTopology:
 # --------------------------------------------------------------------------
 # route computation
 
+# SHA-256 of the pinned routes of test_routes_are_pinned_by_their_digest.
+ROUTES_DIGEST = "ddd0eb6ef6736263dfcbaa1e6b744b6a19bff5086e7643c3be2d857c5605ce27"
+
 
 class TestRouting:
     def test_fixture_selections(self):
@@ -191,6 +197,67 @@ class TestRouting:
         r1 = compute_routes(graph, graph.as_ids[0])
         r2 = compute_routes(graph, graph.as_ids[0])
         assert r1.routes == r2.routes
+
+    def test_routes_are_pinned_by_their_digest(self):
+        # {asn: (as_path, klass)} toward every fifth AS of seeded graphs,
+        # and toward every AS of the two-exchange fixture.
+        graphs = [generate_topology(n_as=n_as, n_sdx=2, seed=seed,
+                                    sdx_size_range=(2, 4))[0]
+                  for n_as in (5, 50, 200) for seed in (1, 2, 3)]
+        pinned = []
+        for graph in graphs:
+            for origin in graph.as_ids[::5]:
+                rib = compute_routes(graph, origin)
+                pinned.append({asn: (r.as_path, r.klass)
+                               for asn, r in sorted(rib.routes.items())})
+        fixture = two_exchange_fixture().graph
+        for origin in fixture.as_ids:
+            rib = compute_routes(fixture, origin)
+            pinned.append({asn: (r.as_path, r.klass)
+                           for asn, r in sorted(rib.routes.items())})
+        digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+        assert digest == ROUTES_DIGEST
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_selected_route_is_the_best_on_offer(self, seed):
+        # A random provider hierarchy (edges point to lower ids, so it is
+        # acyclic) with random peering; some ASes may stay unreachable.
+        rng = random.Random(seed)
+        n = rng.randint(3, 30)
+        g = AsGraph()
+        for asn in range(1, n + 1):
+            g.add_as(asn)
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.sample(range(1, n + 1), 2)
+            if g.relationship(a, b) is None:
+                if rng.random() < 0.6:
+                    g.add_customer_provider(customer=max(a, b),
+                                            provider=min(a, b))
+                else:
+                    g.add_peer(a, b)
+        origin = rng.randint(1, n)
+        rib = compute_routes(g, origin)
+
+        def rank(klass, length, hop):
+            return (-PREFERENCE[klass], length, hop)
+
+        for u in g.as_ids:
+            route = rib.get(u)
+            if route is not None and u != origin:
+                assert route.as_path == (u,) + rib.path(route.next_hop)
+            for v in g.as_ids:
+                rel = g.relationship(u, v)
+                offer = rib.get(v)
+                if rel is None or offer is None:
+                    continue
+                # Own and customer-learned routes go to every neighbour;
+                # the rest only to customers (u is v's customer when v is
+                # u's provider).
+                if offer.klass not in ("origin", "customer") and rel != "provider":
+                    continue
+                assert route is not None, f"AS {u} ignores {v}'s offer"
+                assert rank(route.klass, len(route.as_path), route.next_hop) \
+                    <= rank(rel, len(offer.as_path) + 1, v)
 
 
 # --------------------------------------------------------------------------
