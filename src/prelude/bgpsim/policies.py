@@ -16,15 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from prelude.bgpsim.routing import (
-    CUSTOMER,
-    ORIGIN,
-    PEER,
-    PREFERENCE,
-    PROVIDER,
-    RibState,
-)
-from prelude.bgpsim.topology import AsGraph
+from prelude.bgpsim.routing import PREFERENCE, RibState, exports
+from prelude.bgpsim.topology import PEER, PROVIDER, AsGraph
 from prelude.rules import FlowSpec, PROTO_TCP, PROTO_UDP, TernaryRule, encode
 
 log = logging.getLogger(__name__)
@@ -77,10 +70,10 @@ def gr_compliant(policy: DeflectionPolicy, rib: RibState, graph: AsGraph) -> boo
     """Does this single deflection preserve the no-loop conditions?
 
     Two requirements: the deflection step's class must be at least as
-    preferred as the class of the route the owner selected, and the path
-    from the target onward must keep the composed path valley-free (always
-    true uphill; sideways or downhill steps need the target to hold a
-    customer-learned or own route).
+    preferred as the class of the route the owner selected, and the target
+    must be one that would export its route to the owner
+    (:func:`~prelude.bgpsim.routing.exports`), which keeps the composed
+    path valley-free.
     """
     target_route = rib.get(policy.deflect_to)
     if target_route is None:
@@ -91,9 +84,7 @@ def gr_compliant(policy: DeflectionPolicy, rib: RibState, graph: AsGraph) -> boo
     step = hop_class(graph, policy.owner, policy.deflect_to)
     if PREFERENCE[step] < PREFERENCE[owner_route.klass]:
         return False
-    if step == PROVIDER:
-        return True
-    return target_route.klass in (CUSTOMER, ORIGIN)
+    return exports(target_route.klass, to_customer=step == PROVIDER)
 
 
 SAMPLE_FRACTION = 0.2

@@ -1,16 +1,20 @@
-"""Stable route selection under the standard economic routing conditions.
+"""Stable route selection under the Gao–Rexford conditions.
 
-Selection preference: routes learned from customers beat routes from peers
-beat routes from providers; ties break on shorter AS path, then lower
-next-hop AS number.  Export: an AS announces customer-learned (and its own)
-routes to everybody but peer- and provider-learned routes only to customers.
-The stable state is computed in three waves: customer routes climb the
-hierarchy from the origin, peer routes take a single sideways step, provider
-routes flow downhill from everything reached so far.
+Two rules decide the stable state.  Preference: an AS takes the route of
+the most preferred class (its own, then customer-learned, peer-learned,
+provider-learned), then the shorter AS path, then the lower next-hop AS
+number.  Export (:func:`exports`): an AS announces its own and
+customer-learned routes to every neighbour, the rest only to customers.
+
+:func:`compute_routes` finds that state with one best-first search.  Each
+offer is keyed by the preference order, and an offer is never better than
+the route that made it, so the first offer an AS takes off the heap is the
+best it will ever be made.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from prelude.bgpsim.topology import CUSTOMER, PEER, PROVIDER, AsGraph
@@ -54,70 +58,34 @@ class RibState:
         return route.as_path if route else ()
 
 
+def exports(klass: str, to_customer: bool) -> bool:
+    """Does a route of ``klass`` go to a neighbour?  Own and customer-learned
+    routes go to everyone; the rest go only to customers."""
+    return to_customer or klass in (ORIGIN, CUSTOMER)
+
+
 def compute_routes(graph: AsGraph, origin: int) -> RibState:
     """Return the stable selected route of every AS toward ``origin``."""
     if origin not in graph:
         raise ValueError(f"origin AS {origin} not in graph")
-    sel: dict[int, Route] = {origin: Route(origin, (origin,), ORIGIN)}
-
-    # Wave 1: customer routes, breadth-first up the provider edges.  Every
-    # AS in a level learned the shortest possible customer path; among
-    # same-level children the lowest AS id wins the tie.
-    level = [origin]
-    while level:
-        best_child: dict[int, int] = {}
-        for v in level:
-            for u in graph.providers(v):
-                if u in sel:
-                    continue
-                if u not in best_child or v < best_child[u]:
-                    best_child[u] = v
-        level = []
-        for u, v in sorted(best_child.items()):
-            sel[u] = Route(u, (u,) + sel[v].as_path, CUSTOMER)
-            level.append(u)
-
-    # Wave 2: one sideways step.  Only customer-or-own routes cross peer
-    # edges, and those are all final now, so a single pass suffices.
-    sideways: dict[int, int] = {}
-    for u in graph.as_ids:
-        if u in sel:
+    sel: dict[int, Route] = {}
+    # (-preference, path length, next hop, receiver, class it receives)
+    offers = [(-PREFERENCE[ORIGIN], 1, origin, origin, ORIGIN)]
+    while offers:
+        _, length, hop, asn, klass = heapq.heappop(offers)
+        if asn in sel:
             continue
-        best: tuple[int, int] | None = None
-        for v in graph.peers(u):
-            r = sel.get(v)
-            if r is not None and r.klass in (ORIGIN, CUSTOMER):
-                key = (len(r.as_path), v)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            sideways[u] = best[1]
-    for u, v in sorted(sideways.items()):
-        sel[u] = Route(u, (u,) + sel[v].as_path, PEER)
-
-    # Wave 3: provider routes flow down customer edges from everything
-    # reached so far; shortest-first rounds keep the selection stable.
-    while True:
-        candidates: dict[int, tuple[int, int]] = {}
-        for u in graph.as_ids:
-            if u in sel:
-                continue
-            best = None
-            for v in graph.providers(u):
-                r = sel.get(v)
-                if r is not None:
-                    key = (len(r.as_path) + 1, v)
-                    if best is None or key < best:
-                        best = key
-            if best is not None:
-                candidates[u] = best
-        if not candidates:
-            break
-        shortest = min(key[0] for key in candidates.values())
-        for u, (length, v) in sorted(candidates.items()):
-            if length == shortest:
-                sel[u] = Route(u, (u,) + sel[v].as_path, PROVIDER)
-
+        path = (asn,) + (sel[hop].as_path if hop != asn else ())
+        sel[asn] = Route(asn, path, klass)
+        # A customer receives the route as a provider route, and so on.
+        for received, neighbours in ((PROVIDER, graph.customers(asn)),
+                                     (PEER, graph.peers(asn)),
+                                     (CUSTOMER, graph.providers(asn))):
+            if exports(klass, to_customer=received == PROVIDER):
+                for v in neighbours:
+                    if v not in sel:
+                        heapq.heappush(offers, (-PREFERENCE[received],
+                                                length + 1, asn, v, received))
     return RibState(origin=origin, routes=sel)
 
 

@@ -87,6 +87,9 @@ class AsGraph:
     def n_as(self) -> int:
         return len(self._customers)
 
+    def customers(self, asn: int) -> tuple[int, ...]:
+        return tuple(sorted(self._customers.get(asn, ())))
+
     def providers(self, asn: int) -> tuple[int, ...]:
         return tuple(sorted(self._providers.get(asn, ())))
 

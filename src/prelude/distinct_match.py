@@ -121,7 +121,9 @@ log = logging.getLogger(__name__)
 SDX_ID_BITS = 16
 AS_ID_BITS = 32
 HOP_ID_BITS = SDX_ID_BITS + AS_ID_BITS
-HOP_ID_BYTES = HOP_ID_BITS // 8
+# a next-hop identifier on the wire: the exchange, then the AS
+_HOP = struct.Struct(">HI")
+HOP_ID_BYTES = _HOP.size
 
 BACKENDS = ("gmw", "yao")
 
@@ -152,21 +154,12 @@ class NextHopId:
         if not 0 <= self.as_id < (1 << AS_ID_BITS):
             raise ValueError("as_id out of range")
 
-    @property
-    def value(self) -> int:
-        """The identifier as one 48-bit integer, the exchange in the top bits."""
-        return (self.sdx_id << AS_ID_BITS) | self.as_id
-
-    @classmethod
-    def from_value(cls, value: int) -> "NextHopId":
-        return cls(value >> AS_ID_BITS, value & ((1 << AS_ID_BITS) - 1))
-
     def to_bytes(self) -> bytes:
-        return self.value.to_bytes(HOP_ID_BYTES, "big")
+        return _HOP.pack(self.sdx_id, self.as_id)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "NextHopId":
-        return cls.from_value(int.from_bytes(data, "big"))
+        return cls(*_HOP.unpack(data))
 
 
 DUMMY_HOP = NextHopId((1 << SDX_ID_BITS) - 1, (1 << AS_ID_BITS) - 1)

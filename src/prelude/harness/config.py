@@ -21,9 +21,8 @@ class ConfigError(ValueError):
     """A config file said something unusable."""
 
 
-# each (lo, hi) exchange size range, as errors name it
-_SITE_SIZES = {"site_size": "site_size",
-               "pathlen_site_size": "pathlen site_size"}
+# the (lo, hi) exchange size ranges
+_SITE_SIZES = ("site_size", "pathlen_site_size")
 
 
 # each integer knob's least value
@@ -78,38 +77,40 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in 64 bits")
         for key, least in _FLOORS.items():
             if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be at least {least}")
-        for attr, name in _SITE_SIZES.items():
-            lo, hi = getattr(self, attr)
+                raise ConfigError(f"{_KEYS[key]} must be at least {least}")
+        for key in _SITE_SIZES:
+            lo, hi = getattr(self, key)
             if not 2 <= lo <= hi:
                 raise ConfigError(
-                    f"{name} must be 'lo hi' with 2 <= lo <= hi")
+                    f"{_KEYS[key]} must be 'lo hi' with 2 <= lo <= hi")
             if hi > self.n_as:
-                raise ConfigError(f"{name} upper bound {hi} exceeds "
-                                  f"n_as {self.n_as}")
+                raise ConfigError(f"{_KEYS[key]} upper bound {hi} exceeds "
+                                  f"{_KEYS['n_as']} {self.n_as}")
         if self.n_prefixes > self.n_as:
-            raise ConfigError(f"n_prefixes must be at most n_as {self.n_as},"
-                              " one origin AS each")
+            raise ConfigError(f"{_KEYS['n_prefixes']} must be at most "
+                              f"{_KEYS['n_as']} {self.n_as}, one origin AS "
+                              "each")
         for key, allowed in _NAMES.items():
             given = getattr(self, key)
             unknown = {given} if isinstance(given, str) else set(given)
             unknown -= set(allowed)
             if unknown:
-                raise ConfigError(f"unknown {key}: {sorted(unknown)}; "
+                raise ConfigError(f"unknown {_KEYS[key]}: {sorted(unknown)}; "
                                   f"choose from {', '.join(allowed)}")
         for key in _LISTS:
             values = getattr(self, key)
             if not values:
-                raise ConfigError(f"{key} is empty")
+                raise ConfigError(f"{_KEYS[key]} is empty")
             if len(set(values)) != len(values):
-                raise ConfigError(f"{key} repeats a value")
+                raise ConfigError(f"{_KEYS[key]} repeats a value")
         if any(t < 0 for t in self.thresholds):
-            raise ConfigError("thresholds must be non-negative")
+            raise ConfigError(f"{_KEYS['thresholds']} must be non-negative")
         if any(not 1 <= k <= MAX_ENTRIES for k in self.rule_counts):
-            raise ConfigError(f"rule_counts must be from 1 to {MAX_ENTRIES}, "
-                              "the most entries a query takes")
+            raise ConfigError(f"{_KEYS['rule_counts']} must be from 1 to "
+                              f"{MAX_ENTRIES}, the most entries a query takes")
         if any(not math.isfinite(d) or d < 0 for d in self.delays_ms):
-            raise ConfigError("delays_ms must be finite and non-negative")
+            raise ConfigError(
+                f"{_KEYS['delays_ms']} must be finite and non-negative")
         return self
 
 
@@ -157,6 +158,11 @@ _SCHEMA = {
     },
 }
 
+# each config attribute's name as a user writes it: "[section] key"
+_KEYS = {attr: f"[{section}] {key}"
+         for section, keys in _SCHEMA.items()
+         for key, (attr, _) in keys.items()}
+
 
 def load_config(path: str | Path | None = None) -> ExperimentConfig:
     """Parse an INI file into a config, or return pure defaults."""
@@ -185,10 +191,10 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
                 updates[attr] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r}") from exc
-    for attr, name in _SITE_SIZES.items():
+                    f"bad value for {_KEYS[attr]}: {raw!r}") from exc
+    for attr in _SITE_SIZES:
         if attr in updates and len(updates[attr]) != 2:
-            raise ConfigError(f"{name} takes exactly two integers")
+            raise ConfigError(f"{_KEYS[attr]} takes exactly two integers")
     return replace(cfg, **updates)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
@@ -83,9 +84,10 @@ class TestConfig:
 
     def test_a_site_size_of_three_integers_is_named_by_its_section(
             self, tmp_path):
-        for body, name in (("[topology]\nsite_size = 3 4 5\n", "site_size"),
+        for body, name in (("[topology]\nsite_size = 3 4 5\n",
+                            "[topology] site_size"),
                            ("[pathlen]\nsite_size = 3 4 5\n",
-                            "pathlen site_size")):
+                            "[pathlen] site_size")):
             path = tmp_path / "bad.ini"
             path.write_text(body)
             with pytest.raises(ConfigError) as caught:
@@ -110,32 +112,42 @@ class TestConfig:
 
     @pytest.mark.parametrize("command,body,key", [
         ("effectiveness", "[topology]\nn_as = 10\nsite_size = 2 20\n",
-         "site_size"),
+         "[topology] site_size"),
         ("pathlen", "[topology]\nn_as = 10\n[pathlen]\nsite_size = 3 11\n",
-         "pathlen site_size"),
-        ("effectiveness", "[effectiveness]\nn_prefixes = 60\n", "n_prefixes"),
-        ("microbench", "[microbench]\nrule_counts = 5000\n", "rule_counts"),
-        ("effectiveness", "[effectiveness]\nn_policies = -3\n", "n_policies"),
-        ("pathlen", "[pathlen]\nsamples = 0\n", "samples"),
-        ("microbench", "[microbench]\ndelays_ms = 1 inf\n", "delays_ms"),
-        ("microbench", "[microbench]\ndelays_ms = nan\n", "delays_ms"),
+         "[pathlen] site_size"),
+        ("effectiveness", "[effectiveness]\nn_prefixes = 60\n",
+         "[effectiveness] n_prefixes"),
+        ("microbench", "[microbench]\nrule_counts = 5000\n",
+         "[microbench] rule_counts"),
+        ("effectiveness", "[effectiveness]\nn_policies = -3\n",
+         "[effectiveness] n_policies"),
+        ("pathlen", "[pathlen]\nsamples = 0\n", "[pathlen] samples"),
+        ("microbench", "[microbench]\ndelays_ms = 1 inf\n",
+         "[microbench] delays_ms"),
+        ("microbench", "[microbench]\ndelays_ms = nan\n",
+         "[microbench] delays_ms"),
         ("effectiveness",
          "[effectiveness]\ndetectors = sidr sidr\nthresholds = 6\n",
-         "detectors"),
+         "[effectiveness] detectors"),
         ("effectiveness",
          "[effectiveness]\ndetectors = oracle\nthresholds = 2 2\n",
-         "thresholds"),
-        ("microbench", "[microbench]\nbackends = gmw gmw\n", "backends"),
-        ("microbench", "[microbench]\nrule_counts = 1 1\n", "rule_counts"),
-        ("microbench", "[microbench]\ndelays_ms = 1 1.0\n", "delays_ms"),
+         "[effectiveness] thresholds"),
+        ("microbench", "[microbench]\nbackends = gmw gmw\n",
+         "[microbench] backends"),
+        ("microbench", "[microbench]\nrule_counts = 1 1\n",
+         "[microbench] rule_counts"),
+        ("microbench", "[microbench]\ndelays_ms = 1 1.0\n",
+         "[microbench] delays_ms"),
         ("effectiveness", "[effectiveness]\ndetectors =\n",
-         "detectors is empty"),
+         "[effectiveness] detectors is empty"),
         ("effectiveness", "[effectiveness]\nthresholds =\n",
-         "thresholds is empty"),
-        ("microbench", "[microbench]\nbackends =\n", "backends is empty"),
+         "[effectiveness] thresholds is empty"),
+        ("microbench", "[microbench]\nbackends =\n",
+         "[microbench] backends is empty"),
         ("microbench", "[microbench]\nrule_counts =\n",
-         "rule_counts is empty"),
-        ("microbench", "[microbench]\ndelays_ms =\n", "delays_ms is empty"),
+         "[microbench] rule_counts is empty"),
+        ("microbench", "[microbench]\ndelays_ms =\n",
+         "[microbench] delays_ms is empty"),
     ], ids=["site_size", "pathlen_site_size", "n_prefixes", "rule_counts",
             "n_policies", "pathlen_samples", "delays_ms_inf", "delays_ms_nan",
             "detectors_repeated", "thresholds_repeated", "backends_repeated",
@@ -148,12 +160,39 @@ class TestConfig:
         # table
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nseed = 1\n" + body)
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(path).validated()
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", str(path), "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,message", [
+        ("pathlen", "[pathlen]\nsamples = 0\n",
+         "[pathlen] samples must be at least 1"),
+        ("effectiveness", "[effectiveness]\nfamily = vibes\n",
+         "unknown [effectiveness] family: ['vibes']; "
+         "choose from equality, mixed"),
+    ], ids=["samples", "family"])
+    def test_a_refusal_names_the_key_a_user_wrote(self, tmp_path, capsys,
+                                                  command, body, message):
+        path = tmp_path / "bad.ini"
+        path.write_text("[run]\nseed = 1\n" + body)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path).validated()
+        assert str(caught.value) == message
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_the_seed_refusals_are_unchanged(self):
+        for kwargs, message in (
+                ({}, "a seed is required (config [run] or --seed)"),
+                ({"seed": -1}, "seed must fit in 64 bits")):
+            with pytest.raises(ConfigError) as caught:
+                ExperimentConfig(**kwargs).validated()
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize("body,fault", [
         ("[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run'"),
