@@ -38,8 +38,7 @@ print(f"oracle over both rules: loops={sorted(loops)}")
 
 web_packet = encode_packet(src_ip=0x01010101, dst_ip=0xCB007101,
                            src_port=50000, dst_port=80, proto=PROTO_TCP)
-walk = simulate_packet(fx.graph, fx.rib, both, fx.prefix, web_packet,
-                       start=4)
+walk = simulate_packet(fx.rib, both, fx.prefix, web_packet, start=4)
 print(f"a web packet starting at M walks: {walk}")
 
 # Active rules stay loop-free because the rejected rule never activated.

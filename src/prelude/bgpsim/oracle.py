@@ -117,8 +117,8 @@ def forwarding_oracle(graph: AsGraph, rib: RibState, policies,
     return set(found.values())
 
 
-def simulate_packet(graph: AsGraph, rib: RibState, policies, prefix: str,
-                    packet: Packet, start: int):
+def simulate_packet(rib: RibState, policies, prefix: str, packet: Packet,
+                    start: int):
     """Walk one concrete packet; returns (path, cycle or None).
 
     Matching semantics mirror the oracle exactly: at each AS the first

@@ -460,6 +460,8 @@ class ControlPlane(SiteView):
     With `transport="direct"` every query is answered in plaintext; with
     `"smpc"` a query to another exchange runs a two-party session over
     `backend`.  Either way the holder logs only what the session shows it.
+    The plane reads routes from `ribs` alone; `graph` is accepted and not
+    kept.
     """
 
     def __init__(self, graph, sites: list[SdxSite],
@@ -470,7 +472,6 @@ class ControlPlane(SiteView):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         super().__init__(sites, dict(ribs))
-        self.graph = graph
         self.transport = transport
         self.backend = backend
         self.clock = 0

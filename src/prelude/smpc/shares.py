@@ -27,12 +27,13 @@ _STRING_DIGITS = 1024
 _BIT_AT = [bytes((i & 1) << offset for i in range(256)) for offset in range(8)]
 
 
-def int_to_bits(value: int, n: int) -> tuple[int, ...]:
-    """The low ``n`` bits of ``value``, bit 0 first."""
+def int_to_bits(value: int, n: int) -> bytes:
+    """The low ``n`` bits of ``value``, bit 0 first, one byte of 0 or 1
+    each."""
     if n <= 0:
-        return ()
+        return b""
     text = format(value & ((1 << n) - 1), f"0{n}b")
-    return tuple(text[::-1].encode().translate(_FROM_ASCII))
+    return text[::-1].encode().translate(_FROM_ASCII)
 
 
 def broadcast(bits: int, n: int, lanes: int) -> int:

@@ -39,7 +39,7 @@ def spread(bits: int, n: int, size: int = LABEL_BYTES) -> int:
     """Bit i of ``bits`` moved to bit 0 of lane i, for ``n`` lanes of
     ``size`` bytes."""
     out = bytearray(size * n)
-    out[::size] = bytes(int_to_bits(bits, n))
+    out[::size] = int_to_bits(bits, n)
     return int.from_bytes(out, "little")
 
 

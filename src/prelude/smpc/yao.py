@@ -11,27 +11,62 @@ that instead.
 
 Labels.  Bit g of the querier's word
 (:meth:`prelude.circuits.BatchQueryCircuit.word`), input g, has two
-128-bit labels A0 and A1 = A0 XOR delta, and cross gate g reads the labels
-of input g.  The querier receives the label its bit selects by a
-precomputed transfer (:mod:`prelude.smpc.transfer`), one per input
-whatever the lane count, since one querier rule feeds every lane.  The
-holder's word stays clear and gets no labels.  No label carries a permute
-bit: the evaluator is the querier, who knows the bit its label stands for.
+128-bit labels A0 and A1, and cross gate g reads the labels of input g.
+The querier receives the label its bit selects by a precomputed transfer
+(:mod:`prelude.smpc.transfer`), one per input whatever the lane count,
+since one querier rule feeds every lane.  The holder's word stays clear
+and gets no labels.  No label carries a permute bit: the evaluator is the
+querier, who knows the bit its label stands for.
 
-Cross gates.  A cross gate in a lane is a garbler half-gate (Zahur, Rosulek
-& Evans, EUROCRYPT 2015, section 3) of one row T = H(A0, j) XOR H(A1, j)
-XOR b D, with its zero-key W0 = H(A0, j).  An evaluator with input bit a
-computes H(A_a, j) XOR a T, taking the row where its own bit is 1, which
-is W0 where a AND b is 0 and W0 XOR D where it is 1.  A half-gate row works
-under any output offset D, so every cross gate in every lane gets its own:
-AES-128 in counter mode under a fresh key that only the garbler draws, the
-counter being the gate's tweak j.  No D is derived from a label hash, which
-the evaluator could compute.
+Rows.  Each cross gate has one row T and one zero-key W0 per lane, built
+one of two ways by the lane count, which both parties know; the querier
+learns k in the ack anyway, so the choice shows it nothing new.
+
+- Label-keyed rows, from :data:`LABEL_KEYED_LANES` lanes on.  A0 and A1
+  are drawn independently: no garbled gate reads two labels, so no offset
+  ties them.  Each label keys AES-128 as a PRF over counter blocks
+  c(i, b), lane i big-endian with the holder's bit b in the top byte.
+  Lane i's row is T = AES_A0(c(i, b)) XOR AES_A1(c(i, 0)), and its
+  zero-key W0 = AES_A0(c(i, 0)).  The garbler builds a gate's rows over
+  every lane with one ECB call under A0, on counter blocks whose top
+  bytes a strided slice sets from its bits, then one CTR call under A1,
+  counting from zero, over that output; one more CTR call under A0 over an
+  accumulator adds the gate's zero-keys to the lane sums S0.  An evaluator
+  with input bit q computes AES_Aq(c(i, 0)) XOR q T: one CTR call per gate
+  over its accumulator, then the rows of the gates whose bit is 1.  That
+  is W0 where q = 0, and AES_A0(c(i, b)) where q = 1, which is W0 exactly
+  where b = 0.
+- Hashed rows, below it.  A1 = A0 XOR delta, and the row is a garbler
+  half-gate (Zahur, Rosulek & Evans, EUROCRYPT 2015, section 3),
+  T = H(A0, j) XOR H(A1, j) XOR b D, with its zero-key W0 = H(A0, j).  An
+  evaluator with input bit a computes H(A_a, j) XOR a T, which is W0 where
+  a AND b is 0 and W0 XOR D where it is 1.  Each cross gate in each lane
+  gets its own offset D: AES-128 in counter mode under a fresh key that
+  only the garbler draws, the counter being the gate's tweak j, so no D
+  is derived from a label hash, which the evaluator could compute.  H is
+  the fixed-key hash H(x, i) = pi(sigma(x) XOR i) XOR sigma(x) of Guo,
+  Katz, Wang & Yu (IEEE S&P 2020), where pi is AES-128 under a fixed
+  public key and sigma is doubling in GF(2^128); the tweak j is
+  ``2 (g x lanes + lane)`` for cross gate g.  A lane word holds lane i's
+  128 bits in bits [128 i, 128 i + 128), so sigma and the row selections
+  act on every lane at once, and each AES pass covers every gate.
+
+The threshold.  A label-keyed gate costs four OpenSSL calls, each keyed
+afresh, whatever the lane count, so at rule width 104 its 208 gates cost
+about 1.6 ms before any lane; hashed rows cost big-int passes that grow
+with the lanes.  Garble plus evaluate, medians of interleaved runs on a
+2-CPU x86-64 host: at width 104 hashed rows take 0.5 ms at 1 lane and
+1.9 ms at 20, and label-keyed ones 1.6 and 1.8 ms; the two cross between
+17 and 20 lanes, depending on the host's speed, and label-keyed rows win
+at 20 in every run.  At width 4 they win from 8 lanes, and by little
+below.  So :data:`LABEL_KEYED_LANES` is 20, width 104's crossover, the
+width of a 5-tuple rule.
 
 The zero test.  Per lane the garbler XORs the zero-keys of the lane's cross
-gates into a sum S0 and the evaluator XORs its keys into S.  S is S0 XOR
-the D of every cross gate that reads 1, so S equals S0 exactly when none
-does, barring a 2^-128 chance.  A rule's pinned-one and pinned-zero bits
+gates into a sum S0 and the evaluator XORs its keys into S.  A cross gate
+that reads 1 adds to S an offset, D or AES_A0(c(i, 1)) XOR AES_A0(c(i, 0)),
+that only the garbler knows, so S equals S0 exactly when none does,
+barring a 2^-128 chance.  A rule's pinned-one and pinned-zero bits
 are disjoint, so no comparator cell has both of its products at 1, and
 every cross gate reads 0 exactly when every cell does: when the two rules
 overlap.  This is the OT-based private equality test of Pinkas, Schneider
@@ -42,48 +77,42 @@ The release (:func:`release_steps`, :func:`open_steps`).  Per lane the
 holder sends its value followed by a tag of at least 80 zero bits, one
 16-byte block under the pad H(S0, release tweak + lane).  The evaluator
 removes H(S, ...) and keeps the value where the tag reads zero; anywhere
-else it opens the fallback, the dummy identifier.
+else it opens the fallback, the dummy identifier.  Release tweaks lie
+above every garbling tweak.
 
-Privacy.  The evaluator holds one label of each input and never delta, so
-the hash of the other label is pseudorandom to it.  Each D enters only a
-row T, masked by the hash of the label the evaluator lacks, so T hides b
-and D alike, and the key it computes is W0 or W0 XOR D without showing
-which.  A permute bit hides a wire's value from an evaluator that must
-not learn it; here every garbled gate reads one label, of an input the
-evaluator owns, so taking its row by that bit tells it nothing new.  Where
-its sum misses S0, the pad is the hash of a key it does not hold: the
-value stays hidden and the tag fails, so the lane opens to the dummy, as
-where the rules are distinct.  The tables' size is fixed by the
-template and the lane count alone, and the garbler sees only the querier's
-masked choice bits.
+Privacy.  The evaluator holds one label of each input.  Under label-keyed
+rows the labels are independent random AES keys, and each row is padded
+by a PRF output under the label the evaluator lacks: AES_A1(c(i, 0)) where
+q = 0, AES_A0(c(i, b)) where q = 1.  So T hides b, and where q AND b is 1
+the key it computes, AES_A0(c(i, 1)), is a PRF output at a point it
+cannot evaluate, as is W0.  Under hashed rows it never holds delta, so the
+hash of the other label is pseudorandom to it; each D enters only a row
+T, masked by that hash, so T hides b and D alike, and the key it computes
+is W0 or W0 XOR D without showing which.  A permute bit hides a wire's
+value from an evaluator that must not learn it; here every garbled gate
+reads one label, of an input the evaluator owns, so taking its row by
+that bit tells it nothing new.  Where its sum misses S0, the pad is the
+hash of a key it does not hold: the value stays hidden and the tag fails,
+so the lane opens to the dummy, as where the rules are distinct.  The
+tables' size is fixed by the template and the lane count alone, and the
+garbler sees only the querier's masked choice bits.
 
-The hash is the fixed-key construction H(x, i) = pi(sigma(x) XOR i) XOR
-sigma(x) of Guo, Katz, Wang & Yu (IEEE S&P 2020), where pi is AES-128 under
-a fixed public key and sigma is doubling in GF(2^128).  AES comes from the
-OpenSSL that CPython's ``hashlib`` already loads (:mod:`prelude.smpc.aes`).
-The tweak j is unique to every hash of a session: ``2 (g x lanes + lane)``
-for cross gate g, and release tweaks lie above all of them.
-
-A lane word holds lane i's 128 bits in bits [128 i, 128 i + 128), so sigma
-and the row selections act on every lane at once.  The cross gates are
-hashed over all their lanes in batches: as many gates as fit
-``_BATCH_BLOCKS`` garbler blocks, one gate at least, share one AES call,
-and each batch's keys are folded into the lane sums as it finishes.  The
-tables depend only on the template and the holder's bits, so they travel
-during setup, one row per cross gate and lane, by gate, then lane.  The
-online phase is one round trip for the querier's labels and then the
-release, a second frame from the garbler and so a second round.  The
-querier's masked choice bits need no k, so they go out with its envelope
-(:func:`~prelude.smpc.dealer.first_steps`), and the holder sends the ack,
-the tables, the labels and the release in the one flight back: a session
-takes two one-way flights.
+AES comes from the OpenSSL that CPython's ``hashlib`` already loads
+(:mod:`prelude.smpc.aes`).  The tables depend only on the template and the
+holder's bits, so they travel during setup, one row per cross gate and
+lane, by gate, then lane.  The online phase is one round trip for the
+querier's labels and then the release, a second frame from the garbler
+and so a second round.  The querier's masked choice bits need no k, so
+they go out with its envelope (:func:`~prelude.smpc.dealer.first_steps`),
+and the holder sends the ack, the tables, the labels and the release in
+the one flight back: a session takes two one-way flights.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from prelude.smpc.aes import Aes128Ecb
+from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
 from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
     MSG_LABELS,
@@ -92,6 +121,7 @@ from prelude.smpc.channel import (
     send_frame,
 )
 from prelude.smpc.dealer import DealerMaterial
+from prelude.smpc.shares import int_to_bits
 from prelude.smpc.transfer import (
     LABEL_BITS,
     LABEL_BYTES,
@@ -104,9 +134,9 @@ from prelude.smpc.transfer import (
 
 # pi: AES-128 under a fixed, public key
 _PI = Aes128Ecb(b"prelude-halfgate")
-# Hash blocks per AES call while garbling, two per cross gate and lane: a
-# batch holds as many gates as fit, one gate at least.
-_BATCH_BLOCKS = 1 << 14
+# From this many lanes on the rows are label-keyed, below it hashed: the
+# crossover at rule width 104 (see the module docstring).
+LABEL_KEYED_LANES = 20
 # Release tweaks start here, above every garbling tweak of any session.
 _RELEASE_TWEAK = 1 << 96
 # A released value is followed by at least this many zero bytes, its tag.
@@ -157,20 +187,25 @@ def _fold(word: int, count: int, width: int) -> int:
     return word
 
 
-def _gates_per_call(lanes: int) -> int:
-    """Cross gates per hash batch: as many as fit ``_BATCH_BLOCKS`` garbler
-    blocks, two per gate and lane, and one at least."""
-    return max(1, _BATCH_BLOCKS // (2 * lanes))
+def _chosen_rows(bits: int, n: int, tables: bytes, lanes: int) -> int:
+    """The XOR of the rows of every gate g whose bit g of ``bits`` is 1."""
+    size = LABEL_BYTES * lanes
+    rows = 0
+    for g in range(n):
+        if bits >> g & 1:
+            rows ^= int.from_bytes(tables[size * g : size * (g + 1)],
+                                   "little")
+    return rows
 
 
-def _keyed_batches(labels: int, n: int, lanes: int):
-    """The cross gates in hash batches, keyed by the ``n`` labels held
-    here, label g in field g of ``labels``.
+# --------------------------------------------------------------------------
+# hashed rows, below LABEL_KEYED_LANES lanes
 
-    Gate g reads label g.  Yields (first gate, tweaks, hash inputs) with
-    one word of ``lanes`` lanes per gate: its tweaks, and sigma(label) XOR
-    those tweaks.
-    """
+
+def _hash_inputs(labels: int, n: int, lanes: int) -> tuple[list, list]:
+    """Every cross gate's tweaks, and sigma(label) XOR those tweaks, one
+    word of ``lanes`` lanes per gate; gate g reads label g of the ``n``
+    labels held here, field g of ``labels``."""
     # sigma of all n labels in one doubling; gate g's hash input copies
     # its 16 bytes to every lane
     doubled = _double(labels, _lane_ones(n)).to_bytes(LABEL_BYTES * n,
@@ -178,72 +213,111 @@ def _keyed_batches(labels: int, n: int, lanes: int):
     # lane i of g * step + twice_index holds 2 (g x lanes + i)
     step = 2 * lanes * _lane_ones(lanes)
     twice_index = 2 * _lane_index(lanes)
-    per_call = _gates_per_call(lanes)
-    for at in range(0, n, per_call):
-        gates = range(at, min(at + per_call, n))
-        tweaks = [g * step + twice_index for g in gates]
-        inputs = [
-            int.from_bytes(doubled[LABEL_BYTES * g : LABEL_BYTES * (g + 1)]
-                           * lanes, "little") ^ t
-            for g, t in zip(gates, tweaks)]
-        yield at, tweaks, inputs
+    tweaks = [g * step + twice_index for g in range(n)]
+    inputs = [int.from_bytes(doubled[LABEL_BYTES * g : LABEL_BYTES * (g + 1)]
+                             * lanes, "little") ^ t
+              for g, t in enumerate(tweaks)]
+    return tweaks, inputs
 
 
-def _key_sums(labels: int, n: int, folded: int, lanes: int) -> int:
+def _key_sums(labels: int, n: int, keys: int, lanes: int) -> int:
     """Each lane's XOR of one key H(A, j) per gate.
 
-    ``folded`` is the XOR of every batch's keys without their sigma(A)
-    terms, one word per gate of a full batch.  A gate's sigma(A) is the
-    same in every lane, so those terms add up to sigma of the XOR of the
-    ``n`` labels, copied to every lane.
+    ``keys`` holds every gate's keys without their sigma(A) terms, one word
+    per gate.  A gate's sigma(A) is the same in every lane, so those terms
+    add up to sigma of the XOR of the ``n`` labels, copied to every lane.
     """
-    count = min(_gates_per_call(lanes), n)
-    return (_fold(folded, count, LABEL_BITS * lanes)
+    return (_fold(keys, n, LABEL_BITS * lanes)
             ^ _lane_word(_double(_fold(labels, n, LABEL_BITS), 1), lanes))
 
 
 def _garble(labels: int, n: int, delta: int, key: int, clear: int,
             lanes: int) -> tuple[bytes, int]:
-    """Return (the tables, the lane sums S0 of the zero-keys).
+    """Return (the hashed tables, the lane sums S0 of the zero-keys).
 
     ``labels`` holds the ``n`` querier inputs' zero-labels, label g in
     field g, ``key`` is the offsets' AES key, and ``clear`` the holder's
     level-1 word, gate g's lanes in field g.
     """
     size = LABEL_BYTES * lanes
+    blocks = n * lanes  # the (gate, lane) pairs
     offsets = Aes128Ecb(key.to_bytes(LABEL_BYTES, "little"))
     doubled_delta = _double(delta, 1)
     shift = _lane_word(doubled_delta, lanes)  # sigma(A1) = sigma(A0) ^ shift
-    tables: list[bytes] = []
-    folded = 0
-    for at, tweaks, inputs in _keyed_batches(labels, n, lanes):
-        blocks = len(tweaks) * lanes  # the batch's (gate, lane) pairs
-        e0 = _encrypt(_PI, inputs, size)
-        e1 = _encrypt(_PI, [x ^ shift for x in inputs], size)
-        b = spread(clear >> at * lanes, blocks)
-        # H(A0, j) ^ H(A1, j) ^ b D
-        row = (e0 ^ e1 ^ _lane_word(doubled_delta, blocks)
-               ^ (select(b) & _encrypt(offsets, tweaks, size)))
-        tables.append(row.to_bytes(LABEL_BYTES * blocks, "little"))
-        folded ^= e0
-    return b"".join(tables), _key_sums(labels, n, folded, lanes)
+    tweaks, inputs = _hash_inputs(labels, n, lanes)
+    e0 = _encrypt(_PI, inputs, size)
+    e1 = _encrypt(_PI, [x ^ shift for x in inputs], size)
+    # H(A0, j) ^ H(A1, j) ^ b D
+    row = (e0 ^ e1 ^ _lane_word(doubled_delta, blocks)
+           ^ (select(spread(clear, blocks)) & _encrypt(offsets, tweaks, size)))
+    return (row.to_bytes(LABEL_BYTES * blocks, "little"),
+            _key_sums(labels, n, e0, lanes))
 
 
 def _evaluate(labels: int, n: int, bits: int, tables: bytes,
               lanes: int) -> int:
-    """The lane sums S of the keys the ``n`` labels unlock under the
+    """The lane sums S of the keys the ``n`` labels unlock under the hashed
     tables, label g, in field g of ``labels``, being the one of input bit
     g of ``bits``."""
+    _, inputs = _hash_inputs(labels, n, lanes)
+    keys = _encrypt(_PI, inputs, LABEL_BYTES * lanes)
+    return _key_sums(labels, n, keys, lanes) ^ _chosen_rows(bits, n, tables,
+                                                            lanes)
+
+
+# --------------------------------------------------------------------------
+# label-keyed rows, from LABEL_KEYED_LANES lanes on
+
+
+def _counters(lanes: int) -> bytearray:
+    """The counter blocks c(i, 0) of ``lanes`` lanes: lane i big-endian."""
+    return bytearray(b"".join([i.to_bytes(LABEL_BYTES, "big")
+                               for i in range(lanes)]))
+
+
+def _garble_keyed(zero: int, one: int, n: int, clear: int,
+                  lanes: int) -> tuple[bytearray, int]:
+    """Return (the label-keyed tables, the lane sums S0 of the zero-keys).
+
+    ``zero`` and ``one`` hold the ``n`` querier inputs' labels A0 and A1,
+    label g in field g, and ``clear`` the holder's level-1 word, gate g's
+    lanes in field g.
+    """
     size = LABEL_BYTES * lanes
-    folded = 0
-    for _, _, inputs in _keyed_batches(labels, n, lanes):
-        folded ^= _encrypt(_PI, inputs, size)
-    rows = 0  # the row of every gate whose input bit is 1
+    # every row starts as its counter blocks c(i, b), the holder's bit for
+    # gate g and lane i in the top byte of block g x lanes + i
+    tables = _counters(lanes) * n
+    tables[::LABEL_BYTES] = int_to_bits(clear, n * lanes)
+    sums = bytearray(size)
+    keys = bytearray(zero.to_bytes(LABEL_BYTES * n, "little")
+                     + one.to_bytes(LABEL_BYTES * n, "little"))
+    pins = [pinned(buf) for buf in (tables, sums, keys)]
+    (_, t_at), (_, s_at), (_, a0) = pins
+    a1 = a0 + LABEL_BYTES * n
+    ecb, ctr = Aes128("ecb"), Aes128("ctr")
     for g in range(n):
-        if bits >> g & 1:
-            rows ^= int.from_bytes(tables[size * g : size * (g + 1)],
-                                   "little")
-    return _key_sums(labels, n, folded, lanes) ^ rows
+        row, key = t_at + size * g, LABEL_BYTES * g
+        ecb.encrypt(a0 + key, row, row, size)  # AES_A0(c(i, b))
+        ctr.encrypt(a1 + key, row, row, size)  # ^ AES_A1(c(i, 0))
+        ctr.encrypt(a0 + key, s_at, s_at, size)  # S0 ^= AES_A0(c(i, 0))
+    return tables, int.from_bytes(sums, "little")
+
+
+def _evaluate_keyed(labels: int, n: int, bits: int, tables: bytes,
+                    lanes: int) -> int:
+    """The lane sums S of the keys the ``n`` labels unlock under the
+    label-keyed tables, label g, in field g of ``labels``, being the one of
+    input bit g of ``bits``."""
+    size = LABEL_BYTES * lanes
+    sums = bytearray(size)
+    keys = bytearray(labels.to_bytes(LABEL_BYTES * n, "little"))
+    pins = [pinned(buf) for buf in (sums, keys)]
+    (_, s_at), (_, at) = pins
+    ctr = Aes128("ctr")
+    for key in range(at, at + LABEL_BYTES * n, LABEL_BYTES):
+        ctr.encrypt(key, s_at, s_at, size)  # S ^= AES_A(c(i, 0))
+    return int.from_bytes(sums, "little") ^ _chosen_rows(bits, n, tables,
+                                                         lanes)
 
 
 def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
@@ -261,13 +335,19 @@ def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
     lanes = setup.lanes
     circuit.check_word(1, word, lanes)
     n = 2 * circuit.width
-    delta = rng.getrandbits(LABEL_BITS)
-    zero = rng.getrandbits(LABEL_BITS * n)  # input g's zero-label in lane g
-    tables, sums = _garble(zero, n, delta, rng.getrandbits(LABEL_BITS),
-                           word, lanes)
+    if lanes < LABEL_KEYED_LANES:
+        delta = rng.getrandbits(LABEL_BITS)
+        zero = rng.getrandbits(LABEL_BITS * n)  # input g's label in lane g
+        one = zero ^ _lane_word(delta, n)
+        tables, sums = _garble(zero, n, delta, rng.getrandbits(LABEL_BITS),
+                               word, lanes)
+    else:
+        zero = rng.getrandbits(LABEL_BITS * n)
+        one = rng.getrandbits(LABEL_BITS * n)
+        tables, sums = _garble_keyed(zero, one, n, word, lanes)
     yield from send_frame(MSG_GARBLED_TABLES, tables)
-    yield from send_steps(zero, zero ^ _lane_word(delta, n), n, LABEL_BYTES,
-                          setup.transfer, MSG_LABELS)
+    yield from send_steps(zero, one, n, LABEL_BYTES, setup.transfer,
+                          MSG_LABELS)
     return sums
 
 
@@ -288,7 +368,8 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
     tables = yield from recv_exact(MSG_GARBLED_TABLES, LABEL_BYTES * lanes * n)
     chosen = yield from choose_steps(word, n, LABEL_BYTES, setup.transfer,
                                      MSG_LABELS)
-    return _evaluate(chosen, n, word, tables, lanes)
+    evaluate = _evaluate if lanes < LABEL_KEYED_LANES else _evaluate_keyed
+    return evaluate(chosen, n, word, tables, lanes)
 
 
 # --------------------------------------------------------------------------

@@ -401,8 +401,8 @@ def packet_cycles(graph, rib, policies, prefix, width=8):
     for value in range(1 << width):
         packet = Packet(width, value)
         for start in graph.as_ids:
-            _, cycle = simulate_packet(graph, rib, policies, prefix,
-                                       packet, start)
+            _, cycle = simulate_packet(rib, policies, prefix, packet,
+                                       start)
             if cycle is not None:
                 cycles.add(cycle)
     return cycles
@@ -432,11 +432,11 @@ class TestOracle:
         fx = two_exchange_fixture()
         web = encode_packet(0, 0, 40000, 80, PROTO_TCP)
         ssh = encode_packet(0, 0, 40000, 22, PROTO_TCP)
-        path, cycle = simulate_packet(fx.graph, fx.rib, list(fx.policies),
-                                      fx.prefix, web, AS_M)
+        path, cycle = simulate_packet(fx.rib, list(fx.policies), fx.prefix,
+                                      web, AS_M)
         assert cycle == normalize_cycle((AS_B, AS_A, AS_N, AS_M))
-        path, cycle = simulate_packet(fx.graph, fx.rib, list(fx.policies),
-                                      fx.prefix, ssh, AS_M)
+        path, cycle = simulate_packet(fx.rib, list(fx.policies), fx.prefix,
+                                      ssh, AS_M)
         assert cycle is None
         assert path == [AS_M, AS_B, AS_Z]
 
@@ -479,8 +479,8 @@ class TestOracle:
                                           fx.prefix):
                 witness = Packet(8, loop.header.pattern)
                 start = loop.cycle[0]
-                _, cycle = simulate_packet(fx.graph, fx.rib, policies,
-                                           fx.prefix, witness, start)
+                _, cycle = simulate_packet(fx.rib, policies, fx.prefix,
+                                           witness, start)
                 assert cycle == loop.cycle
 
     def test_compliant_policies_never_loop(self):

@@ -57,7 +57,7 @@ from prelude.smpc import (
     run_pair,
     send_frame,
 )
-from prelude.smpc import channel
+from prelude.smpc import channel, yao
 from prelude.smpc.channel import MAX_FRAME_BYTES
 
 
@@ -1119,10 +1119,10 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "22b03a64076f73cd699f87be73178c75"
-         "853ef64de4a3237f713919fef4fdc936"),
-        (7, 33, "e6be4043ac029c8fecdbaab8cd9deb47"
-         "4993a15cb61313a856a1d77829725078"),
+        (104, 50, "cbdfa85ceecd54f8d48abd61c7971389"
+         "267c3c26ad1ad5e52b0f62335e728da7"),
+        (7, 33, "9d856df2c3bdc1da70843b5767d42220"
+         "b89f6245a2ff3fd0925ff52f493b5d8c"),
         (1, 3, "5db3f7df3edffe15e7a6578591716f82"
          "cb7dbd432fafb9066d2f62c4b52815cb"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
@@ -1132,7 +1132,10 @@ class TestLaneSessions:
         # alters any frame's contents updates these digests and says so.
         # The endpoint's streams live across sessions, and a width-mismatched
         # query on each backend aborts between them: the digests pin that an
-        # abort leaves the streams where a rerun finds them.
+        # abort leaves the streams where a rerun finds them.  yao garbles
+        # 50 and 33 lanes with label-keyed rows and 3 with hashed ones, so
+        # both row constructions are pinned.
+        assert 3 < yao.LABEL_KEYED_LANES <= 33
         hasher = hashlib.sha256()
         frames = sent_frames(monkeypatch)
         rng = random.Random(1000 * width + k)

@@ -52,7 +52,7 @@ from prelude.smpc import (
     send_frame,
 )
 from prelude.smpc import gmw, yao
-from prelude.smpc.aes import Aes128Ecb
+from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
 from prelude.smpc.channel import MAX_FRAME_BYTES, RECV
 from prelude.smpc.shares import (
     broadcast,
@@ -1109,7 +1109,8 @@ class TestLanes:
 
 
 class TestHalfGates:
-    """Fixed-key AES, lane-wise doubling and half-gates against plain loops."""
+    """AES, lane-wise doubling, and hashed and label-keyed rows against
+    plain loops."""
 
     LABEL_MASK = (1 << 128) - 1
 
@@ -1121,6 +1122,43 @@ class TestHalfGates:
         assert cipher.encrypt(plain * 3) == cipher.encrypt(plain) * 3
         with pytest.raises(ValueError):
             cipher.encrypt(plain[:15])
+
+    def test_ctr_matches_sp_800_38a(self):
+        # NIST SP 800-38A, F.5.1: the counter's low byte carries
+        key = bytearray.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+        data = bytearray.fromhex("6bc1bee22e409f96e93d7e117393172a"
+                                 "ae2d8a571e03ac9c9eb76fac45af8e51")
+        (key_pin, key_at), (pin, at) = pinned(key), pinned(data)
+        Aes128("ctr").encrypt(key_at, at, at, len(data), bytes.fromhex(
+            "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"))
+        assert data.hex() == ("874d6191b620e3261bef6864990db6ce"
+                              "9806f66b7970fdff8617187bb9fffdff")
+
+    def test_a_rekeyed_context_matches_a_fresh_cipher(self):
+        # One ECB and one CTR context, keyed in turn under three keys and
+        # back, give what a fresh Aes128Ecb(key) gives on the counter
+        # blocks: ECB on blocks c(i, b), and CTR from block zero the
+        # blocks c(i, 0), XORed into the data it runs over.
+        rng = random.Random(75)
+        blocks = 5
+        counters = bytearray(b"".join(
+            ((rng.getrandbits(1) << 120) | i).to_bytes(16, "big")
+            for i in range(blocks)))
+        zero_counters = b"".join(i.to_bytes(16, "big") for i in range(blocks))
+        data = rng.randbytes(16 * blocks)
+        keys = [rng.randbytes(16) for _ in range(3)]
+        ecb, ctr = Aes128("ecb"), Aes128("ctr")
+        for key in keys + keys[::-1]:
+            fresh = Aes128Ecb(key)
+            key_buf, out, stream = bytearray(key), bytearray(16 * blocks), (
+                bytearray(data))
+            pins = [pinned(buf) for buf in (key_buf, out, counters, stream)]
+            (_, key_at), (_, out_at), (_, counters_at), (_, at) = pins
+            ecb.encrypt(key_at, out_at, counters_at, len(out))
+            ctr.encrypt(key_at, at, at, len(stream))
+            assert out == fresh.encrypt(bytes(counters))
+            assert bytes(a ^ b for a, b in zip(stream, data)) == (
+                fresh.encrypt(zero_counters))
 
     @classmethod
     def double(cls, x: int) -> int:
@@ -1176,14 +1214,8 @@ class TestHalfGates:
                 sums[i] ^= self.h(a0, j)
         return b"".join(rows), sums
 
-    @pytest.mark.parametrize("budget", [None, 8])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
-    def test_tables_equal_a_per_lane_reference(self, monkeypatch, lanes,
-                                               budget):
-        if budget is not None:
-            # four cross gates per hash call, so the template's cross gates
-            # split into several batches
-            monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
+    def test_tables_equal_a_per_lane_reference(self, lanes):
         rng = random.Random(80 + lanes)
         for width in (1, 4, 8):
             n = 2 * width
@@ -1197,15 +1229,11 @@ class TestHalfGates:
             assert tables == ref_tables
             assert unpack(sums, 128, lanes) == ref_sums
 
-    @pytest.mark.parametrize("budget", [None, 8])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
-    def test_cross_gate_rows_equal_a_per_lane_reference(self, monkeypatch,
-                                                        lanes, budget):
+    def test_cross_gate_rows_equal_a_per_lane_reference(self, lanes):
         # The evaluator's key of each cross gate's row, H(A, j) ^ q T for
         # its input bit q, summed per lane, and the sums agree with the
         # garbler's exactly where the rules overlap.
-        if budget is not None:
-            monkeypatch.setattr(yao, "_BATCH_BLOCKS", budget * lanes)
         rng = random.Random(90 + lanes)
         for width in (1, 4, 8):
             inputs0, inputs1, expected = overlap_case(width, lanes, rng)
@@ -1228,6 +1256,76 @@ class TestHalfGates:
             assert got == ref
             assert tuple(int(a != b) for a, b in zip(
                 got, unpack(sums, 128, lanes))) == expected
+
+    @staticmethod
+    def prf(label: int, lane: int, bit: int = 0) -> int:
+        """AES_label(c(lane, bit)) on one block, from a fresh cipher: the
+        lane big-endian, the holder's bit in the top byte."""
+        block = ((bit << 120) | lane).to_bytes(16, "big")
+        cipher = Aes128Ecb(label.to_bytes(16, "little"))
+        return int.from_bytes(cipher.encrypt(block), "little")
+
+    @pytest.mark.parametrize("lanes", [1, yao.LABEL_KEYED_LANES - 1,
+                                       yao.LABEL_KEYED_LANES, 40])
+    def test_label_keyed_rows_equal_a_per_lane_reference(self, lanes):
+        # Gate g's row in lane i is T = AES_A0(c(i, b)) ^ AES_A1(c(i, 0)),
+        # and its zero-key AES_A0(c(i, 0)).  An evaluator holding label A
+        # of its input bit q computes AES_A(c(i, 0)) ^ q T, and its sums
+        # agree with the garbler's S0 exactly where the rules overlap.
+        rng = random.Random(110 + lanes)
+        for width in (1, 4, 104):
+            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+            n = 2 * width
+            zero = [rng.getrandbits(128) for _ in range(n)]
+            one = [rng.getrandbits(128) for _ in range(n)]
+            tables, sums = yao._garble_keyed(pack(zero, 128), pack(one, 128),
+                                             n, inputs1, lanes)
+            chosen = [(one if inputs0 >> g & 1 else zero)[g]
+                      for g in range(n)]
+            got = unpack(yao._evaluate_keyed(pack(chosen, 128), n, inputs0,
+                                             bytes(tables), lanes),
+                         128, lanes)
+            rows, ref_sums, ref_got = [], [0] * lanes, [0] * lanes
+            for g in range(n):
+                q = inputs0 >> g & 1
+                for i in range(lanes):
+                    b = inputs1 >> (g * lanes + i) & 1
+                    row = (self.prf(zero[g], i, b)
+                           ^ self.prf(one[g], i))
+                    rows.append(row.to_bytes(16, "little"))
+                    ref_sums[i] ^= self.prf(zero[g], i)
+                    ref_got[i] ^= self.prf(chosen[g], i) ^ (row if q else 0)
+            assert len(tables) == 16 * lanes * n
+            assert tables == b"".join(rows)
+            assert unpack(sums, 128, lanes) == ref_sums
+            assert got == ref_got
+            assert tuple(int(a != b) for a, b in zip(got, ref_sums)) == (
+                expected)
+
+    @pytest.mark.parametrize("width", [4, 104])
+    @pytest.mark.parametrize("lanes", [yao.LABEL_KEYED_LANES - 1,
+                                       yao.LABEL_KEYED_LANES])
+    def test_sessions_on_either_side_of_the_threshold(self, monkeypatch,
+                                                      lanes, width):
+        # Whole sessions against the plaintext overlap of every lane, and
+        # the rows each lane count is garbled and evaluated with.
+        ran = []
+        for name in ("_garble", "_garble_keyed", "_evaluate",
+                     "_evaluate_keyed"):
+            def spy(*args, _real=getattr(yao, name), _name=name):
+                ran.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(yao, name, spy)
+        keyed = lanes >= yao.LABEL_KEYED_LANES
+        rng = random.Random(120 + lanes + width)
+        circuit = build_batch_query(width)
+        for trial in range(3):
+            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+            out0, _, _, _ = run_backend(circuit, "yao", inputs0, inputs1,
+                                        seed=trial, lanes=lanes)
+            assert out0 == expected, trial
+        assert ran == (["_garble_keyed", "_evaluate_keyed"] if keyed
+                       else ["_garble", "_evaluate"]) * 3
 
     def test_released_values_fit_one_hash_block(self):
         # a value and a tag of 80 zero bits share one 16-byte block
