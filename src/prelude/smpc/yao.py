@@ -60,7 +60,10 @@ with the lanes.  Garble plus evaluate, medians of interleaved runs on a
 17 and 20 lanes, depending on the host's speed, and label-keyed rows win
 at 20 in every run.  At width 4 they win from 8 lanes, and by little
 below.  So :data:`LABEL_KEYED_LANES` is 20, width 104's crossover, the
-width of a 5-tuple rule.
+width of a 5-tuple rule.  Label-keyed rows at every lane count would
+cost the benchmark's small tables about 0.8 ms a session: yao sessions
+went 22.6 -> 23.6 ms on ``wan-table`` (8 entries) and 1.09 -> 1.90 ms on
+``install-churn`` (at most 12), medians of ten alternating 25 s pairs.
 
 The zero test.  Per lane the garbler XORs the zero-keys of the lane's cross
 gates into a sum S0 and the evaluator XORs its keys into S.  A cross gate
@@ -110,7 +113,7 @@ the one flight back: a session takes two one-way flights.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
 from prelude.smpc.channel import (
@@ -202,22 +205,26 @@ def _chosen_rows(bits: int, n: int, tables: bytes, lanes: int) -> int:
 # hashed rows, below LABEL_KEYED_LANES lanes
 
 
-def _hash_inputs(labels: int, n: int, lanes: int) -> tuple[list, list]:
-    """Every cross gate's tweaks, and sigma(label) XOR those tweaks, one
-    word of ``lanes`` lanes per gate; gate g reads label g of the ``n``
-    labels held here, field g of ``labels``."""
+def _tweaks(n: int, lanes: int) -> Iterator[int]:
+    """Each of ``n`` cross gates' tweak word: lane i of gate g's holds
+    2 (g x lanes + i)."""
+    step = 2 * lanes * _lane_ones(lanes)
+    twice_index = 2 * _lane_index(lanes)
+    return (g * step + twice_index for g in range(n))
+
+
+def _hash_inputs(labels: int, n: int, lanes: int,
+                 tweaks: Iterable[int]) -> list[int]:
+    """sigma(label) XOR the tweaks, one word of ``lanes`` lanes per gate;
+    gate g reads label g of the ``n`` labels held here, field g of
+    ``labels``, and the g-th of ``tweaks``."""
     # sigma of all n labels in one doubling; gate g's hash input copies
     # its 16 bytes to every lane
     doubled = _double(labels, _lane_ones(n)).to_bytes(LABEL_BYTES * n,
                                                       "little")
-    # lane i of g * step + twice_index holds 2 (g x lanes + i)
-    step = 2 * lanes * _lane_ones(lanes)
-    twice_index = 2 * _lane_index(lanes)
-    tweaks = [g * step + twice_index for g in range(n)]
-    inputs = [int.from_bytes(doubled[LABEL_BYTES * g : LABEL_BYTES * (g + 1)]
-                             * lanes, "little") ^ t
-              for g, t in enumerate(tweaks)]
-    return tweaks, inputs
+    return [int.from_bytes(doubled[LABEL_BYTES * g : LABEL_BYTES * (g + 1)]
+                           * lanes, "little") ^ t
+            for g, t in enumerate(tweaks)]
 
 
 def _key_sums(labels: int, n: int, keys: int, lanes: int) -> int:
@@ -244,7 +251,8 @@ def _garble(labels: int, n: int, delta: int, key: int, clear: int,
     offsets = Aes128Ecb(key.to_bytes(LABEL_BYTES, "little"))
     doubled_delta = _double(delta, 1)
     shift = _lane_word(doubled_delta, lanes)  # sigma(A1) = sigma(A0) ^ shift
-    tweaks, inputs = _hash_inputs(labels, n, lanes)
+    tweaks = list(_tweaks(n, lanes))
+    inputs = _hash_inputs(labels, n, lanes, tweaks)
     e0 = _encrypt(_PI, inputs, size)
     e1 = _encrypt(_PI, [x ^ shift for x in inputs], size)
     # H(A0, j) ^ H(A1, j) ^ b D
@@ -259,7 +267,7 @@ def _evaluate(labels: int, n: int, bits: int, tables: bytes,
     """The lane sums S of the keys the ``n`` labels unlock under the hashed
     tables, label g, in field g of ``labels``, being the one of input bit
     g of ``bits``."""
-    _, inputs = _hash_inputs(labels, n, lanes)
+    inputs = _hash_inputs(labels, n, lanes, _tweaks(n, lanes))
     keys = _encrypt(_PI, inputs, LABEL_BYTES * lanes)
     return _key_sums(labels, n, keys, lanes) ^ _chosen_rows(bits, n, tables,
                                                             lanes)

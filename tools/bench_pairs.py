@@ -1,24 +1,25 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
-    python tools/bench_pairs.py --bench N [--parent REV] [--pairs P]
-        [--seconds S] [--seed SEED] [--workloads W,W,...] [--out FILE]
+    python tools/bench_pairs.py --bench N
 
-Unpacks a ``git archive`` of the parent revision (``HEAD`` by default) in
-a temporary directory and runs ``perfbench/run.py --trace 0`` there and in
-this working tree, one run at a time.  Each workload gets ``P`` pairs of
-runs, all with the same seed; pair i runs the parent first when i is even
-and the change first when it is odd, so a drift in the host's speed
-falls on both sides.  Writes ``BENCH_<N>.json`` beside this script's
-parent: per workload, which side ran first in each pair, the operations
-that failed, and per end-to-end metric of ``BENCHMARK.json`` each side's
-values by pair, their median and quartiles, the pairs in which the change
-was better, and whether the change's median stays within the metric's
-bound of the parent's.
+Run it before committing the change.  Unpacks a ``git archive`` of
+``HEAD`` (the parent) in a temporary directory and runs
+``perfbench/run.py --trace 0`` there and in this working tree, one run at
+a time, for ``BENCHMARK.json``'s ``run_seconds``.  Each workload of
+``perfbench/run.py`` gets ten pairs of runs, all with seed 1; pair i runs
+the parent first when i is even and the change first when it is odd, so a
+drift in the host's speed falls on both sides.  Writes ``BENCH_<N>.json``
+at the root of the repository: per workload, which side ran first in each
+pair, the operations that failed, and per end-to-end metric of
+``BENCHMARK.json`` each side's values by pair, their median and
+quartiles, the pairs in which the change was better, and whether the
+change's median stays within the metric's bound of the parent's.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -29,7 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("wide-table", "wan-table", "install-churn")
+PAIRS = 10
+SEED = 1
 SIDES = ("parent", "change")
 
 
@@ -89,50 +91,50 @@ def unpack(revision: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
+def workloads() -> tuple[str, ...]:
+    """The workloads ``perfbench/run.py`` runs."""
+    path = ROOT / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.WORKLOADS
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", type=int, required=True)
-    parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv[1:])
-    workloads = args.workloads.split(",")
-    if set(workloads) - set(WORKLOADS) or args.pairs < 1:
-        parser.error(f"workloads come from {', '.join(WORKLOADS)}, and "
-                     f"pairs number at least 1")
     with open(ROOT / "BENCHMARK.json") as f:
-        metrics = json.load(f)["end_to_end"]
-    parent = subprocess.run(["git", "rev-parse", "--short", args.parent],
+        bench = json.load(f)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    parent = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
                             cwd=ROOT, capture_output=True, text=True,
                             check=True).stdout.strip()
     records = []
     with tempfile.TemporaryDirectory() as scratch:
         roots = {"parent": Path(scratch), "change": ROOT}
         unpack(parent, roots["parent"])
-        for workload in workloads:
+        for workload in workloads():
             runs, first = [], []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 first.append(order[0])
-                runs.append({side: run_once(roots[side], workload, args.seed,
-                                            args.seconds)
+                runs.append({side: run_once(roots[side], workload, SEED,
+                                            seconds)
                              for side in order})
-                print(f"{workload} pair {pair + 1}/{args.pairs} done",
+                print(f"{workload} pair {pair + 1}/{PAIRS} done",
                       file=sys.stderr)
-            records.append({"workload": workload, "seed": args.seed,
+            records.append({"workload": workload, "seed": SEED,
                             **summarize(runs, first, metrics)})
-    command = (f"python3 perfbench/run.py --workload W --seed {args.seed} "
-               f"--seconds {args.seconds} --trace 0")
+    command = (f"python3 perfbench/run.py --workload W --seed {SEED} "
+               f"--seconds {seconds} --trace 0")
     out = {
         "bench": args.bench,
         "command": command,
         "host": (f"{os.cpu_count()}-CPU {platform.machine()} "
                  f"{platform.system()}, Python {platform.python_version()}"),
         "parent": parent,
-        "method": (f"made by tools/bench_pairs.py: {args.pairs} pairs of runs "
+        "method": (f"made by tools/bench_pairs.py: {PAIRS} pairs of runs "
                    f"per workload, the parent from a git archive of {parent} "
                    f"and the change from its working tree, one run at a "
                    f"time; the side that runs first alternates "
@@ -140,7 +142,7 @@ def main(argv: list[str]) -> int:
                    f"n=4, method='inclusive')."),
         "workloads": records,
     }
-    path = args.out or ROOT / f"BENCH_{args.bench}.json"
+    path = ROOT / f"BENCH_{args.bench}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
     return 0
