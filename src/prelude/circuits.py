@@ -52,7 +52,7 @@ The backends take that word and nothing else, and check its range with
 is checked against every entry; its bits j and w + j are the two bit
 planes of its symbol x_j.  The holder's are *clear*, one bit per gate and
 lane: it knows them, and no backend labels, masks or shares them.  Under
-yao they feed only the cross gates, one-row garbler half-gates; under gmw
+yao they feed only the cross gates, one garbled row per gate; under gmw
 only the lookup tables, whose two halves A and B are slices of the
 holder's word.  Either level's output is secret like any other; the
 holder's bits leave the holder only under a one-time pad or inside a

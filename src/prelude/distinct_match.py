@@ -399,8 +399,11 @@ class _SessionDealer:
     104.  It pads the querier's first frame, which it sends before it
     learns k.  :meth:`material` deals over k lanes once, under a lock, so
     the two parties may ask in either order, extending :attr:`first` on
-    the same stream.  The transcript counts the querier's material once,
-    when it is dealt in full, so an empty session counts none.
+    the same stream.  It refuses, with a ProtocolError naming both, a
+    backend other than :attr:`first`'s, which a holder asks for when the
+    envelope's backend index was changed in transit.  The transcript
+    counts the querier's material once, when it is dealt in full, so an
+    empty session counts none.
     """
 
     def __init__(self, rng: random.Random, circuit, backend: str) -> None:
@@ -411,6 +414,9 @@ class _SessionDealer:
         self.transcript = SessionTranscript()
 
     def material(self, circuit, backend: str, party: int, lanes: int):
+        if backend != self.first.backend:
+            raise ProtocolError(f"{backend} material asked of a session "
+                                f"dealt for {self.first.backend}")
         with self._lock:
             if self._materials is None:
                 self._materials = dealer_for_circuit(

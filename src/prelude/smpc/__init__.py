@@ -11,11 +11,12 @@ Two interchangeable backends run the one comparator template
   the template's AND depth.
 - :func:`garble_steps` and :func:`evaluate_steps` garble only the 2w
   cross gates and end with per-lane key sums that agree exactly when no
-  cross gate reads 1; their online phase is a single round trip.  From
-  20 lanes on each label keys AES as a PRF and OpenSSL does every
-  per-lane XOR of a gate's rows; below that, where a gate's fixed calls
-  would cost more than they save, the rows come from a fixed-key hash
-  over every lane at once (:mod:`prelude.smpc.yao`).
+  cross gate reads 1; their online phase is a single round trip.  Every
+  row has one formula under a PRF of the gate's labels.  From 20 lanes
+  on each label keys AES and OpenSSL does every per-lane XOR of a
+  gate's rows; below that, where a gate's fixed calls would cost more
+  than they save, the PRF is a fixed-key hash over every lane at once
+  (:mod:`prelude.smpc.yao`).
 
 Under either backend the querier's first online frame, its word under a
 piece of dealer material that no lane count changes, goes out before it

@@ -18,58 +18,57 @@ since one querier rule feeds every lane.  The holder's word stays clear
 and gets no labels.  No label carries a permute bit: the evaluator is the
 querier, who knows the bit its label stands for.
 
-Rows.  Each cross gate has one row T and one zero-key W0 per lane, built
-one of two ways by the lane count, which both parties know; the querier
+Rows.  Each cross gate has one row T and one zero-key W0 per lane, under
+a PRF F of the gate's labels, lane i and a bit: lane i's row is
+T = F(A0, i, b) XOR F(A1, i, 0), and its zero-key W0 = F(A0, i, 0).  An
+evaluator with input bit q computes F(Aq, i, 0) XOR q T.  That is W0
+where q = 0, and F(A0, i, b) where q = 1, which is W0 exactly where
+b = 0.  The lane count, which both parties know, picks F; the querier
 learns k in the ack anyway, so the choice shows it nothing new.
 
-- Label-keyed rows, from :data:`LABEL_KEYED_LANES` lanes on.  A0 and A1
-  are drawn independently: no garbled gate reads two labels, so no offset
-  ties them.  Each label keys AES-128 as a PRF over counter blocks
-  c(i, b), lane i big-endian with the holder's bit b in the top byte.
-  Lane i's row is T = AES_A0(c(i, b)) XOR AES_A1(c(i, 0)), and its
-  zero-key W0 = AES_A0(c(i, 0)).  The garbler builds a gate's rows over
-  every lane with one ECB call under A0, on counter blocks whose top
-  bytes a strided slice sets from its bits, then one CTR call under A1,
-  counting from zero, over that output; one more CTR call under A0 over an
-  accumulator adds the gate's zero-keys to the lane sums S0.  An evaluator
-  with input bit q computes AES_Aq(c(i, 0)) XOR q T: one CTR call per gate
-  over its accumulator, then the rows of the gates whose bit is 1.  That
-  is W0 where q = 0, and AES_A0(c(i, b)) where q = 1, which is W0 exactly
-  where b = 0.
-- Hashed rows, below it.  A1 = A0 XOR delta, and the row is a garbler
-  half-gate (Zahur, Rosulek & Evans, EUROCRYPT 2015, section 3),
-  T = H(A0, j) XOR H(A1, j) XOR b D, with its zero-key W0 = H(A0, j).  An
-  evaluator with input bit a computes H(A_a, j) XOR a T, which is W0 where
-  a AND b is 0 and W0 XOR D where it is 1.  Each cross gate in each lane
-  gets its own offset D: AES-128 in counter mode under a fresh key that
-  only the garbler draws, the counter being the gate's tweak j, so no D
-  is derived from a label hash, which the evaluator could compute.  H is
-  the fixed-key hash H(x, i) = pi(sigma(x) XOR i) XOR sigma(x) of Guo,
-  Katz, Wang & Yu (IEEE S&P 2020), where pi is AES-128 under a fixed
-  public key and sigma is doubling in GF(2^128); the tweak j is
-  ``2 (g x lanes + lane)`` for cross gate g.  A lane word holds lane i's
-  128 bits in bits [128 i, 128 i + 128), so sigma and the row selections
-  act on every lane at once, and each AES pass covers every gate.
+- Label-keyed, from :data:`LABEL_KEYED_LANES` lanes on.  A0 and A1 are
+  drawn independently, and each keys AES-128 over counter blocks:
+  F(A, i, b) = AES_A(c(i, b)), lane i big-endian with the bit in the top
+  byte.  The garbler builds a gate's rows over every lane with one ECB
+  call under A0, on counter blocks whose top bytes a strided slice sets
+  from its bits, then one CTR call under A1, counting from zero, over that
+  output; one more CTR call under A0 over an accumulator adds the gate's
+  zero-keys to the lane sums S0.  The evaluator makes one CTR call per
+  gate over its accumulator, then adds the rows of the gates whose bit is
+  1.
+- Hashed, below it.  F(A, i, b) = H(A, j + b), where H is the fixed-key
+  hash H(x, t) = pi(sigma(x) XOR t) XOR sigma(x) of Guo, Katz, Wang & Yu
+  (IEEE S&P 2020), pi is AES-128 under a fixed public key, sigma is
+  doubling in GF(2^128), and j = ``2 (g x lanes + i)`` is cross gate g's
+  even tweak in lane i, so the bit takes the odd tweak beside it.
+  A1 = A0 XOR delta for one delta per session, so a row's sigma(A0)
+  terms cancel and sigma(A1) leaves sigma(delta): the garbler's three pi
+  passes, at j, at j + b and under A1 at j, each take one AES call over
+  every gate and lane, as does the evaluator's one.  A lane word holds lane
+  i's 128 bits in bits [128 i, 128 i + 128), so sigma and the tweaks act
+  on every lane at once.
 
 The threshold.  A label-keyed gate costs four OpenSSL calls, each keyed
 afresh, whatever the lane count, so at rule width 104 its 208 gates cost
 about 1.6 ms before any lane; hashed rows cost big-int passes that grow
 with the lanes.  Garble plus evaluate, medians of interleaved runs on a
-2-CPU x86-64 host: at width 104 hashed rows take 0.5 ms at 1 lane and
-1.9 ms at 20, and label-keyed ones 1.6 and 1.8 ms; the two cross between
-17 and 20 lanes, depending on the host's speed, and label-keyed rows win
-at 20 in every run.  At width 4 they win from 8 lanes, and by little
-below.  So :data:`LABEL_KEYED_LANES` is 20, width 104's crossover, the
-width of a 5-tuple rule.  Label-keyed rows at every lane count would
-cost the benchmark's small tables about 0.8 ms a session: yao sessions
-went 22.6 -> 23.6 ms on ``wan-table`` (8 entries) and 1.09 -> 1.90 ms on
-``install-churn`` (at most 12), medians of ten alternating 25 s pairs.
+2-CPU x86-64 host, timed on an earlier hashed construction that cost at
+least as much as this one: at width 104 hashed rows take 0.5 ms at 1
+lane and 1.9 ms at 20, and label-keyed ones 1.6 and 1.8 ms; the two
+cross between 17 and 20 lanes, depending on the host's speed, and
+label-keyed rows win at 20 in every run.  At width 4 they win from 8
+lanes, and by little below.  So :data:`LABEL_KEYED_LANES` is 20, width
+104's crossover, the width of a 5-tuple rule.  Label-keyed rows at every
+lane count would cost the benchmark's small tables about 0.8 ms a
+session: yao sessions went 22.6 -> 23.6 ms on ``wan-table`` (8 entries)
+and 1.09 -> 1.90 ms on ``install-churn`` (at most 12), medians of ten
+alternating 25 s pairs.
 
 The zero test.  Per lane the garbler XORs the zero-keys of the lane's cross
 gates into a sum S0 and the evaluator XORs its keys into S.  A cross gate
-that reads 1 adds to S an offset, D or AES_A0(c(i, 1)) XOR AES_A0(c(i, 0)),
-that only the garbler knows, so S equals S0 exactly when none does,
-barring a 2^-128 chance.  A rule's pinned-one and pinned-zero bits
+that reads 1 adds to S the offset F(A0, i, 1) XOR F(A0, i, 0), which only
+the garbler knows, so S equals S0 exactly when none does, barring a
+2^-128 chance.  A rule's pinned-one and pinned-zero bits
 are disjoint, so no comparator cell has both of its products at 1, and
 every cross gate reads 0 exactly when every cell does: when the two rules
 overlap.  This is the OT-based private equality test of Pinkas, Schneider
@@ -83,22 +82,22 @@ removes H(S, ...) and keeps the value where the tag reads zero; anywhere
 else it opens the fallback, the dummy identifier.  Release tweaks lie
 above every garbling tweak.
 
-Privacy.  The evaluator holds one label of each input.  Under label-keyed
-rows the labels are independent random AES keys, and each row is padded
-by a PRF output under the label the evaluator lacks: AES_A1(c(i, 0)) where
-q = 0, AES_A0(c(i, b)) where q = 1.  So T hides b, and where q AND b is 1
-the key it computes, AES_A0(c(i, 1)), is a PRF output at a point it
-cannot evaluate, as is W0.  Under hashed rows it never holds delta, so the
-hash of the other label is pseudorandom to it; each D enters only a row
-T, masked by that hash, so T hides b and D alike, and the key it computes
-is W0 or W0 XOR D without showing which.  A permute bit hides a wire's
-value from an evaluator that must not learn it; here every garbled gate
-reads one label, of an input the evaluator owns, so taking its row by
-that bit tells it nothing new.  Where its sum misses S0, the pad is the
-hash of a key it does not hold: the value stays hidden and the tag fails,
-so the lane opens to the dummy, as where the rules are distinct.  The
-tables' size is fixed by the template and the lane count alone, and the
-garbler sees only the querier's masked choice bits.
+Privacy.  The evaluator holds one label of each input, and each row is
+padded by a PRF output under the label it lacks: F(A1, i, 0) where q = 0,
+F(A0, i, b) where q = 1.  So T hides b, and where q AND b is 1 the key it
+computes, F(A0, i, 1), is a PRF output under a label it lacks, as is W0.
+Label-keyed labels are independent AES keys.  Hashed labels differ by
+delta, which the evaluator never holds: the pads are H(A0 XOR delta, j)
+and H(A1 XOR delta, j + b), and since every tweak is distinct per gate,
+lane and bit and lies below the release tweaks, both are pseudorandom to
+it under H's tweakable correlation robustness.  A permute bit hides a
+wire's value from an evaluator that must not learn it; here every garbled
+gate reads one label, of an input the evaluator owns, so taking its row
+by that bit tells it nothing new.  Where its sum misses S0, the pad is
+the hash of a key it does not hold: the value stays hidden and the tag
+fails, so the lane opens to the dummy, as where the rules are distinct.
+The tables' size is fixed by the template and the lane count alone, and
+the garbler sees only the querier's masked choice bits.
 
 AES comes from the OpenSSL that CPython's ``hashlib`` already loads
 (:mod:`prelude.smpc.aes`).  The tables depend only on the template and the
@@ -113,7 +112,7 @@ the one flight back: a session takes two one-way flights.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
 from prelude.smpc.channel import (
@@ -129,9 +128,7 @@ from prelude.smpc.transfer import (
     LABEL_BITS,
     LABEL_BYTES,
     choose_steps,
-    select,
     send_steps,
-    spread,
     to_lanes,
 )
 
@@ -175,12 +172,6 @@ def _lane_index(n: int) -> int:
         "little")
 
 
-def _encrypt(cipher: Aes128Ecb, words: Sequence[int], size: int) -> int:
-    """The words, ``size`` bytes each, encrypted in one call and joined."""
-    return int.from_bytes(cipher.encrypt(b"".join(
-        [w.to_bytes(size, "little") for w in words])), "little")
-
-
 def _fold(word: int, count: int, width: int) -> int:
     """The XOR of the ``count`` fields of ``width`` bits that ``word`` holds."""
     while count > 1:
@@ -205,26 +196,25 @@ def _chosen_rows(bits: int, n: int, tables: bytes, lanes: int) -> int:
 # hashed rows, below LABEL_KEYED_LANES lanes
 
 
-def _tweaks(n: int, lanes: int) -> Iterator[int]:
-    """Each of ``n`` cross gates' tweak word: lane i of gate g's holds
-    2 (g x lanes + i)."""
-    step = 2 * lanes * _lane_ones(lanes)
-    twice_index = 2 * _lane_index(lanes)
-    return (g * step + twice_index for g in range(n))
+def _hash_inputs(labels: int, n: int, lanes: int) -> bytes:
+    """sigma(label) XOR the tweak in every lane of every gate, gate by gate.
 
-
-def _hash_inputs(labels: int, n: int, lanes: int,
-                 tweaks: Iterable[int]) -> list[int]:
-    """sigma(label) XOR the tweaks, one word of ``lanes`` lanes per gate;
-    gate g reads label g of the ``n`` labels held here, field g of
-    ``labels``, and the g-th of ``tweaks``."""
+    Gate g reads label g of the ``n`` labels held here, field g of
+    ``labels``, and its lane i the even tweak j = 2 (g x lanes + i).
+    """
+    size = LABEL_BYTES * lanes
     # sigma of all n labels in one doubling; gate g's hash input copies
     # its 16 bytes to every lane
     doubled = _double(labels, _lane_ones(n)).to_bytes(LABEL_BYTES * n,
                                                       "little")
-    return [int.from_bytes(doubled[LABEL_BYTES * g : LABEL_BYTES * (g + 1)]
-                           * lanes, "little") ^ t
-            for g, t in enumerate(tweaks)]
+    step = 2 * lanes * _lane_ones(lanes)
+    tweak = 2 * _lane_index(lanes)
+    words = []
+    for at in range(0, LABEL_BYTES * n, LABEL_BYTES):
+        word = int.from_bytes(doubled[at : at + LABEL_BYTES] * lanes, "little")
+        words.append((word ^ tweak).to_bytes(size, "little"))
+        tweak += step
+    return b"".join(words)
 
 
 def _key_sums(labels: int, n: int, keys: int, lanes: int) -> int:
@@ -238,28 +228,30 @@ def _key_sums(labels: int, n: int, keys: int, lanes: int) -> int:
             ^ _lane_word(_double(_fold(labels, n, LABEL_BITS), 1), lanes))
 
 
-def _garble(labels: int, n: int, delta: int, key: int, clear: int,
+def _garble(labels: int, n: int, delta: int, clear: int,
             lanes: int) -> tuple[bytes, int]:
     """Return (the hashed tables, the lane sums S0 of the zero-keys).
 
-    ``labels`` holds the ``n`` querier inputs' zero-labels, label g in
-    field g, ``key`` is the offsets' AES key, and ``clear`` the holder's
+    ``labels`` holds the ``n`` querier inputs' labels A0, label g in field
+    g, whose labels A1 are A0 XOR ``delta``, and ``clear`` the holder's
     level-1 word, gate g's lanes in field g.
     """
-    size = LABEL_BYTES * lanes
     blocks = n * lanes  # the (gate, lane) pairs
-    offsets = Aes128Ecb(key.to_bytes(LABEL_BYTES, "little"))
-    doubled_delta = _double(delta, 1)
-    shift = _lane_word(doubled_delta, lanes)  # sigma(A1) = sigma(A0) ^ shift
-    tweaks = list(_tweaks(n, lanes))
-    inputs = _hash_inputs(labels, n, lanes, tweaks)
-    e0 = _encrypt(_PI, inputs, size)
-    e1 = _encrypt(_PI, [x ^ shift for x in inputs], size)
-    # H(A0, j) ^ H(A1, j) ^ b D
-    row = (e0 ^ e1 ^ _lane_word(doubled_delta, blocks)
-           ^ (select(spread(clear, blocks)) & _encrypt(offsets, tweaks, size)))
-    return (row.to_bytes(LABEL_BYTES * blocks, "little"),
-            _key_sums(labels, n, e0, lanes))
+    size = LABEL_BYTES * blocks
+    shift = _lane_word(_double(delta, 1), blocks)  # sigma(A1) ^ sigma(A0)
+    inputs = _hash_inputs(labels, n, lanes)  # sigma(A0) ^ j
+    # sigma(A0) ^ (j + b): j is even, so b lands in each block's low bit
+    low = (int.from_bytes(inputs[::LABEL_BYTES], "little")
+           ^ int.from_bytes(int_to_bits(clear, blocks), "little"))
+    odd = bytearray(inputs)
+    odd[::LABEL_BYTES] = low.to_bytes(blocks, "little")
+    one = (int.from_bytes(inputs, "little") ^ shift).to_bytes(size, "little")
+    # T = H(A0, j + b) ^ H(A1, j): the sigma(A0) terms cancel, and
+    # sigma(A1)'s leaves the shift
+    zero_keys, at_b, at_one = (int.from_bytes(_PI.encrypt(data), "little")
+                               for data in (inputs, odd, one))
+    return ((at_b ^ at_one ^ shift).to_bytes(size, "little"),
+            _key_sums(labels, n, zero_keys, lanes))
 
 
 def _evaluate(labels: int, n: int, bits: int, tables: bytes,
@@ -267,8 +259,8 @@ def _evaluate(labels: int, n: int, bits: int, tables: bytes,
     """The lane sums S of the keys the ``n`` labels unlock under the hashed
     tables, label g, in field g of ``labels``, being the one of input bit
     g of ``bits``."""
-    inputs = _hash_inputs(labels, n, lanes, _tweaks(n, lanes))
-    keys = _encrypt(_PI, inputs, LABEL_BYTES * lanes)
+    keys = int.from_bytes(_PI.encrypt(_hash_inputs(labels, n, lanes)),
+                          "little")
     return _key_sums(labels, n, keys, lanes) ^ _chosen_rows(bits, n, tables,
                                                             lanes)
 
@@ -347,8 +339,7 @@ def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
         delta = rng.getrandbits(LABEL_BITS)
         zero = rng.getrandbits(LABEL_BITS * n)  # input g's label in lane g
         one = zero ^ _lane_word(delta, n)
-        tables, sums = _garble(zero, n, delta, rng.getrandbits(LABEL_BITS),
-                               word, lanes)
+        tables, sums = _garble(zero, n, delta, word, lanes)
     else:
         zero = rng.getrandbits(LABEL_BITS * n)
         one = rng.getrandbits(LABEL_BITS * n)
@@ -389,7 +380,8 @@ def _release_pads(sums: int, lanes: int) -> int:
     ones = _lane_ones(lanes)
     doubled = _double(sums, ones)
     tweaks = _RELEASE_TWEAK * ones + _lane_index(lanes)
-    return _encrypt(_PI, [doubled ^ tweaks], LABEL_BYTES * lanes) ^ doubled
+    return int.from_bytes(_PI.encrypt((doubled ^ tweaks).to_bytes(
+        LABEL_BYTES * lanes, "little")), "little") ^ doubled
 
 
 def _check_size(size: int) -> None:

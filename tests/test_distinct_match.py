@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import re
 import socket
@@ -47,6 +48,7 @@ from prelude.smpc import (
     MSG_INPUT_SHARE,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
+    ChannelClosed,
     ProtocolError,
     SessionTranscript,
     TcpChannel,
@@ -922,6 +924,137 @@ class TestSessionMechanics:
 
 
 # --------------------------------------------------------------------------
+# single-frame faults
+
+
+def changing_frames(monkeypatch, change) -> None:
+    """Pass each frame either party of an endpoint's sessions sends through
+    ``change(index, kind, payload)``, which returns the (kind, payload)
+    that goes out; ``index`` counts a session's frames in the order they
+    are sent."""
+
+    def changing(first, second, *args):
+        sent = itertools.count()
+
+        def tap(steps):
+            reply = None
+            while True:
+                try:
+                    op = steps.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                if op is not channel.RECV:
+                    op = change(next(sent), *op)
+                reply = yield op
+
+        return run_pair(tap(first), tap(second), *args)
+
+    monkeypatch.setattr(distinct_match, "run_pair", changing)
+
+
+# one fault in one frame: (kind, payload) -> (kind, payload)
+_RESIZES = {
+    "cut": lambda kind, payload: (kind, payload[:-1]),
+    "grow": lambda kind, payload: (kind, payload + b"\0"),
+    "kind": lambda kind, payload: (kind ^ 0x40, payload),
+}
+
+
+class TestSingleFrameFaults:
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_a_flipped_backend_index_aborts_naming_both(self, monkeypatch,
+                                                         backend):
+        # The envelope's fifth byte is the backend's index in BACKENDS.  The
+        # holder reads the other backend, and asks the session's dealer for
+        # its material, which dealt the querier's first frame for this one.
+        entry = make_entry(TernaryRule(4, 0, 0), 1, 65001)
+        endpoint = fresh_endpoint([entry])
+
+        def flip(index, kind, payload):
+            if kind == MSG_ENVELOPE:
+                payload = payload[:4] + bytes([payload[4] ^ 1]) + payload[5:]
+            return kind, payload
+
+        changing_frames(monkeypatch, flip)
+        other = "yao" if backend == "gmw" else "gmw"
+        with pytest.raises(QueryAborted) as caught:
+            endpoint.query(TernaryRule.wildcard(4), entry.prefix,
+                           backend=backend)
+        assert isinstance(caught.value.__cause__, ProtocolError)
+        assert str(caught.value) == (f"{other} material asked of a session "
+                                     f"dealt for {backend}")
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("k", [0, yao.LABEL_KEYED_LANES - 1,
+                                   yao.LABEL_KEYED_LANES])
+    def test_a_fault_in_one_frame_ends_by_its_cause(self, monkeypatch,
+                                                     backend, k):
+        # Each frame of a seeded session, changed alone: cut by a byte,
+        # grown by one, sent as another kind, or with one bit flipped.  The
+        # protocol is semi-honest and carries no integrity check, so a
+        # flipped bit may change the answer; what must hold is how the
+        # session ends.  A change of size or kind to
+        # any frame but the envelope, whose prefix may take any length,
+        # aborts the query from a ProtocolError or ChannelClosed, and any
+        # other change ends in an answer or such an abort.  At k = 0 the
+        # holder leaves the querier's first frame unread, so a change to it
+        # leaves the answer as it was.
+        rng = random.Random(180 + k)
+        width = 8
+        service = SdxMatchService(sdx_id=2)
+        entries = [make_entry(random_rule(width, rng), 2, 900 + i)
+                   for i in range(k)]
+        for entry in entries:
+            service.register(entry)
+        local = random_rule(width, rng)
+        if entries:
+            local = entries[0].rule
+
+        def query():
+            endpoint = LoopbackEndpoint(service, seed=19)
+            return endpoint.query(local, "10.0.0.0/8", backend=backend)
+
+        frames, fault = [], {}
+
+        def change(index, kind, payload):
+            if not fault:
+                frames.append((kind, payload))
+            elif index == fault["index"]:
+                return fault["how"](kind, payload)
+            return kind, payload
+
+        changing_frames(monkeypatch, change)
+        clean = query()
+        assert clean.hops == {e.next_hop for e in entries
+                              if overlaps(local, e.rule)}
+        for index, (kind, payload) in enumerate(frames):
+            # every bit of the first five bytes, which hold the envelope's
+            # header and the whole ack, and four seeded bits beyond
+            bits = [*range(8 * min(5, len(payload))),
+                    *rng.sample(range(40, 8 * len(payload)),
+                                min(4, max(0, 8 * len(payload) - 40)))]
+            faults = dict(_RESIZES)
+            for bit in bits:
+                faults[f"flip-{bit}"] = (
+                    lambda kind, payload, bit=bit: (kind, (
+                        int.from_bytes(payload, "little") ^ 1 << bit
+                    ).to_bytes(len(payload), "little")))
+            for name, how in faults.items():
+                fault.update(index=index, how=how)
+                where = (index, name)
+                try:
+                    result = query()
+                except QueryAborted as exc:
+                    assert isinstance(exc.__cause__,
+                                      (ProtocolError, ChannelClosed)), where
+                    continue
+                if k == 0 and index == 1:
+                    assert result == clean, where
+                else:
+                    assert index == 0 or name not in _RESIZES, where
+
+
+# --------------------------------------------------------------------------
 # lane-sliced sessions over one per-entry template
 
 
@@ -1123,8 +1256,8 @@ class TestLaneSessions:
          "267c3c26ad1ad5e52b0f62335e728da7"),
         (7, 33, "9d856df2c3bdc1da70843b5767d42220"
          "b89f6245a2ff3fd0925ff52f493b5d8c"),
-        (1, 3, "5db3f7df3edffe15e7a6578591716f82"
-         "cb7dbd432fafb9066d2f62c4b52815cb"),
+        (1, 3, "eef72ed242f01eb942d786a7018f82d9"
+         "6ca7b47cf045b9790ef971f445a68e33"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):

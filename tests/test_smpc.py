@@ -1186,78 +1186,6 @@ class TestHalfGates:
         return int.from_bytes(block, "little") ^ s
 
     @staticmethod
-    def garbler_draws(rng, width):
-        """delta, a zero-label per querier wire and the offsets' key."""
-        return (rng.getrandbits(128),
-                [rng.getrandbits(128) for _ in range(2 * width)],
-                rng.getrandbits(128))
-
-    def reference_garble(self, delta, labels, key, lanes, clear):
-        """The key-sum garbling one (cross gate, lane) at a time.
-
-        Gate g reads the querier's zero-label ``labels[g]`` and the
-        holder's lane word ``clear[g]``.  Its row in lane i is
-        T = H(A0, j) ^ H(A1, j) ^ b D, with j = 2 (g lanes + i) and
-        D = AES_key(j), and its zero-key H(A0, j).  Returns (the rows
-        by gate, then lane, the per-lane sums of the zero-keys).
-        """
-        offsets = Aes128Ecb(key.to_bytes(16, "little"))
-        rows, sums = [], [0] * lanes
-        for g, a0 in enumerate(labels):
-            for i in range(lanes):
-                j = 2 * (g * lanes + i)
-                d = int.from_bytes(offsets.encrypt(j.to_bytes(16, "little")),
-                                   "little")
-                t = (self.h(a0, j) ^ self.h(a0 ^ delta, j)
-                     ^ (d if (clear[g] >> i) & 1 else 0))
-                rows.append(t.to_bytes(16, "little"))
-                sums[i] ^= self.h(a0, j)
-        return b"".join(rows), sums
-
-    @pytest.mark.parametrize("lanes", [1, 3, 64])
-    def test_tables_equal_a_per_lane_reference(self, lanes):
-        rng = random.Random(80 + lanes)
-        for width in (1, 4, 8):
-            n = 2 * width
-            clear = [rng.getrandbits(lanes) for _ in range(n)]
-            delta, labels, key = self.garbler_draws(rng, width)
-            tables, sums = yao._garble(pack(labels, 128), n, delta, key,
-                                       pack(clear, lanes), lanes)
-            ref_tables, ref_sums = self.reference_garble(
-                delta, labels, key, lanes, clear)
-            assert len(tables) == 16 * lanes * 2 * width
-            assert tables == ref_tables
-            assert unpack(sums, 128, lanes) == ref_sums
-
-    @pytest.mark.parametrize("lanes", [1, 3, 64])
-    def test_cross_gate_rows_equal_a_per_lane_reference(self, lanes):
-        # The evaluator's key of each cross gate's row, H(A, j) ^ q T for
-        # its input bit q, summed per lane, and the sums agree with the
-        # garbler's exactly where the rules overlap.
-        rng = random.Random(90 + lanes)
-        for width in (1, 4, 8):
-            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
-            delta, labels, key = self.garbler_draws(rng, width)
-            n = len(labels)
-            tables, sums = yao._garble(pack(labels, 128), n, delta, key,
-                                       inputs1, lanes)
-            chosen = [x ^ (delta if (inputs0 >> g) & 1 else 0)
-                      for g, x in enumerate(labels)]
-            got = unpack(yao._evaluate(pack(chosen, 128), n, inputs0, tables,
-                                       lanes), 128, lanes)
-            ref = [0] * lanes
-            for g, label in enumerate(chosen):
-                for i in range(lanes):
-                    j = 2 * (g * lanes + i)
-                    row = int.from_bytes(
-                        tables[16 * (g * lanes + i) :][:16], "little")
-                    ref[i] ^= self.h(label, j) ^ (row if inputs0 >> g & 1
-                                                  else 0)
-            assert got == ref
-            assert tuple(int(a != b) for a, b in zip(
-                got, unpack(sums, 128, lanes))) == expected
-
-    @staticmethod
     def prf(label: int, lane: int, bit: int = 0) -> int:
         """AES_label(c(lane, bit)) on one block, from a fresh cipher: the
         lane big-endian, the holder's bit in the top byte."""
@@ -1265,36 +1193,52 @@ class TestHalfGates:
         cipher = Aes128Ecb(label.to_bytes(16, "little"))
         return int.from_bytes(cipher.encrypt(block), "little")
 
-    @pytest.mark.parametrize("lanes", [1, yao.LABEL_KEYED_LANES - 1,
-                                       yao.LABEL_KEYED_LANES, 40])
-    def test_label_keyed_rows_equal_a_per_lane_reference(self, lanes):
-        # Gate g's row in lane i is T = AES_A0(c(i, b)) ^ AES_A1(c(i, 0)),
-        # and its zero-key AES_A0(c(i, 0)).  An evaluator holding label A
-        # of its input bit q computes AES_A(c(i, 0)) ^ q T, and its sums
-        # agree with the garbler's S0 exactly where the rules overlap.
-        rng = random.Random(110 + lanes)
-        for width in (1, 4, 104):
+    @pytest.mark.parametrize("lanes", [1, 3, yao.LABEL_KEYED_LANES - 1,
+                                       yao.LABEL_KEYED_LANES, 40, 64])
+    @pytest.mark.parametrize("keyed", [False, True], ids=["hashed", "keyed"])
+    def test_rows_equal_a_per_lane_reference(self, keyed, lanes):
+        # Under either PRF F, gate g's row in lane i is
+        # T = F(A0, i, b) ^ F(A1, i, 0), and its zero-key F(A0, i, 0).
+        # Hashed, F(A, i, b) = H(A, j + b) with j = 2 (g lanes + i), and
+        # A1 = A0 ^ delta; label-keyed, F(A, i, b) = AES_A(c(i, b)), and A1
+        # is drawn apart.  An evaluator holding label A of its input bit q
+        # computes F(A, i, 0) ^ q T, and its sums agree with the garbler's
+        # S0 exactly where the rules overlap.
+        rng = random.Random(110 + lanes + 100 * keyed)
+        for width in (1, 4, 8, 104):
             inputs0, inputs1, expected = overlap_case(width, lanes, rng)
             n = 2 * width
             zero = [rng.getrandbits(128) for _ in range(n)]
-            one = [rng.getrandbits(128) for _ in range(n)]
-            tables, sums = yao._garble_keyed(pack(zero, 128), pack(one, 128),
-                                             n, inputs1, lanes)
+            if keyed:
+                one = [rng.getrandbits(128) for _ in range(n)]
+                tables, sums = yao._garble_keyed(
+                    pack(zero, 128), pack(one, 128), n, inputs1, lanes)
+                evaluate = yao._evaluate_keyed
+
+                def prf(label, g, i, b=0):
+                    return self.prf(label, i, b)
+            else:
+                delta = rng.getrandbits(128)
+                one = [a ^ delta for a in zero]
+                tables, sums = yao._garble(pack(zero, 128), n, delta,
+                                           inputs1, lanes)
+                evaluate = yao._evaluate
+
+                def prf(label, g, i, b=0):
+                    return self.h(label, 2 * (g * lanes + i) + b)
             chosen = [(one if inputs0 >> g & 1 else zero)[g]
                       for g in range(n)]
-            got = unpack(yao._evaluate_keyed(pack(chosen, 128), n, inputs0,
-                                             bytes(tables), lanes),
-                         128, lanes)
+            got = unpack(evaluate(pack(chosen, 128), n, inputs0,
+                                  bytes(tables), lanes), 128, lanes)
             rows, ref_sums, ref_got = [], [0] * lanes, [0] * lanes
             for g in range(n):
                 q = inputs0 >> g & 1
                 for i in range(lanes):
                     b = inputs1 >> (g * lanes + i) & 1
-                    row = (self.prf(zero[g], i, b)
-                           ^ self.prf(one[g], i))
+                    row = prf(zero[g], g, i, b) ^ prf(one[g], g, i)
                     rows.append(row.to_bytes(16, "little"))
-                    ref_sums[i] ^= self.prf(zero[g], i)
-                    ref_got[i] ^= self.prf(chosen[g], i) ^ (row if q else 0)
+                    ref_sums[i] ^= prf(zero[g], g, i)
+                    ref_got[i] ^= prf(chosen[g], g, i) ^ (row if q else 0)
             assert len(tables) == 16 * lanes * n
             assert tables == b"".join(rows)
             assert unpack(sums, 128, lanes) == ref_sums
