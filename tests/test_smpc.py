@@ -1193,56 +1193,115 @@ class TestHalfGates:
         cipher = Aes128Ecb(label.to_bytes(16, "little"))
         return int.from_bytes(cipher.encrypt(block), "little")
 
+    def hashed(self, lanes):
+        """The hashed rows' PRF F(A, g, i, b) = H(A, j + b), with
+        j = 2 (g lanes + i)."""
+        return lambda label, g, i, b=0: self.h(label, 2 * (g * lanes + i) + b)
+
+    def keyed(self, label, g, i, b=0):
+        """The label-keyed rows' PRF F(A, g, i, b) = AES_A(c(i, b))."""
+        return self.prf(label, i, b)
+
+    @staticmethod
+    def reference_garble(prf, zero, one, clear, lanes):
+        """Both rows one (gate, lane) at a time under PRF ``prf``.
+
+        Gate g's row in lane i is T = F(A0, g, i, b) ^ F(A1, g, i, 0) for
+        the holder's bit b, and its zero-key F(A0, g, i, 0).  Returns (the
+        rows by gate, then lane, the per-lane sums of the zero-keys).
+        """
+        rows, sums = [], [0] * lanes
+        for g, (a0, a1) in enumerate(zip(zero, one)):
+            for i in range(lanes):
+                b = clear >> (g * lanes + i) & 1
+                rows.append((prf(a0, g, i, b) ^ prf(a1, g, i)).to_bytes(
+                    16, "little"))
+                sums[i] ^= prf(a0, g, i)
+        return b"".join(rows), sums
+
+    @staticmethod
+    def reference_evaluate(prf, chosen, inputs0, tables, lanes):
+        """The evaluator's per-lane sums of F(A, g, i, 0) ^ q T, for the
+        label A of its input bit q and gate g's row T in lane i."""
+        sums = [0] * lanes
+        for g, label in enumerate(chosen):
+            for i in range(lanes):
+                row = int.from_bytes(tables[16 * (g * lanes + i) :][:16],
+                                     "little")
+                sums[i] ^= prf(label, g, i) ^ (row if inputs0 >> g & 1 else 0)
+        return sums
+
+    @staticmethod
+    def hashed_labels(rng, n):
+        """delta and the zero- and one-labels of ``n`` querier wires, the
+        one-labels offset by delta."""
+        delta = rng.getrandbits(128)
+        zero = [rng.getrandbits(128) for _ in range(n)]
+        return delta, zero, [a ^ delta for a in zero]
+
+    @pytest.mark.parametrize("lanes", [1, 3, 64])
+    def test_tables_equal_a_per_lane_reference(self, lanes):
+        rng = random.Random(80 + lanes)
+        for width in (1, 4, 8, 104):
+            n = 2 * width
+            clear = rng.getrandbits(n * lanes)
+            delta, zero, one = self.hashed_labels(rng, n)
+            tables, sums = yao._garble(pack(zero, 128), n, delta, clear,
+                                       lanes)
+            ref_tables, ref_sums = self.reference_garble(
+                self.hashed(lanes), zero, one, clear, lanes)
+            assert len(tables) == 16 * lanes * n
+            assert tables == ref_tables
+            assert unpack(sums, 128, lanes) == ref_sums
+
+    @pytest.mark.parametrize("lanes", [1, 3, 64])
+    def test_cross_gate_rows_equal_a_per_lane_reference(self, lanes):
+        # The evaluator's key of each cross gate's row, H(A, j) ^ q T for
+        # its input bit q, summed per lane, and the sums agree with the
+        # garbler's exactly where the rules overlap.
+        rng = random.Random(90 + lanes)
+        for width in (1, 4, 8, 104):
+            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+            n = 2 * width
+            delta, zero, one = self.hashed_labels(rng, n)
+            tables, sums = yao._garble(pack(zero, 128), n, delta, inputs1,
+                                       lanes)
+            chosen = [(one if inputs0 >> g & 1 else zero)[g]
+                      for g in range(n)]
+            got = unpack(yao._evaluate(pack(chosen, 128), n, inputs0, tables,
+                                       lanes), 128, lanes)
+            assert got == self.reference_evaluate(
+                self.hashed(lanes), chosen, inputs0, tables, lanes)
+            assert tuple(int(a != b) for a, b in zip(
+                got, unpack(sums, 128, lanes))) == expected
+
     @pytest.mark.parametrize("lanes", [1, 3, yao.LABEL_KEYED_LANES - 1,
                                        yao.LABEL_KEYED_LANES, 40, 64])
-    @pytest.mark.parametrize("keyed", [False, True], ids=["hashed", "keyed"])
-    def test_rows_equal_a_per_lane_reference(self, keyed, lanes):
-        # Under either PRF F, gate g's row in lane i is
-        # T = F(A0, i, b) ^ F(A1, i, 0), and its zero-key F(A0, i, 0).
-        # Hashed, F(A, i, b) = H(A, j + b) with j = 2 (g lanes + i), and
-        # A1 = A0 ^ delta; label-keyed, F(A, i, b) = AES_A(c(i, b)), and A1
-        # is drawn apart.  An evaluator holding label A of its input bit q
-        # computes F(A, i, 0) ^ q T, and its sums agree with the garbler's
-        # S0 exactly where the rules overlap.
-        rng = random.Random(110 + lanes + 100 * keyed)
+    def test_label_keyed_rows_equal_a_per_lane_reference(self, lanes):
+        # The rows' formula under F(A, i, b) = AES_A(c(i, b)), with A1
+        # drawn apart from A0: the tables and S0 exact, and the
+        # evaluator's sums exact and equal to S0 exactly where the rules
+        # overlap.
+        rng = random.Random(110 + lanes)
         for width in (1, 4, 8, 104):
             inputs0, inputs1, expected = overlap_case(width, lanes, rng)
             n = 2 * width
             zero = [rng.getrandbits(128) for _ in range(n)]
-            if keyed:
-                one = [rng.getrandbits(128) for _ in range(n)]
-                tables, sums = yao._garble_keyed(
-                    pack(zero, 128), pack(one, 128), n, inputs1, lanes)
-                evaluate = yao._evaluate_keyed
-
-                def prf(label, g, i, b=0):
-                    return self.prf(label, i, b)
-            else:
-                delta = rng.getrandbits(128)
-                one = [a ^ delta for a in zero]
-                tables, sums = yao._garble(pack(zero, 128), n, delta,
-                                           inputs1, lanes)
-                evaluate = yao._evaluate
-
-                def prf(label, g, i, b=0):
-                    return self.h(label, 2 * (g * lanes + i) + b)
+            one = [rng.getrandbits(128) for _ in range(n)]
+            tables, sums = yao._garble_keyed(pack(zero, 128), pack(one, 128),
+                                             n, inputs1, lanes)
             chosen = [(one if inputs0 >> g & 1 else zero)[g]
                       for g in range(n)]
-            got = unpack(evaluate(pack(chosen, 128), n, inputs0,
-                                  bytes(tables), lanes), 128, lanes)
-            rows, ref_sums, ref_got = [], [0] * lanes, [0] * lanes
-            for g in range(n):
-                q = inputs0 >> g & 1
-                for i in range(lanes):
-                    b = inputs1 >> (g * lanes + i) & 1
-                    row = prf(zero[g], g, i, b) ^ prf(one[g], g, i)
-                    rows.append(row.to_bytes(16, "little"))
-                    ref_sums[i] ^= prf(zero[g], g, i)
-                    ref_got[i] ^= prf(chosen[g], g, i) ^ (row if q else 0)
+            got = unpack(yao._evaluate_keyed(pack(chosen, 128), n, inputs0,
+                                             bytes(tables), lanes),
+                         128, lanes)
+            ref_tables, ref_sums = self.reference_garble(
+                self.keyed, zero, one, inputs1, lanes)
             assert len(tables) == 16 * lanes * n
-            assert tables == b"".join(rows)
+            assert tables == ref_tables
             assert unpack(sums, 128, lanes) == ref_sums
-            assert got == ref_got
+            assert got == self.reference_evaluate(
+                self.keyed, chosen, inputs0, tables, lanes)
             assert tuple(int(a != b) for a, b in zip(got, ref_sums)) == (
                 expected)
 
