@@ -42,10 +42,6 @@ class TwoExchangeFixture:
     deflect_b_to_a: DeflectionPolicy
     deflect_n_to_m: DeflectionPolicy
 
-    @property
-    def policies(self) -> tuple[DeflectionPolicy, DeflectionPolicy]:
-        return (self.deflect_b_to_a, self.deflect_n_to_m)
-
 
 def two_exchange_fixture() -> TwoExchangeFixture:
     """Build the five-AS, two-exchange loop scenario."""

@@ -37,11 +37,6 @@ class Route:
         """The neighbor traffic is handed to; the origin hands to itself."""
         return self.as_path[1] if len(self.as_path) > 1 else self.asn
 
-    @property
-    def announced_path(self) -> tuple[int, ...]:
-        """The path as learned from the neighbor (empty at the origin)."""
-        return self.as_path[1:]
-
 
 @dataclass
 class RibState:

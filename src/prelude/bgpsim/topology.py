@@ -83,10 +83,6 @@ class AsGraph:
     def as_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._customers))
 
-    @property
-    def n_as(self) -> int:
-        return len(self._customers)
-
     def customers(self, asn: int) -> tuple[int, ...]:
         return tuple(sorted(self._customers.get(asn, ())))
 

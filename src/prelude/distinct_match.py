@@ -14,20 +14,24 @@ Session flow, all on one framed channel:
    as 4 bytes and the backend's index in ``BACKENDS`` as 1, then the
    prefix in UTF-8 (15 bytes for ``10.0.0.0/8``).  Its first online frame
    follows at once, since it needs no k: its word (see 3) under the
-   piece of dealer material the session's dealer dealt when the session
-   started, gmw's shifted symbols or yao's masked label choices
+   one int of dealer material the session's dealer drew when the session
+   started (:func:`~prelude.smpc.dealer.first_piece`), gmw's shifted
+   symbols or yao's masked label choices
    (:func:`~prelude.smpc.dealer.first_steps`).  The holder aborts with a
    ProtocolError naming the fault if the envelope is shorter than its
    header, its width is 0, its backend index is unknown, its prefix is
-   not UTF-8, or the width differs from its table's; the padded frame it
-   leaves unread tells it nothing.  A gmw holder that reads the frame
-   refuses it with a ProtocolError if a cell reads the unused symbol 3;
+   not UTF-8, or the width differs from its table's, and leaves the
+   padded frame unread; it would tell it nothing.  A gmw holder that
+   runs the circuit refuses the frame with a ProtocolError if a cell
+   reads the unused symbol 3;
 2. holder answers with a 3-byte ack: its entry count k for the prefix as
    2 bytes and its identifier width in bits as 1.  The querier aborts
    with a ProtocolError naming the fault if the ack is not 3 bytes, k
    exceeds ``MAX_ENTRIES`` or the identifier width is not its own; a
    holder whose table exceeds ``MAX_ENTRIES`` refuses the query itself.
-   k == 0 ends the session with an empty result and no circuit work;
+   k == 0 ends the session with an empty result and no circuit work,
+   once the holder has read the querier's first frame, which must be of
+   its backend's kind and 2w bits long;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
@@ -96,13 +100,16 @@ from dataclasses import dataclass
 from prelude.circuits import BatchQueryCircuit, build_batch_query
 from prelude.rules import TernaryRule
 from prelude.smpc import (
+    MSG_AND_OPENING,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
+    MSG_INPUT_SHARE,
     ProtocolError,
     SessionTranscript,
     dealer_for_circuit,
     drive,
     evaluate_steps,
+    first_piece,
     first_steps,
     garble_steps,
     gmw_steps,
@@ -185,12 +192,6 @@ class QueryResult:
     """Deduplicated next-hop identifiers of the overlapping remote rules."""
 
     hops: frozenset[NextHopId]
-
-    def __contains__(self, hop: NextHopId) -> bool:
-        return hop in self.hops
-
-    def __len__(self) -> int:
-        return len(self.hops)
 
 
 class QueryAborted(Exception):
@@ -337,6 +338,10 @@ class SdxMatchService:
                                 f"exceeds the cap of {MAX_ENTRIES} entries")
         yield from send_frame(MSG_ENVELOPE_ACK, _ACK.pack(k, HOP_ID_BITS))
         if k == 0:
+            # so that a faulty first frame aborts and none stays queued
+            yield from recv_exact(
+                MSG_AND_OPENING if backend == "gmw" else MSG_INPUT_SHARE,
+                (2 * width + 7) // 8)
             return
 
         rng.shuffle(prepared)
@@ -367,7 +372,7 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
     word = template.word(0, [local])
     header = _ENVELOPE.pack(local.width, BACKENDS.index(backend))
     yield from send_frame(MSG_ENVELOPE, header + prefix.encode("utf-8"))
-    yield from first_steps(template, word, dealer.first)
+    yield from first_steps(template, backend, word, dealer.first)
     k, id_width = _ACK.unpack(
         (yield from recv_exact(MSG_ENVELOPE_ACK, _ACK.size)))
     if k > MAX_ENTRIES:
@@ -393,36 +398,47 @@ class _SessionDealer:
     querier's to the setup bytes of the session's :attr:`transcript` as it
     hands it out.
 
-    The material no lane count changes is dealt when the session starts,
-    for the querier's ``circuit`` and ``backend``, and kept as :attr:`first`:
-    2w bits of gmw's shifts or yao's choice bits, 26 bytes at rule width
-    104.  It pads the querier's first frame, which it sends before it
-    learns k.  :meth:`material` deals over k lanes once, under a lock, so
-    the two parties may ask in either order, extending :attr:`first` on
-    the same stream.  It refuses, with a ProtocolError naming both, a
-    backend other than :attr:`first`'s, which a holder asks for when the
-    envelope's backend index was changed in transit.  The transcript
-    counts the querier's material once, when it is dealt in full, so an
-    empty session counts none.
+    The querier's piece that no lane count changes is drawn when the
+    session starts, for the querier's ``circuit`` and ``backend``, and
+    kept as :attr:`first`, one int of 2w bits, gmw's shifts or yao's
+    choice bits, 26 bytes at rule width 104
+    (:func:`~prelude.smpc.dealer.first_piece`).  It pads the querier's
+    first frame, which it sends before it learns k.  :meth:`material`
+    deals over k lanes once, under a lock, so the two parties may ask in
+    either order, taking :attr:`first` on the same stream.  It refuses,
+    with a ProtocolError naming both, a backend or rule width other than
+    the one :attr:`first` was drawn for, which a holder asks for when the
+    envelope's backend index was changed in transit, and a lane count
+    other than the one it dealt, which a querier asks for when the ack's
+    k was.  The transcript counts the querier's material once, when it
+    is dealt in full, so an empty session counts none.
     """
 
     def __init__(self, rng: random.Random, circuit, backend: str) -> None:
         self._rng = rng
         self._lock = threading.Lock()
-        self.first = dealer_for_circuit(circuit, backend, rng, lanes=0)[0]
+        self.backend, self.width = backend, circuit.width
+        self.first = first_piece(circuit, backend, rng)
         self._materials = None
         self.transcript = SessionTranscript()
 
     def material(self, circuit, backend: str, party: int, lanes: int):
-        if backend != self.first.backend:
+        if backend != self.backend:
             raise ProtocolError(f"{backend} material asked of a session "
-                                f"dealt for {self.first.backend}")
+                                f"dealt for {self.backend}")
+        if circuit.width != self.width:
+            raise ProtocolError(f"width {circuit.width} material asked of a "
+                                f"session dealt for width {self.width}")
         with self._lock:
             if self._materials is None:
                 self._materials = dealer_for_circuit(
                     circuit, backend, self._rng, lanes=lanes,
                     first=self.first, size=HOP_ID_BYTES)
             material = self._materials[party]
+            if material.lanes != lanes:
+                raise ProtocolError(f"{lanes}-lane material asked of a "
+                                    f"session dealt over {material.lanes} "
+                                    f"lanes")
             if party == 0:
                 self.transcript.setup_bytes += material.serialized_size
         return material
@@ -457,8 +473,8 @@ class LoopbackEndpoint:
         """Run one full query session; see module docstring for the flow."""
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        dealer = _SessionDealer(self._dealer_rng,
-                                query_template(local.width), backend)
+        template = query_template(local.width)
+        dealer = _SessionDealer(self._dealer_rng, template, backend)
         transcript = dealer.transcript
         try:
             raw, _, flights = run_pair(
@@ -475,7 +491,7 @@ class LoopbackEndpoint:
             stats_out.append(SessionStats(
                 k=k,
                 # the levels of the plan the backend ran
-                and_depth=len(dealer.first.levels) if k else 0,
+                and_depth=len(template.plan(backend)) if k else 0,
                 online_rounds=transcript.online_rounds,
                 flights=flights,
                 setup_bytes=transcript.setup_bytes,

@@ -97,11 +97,6 @@ class TernaryRule:
     def wildcard(cls, width: int) -> "TernaryRule":
         return cls(width, 0, 0)
 
-    def bit(self, i: int) -> tuple[int, int]:
-        """Return (mask_bit, pattern_bit) at bit position i, 0 = most significant."""
-        shift = self.width - 1 - i
-        return (self.mask >> shift) & 1, (self.pattern >> shift) & 1
-
 
 @dataclass(frozen=True)
 class Packet:
@@ -142,11 +137,6 @@ def intersect(r1: TernaryRule, r2: TernaryRule) -> Optional[TernaryRule]:
     if distinct(r1, r2):
         return None
     return TernaryRule(r1.width, r1.pattern | r2.pattern, r1.mask | r2.mask)
-
-
-def witness(rule: TernaryRule) -> Packet:
-    """Some packet matching the rule (don't-care bits set to 0)."""
-    return Packet(rule.width, rule.pattern)
 
 
 def encode(spec: FlowSpec) -> TernaryRule:

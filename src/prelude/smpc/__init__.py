@@ -18,9 +18,10 @@ Two interchangeable backends run the one comparator template
   than they save, the PRF is a fixed-key hash over every lane at once
   (:mod:`prelude.smpc.yao`).
 
-Under either backend the querier's first online frame, its word under a
-piece of dealer material that no lane count changes, goes out before it
-learns the lane count (:func:`first_steps`): gmw's shifted symbols or
+Under either backend the querier's first online frame goes out before it
+learns the lane count (:func:`first_steps`): its word under the one piece
+of its dealer material that no lane count changes, an int of 2w bits the
+dealer draws first (:func:`first_piece`), as gmw's shifted symbols or
 yao's masked label choices.
 
 Both then release to party 0, in one more round, one value per lane where
@@ -35,10 +36,11 @@ padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`) also
 carries yao's input labels.
 
 :func:`dealer_for_circuit` deals one run of the template, its level plan
-over ``lanes`` entries, and each party's :class:`DealerMaterial` holds that
-plan and its backend; every backend refuses material dealt for the other
-party, for the other backend or for another plan with a
-:class:`ValueError` naming both plans.  A run takes from its material
+over ``lanes`` entries, at least one, and each party's
+:class:`~prelude.smpc.dealer.DealerMaterial` holds that plan and its
+backend; every backend refuses material dealt for the other party, for
+the other backend or for another plan with a :class:`ValueError` naming
+both plans.  A run takes from its material
 what the material fixes: the lane count, and the size of the values a
 gmw release carries.
 
@@ -83,7 +85,7 @@ from prelude.smpc.channel import (
     run_pair,
     send_frame,
 )
-from prelude.smpc.dealer import DealerMaterial, dealer_for_circuit, first_steps
+from prelude.smpc.dealer import dealer_for_circuit, first_piece, first_steps
 from prelude.smpc.gmw import gmw_steps, reveal_steps
 from prelude.smpc.transcript import SessionTranscript, recorded
 from prelude.smpc.yao import (
@@ -96,7 +98,6 @@ from prelude.smpc.yao import (
 __all__ = [
     "ChannelClosed",
     "ChannelTimeout",
-    "DealerMaterial",
     "KIND_NAMES",
     "MSG_AND_OPENING",
     "MSG_ENVELOPE",
@@ -112,6 +113,7 @@ __all__ = [
     "drive",
     "encode_frame",
     "evaluate_steps",
+    "first_piece",
     "first_steps",
     "garble_steps",
     "gmw_steps",

@@ -39,15 +39,14 @@ other party, for the other backend or for another plan with a
 release takes its value size.
 
 The querier's first online frame does not depend on the lane count: its
-word under the piece of material that no lane count changes, one symbol
-per cell shifted by gmw's u or one bit per cross gate under yao's transfer
-choice bits d.  The dealer draws that piece first, and dealt over zero
-lanes a party's material is that piece alone: yao's pads come with the
-deal over k lanes, as gmw's other material does.  So the querier takes it
-and sends the frame (:func:`first_steps`) with its envelope, before it
-learns k, and the deal over k lanes then extends the same piece on the
-same stream.  The holder sees only shifted or padded symbols, as before;
-an aborted session wastes them.
+word under the one piece of its material that no lane count changes, one
+symbol per cell shifted by gmw's u or one bit per cross gate under yao's
+transfer choice bits d, an int of 2w bits either way
+(:func:`first_piece`).  The dealer draws that piece first, so the querier
+takes it and sends the frame (:func:`first_steps`) with its envelope,
+before it learns k, and the deal over k lanes then takes the same piece
+on the same stream.  The holder sees only shifted or padded symbols, as
+before; an aborted session wastes them.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
@@ -112,8 +111,17 @@ class DealerMaterial:
                     *mine, *theirs))
 
 
+def first_piece(circuit, backend: str, rng) -> int:
+    """Party 0's piece of a deal that no lane count changes, 2w bits from
+    ``rng``: gmw's shifts u, a symbol of Z3 per cell as two bit planes, or
+    yao's transfer choice bits d, one per cross gate."""
+    if backend == "gmw":
+        return draw_symbols(rng, circuit.width)
+    return rng.getrandbits(2 * circuit.width)
+
+
 def dealer_for_circuit(
-    circuit, backend: str, rng, lanes: int = 1, first=None,
+    circuit, backend: str, rng, lanes: int = 1, first: int | None = None,
     size: int = LABEL_BYTES,
 ) -> tuple[DealerMaterial, DealerMaterial]:
     """Deal one run of the template over ``lanes`` to parties 0 and 1.
@@ -129,34 +137,22 @@ def dealer_for_circuit(
     inputs costs each party 2^n - 1 bits per lane, and a transfer the
     sender two pads and the receiver one pad and its choice bit.
 
-    The material no lane count changes is drawn first: gmw's shifts u,
-    then yao's choice bits d.  Over zero lanes the deal is that alone.
-    ``first`` is party 0's material of such a zero-lane deal from ``rng``
-    for the same plan, which this deal then extends instead of drawing it
-    again, so that both deals together hand out what one deal over
-    ``lanes`` would have.
+    The querier's piece that no lane count changes, :func:`first_piece`,
+    is drawn first.  ``first`` is that piece, drawn already from ``rng``
+    for the same circuit and backend, which this deal then takes instead
+    of drawing it again, so that both draws together hand out what one
+    deal would have.
     """
     plan = circuit.plan(backend)
+    if lanes < 1:
+        raise ValueError("lanes must be positive")
+    if first is None:
+        first = first_piece(circuit, backend, rng)
     if backend == "gmw":
-        cells, fixed = circuit.width, 0
+        cells, fixed, u = circuit.width, 0, first
         tree = tuple(zip(plan[1:], circuit.arities, strict=True))
     else:
-        cells, tree, fixed, size = 0, (), plan[0], LABEL_BYTES
-    if lanes < 0:
-        raise ValueError("lanes must not be negative")
-    if first is None:
-        u = draw_symbols(rng, cells)
-        d = rng.getrandbits(fixed)
-    else:
-        first.check(0, circuit, backend)
-        u, d = first.lookup[0], first.transfer[0]
-    if not lanes:
-        w = circuit.width
-        return (DealerMaterial(backend, 0, w, plan, 0,
-                               (u, 0, pair_indicators(u, cells, 0)), (),
-                               (d, 0), size, (2 * cells + fixed + 7) // 8),
-                DealerMaterial(backend, 1, w, plan, 0, (0, 0), (), (0, 0),
-                               size, 0))
+        cells, tree, fixed, size, u = 0, (), plan[0], LABEL_BYTES, 0
 
     shares0, shares1 = [], []
     bits = 0
@@ -171,8 +167,8 @@ def dealer_for_circuit(
         shares1.append(share ^ products)
         bits += ((1 << arity) - 1) * slice_bits
     transfers = fixed or lanes
-    if not fixed:
-        d = rng.getrandbits(lanes)  # gmw's transfers, one per lane
+    # yao's choice bits are its first piece; gmw's, one per lane, come here
+    d = first if fixed else rng.getrandbits(lanes)
     choices, pads = transfer_material(d, transfers, rng, size)
     nb = (cells + 1) // 2 * lanes
     padded = rng.getrandbits(9 * nb)  # p[i, j] XOR r in slice 3 i + j
@@ -192,27 +188,25 @@ def dealer_for_circuit(
     )
 
 
-def first_steps(circuit, word: int, material: DealerMaterial):
-    """Querier: send its first online frame, its ``word`` under the piece
-    of ``material`` that no lane count changes.
+def first_steps(circuit, backend: str, word: int, piece: int):
+    """Querier: send its first online frame, its ``word`` under ``piece``,
+    its :func:`first_piece` for ``circuit`` and ``backend``.
 
     Under gmw the frame is the querier's shift s = x - u mod 3 of its
     symbols x, two bit planes of one bit per cell, and ValueError is raised
     for a word whose cell reads 3, pinned both ways; under yao it is its
     transfer choice bits masked by d, one bit per cross gate.  Either is
-    2w bits.  ``material`` is party 0's, dealt over any lane count, zero
-    included.
+    2w bits.
     """
-    material.check(0, circuit, material.backend)
     circuit.check_word(0, word, 1)
     w = circuit.width
-    if material.backend == "gmw":
+    if backend == "gmw":
         both = word & word >> w
         if both:
             raise ValueError(f"the querier's word reads symbol 3 at cell "
                              f"{both.bit_length() - 1}")
         kind = MSG_AND_OPENING
-        frame = symbol_difference(word, material.lookup[0], w)
+        frame = symbol_difference(word, piece, w)
     else:
-        kind, frame = MSG_INPUT_SHARE, word ^ material.transfer[0]
+        kind, frame = MSG_INPUT_SHARE, word ^ piece
     yield from send_frame(kind, frame.to_bytes((2 * w + 7) // 8, "little"))

@@ -27,14 +27,16 @@ def rule_inputs(q: TernaryRule, holders) -> tuple[int, int]:
 
 
 def reference_word(party: int, rules, width: int) -> int:
-    """The word bit by bit from ``TernaryRule.bit``: gate j < w
+    """The word bit by bit from the rules' masks and patterns, bit j
+    counted from the most significant: gate j < w
     reads the querier's pinned-one bit j and the holder's pinned-zero bit
     j, gate w + j the other two, and bit g k + i is gate g of lane i."""
     lanes = len(rules)
     word = 0
     for i, rule in enumerate(rules):
         for j in range(width):
-            mask, pattern = rule.bit(j)
+            shift = width - 1 - j
+            mask, pattern = rule.mask >> shift & 1, rule.pattern >> shift & 1
             one, zero = mask & pattern, mask & (1 - pattern)
             low, high = (one, zero) if party == 0 else (zero, one)
             word |= low << (j * lanes + i) | high << ((width + j) * lanes + i)

@@ -54,6 +54,7 @@ from prelude.smpc import (
     TcpChannel,
     dealer_for_circuit,
     drive,
+    first_piece,
     recorded,
     recv_frame,
     run_pair,
@@ -170,7 +171,7 @@ class TestRegistration:
         endpoint = fresh_endpoint(entries)
         result = endpoint.query(TernaryRule.wildcard(8), "p")
         assert result.hops == {hop}
-        assert len(result) == 1
+        assert len(result.hops) == 1
 
     def test_mixed_widths_under_one_prefix_are_rejected(self):
         narrow = make_entry(TernaryRule(4, 0, 0), 1, 65001)
@@ -340,7 +341,7 @@ class TestPrivacyMechanics:
         [raw] = raw_hops
         assert raw.count(DUMMY_HOP) == 2
         assert set(raw) - {DUMMY_HOP} == {overlapping.next_hop}
-        assert DUMMY_HOP not in result
+        assert DUMMY_HOP not in result.hops
 
     def test_shuffle_spreads_positions_uniformly(self, raw_hops):
         local = TernaryRule(8, 0, 0b11000000)
@@ -694,23 +695,24 @@ class TestSessionMechanics:
                 record(self, kind, n_bytes)
 
             monkeypatch.setattr(SessionTranscript, name, counting)
-        deals = []
-        deal = distinct_match.dealer_for_circuit
+        pieces, deals = [], []
+        for name, made in (("first_piece", pieces), ("dealer_for_circuit",
+                                                      deals)):
+            def making(*args, made=made,
+                       make=getattr(distinct_match, name), **kwargs):
+                made.append(make(*args, **kwargs))
+                return made[-1]
 
-        def dealing(*args, **kwargs):
-            deals.append(deal(*args, **kwargs))
-            return deals[-1]
-
-        monkeypatch.setattr(distinct_match, "dealer_for_circuit", dealing)
+            monkeypatch.setattr(distinct_match, name, making)
         transcripts = querier_transcripts(endpoint, monkeypatch)
         for prefix, k in (("10.0.0.0/8", 5), ("10.9.0.0/16", 0)):
-            del frames[:], calls[:], deals[:]
+            del frames[:], calls[:], pieces[:], deals[:]
             stats_out = []
             endpoint.query(random_rule(8, rng), prefix, backend=backend,
                            stats_out=stats_out)
             assert stats_out[0].k == k
-            # the zero-lane deal before the ack, then the deal over k lanes
-            assert len(deals) == 1 + (k > 0)
+            # the first piece before the ack, then the deal over k lanes
+            assert (len(pieces), len(deals)) == (1, k > 0)
             dealt = deals[-1][0].serialized_size if k else 0
             assert len(calls) == len(frames), prefix
             t_q = transcripts[-1]
@@ -809,12 +811,13 @@ class TestSessionMechanics:
         dealer = distinct_match._SessionDealer(random.Random(9), template,
                                                backend)
         first = dealer.first
-        assert (first.party, first.lanes) == (0, 0)
+        # one int of 2w bits
+        assert 0 <= first < 1 << 2 * 8
         dealer.material(template, backend, 1, 5)
         full = dealer.material(template, backend, 0, 5)
         # the first pad is gmw's shifts u, or yao's choice bits d
         piece = "lookup" if backend == "gmw" else "transfer"
-        assert getattr(first, piece)[0] == getattr(full, piece)[0] != 0
+        assert first == getattr(full, piece)[0] != 0
         # the draws are those of session order
         in_order = distinct_match._SessionDealer(random.Random(9), template,
                                                  backend)
@@ -985,6 +988,41 @@ class TestSingleFrameFaults:
                                      f"dealt for {backend}")
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("told", [3, 27])
+    def test_an_ack_with_another_k_aborts_naming_both_counts(
+            self, monkeypatch, backend, told):
+        # The ack's first two bytes are k.  The holder dealt the session
+        # over its 19 entries; a querier told another k asks the session's
+        # dealer for that many lanes, which it refuses.
+        rng = random.Random(71)
+        entries = [make_entry(random_rule(8, rng), 2, 700 + i)
+                   for i in range(19)]
+        endpoint = fresh_endpoint(entries)
+
+        def retell(index, kind, payload):
+            if kind == MSG_ENVELOPE_ACK:
+                payload = struct.pack(">H", told) + payload[2:]
+            return kind, payload
+
+        changing_frames(monkeypatch, retell)
+        with pytest.raises(QueryAborted) as caught:
+            endpoint.query(random_rule(8, rng), "10.0.0.0/8",
+                           backend=backend)
+        assert isinstance(caught.value.__cause__, ProtocolError)
+        assert str(caught.value) == (f"{told}-lane material asked of a "
+                                     f"session dealt over 19 lanes")
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_a_session_dealer_refuses_another_width(self, backend):
+        # The session's dealer drew the querier's first piece for width 8,
+        # so material of any other width would not fit it.
+        dealer = distinct_match._SessionDealer(
+            random.Random(3), distinct_match.query_template(8), backend)
+        with pytest.raises(ProtocolError, match=(
+                "^width 4 material asked of a session dealt for width 8$")):
+            dealer.material(distinct_match.query_template(4), backend, 1, 3)
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
     @pytest.mark.parametrize("k", [0, yao.LABEL_KEYED_LANES - 1,
                                    yao.LABEL_KEYED_LANES])
     def test_a_fault_in_one_frame_ends_by_its_cause(self, monkeypatch,
@@ -997,8 +1035,8 @@ class TestSingleFrameFaults:
         # any frame but the envelope, whose prefix may take any length,
         # aborts the query from a ProtocolError or ChannelClosed, and any
         # other change ends in an answer or such an abort.  At k = 0 the
-        # holder leaves the querier's first frame unread, so a change to it
-        # leaves the answer as it was.
+        # holder reads the querier's first frame but computes nothing on
+        # it, so a flipped bit there leaves the answer as it was.
         rng = random.Random(180 + k)
         width = 8
         service = SdxMatchService(sdx_id=2)
@@ -1048,10 +1086,9 @@ class TestSingleFrameFaults:
                     assert isinstance(exc.__cause__,
                                       (ProtocolError, ChannelClosed)), where
                     continue
+                assert index == 0 or name not in _RESIZES, where
                 if k == 0 and index == 1:
                     assert result == clean, where
-                else:
-                    assert index == 0 or name not in _RESIZES, where
 
 
 # --------------------------------------------------------------------------
@@ -1151,13 +1188,17 @@ class TestLaneSessions:
         # Every draw all ones but the first, the shifts' low plane, so that
         # every shift reads 2: the material stays consistent, so the
         # session still answers, and the words show their exact widths.
-        # The querier's shifts come from the same dealer, dealt over zero
-        # lanes before the ack.
+        # The querier's shifts come from the same dealer, drawn as its
+        # first piece before the ack.
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
         draws = iter([0])
         shifted = SimpleNamespace(
             getrandbits=lambda n: next(draws, (1 << n) - 1))
-        materials = []
+        pieces, materials = [], []
+
+        def drawing(circuit, backend, rng):
+            pieces.append(first_piece(circuit, backend, shifted))
+            return pieces[-1]
 
         def recording(circuit, backend, rng, lanes=1, **kwargs):
             pair = dealer_for_circuit(circuit, backend, shifted, lanes,
@@ -1165,6 +1206,7 @@ class TestLaneSessions:
             materials.extend(pair)
             return pair
 
+        monkeypatch.setattr(distinct_match, "first_piece", drawing)
         monkeypatch.setattr(distinct_match, "dealer_for_circuit", recording)
         rng = random.Random(width * k)
         entries = [make_entry(random_rule(width, rng), 5, 500 + i)
@@ -1181,8 +1223,8 @@ class TestLaneSessions:
         # share; each tree gate of n inputs 2^n − 1 mask products per
         # entry, and the release one transfer of a 6-byte identifier per
         # entry
-        early, _, querier, holder = materials
-        assert (early.lanes, early.lookup[0]) == (0, querier.lookup[0])
+        querier, holder = materials
+        assert pieces == [querier.lookup[0]]
         nb = width // 2 * k
         # p[2, 2] XOR r XOR r, all ones thrice
         assert querier.lookup[:2] == (ones.getrandbits(width) << width, 0)
@@ -1247,7 +1289,7 @@ class TestLaneSessions:
         for backend in ("gmw", "yao"):
             result = endpoint.query(entries[0].rule, "10.0.0.0/8",
                                     backend=backend)
-            assert entries[0].next_hop in result
+            assert entries[0].next_hop in result.hops
         sizes = [size for _, _, size in frames]
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 

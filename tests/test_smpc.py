@@ -40,6 +40,7 @@ from prelude.smpc import (
     drive,
     encode_frame,
     evaluate_steps,
+    first_piece,
     first_steps,
     garble_steps,
     gmw_steps,
@@ -187,7 +188,8 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
     """
     lanes = mat.lanes
     if party == 0:
-        yield from first_steps(circuit, inputs, mat)
+        piece = mat.lookup[0] if backend == "gmw" else mat.transfer[0]
+        yield from first_steps(circuit, backend, inputs, piece)
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat)
         if party == 1:
@@ -627,6 +629,28 @@ class TestDealer:
                         want &= masks[i]
                 assert products[subset] == want, (gates, subset)
 
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("width", [1, 4, 104])
+    def test_a_deal_taking_its_first_piece_equals_one_deal(self, backend,
+                                                           width):
+        # The querier's first piece is what a deal draws first, so a deal
+        # that takes it, drawn already, hands out exactly what one deal
+        # from the same seed does.  No deal spans zero lanes.
+        circuit = build_batch_query(width)
+        rng = random.Random(40 + width)
+        piece = first_piece(circuit, backend, rng)
+        assert 0 <= piece < 1 << 2 * width
+        split = dealer_for_circuit(circuit, backend, rng, lanes=3,
+                                   first=piece, size=6)
+        assert split == dealer_for_circuit(circuit, backend,
+                                           random.Random(40 + width),
+                                           lanes=3, size=6)
+        mat0 = split[0]
+        assert piece == (mat0.lookup[0] if backend == "gmw"
+                         else mat0.transfer[0])
+        with pytest.raises(ValueError, match="lanes must be positive"):
+            dealer_for_circuit(circuit, backend, rng, lanes=0, first=piece)
+
     def test_transfer_material_is_consistent(self):
         # yao's 8 transfers at width 4, one per querier input
         mat0, mat1 = dealer_for_circuit(build_batch_query(4), "yao",
@@ -827,7 +851,7 @@ class TestGmw:
         circuit = build_batch_query(4)
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(2))
         with pytest.raises(ValueError, match="reads symbol 3 at cell 2"):
-            next(first_steps(circuit, 0b0100_0100, mat0))
+            next(first_steps(circuit, "gmw", 0b0100_0100, mat0.lookup[0]))
 
     def test_the_holder_refuses_a_shift_frame_reading_3(self):
         # Cell 1 of a forged shift frame has both planes set.  The holder
