@@ -26,6 +26,20 @@ table (:meth:`ControlPlane.query`); only a remote query over the ``smpc``
 transport runs a two-party session instead, and it gives the same answer.
 The rule and prefix are fixed during a walk and no table changes while it
 runs, so a walk asks each exchange once and reuses that answer.
+
+A rule's re-walks, after a removal notice or a BGP update, ask many
+tables that have not changed since its last walk.  So over ``smpc`` each
+registry record keeps the last answer every remote exchange gave it, with
+that table's tag, and asks with it (:meth:`ControlPlane.query`).  A holder
+whose tag still matches ends the session after its ack, and the walk
+takes the answer it holds, which is exact, as an answer depends only on
+the rule and the table.  The answers die with their record, so the
+registry bounds them: at most one per other exchange.  Privacy: the
+querier learns only whether a table changed between two of its own
+queries, not how often, since each change draws a fresh random tag.  The
+holder learns that a query repeats one it answered under its current
+table, never the rule, and still logs ``query_served`` with only the
+prefix, its table size and the asking exchange.
 """
 
 from __future__ import annotations
@@ -43,9 +57,11 @@ from .bgpsim import (
 )
 from .distinct_match import (
     BACKENDS,
+    NO_ANSWER,
     LoopbackEndpoint,
     NextHopId,
     QueryAborted,
+    QueryResult,
     RuleEntry,
     SdxMatchService,
 )
@@ -308,6 +324,23 @@ class RegistryEntry:
     active: bool = False
     queried: frozenset[int] = frozenset()
     subscribers: set[int] = field(default_factory=set)
+    # each remote exchange's last answer over smpc, with its table tag
+    answers: dict[int, QueryResult] = field(default_factory=dict)
+
+
+class _RecordView:
+    """The plane as one record's walk sees it: remote queries go through
+    the record's cached answers."""
+
+    def __init__(self, plane: "ControlPlane", record: RegistryEntry) -> None:
+        self.path, self.sites_of = plane.path, plane.sites_of
+        self.members = plane.members
+        self._plane, self._answers = plane, record.answers
+
+    def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
+              prefix: str):
+        return self._plane.query(origin_sdx, target_sdx, rule, prefix,
+                                 answers=self._answers)
 
 
 # --------------------------------------------------------------------------
@@ -364,8 +397,8 @@ class SdxNode:
         return verdict
 
     def _verify(self, record: RegistryEntry) -> Verdict:
-        exploration = explore_deflection(self.plane, record.policy,
-                                         record.budget)
+        exploration = explore_deflection(_RecordView(self.plane, record),
+                                         record.policy, record.budget)
         record.queried = exploration.queried - {self.sdx_id}
         return verdict_of(exploration, rule_id=record.rule_id)
 
@@ -497,7 +530,13 @@ class ControlPlane(SiteView):
         validate_policy(policy, self.sites, rib)
 
     def query(self, origin_sdx: int, target_sdx: int, rule: TernaryRule,
-              prefix: str):
+              prefix: str, *, answers: dict[int, QueryResult] | None = None):
+        """The target's answer about `rule`, or None if its session aborted.
+
+        `answers`, a registry record's cache, holds the target's last
+        answer to that record over smpc; a session whose table tag still
+        matches it reuses it, and a full one replaces it.
+        """
         self.nodes[origin_sdx].log(
             "query_sent", {"target": target_sdx, "prefix": prefix})
         node = self.nodes[target_sdx]
@@ -505,10 +544,14 @@ class ControlPlane(SiteView):
         local = origin_sdx == target_sdx
         if self.transport == "smpc" and not local:
             try:
-                result = node.endpoint.query(rule, prefix,
-                                             backend=self.backend)
+                result = node.endpoint.query(
+                    rule, prefix, backend=self.backend,
+                    cached=None if answers is None
+                    else answers.get(target_sdx, NO_ANSWER))
             except QueryAborted:
                 return None
+            if answers is not None:
+                answers[target_sdx] = result
             answer = [(hop, None) for hop in result.hops]
         else:
             answer = table_answer(entries, rule, local)

@@ -23,15 +23,31 @@ Session flow, all on one framed channel:
    not UTF-8, or the width differs from its table's, and leaves the
    padded frame unread; it would tell it nothing.  A gmw holder that
    runs the circuit refuses the frame with a ProtocolError if a cell
-   reads the unused symbol 3;
+   reads the unused symbol 3.  A querier that keeps answers sends a
+   *tagged* envelope: the backend index's flag bit 0x80 set, and the
+   header followed by the table tag of the answer it holds for this rule
+   and prefix (0 for none) as 8 bytes and the prefix's length in bytes
+   as 2, which the holder checks against the frame;
 2. holder answers with a 3-byte ack: its entry count k for the prefix as
-   2 bytes and its identifier width in bits as 1.  The querier aborts
-   with a ProtocolError naming the fault if the ack is not 3 bytes, k
-   exceeds ``MAX_ENTRIES`` or the identifier width is not its own; a
-   holder whose table exceeds ``MAX_ENTRIES`` refuses the query itself.
+   2 bytes and its identifier width in bits as 1, and a tagged envelope
+   with an 11-byte ack that adds its table tag for the prefix as 8
+   (:class:`SdxMatchService`).  The querier aborts with a ProtocolError
+   naming the fault if the ack is not of its size, k exceeds
+   ``MAX_ENTRIES`` or the identifier width is not its own; a holder
+   whose table exceeds ``MAX_ENTRIES`` refuses the query itself.
    k == 0 ends the session with an empty result and no circuit work,
    once the holder has read the querier's first frame, which must be of
-   its backend's kind and 2w bits long;
+   its backend's kind and 2w bits long.  So does a *hit*, an envelope
+   tag equal to the holder's: the querier sees the same tag in the ack
+   and keeps the answer it holds, which is exact, since an answer
+   depends only on the rule and the table.  If a fault in either tag
+   makes the two sides disagree about a hit, the side that goes on
+   waits for a party that has ended, and the session aborts.  A tag
+   tells the querier only whether the table changed between two of its
+   own queries, not how often, since each change draws a fresh random
+   tag; a prefix never registered has a fixed tag of its own.  It tells
+   the holder that a session repeats one it answered under its current
+   table, never the rule;
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
@@ -92,10 +108,13 @@ the holder.
 from __future__ import annotations
 
 import logging
+import os
 import random
 import struct
 import threading
 from dataclasses import dataclass
+
+import _hashlib
 
 from prelude.circuits import BatchQueryCircuit, build_batch_query
 from prelude.rules import TernaryRule
@@ -136,9 +155,14 @@ BACKENDS = ("gmw", "yao")
 
 # The envelope's header, the rule width and the backend's index in
 # BACKENDS, before the prefix in UTF-8; the ack, k and the identifier width
-# in bits.
+# in bits.  A tagged envelope sets the flag bit of the index and follows
+# its header with the querier's table tag and the prefix's length in
+# bytes; its ack adds the holder's table tag.
 _ENVELOPE = struct.Struct(">IB")
 _ACK = struct.Struct(">HB")
+_TAGGED = 0x80
+_TAG = struct.Struct(">QH")
+_TAGGED_ACK = struct.Struct(">HBQ")
 
 # The largest k a querier accepts in the envelope ack, which it sizes its
 # dealer material from before anything else checks it.  This is about 8x the
@@ -187,11 +211,18 @@ class RuleEntry:
             raise ValueError("the dummy identifier cannot be a real next hop")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryResult:
-    """Deduplicated next-hop identifiers of the overlapping remote rules."""
+    """Deduplicated next-hop identifiers of the overlapping remote rules,
+    and the holder's table tag when the session was tagged, else 0."""
 
     hops: frozenset[NextHopId]
+    tag: int = 0
+
+
+# The answer a querier holds before it has asked: no table's tag is 0, so
+# a query passing it as cached runs a tagged session in full.
+NO_ANSWER = QueryResult(frozenset())
 
 
 class QueryAborted(Exception):
@@ -210,6 +241,9 @@ class SessionStats:
     setup_bytes: int
     online_bytes: int
     online_wall_time: float
+    # the holder's table tag matched the querier's, so the session ended
+    # after the ack with the answer the querier held
+    reused: bool
 
 
 # --------------------------------------------------------------------------
@@ -229,30 +263,48 @@ def query_template(rule_width: int) -> BatchQueryCircuit:
     return template
 
 
-def _parse_envelope(payload: bytes) -> tuple[str, int, str]:
-    """(prefix, rule width, backend) of a querier's envelope.
+def _parse_envelope(payload: bytes) -> tuple[str, int, str, int | None]:
+    """(prefix, rule width, backend, tag) of a querier's envelope, the tag
+    None for an untagged one.
 
     Raises ProtocolError naming the fault for a payload shorter than its
-    header, a rule width of 0, an unknown backend index or a prefix that is
-    not UTF-8.
+    header, a rule width of 0, an unknown backend index, a tagged prefix
+    of another length than its header says or a prefix that is not UTF-8.
     """
     if len(payload) < _ENVELOPE.size:
         raise ProtocolError(f"envelope of {len(payload)} bytes is shorter "
                             f"than its {_ENVELOPE.size}-byte header")
     width, index = _ENVELOPE.unpack_from(payload)
+    start, tag = _ENVELOPE.size, None
+    if index & _TAGGED:
+        index ^= _TAGGED
+        start += _TAG.size
+        if len(payload) < start:
+            raise ProtocolError(f"tagged envelope of {len(payload)} bytes is "
+                                f"shorter than its {start}-byte header")
+        tag, length = _TAG.unpack_from(payload, _ENVELOPE.size)
+        if len(payload) - start != length:
+            raise ProtocolError(f"tagged envelope prefix of "
+                                f"{len(payload) - start} bytes, its header "
+                                f"says {length}")
     if not width:
         raise ProtocolError("envelope rule width 0 is not positive")
     if index >= len(BACKENDS):
         raise ProtocolError(f"envelope names unknown backend index {index}")
     try:
-        prefix = payload[_ENVELOPE.size:].decode("utf-8")
+        prefix = payload[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"envelope prefix is not UTF-8: {exc}") from None
-    return prefix, width, BACKENDS[index]
+    return prefix, width, BACKENDS[index], tag
 
 
 # --------------------------------------------------------------------------
 # holder
+
+
+def _new_tag() -> int:
+    """A fresh table tag: 64 random bits, never 0."""
+    return int.from_bytes(os.urandom(8), "big") or 1
 
 
 class SdxMatchService:
@@ -267,6 +319,12 @@ class SdxMatchService:
     serialized behind a lock; queries snapshot the table and then run
     without holding it, so a slow session never blocks writers or other
     queries.
+
+    Each prefix's table has an opaque 64-bit tag, drawn afresh and
+    non-zero on every registration and deregistration under it.  A prefix
+    never registered here has a fixed tag, keyed by a secret of the
+    service, so no two prefixes' tags can be told to match.  A tagged
+    session whose querier names the current tag ends after the ack.
     """
 
     def __init__(self, sdx_id: int) -> None:
@@ -274,6 +332,8 @@ class SdxMatchService:
         self._lock = threading.RLock()
         self._tables: dict[str, dict[RuleEntry, tuple[str, bytes]]] = {}
         self._registrations: dict[RuleEntry, int] = {}
+        self._tags: dict[str, int] = {}
+        self._key = os.urandom(16)
 
     # -------------------------------------------------------- table writes
 
@@ -296,6 +356,7 @@ class SdxMatchService:
                 row = query_template(entry.rule.width).row(1, entry.rule)
                 table[entry] = (row, entry.next_hop.to_bytes())
             self._registrations[entry] = count + 1
+            self._tags[entry.prefix] = _new_tag()
 
     def deregister(self, entry: RuleEntry) -> None:
         """Drop one registration of an entry, and the entry with its last."""
@@ -303,14 +364,26 @@ class SdxMatchService:
             count = self._registrations.pop(entry, 0)
             if not count:
                 log.warning("deregister of unknown entry for %s", entry.prefix)
-            elif count > 1:
+                return
+            if count > 1:
                 self._registrations[entry] = count - 1
             else:
                 del self._tables[entry.prefix][entry]
+            self._tags[entry.prefix] = _new_tag()
 
     def entries_for(self, prefix: str) -> list[RuleEntry]:
         with self._lock:
             return list(self._tables.get(prefix, {}))
+
+    def _tag(self, prefix: str) -> int:
+        """The prefix's table tag; the caller holds the lock."""
+        tag = self._tags.get(prefix)
+        if tag is None:
+            # HMAC-SHA256 of the prefix under the service's key, from the
+            # OpenSSL binding the AES of prelude.smpc already loads
+            tag = int.from_bytes(_hashlib.hmac_digest(
+                self._key, prefix.encode("utf-8"), "sha256")[:8], "big") or 1
+        return tag
 
     # -------------------------------------------------------- query serving
 
@@ -322,12 +395,13 @@ class SdxMatchService:
         """Step generator of :meth:`serve_query`; ``rng`` shuffles the
         entries and, under yao, garbles."""
         payload = yield from recv_frame(MSG_ENVELOPE)
-        prefix, width, backend = _parse_envelope(payload)
+        prefix, width, backend, tag = _parse_envelope(payload)
 
         with self._lock:
             table = self._tables.get(prefix, {})
             held = next(iter(table)).rule.width if table else width
             prepared = list(table.values())
+            current = self._tag(prefix)
         if held != width:
             raise ProtocolError(
                 f"query rule width {width} does not match the table's rule "
@@ -336,9 +410,13 @@ class SdxMatchService:
         if k > MAX_ENTRIES:
             raise ProtocolError(f"table of {k} entries under {prefix} "
                                 f"exceeds the cap of {MAX_ENTRIES} entries")
-        yield from send_frame(MSG_ENVELOPE_ACK, _ACK.pack(k, HOP_ID_BITS))
-        if k == 0:
-            # so that a faulty first frame aborts and none stays queued
+        yield from send_frame(MSG_ENVELOPE_ACK, _ACK.pack(k, HOP_ID_BITS)
+                              if tag is None
+                              else _TAGGED_ACK.pack(k, HOP_ID_BITS, current))
+        if k == 0 or tag == current:
+            # An empty table, or one whose answer the querier holds.  Read
+            # the first frame so that a faulty one aborts and none stays
+            # queued.
             yield from recv_exact(
                 MSG_AND_OPENING if backend == "gmw" else MSG_INPUT_SHARE,
                 (2 * width + 7) // 8)
@@ -365,31 +443,45 @@ class SdxMatchService:
 # querier
 
 
-def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer):
+def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
+                   held: int | None = None):
     """The querier's side of one session; returns the k released values,
-    6 bytes each, the dummy's included."""
+    6 bytes each, the dummy's included, and the holder's table tag, 0 for
+    an untagged session.  ``held``, the tag of the answer the querier
+    holds (0 for none), makes the session tagged, and an ack with that
+    same tag ends it with None for the values."""
     template = query_template(local.width)
     word = template.word(0, [local])
-    header = _ENVELOPE.pack(local.width, BACKENDS.index(backend))
-    yield from send_frame(MSG_ENVELOPE, header + prefix.encode("utf-8"))
+    index = BACKENDS.index(backend)
+    encoded = prefix.encode("utf-8")
+    if held is None:
+        header, ack = _ENVELOPE.pack(local.width, index), _ACK
+    else:
+        header = (_ENVELOPE.pack(local.width, index | _TAGGED)
+                  + _TAG.pack(held, len(encoded)))
+        ack = _TAGGED_ACK
+    yield from send_frame(MSG_ENVELOPE, header + encoded)
     yield from first_steps(template, backend, word, dealer.first)
-    k, id_width = _ACK.unpack(
-        (yield from recv_exact(MSG_ENVELOPE_ACK, _ACK.size)))
+    k, id_width, *tag = ack.unpack(
+        (yield from recv_exact(MSG_ENVELOPE_ACK, ack.size)))
+    tag = tag[0] if tag else 0
     if k > MAX_ENTRIES:
         raise ProtocolError(
             f"envelope ack k {k} exceeds the cap of {MAX_ENTRIES} entries")
     if id_width != HOP_ID_BITS:
         raise ProtocolError(
             f"holder uses an incompatible identifier width {id_width}")
+    if tag == held:
+        return None, tag
     if k == 0:
-        return []
+        return [], tag
 
     material = dealer.material(template, backend, 0, k)
     if backend == "gmw":
         shares = yield from gmw_steps(template, 0, word, material)
-        return (yield from reveal_steps(shares, material, receive=True))
+        return (yield from reveal_steps(shares, material, receive=True)), tag
     sums = yield from evaluate_steps(template, word, material)
-    return (yield from open_steps(sums, k, _DUMMY_BYTES))
+    return (yield from open_steps(sums, k, _DUMMY_BYTES)), tag
 
 
 class _SessionDealer:
@@ -452,7 +544,8 @@ class LoopbackEndpoint:
     and the holder's, which shuffles and garbles.  So a seeded endpoint
     produces reproducible sessions when queries are issued serially, an
     aborted one included.  A session's envelope is 5 bytes and its
-    prefix, and the ack 3 bytes.
+    prefix, and the ack 3 bytes; a tagged session's are 15 bytes and its
+    prefix, and 11 bytes.
     """
 
     def __init__(self, service: SdxMatchService, seed: int = 0,
@@ -469,17 +562,26 @@ class LoopbackEndpoint:
         prefix: str,
         backend: str = "gmw",
         stats_out: list[SessionStats] | None = None,
+        *,
+        cached: QueryResult | None = None,
     ) -> QueryResult:
-        """Run one full query session; see module docstring for the flow."""
+        """Run one query session; see module docstring for the flow.
+
+        ``cached`` is a tagged answer this holder gave for the same rule and
+        prefix, or :data:`NO_ANSWER`.  It makes the session tagged, and the
+        session returns ``cached`` itself, with no circuit work, if the
+        table's tag is still the one ``cached`` carries.
+        """
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
         template = query_template(local.width)
         dealer = _SessionDealer(self._dealer_rng, template, backend)
         transcript = dealer.transcript
         try:
-            raw, _, flights = run_pair(
-                recorded(_querier_steps(local, prefix, backend, dealer),
-                         transcript),
+            (raw, tag), _, flights = run_pair(
+                recorded(_querier_steps(
+                    local, prefix, backend, dealer,
+                    None if cached is None else cached.tag), transcript),
                 self.service.serve_steps(dealer, self._holder_rng),
                 self._delay)
         except Exception as exc:
@@ -487,7 +589,7 @@ class LoopbackEndpoint:
             raise QueryAborted(str(exc)) from exc
 
         if stats_out is not None:
-            k = len(raw)
+            k = 0 if raw is None else len(raw)
             stats_out.append(SessionStats(
                 k=k,
                 # the levels of the plan the backend ran
@@ -497,6 +599,10 @@ class LoopbackEndpoint:
                 setup_bytes=transcript.setup_bytes,
                 online_bytes=transcript.online_bytes,
                 online_wall_time=transcript.online_wall_time,
+                reused=raw is None,
             ))
+        if raw is None:
+            return cached
         return QueryResult(frozenset(NextHopId.from_bytes(value)
-                                     for value in set(raw) - {_DUMMY_BYTES}))
+                                     for value in set(raw) - {_DUMMY_BYTES}),
+                           tag)

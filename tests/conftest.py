@@ -17,9 +17,9 @@ def raw_hops(monkeypatch) -> list[list[NextHopId]]:
     querier_steps = distinct_match._querier_steps
 
     def capturing(*args):
-        raw = yield from querier_steps(*args)
+        raw, tag = yield from querier_steps(*args)
         sessions.append([NextHopId.from_bytes(value) for value in raw])
-        return raw
+        return raw, tag
 
     monkeypatch.setattr(distinct_match, "_querier_steps", capturing)
     return sessions

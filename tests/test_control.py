@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -22,6 +24,7 @@ from prelude.bgpsim import (
 from prelude.control import (
     ACCEPT,
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET,
     ControlPlane,
     LOOP_DETECTED,
     QUERY_FAILED,
@@ -30,6 +33,7 @@ from prelude.control import (
     StaticMatchView,
     Verdict,
     explore_deflection,
+    rule_entry,
     sidr_baseline,
     verdict_of,
 )
@@ -676,6 +680,75 @@ class TestAnswerSources:
                     else:
                         assert len(hops) == len(set(hops))
                         assert set(owners) <= {None}
+
+
+# --------------------------------------------------------------------------
+# answers a rule keeps between its walks
+
+
+class TestCachedAnswers:
+    def test_a_removed_rule_takes_its_cached_answers_with_it(self):
+        fx = two_exchange_fixture()
+        plane = fixture_plane("smpc", seed=11)
+        policy = fx.deflect_b_to_a
+        verdict = plane.install(policy)
+        record = plane.nodes[policy.sdx_id].registry[verdict.rule_id]
+        # one answer per remote exchange the walk asked, none of its own
+        assert set(record.answers) == record.queried == {2}
+        assert record.answers[2].tag != 0
+        dropped = weakref.ref(record)
+        del record
+        assert plane.remove(policy.owner, verdict.rule_id)
+        gc.collect()
+        assert dropped() is None
+
+    def test_plaintext_queries_keep_no_answers(self):
+        fx = two_exchange_fixture()
+        plane = fixture_plane("direct")
+        verdict = plane.install(fx.deflect_b_to_a)
+        record = plane.nodes[fx.deflect_b_to_a.sdx_id].registry[
+            verdict.rule_id]
+        assert record.queried == {2} and record.answers == {}
+
+
+class TestRemovalMonotonicity:
+    def test_a_safe_walk_stays_safe_on_every_subset_of_its_entries(self):
+        # Removing entries only shrinks answers, and a walk's search is
+        # monotone in its answers, so a removal never turns a SAFE walk
+        # into a rejection.  The entries are those a plane keeps active
+        # after installing 60 policies, and every policy of the pool is
+        # walked against them and against seeded subsets of them.
+        turned = 0
+        for seed in (1, 2, 3):
+            plane, pool = generated_plane(seed)
+            for policy in pool:
+                try:
+                    plane.install(policy)
+                except PolicyError:
+                    continue
+            entries = plane.active_entries()
+            ribs = {policy.prefix: plane.rib(policy.prefix)
+                    for policy in pool}
+            rng = random.Random(seed)
+            safe = 0
+            for policy in pool:
+                full = explore_deflection(
+                    StaticMatchView(plane.sites, ribs, entries),
+                    policy, DEFAULT_BUDGET).status
+                safe += full == SAFE
+                for keep in (0.0, 0.25, 0.5, 0.75, 0.9):
+                    subset = {sdx_id: [e for e in table
+                                       if rng.random() < keep]
+                              for sdx_id, table in entries.items()}
+                    status = explore_deflection(
+                        StaticMatchView(plane.sites, ribs, subset),
+                        policy, DEFAULT_BUDGET).status
+                    if full == SAFE:
+                        assert status == SAFE, (seed, policy, keep)
+                    turned += status != full
+            assert safe, seed
+        # the subsets do change verdicts, only never away from SAFE
+        assert turned
 
 
 # --------------------------------------------------------------------------

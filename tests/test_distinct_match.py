@@ -20,6 +20,7 @@ from prelude import distinct_match
 from prelude.distinct_match import (
     DUMMY_HOP,
     MAX_ENTRIES,
+    NO_ANSWER,
     LoopbackEndpoint,
     NextHopId,
     QueryAborted,
@@ -471,13 +472,23 @@ class TestPrivacyMechanics:
         (b"[1, 2]", "unknown backend index 50"),
         (b'{"prefix": "10.0.0.0/8", "rule_width": 8, "backend": "gmw"}',
          "unknown backend index 101"),
+        # a tagged envelope: the index's flag bit set, then the tag and the
+        # prefix's length in bytes
+        pytest.param(struct.pack(">IBQ", 8, 0x80, 1), "tagged envelope of "
+                     "13 bytes is shorter than its 15-byte header",
+                     id="tagged-short-header"),
+        pytest.param(struct.pack(">IBQH", 8, 0x80, 1, 9) + b"10.0.0.0/8",
+                     "tagged envelope prefix of 10 bytes, its header says 9",
+                     id="tagged-prefix-length"),
+        pytest.param(struct.pack(">IBQH", 8, 0x82, 1, 10) + b"10.0.0.0/8",
+                     "unknown backend index 2", id="tagged-backend-2"),
     ])
     def test_malformed_envelope_aborts_naming_its_cause(self, monkeypatch,
                                                         payload, cause):
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
 
-        def sends_payload(local, prefix, backend, dealer):
+        def sends_payload(local, prefix, backend, dealer, held):
             yield from send_frame(MSG_ENVELOPE, payload)
             yield from recv_frame(MSG_ENVELOPE_ACK)
             return []
@@ -495,7 +506,7 @@ class TestPrivacyMechanics:
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
         endpoint = fresh_endpoint([entry])
 
-        def sends_a_3(local, prefix, backend, dealer):
+        def sends_a_3(local, prefix, backend, dealer, held):
             yield from send_frame(MSG_ENVELOPE, struct.pack(">IB", 8, 0)
                                   + b"10.0.0.0/8")
             yield from send_frame(MSG_AND_OPENING,
@@ -834,7 +845,7 @@ class TestSessionMechanics:
             dealer = distinct_match._SessionDealer(random.Random(seed),
                                                    template, backend)
             dealer.material(template, backend, 1, len(entries))
-            raw, _, _ = run_pair(
+            (raw, _), _, _ = run_pair(
                 distinct_match._querier_steps(local, entries[0].prefix,
                                               backend, dealer),
                 service.serve_steps(dealer, random.Random(seed)))
@@ -893,7 +904,7 @@ class TestSessionMechanics:
         thread = threading.Thread(target=serve)
         thread.start()
         try:
-            raw = drive(recorded(distinct_match._querier_steps(
+            raw, _ = drive(recorded(distinct_match._querier_steps(
                 local, "10.0.0.0/8", backend, dealer),
                 dealer.transcript), querier)
         finally:
@@ -924,6 +935,119 @@ class TestSessionMechanics:
             took = time.monotonic() - start
             assert stats_out[0].flights == flights
             assert took >= flights * delay, backend
+
+
+# --------------------------------------------------------------------------
+# table tags
+
+
+class TestTableTags:
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_an_unchanged_table_ends_the_session_after_its_ack(
+            self, monkeypatch, backend):
+        rng = random.Random(251)
+        entries = [make_entry(random_rule(8, rng), 2, 250 + i)
+                   for i in range(5)]
+        endpoint = fresh_endpoint(entries)
+        local = entries[0].rule
+        deals = []
+        deal = distinct_match.dealer_for_circuit
+        monkeypatch.setattr(distinct_match, "dealer_for_circuit",
+                            lambda *args, **kwargs: deals.append(1)
+                            or deal(*args, **kwargs))
+        stats = []
+        first = endpoint.query(local, "10.0.0.0/8", backend, stats,
+                               cached=NO_ANSWER)
+        assert first.hops == {e.next_hop for e in entries
+                              if overlaps(local, e.rule)}
+        assert first.tag != 0 and len(deals) == 1
+        shuffles = endpoint._holder_rng.getstate()
+        again = endpoint.query(local, "10.0.0.0/8", backend, stats,
+                               cached=first)
+        # no deal, no shuffle, and the answer held returned as it was
+        assert again is first and len(deals) == 1
+        assert endpoint._holder_rng.getstate() == shuffles
+        assert [s.reused for s in stats] == [False, True]
+        assert (stats[1].k, stats[1].and_depth) == (0, 0)
+        # the exit an empty table takes, in the same rounds and flights
+        endpoint.query(local, "10.9.0.0/16", backend, stats, cached=NO_ANSWER)
+        assert not stats[2].reused
+        assert (stats[1].online_rounds, stats[1].flights,
+                stats[1].online_bytes) == (stats[2].online_rounds,
+                                           stats[2].flights,
+                                           stats[2].online_bytes)
+
+    def test_every_registration_change_draws_a_new_tag(self):
+        rng = random.Random(252)
+        entries = [make_entry(random_rule(8, rng), 2, 260 + i)
+                   for i in range(3)]
+        endpoint = fresh_endpoint(entries[:2])
+        service = endpoint.service
+        local = TernaryRule.wildcard(8)
+
+        def ask(cached=NO_ANSWER):
+            stats = []
+            result = endpoint.query(local, "10.0.0.0/8", stats_out=stats,
+                                    cached=cached)
+            return result, stats[0].reused
+
+        held, _ = ask()
+        tags = [held.tag]
+        for change in (lambda: service.register(entries[2]),
+                       lambda: service.register(entries[2]),  # a second
+                       lambda: service.deregister(entries[2]),
+                       lambda: service.deregister(entries[2]),
+                       lambda: service.deregister(entries[0])):
+            change()
+            result, reused = ask(held)
+            assert not reused
+            assert result.hops == {e.next_hop for e in
+                                   service.entries_for("10.0.0.0/8")}
+            tags.append(result.tag)
+            held = result
+        assert 0 not in tags and len(set(tags)) == len(tags)
+        # neither a refused registration nor an unknown entry's
+        # deregistration changes the table, or its tag
+        with pytest.raises(ValueError):
+            service.register(make_entry(TernaryRule.wildcard(4), 2, 1))
+        service.deregister(entries[0])
+        assert ask(held) == (held, True)
+
+    def test_a_prefix_never_registered_keeps_a_tag_of_its_own(self):
+        endpoint = fresh_endpoint([])
+        local = TernaryRule.wildcard(8)
+        first = endpoint.query(local, "10.1.0.0/16", cached=NO_ANSWER)
+        assert first.tag != 0
+        assert endpoint.query(local, "10.1.0.0/16", cached=first) is first
+        assert endpoint.query(local, "10.2.0.0/16",
+                              cached=NO_ANSWER).tag != first.tag
+        # another holder's tag for the same prefix is not this one's
+        assert fresh_endpoint([]).query(local, "10.1.0.0/16",
+                                        cached=NO_ANSWER).tag != first.tag
+        endpoint.service.register(make_entry(TernaryRule(8, 0, 0), 2, 1,
+                                             prefix="10.1.0.0/16"))
+        assert endpoint.query(local, "10.1.0.0/16",
+                              cached=first).tag != first.tag
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_only_a_tagged_session_carries_a_tag(self, monkeypatch, backend):
+        frames = sent_frames(monkeypatch)
+        endpoint = fresh_endpoint([make_entry(TernaryRule(8, 0, 0), 2, 1)])
+        local = TernaryRule.wildcard(8)
+        untagged = endpoint.query(local, "10.0.0.0/8", backend)
+        assert untagged.tag == 0
+        sizes = [(kind, len(payload)) for kind, payload, _ in frames
+                 if kind in (MSG_ENVELOPE, MSG_ENVELOPE_ACK)]
+        assert sizes == [(MSG_ENVELOPE, 5 + 10), (MSG_ENVELOPE_ACK, 3)]
+        frames.clear()
+        tagged = endpoint.query(local, "10.0.0.0/8", backend,
+                                cached=untagged)
+        # a result of an untagged session holds no table's tag
+        assert tagged is not untagged and tagged.tag != 0
+        assert tagged.hops == untagged.hops
+        sizes = [(kind, len(payload)) for kind, payload, _ in frames
+                 if kind in (MSG_ENVELOPE, MSG_ENVELOPE_ACK)]
+        assert sizes == [(MSG_ENVELOPE, 5 + 10 + 10), (MSG_ENVELOPE_ACK, 11)]
 
 
 # --------------------------------------------------------------------------
@@ -1088,6 +1212,79 @@ class TestSingleFrameFaults:
                     continue
                 assert index == 0 or name not in _RESIZES, where
                 if k == 0 and index == 1:
+                    assert result == clean, where
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("reuse", [False, True], ids=["miss", "hit"])
+    def test_a_fault_in_one_frame_of_a_tagged_session_ends_by_its_cause(
+            self, monkeypatch, backend, k, reuse):
+        # As above, for a session whose querier holds an answer: one the
+        # table still has (a hit, which ends after the ack) or one whose
+        # table has changed since (a miss).  A tagged envelope states its
+        # prefix's length, so a change of size or kind to any frame aborts.
+        # A flipped bit of either tag leaves the two sides disagreeing
+        # about a hit at worst, so it ends in the right answer or an abort.
+        rng = random.Random(240 + k)
+        width = 8
+        service = SdxMatchService(sdx_id=2)
+        entries = [make_entry(random_rule(width, rng), 2, 900 + i)
+                   for i in range(k)]
+        for entry in entries:
+            service.register(entry)
+        local = entries[0].rule if entries else random_rule(width, rng)
+        held = LoopbackEndpoint(service, seed=23).query(
+            local, "10.0.0.0/8", backend=backend, cached=NO_ANSWER)
+        if not reuse:
+            service.register(make_entry(local, 2, 999))
+
+        def query():
+            endpoint = LoopbackEndpoint(service, seed=19)
+            return endpoint.query(local, "10.0.0.0/8", backend=backend,
+                                  cached=held)
+
+        frames, fault = [], {}
+
+        def change(index, kind, payload):
+            if not fault:
+                frames.append((kind, payload))
+            elif index == fault["index"]:
+                return fault["how"](kind, payload)
+            return kind, payload
+
+        changing_frames(monkeypatch, change)
+        clean = query()
+        assert (clean is held) == reuse
+        table = service.entries_for("10.0.0.0/8")
+        assert clean.hops == {e.next_hop for e in table
+                              if overlaps(local, e.rule)}
+        tag_bits = {MSG_ENVELOPE: range(40, 104),
+                    MSG_ENVELOPE_ACK: range(24, 88)}
+        for index, (kind, payload) in enumerate(frames):
+            tagged = tag_bits.get(kind, range(0))
+            bits = [*range(8 * min(5, len(payload))), *tagged,
+                    *rng.sample(range(40, 8 * len(payload)),
+                                min(4, max(0, 8 * len(payload) - 40)))]
+            faults = dict(_RESIZES)
+            for bit in bits:
+                faults[f"flip-{bit}"] = (
+                    lambda kind, payload, bit=bit: (kind, (
+                        int.from_bytes(payload, "little") ^ 1 << bit
+                    ).to_bytes(len(payload), "little")))
+            for name, how in faults.items():
+                fault.update(index=index, how=how)
+                where = (index, name)
+                try:
+                    result = query()
+                except QueryAborted as exc:
+                    assert isinstance(exc.__cause__,
+                                      (ProtocolError, ChannelClosed)), where
+                    continue
+                assert name not in _RESIZES, where
+                if name in (f"flip-{bit}" for bit in tagged):
+                    assert result.hops == clean.hops, where
+                if (reuse or not table) and index == 1:
+                    # the holder reads that frame but computes nothing on it
                     assert result == clean, where
 
 
