@@ -28,12 +28,14 @@ The rule and prefix are fixed during a walk and no table changes while it
 runs, so a walk asks each exchange once and reuses that answer.
 
 A rule's re-walks, after a removal notice or a BGP update, ask many
-tables that have not changed since its last walk.  So over ``smpc`` each
-registry record keeps the last answer every remote exchange gave it, with
-that table's tag, and asks with it (:meth:`ControlPlane.query`).  A holder
-whose tag still matches ends the session after its ack, and the walk
-takes the answer it holds, which is exact, as an answer depends only on
-the rule and the table.  The answers die with their record, so the
+tables that have not changed since its last walk.  Every session over
+``smpc`` carries a table tag, so each registry record keeps the last
+answer every remote exchange gave it, with that table's tag, and asks
+with it (:meth:`ControlPlane.query`); a first query asks with
+:data:`~prelude.distinct_match.NO_ANSWER`, whose tag no table has.  A
+holder whose tag still matches ends the session after its ack, and the
+walk takes the answer it holds, which is exact, as an answer depends
+only on the rule and the table.  The answers die with their record, so the
 registry bounds them: at most one per other exchange.  Privacy: the
 querier learns only whether a table changed between two of its own
 queries, not how often, since each change draws a fresh random tag.  The
@@ -546,8 +548,7 @@ class ControlPlane(SiteView):
             try:
                 result = node.endpoint.query(
                     rule, prefix, backend=self.backend,
-                    cached=None if answers is None
-                    else answers.get(target_sdx, NO_ANSWER))
+                    cached=(answers or {}).get(target_sdx, NO_ANSWER))
             except QueryAborted:
                 return None
             if answers is not None:

@@ -10,37 +10,35 @@ rule beyond its arrival and target prefix.
 
 Session flow, all on one framed channel:
 
-1. querier sends a cleartext envelope: a 5-byte header, the rule width
-   as 4 bytes and the backend's index in ``BACKENDS`` as 1, then the
-   prefix in UTF-8 (15 bytes for ``10.0.0.0/8``).  Its first online frame
-   follows at once, since it needs no k: its word (see 3) under the
-   one int of dealer material the session's dealer drew when the session
-   started (:func:`~prelude.smpc.dealer.first_piece`), gmw's shifted
-   symbols or yao's masked label choices
-   (:func:`~prelude.smpc.dealer.first_steps`).  The holder aborts with a
-   ProtocolError naming the fault if the envelope is shorter than its
-   header, its width is 0, its backend index is unknown, its prefix is
-   not UTF-8, or the width differs from its table's, and leaves the
-   padded frame unread; it would tell it nothing.  A gmw holder that
+1. querier sends a cleartext envelope: a 15-byte header, the rule
+   width as 4 bytes, the backend's index in ``BACKENDS`` as 1, the table
+   tag of the answer it holds for this rule and prefix (0 for none) as 8
+   and the prefix's length in bytes as 2, then the prefix in UTF-8 (25
+   bytes for ``10.0.0.0/8``).  Its first online frame follows at once,
+   since it needs no k: its word (see 3) under the one int of dealer
+   material the session's dealer drew when the session started
+   (:func:`~prelude.smpc.dealer.first_piece`), gmw's shifted symbols or
+   yao's masked label choices (:func:`~prelude.smpc.dealer.first_steps`).
+   The holder aborts with a ProtocolError naming the fault if the
+   envelope is shorter than its header, its width is 0, its backend
+   index is unknown, its prefix is of another length than the header
+   says or not UTF-8, or the width differs from its table's, and leaves
+   the padded frame unread; it would tell it nothing.  A gmw holder that
    runs the circuit refuses the frame with a ProtocolError if a cell
-   reads the unused symbol 3.  A querier that keeps answers sends a
-   *tagged* envelope: the backend index's flag bit 0x80 set, and the
-   header followed by the table tag of the answer it holds for this rule
-   and prefix (0 for none) as 8 bytes and the prefix's length in bytes
-   as 2, which the holder checks against the frame;
-2. holder answers with a 3-byte ack: its entry count k for the prefix as
-   2 bytes and its identifier width in bits as 1, and a tagged envelope
-   with an 11-byte ack that adds its table tag for the prefix as 8
-   (:class:`SdxMatchService`).  The querier aborts with a ProtocolError
-   naming the fault if the ack is not of its size, k exceeds
-   ``MAX_ENTRIES`` or the identifier width is not its own; a holder
-   whose table exceeds ``MAX_ENTRIES`` refuses the query itself.
+   reads the unused symbol 3;
+2. holder answers with an 11-byte ack: its entry count k for the prefix
+   as 2 bytes, its identifier width in bits as 1 and its table tag for
+   the prefix as 8 (:class:`SdxMatchService`).  The querier aborts with
+   a ProtocolError naming the fault if the ack is not of its size, k
+   exceeds ``MAX_ENTRIES`` or the identifier width is not its own; a
+   holder whose table exceeds ``MAX_ENTRIES`` refuses the query itself.
    k == 0 ends the session with an empty result and no circuit work,
    once the holder has read the querier's first frame, which must be of
    its backend's kind and 2w bits long.  So does a *hit*, an envelope
    tag equal to the holder's: the querier sees the same tag in the ack
    and keeps the answer it holds, which is exact, since an answer
-   depends only on the rule and the table.  If a fault in either tag
+   depends only on the rule and the table.  No table's tag is 0, so a
+   querier that holds nothing never hits.  If a fault in either tag
    makes the two sides disagree about a hit, the side that goes on
    waits for a party that has ended, and the session aborts.  A tag
    tells the querier only whether the table changed between two of its
@@ -153,16 +151,12 @@ HOP_ID_BYTES = _HOP.size
 
 BACKENDS = ("gmw", "yao")
 
-# The envelope's header, the rule width and the backend's index in
-# BACKENDS, before the prefix in UTF-8; the ack, k and the identifier width
-# in bits.  A tagged envelope sets the flag bit of the index and follows
-# its header with the querier's table tag and the prefix's length in
-# bytes; its ack adds the holder's table tag.
-_ENVELOPE = struct.Struct(">IB")
-_ACK = struct.Struct(">HB")
-_TAGGED = 0x80
-_TAG = struct.Struct(">QH")
-_TAGGED_ACK = struct.Struct(">HBQ")
+# The envelope's header: the rule width, the backend's index in BACKENDS,
+# the table tag of the answer the querier holds (0 for none) and the
+# prefix's length in bytes, before the prefix in UTF-8.  The ack: k, the
+# identifier width in bits and the holder's table tag.
+_ENVELOPE = struct.Struct(">IBQH")
+_ACK = struct.Struct(">HBQ")
 
 # The largest k a querier accepts in the envelope ack, which it sizes its
 # dealer material from before anything else checks it.  This is about 8x the
@@ -214,15 +208,16 @@ class RuleEntry:
 @dataclass(frozen=True, slots=True)
 class QueryResult:
     """Deduplicated next-hop identifiers of the overlapping remote rules,
-    and the holder's table tag when the session was tagged, else 0."""
+    and the holder's table tag for them."""
 
     hops: frozenset[NextHopId]
-    tag: int = 0
+    tag: int
 
 
 # The answer a querier holds before it has asked: no table's tag is 0, so
-# a query passing it as cached runs a tagged session in full.
-NO_ANSWER = QueryResult(frozenset())
+# a query passing it as cached runs in full.  Every empty answer shares
+# its hops.
+NO_ANSWER = QueryResult(frozenset(), 0)
 
 
 class QueryAborted(Exception):
@@ -263,36 +258,27 @@ def query_template(rule_width: int) -> BatchQueryCircuit:
     return template
 
 
-def _parse_envelope(payload: bytes) -> tuple[str, int, str, int | None]:
-    """(prefix, rule width, backend, tag) of a querier's envelope, the tag
-    None for an untagged one.
+def _parse_envelope(payload: bytes) -> tuple[str, int, str, int]:
+    """(prefix, rule width, backend, tag) of a querier's envelope.
 
     Raises ProtocolError naming the fault for a payload shorter than its
-    header, a rule width of 0, an unknown backend index, a tagged prefix
-    of another length than its header says or a prefix that is not UTF-8.
+    header, a rule width of 0, an unknown backend index, a prefix of
+    another length than its header says or a prefix that is not UTF-8.
     """
     if len(payload) < _ENVELOPE.size:
         raise ProtocolError(f"envelope of {len(payload)} bytes is shorter "
                             f"than its {_ENVELOPE.size}-byte header")
-    width, index = _ENVELOPE.unpack_from(payload)
-    start, tag = _ENVELOPE.size, None
-    if index & _TAGGED:
-        index ^= _TAGGED
-        start += _TAG.size
-        if len(payload) < start:
-            raise ProtocolError(f"tagged envelope of {len(payload)} bytes is "
-                                f"shorter than its {start}-byte header")
-        tag, length = _TAG.unpack_from(payload, _ENVELOPE.size)
-        if len(payload) - start != length:
-            raise ProtocolError(f"tagged envelope prefix of "
-                                f"{len(payload) - start} bytes, its header "
-                                f"says {length}")
+    width, index, tag, length = _ENVELOPE.unpack_from(payload)
     if not width:
         raise ProtocolError("envelope rule width 0 is not positive")
     if index >= len(BACKENDS):
         raise ProtocolError(f"envelope names unknown backend index {index}")
+    encoded = payload[_ENVELOPE.size:]
+    if len(encoded) != length:
+        raise ProtocolError(f"envelope prefix of {len(encoded)} bytes, its "
+                            f"header says {length}")
     try:
-        prefix = payload[start:].decode("utf-8")
+        prefix = encoded.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"envelope prefix is not UTF-8: {exc}") from None
     return prefix, width, BACKENDS[index], tag
@@ -323,8 +309,8 @@ class SdxMatchService:
     Each prefix's table has an opaque 64-bit tag, drawn afresh and
     non-zero on every registration and deregistration under it.  A prefix
     never registered here has a fixed tag, keyed by a secret of the
-    service, so no two prefixes' tags can be told to match.  A tagged
-    session whose querier names the current tag ends after the ack.
+    service, so no two prefixes' tags can be told to match.  A session
+    whose querier names the current tag ends after the ack.
     """
 
     def __init__(self, sdx_id: int) -> None:
@@ -410,9 +396,8 @@ class SdxMatchService:
         if k > MAX_ENTRIES:
             raise ProtocolError(f"table of {k} entries under {prefix} "
                                 f"exceeds the cap of {MAX_ENTRIES} entries")
-        yield from send_frame(MSG_ENVELOPE_ACK, _ACK.pack(k, HOP_ID_BITS)
-                              if tag is None
-                              else _TAGGED_ACK.pack(k, HOP_ID_BITS, current))
+        yield from send_frame(MSG_ENVELOPE_ACK,
+                              _ACK.pack(k, HOP_ID_BITS, current))
         if k == 0 or tag == current:
             # An empty table, or one whose answer the querier holds.  Read
             # the first frame so that a faulty one aborts and none stays
@@ -444,27 +429,19 @@ class SdxMatchService:
 
 
 def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
-                   held: int | None = None):
+                   held: int):
     """The querier's side of one session; returns the k released values,
-    6 bytes each, the dummy's included, and the holder's table tag, 0 for
-    an untagged session.  ``held``, the tag of the answer the querier
-    holds (0 for none), makes the session tagged, and an ack with that
-    same tag ends it with None for the values."""
+    6 bytes each, the dummy's included, and the holder's table tag.
+    ``held`` is the tag of the answer the querier holds, 0 for none, and
+    an ack with that same tag ends the session with None for the values."""
     template = query_template(local.width)
     word = template.word(0, [local])
-    index = BACKENDS.index(backend)
     encoded = prefix.encode("utf-8")
-    if held is None:
-        header, ack = _ENVELOPE.pack(local.width, index), _ACK
-    else:
-        header = (_ENVELOPE.pack(local.width, index | _TAGGED)
-                  + _TAG.pack(held, len(encoded)))
-        ack = _TAGGED_ACK
-    yield from send_frame(MSG_ENVELOPE, header + encoded)
+    yield from send_frame(MSG_ENVELOPE, _ENVELOPE.pack(
+        local.width, BACKENDS.index(backend), held, len(encoded)) + encoded)
     yield from first_steps(template, backend, word, dealer.first)
-    k, id_width, *tag = ack.unpack(
-        (yield from recv_exact(MSG_ENVELOPE_ACK, ack.size)))
-    tag = tag[0] if tag else 0
+    k, id_width, tag = _ACK.unpack(
+        (yield from recv_exact(MSG_ENVELOPE_ACK, _ACK.size)))
     if k > MAX_ENTRIES:
         raise ProtocolError(
             f"envelope ack k {k} exceeds the cap of {MAX_ENTRIES} entries")
@@ -543,9 +520,8 @@ class LoopbackEndpoint:
     random streams for its life, both drawn from ``seed``: the dealer's,
     and the holder's, which shuffles and garbles.  So a seeded endpoint
     produces reproducible sessions when queries are issued serially, an
-    aborted one included.  A session's envelope is 5 bytes and its
-    prefix, and the ack 3 bytes; a tagged session's are 15 bytes and its
-    prefix, and 11 bytes.
+    aborted one included.  A session's envelope is 15 bytes and its
+    prefix, and the ack 11 bytes.
     """
 
     def __init__(self, service: SdxMatchService, seed: int = 0,
@@ -563,14 +539,14 @@ class LoopbackEndpoint:
         backend: str = "gmw",
         stats_out: list[SessionStats] | None = None,
         *,
-        cached: QueryResult | None = None,
+        cached: QueryResult = NO_ANSWER,
     ) -> QueryResult:
         """Run one query session; see module docstring for the flow.
 
-        ``cached`` is a tagged answer this holder gave for the same rule and
-        prefix, or :data:`NO_ANSWER`.  It makes the session tagged, and the
-        session returns ``cached`` itself, with no circuit work, if the
-        table's tag is still the one ``cached`` carries.
+        ``cached`` is an answer this holder gave for the same rule and
+        prefix, or :data:`NO_ANSWER` for none.  The session returns
+        ``cached`` itself, with no circuit work, if the table's tag is
+        still the one ``cached`` carries.
         """
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
@@ -579,9 +555,8 @@ class LoopbackEndpoint:
         transcript = dealer.transcript
         try:
             (raw, tag), _, flights = run_pair(
-                recorded(_querier_steps(
-                    local, prefix, backend, dealer,
-                    None if cached is None else cached.tag), transcript),
+                recorded(_querier_steps(local, prefix, backend, dealer,
+                                        cached.tag), transcript),
                 self.service.serve_steps(dealer, self._holder_rng),
                 self._delay)
         except Exception as exc:
@@ -603,6 +578,6 @@ class LoopbackEndpoint:
             ))
         if raw is None:
             return cached
-        return QueryResult(frozenset(NextHopId.from_bytes(value)
-                                     for value in set(raw) - {_DUMMY_BYTES}),
-                           tag)
+        hops = frozenset(NextHopId.from_bytes(value)
+                         for value in set(raw) - {_DUMMY_BYTES})
+        return QueryResult(hops or NO_ANSWER.hops, tag)
