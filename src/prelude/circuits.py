@@ -13,13 +13,15 @@ its width w alone, run over k lanes, lane i being the i-th entry, and
 level by level rather than gate by gate.  The two backends share its
 words and its output, and each runs its own first level:
 
-- yao's is the 2w *cross gates*, ANDs of a querier bit with a bit the
-  holder knows in the clear.  Gate ``j < w`` is ``q_one[j]·h_zero[j]``
-  and gate ``w + j`` is ``q_zero[j]·h_one[j]``; every cross gate reads 0
-  exactly when every cell does;
-- gmw's is the *lookup level* of ``ceil(w / 2)`` gates.  The querier's
-  symbol x_j of cell j is ``*``, pinned one or pinned zero, 0, 1 or 2 in
-  Z3, and NOT cell j is 1 for ``*``, NOT h_zero[j] for a pinned one and
+- yao's is the w *cells*, each read whole: cell j takes the querier's
+  symbol x_j, ``*``, pinned one or pinned zero, 0, 1 or 2 in Z3, against
+  the two bits the holder knows in the clear, and garbles its two *cross
+  gates*, ``q_one[j]·h_zero[j]`` and ``q_zero[j]·h_one[j]``, gates j and
+  w + j of the word, as one row each.  A cell reads 1 exactly when the
+  gate its symbol selects does, and every cell reads 0 when the rules
+  overlap;
+- gmw's is the *lookup level* of ``ceil(w / 2)`` gates over the same
+  symbols: NOT cell j is 1 for ``*``, NOT h_zero[j] for a pinned one and
   NOT h_one[j] for a pinned zero.  Gate g pairs cell g with cell
   ``g + ceil(w / 2)``, an odd width's last gate pairing its cell with a
   phantom ``*`` cell, and outputs the AND of the pair's NOT cells: a
@@ -52,7 +54,7 @@ The backends take that word and nothing else, and check its range with
 is checked against every entry; its bits j and w + j are the two bit
 planes of its symbol x_j.  The holder's are *clear*, one bit per gate and
 lane: it knows them, and no backend labels, masks or shares them.  Under
-yao they feed only the cross gates, one garbled row per gate; under gmw
+yao they feed only the cells, one garbled row per cross gate; under gmw
 only the lookup tables, whose two halves A and B are slices of the
 holder's word.  Either level's output is secret like any other; the
 holder's bits leave the holder only under a one-time pad or inside a
@@ -63,8 +65,8 @@ The output leaves the template only as a released value: the querier
 receives an entry's identifier where the output reads 0, where the entry
 overlaps the queried rule, and the dummy where it reads 1.  Under gmw the
 holder offers both by a precomputed transfer.  Yao garbles only its
-cross gates and releases the identifier under a sum of their keys that
-matches only where none reads 1, so it never garbles the OR tree.
+cells and releases the identifier under a sum of their keys that matches
+only where none reads 1, so it never garbles the OR tree.
 """
 
 from __future__ import annotations
@@ -108,11 +110,11 @@ class BatchQueryCircuit:
 
     def plan(self, backend: str) -> tuple[int, ...]:
         """The level plan ``backend`` runs: gmw's :attr:`levels`, or yao's
-        one level of 2w cross gates."""
+        one level of w cells."""
         if backend == "gmw":
             return self.levels
         if backend == "yao":
-            return (2 * self.width,)
+            return (self.width,)
         raise ValueError(f"unknown backend {backend!r}")
 
     def and_count(self) -> int:

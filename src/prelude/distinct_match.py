@@ -15,17 +15,18 @@ Session flow, all on one framed channel:
    tag of the answer it holds for this rule and prefix (0 for none) as 8
    and the prefix's length in bytes as 2, then the prefix in UTF-8 (25
    bytes for ``10.0.0.0/8``).  Its first online frame follows at once,
-   since it needs no k: its word (see 3) under the one int of dealer
-   material the session's dealer drew when the session started
-   (:func:`~prelude.smpc.dealer.first_piece`), gmw's shifted symbols or
-   yao's masked label choices (:func:`~prelude.smpc.dealer.first_steps`).
+   since it needs no k: its word (see 3) as one symbol of Z3 per rule
+   bit, shifted by the one int of dealer material the session's dealer
+   drew when the session started (:func:`~prelude.smpc.dealer.first_piece`),
+   the same frame under either backend
+   (:func:`~prelude.smpc.dealer.first_steps`).
    The holder aborts with a ProtocolError naming the fault if the
    envelope is shorter than its header, its width is 0, its backend
    index is unknown, its prefix is of another length than the header
    says or not UTF-8, or the width differs from its table's, and leaves
-   the padded frame unread; it would tell it nothing.  A gmw holder that
-   runs the circuit refuses the frame with a ProtocolError if a cell
-   reads the unused symbol 3;
+   the shifted frame unread; it would tell it nothing.  A holder that
+   reads the frame refuses it with a ProtocolError if a cell reads the
+   unused symbol 3;
 2. holder answers with an 11-byte ack: its entry count k for the prefix
    as 2 bytes, its identifier width in bits as 1 and its table tag for
    the prefix as 8 (:class:`SdxMatchService`).  The querier aborts with
@@ -33,11 +34,11 @@ Session flow, all on one framed channel:
    exceeds ``MAX_ENTRIES`` or the identifier width is not its own; a
    holder whose table exceeds ``MAX_ENTRIES`` refuses the query itself.
    k == 0 ends the session with an empty result and no circuit work,
-   once the holder has read the querier's first frame, which must be of
-   its backend's kind and 2w bits long.  So does a *hit*, an envelope
-   tag equal to the holder's: the querier sees the same tag in the ack
-   and keeps the answer it holds, which is exact, since an answer
-   depends only on the rule and the table.  No table's tag is 0, so a
+   once the holder has read the querier's first frame, which must be a
+   frame of shifts, 2w bits long, with no cell reading 3.  So does a
+   *hit*, an envelope tag equal to the holder's: the querier sees the
+   same tag in the ack and keeps the answer it holds, which is exact,
+   since an answer depends only on the rule and the table.  No table's tag is 0, so a
    querier that holds nothing never hits.  If a fault in either tag
    makes the two sides disagree about a hit, the side that goes on
    waits for a party that has ended, and the session aborts.  A tag
@@ -60,15 +61,15 @@ Session flow, all on one framed channel:
    (:meth:`~prelude.circuits.BatchQueryCircuit.word_from_rows`) and
    releases the identifiers in the same order.  The querier's word is a
    secret input, while the holder's stays in its clear and feeds only
-   yao's cross gates or gmw's lookup tables (see :mod:`prelude.circuits`),
+   yao's cells or gmw's lookup tables (see :mod:`prelude.circuits`),
    so the holder's rules are never labelled, masked or shared.
    Every entry runs the same per-entry template, the comparator
    (:func:`build_batch_query`), and the backends evaluate it over k lanes,
    lane i being the i-th shuffled entry; the querier's rule feeds every
    lane.  Lane i's output, the distinct bit, ends up XOR-shared under gmw.
-   Under yao only the comparator's cross gates are garbled, and the
-   querier ends up with a key sum per lane that equals the holder's
-   exactly when no cross gate reads 1, that is, when the rules overlap.
+   Under yao only the comparator's cells are garbled, two rows each, and
+   the querier ends up with a key sum per lane that equals the holder's
+   exactly when no cell reads 1, that is, when the rules overlap.
    The holder sends its ack and its first frames in one flight, so a yao
    session takes two one-way flights and a gmw session two more than its
    AND depth rounded up to even (:mod:`prelude.smpc.gmw`);
@@ -117,10 +118,8 @@ import _hashlib
 from prelude.circuits import BatchQueryCircuit, build_batch_query
 from prelude.rules import TernaryRule
 from prelude.smpc import (
-    MSG_AND_OPENING,
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
-    MSG_INPUT_SHARE,
     ProtocolError,
     SessionTranscript,
     dealer_for_circuit,
@@ -133,6 +132,7 @@ from prelude.smpc import (
     open_steps,
     recorded,
     recv_frame,
+    recv_shift_steps,
     release_steps,
     reveal_steps,
     run_pair,
@@ -402,9 +402,7 @@ class SdxMatchService:
             # An empty table, or one whose answer the querier holds.  Read
             # the first frame so that a faulty one aborts and none stays
             # queued.
-            yield from recv_exact(
-                MSG_AND_OPENING if backend == "gmw" else MSG_INPUT_SHARE,
-                (2 * width + 7) // 8)
+            yield from recv_shift_steps(width)
             return
 
         rng.shuffle(prepared)
@@ -439,7 +437,7 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
     encoded = prefix.encode("utf-8")
     yield from send_frame(MSG_ENVELOPE, _ENVELOPE.pack(
         local.width, BACKENDS.index(backend), held, len(encoded)) + encoded)
-    yield from first_steps(template, backend, word, dealer.first)
+    yield from first_steps(template, word, dealer.first)
     k, id_width, tag = _ACK.unpack(
         (yield from recv_exact(MSG_ENVELOPE_ACK, _ACK.size)))
     if k > MAX_ENTRIES:
@@ -468,15 +466,14 @@ class _SessionDealer:
     hands it out.
 
     The querier's piece that no lane count changes is drawn when the
-    session starts, for the querier's ``circuit`` and ``backend``, and
-    kept as :attr:`first`, one int of 2w bits, gmw's shifts or yao's
-    choice bits, 26 bytes at rule width 104
-    (:func:`~prelude.smpc.dealer.first_piece`).  It pads the querier's
-    first frame, which it sends before it learns k.  :meth:`material`
-    deals over k lanes once, under a lock, so the two parties may ask in
-    either order, taking :attr:`first` on the same stream.  It refuses,
-    with a ProtocolError naming both, a backend or rule width other than
-    the one :attr:`first` was drawn for, which a holder asks for when the
+    session starts, for the querier's ``circuit``, and kept as
+    :attr:`first`: its shifts, one int of 2w bits, 26 bytes at rule width
+    104, under either backend (:func:`~prelude.smpc.dealer.first_piece`).
+    They pad the querier's first frame, which it sends before it learns
+    k.  :meth:`material` deals over k lanes once, under a lock, so the two
+    parties may ask in either order, taking :attr:`first` on the same
+    stream.  It refuses, with a ProtocolError naming both, a backend or
+    rule width other than the session's, which a holder asks for when the
     envelope's backend index was changed in transit, and a lane count
     other than the one it dealt, which a querier asks for when the ack's
     k was.  The transcript counts the querier's material once, when it
@@ -487,7 +484,7 @@ class _SessionDealer:
         self._rng = rng
         self._lock = threading.Lock()
         self.backend, self.width = backend, circuit.width
-        self.first = first_piece(circuit, backend, rng)
+        self.first = first_piece(circuit, rng)
         self._materials = None
         self.transcript = SessionTranscript()
 

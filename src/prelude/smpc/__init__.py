@@ -9,20 +9,23 @@ Two interchangeable backends run the one comparator template
   a shift of Z3, and shares of the products of each OR-tree gate's input
   masks, for gates of up to four inputs; its online round count equals
   the template's AND depth.
-- :func:`garble_steps` and :func:`evaluate_steps` garble only the 2w
-  cross gates and end with per-lane key sums that agree exactly when no
-  cross gate reads 1; their online phase is a single round trip.  Every
-  row has one formula under a PRF of the gate's labels.  From 20 lanes
-  on each label keys AES and OpenSSL does every per-lane XOR of a
-  gate's rows; below that, where a gate's fixed calls would cost more
-  than they save, the PRF is a fixed-key hash over every lane at once
-  (:mod:`prelude.smpc.yao`).
+- :func:`garble_steps` and :func:`evaluate_steps` garble only the w
+  comparator cells, two rows each, one label per cell reaching the
+  querier by a 1-out-of-3 transfer on its symbol, and end with per-lane
+  key sums that agree exactly when no cell reads 1; their online phase
+  is a single round trip.  Every row has one formula under a PRF of the
+  cell's labels.  From 20 lanes on each label keys AES and OpenSSL does
+  every per-lane XOR of a cell's rows; below that, where a cell's fixed
+  calls would cost more than they save, the PRF is a fixed-key hash over
+  every lane at once (:mod:`prelude.smpc.yao`).
 
 Under either backend the querier's first online frame goes out before it
-learns the lane count (:func:`first_steps`): its word under the one piece
-of its dealer material that no lane count changes, an int of 2w bits the
-dealer draws first (:func:`first_piece`), as gmw's shifted symbols or
-yao's masked label choices.
+learns the lane count (:func:`first_steps`): its symbols of Z3 shifted by
+the one piece of its dealer material that no lane count changes, an int
+of 2w bits the dealer draws first (:func:`first_piece`), which gmw's
+lookup tables and yao's label transfer both read.  A holder refuses, with
+a :class:`ProtocolError` naming the cell, one that reads the unused
+symbol 3 (:func:`recv_shift_steps`).
 
 Both then release to party 0, in one more round, one value per lane where
 the output bit reads 0 and another where it reads 1: gmw by a precomputed
@@ -32,8 +35,8 @@ zero tag under a pad keyed by party 1's key sum, which opens only under an
 equal sum, so that party 0 takes the second value, the dummy, wherever the
 tag fails (:func:`release_steps` and :func:`open_steps`).  Party 0 learns
 one value per lane and nothing of the other; party 1 sees only one-time
-padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`) also
-carries yao's input labels.
+padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`), in
+its 1-out-of-3 form, also carries yao's input labels.
 
 :func:`dealer_for_circuit` deals one run of the template, its level plan
 over ``lanes`` entries, at least one, and each party's
@@ -49,11 +52,11 @@ packed into one integer.  Each party passes its word, which
 :meth:`prelude.circuits.BatchQueryCircuit.word` builds from its rules and
 every backend range-checks the same way.  Party 1's word is clear (see
 :mod:`prelude.circuits`): neither backend shares, masks or labels it, and
-it feeds only the first level, yao's cross gates or gmw's lookup tables.
+it feeds only the first level, yao's cells or gmw's lookup tables.
 Party 0's word is broadcast, one bit per gate that every lane reads, so
-each bit takes one label transfer, or each cell one shift, whatever the
-lane count, and under gmw the querier sends two bits per cell; everything
-else costs what the template unrolled ``lanes`` times would.
+each cell takes one shift, and under yao one label transfer, whatever the
+lane count, and the querier sends two bits per cell; everything else
+costs what the template unrolled ``lanes`` times would.
 
 Every party is a step generator over frames.  :func:`run_pair` runs a
 session's two parties against each other in the calling thread, with an
@@ -85,7 +88,12 @@ from prelude.smpc.channel import (
     run_pair,
     send_frame,
 )
-from prelude.smpc.dealer import dealer_for_circuit, first_piece, first_steps
+from prelude.smpc.dealer import (
+    dealer_for_circuit,
+    first_piece,
+    first_steps,
+    recv_shift_steps,
+)
 from prelude.smpc.gmw import gmw_steps, reveal_steps
 from prelude.smpc.transcript import SessionTranscript, recorded
 from prelude.smpc.yao import (
@@ -120,6 +128,7 @@ __all__ = [
     "open_steps",
     "recorded",
     "recv_frame",
+    "recv_shift_steps",
     "release_steps",
     "reveal_steps",
     "run_pair",

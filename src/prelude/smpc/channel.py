@@ -51,8 +51,8 @@ FRAME_OVERHEAD = _HEADER.size + 1
 # The largest frame a receiver accepts, header included: yao's garbled
 # tables at the most entries a querier accepts (4096, ``MAX_ENTRIES`` in
 # :mod:`prelude.distinct_match`) and the rule width 104, 16 bytes for each
-# of 2 x 104 cross gates and entry.  A frame's length comes from the peer,
-# so a longer one is refused before its body is read.
+# of the two rows of 104 cells and entry.  A frame's length comes from the
+# peer, so a longer one is refused before its body is read.
 MAX_FRAME_BYTES = 5 + 32 * 104 * 4096
 # The most one socket read asks for: recv allocates what it is asked for,
 # and a frame's length comes from the peer.

@@ -26,27 +26,30 @@ and each party's material holds that plan and one piece per level of it:
   (:func:`~prelude.smpc.shares.subset_products`), and 0 in slice 0, which
   is not dealt.  This is the multi-input AND of ABY2.0 (Patra, Schneider,
   Suresh & Yalame, USENIX Security 2021), Beaver's triple when n = 2;
-- precomputed-transfer material (:mod:`prelude.smpc.transfer`), one kind
-  for both backends: the sender, party 1, gets a pair of random pads per
-  transfer, and the receiver, party 0, a random choice bit and the pad
-  matching it.  Yao spends one transfer per querier input on a 16-byte
-  label, gmw one per lane on a released value, such as a 6-byte
-  identifier, and its pads are as long as the value.
+- precomputed-transfer material (:mod:`prelude.smpc.transfer`): gmw
+  releases each lane's value by a 1-out-of-2 transfer, for which the
+  sender, party 1, gets a pair of random pads per lane, and the receiver,
+  party 0, a random choice bit and the pad matching it, as long as the
+  value, such as a 6-byte identifier.  Yao's level takes one 1-out-of-3
+  transfer of a 16-byte label per cell, which every lane reads: the
+  holder gets three random pads per cell, and the querier the pad its
+  shift u selects.
 
-Yao takes the transfers alone.  A backend refuses material dealt for the
+Yao takes its transfers alone.  A backend refuses material dealt for the
 other party, for the other backend or for another plan with a
 :class:`ValueError`, and takes the run's lane count from it, as gmw's
 release takes its value size.
 
-The querier's first online frame does not depend on the lane count: its
-word under the one piece of its material that no lane count changes, one
-symbol per cell shifted by gmw's u or one bit per cross gate under yao's
-transfer choice bits d, an int of 2w bits either way
-(:func:`first_piece`).  The dealer draws that piece first, so the querier
-takes it and sends the frame (:func:`first_steps`) with its envelope,
-before it learns k, and the deal over k lanes then takes the same piece
-on the same stream.  The holder sees only shifted or padded symbols, as
-before; an aborted session wastes them.
+The querier's first online frame does not depend on the lane count or on
+the backend: its word as symbols of Z3 shifted by u, s = x - u mod 3, one
+symbol per cell as two bit planes, 2w bits (:func:`first_steps`).  u is
+the one piece of its material that no lane count changes
+(:func:`first_piece`), the shift of gmw's lookup level and of yao's label
+transfer alike.  The dealer draws that piece first, so the querier takes
+it and sends the frame with its envelope, before it learns k, and the
+deal over k lanes then takes the same piece on the same stream.  The
+holder sees only shifted symbols, uniform whatever the querier's word is
+(:func:`recv_shift_steps`); an aborted session wastes them.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
@@ -55,7 +58,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from prelude.smpc.channel import MSG_AND_OPENING, MSG_INPUT_SHARE, send_frame
+from prelude.smpc.channel import (
+    MSG_AND_OPENING,
+    ProtocolError,
+    recv_exact,
+    send_frame,
+)
 from prelude.smpc.shares import (
     draw_symbols,
     pair_indicators,
@@ -63,7 +71,11 @@ from prelude.smpc.shares import (
     symbol_difference,
     table_entries,
 )
-from prelude.smpc.transfer import LABEL_BYTES, transfer_material
+from prelude.smpc.transfer import (
+    LABEL_BYTES,
+    symbol_transfer_material,
+    transfer_material,
+)
 
 
 @dataclass(frozen=True)
@@ -84,9 +96,10 @@ class DealerMaterial:
     # per OR-tree level: this party's word of product shares, m_S in
     # slice S for the non-empty subsets S of the level's masks, 0 in slice 0
     tree: tuple[int, ...]
-    # party 1's pad words (r0, r1), or party 0's choice bits and pad word
-    # (d, r_d), one lane of ``transfer_bytes`` per transfer
-    transfer: tuple[int, int]
+    # party 1's pad words, (r0, r1) under gmw or (p0, p1, p2) under yao,
+    # or party 0's choice bits and pad word, (d, r_d) or its shifts and
+    # (u, p_u), one lane of ``transfer_bytes`` per transfer
+    transfer: tuple[int, ...]
     # the bytes of each pad and of each value a transfer carries
     transfer_bytes: int
     # its size, had it been sent, for the setup bytes
@@ -111,13 +124,11 @@ class DealerMaterial:
                     *mine, *theirs))
 
 
-def first_piece(circuit, backend: str, rng) -> int:
-    """Party 0's piece of a deal that no lane count changes, 2w bits from
-    ``rng``: gmw's shifts u, a symbol of Z3 per cell as two bit planes, or
-    yao's transfer choice bits d, one per cross gate."""
-    if backend == "gmw":
-        return draw_symbols(rng, circuit.width)
-    return rng.getrandbits(2 * circuit.width)
+def first_piece(circuit, rng) -> int:
+    """Party 0's piece of a deal that no lane count changes: its shifts u,
+    a uniform symbol of Z3 per cell of ``circuit`` as two bit planes,
+    drawn from ``rng``."""
+    return draw_symbols(rng, circuit.width)
 
 
 def dealer_for_circuit(
@@ -129,34 +140,39 @@ def dealer_for_circuit(
     GMW takes one 9-entry lookup table per pair of cells and lane, the
     mask products of every OR-tree gate and lane, and one transfer of a
     ``size``-byte value per lane for the release.  Yao transfers one
-    16-byte label per querier input, which every lane reads; the holder's
-    inputs are clear and take none.
+    16-byte label per cell, which every lane reads; the holder's inputs
+    are clear and take none.
 
     The lookup level costs the querier two bits per cell and one per pair
     and lane, and the holder ten bits per pair and lane.  A tree gate of n
-    inputs costs each party 2^n - 1 bits per lane, and a transfer the
-    sender two pads and the receiver one pad and its choice bit.
+    inputs costs each party 2^n - 1 bits per lane.  A 1-out-of-2 transfer
+    costs the sender two pads and the receiver one pad and its choice bit,
+    and a 1-out-of-3 transfer the sender three pads and the receiver one
+    pad and the two bits of its shift.
 
-    The querier's piece that no lane count changes, :func:`first_piece`,
-    is drawn first.  ``first`` is that piece, drawn already from ``rng``
-    for the same circuit and backend, which this deal then takes instead
-    of drawing it again, so that both draws together hand out what one
-    deal would have.
+    The querier's shifts u, :func:`first_piece`, are drawn first.
+    ``first`` is that piece, drawn already from ``rng`` for the same
+    circuit, which this deal then takes instead of drawing it again, so
+    that both draws together hand out what one deal would have.
     """
     plan = circuit.plan(backend)
     if lanes < 1:
         raise ValueError("lanes must be positive")
-    if first is None:
-        first = first_piece(circuit, backend, rng)
-    if backend == "gmw":
-        cells, fixed, u = circuit.width, 0, first
-        tree = tuple(zip(plan[1:], circuit.arities, strict=True))
-    else:
-        cells, tree, fixed, size, u = 0, (), plan[0], LABEL_BYTES, 0
+    w = circuit.width
+    u = first_piece(circuit, rng) if first is None else first
+    if backend == "yao":
+        choices, pads = symbol_transfer_material(u, w, rng)
+        size0 = (2 * w + 7) // 8 + LABEL_BYTES * w
+        return (
+            DealerMaterial(backend, 0, w, plan, lanes, (), (), choices,
+                           LABEL_BYTES, size0),
+            DealerMaterial(backend, 1, w, plan, lanes, (), (), pads,
+                           LABEL_BYTES, 3 * LABEL_BYTES * w),
+        )
 
     shares0, shares1 = [], []
     bits = 0
-    for gates, arity in tree:
+    for gates, arity in zip(plan[1:], circuit.arities, strict=True):
         slice_bits = gates * lanes
         masks = rng.getrandbits(arity * slice_bits)
         # the empty product, all ones, is not dealt
@@ -166,47 +182,54 @@ def dealer_for_circuit(
         shares0.append(share)
         shares1.append(share ^ products)
         bits += ((1 << arity) - 1) * slice_bits
-    transfers = fixed or lanes
-    # yao's choice bits are its first piece; gmw's, one per lane, come here
-    d = first if fixed else rng.getrandbits(lanes)
-    choices, pads = transfer_material(d, transfers, rng, size)
-    nb = (cells + 1) // 2 * lanes
+    choices, pads = transfer_material(rng.getrandbits(lanes), lanes, rng,
+                                      size)
+    nb = (w + 1) // 2 * lanes
     padded = rng.getrandbits(9 * nb)  # p[i, j] XOR r in slice 3 i + j
     r = rng.getrandbits(nb)
-    indicators = pair_indicators(u, cells, lanes)
+    indicators = pair_indicators(u, w, lanes)
     chosen = table_entries(padded, *indicators, nb) ^ r
 
-    size0 = ((bits + 2 * cells + nb + 7) // 8 + size * transfers
-             + (transfers + 7) // 8)
-    size1 = (bits + 10 * nb + 7) // 8 + 2 * size * transfers
+    size0 = (bits + 2 * w + nb + 7) // 8 + size * lanes + (lanes + 7) // 8
+    size1 = (bits + 10 * nb + 7) // 8 + 2 * size * lanes
     return (
-        DealerMaterial(backend, 0, circuit.width, plan, lanes,
-                       (u, chosen, indicators), tuple(shares0), choices,
-                       size, size0),
-        DealerMaterial(backend, 1, circuit.width, plan, lanes, (padded, r),
+        DealerMaterial(backend, 0, w, plan, lanes, (u, chosen, indicators),
+                       tuple(shares0), choices, size, size0),
+        DealerMaterial(backend, 1, w, plan, lanes, (padded, r),
                        tuple(shares1), pads, size, size1),
     )
 
 
-def first_steps(circuit, backend: str, word: int, piece: int):
-    """Querier: send its first online frame, its ``word`` under ``piece``,
-    its :func:`first_piece` for ``circuit`` and ``backend``.
+def first_steps(circuit, word: int, piece: int):
+    """Querier: send its first online frame, its shift s = x - u mod 3 of
+    its symbols x under ``piece``, its :func:`first_piece` u for
+    ``circuit``.
 
-    Under gmw the frame is the querier's shift s = x - u mod 3 of its
-    symbols x, two bit planes of one bit per cell, and ValueError is raised
-    for a word whose cell reads 3, pinned both ways; under yao it is its
-    transfer choice bits masked by d, one bit per cross gate.  Either is
-    2w bits.
+    Symbol x_j is bit j of ``word`` plus twice bit w + j, and the frame
+    holds s as two bit planes, 2w bits, under either backend.  ValueError
+    is raised for a word whose cell reads 3, pinned both ways.
     """
     circuit.check_word(0, word, 1)
     w = circuit.width
-    if backend == "gmw":
-        both = word & word >> w
-        if both:
-            raise ValueError(f"the querier's word reads symbol 3 at cell "
-                             f"{both.bit_length() - 1}")
-        kind = MSG_AND_OPENING
-        frame = symbol_difference(word, piece, w)
-    else:
-        kind, frame = MSG_INPUT_SHARE, word ^ piece
-    yield from send_frame(kind, frame.to_bytes((2 * w + 7) // 8, "little"))
+    both = word & word >> w
+    if both:
+        raise ValueError(f"the querier's word reads symbol 3 at cell "
+                         f"{both.bit_length() - 1}")
+    yield from send_frame(MSG_AND_OPENING, symbol_difference(
+        word, piece, w).to_bytes((2 * w + 7) // 8, "little"))
+
+
+def recv_shift_steps(width: int):
+    """Holder: receive the querier's first frame, its shifts for
+    ``width`` cells as two bit planes, and return them.
+
+    Raises ProtocolError for a frame of which a cell reads the unused
+    symbol 3, naming the cell.
+    """
+    shift = int.from_bytes((yield from recv_exact(
+        MSG_AND_OPENING, (2 * width + 7) // 8)), "little")
+    both = shift & shift >> width & ((1 << width) - 1)
+    if both:
+        raise ProtocolError(f"shift frame reads the unused symbol 3 at "
+                            f"cell {both.bit_length() - 1}")
+    return shift

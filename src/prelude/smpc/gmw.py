@@ -90,19 +90,19 @@ level, which the tree loop takes in step with its levels, and the
 release's transfers, one per lane.
 
 The release is one precomputed transfer per lane
-(:mod:`prelude.smpc.transfer`), which also carries yao's input labels.  The
-querier's choice bit is its share s0 of the output; the holder offers the
-pair of values ordered by its own share s1, value s0 XOR s1 in slot s0, so
-the querier opens the value of the output bit.  The holder gives one
-column of values and one value for every lane where the output reads 1,
-and the querier cuts the opened values apart in one pass of
-:func:`struct.unpack`.  The holder sees s0 only
-XORed with a dealer bit it never learns, and the querier holds the pad of
-one slot only, so the other value reaches it one-time padded: it learns
-one value per lane and not the holder's share.  A query releases the
-entry's identifier where the output says the rules overlap and the dummy
-where they are distinct, so the querier learns an identifier only where
-the entry overlaps its rule.
+(:mod:`prelude.smpc.transfer`), whose 1-out-of-3 form carries yao's input
+labels.  The querier's choice bit is its share s0 of the output; the
+holder offers the pair of values ordered by its own share s1, value s0
+XOR s1 in slot s0, so the querier opens the value of the output bit.  The
+holder gives one column of values and one value for every lane where the
+output reads 1, and the querier cuts the opened values apart in one pass
+of :func:`struct.unpack`.  The holder sees s0 only XORed with a dealer
+bit it never learns, and the querier holds the pad of one slot only, so
+the other value reaches it one-time padded: it learns one value per lane
+and not the holder's share.  A query releases the entry's identifier
+where the output says the rules overlap and the dummy where they are
+distinct, so the querier learns an identifier only where the entry
+overlaps its rule.
 """
 
 from __future__ import annotations
@@ -114,11 +114,10 @@ from prelude.smpc.channel import (
     MSG_AND_OPENING,
     MSG_INPUT_SHARE,
     MSG_OUTPUT_SHARE,
-    ProtocolError,
     recv_exact,
     send_frame,
 )
-from prelude.smpc.dealer import DealerMaterial
+from prelude.smpc.dealer import DealerMaterial, recv_shift_steps
 from prelude.smpc.shares import pair_indicators, table_entries
 from prelude.smpc.transfer import choose_steps, select, send_steps, spread
 
@@ -214,12 +213,7 @@ def gmw_steps(circuit, party: int, word: int, setup: DealerMaterial):
             MSG_AND_OPENING, (9 * nb + 7) // 8)), "little")
         z = table_entries(table, *indicators, nb) ^ chosen
     else:
-        shift = int.from_bytes((yield from recv_exact(
-            MSG_AND_OPENING, (2 * w + 7) // 8)), "little")
-        both = shift & shift >> w & ((1 << w) - 1)
-        if both:
-            raise ProtocolError(f"shift frame reads the unused symbol 3 at "
-                                f"cell {both.bit_length() - 1}")
+        shift = yield from recv_shift_steps(w)
         padded, z = setup.lookup
         yield from send_frame(MSG_AND_OPENING, _lookup_table(
             word, shift, w, lanes, padded).to_bytes((9 * nb + 7) // 8,

@@ -1,29 +1,43 @@
 """Precomputed oblivious transfer (Beaver, CRYPTO 1995) on dealer material.
 
-The dealer hands the sender, party 1, two random 128-bit pads r0 and r1 per
-transfer, and the receiver, party 0, a random choice bit d with the pad
-r_d.  To receive message m_c of a pair, the receiver sends e = c XOR d; the
-sender answers with m_0 XOR r_e and m_1 XOR r_(1 XOR e), and the receiver
-opens slot c with its pad, since c XOR e = d.  The sender sees c only under
-the one-time pad d, and the receiver holds one of the two pads, so the
-other message stays one-time padded too.  A transfer costs the receiver's
-one bit and the sender's two messages, one frame each way, so one online
-round of a transcript.  The receiver's frame depends on nothing but its
-choices and d, so it can go out before the sender is ready: yao's
-querier sends its label choices with its envelope
-(:func:`prelude.smpc.dealer.first_steps`), and the holder answers with
-the labels in the flight that carries its ack.
+1-out-of-2.  The dealer hands the sender, party 1, two random pads r0 and
+r1 per transfer, and the receiver, party 0, a random choice bit d with the
+pad r_d.  To receive message m_c of a pair, the receiver sends e = c XOR
+d; the sender answers with m_0 XOR r_e and m_1 XOR r_(1 XOR e), and the
+receiver opens slot c with its pad, since c XOR e = d.  The sender sees c
+only under the one-time pad d, and the receiver holds one of the two
+pads, so the other message stays one-time padded too.  gmw's release
+delivers each output's value this way, such as an entry's 6-byte
+identifier or the dummy, one transfer per lane.
 
-Yao's evaluator receives its input labels this way, one 16-byte label per
-querier wire, and gmw's release delivers each output's value, such as an
-entry's 6-byte identifier or the dummy.  The transfers are part of the
-dealer material for one run (:mod:`prelude.smpc.dealer`), as many as that
-run takes, with pads as long as the messages: 16 bytes for a label, 6 for
-an identifier.  Each party's material is packed: transfer i's pads lie in
-lane i of one int, a lane being as many bytes as a message, and its choice
-bit in bit i of another, so both steps act on every transfer at once.  The
-messages travel in the same lanes, so a frame is two such ints, every
-transfer's slot 0 and then every transfer's slot 1.
+1-out-of-3, the same transfer over Z3 (Naor & Pinkas, SODA 2001, on
+Beaver's precomputation).  The dealer hands the sender three random pads
+p0, p1 and p2 per transfer, and the receiver a uniform symbol u of Z3 with
+the pad p_u.  To receive message m_x of three, the receiver sends the
+shift s = x - u mod 3, and the sender puts each message m_v under the pad
+its position selects, p_(v - s), so slot x holds m_x XOR p_u.  The sender
+sees x only shifted by u, a uniform symbol it never learns, and the
+receiver holds one pad of three, so the two messages it did not choose
+stay one-time padded.  Yao's evaluator receives its input labels this
+way, one 16-byte label per ternary cell, the label of the cell's symbol:
+``*``, pinned one or pinned zero.  The shift is the querier's first
+frame, the same shifted symbols gmw's lookup level reads
+(:func:`prelude.smpc.dealer.first_steps`).
+
+Either transfer costs the receiver's one frame and the sender's one, so
+one online round of a transcript.  The receiver's frame depends on
+nothing but its choices and its dealer piece, so it can go out before
+the sender is ready: a querier sends its shifts with its envelope, and a
+yao holder answers with the labels in the flight that carries its ack.
+
+The transfers are part of the dealer material for one run
+(:mod:`prelude.smpc.dealer`), as many as that run takes, with pads as long
+as the messages.  Each party's material is packed: transfer i's pads lie
+in lane i of one int per slot, a lane being as many bytes as a message,
+and its choice bit in bit i of another, or its symbol in bits i and n + i
+of two bit planes, so every step acts on every transfer at once.  The
+messages travel in the same lanes, so a frame is two or three such ints,
+every transfer's slot 0 and then every transfer's slot 1, and slot 2.
 """
 
 from __future__ import annotations
@@ -99,3 +113,63 @@ def choose_steps(choices: int, n: int, size: int, material: tuple[int, int],
     slot1 = int.from_bytes(payload[size * n :], "little")
     swap = select(spread(choices, n, size), size) & (slot0 ^ slot1)
     return slot0 ^ swap ^ material[1]
+
+
+def _symbol_lanes(symbols: int, n: int) -> tuple[int, int]:
+    """All ones in each 16-byte lane whose symbol reads 1, and in each whose
+    symbol reads 2, for ``n`` symbols in two bit planes."""
+    lanes = select(spread(symbols, 2 * n))
+    return lanes & ((1 << LABEL_BITS * n) - 1), lanes >> LABEL_BITS * n
+
+
+def _pick(values, lanes: tuple[int, int]) -> int:
+    """Each lane of ``values[v]`` where the symbol :func:`_symbol_lanes`
+    gave reads v."""
+    first, second, third = values
+    ones, twos = lanes
+    return first ^ (ones & (first ^ second)) ^ (twos & (first ^ third))
+
+
+def symbol_transfer_material(u: int, n: int, rng
+                             ) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """The receiver's (u, p_u) and the sender's (p0, p1, p2) for ``n``
+    1-out-of-3 transfers of 16-byte labels on the symbols ``u``, two bit
+    planes, which the caller draws."""
+    pads = tuple(rng.getrandbits(LABEL_BITS * n) for _ in range(3))
+    return (u, _pick(pads, _symbol_lanes(u, n))), pads
+
+
+def send_symbol_steps(messages, shift: int, n: int, pads: tuple[int, ...],
+                      kind: int):
+    """Sender: deliver label m_x of each of ``n`` triples to a receiver
+    whose symbol is x.
+
+    ``messages`` is (m0, m1, m2), the labels in 16-byte lanes, ``shift``
+    the receiver's shifted symbols s = x - u mod 3, two bit planes, and
+    ``pads`` this side's (p0, p1, p2).  Answers in one frame of ``kind``:
+    slot v holds m_v under p_(v - s).
+    """
+    p0, p1, p2 = pads
+    lanes = _symbol_lanes(shift, n)
+    under = (_pick((p0, p2, p1), lanes), _pick((p1, p0, p2), lanes),
+             _pick((p2, p1, p0), lanes))
+    yield from send_frame(kind, b"".join(
+        (m ^ pad).to_bytes(LABEL_BYTES * n, "little")
+        for m, pad in zip(messages, under, strict=True)))
+
+
+def choose_symbol_steps(symbols: int, n: int, material: tuple[int, int],
+                        kind: int):
+    """Receiver: the label symbol i of ``symbols`` selects in transfer i.
+
+    ``symbols`` holds ``n`` symbols of Z3 as two bit planes, ``material``
+    is this side's (u, p_u), and the sender must hold the shifts
+    ``symbols - u mod 3``, which the caller sends.  Receives the sender's
+    frame of ``kind`` and returns the labels in 16-byte lanes, transfer i
+    in lane i.
+    """
+    size = LABEL_BYTES * n  # a slot
+    payload = yield from recv_exact(kind, 3 * size)
+    slots = [int.from_bytes(payload[at : at + size], "little")
+             for at in range(0, len(payload), size)]
+    return _pick(slots, _symbol_lanes(symbols, n)) ^ material[1]

@@ -144,11 +144,11 @@ class TestClearGroups:
     def test_comparator_cells_are_cross_gates(self):
         for width in (1, 7, 8, 104):
             c = build_batch_query(width)
-            # yao's one level is the 2w cross gates; gmw's first level
-            # pairs the cells, a phantom cell padding an odd width, and
-            # its OR tree takes the rest, each gate of a inputs taking
-            # a - 1 fields away
-            assert c.plan("yao") == (2 * width,)
+            # yao's one level is the w cells, each garbled as its two
+            # cross gates; gmw's first level pairs the cells, a phantom
+            # cell padding an odd width, and its OR tree takes the rest,
+            # each gate of a inputs taking a - 1 fields away
+            assert c.plan("yao") == (width,)
             assert c.plan("gmw") == c.levels
             assert c.levels[0] == c.pairs == (width + 1) // 2
             assert sum(gates * (arity - 1) for gates, arity in zip(

@@ -45,7 +45,6 @@ from prelude.smpc import (
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
     MSG_GARBLED_TABLES,
-    MSG_INPUT_SHARE,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
     ChannelClosed,
@@ -387,9 +386,9 @@ class TestPrivacyMechanics:
     def test_the_first_frame_is_padded(self, monkeypatch, backend, case):
         # The querier sends its first online frame before the ack, so even
         # a session that ends there, at k = 0 or on a width mismatch, shows
-        # the holder only dealer-padded bits: over sessions of one fixed
-        # rule, each of yao's 16 bits is a fair coin, and each of gmw's 8
-        # shifts, a symbol of Z3 in two bit planes, is uniform over Z3.
+        # the holder only dealer-shifted symbols: over sessions of one
+        # fixed rule, each of the 8 shifts, a symbol of Z3 in two bit
+        # planes, is uniform over Z3 under either backend.
         frames = sent_frames(monkeypatch)
         width = 4 if case == "width-mismatch" else 8
         table = [make_entry(TernaryRule(width, 0b0110, 0b1111), 1, 10 + i)
@@ -408,23 +407,17 @@ class TestPrivacyMechanics:
         firsts = [frames[i + 1] for i, kind in enumerate(kinds)
                   if kind == MSG_ENVELOPE]
         assert len(firsts) == sessions
-        assert {kind for kind, _, _ in firsts} == {
-            MSG_AND_OPENING if backend == "gmw" else MSG_INPUT_SHARE}
+        assert {kind for kind, _, _ in firsts} == {MSG_AND_OPENING}
         words = [int.from_bytes(payload, "little")
                  for _, payload, _ in firsts]
         assert {len(payload) for _, payload, _ in firsts} == {2}
-        if backend == "gmw":
-            for cell in range(8):
-                symbols = [(word >> cell & 1) + 2 * (word >> 8 + cell & 1)
-                           for word in words]
-                assert 3 not in symbols, cell
-                _, p_value = stats.chisquare(
-                    [symbols.count(v) for v in range(3)])
-                assert p_value > 1e-4, cell
-            return
-        for bit in range(16):
-            ones = sum((word >> bit) & 1 for word in words)
-            assert stats.binomtest(ones, sessions).pvalue > 1e-4, bit
+        for cell in range(8):
+            symbols = [(word >> cell & 1) + 2 * (word >> 8 + cell & 1)
+                       for word in words]
+            assert 3 not in symbols, cell
+            _, p_value = stats.chisquare(
+                [symbols.count(v) for v in range(3)])
+            assert p_value > 1e-4, cell
 
     def test_aborted_session_raises_query_aborted(self):
         entry = make_entry(TernaryRule(8, 0, 0), 1, 65001)
@@ -683,16 +676,16 @@ class TestSessionMechanics:
                 if kind in (MSG_GARBLED_TABLES, MSG_LABELS, MSG_OUTPUT_SHARE)]
         sent = dict(held)
         assert len(held) == len(sent) == 3
-        # the comparator's 2w one-row cross gates of 16 bytes per entry; the
-        # OR tree is not garbled
+        # the comparator's w cells of two 16-byte rows per entry; the OR
+        # tree is not garbled
         assert sent[MSG_GARBLED_TABLES] == 5 + 32 * width * k
-        # two labels per querier input bit and none for the holder's clear
-        # rule bits
-        assert sent[MSG_LABELS] == 5 + 16 * 4 * width
+        # three labels per cell, one per symbol, and none for the holder's
+        # clear rule bits
+        assert sent[MSG_LABELS] == 5 + 16 * 3 * width
         # per entry, one 16-byte block: the 6-byte identifier and its tag
         assert sent[MSG_OUTPUT_SHARE] == 5 + 16 * k
         assert stats_out[0].online_rounds == 2
-        # yao garbles only the template's level-1 cross gates
+        # yao garbles only the template's level of cells
         assert stats_out[0].and_depth == 1
         assert sorted(raw) == sorted(
             e.next_hop if overlaps(local, e.rule) else DUMMY_HOP
@@ -799,9 +792,9 @@ class TestSessionMechanics:
     def test_an_empty_session_draws_only_the_first_pad(self, monkeypatch,
                                                        backend):
         # At k = 0 the dealer draws only what pads the querier's first
-        # frame from the endpoint's dealer stream: yao's 2w label choice
-        # bits without the label pads, or gmw's shifts, two bit planes of w
-        # bits and w bits more for each redraw of the positions that read 3.
+        # frame from the endpoint's dealer stream, under either backend:
+        # its shifts, two bit planes of w bits and w bits more for each
+        # redraw of the positions that read 3, and no label pads.
         drawn = []
 
         class Counting(random.Random):
@@ -816,12 +809,9 @@ class TestSessionMechanics:
             del drawn[:]
             assert endpoint.query(random_rule(width, rng), "10.9.0.0/16",
                                   backend=backend).hops == set()
-            if backend == "gmw":
-                planes = [n for n in drawn if n]
-                assert set(planes) == {width}, drawn
-                assert len(planes) % 2 == 0, drawn
-            else:
-                assert sum(drawn) == 2 * width, drawn
+            planes = [n for n in drawn if n]
+            assert set(planes) == {width}, drawn
+            assert len(planes) % 2 == 0, drawn
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     def test_the_holders_deal_may_come_first(self, backend):
@@ -1125,6 +1115,40 @@ class TestSingleFrameFaults:
                                      f"dealt for {backend}")
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("k", [0, 5, yao.LABEL_KEYED_LANES])
+    def test_a_flip_to_symbol_3_aborts_naming_the_cell(self, monkeypatch,
+                                                       backend, k):
+        # The querier's first frame holds its shifts, a symbol of Z3 per
+        # cell in two bit planes.  A flipped bit that sets both planes of a
+        # cell makes it read the unused symbol 3, which no label and no
+        # table entry stands for: under either backend, and at k = 0, the
+        # holder refuses it naming the cell, before it computes anything.
+        rng = random.Random(190 + k)
+        width = 8
+        entries = [make_entry(random_rule(width, rng), 2, 900 + i)
+                   for i in range(k)]
+        endpoint = fresh_endpoint(entries)
+        flipped = []
+
+        def flip(index, kind, payload):
+            if kind == MSG_AND_OPENING and not flipped:
+                shift = int.from_bytes(payload, "little")
+                cell = next(j for j in range(width)
+                            if shift >> j & 1 or shift >> width + j & 1)
+                flipped.append(cell)
+                payload = (shift | 1 << cell | 1 << width + cell).to_bytes(
+                    len(payload), "little")
+            return kind, payload
+
+        changing_frames(monkeypatch, flip)
+        with pytest.raises(QueryAborted) as caught:
+            endpoint.query(random_rule(width, rng), "10.0.0.0/8",
+                           backend=backend)
+        assert isinstance(caught.value.__cause__, ProtocolError)
+        assert str(caught.value) == (f"shift frame reads the unused symbol "
+                                     f"3 at cell {flipped[0]}")
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
     @pytest.mark.parametrize("told", [3, 27])
     def test_an_ack_with_another_k_aborts_naming_both_counts(
             self, monkeypatch, backend, told):
@@ -1319,7 +1343,7 @@ class TestLaneSessions:
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
         ("gmw", 4, 8, 92, 150, 3),
         ("gmw", 104, 50, 2289, 4458, 5),
-        ("yao", 104, 50, 169796, 7497, 2),
+        ("yao", 104, 50, 168132, 5833, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
                                                 width, k, setup, online,
@@ -1353,8 +1377,8 @@ class TestLaneSessions:
             getrandbits=lambda n: next(draws, (1 << n) - 1))
         pieces, materials = [], []
 
-        def drawing(circuit, backend, rng):
-            pieces.append(first_piece(circuit, backend, shifted))
+        def drawing(circuit, rng):
+            pieces.append(first_piece(circuit, shifted))
             return pieces[-1]
 
         def recording(circuit, backend, rng, lanes=1, **kwargs):
@@ -1451,12 +1475,12 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "da3ddec70fd706ab19c3b101b43d4791"
-         "dd968bac6bad140640057173b290764b"),
-        (7, 33, "7877f4b0e416e347a2b541125b3d5c05"
-         "8478df51918b048f92b115d294c00947"),
-        (1, 3, "16169e9cd91f94e9a524cd7041370cee"
-         "d62f76b4ae3e0ff58630ed4b7e6ae4a7"),
+        (104, 50, "2996b743fdcf2f8f5b7517bc68ecbb1f"
+         "c4fc3105844d77972b0bc45616695e8d"),
+        (7, 33, "24ae820b45a00e3e4eb4ad58bdf31c44"
+         "0c952799503db04aaae99ddb03d4451e"),
+        (1, 3, "ac012ca8b7964919e6e8807b456e972a"
+         "825b14eb07a0d254bba81cfab33231b7"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):

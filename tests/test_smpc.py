@@ -54,6 +54,7 @@ from prelude.smpc import (
 )
 from prelude.smpc import gmw, yao
 from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
+from prelude.distinct_match import MAX_ENTRIES
 from prelude.smpc.channel import MAX_FRAME_BYTES, RECV
 from prelude.smpc.shares import (
     broadcast,
@@ -189,7 +190,7 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
     lanes = mat.lanes
     if party == 0:
         piece = mat.lookup[0] if backend == "gmw" else mat.transfer[0]
-        yield from first_steps(circuit, backend, inputs, piece)
+        yield from first_steps(circuit, inputs, piece)
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat)
         if party == 1:
@@ -638,7 +639,7 @@ class TestDealer:
         # from the same seed does.  No deal spans zero lanes.
         circuit = build_batch_query(width)
         rng = random.Random(40 + width)
-        piece = first_piece(circuit, backend, rng)
+        piece = first_piece(circuit, rng)
         assert 0 <= piece < 1 << 2 * width
         split = dealer_for_circuit(circuit, backend, rng, lanes=3,
                                    first=piece, size=6)
@@ -652,15 +653,18 @@ class TestDealer:
             dealer_for_circuit(circuit, backend, rng, lanes=0, first=piece)
 
     def test_transfer_material_is_consistent(self):
-        # yao's 8 transfers at width 4, one per querier input
-        mat0, mat1 = dealer_for_circuit(build_batch_query(4), "yao",
+        # yao's 1-out-of-3 transfers, one per cell: the querier's pad in
+        # lane j is the holder's pad p_u of cell j's shift u
+        width = 12
+        mat0, mat1 = dealer_for_circuit(build_batch_query(width), "yao",
                                         random.Random(2))
-        (d, pad), (r0, r1) = mat0.transfer, mat1.transfer
-        assert 0 < d < 0xff  # both choices occur
-        for i in range(8):
-            lane = 128 * i
-            assert (pad >> lane) & ((1 << 128) - 1) == (
-                (r1 if (d >> i) & 1 else r0) >> lane) & ((1 << 128) - 1)
+        (u, pad), pads = mat0.transfer, mat1.transfer
+        assert len(pads) == 3
+        symbols = TestShares.symbols(u, width)
+        assert set(symbols) == {0, 1, 2}  # every shift occurs
+        for j, symbol in enumerate(symbols):
+            assert unpack(pad, 128, width)[j] == (
+                unpack(pads[symbol], 128, width)[j])
 
     @pytest.mark.parametrize("width,lanes", [(1, 1), (8, 5), (208, 33)])
     def test_lookup_pads_select_by_the_shifts(self, width, lanes):
@@ -851,7 +855,7 @@ class TestGmw:
         circuit = build_batch_query(4)
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(2))
         with pytest.raises(ValueError, match="reads symbol 3 at cell 2"):
-            next(first_steps(circuit, "gmw", 0b0100_0100, mat0.lookup[0]))
+            next(first_steps(circuit, 0b0100_0100, mat0.lookup[0]))
 
     def test_the_holder_refuses_a_shift_frame_reading_3(self):
         # Cell 1 of a forged shift frame has both planes set.  The holder
@@ -919,7 +923,7 @@ class TestYao:
     def test_width_1_template_has_no_or_tree(self):
         # every pair of width-1 rules: 0, 1 and * against 0, 1 and *
         circuit = build_batch_query(1)
-        assert circuit.plan("yao") == (2,)
+        assert circuit.plan("yao") == (1,)
         assert circuit.levels == (1,)  # gmw's one lookup gate
         rules = [TernaryRule(1, 0, 1), TernaryRule(1, 1, 1),
                  TernaryRule.wildcard(1)]
@@ -948,23 +952,43 @@ class TestYao:
             setup_kinds = {e.kind for e in t.frames if e.phase == "setup"}
             assert setup_kinds == {MSG_GARBLED_TABLES}
             online_kinds = {e.kind for e in t.frames if e.phase == "online"}
-            assert online_kinds == {MSG_INPUT_SHARE, MSG_LABELS, MSG_OUTPUT_SHARE}
+            assert online_kinds == {MSG_AND_OPENING, MSG_LABELS,
+                                    MSG_OUTPUT_SHARE}
         table_entry = next(
             e for e in t1.frames
             if e.kind == MSG_GARBLED_TABLES and e.direction == "sent"
         )
-        # one 16-byte row per cross gate; the OR tree's ANDs are not garbled
-        assert circuit.plan("yao") == (16,)
-        assert table_entry.n_bytes == 5 + 16 * 16
+        # two 16-byte rows per cell; the OR tree's ANDs are not garbled
+        assert circuit.plan("yao") == (8,)
+        assert table_entry.n_bytes == 5 + 2 * 8 * 16
 
     def test_missing_transfer_material_aborts(self):
-        # the width-4 evaluator takes 8 label transfers, one per querier
-        # input: a narrower template's 6, or gmw's 3, one per lane, are
-        # refused before the first step
+        # the width-4 evaluator takes 4 label transfers, one per cell: a
+        # narrower template's 3, or gmw's 3, one per lane, are refused
+        # before the first step
         first_step("yao", 0, deal("yao")[0])
         for mat0 in (deal("yao", width=3)[0], deal("gmw")[0]):
             with refused("yao", 0, mat0):
                 first_step("yao", 0, mat0)
+
+    def test_the_holder_refuses_a_shift_frame_reading_3(self, monkeypatch):
+        # Cell 1 of a forged shift frame has both planes set.  The garbler
+        # refuses it naming the symbol and the cell before it garbles or
+        # sends a frame, so no unused symbol picks a label.
+        circuit = build_batch_query(4)
+        _, inputs1 = random_inputs(circuit, random.Random(6), 2)
+        _, mat1 = dealer_for_circuit(circuit, "yao", random.Random(7),
+                                     lanes=2)
+        for name in ("_garble", "_garble_keyed"):
+            monkeypatch.setattr(yao, name, None)
+        spy = Spy()
+        with pytest.raises(ProtocolError, match=(
+                "shift frame reads the unused symbol 3 at cell 1")):
+            run_pair(tapped(send_frame(MSG_AND_OPENING, bytes([0b0010_0010])),
+                            spy),
+                     party_steps(circuit, "yao", 1, inputs1, mat1,
+                                 garble_rng=random.Random(1)))
+        assert spy.received == []
 
     def test_garbler_requires_rng(self):
         circuit = build_batch_query(4)
@@ -1044,22 +1068,18 @@ class TestLanes:
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_cross_gates_match_plaintext(self, backend, lanes):
-        # Input bits that need not form rules.  Under yao a querier may pin
-        # a bit both ways, so a cell's two cross gates may both read 1, and
-        # its key sums test whether any cross gate reads 1.  gmw's lookup
-        # level reads the querier's symbols of Z3, none of them 3, against
-        # holder bits that may pin a bit both ways, and computes the
-        # template, whose cell is the XOR of its two products.
+        # Input bits that need not form rules.  Both backends read the
+        # querier's symbols of Z3, none of them 3, against holder bits that
+        # may pin a bit both ways, and compute the template, whose cell is
+        # the XOR of its two products: gmw's lookup tables and yao's two
+        # rows per cell.
         rng = random.Random(700 + lanes)
-        cell = int.__xor__ if backend == "gmw" else int.__or__
         seen = set()
         for trial in range(8):
             circuit = build_batch_query(rng.choice((1, 2, 3)))
-            inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2,
-                                             symbols=backend == "gmw")
+            inputs0, inputs1 = random_inputs(circuit, rng, lanes, sparse=2)
             got = self.run(circuit, backend, inputs0, inputs1, lanes, trial)
-            assert got == plaintext(circuit, inputs0, inputs1, lanes,
-                                    cell), trial
+            assert got == plaintext(circuit, inputs0, inputs1, lanes), trial
             seen.update(got)
         assert seen == {0, 1}
 
@@ -1083,12 +1103,14 @@ class TestLanes:
         assert mat0.tree == (ones.getrandbits(15 * 1 * 5) << 5,)
         assert mat0.transfer == (ones.getrandbits(5),
                                  ones.getrandbits(128 * 5))
-        # the querier's inputs are broadcast: one transfer per input at any k
-        mat0, mat1 = dealer_for_circuit(circuit, "yao", ones, lanes=5)
-        assert (mat0.lookup[:2], mat0.tree) == ((0, 0), ())
-        assert mat0.transfer == (ones.getrandbits(16),
-                                 ones.getrandbits(128 * 16))
-        assert mat1.transfer == (ones.getrandbits(128 * 16),) * 2
+        # the querier's inputs are broadcast: one transfer per cell at any
+        # k, on the same shifts, every one 2, which select the pad p2
+        draws = iter([0])
+        mat0, mat1 = dealer_for_circuit(circuit, "yao", shifted, lanes=5)
+        assert (mat0.lookup, mat0.tree) == ((), ())
+        assert mat0.transfer == (ones.getrandbits(8) << 8,
+                                 ones.getrandbits(128 * 8))
+        assert mat1.transfer == (ones.getrandbits(128 * 8),) * 3
 
     def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
         # Each frame is exact, after a 5-byte header.  At the lookup level
@@ -1218,116 +1240,125 @@ class TestHalfGates:
         return int.from_bytes(cipher.encrypt(block), "little")
 
     def hashed(self, lanes):
-        """The hashed rows' PRF F(A, g, i, b) = H(A, j + b), with
-        j = 2 (g lanes + i)."""
-        return lambda label, g, i, b=0: self.h(label, 2 * (g * lanes + i) + b)
+        """The hashed rows' PRF F(L, c, i, b) = H(L, j + b), with
+        j = 2 (c lanes + i)."""
+        return lambda label, c, i, b=0: self.h(label, 2 * (c * lanes + i) + b)
 
-    def keyed(self, label, g, i, b=0):
-        """The label-keyed rows' PRF F(A, g, i, b) = AES_A(c(i, b))."""
+    def keyed(self, label, c, i, b=0):
+        """The label-keyed rows' PRF F(L, c, i, b) = AES_L(c(i, b))."""
         return self.prf(label, i, b)
 
     @staticmethod
-    def reference_garble(prf, zero, one, clear, lanes):
-        """Both rows one (gate, lane) at a time under PRF ``prf``.
+    def reference_garble(prf, labels, clear, lanes):
+        """Both rows of every cell one lane at a time under PRF ``prf``.
 
-        Gate g's row in lane i is T = F(A0, g, i, b) ^ F(A1, g, i, 0) for
-        the holder's bit b, and its zero-key F(A0, g, i, 0).  Returns (the
-        rows by gate, then lane, the per-lane sums of the zero-keys).
+        ``labels`` holds each cell's (L*, L1, L0).  Cell c's rows in lane i
+        are R1 = F(L*, c, i, h_zero) ^ F(L1, c, i, 0) and R0 = F(L*, c, i,
+        h_one) ^ F(L0, c, i, 0) for the holder's bits, fields c and w + c
+        of its word, and its zero-key F(L*, c, i, 0).  Returns (the rows,
+        cell by cell, R1's lanes then R0's, the per-lane sums of the
+        zero-keys).
         """
+        w = len(labels)
         rows, sums = [], [0] * lanes
-        for g, (a0, a1) in enumerate(zip(zero, one)):
+        for c, (star, one, zero) in enumerate(labels):
+            for label, field in ((one, c), (zero, w + c)):
+                for i in range(lanes):
+                    b = clear >> (field * lanes + i) & 1
+                    rows.append((prf(star, c, i, b) ^ prf(label, c, i))
+                                .to_bytes(16, "little"))
             for i in range(lanes):
-                b = clear >> (g * lanes + i) & 1
-                rows.append((prf(a0, g, i, b) ^ prf(a1, g, i)).to_bytes(
-                    16, "little"))
-                sums[i] ^= prf(a0, g, i)
+                sums[i] ^= prf(star, c, i)
         return b"".join(rows), sums
 
     @staticmethod
     def reference_evaluate(prf, chosen, inputs0, tables, lanes):
-        """The evaluator's per-lane sums of F(A, g, i, 0) ^ q T, for the
-        label A of its input bit q and gate g's row T in lane i."""
+        """The evaluator's per-lane sums of F(L, c, i, 0), for the label L
+        of its symbol in cell c, XORed with R1 where it pins the cell to
+        one and R0 where it pins it to zero."""
+        w = len(chosen)
         sums = [0] * lanes
-        for g, label in enumerate(chosen):
+        for c, label in enumerate(chosen):
+            symbol = (inputs0 >> c & 1) + 2 * (inputs0 >> w + c & 1)
             for i in range(lanes):
-                row = int.from_bytes(tables[16 * (g * lanes + i) :][:16],
-                                     "little")
-                sums[i] ^= prf(label, g, i) ^ (row if inputs0 >> g & 1 else 0)
+                row = 0
+                if symbol:
+                    at = 16 * ((2 * c + symbol - 1) * lanes + i)
+                    row = int.from_bytes(tables[at : at + 16], "little")
+                sums[i] ^= prf(label, c, i) ^ row
         return sums
 
     @staticmethod
-    def hashed_labels(rng, n):
-        """delta and the zero- and one-labels of ``n`` querier wires, the
-        one-labels offset by delta."""
-        delta = rng.getrandbits(128)
-        zero = [rng.getrandbits(128) for _ in range(n)]
-        return delta, zero, [a ^ delta for a in zero]
+    def cell_labels(rng, w):
+        """Three independent labels per cell, (L*, L1, L0), and all of them
+        packed as the garbler holds them: every L*, every L1, every L0."""
+        labels = [tuple(rng.getrandbits(128) for _ in range(3))
+                  for _ in range(w)]
+        return labels, pack([label[v] for v in range(3) for label in labels],
+                            128)
+
+    @staticmethod
+    def chosen_labels(labels, inputs0):
+        """The label of each cell's symbol in the querier's word."""
+        w = len(labels)
+        return [labels[c][(inputs0 >> c & 1) + 2 * (inputs0 >> w + c & 1)]
+                for c in range(w)]
+
+    def check_cell_rows(self, prf, garble, evaluate, width, lanes, rng):
+        """``garble`` and ``evaluate`` against the per-lane reference under
+        ``prf``: the tables and S0 exact, the evaluator's sums exact and
+        equal to S0 exactly where the rules overlap."""
+        inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+        labels, packed = self.cell_labels(rng, width)
+        tables, sums = garble(packed, width, inputs1, lanes)
+        ref_tables, ref_sums = self.reference_garble(prf, labels, inputs1,
+                                                     lanes)
+        assert len(tables) == 2 * 16 * lanes * width
+        assert tables == ref_tables
+        assert unpack(sums, 128, lanes) == ref_sums
+        chosen = self.chosen_labels(labels, inputs0)
+        got = unpack(evaluate(pack(chosen, 128), width, inputs0, bytes(tables),
+                              lanes), 128, lanes)
+        assert got == self.reference_evaluate(prf, chosen, inputs0, tables,
+                                              lanes)
+        assert tuple(int(a != b) for a, b in zip(got, ref_sums)) == expected
 
     @pytest.mark.parametrize("lanes", [1, 3, 64])
     def test_tables_equal_a_per_lane_reference(self, lanes):
+        # The hashed cell rows, tables and S0, at any lane count.
         rng = random.Random(80 + lanes)
         for width in (1, 4, 8, 104):
-            n = 2 * width
-            clear = rng.getrandbits(n * lanes)
-            delta, zero, one = self.hashed_labels(rng, n)
-            tables, sums = yao._garble(pack(zero, 128), n, delta, clear,
-                                       lanes)
+            inputs1 = rng.getrandbits(2 * width * lanes)
+            labels, packed = self.cell_labels(rng, width)
+            tables, sums = yao._garble(packed, width, inputs1, lanes)
             ref_tables, ref_sums = self.reference_garble(
-                self.hashed(lanes), zero, one, clear, lanes)
-            assert len(tables) == 16 * lanes * n
+                self.hashed(lanes), labels, inputs1, lanes)
+            assert len(tables) == 2 * 16 * lanes * width
             assert tables == ref_tables
             assert unpack(sums, 128, lanes) == ref_sums
 
-    @pytest.mark.parametrize("lanes", [1, 3, 64])
+    @pytest.mark.parametrize("lanes", [1, 3, yao.LABEL_KEYED_LANES - 1,
+                                       yao.LABEL_KEYED_LANES, 64])
     def test_cross_gate_rows_equal_a_per_lane_reference(self, lanes):
-        # The evaluator's key of each cross gate's row, H(A, j) ^ q T for
-        # its input bit q, summed per lane, and the sums agree with the
-        # garbler's exactly where the rules overlap.
+        # The cell rows under F(L, c, i, b) = H(L, j + b): each cell's two
+        # rows, one per cross gate, and the evaluator's key of each cell,
+        # H(L, j) for the label L of its symbol XORed with the row that
+        # symbol picks, summed per lane, which agree with the garbler's
+        # sums exactly where the rules overlap.
         rng = random.Random(90 + lanes)
         for width in (1, 4, 8, 104):
-            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
-            n = 2 * width
-            delta, zero, one = self.hashed_labels(rng, n)
-            tables, sums = yao._garble(pack(zero, 128), n, delta, inputs1,
-                                       lanes)
-            chosen = [(one if inputs0 >> g & 1 else zero)[g]
-                      for g in range(n)]
-            got = unpack(yao._evaluate(pack(chosen, 128), n, inputs0, tables,
-                                       lanes), 128, lanes)
-            assert got == self.reference_evaluate(
-                self.hashed(lanes), chosen, inputs0, tables, lanes)
-            assert tuple(int(a != b) for a, b in zip(
-                got, unpack(sums, 128, lanes))) == expected
+            self.check_cell_rows(self.hashed(lanes), yao._garble,
+                                 yao._evaluate, width, lanes, rng)
 
     @pytest.mark.parametrize("lanes", [1, 3, yao.LABEL_KEYED_LANES - 1,
                                        yao.LABEL_KEYED_LANES, 40, 64])
     def test_label_keyed_rows_equal_a_per_lane_reference(self, lanes):
-        # The rows' formula under F(A, i, b) = AES_A(c(i, b)), with A1
-        # drawn apart from A0: the tables and S0 exact, and the
-        # evaluator's sums exact and equal to S0 exactly where the rules
-        # overlap.
+        # The cell rows under F(L, i, b) = AES_L(c(i, b)), with the three
+        # labels of a cell drawn apart.
         rng = random.Random(110 + lanes)
         for width in (1, 4, 8, 104):
-            inputs0, inputs1, expected = overlap_case(width, lanes, rng)
-            n = 2 * width
-            zero = [rng.getrandbits(128) for _ in range(n)]
-            one = [rng.getrandbits(128) for _ in range(n)]
-            tables, sums = yao._garble_keyed(pack(zero, 128), pack(one, 128),
-                                             n, inputs1, lanes)
-            chosen = [(one if inputs0 >> g & 1 else zero)[g]
-                      for g in range(n)]
-            got = unpack(yao._evaluate_keyed(pack(chosen, 128), n, inputs0,
-                                             bytes(tables), lanes),
-                         128, lanes)
-            ref_tables, ref_sums = self.reference_garble(
-                self.keyed, zero, one, inputs1, lanes)
-            assert len(tables) == 16 * lanes * n
-            assert tables == ref_tables
-            assert unpack(sums, 128, lanes) == ref_sums
-            assert got == self.reference_evaluate(
-                self.keyed, chosen, inputs0, tables, lanes)
-            assert tuple(int(a != b) for a, b in zip(got, ref_sums)) == (
-                expected)
+            self.check_cell_rows(self.keyed, yao._garble_keyed,
+                                 yao._evaluate_keyed, width, lanes, rng)
 
     @pytest.mark.parametrize("width", [4, 104])
     @pytest.mark.parametrize("lanes", [yao.LABEL_KEYED_LANES - 1,
@@ -1353,6 +1384,60 @@ class TestHalfGates:
             assert out0 == expected, trial
         assert ran == (["_garble_keyed", "_evaluate_keyed"] if keyed
                        else ["_garble", "_evaluate"]) * 3
+
+    @staticmethod
+    def counted_session(monkeypatch, width, lanes):
+        """One yao session of ``lanes`` entries at ``width``, with every
+        AES call it makes: the bytes each encrypted."""
+        calls = []
+        real = Aes128.encrypt
+
+        def counting(self, key, out, data, n, *args):
+            calls.append(n)
+            return real(self, key, out, data, n, *args)
+
+        monkeypatch.setattr(Aes128, "encrypt", counting)
+        rng = random.Random(140 + width)
+        inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+        out0, _, _, _ = run_backend(build_batch_query(width), "yao", inputs0,
+                                    inputs1, lanes=lanes)
+        assert out0 == expected
+        return calls
+
+    @pytest.mark.parametrize("width", [4, 104])
+    def test_label_keyed_sessions_make_exact_aes_calls(self, monkeypatch,
+                                                       width):
+        # Per cell the garbler makes four keyed calls, one ECB over both
+        # rows and three CTR, and the evaluator one CTR: 520 at width 104.
+        # The release's two fixed-key calls, one per party, come on top.
+        lanes = yao.LABEL_KEYED_LANES
+        calls = self.counted_session(monkeypatch, width, lanes)
+        size = 16 * lanes
+        assert sorted(calls) == sorted([2 * size] * width
+                                       + [size] * (4 * width) + [size] * 2)
+        assert len(calls) == 5 * width + 2
+
+    @pytest.mark.parametrize("width", [4, 104])
+    def test_hashed_sessions_make_exact_pi_calls(self, monkeypatch, width):
+        # One pi call by each party over every cell and lane, five blocks
+        # per cell and lane for the garbler and one for the evaluator,
+        # then the release's two, one block per lane each.
+        lanes = yao.LABEL_KEYED_LANES - 1
+        calls = self.counted_session(monkeypatch, width, lanes)
+        blocks = width * lanes
+        assert sorted(calls) == sorted([16 * 5 * blocks, 16 * blocks]
+                                       + [16 * lanes] * 2)
+
+    @pytest.mark.parametrize("lanes", [1, 19, 20, 500, MAX_ENTRIES])
+    def test_lane_constants_equal_their_byte_by_byte_form(self, lanes):
+        # The lane index and the counter blocks, built by strided slices
+        # of 8-byte words, as lane by lane to_bytes builds them.
+        assert yao._lane_index(lanes) == int.from_bytes(b"".join(
+            i.to_bytes(16, "little") for i in range(lanes)), "little")
+        counters = yao._counters(lanes)
+        assert isinstance(counters, bytearray)
+        assert counters == b"".join(i.to_bytes(16, "big")
+                                    for i in range(lanes))
 
     def test_released_values_fit_one_hash_block(self):
         # a value and a tag of 80 zero bits share one 16-byte block
@@ -1534,8 +1619,8 @@ def truncating(kind):
     ("gmw", "AND_OPENING"),
     ("gmw", "INPUT_SHARE"),
     ("gmw", "OUTPUT_SHARE"),
+    ("yao", "AND_OPENING"),
     ("yao", "GARBLED_TABLES"),
-    ("yao", "INPUT_SHARE"),
     ("yao", "LABELS"),
     ("yao", "OUTPUT_SHARE"),
 ])
@@ -1603,17 +1688,18 @@ class TestOnlineTrafficLooksRandom:
     def test_yao_querier_receives_uniform_bits(self):
         # Everything the querier receives under yao, the table rows, the
         # label transfer and the release, must look like fair coin flips
-        # under either holder: every cross gate's offset D enters only a row
-        # masked by the hash of a label the querier lacks.
+        # under either holder: every row the querier's symbol leaves
+        # unopened is padded under a label it lacks, and the one it opens
+        # holds a PRF output under L*, which it lacks too.
         lanes = 8
         circuit = build_batch_query(8)
         inputs0, _ = random_inputs(circuit, random.Random(23), lanes)
         holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
         holder_b = 0
-        # 16 bytes per cross gate and lane, two 16-byte labels per querier
-        # wire, 16 bytes per lane
-        sizes = {MSG_GARBLED_TABLES: 16 * 16 * lanes, MSG_LABELS: 2 * 16 * 16,
-                 MSG_OUTPUT_SHARE: 16 * lanes}
+        # two 16-byte rows per cell and lane, three 16-byte labels per
+        # cell, 16 bytes per lane
+        sizes = {MSG_GARBLED_TABLES: 2 * 8 * 16 * lanes,
+                 MSG_LABELS: 3 * 8 * 16, MSG_OUTPUT_SHARE: 16 * lanes}
         for holder in (holder_a, holder_b):
             ones = total = 0
             for session in range(30):
