@@ -14,7 +14,7 @@ Two interchangeable backends run the one comparator template
   querier by a 1-out-of-3 transfer on its symbol, and end with per-lane
   key sums that agree exactly when no cell reads 1; their online phase
   is a single round trip.  Every row has one formula under a PRF of the
-  cell's labels.  From 20 lanes on each label keys AES and OpenSSL does
+  cell's labels.  From 14 lanes on each label keys AES and OpenSSL does
   every per-lane XOR of a cell's rows; below that, where a cell's fixed
   calls would cost more than they save, the PRF is a fixed-key hash over
   every lane at once (:mod:`prelude.smpc.yao`).

@@ -88,8 +88,11 @@ class DealerMaterial:
     width: int
     levels: tuple[int, ...]
     lanes: int
-    # gmw's lookup level: party 0's shifts u, the pads they select and
-    # where each pair of cells reads each symbol of u over the lanes
+    # party 0's shifts u, :func:`first_piece`, under either backend; None
+    # for party 1
+    shift: int | None
+    # gmw's lookup level: the pads party 0's shifts select and where each
+    # pair of cells reads each symbol of u over the lanes
     # (:func:`~prelude.smpc.shares.pair_indicators`), or party 1's nine
     # pads with its share r XORed in, and r
     lookup: tuple
@@ -97,8 +100,8 @@ class DealerMaterial:
     # slice S for the non-empty subsets S of the level's masks, 0 in slice 0
     tree: tuple[int, ...]
     # party 1's pad words, (r0, r1) under gmw or (p0, p1, p2) under yao,
-    # or party 0's choice bits and pad word, (d, r_d) or its shifts and
-    # (u, p_u), one lane of ``transfer_bytes`` per transfer
+    # or party 0's choice bits and pad word, (d, r_d), or the pad word its
+    # shifts select, (p_u,), one lane of ``transfer_bytes`` per transfer
     transfer: tuple[int, ...]
     # the bytes of each pad and of each value a transfer carries
     transfer_bytes: int
@@ -161,12 +164,12 @@ def dealer_for_circuit(
     w = circuit.width
     u = first_piece(circuit, rng) if first is None else first
     if backend == "yao":
-        choices, pads = symbol_transfer_material(u, w, rng)
+        chosen, pads = symbol_transfer_material(u, w, rng)
         size0 = (2 * w + 7) // 8 + LABEL_BYTES * w
         return (
-            DealerMaterial(backend, 0, w, plan, lanes, (), (), choices,
+            DealerMaterial(backend, 0, w, plan, lanes, u, (), (), (chosen,),
                            LABEL_BYTES, size0),
-            DealerMaterial(backend, 1, w, plan, lanes, (), (), pads,
+            DealerMaterial(backend, 1, w, plan, lanes, None, (), (), pads,
                            LABEL_BYTES, 3 * LABEL_BYTES * w),
         )
 
@@ -193,9 +196,9 @@ def dealer_for_circuit(
     size0 = (bits + 2 * w + nb + 7) // 8 + size * lanes + (lanes + 7) // 8
     size1 = (bits + 10 * nb + 7) // 8 + 2 * size * lanes
     return (
-        DealerMaterial(backend, 0, w, plan, lanes, (u, chosen, indicators),
+        DealerMaterial(backend, 0, w, plan, lanes, u, (chosen, indicators),
                        tuple(shares0), choices, size, size0),
-        DealerMaterial(backend, 1, w, plan, lanes, (padded, r),
+        DealerMaterial(backend, 1, w, plan, lanes, None, (padded, r),
                        tuple(shares1), pads, size, size1),
     )
 

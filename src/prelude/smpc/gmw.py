@@ -208,7 +208,7 @@ def gmw_steps(circuit, party: int, word: int, setup: DealerMaterial):
     w = circuit.width
     nb = circuit.pairs * lanes
     if party == 0:
-        _, chosen, indicators = setup.lookup
+        chosen, indicators = setup.lookup
         table = int.from_bytes((yield from recv_exact(
             MSG_AND_OPENING, (9 * nb + 7) // 8)), "little")
         z = table_entries(table, *indicators, nb) ^ chosen

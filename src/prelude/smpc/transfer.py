@@ -131,12 +131,12 @@ def _pick(values, lanes: tuple[int, int]) -> int:
 
 
 def symbol_transfer_material(u: int, n: int, rng
-                             ) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """The receiver's (u, p_u) and the sender's (p0, p1, p2) for ``n``
+                             ) -> tuple[int, tuple[int, ...]]:
+    """The receiver's pad p_u and the sender's (p0, p1, p2) for ``n``
     1-out-of-3 transfers of 16-byte labels on the symbols ``u``, two bit
-    planes, which the caller draws."""
+    planes, which the caller draws and the receiver keeps."""
     pads = tuple(rng.getrandbits(LABEL_BITS * n) for _ in range(3))
-    return (u, _pick(pads, _symbol_lanes(u, n))), pads
+    return _pick(pads, _symbol_lanes(u, n)), pads
 
 
 def send_symbol_steps(messages, shift: int, n: int, pads: tuple[int, ...],
@@ -158,12 +158,11 @@ def send_symbol_steps(messages, shift: int, n: int, pads: tuple[int, ...],
         for m, pad in zip(messages, under, strict=True)))
 
 
-def choose_symbol_steps(symbols: int, n: int, material: tuple[int, int],
-                        kind: int):
+def choose_symbol_steps(symbols: int, n: int, pad: int, kind: int):
     """Receiver: the label symbol i of ``symbols`` selects in transfer i.
 
-    ``symbols`` holds ``n`` symbols of Z3 as two bit planes, ``material``
-    is this side's (u, p_u), and the sender must hold the shifts
+    ``symbols`` holds ``n`` symbols of Z3 as two bit planes, ``pad`` is
+    this side's p_u for its shifts u, and the sender must hold the shifts
     ``symbols - u mod 3``, which the caller sends.  Receives the sender's
     frame of ``kind`` and returns the labels in 16-byte lanes, transfer i
     in lane i.
@@ -172,4 +171,4 @@ def choose_symbol_steps(symbols: int, n: int, material: tuple[int, int],
     payload = yield from recv_exact(kind, 3 * size)
     slots = [int.from_bytes(payload[at : at + size], "little")
              for at in range(0, len(payload), size)]
-    return _pick(slots, _symbol_lanes(symbols, n)) ^ material[1]
+    return _pick(slots, _symbol_lanes(symbols, n)) ^ pad

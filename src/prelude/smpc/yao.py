@@ -67,10 +67,10 @@ at 5 lanes, 0.85-0.91 against 1.02-1.04 ms at 12, about even at 14, and
 1.25-1.34 against 1.05-1.14 ms at 19; at width 4 the two stay within
 0.02 ms of each other from 5 lanes to 32.  So the fork stays: label-keyed
 rows at every lane count would cost a churn-sized table about half a
-millisecond a session.  The crossover has moved from 20 lanes to about
-14, but :data:`LABEL_KEYED_LANES` stays 20, where the parametrized tests
-pin it: the benchmark's tables hold at most 12 entries or 500, on the
-same side of 14 as of 20.
+millisecond a session.  :data:`LABEL_KEYED_LANES` sits at the crossover,
+14 lanes; a second set of four runs gave hashed rows 0.93-1.51 against
+1.02-1.12 ms at 12 lanes, 1.03-1.87 against 1.04-1.15 at 14 and
+1.12-1.90 against 1.04-1.10 at 15.
 
 The zero test.  Per lane the garbler XORs the zero-keys of the lane's
 cells into a sum S0 and the evaluator XORs its keys into S.  A cell that
@@ -143,7 +143,7 @@ from prelude.smpc.transfer import (
 _PI = Aes128Ecb(b"prelude-halfgate")
 # From this many lanes on the rows are label-keyed, below it hashed (see
 # the module docstring).
-LABEL_KEYED_LANES = 20
+LABEL_KEYED_LANES = 14
 # Release tweaks start here, above every garbling tweak of any session.
 _RELEASE_TWEAK = 1 << 96
 # A released value is followed by at least this many zero bytes, its tag.
@@ -241,14 +241,11 @@ def _chosen_rows(word: int, w: int, tables: bytes, lanes: int) -> int:
 
 def _repeat(data: bytes, unit: int, copies: int) -> bytes:
     """Each field of ``unit`` bytes of ``data``, a multiple of 8, ``copies``
-    times over, field by field: few fields are copied whole, many by
-    strided slices, one per 8-byte word of a field's copies."""
+    times over, field by field, by strided slices, one per 8-byte word of
+    a field's copies."""
     if copies == 1:
         return data
     words = unit // 8
-    if len(data) // unit <= words * copies:
-        return b"".join([data[at : at + unit] * copies
-                         for at in range(0, len(data), unit)])
     out = bytearray(len(data) * copies)
     src, dst = memoryview(data).cast("Q"), memoryview(out).cast("Q")
     step = words * copies
@@ -449,7 +446,7 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
     w = circuit.width
     tables = yield from recv_exact(MSG_GARBLED_TABLES,
                                    2 * LABEL_BYTES * lanes * w)
-    chosen = yield from choose_symbol_steps(word, w, setup.transfer,
+    chosen = yield from choose_symbol_steps(word, w, setup.transfer[0],
                                             MSG_LABELS)
     evaluate = _evaluate if lanes < LABEL_KEYED_LANES else _evaluate_keyed
     return evaluate(chosen, w, word, tables, lanes)

@@ -827,9 +827,8 @@ class TestSessionMechanics:
         assert 0 <= first < 1 << 2 * 8
         dealer.material(template, backend, 1, 5)
         full = dealer.material(template, backend, 0, 5)
-        # the first pad is gmw's shifts u, or yao's choice bits d
-        piece = "lookup" if backend == "gmw" else "transfer"
-        assert first == getattr(full, piece)[0] != 0
+        # the first pad is the querier's shifts u under either backend
+        assert first == full.shift != 0
         # the draws are those of session order
         in_order = distinct_match._SessionDealer(random.Random(9), template,
                                                  backend)
@@ -1185,8 +1184,8 @@ class TestSingleFrameFaults:
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
     @pytest.mark.parametrize("held,k", [
-        *(("none", k) for k in (0, yao.LABEL_KEYED_LANES - 1,
-                                yao.LABEL_KEYED_LANES)),
+        *(("none", k) for k in sorted({0, yao.LABEL_KEYED_LANES - 1,
+                                       yao.LABEL_KEYED_LANES, 19, 20})),
         *((held, k) for held in ("miss", "hit") for k in (0, 5))])
     def test_a_fault_in_one_frame_ends_by_its_cause(self, monkeypatch,
                                                      backend, held, k):
@@ -1405,10 +1404,11 @@ class TestLaneSessions:
         # entry, and the release one transfer of a 6-byte identifier per
         # entry
         querier, holder = materials
-        assert pieces == [querier.lookup[0]]
+        assert pieces == [querier.shift]
         nb = width // 2 * k
         # p[2, 2] XOR r XOR r, all ones thrice
-        assert querier.lookup[:2] == (ones.getrandbits(width) << width, 0)
+        assert querier.shift == ones.getrandbits(width) << width
+        assert querier.lookup[0] == 0
         assert holder.lookup == (ones.getrandbits(9 * nb),
                                  ones.getrandbits(nb))
         assert querier.tree == tuple(

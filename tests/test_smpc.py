@@ -189,8 +189,7 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
     """
     lanes = mat.lanes
     if party == 0:
-        piece = mat.lookup[0] if backend == "gmw" else mat.transfer[0]
-        yield from first_steps(circuit, inputs, piece)
+        yield from first_steps(circuit, inputs, mat.shift)
     if backend == "gmw":
         shares = yield from gmw_steps(circuit, party, inputs, mat)
         if party == 1:
@@ -647,8 +646,7 @@ class TestDealer:
                                            random.Random(40 + width),
                                            lanes=3, size=6)
         mat0 = split[0]
-        assert piece == (mat0.lookup[0] if backend == "gmw"
-                         else mat0.transfer[0])
+        assert piece == mat0.shift and split[1].shift is None
         with pytest.raises(ValueError, match="lanes must be positive"):
             dealer_for_circuit(circuit, backend, rng, lanes=0, first=piece)
 
@@ -658,7 +656,7 @@ class TestDealer:
         width = 12
         mat0, mat1 = dealer_for_circuit(build_batch_query(width), "yao",
                                         random.Random(2))
-        (u, pad), pads = mat0.transfer, mat1.transfer
+        u, (pad,), pads = mat0.shift, mat0.transfer, mat1.transfer
         assert len(pads) == 3
         symbols = TestShares.symbols(u, width)
         assert set(symbols) == {0, 1, 2}  # every shift occurs
@@ -676,7 +674,8 @@ class TestDealer:
         circuit = build_batch_query(width)
         mat0, mat1 = dealer_for_circuit(circuit, "gmw",
                                         random.Random(width + lanes), lanes)
-        (u, chosen, indicators), (padded, r) = mat0.lookup, mat1.lookup
+        u = mat0.shift
+        (chosen, indicators), (padded, r) = mat0.lookup, mat1.lookup
         assert indicators == pair_indicators(u, width, lanes)
         pairs = (width + 1) // 2
         nb = pairs * lanes
@@ -855,7 +854,7 @@ class TestGmw:
         circuit = build_batch_query(4)
         mat0, _ = dealer_for_circuit(circuit, "gmw", random.Random(2))
         with pytest.raises(ValueError, match="reads symbol 3 at cell 2"):
-            next(first_steps(circuit, 0b0100_0100, mat0.lookup[0]))
+            next(first_steps(circuit, 0b0100_0100, mat0.shift))
 
     def test_the_holder_refuses_a_shift_frame_reading_3(self):
         # Cell 1 of a forged shift frame has both planes set.  The holder
@@ -1097,7 +1096,8 @@ class TestLanes:
         assert (circuit.levels, circuit.arities) == ((4, 1), (4,))
         # 2 bits of shift per cell, the pads p[2, 2] XOR r XOR r = 0 of 4
         # pairs and 5 lanes, and the holder's 9 pads and its r
-        assert mat0.lookup[:2] == (ones.getrandbits(8) << 8, 0)
+        assert mat0.shift == ones.getrandbits(8) << 8
+        assert mat0.lookup[0] == 0
         assert mat1.lookup == (ones.getrandbits(9 * 4 * 5),
                                ones.getrandbits(4 * 5))
         assert mat0.tree == (ones.getrandbits(15 * 1 * 5) << 5,)
@@ -1108,8 +1108,8 @@ class TestLanes:
         draws = iter([0])
         mat0, mat1 = dealer_for_circuit(circuit, "yao", shifted, lanes=5)
         assert (mat0.lookup, mat0.tree) == ((), ())
-        assert mat0.transfer == (ones.getrandbits(8) << 8,
-                                 ones.getrandbits(128 * 8))
+        assert mat0.shift == ones.getrandbits(8) << 8
+        assert mat0.transfer == (ones.getrandbits(128 * 8),)
         assert mat1.transfer == (ones.getrandbits(128 * 8),) * 3
 
     def test_level_1_cross_gates_open_one_querier_bit_at_any_lane_count(self):
@@ -1350,8 +1350,9 @@ class TestHalfGates:
             self.check_cell_rows(self.hashed(lanes), yao._garble,
                                  yao._evaluate, width, lanes, rng)
 
-    @pytest.mark.parametrize("lanes", [1, 3, yao.LABEL_KEYED_LANES - 1,
-                                       yao.LABEL_KEYED_LANES, 40, 64])
+    @pytest.mark.parametrize("lanes", sorted({
+        1, 3, yao.LABEL_KEYED_LANES - 1, yao.LABEL_KEYED_LANES, 19, 20, 40,
+        64}))
     def test_label_keyed_rows_equal_a_per_lane_reference(self, lanes):
         # The cell rows under F(L, i, b) = AES_L(c(i, b)), with the three
         # labels of a cell drawn apart.
@@ -1361,12 +1362,13 @@ class TestHalfGates:
                                  yao._evaluate_keyed, width, lanes, rng)
 
     @pytest.mark.parametrize("width", [4, 104])
-    @pytest.mark.parametrize("lanes", [yao.LABEL_KEYED_LANES - 1,
-                                       yao.LABEL_KEYED_LANES])
+    @pytest.mark.parametrize("lanes", sorted({
+        yao.LABEL_KEYED_LANES - 1, yao.LABEL_KEYED_LANES, 19, 20}))
     def test_sessions_on_either_side_of_the_threshold(self, monkeypatch,
                                                       lanes, width):
         # Whole sessions against the plaintext overlap of every lane, and
-        # the rows each lane count is garbled and evaluated with.
+        # the rows each lane count is garbled and evaluated with: one lane
+        # either side of the threshold, and 19 and 20 lanes above it.
         ran = []
         for name in ("_garble", "_garble_keyed", "_evaluate",
                      "_evaluate_keyed"):
