@@ -605,20 +605,6 @@ class ControlPlane(SiteView):
             out.extend(self.nodes[sdx_id].active_policies(prefix))
         return out
 
-    def active_entries(self) -> dict[int, list[RuleEntry]]:
-        return {
-            sdx_id: [r.entry for r in node.registry.values() if r.active]
-            for sdx_id, node in self.nodes.items()
-        }
-
-    def sidr_verdict(self, policy: DeflectionPolicy,
-                     budget: int = DEFAULT_BUDGET) -> Verdict:
-        self.validate(policy)
-        entries = {sdx_id: node.service.entries_for(policy.prefix)
-                   for sdx_id, node in self.nodes.items()}
-        view = StaticMatchView(self.sites, self._ribs, entries)
-        return sidr_baseline(view, policy, budget)
-
 
 __all__ = [
     "ACCEPT",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 RULE_WIDTH = 104
 
@@ -237,17 +237,6 @@ def format_rule(spec: FlowSpec) -> str:
     parts = [f"{_KEYS[name]}={_format_value(name, getattr(spec, name))}"
              for name in _FIELDS if getattr(spec, name) is not None]
     return ",".join(parts) if parts else "*"
-
-
-def enumerate_rules(width: int) -> Iterator[TernaryRule]:
-    """Yield all 3**width canonical ternary rules of the given width."""
-    for mask in range(1 << width):
-        pattern = mask
-        while True:
-            yield TernaryRule(width, pattern, mask)
-            if pattern == 0:
-                break
-            pattern = (pattern - 1) & mask
 
 
 WILDCARD_BIAS = 0.4

@@ -6,6 +6,7 @@ import pytest
 
 from prelude import distinct_match
 from prelude.distinct_match import NextHopId
+from prelude.rules import TernaryRule
 
 
 @pytest.fixture
@@ -23,3 +24,14 @@ def raw_hops(monkeypatch) -> list[list[NextHopId]]:
 
     monkeypatch.setattr(distinct_match, "_querier_steps", capturing)
     return sessions
+
+
+@pytest.fixture
+def every_rule():
+    """A function of a width: all 3**width canonical ternary rules of that
+    width, a pattern bit set only where its mask bit is."""
+    def rules(width: int) -> list[TernaryRule]:
+        return [TernaryRule(width, pattern, mask)
+                for mask in range(1 << width) for pattern in range(1 << width)
+                if pattern & ~mask == 0]
+    return rules

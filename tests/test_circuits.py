@@ -16,7 +16,7 @@ import random
 import pytest
 
 from prelude.circuits import build_batch_query
-from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
+from prelude.rules import TernaryRule, overlaps, random_rule
 
 
 def rule_inputs(q: TernaryRule, holders) -> tuple[int, int]:
@@ -161,9 +161,9 @@ class TestClearGroups:
 
 
 class TestDistinctPair:
-    def test_exhaustive_width_4_equals_overlap_predicate(self):
+    def test_exhaustive_width_4_equals_overlap_predicate(self, every_rule):
         c = build_batch_query(4)
-        rules = list(enumerate_rules(4))
+        rules = every_rule(4)
         for q in rules:
             # every rule at once, one per lane
             assert run_plan(c, *rule_inputs(q, rules), len(rules)) == (

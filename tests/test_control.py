@@ -52,6 +52,24 @@ WEB = encode(FlowSpec(ip_proto=PROTO_TCP, dst_port=80))
 SSH = encode(FlowSpec(ip_proto=PROTO_TCP, dst_port=22))
 
 
+def active_entries(plane: ControlPlane) -> dict[int, list[RuleEntry]]:
+    """Each exchange's active entries."""
+    return {sdx_id: [r.entry for r in node.registry.values() if r.active]
+            for sdx_id, node in plane.nodes.items()}
+
+
+def sidr_verdict(plane: ControlPlane, policy: DeflectionPolicy,
+                 budget: int = DEFAULT_BUDGET) -> Verdict:
+    """The SIDR baseline's verdict on ``policy`` over the plane's tables,
+    once the plane has found the policy well formed."""
+    plane.validate(policy)
+    entries = {sdx_id: node.service.entries_for(policy.prefix)
+               for sdx_id, node in plane.nodes.items()}
+    view = StaticMatchView(plane.sites, {policy.prefix: plane.rib(
+        policy.prefix)}, entries)
+    return sidr_baseline(view, policy, budget)
+
+
 def fixture_plane(transport: str = "direct", **kwargs) -> ControlPlane:
     fx = two_exchange_fixture()
     plane = ControlPlane(fx.graph, list(fx.sites), {fx.prefix: fx.rib},
@@ -105,7 +123,7 @@ class TestRequestInvariants:
             plane.install(nowhere)
         # the baseline judges only a policy the plane would install
         with pytest.raises(PolicyError, match="unknown exchange 99"):
-            plane.sidr_verdict(nowhere)
+            sidr_verdict(plane, nowhere)
         assert plane.events == []
 
     def test_unknown_backend_is_refused_at_construction(self):
@@ -364,7 +382,7 @@ class TestBudget:
                 plane.install(policy, budget=6)
             except PolicyError:
                 continue
-        entries = plane.active_entries()
+        entries = active_entries(plane)
         view = StaticMatchView(sites, ribs, entries)
         previous_rejects: set[int] | None = None
         for budget in (0, 1, 2, 4, 8):
@@ -389,7 +407,7 @@ class TestSidrBaseline:
         plane.install(fx.deflect_b_to_a)
         ssh_policy = DeflectionPolicy(owner=3, sdx_id=2, rule=SSH,
                                       deflect_to=4, prefix=fx.prefix)
-        baseline = plane.sidr_verdict(ssh_policy)
+        baseline = sidr_verdict(plane, ssh_policy)
         assert baseline.decision == REJECT
         assert baseline.reason == LOOP_DETECTED
         # while the match-aware verdict accepts
@@ -399,7 +417,7 @@ class TestSidrBaseline:
         fx = two_exchange_fixture()
         plane = fixture_plane("direct")
         plane.install(fx.deflect_b_to_a)
-        baseline = plane.sidr_verdict(fx.deflect_n_to_m)
+        baseline = sidr_verdict(plane, fx.deflect_n_to_m)
         assert baseline.decision == REJECT
 
     def test_rejections_contain_the_match_aware_ones(self):
@@ -429,7 +447,7 @@ class TestSidrBaseline:
                                          prefix=fx.prefix)
             budget = rng.choice((1, 2, 6))
             try:
-                baseline = plane.sidr_verdict(candidate, budget=budget)
+                baseline = sidr_verdict(plane, candidate, budget=budget)
                 aware = plane.install(candidate, budget=budget)
             except PolicyError:
                 continue
@@ -630,7 +648,7 @@ class TestOneQueryPerExchange:
                        for t in targets_per_install(again)), seed
             # ... and keeping them changes no verdict
             assert outcome(plane) == outcome(again), seed
-            assert plane.active_entries() == again.active_entries()
+            assert active_entries(plane) == active_entries(again)
 
 
 class TestAnswerSources:
@@ -726,7 +744,7 @@ class TestRemovalMonotonicity:
                     plane.install(policy)
                 except PolicyError:
                     continue
-            entries = plane.active_entries()
+            entries = active_entries(plane)
             ribs = {policy.prefix: plane.rib(policy.prefix)
                     for policy in pool}
             rng = random.Random(seed)
@@ -795,7 +813,7 @@ class TestStatelessHelpers:
         fx = two_exchange_fixture()
         plane = fixture_plane("direct")
         plane.install(fx.deflect_b_to_a)
-        entries = plane.active_entries()
+        entries = active_entries(plane)
         ribs = {fx.prefix: fx.rib}
         # the baseline asks about a rule that matches all traffic
         view = StaticMatchView(list(fx.sites), ribs, entries)
@@ -810,9 +828,9 @@ class TestStatelessHelpers:
         plane = fixture_plane("direct")
         plane.install(fx.deflect_b_to_a)
         view = StaticMatchView(list(fx.sites), {fx.prefix: fx.rib},
-                               plane.active_entries())
+                               active_entries(plane))
         direct = sidr_baseline(view, fx.deflect_n_to_m, budget=4)
-        wrapped = plane.sidr_verdict(fx.deflect_n_to_m, budget=4)
+        wrapped = sidr_verdict(plane, fx.deflect_n_to_m, budget=4)
         assert (direct.decision, direct.reason) == (
             wrapped.decision, wrapped.reason)
 

@@ -21,7 +21,6 @@ from prelude.rules import (
     distinct,
     encode,
     encode_packet,
-    enumerate_rules,
     format_rule,
     intersect,
     matches,
@@ -150,8 +149,8 @@ class TestOverlap:
             assert overlaps(r1, r2) == brute_force_overlap(r1, r2)
             assert distinct(r1, r2) == (not brute_force_overlap(r1, r2))
 
-    def test_exhaustive_width_3(self):
-        all_rules = list(enumerate_rules(3))
+    def test_exhaustive_width_3(self, every_rule):
+        all_rules = every_rule(3)
         assert len(all_rules) == 27
         for r1 in all_rules:
             for r2 in all_rules:
@@ -237,8 +236,8 @@ class TestRuleLiterals:
 # ---------------------------------------------------------------- enumeration
 
 
-def test_enumerate_rules_counts():
-    assert sum(1 for _ in enumerate_rules(1)) == 3
-    assert sum(1 for _ in enumerate_rules(4)) == 81
-    seen = set(enumerate_rules(4))
+def test_every_rule_counts(every_rule):
+    assert len(every_rule(1)) == 3
+    assert len(every_rule(4)) == 81
+    seen = set(every_rule(4))
     assert len(seen) == 81  # canonical form makes them all distinct values
