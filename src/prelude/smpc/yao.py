@@ -51,26 +51,33 @@ anyway, so the choice shows it nothing new.
   (IEEE S&P 2020), pi is AES-128 under a fixed public key, sigma is
   doubling in GF(2^128), and j = ``2 (g x lanes + i)`` is cell g's even
   tweak in lane i, the same for its three labels, so the bit takes the
-  odd tweak beside it.  The garbler's pi inputs are one buffer
-  per session: both rows under L*, the rows under L1 and L0, then the
+  odd tweak beside it.  The garbler's pi inputs are one buffer per
+  session: both rows under L*, the rows under L1 and L0, then the
   zero-keys under L*, five blocks per cell and lane in one AES call, and
-  the evaluator's are one block per cell and lane in one more.  A tweak is
-  XORed into the few low bytes of each block that it changes.
+  the evaluator's are one block per cell and lane in one more.  Each party
+  lays its blocks out lane by lane, so one bytes repetition copies its
+  sigma(L) to every lane, XORs each tweak into the few low bytes it
+  changes, and moves the outputs back to cell order by strided slices.
+  The tweaks and the rest of what the width and the lane count alone fix
+  are built once per width and lane count below the threshold and kept.
+  The evaluator joins the rows its symbols pick to its keys, as further
+  fields of the one fold that sums them per lane.
 
 The threshold.  A label-keyed cell costs five OpenSSL calls, each keyed
 afresh, whatever the lane count, so at rule width 104 its 104 cells cost
 about 0.7 ms of a session before any lane; hashed rows cost int and bytes
-conversions that grow with the lanes.  Whole loopback sessions, medians
-of 200 per shape in four interleaved runs on a 2-CPU x86-64 host, hashed
-against label-keyed rows: at width 104, 0.51-0.57 against 0.97-1.07 ms
-at 5 lanes, 0.85-0.91 against 1.02-1.04 ms at 12, about even at 14, and
-1.25-1.34 against 1.05-1.14 ms at 19; at width 4 the two stay within
-0.02 ms of each other from 5 lanes to 32.  So the fork stays: label-keyed
-rows at every lane count would cost a churn-sized table about half a
-millisecond a session.  :data:`LABEL_KEYED_LANES` sits at the crossover,
-14 lanes; a second set of four runs gave hashed rows 0.93-1.51 against
-1.02-1.12 ms at 12 lanes, 1.03-1.87 against 1.04-1.15 at 14 and
-1.12-1.90 against 1.04-1.10 at 15.
+conversions and strided copies that grow with the lanes.  Whole loopback
+sessions (``tools/session_pairs.py``, medians of 150 per shape, six to
+eight alternating pairs on a 2-CPU x86-64 host), hashed against
+label-keyed rows: at width 104, 0.57 against 1.04 ms at 10 lanes, 0.69
+against 1.06 at 14, 0.93-0.96 against 1.06-1.09 at 19, 1.01-1.03 against
+1.09-1.11 at 21 and 1.02-1.06 against 1.10-1.11 at 22, every pair won by
+the hashed rows; at 23 one run gave 1.14 against 1.09 ms and another
+1.08 against 1.14.  At width 4 the two stay within 0.015 ms of each other
+from 10 lanes to 23, the hashed rows ahead below 23.  So
+:data:`LABEL_KEYED_LANES` sits at the crossover, 23 lanes, and the fork
+stays: label-keyed rows at every lane count would cost a churn-sized
+table about half a millisecond a session.
 
 The zero test.  Per lane the garbler XORs the zero-keys of the lane's
 cells into a sum S0 and the evaluator XORs its keys into S.  A cell that
@@ -117,8 +124,11 @@ flight back: a session takes two one-way flights.
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
+from itertools import compress, product
+from operator import itemgetter
 from typing import Sequence
 
 from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
@@ -143,7 +153,7 @@ from prelude.smpc.transfer import (
 _PI = Aes128Ecb(b"prelude-halfgate")
 # From this many lanes on the rows are label-keyed, below it hashed (see
 # the module docstring).
-LABEL_KEYED_LANES = 14
+LABEL_KEYED_LANES = 23
 # Release tweaks start here, above every garbling tweak of any session.
 _RELEASE_TWEAK = 1 << 96
 # A released value is followed by at least this many zero bytes, its tag.
@@ -151,20 +161,19 @@ _TAG_BYTES = 10
 _GF128_REDUCE = 0x87  # x^128 = x^7 + x^2 + x + 1
 
 
-def _lane_word(label: int, n: int) -> int:
-    """The int that holds ``label`` in each of ``n`` lanes."""
-    return int.from_bytes(label.to_bytes(LABEL_BYTES, "little") * n, "little")
-
-
-def _lane_ones(lanes: int) -> int:
-    """The int whose every lane holds 1: multiplying by it copies a label."""
-    return _lane_word(1, lanes)
+def _copies(value: int, width: int, n: int) -> int:
+    """The int that holds ``value`` in each of ``n`` fields of ``width``
+    bits, from the copies of n // 2 fields by one shift."""
+    if n < 2:
+        return value * n
+    half, odd = _copies(value, width, n // 2), n & 1
+    return (half << width * (n // 2) | half) << width * odd | value * odd
 
 
 def _double(x: int, ones: int) -> int:
     """sigma: every 128-bit lane of ``x`` doubled in GF(2^128).
 
-    ``ones`` is :func:`_lane_ones` of the lane count.  A lane's top bit,
+    ``ones`` holds 1 in each of at least as many lanes.  A lane's top bit,
     shifted into the next lane's bit 0, is cleared there and sets the
     reduction constant in its own lane instead.
     """
@@ -239,41 +248,83 @@ def _chosen_rows(word: int, w: int, tables: bytes, lanes: int) -> int:
 # hashed rows, below LABEL_KEYED_LANES lanes
 
 
-def _repeat(data: bytes, unit: int, copies: int) -> bytes:
-    """Each field of ``unit`` bytes of ``data``, a multiple of 8, ``copies``
-    times over, field by field, by strided slices, one per 8-byte word of
-    a field's copies."""
-    if copies == 1:
-        return data
-    words = unit // 8
-    out = bytearray(len(data) * copies)
+# (width, lane count) -> the hashed rows' constants, kept for lane counts
+# below LABEL_KEYED_LANES only: fewer than LABEL_KEYED_LANES per width
+_HASHED: dict[tuple[int, int], tuple] = {}
+
+
+def _hashed(w: int, lanes: int) -> tuple:
+    """(ones, tweaks, rows_tweaks, unpack, gates): the hashed rows'
+    constants at width ``w`` and ``lanes`` lanes, built once below
+    :data:`LABEL_KEYED_LANES` and afresh, never kept, from it on.
+
+    Both parties hash lane by lane: lane i's blocks, in cell order, then
+    lane i + 1's, so copying a lane's sigma(L) to every lane is one bytes
+    repetition, and :func:`_to_cells` puts the outputs back in cell order.
+    ``tweaks`` holds one int per byte of the tweaks that :func:`_hash`
+    XORs into the evaluator's blocks, cell c's of lane i being byte i w + c
+    of each, and ``rows_tweaks`` the garbler's: two rows per cell under L*,
+    two under L1 and L0, then the zero-keys, lane by lane within each.
+    ``ones`` holds 1 in each lane of the 3w labels, ``unpack`` splits the
+    tables into their 2w rows, and ``gates`` puts those in gate order:
+    every cell's R1, then every cell's R0.
+    """
+    got = _HASHED.get((w, lanes))
+    if got is None:
+        # lane i's even tweaks j = 2 (c x lanes + i), cell by cell
+        by_lane = [_words(range(2 * i, 2 * w * lanes, 2 * lanes),
+                          "little").tobytes() for i in range(lanes)]
+        one = b"".join(by_lane)
+        two = b"".join([lane * 2 for lane in by_lane])
+        # the low bytes any tweak sets, and bit 0, which the holder's sets
+        top = max(1, ((2 * w * lanes - 2).bit_length() + 7) // 8)
+        tweaks, rows_tweaks = (tuple(int.from_bytes(words[at::8], "little")
+                                     for at in range(top))
+                               for words in (one, two + two + one))
+        got = (_copies(1, LABEL_BITS, 3 * w), tweaks, rows_tweaks,
+               struct.Struct(f"{LABEL_BYTES * lanes}s" * (2 * w)).unpack,
+               itemgetter(*range(0, 2 * w, 2), *range(1, 2 * w, 2)))
+        if lanes < LABEL_KEYED_LANES:
+            _HASHED[w, lanes] = got
+    return got
+
+
+def _to_cells(data: bytes, lanes: int, rows: int) -> bytearray:
+    """Blocks hashed lane by lane, in the tables' cell order.
+
+    Lane i of ``data`` holds ``rows`` runs of w blocks, one per cell; the
+    result holds cell c's run r of every lane together, cell by cell: the
+    lanes of its R1, then of its R0, where ``rows`` is 2.  Each 8-byte
+    half of a block moves by strided slices, one per lane and run or one
+    per cell and run, whichever are fewer: at width 4, 16 entries and more
+    would cost hashed rows their lead over label-keyed ones with a slice
+    per lane.
+    """
+    out = bytearray(len(data))
     src, dst = memoryview(data).cast("Q"), memoryview(out).cast("Q")
-    step = words * copies
-    for at in range(step):
-        dst[at::step] = src[at % words :: words]
+    w = len(src) // (2 * rows * lanes)
+    for r, half in product(range(rows), (0, 1)):
+        for a in range(min(lanes, w)):  # lane a's run r, or cell a's
+            if lanes <= w:
+                at = 2 * w * (rows * a + r) + half
+                dst[2 * (lanes * r + a) + half :: 2 * rows * lanes] = src[
+                    at : at + 2 * w : 2]
+            else:
+                at = 2 * lanes * (rows * a + r) + half
+                dst[at : at + 2 * lanes : 2] = src[
+                    2 * (w * r + a) + half :: 2 * rows * w]
     return out
 
 
-def _tweaks(w: int, lanes: int) -> bytes:
-    """The even tweak j = 2 (c x lanes + i) of cell c's lane i, as eight
-    little-endian bytes, cell by cell."""
-    return _words(range(0, 2 * w * lanes, 2), "little").tobytes()
-
-
-def _hash(inputs: bytearray, tweaks: bytes, low: bytes = b"") -> bytearray:
+def _hash(inputs: bytearray, tweaks: Sequence[int]) -> bytearray:
     """pi of every block of ``inputs`` once its tweak is XORed in.
 
-    ``tweaks`` holds each block's tweak as eight little-endian bytes, and
-    ``low``, if given, one byte for each of the first blocks more to XOR
-    into bit 0, which no even tweak sets.  A tweak changes only the low
-    bytes of a block, so only those bytes are read and rewritten.
+    ``tweaks`` holds byte ``at`` of every block's tweak in int ``at``
+    (:func:`_hashed`).  A tweak changes only the low bytes of a block, so
+    only those are rewritten.
     """
     blocks = len(inputs) // LABEL_BYTES
-    top = (int.from_bytes(tweaks[-8:], "little").bit_length() + 7) // 8
-    for at in range(max(1, top)):  # the last tweak is the largest
-        column = int.from_bytes(tweaks[at::8], "little")
-        if at == 0:
-            column ^= int.from_bytes(low, "little")
+    for at, column in enumerate(tweaks):
         inputs[at::LABEL_BYTES] = (int.from_bytes(
             inputs[at::LABEL_BYTES], "little") ^ column).to_bytes(
                 blocks, "little")
@@ -287,47 +338,46 @@ def _garble(labels: int, w: int, clear: int,
     ``labels`` holds the ``w`` cells' labels L*, then L1, then L0, cell
     c's in field c of each third, and ``clear`` the holder's word.
     """
-    field = LABEL_BYTES * w
-    doubled = _double(labels, _lane_ones(3 * w)).to_bytes(3 * field,
-                                                          "little")
-    star = doubled[:field]
-    # sigma(L) of each row's labels, cell by cell: L* for both rows, and
-    # L1 for R1 and L0 for R0
-    under_star = _repeat(star, LABEL_BYTES, 2)
-    under_own = _by_cell(doubled[field:], LABEL_BYTES)
-    # pi's inputs, sigma(L) ^ j in each lane, the holder's bit b turning j
-    # into the odd tweak j + b under L*: the rows under L*, the rows under
-    # L1 and L0, then the zero-keys under L*, each cell's lanes side by side
-    tweaks = _tweaks(w, lanes)
-    rows = _repeat(tweaks, 8 * lanes, 2)
-    hashed = _hash(
-        bytearray(_repeat(under_star + under_own + star, LABEL_BYTES,
-                          lanes)),
-        rows + rows + tweaks,
-        _by_cell(int_to_bits(clear, 2 * w * lanes), lanes))
-    # T = H(L*, j + b) ^ H(L, j): the pi outputs and both sigma(L) terms
-    feed = (int.from_bytes(under_star, "little")
-            ^ int.from_bytes(under_own, "little")).to_bytes(2 * field,
-                                                            "little")
-    size = 2 * field * lanes  # the tables', two rows per cell and lane
-    tables = (int.from_bytes(hashed[:size], "little")
-              ^ int.from_bytes(hashed[size : 2 * size], "little")
-              ^ int.from_bytes(_repeat(feed, LABEL_BYTES, lanes), "little"))
-    return (tables.to_bytes(size, "little"),
-            _key_sums(int.from_bytes(hashed[2 * size :], "little"), star, w,
-                      lanes))
+    ones, _, tweaks, _, _ = _hashed(w, lanes)
+    bits = LABEL_BITS * w
+    doubled = _double(labels, ones)
+    sigma = doubled.to_bytes(3 * LABEL_BYTES * w, "little")
+    star = sigma[: LABEL_BYTES * w]
+    # pi's inputs, sigma(L) ^ j, lane by lane: every cell's R1 then every
+    # cell's R0 under L*, the holder's bit b turning j into the odd tweak
+    # j + b in bit 0, which no even tweak sets; the same rows under L1 and
+    # L0; then the zero-keys under L*.  Lane i's holder bits are every
+    # lane's i-th, R1's cells then R0's.
+    word = int_to_bits(clear, 2 * w * lanes)
+    low = int.from_bytes(b"".join([word[i::lanes] for i in range(lanes)]),
+                         "little")
+    pis = memoryview(_hash(bytearray().join(
+        [(star + star) * lanes, sigma[len(star):] * lanes, star * lanes]),
+        (tweaks[0] ^ low, *tweaks[1:])))
+    # T = H(L*, j + b) ^ H(L, j): the pi outputs and both sigma(L) terms,
+    # the same in every lane
+    stars = doubled & ((1 << bits) - 1)
+    feed = (stars << bits | stars) ^ doubled >> bits
+    size = 2 * LABEL_BYTES * w * lanes  # the tables', two rows per cell
+    tables = (int.from_bytes(pis[:size], "little")
+              ^ int.from_bytes(pis[size : 2 * size], "little")
+              ^ _copies(feed, 2 * bits, lanes))
+    return (_to_cells(tables.to_bytes(size, "little"), lanes, 2),
+            _key_sums(_to_cells(pis[2 * size :], lanes, 1), stars, w, lanes))
 
 
-def _key_sums(keys: int, sigmas: bytes, w: int, lanes: int) -> int:
-    """Each lane's XOR of the ``w`` cells' H(L, j), from ``keys``, their pi
-    outputs, one field per cell, and ``sigmas``, their sigma(L).
+def _key_sums(fields: bytes, sigmas: int, w: int, lanes: int) -> int:
+    """Each lane's XOR of ``fields``, one per cell or picked row, that
+    lane's block in each, and of the ``w`` cells' H(L, j) terms sigma(L),
+    the labels' in ``sigmas``.
 
     A label's sigma(L) is the same in every lane, so those terms add up to
     sigma of the XOR of the ``w`` labels, copied to every lane.
     """
-    return (_fold(keys, w, LABEL_BITS * lanes)
-            ^ _lane_word(_fold(int.from_bytes(sigmas, "little"), w,
-                               LABEL_BITS), lanes))
+    width = LABEL_BITS * lanes
+    return (_fold(int.from_bytes(fields, "little"), 8 * len(fields) // width,
+                  width)
+            ^ _copies(_fold(sigmas, w, LABEL_BITS), LABEL_BITS, lanes))
 
 
 def _evaluate(chosen: int, w: int, word: int, tables: bytes,
@@ -335,13 +385,14 @@ def _evaluate(chosen: int, w: int, word: int, tables: bytes,
     """The lane sums S of the keys the ``w`` labels of ``chosen``, cell
     c's in field c, unlock under the hashed tables, for the querier's
     ``word``."""
-    doubled = _double(chosen, _lane_ones(w)).to_bytes(LABEL_BYTES * w,
-                                                      "little")
-    keys = int.from_bytes(_hash(bytearray(_repeat(doubled, LABEL_BYTES,
-                                                  lanes)),
-                                _tweaks(w, lanes)), "little")
-    return _key_sums(keys, doubled, w, lanes) ^ _chosen_rows(word, w, tables,
-                                                             lanes)
+    ones, tweaks, _, unpack, gates = _hashed(w, lanes)
+    doubled = _double(chosen, ones)
+    sigma = doubled.to_bytes(LABEL_BYTES * w, "little")
+    keys = _to_cells(_hash(bytearray(sigma * lanes), tweaks), lanes, 1)
+    # the rows its symbols pick, R1 of each cell it pins to one and R0 of
+    # each it pins to zero, join the keys as further fields of the sum
+    keys += b"".join(compress(gates(unpack(tables)), int_to_bits(word, 2 * w)))
+    return _key_sums(keys, doubled, w, lanes)
 
 
 # --------------------------------------------------------------------------
@@ -456,11 +507,20 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
 # releasing values under the key sums
 
 
+def _release_constants(lanes: int) -> tuple[int, int]:
+    """(1 in each lane, the release tweak + i in lane i) of ``lanes``."""
+    ones = _copies(1, LABEL_BITS, lanes)
+    return ones, _RELEASE_TWEAK * ones + _lane_index(lanes)
+
+
+# the release's constants of each lane count below LABEL_KEYED_LANES
+_RELEASE = {n: _release_constants(n) for n in range(1, LABEL_KEYED_LANES)}
+
+
 def _release_pads(sums: int, lanes: int) -> int:
     """H(S_i, release tweak + i) in lane i, for the sum S_i of lane i."""
-    ones = _lane_ones(lanes)
+    ones, tweaks = _RELEASE.get(lanes) or _release_constants(lanes)
     doubled = _double(sums, ones)
-    tweaks = _RELEASE_TWEAK * ones + _lane_index(lanes)
     return int.from_bytes(_PI.encrypt((doubled ^ tweaks).to_bytes(
         LABEL_BYTES * lanes, "little")), "little") ^ doubled
 

@@ -21,7 +21,7 @@ import pytest
 from scipy import stats
 
 from prelude.circuits import build_batch_query
-from prelude.rules import TernaryRule, enumerate_rules, overlaps, random_rule
+from prelude.rules import TernaryRule, overlaps, random_rule
 from prelude.smpc import (
     ChannelClosed,
     ChannelTimeout,
@@ -1219,7 +1219,7 @@ class TestHalfGates:
                  self.LABEL_MASK, top, 0, 1]
         lanes += [rng.getrandbits(128) for _ in range(58)]
         word = pack(lanes, 128)
-        doubled = yao._double(word, yao._lane_ones(len(lanes)))
+        doubled = yao._double(word, yao._copies(1, 128, len(lanes)))
         assert unpack(doubled, 128, len(lanes)) == [
             self.double(x) for x in lanes]
         assert doubled >> (128 * len(lanes)) == 0
@@ -1304,11 +1304,13 @@ class TestHalfGates:
         return [labels[c][(inputs0 >> c & 1) + 2 * (inputs0 >> w + c & 1)]
                 for c in range(w)]
 
-    def check_cell_rows(self, prf, garble, evaluate, width, lanes, rng):
+    def check_cell_rows(self, prf, garble, evaluate, width, lanes, rng,
+                        q=None):
         """``garble`` and ``evaluate`` against the per-lane reference under
-        ``prf``: the tables and S0 exact, the evaluator's sums exact and
-        equal to S0 exactly where the rules overlap."""
-        inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+        ``prf``, for querier rule ``q`` (a random rule by default): the
+        tables and S0 exact, the evaluator's sums exact and equal to S0
+        exactly where the rules overlap."""
+        inputs0, inputs1, expected = overlap_case(width, lanes, rng, q)
         labels, packed = self.cell_labels(rng, width)
         tables, sums = garble(packed, width, inputs1, lanes)
         ref_tables, ref_sums = self.reference_garble(prf, labels, inputs1,
@@ -1350,6 +1352,18 @@ class TestHalfGates:
             self.check_cell_rows(self.hashed(lanes), yao._garble,
                                  yao._evaluate, width, lanes, rng)
 
+    @pytest.mark.parametrize("lanes", [1, 3, yao.LABEL_KEYED_LANES - 1])
+    def test_hashed_rows_at_the_edge_words(self, lanes):
+        # A querier rule that pins every bit, so every cell picks a row,
+        # and the wildcard, so no cell picks one.
+        rng = random.Random(130 + lanes)
+        for width in (1, 4, 8, 104):
+            pinned_rule = TernaryRule(width, rng.getrandbits(width),
+                                      (1 << width) - 1)
+            for q in (pinned_rule, TernaryRule.wildcard(width)):
+                self.check_cell_rows(self.hashed(lanes), yao._garble,
+                                     yao._evaluate, width, lanes, rng, q)
+
     @pytest.mark.parametrize("lanes", sorted({
         1, 3, yao.LABEL_KEYED_LANES - 1, yao.LABEL_KEYED_LANES, 19, 20, 40,
         64}))
@@ -1368,7 +1382,7 @@ class TestHalfGates:
                                                       lanes, width):
         # Whole sessions against the plaintext overlap of every lane, and
         # the rows each lane count is garbled and evaluated with: one lane
-        # either side of the threshold, and 19 and 20 lanes above it.
+        # either side of the threshold, and 19 and 20 lanes.
         ran = []
         for name in ("_garble", "_garble_keyed", "_evaluate",
                      "_evaluate_keyed"):
@@ -1430,16 +1444,75 @@ class TestHalfGates:
         assert sorted(calls) == sorted([16 * 5 * blocks, 16 * blocks]
                                        + [16 * lanes] * 2)
 
-    @pytest.mark.parametrize("lanes", [1, 19, 20, 500, MAX_ENTRIES])
+    @staticmethod
+    def blocks(values):
+        """Each of ``values`` as one 16-byte little-endian block."""
+        return b"".join(v.to_bytes(16, "little") for v in values)
+
+    def check_tweak_columns(self, columns, tweaks):
+        """``columns``, byte ``at`` of every block's tweak in int ``at``,
+        set into zero blocks, give the blocks of ``tweaks``."""
+        blocks = bytearray(16 * len(tweaks))
+        for at, column in enumerate(columns):
+            blocks[at::16] = column.to_bytes(len(tweaks), "little")
+        assert blocks == self.blocks(tweaks)
+
+    @pytest.mark.parametrize("lanes", sorted({
+        1, yao.LABEL_KEYED_LANES - 1, 19, 20, 500, MAX_ENTRIES}))
     def test_lane_constants_equal_their_byte_by_byte_form(self, lanes):
         # The lane index and the counter blocks, built by strided slices
-        # of 8-byte words, as lane by lane to_bytes builds them.
+        # of 8-byte words, as lane by lane to_bytes builds them; below the
+        # threshold, every constant the hashed rows and the release keep,
+        # as block by block to_bytes builds it.
         assert yao._lane_index(lanes) == int.from_bytes(b"".join(
             i.to_bytes(16, "little") for i in range(lanes)), "little")
         counters = yao._counters(lanes)
         assert isinstance(counters, bytearray)
         assert counters == b"".join(i.to_bytes(16, "big")
                                     for i in range(lanes))
+        if lanes >= yao.LABEL_KEYED_LANES:
+            return
+        ones = int.from_bytes(self.blocks([1] * lanes), "little")
+        assert yao._RELEASE[lanes] == (ones, int.from_bytes(
+            self.blocks([(1 << 96) + i for i in range(lanes)]), "little"))
+        for width in (1, 4, 104):
+            kept = yao._hashed(width, lanes)
+            assert yao._hashed(width, lanes) is kept
+            ones, tweaks, rows_tweaks, unpack, gates = kept
+            assert ones == int.from_bytes(self.blocks([1] * 3 * width),
+                                          "little")
+            # cell c's even tweak in lane i, lane by lane
+            by_lane = [[2 * (c * lanes + i) for c in range(width)]
+                       for i in range(lanes)]
+            self.check_tweak_columns(tweaks, sum(by_lane, []))
+            two = sum((lane * 2 for lane in by_lane), [])
+            self.check_tweak_columns(rows_tweaks,
+                                     two + two + sum(by_lane, []))
+            # the tables' rows in gate order: R1 of every cell, then R0
+            tables = random.Random(lanes).randbytes(32 * lanes * width)
+            size = 16 * lanes
+            cells = [tables[at : at + size]
+                     for at in range(0, len(tables), size)]
+            assert unpack(tables) == tuple(cells)
+            assert gates(unpack(tables)) == tuple(cells[::2] + cells[1::2])
+
+    def test_the_constants_tables_stay_bounded(self, monkeypatch):
+        # Sessions at every lane count up to twice the threshold keep the
+        # hashed rows' constants of each lane count below it, per width,
+        # and none at or past it; the release keeps the same lane counts'.
+        monkeypatch.setattr(yao, "_HASHED", {})
+        rng = random.Random(150)
+        below = list(range(1, yao.LABEL_KEYED_LANES))
+        for width in (4, 104):
+            circuit = build_batch_query(width)
+            for lanes in range(1, 2 * yao.LABEL_KEYED_LANES + 1):
+                inputs0, inputs1, expected = overlap_case(width, lanes, rng)
+                out0, _, _, _ = run_backend(circuit, "yao", inputs0, inputs1,
+                                            seed=lanes, lanes=lanes)
+                assert out0 == expected, (width, lanes)
+        assert sorted(yao._HASHED) == [(width, lanes) for width in (4, 104)
+                                       for lanes in below]
+        assert sorted(yao._RELEASE) == below
 
     def test_released_values_fit_one_hash_block(self):
         # a value and a tag of 80 zero bits share one 16-byte block
@@ -1539,9 +1612,10 @@ class TestAgainstOverlap:
     """Both backends against the overlap predicate of the rules."""
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
-    def test_every_width_4_rule_against_every_rule(self, backend):
+    def test_every_width_4_rule_against_every_rule(self, backend,
+                                                    every_rule):
         # each of the 81 querier rules against all 81 rules as 81 lanes
-        rules = list(enumerate_rules(4))
+        rules = every_rule(4)
         assert len(rules) == 81
         circuit = build_batch_query(4)
         for seed, q in enumerate(rules):
