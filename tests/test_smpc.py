@@ -1510,6 +1510,10 @@ class TestHalfGates:
                 out0, _, _, _ = run_backend(circuit, "yao", inputs0, inputs1,
                                             seed=lanes, lanes=lanes)
                 assert out0 == expected, (width, lanes)
+        # the hashed rows serve any lane count, as the reference tests
+        # run them, but keep nothing from the threshold on
+        for lanes in (yao.LABEL_KEYED_LANES, 2 * yao.LABEL_KEYED_LANES):
+            assert yao._hashed(104, lanes) is not yao._hashed(104, lanes)
         assert sorted(yao._HASHED) == [(width, lanes) for width in (4, 104)
                                        for lanes in below]
         assert sorted(yao._RELEASE) == below
