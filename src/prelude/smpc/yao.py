@@ -296,9 +296,10 @@ def _to_cells(data: bytes, lanes: int, rows: int) -> bytearray:
     result holds cell c's run r of every lane together, cell by cell: the
     lanes of its R1, then of its R0, where ``rows`` is 2.  Each 8-byte
     half of a block moves by strided slices, one per lane and run or one
-    per cell and run, whichever are fewer: at width 4, 16 entries and more
-    would cost hashed rows their lead over label-keyed ones with a slice
-    per lane.
+    per cell and run, whichever are fewer.  Only widths below 23 take the
+    cells' loop; with a slice per lane there, whole width-4 sessions fell
+    behind label-keyed rows from 16 lanes on (0.220 against 0.201 ms at 16,
+    0.245 against 0.211 at 22, ``tools/session_pairs.py``, 2-CPU x86-64).
     """
     out = bytearray(len(data))
     src, dst = memoryview(data).cast("Q"), memoryview(out).cast("Q")
@@ -508,8 +509,12 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
 
 
 def _release_constants(lanes: int) -> tuple[int, int]:
-    """(1 in each lane, the release tweak + i in lane i) of ``lanes``."""
-    ones = _copies(1, LABEL_BITS, lanes)
+    """(1 in each lane, the release tweak + i in lane i) of ``lanes``.
+
+    The ones are one bytes repetition: at 500 lanes it beats
+    :func:`_copies`' doubling, which wins on wide fields such as the feed.
+    """
+    ones = int.from_bytes((b"\1" + bytes(LABEL_BYTES - 1)) * lanes, "little")
     return ones, _RELEASE_TWEAK * ones + _lane_index(lanes)
 
 

@@ -12,12 +12,12 @@ TOOL = ROOT / "tools" / "session_pairs.py"
 
 
 def test_one_pair_of_one_shape_against_the_working_tree(tmp_path):
-    # Both sides are this tree: one pair of runs of two sessions per
-    # backend at width 4 and one entry.
+    # Both sides are this tree: one pair of runs of the tool's 200
+    # sessions per backend at width 4 and one entry.
     out = tmp_path / "SESSIONS.json"
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--shapes", "4x1", "--pairs", "1",
-         "--sessions", "2", "--parent-tree", str(ROOT), "--out", str(out)],
+         "--parent-tree", str(ROOT), "--out", str(out)],
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
@@ -29,7 +29,7 @@ def test_one_pair_of_one_shape_against_the_working_tree(tmp_path):
              "yao": {"and_depth": 1, "online_rounds": 2, "flights": 2,
                      "setup_bytes": 249, "online_bytes": 224}}
     for shape in record["shapes"]:
-        assert shape["pairs"] == 1 and shape["sessions_per_run"] == 2
+        assert shape["pairs"] == 1 and shape["sessions_per_run"] == 200
         assert shape["first_in_pair"] == ["parent"]
         ms = shape["ms"]
         for side in ("parent", "change"):

@@ -1,14 +1,16 @@
 """Time query sessions of a change against its parent in alternating pairs.
 
     python tools/session_pairs.py --bench N [--shapes 104x5,4x8]
-        [--pairs 10] [--sessions 200] [--parent REV | --parent-tree DIR]
+        [--pairs 10] [--parent REV | --parent-tree DIR]
 
 Each shape is a rule width and a table size k, ``WxK``; the default is the
 grid of widths 104 and 4 and k in 1, 8, 50 and 500.  A shape's table and
 queries are ``perfbench/gen.py``'s, seeded, from this working tree, so
 both sides answer the same queries.  Each run is one subprocess that runs
 every shape on both backends over a ``LoopbackEndpoint`` with no delay,
-interleaving the backends query by query, and times each whole session.
+interleaving the backends query by query, and times each whole session:
+200 per shape and backend, fewer for big tables (:func:`shape_sessions`),
+the same in every run, so every such file is made the same way.
 The parent is a ``git archive`` of ``REV`` (default ``HEAD``) unpacked in
 a temporary directory, or the tree ``DIR``; the change is this working
 tree.  Pair i runs the parent first when i is even and the change first
@@ -42,6 +44,7 @@ BACKENDS = ("gmw", "yao")
 COUNTERS = ("and_depth", "online_rounds", "flights", "setup_bytes",
             "online_bytes")
 SEED = 1
+SESSIONS = 200  # timed per shape and backend, up to k=100
 
 
 def _load(name: str, path: Path):
@@ -56,13 +59,13 @@ SIDES, spread, unpack = (bench_pairs.SIDES, bench_pairs.spread,
                          bench_pairs.unpack)
 
 
-def shape_sessions(k: int, sessions: int) -> int:
+def shape_sessions(k: int) -> int:
     """Timed sessions per backend at table size ``k``: fewer for big
-    tables, 40 at k=500 for the default 200."""
-    return max(1, min(sessions, sessions * 100 // k))
+    tables, 40 at k=500."""
+    return max(1, min(SESSIONS, SESSIONS * 100 // k))
 
 
-def time_shape(width: int, k: int, sessions: int) -> dict:
+def time_shape(width: int, k: int) -> dict:
     """One run's sessions of a shape: per backend, the median session time
     in ms and the exact counters, which every session must repeat.
 
@@ -86,7 +89,7 @@ def time_shape(width: int, k: int, sessions: int) -> dict:
     endpoint = LoopbackEndpoint(service, seed=SEED)
     times: dict[str, list[float]] = {b: [] for b in BACKENDS}
     counters: dict[str, dict] = {}
-    for index in range(sessions + 1):  # query 0 warms up
+    for index in range(shape_sessions(k) + 1):  # query 0 warms up
         pattern, mask = gen.query_rule(SEED, k, index, table, width)
         rule = TernaryRule(width, pattern, mask)
         want = {hop for p, m, hop in table if (p ^ pattern) & m & mask == 0}
@@ -111,20 +114,19 @@ def time_shape(width: int, k: int, sessions: int) -> dict:
             for b in BACKENDS}
 
 
-def worker(root: Path, shapes: list[tuple[int, int]], sessions: int) -> None:
+def worker(root: Path, shapes: list[tuple[int, int]]) -> None:
     """Print one JSON line: every shape's :func:`time_shape` in ``root``."""
     sys.path.insert(0, str(root / "src"))
-    out = [time_shape(w, k, shape_sessions(k, sessions)) for w, k in shapes]
+    out = [time_shape(w, k) for w, k in shapes]
     print(json.dumps(out))
 
 
-def run_once(root: Path, shapes: list[tuple[int, int]],
-             sessions: int) -> list[dict]:
+def run_once(root: Path, shapes: list[tuple[int, int]]) -> list[dict]:
     """One side's run of every shape, in a fresh process."""
     spec = ",".join(f"{w}x{k}" for w, k in shapes)
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--worker",
-         str(root), "--shapes", spec, "--sessions", str(sessions)],
+         str(root), "--shapes", spec],
         capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONPATH": ""})
     lines = proc.stdout.strip().splitlines()
@@ -134,7 +136,7 @@ def run_once(root: Path, shapes: list[tuple[int, int]],
 
 
 def summarize(runs: list[dict], first_in_pair: list[str],
-              shapes: list[tuple[int, int]], sessions: int) -> list[dict]:
+              shapes: list[tuple[int, int]]) -> list[dict]:
     """One record per shape and backend from the pairs of runs.
 
     ``runs[i]`` maps each side to its run's list of shape results.
@@ -153,7 +155,7 @@ def summarize(runs: list[dict], first_in_pair: list[str],
                             f"{backend} {width}x{k}: {side} counters moved "
                             f"between runs")
             record = {"width": width, "k": k, "backend": backend,
-                      "sessions_per_run": shape_sessions(k, sessions),
+                      "sessions_per_run": shape_sessions(k),
                       "pairs": len(runs), "first_in_pair": first_in_pair,
                       "ms": {"values_by_pair": ms}}
             record["ms"].update({side: spread(ms[side]) for side in SIDES})
@@ -197,14 +199,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--bench", type=int)
     parser.add_argument("--shapes", type=parse_shapes, default=list(GRID))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--sessions", type=int, default=200)
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--parent-tree", type=Path)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv[1:])
     if args.worker:
-        worker(args.worker, args.shapes, args.sessions)
+        worker(args.worker, args.shapes)
         return 0
     if args.out is None and args.bench is None:
         parser.error("give --bench N or --out PATH")
@@ -224,10 +225,10 @@ def main(argv: list[str]) -> int:
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             first.append(order[0])
-            runs.append({side: run_once(roots[side], args.shapes,
-                                        args.sessions) for side in order})
+            runs.append({side: run_once(roots[side], args.shapes)
+                         for side in order})
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
-    records = summarize(runs, first, args.shapes, args.sessions)
+    records = summarize(runs, first, args.shapes)
     out = {
         "bench": args.bench,
         "host": (f"{os.cpu_count()}-CPU {platform.machine()} "
