@@ -17,67 +17,59 @@ Layering, bottom up:
   microbenchmarks) behind the ``prelude`` command line tool.
 """
 
-from prelude.bgpsim import (
-    DeflectionPolicy,
-    SdxSite,
-    compute_routes,
-    forwarding_oracle,
-    generate_topology,
-    two_exchange_fixture,
-)
-from prelude.control import ControlPlane, Verdict, sidr_baseline
-from prelude.distinct_match import (
-    LoopbackEndpoint,
-    NextHopId,
-    QueryResult,
-    RuleEntry,
-    SdxMatchService,
-)
-from prelude.harness import ExperimentConfig, load_config
-from prelude.rules import (
-    FlowSpec,
-    Packet,
-    RULE_WIDTH,
-    TernaryRule,
-    decode,
-    distinct,
-    encode,
-    encode_packet,
-    format_rule,
-    matches,
-    overlaps,
-    parse_rule,
-)
+from importlib import import_module
 
-__all__ = [
-    "ControlPlane",
-    "DeflectionPolicy",
-    "ExperimentConfig",
-    "FlowSpec",
-    "LoopbackEndpoint",
-    "NextHopId",
-    "Packet",
-    "QueryResult",
-    "RULE_WIDTH",
-    "RuleEntry",
-    "SdxMatchService",
-    "SdxSite",
-    "TernaryRule",
-    "Verdict",
-    "compute_routes",
-    "decode",
-    "distinct",
-    "encode",
-    "encode_packet",
-    "format_rule",
-    "forwarding_oracle",
-    "generate_topology",
-    "load_config",
-    "matches",
-    "overlaps",
-    "parse_rule",
-    "sidr_baseline",
-    "two_exchange_fixture",
-]
+# Where each name ``from prelude import ...`` offers lives.  The package
+# imports none of these modules itself: a name's module is imported when
+# the name is first read (PEP 562), so importing one module, such as
+# ``prelude.distinct_match``, leaves the rest unimported.
+_EXPORTS = {
+    "prelude.bgpsim": (
+        "DeflectionPolicy",
+        "SdxSite",
+        "compute_routes",
+        "forwarding_oracle",
+        "generate_topology",
+        "two_exchange_fixture",
+    ),
+    "prelude.control": ("ControlPlane", "Verdict", "sidr_baseline"),
+    "prelude.distinct_match": (
+        "LoopbackEndpoint",
+        "NextHopId",
+        "QueryResult",
+        "RuleEntry",
+        "SdxMatchService",
+    ),
+    "prelude.harness": ("ExperimentConfig", "load_config"),
+    "prelude.rules": (
+        "FlowSpec",
+        "Packet",
+        "RULE_WIDTH",
+        "TernaryRule",
+        "decode",
+        "distinct",
+        "encode",
+        "encode_packet",
+        "format_rule",
+        "matches",
+        "overlaps",
+        "parse_rule",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        # not a re-export: ``from prelude import control`` goes on to
+        # import the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
 
 __version__ = "0.1.0"

@@ -50,19 +50,21 @@ Session flow, all on one framed channel:
 3. otherwise the holder freshly permutes its entries, so positions carry no
    information, and both sides compute entry by entry whether the queried
    rule is distinct from the stored one under the chosen secure backend.
-   Each side's rules become one word of pinned-one and
-   pinned-zero bits, one row of text per rule
-   (:meth:`~prelude.circuits.BatchQueryCircuit.row`); a bit proves two
-   rules distinct when one pins it to 1 and the other to 0.  The querier
-   formats its one rule's row each session.  The holder formatted each
-   entry's row, and encoded its identifier, when it registered the entry
-   (:class:`SdxMatchService`), so a session shuffles those pairs, joins
-   the rows into its word
-   (:meth:`~prelude.circuits.BatchQueryCircuit.word_from_rows`) and
-   releases the identifiers in the same order.  The querier's word is a
-   secret input, while the holder's stays in its clear and feeds only
-   yao's cells or gmw's lookup tables (see :mod:`prelude.circuits`),
-   so the holder's rules are never labelled, masked or shared.
+   Each side's rules become pinned-one and pinned-zero bits, one row of
+   text per rule (:meth:`~prelude.circuits.BatchQueryCircuit.row`); a
+   bit proves two rules distinct when one pins it to 1 and the other to
+   0.  The querier formats its one rule's row each session, as its word.
+   The holder formatted each entry's row, and encoded its identifier,
+   when it registered the entry (:class:`SdxMatchService`), so a session
+   shuffles those pairs, hands the rows to the backend, which lays them
+   out itself, and releases the identifiers in the same order: gmw joins
+   them into a word
+   (:meth:`~prelude.circuits.BatchQueryCircuit.word_from_rows`), and
+   yao's garbler reads their bits as they stand, no word between
+   (:func:`~prelude.smpc.garble_steps`).  The querier's word is a secret
+   input, while the holder's bits stay in its clear and feed only yao's
+   cells or gmw's lookup tables (see :mod:`prelude.circuits`), so the
+   holder's rules are never labelled, masked or shared.
    Every entry runs the same per-entry template, the comparator
    (:func:`build_batch_query`), and the backends evaluate it over k lanes,
    lane i being the i-th shuffled entry; the querier's rule feeds every
@@ -406,19 +408,19 @@ class SdxMatchService:
             return
 
         rng.shuffle(prepared)
+        # one lane per shuffled entry; each backend lays the rows out itself
         rows, ids = zip(*prepared)
         template = query_template(width)
-        # one lane per shuffled entry
-        word = template.word_from_rows(rows)
         material = dealer.material(template, backend, 1, k)
         if backend == "gmw":
-            shares = yield from gmw_steps(template, 1, word, material)
+            shares = yield from gmw_steps(
+                template, 1, template.word_from_rows(rows), material)
             # A distinct bit reads 0 where the rules overlap: release the
             # entry's identifier there, the dummy where it reads 1.
             yield from reveal_steps(shares, material, receive=False,
                                     values=ids, dummy=_DUMMY_BYTES)
             return
-        sums = yield from garble_steps(template, word, material, rng)
+        sums = yield from garble_steps(template, rows, material, rng)
         yield from release_steps(sums, ids)
 
 

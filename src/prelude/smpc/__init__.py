@@ -48,11 +48,17 @@ what the material fixes: the lane count, and the size of the values a
 gmw release carries.
 
 The template runs over ``lanes`` entries at once, every lane of a gate
-packed into one integer.  Each party passes its word, which
-:meth:`prelude.circuits.BatchQueryCircuit.word` builds from its rules and
-every backend range-checks the same way.  Party 1's word is clear (see
-:mod:`prelude.circuits`): neither backend shares, masks or labels it, and
-it feeds only the first level, yao's cells or gmw's lookup tables.
+packed into one integer.  Party 0 passes its word, which
+:meth:`prelude.circuits.BatchQueryCircuit.word` builds from its rule and
+every backend range-checks the same way.  Party 1 holds one row of text
+per entry (:meth:`prelude.circuits.BatchQueryCircuit.row`), and each
+backend lays the rows out itself: gmw takes the word
+:meth:`~prelude.circuits.BatchQueryCircuit.word_from_rows` makes of them,
+and :func:`garble_steps` takes the rows, checks them and reads their bits
+in the order its tables want, with no word between.  Party 1's bits are
+clear (see :mod:`prelude.circuits`): neither backend shares, masks or
+labels them, and they feed only the first level, yao's cells or gmw's
+lookup tables.
 Party 0's word is broadcast, one bit per gate that every lane reads, so
 each cell takes one shift, and under yao one label transfer, whatever the
 lane count, and the querier sends two bits per cell; everything else

@@ -18,7 +18,7 @@ precomputation, CRYPTO 1995), one per cell whatever the lane count, since
 one querier rule feeds every lane.  Its shifts s = x - u mod 3 are its
 first frame (:func:`~prelude.smpc.dealer.first_steps`), and the holder
 refuses one of which a cell reads the unused symbol 3 before it garbles.
-The holder's word stays clear and gets no labels.  No label carries a
+The holder's rows stay clear and get no labels.  No label carries a
 permute bit: the evaluator is the querier, who knows the symbol its label
 stands for.
 
@@ -131,6 +131,7 @@ from itertools import compress, product
 from operator import itemgetter
 from typing import Sequence
 
+from prelude.circuits import gate_bits, lane_bits
 from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
 from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
@@ -203,33 +204,6 @@ def _fold(word: int, count: int, width: int) -> int:
         word = (word & ((1 << half * width) - 1)) ^ (word >> half * width)
         count -= half
     return word
-
-
-def _by_cell(data: bytes, unit: int) -> bytes:
-    """The two halves of ``data``, fields of ``unit`` bytes, in cell
-    order: field c of the first half, then field c of the second.
-
-    A word's field c holds cell c's pinned-one bit and field w + c its
-    pinned-zero bit, and a table holds cell c's rows R1 and R0 side by
-    side.  Few fields are copied whole; many short ones move by strided
-    slices, one per item of a field, an item being 8 bytes where the
-    fields allow.
-    """
-    half = len(data) // 2
-    size = 8 if unit % 8 == 0 else 1
-    items = unit // size  # per field
-    if half // unit <= items:
-        view = memoryview(data)
-        return b"".join([view[at : at + unit] for first in range(0, half, unit)
-                         for at in (first, half + first)])
-    out = bytearray(len(data))
-    kind = "Q" if size == 8 else "B"
-    src, dst = memoryview(data).cast(kind), memoryview(out).cast(kind)
-    end = half // size
-    for at in range(items):
-        dst[at :: 2 * items] = src[at : end : items]
-        dst[items + at :: 2 * items] = src[end + at :: items]
-    return out
 
 
 def _chosen_rows(word: int, w: int, tables: bytes, lanes: int) -> int:
@@ -332,12 +306,13 @@ def _hash(inputs: bytearray, tweaks: Sequence[int]) -> bytearray:
     return _PI.encrypt(inputs)
 
 
-def _garble(labels: int, w: int, clear: int,
+def _garble(labels: int, w: int, rows: Sequence[str],
             lanes: int) -> tuple[bytes, int]:
     """Return (the hashed tables, the lane sums S0 of the zero-keys).
 
     ``labels`` holds the ``w`` cells' labels L*, then L1, then L0, cell
-    c's in field c of each third, and ``clear`` the holder's word.
+    c's in field c of each third, and ``rows`` the holder's rows, row i
+    in lane i (:meth:`~prelude.circuits.BatchQueryCircuit.row`).
     """
     ones, _, tweaks, _, _ = _hashed(w, lanes)
     bits = LABEL_BITS * w
@@ -347,11 +322,9 @@ def _garble(labels: int, w: int, clear: int,
     # pi's inputs, sigma(L) ^ j, lane by lane: every cell's R1 then every
     # cell's R0 under L*, the holder's bit b turning j into the odd tweak
     # j + b in bit 0, which no even tweak sets; the same rows under L1 and
-    # L0; then the zero-keys under L*.  Lane i's holder bits are every
-    # lane's i-th, R1's cells then R0's.
-    word = int_to_bits(clear, 2 * w * lanes)
-    low = int.from_bytes(b"".join([word[i::lanes] for i in range(lanes)]),
-                         "little")
+    # L0; then the zero-keys under L*.  Lane i's holder bits are R1's
+    # cells then R0's, gates 0 to 2w - 1.
+    low = lane_bits(rows)
     pis = memoryview(_hash(bytearray().join(
         [(star + star) * lanes, sigma[len(star):] * lanes, star * lanes]),
         (tweaks[0] ^ low, *tweaks[1:])))
@@ -407,18 +380,21 @@ def _counters(lanes: int) -> bytearray:
     return bytearray(blocks)
 
 
-def _garble_keyed(labels: int, w: int, clear: int,
+def _garble_keyed(labels: int, w: int, rows: Sequence[str],
                   lanes: int) -> tuple[bytearray, int]:
     """Return (the label-keyed tables, the lane sums S0 of the zero-keys).
 
     ``labels`` holds the ``w`` cells' labels L*, then L1, then L0, cell
-    c's in field c of each third, and ``clear`` the holder's word.
+    c's in field c of each third, and ``rows`` the holder's rows, row i
+    in lane i (:meth:`~prelude.circuits.BatchQueryCircuit.row`).
     """
     size = LABEL_BYTES * lanes
     # every row starts as its counter blocks c(i, b), the holder's bit for
-    # the row and lane i in the top byte of its block
+    # the row and lane i in the top byte of its block: cell c's R1 reads
+    # gate c and its R0 gate w + c
     tables = _counters(lanes) * (2 * w)
-    tables[::LABEL_BYTES] = _by_cell(int_to_bits(clear, 2 * w * lanes), lanes)
+    tables[::LABEL_BYTES] = gate_bits(
+        rows, w, [g for c in range(w) for g in (c, w + c)])
     sums = bytearray(size)
     keys = bytearray(labels.to_bytes(3 * LABEL_BYTES * w, "little"))
     pins = [pinned(buf) for buf in (tables, sums, keys)]
@@ -452,12 +428,15 @@ def _evaluate_keyed(chosen: int, w: int, word: int, tables: bytes,
                                                          lanes)
 
 
-def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
+def garble_steps(circuit, rows: Sequence[str], setup: DealerMaterial, rng):
     """Garbler's (party 1's) side of one run of the template, over the
     lanes ``setup`` was dealt for.
 
-    ``word`` is the holder's clear word, field g holding gate g's lanes
-    (:meth:`~prelude.circuits.BatchQueryCircuit.word`).  Reads the
+    ``rows`` are the holder's rows in the clear, row i in lane i
+    (:meth:`~prelude.circuits.BatchQueryCircuit.row`), which the garbler
+    lays out itself: no word is built.  Raises ValueError, before it
+    sends a frame, for rows of another count than the lanes, of another
+    length than 2w or holding a character other than 0 and 1.  Reads the
     querier's shifts first, and raises ProtocolError, before it garbles,
     if a cell reads the unused symbol 3.  Returns the lane sums S0 of the
     zero-keys, lane i in bits [128 i, 128 i + 128), under which
@@ -467,12 +446,12 @@ def garble_steps(circuit, word: int, setup: DealerMaterial, rng):
     if rng is None:
         raise ValueError("garbler needs an rng")
     lanes = setup.lanes
-    circuit.check_word(1, word, lanes)
+    circuit.check_rows(rows, lanes)
     w = circuit.width
     shift = yield from recv_shift_steps(w)
     labels = rng.getrandbits(3 * LABEL_BITS * w)  # L*, L1, L0 of every cell
     garble = _garble if lanes < LABEL_KEYED_LANES else _garble_keyed
-    tables, sums = garble(labels, w, word, lanes)
+    tables, sums = garble(labels, w, rows, lanes)
     yield from send_frame(MSG_GARBLED_TABLES, tables)
     every = (1 << LABEL_BITS * w) - 1
     yield from send_symbol_steps(

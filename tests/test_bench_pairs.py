@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -50,3 +51,42 @@ def test_a_metric_past_its_bound_is_marked():
     assert not out["metrics"]["op_ms"]["within_bound"]
     assert not out["metrics"]["ops_per_s"]["within_bound"]
     assert out["metrics"]["op_ms"]["change_better_pairs"] == 0
+
+
+def fake_main(monkeypatch, out, *options) -> tuple[dict, list[int]]:
+    """The record ``main`` writes to ``out`` for ``options`` when every
+    run returns one fixed line, over two workloads, and the seed of each
+    run."""
+    seeds = []
+    names = [m["name"] for m in json.loads(
+        (TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]]
+    line = {"correct": True, "failed": 0,
+            "metrics": {name: {"value": 1.0} for name in names}}
+
+    def run_once(root, workload, seed, seconds):
+        seeds.append(seed)
+        return line
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda revision, into: None)
+    monkeypatch.setattr(bench_pairs, "workloads", lambda: ("a", "b"))
+    assert bench_pairs.main(["bench_pairs.py", "--bench", "7", *options,
+                             "--out", str(out)]) == 0
+    return json.loads(out.read_text()), seeds
+
+
+def test_the_options_set_the_seed_pairs_and_path(monkeypatch, tmp_path):
+    record, seeds = fake_main(monkeypatch, tmp_path / "bench.json",
+                              "--seed", "3", "--pairs", "2")
+    assert (record["bench"], record["seed"], record["pairs"]) == (7, 3, 2)
+    assert "--seed 3" in record["command"]
+    assert seeds == [3] * 8  # two workloads, two pairs, two sides
+    for workload in record["workloads"]:
+        assert (workload["seed"], workload["pairs"]) == (3, 2)
+        assert workload["first_in_pair"] == ["parent", "change"]
+
+
+def test_the_defaults_are_seed_1_and_ten_pairs(monkeypatch, tmp_path):
+    record, seeds = fake_main(monkeypatch, tmp_path / "bench.json")
+    assert (record["seed"], record["pairs"]) == (1, 10)
+    assert seeds == [1] * 40

@@ -1,4 +1,5 @@
-"""Every name a program module imports is used in that module.
+"""Every name a program module imports is used in that module, and the
+package imports no module before one of its names is read.
 
 Each module under ``src/`` except the package ``__init__`` modules, which
 import names to re-export them, is parsed with :mod:`ast`.  A name bound by
@@ -10,6 +11,9 @@ as the root of an attribute, in a string annotation, or in ``__all__``.
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,35 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Iterable, Mapping\n"
                      "x: 'Mapping[str, int]' = {}\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "Iterable"}
+
+
+# The modules the query path must not import: the control plane, the BGP
+# simulator and the harness, and the standard library modules that only
+# they use.
+UNNEEDED = ("prelude.control", "prelude.bgpsim", "prelude.harness",
+            "statistics", "configparser", "csv", "fractions")
+
+
+def fresh(code: str) -> object:
+    """What ``code``, run in a fresh interpreter against ``src/``, prints
+    as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path[:0] = [{str(SRC)!r}]; "
+         + code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_the_query_path_imports_no_other_layer():
+    loaded = fresh("import json, prelude.distinct_match; print(json.dumps("
+                   f"[m for m in {UNNEEDED!r} if m in sys.modules]))")
+    assert loaded == []
+
+
+def test_every_export_resolves_lazily():
+    # the star import reads every name of __all__ through the package's
+    # __getattr__, in an interpreter that has imported none of them
+    assert fresh("import json, prelude; before = set(sys.modules); "
+                 "from prelude import *; print(json.dumps([len(prelude."
+                 "__all__), sorted(set(prelude.__all__) - set(globals())), "
+                 "'prelude.control' in before]))") == [28, [], False]

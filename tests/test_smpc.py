@@ -20,7 +20,7 @@ from typing import NamedTuple
 import pytest
 from scipy import stats
 
-from prelude.circuits import build_batch_query
+from prelude.circuits import build_batch_query, gate_bits, lane_bits
 from prelude.rules import TernaryRule, overlaps, random_rule
 from prelude.smpc import (
     ChannelClosed,
@@ -75,17 +75,32 @@ def unpack(word: int, width: int, count: int) -> list[int]:
     return [(word >> (i * width)) & ((1 << width) - 1) for i in range(count)]
 
 
-def rule_inputs(q, holders) -> tuple[int, int]:
-    """Level-1 words of both parties: the querier's rule, and holder rule
-    i in lane i."""
+def holder_rows(word: int, width: int, lanes: int) -> list[str]:
+    """The holder's rows of its word, one bit at a time: row i holds gate
+    g of lane i, bit g x lanes + i of the word, as its character
+    2 width - 1 - g."""
+    return ["".join(str(word >> (g * lanes + i) & 1)
+                    for g in reversed(range(2 * width))) for i in range(lanes)]
+
+
+def holder_word(rows, width: int) -> int:
+    """The inverse of :func:`holder_rows`, one bit at a time."""
+    lanes = len(rows)
+    return sum(int(row[2 * width - 1 - g]) << (g * lanes + i)
+               for i, row in enumerate(rows) for g in range(2 * width))
+
+
+def rule_inputs(q, holders) -> tuple[int, list[str]]:
+    """Both parties' inputs: the querier's word of its rule, and the
+    holder's rows, holder rule i in lane i."""
     circuit = build_batch_query(q.width)
-    return circuit.word(0, [q]), circuit.word(1, holders)
+    return circuit.word(0, [q]), [circuit.row(1, h) for h in holders]
 
 
 def overlap_case(width: int, lanes: int, rng: random.Random, q=None):
-    """Both parties' words for querier rule ``q`` (a random rule by
-    default) and ``lanes`` holder rules, and the template's plaintext
-    output per lane, 0 where the rules overlap.
+    """Both parties' inputs (:func:`rule_inputs`) for querier rule ``q``
+    (a random rule by default) and ``lanes`` holder rules, and the
+    template's plaintext output per lane, 0 where the rules overlap.
 
     Random wide rules almost never overlap, so a holder rule is as often
     the querier's own rule, the wildcard or the querier's rule with pins
@@ -101,12 +116,14 @@ def overlap_case(width: int, lanes: int, rng: random.Random, q=None):
 
 
 def random_inputs(circuit, rng: random.Random, lanes: int = 1,
-                  sparse: int = 1, symbols: bool = True) -> tuple[int, int]:
-    """Random words of both parties, which need not come from rules: a bit
-    per gate for the querier and a field of ``lanes`` bits per gate for
-    the holder.  Each bit is 1 with probability ``2 ** -sparse``, except
-    that where ``symbols`` no querier cell reads 3, as gmw requires: its
-    bit w + j is cleared where its bit j is set."""
+                  sparse: int = 1,
+                  symbols: bool = True) -> tuple[int, list[str]]:
+    """Random inputs of both parties, which need not come from rules: the
+    querier's word of a bit per gate and the holder's rows of a bit per
+    gate and lane (:func:`holder_rows`).  Each bit is 1 with probability
+    ``2 ** -sparse``, except that where ``symbols`` no querier cell reads
+    3, as gmw requires: its bit w + j is cleared where its bit j is
+    set."""
 
     def word(width):
         fields = []
@@ -121,7 +138,7 @@ def random_inputs(circuit, rng: random.Random, lanes: int = 1,
     if symbols:
         w = circuit.width
         querier &= ~((querier & ((1 << w) - 1)) << w)
-    return querier, word(lanes)
+    return querier, holder_rows(word(lanes), circuit.width, lanes)
 
 
 def plaintext(circuit, inputs0, inputs1, lanes: int,
@@ -129,10 +146,10 @@ def plaintext(circuit, inputs0, inputs1, lanes: int,
     """The template's output per lane: 1 where some cell
     ``cell(q_one·h_zero, q_zero·h_one)`` is 1, gate j < w reading the
     querier's q_one[j] and the holder's h_zero[j], gate w + j q_zero[j]
-    and h_one[j]."""
+    and h_one[j].  ``inputs1`` are the holder's rows."""
     w = circuit.width
     q = unpack(inputs0, 1, 2 * w)
-    h = unpack(inputs1, lanes, 2 * w)
+    h = unpack(holder_word(inputs1, w), lanes, 2 * w)
     out = 0
     for j in range(w):
         out |= cell(q[j] * h[j], q[w + j] * h[w + j])
@@ -185,13 +202,16 @@ def party_steps(circuit, backend, party, inputs, mat, *, garble_rng=None):
     runs only the comparator template, the byte 0 where the key sums agree,
     and party 0 opens the byte 1 where they do not.  Party 0 starts with
     its first online frame, as a querier sends it with its envelope.  The
-    lane count is the one ``mat`` was dealt for.
+    lane count is the one ``mat`` was dealt for.  Party 0's ``inputs`` is
+    its word, party 1's its rows, which gmw lays out as a word and yao's
+    garbler takes as they are, as the holder's session does.
     """
     lanes = mat.lanes
     if party == 0:
         yield from first_steps(circuit, inputs, mat.shift)
     if backend == "gmw":
-        shares = yield from gmw_steps(circuit, party, inputs, mat)
+        word = inputs if party == 0 else circuit.word_from_rows(inputs)
+        shares = yield from gmw_steps(circuit, party, word, mat)
         if party == 1:
             yield from reveal_steps(shares, mat, receive=False,
                                     values=[BIT_VALUES[0]] * lanes,
@@ -568,15 +588,16 @@ class TestTranscriptRounds:
 
 def first_step(backend: str, party: int, material):
     """Start ``backend``'s party ``party`` on ``material``, with random
-    words of the width-4 template over 3 lanes."""
+    inputs of the width-4 template over 3 lanes."""
     circuit = build_batch_query(4)
-    word = random_inputs(circuit, random.Random(3), 3)[party]
+    inputs = random_inputs(circuit, random.Random(3), 3)[party]
     if backend == "gmw":
+        word = inputs if party == 0 else circuit.word_from_rows(inputs)
         steps = gmw_steps(circuit, party, word, material)
     elif party == 0:
-        steps = evaluate_steps(circuit, word, material)
+        steps = evaluate_steps(circuit, inputs, material)
     else:
-        steps = garble_steps(circuit, word, material, random.Random(1))
+        steps = garble_steps(circuit, inputs, material, random.Random(1))
     return next(steps)
 
 
@@ -693,14 +714,15 @@ class TestDealer:
 
     def test_stream_exhaustion(self):
         # material cannot run short mid-run: a run takes its lane count
-        # from its material, so a holder word over more lanes than were
-        # dealt is refused before the first step (the querier's word is
-        # one bit per gate at any lane count)
-        for backend in ("gmw", "yao"):
+        # from its material, so a holder's input over more lanes than were
+        # dealt, gmw's word or yao's rows, is refused before the first step
+        # (the querier's word is one bit per gate at any lane count)
+        for backend, refusal in (("gmw", "must fit"),
+                                 ("yao", "3 holder rows for 2 lanes")):
             good, fewer = deal(backend), deal(backend, lanes=2)
             for party in (0, 1):
                 first_step(backend, party, good[party])
-            with pytest.raises(ValueError, match="must fit"):
+            with pytest.raises(ValueError, match=refusal):
                 first_step(backend, 1, fewer[1])
 
     def test_material_for_another_party_or_plan_is_refused(self):
@@ -1143,13 +1165,14 @@ class TestLanes:
                                         lanes=4)
         yao0, yao1 = dealer_for_circuit(circuit, "yao", random.Random(3),
                                         lanes=4)
-        # a querier word is one bit per gate, which every lane reads, and a
-        # holder word one bit per gate and lane
-        for bad0, bad1 in ((inputs0 | 1 << 8, inputs1 | 1 << 32), (-1, -1)):
+        # a querier word is one bit per gate, which every lane reads, and
+        # gmw's holder word one bit per gate and lane; yao's garbler checks
+        # the holder's rows instead (test_holder_rows_are_checked_first)
+        word1 = holder_word(inputs1, circuit.width)
+        for bad0, bad1 in ((inputs0 | 1 << 8, word1 | 1 << 32), (-1, -1)):
             for steps in (gmw_steps(circuit, 0, bad0, gmw0),
                           gmw_steps(circuit, 1, bad1, gmw1),
-                          evaluate_steps(circuit, bad0, yao0),
-                          garble_steps(circuit, bad1, yao1, random.Random(4))):
+                          evaluate_steps(circuit, bad0, yao0)):
                 with pytest.raises(ValueError, match="must fit"):
                     next(steps)
 
@@ -1254,17 +1277,17 @@ class TestHalfGates:
 
         ``labels`` holds each cell's (L*, L1, L0).  Cell c's rows in lane i
         are R1 = F(L*, c, i, h_zero) ^ F(L1, c, i, 0) and R0 = F(L*, c, i,
-        h_one) ^ F(L0, c, i, 0) for the holder's bits, fields c and w + c
-        of its word, and its zero-key F(L*, c, i, 0).  Returns (the rows,
-        cell by cell, R1's lanes then R0's, the per-lane sums of the
-        zero-keys).
+        h_one) ^ F(L0, c, i, 0) for the holder's bits, gates c and w + c
+        of its row i in ``clear``, characters 2w - 1 - c and w - 1 - c,
+        and its zero-key F(L*, c, i, 0).  Returns (the rows, cell by cell,
+        R1's lanes then R0's, the per-lane sums of the zero-keys).
         """
         w = len(labels)
         rows, sums = [], [0] * lanes
         for c, (star, one, zero) in enumerate(labels):
-            for label, field in ((one, c), (zero, w + c)):
+            for label, gate in ((one, c), (zero, w + c)):
                 for i in range(lanes):
-                    b = clear >> (field * lanes + i) & 1
+                    b = int(clear[i][2 * w - 1 - gate])
                     rows.append((prf(star, c, i, b) ^ prf(label, c, i))
                                 .to_bytes(16, "little"))
             for i in range(lanes):
@@ -1330,7 +1353,8 @@ class TestHalfGates:
         # The hashed cell rows, tables and S0, at any lane count.
         rng = random.Random(80 + lanes)
         for width in (1, 4, 8, 104):
-            inputs1 = rng.getrandbits(2 * width * lanes)
+            inputs1 = holder_rows(rng.getrandbits(2 * width * lanes), width,
+                                  lanes)
             labels, packed = self.cell_labels(rng, width)
             tables, sums = yao._garble(packed, width, inputs1, lanes)
             ref_tables, ref_sums = self.reference_garble(
@@ -1539,6 +1563,88 @@ class TestHalfGates:
                      evaluate_steps(circuit, inputs0, mat0))
 
 
+def rule_gate_bits(rule: TernaryRule) -> list[int]:
+    """The holder's 2w gate bits of ``rule``, one bit at a time: gate
+    j < w is its pinned-zero bit j, gate w + j its pinned-one bit j, bit j
+    counting from the rule's most significant end."""
+    w = rule.width
+    pinned = [rule.mask >> (w - 1 - j) & 1 for j in range(w)]
+    ones = [rule.pattern >> (w - 1 - j) & 1 for j in range(w)]
+    return ([p & (1 - o) for p, o in zip(pinned, ones)]
+            + [p & o for p, o in zip(pinned, ones)])
+
+
+def fork_lanes(width: int) -> list[int]:
+    """The lane counts either side of each fork: one lane, two, either
+    side of gmw's per-lane copies (2w lanes) and of yao's label-keyed rows
+    (``LABEL_KEYED_LANES``), and a wide table."""
+    return sorted({1, 2, 2 * width - 1, 2 * width, 2 * width + 1,
+                   yao.LABEL_KEYED_LANES - 1, yao.LABEL_KEYED_LANES, 500})
+
+
+class TestHolderLayouts:
+    """Each backend lays the holder's rows out itself: gmw's word, the
+    hashed garbler's lane-major bits and the label-keyed tables' holder
+    bytes, each against the same rules read one bit at a time, either
+    side of every fork."""
+
+    @pytest.mark.parametrize("width, lanes", [
+        (width, lanes) for width in (4, 104) for lanes in fork_lanes(width)])
+    def test_each_layout_equals_a_per_bit_reference(self, width, lanes):
+        rng = random.Random(width * 1000 + lanes)
+        circuit = build_batch_query(width)
+        rules = [rng.choice((random_rule(width, rng),
+                             TernaryRule.wildcard(width),
+                             TernaryRule(width, (1 << width) - 1,
+                                         (1 << width) - 1)))
+                 for _ in range(lanes)]
+        rows = [circuit.row(1, rule) for rule in rules]
+        bits = [rule_gate_bits(rule) for rule in rules]  # bits[i][g]
+        gates = range(2 * width)
+        assert circuit.word_from_rows(rows) == sum(
+            bits[i][g] << (g * lanes + i) for i in range(lanes) for g in gates)
+        assert lane_bits(rows) == int.from_bytes(
+            bytes(bits[i][g] for i in range(lanes) for g in gates), "little")
+        # in the label-keyed tables' order: cell c's R1, gate c, then its
+        # R0, gate w + c
+        cells = [g for c in range(width) for g in (c, width + c)]
+        assert gate_bits(rows, width, cells) == bytes(
+            bits[i][g] for g in cells for i in range(lanes))
+
+    @pytest.mark.parametrize("lanes", [3, yao.LABEL_KEYED_LANES])
+    @pytest.mark.parametrize("fault, faulty", [
+        ("count", lambda rows: rows[:-1]),
+        ("count", lambda rows: rows + rows[:1]),
+        ("length", lambda rows: [rows[0][1:]] + rows[1:]),
+        # one row longer, another shorter: the joined text keeps its size
+        ("length", lambda rows: [rows[0] + "0", rows[1][1:]] + rows[2:]),
+        ("digit", lambda rows: ["0102" + rows[0][4:]] + rows[1:]),
+        ("digit", lambda rows: rows[:-1] + ["0_01" + rows[-1][4:]]),
+        ("digit", lambda rows: [" 001" + rows[0][4:]] + rows[1:]),
+        ("digit", lambda rows: ["\u0661001" + rows[0][4:]] + rows[1:]),
+    ])
+    def test_faulty_rows_are_refused_before_any_frame(self, lanes, fault,
+                                                      faulty):
+        # The garbler refuses rows of another count than its lanes, of
+        # another length than 2w or holding another character than 0 and
+        # 1, naming the fault, and sends nothing: the querier, which sent
+        # its shifts, receives no frame.  Python's int() would read the
+        # underscore, the space and the Arabic-Indic one.
+        circuit = build_batch_query(4)
+        inputs0, rows = random_inputs(circuit, random.Random(lanes), lanes)
+        mat0, mat1 = dealer_for_circuit(circuit, "yao", random.Random(5),
+                                        lanes=lanes)
+        bad = faulty(rows)
+        cause = {"count": f"^{len(bad)} holder rows for {lanes} lanes$",
+                 "length": "must be 8 characters long",
+                 "digit": "only the digits 0 and 1"}[fault]
+        spy = Spy()
+        with pytest.raises(ValueError, match=cause):
+            run_pair(tapped(first_steps(circuit, inputs0, mat0.shift), spy),
+                     garble_steps(circuit, bad, mat1, random.Random(1)))
+        assert spy.received == []
+
+
 class TestBackendAgreement:
     def test_backends_agree_on_width_104_pairs(self):
         rng = random.Random(99)
@@ -1731,7 +1837,7 @@ class TestOnlineTrafficLooksRandom:
         rng = random.Random(23)
         inputs0, _ = random_inputs(circuit, rng, lanes)
         holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
-        holder_b = 0
+        holder_b = holder_rows(0, circuit.width, lanes)
         # Significant bits of each online frame (the rest of a last byte is
         # padding).  At the lookup level the holder sends 9 bits per pair
         # of cells and lane; the querier's shifts, symbols of Z3 rather
@@ -1776,7 +1882,7 @@ class TestOnlineTrafficLooksRandom:
         circuit = build_batch_query(8)
         inputs0, _ = random_inputs(circuit, random.Random(23), lanes)
         holder_a = random_inputs(circuit, random.Random(100), lanes)[1]
-        holder_b = 0
+        holder_b = holder_rows(0, circuit.width, lanes)
         # two 16-byte rows per cell and lane, three 16-byte labels per
         # cell, 16 bytes per lane
         sizes = {MSG_GARBLED_TABLES: 2 * 8 * 16 * lanes,

@@ -1,17 +1,19 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
-    python tools/bench_pairs.py --bench N
+    python tools/bench_pairs.py --bench N [--seed 1] [--pairs 10]
+        [--out PATH]
 
 Run it before committing the change.  Unpacks a ``git archive`` of
 ``HEAD`` (the parent) in a temporary directory and runs
 ``perfbench/run.py --trace 0`` there and in this working tree, one run at
 a time, for ``BENCHMARK.json``'s ``run_seconds``.  Each workload of
-``perfbench/run.py`` gets ten pairs of runs, all with seed 1; pair i runs
-the parent first when i is even and the change first when it is odd, so a
-drift in the host's speed falls on both sides.  Writes ``BENCH_<N>.json``
-at the root of the repository: per workload, which side ran first in each
-pair, the operations that failed, and per end-to-end metric of
-``BENCHMARK.json`` each side's values by pair, their median and
+``perfbench/run.py`` gets ``--pairs`` pairs of runs, all with seed
+``--seed``; pair i runs the parent first when i is even and the change
+first when it is odd, so a drift in the host's speed falls on both sides.
+Writes ``BENCH_<N>.json`` at the root of the repository, or the path
+``--out`` names: the seed and the pair count, and per workload which side
+ran first in each pair, the operations that failed, and per end-to-end
+metric of ``BENCHMARK.json`` each side's values by pair, their median and
 quartiles, the pairs in which the change was better, and whether the
 change's median stays within the metric's bound of the parent's.
 """
@@ -30,8 +32,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 10
-SEED = 1
 SIDES = ("parent", "change")
 
 
@@ -103,7 +103,11 @@ def workloads() -> tuple[str, ...]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv[1:])
+    seed, pairs = args.seed, args.pairs
     with open(ROOT / "BENCHMARK.json") as f:
         bench = json.load(f)
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
@@ -116,17 +120,17 @@ def main(argv: list[str]) -> int:
         unpack(parent, roots["parent"])
         for workload in workloads():
             runs, first = [], []
-            for pair in range(PAIRS):
+            for pair in range(pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 first.append(order[0])
-                runs.append({side: run_once(roots[side], workload, SEED,
+                runs.append({side: run_once(roots[side], workload, seed,
                                             seconds)
                              for side in order})
-                print(f"{workload} pair {pair + 1}/{PAIRS} done",
+                print(f"{workload} pair {pair + 1}/{pairs} done",
                       file=sys.stderr)
-            records.append({"workload": workload, "seed": SEED,
+            records.append({"workload": workload, "seed": seed,
                             **summarize(runs, first, metrics)})
-    command = (f"python3 perfbench/run.py --workload W --seed {SEED} "
+    command = (f"python3 perfbench/run.py --workload W --seed {seed} "
                f"--seconds {seconds} --trace 0")
     out = {
         "bench": args.bench,
@@ -134,7 +138,9 @@ def main(argv: list[str]) -> int:
         "host": (f"{os.cpu_count()}-CPU {platform.machine()} "
                  f"{platform.system()}, Python {platform.python_version()}"),
         "parent": parent,
-        "method": (f"made by tools/bench_pairs.py: {PAIRS} pairs of runs "
+        "seed": seed,
+        "pairs": pairs,
+        "method": (f"made by tools/bench_pairs.py: {pairs} pairs of runs "
                    f"per workload, the parent from a git archive of {parent} "
                    f"and the change from its working tree, one run at a "
                    f"time; the side that runs first alternates "
@@ -142,7 +148,7 @@ def main(argv: list[str]) -> int:
                    f"n=4, method='inclusive')."),
         "workloads": records,
     }
-    path = ROOT / f"BENCH_{args.bench}.json"
+    path = args.out or ROOT / f"BENCH_{args.bench}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)
     return 0
