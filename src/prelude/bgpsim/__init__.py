@@ -6,14 +6,9 @@ from prelude.bgpsim.fixtures import (
     AS_M,
     AS_N,
     AS_Z,
-    PREFIX,
-    SDX_1,
-    SDX_2,
-    TwoExchangeFixture,
     two_exchange_fixture,
 )
 from prelude.bgpsim.oracle import (
-    Loop,
     cube_minus,
     forwarding_oracle,
     normalize_cycle,
@@ -24,17 +19,11 @@ from prelude.bgpsim.policies import (
     PolicyError,
     generate_policies,
     gr_compliant,
-    hop_class,
     validate_policy,
 )
 from prelude.bgpsim.routing import (
-    CUSTOMER,
-    ORIGIN,
-    PEER,
     PREFERENCE,
-    PROVIDER,
     RibState,
-    Route,
     compute_routes,
     traversed_sdxes,
 )
@@ -44,39 +33,3 @@ from prelude.bgpsim.topology import (
     TopologyError,
     generate_topology,
 )
-
-__all__ = [
-    "AS_A",
-    "AS_B",
-    "AS_M",
-    "AS_N",
-    "AS_Z",
-    "AsGraph",
-    "CUSTOMER",
-    "DeflectionPolicy",
-    "Loop",
-    "ORIGIN",
-    "PEER",
-    "PREFERENCE",
-    "PREFIX",
-    "PROVIDER",
-    "PolicyError",
-    "RibState",
-    "Route",
-    "SDX_1",
-    "SDX_2",
-    "SdxSite",
-    "TopologyError",
-    "TwoExchangeFixture",
-    "compute_routes",
-    "cube_minus",
-    "forwarding_oracle",
-    "generate_policies",
-    "generate_topology",
-    "gr_compliant",
-    "hop_class",
-    "normalize_cycle",
-    "simulate_packet",
-    "traversed_sdxes",
-    "two_exchange_fixture",
-]

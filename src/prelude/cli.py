@@ -23,15 +23,15 @@ _RUNNERS = {
 }
 
 
-def verify_fixture(backend: str = "gmw", seed: int = 0) -> bool:
-    """Walk the canonical two-exchange story over real query sessions.
+def verify_fixture(seed: int = 0) -> bool:
+    """Walk the canonical two-exchange story over real gmw query sessions.
 
     Returns True when every verdict lands as expected and the forwarding
     oracle confirms the surviving rules are loop-free.
     """
     fx = two_exchange_fixture()
     plane = ControlPlane(fx.graph, list(fx.sites), {fx.prefix: fx.rib},
-                         transport="smpc", backend=backend, seed=seed)
+                         transport="smpc", seed=seed)
     ok = True
 
     first = plane.install(fx.deflect_b_to_a)

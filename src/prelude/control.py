@@ -605,26 +605,3 @@ class ControlPlane(SiteView):
             out.extend(self.nodes[sdx_id].active_policies(prefix))
         return out
 
-
-__all__ = [
-    "ACCEPT",
-    "BUDGET_EXHAUSTED",
-    "ControlPlane",
-    "DEFAULT_BUDGET",
-    "Exploration",
-    "LOOP_DETECTED",
-    "LogEvent",
-    "QUERY_FAILED",
-    "REJECT",
-    "RegistryEntry",
-    "SAFE",
-    "SdxNode",
-    "SiteView",
-    "StaticMatchView",
-    "Verdict",
-    "explore_deflection",
-    "rule_entry",
-    "sidr_baseline",
-    "table_answer",
-    "verdict_of",
-]

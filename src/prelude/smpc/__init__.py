@@ -108,35 +108,3 @@ from prelude.smpc.yao import (
     open_steps,
     release_steps,
 )
-
-__all__ = [
-    "ChannelClosed",
-    "ChannelTimeout",
-    "KIND_NAMES",
-    "MSG_AND_OPENING",
-    "MSG_ENVELOPE",
-    "MSG_ENVELOPE_ACK",
-    "MSG_GARBLED_TABLES",
-    "MSG_INPUT_SHARE",
-    "MSG_LABELS",
-    "MSG_OUTPUT_SHARE",
-    "ProtocolError",
-    "SessionTranscript",
-    "TcpChannel",
-    "dealer_for_circuit",
-    "drive",
-    "encode_frame",
-    "evaluate_steps",
-    "first_piece",
-    "first_steps",
-    "garble_steps",
-    "gmw_steps",
-    "open_steps",
-    "recorded",
-    "recv_frame",
-    "recv_shift_steps",
-    "release_steps",
-    "reveal_steps",
-    "run_pair",
-    "send_frame",
-]
