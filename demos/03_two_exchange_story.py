@@ -15,7 +15,7 @@ only private queries between the exchanges.
 
 from prelude.bgpsim import forwarding_oracle, simulate_packet, two_exchange_fixture
 from prelude.control import ControlPlane
-from prelude.rules import FlowSpec, PROTO_TCP, encode_packet
+from prelude.rules import PROTO_TCP, encode_packet
 
 fx = two_exchange_fixture()
 plane = ControlPlane(fx.graph, list(fx.sites), {fx.prefix: fx.rib},

@@ -119,7 +119,7 @@ from prelude.smpc.channel import (
 )
 from prelude.smpc.dealer import DealerMaterial, recv_shift_steps
 from prelude.smpc.shares import pair_indicators, table_entries
-from prelude.smpc.transfer import choose_steps, select, send_steps, spread
+from prelude.smpc.transfer import choose_steps, lane_mask, send_steps
 
 
 def _open_steps(mine: int, n_mine: int, n_theirs: int):
@@ -264,7 +264,7 @@ def reveal_steps(
     v0 = int.from_bytes(b"".join(values), "little")
     v1 = int.from_bytes(dummy * n, "little")
     # slot c holds the value for c XOR my share
-    swap = select(spread(my_share, n, size), size) & (v0 ^ v1)
+    swap = lane_mask(my_share, n, size) & (v0 ^ v1)
     yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, setup.transfer,
                           MSG_OUTPUT_SHARE)
     return None

@@ -49,18 +49,13 @@ LABEL_BITS = 128
 LABEL_BYTES = LABEL_BITS // 8
 
 
-def spread(bits: int, n: int, size: int = LABEL_BYTES) -> int:
-    """Bit i of ``bits`` moved to bit 0 of lane i, for ``n`` lanes of
-    ``size`` bytes."""
+def lane_mask(bits: int, n: int, size: int = LABEL_BYTES) -> int:
+    """All ones in lane i of ``n`` lanes of ``size`` bytes where bit i of
+    ``bits`` is set, zeros in the others."""
     out = bytearray(size * n)
-    out[::size] = int_to_bits(bits, n)
-    return int.from_bytes(out, "little")
-
-
-def select(bits: int, size: int = LABEL_BYTES) -> int:
-    """All ones in each lane of ``size`` bytes whose bit 0 is set in
-    ``bits`` (only bit 0 set)."""
-    return (bits << 8 * size) - bits
+    out[::size] = int_to_bits(bits, n)  # bit i to bit 0 of lane i
+    low = int.from_bytes(out, "little")
+    return (low << 8 * size) - low
 
 
 def to_lanes(data: bytes, n: int, size: int) -> int:
@@ -78,7 +73,7 @@ def transfer_material(d: int, n: int, rng, size: int = LABEL_BYTES
     draws."""
     r0 = rng.getrandbits(8 * size * n)
     r1 = rng.getrandbits(8 * size * n)
-    return (d, r0 ^ (select(spread(d, n, size), size) & (r0 ^ r1))), (r0, r1)
+    return (d, r0 ^ (lane_mask(d, n, size) & (r0 ^ r1))), (r0, r1)
 
 
 def send_steps(m0: int, m1: int, n: int, size: int, pads: tuple[int, int],
@@ -93,7 +88,7 @@ def send_steps(m0: int, m1: int, n: int, size: int, pads: tuple[int, int],
     e = int.from_bytes((yield from recv_exact(MSG_INPUT_SHARE, (n + 7) // 8)),
                        "little")
     r0, r1 = pads
-    swap = select(spread(e, n, size), size) & (r0 ^ r1)  # r_e = r0 ^ swap
+    swap = lane_mask(e, n, size) & (r0 ^ r1)  # r_e = r0 ^ swap
     yield from send_frame(kind, (m0 ^ r0 ^ swap).to_bytes(size * n, "little")
                           + (m1 ^ r1 ^ swap).to_bytes(size * n, "little"))
 
@@ -111,14 +106,14 @@ def choose_steps(choices: int, n: int, size: int, material: tuple[int, int],
     payload = yield from recv_exact(kind, 2 * size * n)
     slot0 = int.from_bytes(payload[: size * n], "little")
     slot1 = int.from_bytes(payload[size * n :], "little")
-    swap = select(spread(choices, n, size), size) & (slot0 ^ slot1)
+    swap = lane_mask(choices, n, size) & (slot0 ^ slot1)
     return slot0 ^ swap ^ material[1]
 
 
 def _symbol_lanes(symbols: int, n: int) -> tuple[int, int]:
     """All ones in each 16-byte lane whose symbol reads 1, and in each whose
     symbol reads 2, for ``n`` symbols in two bit planes."""
-    lanes = select(spread(symbols, 2 * n))
+    lanes = lane_mask(symbols, 2 * n)
     return lanes & ((1 << LABEL_BITS * n) - 1), lanes >> LABEL_BITS * n
 
 

@@ -6,7 +6,6 @@ status line carries the same verdict) and enforces its runtime budget.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 import time
@@ -16,10 +15,8 @@ from scipy import stats as scipy_stats
 
 from prelude.bgpsim import (
     DeflectionPolicy,
-    PolicyError,
     compute_routes,
     forwarding_oracle,
-    generate_policies,
     generate_topology,
     gr_compliant,
     two_exchange_fixture,
@@ -47,6 +44,7 @@ from prelude.rules import (
     overlaps,
     random_rule,
 )
+from test_control import oracle_churn
 
 
 @contextmanager
@@ -212,57 +210,7 @@ def test_criterion_5_effectiveness_ordering():
 def test_criterion_6_safety_under_churn():
     with criterion(6, "oracle stays empty through churn", 600):
         for seed in range(10):
-            rng = random.Random(6000 + seed)
-            graph, sites = generate_topology(n_as=30, n_sdx=4,
-                                             seed=6100 + seed)
-            origins = list(graph.as_ids[:2])
-            prefixes = ["pfx0", "pfx1"]
-            base_ribs = {p: compute_routes(graph, o)
-                         for p, o in zip(prefixes, origins)}
-            variants = {p: [base_ribs[p]] for p in prefixes}
-            for p, origin in zip(prefixes, origins):
-                for _ in range(10):
-                    alt = copy.deepcopy(graph)
-                    a, b = rng.sample(graph.as_ids, 2)
-                    try:
-                        alt.add_peer(a, b)
-                        alt.validate()
-                    except Exception:
-                        continue
-                    variants[p].append(compute_routes(alt, origin))
-                    break
-            pool = generate_policies(graph, sites, base_ribs,
-                                     seed=6200 + seed)
-            rng.shuffle(pool)
-            available = list(pool)
-            installed: list[tuple[int, str]] = []
-            plane = ControlPlane(graph, sites, base_ribs)
-            current = dict(base_ribs)
-            for step in range(500):
-                roll = rng.random()
-                if roll < 0.55 and available:
-                    policy = available.pop()
-                    try:
-                        verdict = plane.install(
-                            policy, budget=rng.choice((1, 2, 4, 6)))
-                    except PolicyError:
-                        continue
-                    if verdict.rule_id is not None:
-                        installed.append((policy.owner, verdict.rule_id))
-                elif roll < 0.8 and installed:
-                    owner, rule_id = installed.pop(
-                        rng.randrange(len(installed)))
-                    plane.remove(owner, rule_id)
-                else:
-                    prefix = rng.choice(prefixes)
-                    rib = rng.choice(variants[prefix])
-                    plane.bgp_update(prefix, rib)
-                    current[prefix] = rib
-                for prefix in prefixes:
-                    active = plane.active_policies(prefix)
-                    assert forwarding_oracle(
-                        graph, current[prefix], active, prefix) == set(), (
-                        seed, step)
+            oracle_churn(6000 + seed, 6100 + seed, 6200 + seed, 500)
 
 
 def test_criterion_7_round_and_latency_contract():

@@ -1,13 +1,14 @@
 """Re-walks over two-party sessions reuse the answers of unchanged tables.
 
-The benchmark's churn scenario (``perfbench/gen.py``, loaded from its file
-as ``test_answers_pinned`` loads it) runs its warm phase and stream over
-the ``smpc`` transport, plane seed 1, with every exchange's endpoint
-watched from outside.  A session is reused when the holder's table tag
-still matches the answer the asking rule holds, so the session ends after
-its ack.  The stream's 2067 remote sessions include 1019 such repeats, all
-from removals and BGP updates, and the verdicts are those pinned over
-plaintext queries.
+The benchmark's churn scenario (``perfbench/gen.py``) runs its warm phase
+and stream over the ``smpc`` transport, plane seed 1, replayed by the
+benchmark's own ``ChurnRunner`` (``perfbench/workload.py``, loaded from
+its file by ``test_answers_pinned``), with every exchange's endpoint
+watched by its ``QueryRecorder``.  A session is reused when the holder's
+table tag still matches the answer the asking rule holds, so the session
+ends after its ack.  The stream's 2067 remote sessions include 1019 such
+repeats, all from removals and BGP updates, and the verdicts are those
+pinned over plaintext queries.
 """
 
 from __future__ import annotations
@@ -17,74 +18,32 @@ from collections import Counter
 
 import pytest
 
-from prelude.control import ControlPlane, table_answer
-from test_answers_pinned import (
-    CHURN_ACTIVE,
-    CHURN_VERDICTS,
-    churn_scenario,
-    sha256,
-)
-
-
-def watch(plane: ControlPlane, sessions: list, event: list) -> None:
-    """Record (the kind of event ``event[0]`` names, reused, k, AND depth,
-    answer, the plaintext answer of the holder's table then) for every
-    session of every endpoint of ``plane``."""
-    for node in plane.nodes.values():
-        def watched(local, prefix, backend="gmw", stats_out=None, *,
-                    cached=None, query=node.endpoint.query,
-                    service=node.service):
-            expected = {hop for hop, _ in table_answer(
-                service.entries_for(prefix), local, False)}
-            stats = []
-            result = query(local, prefix, backend, stats, cached=cached)
-            s = stats[0]
-            sessions.append((event[0], s.reused, s.k, s.and_depth,
-                             result.hops, expected))
-            return result
-
-        node.endpoint.query = watched
+from prelude.control import table_answer
+from test_answers_pinned import CHURN_ACTIVE, CHURN_VERDICTS, sha256, workload
 
 
 @pytest.fixture(scope="module")
 def churn():
     """The plane after the seed-1 churn over smpc, its verdicts, the ids
-    of its active rules, and the sessions of its stream."""
-    scenario = churn_scenario()
-    plane = ControlPlane(scenario.graph, scenario.sites, scenario.ribs,
-                         transport="smpc", seed=1)
-    sessions: list = []
-    event = ["warm"]
-    watch(plane, sessions, event)
-    verdicts: list = []
-    installs: list = []  # (owner, rule id) by install index
-    alt = {prefix: 0 for prefix in scenario.ribs}
-
-    def install(policy) -> None:
-        verdict = plane.install(policy)
-        verdicts.append([verdict.decision, verdict.reason, verdict.closed_at])
-        installs.append((policy.owner, verdict.rule_id))
-
+    of its active rules, and the sessions of its stream: (kind of event,
+    reused, k, AND depth, answer, the plaintext answer of the holder's
+    table then)."""
+    scenario = workload.gen.churn_scenario()
+    runner = workload.ChurnRunner(scenario, "smpc", 1)
+    recorder = workload.QueryRecorder(runner.plane)
     for policy in scenario.warm:
-        install(policy)
-    del sessions[:]
-    for kind, arg in scenario.events:
-        event[0] = kind
-        if kind == "install":
-            install(arg)
-        elif kind == "remove":
-            verdicts.append(["removed", plane.remove(*installs[arg])])
-        else:
-            alt[arg] = (alt[arg] + 1) % (len(scenario.alt_ribs[arg]) + 1)
-            rib = (scenario.ribs[arg] if alt[arg] == 0
-                   else scenario.alt_ribs[arg][alt[arg] - 1])
-            for verdict in plane.bgp_update(arg, rib):
-                verdicts.append([verdict.decision, verdict.reason,
-                                 verdict.closed_at])
-    active = sorted(rule_id for node in plane.nodes.values()
-                    for rule_id, record in node.registry.items()
-                    if record.active)
-    return plane, verdicts, active, sessions
+        runner.install(policy)
+    sessions: list = []
+    for event in scenario.events:
+        recorder.pending.clear()
+        kind, _ = runner.apply(event)
+        for local, _, entries, result, stats, _ in recorder.pending:
+            expected = {hop for hop, _ in table_answer(entries, local,
+                                                       False)}
+            sessions.append((kind, stats.reused, stats.k, stats.and_depth,
+                             result.hops, expected))
+    return (runner.plane, runner.verdicts, sorted(runner.active_ids()),
+            sessions)
 
 
 def test_the_verdicts_over_smpc_are_the_pinned_ones(churn):

@@ -33,7 +33,6 @@ from prelude.control import (
     StaticMatchView,
     Verdict,
     explore_deflection,
-    rule_entry,
     sidr_baseline,
     verdict_of,
 )
@@ -509,59 +508,62 @@ class TestBgpUpdates:
         assert verdicts == []
 
 
+def oracle_churn(rng_seed: int, topology_seed: int, policy_seed: int,
+                 steps: int) -> None:
+    """Random installs, removals and BGP updates on a 30-AS, 4-exchange
+    plane over two prefixes; the forwarding oracle must stay empty after
+    every step."""
+    rng = random.Random(rng_seed)
+    graph, sites = generate_topology(n_as=30, n_sdx=4, seed=topology_seed)
+    prefixes = ["pfx0", "pfx1"]
+    origins = graph.as_ids[:2]
+    base_ribs = {p: compute_routes(graph, o)
+                 for p, o in zip(prefixes, origins)}
+    variants = {p: [base_ribs[p]] for p in prefixes}
+    for p, origin in zip(prefixes, origins):
+        for _ in range(10):  # one peering variant, if one validates
+            alt = copy.deepcopy(graph)
+            a, b = rng.sample(graph.as_ids, 2)
+            try:
+                alt.add_peer(a, b)
+                alt.validate()
+            except Exception:
+                continue
+            variants[p].append(compute_routes(alt, origin))
+            break
+    available = generate_policies(graph, sites, base_ribs, seed=policy_seed)
+    rng.shuffle(available)
+    installed: list[tuple[int, str]] = []
+    plane = ControlPlane(graph, sites, base_ribs)
+    current = dict(base_ribs)
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.55 and available:
+            policy = available.pop()
+            try:
+                verdict = plane.install(policy,
+                                        budget=rng.choice((1, 2, 4, 6)))
+            except PolicyError:
+                continue
+            if verdict.rule_id is not None:
+                installed.append((policy.owner, verdict.rule_id))
+        elif roll < 0.8 and installed:
+            owner, rule_id = installed.pop(rng.randrange(len(installed)))
+            plane.remove(owner, rule_id)
+        else:
+            prefix = rng.choice(prefixes)
+            current[prefix] = rng.choice(variants[prefix])
+            plane.bgp_update(prefix, current[prefix])
+        for prefix in prefixes:
+            assert forwarding_oracle(graph, current[prefix],
+                                     plane.active_policies(prefix),
+                                     prefix) == set(), (rng_seed, step)
+
+
 class TestChurnSafety:
     def test_oracle_stays_empty_through_mixed_events(self):
         for seed in (1, 2, 3):
-            rng = random.Random(seed)
-            graph, sites = generate_topology(n_as=30, n_sdx=4,
-                                             seed=seed + 60)
-            origins = list(graph.as_ids[:2])
-            prefixes = [f"pfx{i}" for i in range(len(origins))]
-            base_ribs = {p: compute_routes(graph, o)
-                         for p, o in zip(prefixes, origins)}
-            variants = {p: [base_ribs[p]] for p in prefixes}
-            for p, origin in zip(prefixes, origins):
-                for attempt in range(10):
-                    g2 = copy.deepcopy(graph)
-                    a, b = rng.sample(graph.as_ids, 2)
-                    try:
-                        g2.add_peer(a, b)
-                        g2.validate()
-                    except Exception:
-                        continue
-                    variants[p].append(compute_routes(g2, origin))
-                    break
-            pool = generate_policies(graph, sites, base_ribs, seed=seed)
-            rng.shuffle(pool)
-            available = list(pool)
-            installed: list[tuple[int, str]] = []
-            plane = ControlPlane(graph, sites, base_ribs)
-            current = dict(base_ribs)
-            for step in range(100):
-                roll = rng.random()
-                if roll < 0.55 and available:
-                    policy = available.pop()
-                    try:
-                        verdict = plane.install(
-                            policy, budget=rng.choice((1, 2, 4, 6)))
-                    except PolicyError:
-                        continue
-                    if verdict.rule_id is not None:
-                        installed.append((policy.owner, verdict.rule_id))
-                elif roll < 0.8 and installed:
-                    owner, rule_id = installed.pop(
-                        rng.randrange(len(installed)))
-                    plane.remove(owner, rule_id)
-                else:
-                    prefix = rng.choice(prefixes)
-                    rib = rng.choice(variants[prefix])
-                    plane.bgp_update(prefix, rib)
-                    current[prefix] = rib
-                for prefix in prefixes:
-                    active = plane.active_policies(prefix)
-                    assert forwarding_oracle(graph, current[prefix],
-                                             active, prefix) == set(), (
-                        seed, step)
+            oracle_churn(seed, seed + 60, seed, 100)
 
 
 # --------------------------------------------------------------------------

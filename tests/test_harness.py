@@ -30,7 +30,8 @@ from prelude.harness import (
 )
 from prelude.bgpsim import SdxSite
 from prelude.distinct_match import LoopbackEndpoint
-from prelude.rules import FlowSpec, PROTO_TCP, encode
+from prelude.harness.effectiveness import _port_pool
+from prelude.rules import FlowSpec, PROTO_TCP, PROTO_UDP, decode, encode
 
 
 WEB = encode(FlowSpec(ip_proto=PROTO_TCP, dst_port=80))
@@ -317,6 +318,27 @@ class TestEffectiveness:
         assert rows_from_events(events) == rows
         line = events[0].line()
         assert parse_event_line(line) == events[0]
+
+    def test_the_mixed_family_over_a_wide_port_pool(self):
+        cfg = ExperimentConfig(seed=3, policy_family="mixed",
+                               port_pool=14).validated()
+        pool = _port_pool(cfg.port_pool)
+        assert pool[-2:] == (10000, 10001)  # past the 12 named ports
+        scenario = build_scenario(cfg)
+        seen = set()
+        for arrival in scenario.arrivals:
+            spec = decode(arrival.rule)
+            field = "src_port" if spec.dst_port is None else "dst_port"
+            assert spec.ip_proto in (PROTO_TCP, PROTO_UDP)
+            assert getattr(spec, field) in pool
+            assert spec == FlowSpec(ip_proto=spec.ip_proto,
+                                    **{field: getattr(spec, field)})
+            seen.add((spec.ip_proto, field))
+        assert seen == {(proto, field) for proto in (PROTO_TCP, PROTO_UDP)
+                        for field in ("src_port", "dst_port")}
+        rows, events = replay(scenario, cfg.detectors, cfg.thresholds)
+        cells = [(d, t) for d in cfg.detectors for t in cfg.thresholds]
+        assert rows_from_events(events, cells) == rows
 
     def test_no_arrivals_still_give_a_zero_row_per_cell(self):
         rows, events = replay(fixture_scenario([]), ("oracle", "sidr"),

@@ -1,10 +1,11 @@
-"""Every name a program module imports is used in that module, and the
-package imports no module before one of its names is read.
+"""Every name a module imports is used in that module, and the package
+imports no module before one of its names is read.
 
 Each module under ``src/`` except the package ``__init__`` modules, which
-import names to re-export them, is parsed with :mod:`ast`.  A name bound by
-an import statement must be read somewhere else in the module: as a name,
-as the root of an attribute, in a string annotation, or in ``__all__``.
+import names to re-export them, and each module under ``tests/``,
+``tools/`` and ``demos/`` is parsed with :mod:`ast`.  A name bound by an
+import statement must be read somewhere else in the module: as a name, as
+the root of an attribute, in a string annotation, or in ``__all__``.
 ``from __future__`` imports are exempt.
 """
 
@@ -18,8 +19,16 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+OTHERS = sorted(p for d in ("tests", "tools", "demos")
+                for p in (ROOT / d).rglob("*.py"))
+
+
+def label(path: Path) -> str:
+    """A module's path from ``src/``, or from the repository's root."""
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -56,15 +65,14 @@ def test_there_are_modules_to_check():
     assert len(MODULES) > 10
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES + OTHERS, ids=label)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = used_names(tree)
     unused = sorted(f"{name} (line {line})"
                     for name, line in imported_names(tree).items()
                     if name not in used)
-    assert not unused, f"{path.relative_to(SRC)} imports unused {unused}"
+    assert not unused, f"{label(path)} imports unused {unused}"
 
 
 def test_the_check_sees_an_unused_import():

@@ -43,6 +43,47 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def host() -> str:
+    """The host a pairs file records: CPUs, machine, system and Python."""
+    return (f"{os.cpu_count()}-CPU {platform.machine()} "
+            f"{platform.system()}, Python {platform.python_version()}")
+
+
+def alternate(pairs: int, run, label: str = "") -> tuple[list, list[str]]:
+    """``pairs`` pairs of ``run(side)``, pair i running the parent first
+    when i is even and the change first when it is odd; returns each
+    pair's results by side and the side that ran first in each pair."""
+    runs, first = [], []
+    for pair in range(pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        runs.append({side: run(side) for side in order})
+        print(f"{label}pair {pair + 1}/{pairs} done", file=sys.stderr)
+    return runs, first
+
+
+def result_line(command: list[str], what: str, **kwargs):
+    """The JSON object on the last line ``command`` prints; exits naming
+    ``what`` if the command fails or prints nothing."""
+    proc = subprocess.run(command, capture_output=True, text=True,
+                          check=False, **kwargs)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{what}: exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def compare(values: dict[str, list[float]], lower: bool = True) -> dict:
+    """Each side's values by pair, their :func:`spread`, and the pairs in
+    which the change was better (lower, or higher if not ``lower``)."""
+    record = {"values_by_pair": values}
+    record.update({side: spread(values[side]) for side in SIDES})
+    record["change_better_pairs"] = sum(
+        (change < parent) if lower else (change > parent)
+        for parent, change in zip(values["parent"], values["change"]))
+    return record
+
+
 def summarize(runs: list[dict], first_in_pair: list[str],
               metrics: list[dict]) -> dict:
     """One workload's record from its pairs of results.
@@ -56,13 +97,8 @@ def summarize(runs: list[dict], first_in_pair: list[str],
            "metrics": {}}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        values = {side: [run[side]["metrics"][name]["value"] for run in runs]
-                  for side in SIDES}
-        record = {"values_by_pair": values}
-        record.update({side: spread(values[side]) for side in SIDES})
-        record["change_better_pairs"] = sum(
-            (change < parent) if lower else (change > parent)
-            for parent, change in zip(values["parent"], values["change"]))
+        record = compare({side: [run[side]["metrics"][name]["value"]
+                                 for run in runs] for side in SIDES}, lower)
         parent, change = (record[side]["median"] for side in SIDES)
         record["within_bound"] = (
             change <= parent * (1 + metric["bound"]) if lower
@@ -73,15 +109,10 @@ def summarize(runs: list[dict], first_in_pair: list[str],
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """The result line of one benchmark run in ``root``."""
-    proc = subprocess.run(
+    return result_line(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        sys.exit(f"{workload} in {root}: exit {proc.returncode}\n"
-                 f"{proc.stderr}")
-    return json.loads(lines[-1])
+        f"{workload} in {root}", cwd=root)
 
 
 def unpack(revision: str, into: Path) -> None:
@@ -119,15 +150,8 @@ def main(argv: list[str]) -> int:
         roots = {"parent": Path(scratch), "change": ROOT}
         unpack(parent, roots["parent"])
         for workload in workloads():
-            runs, first = [], []
-            for pair in range(pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                first.append(order[0])
-                runs.append({side: run_once(roots[side], workload, seed,
-                                            seconds)
-                             for side in order})
-                print(f"{workload} pair {pair + 1}/{pairs} done",
-                      file=sys.stderr)
+            runs, first = alternate(pairs, lambda side: run_once(
+                roots[side], workload, seed, seconds), f"{workload} ")
             records.append({"workload": workload, "seed": seed,
                             **summarize(runs, first, metrics)})
     command = (f"python3 perfbench/run.py --workload W --seed {seed} "
@@ -135,8 +159,7 @@ def main(argv: list[str]) -> int:
     out = {
         "bench": args.bench,
         "command": command,
-        "host": (f"{os.cpu_count()}-CPU {platform.machine()} "
-                 f"{platform.system()}, Python {platform.python_version()}"),
+        "host": host(),
         "parent": parent,
         "seed": seed,
         "pairs": pairs,

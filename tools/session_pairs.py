@@ -30,7 +30,6 @@ import argparse
 import importlib.util
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -55,8 +54,7 @@ def _load(name: str, path: Path):
 
 
 bench_pairs = _load("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-SIDES, spread, unpack = (bench_pairs.SIDES, bench_pairs.spread,
-                         bench_pairs.unpack)
+SIDES = bench_pairs.SIDES
 
 
 def shape_sessions(k: int) -> int:
@@ -80,6 +78,7 @@ def time_shape(width: int, k: int) -> dict:
     from prelude.rules import TernaryRule
 
     gen = _load("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    overlap = _load("perfbench_overlap", ROOT / "perfbench" / "overlap.py")
     table = gen.holder_table(SEED, k, width)
     service = SdxMatchService(gen.HOLDER_SDX)
     for i, (pattern, mask, hop) in enumerate(table):
@@ -92,7 +91,7 @@ def time_shape(width: int, k: int) -> dict:
     for index in range(shape_sessions(k) + 1):  # query 0 warms up
         pattern, mask = gen.query_rule(SEED, k, index, table, width)
         rule = TernaryRule(width, pattern, mask)
-        want = {hop for p, m, hop in table if (p ^ pattern) & m & mask == 0}
+        want = overlap.expected_hops((pattern, mask), table)
         for backend in BACKENDS:
             stats: list = []
             start = perf_counter()
@@ -124,15 +123,10 @@ def worker(root: Path, shapes: list[tuple[int, int]]) -> None:
 def run_once(root: Path, shapes: list[tuple[int, int]]) -> list[dict]:
     """One side's run of every shape, in a fresh process."""
     spec = ",".join(f"{w}x{k}" for w, k in shapes)
-    proc = subprocess.run(
+    return bench_pairs.result_line(
         [sys.executable, str(Path(__file__).resolve()), "--worker",
-         str(root), "--shapes", spec],
-        capture_output=True, text=True, check=False,
+         str(root), "--shapes", spec], f"sessions in {root}",
         env={**os.environ, "PYTHONPATH": ""})
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        sys.exit(f"sessions in {root}: exit {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
 
 
 def summarize(runs: list[dict], first_in_pair: list[str],
@@ -157,10 +151,7 @@ def summarize(runs: list[dict], first_in_pair: list[str],
             record = {"width": width, "k": k, "backend": backend,
                       "sessions_per_run": shape_sessions(k),
                       "pairs": len(runs), "first_in_pair": first_in_pair,
-                      "ms": {"values_by_pair": ms}}
-            record["ms"].update({side: spread(ms[side]) for side in SIDES})
-            record["ms"]["change_better_pairs"] = sum(
-                c < p for p, c in zip(ms["parent"], ms["change"]))
+                      "ms": bench_pairs.compare(ms)}
             record["counters"] = {**counters, "equal": (
                 counters["parent"] == counters["change"])}
             records.append(record)
@@ -219,20 +210,14 @@ def main(argv: list[str]) -> int:
                 ["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                 capture_output=True, text=True, check=True).stdout.strip()
             parent_root = Path(scratch)
-            unpack(parent, parent_root)
+            bench_pairs.unpack(parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
-        runs, first = [], []
-        for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            first.append(order[0])
-            runs.append({side: run_once(roots[side], args.shapes)
-                         for side in order})
-            print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
+        runs, first = bench_pairs.alternate(
+            args.pairs, lambda side: run_once(roots[side], args.shapes))
     records = summarize(runs, first, args.shapes)
     out = {
         "bench": args.bench,
-        "host": (f"{os.cpu_count()}-CPU {platform.machine()} "
-                 f"{platform.system()}, Python {platform.python_version()}"),
+        "host": bench_pairs.host(),
         "parent": parent,
         "method": (f"made by tools/session_pairs.py: {args.pairs} pairs of "
                    f"runs, the parent from {parent} and the change from its "
