@@ -13,6 +13,16 @@ are registered locally and the verifier subscribes at every exchange it
 consulted so later removals, deactivations, and routing changes trigger
 re-verification.
 
+A registered rule's life is three steps of :class:`SdxNode`, each written
+once.  *Settle* (``_settle``) walks the rule, activates it if it passes
+and retires it if it fails while active.  *Retire* (``_retire``) takes a
+rule out of the exchange's table, only if it is active, logs why, and
+notifies the exchanges subscribed to it; a member's removal and a failed
+re-walk both end this way.  *Re-walk* (``_rewalk``) settles again, in
+rule-id order, each rule of a prefix that needs it when its turn comes:
+after a notice, the active rules that consulted the notifying exchange;
+after a BGP update, the rules whose deflection target's path moved.
+
 The exploration never learns who owns a remote rule, only where the rule
 would send the traffic.  It prunes a reported deflection when no member of
 the reporting exchange other than the deflection target lies on the path
@@ -46,6 +56,7 @@ prefix, its table size and the asking exchange.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
 from dataclasses import dataclass, field, replace
@@ -160,8 +171,7 @@ class _WalkState:
     def walk(self, arrival: tuple[int, int],
              visited: tuple[tuple[int, int], ...],
              budget: int) -> tuple[str, int | None]:
-        site_here, asn_here = arrival
-        path = self.view.path(self.prefix, asn_here)
+        path = self.view.path(self.prefix, arrival[1])
         if not path:
             # The deflection target cannot reach the prefix at all; the
             # traffic is dropped there, which cannot form a loop.
@@ -171,17 +181,13 @@ class _WalkState:
         # Revisiting any exchange presence point already on the chain means
         # the traffic comes back to an AS it already left: a loop.  The
         # point the arrival deflection itself delivered to is not a revisit.
-        sites_in_order: list[int] = []
-        seen: set[int] = set()
+        sites_in_order: dict[int, None] = {}
         for pos, asn in enumerate(path):
             for site_id in self.view.sites_of(asn):
                 point = (site_id, asn)
-                if point != arrival or pos != 0:
-                    if point in visited:
-                        return LOOP_DETECTED, site_id
-                if site_id not in seen:
-                    seen.add(site_id)
-                    sites_in_order.append(site_id)
+                if (pos or point != arrival) and point in visited:
+                    return LOOP_DETECTED, site_id
+                sites_in_order[site_id] = None
 
         for site_id in sites_in_order:
             answer = self.answers.get(site_id)
@@ -359,22 +365,12 @@ class SdxNode:
         self.service = SdxMatchService(site.sdx_id)
         self.endpoint = LoopbackEndpoint(self.service, seed=endpoint_seed)
         self.registry: dict[str, RegistryEntry] = {}
-        self._next_serial = 1
+        self._rule_ids = (f"r{site.sdx_id}-{n}" for n in itertools.count(1))
 
     # -- bookkeeping
 
     def log(self, kind: str, detail: dict) -> None:
         self.plane.record(self.sdx_id, kind, detail)
-
-    def _new_rule_id(self) -> str:
-        rule_id = f"r{self.sdx_id}-{self._next_serial}"
-        self._next_serial += 1
-        return rule_id
-
-    def active_policies(self, prefix: str | None = None
-                        ) -> list[DeflectionPolicy]:
-        return [r.policy for r in self.registry.values()
-                if r.active and (prefix is None or r.entry.prefix == prefix)]
 
     # -- verification
 
@@ -384,25 +380,30 @@ class SdxNode:
             raise ValueError("policy belongs to another exchange")
         if budget < 0:
             raise ValueError("budget must be non-negative")
-        rule_id = self._new_rule_id()
+        rule_id = next(self._rule_ids)
         self.log("install_request",
                  {"rule_id": rule_id, "owner": policy.owner,
                   "prefix": policy.prefix, "budget": budget})
-        record = RegistryEntry(rule_id, rule_entry(policy), policy, budget)
-        self.registry[rule_id] = record
-        verdict = self._verify(record)
-        if verdict.accepted:
-            self._activate(record)
+        record = self.registry[rule_id] = RegistryEntry(
+            rule_id, rule_entry(policy), policy, budget)
+        verdict = self._settle(record)
         self.log("verdict",
                  {"rule_id": rule_id, "decision": verdict.decision,
                   "reason": verdict.reason})
         return verdict
 
-    def _verify(self, record: RegistryEntry) -> Verdict:
+    def _settle(self, record: RegistryEntry) -> Verdict:
+        """Walk a registered rule; activate it if it passes and retire an
+        active one that fails."""
         exploration = explore_deflection(_RecordView(self.plane, record),
                                          record.policy, record.budget)
         record.queried = exploration.queried - {self.sdx_id}
-        return verdict_of(exploration, rule_id=record.rule_id)
+        verdict = verdict_of(exploration, rule_id=record.rule_id)
+        if verdict.accepted and not record.active:
+            self._activate(record)
+        elif not verdict.accepted and record.active:
+            self._retire(record, "deactivate", {"reason": verdict.reason})
+        return verdict
 
     def _activate(self, record: RegistryEntry) -> None:
         self.service.register(record.entry)
@@ -412,21 +413,32 @@ class SdxNode:
             self.plane.nodes[sdx_id].receive_subscribe(
                 record.entry.prefix, self.sdx_id)
 
-    def _deactivate(self, record: RegistryEntry, why: str) -> None:
-        self.service.deregister(record.entry)
-        record.active = False
-        self.log("deactivate",
-                 {"rule_id": record.rule_id, "owner": record.entry.owner,
-                  "reason": why})
-        self._notify_subscribers(record)
-
-    def _notify_subscribers(self, record: RegistryEntry) -> None:
+    def _retire(self, record: RegistryEntry, kind: str, detail: dict) -> None:
+        """Take a rule out of the table if it is active, log `kind`, and
+        notify the exchanges subscribed to it."""
+        if record.active:
+            self.service.deregister(record.entry)
+            record.active = False
+        self.log(kind, {"rule_id": record.rule_id,
+                        "owner": record.entry.owner, **detail})
         targets = sorted(record.subscribers)
         record.subscribers.clear()
         for sdx_id in targets:
             self.log("notify", {"to": sdx_id, "prefix": record.entry.prefix})
             self.plane.nodes[sdx_id].receive_notify(record.entry.prefix,
                                                     self.sdx_id)
+
+    def _rewalk(self, prefix: str, cause: str, needs) -> list[Verdict]:
+        """Settle again, in rule-id order, each registered rule of `prefix`
+        that `needs(record)` when its turn comes: an earlier re-walk may
+        have changed it."""
+        verdicts: list[Verdict] = []
+        for rule_id in sorted(self.registry):
+            record = self.registry[rule_id]
+            if record.entry.prefix == prefix and needs(record):
+                self.log("reverify", {"rule_id": rule_id, "cause": cause})
+                verdicts.append(self._settle(record))
+        return verdicts
 
     # -- inter-exchange messages
 
@@ -437,13 +449,9 @@ class SdxNode:
                 record.subscribers.add(subscriber)
 
     def receive_notify(self, prefix: str, from_sdx: int) -> None:
-        for rule_id in sorted(self.registry):
-            record = self.registry[rule_id]
-            if not record.active or record.entry.prefix != prefix:
-                continue
-            if from_sdx not in record.queried:
-                continue
-            self._reverify(record, "notify")
+        """Re-walk the active rules that consulted the notifying exchange."""
+        self._rewalk(prefix, "notify",
+                     lambda r: r.active and from_sdx in r.queried)
 
     # -- lifecycle
 
@@ -456,37 +464,18 @@ class SdxNode:
             self.log("remove_refused", {"rule_id": rule_id, "owner": owner,
                                         "rule_owner": record.entry.owner})
             return False
-        if record.active:
-            self.service.deregister(record.entry)
         del self.registry[rule_id]
-        self.log("remove", {"rule_id": rule_id, "owner": owner})
-        self._notify_subscribers(record)
+        self._retire(record, "remove", {})
         return True
 
     def reverify_for_update(self, prefix: str, old_rib: RibState | None
                             ) -> list[Verdict]:
-        verdicts: list[Verdict] = []
-        for rule_id in sorted(self.registry):
-            record = self.registry[rule_id]
-            if record.entry.prefix != prefix:
-                continue
-            old_path = old_rib.path(record.policy.deflect_to) if old_rib else ()
-            new_path = self.plane.path(prefix, record.policy.deflect_to)
-            if old_path == new_path:
-                continue
-            verdicts.append(self._reverify(record, "bgp_update"))
-        return verdicts
-
-    def _reverify(self, record: RegistryEntry, cause: str) -> Verdict:
-        """Verify a registered rule again; deactivate an active rule that
-        fails, activate an inactive one that passes."""
-        self.log("reverify", {"rule_id": record.rule_id, "cause": cause})
-        verdict = self._verify(record)
-        if record.active and not verdict.accepted:
-            self._deactivate(record, verdict.reason)
-        elif not record.active and verdict.accepted:
-            self._activate(record)
-        return verdict
+        """Re-walk the rules whose deflection target's path moved."""
+        def moved(record: RegistryEntry) -> bool:
+            target = record.policy.deflect_to
+            return ((old_rib.path(target) if old_rib else ())
+                    != self.plane.path(prefix, target))
+        return self._rewalk(prefix, "bgp_update", moved)
 
 
 class ControlPlane(SiteView):
@@ -509,7 +498,6 @@ class ControlPlane(SiteView):
         super().__init__(sites, dict(ribs))
         self.transport = transport
         self.backend = backend
-        self.clock = 0
         self.events: list[LogEvent] = []
         self._lock = threading.Lock()
         self.nodes: dict[int, SdxNode] = {}
@@ -564,9 +552,8 @@ class ControlPlane(SiteView):
 
     def record(self, sdx_id: int, kind: str, detail: dict) -> None:
         with self._lock:
-            self.events.append(LogEvent(self.clock, sdx_id, kind,
+            self.events.append(LogEvent(len(self.events), sdx_id, kind,
                                         dict(detail)))
-            self.clock += 1
 
     def events_at(self, sdx_id: int) -> list[LogEvent]:
         return [e for e in self.events if e.sdx == sdx_id]
@@ -600,8 +587,7 @@ class ControlPlane(SiteView):
 
     def active_policies(self, prefix: str | None = None
                         ) -> list[DeflectionPolicy]:
-        out: list[DeflectionPolicy] = []
-        for sdx_id in sorted(self.nodes):
-            out.extend(self.nodes[sdx_id].active_policies(prefix))
-        return out
+        return [r.policy for sdx_id in sorted(self.nodes)
+                for r in self.nodes[sdx_id].registry.values()
+                if r.active and (prefix is None or r.entry.prefix == prefix)]
 

@@ -4,7 +4,6 @@ from .config import ConfigError, ExperimentConfig, load_config, override
 from .effectiveness import (
     Scenario,
     build_scenario,
-    parse_event_line,
     replay,
     rows_from_events,
     run_effectiveness,

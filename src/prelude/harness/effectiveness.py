@@ -148,12 +148,6 @@ class ReplayEvent:
                 f"{self.decision} truth={self.truth}")
 
 
-def parse_event_line(line: str) -> ReplayEvent:
-    index, detector, t_tok, decision, truth_tok = line.split()
-    return ReplayEvent(int(index), detector, int(t_tok.removeprefix("t=")),
-                       decision, truth_tok.removeprefix("truth="))
-
-
 def replay(scenario: Scenario, detectors: tuple[str, ...],
            thresholds: tuple[int, ...],
            ) -> tuple[list[ResultRow], list[ReplayEvent]]:

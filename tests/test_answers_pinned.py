@@ -6,7 +6,8 @@ Two seeded runs must give exactly the answers they give today:
   replayed over plaintext queries, plane seed 1, by the benchmark's own
   ``ChurnRunner``: the verdict of every install, removal and BGP update of
   the warm phase and the stream, as (decision, reason, ``closed_at``), and
-  the rules active at its end;
+  the rules active at its end, and the line of every event in the plane's
+  log, in order;
 - ``prelude effectiveness --seed 1``: its ``effectiveness.csv`` and
   ``effectiveness_events.log``;
 - ``prelude pathlen --seed 1``: its ``pathlen.csv``.
@@ -34,6 +35,8 @@ CHURN_VERDICTS = \
     "2799a9428d6b3d1c734cf61ea02abf1b10c4af833a25ef198e57dd88cca90bff"
 CHURN_ACTIVE = \
     "9a78b57da3d9abc852ab2a7bad1091964600f09b7e8ecb3061470c841a7e220e"
+CHURN_EVENTS = \
+    "2db1d2939fc941e29192d65d81009d45ac669a22ab7ef20e1c2787f124efd9bd"
 EFFECTIVENESS_CSV = \
     "2487c9de01fcb020d7f17818893f8b9c8e3ad27a3f64c87bb5cbb4cb52e67311"
 EFFECTIVENESS_LOG = \
@@ -63,6 +66,8 @@ def test_the_churn_verdicts_are_pinned():
     assert sha256(json.dumps(runner.verdicts).encode()) == CHURN_VERDICTS
     assert sha256(json.dumps(sorted(runner.active_ids())).encode()) \
         == CHURN_ACTIVE
+    log = "\n".join(event.line() for event in runner.plane.events)
+    assert sha256(log.encode()) == CHURN_EVENTS
 
 
 def test_the_effectiveness_output_is_pinned(tmp_path, capsys):

@@ -69,6 +69,7 @@ def fake_main(monkeypatch, out, *options) -> tuple[dict, list[int]]:
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "unpack", lambda revision, into: None)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda into: None)
     monkeypatch.setattr(bench_pairs, "workloads", lambda: ("a", "b"))
     assert bench_pairs.main(["bench_pairs.py", "--bench", "7", *options,
                              "--out", str(out)]) == 0
@@ -90,3 +91,32 @@ def test_the_defaults_are_seed_1_and_ten_pairs(monkeypatch, tmp_path):
     record, seeds = fake_main(monkeypatch, tmp_path / "bench.json")
     assert (record["seed"], record["pairs"]) == (1, 10)
     assert seeds == [1] * 40
+
+
+def test_neither_side_runs_from_the_repository(monkeypatch, tmp_path):
+    # The parent's archive and the change's copy are unpacked for real;
+    # only the benchmark runs are faked, each noting where it ran and
+    # whether that directory holds this tree's copy of this test.
+    root = TOOL.parent.parent
+    here = Path(__file__).resolve().relative_to(root)
+    ran = {}
+    line = {"correct": True, "failed": 0, "metrics": {
+        m["name"]: {"value": 1.0} for m in json.loads(
+            (root / "BENCHMARK.json").read_text())["end_to_end"]}}
+
+    def run_once(at, workload, seed, seconds):
+        copy = at / here
+        ran[at] = copy.is_file() and copy.read_bytes() == (
+            root / here).read_bytes()
+        return line
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "workloads", lambda: ("a",))
+    assert bench_pairs.main(["bench_pairs.py", "--bench", "7", "--pairs",
+                             "1", "--out", str(tmp_path / "b.json")]) == 0
+    assert len(ran) == 2
+    for at in ran:
+        assert root != at and root not in at.parents
+    parent, change = ran  # the one pair runs the parent first
+    assert parent.parent == change.parent
+    assert ran[change]  # the change runs this tree's files

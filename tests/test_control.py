@@ -201,6 +201,45 @@ class TestFixtureSequence:
                                  plane.active_policies(fx.prefix),
                                  fx.prefix) == set()
 
+    def test_removing_an_inactive_rule_leaves_the_table_alone(self, caplog):
+        # A rejected install holds no registration, so removing it drops
+        # none: the table, its tag and an active twin's equal entry stay.
+        fx = two_exchange_fixture()
+        plane = fixture_plane("smpc", seed=5)
+        first = plane.install(fx.deflect_b_to_a)
+        # an accepted rule at exchange 2 subscribes to exchange 1's rules
+        assert plane.install(DeflectionPolicy(
+            owner=3, sdx_id=2, rule=SSH, deflect_to=4,
+            prefix=fx.prefix)).accepted
+        lone = plane.install(fx.deflect_n_to_m)
+        assert lone.reason == LOOP_DETECTED
+
+        def boom(local, prefix, backend="gmw", **kwargs):
+            raise QueryAborted("injected")
+
+        endpoint = plane.nodes[2].endpoint
+        endpoint.query = boom
+        twin = plane.install(fx.deflect_b_to_a)  # first's entry, rejected
+        del endpoint.query  # back to real sessions
+        assert twin.reason == QUERY_FAILED
+        entry = plane.nodes[1].registry[first.rule_id].entry
+        assert plane.nodes[1].registry[twin.rule_id].entry == entry
+        for sdx_id, policy, verdict in ((2, fx.deflect_n_to_m, lone),
+                                        (1, fx.deflect_b_to_a, twin)):
+            service = plane.nodes[sdx_id].service
+            table = service.entries_for(fx.prefix)
+            tag = service._tag(fx.prefix)
+            n_events = len(plane.events)
+            with caplog.at_level("WARNING"):
+                assert plane.remove(policy.owner, verdict.rule_id)
+            assert "deregister of unknown entry" not in caplog.text
+            assert service.entries_for(fx.prefix) == table
+            assert service._tag(fx.prefix) == tag
+            assert [(e.sdx, e.kind) for e in plane.events[n_events:]] == [
+                (sdx_id, "remove")]
+        assert entry in plane.nodes[1].service.entries_for(fx.prefix)
+        assert fx.deflect_b_to_a in plane.active_policies(fx.prefix)
+
     def test_subscription_and_notification_flow(self):
         fx = two_exchange_fixture()
         plane = fixture_plane("direct")

@@ -24,7 +24,9 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+    # -W error, as pytest's filterwarnings and CI's PYTHONWARNINGS: a
+    # warning a demo raises fails it
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

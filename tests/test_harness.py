@@ -20,7 +20,6 @@ from prelude.harness import (
     collect_spans,
     load_config,
     override,
-    parse_event_line,
     replay,
     rows_from_events,
     run_effectiveness,
@@ -30,12 +29,19 @@ from prelude.harness import (
 )
 from prelude.bgpsim import SdxSite
 from prelude.distinct_match import LoopbackEndpoint
-from prelude.harness.effectiveness import _port_pool
+from prelude.harness.effectiveness import ReplayEvent, _port_pool
 from prelude.rules import FlowSpec, PROTO_TCP, PROTO_UDP, decode, encode
 
 
 WEB = encode(FlowSpec(ip_proto=PROTO_TCP, dst_port=80))
 SSH = encode(FlowSpec(ip_proto=PROTO_TCP, dst_port=22))
+
+
+def parse_event_line(line: str) -> ReplayEvent:
+    """The replay event that :meth:`ReplayEvent.line` wrote as ``line``."""
+    index, detector, t_tok, decision, truth_tok = line.split()
+    return ReplayEvent(int(index), detector, int(t_tok.removeprefix("t=")),
+                       decision, truth_tok.removeprefix("truth="))
 
 
 # --------------------------------------------------------------------------

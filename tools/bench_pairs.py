@@ -4,9 +4,11 @@
         [--out PATH]
 
 Run it before committing the change.  Unpacks a ``git archive`` of
-``HEAD`` (the parent) in a temporary directory and runs
-``perfbench/run.py --trace 0`` there and in this working tree, one run at
-a time, for ``BENCHMARK.json``'s ``run_seconds``.  Each workload of
+``HEAD`` (the parent) and a copy of this working tree's files (the
+change: tracked files, and untracked ones that git does not ignore) side
+by side in one temporary directory, so that neither side runs from the
+repository itself, and runs ``perfbench/run.py --trace 0`` in each, one
+run at a time, for ``BENCHMARK.json``'s ``run_seconds``.  Each workload of
 ``perfbench/run.py`` gets ``--pairs`` pairs of runs, all with seed
 ``--seed``; pair i runs the parent first when i is even and the change
 first when it is odd, so a drift in the host's speed falls on both sides.
@@ -25,6 +27,7 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -116,10 +119,26 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def unpack(revision: str, into: Path) -> None:
-    """Extract ``git archive revision`` into the directory ``into``."""
+    """Extract ``git archive revision`` into the new directory ``into``."""
+    into.mkdir()
     archive = subprocess.run(["git", "archive", revision], cwd=ROOT,
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def snapshot(into: Path) -> None:
+    """Copy this working tree's files into the new directory ``into``:
+    the tracked ones that still exist, and the untracked ones git does
+    not ignore."""
+    into.mkdir()
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], cwd=ROOT, capture_output=True,
+        check=True).stdout.decode()
+    for name in dict.fromkeys(filter(None, listed.split("\0"))):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def workloads() -> tuple[str, ...]:
@@ -147,8 +166,9 @@ def main(argv: list[str]) -> int:
                             check=True).stdout.strip()
     records = []
     with tempfile.TemporaryDirectory() as scratch:
-        roots = {"parent": Path(scratch), "change": ROOT}
+        roots = {side: Path(scratch) / side for side in SIDES}
         unpack(parent, roots["parent"])
+        snapshot(roots["change"])
         for workload in workloads():
             runs, first = alternate(pairs, lambda side: run_once(
                 roots[side], workload, seed, seconds), f"{workload} ")
@@ -165,10 +185,11 @@ def main(argv: list[str]) -> int:
         "pairs": pairs,
         "method": (f"made by tools/bench_pairs.py: {pairs} pairs of runs "
                    f"per workload, the parent from a git archive of {parent} "
-                   f"and the change from its working tree, one run at a "
-                   f"time; the side that runs first alternates "
-                   f"(first_in_pair). q1 and q3 are statistics.quantiles("
-                   f"n=4, method='inclusive')."),
+                   f"and the change from a copy of its working tree's "
+                   f"tracked and unignored files, side by side in one "
+                   f"temporary directory, one run at a time; the side that "
+                   f"runs first alternates (first_in_pair). q1 and q3 are "
+                   f"statistics.quantiles(n=4, method='inclusive')."),
         "workloads": records,
     }
     path = args.out or ROOT / f"BENCH_{args.bench}.json"

@@ -12,9 +12,12 @@ interleaving the backends query by query, and times each whole session:
 200 per shape and backend, fewer for big tables (:func:`shape_sessions`),
 the same in every run, so every such file is made the same way.
 The parent is a ``git archive`` of ``REV`` (default ``HEAD``) unpacked in
-a temporary directory, or the tree ``DIR``; the change is this working
-tree.  Pair i runs the parent first when i is even and the change first
-when it is odd, so a drift in the host's speed falls on both sides.
+a temporary directory, or the tree ``DIR``; the change is a copy of this
+working tree's files, tracked and untracked but not ignored, in the same
+temporary directory, so it never runs from the repository itself.  Both
+sides still read ``perfbench/gen.py`` from this working tree.  Pair i
+runs the parent first when i is even and the change first when it is
+odd, so a drift in the host's speed falls on both sides.
 
 Writes ``SESSIONS_<N>.json`` at the root of the repository, or the path
 ``--out`` names: per shape and backend, each side's median session time
@@ -202,16 +205,16 @@ def main(argv: list[str]) -> int:
         parser.error("give --bench N or --out PATH")
     out_path = args.out or ROOT / f"SESSIONS_{args.bench}.json"
     with tempfile.TemporaryDirectory() as scratch:
+        roots = {side: Path(scratch) / side for side in SIDES}
         if args.parent_tree:
-            parent_root = args.parent_tree.resolve()
-            parent = str(parent_root)
+            roots["parent"] = args.parent_tree.resolve()
+            parent = str(roots["parent"])
         else:
             parent = subprocess.run(
                 ["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                 capture_output=True, text=True, check=True).stdout.strip()
-            parent_root = Path(scratch)
-            bench_pairs.unpack(parent, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+            bench_pairs.unpack(parent, roots["parent"])
+        bench_pairs.snapshot(roots["change"])
         runs, first = bench_pairs.alternate(
             args.pairs, lambda side: run_once(roots[side], args.shapes))
     records = summarize(runs, first, args.shapes)
@@ -220,8 +223,9 @@ def main(argv: list[str]) -> int:
         "host": bench_pairs.host(),
         "parent": parent,
         "method": (f"made by tools/session_pairs.py: {args.pairs} pairs of "
-                   f"runs, the parent from {parent} and the change from its "
-                   f"working tree, one subprocess per run; the side that "
+                   f"runs, the parent from {parent} and the change from a "
+                   f"copy of its working tree's tracked and unignored "
+                   f"files, one subprocess per run; the side that "
                    f"runs first alternates (first_in_pair). Each run times "
                    f"sessions_per_run LoopbackEndpoint sessions per shape "
                    f"and backend, after one warm-up, on perfbench/gen.py's "
