@@ -10,8 +10,26 @@ deflection onward.  Reaching a previously seen (exchange, AS) point means
 the rule would close a loop; running out of hop budget with deflections
 still unexplored is treated the same way, conservatively.  Accepted rules
 are registered locally and the verifier subscribes at every exchange it
-consulted so later removals, deactivations, and routing changes trigger
-re-verification.
+consulted.
+
+A removal cannot make a safe rule unsafe.  The walk follows every
+deflection an exchange reports as overlapping the walked rule, whatever
+the rules' priorities, and then goes on along the default path, so it
+explores a tree of chains.  Taking an entry out of a table, by a member's
+removal or a deactivation, only prunes branches from that tree: every
+chain a later walk follows was followed before, so a walk that read SAFE
+still reads SAFE, and no budget runs out that did not before.  A new loop
+needs a new deflection, which its installer's walk checks, or a moved
+path, after which ``reverify_for_update`` re-walks every rule whose
+target's path moved; a loop that a BGP change closes holds a deflection
+whose target reaches the moved segment by default routing, so that
+target's path moved too.  The notices that subscriptions bring re-walk
+rules after removals all the same; by this argument, a notice re-walk
+that fails finds a rule whose fresh walk already failed before the
+removal.  It holds only while the walk
+over-approximates this way: a walk that intersected the chain's rules
+could, after a removal, reach a lower-priority rule the removed one had
+hidden, and would need the notices.
 
 A registered rule's life is three steps of :class:`SdxNode`, each written
 once.  *Settle* (``_settle``) walks the rule, activates it if it passes

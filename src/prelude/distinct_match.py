@@ -97,13 +97,14 @@ Both parties exist only as step generators over frames:
 holder stream, which shuffles and garbles, so a session runs in the
 calling thread and starts no thread; :meth:`SdxMatchService.serve_query`
 drives the holder's side over a blocking channel, such as a socket.
-Neither side keeps accounts.  A session is counted once, from the
-querier: the endpoint wraps the querier's steps in
-:func:`~prelude.smpc.recorded`, and the session's dealer adds the size of
-the querier's material to the same transcript's setup bytes, so a
-session's :class:`SessionStats` come from the querier's side.  Every
-holder frame is a querier frame going the other way, so nothing records
-the holder.
+Neither side keeps accounts: :func:`~prelude.smpc.run_pair`, which moves
+the frames, records them.  A session is counted once, from the querier:
+the endpoint hands ``run_pair`` the querier's transcript, which records
+every frame the querier sends or receives as it passes, and the
+session's dealer adds the size of the querier's material to the same
+transcript's setup bytes, so a session's :class:`SessionStats` come from
+the querier's side.  Every holder frame is a querier frame going the
+other way, so nothing records the holder.
 """
 
 from __future__ import annotations
@@ -122,25 +123,23 @@ from prelude.rules import TernaryRule
 from prelude.smpc import (
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
+    RECV,
     ProtocolError,
     SessionTranscript,
     dealer_for_circuit,
     drive,
     evaluate_steps,
+    expect,
     first_piece,
     first_steps,
     garble_steps,
     gmw_steps,
     open_steps,
-    recorded,
-    recv_frame,
-    recv_shift_steps,
+    read_shift,
     release_steps,
     reveal_steps,
     run_pair,
-    send_frame,
 )
-from prelude.smpc.channel import recv_exact
 
 log = logging.getLogger(__name__)
 
@@ -382,7 +381,7 @@ class SdxMatchService:
     def serve_steps(self, dealer, rng: random.Random):
         """Step generator of :meth:`serve_query`; ``rng`` shuffles the
         entries and, under yao, garbles."""
-        payload = yield from recv_frame(MSG_ENVELOPE)
+        payload = expect((yield RECV), MSG_ENVELOPE)
         prefix, width, backend, tag = _parse_envelope(payload)
 
         with self._lock:
@@ -398,13 +397,12 @@ class SdxMatchService:
         if k > MAX_ENTRIES:
             raise ProtocolError(f"table of {k} entries under {prefix} "
                                 f"exceeds the cap of {MAX_ENTRIES} entries")
-        yield from send_frame(MSG_ENVELOPE_ACK,
-                              _ACK.pack(k, HOP_ID_BITS, current))
+        yield MSG_ENVELOPE_ACK, _ACK.pack(k, HOP_ID_BITS, current)
         if k == 0 or tag == current:
             # An empty table, or one whose answer the querier holds.  Read
             # the first frame so that a faulty one aborts and none stays
             # queued.
-            yield from recv_shift_steps(width)
+            read_shift((yield RECV), width)
             return
 
         rng.shuffle(prepared)
@@ -437,11 +435,11 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
     template = query_template(local.width)
     word = template.word(0, [local])
     encoded = prefix.encode("utf-8")
-    yield from send_frame(MSG_ENVELOPE, _ENVELOPE.pack(
-        local.width, BACKENDS.index(backend), held, len(encoded)) + encoded)
+    yield MSG_ENVELOPE, _ENVELOPE.pack(
+        local.width, BACKENDS.index(backend), held, len(encoded)) + encoded
     yield from first_steps(template, word, dealer.first)
     k, id_width, tag = _ACK.unpack(
-        (yield from recv_exact(MSG_ENVELOPE_ACK, _ACK.size)))
+        expect((yield RECV), MSG_ENVELOPE_ACK, _ACK.size))
     if k > MAX_ENTRIES:
         raise ProtocolError(
             f"envelope ack k {k} exceeds the cap of {MAX_ENTRIES} entries")
@@ -554,10 +552,9 @@ class LoopbackEndpoint:
         transcript = dealer.transcript
         try:
             (raw, tag), _, flights = run_pair(
-                recorded(_querier_steps(local, prefix, backend, dealer,
-                                        cached.tag), transcript),
+                _querier_steps(local, prefix, backend, dealer, cached.tag),
                 self.service.serve_steps(dealer, self._holder_rng),
-                self._delay)
+                self._delay, (transcript, None))
         except Exception as exc:
             # the first failure of either party
             raise QueryAborted(str(exc)) from exc

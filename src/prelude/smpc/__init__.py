@@ -25,7 +25,7 @@ the one piece of its dealer material that no lane count changes, an int
 of 2w bits the dealer draws first (:func:`first_piece`), which gmw's
 lookup tables and yao's label transfer both read.  A holder refuses, with
 a :class:`ProtocolError` naming the cell, one that reads the unused
-symbol 3 (:func:`recv_shift_steps`).
+symbol 3 (:func:`read_shift`).
 
 Both then release to party 0, in one more round, one value per lane where
 the output bit reads 0 and another where it reads 1: gmw by a precomputed
@@ -64,15 +64,16 @@ each cell takes one shift, and under yao one label transfer, whatever the
 lane count, and the querier sends two bits per cell; everything else
 costs what the template unrolled ``lanes`` times would.
 
-Every party is a step generator over frames.  :func:`run_pair` runs a
-session's two parties against each other in the calling thread, with an
-injectable one-way delay, and :func:`drive` runs one party over a real
-socket, the only channel that encodes frames.  No step keeps accounts:
-:func:`recorded` wraps a party's steps and counts every frame it moves in
-a :class:`SessionTranscript`, which takes each frame's phase from its kind
-and keeps running byte and online round counters, not the frames.  Dealer
-material travels in no frame; whoever deals it adds its size to the
-transcript's setup bytes.
+Every party is a step generator over frames: it yields each frame it
+sends and checks each one it receives with :func:`expect`.
+:func:`run_pair` runs a session's two parties against each other in the
+calling thread, with an injectable one-way delay, and :func:`drive` runs
+one party over a real socket, the only channel that encodes frames.  No
+step keeps accounts: ``run_pair`` and ``drive`` record every frame they
+move for a party in that party's :class:`SessionTranscript`, if they are
+given one, which takes each frame's phase from its kind and keeps
+running byte and online round counters, not the frames.  Dealer material travels in no frame;
+whoever deals it adds its size to the transcript's setup bytes.
 """
 
 from prelude.smpc.channel import (
@@ -86,22 +87,22 @@ from prelude.smpc.channel import (
     MSG_INPUT_SHARE,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
+    RECV,
     ProtocolError,
     TcpChannel,
     drive,
     encode_frame,
-    recv_frame,
+    expect,
     run_pair,
-    send_frame,
 )
 from prelude.smpc.dealer import (
     dealer_for_circuit,
     first_piece,
     first_steps,
-    recv_shift_steps,
+    read_shift,
 )
 from prelude.smpc.gmw import gmw_steps, reveal_steps
-from prelude.smpc.transcript import SessionTranscript, recorded
+from prelude.smpc.transcript import SessionTranscript
 from prelude.smpc.yao import (
     evaluate_steps,
     garble_steps,

@@ -9,14 +9,17 @@ where length covers the kind byte plus the payload.
 Protocol code exists only as step generators over frames: a party yields
 ``(kind, payload)`` to send a frame and is resumed with the frame's on-wire
 size, or yields :data:`RECV` to wait for one and is resumed with
-``(kind, payload, frame_size)``; its return value is the party's result.
-Steps only move frames; :func:`prelude.smpc.transcript.recorded` wraps a
-party's steps to account for them.  :func:`drive` runs one party over a
-blocking channel: :class:`TcpChannel`, the only channel and the only code
-that encodes frames (:func:`encode_frame`), over a socket.
-:func:`run_pair` runs both parties of a session against each other in the
-calling thread, so a session needs no thread, and its injectable one-way
-delay lets protocol latency be measured without real network distance.
+``(kind, payload, frame_size)``, which it checks with :func:`expect`; its
+return value is the party's result.  Steps only yield frames, and
+:func:`run_pair` or :func:`drive`, which move them, keep the accounts:
+given a party's :class:`~prelude.smpc.transcript.SessionTranscript`,
+each records every frame as it passes.  :func:`drive` runs one party
+over a blocking channel: :class:`TcpChannel`, the only channel and the
+only code that encodes frames (:func:`encode_frame`), over a socket.
+:func:`run_pair` runs both parties of a session against each other in
+the calling thread, so a session needs no thread, and its injectable
+one-way delay lets protocol latency be measured without real network
+distance.
 """
 
 from __future__ import annotations
@@ -140,47 +143,50 @@ class TcpChannel:
 RECV = None  # what a step generator yields to wait for the next frame
 
 
-def send_frame(kind: int, payload: bytes):
-    """Step: send one frame; returns its on-wire size."""
-    return (yield (kind, payload))
-
-
-def recv_frame(expect: int):
-    """Step: receive one frame of kind ``expect``; returns its payload."""
-    kind, payload, _ = yield RECV
-    if kind != expect:
+def expect(frame, kind: int, size: int | None = None) -> bytes:
+    """The payload of ``frame``, what a step's ``yield RECV`` returns, if
+    it is a frame of ``kind`` and, when ``size`` is given, of ``size``
+    bytes; raises ProtocolError naming the fault otherwise."""
+    got, payload, _ = frame
+    if got != kind:
         raise ProtocolError(
-            f"expected {KIND_NAMES.get(expect, expect)} frame, "
-            f"got {KIND_NAMES.get(kind, kind)}")
-    return payload
-
-
-def recv_exact(expect: int, size: int):
-    """Step: :func:`recv_frame` for a payload that must be ``size`` bytes."""
-    payload = yield from recv_frame(expect)
-    if len(payload) != size:
+            f"expected {KIND_NAMES.get(kind, kind)} frame, "
+            f"got {KIND_NAMES.get(got, got)}")
+    if size is not None and len(payload) != size:
         raise ProtocolError(
-            f"{KIND_NAMES[expect]} frame of {len(payload)} bytes, expected "
+            f"{KIND_NAMES[kind]} frame of {len(payload)} bytes, expected "
             f"{size}")
     return payload
 
 
-def drive(steps, channel):
-    """Run a step generator to completion over a blocking channel."""
+def drive(steps, channel, transcript=None):
+    """Run a step generator to completion over a blocking channel,
+    recording each frame it sends or receives in ``transcript``, if one is
+    given, and finishing the transcript when the steps return."""
     reply = None
     while True:
         try:
             op = steps.send(reply)
         except StopIteration as stop:
+            if transcript is not None:
+                transcript.finish()
             return stop.value
-        reply = channel.recv() if op is RECV else channel.send(*op)
+        if op is RECV:
+            reply = channel.recv()
+            if transcript is not None:
+                transcript.record_receive(reply[0], reply[2])
+        else:
+            reply = channel.send(*op)
+            if transcript is not None:
+                transcript.record_send(op[0], reply)
 
 
 # run_pair's marks for a party that has not started, and one that has ended
 _START, _ENDED = object(), object()
 
 
-def run_pair(first, second, one_way_delay: float = 0.0):
+def run_pair(first, second, one_way_delay: float = 0.0,
+             transcripts: tuple = (None, None)):
     """Run two parties' step generators against each other in this thread.
 
     Returns ``(first's result, second's result, flights)``.  ``first``
@@ -189,7 +195,12 @@ def run_pair(first, second, one_way_delay: float = 0.0):
     sends back to back travel together, as over a socket.  A frame counts
     ``FRAME_OVERHEAD`` bytes above its payload, as encoded, and arrives
     ``one_way_delay`` seconds after it was sent; its receiver sleeps until
-    then.
+    then.  With no delay no clock is read.
+
+    ``transcripts`` holds a :class:`~prelude.smpc.transcript.SessionTranscript`
+    or None for each party, in the parties' order.  A party's transcript
+    records each frame it sends or receives as the frame passes, and is
+    finished when the party returns.
 
     ``flights`` counts the one-way flights of the longest causal chain of
     frames: each frame carries its sender's count, and a receiver's count
@@ -202,7 +213,7 @@ def run_pair(first, second, one_way_delay: float = 0.0):
     """
     parties = (first, second)
     # the frames on their way to each party:
-    # (arrival, sender's flights, kind, payload)
+    # (arrival, sender's flights, kind, payload); arrival 0 with no delay
     inboxes = (deque(), deque())
     flights = [0, 0]
     results = [None, None]
@@ -211,6 +222,7 @@ def run_pair(first, second, one_way_delay: float = 0.0):
     while True:
         party, op, count = parties[me], ops[me], flights[me]
         inbox, outbox = inboxes[me], inboxes[1 - me]
+        transcript = transcripts[me]
         try:
             if op is _START:
                 op = party.send(None)
@@ -219,17 +231,26 @@ def run_pair(first, second, one_way_delay: float = 0.0):
                     arrival, sent, kind, payload = inbox.popleft()
                     if sent >= count:
                         count = sent + 1
-                    _sleep_until(arrival)
-                    op = party.send((kind, payload,
-                                     FRAME_OVERHEAD + len(payload)))
+                    if arrival:
+                        _sleep_until(arrival)
+                    size = FRAME_OVERHEAD + len(payload)
+                    if transcript is not None:
+                        transcript.record_receive(kind, size)
+                    op = party.send((kind, payload, size))
                 else:
                     kind, payload = op
-                    outbox.append((time.monotonic() + one_way_delay, count,
-                                   kind, payload))
-                    op = party.send(FRAME_OVERHEAD + len(payload))
+                    size = FRAME_OVERHEAD + len(payload)
+                    if transcript is not None:
+                        transcript.record_send(kind, size)
+                    outbox.append((
+                        time.monotonic() + one_way_delay if one_way_delay
+                        else 0, count, kind, payload))
+                    op = party.send(size)
         except StopIteration as stop:
             results[me] = stop.value
             op = _ENDED
+            if transcript is not None:
+                transcript.finish()
         ops[me], flights[me] = op, count
         me = 1 - me
         if ops[me] is _ENDED:
@@ -238,4 +259,3 @@ def run_pair(first, second, one_way_delay: float = 0.0):
             raise ChannelClosed("peer closed the channel")
         if op is RECV and ops[me] is RECV and not inboxes[me]:
             raise ProtocolError("both parties are waiting for a frame")
-

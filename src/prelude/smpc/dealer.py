@@ -49,7 +49,7 @@ transfer alike.  The dealer draws that piece first, so the querier takes
 it and sends the frame with its envelope, before it learns k, and the
 deal over k lanes then takes the same piece on the same stream.  The
 holder sees only shifted symbols, uniform whatever the querier's word is
-(:func:`recv_shift_steps`); an aborted session wastes them.
+(:func:`read_shift`); an aborted session wastes them.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
@@ -58,12 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from prelude.smpc.channel import (
-    MSG_AND_OPENING,
-    ProtocolError,
-    recv_exact,
-    send_frame,
-)
+from prelude.smpc.channel import MSG_AND_OPENING, ProtocolError, expect
 from prelude.smpc.shares import (
     draw_symbols,
     pair_indicators,
@@ -218,19 +213,20 @@ def first_steps(circuit, word: int, piece: int):
     if both:
         raise ValueError(f"the querier's word reads symbol 3 at cell "
                          f"{both.bit_length() - 1}")
-    yield from send_frame(MSG_AND_OPENING, symbol_difference(
-        word, piece, w).to_bytes((2 * w + 7) // 8, "little"))
+    yield MSG_AND_OPENING, symbol_difference(word, piece, w).to_bytes(
+        (2 * w + 7) // 8, "little")
 
 
-def recv_shift_steps(width: int):
-    """Holder: receive the querier's first frame, its shifts for
-    ``width`` cells as two bit planes, and return them.
+def read_shift(frame, width: int) -> int:
+    """Holder: the shifts for ``width`` cells, as two bit planes, that
+    ``frame``, the querier's first frame, holds.
 
-    Raises ProtocolError for a frame of which a cell reads the unused
-    symbol 3, naming the cell.
+    Raises ProtocolError for a frame of another kind or size
+    (:func:`~prelude.smpc.channel.expect`), or of which a cell reads the
+    unused symbol 3, naming the cell.
     """
-    shift = int.from_bytes((yield from recv_exact(
-        MSG_AND_OPENING, (2 * width + 7) // 8)), "little")
+    shift = int.from_bytes(expect(frame, MSG_AND_OPENING,
+                                  (2 * width + 7) // 8), "little")
     both = shift & shift >> width & ((1 << width) - 1)
     if both:
         raise ProtocolError(f"shift frame reads the unused symbol 3 at "

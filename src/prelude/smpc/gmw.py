@@ -114,21 +114,12 @@ from prelude.smpc.channel import (
     MSG_AND_OPENING,
     MSG_INPUT_SHARE,
     MSG_OUTPUT_SHARE,
-    recv_exact,
-    send_frame,
+    RECV,
+    expect,
 )
-from prelude.smpc.dealer import DealerMaterial, recv_shift_steps
+from prelude.smpc.dealer import DealerMaterial, read_shift
 from prelude.smpc.shares import pair_indicators, table_entries
-from prelude.smpc.transfer import choose_steps, lane_mask, send_steps
-
-
-def _open_steps(mine: int, n_mine: int, n_theirs: int):
-    """One AND level's round: send ``n_mine`` opened bits, receive the
-    peer's ``n_theirs``."""
-    yield from send_frame(MSG_AND_OPENING,
-                          mine.to_bytes((n_mine + 7) // 8, "little"))
-    theirs = yield from recv_exact(MSG_AND_OPENING, (n_theirs + 7) // 8)
-    return int.from_bytes(theirs, "little")
+from prelude.smpc.transfer import choose, lane_mask, offer
 
 
 def _and_steps(party: int, inputs: int, arity: int, nb: int, products: int):
@@ -148,7 +139,10 @@ def _and_steps(party: int, inputs: int, arity: int, nb: int, products: int):
     for i in range(arity):
         masks |= ((products >> (nb << i)) & low) << i * nb
     mine = (inputs & ((1 << arity * nb) - 1)) ^ masks
-    opened = mine ^ (yield from _open_steps(mine, arity * nb, arity * nb))
+    size = (arity * nb + 7) // 8  # both openings
+    yield MSG_AND_OPENING, mine.to_bytes(size, "little")
+    opened = mine ^ int.from_bytes(
+        expect((yield RECV), MSG_AND_OPENING, size), "little")
     # The sum, one slice index at a time from the top: the slices S
     # without i take o_i, and the slices with i are added to them.
     terms = products | (low if party == 0 else 0)
@@ -209,15 +203,15 @@ def gmw_steps(circuit, party: int, word: int, setup: DealerMaterial):
     nb = circuit.pairs * lanes
     if party == 0:
         chosen, indicators = setup.lookup
-        table = int.from_bytes((yield from recv_exact(
-            MSG_AND_OPENING, (9 * nb + 7) // 8)), "little")
+        table = int.from_bytes(expect(
+            (yield RECV), MSG_AND_OPENING, (9 * nb + 7) // 8), "little")
         z = table_entries(table, *indicators, nb) ^ chosen
     else:
-        shift = yield from recv_shift_steps(w)
+        shift = read_shift((yield RECV), w)
         padded, z = setup.lookup
-        yield from send_frame(MSG_AND_OPENING, _lookup_table(
+        yield MSG_AND_OPENING, _lookup_table(
             word, shift, w, lanes, padded).to_bytes((9 * nb + 7) // 8,
-                                                    "little"))
+                                                    "little")
 
     # The tree: each gate ANDs one field of each of the level's first
     # ``arity`` slices; the fields past them are carried.
@@ -250,10 +244,10 @@ def reveal_steps(
     """
     n, size = setup.lanes, setup.transfer_bytes
     if receive:
-        yield from send_frame(MSG_INPUT_SHARE, (my_share ^ setup.transfer[0])
-                              .to_bytes((n + 7) // 8, "little"))
-        chosen = yield from choose_steps(my_share, n, size, setup.transfer,
-                                         MSG_OUTPUT_SHARE)
+        yield MSG_INPUT_SHARE, (my_share ^ setup.transfer[0]).to_bytes(
+            (n + 7) // 8, "little")
+        chosen = choose(expect((yield RECV), MSG_OUTPUT_SHARE, 2 * size * n),
+                        my_share, n, size, setup.transfer)
         # one C-level pass cuts the values apart
         return struct.unpack(f"{size}s" * n, chosen.to_bytes(size * n,
                                                               "little"))
@@ -265,6 +259,8 @@ def reveal_steps(
     v1 = int.from_bytes(dummy * n, "little")
     # slot c holds the value for c XOR my share
     swap = lane_mask(my_share, n, size) & (v0 ^ v1)
-    yield from send_steps(v0 ^ swap, v1 ^ swap, n, size, setup.transfer,
-                          MSG_OUTPUT_SHARE)
+    e = int.from_bytes(expect((yield RECV), MSG_INPUT_SHARE, (n + 7) // 8),
+                       "little")
+    yield MSG_OUTPUT_SHARE, offer(v0 ^ swap, v1 ^ swap, e, n, size,
+                                  setup.transfer)
     return None

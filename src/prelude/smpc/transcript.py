@@ -1,7 +1,9 @@
 """Per-endpoint session transcripts: rounds, bytes, and phase accounting.
 
-:func:`recorded` runs one party's step generator and records in a
-:class:`SessionTranscript` every frame it sends or receives, so the
+:func:`~prelude.smpc.run_pair` or :func:`~prelude.smpc.drive`,
+whichever moves a party's frames, records in the party's
+:class:`SessionTranscript` every frame it sends or receives as the frame
+passes, and finishes the transcript when the party returns, so the
 protocol code knows nothing of accounting.  A transcript keeps running
 counters, not the frames: setup bytes, online bytes, online rounds, and
 when the online phase started and finished.  A frame's kind decides its
@@ -26,7 +28,6 @@ from prelude.smpc.channel import (
     MSG_ENVELOPE,
     MSG_ENVELOPE_ACK,
     MSG_GARBLED_TABLES,
-    RECV,
 )
 
 SETUP_KINDS = frozenset({MSG_ENVELOPE, MSG_ENVELOPE_ACK, MSG_GARBLED_TABLES})
@@ -75,22 +76,3 @@ class SessionTranscript:
             return 0.0
         return self.online_finished_at - self.online_started_at
 
-
-def recorded(steps, transcript: SessionTranscript):
-    """Step: run ``steps``, recording in ``transcript`` every frame it sends
-    or receives, and finish the transcript when it returns its result."""
-    step = steps.send
-    record_send = transcript.record_send
-    record_receive = transcript.record_receive
-    reply = None
-    while True:
-        try:
-            op = step(reply)
-        except StopIteration as stop:
-            transcript.finish()
-            return stop.value
-        reply = yield op
-        if op is RECV:
-            record_receive(reply[0], reply[2])
-        else:
-            record_send(op[0], reply)

@@ -25,7 +25,10 @@ frame, the same shifted symbols gmw's lookup level reads
 (:func:`prelude.smpc.dealer.first_steps`).
 
 Either transfer costs the receiver's one frame and the sender's one, so
-one online round of a transcript.  The receiver's frame depends on
+one online round of a transcript.  This module computes the sender's
+frame (:func:`offer`, :func:`offer_symbols`) and opens it
+(:func:`choose`, :func:`choose_symbols`); the callers' steps move the
+frames.  The receiver's frame depends on
 nothing but its choices and its dealer piece, so it can go out before
 the sender is ready: a querier sends its shifts with its envelope, and a
 yao holder answers with the labels in the flight that carries its ack.
@@ -42,7 +45,6 @@ every transfer's slot 0 and then every transfer's slot 1, and slot 2.
 
 from __future__ import annotations
 
-from prelude.smpc.channel import MSG_INPUT_SHARE, recv_exact, send_frame
 from prelude.smpc.shares import int_to_bits
 
 LABEL_BITS = 128
@@ -76,34 +78,31 @@ def transfer_material(d: int, n: int, rng, size: int = LABEL_BYTES
     return (d, r0 ^ (lane_mask(d, n, size) & (r0 ^ r1))), (r0, r1)
 
 
-def send_steps(m0: int, m1: int, n: int, size: int, pads: tuple[int, int],
-               kind: int):
-    """Sender: deliver message m_c of each of ``n`` pairs to a receiver choosing c.
+def offer(m0: int, m1: int, e: int, n: int, size: int,
+          pads: tuple[int, int]) -> bytes:
+    """Sender: its frame delivering message m_c of each of ``n`` pairs to a
+    receiver choosing c.
 
-    ``m0`` and ``m1`` hold the messages in lanes of ``size`` bytes, and
-    ``pads`` is this side's (r0, r1), dealt for that size.  Receives the
-    masked choice bits as an INPUT_SHARE frame, then answers in one frame
-    of ``kind``.
+    ``m0`` and ``m1`` hold the messages in lanes of ``size`` bytes, ``e``
+    the receiver's masked choice bits, and ``pads`` is this side's (r0,
+    r1), dealt for that size.  The frame is ``2 * size * n`` bytes.
     """
-    e = int.from_bytes((yield from recv_exact(MSG_INPUT_SHARE, (n + 7) // 8)),
-                       "little")
     r0, r1 = pads
     swap = lane_mask(e, n, size) & (r0 ^ r1)  # r_e = r0 ^ swap
-    yield from send_frame(kind, (m0 ^ r0 ^ swap).to_bytes(size * n, "little")
-                          + (m1 ^ r1 ^ swap).to_bytes(size * n, "little"))
+    return ((m0 ^ r0 ^ swap).to_bytes(size * n, "little")
+            + (m1 ^ r1 ^ swap).to_bytes(size * n, "little"))
 
 
-def choose_steps(choices: int, n: int, size: int, material: tuple[int, int],
-                 kind: int):
+def choose(payload: bytes, choices: int, n: int, size: int,
+           material: tuple[int, int]) -> int:
     """Receiver: the message bit i of ``choices`` selects in transfer i.
 
     ``material`` is this side's (d, r_d), dealt for ``size``-byte messages,
-    and the sender must get the masked choices ``choices XOR d``,
-    ``(n + 7) // 8`` bytes, as an INPUT_SHARE frame, which the caller
-    sends.  Receives the sender's frame of ``kind`` and returns the
-    messages in lanes of ``size`` bytes, transfer i in lane i.
+    and the sender must have got the masked choices ``choices XOR d``.
+    ``payload`` is the sender's frame (:func:`offer`), ``2 * size * n``
+    bytes.  Returns the messages in lanes of ``size`` bytes, transfer i in
+    lane i.
     """
-    payload = yield from recv_exact(kind, 2 * size * n)
     slot0 = int.from_bytes(payload[: size * n], "little")
     slot1 = int.from_bytes(payload[size * n :], "little")
     swap = lane_mask(choices, n, size) & (slot0 ^ slot1)
@@ -134,36 +133,34 @@ def symbol_transfer_material(u: int, n: int, rng
     return _pick(pads, _symbol_lanes(u, n)), pads
 
 
-def send_symbol_steps(messages, shift: int, n: int, pads: tuple[int, ...],
-                      kind: int):
-    """Sender: deliver label m_x of each of ``n`` triples to a receiver
-    whose symbol is x.
+def offer_symbols(messages, shift: int, n: int,
+                  pads: tuple[int, ...]) -> bytes:
+    """Sender: its frame delivering label m_x of each of ``n`` triples to a
+    receiver whose symbol is x.
 
     ``messages`` is (m0, m1, m2), the labels in 16-byte lanes, ``shift``
     the receiver's shifted symbols s = x - u mod 3, two bit planes, and
-    ``pads`` this side's (p0, p1, p2).  Answers in one frame of ``kind``:
-    slot v holds m_v under p_(v - s).
+    ``pads`` this side's (p0, p1, p2).  Slot v of the frame holds m_v
+    under p_(v - s), 16 n bytes each.
     """
     p0, p1, p2 = pads
     lanes = _symbol_lanes(shift, n)
     under = (_pick((p0, p2, p1), lanes), _pick((p1, p0, p2), lanes),
              _pick((p2, p1, p0), lanes))
-    yield from send_frame(kind, b"".join(
-        (m ^ pad).to_bytes(LABEL_BYTES * n, "little")
-        for m, pad in zip(messages, under, strict=True)))
+    return b"".join((m ^ pad).to_bytes(LABEL_BYTES * n, "little")
+                    for m, pad in zip(messages, under, strict=True))
 
 
-def choose_symbol_steps(symbols: int, n: int, pad: int, kind: int):
+def choose_symbols(payload: bytes, symbols: int, n: int, pad: int) -> int:
     """Receiver: the label symbol i of ``symbols`` selects in transfer i.
 
     ``symbols`` holds ``n`` symbols of Z3 as two bit planes, ``pad`` is
     this side's p_u for its shifts u, and the sender must hold the shifts
-    ``symbols - u mod 3``, which the caller sends.  Receives the sender's
-    frame of ``kind`` and returns the labels in 16-byte lanes, transfer i
-    in lane i.
+    ``symbols - u mod 3``.  ``payload`` is the sender's frame
+    (:func:`offer_symbols`), ``48 n`` bytes.  Returns the labels in
+    16-byte lanes, transfer i in lane i.
     """
     size = LABEL_BYTES * n  # a slot
-    payload = yield from recv_exact(kind, 3 * size)
     slots = [int.from_bytes(payload[at : at + size], "little")
              for at in range(0, len(payload), size)]
     return _pick(slots, _symbol_lanes(symbols, n)) ^ pad

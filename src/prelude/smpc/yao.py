@@ -137,16 +137,16 @@ from prelude.smpc.channel import (
     MSG_GARBLED_TABLES,
     MSG_LABELS,
     MSG_OUTPUT_SHARE,
-    recv_exact,
-    send_frame,
+    RECV,
+    expect,
 )
-from prelude.smpc.dealer import DealerMaterial, recv_shift_steps
+from prelude.smpc.dealer import DealerMaterial, read_shift
 from prelude.smpc.shares import int_to_bits
 from prelude.smpc.transfer import (
     LABEL_BITS,
     LABEL_BYTES,
-    choose_symbol_steps,
-    send_symbol_steps,
+    choose_symbols,
+    offer_symbols,
     to_lanes,
 )
 
@@ -448,16 +448,15 @@ def garble_steps(circuit, rows: Sequence[str], setup: DealerMaterial, rng):
     lanes = setup.lanes
     circuit.check_rows(rows, lanes)
     w = circuit.width
-    shift = yield from recv_shift_steps(w)
+    shift = read_shift((yield RECV), w)
     labels = rng.getrandbits(3 * LABEL_BITS * w)  # L*, L1, L0 of every cell
     garble = _garble if lanes < LABEL_KEYED_LANES else _garble_keyed
     tables, sums = garble(labels, w, rows, lanes)
-    yield from send_frame(MSG_GARBLED_TABLES, tables)
+    yield MSG_GARBLED_TABLES, tables
     every = (1 << LABEL_BITS * w) - 1
-    yield from send_symbol_steps(
+    yield MSG_LABELS, offer_symbols(
         (labels & every, labels >> LABEL_BITS * w & every,
-         labels >> 2 * LABEL_BITS * w),
-        shift, w, setup.transfer, MSG_LABELS)
+         labels >> 2 * LABEL_BITS * w), shift, w, setup.transfer)
     return sums
 
 
@@ -475,10 +474,11 @@ def evaluate_steps(circuit, word: int, setup: DealerMaterial):
     lanes = setup.lanes
     circuit.check_word(0, word, lanes)
     w = circuit.width
-    tables = yield from recv_exact(MSG_GARBLED_TABLES,
-                                   2 * LABEL_BYTES * lanes * w)
-    chosen = yield from choose_symbol_steps(word, w, setup.transfer[0],
-                                            MSG_LABELS)
+    tables = expect((yield RECV), MSG_GARBLED_TABLES,
+                    2 * LABEL_BYTES * lanes * w)
+    chosen = choose_symbols(expect((yield RECV), MSG_LABELS,
+                                   3 * LABEL_BYTES * w),
+                            word, w, setup.transfer[0])
     evaluate = _evaluate if lanes < LABEL_KEYED_LANES else _evaluate_keyed
     return evaluate(chosen, w, word, tables, lanes)
 
@@ -533,7 +533,7 @@ def release_steps(
     plain = to_lanes(b"".join(values), lanes, size)
     payload = (_release_pads(sums, lanes) ^ plain).to_bytes(
         LABEL_BYTES * lanes, "little")
-    yield from send_frame(MSG_OUTPUT_SHARE, payload)
+    yield MSG_OUTPUT_SHARE, payload
 
 
 def open_steps(sums: int, lanes: int, fallback: bytes):
@@ -544,7 +544,7 @@ def open_steps(sums: int, lanes: int, fallback: bytes):
     """
     size = len(fallback)
     _check_size(size)
-    payload = yield from recv_exact(MSG_OUTPUT_SHARE, LABEL_BYTES * lanes)
+    payload = expect((yield RECV), MSG_OUTPUT_SHARE, LABEL_BYTES * lanes)
     plain = (int.from_bytes(payload, "little")
              ^ _release_pads(sums, lanes)).to_bytes(len(payload), "little")
     tag = bytes(LABEL_BYTES - size)

@@ -548,10 +548,11 @@ class TestBgpUpdates:
 
 
 def oracle_churn(rng_seed: int, topology_seed: int, policy_seed: int,
-                 steps: int) -> None:
+                 steps: int, watch=None) -> None:
     """Random installs, removals and BGP updates on a 30-AS, 4-exchange
     plane over two prefixes; the forwarding oracle must stay empty after
-    every step."""
+    every step.  ``watch``, if given, is called with the plane before the
+    first step."""
     rng = random.Random(rng_seed)
     graph, sites = generate_topology(n_as=30, n_sdx=4, seed=topology_seed)
     prefixes = ["pfx0", "pfx1"]
@@ -574,6 +575,8 @@ def oracle_churn(rng_seed: int, topology_seed: int, policy_seed: int,
     rng.shuffle(available)
     installed: list[tuple[int, str]] = []
     plane = ControlPlane(graph, sites, base_ribs)
+    if watch is not None:
+        watch(plane)
     current = dict(base_ribs)
     for step in range(steps):
         roll = rng.random()
@@ -603,6 +606,64 @@ class TestChurnSafety:
     def test_oracle_stays_empty_through_mixed_events(self):
         for seed in (1, 2, 3):
             oracle_churn(seed, seed + 60, seed, 100)
+
+
+def fresh_walks(plane: ControlPlane) -> dict[str, str]:
+    """Each active rule's status from a fresh walk over a
+    :class:`StaticMatchView` copy of the plane's tables, by rule id."""
+    records = [r for node in plane.nodes.values()
+               for r in node.registry.values() if r.active]
+    prefixes = {r.entry.prefix for r in records}
+    view = StaticMatchView(
+        plane.sites, {p: plane.rib(p) for p in prefixes},
+        {sdx_id: [e for p in sorted(prefixes)
+                  for e in node.service.entries_for(p)]
+         for sdx_id, node in plane.nodes.items()})
+    return {r.rule_id: explore_deflection(view, r.policy, r.budget).status
+            for r in records}
+
+
+def check_removals_prune(seeds) -> dict[str, int]:
+    """Run :func:`oracle_churn` on each seed, and at every entry a removal
+    or a deactivation takes out of a table, check that each active rule
+    whose fresh walk (:func:`fresh_walks`) read SAFE just before still
+    reads SAFE just after.  Returns the entries taken out by removals and
+    by deactivations, and the SAFE walks checked."""
+    counts = {"remove": 0, "deactivate": 0, "kept_safe": 0}
+
+    def watch(plane):
+        for node in plane.nodes.values():
+            def retire(record, kind, detail, retire=node._retire):
+                if record.active:
+                    counts[kind] += 1
+                retire(record, kind, detail)
+
+            def deregister(entry, deregister=node.service.deregister):
+                before = fresh_walks(plane)
+                deregister(entry)
+                # the retired rule's entry has left its table, so its record
+                # no longer counts as active
+                for rule_id, status in fresh_walks(plane).items():
+                    if before[rule_id] == SAFE:
+                        assert status == SAFE, (seed, rule_id, entry)
+                        counts["kept_safe"] += 1
+
+            node._retire = retire
+            node.service.deregister = deregister
+
+    for seed in seeds:
+        oracle_churn(seed, seed + 60, seed, 100, watch=watch)
+    return counts
+
+
+class TestRemovalsOnlyPrune:
+    """A removal or a deactivation takes an entry out of a table, and that
+    only prunes branches from every walk's tree: a fresh walk that read
+    SAFE before reads SAFE after (the ``control`` docstring)."""
+
+    def test_a_safe_walk_stays_safe_when_an_entry_goes(self):
+        assert check_removals_prune(range(4, 9)) == {
+            "remove": 140, "deactivate": 4, "kept_safe": 1187}
 
 
 # --------------------------------------------------------------------------

@@ -54,13 +54,10 @@ from prelude.smpc import (
     dealer_for_circuit,
     drive,
     first_piece,
-    recorded,
-    recv_frame,
     run_pair,
-    send_frame,
 )
 from prelude.smpc import channel, yao
-from prelude.smpc.channel import MAX_FRAME_BYTES
+from prelude.smpc.channel import MAX_FRAME_BYTES, RECV, expect
 
 
 def brute_force_hops(local: TernaryRule, entries) -> set[NextHopId]:
@@ -493,8 +490,8 @@ class TestPrivacyMechanics:
         endpoint = fresh_endpoint([entry])
 
         def sends_payload(local, prefix, backend, dealer, held):
-            yield from send_frame(MSG_ENVELOPE, payload)
-            yield from recv_frame(MSG_ENVELOPE_ACK)
+            yield MSG_ENVELOPE, payload
+            expect((yield RECV), MSG_ENVELOPE_ACK)
             return []
 
         monkeypatch.setattr(distinct_match, "_querier_steps", sends_payload)
@@ -511,12 +508,11 @@ class TestPrivacyMechanics:
         endpoint = fresh_endpoint([entry])
 
         def sends_a_3(local, prefix, backend, dealer, held):
-            yield from send_frame(MSG_ENVELOPE, struct.pack(">IBQH", 8, 0, 0,
-                                                            10) + b"10.0.0.0/8")
-            yield from send_frame(MSG_AND_OPENING,
-                                  (1 << 5 | 1 << 8 + 5).to_bytes(2, "little"))
-            yield from recv_frame(MSG_ENVELOPE_ACK)
-            yield from recv_frame(MSG_AND_OPENING)
+            yield MSG_ENVELOPE, struct.pack(">IBQH", 8, 0, 0,
+                                            10) + b"10.0.0.0/8"
+            yield MSG_AND_OPENING, (1 << 5 | 1 << 8 + 5).to_bytes(2, "little")
+            expect((yield RECV), MSG_ENVELOPE_ACK)
+            expect((yield RECV), MSG_AND_OPENING)
             return []
 
         monkeypatch.setattr(distinct_match, "_querier_steps", sends_a_3)
@@ -553,9 +549,9 @@ class TestPrivacyMechanics:
     ])
     def test_malformed_ack_fails_naming_its_cause(self, ack, cause):
         def holder():
-            yield from recv_frame(MSG_ENVELOPE)
-            yield from recv_frame(MSG_AND_OPENING)  # its padded first frame
-            yield from send_frame(MSG_ENVELOPE_ACK, ack)
+            expect((yield RECV), MSG_ENVELOPE)
+            expect((yield RECV), MSG_AND_OPENING)  # its padded first frame
+            yield MSG_ENVELOPE_ACK, ack
 
         querier = distinct_match._querier_steps(
             TernaryRule.wildcard(8), "10.0.0.0/8", "gmw",
@@ -904,9 +900,9 @@ class TestSessionMechanics:
         thread = threading.Thread(target=serve)
         thread.start()
         try:
-            raw, _ = drive(recorded(distinct_match._querier_steps(
-                local, "10.0.0.0/8", backend, dealer, 0),
-                dealer.transcript), querier)
+            raw, _ = drive(distinct_match._querier_steps(
+                local, "10.0.0.0/8", backend, dealer, 0), querier,
+                dealer.transcript)
         finally:
             querier.close()
             thread.join(timeout=30)
@@ -1280,14 +1276,15 @@ def querier_transcripts(endpoint: LoopbackEndpoint,
     """Capture the querier transcript of every session the endpoint runs,
     the one transcript a session records."""
     captured = []
-    wrap = distinct_match.recorded
+    pair = distinct_match.run_pair
 
-    def spying(steps, transcript):
-        assert steps.__name__ == "_querier_steps"
-        captured.append(transcript)
-        return wrap(steps, transcript)
+    def spying(first, second, delay, transcripts):
+        assert first.__name__ == "_querier_steps"
+        assert transcripts[1] is None
+        captured.append(transcripts[0])
+        return pair(first, second, delay, transcripts)
 
-    monkeypatch.setattr(distinct_match, "recorded", spying)
+    monkeypatch.setattr(distinct_match, "run_pair", spying)
     return captured
 
 

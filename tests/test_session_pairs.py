@@ -1,23 +1,58 @@
-"""``tools/session_pairs.py`` times sessions in pairs and records them."""
+"""``tools/session_pairs.py`` times sessions in pairs and records them.
+
+The tool copies the working tree's files as git lists them.  The test
+that runs it whole gives it a git repository of its own under
+``tmp_path`` (:func:`repo`), so it passes where this tree is no checkout,
+as in an export by ``git archive``.
+"""
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "session_pairs.py"
+# what a run of the tool reads: itself, bench_pairs, the program and the
+# benchmark's table and answers
+COPIED = ("tools/session_pairs.py", "tools/bench_pairs.py",
+          "perfbench/gen.py", "perfbench/overlap.py", "src")
 
 
-def test_one_pair_of_one_shape_against_the_working_tree(tmp_path):
-    # Both sides are this tree: one pair of runs of the tool's 200
-    # sessions per backend at width 4 and one entry.
+@pytest.fixture
+def repo(tmp_path) -> Path:
+    """A git repository holding copies of the files :data:`COPIED` names,
+    added but not committed, as a working tree's new files are."""
+    root = tmp_path / "repo"
+    for name in COPIED:
+        source, copy = ROOT / name, root / name
+        if source.is_dir():
+            shutil.copytree(source, copy, ignore=shutil.ignore_patterns(
+                "__pycache__", "*.egg-info"))
+        else:
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, copy)
+    for args in (["init", "-q"], ["add", "-A"]):
+        subprocess.run(["git", "-C", str(root), *args], check=True,
+                       capture_output=True)
+    return root
+
+
+def test_one_pair_of_one_shape_against_the_working_tree(tmp_path, repo):
+    # Both sides are this tree, the change side through the fixture
+    # repository's copy: one pair of runs of the tool's 200 sessions per
+    # backend at width 4 and one entry.
     out = tmp_path / "SESSIONS.json"
     proc = subprocess.run(
-        [sys.executable, str(TOOL), "--shapes", "4x1", "--pairs", "1",
-         "--parent-tree", str(ROOT), "--out", str(out)],
+        [sys.executable, str(repo / TOOL.relative_to(ROOT)), "--shapes",
+         "4x1", "--pairs", "1", "--parent-tree", str(ROOT), "--out",
+         str(out)],
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
@@ -42,3 +77,43 @@ def test_one_pair_of_one_shape_against_the_working_tree(tmp_path):
             shape["backend"]]
         assert counters["equal"]
     assert "4x1" in proc.stdout and str(out) in proc.stdout
+
+
+def test_the_json_holds_each_shape_per_pair_ratio(monkeypatch, tmp_path):
+    # Faked runs of two shapes over three pairs: the change takes 0.8 of
+    # the parent's gmw time at 104x5 and 1.25 of its yao time at 4x8.
+    spec = importlib.util.spec_from_file_location("session_pairs", TOOL)
+    session_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(session_pairs)
+    counters = {name: 1 for name in session_pairs.COUNTERS}
+    times = {"parent": {(104, 5): (1.0, 2.0), (4, 8): (0.5, 0.8)},
+             "change": {(104, 5): (0.8, 2.0), (4, 8): (0.5, 1.0)}}
+    speed = iter([1.0, 1.0, 2.0, 2.0, 0.5, 0.5])  # the host's, per pair
+
+    def run_once(root, shapes):
+        scale = next(speed)
+        return [{backend: {"ms": scale * ms, "counters": counters}
+                 for backend, ms in zip(("gmw", "yao"),
+                                        times[root.name][shape])}
+                for shape in shapes]
+
+    monkeypatch.setattr(session_pairs, "run_once", run_once)
+    monkeypatch.setattr(session_pairs.bench_pairs, "snapshot",
+                        lambda into: None)
+    out = tmp_path / "SESSIONS.json"
+    assert session_pairs.main([
+        "session_pairs.py", "--shapes", "104x5,4x8", "--pairs", "3",
+        "--parent-tree", str(tmp_path / "parent"), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    ratios = {(s["width"], s["k"], s["backend"]): s["ms"]["ratio"]
+              for s in record["shapes"]}
+    assert ratios[104, 5, "gmw"]["by_pair"] == pytest.approx([0.8] * 3)
+    assert ratios[104, 5, "gmw"]["median"] == pytest.approx(0.8)
+    assert ratios[4, 8, "yao"] == pytest.approx(
+        {"by_pair": [1.25] * 3, "median": 1.25, "q1": 1.25, "q3": 1.25})
+    assert ratios[104, 5, "yao"]["median"] == ratios[4, 8, "gmw"][
+        "median"] == 1.0
+    # the keys the layout had before the ratio came
+    for shape in record["shapes"]:
+        assert {"values_by_pair", "parent", "change",
+                "change_better_pairs"} < set(shape["ms"])

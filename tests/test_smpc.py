@@ -45,17 +45,14 @@ from prelude.smpc import (
     garble_steps,
     gmw_steps,
     open_steps,
-    recorded,
-    recv_frame,
     release_steps,
     reveal_steps,
     run_pair,
-    send_frame,
 )
 from prelude.smpc import gmw, yao
 from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
 from prelude.distinct_match import MAX_ENTRIES
-from prelude.smpc.channel import MAX_FRAME_BYTES, RECV
+from prelude.smpc.channel import MAX_FRAME_BYTES, RECV, expect
 from prelude.smpc.shares import (
     broadcast,
     draw_symbols,
@@ -241,12 +238,12 @@ def run_backend(circuit, backend, inputs0, inputs1, *, seed=7, delay=0.0,
     t0, t1 = NotedTranscript(), NotedTranscript()
     for t, mat in ((t0, mat0), (t1, mat1)):
         t.setup_bytes += mat.serialized_size
-    party0 = recorded(party_steps(circuit, backend, 0, inputs0, mat0), t0)
+    party0 = party_steps(circuit, backend, 0, inputs0, mat0)
     out0, out1, _ = run_pair(
         party0 if tap0 is None else tapped(party0, tap0),
-        recorded(party_steps(circuit, backend, 1, inputs1, mat1,
-                             garble_rng=random.Random(seed + 1)), t1),
-        delay)
+        party_steps(circuit, backend, 1, inputs1, mat1,
+                    garble_rng=random.Random(seed + 1)),
+        delay, (t0, t1))
     return out0, out1, t0, t1
 
 
@@ -368,12 +365,12 @@ class TestChannels:
     def test_loopback_round_trip(self):
         # each side is resumed with a frame's on-wire size, header included
         def ping():
-            size = yield from send_frame(MSG_OUTPUT_SHARE, b"xyz")
+            size = yield MSG_OUTPUT_SHARE, b"xyz"
             return size, (yield RECV)
 
         def echo():
-            payload = yield from recv_frame(MSG_OUTPUT_SHARE)
-            return (yield from send_frame(MSG_OUTPUT_SHARE, payload))
+            payload = expect((yield RECV), MSG_OUTPUT_SHARE)
+            return (yield MSG_OUTPUT_SHARE, payload)
 
         (sent, got), echoed, flights = run_pair(ping(), echo())
         assert got == (MSG_OUTPUT_SHARE, b"xyz", 4 + 1 + 3)
@@ -388,7 +385,7 @@ class TestChannels:
             yield
 
         def waits():
-            yield from recv_frame(1)
+            expect((yield RECV), 1)
 
         for pair in ((hangs_up(), waits()), (waits(), hangs_up())):
             with pytest.raises(ChannelClosed, match="peer closed the channel"):
@@ -406,12 +403,12 @@ class TestChannels:
 
     def test_loopback_delay_is_enforced(self):
         def ping():
-            yield from send_frame(1, b"ping")
-            return (yield from recv_frame(1))
+            yield 1, b"ping"
+            return expect((yield RECV), 1)
 
         def pong():
-            payload = yield from recv_frame(1)
-            yield from send_frame(1, payload[::-1])
+            payload = expect((yield RECV), 1)
+            yield 1, payload[::-1]
 
         start = time.monotonic()
         assert run_pair(ping(), pong(), 0.05)[0] == b"gnip"
@@ -420,13 +417,13 @@ class TestChannels:
     def test_run_pair_delay_and_both_results(self):
         # the party that starts waits for the other's first frame
         def answers():
-            yield from recv_frame(1)
-            yield from send_frame(1, b"pong")
+            expect((yield RECV), 1)
+            yield 1, b"pong"
             return b"done"
 
         def peer():
-            yield from send_frame(1, b"ping")
-            return (yield from recv_frame(1))
+            yield 1, b"ping"
+            return expect((yield RECV), 1)
 
         start = time.monotonic()
         assert run_pair(answers(), peer(), 0.05) == (b"done", b"pong", 2)
@@ -436,11 +433,11 @@ class TestChannels:
         # A party runs on until it waits, so a second frame it sends before
         # its first receive leaves with the first, not one delay later.
         def sends_two():
-            yield from send_frame(1, b"a")
-            yield from send_frame(1, b"b")
+            yield 1, b"a"
+            yield 1, b"b"
 
         def takes_two():
-            got = [(yield from recv_frame(1)), (yield from recv_frame(1))]
+            got = [expect((yield RECV), 1), expect((yield RECV), 1)]
             return got, time.monotonic()
 
         delay = 0.2
@@ -454,12 +451,12 @@ class TestChannels:
         # whichever party starts, the peer's failure is raised, not the
         # closed channel the waiting party would see after it
         def breaks():
-            yield from send_frame(1, b"x")
+            yield 1, b"x"
             raise ValueError("peer broke")
 
         def waits():
-            yield from recv_frame(1)
-            yield from recv_frame(1)
+            expect((yield RECV), 1)
+            expect((yield RECV), 1)
 
         for pair in ((breaks(), waits()), (waits(), breaks())):
             with pytest.raises(ValueError, match="peer broke"):
@@ -467,7 +464,7 @@ class TestChannels:
 
     def test_run_pair_detects_both_parties_waiting(self):
         def waits():
-            yield from recv_frame(1)
+            expect((yield RECV), 1)
 
         with pytest.raises(ProtocolError,
                            match="both parties are waiting for a frame"):
@@ -526,18 +523,18 @@ def scripted(ops):
     "recv", kind) of ``ops``, in turn."""
     for op, kind in ops:
         if op == "send":
-            yield from send_frame(kind, b"x")
+            yield kind, b"x"
         else:
-            yield from recv_frame(kind)
+            expect((yield RECV), kind)
 
 
 def scripted_pair(ops, t0=None):
-    """Run party 0 on ``ops`` against its mirror, both under ``recorded``;
-    returns (party 0's transcript, party 1's)."""
+    """Run party 0 on ``ops`` against its mirror, each recording in a
+    transcript; returns (party 0's transcript, party 1's)."""
     mirror = [("recv" if op == "send" else "send", kind) for op, kind in ops]
     t0 = NotedTranscript() if t0 is None else t0
     t1 = NotedTranscript()
-    run_pair(recorded(scripted(ops), t0), recorded(scripted(mirror), t1))
+    run_pair(scripted(ops), scripted(mirror), 0.0, (t0, t1))
     return t0, t1
 
 
@@ -888,7 +885,7 @@ class TestGmw:
                                      lanes=2, size=1)
         with pytest.raises(ProtocolError, match=(
                 "shift frame reads the unused symbol 3 at cell 1")):
-            run_pair(send_frame(MSG_AND_OPENING, bytes([0b0010_0010])),
+            run_pair(sends(MSG_AND_OPENING, bytes([0b0010_0010])),
                      party_steps(circuit, "gmw", 1, inputs1, mat1))
 
     def test_wrong_party_material_rejected(self):
@@ -1005,7 +1002,7 @@ class TestYao:
         spy = Spy()
         with pytest.raises(ProtocolError, match=(
                 "shift frame reads the unused symbol 3 at cell 1")):
-            run_pair(tapped(send_frame(MSG_AND_OPENING, bytes([0b0010_0010])),
+            run_pair(tapped(sends(MSG_AND_OPENING, bytes([0b0010_0010])),
                             spy),
                      party_steps(circuit, "yao", 1, inputs1, mat1,
                                  garble_rng=random.Random(1)))
@@ -1559,7 +1556,7 @@ class TestHalfGates:
         with pytest.raises(ProtocolError, match=(
                 f"GARBLED_TABLES frame of {64 * rows} bytes, expected "
                 f"{16 * rows}")):
-            run_pair(send_frame(MSG_GARBLED_TABLES, bytes(64 * rows)),
+            run_pair(sends(MSG_GARBLED_TABLES, bytes(64 * rows)),
                      evaluate_steps(circuit, inputs0, mat0))
 
 
@@ -1751,6 +1748,11 @@ class TestAgainstOverlap:
 
 # --------------------------------------------------------------------------
 # what the querier's wire looks like
+
+
+def sends(kind, payload):
+    """A party that sends one frame and ends."""
+    yield kind, payload
 
 
 def tapped(steps, tap):

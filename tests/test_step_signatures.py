@@ -1,10 +1,9 @@
 """Protocol step functions know nothing of accounting.
 
 A party's frames are recorded from outside its steps, by
-:func:`prelude.smpc.transcript.recorded`, so no step function takes a
-transcript: not one of :mod:`prelude.smpc` (the recorder's own module
-aside), nor the holder's ``serve_steps`` or the querier's
-``_querier_steps``.
+:func:`prelude.smpc.run_pair` or :func:`prelude.smpc.drive`, which move
+them, so no step function takes a transcript: not one of :mod:`prelude.smpc`,
+nor the holder's ``serve_steps`` or the querier's ``_querier_steps``.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ def step_functions() -> dict[str, object]:
     """Every generator function the protocol modules define, by name."""
     found = {}
     for info in pkgutil.iter_modules(prelude.smpc.__path__):
-        if info.name == "transcript":  # the recorder takes the transcript
-            continue
         module = importlib.import_module(f"prelude.smpc.{info.name}")
         for name, fn in vars(module).items():
             if (inspect.isgeneratorfunction(fn)
@@ -36,11 +33,9 @@ def step_functions() -> dict[str, object]:
 
 def test_no_step_function_takes_a_transcript():
     steps = step_functions()
-    assert {"channel.send_frame", "channel.recv_frame", "channel.recv_exact",
-            "transfer.send_steps", "transfer.choose_steps",
-            "gmw._open_steps", "gmw.gmw_steps", "gmw.reveal_steps",
-            "yao.garble_steps", "yao.evaluate_steps", "yao.release_steps",
-            "yao.open_steps"} <= set(steps)
+    assert {"dealer.first_steps", "gmw._and_steps", "gmw.gmw_steps",
+            "gmw.reveal_steps", "yao.garble_steps", "yao.evaluate_steps",
+            "yao.release_steps", "yao.open_steps"} <= set(steps)
     taking = sorted(name for name, fn in steps.items()
                     if "transcript" in inspect.signature(fn).parameters)
     assert not taking, f"step functions that take a transcript: {taking}"

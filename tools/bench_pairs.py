@@ -16,8 +16,15 @@ Writes ``BENCH_<N>.json`` at the root of the repository, or the path
 ``--out`` names: the seed and the pair count, and per workload which side
 ran first in each pair, the operations that failed, and per end-to-end
 metric of ``BENCHMARK.json`` each side's values by pair, their median and
-quartiles, the pairs in which the change was better, and whether the
+quartiles, the pairs in which the change was better, the per-pair ratio
+change / parent with its median and quartiles (``ratio``), and whether the
 change's median stays within the metric's bound of the parent's.
+
+A pair's two runs run back to back, so the host's speed, which moves
+each side's median from run to run, mostly cancels in their ratio.  A
+claim quotes the ratio's median and quartiles beside each side's median,
+and a session-level claim (``tools/session_pairs.py``) rests on the ratio:
+there each side's quartiles span far more than the ratio's.
 """
 
 from __future__ import annotations
@@ -77,13 +84,18 @@ def result_line(command: list[str], what: str, **kwargs):
 
 
 def compare(values: dict[str, list[float]], lower: bool = True) -> dict:
-    """Each side's values by pair, their :func:`spread`, and the pairs in
-    which the change was better (lower, or higher if not ``lower``)."""
+    """Each side's values by pair, their :func:`spread`, the pairs in which
+    the change was better (lower, or higher if not ``lower``), and under
+    ``ratio`` each pair's change / parent, ``by_pair``, with their
+    :func:`spread`."""
     record = {"values_by_pair": values}
     record.update({side: spread(values[side]) for side in SIDES})
+    pairs = list(zip(values["parent"], values["change"]))
     record["change_better_pairs"] = sum(
         (change < parent) if lower else (change > parent)
-        for parent, change in zip(values["parent"], values["change"]))
+        for parent, change in pairs)
+    ratios = [change / parent for parent, change in pairs]
+    record["ratio"] = {"by_pair": ratios, **spread(ratios)}
     return record
 
 

@@ -22,9 +22,18 @@ odd, so a drift in the host's speed falls on both sides.
 Writes ``SESSIONS_<N>.json`` at the root of the repository, or the path
 ``--out`` names: per shape and backend, each side's median session time
 by pair, their median and quartiles, the pairs in which the change was
-faster, and each side's exact counters (AND depth, online rounds,
-flights, setup and online bytes), which must be the same for every
-session of a shape and side.  Nothing is written under ``perfbench/``.
+faster, the per-pair ratio change / parent with its median and quartiles
+(``ratio``, from ``bench_pairs.compare``), and each side's exact counters
+(AND depth, online rounds, flights, setup and online bytes), which must
+be the same for every session of a shape and side.  Nothing is written
+under ``perfbench/``.
+
+A session-level claim quotes the ratio's median and quartiles, beside
+each side's median.  A run's median moves with the host's speed, so each
+side's quartiles across pairs bound little, and a count of pairs won
+proves little; the two runs of a pair are close in time, and their ratio
+cancels most of that drift.  An A/A run, ``--parent HEAD`` on a clean
+tree, shows the ratio's noise floor.
 """
 
 from __future__ import annotations
@@ -173,14 +182,18 @@ def parse_shapes(text: str) -> list[tuple[int, int]]:
 def table(records: list[dict]) -> str:
     """The records as text, one line per shape and backend."""
     lines = [f"{'shape':>10} {'backend':>7} {'parent ms':>24} "
-             f"{'change ms':>24} won  depth/rounds/flights setup/online B"]
+             f"{'change ms':>24} {'ratio':>22} won  depth/rounds/flights "
+             f"setup/online B"]
+
+    def quartiles(of: dict) -> str:
+        return f"{of['median']:.3f} [{of['q1']:.3f}-{of['q3']:.3f}]"
+
     for r in records:
         ms, c = r["ms"], r["counters"]["change"]
-        side = {s: f"{ms[s]['median']:.3f} [{ms[s]['q1']:.3f}-"
-                   f"{ms[s]['q3']:.3f}]" for s in SIDES}
         lines.append(
             f"{r['width']:>5}x{r['k']:<4} {r['backend']:>7} "
-            f"{side['parent']:>24} {side['change']:>24} "
+            f"{quartiles(ms['parent']):>24} {quartiles(ms['change']):>24} "
+            f"{quartiles(ms['ratio']):>22} "
             f"{ms['change_better_pairs']:>2}/{r['pairs']:<2} "
             f"{c['and_depth']}/{c['online_rounds']}/{c['flights']:<14} "
             f"{c['setup_bytes']}/{c['online_bytes']}"
