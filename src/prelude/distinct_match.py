@@ -101,10 +101,12 @@ Neither side keeps accounts: :func:`~prelude.smpc.run_pair`, which moves
 the frames, records them.  A session is counted once, from the querier:
 the endpoint hands ``run_pair`` the querier's transcript, which records
 every frame the querier sends or receives as it passes, and the
-session's dealer adds the size of the querier's material to the same
-transcript's setup bytes, so a session's :class:`SessionStats` come from
-the querier's side.  Every holder frame is a querier frame going the
-other way, so nothing records the holder.
+session's dealer adds what it sends the querier, its shifts, under gmw a
+16-byte seed, and its correction words (:mod:`prelude.smpc.dealer`), to
+the same transcript's setup bytes, so a session's :class:`SessionStats`
+come from the querier's side.  The holder is dealt its 16-byte seed
+alone, which no transcript counts.  Every holder frame is a querier
+frame going the other way, so nothing records the holder.
 """
 
 from __future__ import annotations
@@ -460,10 +462,11 @@ def _querier_steps(local: TernaryRule, prefix: str, backend: str, dealer,
 
 
 class _SessionDealer:
-    """Hands both parties of one session their correlated setup material
-    from the endpoint's dealer stream ``rng``, adding the size of the
-    querier's to the setup bytes of the session's :attr:`transcript` as it
-    hands it out.
+    """Deals both parties of one session their correlated setup material
+    from the endpoint's dealer stream ``rng``, and gives each party a
+    handle to its own, :attr:`querier` and :attr:`holder`, adding the size
+    of the querier's to the setup bytes of the session's
+    :attr:`transcript` as it deals it.
 
     The querier's piece that no lane count changes is drawn when the
     session starts, for the querier's ``circuit``, and kept as
@@ -472,12 +475,20 @@ class _SessionDealer:
     They pad the querier's first frame, which it sends before it learns
     k.  :meth:`material` deals over k lanes once, under a lock, so the two
     parties may ask in either order, taking :attr:`first` on the same
-    stream.  It refuses, with a ProtocolError naming both, a backend or
-    rule width other than the session's, which a holder asks for when the
-    envelope's backend index was changed in transit, and a lane count
-    other than the one it dealt, which a querier asks for when the ack's
-    k was.  The transcript counts the querier's material once, when it
-    is dealt in full, so an empty session counts none.
+    stream: it draws the seeds and computes the querier's corrections
+    from both expansions.  It refuses, with a ProtocolError naming both,
+    a backend or rule width other than the session's, which a holder asks
+    for when the envelope's backend index was changed in transit, and a
+    lane count other than the one it dealt, which a querier asks for when
+    the ack's k was.  A handle refuses the other
+    party's material the same way, naming both parties.
+
+    The transcript counts what the querier is sent, its shifts, its seed
+    and its corrections, once, when it is dealt in full, as it counted
+    the querier's material before seeds.  So an empty or a reused session
+    counts none of it, although its first frame is padded by u.  The fall
+    in dealt bytes that seeding brought is measured under that rule, so
+    the rule stays.
     """
 
     def __init__(self, rng: random.Random, circuit, backend: str) -> None:
@@ -487,6 +498,8 @@ class _SessionDealer:
         self.first = first_piece(circuit, rng)
         self._materials = None
         self.transcript = SessionTranscript()
+        self.querier = _PartyDealer(self, 0, self.first)
+        self.holder = _PartyDealer(self, 1)
 
     def material(self, circuit, backend: str, party: int, lanes: int):
         if backend != self.backend:
@@ -508,6 +521,24 @@ class _SessionDealer:
             if party == 0:
                 self.transcript.setup_bytes += material.serialized_size
         return material
+
+
+class _PartyDealer:
+    """One party's handle to its session's dealer, which deals that
+    party's material and refuses the other's; the querier's holds its
+    first piece, :attr:`first`."""
+
+    __slots__ = ("_dealer", "_party", "first")
+
+    def __init__(self, dealer: _SessionDealer, party: int,
+                 first: int | None = None) -> None:
+        self._dealer, self._party, self.first = dealer, party, first
+
+    def material(self, circuit, backend: str, party: int, lanes: int):
+        if party != self._party:
+            raise ProtocolError(f"party {party} material asked of party "
+                                f"{self._party}'s dealer")
+        return self._dealer.material(circuit, backend, party, lanes)
 
 
 class LoopbackEndpoint:
@@ -552,8 +583,9 @@ class LoopbackEndpoint:
         transcript = dealer.transcript
         try:
             (raw, tag), _, flights = run_pair(
-                _querier_steps(local, prefix, backend, dealer, cached.tag),
-                self.service.serve_steps(dealer, self._holder_rng),
+                _querier_steps(local, prefix, backend, dealer.querier,
+                               cached.tag),
+                self.service.serve_steps(dealer.holder, self._holder_rng),
                 self._delay, (transcript, None))
         except Exception as exc:
             # the first failure of either party

@@ -39,7 +39,8 @@ padded bits.  The precomputed transfer (:mod:`prelude.smpc.transfer`), in
 its 1-out-of-3 form, also carries yao's input labels.
 
 :func:`dealer_for_circuit` deals one run of the template, its level plan
-over ``lanes`` entries, at least one, and each party's
+over ``lanes`` entries, at least one, from a 16-byte seed for each party
+whose material has uniform pieces that k sizes, and each party's
 :class:`~prelude.smpc.dealer.DealerMaterial` holds that plan and its
 backend; every backend refuses material dealt for the other party, for
 the other backend or for another plan with a :class:`ValueError` naming

@@ -40,24 +40,61 @@ other party, for the other backend or for another plan with a
 :class:`ValueError`, and takes the run's lane count from it, as gmw's
 release takes its value size.
 
+Seeds.  When it deals over k lanes the dealer draws one 16-byte seed per
+party, the querier's only under gmw, and each party expands its own by
+AES-128-CTR keyed by it, from counter block 0 (:class:`Expansion`), each
+piece from whole bytes of its own.  Every piece of the holder's material
+is uniform, so all of it is its seed's expansion, read in this order:
+under gmw its nine padded pads, its r, each tree level's 2^n - 1 shares,
+slices 1 to 2^n - 1, and the pads r0 and r1; under yao the pads p0, p1
+and p2.  The querier's expansion gives the gmw pieces of its own that
+are uniform and drawn with k, in this order: per tree level a word of
+2^n slices whose singletons 2^i are its shares of the masks, and its
+choice bits d.  Every other piece of the querier's is a correction word,
+which the dealer computes from both expansions by the formulas above:
+the pads p[u_a, u_b] XOR r its shifts select, its shares m_S XOR h_S of
+the 2^n - 1 - n products that are not singletons, h_S being the
+holder's, and the pad r_d; under yao the pads p_u.  The holder is sent
+its seed, and the querier its shifts u, its seed and its corrections,
+and nothing else, which is what :attr:`DealerMaterial.serialized_size`
+counts.
+
+Seeding changes no one's view.  The holder's material is a function of
+its seed alone, uniform piece by piece as when it was drawn so, and
+independent of the querier's.  Each correction is one of the holder's
+uniform pieces, which the querier holds nowhere else, XORed with what
+the querier's own pieces fix: p[u_a, u_b] is one of nine pads, m_S XOR
+h_S is padded by h_S, r_d is one of two pads, and p_u one of three.  So
+each is uniform given the rest of the querier's material, as its share
+or pad was when the dealer drew it fresh, and the correlations between
+the parties are the ones above.  The expansion is simulation-grade, as
+the Mersenne Twister it replaces was; a seed and its correction words
+are the form that pseudorandom correlation generators (Boyle, Couteau,
+Gilboa, Ishai, Kohl & Scholl, CRYPTO 2019) compress further.
+
 The querier's first online frame does not depend on the lane count or on
 the backend: its word as symbols of Z3 shifted by u, s = x - u mod 3, one
 symbol per cell as two bit planes, 2w bits (:func:`first_steps`).  u is
 the one piece of its material that no lane count changes
 (:func:`first_piece`), the shift of gmw's lookup level and of yao's label
-transfer alike.  The dealer draws that piece first, so the querier takes
-it and sends the frame with its envelope, before it learns k, and the
-deal over k lanes then takes the same piece on the same stream.  The
-holder sees only shifted symbols, uniform whatever the querier's word is
-(:func:`read_shift`); an aborted session wastes them.
+transfer alike.  The dealer draws that piece first, from its stream and
+not from a seed, so the querier takes it and sends the frame with its
+envelope, before it learns k, and the deal over k lanes then takes the
+same piece on the same stream.  A seed expanded for u alone would cost
+every session an OpenSSL call, about half of which end after the ack.
+The holder sees only shifted symbols, uniform whatever the querier's word
+is (:func:`read_shift`); an aborted session wastes them.
 
 All material is simulation-grade randomness, not hardened cryptography.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import threading
+from typing import NamedTuple
 
+from prelude.smpc.aes import BLOCK_BYTES, Aes128, pinned
 from prelude.smpc.channel import MSG_AND_OPENING, ProtocolError, expect
 from prelude.smpc.shares import (
     draw_symbols,
@@ -67,15 +104,117 @@ from prelude.smpc.shares import (
     table_entries,
 )
 from prelude.smpc.transfer import (
+    LABEL_BITS,
     LABEL_BYTES,
-    symbol_transfer_material,
-    transfer_material,
+    choice_pad,
+    symbol_pad,
 )
 
+SEED_BYTES = 16
+# The bytes an expansion makes at once: the querier's whole expansion at
+# rule width 104 up to about 30 lanes, and the holder's under gmw up to 8,
+# are shorter.
+_CHUNK = 1024
+# One CTR context serves every expansion, behind a lock, since an OpenSSL
+# context is not reentrant and a new one costs about 5 us; so do a key,
+# zero input and output buffer, pinned for good
+# (:func:`~prelude.smpc.aes.pinned`), since pinning a buffer costs several
+# microseconds between two sessions.
+_CTR, _CTR_LOCK = Aes128("ctr"), threading.Lock()
+_KEY, _ZEROS, _OUT = (bytearray(n) for n in (SEED_BYTES, _CHUNK, _CHUNK))
+_PINS = [pinned(buf) for buf in (_KEY, _ZEROS, _OUT)]
+_KEY_AT, _ZEROS_AT, _OUT_AT = [at for _, at in _PINS]
 
-@dataclass(frozen=True)
-class DealerMaterial:
-    """Everything the dealer hands one party for one run of the template."""
+
+def _keystream(seed: bytes, block: int, n: int) -> bytes:
+    """``n`` bytes, whole blocks, of the AES-128-CTR keystream keyed by
+    ``seed``, from counter block ``block``."""
+    iv = block.to_bytes(BLOCK_BYTES, "big")
+    if n > _CHUNK:  # zeros of its own, encrypted in place
+        out = bytearray(n)
+        pin, at = pinned(out)
+        with _CTR_LOCK:
+            _KEY[:] = seed
+            _CTR.encrypt(_KEY_AT, at, at, n, iv)
+        return bytes(out)
+    with _CTR_LOCK:
+        _KEY[:] = seed
+        _CTR.encrypt(_KEY_AT, _OUT_AT, _ZEROS_AT, n, iv)
+        return bytes(_OUT[:n])
+
+
+class Expansion:
+    """One party's seed and its keystream, read front to back.
+
+    The keystream is AES-128-CTR keyed by the 16-byte seed, from counter
+    block 0: its first ``_CHUNK`` bytes are made at once, and it grows by
+    whole blocks, by at least what it holds, one OpenSSL call each.
+    :meth:`fields` reads the next fields of given sizes, each from whole
+    bytes of its own as a little-endian int, so reads of the same sizes in
+    the same order give the same values however the keystream is
+    buffered.
+    """
+
+    __slots__ = ("seed", "_stream", "_at")
+
+    def __init__(self, seed: bytes) -> None:
+        self.seed = seed
+        self._stream = _keystream(seed, 0, _CHUNK)
+        self._at = 0
+
+    def _ahead(self, n: int) -> bytes:
+        """The keystream, at least ``n`` bytes past where it is read."""
+        stream = self._stream
+        if self._at + n > len(stream):
+            stream = self._stream = stream + _keystream(
+                self.seed, len(stream) // BLOCK_BYTES, -(-max(
+                    self._at + n - len(stream), len(stream)) // BLOCK_BYTES)
+                * BLOCK_BYTES)
+        return stream
+
+    def fields(self, sizes) -> list[int]:
+        """The next fields of ``sizes`` bits, in order."""
+        stream = self._ahead(sum([(n + 7) // 8 for n in sizes]))
+        at, out = self._at, []
+        for n in sizes:
+            end = at + (n + 7) // 8
+            out.append(int.from_bytes(stream[at:end], "little")
+                       & (1 << n) - 1)
+            at = end
+        self._at = at
+        return out
+
+
+def _draw_seed(rng) -> bytes:
+    """A 16-byte seed from ``rng``, as ``rng.randbytes`` would draw it."""
+    return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(width: int, plan: tuple, arities: tuple, lanes: int,
+            size: int) -> tuple:
+    """What a gmw deal of ``plan`` over ``lanes`` reads and sends: the
+    lookup level's bits per piece, each tree level's slice bits, the
+    holder's field sizes, the querier's seed's, and the
+    querier's dealt bytes (:func:`dealer_for_circuit`)."""
+    nb = (width + 1) // 2 * lanes
+    slices = [gates * lanes for gates in plan[1:]]
+    pads = [8 * size * lanes] * 2
+    holder = [9 * nb, nb, *[((1 << arity) - 1) * bits
+                            for bits, arity in zip(slices, arities)], *pads]
+    querier = [bits << arity for bits, arity in zip(slices, arities)]
+    corrections = nb + sum(((1 << arity) - 1 - arity) * bits
+                           for bits, arity in zip(slices, arities))
+    return (nb, slices, holder, querier + [lanes], SEED_BYTES
+            + (2 * width + 7) // 8 + (corrections + 7) // 8 + size * lanes)
+
+
+class DealerMaterial(NamedTuple):
+    """Everything the dealer hands one party for one run of the template.
+
+    A named tuple: a session builds two, and a frozen dataclass took
+    about 2 us more each.
+    """
 
     backend: str
     party: int
@@ -100,7 +239,10 @@ class DealerMaterial:
     transfer: tuple[int, ...]
     # the bytes of each pad and of each value a transfer carries
     transfer_bytes: int
-    # its size, had it been sent, for the setup bytes
+    # the seed of this party's expansion; None for party 0 under yao
+    seed: bytes | None
+    # what the dealer sends it, for the setup bytes: its seed, and party
+    # 0's shifts and correction words
     serialized_size: int
 
     def check(self, party: int, circuit, backend: str) -> None:
@@ -129,6 +271,23 @@ def first_piece(circuit, rng) -> int:
     return draw_symbols(rng, circuit.width)
 
 
+def holder_material(circuit, backend: str, lanes: int, stream: Expansion,
+                    size: int = LABEL_BYTES) -> DealerMaterial:
+    """Party 1's material for ``circuit`` under ``backend`` over ``lanes``,
+    all of it read from ``stream``, the expansion of its seed; ``size`` as
+    for :func:`dealer_for_circuit`."""
+    plan, w, seed = circuit.plan(backend), circuit.width, stream.seed
+    if backend == "yao":
+        return DealerMaterial(backend, 1, w, plan, lanes, None, (), (), tuple(
+            stream.fields((LABEL_BITS * w,) * 3)), LABEL_BYTES, seed,
+            SEED_BYTES)
+    _, slices, sizes, _, _ = _layout(w, plan, circuit.arities, lanes, size)
+    padded, r, *tree, r0, r1 = stream.fields(sizes)
+    return DealerMaterial(backend, 1, w, plan, lanes, None, (padded, r), tuple(
+        [word << bits for word, bits in zip(tree, slices)]), (r0, r1), size,
+        seed, SEED_BYTES)
+
+
 def dealer_for_circuit(
     circuit, backend: str, rng, lanes: int = 1, first: int | None = None,
     size: int = LABEL_BYTES,
@@ -141,61 +300,53 @@ def dealer_for_circuit(
     16-byte label per cell, which every lane reads; the holder's inputs
     are clear and take none.
 
-    The lookup level costs the querier two bits per cell and one per pair
-    and lane, and the holder ten bits per pair and lane.  A tree gate of n
-    inputs costs each party 2^n - 1 bits per lane.  A 1-out-of-2 transfer
-    costs the sender two pads and the receiver one pad and its choice bit,
-    and a 1-out-of-3 transfer the sender three pads and the receiver one
-    pad and the two bits of its shift.
+    The holder is sent its 16-byte seed.  The querier is sent its shifts
+    u, 2w bits, and its correction words: under gmw its 16-byte seed
+    first, then one bit per pair of cells and lane for the lookup level,
+    2^n - 1 - n bits per tree gate of n inputs and lane, and the pad of
+    each 1-out-of-2 transfer, as long as the value; under yao one 16-byte
+    pad per cell.
 
     The querier's shifts u, :func:`first_piece`, are drawn first.
     ``first`` is that piece, drawn already from ``rng`` for the same
     circuit, which this deal then takes instead of drawing it again, so
-    that both draws together hand out what one deal would have.
+    that both draws together hand out what one deal would have.  The
+    querier's seed, under gmw, and the holder's are drawn next.
     """
-    plan = circuit.plan(backend)
+    plan, w = circuit.plan(backend), circuit.width
     if lanes < 1:
         raise ValueError("lanes must be positive")
-    w = circuit.width
     u = first_piece(circuit, rng) if first is None else first
     if backend == "yao":
-        chosen, pads = symbol_transfer_material(u, w, rng)
-        size0 = (2 * w + 7) // 8 + LABEL_BYTES * w
-        return (
-            DealerMaterial(backend, 0, w, plan, lanes, u, (), (), (chosen,),
-                           LABEL_BYTES, size0),
-            DealerMaterial(backend, 1, w, plan, lanes, None, (), (), pads,
-                           LABEL_BYTES, 3 * LABEL_BYTES * w),
-        )
+        holder = holder_material(circuit, backend, lanes,
+                                 Expansion(_draw_seed(rng)), size)
+        return DealerMaterial(
+            backend, 0, w, plan, lanes, u, (), (),
+            (symbol_pad(u, w, holder.transfer),), LABEL_BYTES, None,
+            (2 * w + 7) // 8 + LABEL_BYTES * w), holder
+    mine = Expansion(_draw_seed(rng))
+    holder = holder_material(circuit, backend, lanes,
+                             Expansion(_draw_seed(rng)), size)
 
-    shares0, shares1 = [], []
-    bits = 0
-    for gates, arity in zip(plan[1:], circuit.arities, strict=True):
-        slice_bits = gates * lanes
-        masks = rng.getrandbits(arity * slice_bits)
-        # the empty product, all ones, is not dealt
-        products = subset_products(masks, arity, slice_bits) ^ (
-            (1 << slice_bits) - 1)
-        share = rng.getrandbits(((1 << arity) - 1) * slice_bits) << slice_bits
-        shares0.append(share)
-        shares1.append(share ^ products)
-        bits += ((1 << arity) - 1) * slice_bits
-    choices, pads = transfer_material(rng.getrandbits(lanes), lanes, rng,
-                                      size)
-    nb = (w + 1) // 2 * lanes
-    padded = rng.getrandbits(9 * nb)  # p[i, j] XOR r in slice 3 i + j
-    r = rng.getrandbits(nb)
+    nb, slices, _, sizes, dealt = _layout(w, plan, circuit.arities, lanes,
+                                          size)
+    # per tree level a word of 2^n slices, of which the querier keeps the
+    # singletons 2^i, its shares of the masks; then its choice bits
+    *singles, d = mine.fields(sizes)
+    tree = []
+    for bits, arity, share, single in zip(slices, circuit.arities,
+                                          holder.tree, singles):
+        # mask i is the XOR of the parties' shares in slice 2^i, so the
+        # querier's word holds its singletons there and m_S XOR h_S in
+        # every other non-empty slice S
+        tree.append(share ^ subset_products(share ^ single, arity, bits))
+    padded, r = holder.lookup
     indicators = pair_indicators(u, w, lanes)
-    chosen = table_entries(padded, *indicators, nb) ^ r
-
-    size0 = (bits + 2 * w + nb + 7) // 8 + size * lanes + (lanes + 7) // 8
-    size1 = (bits + 10 * nb + 7) // 8 + 2 * size * lanes
-    return (
-        DealerMaterial(backend, 0, w, plan, lanes, u, (chosen, indicators),
-                       tuple(shares0), choices, size, size0),
-        DealerMaterial(backend, 1, w, plan, lanes, None, (padded, r),
-                       tuple(shares1), pads, size, size1),
-    )
+    return DealerMaterial(
+        backend, 0, w, plan, lanes, u,
+        (table_entries(padded, *indicators, nb) ^ r, indicators), tuple(tree),
+        (d, choice_pad(d, lanes, size, holder.transfer)), size, mine.seed,
+        dealt), holder
 
 
 def first_steps(circuit, word: int, piece: int):

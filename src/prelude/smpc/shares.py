@@ -71,24 +71,24 @@ def broadcast(bits: int, n: int, lanes: int) -> int:
     return (low << lanes) - low
 
 
-def subset_products(slices: int, count: int, size: int) -> int:
-    """The AND of every subset of ``count`` slices of ``size`` bits, slice
-    i in bits ``[i size, (i + 1) size)``: ``2 ** count`` fields of ``size``
-    bits, field S holding the AND of the slices i in bit set S, the empty
-    AND all ones.
+def subset_products(word: int, count: int, size: int) -> int:
+    """The AND of every non-empty subset of ``count`` slices of ``size``
+    bits, slice i being slice 2^i of ``word``: ``2 ** count`` fields of
+    ``size`` bits, field S holding the AND of the slices i in bit set S,
+    and field 0 zero.
 
     The table doubles once per slice, so it takes ``count`` steps on words
     of at most ``2 ** count`` fields.
     """
     low = (1 << size) - 1
-    table = low
+    table = low  # the empty AND, all ones
     for i in range(count):
         # slice i in each of the table's 2 ** i fields
-        factor = (slices >> i * size) & low
+        factor = (word >> (size << i)) & low
         for j in range(i):
             factor |= factor << (size << j)
         table |= (table & factor) << (size << i)
-    return table
+    return table ^ low
 
 
 def draw_symbols(rng, n: int) -> int:

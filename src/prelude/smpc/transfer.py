@@ -35,12 +35,16 @@ yao holder answers with the labels in the flight that carries its ack.
 
 The transfers are part of the dealer material for one run
 (:mod:`prelude.smpc.dealer`), as many as that run takes, with pads as long
-as the messages.  Each party's material is packed: transfer i's pads lie
-in lane i of one int per slot, a lane being as many bytes as a message,
-and its choice bit in bit i of another, or its symbol in bits i and n + i
-of two bit planes, so every step acts on every transfer at once.  The
-messages travel in the same lanes, so a frame is two or three such ints,
-every transfer's slot 0 and then every transfer's slot 1, and slot 2.
+as the messages.  The sender's pads come from its seed and the
+receiver's choice bits from its own, its symbols from the dealer's
+stream; the dealer sends the receiver the pad its choices select, r_d or
+p_u (:func:`choice_pad`, :func:`symbol_pad`), as a correction word.  Each party's material is packed: transfer i's
+pads lie in lane i of one int per slot, a lane being as many bytes as a
+message, and its choice bit in bit i of another, or its symbol in bits i
+and n + i of two bit planes, so every step acts on every transfer at
+once.  The messages travel in the same lanes, so a frame is two or three
+such ints, every transfer's slot 0 and then every transfer's slot 1, and
+slot 2.
 """
 
 from __future__ import annotations
@@ -68,14 +72,11 @@ def to_lanes(data: bytes, n: int, size: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def transfer_material(d: int, n: int, rng, size: int = LABEL_BYTES
-                      ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The receiver's (d, r_d) and the sender's (r0, r1) for ``n`` transfers
-    of ``size``-byte messages on the choice bits ``d``, which the caller
-    draws."""
-    r0 = rng.getrandbits(8 * size * n)
-    r1 = rng.getrandbits(8 * size * n)
-    return (d, r0 ^ (lane_mask(d, n, size) & (r0 ^ r1))), (r0, r1)
+def choice_pad(d: int, n: int, size: int, pads: tuple[int, int]) -> int:
+    """The receiver's pad r_d of ``n`` transfers of ``size``-byte messages
+    on the choice bits ``d``, of the sender's ``pads`` (r0, r1)."""
+    r0, r1 = pads
+    return r0 ^ (lane_mask(d, n, size) & (r0 ^ r1))
 
 
 def offer(m0: int, m1: int, e: int, n: int, size: int,
@@ -124,13 +125,11 @@ def _pick(values, lanes: tuple[int, int]) -> int:
     return first ^ (ones & (first ^ second)) ^ (twos & (first ^ third))
 
 
-def symbol_transfer_material(u: int, n: int, rng
-                             ) -> tuple[int, tuple[int, ...]]:
-    """The receiver's pad p_u and the sender's (p0, p1, p2) for ``n``
-    1-out-of-3 transfers of 16-byte labels on the symbols ``u``, two bit
-    planes, which the caller draws and the receiver keeps."""
-    pads = tuple(rng.getrandbits(LABEL_BITS * n) for _ in range(3))
-    return _pick(pads, _symbol_lanes(u, n)), pads
+def symbol_pad(u: int, n: int, pads: tuple[int, ...]) -> int:
+    """The receiver's pad p_u of ``n`` 1-out-of-3 transfers of 16-byte
+    labels on the symbols ``u``, two bit planes, of the sender's ``pads``
+    (p0, p1, p2)."""
+    return _pick(pads, _symbol_lanes(u, n))
 
 
 def offer_symbols(messages, shift: int, n: int,

@@ -56,7 +56,7 @@ from prelude.smpc import (
     first_piece,
     run_pair,
 )
-from prelude.smpc import channel, yao
+from prelude.smpc import channel, dealer, yao
 from prelude.smpc.channel import MAX_FRAME_BYTES, RECV, expect
 
 
@@ -810,6 +810,26 @@ class TestSessionMechanics:
             assert len(planes) % 2 == 0, drawn
 
     @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    def test_each_partys_handle_deals_only_its_own_material(self, backend):
+        # The holder's handle refuses party 0's material and the
+        # querier's party 1's, naming both, before anything is dealt;
+        # only the querier's holds the first piece.
+        template = distinct_match.query_template(8)
+        dealer = distinct_match._SessionDealer(random.Random(9), template,
+                                               backend)
+        handles = {0: dealer.querier, 1: dealer.holder}
+        for mine, handle in handles.items():
+            with pytest.raises(ProtocolError, match=re.escape(
+                    f"party {1 - mine} material asked of party {mine}'s "
+                    f"dealer")):
+                handle.material(template, backend, 1 - mine, 5)
+        assert dealer.transcript.setup_bytes == 0
+        assert (dealer.querier.first, dealer.holder.first) == (
+            dealer.first, None)
+        for mine, handle in handles.items():
+            assert handle.material(template, backend, mine, 5).party == mine
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
     def test_the_holders_deal_may_come_first(self, backend):
         # The first pad is dealt when the session's dealer is made, before
         # either party runs.  Two threads may then reach the dealer in
@@ -1337,8 +1357,8 @@ class TestLaneSessions:
                     depth, depth + 1, 2 * -(-depth // 2) + 2), k
 
     @pytest.mark.parametrize("backend,width,k,setup,online,rounds", [
-        ("gmw", 4, 8, 92, 150, 3),
-        ("gmw", 104, 50, 2289, 4458, 5),
+        ("gmw", 4, 8, 105, 150, 3),
+        ("gmw", 104, 50, 1873, 4458, 5),
         ("yao", 104, 50, 168132, 5833, 2),
     ], ids=["gmw-4-8", "gmw-104-50", "yao-104-50"])  # the shape, not the pins
     def test_querier_transcript_bytes_are_exact(self, monkeypatch, backend,
@@ -1371,6 +1391,9 @@ class TestLaneSessions:
         draws = iter([0])
         shifted = SimpleNamespace(
             getrandbits=lambda n: next(draws, (1 << n) - 1))
+        # so is every field of both parties' seed expansions
+        monkeypatch.setattr(dealer.Expansion, "fields", lambda stream, sizes: [
+            (1 << n) - 1 for n in sizes])
         pieces, materials = [], []
 
         def drawing(circuit, rng):
@@ -1472,12 +1495,12 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "2996b743fdcf2f8f5b7517bc68ecbb1f"
-         "c4fc3105844d77972b0bc45616695e8d"),
-        (7, 33, "24ae820b45a00e3e4eb4ad58bdf31c44"
-         "0c952799503db04aaae99ddb03d4451e"),
-        (1, 3, "ac012ca8b7964919e6e8807b456e972a"
-         "825b14eb07a0d254bba81cfab33231b7"),
+        (104, 50, "fdbe43506354d4149d3c822c9930b138"
+         "8b2cea51db6a416e32d2ac261ecfdb71"),
+        (7, 33, "3f9c8dff5bca9da5f5b70b22ee358057"
+         "710b5f70258c8fe5ac0911dc3a5022d5"),
+        (1, 3, "c09b86d5622aeb5cf1426b9c91a11e7f"
+         "15335458ee01312e905549c352ba8a6e"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):

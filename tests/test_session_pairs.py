@@ -60,7 +60,7 @@ def test_one_pair_of_one_shape_against_the_working_tree(tmp_path, repo):
     assert [(s["width"], s["k"], s["backend"]) for s in record["shapes"]] == [
         (4, 1, "gmw"), (4, 1, "yao")]
     exact = {"gmw": {"and_depth": 2, "online_rounds": 3, "flights": 4,
-                     "setup_bytes": 60, "online_bytes": 49},
+                     "setup_bytes": 75, "online_bytes": 49},
              "yao": {"and_depth": 1, "online_rounds": 2, "flights": 2,
                      "setup_bytes": 249, "online_bytes": 224}}
     for shape in record["shapes"]:
@@ -79,19 +79,22 @@ def test_one_pair_of_one_shape_against_the_working_tree(tmp_path, repo):
     assert "4x1" in proc.stdout and str(out) in proc.stdout
 
 
-def test_the_json_holds_each_shape_per_pair_ratio(monkeypatch, tmp_path):
-    # Faked runs of two shapes over three pairs: the change takes 0.8 of
-    # the parent's gmw time at 104x5 and 1.25 of its yao time at 4x8.
+def faked(monkeypatch, tmp_path, pairs: int, speeds):
+    """Run the tool over faked runs of the shapes 104x5 and 4x8, in which
+    the change takes 0.8 of the parent's gmw time at 104x5 and 1.25 of
+    its yao time at 4x8, at the host's speed ``speeds[i]`` in pair i.
+    Returns the record it wrote and each run's side and shapes."""
     spec = importlib.util.spec_from_file_location("session_pairs", TOOL)
     session_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(session_pairs)
     counters = {name: 1 for name in session_pairs.COUNTERS}
     times = {"parent": {(104, 5): (1.0, 2.0), (4, 8): (0.5, 0.8)},
              "change": {(104, 5): (0.8, 2.0), (4, 8): (0.5, 1.0)}}
-    speed = iter([1.0, 1.0, 2.0, 2.0, 0.5, 0.5])  # the host's, per pair
+    calls = []
 
     def run_once(root, shapes):
-        scale = next(speed)
+        scale = speeds[len(calls) // 2]  # two runs a pair
+        calls.append((root.name, shapes))
         return [{backend: {"ms": scale * ms, "counters": counters}
                  for backend, ms in zip(("gmw", "yao"),
                                         times[root.name][shape])}
@@ -102,9 +105,28 @@ def test_the_json_holds_each_shape_per_pair_ratio(monkeypatch, tmp_path):
                         lambda into: None)
     out = tmp_path / "SESSIONS.json"
     assert session_pairs.main([
-        "session_pairs.py", "--shapes", "104x5,4x8", "--pairs", "3",
+        "session_pairs.py", "--shapes", "104x5,4x8", "--pairs", str(pairs),
         "--parent-tree", str(tmp_path / "parent"), "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
+    return json.loads(out.read_text()), calls
+
+
+def test_each_run_times_the_whole_grid_and_the_sides_alternate(
+        monkeypatch, tmp_path):
+    # A run is one side's over every shape; the parent runs first in even
+    # pairs and the change in odd ones.  An A/A run that ran each shape's
+    # two runs back to back instead, one process a shape, did not narrow
+    # the ratio's quartiles at width 4 (CHANGES.md), so a run stays whole.
+    record, calls = faked(monkeypatch, tmp_path, 2, [1.0, 2.0])
+    grid = [(104, 5), (4, 8)]
+    assert calls == [("parent", grid), ("change", grid), ("change", grid),
+                     ("parent", grid)]
+    for shape in record["shapes"]:
+        assert shape["first_in_pair"] == ["parent", "change"]
+
+
+def test_the_json_holds_each_shape_per_pair_ratio(monkeypatch, tmp_path):
+    # Faked runs over three pairs at the host's speeds 1, 2 and 0.5.
+    record, _ = faked(monkeypatch, tmp_path, 3, [1.0, 2.0, 0.5])
     ratios = {(s["width"], s["k"], s["backend"]): s["ms"]["ratio"]
               for s in record["shapes"]}
     assert ratios[104, 5, "gmw"]["by_pair"] == pytest.approx([0.8] * 3)

@@ -8,6 +8,7 @@ transcripts must show the promised round counts and phase separation.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import socket
@@ -49,7 +50,7 @@ from prelude.smpc import (
     reveal_steps,
     run_pair,
 )
-from prelude.smpc import gmw, yao
+from prelude.smpc import dealer, gmw, yao
 from prelude.smpc.aes import Aes128, Aes128Ecb, pinned
 from prelude.distinct_match import MAX_ENTRIES
 from prelude.smpc.channel import MAX_FRAME_BYTES, RECV, expect
@@ -736,6 +737,144 @@ class TestDealer:
                         first_step(backend, party, material)
 
 
+def dealt_bytes(circuit, material) -> bytes:
+    """What the dealer sends the party of ``material``: the holder its
+    seed; the querier, under gmw, its seed and then, side by side as one
+    little-endian bit string, its shifts u, the lookup pads they select,
+    per tree level its shares of the products that are not singletons,
+    slice by slice in ascending order, and its release pads; under yao
+    its shifts and its label pads alone."""
+    if material.party == 1:
+        return material.seed
+    words = [(material.shift, 2 * material.width)]
+    if material.backend == "yao":
+        words.append((material.transfer[0], 128 * material.width))
+    else:
+        lanes = material.lanes
+        words.append((material.lookup[0],
+                      (material.width + 1) // 2 * lanes))
+        for gates, arity, word in zip(material.levels[1:], circuit.arities,
+                                      material.tree):
+            bits = gates * lanes
+            words += [(word >> s * bits & (1 << bits) - 1, bits)
+                      for s in range(3, 1 << arity) if s & s - 1]
+        words.append((material.transfer[1],
+                      8 * material.transfer_bytes * lanes))
+    corrections = at = 0
+    for word, bits in words:
+        corrections |= word << at
+        at += bits
+    return (material.seed or b"") + corrections.to_bytes((at + 7) // 8,
+                                                         "little")
+
+
+def rebuilt(circuit, backend: str, party: int, lanes: int, dealt: bytes,
+            size: int):
+    """``party``'s material rebuilt from ``dealt`` (:func:`dealt_bytes`)
+    alone, as a process of its own would: the expansion of its seed, in
+    the dealer's order, and the rest of the querier's bytes in theirs."""
+    w, plan = circuit.width, circuit.plan(backend)
+    if party == 1:
+        return dealer.holder_material(circuit, backend, lanes,
+                                      dealer.Expansion(dealt), size)
+    seed = dealt[:dealer.SEED_BYTES] if backend == "gmw" else None
+    rest = int.from_bytes(dealt[len(seed or b""):], "little")
+
+    def take(bits):
+        nonlocal rest
+        word, rest = rest & (1 << bits) - 1, rest >> bits
+        return word
+
+    u = take(2 * w)
+    if backend == "yao":
+        return dealer.DealerMaterial(backend, 0, w, plan, lanes, u, (), (),
+                                     (take(128 * w),), 16, None, len(dealt))
+    levels = [(gates * lanes, arity)
+              for gates, arity in zip(plan[1:], circuit.arities)]
+    *singles, d = dealer.Expansion(seed).fields(
+        [bits << arity for bits, arity in levels] + [lanes])
+    chosen, tree = take((w + 1) // 2 * lanes), []
+    for (bits, arity), single in zip(levels, singles):
+        tree.append(sum((take(bits) if s & s - 1 else single >> s * bits
+                         & (1 << bits) - 1) << s * bits
+                        for s in range(1, 1 << arity)))
+    return dealer.DealerMaterial(
+        backend, 0, w, plan, lanes, u, (chosen, pair_indicators(u, w, lanes)),
+        tuple(tree), (d, take(8 * size * lanes)), size, seed, len(dealt))
+
+
+class TestSeededDealing:
+    # the sizes before seeds, querier and holder: gmw 72 and 109 B at
+    # 104x1, 382 and 871 at 104x8, 22,277 and 54,438 at 104x500, 55 and
+    # 119 at 4x8; yao 1,690 and 4,992 at width 104, 65 and 192 at 4
+    @pytest.mark.parametrize("backend,width,lanes,querier", [
+        ("gmw", 104, 1, 78), ("gmw", 104, 8, 329), ("gmw", 104, 500, 17980),
+        ("gmw", 4, 8, 68), ("yao", 104, 1, 1690), ("yao", 104, 8, 1690),
+        ("yao", 104, 500, 1690), ("yao", 4, 8, 65)])
+    def test_each_partys_dealt_bytes_are_pinned(self, backend, width, lanes,
+                                                querier):
+        # The holder is sent its 16-byte seed alone, and the querier its
+        # shifts, under gmw its seed, and its correction words, at 6-byte
+        # release values.
+        mat0, mat1 = dealer_for_circuit(build_batch_query(width), backend,
+                                        random.Random(width + lanes), lanes,
+                                        size=6)
+        assert (mat0.serialized_size, mat1.serialized_size) == (querier, 16)
+
+    @pytest.mark.parametrize("backend,digests", [
+        ("gmw", ("ee3e8848d458761f050c0478b3cfccd0"
+                 "b09a87377f2a02084b16881c5e3cab8d",
+                 "b628a1e823ec4a859ddfa79bb980fae2"
+                 "05b36ef88b6f741360070c8fce7c2caa")),
+        ("yao", ("b373e46f300e100981c5cd4f109250f1"
+                 "2299eae8082b3a3aa69fd0ec73678c03",
+                 "ffb81e2618ce5badc2dc7e0a040f2a2c"
+                 "1d8eb8071f6da4ecf2359ae731890fff"))])
+    def test_the_expansion_of_fixed_seeds_is_pinned(self, backend, digests):
+        # Fixed seeds, the querier's under gmw and the holder's, expand
+        # into each party's material at width 8 over 3 lanes, the shifts
+        # being all 1; a change to the expansion or its order moves these
+        # digests, like a frame's.
+        seeds = iter([bytes(range(16)), bytes(range(16, 32))][
+            backend == "yao":])
+        shifts = iter([0xFF])
+        pair = dealer_for_circuit(
+            build_batch_query(8), backend,
+            SimpleNamespace(getrandbits=lambda n: next(shifts, 0) if n == 8
+                            else int.from_bytes(next(seeds), "little")),
+            3, size=6)
+        assert tuple(hashlib.sha256(repr(material).encode()).hexdigest()
+                     for material in pair) == digests
+
+    @pytest.mark.parametrize("backend", ["gmw", "yao"])
+    @pytest.mark.parametrize("lanes", [1, 8, 500])
+    def test_material_rebuilt_from_what_is_counted_runs_the_session(
+            self, backend, lanes):
+        # Each party's material is rebuilt from exactly its counted bytes,
+        # the holder's from its seed alone, and a session on the rebuilt
+        # material sends the same frames and answers the same.
+        circuit, size = build_batch_query(104), 1
+        inputs0, inputs1, expected = overlap_case(104, lanes,
+                                                  random.Random(lanes))
+        dealt = dealer_for_circuit(circuit, backend, random.Random(lanes),
+                                   lanes, size=size)
+        sent = [dealt_bytes(circuit, material) for material in dealt]
+        assert [len(b) for b in sent] == [m.serialized_size for m in dealt]
+        assert len(sent[1]) == dealer.SEED_BYTES
+        again = tuple(rebuilt(circuit, backend, party, lanes, sent[party],
+                              size) for party in (0, 1))
+        assert again == dealt
+        runs = []
+        for mat0, mat1 in (dealt, again):
+            spy = Spy()
+            out0, _, _ = run_pair(
+                tapped(party_steps(circuit, backend, 0, inputs0, mat0), spy),
+                party_steps(circuit, backend, 1, inputs1, mat1,
+                            garble_rng=random.Random(5)), 0.0)
+            runs.append((out0, spy.frames))
+        assert runs[0] == runs[1] and runs[0][0] == expected
+
+
 # --------------------------------------------------------------------------
 # GMW backend
 
@@ -1101,11 +1240,14 @@ class TestLanes:
             seen.update(got)
         assert seen == {0, 1}
 
-    def test_dealer_material_scales_with_lanes(self):
+    def test_dealer_material_scales_with_lanes(self, monkeypatch):
         circuit = build_batch_query(8)
-        # every draw all ones, so that the words show their widths, but the
-        # first, the shifts' low plane, so that every shift reads 2
+        # every draw all ones, and every field of both parties' seed
+        # expansions, so that the words show their widths, but the first
+        # draw, the shifts' low plane, so that every shift reads 2
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
+        monkeypatch.setattr(dealer.Expansion, "fields", lambda stream, sizes: [
+            (1 << n) - 1 for n in sizes])
         draws = iter([0])
         shifted = SimpleNamespace(
             getrandbits=lambda n: next(draws, (1 << n) - 1))
@@ -1446,24 +1588,37 @@ class TestHalfGates:
                                                        width):
         # Per cell the garbler makes four keyed calls, one ECB over both
         # rows and three CTR, and the evaluator one CTR: 520 at width 104.
-        # The release's two fixed-key calls, one per party, come on top.
+        # The release's two fixed-key calls, one per party, and the
+        # dealer's two expansions come on top.
         lanes = yao.LABEL_KEYED_LANES
         calls = self.counted_session(monkeypatch, width, lanes)
         size = 16 * lanes
         assert sorted(calls) == sorted([2 * size] * width
-                                       + [size] * (4 * width) + [size] * 2)
-        assert len(calls) == 5 * width + 2
+                                       + [size] * (4 * width) + [size] * 2
+                                       + self.expansions(width))
+        assert len(calls) == 5 * width + 2 + len(self.expansions(width))
 
     @pytest.mark.parametrize("width", [4, 104])
     def test_hashed_sessions_make_exact_pi_calls(self, monkeypatch, width):
         # One pi call by each party over every cell and lane, five blocks
         # per cell and lane for the garbler and one for the evaluator,
-        # then the release's two, one block per lane each.
+        # then the release's two, one block per lane each, and the
+        # dealer's two expansions.
         lanes = yao.LABEL_KEYED_LANES - 1
         calls = self.counted_session(monkeypatch, width, lanes)
         blocks = width * lanes
         assert sorted(calls) == sorted([16 * 5 * blocks, 16 * blocks]
-                                       + [16 * lanes] * 2)
+                                       + [16 * lanes] * 2
+                                       + self.expansions(width))
+
+    @staticmethod
+    def expansions(width):
+        """The bytes of the dealer's CTR calls for one yao session at
+        ``width``, all for the holder's seed: its first ``_CHUNK`` bytes,
+        and the rest of its three pads of 16 bytes per cell, if they are
+        longer."""
+        pads, chunk = 3 * 16 * width, dealer._CHUNK
+        return [chunk] + [max(pads - chunk, chunk)] * (pads > chunk)
 
     @staticmethod
     def blocks(values):
