@@ -40,10 +40,16 @@ _MODES = {"ecb": _lib.EVP_aes_128_ecb, "ctr": _lib.EVP_aes_128_ctr}
 _ZERO_BLOCK = bytes(BLOCK_BYTES)
 
 
-def pinned(buf: bytearray) -> tuple[ctypes.Array, int]:
+def pinned(buf: bytearray) -> tuple[ctypes.c_char, int]:
     """The address of ``buf``, and the ctypes view that pins it there:
-    while the view lives, ``buf`` cannot be resized or freed."""
-    view = (ctypes.c_char * len(buf)).from_buffer(buf)
+    while the view lives, ``buf`` cannot be resized or freed.
+
+    The view is the one ``c_char`` at the start of ``buf``.  An array
+    view would need an array type of ``buf``'s length, which ctypes caches
+    only weakly, so it made one anew, about 20 us, after every garbage
+    collection that freed it.
+    """
+    view = ctypes.c_char.from_buffer(buf)
     return view, ctypes.addressof(view)
 
 

@@ -42,22 +42,22 @@ release takes its value size.
 
 Seeds.  When it deals over k lanes the dealer draws one 16-byte seed per
 party, the querier's only under gmw, and each party expands its own by
-AES-128-CTR keyed by it, from counter block 0 (:class:`Expansion`), each
-piece from whole bytes of its own.  Every piece of the holder's material
-is uniform, so all of it is its seed's expansion, read in this order:
-under gmw its nine padded pads, its r, each tree level's 2^n - 1 shares,
-slices 1 to 2^n - 1, and the pads r0 and r1; under yao the pads p0, p1
-and p2.  The querier's expansion gives the gmw pieces of its own that
-are uniform and drawn with k, in this order: per tree level a word of
-2^n slices whose singletons 2^i are its shares of the masks, and its
-choice bits d.  Every other piece of the querier's is a correction word,
-which the dealer computes from both expansions by the formulas above:
-the pads p[u_a, u_b] XOR r its shifts select, its shares m_S XOR h_S of
-the 2^n - 1 - n products that are not singletons, h_S being the
-holder's, and the pad r_d; under yao the pads p_u.  The holder is sent
-its seed, and the querier its shifts u, its seed and its corrections,
-and nothing else, which is what :attr:`DealerMaterial.serialized_size`
-counts.
+AES-128-CTR keyed by it, from counter block 0, in one call, its pieces
+side by side from the lowest bit up (:func:`expand`).  Every piece of
+the holder's material is uniform, so all of it is its seed's expansion,
+in this order: under gmw its nine padded pads, its r, each tree level's
+2^n - 1 shares, slices 1 to 2^n - 1, and the pads r0 and r1; under yao
+the pads p0, p1 and p2.  The querier's expansion gives the gmw pieces
+of its own that are uniform and drawn with k, in this order: per tree
+level its shares of the n masks side by side, which its word holds in
+slices 2^0 to 2^(n-1), and its choice bits d.  Every other piece of the
+querier's is a correction word, which the dealer computes from both
+expansions by the formulas above: the pads p[u_a, u_b] XOR r its shifts
+select, its shares m_S XOR h_S of the 2^n - 1 - n products that are not
+singletons, h_S being the holder's, and the pad r_d; under yao the pads
+p_u.  The holder is sent its seed, and the querier its shifts u, its
+seed and its corrections, and nothing else, which is what
+:attr:`DealerMaterial.serialized_size` counts.
 
 Seeding changes no one's view.  The holder's material is a function of
 its seed alone, uniform piece by piece as when it was drawn so, and
@@ -90,9 +90,8 @@ All material is simulation-grade randomness, not hardened cryptography.
 
 from __future__ import annotations
 
-import functools
 import threading
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from prelude.smpc.aes import BLOCK_BYTES, Aes128, pinned
 from prelude.smpc.channel import MSG_AND_OPENING, ProtocolError, expect
@@ -111,78 +110,31 @@ from prelude.smpc.transfer import (
 )
 
 SEED_BYTES = 16
-# The bytes an expansion makes at once: the querier's whole expansion at
-# rule width 104 up to about 30 lanes, and the holder's under gmw up to 8,
-# are shorter.
-_CHUNK = 1024
-# One CTR context serves every expansion, behind a lock, since an OpenSSL
-# context is not reentrant and a new one costs about 5 us; so do a key,
-# zero input and output buffer, pinned for good
-# (:func:`~prelude.smpc.aes.pinned`), since pinning a buffer costs several
-# microseconds between two sessions.
+# One CTR context serves every expansion, behind a lock: an OpenSSL context
+# is not reentrant, and a new one costs 5 to 7 us.
 _CTR, _CTR_LOCK = Aes128("ctr"), threading.Lock()
-_KEY, _ZEROS, _OUT = (bytearray(n) for n in (SEED_BYTES, _CHUNK, _CHUNK))
-_PINS = [pinned(buf) for buf in (_KEY, _ZEROS, _OUT)]
-_KEY_AT, _ZEROS_AT, _OUT_AT = [at for _, at in _PINS]
 
 
-def _keystream(seed: bytes, block: int, n: int) -> bytes:
-    """``n`` bytes, whole blocks, of the AES-128-CTR keystream keyed by
-    ``seed``, from counter block ``block``."""
-    iv = block.to_bytes(BLOCK_BYTES, "big")
-    if n > _CHUNK:  # zeros of its own, encrypted in place
-        out = bytearray(n)
-        pin, at = pinned(out)
-        with _CTR_LOCK:
-            _KEY[:] = seed
-            _CTR.encrypt(_KEY_AT, at, at, n, iv)
-        return bytes(out)
-    with _CTR_LOCK:
-        _KEY[:] = seed
-        _CTR.encrypt(_KEY_AT, _OUT_AT, _ZEROS_AT, n, iv)
-        return bytes(_OUT[:n])
+def expand(seed: bytes, sizes) -> list[int]:
+    """The fields of ``sizes`` bits, in order, that ``seed`` expands into.
 
-
-class Expansion:
-    """One party's seed and its keystream, read front to back.
-
-    The keystream is AES-128-CTR keyed by the 16-byte seed, from counter
-    block 0: its first ``_CHUNK`` bytes are made at once, and it grows by
-    whole blocks, by at least what it holds, one OpenSSL call each.
-    :meth:`fields` reads the next fields of given sizes, each from whole
-    bytes of its own as a little-endian int, so reads of the same sizes in
-    the same order give the same values however the keystream is
-    buffered.
+    The expansion is the AES-128-CTR keystream keyed by the 16-byte seed
+    from counter block 0, just the whole blocks the fields take, made by
+    one OpenSSL call and read as one little-endian int: the first field
+    is its lowest bits, and each next field the bits above.
     """
-
-    __slots__ = ("seed", "_stream", "_at")
-
-    def __init__(self, seed: bytes) -> None:
-        self.seed = seed
-        self._stream = _keystream(seed, 0, _CHUNK)
-        self._at = 0
-
-    def _ahead(self, n: int) -> bytes:
-        """The keystream, at least ``n`` bytes past where it is read."""
-        stream = self._stream
-        if self._at + n > len(stream):
-            stream = self._stream = stream + _keystream(
-                self.seed, len(stream) // BLOCK_BYTES, -(-max(
-                    self._at + n - len(stream), len(stream)) // BLOCK_BYTES)
-                * BLOCK_BYTES)
-        return stream
-
-    def fields(self, sizes) -> list[int]:
-        """The next fields of ``sizes`` bits, in order."""
-        stream = self._ahead(sum([(n + 7) // 8 for n in sizes]))
-        at, out = self._at, []
-        for n in sizes:
-            end = at + (n + 7) // 8
-            out.append(int.from_bytes(stream[at:end], "little")
-                       & (1 << n) - 1)
-            at = end
-        self._at = at
-        return out
+    n = -(-sum(sizes) // (8 * BLOCK_BYTES)) * BLOCK_BYTES
+    # zeros encrypted in place, then the key, above every field's bits
+    buf = bytearray(n + SEED_BYTES)
+    buf[n:] = seed
+    pin, at = pinned(buf)
+    with _CTR_LOCK:
+        _CTR.encrypt(at + n, at, at, n)
+    stream, out = int.from_bytes(buf, "little"), []
+    for bits in sizes:
+        out.append(stream & (1 << bits) - 1)
+        stream >>= bits
+    return out
 
 
 def _draw_seed(rng) -> bytes:
@@ -190,31 +142,9 @@ def _draw_seed(rng) -> bytes:
     return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(width: int, plan: tuple, arities: tuple, lanes: int,
-            size: int) -> tuple:
-    """What a gmw deal of ``plan`` over ``lanes`` reads and sends: the
-    lookup level's bits per piece, each tree level's slice bits, the
-    holder's field sizes, the querier's seed's, and the
-    querier's dealt bytes (:func:`dealer_for_circuit`)."""
-    nb = (width + 1) // 2 * lanes
-    slices = [gates * lanes for gates in plan[1:]]
-    pads = [8 * size * lanes] * 2
-    holder = [9 * nb, nb, *[((1 << arity) - 1) * bits
-                            for bits, arity in zip(slices, arities)], *pads]
-    querier = [bits << arity for bits, arity in zip(slices, arities)]
-    corrections = nb + sum(((1 << arity) - 1 - arity) * bits
-                           for bits, arity in zip(slices, arities))
-    return (nb, slices, holder, querier + [lanes], SEED_BYTES
-            + (2 * width + 7) // 8 + (corrections + 7) // 8 + size * lanes)
-
-
-class DealerMaterial(NamedTuple):
-    """Everything the dealer hands one party for one run of the template.
-
-    A named tuple: a session builds two, and a frozen dataclass took
-    about 2 us more each.
-    """
+@dataclass(frozen=True)
+class DealerMaterial:
+    """Everything the dealer hands one party for one run of the template."""
 
     backend: str
     party: int
@@ -271,18 +201,22 @@ def first_piece(circuit, rng) -> int:
     return draw_symbols(rng, circuit.width)
 
 
-def holder_material(circuit, backend: str, lanes: int, stream: Expansion,
+def holder_material(circuit, backend: str, lanes: int, seed: bytes,
                     size: int = LABEL_BYTES) -> DealerMaterial:
     """Party 1's material for ``circuit`` under ``backend`` over ``lanes``,
-    all of it read from ``stream``, the expansion of its seed; ``size`` as
-    for :func:`dealer_for_circuit`."""
-    plan, w, seed = circuit.plan(backend), circuit.width, stream.seed
+    all of it the expansion of its ``seed``; ``size`` as for
+    :func:`dealer_for_circuit`."""
+    plan, w = circuit.plan(backend), circuit.width
     if backend == "yao":
         return DealerMaterial(backend, 1, w, plan, lanes, None, (), (), tuple(
-            stream.fields((LABEL_BITS * w,) * 3)), LABEL_BYTES, seed,
+            expand(seed, [LABEL_BITS * w] * 3)), LABEL_BYTES, seed,
             SEED_BYTES)
-    _, slices, sizes, _, _ = _layout(w, plan, circuit.arities, lanes, size)
-    padded, r, *tree, r0, r1 = stream.fields(sizes)
+    nb = (w + 1) // 2 * lanes
+    slices = [gates * lanes for gates in plan[1:]]
+    padded, r, *tree, r0, r1 = expand(seed, [
+        9 * nb, nb, *[((1 << arity) - 1) * bits
+                      for bits, arity in zip(slices, circuit.arities)],
+        8 * size * lanes, 8 * size * lanes])
     return DealerMaterial(backend, 1, w, plan, lanes, None, (padded, r), tuple(
         [word << bits for word, bits in zip(tree, slices)]), (r0, r1), size,
         seed, SEED_BYTES)
@@ -318,35 +252,36 @@ def dealer_for_circuit(
         raise ValueError("lanes must be positive")
     u = first_piece(circuit, rng) if first is None else first
     if backend == "yao":
-        holder = holder_material(circuit, backend, lanes,
-                                 Expansion(_draw_seed(rng)), size)
+        holder = holder_material(circuit, backend, lanes, _draw_seed(rng))
         return DealerMaterial(
             backend, 0, w, plan, lanes, u, (), (),
             (symbol_pad(u, w, holder.transfer),), LABEL_BYTES, None,
             (2 * w + 7) // 8 + LABEL_BYTES * w), holder
-    mine = Expansion(_draw_seed(rng))
-    holder = holder_material(circuit, backend, lanes,
-                             Expansion(_draw_seed(rng)), size)
+    mine = _draw_seed(rng)
+    holder = holder_material(circuit, backend, lanes, _draw_seed(rng), size)
 
-    nb, slices, _, sizes, dealt = _layout(w, plan, circuit.arities, lanes,
-                                          size)
-    # per tree level a word of 2^n slices, of which the querier keeps the
-    # singletons 2^i, its shares of the masks; then its choice bits
-    *singles, d = mine.fields(sizes)
-    tree = []
-    for bits, arity, share, single in zip(slices, circuit.arities,
-                                          holder.tree, singles):
-        # mask i is the XOR of the parties' shares in slice 2^i, so the
-        # querier's word holds its singletons there and m_S XOR h_S in
-        # every other non-empty slice S
-        tree.append(share ^ subset_products(share ^ single, arity, bits))
+    levels = [(gates * lanes, arity)
+              for gates, arity in zip(plan[1:], circuit.arities)]
+    # the querier's shares of each tree level's n masks, side by side, then
+    # its choice bits
+    *masks, d = expand(mine, [arity * bits for bits, arity in levels]
+                       + [lanes])
+    nb = (w + 1) // 2 * lanes
+    tree, corrections = [], nb
+    for (bits, arity), share, mask in zip(levels, holder.tree, masks):
+        # mask i is the holder's share in slice 2^i XOR the querier's in
+        # field i, and the querier's word is m_S XOR h_S in each non-empty
+        # slice S, so its share of mask i in slice 2^i
+        tree.append(share ^ subset_products(share, mask, arity, bits))
+        corrections += ((1 << arity) - 1 - arity) * bits
     padded, r = holder.lookup
     indicators = pair_indicators(u, w, lanes)
     return DealerMaterial(
         backend, 0, w, plan, lanes, u,
         (table_entries(padded, *indicators, nb) ^ r, indicators), tuple(tree),
-        (d, choice_pad(d, lanes, size, holder.transfer)), size, mine.seed,
-        dealt), holder
+        (d, choice_pad(d, lanes, size, holder.transfer)), size, mine,
+        SEED_BYTES + (2 * w + 7) // 8 + (corrections + 7) // 8
+        + size * lanes), holder
 
 
 def first_steps(circuit, word: int, piece: int):

@@ -71,20 +71,22 @@ def broadcast(bits: int, n: int, lanes: int) -> int:
     return (low << lanes) - low
 
 
-def subset_products(word: int, count: int, size: int) -> int:
-    """The AND of every non-empty subset of ``count`` slices of ``size``
-    bits, slice i being slice 2^i of ``word``: ``2 ** count`` fields of
-    ``size`` bits, field S holding the AND of the slices i in bit set S,
-    and field 0 zero.
+def subset_products(word: int, masks: int, count: int, size: int) -> int:
+    """The AND of every non-empty subset of ``count`` masks of ``size``
+    bits, mask i being slice 2^i of ``word`` XOR slice i of ``masks``, a
+    slice being ``size`` bits: ``2 ** count`` fields of ``size`` bits,
+    field S holding the AND of the masks i in bit set S, and field 0 zero.
+    So two parties' shares of the masks give them, one party's in slices
+    2^i and the other's side by side.
 
-    The table doubles once per slice, so it takes ``count`` steps on words
+    The table doubles once per mask, so it takes ``count`` steps on words
     of at most ``2 ** count`` fields.
     """
     low = (1 << size) - 1
     table = low  # the empty AND, all ones
     for i in range(count):
-        # slice i in each of the table's 2 ** i fields
-        factor = (word >> (size << i)) & low
+        # mask i in each of the table's 2 ** i fields
+        factor = (word >> (size << i) ^ masks >> i * size) & low
         for j in range(i):
             factor |= factor << (size << j)
         table |= (table & factor) << (size << i)

@@ -38,13 +38,13 @@ The transfers are part of the dealer material for one run
 as the messages.  The sender's pads come from its seed and the
 receiver's choice bits from its own, its symbols from the dealer's
 stream; the dealer sends the receiver the pad its choices select, r_d or
-p_u (:func:`choice_pad`, :func:`symbol_pad`), as a correction word.  Each party's material is packed: transfer i's
-pads lie in lane i of one int per slot, a lane being as many bytes as a
-message, and its choice bit in bit i of another, or its symbol in bits i
-and n + i of two bit planes, so every step acts on every transfer at
-once.  The messages travel in the same lanes, so a frame is two or three
-such ints, every transfer's slot 0 and then every transfer's slot 1, and
-slot 2.
+p_u (:func:`choice_pad`, :func:`symbol_pad`), as a correction word.
+Each party's material is packed: transfer i's pads lie in lane i of one
+int per slot, a lane being as many bytes as a message, and its choice
+bit in bit i of another, or its symbol in bits i and n + i of two bit
+planes, so every step acts on every transfer at once.  The messages
+travel in the same lanes, so a frame is two or three such ints, every
+transfer's slot 0 and then every transfer's slot 1, and slot 2.
 """
 
 from __future__ import annotations

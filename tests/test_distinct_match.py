@@ -1392,7 +1392,7 @@ class TestLaneSessions:
         shifted = SimpleNamespace(
             getrandbits=lambda n: next(draws, (1 << n) - 1))
         # so is every field of both parties' seed expansions
-        monkeypatch.setattr(dealer.Expansion, "fields", lambda stream, sizes: [
+        monkeypatch.setattr(dealer, "expand", lambda seed, sizes: [
             (1 << n) - 1 for n in sizes])
         pieces, materials = [], []
 
@@ -1495,12 +1495,12 @@ class TestLaneSessions:
         assert max(sizes) == MAX_FRAME_BYTES == 5 + 32 * 104 * 4096
 
     @pytest.mark.parametrize("width,k,digest", [
-        (104, 50, "fdbe43506354d4149d3c822c9930b138"
-         "8b2cea51db6a416e32d2ac261ecfdb71"),
-        (7, 33, "3f9c8dff5bca9da5f5b70b22ee358057"
-         "710b5f70258c8fe5ac0911dc3a5022d5"),
-        (1, 3, "c09b86d5622aeb5cf1426b9c91a11e7f"
-         "15335458ee01312e905549c352ba8a6e"),
+        (104, 50, "c46ff02fb1ed0fd0955644c460ebcd14"
+         "c1c2602b90ccb2afafe9b7578c70aa8f"),
+        (7, 33, "36b23f09ad0758a28c1907742366b2e6"
+         "8aacbb05c37d110e1af3428d7f6bd235"),
+        (1, 3, "aaa52280a876826f4e7303c3630e4008"
+         "708c6ce0d2dae839c1892c0abb87ccf2"),
     ], ids=["104-50", "7-33", "1-3"])  # the shape, not the pin
     def test_every_frame_is_pinned_by_its_digest(self, monkeypatch, width,
                                                  k, digest):

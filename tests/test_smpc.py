@@ -775,8 +775,7 @@ def rebuilt(circuit, backend: str, party: int, lanes: int, dealt: bytes,
     the dealer's order, and the rest of the querier's bytes in theirs."""
     w, plan = circuit.width, circuit.plan(backend)
     if party == 1:
-        return dealer.holder_material(circuit, backend, lanes,
-                                      dealer.Expansion(dealt), size)
+        return dealer.holder_material(circuit, backend, lanes, dealt, size)
     seed = dealt[:dealer.SEED_BYTES] if backend == "gmw" else None
     rest = int.from_bytes(dealt[len(seed or b""):], "little")
 
@@ -791,13 +790,15 @@ def rebuilt(circuit, backend: str, party: int, lanes: int, dealt: bytes,
                                      (take(128 * w),), 16, None, len(dealt))
     levels = [(gates * lanes, arity)
               for gates, arity in zip(plan[1:], circuit.arities)]
-    *singles, d = dealer.Expansion(seed).fields(
-        [bits << arity for bits, arity in levels] + [lanes])
+    *masks, d = dealer.expand(seed, [arity * bits for bits, arity in levels]
+                              + [lanes])
     chosen, tree = take((w + 1) // 2 * lanes), []
-    for (bits, arity), single in zip(levels, singles):
-        tree.append(sum((take(bits) if s & s - 1 else single >> s * bits
-                         & (1 << bits) - 1) << s * bits
-                        for s in range(1, 1 << arity)))
+    for (bits, arity), mask in zip(levels, masks):
+        # its share of mask i is field i of the level's masks, in slice 2^i
+        tree.append(sum(
+            (take(bits) if s & s - 1
+             else mask >> (s.bit_length() - 1) * bits & (1 << bits) - 1)
+            << s * bits for s in range(1, 1 << arity)))
     return dealer.DealerMaterial(
         backend, 0, w, plan, lanes, u, (chosen, pair_indicators(u, w, lanes)),
         tuple(tree), (d, take(8 * size * lanes)), size, seed, len(dealt))
@@ -822,10 +823,10 @@ class TestSeededDealing:
         assert (mat0.serialized_size, mat1.serialized_size) == (querier, 16)
 
     @pytest.mark.parametrize("backend,digests", [
-        ("gmw", ("ee3e8848d458761f050c0478b3cfccd0"
-                 "b09a87377f2a02084b16881c5e3cab8d",
-                 "b628a1e823ec4a859ddfa79bb980fae2"
-                 "05b36ef88b6f741360070c8fce7c2caa")),
+        ("gmw", ("1251400053c5360c14aae99b4be5edb3"
+                 "1b5bfaf36eda11a588d6368fa7d5c1dd",
+                 "1ba1768cbc5956c68dbd552524d2aeb0"
+                 "1fe4479ce5dc7ea1e81f53d5e1c17ea7")),
         ("yao", ("b373e46f300e100981c5cd4f109250f1"
                  "2299eae8082b3a3aa69fd0ec73678c03",
                  "ffb81e2618ce5badc2dc7e0a040f2a2c"
@@ -1246,7 +1247,7 @@ class TestLanes:
         # expansions, so that the words show their widths, but the first
         # draw, the shifts' low plane, so that every shift reads 2
         ones = SimpleNamespace(getrandbits=lambda n: (1 << n) - 1)
-        monkeypatch.setattr(dealer.Expansion, "fields", lambda stream, sizes: [
+        monkeypatch.setattr(dealer, "expand", lambda seed, sizes: [
             (1 << n) - 1 for n in sizes])
         draws = iter([0])
         shifted = SimpleNamespace(
@@ -1341,6 +1342,18 @@ class TestHalfGates:
             "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"))
         assert data.hex() == ("874d6191b620e3261bef6864990db6ce"
                               "9806f66b7970fdff8617187bb9fffdff")
+
+    def test_a_pinned_buffer_keeps_its_place_under_one_view_type(self):
+        # Every length is pinned by a view of one type, so none is made
+        # per length, and the buffer cannot be resized while it lives.
+        views = [pinned(bytearray(n)) for n in (1, 16, 4992)]
+        assert len({type(view) for view, _ in views}) == 1
+        data = bytearray(32)
+        view, at = pinned(data)
+        with pytest.raises(BufferError):
+            data.extend(b"\0")
+        del view
+        data.extend(b"\0")
 
     def test_a_rekeyed_context_matches_a_fresh_cipher(self):
         # One ECB and one CTR context, keyed in turn under three keys and
@@ -1589,7 +1602,7 @@ class TestHalfGates:
         # Per cell the garbler makes four keyed calls, one ECB over both
         # rows and three CTR, and the evaluator one CTR: 520 at width 104.
         # The release's two fixed-key calls, one per party, and the
-        # dealer's two expansions come on top.
+        # dealer's expansion of the holder's seed come on top.
         lanes = yao.LABEL_KEYED_LANES
         calls = self.counted_session(monkeypatch, width, lanes)
         size = 16 * lanes
@@ -1603,7 +1616,7 @@ class TestHalfGates:
         # One pi call by each party over every cell and lane, five blocks
         # per cell and lane for the garbler and one for the evaluator,
         # then the release's two, one block per lane each, and the
-        # dealer's two expansions.
+        # dealer's expansion of the holder's seed.
         lanes = yao.LABEL_KEYED_LANES - 1
         calls = self.counted_session(monkeypatch, width, lanes)
         blocks = width * lanes
@@ -1614,11 +1627,9 @@ class TestHalfGates:
     @staticmethod
     def expansions(width):
         """The bytes of the dealer's CTR calls for one yao session at
-        ``width``, all for the holder's seed: its first ``_CHUNK`` bytes,
-        and the rest of its three pads of 16 bytes per cell, if they are
-        longer."""
-        pads, chunk = 3 * 16 * width, dealer._CHUNK
-        return [chunk] + [max(pads - chunk, chunk)] * (pads > chunk)
+        ``width``: one, for the holder's seed, of its three pads of 16
+        bytes per cell."""
+        return [3 * 16 * width]
 
     @staticmethod
     def blocks(values):
